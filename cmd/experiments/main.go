@@ -23,10 +23,10 @@
 //
 // -bench-update measures incremental-update cost: build over the first
 // 1/(K+1) of the world, fold the rest in as K fixed-size delta batches
-// through Update, and record per-batch wall time and pages/s. The
-// emitted BENCH_UPDATE.json documents the O(delta) claim: last-batch
-// cost stays within ~1.5× of the first even as the accumulated corpus
-// grows ~(K+1)×.
+// through Update, and record per-batch wall time and pages/s against
+// the accumulated corpus size in BENCH_UPDATE.json. (At this world size
+// the batches are a tenth of the corpus each; the bench/ harness's
+// ingest workload is the one that fixes the batch and grows the world.)
 //
 // -bench-recovery measures durable-ingest cold-start cost: save a base
 // snapshot, append K JSONL batches to a real on-disk WAL, and after

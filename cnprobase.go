@@ -122,12 +122,19 @@ func Build(c *Corpus, opts Options) (*Result, error) {
 
 // Update incrementally extends a prior Build result with newly crawled
 // pages (the never-ending extraction mode of the substrate the paper's
-// system runs on). The prior taxonomy is extended in place. Update
-// cost is proportional to the delta: only new text is segmented and
+// system runs on). The prior taxonomy is extended in place. An Update
+// computes on what the batch touches: only new text is segmented and
 // recognized, the persistent verification evidence on the Result folds
-// forward, and only fresh candidates plus those whose evidence changed
-// are re-verified. Results restored with LoadSnapshot (evidence-
-// carrying snapshots) accept Update too.
+// forward, only fresh candidates plus those whose evidence changed are
+// re-verified, and the store, the kept list and the derived subconcept
+// edges are edited where the batch reaches them — the one cost that
+// follows the taxonomy's size is a block-copy splice of the sorted kept
+// list. The incremental state lives on the Result (and its evidence
+// and store), not on the pipeline, so each call may bring its own
+// Options. Result.Freeze then publishes the change by patching the
+// previous view. Results restored with LoadSnapshot (evidence-carrying
+// snapshots) accept Update too; their first Update runs on cold caches
+// and re-decides every candidate once.
 func Update(prev *Result, delta *Corpus, opts Options) (*Result, error) {
 	return core.New(opts).Update(prev, delta)
 }
@@ -329,6 +336,10 @@ func saveSnapshotLSN(w io.Writer, res *Result, lsn uint64) error {
 		Taxonomy: res.Taxonomy,
 		Mentions: res.Mentions,
 		Meta:     meta,
+		// A Result whose last Freeze is still current — the ingest
+		// plane at compaction time — is saved from that view; any other
+		// is compiled by Save, and is left without a view attached.
+		View:     res.PublishedView(),
 		Evidence: res.Evidence,
 		Kept:     res.Kept,
 		Stats:    res.Stats,

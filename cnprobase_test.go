@@ -297,6 +297,10 @@ func TestFacadeSnapshotBytesIgnoreConcurrency(t *testing.T) {
 // equivalent view.
 func TestFacadeFreezeAndLoadView(t *testing.T) {
 	_, res := buildSmall(t, 300)
+	var compiled bytes.Buffer // saved before any Freeze: the saver compiles the store itself
+	if err := SaveSnapshot(&compiled, res); err != nil {
+		t.Fatalf("SaveSnapshot: %v", err)
+	}
 	view := res.Freeze()
 	if view.Stats() != res.Taxonomy.ComputeStats() {
 		t.Fatalf("frozen stats = %+v, want %+v", view.Stats(), res.Taxonomy.ComputeStats())
@@ -313,6 +317,9 @@ func TestFacadeFreezeAndLoadView(t *testing.T) {
 	var buf bytes.Buffer
 	if err := SaveSnapshot(&buf, res); err != nil {
 		t.Fatalf("SaveSnapshot: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), compiled.Bytes()) {
+		t.Fatal("a snapshot saved from the published view differs from one that compiled the store")
 	}
 	loadedView, err := LoadSnapshotView(bytes.NewReader(buf.Bytes()), 4)
 	if err != nil {

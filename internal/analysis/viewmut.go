@@ -10,11 +10,13 @@ import (
 const servingPkgPath = "cnprobase/internal/serving"
 
 // viewBuildFuncs are the only functions inside internal/serving allowed
-// to write View fields: the compile path that constructs a fresh,
-// heap-backed View before it is published.
+// to write View fields: the assembly path that constructs a fresh,
+// heap-backed View before it is published (assemble lays out the
+// canonical arrays for Compile, Builder and Patch; derive, which
+// buildDerived also runs for mapped views, fills the derived ones).
 var viewBuildFuncs = map[string]bool{
-	"compile":      true,
-	"buildDerived": true,
+	"assemble": true,
+	"derive":   true,
 }
 
 // ViewMut flags writes through serving.View backing slices. A View
@@ -27,7 +29,7 @@ var viewBuildFuncs = map[string]bool{
 // and flags element assignment, ++/--, compound assignment, use as a
 // copy destination or append first-argument, and handing the slice to
 // an in-place sorter. Inside internal/serving it flags View field
-// writes anywhere but the compile/buildDerived construction path.
+// writes anywhere but the assemble/derive construction path.
 var ViewMut = &Analyzer{
 	Name: "viewmut",
 	Doc:  "flag writes through serving.View backing slices (mapped views are PROT_READ)",
@@ -64,7 +66,7 @@ func runViewMutInternal(pass *Pass) {
 				}
 				if tv, ok := pass.Info.Types[sel.X]; ok && namedTypeIs(tv.Type, servingPkgPath, "View") {
 					pass.Report(lhs.Pos(),
-						"write to View field %s outside the compile/buildDerived construction path", sel.Sel.Name)
+						"write to View field %s outside the assemble/derive construction path", sel.Sel.Name)
 				}
 			}
 			return true

@@ -93,8 +93,10 @@ type IngesterConfig struct {
 	CompactEvery time.Duration
 	// SaveSnapshot writes res as a snapshot covering WAL records up
 	// to and including lsn. Injected by the facade so this package
-	// does not depend on the snapshot encoder. Required for
-	// compaction.
+	// does not depend on the snapshot encoder; the facade's saver
+	// serializes the view the updater just published
+	// (Result.PublishedView) rather than compiling the store again.
+	// Required for compaction.
 	SaveSnapshot func(w io.Writer, res *core.Result, lsn uint64) error
 	// Queue bounds batches waiting for the updater; 0 selects
 	// DefaultIngestQueue.
@@ -102,15 +104,23 @@ type IngesterConfig struct {
 }
 
 // IngestResponse is the /ingest success payload: the batch size, how
-// long the update took, the post-update taxonomy shape, and — on a
-// durable ingester — the batch's log sequence number.
+// long settling it took — in total (WAL append included) and split
+// into folding the batch in (update_ms) and freezing + swapping the
+// new view (publish_ms) — how much of the store the view was brought
+// up to date from (touched_nodes re-read; full_compile when the whole
+// store was), the post-update taxonomy shape, and — on a durable
+// ingester — the batch's log sequence number.
 type IngestResponse struct {
 	Pages        int     `json:"pages"`
 	TookMs       float64 `json:"took_ms"`
+	UpdateMs     float64 `json:"update_ms"`
+	PublishMs    float64 `json:"publish_ms"`
+	TouchedNodes int     `json:"touched_nodes"`
 	Entities     int     `json:"entities"`
 	Concepts     int     `json:"concepts"`
 	IsARelations int     `json:"isa_relations"`
 	LSN          uint64  `json:"lsn,omitempty"`
+	FullCompile  bool    `json:"full_compile"`
 }
 
 type ingestReply struct {
@@ -268,6 +278,7 @@ func (ing *Ingester) apply(res *core.Result, req ingestReq) *core.Result {
 			return res
 		}
 	}
+	applied := time.Now()
 	updated, err := ing.pipeline.Update(res, req.delta)
 	if err != nil {
 		// The batch is on disk but rejected; replay hits the same
@@ -280,14 +291,20 @@ func (ing *Ingester) apply(res *core.Result, req ingestReq) *core.Result {
 		req.reply <- ingestReply{err: err}
 		return res
 	}
+	folded := time.Now()
 	ing.srv.SwapView(updated.Freeze())
+	published := time.Now()
 	if lsn != 0 {
 		ing.lsn.Store(lsn)
 	}
-	st := updated.Report.Stats
+	st, pub := updated.Report.Stats, updated.Report.Publish
 	req.reply <- ingestReply{resp: IngestResponse{
 		Pages:        req.delta.Len(),
-		TookMs:       float64(time.Since(start).Microseconds()) / 1000,
+		TookMs:       millis(published.Sub(start)),
+		UpdateMs:     millis(folded.Sub(applied)),
+		PublishMs:    millis(published.Sub(folded)),
+		TouchedNodes: pub.TouchedNodes,
+		FullCompile:  pub.FullCompile,
 		Entities:     st.Entities,
 		Concepts:     st.Concepts,
 		IsARelations: st.IsARelations,
@@ -295,6 +312,8 @@ func (ing *Ingester) apply(res *core.Result, req ingestReq) *core.Result {
 	}}
 	return updated
 }
+
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // compact persists res as a fresh snapshot covering everything applied
 // so far and prunes the WAL below it. The ordering is the data-loss

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,12 +62,22 @@ func baseSnapshot(t *testing.T) []byte {
 	return baseSnap
 }
 
+// savedFromView counts the snapshots testSaveSnapshot serialized from
+// the ingester's published view instead of compiling the store.
+var savedFromView atomic.Int64
+
 // testSaveSnapshot is the snapshot saver the durable fixtures inject —
-// in production the facade provides the equivalent.
+// in production the facade provides the equivalent, published view
+// included.
 func testSaveSnapshot(w io.Writer, res *core.Result, lsn uint64) error {
+	view := res.PublishedView()
+	if view != nil {
+		savedFromView.Add(1)
+	}
 	return snapshot.Save(w, &snapshot.State{
 		Taxonomy: res.Taxonomy,
 		Mentions: res.Mentions,
+		View:     view,
 		Meta:     snapshot.Meta{Pages: res.Report.Pages, Stats: res.Report.Stats, LSN: lsn},
 		Evidence: res.Evidence,
 		Kept:     res.Kept,
@@ -233,6 +244,43 @@ func TestDurableIngestRecoversAcknowledgedBatches(t *testing.T) {
 // Concurrent ingest + queries + compaction (-race coverage), with LSN
 // accounting: truncation never drops a batch the snapshot misses.
 // ---------------------------------------------------------------------------
+
+// TestCompactionSavesPublishedView pins the compactor's shortcut: the
+// snapshot it writes from the view the updater just published is byte
+// for byte the snapshot a save that compiles the store writes.
+func TestCompactionSavesPublishedView(t *testing.T) {
+	f := newDurableFixture(t, 0)
+	for b := 0; b < 3; b++ {
+		resp := postJSONL(t, f.ingTS.URL, []encyclopedia.Page{{Title: "视图压缩" + string(rune('甲'+b)), Tags: []string{f.concept}}})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest status = %d", resp.StatusCode)
+		}
+	}
+	before := savedFromView.Load()
+	if err := f.ing.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if savedFromView.Load() == before {
+		t.Fatal("compaction compiled the store instead of saving the published view")
+	}
+	f.ing.Close()
+	got, err := os.ReadFile(f.snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	err = snapshot.Save(&want, &snapshot.State{
+		Taxonomy: f.res.Taxonomy, Mentions: f.res.Mentions, Evidence: f.res.Evidence, Kept: f.res.Kept, Stats: f.res.Stats,
+		Meta: snapshot.Meta{Pages: f.res.Report.Pages, Stats: f.res.Report.Stats, LSN: f.ing.CompactedLSN()},
+	}, snapshot.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("snapshot saved from the published view (%d bytes) differs from a compiling save (%d bytes)", len(got), want.Len())
+	}
+}
 
 func TestDurableIngestConcurrentCompaction(t *testing.T) {
 	f := newDurableFixture(t, 0)

@@ -87,6 +87,13 @@ func TestIngestSwapsServingView(t *testing.T) {
 	if rep.Pages != 1 || rep.Entities == 0 || rep.IsARelations == 0 {
 		t.Errorf("ingest response implausible: %+v", rep)
 	}
+	// The fixture froze the Result once already, so this batch's view is
+	// a patch of that one, re-reading just the new page's neighbourhood;
+	// the stage times are parts of the whole.
+	if rep.FullCompile || rep.TouchedNodes == 0 || rep.TouchedNodes > rep.Entities/4 ||
+		rep.UpdateMs <= 0 || rep.PublishMs <= 0 || rep.UpdateMs+rep.PublishMs > rep.TookMs {
+		t.Errorf("ingest response does not describe a patched publication: %+v", rep)
+	}
 
 	// The swap happened before the response: the edge serves now.
 	var after ConceptResponse

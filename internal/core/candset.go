@@ -1,13 +1,18 @@
 package core
 
-import "cnprobase/internal/extract"
+import (
+	"slices"
 
-// The candidate lists the update path manipulates (previously kept,
+	"cnprobase/internal/extract"
+)
+
+// The candidate lists the pipeline manipulates (previously kept,
 // freshly generated, newly kept) are all deduplicated and sorted by
 // (Hypo, Hyper) — extract.Dedupe's canonical order, preserved by
-// verification (survivors keep candidate order) and by the sorted
-// merges below. That lets every per-batch set operation run as a
-// linear pointer walk with no hashing and no O(union) map builds.
+// verification (survivors keep candidate order) and by the splices
+// below. An update batch therefore finds its few pairs in the kept
+// list by binary search and rebuilds the list with block copies; no
+// per-batch step compares or hashes its way through the whole list.
 
 // pairCmp orders candidates by (Hypo, Hyper).
 func pairCmp(a, b *extract.Candidate) int {
@@ -24,35 +29,34 @@ func pairCmp(a, b *extract.Candidate) int {
 	return 0
 }
 
-// mergeCandidates unions two sorted deduplicated lists, OR-ing sources
-// and keeping the maximum score on pair collisions — exactly what
-// extract.Dedupe over the concatenation would produce, in O(len)
-// without a map.
-func mergeCandidates(a, b []extract.Candidate) []extract.Candidate {
-	out := make([]extract.Candidate, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch c := pairCmp(&a[i], &b[j]); {
-		case c < 0:
-			out = append(out, a[i])
-			i++
-		case c > 0:
-			out = append(out, b[j])
-			j++
-		default:
-			m := a[i]
-			m.Source |= b[j].Source
-			if b[j].Score > m.Score {
-				m.Score = b[j].Score
-			}
-			out = append(out, m)
-			i++
-			j++
+// findPair locates the pair in a sorted deduplicated list.
+func findPair(cands []extract.Candidate, hypo, hyper string) (int, bool) {
+	return slices.BinarySearchFunc(cands, extract.Candidate{Hypo: hypo, Hyper: hyper},
+		func(c, target extract.Candidate) int { return pairCmp(&c, &target) })
+}
+
+// spliceCandidates returns base without the elements at the ascending
+// indexes drop and with the candidates of add (sorted, none of whose
+// pairs base holds) slotted in — a fresh slice assembled from block
+// copies of the stretches between changes.
+func spliceCandidates(base []extract.Candidate, drop []int, add []extract.Candidate) []extract.Candidate {
+	out := make([]extract.Candidate, 0, len(base)+len(add)-len(drop))
+	from := 0
+	for len(drop)+len(add) > 0 {
+		at := len(base)
+		if len(add) > 0 {
+			at, _ = findPair(base, add[0].Hypo, add[0].Hyper)
 		}
+		if len(drop) > 0 && drop[0] < at {
+			out = append(out, base[from:drop[0]]...)
+			from, drop = drop[0]+1, drop[1:]
+			continue
+		}
+		out = append(out, base[from:at]...)
+		out = append(out, add[0])
+		from, add = at, add[1:]
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	return append(out, base[from:]...)
 }
 
 // diffCandidates returns the candidates of a whose pair does not
@@ -83,33 +87,6 @@ func dropInvalid(cands []extract.Candidate) []extract.Candidate {
 			continue
 		}
 		out = append(out, c)
-	}
-	return out
-}
-
-// updateInserts selects the edges an update batch must (re)insert:
-// brand-new kept pairs carry their merged candidate, while kept pairs
-// re-generated by the fresh batch carry the fresh candidate (the new
-// provenance evidence reinforcing an existing edge). Pairs kept but
-// untouched produce nothing — their edges are left alone.
-func updateInserts(kept, fresh, prevKept []extract.Candidate) []extract.Candidate {
-	var out []extract.Candidate
-	j, k := 0, 0
-	for i := range kept {
-		for j < len(fresh) && pairCmp(&fresh[j], &kept[i]) < 0 {
-			j++
-		}
-		for k < len(prevKept) && pairCmp(&prevKept[k], &kept[i]) < 0 {
-			k++
-		}
-		inFresh := j < len(fresh) && pairCmp(&fresh[j], &kept[i]) == 0
-		inPrev := k < len(prevKept) && pairCmp(&prevKept[k], &kept[i]) == 0
-		switch {
-		case !inPrev:
-			out = append(out, kept[i])
-		case inFresh:
-			out = append(out, fresh[j])
-		}
 	}
 	return out
 }

@@ -132,6 +132,9 @@ type Report struct {
 	Verification        verify.Report
 	DerivedSubconcepts  int
 	Stats               taxonomy.Stats
+	// Publish describes the last Freeze. It is runtime bookkeeping, not
+	// part of the build record, so snapshots do not carry it.
+	Publish PublishReport `json:"-"`
 }
 
 // Result bundles the pipeline outputs.
@@ -155,6 +158,8 @@ type Result struct {
 	// copied. Snapshots round-trip it, which is what lets a
 	// snapshot-loaded Result accept Update.
 	Evidence *verify.Evidence
+
+	inc incremental
 }
 
 // Pipeline executes the CN-Probase construction.
@@ -313,7 +318,7 @@ func (p *Pipeline) Build(c *encyclopedia.Corpus) (*Result, error) {
 		return nil, fmt.Errorf("core: assembling taxonomy: %w", err)
 	}
 	if p.opts.DeriveSubconcepts {
-		rep.DerivedSubconcepts = deriveSubconcepts(tax, seg, ctx, p.opts)
+		rep.DerivedSubconcepts = deriveSubconcepts(tax, ctx, p.opts, nil)
 	}
 	tax.Finalize()
 	rep.Stats = tax.ComputeStats()
@@ -330,35 +335,46 @@ func (p *Pipeline) Build(c *encyclopedia.Corpus) (*Result, error) {
 	}, nil
 }
 
-// perSourceCounts tallies, per generation source, how many candidates
-// of the current merged set exist and how many survived verification.
-// Update recomputes it each batch, so the counters always describe the
-// current candidate union rather than the original build.
-func perSourceCounts(merged, kept []extract.Candidate) map[taxonomy.Source]*SourceReport {
-	out := make(map[taxonomy.Source]*SourceReport)
-	sources := []taxonomy.Source{taxonomy.SourceBracket, taxonomy.SourceAbstract, taxonomy.SourceInfobox, taxonomy.SourceTag}
-	tally := func(cands []extract.Candidate, kept bool) {
-		for _, cand := range cands {
-			for _, src := range sources {
-				if cand.Source&src == 0 {
-					continue
-				}
-				r := out[src]
-				if r == nil {
-					r = &SourceReport{}
-					out[src] = r
-				}
-				if kept {
-					r.Kept++
-				} else {
-					r.Generated++
-				}
-			}
+// generators are the four generation sources candidates carry.
+var generators = [...]taxonomy.Source{taxonomy.SourceBracket, taxonomy.SourceAbstract, taxonomy.SourceInfobox, taxonomy.SourceTag}
+
+// sourceTally counts candidates per generation source, indexed like
+// generators.
+type sourceTally [len(generators)]int
+
+// add counts one candidate's source bits sign times.
+func (t *sourceTally) add(bits taxonomy.Source, sign int) {
+	for i, src := range generators {
+		if bits&src != 0 {
+			t[i] += sign
 		}
 	}
-	tally(merged, false)
-	tally(kept, true)
+}
+
+func tallySources(cands []extract.Candidate) (t sourceTally) {
+	for i := range cands {
+		t.add(cands[i].Source, 1)
+	}
+	return t
+}
+
+// perSourceReport shapes two tallies — the merged candidate set and
+// its verified survivors — as the report's per-source table; sources
+// that generated nothing have no row.
+func perSourceReport(generated, kept sourceTally) map[taxonomy.Source]*SourceReport {
+	out := make(map[taxonomy.Source]*SourceReport)
+	for i, src := range generators {
+		if generated[i] > 0 {
+			out[src] = &SourceReport{Generated: generated[i], Kept: kept[i]}
+		}
+	}
 	return out
+}
+
+// perSourceCounts tallies, per generation source, how many candidates
+// of the merged set exist and how many survived verification.
+func perSourceCounts(merged, kept []extract.Candidate) map[taxonomy.Source]*SourceReport {
+	return perSourceReport(tallySources(merged), tallySources(kept))
 }
 
 // bracketStage runs the separation algorithm over every page bracket in

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
 	"cnprobase/internal/runes"
-	"cnprobase/internal/segment"
 	"cnprobase/internal/taxonomy"
 	"cnprobase/internal/verify"
 )
@@ -19,38 +19,89 @@ import (
 //   - subsumption: concept c1 whose hyponym set is (nearly) contained
 //     in a much larger concept c2's set is its subconcept.
 //
-// Returns the number of derived edges added. The subsumption rule
-// reads its entity extents from the persistent evidence indexes
-// (maintained incrementally by the update path) instead of copying
-// hyponym lists out of the store, so the per-batch cost of
-// re-derivation stays small.
-func deriveSubconcepts(tax *taxonomy.Taxonomy, seg *segment.Segmenter, ev *verify.Evidence, opts Options) int {
-	concepts := conceptNodes(tax)
-	added := 0
-	// ---- morphological heads ----
-	support := make(map[string]int, len(concepts))
-	for _, c := range concepts {
-		support[c] = tax.HyponymCount(c)
-	}
-	for _, c := range concepts {
-		rs := []rune(c)
-		if len(rs) < 3 {
-			continue
+// Returns the number of derived edges added. Both rules are evaluated
+// incrementally when inc carries their memory: the head rule re-tests
+// only the concepts written since it last ran and the concepts whose
+// candidate suffix gained or lost its support since then, and the
+// subsumption rule reads its entity extents and its frontier from the
+// persistent evidence indexes. A derived edge is derivation evidence
+// once — re-deriving it in a later batch adds nothing, so an edge's
+// count does not depend on how many batches the crawl arrived in.
+// Build passes a nil inc: everything is evaluated, nothing retained.
+func deriveSubconcepts(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options, inc *incremental) int {
+	// supported maps every concept the head rule ranges over to whether
+	// it has the hyponyms (≥ 2) to serve as a head, as of the state the
+	// rule is about to run on.
+	var eval []string
+	var supported map[string]bool
+	if inc == nil || inc.morph == nil {
+		eval = conceptNodes(tax)
+		supported = make(map[string]bool, len(eval))
+		for _, c := range eval {
+			supported[c] = tax.HyponymCount(c) >= 2
 		}
-		// Longest proper suffix that is itself a supported concept.
-		for cut := 1; cut <= len(rs)-2; cut++ {
-			sfx := string(rs[cut:])
-			if support[sfx] >= 2 && sfx != c {
-				if err := tax.AddIsA(c, sfx, taxonomy.SourceMorph, 1); err == nil {
-					tax.MarkConcept(c)
-					added++
+		if inc != nil {
+			inc.morph = supported
+		}
+	} else {
+		supported = inc.morph
+		var flipped []string
+		for _, n := range inc.derive {
+			was, now := supported[n], false
+			if tax.Kind(n) == taxonomy.KindConcept && runes.AllHan(n) {
+				now = tax.HyponymCount(n) >= 2
+				supported[n] = now
+				eval = append(eval, n)
+			} else {
+				delete(supported, n)
+			}
+			if was != now {
+				flipped = append(flipped, n)
+			}
+		}
+		// A head that gained or lost its support changes the outcome for
+		// every concept that ends in it.
+		for _, head := range flipped {
+			for c := range supported {
+				if morphRelated(c, head) {
+					eval = append(eval, c)
 				}
+			}
+		}
+		slices.Sort(eval)
+		eval = slices.Compact(eval)
+	}
+	if inc != nil {
+		inc.derive = nil
+	}
+	return deriveHeads(tax, eval, supported) + deriveSubsumption(tax, ev, opts)
+}
+
+// deriveHeads links each concept of eval to its longest proper suffix
+// that is a supported concept. The links are chosen against supported
+// before any is added, so an edge added here never feeds the rule
+// within the same pass.
+func deriveHeads(tax *taxonomy.Taxonomy, eval []string, supported map[string]bool) int {
+	type link struct{ concept, head string }
+	var links []link
+	for _, c := range eval {
+		rs := []rune(c)
+		for cut := 1; cut <= len(rs)-2; cut++ {
+			if sfx := string(rs[cut:]); supported[sfx] {
+				links = append(links, link{c, sfx})
 				break
 			}
 		}
 	}
-	// ---- subsumption ----
-	added += deriveSubsumption(tax, ev, opts)
+	added := 0
+	for _, l := range links {
+		if e, ok := tax.EdgeOf(l.concept, l.head); ok && e.Sources&taxonomy.SourceMorph != 0 {
+			continue // derived before
+		}
+		if err := tax.AddIsA(l.concept, l.head, taxonomy.SourceMorph, 1); err == nil {
+			added++
+		}
+	}
 	return added
 }
 
@@ -123,7 +174,9 @@ func deriveSubsumption(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options
 // territory).
 func morphRelated(c1, c2 string) bool { return strings.HasSuffix(c1, c2) && c1 != c2 }
 
-// conceptNodes lists hypernym-position nodes that look like concepts.
+// conceptNodes lists hypernym-position nodes that look like concepts —
+// the head rule's whole range, scanned when it has no memory to start
+// from.
 func conceptNodes(tax *taxonomy.Taxonomy) []string {
 	var out []string
 	for _, n := range tax.Nodes() {

@@ -2,13 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"cnprobase/internal/encyclopedia"
 	"cnprobase/internal/extract"
 	"cnprobase/internal/lexicon"
 	"cnprobase/internal/par"
 	"cnprobase/internal/segment"
-	"cnprobase/internal/verify"
 )
 
 // Update performs an incremental build: it extends an existing Result
@@ -16,26 +16,35 @@ import (
 // CN-DBpedia pipeline CN-Probase sits on. The existing taxonomy is
 // extended in place (and also returned).
 //
-// Update cost is proportional to the delta, not the accumulated
-// corpus. The delta pass reuses the original run's substrates —
-// segmenter, corpus statistics (updated with the new text) and curated
-// predicate list — and folds the batch into the persistent
-// verification evidence carried on the Result: only delta abstracts
-// are segmented and recognized, and only fresh candidates plus the
-// affected subset (candidates whose hyper/hypo evidence actually
-// changed) are re-verified, while every other candidate keeps its
-// cached decision. Raw pages are never retained or copied. The neural
-// extractor is skipped during updates; bracket, infobox and tag
-// extraction cover the delta. Per-page work (segmentation, extraction,
-// NE recognition) fans out over the same bounded worker pool Build
-// uses, sized by Options.Workers.
+// An Update computes on what the batch touches. The delta pass reuses
+// the original run's substrates — segmenter, corpus statistics
+// (updated with the new text) and curated predicate list — and folds
+// the batch into the persistent verification evidence carried on the
+// Result: only delta abstracts are segmented and recognized, and only
+// fresh candidates plus the affected subset (candidates whose
+// hyper/hypo evidence actually changed) are re-verified, while every
+// other candidate keeps its cached decision. The re-decided pairs are
+// spliced into the sorted kept list (binary searches plus block
+// copies — the one step whose cost follows the list, at memcpy
+// speed); the store re-sorts only the adjacency lists the batch
+// appended to and keeps its node list and statistics current as it is
+// written; subconcept derivation re-tests only concepts the batch
+// reached. No step walks the candidate union, the node list or the
+// store. Raw pages are never retained or copied. The neural extractor
+// is skipped during updates; bracket, infobox and tag extraction cover
+// the delta. Per-page work (segmentation, extraction, NE recognition)
+// fans out over the same bounded worker pool Build uses, sized by
+// Options.Workers.
 //
-// Results restored from an evidence-carrying snapshot accept Update;
-// their segmenter is rebuilt from the dictionary plus the restored
-// statistics on first use. Options.ForceFullReverify selects the
-// O(total) full re-verification reference path instead of the
-// incremental one; both produce identical results (pinned by
-// TestUpdateIncrementalMatchesFullReverify).
+// The first Update of a Result warms what Build does not keep: after a
+// snapshot load the verification caches are cold and every candidate
+// is re-decided once, and the head rule's memory is rebuilt by one
+// scan of the concepts. Results restored from an evidence-carrying
+// snapshot accept Update; their segmenter is rebuilt from the
+// dictionary plus the restored statistics on first use.
+// Options.ForceFullReverify selects the O(total) full re-verification
+// reference path instead of the incremental one; both produce
+// identical results (pinned by TestUpdateIncrementalMatchesFullReverify).
 func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, error) {
 	if prev == nil || prev.Taxonomy == nil {
 		return nil, fmt.Errorf("core: Update needs a prior Result")
@@ -99,22 +108,43 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 	// must not abort the update after the evidence and statistics have
 	// already been extended — drop anything the taxonomy would reject
 	// up front, so a bad batch can never leave the Result half-mutated.
-	fresh = dropInvalid(fresh)
+	fresh = extract.Dedupe(dropInvalid(fresh))
 
 	// ---- evidence fold: only the delta is segmented and recognized ----
 	deltaSupport := observeSupport(delta, prev.Segmenter, prev.Evidence.Recognizer, pl)
 	prev.Evidence.FoldSupport(deltaSupport)
 	prev.Evidence.AddPages(delta.Pages)
 
-	// ---- verification over the union candidate set ----
-	// The candidate set is previously kept pairs plus the fresh delta.
-	// Both sides are deduplicated and sorted, so the union is a linear
-	// merge; only the fresh pairs enter the evidence (kept pairs are
-	// already in it), and the dirty tracking confines re-verification
-	// to the affected subset unless the reference path is forced.
-	freshDedup := extract.Dedupe(fresh)
-	merged := mergeCandidates(prev.Kept, freshDedup)
-	prev.Evidence.AddCandidates(freshDedup)
+	// ---- the candidate union, as a splice of the kept list ----
+	// The union is previously kept pairs plus the fresh delta. A fresh
+	// pair either is new to the kept list or regenerates a kept pair,
+	// whose provenance it then extends (sources OR-ed, maximum score —
+	// what extract.Dedupe over the concatenation would produce).
+	var brandNew, regenerated []extract.Candidate
+	for _, c := range fresh {
+		if _, ok := findPair(prev.Kept, c.Hypo, c.Hyper); ok {
+			regenerated = append(regenerated, c)
+		} else {
+			brandNew = append(brandNew, c)
+		}
+	}
+	union := spliceCandidates(prev.Kept, nil, brandNew)
+	generated := keptTally(prev)
+	for _, c := range brandNew {
+		generated.add(c.Source, 1)
+	}
+	for _, c := range regenerated {
+		u, _ := findPair(union, c.Hypo, c.Hyper)
+		generated.add(c.Source&^union[u].Source, 1)
+		union[u].Source |= c.Source
+		union[u].Score = max(union[u].Score, c.Score)
+	}
+
+	// ---- verification of the affected subset ----
+	// Only the fresh pairs enter the evidence (kept pairs are already
+	// in it), and the dirty tracking confines re-verification to the
+	// affected subset unless the reference path is forced.
+	prev.Evidence.AddCandidates(brandNew)
 	if p.opts.ForceFullReverify {
 		prev.Evidence.MarkAllDirty()
 	}
@@ -122,9 +152,26 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 	if vopts.Workers == 0 {
 		vopts.Workers = workers // inherit the pipeline pool size by default
 	}
-	kept, vrep := verify.VerifyDelta(merged, prev.Evidence, prev.Segmenter, vopts)
+	decided, vrep := prev.Evidence.Reverify(prev.Segmenter, vopts)
+	// Every pair of the union that was not re-decided is a kept pair
+	// with a cached "kept" decision, so the survivors are the union
+	// minus the pairs rejected just now.
+	var rejected []extract.Candidate
+	var drop []int
+	survived := generated
+	for _, d := range decided {
+		if d.Reason == "" {
+			continue
+		}
+		u, _ := findPair(union, d.Hypo, d.Hyper)
+		rejected = append(rejected, union[u])
+		drop = append(drop, u)
+		survived.add(union[u].Source, -1)
+	}
+	slices.Sort(drop)
+	kept := spliceCandidates(union, drop, nil)
 	// Between batches the evidence describes the kept set only.
-	prev.Evidence.RemoveCandidates(diffCandidates(merged, kept))
+	prev.Evidence.RemoveCandidates(rejected)
 
 	// ---- taxonomy extension ----
 	for i := range delta.Pages {
@@ -143,23 +190,49 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 	// then insert the delta's evidence: brand-new kept pairs, plus
 	// re-generated pairs whose fresh occurrence reinforces an existing
 	// edge. Unaffected edges are left alone.
-	for _, c := range diffCandidates(prev.Kept, kept) {
-		prev.Taxonomy.RemoveIsA(c.Hypo, c.Hyper)
+	for _, c := range rejected {
+		if _, wasKept := findPair(prev.Kept, c.Hypo, c.Hyper); wasKept {
+			prev.Taxonomy.RemoveIsA(c.Hypo, c.Hyper)
+		}
 	}
-	if err := assembleEdges(prev.Taxonomy, updateInserts(kept, freshDedup, prev.Kept), pl); err != nil {
+	var inserts []extract.Candidate
+	for _, c := range fresh {
+		if _, ok := findPair(kept, c.Hypo, c.Hyper); ok {
+			inserts = append(inserts, c)
+		}
+	}
+	if err := assembleEdges(prev.Taxonomy, inserts, pl); err != nil {
 		return nil, fmt.Errorf("core: updating taxonomy: %w", err)
 	}
 	if p.opts.DeriveSubconcepts {
-		prev.Report.DerivedSubconcepts += deriveSubconcepts(prev.Taxonomy, prev.Segmenter, prev.Evidence, p.opts)
+		prev.takeChanges()
+		prev.Report.DerivedSubconcepts += deriveSubconcepts(prev.Taxonomy, prev.Evidence, p.opts, &prev.inc)
 	}
 	prev.Taxonomy.Finalize()
 
-	prev.Candidates = merged
+	prev.Candidates = union
 	prev.Kept = kept
 	prev.Report.Pages += len(delta.Pages)
 	prev.Report.Workers = workers
+	vrep.Input, vrep.Kept = len(union), len(kept)
 	prev.Report.Verification = vrep
-	prev.Report.PerSource = perSourceCounts(merged, kept)
+	prev.Report.PerSource = perSourceReport(generated, survived)
 	prev.Report.Stats = prev.Taxonomy.ComputeStats()
 	return prev, nil
+}
+
+// keptTally returns the per-source tally of prev.Kept: the Kept column
+// of the previous report, which every Build, Update and snapshot load
+// leaves describing exactly that list — or a count, for a Result
+// assembled without one.
+func keptTally(prev *Result) (t sourceTally) {
+	if prev.Report.PerSource == nil {
+		return tallySources(prev.Kept)
+	}
+	for i, src := range generators {
+		if r := prev.Report.PerSource[src]; r != nil {
+			t[i] = r.Kept
+		}
+	}
+	return t
 }

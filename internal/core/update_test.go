@@ -220,3 +220,56 @@ func TestUpdateNilAndEmpty(t *testing.T) {
 		t.Errorf("empty delta should be a no-op: %v", err)
 	}
 }
+
+// TestUpdateDerivedEdgeEvidenceMatchesBuild pins that a derived
+// subconcept edge is derivation evidence once: however many batches a
+// crawl arrives in, an edge only the head or subsumption rule produced
+// carries the count a from-scratch Build of the same pages gives it.
+// (Re-running the head rule over every concept each batch used to
+// reinforce every such edge each batch, so typicality drifted with the
+// number of batches ingested.)
+func TestUpdateDerivedEdgeEvidenceMatchesBuild(t *testing.T) {
+	w := buildSmallWorld(t, 900)
+	corpus := w.Corpus()
+	const batches = 5
+	chunk := corpus.Len() / (batches + 1)
+	p := New(fastOptions())
+	res, err := p.Build(&encyclopedia.Corpus{Pages: corpus.Pages[:chunk]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 1; b <= batches; b++ {
+		hi := (b + 1) * chunk
+		if b == batches {
+			hi = corpus.Len()
+		}
+		if _, err := p.Update(res, &encyclopedia.Corpus{Pages: corpus.Pages[b*chunk : hi]}); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+	}
+	scratch, err := New(fastOptions()).Build(corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const derived = taxonomy.SourceMorph | taxonomy.SourceSubsume
+	compared := 0
+	for _, e := range res.Taxonomy.Edges() {
+		want, ok := scratch.Taxonomy.EdgeOf(e.Hypo, e.Hyper)
+		if e.Sources&^derived != 0 || !ok || want.Sources != e.Sources {
+			continue // generated edges, and edges the two histories derived differently
+		}
+		compared++
+		if e.Count != want.Count {
+			t.Errorf("%s isA %s (%s): count %d after %d updates, %d from scratch", e.Hypo, e.Hyper, e.Sources, e.Count, batches, want.Count)
+		}
+		// A head-rule edge scores 1; a subsumption edge keeps the
+		// overlap ratio it was first derived at, which depends on when.
+		if e.Sources == taxonomy.SourceMorph && e.Score != want.Score {
+			t.Errorf("%s isA %s: score %v, from scratch %v", e.Hypo, e.Hyper, e.Score, want.Score)
+		}
+	}
+	if compared < 10 {
+		t.Fatalf("only %d derived-only edges in common; the world is too small to pin anything", compared)
+	}
+}

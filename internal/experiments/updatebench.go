@@ -33,10 +33,9 @@ type UpdateBenchBatch struct {
 }
 
 // UpdateBenchResult is the machine-readable incremental-update record
-// the CI pipeline emits as BENCH_UPDATE.json. The claim it documents:
-// with fixed-size delta batches, per-batch update cost stays flat as
-// the accumulated corpus grows — LastOverFirst stays near 1 while
-// GrowthFactor approaches Batches+1.
+// the CI pipeline emits as BENCH_UPDATE.json: per-batch update cost
+// against the accumulated corpus size, for fixed-size delta batches —
+// LastOverFirst beside GrowthFactor.
 type UpdateBenchResult struct {
 	// Entities is the synthetic-world size the pool was generated at.
 	Entities int `json:"entities"`
@@ -48,9 +47,9 @@ type UpdateBenchResult struct {
 	Workers int `json:"workers"`
 	// Batches holds the per-batch measurements.
 	Batches []UpdateBenchBatch `json:"batches"`
-	// FirstBatchSeconds / LastBatchSeconds / LastOverFirst summarize
-	// the flatness criterion (last ≤ 1.5× first while the corpus grows
-	// ~(len(Batches)+1)×). Both endpoints are per-page medians over the
+	// FirstBatchSeconds / LastBatchSeconds / LastOverFirst compare the
+	// ends of the run while the corpus grows ~(len(Batches)+1)×. Both
+	// endpoints are per-page medians over the
 	// first three and last three batches, so one stray scheduler or GC
 	// hiccup cannot masquerade as asymptotic growth; the raw per-batch
 	// numbers are all in Batches.

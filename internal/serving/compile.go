@@ -2,8 +2,9 @@ package serving
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"unicode/utf8"
 
 	"cnprobase/internal/taxonomy"
 )
@@ -117,12 +118,15 @@ func (b *Builder) Build() *View {
 	return compile(marks, append([]taxonomy.Edge(nil), b.edges...), b.mentions)
 }
 
-// compile is the shared freeze: from explicit kind marks, a deduplicated
-// edge list and raw mention entries, produce the interned CSR view.
-// The marks map is consumed (implicit hypernym-concept marks are added
-// to it); edges is consumed (sorted in place).
+// compile is the shared full freeze: from explicit kind marks, a
+// deduplicated edge list and raw mention entries, produce the interned
+// CSR view. It only normalizes its inputs into a change that names
+// every node and mention; assemble, folding that change over an empty
+// view, builds the arrays. All three arguments are consumed: implicit
+// hypernym-concept marks are added to marks, edges and mentionEntries
+// are sorted in place.
 func compile(marks map[string]taxonomy.NodeKind, edges []taxonomy.Edge, mentionEntries []taxonomy.MentionEntry) *View {
-	// ---- intern: node set = explicit marks ∪ edge endpoints ----
+	// ---- node set = explicit marks ∪ edge endpoints ----
 	nameSet := make(map[string]struct{}, len(marks)+len(edges))
 	for n := range marks {
 		nameSet[n] = struct{}{}
@@ -135,93 +139,322 @@ func compile(marks map[string]taxonomy.NodeKind, edges []taxonomy.Edge, mentionE
 	for n := range nameSet {
 		names = append(names, n)
 	}
-	sort.Strings(names)
-	ids := make(map[string]uint32, len(names))
+	slices.Sort(names)
+
+	// ---- edges in (hypo, hyper) order: the flat order IS CSR order ----
+	slices.SortFunc(edges, func(a, b taxonomy.Edge) int {
+		if c := strings.Compare(a.Hypo, b.Hypo); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Hyper, b.Hyper)
+	})
+	ch := &change{
+		nodes:   names,
+		kinds:   make([]taxonomy.NodeKind, len(names)),
+		edgeOff: make([]uint32, len(names)+1),
+		edges:   edges,
+	}
+	// Kinds: explicit marks, then the store's implicit rule that a
+	// hypernym whose kind is unknown is a concept (a Builder fed edges
+	// without marks relies on it; the store has applied it already).
+	for i := range edges {
+		if marks[edges[i].Hyper] == taxonomy.KindUnknown {
+			marks[edges[i].Hyper] = taxonomy.KindConcept
+		}
+	}
+	e := 0
 	for i, n := range names {
-		ids[n] = uint32(i)
-	}
-	n := len(names)
-
-	// ---- kinds: explicit marks, then the store's implicit rule that a
-	// hypernym whose kind is unknown is a concept ----
-	kinds := make([]taxonomy.NodeKind, n)
-	for name, k := range marks {
-		kinds[ids[name]] = k
-	}
-	for i := range edges {
-		if id := ids[edges[i].Hyper]; kinds[id] == taxonomy.KindUnknown {
-			kinds[id] = taxonomy.KindConcept
+		ch.kinds[i] = marks[n]
+		for e < len(edges) && edges[e].Hypo == n {
+			e++
 		}
+		ch.edgeOff[i+1] = uint32(e)
 	}
 
-	// ---- hypernym CSR (canonical order: IDs ascend iff names ascend) ----
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Hypo != edges[j].Hypo {
-			return edges[i].Hypo < edges[j].Hypo
-		}
-		return edges[i].Hyper < edges[j].Hyper
+	// ---- mentions: one entry per mention, IDs ascending and distinct ----
+	slices.SortFunc(mentionEntries, func(a, b taxonomy.MentionEntry) int {
+		return strings.Compare(a.Mention, b.Mention)
 	})
-	e := len(edges)
-	v := &View{
-		names:       names,
-		ids:         ids,
-		kinds:       kinds,
-		hyperOff:    make([]uint32, n+1),
-		hyperIDs:    make([]uint32, e),
-		edgeSources: make([]taxonomy.Source, e),
-		edgeScores:  make([]float64, e),
-		edgeCounts:  make([]int64, e),
-	}
-	for i := range edges {
-		v.hyperOff[ids[edges[i].Hypo]+1]++
-	}
-	for i := 0; i < n; i++ {
-		v.hyperOff[i+1] += v.hyperOff[i]
-	}
-	for i := range edges {
-		v.hyperIDs[i] = ids[edges[i].Hyper] // edges sorted by (hypo, hyper): flat order IS CSR order
-		v.edgeSources[i] = edges[i].Sources
-		v.edgeScores[i] = edges[i].Score
-		v.edgeCounts[i] = int64(edges[i].Count)
-	}
-	v.buildDerived()
-
-	// ---- flat sorted mention table ----
-	sort.Slice(mentionEntries, func(i, j int) bool {
-		return mentionEntries[i].Mention < mentionEntries[j].Mention
-	})
-	v.mentionAt = make(map[string]uint32)
 	for i := 0; i < len(mentionEntries); {
 		j := i
-		var idList []string
+		var ids []string
 		for ; j < len(mentionEntries) && mentionEntries[j].Mention == mentionEntries[i].Mention; j++ {
-			idList = append(idList, mentionEntries[j].IDs...)
+			ids = append(ids, mentionEntries[j].IDs...)
 		}
-		sort.Strings(idList)
-		v.mentionAt[mentionEntries[i].Mention] = uint32(len(v.mentions))
-		v.mentions = append(v.mentions, mentionEntries[i].Mention)
-		v.mentionOff = append(v.mentionOff, uint32(len(v.mentionEnts)))
-		for k, id := range idList {
-			if k > 0 && id == idList[k-1] { // dedupe (mention, id) pairs
-				continue
-			}
-			v.mentionEnts = append(v.mentionEnts, id)
-		}
+		slices.Sort(ids)
+		ch.mentions = append(ch.mentions, taxonomy.MentionEntry{Mention: mentionEntries[i].Mention, IDs: slices.Compact(ids)})
 		i = j
 	}
+	return assemble(&View{}, ch, true)
+}
+
+// Patch returns the view Compile(t, m) would build, assembled from
+// prev — a view compiled or patched from the same store earlier — and
+// a fresh read of only the named nodes and mentions. The names must
+// cover everything written to the store and the index since prev was
+// built, which is what Taxonomy.ChangesSince and
+// MentionIndex.ChangesSince report; both lists must be ascending and
+// without duplicates. Everything else is copied from prev's arrays
+// with node IDs shifted past the nodes that appeared or vanished, so
+// the cost is one pass over the arrays plus work proportional to the
+// named nodes' adjacency.
+//
+// The result is an ordinary View with the same answers, and the same
+// image bytes, as a full compile. Like a mapped view it carries no
+// hash indexes — lookups binary-search the sorted tables — because
+// rebuilding those is what a patch exists to avoid. prev must be a
+// heap view: a patched view shares prev's strings. Patch returns nil
+// when the names do not cover the difference (the store was written
+// while Patch read it, or prev belongs to another store); compile in
+// full then.
+func Patch(prev *View, t *taxonomy.Taxonomy, m *taxonomy.MentionIndex, nodes, mentions []string) *View {
+	ch := &change{
+		nodes:   nodes,
+		absent:  make([]bool, len(nodes)),
+		kinds:   make([]taxonomy.NodeKind, len(nodes)),
+		edgeOff: make([]uint32, len(nodes)+1),
+	}
+	for i, n := range nodes {
+		hypers := t.Hypernyms(n)
+		slices.Sort(hypers) // canonical already on a finalized store
+		for _, h := range hypers {
+			if e, ok := t.EdgeOf(n, h); ok {
+				ch.edges = append(ch.edges, e)
+			}
+		}
+		ch.edgeOff[i+1] = uint32(len(ch.edges))
+		ch.kinds[i] = t.Kind(n)
+		ch.absent[i] = ch.kinds[i] == taxonomy.KindUnknown && len(hypers) == 0 && t.HyponymCount(n) == 0
+	}
+	for _, mention := range mentions {
+		if ids := m.Lookup(mention); len(ids) > 0 {
+			ch.mentions = append(ch.mentions, taxonomy.MentionEntry{Mention: mention, IDs: ids})
+		}
+	}
+	return assemble(prev, ch, false)
+}
+
+// change is what assemble folds over a previous view: the current
+// state of every node that may differ from it, and of every mention
+// whose ID list may. A full compile is the change that names
+// everything, folded over the empty view.
+type change struct {
+	nodes  []string            // ascending, distinct
+	absent []bool              // parallel to nodes: the node no longer exists; nil = all exist
+	kinds  []taxonomy.NodeKind // parallel to nodes
+	// Node i's outgoing edges are edges[edgeOff[i]:edgeOff[i+1]],
+	// ascending by Hyper.
+	edgeOff  []uint32
+	edges    []taxonomy.Edge
+	mentions []taxonomy.MentionEntry // ascending by Mention, distinct; IDs ascending, distinct, non-empty
+}
+
+// run is a stretch of prev's nodes the change does not name: prev IDs
+// [lo, hi) keep their content and sit at new IDs [at, at+hi-lo).
+type run struct{ lo, hi, at uint32 }
+
+// gone marks a node that has no ID in the new view.
+const gone = ^uint32(0)
+
+// assemble is the one array-assembly routine behind Compile, Builder
+// and Patch. Nodes the change names are written from the change; the
+// stretches of prev between them are block-copied, the node IDs inside
+// them renumbered through a monotone old → new table. indexed selects
+// the hash-indexed flavour of view (interning map, mention hash,
+// mention trie) that full compiles build; without it the view
+// binary-searches its sorted tables, exactly as a mapped view does.
+// It returns nil when the change does not cover the difference: a
+// carried-over or restated edge points at a node the new view lacks.
+func assemble(prev *View, ch *change, indexed bool) *View {
+	// ---- plan: interleave prev's untouched runs with the named nodes ----
+	var runs []run
+	remap := make([]uint32, len(prev.names)) // prev ID → new ID, or gone
+	at := make([]uint32, len(ch.nodes))      // named node → new ID, or gone
+	n, p := uint32(0), uint32(0)
+	keep := func(hi uint32) {
+		if hi > p {
+			runs = append(runs, run{lo: p, hi: hi, at: n})
+			for i := p; i < hi; i++ {
+				remap[i] = n + (i - p)
+			}
+			n += hi - p
+			p = hi
+		}
+	}
+	for ci, name := range ch.nodes {
+		pos, found := slices.BinarySearch(prev.names[p:], name)
+		keep(p + uint32(pos))
+		at[ci] = gone
+		if ch.absent == nil || !ch.absent[ci] {
+			at[ci] = n
+			n++
+		}
+		if found {
+			remap[p] = at[ci]
+			p++
+		}
+	}
+	keep(uint32(len(prev.names)))
+
+	v := &View{
+		names:    make([]string, n),
+		kinds:    make([]taxonomy.NodeKind, n),
+		hyperOff: make([]uint32, n+1),
+	}
+	fresh := make([]bool, n) // new ID → named by the change
+	e := uint32(0)
+	for _, r := range runs {
+		copy(v.names[r.at:], prev.names[r.lo:r.hi])
+		copy(v.kinds[r.at:], prev.kinds[r.lo:r.hi])
+		e += prev.hyperOff[r.hi] - prev.hyperOff[r.lo]
+	}
+	for ci, id := range at {
+		if id != gone {
+			v.names[id], v.kinds[id], fresh[id] = ch.nodes[ci], ch.kinds[ci], true
+			e += ch.edgeOff[ci+1] - ch.edgeOff[ci]
+		}
+	}
+	if indexed {
+		v.ids = make(map[string]uint32, n)
+		for i, name := range v.names {
+			v.ids[name] = uint32(i)
+		}
+	}
+
+	// ---- hypernym CSR: the canonical edge arrays, laid out in ID order
+	// (runs and named nodes interleave by construction) ----
+	v.hyperIDs = make([]uint32, e)
+	v.edgeSources = make([]taxonomy.Source, e)
+	v.edgeScores = make([]float64, e)
+	v.edgeCounts = make([]int64, e)
+	covered := true
+	off, ri, ci := uint32(0), 0, 0
+	for id := uint32(0); id < n; {
+		if ri < len(runs) && runs[ri].at == id {
+			r := runs[ri]
+			ri++
+			a, b := prev.hyperOff[r.lo], prev.hyperOff[r.hi]
+			for i := r.lo; i < r.hi; i++ {
+				v.hyperOff[id+(i-r.lo)] = prev.hyperOff[i] - a + off
+			}
+			for j := a; j < b; j++ {
+				hyperID := remap[prev.hyperIDs[j]]
+				covered = covered && hyperID != gone
+				v.hyperIDs[off+(j-a)] = hyperID
+			}
+			copy(v.edgeSources[off:], prev.edgeSources[a:b])
+			copy(v.edgeScores[off:], prev.edgeScores[a:b])
+			copy(v.edgeCounts[off:], prev.edgeCounts[a:b])
+			off += b - a
+			id += r.hi - r.lo
+			continue
+		}
+		for at[ci] != id {
+			ci++
+		}
+		v.hyperOff[id] = off
+		for _, edge := range ch.edges[ch.edgeOff[ci]:ch.edgeOff[ci+1]] {
+			hyperID, ok := v.id(edge.Hyper)
+			covered = covered && ok
+			v.hyperIDs[off] = hyperID
+			v.edgeSources[off] = edge.Sources
+			v.edgeScores[off] = edge.Score
+			v.edgeCounts[off] = int64(edge.Count)
+			off++
+		}
+		ci++
+		id++
+	}
+	v.hyperOff[n] = off
+	if !covered {
+		return nil
+	}
+	v.derive(prev, runs, remap, fresh)
+
+	// ---- flat sorted mention table: prev's rows, with the change's
+	// entries replacing them or slotting in between ----
+	rows, ents := len(prev.mentions)+len(ch.mentions), len(prev.mentionEnts)
+	for i := range ch.mentions {
+		ents += len(ch.mentions[i].IDs)
+	}
+	v.mentions = make([]string, 0, rows)
+	v.mentionOff = make([]uint32, 0, rows+1)
+	v.mentionEnts = make([]string, 0, ents)
+	p = 0
+	keepRows := func(hi uint32) {
+		if hi > p {
+			a, b := prev.mentionOff[p], prev.mentionOff[hi]
+			shift := uint32(len(v.mentionEnts)) - a
+			v.mentions = append(v.mentions, prev.mentions[p:hi]...)
+			for _, o := range prev.mentionOff[p:hi] {
+				v.mentionOff = append(v.mentionOff, o+shift)
+			}
+			v.mentionEnts = append(v.mentionEnts, prev.mentionEnts[a:b]...)
+			p = hi
+		}
+	}
+	for i := range ch.mentions {
+		entry := &ch.mentions[i]
+		pos, found := slices.BinarySearch(prev.mentions[p:], entry.Mention)
+		keepRows(p + uint32(pos))
+		if found {
+			p++
+		}
+		v.mentions = append(v.mentions, entry.Mention)
+		v.mentionOff = append(v.mentionOff, uint32(len(v.mentionEnts)))
+		v.mentionEnts = append(v.mentionEnts, entry.IDs...)
+	}
+	keepRows(uint32(len(prev.mentions)))
 	v.mentionOff = append(v.mentionOff, uint32(len(v.mentionEnts)))
-	v.mentionDict = compileMentionDict(v.mentions)
+	if indexed {
+		v.mentionAt = make(map[string]uint32, len(v.mentions))
+		for i, mention := range v.mentions {
+			v.mentionAt[mention] = uint32(i)
+		}
+	}
+	if indexed || !trieFreeSafe(prev, ch) {
+		v.mentionDict = compileMentionDict(v.mentions)
+	}
 	return v
 }
 
+// trieFreeSafe reports whether FindAll may scan the new view's sorted
+// mention table instead of a trie: the byte-wise matcher agrees with
+// the trie's rune-wise one only when every mention is valid UTF-8. A
+// prev without a trie has been through this check (or the image
+// validator) already.
+func trieFreeSafe(prev *View, ch *change) bool {
+	if prev.mentionDict != nil {
+		for _, mention := range prev.mentions {
+			if !utf8.ValidString(mention) {
+				return false
+			}
+		}
+	}
+	for i := range ch.mentions {
+		if !utf8.ValidString(ch.mentions[i].Mention) {
+			return false
+		}
+	}
+	return true
+}
+
 // buildDerived computes everything reconstructible from the canonical
-// arrays — names, kinds, the hypernym CSR and its edge evidence: the
-// pre-resolved name slices, per-node evidence totals, the transposed
-// hyponym CSR, the pre-sorted typicality rankings and the stats
-// summary. compile calls it on the heap path and OpenImage on the
-// mapped path, so the two kinds of View cannot drift apart: the
-// derived state is produced by one function either way.
-func (v *View) buildDerived() {
+// arrays — names, kinds, the hypernym CSR and its edge evidence — for
+// every node. OpenImage calls it on the mapped path; assemble runs the
+// same derivation (derive) restricted to the nodes a change names, so
+// the kinds of View cannot drift apart: the derived state is produced
+// by one function either way.
+func (v *View) buildDerived() { v.derive(nil, nil, nil, nil) }
+
+// derive fills the derived arrays — the pre-resolved name slices,
+// per-node evidence totals, the transposed hyponym CSR, the pre-sorted
+// typicality rankings and the stats summary — from the canonical ones.
+// Nodes inside runs take their segments from prev verbatim (node IDs
+// renumbered through remap): none of their edges changed, so neither
+// did their totals, scores or ranking order. Fresh nodes are derived
+// from the new canonical arrays; fresh == nil means every node is.
+func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 	n, e := len(v.names), len(v.hyperIDs)
 	v.hyperNames = make([]string, e)
 	v.hyperRank = make([]taxonomy.Scored, e)
@@ -232,39 +465,26 @@ func (v *View) buildDerived() {
 	v.hypoRank = make([]taxonomy.Scored, e)
 	v.hypoTotals = make([]int64, n)
 
+	// ---- hypernym side, and every node's hyponym degree ----
+	for _, r := range runs {
+		a, b, to := prev.hyperOff[r.lo], prev.hyperOff[r.hi], v.hyperOff[r.at]
+		copy(v.hyperNames[to:], prev.hyperNames[a:b])
+		copy(v.hyperRank[to:], prev.hyperRank[a:b])
+		copy(v.hyperTotals[r.at:], prev.hyperTotals[r.lo:r.hi])
+		for i := r.lo; i < r.hi; i++ {
+			v.hypoOff[r.at+(i-r.lo)+1] = prev.hypoOff[i+1] - prev.hypoOff[i]
+		}
+	}
 	for u := 0; u < n; u++ {
-		for j := v.hyperOff[u]; j < v.hyperOff[u+1]; j++ {
-			hyperID := v.hyperIDs[j]
-			v.hyperNames[j] = v.names[hyperID]
+		if fresh != nil && !fresh[u] {
+			continue
+		}
+		lo, hi := v.hyperOff[u], v.hyperOff[u+1]
+		for j := lo; j < hi; j++ {
+			v.hyperNames[j] = v.names[v.hyperIDs[j]]
 			v.hyperTotals[u] += v.edgeCounts[j]
-			v.hypoTotals[hyperID] += v.edgeCounts[j]
-			v.hypoOff[hyperID+1]++
 		}
-	}
-	for i := 0; i < n; i++ {
-		v.hypoOff[i+1] += v.hypoOff[i]
-	}
-	// Transpose into the hyponym CSR. Scanning the flat array — which
-	// is in (hypo, hyper) ascending order — and appending per-hypernym
-	// keeps each segment sorted by hyponym ID.
-	fill := make([]uint32, n)
-	copy(fill, v.hypoOff[:n])
-	hypoEdge := make([]uint32, e) // hypo-CSR position → flat edge index
-	for u := 0; u < n; u++ {
-		for j := v.hyperOff[u]; j < v.hyperOff[u+1]; j++ {
-			hyperID := v.hyperIDs[j]
-			pos := fill[hyperID]
-			fill[hyperID]++
-			v.hypoIDs[pos] = uint32(u)
-			v.hypoNames[pos] = v.names[u]
-			hypoEdge[pos] = j
-		}
-	}
-
-	// ---- pre-sorted typicality rankings ----
-	for id := 0; id < n; id++ {
-		lo, hi := v.hyperOff[id], v.hyperOff[id+1]
-		total := v.hyperTotals[id]
+		total := v.hyperTotals[u]
 		for j := lo; j < hi; j++ {
 			score := 0.0
 			if total != 0 {
@@ -273,15 +493,59 @@ func (v *View) buildDerived() {
 			v.hyperRank[j] = taxonomy.Scored{Node: v.hyperNames[j], Score: score}
 		}
 		sortScored(v.hyperRank[lo:hi])
+	}
+	for _, hyperID := range v.hyperIDs {
+		if fresh == nil || fresh[hyperID] {
+			v.hypoOff[hyperID+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		v.hypoOff[i+1] += v.hypoOff[i]
+	}
 
-		lo, hi = v.hypoOff[id], v.hypoOff[id+1]
-		total = v.hypoTotals[id]
-		for j := lo; j < hi; j++ {
-			score := 0.0
-			if total != 0 {
-				score = float64(v.edgeCounts[hypoEdge[j]]) / float64(total)
+	// ---- hyponym side ----
+	for _, r := range runs {
+		a, b, to := prev.hypoOff[r.lo], prev.hypoOff[r.hi], v.hypoOff[r.at]
+		for j := a; j < b; j++ {
+			v.hypoIDs[to+(j-a)] = remap[prev.hypoIDs[j]]
+		}
+		copy(v.hypoNames[to:], prev.hypoNames[a:b])
+		copy(v.hypoRank[to:], prev.hypoRank[a:b])
+		copy(v.hypoTotals[r.at:], prev.hypoTotals[r.lo:r.hi])
+	}
+	// Transpose the edges that end at fresh nodes. Scanning the flat
+	// array — which is in (hypo, hyper) ascending order — and appending
+	// per hypernym keeps each segment sorted by hyponym ID. The rank
+	// slot holds the raw evidence count until the segment's total is
+	// known.
+	fill := make([]uint32, n)
+	copy(fill, v.hypoOff[:n])
+	for u := 0; u < n; u++ {
+		for j := v.hyperOff[u]; j < v.hyperOff[u+1]; j++ {
+			hyperID := v.hyperIDs[j]
+			if fresh != nil && !fresh[hyperID] {
+				continue
 			}
-			v.hypoRank[j] = taxonomy.Scored{Node: v.hypoNames[j], Score: score}
+			pos := fill[hyperID]
+			fill[hyperID]++
+			v.hypoIDs[pos] = uint32(u)
+			v.hypoNames[pos] = v.names[u]
+			v.hypoRank[pos] = taxonomy.Scored{Node: v.names[u], Score: float64(v.edgeCounts[j])}
+			v.hypoTotals[hyperID] += v.edgeCounts[j]
+		}
+	}
+	for id := 0; id < n; id++ {
+		if fresh != nil && !fresh[id] {
+			continue
+		}
+		lo, hi := v.hypoOff[id], v.hypoOff[id+1]
+		total := v.hypoTotals[id]
+		for j := lo; j < hi; j++ {
+			if total != 0 {
+				v.hypoRank[j].Score /= float64(total)
+			} else {
+				v.hypoRank[j].Score = 0
+			}
 		}
 		sortScored(v.hypoRank[lo:hi])
 	}
@@ -315,10 +579,32 @@ func (v *View) buildDerived() {
 // sortScored matches taxonomy's ranking order: descending score, ties
 // broken lexicographically.
 func sortScored(xs []taxonomy.Scored) {
-	sort.Slice(xs, func(i, j int) bool {
-		if xs[i].Score != xs[j].Score {
-			return xs[i].Score > xs[j].Score
+	slices.SortFunc(xs, func(a, b taxonomy.Scored) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
 		}
-		return xs[i].Node < xs[j].Node
+		return strings.Compare(a.Node, b.Node)
 	})
+}
+
+// ImageLen returns the exact number of bytes AppendImage appends for
+// this view at file offset base, so a writer can allocate the image
+// once instead of growing into it.
+func (v *View) ImageLen(base uint64) int {
+	var arena [3]uint64
+	for i, strs := range [3][]string{v.names, v.mentions, v.mentionEnts} {
+		for _, s := range strs {
+			arena[i] += uint64(len(s))
+		}
+	}
+	pos := uint64(imagePreambleLen)
+	for _, sz := range imageBlockSizes(uint64(len(v.names)), uint64(len(v.hyperIDs)), uint64(len(v.mentions)),
+		uint64(len(v.mentionEnts)), arena[0], arena[1], arena[2]) {
+		pos += (8 - (base+pos)%8) % 8
+		pos += sz[0] * sz[1]
+	}
+	return int(pos)
 }

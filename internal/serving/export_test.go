@@ -1,0 +1,6 @@
+package serving
+
+// RequireViewMatchesStore exposes the store-equivalence helper to the
+// external test package, which can import the pipeline (core imports
+// serving, so the in-package tests cannot).
+var RequireViewMatchesStore = requireViewMatchesStore

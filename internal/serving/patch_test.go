@@ -1,0 +1,208 @@
+package serving_test
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"cnprobase/internal/core"
+	"cnprobase/internal/encyclopedia"
+	"cnprobase/internal/serving"
+	"cnprobase/internal/snapshot"
+	"cnprobase/internal/synth"
+	"cnprobase/internal/taxonomy"
+)
+
+// requireSameAnswers pins got — a view Freeze patched together — to
+// want, the full compile of the same store: every exported query and
+// the serialized image must be indistinguishable.
+func requireSameAnswers(t *testing.T, step string, got, want *serving.View, texts []string) {
+	t.Helper()
+	eq := func(what string, a, b any) {
+		t.Helper()
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: %s = %v, full compile gives %v", step, what, a, b)
+		}
+	}
+	eq("Nodes", got.Nodes(), want.Nodes())
+	eq("Stats", got.Stats(), want.Stats())
+	eq("MentionCount", got.MentionCount(), want.MentionCount())
+	for _, n := range append([]string{"不存在的节点"}, want.Nodes()...) {
+		eq("Kind "+n, got.Kind(n), want.Kind(n))
+		eq("Hypernyms "+n, got.Hypernyms(n), want.Hypernyms(n))
+		eq("Hyponyms "+n, got.Hyponyms(n, 0), want.Hyponyms(n, 0))
+		eq("Hyponyms/3 "+n, got.Hyponyms(n, 3), want.Hyponyms(n, 3))
+		eq("RankedHypernyms "+n, got.RankedHypernyms(n, 0), want.RankedHypernyms(n, 0))
+		eq("RankedHyponyms "+n, got.RankedHyponyms(n, 0), want.RankedHyponyms(n, 0))
+		eq("Lookup "+n, got.Lookup(n), want.Lookup(n))
+		for _, h := range want.Hypernyms(n) {
+			ge, gok := got.EdgeOf(n, h)
+			we, wok := want.EdgeOf(n, h)
+			eq("EdgeOf "+n+"→"+h, []any{ge, gok}, []any{we, wok})
+			eq("TypicalityOfInstance "+h+"←"+n, got.TypicalityOfInstance(h, n), want.TypicalityOfInstance(h, n))
+		}
+	}
+	for _, text := range texts {
+		eq("FindAll "+text, got.FindAll(text), want.FindAll(text))
+		for _, m := range want.FindAll(text) {
+			eq("Lookup "+m, got.Lookup(m), want.Lookup(m))
+		}
+	}
+	gotImage, err := got.AppendImage(nil, 8)
+	if err != nil {
+		t.Fatalf("%s: AppendImage: %v", step, err)
+	}
+	wantImage, err := want.AppendImage(nil, 8)
+	if err != nil {
+		t.Fatalf("%s: AppendImage of the full compile: %v", step, err)
+	}
+	if len(gotImage) != got.ImageLen(8) {
+		t.Fatalf("%s: ImageLen = %d, AppendImage wrote %d bytes", step, got.ImageLen(8), len(gotImage))
+	}
+	if !bytes.Equal(gotImage, wantImage) {
+		t.Fatalf("%s: image differs from the full compile's (%d vs %d bytes)", step, len(gotImage), len(wantImage))
+	}
+}
+
+// TestFreezePatchesLikeCompile is the one equivalence test of the
+// patched view: a seeded crawl whose batches between them re-crawl a
+// page, retract a previously kept edge, deliver a page after the
+// candidates that name it, fail, pile up without a Freeze in between
+// and continue on a snapshot-loaded Result. After every step the view
+// Freeze returns must match the store and be indistinguishable — in
+// every query and byte for byte in its image — from serving.Compile of
+// the same store.
+func TestFreezePatchesLikeCompile(t *testing.T) {
+	cfg := synth.DefaultConfig()
+	cfg.Entities = 1500
+	cfg.Seed = 7
+	w, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := w.Corpus().Pages
+	opts := core.DefaultOptions()
+	opts.EnableNeural = false
+	p := core.New(opts)
+	const base, step = 900, 60
+	res, err := p.Build(&encyclopedia.Corpus{Pages: pages[:base]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var texts []string
+	for i := 0; i < len(pages); i += 97 {
+		texts = append(texts, pages[i].Abstract, pages[i].Title+"是谁")
+	}
+	patched := 0
+	check := func(name string) {
+		t.Helper()
+		v := res.Freeze()
+		if !res.Report.Publish.FullCompile {
+			patched++
+		}
+		serving.RequireViewMatchesStore(t, v, res.Taxonomy, res.Mentions)
+		requireSameAnswers(t, name, v, serving.Compile(res.Taxonomy, res.Mentions), texts)
+	}
+	next := base
+	batch := func(extra ...encyclopedia.Page) *encyclopedia.Corpus {
+		c := &encyclopedia.Corpus{Pages: append(append([]encyclopedia.Page(nil), pages[next:next+step]...), extra...)}
+		next += step
+		return c
+	}
+	update := func(name string, delta *encyclopedia.Corpus) {
+		t.Helper()
+		if _, err := p.Update(res, delta); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+
+	check("first freeze (full compile)")
+	if !res.Report.Publish.FullCompile {
+		t.Fatal("the first Freeze of a Result must compile in full")
+	}
+	update("plain batch", batch())
+	check("plain batch")
+	if again := res.Freeze(); again != res.Freeze() {
+		t.Fatal("Freeze with nothing written in between must return the same view")
+	}
+	check("freeze twice")
+
+	// A page crawled again, with a different infobox and tag set.
+	recrawled := pages[3]
+	recrawled.Tags = append([]string{"再版标签"}, recrawled.Tags[:len(recrawled.Tags)/2]...)
+	recrawled.Infobox = append(recrawled.Infobox[:len(recrawled.Infobox)/2:len(recrawled.Infobox)/2],
+		encyclopedia.Triple{Subject: recrawled.Title, Predicate: "别名", Object: "再版别名"})
+	update("re-crawled page", batch(recrawled))
+	check("re-crawled page")
+
+	// A rare concept — one or two hyponyms — turns out to be a page
+	// title: its taxonomy NE support jumps, the hypernym is rejected as
+	// a named entity, and the edges under it that earlier batches kept
+	// are retracted. The page also arrives after the candidates that
+	// name it (as a hypernym).
+	rare := ""
+	for _, n := range res.Taxonomy.Nodes() {
+		if res.Taxonomy.Kind(n) == taxonomy.KindConcept && res.Taxonomy.HyponymCount(n) == 1 && len(res.Taxonomy.Hypernyms(n)) == 0 {
+			rare = n
+			break
+		}
+	}
+	if rare == "" {
+		t.Fatal("no single-hyponym concept to turn into a page title")
+	}
+	victim := res.Taxonomy.Hyponyms(rare, 1)[0]
+	late := encyclopedia.Page{Title: rare, Abstract: rare + "是一部作品。", Tags: []string{"人物", "作品", "机构", "地点"}}
+	keptBefore := len(res.Kept)
+	update("late page retracts an edge", batch(late))
+	if res.Taxonomy.HasIsA(victim, rare) {
+		t.Fatalf("expected %s isA %s to be retracted once %s became a page title (kept %d → %d)", victim, rare, rare, keptBefore, len(res.Kept))
+	}
+	check("late page retracts an edge")
+
+	// A failing Update leaves everything as it was.
+	broken := *res
+	broken.Evidence = nil
+	if _, err := p.Update(&broken, batch()); err == nil {
+		t.Fatal("Update without evidence must fail")
+	}
+	next -= step
+	check("failed update")
+
+	// Two updates, one freeze: the change set accumulates.
+	update("first of two", batch())
+	update("second of two", batch())
+	check("two updates, one freeze")
+	update("plain batch 2", batch())
+	check("plain batch 2")
+
+	// Through a snapshot: a loaded Result compiles in full once, then
+	// patches like any other.
+	var buf bytes.Buffer
+	err = snapshot.Save(&buf, &snapshot.State{Taxonomy: res.Taxonomy, Mentions: res.Mentions, View: res.PublishedView(),
+		Meta: snapshot.Meta{Pages: res.Report.Pages}, Evidence: res.Evidence, Kept: res.Kept, Stats: res.Stats}, snapshot.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := snapshot.Load(bytes.NewReader(buf.Bytes()), snapshot.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res = &core.Result{Taxonomy: st.Taxonomy, Mentions: st.Mentions, Evidence: st.Evidence, Kept: st.Kept, Stats: st.Stats,
+		Report: &core.Report{Pages: st.Meta.Pages, SelectedPredicates: res.Report.SelectedPredicates}}
+	check("snapshot-loaded")
+	if !res.Report.Publish.FullCompile {
+		t.Fatal("a snapshot-loaded Result has no view to patch")
+	}
+	update("loaded, batch 1", batch())
+	check("loaded, batch 1")
+	update("loaded, batch 2", batch())
+	check("loaded, batch 2")
+
+	if patched < 8 {
+		t.Fatalf("only %d of the freezes patched a previous view", patched)
+	}
+	if next > len(pages) {
+		t.Fatal(fmt.Sprint("ran out of pages at ", next))
+	}
+}

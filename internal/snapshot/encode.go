@@ -17,7 +17,8 @@ import (
 )
 
 // Save writes st as a version-3 snapshot: the store is compiled into
-// the canonical serving view and serialized as one mappable image
+// the canonical serving view (or st.View, the same view compiled
+// earlier, is taken as is) and serialized as one mappable image
 // section (the layout serving.View.AppendImage documents), framed by
 // the build metadata and evidence sections. Saving the same logical
 // state always produces the same bytes, no matter the Workers/Shards
@@ -46,7 +47,11 @@ func Save(w io.Writer, st *State, opts Options) error {
 	// offset: header (16) + meta section framing (13 + payload + 4) +
 	// the image's own section header (13).
 	imageBase := uint64(16 + 13 + len(metaPayload) + 4 + 13)
-	imagePayload, err := serving.Compile(st.Taxonomy, mentions).AppendImage(nil, imageBase)
+	view := st.View
+	if view == nil {
+		view = serving.Compile(st.Taxonomy, mentions)
+	}
+	imagePayload, err := view.AppendImage(make([]byte, 0, view.ImageLen(imageBase)), imageBase)
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}

@@ -42,6 +42,7 @@ import (
 
 	"cnprobase/internal/corpus"
 	"cnprobase/internal/extract"
+	"cnprobase/internal/serving"
 	"cnprobase/internal/taxonomy"
 	"cnprobase/internal/verify"
 )
@@ -126,6 +127,12 @@ type State struct {
 	Taxonomy *taxonomy.Taxonomy
 	Mentions *taxonomy.MentionIndex
 	Meta     Meta
+
+	// View, when set, is an already-compiled serving view of exactly
+	// Taxonomy and Mentions; Save serializes it instead of compiling
+	// the store again (the ingest plane's compactor hands over the view
+	// it just published). Ignored by the loaders.
+	View *serving.View
 
 	// Evidence is the persistent incremental-update evidence; nil when
 	// the snapshot predates version 2 or was saved without it.

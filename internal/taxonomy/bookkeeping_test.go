@@ -1,0 +1,121 @@
+package taxonomy
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// recountStats is the reference Stats: one walk over the whole store,
+// classifying every edge by its hyponym's kind.
+func recountStats(t *Taxonomy) Stats {
+	var s Stats
+	kinds := t.snapshotKinds()
+	for _, k := range kinds {
+		switch k {
+		case KindEntity:
+			s.Entities++
+		case KindConcept:
+			s.Concepts++
+		}
+	}
+	withHyper := make(map[string]bool)
+	for _, e := range t.Edges() {
+		s.IsARelations++
+		withHyper[e.Hypo] = true
+		if kinds[e.Hypo] == KindConcept {
+			s.SubConceptIsA++
+		} else {
+			s.EntityConceptIsA++
+		}
+	}
+	s.NodesWithHypernym = len(withHyper)
+	return s
+}
+
+// nodeState is everything a reader can observe about one node.
+func nodeState(t *Taxonomy, n string) string {
+	var edges []Edge
+	for _, h := range t.Hypernyms(n) {
+		e, _ := t.EdgeOf(n, h)
+		edges = append(edges, e)
+	}
+	for _, h := range t.Hyponyms(n, 0) {
+		e, _ := t.EdgeOf(h, n)
+		edges = append(edges, e)
+	}
+	slices.SortFunc(edges, func(a, b Edge) int {
+		return strings.Compare(a.Hypo+"\x00"+a.Hyper, b.Hypo+"\x00"+b.Hyper)
+	})
+	return fmt.Sprint(t.Kind(n), edges)
+}
+
+// TestIncrementalBookkeepingMatchesRecount drives random writes of
+// every kind through the store and holds the three things the writes
+// maintain incrementally to their from-scratch definitions: the stats
+// counters to a recount, the finalized node list to a re-union of the
+// shards, and the change log to a before/after diff of every node.
+func TestIncrementalBookkeepingMatchesRecount(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tx := NewSharded(1 + rng.Intn(6))
+		name := func() string { return fmt.Sprintf("节点%02d", rng.Intn(40)) }
+		_, token, ok := tx.ChangesSince(0)
+		if ok {
+			t.Fatal("the first ChangesSince has nothing to be relative to")
+		}
+		before := map[string]string{}
+		for round := 0; round < 60; round++ {
+			for op := 0; op < 1+rng.Intn(12); op++ {
+				a, b := name(), name()
+				switch rng.Intn(7) {
+				case 0, 1, 2:
+					_ = tx.AddIsA(a, b, Source(1<<rng.Intn(6)), rng.Float64())
+				case 3:
+					tx.RemoveIsA(a, b)
+				case 4:
+					tx.MarkEntity(a)
+				case 5:
+					tx.ImportKind(a, NodeKind(rng.Intn(3)))
+				case 6:
+					_ = tx.InsertEdge(Edge{Hypo: a, Hyper: b, Sources: SourceTag, Score: rng.Float64(), Count: 1 + rng.Intn(4)})
+				}
+				if got, want := tx.ComputeStats(), recountStats(tx); got != want {
+					t.Fatalf("seed %d round %d: stats %+v, recount %+v", seed, round, got, want)
+				}
+			}
+			changed, next, ok := tx.ChangesSince(token)
+			if !ok {
+				t.Fatalf("seed %d round %d: chained ChangesSince lost its place", seed, round)
+			}
+			token = next
+			if !tx.Finalized() || !reflect.DeepEqual(tx.Nodes(), tx.computeNodes()) {
+				t.Fatalf("seed %d round %d: node list %v, re-union %v", seed, round, tx.Nodes(), tx.computeNodes())
+			}
+			if !slices.IsSorted(changed) || len(slices.Compact(slices.Clone(changed))) != len(changed) {
+				t.Fatalf("seed %d round %d: change list not ascending and distinct: %v", seed, round, changed)
+			}
+			after := map[string]string{}
+			for _, n := range tx.Nodes() {
+				after[n] = nodeState(tx, n)
+			}
+			for n := range before {
+				if _, still := after[n]; !still {
+					after[n] = nodeState(tx, n) // vanished: reads as the empty state
+				}
+			}
+			for n, state := range after {
+				if _, logged := slices.BinarySearch(changed, n); !logged && before[n] != state {
+					t.Fatalf("seed %d round %d: %s changed from %q to %q without being logged (log %v)", seed, round, n, before[n], state, changed)
+				}
+			}
+			before = after
+		}
+		if _, _, ok := tx.ChangesSince(token - 1); ok {
+			t.Fatal("a stale token must not be honoured")
+		}
+	}
+}

@@ -16,6 +16,7 @@ type MentionIndex struct {
 	mu       sync.RWMutex
 	mentions map[string][]string // mention → entity IDs
 	dict     *trie.Trie
+	changes  changeLog // mentions whose ID list grew; see ChangesSince
 }
 
 // NewMentionIndex returns an empty index.
@@ -39,6 +40,19 @@ func (m *MentionIndex) Add(mention, entityID string) {
 	}
 	m.mentions[mention] = append(m.mentions[mention], entityID)
 	m.dict.Insert(mention)
+	m.changes.record(mention)
+}
+
+// ChangesSince returns the mentions whose entity-ID list grew since
+// the call that returned token, ascending and without duplicates, plus
+// the token for the next call — the mention-side counterpart of
+// Taxonomy.ChangesSince, with the same contract: ok is false when token
+// does not name the previous call, and nothing is recorded before the
+// first call.
+func (m *MentionIndex) ChangesSince(token uint64) (mentions []string, next uint64, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.changes.since(token)
 }
 
 // Lookup returns the entity IDs a mention may refer to, sorted.

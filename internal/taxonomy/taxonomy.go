@@ -13,10 +13,11 @@
 // writers contend only when they touch the same shard. Single-node
 // queries (Hypernyms, Hyponyms, Kind, EdgeOf) lock exactly one shard;
 // whole-graph queries (Edges, Nodes, ComputeStats) visit shards one at
-// a time. After construction, Finalize builds merged cross-shard
-// indexes (sorted node list, cached stats, canonically ordered
-// adjacency lists) that subsequent reads are served from until the next
-// write invalidates them.
+// a time. Finalize puts adjacency lists into canonical order and keeps
+// a merged sorted node list that Nodes is served from until the next
+// write. Every write records the nodes it touches, so re-finalizing
+// after an incremental update sorts and merges only those; Stats are
+// per-shard counters maintained by the writes themselves.
 //
 // A Taxonomy is safe for concurrent use: writes lock at most two
 // shards (always in index order, so writers cannot deadlock), and
@@ -28,6 +29,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -123,22 +125,73 @@ type shard struct {
 	hypers map[string][]string // hypo → hypernyms, keyed by shard(hypo)
 	hypos  map[string][]string // hyper → hyponyms, keyed by shard(hyper)
 	kinds  map[string]NodeKind // keyed by shard(node)
-	// unsortedHypers / unsortedHypos track adjacency lists appended to
-	// since the last Finalize, so re-finalizing after an incremental
-	// update sorts only the touched lists instead of every list in the
-	// store. Removals keep list order, so they never mark.
-	unsortedHypers map[string]bool
-	unsortedHypos  map[string]bool
+	// touched holds every node of this shard written since the last
+	// Finalize, with the adjacency lists that were appended to (removals
+	// keep list order). Finalize sorts those lists and merges the names
+	// into the node list, so its cost follows the writes, not the store.
+	touched map[string]touch
+	// This shard's share of Stats, maintained by the writes: marked
+	// entities and concepts, and the outgoing edges of concept-kind
+	// nodes (a node's kind and its hypernym list share a shard).
+	entities, concepts, subConceptIsA int
 }
 
-// merged holds the cross-shard indexes Finalize builds. gen records
-// the write generation the indexes were computed at; readers treat the
-// cache as valid only while the store's generation still matches, so a
-// write racing Finalize can never leave stale indexes looking valid.
+// touch says which of a touched node's adjacency lists need re-sorting.
+type touch uint8
+
+const (
+	touchHypers touch = 1 << iota
+	touchHypos
+)
+
+// touch records a write to the node. Callers hold sh.mu.
+func (sh *shard) touch(name string, lists touch) { sh.touched[name] |= lists }
+
+// setKind changes a node's kind and keeps the shard's counters in step;
+// KindUnknown removes the entry. Callers hold sh.mu.
+func (sh *shard) setKind(name string, k NodeKind) {
+	old := sh.kinds[name]
+	if old == k {
+		return
+	}
+	out := len(sh.hypers[name])
+	switch old {
+	case KindEntity:
+		sh.entities--
+	case KindConcept:
+		sh.concepts--
+		sh.subConceptIsA -= out
+	}
+	switch k {
+	case KindEntity:
+		sh.entities++
+	case KindConcept:
+		sh.concepts++
+		sh.subConceptIsA += out
+	}
+	if k == KindUnknown {
+		delete(sh.kinds, name)
+	} else {
+		sh.kinds[name] = k
+	}
+	sh.touch(name, 0)
+}
+
+// has reports whether the node exists: it is marked or touches an edge.
+// All three facts live in the node's own shard. Callers hold sh.mu.
+func (sh *shard) has(name string) bool {
+	return sh.kinds[name] != KindUnknown || len(sh.hypers[name]) > 0 || len(sh.hypos[name]) > 0
+}
+
+// merged is the sorted node list Finalize maintains. gen records the
+// write generation it was computed at; readers treat it as valid only
+// while the store's generation still matches, so a write racing
+// Finalize can never leave a stale list looking valid. A stale list
+// stays reachable: it is the base the next Finalize merges the touched
+// names into.
 type merged struct {
 	gen   uint64
 	nodes []string // sorted
-	stats Stats
 }
 
 // Taxonomy is the isA graph.
@@ -146,6 +199,11 @@ type Taxonomy struct {
 	shards   []shard
 	writeGen atomic.Uint64
 	final    atomic.Pointer[merged]
+
+	// finalizeMu serializes Finalize and ChangesSince; changes is the
+	// log of node names ChangesSince hands out.
+	finalizeMu sync.Mutex
+	changes    changeLog
 }
 
 // New returns an empty taxonomy with DefaultShards shards.
@@ -161,12 +219,11 @@ func NewSharded(n int) *Taxonomy {
 	t := &Taxonomy{shards: make([]shard, n)}
 	for i := range t.shards {
 		t.shards[i] = shard{
-			edges:          make(map[edgeKey]*Edge),
-			hypers:         make(map[string][]string),
-			hypos:          make(map[string][]string),
-			kinds:          make(map[string]NodeKind),
-			unsortedHypers: make(map[string]bool),
-			unsortedHypos:  make(map[string]bool),
+			edges:   make(map[edgeKey]*Edge),
+			hypers:  make(map[string][]string),
+			hypos:   make(map[string][]string),
+			kinds:   make(map[string]NodeKind),
+			touched: make(map[string]touch),
 		}
 	}
 	return t
@@ -195,16 +252,13 @@ func (t *Taxonomy) shardIndex(name string) int {
 
 func (t *Taxonomy) shardOf(name string) *shard { return &t.shards[t.shardIndex(name)] }
 
-// invalidate drops the finalized merged indexes. The generation bump
-// comes first so a Finalize computing concurrently publishes its
-// result under an outdated generation and readers ignore it.
-func (t *Taxonomy) invalidate() {
-	t.writeGen.Add(1)
-	t.final.Store(nil)
-}
+// invalidate makes readers ignore the merged node list: a Finalize
+// computing concurrently publishes its result under the generation it
+// started at, which no longer matches.
+func (t *Taxonomy) invalidate() { t.writeGen.Add(1) }
 
-// mergedIndexes returns the finalized indexes if they are still
-// current, nil otherwise.
+// mergedIndexes returns the merged node list if it is still current,
+// nil otherwise.
 func (t *Taxonomy) mergedIndexes() *merged {
 	if m := t.final.Load(); m != nil && m.gen == t.writeGen.Load() {
 		return m
@@ -243,7 +297,7 @@ func (t *Taxonomy) mark(name string, k NodeKind) {
 	sh := t.shardOf(name)
 	sh.mu.Lock()
 	if sh.kinds[name] == KindUnknown {
-		sh.kinds[name] = k
+		sh.setKind(name, k)
 	}
 	sh.mu.Unlock()
 	t.invalidate()
@@ -261,11 +315,7 @@ func (t *Taxonomy) ImportKind(name string, k NodeKind) {
 	}
 	sh := t.shardOf(name)
 	sh.mu.Lock()
-	if k == KindUnknown {
-		delete(sh.kinds, name)
-	} else {
-		sh.kinds[name] = k
-	}
+	sh.setKind(name, k)
 	sh.mu.Unlock()
 	t.invalidate()
 }
@@ -298,19 +348,32 @@ func (t *Taxonomy) AddIsA(hypo, hyper string, src Source, score float64) error {
 		if score > e.Score {
 			e.Score = score
 		}
+		// The evidence count feeds both endpoints' typicality rankings.
+		sa.touch(hypo, 0)
+		sb.touch(hyper, 0)
 		t.invalidate()
 		return nil
 	}
 	sa.edges[k] = &Edge{Hypo: hypo, Hyper: hyper, Sources: src, Score: score, Count: 1}
-	sa.hypers[hypo] = append(sa.hypers[hypo], hyper)
-	sa.unsortedHypers[hypo] = true
-	sb.hypos[hyper] = append(sb.hypos[hyper], hypo)
-	sb.unsortedHypos[hyper] = true
-	if sb.kinds[hyper] == KindUnknown {
-		sb.kinds[hyper] = KindConcept
-	}
+	linkEdge(sa, sb, hypo, hyper)
 	t.invalidate()
 	return nil
+}
+
+// linkEdge indexes a new edge on both endpoints, marks an unknown
+// hypernym as a concept and keeps the counters in step. Callers hold
+// both shard locks.
+func linkEdge(sa, sb *shard, hypo, hyper string) {
+	sa.hypers[hypo] = append(sa.hypers[hypo], hyper)
+	sa.touch(hypo, touchHypers)
+	if sa.kinds[hypo] == KindConcept {
+		sa.subConceptIsA++
+	}
+	sb.hypos[hyper] = append(sb.hypos[hyper], hypo)
+	sb.touch(hyper, touchHypos)
+	if sb.kinds[hyper] == KindUnknown {
+		sb.setKind(hyper, KindConcept)
+	}
 }
 
 // InsertEdge installs an edge verbatim: the full provenance — sources,
@@ -333,16 +396,15 @@ func (t *Taxonomy) InsertEdge(e Edge) error {
 	k := edgeKey{e.Hypo, e.Hyper}
 	if old, ok := sa.edges[k]; ok {
 		*old = e
+		sa.touch(e.Hypo, 0)
+		sb.touch(e.Hyper, 0)
+		if sb.kinds[e.Hyper] == KindUnknown {
+			sb.setKind(e.Hyper, KindConcept)
+		}
 	} else {
 		cp := e
 		sa.edges[k] = &cp
-		sa.hypers[e.Hypo] = append(sa.hypers[e.Hypo], e.Hyper)
-		sa.unsortedHypers[e.Hypo] = true
-		sb.hypos[e.Hyper] = append(sb.hypos[e.Hyper], e.Hypo)
-		sb.unsortedHypos[e.Hyper] = true
-	}
-	if sb.kinds[e.Hyper] == KindUnknown {
-		sb.kinds[e.Hyper] = KindConcept
+		linkEdge(sa, sb, e.Hypo, e.Hyper)
 	}
 	t.invalidate()
 	return nil
@@ -362,6 +424,11 @@ func (t *Taxonomy) RemoveIsA(hypo, hyper string) bool {
 		return false
 	}
 	delete(sa.edges, k)
+	sa.touch(hypo, 0)
+	sb.touch(hyper, 0)
+	if sa.kinds[hypo] == KindConcept {
+		sa.subConceptIsA--
+	}
 	if hs := removeString(sa.hypers[hypo], hyper); len(hs) > 0 {
 		sa.hypers[hypo] = hs
 	} else {
@@ -377,10 +444,10 @@ func (t *Taxonomy) RemoveIsA(hypo, hyper string) bool {
 	// hypernym side), so each endpoint check stays inside the shard
 	// lock already held.
 	if sb.kinds[hyper] == KindConcept && len(sb.hypos[hyper]) == 0 && len(sb.hypers[hyper]) == 0 {
-		delete(sb.kinds, hyper)
+		sb.setKind(hyper, KindUnknown)
 	}
 	if sa.kinds[hypo] == KindConcept && len(sa.hypers[hypo]) == 0 && len(sa.hypos[hypo]) == 0 {
-		delete(sa.kinds, hypo)
+		sa.setKind(hypo, KindUnknown)
 	}
 	t.invalidate()
 	return true
@@ -486,6 +553,8 @@ func (t *Taxonomy) Nodes() []string {
 	return t.computeNodes()
 }
 
+// computeNodes unions every shard's nodes — the from-nothing node list
+// the first Finalize starts from and un-finalized reads fall back to.
 func (t *Taxonomy) computeNodes() []string {
 	seen := make(map[string]bool)
 	for i := range t.shards {
@@ -566,80 +635,129 @@ func (t *Taxonomy) snapshotKinds() map[string]NodeKind {
 	return out
 }
 
-// ComputeStats walks the graph once and classifies edges by hyponym
-// kind. After Finalize the cached stats are returned.
+// ComputeStats sums the shards' counters: edges are classified by
+// hyponym kind (unmarked hyponyms behave as instances). It costs
+// O(shards) whether or not the store is finalized.
 func (t *Taxonomy) ComputeStats() Stats {
-	if m := t.mergedIndexes(); m != nil {
-		return m.stats
-	}
-	return t.computeStats()
-}
-
-func (t *Taxonomy) computeStats() Stats {
 	var s Stats
-	kinds := t.snapshotKinds()
-	seenEnt := make(map[string]bool)
-	seenCon := make(map[string]bool)
-	for n, k := range kinds {
-		switch k {
-		case KindEntity:
-			seenEnt[n] = true
-		case KindConcept:
-			seenCon[n] = true
-		}
-	}
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.RLock()
-		s.NodesWithHypernym += len(sh.hypers)
-		for k := range sh.edges {
-			if kinds[k.hyper] == KindConcept {
-				seenCon[k.hyper] = true
-			}
-			switch kinds[k.hypo] {
-			case KindEntity:
-				s.EntityConceptIsA++
-			case KindConcept:
-				s.SubConceptIsA++
-			default:
-				s.EntityConceptIsA++ // unmarked hyponyms behave as instances
-			}
-		}
+		s.Entities += sh.entities
+		s.Concepts += sh.concepts
 		s.IsARelations += len(sh.edges)
+		s.SubConceptIsA += sh.subConceptIsA
+		s.NodesWithHypernym += len(sh.hypers)
 		sh.mu.RUnlock()
 	}
-	s.Entities = len(seenEnt)
-	s.Concepts = len(seenCon)
+	s.EntityConceptIsA = s.IsARelations - s.SubConceptIsA
 	return s
 }
 
-// Finalize builds the merged cross-shard indexes once construction is
-// done: adjacency lists are put into canonical (sorted) order — so the
-// result of a parallel build is structurally identical to a sequential
-// one — and the sorted node list plus stats are cached for the serving
-// path. Any subsequent write invalidates the caches; Finalize can be
-// called again after further updates. A write racing Finalize bumps
-// the generation the cache is published under, so the stale cache is
-// ignored rather than served.
+// Finalize puts the adjacency lists appended to since the last call
+// into canonical (sorted) order — so the result of a parallel build is
+// structurally identical to a sequential one — and brings the merged
+// sorted node list up to date for the serving path. The first call
+// builds the list from the whole store; later calls merge in only the
+// nodes written since, so re-finalizing after an incremental update
+// costs what the update touched (plus one copy of the list when a node
+// appeared or vanished). Any subsequent write invalidates the list;
+// one racing Finalize bumps the generation the list is published
+// under, so the stale list is ignored rather than served.
 func (t *Taxonomy) Finalize() {
+	t.finalizeMu.Lock()
+	defer t.finalizeMu.Unlock()
+	t.finalizeLocked()
+}
+
+func (t *Taxonomy) finalizeLocked() {
 	gen := t.writeGen.Load()
+	base := t.final.Load()
+	// Names are only worth collecting when something consumes them: a
+	// node list to merge into, or a change log someone reads.
+	collect := base != nil || t.changes.tracking()
+	var written, added, removed []string
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		// Only lists appended to since the last Finalize can be out of
-		// order (removals preserve order), so re-finalizing after an
-		// incremental update costs O(touched), not O(store).
-		for n := range sh.unsortedHypers {
-			sort.Strings(sh.hypers[n])
+		for n, lists := range sh.touched {
+			if lists&touchHypers != 0 {
+				sort.Strings(sh.hypers[n])
+			}
+			if lists&touchHypos != 0 {
+				sort.Strings(sh.hypos[n])
+			}
+			if !collect {
+				continue
+			}
+			written = append(written, n)
+			if base != nil {
+				_, listed := slices.BinarySearch(base.nodes, n)
+				switch exists := sh.has(n); {
+				case exists && !listed:
+					added = append(added, n)
+				case listed && !exists:
+					removed = append(removed, n)
+				}
+			}
 		}
-		for n := range sh.unsortedHypos {
-			sort.Strings(sh.hypos[n])
+		if len(sh.touched) > 0 {
+			sh.touched = make(map[string]touch)
 		}
-		sh.unsortedHypers = make(map[string]bool)
-		sh.unsortedHypos = make(map[string]bool)
 		sh.mu.Unlock()
 	}
-	t.final.Store(&merged{gen: gen, nodes: t.computeNodes(), stats: t.computeStats()})
+	t.changes.record(written...)
+	nodes := []string(nil)
+	switch {
+	case base == nil:
+		nodes = t.computeNodes()
+	case len(added)+len(removed) == 0:
+		nodes = base.nodes
+	default:
+		sort.Strings(added)
+		sort.Strings(removed)
+		nodes = spliceSorted(base.nodes, removed, added)
+	}
+	t.final.Store(&merged{gen: gen, nodes: nodes})
+}
+
+// spliceSorted returns base without the names in removed and with the
+// names in added, all three ascending; removed ⊆ base, added ∩ base = ∅.
+// Runs of base between two changes are copied whole.
+func spliceSorted(base, removed, added []string) []string {
+	out := make([]string, 0, len(base)+len(added)-len(removed))
+	from := 0
+	copyTo := func(name string) int {
+		at, _ := slices.BinarySearch(base[from:], name)
+		out = append(out, base[from:from+at]...)
+		return from + at
+	}
+	for len(removed)+len(added) > 0 {
+		if len(added) == 0 || (len(removed) > 0 && removed[0] < added[0]) {
+			from = copyTo(removed[0]) + 1
+			removed = removed[1:]
+		} else {
+			from = copyTo(added[0])
+			out = append(out, added[0])
+			added = added[1:]
+		}
+	}
+	return append(out, base[from:]...)
+}
+
+// ChangesSince finalizes the store and returns the names of the nodes
+// written — marked, demoted, or at either end of an inserted, removed
+// or reinforced edge — since the call that returned token, ascending
+// and without duplicates, plus the token for the next call. ok is
+// false, and nodes nil, when token does not name the previous call
+// (the first call ever, or another consumer called in between): the
+// caller must then treat every node as changed. Names are recorded
+// only from the first call on, so a store nobody asks retains nothing.
+func (t *Taxonomy) ChangesSince(token uint64) (nodes []string, next uint64, ok bool) {
+	t.finalizeMu.Lock()
+	defer t.finalizeMu.Unlock()
+	t.finalizeLocked()
+	return t.changes.since(token)
 }
 
 // Finalized reports whether the merged indexes are currently valid.

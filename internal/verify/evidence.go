@@ -24,9 +24,11 @@ type Evidence struct {
 	// EntityAttrs maps entity ID → normalized infobox-predicate
 	// distribution v_att(e).
 	EntityAttrs map[string]map[string]float64
-	// ConceptAttrs maps concept → aggregated v_att(c) over its
-	// candidate hyponyms.
-	ConceptAttrs map[string]map[string]float64
+	// conceptAttrs maps concept → v_att(c), the attribute distribution
+	// aggregated over its candidate hyponyms, as a running sum that
+	// every candidate and page mutation adjusts by the one entity it
+	// concerns (see attrSum).
+	conceptAttrs map[string]*attrSum
 	// Hyponyms maps concept → candidate hyponym set.
 	Hyponyms map[string]map[string]bool
 	// Support provides the corpus NE statistic s1. It is an
@@ -69,7 +71,7 @@ type Evidence struct {
 	// frontier for subsumption.
 	entityDirty map[string]bool
 
-	// ---- verification caches, maintained by VerifyDelta ----
+	// ---- verification caches, maintained by Reverify ----
 
 	// heads caches the hypernym's lexical head as of the last
 	// verification (segmentation costs drift as statistics accumulate,
@@ -91,14 +93,12 @@ type Evidence struct {
 	lastOpts Options
 	haveOpts bool
 
-	// ---- dirt accumulated since the last VerifyDelta ----
+	// ---- dirt accumulated since the last Reverify ----
 
 	// dirtyConcepts: concepts whose hyponym set or aggregated
 	// attribute distribution changed (pair statuses and kill sets
 	// involving them must be recomputed).
 	dirtyConcepts map[string]bool
-	// attrDirty: concepts whose ConceptAttrs aggregate is stale.
-	attrDirty map[string]bool
 	// dirtyEntities: entities whose claimed-concept set or attribute
 	// distribution changed (their kill entries must be recomputed).
 	dirtyEntities map[string]bool
@@ -116,7 +116,7 @@ type Evidence struct {
 func NewEvidence(support *ner.Support, rec *ner.Recognizer) *Evidence {
 	return &Evidence{
 		EntityAttrs:        make(map[string]map[string]float64),
-		ConceptAttrs:       make(map[string]map[string]float64),
+		conceptAttrs:       make(map[string]*attrSum),
 		Hyponyms:           make(map[string]map[string]bool),
 		Support:            support,
 		Recognizer:         rec,
@@ -137,7 +137,6 @@ func NewEvidence(support *ner.Support, rec *ner.Recognizer) *Evidence {
 		killed:             make(map[edgeKey]bool),
 		decisions:          make(map[edgeKey]Reason),
 		dirtyConcepts:      make(map[string]bool),
-		attrDirty:          make(map[string]bool),
 		dirtyEntities:      make(map[string]bool),
 		dirtyNE:            make(map[string]bool),
 		allDirty:           true,
@@ -151,12 +150,11 @@ func NewContext(c *encyclopedia.Corpus, cands []extract.Candidate, support *ner.
 	ev := NewEvidence(support, rec)
 	ev.AddPages(c.Pages)
 	ev.AddCandidates(cands)
-	ev.refreshConceptAttrs()
 	return ev
 }
 
 // MarkAllDirty invalidates every verification cache: the next
-// VerifyDelta recomputes heads, pair statuses, kill sets and all
+// Reverify recomputes heads, pair statuses, kill sets and all
 // candidate decisions from the current evidence.
 func (ev *Evidence) MarkAllDirty() { ev.allDirty = true }
 
@@ -203,10 +201,13 @@ func (ev *Evidence) AddPages(pages []encyclopedia.Page) {
 			dist[t.Predicate]++
 		}
 		normalize(dist)
+		old := ev.EntityAttrs[id]
 		ev.EntityAttrs[id] = dist
 		ev.dirtyEntities[id] = true
 		for hyper := range ev.byHypo[id] {
-			ev.markConceptDirty(hyper)
+			ev.adjustConceptAttrs(hyper, old, -1)
+			ev.adjustConceptAttrs(hyper, dist, +1)
+			ev.dirtyConcepts[hyper] = true
 		}
 	}
 }
@@ -286,9 +287,10 @@ func (ev *Evidence) AddCandidates(cands []extract.Candidate) int {
 			ev.Hyponyms[c.Hyper] = hs
 		}
 		hs[c.Hypo] = true
+		ev.adjustConceptAttrs(c.Hyper, ev.EntityAttrs[c.Hypo], +1)
 		ev.hyperEdges[c.Hyper]++
 		ev.dirtyNE[c.Hyper] = true
-		ev.markConceptDirty(c.Hyper)
+		ev.dirtyConcepts[c.Hyper] = true
 		ev.dirtyEntities[c.Hypo] = true
 		if t, ok := ev.titleByID[c.Hypo]; ok {
 			ev.titleEdges[t]++
@@ -431,11 +433,12 @@ func (ev *Evidence) RemoveCandidates(cands []extract.Candidate) {
 				delete(ev.Hyponyms, c.Hyper)
 			}
 		}
+		ev.adjustConceptAttrs(c.Hyper, ev.EntityAttrs[c.Hypo], -1)
 		if ev.hyperEdges[c.Hyper]--; ev.hyperEdges[c.Hyper] <= 0 {
 			delete(ev.hyperEdges, c.Hyper)
 		}
 		ev.dirtyNE[c.Hyper] = true
-		ev.markConceptDirty(c.Hyper)
+		ev.dirtyConcepts[c.Hyper] = true
 		ev.dirtyEntities[c.Hypo] = true
 		if t, ok := ev.titleByID[c.Hypo]; ok {
 			if ev.titleEdges[t]--; ev.titleEdges[t] <= 0 {
@@ -456,51 +459,57 @@ func (ev *Evidence) RemoveCandidates(cands []extract.Candidate) {
 	}
 }
 
-// markConceptDirty flags a concept for both attribute re-aggregation
-// and pair/kill recomputation.
-func (ev *Evidence) markConceptDirty(c string) {
-	ev.dirtyConcepts[c] = true
-	ev.attrDirty[c] = true
+// attrSum is one concept's aggregated attribute evidence: the sum of
+// the attribute distributions of its n attribute-bearing candidate
+// hyponyms. v_att(c) is the sum normalized; it is never materialized —
+// cosine is scale-free and klToSum divides on read — so folding one
+// entity in or out costs that entity's handful of predicates, however
+// many hyponyms the concept has.
+type attrSum struct {
+	sum map[string]float64
+	n   int
 }
 
-// refreshConceptAttrs re-aggregates ConceptAttrs for every
-// attribute-dirty concept (all of them when the caches are cold).
-func (ev *Evidence) refreshConceptAttrs() {
-	if ev.allDirty {
-		ev.ConceptAttrs = make(map[string]map[string]float64, len(ev.Hyponyms))
-		for c := range ev.Hyponyms {
-			ev.refreshConcept(c)
-		}
-		ev.attrDirty = make(map[string]bool)
+// attrResidue separates a real predicate mass from the rounding
+// residue a subtraction leaves when a predicate's last contributor is
+// retracted. One contributor adds count/|infobox| ≥ 1/|infobox|, orders
+// of magnitude above it; residue is ~1e-16 per operation.
+const attrResidue = 1e-9
+
+// adjustConceptAttrs folds one entity's attribute distribution into
+// (sign +1) or out of (sign -1) the concept's aggregate. Entities
+// without attributes contribute nothing, exactly as a from-scratch
+// aggregation skips them; a concept whose last contributor leaves
+// loses its entry.
+func (ev *Evidence) adjustConceptAttrs(concept string, dist map[string]float64, sign int) {
+	if len(dist) == 0 {
 		return
 	}
-	for c := range ev.attrDirty {
-		ev.refreshConcept(c)
+	a := ev.conceptAttrs[concept]
+	if a == nil {
+		a = &attrSum{sum: make(map[string]float64, len(dist))}
+		ev.conceptAttrs[concept] = a
 	}
-	ev.attrDirty = make(map[string]bool)
+	if a.n += sign; a.n <= 0 {
+		delete(ev.conceptAttrs, concept)
+		return
+	}
+	for k, v := range dist {
+		if s := a.sum[k] + float64(sign)*v; s > attrResidue {
+			a.sum[k] = s
+		} else {
+			delete(a.sum, k)
+		}
+	}
 }
 
-// refreshConcept recomputes one concept's aggregated attribute
-// distribution, deleting the entry when no hyponym carries attributes
-// (matching the from-scratch aggregation, which skips such concepts).
-func (ev *Evidence) refreshConcept(c string) {
-	hypos := ev.Hyponyms[c]
-	agg := make(map[string]float64)
-	n := 0
-	for h := range hypos {
-		if d, ok := ev.EntityAttrs[h]; ok {
-			for k, v := range d {
-				agg[k] += v
-			}
-			n++
-		}
+// conceptAttrSum returns the concept's aggregated (unnormalized)
+// attribute mass; nil when no hyponym carries attributes.
+func (ev *Evidence) conceptAttrSum(concept string) map[string]float64 {
+	if a := ev.conceptAttrs[concept]; a != nil {
+		return a.sum
 	}
-	if n == 0 {
-		delete(ev.ConceptAttrs, c)
-		return
-	}
-	normalize(agg)
-	ev.ConceptAttrs[c] = agg
+	return nil
 }
 
 // S2 is the taxonomy NE support of the paper: the fraction of a word's

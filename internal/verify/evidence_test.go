@@ -73,6 +73,45 @@ func attrsClose(a, b map[string]map[string]float64) error {
 	return nil
 }
 
+// normalizedConceptAttrs reads v_att(c) for every concept out of the
+// running sums.
+func normalizedConceptAttrs(ev *Evidence) map[string]map[string]float64 {
+	out := make(map[string]map[string]float64, len(ev.conceptAttrs))
+	for c, a := range ev.conceptAttrs {
+		d := make(map[string]float64, len(a.sum))
+		for k, v := range a.sum {
+			d[k] = v
+		}
+		normalize(d)
+		out[c] = d
+	}
+	return out
+}
+
+// naiveConceptAttrs is the reference aggregation: sum the attribute
+// distributions of each concept's attribute-bearing hyponyms and
+// normalize, skipping concepts that have none.
+func naiveConceptAttrs(ev *Evidence) map[string]map[string]float64 {
+	out := make(map[string]map[string]float64)
+	for c, hypos := range ev.Hyponyms {
+		agg := make(map[string]float64)
+		n := 0
+		for h := range hypos {
+			if d, ok := ev.EntityAttrs[h]; ok {
+				for k, v := range d {
+					agg[k] += v
+				}
+				n++
+			}
+		}
+		if n > 0 {
+			normalize(agg)
+			out[c] = agg
+		}
+	}
+	return out
+}
+
 // TestEvidenceMatchesOracle is the incremental-vs-oracle property: a
 // sequence of crawl batches folded forward through AddPages /
 // FoldSupport / AddCandidates / VerifyDelta / RemoveCandidates must
@@ -151,8 +190,11 @@ func TestEvidenceMatchesOracle(t *testing.T) {
 				if err := attrsClose(inc.EntityAttrs, oracle.EntityAttrs); err != nil {
 					t.Fatalf("batch %d: EntityAttrs: %v", batch, err)
 				}
-				if err := attrsClose(inc.ConceptAttrs, oracle.ConceptAttrs); err != nil {
-					t.Fatalf("batch %d: ConceptAttrs: %v", batch, err)
+				// The running per-concept sums, folded in and out one
+				// entity at a time across batches, must describe the
+				// distributions a naive re-aggregation produces.
+				if err := attrsClose(normalizedConceptAttrs(inc), naiveConceptAttrs(inc)); err != nil {
+					t.Fatalf("batch %d: concept attributes: %v", batch, err)
 				}
 
 				// Retract the rejected pairs; the next batch verifies

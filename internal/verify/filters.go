@@ -47,17 +47,58 @@ func Verify(cands []extract.Candidate, ev *Evidence, seg *segment.Segmenter, opt
 	return VerifyDelta(cands, ev, seg, opts)
 }
 
-// VerifyDelta applies the enabled strategies over the candidate set,
-// recomputing decisions only for candidates whose evidence changed
-// since the last pass: fresh pairs, pairs whose hypernym's NE support
-// or lexical head moved, and pairs touched by incompatibility changes
-// (dirty concepts, dirty entities). Everything else reuses its cached
-// decision — the O(delta) path incremental updates ride on. cands must
-// be the deduplicated candidate set the evidence was built over (the
-// pairs previously added minus those removed); the kept slice comes
-// back in cands order, exactly as a full Verify would produce it.
+// VerifyDelta brings the decisions up to date (see Reverify) and then
+// walks the whole candidate set to assemble the survivors and the
+// report — the shape the one-shot build path and the evidence oracle
+// tests need. cands must be the deduplicated candidate set the evidence
+// was built over (the pairs previously added minus those removed); the
+// kept slice comes back in cands order, exactly as a full Verify would
+// produce it. The update pipeline does not call this: it splices the
+// few re-decided pairs into its sorted kept list instead of walking
+// the union.
 func VerifyDelta(cands []extract.Candidate, ev *Evidence, seg *segment.Segmenter, opts Options) ([]extract.Candidate, Report) {
-	rep := Report{Input: len(cands), Rejected: make(map[Reason]int)}
+	_, rep := ev.Reverify(seg, opts)
+	rep.Input, rep.Rejected = len(cands), make(map[Reason]int)
+	var kept []extract.Candidate
+	for _, c := range cands {
+		r, ok := ev.decisions[edgeKey{c.Hypo, c.Hyper}]
+		if !ok {
+			// A pair the evidence never saw (caller passed candidates
+			// outside the evidence set): decide it on the spot.
+			r = ev.decide(c.Hypo, c.Hyper, seg, opts)
+			ev.decisions[edgeKey{c.Hypo, c.Hyper}] = r
+		}
+		if r == "" {
+			kept = append(kept, c)
+		} else {
+			rep.Rejected[r]++
+		}
+	}
+	rep.Kept = len(kept)
+	return kept, rep
+}
+
+// Decision is the outcome Reverify reached for one candidate pair; an
+// empty Reason means the pair is kept.
+type Decision struct {
+	Hypo, Hyper string
+	Reason      Reason
+}
+
+// Reverify applies the enabled strategies to the candidates whose
+// evidence changed since the last pass — fresh pairs, pairs whose
+// hypernym's NE verdict or lexical head moved, and pairs touched by
+// incompatibility changes (dirty concepts, dirty entities) — and
+// returns exactly those decisions, in no particular order. Every other
+// pair of the evidence keeps its cached decision, which for a pair
+// still in the evidence is always "kept" (callers retract rejected
+// pairs with RemoveCandidates). On cold caches (fresh or snapshot-
+// loaded evidence, MarkAllDirty, changed thresholds) every pair is
+// re-decided. The report carries Reverified, IncompatiblePairs and the
+// rejections among the returned decisions; Input and Kept describe a
+// candidate set only the caller knows.
+func (ev *Evidence) Reverify(seg *segment.Segmenter, opts Options) ([]Decision, Report) {
+	rep := Report{Rejected: make(map[Reason]int)}
 
 	// Threshold changes invalidate every cached status.
 	norm := opts
@@ -66,8 +107,6 @@ func VerifyDelta(cands []extract.Candidate, ev *Evidence, seg *segment.Segmenter
 		ev.allDirty = true
 		ev.lastOpts, ev.haveOpts = norm, true
 	}
-
-	ev.refreshConceptAttrs()
 
 	// Re-derive hypernym lexical heads: segmentation costs move as
 	// corpus statistics accumulate, so heads are recomputed for every
@@ -106,22 +145,19 @@ func VerifyDelta(cands []extract.Candidate, ev *Evidence, seg *segment.Segmenter
 	neChanged := ev.refreshNEVerdicts(opts)
 
 	// Collect the affected pairs and recompute their decisions.
-	affected := ev.affectedPairs(cands, dirtyHead, neChanged, killSet)
+	affected := ev.affectedPairs(dirtyHead, neChanged, killSet)
 	rep.Reverified = len(affected)
-	type decided struct {
-		pair   edgeKey
-		reason Reason
-	}
-	chunks := par.MapBatches(par.NewPool(opts.Workers), len(affected), func(lo, hi int) []decided {
-		out := make([]decided, 0, hi-lo)
+	decided := par.Concat(par.MapBatches(par.NewPool(opts.Workers), len(affected), func(lo, hi int) []Decision {
+		out := make([]Decision, 0, hi-lo)
 		for _, pair := range affected[lo:hi] {
-			out = append(out, decided{pair: pair, reason: ev.decide(pair.hypo, pair.hyper, seg, opts)})
+			out = append(out, Decision{Hypo: pair.hypo, Hyper: pair.hyper, Reason: ev.decide(pair.hypo, pair.hyper, seg, opts)})
 		}
 		return out
-	})
-	for _, ck := range chunks {
-		for _, d := range ck {
-			ev.decisions[d.pair] = d.reason
+	}))
+	for _, d := range decided {
+		ev.decisions[edgeKey{d.Hypo, d.Hyper}] = d.Reason
+		if d.Reason != "" {
+			rep.Rejected[d.Reason]++
 		}
 	}
 
@@ -130,25 +166,7 @@ func VerifyDelta(cands []extract.Candidate, ev *Evidence, seg *segment.Segmenter
 	ev.dirtyEntities = make(map[string]bool)
 	ev.dirtyNE = make(map[string]bool)
 	ev.allDirty = false
-
-	// Assemble survivors in candidate order from the decision cache.
-	var kept []extract.Candidate
-	for _, c := range cands {
-		r, ok := ev.decisions[edgeKey{c.Hypo, c.Hyper}]
-		if !ok {
-			// A pair the evidence never saw (caller passed candidates
-			// outside the evidence set): decide it on the spot.
-			r = ev.decide(c.Hypo, c.Hyper, seg, opts)
-			ev.decisions[edgeKey{c.Hypo, c.Hyper}] = r
-		}
-		if r == "" {
-			kept = append(kept, c)
-		} else {
-			rep.Rejected[r]++
-		}
-	}
-	rep.Kept = len(kept)
-	return kept, rep
+	return decided, rep
 }
 
 // decide classifies one candidate pair against the current evidence; a
@@ -188,11 +206,13 @@ func (ev *Evidence) decide(hypo, hyper string, seg *segment.Segmenter, opts Opti
 // hypernyms whose NE verdict or lexical head flipped, plus all pairs
 // of entities whose kill entries were re-resolved (which covers fresh
 // pairs — adding a pair dirties both its endpoints).
-func (ev *Evidence) affectedPairs(cands []extract.Candidate, dirtyHead, neChanged, killSet map[string]bool) []edgeKey {
+func (ev *Evidence) affectedPairs(dirtyHead, neChanged, killSet map[string]bool) []edgeKey {
 	if ev.allDirty {
-		out := make([]edgeKey, 0, len(cands))
-		for _, c := range cands {
-			out = append(out, edgeKey{c.Hypo, c.Hyper})
+		var out []edgeKey
+		for hypo, hypers := range ev.byHypo {
+			for hyper := range hypers {
+				out = append(out, edgeKey{hypo, hyper})
+			}
 		}
 		return out
 	}
@@ -273,8 +293,8 @@ func orderedPair(a, b string) pairKey {
 // concepts). Step two: kill entries are re-resolved by KL divergence
 // for the entities whose conflict inputs moved — entities with changed
 // claims or attributes, plus entities co-claimed under a pair whose
-// status flipped or whose KL inputs (a dirty side's ConceptAttrs)
-// changed. On a cold cache both steps run over everything,
+// status flipped or whose KL inputs (a dirty side's aggregated
+// attributes) changed. On a cold cache both steps run over everything,
 // reproducing the from-scratch computation.
 func (ev *Evidence) recomputeIncompatible(opts Options) map[string]bool {
 	dirty := ev.dirtyConcepts
@@ -316,7 +336,7 @@ func (ev *Evidence) recomputeIncompatible(opts Options) map[string]bool {
 			if float64(inter)/float64(union) >= opts.JaccardMax {
 				continue
 			}
-			if cosine(ev.ConceptAttrs[pk.a], ev.ConceptAttrs[pk.b]) >= opts.CosineMax {
+			if cosine(ev.conceptAttrSum(pk.a), ev.conceptAttrSum(pk.b)) >= opts.CosineMax {
 				continue
 			}
 			ev.incompatible[pk] = true
@@ -339,7 +359,7 @@ func (ev *Evidence) recomputeIncompatible(opts Options) map[string]bool {
 	} else {
 		// Pairs whose kill influence moved: flipped statuses, plus
 		// still-incompatible pairs with a dirty side (their KL inputs
-		// shifted with the re-aggregated ConceptAttrs).
+		// shifted with the concept's aggregated attributes).
 		relevant := statusChanged
 		for pk := range ev.incompatible {
 			if dirty[pk.a] || dirty[pk.b] {
@@ -381,8 +401,8 @@ func (ev *Evidence) recomputeIncompatible(opts Options) map[string]bool {
 				if !ev.incompatible[orderedPair(c1, c2)] {
 					continue
 				}
-				k1 := KL(attr, ev.ConceptAttrs[c1])
-				k2 := KL(attr, ev.ConceptAttrs[c2])
+				k1 := klToSum(attr, ev.conceptAttrSum(c1))
+				k2 := klToSum(attr, ev.conceptAttrSum(c2))
 				if k1 > k2 {
 					ev.killed[edgeKey{e, c1}] = true
 				} else {

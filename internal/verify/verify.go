@@ -117,14 +117,30 @@ func jaccard(a, b map[string]bool) float64 {
 
 // KL computes D_KL(p‖q) = Σ p(x)·log(p(x)/q(x)) with ε-smoothing for
 // q-zeros (Equation 1 of the paper, sign normalized).
-func KL(p, q map[string]float64) float64 {
+func KL(p, q map[string]float64) float64 { return klScaled(p, q, 1) }
+
+// klToSum is KL against the distribution an unnormalized mass sum
+// describes: D_KL(p ‖ sum/Σsum).
+func klToSum(p, sum map[string]float64) float64 {
+	total := 0.0
+	for _, v := range sum {
+		total += v
+	}
+	if total == 0 {
+		total = 1
+	}
+	return klScaled(p, sum, total)
+}
+
+// klScaled computes D_KL(p ‖ q/scale).
+func klScaled(p, q map[string]float64, scale float64) float64 {
 	const eps = 1e-6
 	sum := 0.0
 	for k, pv := range p {
 		if pv <= 0 {
 			continue
 		}
-		qv := q[k]
+		qv := q[k] / scale
 		if qv <= 0 {
 			qv = eps
 		}
