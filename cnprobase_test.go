@@ -208,7 +208,7 @@ func TestFacadeSnapshotRoundTrip(t *testing.T) {
 // updating the original in-memory Result produces.
 func TestFacadeUpdateAfterSnapshotLoad(t *testing.T) {
 	wcfg := DefaultWorldConfig()
-	wcfg.Entities = 500
+	wcfg.Entities = 1500
 	w, err := GenerateWorld(wcfg)
 	if err != nil {
 		t.Fatalf("GenerateWorld: %v", err)
@@ -252,6 +252,28 @@ func TestFacadeUpdateAfterSnapshotLoad(t *testing.T) {
 	}
 	if !reflect.DeepEqual(updOrig.Kept, updLoaded.Kept) {
 		t.Fatalf("kept sets diverged: %d vs %d", len(updOrig.Kept), len(updLoaded.Kept))
+	}
+	// The loaded evidence was re-interned from the file in another
+	// order and verified cold; what it decides, and what a second save
+	// writes, must not show that.
+	if a, b := updOrig.Report.Verification, updLoaded.Report.Verification; a.Input != b.Input || a.Kept != b.Kept || a.IncompatiblePairs != b.IncompatiblePairs {
+		t.Fatalf("verification reports diverged: %+v vs %+v", a, b)
+	}
+	if !reflect.DeepEqual(updOrig.Report.PerSource, updLoaded.Report.PerSource) || updOrig.Report.Stats != updLoaded.Report.Stats {
+		t.Fatalf("reports diverged: %+v vs %+v", updOrig.Report, updLoaded.Report)
+	}
+	// (Reverified is the one honest difference: the loaded evidence
+	// was cold and re-decided every pair.)
+	updLoaded.Report.Verification.Reverified = updOrig.Report.Verification.Reverified
+	var savedOrig, savedLoaded bytes.Buffer
+	if err := SaveSnapshot(&savedOrig, updOrig); err != nil {
+		t.Fatalf("SaveSnapshot: %v", err)
+	}
+	if err := SaveSnapshot(&savedLoaded, updLoaded); err != nil {
+		t.Fatalf("SaveSnapshot: %v", err)
+	}
+	if !bytes.Equal(savedOrig.Bytes(), savedLoaded.Bytes()) {
+		t.Fatalf("snapshots after the update differ: %d vs %d bytes", savedOrig.Len(), savedLoaded.Len())
 	}
 	newPage := &delta.Pages[0]
 	if len(updLoaded.Mentions.Lookup(newPage.Title)) == 0 {

@@ -199,6 +199,12 @@ func (s *Server) SwapView(v *serving.View) *serving.View {
 // View returns the view currently being served.
 func (s *Server) View() *serving.View { return s.view.Load() }
 
+// A mapped view's answers are strings inside the mapping, which a
+// finalizer releases once the view is unreachable — and after a
+// SwapView nothing but the request holds it. So every handler loads the
+// view once and ends in runtime.KeepAlive on it, after the response is
+// encoded.
+
 // routes is the full endpoint table — the single source the mux is
 // built from, and the surface docs/API.md is contract-tested against.
 func (s *Server) routes() map[string]http.HandlerFunc {
@@ -259,7 +265,9 @@ func (s *Server) handleMen2Ent(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing ?mention=")
 		return
 	}
-	writeJSON(w, Men2EntResponse{Mention: mention, Entities: s.View().Lookup(mention)})
+	v := s.View()
+	writeJSON(w, Men2EntResponse{Mention: mention, Entities: v.Lookup(mention)})
+	runtime.KeepAlive(v)
 }
 
 func (s *Server) handleMen2EntBatch(w http.ResponseWriter, r *http.Request) {
@@ -287,6 +295,7 @@ func (s *Server) handleMen2EntBatch(w http.ResponseWriter, r *http.Request) {
 		out[i] = Men2EntResponse{Mention: m, Entities: v.Lookup(m)}
 	}
 	writeJSON(w, out)
+	runtime.KeepAlive(v)
 }
 
 // ConceptResponse is the payload of /api/getConcept. Ranked is filled
@@ -312,6 +321,7 @@ func (s *Server) handleGetConcept(w http.ResponseWriter, r *http.Request) {
 		resp.Ranked = v.RankedHypernyms(entity, 0)
 	}
 	writeJSON(w, resp)
+	runtime.KeepAlive(v)
 }
 
 // EntityResponse is the payload of /api/getEntity.
@@ -329,15 +339,17 @@ func (s *Server) handleGetEntity(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	limit := 0
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
+	if arg := r.URL.Query().Get("limit"); arg != "" {
+		n, err := strconv.Atoi(arg)
 		if err != nil || n < 0 {
 			writeError(w, http.StatusBadRequest, "bad ?limit=")
 			return
 		}
 		limit = n
 	}
-	writeJSON(w, EntityResponse{Concept: concept, Hyponyms: s.View().Hyponyms(concept, limit)})
+	v := s.View()
+	writeJSON(w, EntityResponse{Concept: concept, Hyponyms: v.Hyponyms(concept, limit)})
+	runtime.KeepAlive(v)
 }
 
 // Stats mirrors the call-count columns of the paper's Table II, plus

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"time"
 
 	"cnprobase/internal/conceptualize"
@@ -68,7 +69,9 @@ func (s *Server) handleConceptualize(w http.ResponseWriter, r *http.Request) {
 	if !decodePost(w, r, &req) {
 		return
 	}
-	writeJSON(w, conceptualizeOne(conceptualize.NewView(s.View()), req.Text))
+	v := s.View()
+	writeJSON(w, conceptualizeOne(conceptualize.NewView(v), req.Text))
+	runtime.KeepAlive(v)
 }
 
 func (s *Server) handleConceptualizeBatch(w http.ResponseWriter, r *http.Request) {
@@ -84,12 +87,14 @@ func (s *Server) handleConceptualizeBatch(w http.ResponseWriter, r *http.Request
 		return
 	}
 	s.conceptualizeCalls.Add(int64(len(batch))) // each text counts as one conceptualization
-	e := conceptualize.NewView(s.View())        // one consistent view for the whole batch
+	v := s.View()                               // one consistent view for the whole batch
+	e := conceptualize.NewView(v)
 	out := make([]ConceptualizeResponse, len(batch))
 	for i, text := range batch {
 		out[i] = conceptualizeOne(e, text)
 	}
 	writeJSON(w, out)
+	runtime.KeepAlive(v)
 }
 
 // QARequest is the body of /api/qa.
@@ -116,11 +121,13 @@ func (s *Server) handleQA(w http.ResponseWriter, r *http.Request) {
 	if !decodePost(w, r, &req) {
 		return
 	}
-	u := qa.Understand(req.Question, s.View())
+	v := s.View()
+	u := qa.Understand(req.Question, v)
 	writeJSON(w, QAResponse{
 		Question: req.Question,
 		Covered:  u.Covered,
 		Mentions: u.Mentions,
 		Concepts: u.Concepts,
 	})
+	runtime.KeepAlive(v)
 }

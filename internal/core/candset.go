@@ -14,25 +14,10 @@ import (
 // list by binary search and rebuilds the list with block copies; no
 // per-batch step compares or hashes its way through the whole list.
 
-// pairCmp orders candidates by (Hypo, Hyper).
-func pairCmp(a, b *extract.Candidate) int {
-	switch {
-	case a.Hypo < b.Hypo:
-		return -1
-	case a.Hypo > b.Hypo:
-		return 1
-	case a.Hyper < b.Hyper:
-		return -1
-	case a.Hyper > b.Hyper:
-		return 1
-	}
-	return 0
-}
-
 // findPair locates the pair in a sorted deduplicated list.
 func findPair(cands []extract.Candidate, hypo, hyper string) (int, bool) {
 	return slices.BinarySearchFunc(cands, extract.Candidate{Hypo: hypo, Hyper: hyper},
-		func(c, target extract.Candidate) int { return pairCmp(&c, &target) })
+		func(c, target extract.Candidate) int { return extract.ComparePair(&c, &target) })
 }
 
 // spliceCandidates returns base without the elements at the ascending
@@ -65,10 +50,10 @@ func diffCandidates(a, b []extract.Candidate) []extract.Candidate {
 	var out []extract.Candidate
 	j := 0
 	for i := range a {
-		for j < len(b) && pairCmp(&b[j], &a[i]) < 0 {
+		for j < len(b) && extract.ComparePair(&b[j], &a[i]) < 0 {
 			j++
 		}
-		if j < len(b) && pairCmp(&b[j], &a[i]) == 0 {
+		if j < len(b) && extract.ComparePair(&b[j], &a[i]) == 0 {
 			continue
 		}
 		out = append(out, a[i])

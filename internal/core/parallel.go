@@ -100,6 +100,23 @@ func observeSupport(c *encyclopedia.Corpus, seg *segment.Segmenter, rec *ner.Rec
 	return support
 }
 
+// addPages records the pages as entities of the store and indexes the
+// mentions that resolve to them: title, ID and infobox aliases.
+func addPages(tax *taxonomy.Taxonomy, mentions *taxonomy.MentionIndex, pages []encyclopedia.Page) {
+	for i := range pages {
+		page := &pages[i]
+		id := page.ID()
+		tax.MarkEntity(id)
+		mentions.Add(page.Title, id)
+		mentions.Add(id, id)
+		for _, t := range page.Infobox {
+			if t.Predicate == "别名" && t.Object != "" {
+				mentions.Add(t.Object, id)
+			}
+		}
+	}
+}
+
 // assembleEdges inserts the kept candidates into the sharded taxonomy,
 // fanning contiguous chunks out over the pool. Insertion order across
 // chunks is not deterministic; Finalize canonicalizes adjacency order

@@ -197,14 +197,26 @@ func (p *Pipeline) Build(c *encyclopedia.Corpus) (*Result, error) {
 	stats := corpusStats(c, boot, pl)
 	seg := segment.New(dict, segment.WithStats(stats))
 
-	// ---- verification evidence, overlapped with generation ----
-	// The NE-support pass only needs the corpus and the segmenter, so
-	// it runs alongside the generators on the shared pool.
+	// ---- the passes that need only pages, overlapped with generation ----
+	// The NE-support pass (on the shared pool), the evidence's page fold
+	// and the store's entity marks and mention index read the corpus and
+	// the segmenter and no candidate, so they run alongside the
+	// generators; each writes a different object.
 	rec := ner.New()
-	var support *ner.Support
+	ctx := verify.NewEvidence(nil, rec) // its Support is the first pass's result
+	tax := taxonomy.NewSharded(p.opts.Shards)
+	mentions := taxonomy.NewMentionIndex()
 	evidence := &par.Group{Inline: pl == nil}
 	evidence.Go(func() error {
-		support = observeSupport(c, seg, rec, pl)
+		ctx.Support = observeSupport(c, seg, rec, pl)
+		return nil
+	})
+	evidence.Go(func() error {
+		ctx.AddPages(c.Pages)
+		return nil
+	})
+	evidence.Go(func() error {
+		addPages(tax, mentions, c.Pages)
 		return nil
 	})
 
@@ -273,18 +285,19 @@ func (p *Pipeline) Build(c *encyclopedia.Corpus) (*Result, error) {
 			close(candSetCh)
 		}()
 	}
-	var all []extract.Candidate
+	// Each set is deduplicated as it arrives, while the slower
+	// generators still run; what is left for afterwards is one merge.
+	var merged []extract.Candidate
 	for set := range candSetCh {
-		all = append(all, set.cands...)
+		merged = extract.Union(merged, extract.Dedupe(set.cands))
 	}
 	if err := gen.Wait(); err != nil {
 		return nil, err
 	}
-	merged := extract.Dedupe(all)
 	if err := evidence.Wait(); err != nil {
 		return nil, err
 	}
-	ctx := verify.NewContext(c, merged, support, rec)
+	ctx.AddCandidates(merged)
 	vopts := p.opts.Verify
 	if vopts.Workers == 0 {
 		vopts.Workers = workers // inherit the pipeline pool size by default
@@ -295,26 +308,19 @@ func (p *Pipeline) Build(c *encyclopedia.Corpus) (*Result, error) {
 	// Trim the evidence to the surviving candidate set: between crawl
 	// batches the persistent evidence always describes kept pairs, so
 	// the next Update's verification sees exactly the union of kept
-	// and fresh candidates.
-	ctx.RemoveCandidates(diffCandidates(merged, kept))
+	// and fresh candidates. The store does not read the evidence, so
+	// the trim runs beside the assembly.
+	trim := &par.Group{Inline: pl == nil}
+	trim.Go(func() error {
+		ctx.RemoveCandidates(diffCandidates(merged, kept))
+		return nil
+	})
 
 	// ---- taxonomy assembly into the sharded store ----
-	tax := taxonomy.NewSharded(p.opts.Shards)
 	rep.Shards = tax.ShardCount()
-	mentions := taxonomy.NewMentionIndex()
-	for i := range c.Pages {
-		page := &c.Pages[i]
-		id := page.ID()
-		tax.MarkEntity(id)
-		mentions.Add(page.Title, id)
-		mentions.Add(id, id)
-		for _, t := range page.Infobox {
-			if t.Predicate == "别名" && t.Object != "" {
-				mentions.Add(t.Object, id)
-			}
-		}
-	}
-	if err := assembleEdges(tax, kept, pl); err != nil {
+	err := assembleEdges(tax, kept, pl)
+	trim.Wait()
+	if err != nil {
 		return nil, fmt.Errorf("core: assembling taxonomy: %w", err)
 	}
 	if p.opts.DeriveSubconcepts {

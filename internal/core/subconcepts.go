@@ -123,10 +123,9 @@ func deriveSubsumption(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options
 	if minSize <= 0 {
 		minSize = 8
 	}
-	hypos := func(c string) map[string]bool { return ev.EntityHyponyms(c) }
 	cand := make(map[[2]string]bool)
-	for a := range ev.TakeEntityDirtyConcepts() {
-		for b := range ev.EntityPartners(a) {
+	for _, a := range ev.TakeEntityDirtyConcepts() {
+		for _, b := range ev.EntityPartners(a) {
 			cand[[2]string{a, b}] = true
 			cand[[2]string{b, a}] = true
 		}
@@ -145,7 +144,7 @@ func deriveSubsumption(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options
 	})
 	for _, k := range keys {
 		c1, c2 := k[0], k[1]
-		n1, n2 := len(hypos(c1)), len(hypos(c2))
+		n1, n2 := ev.EntityExtent(c1), ev.EntityExtent(c2)
 		if n1 < minSize || n2 < minSize {
 			continue // both sides need real extents
 		}

@@ -174,18 +174,7 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 	prev.Evidence.RemoveCandidates(rejected)
 
 	// ---- taxonomy extension ----
-	for i := range delta.Pages {
-		page := &delta.Pages[i]
-		id := page.ID()
-		prev.Taxonomy.MarkEntity(id)
-		prev.Mentions.Add(page.Title, id)
-		prev.Mentions.Add(id, id)
-		for _, t := range page.Infobox {
-			if t.Predicate == "别名" && t.Object != "" {
-				prev.Mentions.Add(t.Object, id)
-			}
-		}
-	}
+	addPages(prev.Taxonomy, prev.Mentions, delta.Pages)
 	// Remove previously-kept edges that re-verification now rejects,
 	// then insert the delta's evidence: brand-new kept pairs, plus
 	// re-generated pairs whose fresh occurrence reinforces an existing

@@ -6,7 +6,8 @@
 package extract
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"cnprobase/internal/encyclopedia"
 	"cnprobase/internal/runes"
@@ -47,29 +48,89 @@ func Tags(page *encyclopedia.Page) []Candidate {
 	return out
 }
 
+// ComparePair orders candidates by (hypo, hyper), the order Dedupe
+// returns them in.
+func ComparePair(a, b *Candidate) int {
+	if c := strings.Compare(a.Hypo, b.Hypo); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Hyper, b.Hyper)
+}
+
+// absorb folds a duplicate of c's pair into c.
+func (c *Candidate) absorb(dup *Candidate) {
+	c.Source |= dup.Source
+	if dup.Score > c.Score {
+		c.Score = dup.Score
+	}
+}
+
 // Dedupe merges duplicate (hypo, hyper) candidates, OR-ing sources and
-// keeping the maximum score. Order is deterministic.
+// keeping the maximum score, and returns them sorted by (hypo, hyper)
+// in a slice of exactly their number. cands is left untouched.
 func Dedupe(cands []Candidate) []Candidate {
-	type key struct{ hypo, hyper string }
-	idx := make(map[key]int)
-	var out []Candidate
-	for _, c := range cands {
-		k := key{c.Hypo, c.Hyper}
-		if i, ok := idx[k]; ok {
-			out[i].Source |= c.Source
-			if c.Score > out[i].Score {
-				out[i].Score = c.Score
-			}
+	if len(cands) == 0 {
+		return nil
+	}
+	// Sorting puts each pair's duplicates side by side; one pass then
+	// folds every run into its head. The fold is commutative and the
+	// duplicates of a pair differ in nothing else, so which of them
+	// leads its run does not show and the sort need not be stable.
+	sorted := slices.Clone(cands)
+	slices.SortFunc(sorted, func(a, b Candidate) int { return ComparePair(&a, &b) })
+	n := 1
+	for i := 1; i < len(sorted); i++ {
+		if ComparePair(&sorted[i], &sorted[i-1]) != 0 {
+			n++
+		}
+	}
+	out := make([]Candidate, 0, n)
+	for i := range sorted {
+		if last := len(out) - 1; last >= 0 && ComparePair(&out[last], &sorted[i]) == 0 {
+			out[last].absorb(&sorted[i])
 			continue
 		}
-		idx[k] = len(out)
-		out = append(out, c)
+		out = append(out, sorted[i])
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Hypo != out[j].Hypo {
-			return out[i].Hypo < out[j].Hypo
-		}
-		return out[i].Hyper < out[j].Hyper
-	})
 	return out
+}
+
+// Union returns Dedupe of the concatenation of a and b, two lists
+// Dedupe returned, by one merge; with one of them empty it is the
+// other. Neither list is changed.
+func Union(a, b []Candidate) []Candidate {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	n, i, j := 0, 0, 0
+	for ; i < len(a) && j < len(b); n++ {
+		c := ComparePair(&a[i], &b[j])
+		if c <= 0 {
+			i++
+		}
+		if c >= 0 {
+			j++
+		}
+	}
+	out := make([]Candidate, 0, n+len(a)-i+len(b)-j)
+	i, j = 0, 0
+	for i < len(a) && j < len(b) {
+		c := ComparePair(&a[i], &b[j])
+		if c > 0 {
+			out = append(out, b[j])
+			j++
+			continue
+		}
+		out = append(out, a[i])
+		i++
+		if c == 0 {
+			out[len(out)-1].absorb(&b[j])
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }

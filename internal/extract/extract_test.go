@@ -1,6 +1,10 @@
 package extract
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"cnprobase/internal/corpus"
@@ -154,6 +158,60 @@ func TestDedupe(t *testing.T) {
 	}
 	if first.Score != 0.9 {
 		t.Errorf("score = %v, want max 0.9", first.Score)
+	}
+
+	// Against the hash-and-sort formulation, on inputs dense in
+	// duplicates: same candidates in the same order, input untouched,
+	// no spare capacity.
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 50; round++ {
+		in := make([]Candidate, rng.Intn(200))
+		for i := range in {
+			in[i] = Candidate{
+				Hypo: fmt.Sprint("h", rng.Intn(12)), Hyper: fmt.Sprint("c", rng.Intn(6)),
+				Source: taxonomy.Source(1 << rng.Intn(4)), Score: float64(rng.Intn(5)) / 4,
+			}
+		}
+		orig := append([]Candidate(nil), in...)
+		type key struct{ hypo, hyper string }
+		idx := make(map[key]int)
+		var want []Candidate
+		for _, c := range in {
+			if i, ok := idx[key{c.Hypo, c.Hyper}]; ok {
+				want[i].Source |= c.Source
+				want[i].Score = max(want[i].Score, c.Score)
+				continue
+			}
+			idx[key{c.Hypo, c.Hyper}] = len(want)
+			want = append(want, c)
+		}
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].Hypo != want[j].Hypo {
+				return want[i].Hypo < want[j].Hypo
+			}
+			return want[i].Hyper < want[j].Hyper
+		})
+		got := Dedupe(in)
+		if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: Dedupe = %+v, want %+v", round, got, want)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("round %d: %d candidates in a slice of capacity %d", round, len(got), cap(got))
+		}
+		if !reflect.DeepEqual(in, orig) {
+			t.Fatalf("round %d: Dedupe changed its input", round)
+		}
+		// The same list, assembled from two parts by Union.
+		cut := rng.Intn(len(in) + 1)
+		a, b := Dedupe(in[:cut]), Dedupe(in[cut:])
+		a0, b0 := append([]Candidate(nil), a...), append([]Candidate(nil), b...)
+		u := Union(a, b)
+		if len(u)+len(want) > 0 && !reflect.DeepEqual(u, want) {
+			t.Fatalf("round %d: Union = %+v, want %+v", round, u, want)
+		}
+		if cap(u) != len(u) || !reflect.DeepEqual(a, a0) || !reflect.DeepEqual(b, b0) {
+			t.Fatalf("round %d: Union left spare capacity (%d/%d) or changed a part", round, len(u), cap(u))
+		}
 	}
 }
 

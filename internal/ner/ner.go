@@ -17,6 +17,7 @@ package ner
 import (
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"cnprobase/internal/lexicon"
 	"cnprobase/internal/runes"
@@ -139,44 +140,56 @@ func (r *Recognizer) Classify(w string) Kind {
 	if w == "" {
 		return None
 	}
+	return r.classify(w, []rune(w), runes.AllHan(w))
+}
+
+// classify is Classify for a caller that already holds w's runes and
+// knows whether they are all Han, as Recognize does for every window
+// of a text it decoded once.
+func (r *Recognizer) classify(w string, rs []rune, allHan bool) Kind {
 	if wgt, ok := r.knownEntities.Weight(w); ok {
 		return Kind(int(wgt))
 	}
 	if r.regions[w] {
 		return Place
 	}
-	rs := []rune(w)
 	// 《…》 quoted span.
 	if len(rs) >= 3 && rs[0] == '《' && rs[len(rs)-1] == '》' {
 		return Work
 	}
-	if !runes.AllHan(w) {
+	if !allHan || len(rs) < 2 {
 		return None
 	}
-	// gazetteer stem + place suffix (清河+市).
-	if len(rs) == 3 && r.placeSuffix[string(rs[2:])] && r.stems[string(rs[:2])] {
-		return Place
-	}
-	// gazetteer stem + org suffix (蚂蚁+金服, 清河+研究所).
-	for sl := 2; sl <= 3 && sl < len(rs); sl++ {
-		if len(rs)-sl == 2 && r.orgSuffix.Contains(string(rs[2:])) && r.stems[string(rs[:2])] {
+	// All Han means valid UTF-8, so the byte length of the two-rune stem
+	// follows from its runes and the lexicons are probed with substrings.
+	stem := utf8.RuneLen(rs[0]) + utf8.RuneLen(rs[1])
+	switch len(rs) {
+	case 3:
+		// gazetteer stem + place suffix (清河+市).
+		if r.placeSuffix[w[stem:]] && r.stems[w[:stem]] {
+			return Place
+		}
+	case 4, 5:
+		// gazetteer stem + org suffix (蚂蚁+金服, 清河+研究所).
+		if r.orgSuffix.Contains(w[stem:]) && r.stems[w[:stem]] {
 			return Org
 		}
 	}
 	// surname + given-name runes.
-	if k := r.personLike(rs); k != None {
-		return k
-	}
-	return None
+	return r.personLike(w, rs)
 }
 
-// personLike reports whether rs looks like surname + 1-2 given chars.
-func (r *Recognizer) personLike(rs []rune) Kind {
+// personLike reports whether w looks like surname + 1-2 given chars.
+func (r *Recognizer) personLike(w string, rs []rune) Kind {
 	try := func(surLen int) bool {
 		if len(rs) < surLen+1 || len(rs) > surLen+2 {
 			return false
 		}
-		if !r.surnames[string(rs[:surLen])] {
+		sur := 0
+		for _, c := range rs[:surLen] {
+			sur += utf8.RuneLen(c)
+		}
+		if !r.surnames[w[:sur]] {
 			return false
 		}
 		for _, c := range rs[surLen:] {
@@ -193,33 +206,56 @@ func (r *Recognizer) personLike(rs []rune) Kind {
 }
 
 // Recognize scans text and returns all recognized entity spans, longest
-// match first at each position, non-overlapping.
+// match first at each position, non-overlapping. The text is decoded
+// once; every window tried is a substring of it, so a span's Text
+// shares the text's memory.
 func (r *Recognizer) Recognize(text string) []Span {
 	rs := []rune(text)
+	if !utf8.ValidString(text) {
+		// Spans spell the bytes []rune replaced as U+FFFD, as the runes do.
+		text = string(rs)
+	}
+	// off[i] is the byte offset of rune i, hanRun[i] the length of the
+	// run of Han runes starting at i (as far as a window can reach).
+	off := make([]int32, len(rs)+1)
+	i := 0
+	for at := range text {
+		off[i] = int32(at)
+		i++
+	}
+	off[len(rs)] = int32(len(text))
+	hanRun := make([]uint8, len(rs))
+	for i, run := len(rs)-1, uint8(0); i >= 0; i-- {
+		if !runes.IsHan(rs[i]) {
+			run = 0
+		} else if run < maxWindow {
+			run++
+		}
+		hanRun[i] = run
+	}
 	var out []Span
 	for i := 0; i < len(rs); {
 		// Book-quoted works.
 		if rs[i] == '《' {
 			if j := indexRune(rs, i+1, '》'); j > i {
-				out = append(out, Span{Text: string(rs[i : j+1]), Kind: Work, Start: i, End: j + 1})
+				out = append(out, Span{Text: text[off[i]:off[j+1]], Kind: Work, Start: i, End: j + 1})
 				i = j + 1
 				continue
 			}
 		}
 		// Known entity exact hits.
 		if l := r.knownEntities.LongestFrom(rs, i); l > 0 {
-			w := string(rs[i : i+l])
+			w := text[off[i]:off[i+l]]
 			wgt, _ := r.knownEntities.Weight(w)
 			out = append(out, Span{Text: w, Kind: Kind(int(wgt)), Start: i, End: i + l})
 			i += l
 			continue
 		}
-		// Window classification: try longest window first (6 runes is
-		// the longest lexicon-composed entity form).
+		// Window classification: try longest window first.
 		matched := false
-		for l := min(6, len(rs)-i); l >= 2; l-- {
-			w := string(rs[i : i+l])
-			if k := r.Classify(w); k != None {
+		for l := min(maxWindow, len(rs)-i); l >= 2; l-- {
+			w := text[off[i]:off[i+l]]
+			if k := r.classify(w, rs[i:i+l], int(hanRun[i]) >= l); k != None {
 				out = append(out, Span{Text: w, Kind: k, Start: i, End: i + l})
 				i += l
 				matched = true
@@ -232,6 +268,9 @@ func (r *Recognizer) Recognize(text string) []Span {
 	}
 	return out
 }
+
+// maxWindow is the longest lexicon-composed entity form, in runes.
+const maxWindow = 6
 
 func indexRune(rs []rune, from int, want rune) int {
 	for i := from; i < len(rs); i++ {

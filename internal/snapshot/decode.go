@@ -572,6 +572,7 @@ func parseEvidence(payload []byte, materialize bool) (*verify.Evidence, []extrac
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	var attrs []verify.Attr // recycled: ImportEntity keeps its own vector
 	for i := 0; i < nEnts; i++ {
 		id, err := r.str()
 		if err != nil {
@@ -588,10 +589,7 @@ func parseEvidence(payload []byte, materialize bool) (*verify.Evidence, []extrac
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		var attrs map[string]float64
-		if materialize && nAttrs > 0 {
-			attrs = make(map[string]float64, nAttrs)
-		}
+		attrs = attrs[:0]
 		for j := 0; j < nAttrs; j++ {
 			pred, err := r.str()
 			if err != nil {
@@ -602,7 +600,7 @@ func parseEvidence(payload []byte, materialize bool) (*verify.Evidence, []extrac
 				return nil, nil, nil, err
 			}
 			if materialize {
-				attrs[pred] = math.Float64frombits(bits)
+				attrs = append(attrs, verify.Attr{Predicate: pred, Weight: math.Float64frombits(bits)})
 			}
 		}
 		if materialize {

@@ -47,17 +47,25 @@ func Save(w io.Writer, st *State, opts Options) error {
 	// offset: header (16) + meta section framing (13 + payload + 4) +
 	// the image's own section header (13).
 	imageBase := uint64(16 + 13 + len(metaPayload) + 4 + 13)
+	// The evidence section reads nothing the image does, so it is
+	// encoded beside the compile.
+	var evidencePayload []byte
+	side := &par.Group{Inline: workerCount(opts.Workers) <= 1}
+	side.Go(func() (err error) {
+		evidencePayload, err = encodeEvidence(st)
+		return err
+	})
 	view := st.View
 	if view == nil {
 		view = serving.Compile(st.Taxonomy, mentions)
 	}
 	imagePayload, err := view.AppendImage(make([]byte, 0, view.ImageLen(imageBase)), imageBase)
+	sideErr := side.Wait()
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	evidencePayload, err := encodeEvidence(st)
-	if err != nil {
-		return err
+	if sideErr != nil {
+		return sideErr
 	}
 
 	bw := bufio.NewWriter(w)
@@ -260,14 +268,9 @@ func encodeEvidence(st *State) ([]byte, error) {
 		b = appendString(b, e.ID)
 		b = appendString(b, e.Title)
 		b = binary.AppendUvarint(b, uint64(len(e.Attrs)))
-		preds := make([]string, 0, len(e.Attrs))
-		for p := range e.Attrs {
-			preds = append(preds, p)
-		}
-		sort.Strings(preds)
-		for _, p := range preds {
-			b = appendString(b, p)
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Attrs[p]))
+		for _, a := range e.Attrs {
+			b = appendString(b, a.Predicate)
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a.Weight))
 		}
 	}
 	entries := st.Evidence.Support.Entries()

@@ -1,113 +1,182 @@
 package verify
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"cnprobase/internal/encyclopedia"
 	"cnprobase/internal/extract"
 	"cnprobase/internal/ner"
 )
 
-// Evidence carries the evidence the verification strategies consult.
-// Unlike the one-shot context it evolved from, an Evidence is
+// Evidence carries the evidence the verification strategies consult,
+// on the dense ID space the package comment describes. It is
 // persistent and incrementally updatable: the pipeline builds it once
-// (NewContext) and then folds each crawl batch forward through
-// AddPages / FoldSupport / AddCandidates / RemoveCandidates, so an
-// update touches only the delta instead of re-deriving evidence from
-// every page ever crawled. Every mutation records which concepts,
-// entities and words it touched; VerifyDelta consumes those dirty sets
-// to re-verify only the candidates whose evidence actually changed.
+// and then folds each crawl batch forward through AddPages /
+// FoldSupport / AddCandidates / RemoveCandidates, so an update touches
+// only the delta instead of re-deriving evidence from every page ever
+// crawled. Every mutation records which concepts, entities and words
+// it touched; Reverify consumes those dirty marks to re-verify only the
+// candidates whose evidence actually changed.
 //
-// NewContext remains the from-scratch assembly path and is the oracle
-// the incremental operations are pinned against (TestEvidenceMatchesOracle).
+// The mutations are order-free: pages may arrive before or after the
+// candidates that name them, and any interleaving leaves the evidence
+// a from-scratch assembly of the same pages and pairs would build
+// (TestEvidenceMatchesOracle, TestEvidenceModel).
 type Evidence struct {
-	// EntityAttrs maps entity ID → normalized infobox-predicate
-	// distribution v_att(e).
-	EntityAttrs map[string]map[string]float64
-	// conceptAttrs maps concept → v_att(c), the attribute distribution
-	// aggregated over its candidate hyponyms, as a running sum that
-	// every candidate and page mutation adjusts by the one entity it
-	// concerns (see attrSum).
-	conceptAttrs map[string]*attrSum
-	// Hyponyms maps concept → candidate hyponym set.
-	Hyponyms map[string]map[string]bool
 	// Support provides the corpus NE statistic s1. It is an
 	// accumulator: updates fold delta observations in via FoldSupport.
 	Support *ner.Support
 	// Recognizer classifies isolated words.
 	Recognizer *ner.Recognizer
-	// EntityTitles is the set of page titles (taxonomy NE evidence s2).
-	EntityTitles map[string]bool
 
-	// titleEdges / hyperEdges count taxonomy occurrences of a word as
-	// an entity title vs as a hypernym, for s2.
-	titleEdges map[string]int
-	hyperEdges map[string]int
-	// titleByID maps page ID → page title, so candidates arriving
-	// before or after their hyponym's page still count toward
-	// titleEdges exactly as a from-scratch assembly would count them.
-	titleByID map[string]string
-	// byHypo maps hypo → set of hypers: the current candidate set,
-	// inverted. It mirrors Hyponyms and exists so per-entity work
-	// (incompatibility resolution, dirty propagation) is O(degree).
-	byHypo map[string]map[string]bool
-	// entityHypos maps concept → the subset of its hyponyms that are
-	// known pages, maintained incrementally for consumers that need
-	// entity-only extents (subsumption derivation) without rebuilding
-	// filtered sets from the store every batch.
-	entityHypos map[string]map[string]bool
-	// cooc counts, per canonical concept pair, how many hyponyms the
-	// two concepts share — exactly the intersection strategy III-A's
-	// Jaccard needs, maintained on candidate add/remove so pair
-	// statistics cost O(1) instead of a set scan. coocPartners indexes
-	// it by concept for enumeration. entityCooc / entityCoocPartners
-	// are the page-only counterparts subsumption derivation reads.
-	cooc               map[pairKey]int
-	coocPartners       map[string]map[string]bool
-	entityCooc         map[pairKey]int
-	entityCoocPartners map[string]map[string]bool
-	// entityDirty accumulates the concepts whose entity extent changed
-	// since the last TakeEntityDirtyConcepts — the re-derivation
-	// frontier for subsumption.
-	entityDirty map[string]bool
+	// syms interns every entity ID, page title and hypernym; nodes is
+	// indexed by its IDs. preds interns infobox predicates.
+	syms  symtab
+	preds symtab
+	nodes []node
+	// concepts lists the concept records (the names with at least one
+	// hyponym), unordered; a record knows its position.
+	concepts []*concept
+	// cooc holds, per concept pair sharing at least one hyponym, the
+	// shared counts strategy III-A's Jaccard and subsumption derivation
+	// read in O(1), keyed by packPair.
+	cooc map[uint64]coocEntry
+	// incompatible is the current set of strategy-III-A incompatible
+	// pairs, on the same key.
+	incompatible map[uint64]struct{}
 
-	// ---- verification caches, maintained by Reverify ----
-
-	// heads caches the hypernym's lexical head as of the last
-	// verification (segmentation costs drift as statistics accumulate,
-	// so heads are re-derived each pass and compared).
-	heads map[string]string
-	// neVerdict caches the strategy-III-B rejection verdict per
-	// hypernym (NESupport > threshold); only a flipped verdict makes a
-	// hypernym's candidates affected.
-	neVerdict map[string]bool
-	// incompatible holds the current strategy-III-A pair statuses.
-	incompatible map[pairKey]bool
-	// killed holds the current strategy-III-A kill set.
-	killed map[edgeKey]bool
-	// decisions caches the last verification decision per candidate
-	// pair ("" = kept); unaffected candidates reuse it.
-	decisions map[edgeKey]Reason
-	// lastOpts remembers the thresholds the caches were computed
-	// under; a change invalidates everything.
+	// lastOpts remembers the thresholds the cached decisions were
+	// computed under; a change invalidates everything.
 	lastOpts Options
 	haveOpts bool
 
-	// ---- dirt accumulated since the last Reverify ----
-
-	// dirtyConcepts: concepts whose hyponym set or aggregated
-	// attribute distribution changed (pair statuses and kill sets
-	// involving them must be recomputed).
-	dirtyConcepts map[string]bool
-	// dirtyEntities: entities whose claimed-concept set or attribute
-	// distribution changed (their kill entries must be recomputed).
-	dirtyEntities map[string]bool
-	// dirtyNE: words whose NESupport inputs (s1 counts, title/hyper
-	// edge counts, entity-title membership) changed.
-	dirtyNE map[string]bool
+	// Dirt accumulated since the last Reverify, as ID lists deduplicated
+	// by a flag on the node: concepts whose hyponym set or aggregated
+	// attributes changed, entities whose claims or attributes changed,
+	// words whose NESupport inputs changed. Nothing is recorded while
+	// allDirty is set — the next pass recomputes everything anyway.
+	dirtyConcepts []uint32
+	dirtyEntities []uint32
+	dirtyNE       []uint32
 	// allDirty forces a full recompute on the next pass (cold caches:
 	// freshly constructed, snapshot-loaded, or option change).
 	allDirty bool
+	// entityDirty lists the concepts whose page extent changed since
+	// the last TakeEntityDirtyConcepts — the re-derivation frontier for
+	// subsumption.
+	entityDirty []uint32
+}
+
+// symtab interns names to dense IDs, in arrival order.
+type symtab struct {
+	ids   map[string]uint32
+	names []string
+}
+
+func (t *symtab) intern(s string) uint32 {
+	if id, ok := t.ids[s]; ok {
+		return id
+	}
+	id := uint32(len(t.names))
+	t.ids[s] = id
+	t.names = append(t.names, s)
+	return id
+}
+
+// node is everything the evidence knows about one name, in each of the
+// roles a name can play.
+type node struct {
+	// claims lists the hypernyms the name sits under as a hyponym: the
+	// current candidate set, from the low-degree side.
+	claims []claim
+	// attrs is v_att(e), the page's normalized infobox-predicate
+	// distribution; nil without an infobox.
+	attrs []attr
+	// con is the name's record as a hypernym; nil without hyponyms.
+	con *concept
+	// title is the page's title ID plus one; zero until the page is
+	// seen, so candidates arriving before or after their hyponym's page
+	// count toward titleEdges exactly as a from-scratch assembly would.
+	title uint32
+	// titleEdges counts the claims made by pages titled with this name —
+	// its taxonomy occurrences as an entity, for s2.
+	titleEdges uint32
+	flags      uint8
+}
+
+const (
+	flagTitle        uint8 = 1 << iota // the name is some page's title
+	flagDirtyConcept                   // listed in dirtyConcepts
+	flagDirtyEntity                    // listed in dirtyEntities
+	flagDirtyNE                        // listed in dirtyNE
+	flagEntityDirty                    // listed in entityDirty
+	flagKill                           // listed in the running pass's kill list
+)
+
+// claim is one candidate pair, stored on its hyponym.
+type claim struct {
+	hyper uint32
+	// pos is the hyponym's index in the hypernym's hypos, so retracting
+	// the pair never searches the extent.
+	pos uint32
+	// reason caches the last verification decision; unaffected pairs
+	// reuse it.
+	reason reasonCode
+	// killed is the pair's strategy-III-A kill entry.
+	killed bool
+	// queued marks the pair as collected into the running pass's
+	// affected list.
+	queued bool
+}
+
+// concept is a name's record as a hypernym. It exists while the name
+// has hyponyms; with the last hyponym every field is back at its zero
+// value (no shared hyponym, no contributor), so the record is dropped.
+type concept struct {
+	id  uint32
+	pos uint32 // index in Evidence.concepts
+	// hypos is the candidate hyponym set; its length is also the name's
+	// taxonomy occurrence count as a hypernym, for s2.
+	hypos []uint32
+	// partners lists the concepts sharing at least one hyponym.
+	partners []uint32
+	// sum is the running sum of the attribute distributions of the
+	// nAttr attribute-bearing hyponyms. v_att(c) is the sum normalized;
+	// it is never materialized — cosine is scale-free and klToSum
+	// divides on read — so folding one entity in or out costs that
+	// entity's handful of predicates, however many hyponyms there are.
+	sum   []attr
+	nAttr int
+	// pages counts the hyponyms that are known pages: the size of the
+	// entity extent subsumption derivation reads.
+	pages int
+	// head caches the lexical head as of the last verification
+	// (segmentation costs drift as statistics accumulate, so heads are
+	// re-derived each pass and compared).
+	head      string
+	headKnown bool
+	// ne caches the strategy-III-B rejection verdict (NESupport >
+	// threshold); only a flipped verdict makes the pairs affected.
+	ne, neKnown bool
+}
+
+// coocEntry is what the evidence keeps per co-claiming concept pair.
+type coocEntry struct {
+	shared uint32 // hyponyms the two concepts share
+	pages  uint32 // of which known pages
+	// pos[0] is the higher ID's index in the lower ID's partner list,
+	// pos[1] the reverse.
+	pos [2]uint32
+}
+
+// packPair keys a concept pair; side is a's place in it (0 = lower ID).
+func packPair(a, b uint32) (key uint64, side int) {
+	if a < b {
+		return uint64(a)<<32 | uint64(b), 0
+	}
+	return uint64(b)<<32 | uint64(a), 1
 }
 
 // NewEvidence returns an empty Evidence over the given support
@@ -115,42 +184,14 @@ type Evidence struct {
 // pass recomputes everything).
 func NewEvidence(support *ner.Support, rec *ner.Recognizer) *Evidence {
 	return &Evidence{
-		EntityAttrs:        make(map[string]map[string]float64),
-		conceptAttrs:       make(map[string]*attrSum),
-		Hyponyms:           make(map[string]map[string]bool),
-		Support:            support,
-		Recognizer:         rec,
-		EntityTitles:       make(map[string]bool),
-		titleEdges:         make(map[string]int),
-		hyperEdges:         make(map[string]int),
-		titleByID:          make(map[string]string),
-		byHypo:             make(map[string]map[string]bool),
-		entityHypos:        make(map[string]map[string]bool),
-		cooc:               make(map[pairKey]int),
-		coocPartners:       make(map[string]map[string]bool),
-		entityCooc:         make(map[pairKey]int),
-		entityCoocPartners: make(map[string]map[string]bool),
-		entityDirty:        make(map[string]bool),
-		heads:              make(map[string]string),
-		neVerdict:          make(map[string]bool),
-		incompatible:       make(map[pairKey]bool),
-		killed:             make(map[edgeKey]bool),
-		decisions:          make(map[edgeKey]Reason),
-		dirtyConcepts:      make(map[string]bool),
-		dirtyEntities:      make(map[string]bool),
-		dirtyNE:            make(map[string]bool),
-		allDirty:           true,
+		Support:      support,
+		Recognizer:   rec,
+		syms:         symtab{ids: make(map[string]uint32)},
+		preds:        symtab{ids: make(map[string]uint32)},
+		cooc:         make(map[uint64]coocEntry),
+		incompatible: make(map[uint64]struct{}),
+		allDirty:     true,
 	}
-}
-
-// NewContext assembles verification evidence from the corpus and the
-// merged candidate set in one shot — the from-scratch path the
-// incremental operations are equivalence-tested against.
-func NewContext(c *encyclopedia.Corpus, cands []extract.Candidate, support *ner.Support, rec *ner.Recognizer) *Evidence {
-	ev := NewEvidence(support, rec)
-	ev.AddPages(c.Pages)
-	ev.AddCandidates(cands)
-	return ev
 }
 
 // MarkAllDirty invalidates every verification cache: the next
@@ -158,70 +199,141 @@ func NewContext(c *encyclopedia.Corpus, cands []extract.Candidate, support *ner.
 // candidate decisions from the current evidence.
 func (ev *Evidence) MarkAllDirty() { ev.allDirty = true }
 
+// intern returns the name's ID, giving a new name its node.
+func (ev *Evidence) intern(name string) uint32 {
+	id := ev.syms.intern(name)
+	if int(id) == len(ev.nodes) {
+		ev.nodes = append(ev.nodes, node{})
+	}
+	return id
+}
+
+// mark lists id under flag once.
+func (ev *Evidence) mark(id uint32, flag uint8, list *[]uint32) {
+	if n := &ev.nodes[id]; n.flags&flag == 0 {
+		n.flags |= flag
+		*list = append(*list, id)
+	}
+}
+
+// dirty records verification dirt; while the caches are cold anyway it
+// is never read before Reverify resets it, so it is not written.
+func (ev *Evidence) dirty(id uint32, flag uint8, list *[]uint32) {
+	if !ev.allDirty {
+		ev.mark(id, flag, list)
+	}
+}
+
+// unmark empties a mark list.
+func (ev *Evidence) unmark(flag uint8, list *[]uint32) {
+	for _, id := range *list {
+		ev.nodes[id].flags &^= flag
+	}
+	*list = (*list)[:0]
+}
+
+// conceptOf returns id's record as a hypernym, creating it.
+func (ev *Evidence) conceptOf(id uint32) *concept {
+	n := &ev.nodes[id]
+	if n.con == nil {
+		n.con = &concept{id: id, pos: uint32(len(ev.concepts))}
+		ev.concepts = append(ev.concepts, n.con)
+	}
+	return n.con
+}
+
+// findClaim locates the pair on its hyponym; -1 when absent.
+func (ev *Evidence) findClaim(hypo, hyper uint32) int {
+	for i, cl := range ev.nodes[hypo].claims {
+		if cl.hyper == hyper {
+			return i
+		}
+	}
+	return -1
+}
+
 // AddPages folds newly crawled pages into the page-derived evidence:
-// entity titles, the ID→title mapping, and the per-entity attribute
+// titles, the ID→title mapping, and the per-entity attribute
 // distributions. Re-crawled IDs keep their title mapping and overwrite
 // their attribute distribution, exactly like a from-scratch pass over
 // the concatenated corpus.
 func (ev *Evidence) AddPages(pages []encyclopedia.Page) {
+	var scratch []attr
 	for i := range pages {
 		p := &pages[i]
-		id := p.ID()
-		if _, seen := ev.titleByID[id]; !seen {
-			ev.titleByID[id] = p.Title
+		id, title := ev.intern(p.ID()), ev.intern(p.Title)
+		n := &ev.nodes[id]
+		if n.title == 0 {
+			n.title = title + 1
 			// Candidates that referenced this hyponym before its page
 			// arrived now count as title occurrences, and the hyponym
-			// joins its concepts' entity extents.
-			if n := len(ev.byHypo[id]); n > 0 {
-				ev.titleEdges[p.Title] += n
-				ev.dirtyNE[p.Title] = true
-				// The late-arriving page joins every claiming
-				// concept's entity extent, pairwise.
-				var cs []string
-				for hyper := range ev.byHypo[id] {
-					ev.addEntityHypo(hyper, id)
-					cs = append(cs, hyper)
-				}
-				for i := 0; i < len(cs); i++ {
-					for j := i + 1; j < len(cs); j++ {
-						ev.bumpEntityCooc(cs[i], cs[j], 1)
-					}
+			// joins every claiming concept's page extent, pairwise.
+			if len(n.claims) > 0 {
+				ev.nodes[title].titleEdges += uint32(len(n.claims))
+				ev.dirty(title, flagDirtyNE, &ev.dirtyNE)
+			}
+			for k, cl := range n.claims {
+				ev.nodes[cl.hyper].con.pages++
+				ev.mark(cl.hyper, flagEntityDirty, &ev.entityDirty)
+				for _, other := range n.claims[k+1:] {
+					ev.bumpCooc(cl.hyper, other.hyper, 0, 1)
 				}
 			}
 		}
-		if !ev.EntityTitles[p.Title] {
-			ev.EntityTitles[p.Title] = true
-			ev.dirtyNE[p.Title] = true
+		if t := &ev.nodes[title]; t.flags&flagTitle == 0 {
+			t.flags |= flagTitle
+			ev.dirty(title, flagDirtyNE, &ev.dirtyNE)
 		}
 		if len(p.Infobox) == 0 {
 			continue
 		}
-		dist := make(map[string]float64, len(p.Infobox))
+		// Infoboxes are a handful of triples: counting by scan beats a
+		// map, and the total is their number.
+		scratch = scratch[:0]
+	triples:
 		for _, t := range p.Infobox {
-			dist[t.Predicate]++
+			pred := ev.preds.intern(t.Predicate)
+			for j := range scratch {
+				if scratch[j].pred == pred {
+					scratch[j].w++
+					continue triples
+				}
+			}
+			scratch = append(scratch, attr{pred, 1})
 		}
-		normalize(dist)
-		old := ev.EntityAttrs[id]
-		ev.EntityAttrs[id] = dist
-		ev.dirtyEntities[id] = true
-		for hyper := range ev.byHypo[id] {
-			ev.adjustConceptAttrs(hyper, old, -1)
-			ev.adjustConceptAttrs(hyper, dist, +1)
-			ev.dirtyConcepts[hyper] = true
+		for j := range scratch {
+			scratch[j].w /= float64(len(p.Infobox))
 		}
+		ev.setAttrs(id, sortedAttrs(scratch))
 	}
 }
 
-// ImportEntity restores one page's evidence from a snapshot: the
-// ID→title mapping and (when non-empty) the attribute distribution.
-// It is the deserialization counterpart of AddPages and must run
-// before AddCandidates so edge counting sees the title mapping.
-func (ev *Evidence) ImportEntity(id, title string, attrs map[string]float64) {
-	ev.titleByID[id] = title
-	ev.EntityTitles[title] = true
-	if len(attrs) > 0 {
-		ev.EntityAttrs[id] = attrs
+// sortedAttrs returns a right-sized copy of v sorted by predicate ID.
+func sortedAttrs(v []attr) []attr {
+	v = slices.Clone(v)
+	slices.SortFunc(v, func(a, b attr) int { return cmp.Compare(a.pred, b.pred) })
+	return v
+}
+
+// setAttrs replaces a page's attribute distribution, moving its
+// contribution to every claimed concept's aggregate.
+func (ev *Evidence) setAttrs(id uint32, dist []attr) {
+	n := &ev.nodes[id]
+	old := n.attrs
+	n.attrs = dist
+	ev.dirty(id, flagDirtyEntity, &ev.dirtyEntities)
+	for _, cl := range n.claims {
+		con := ev.nodes[cl.hyper].con
+		con.adjustAttrs(old, -1)
+		con.adjustAttrs(dist, +1)
+		ev.dirty(cl.hyper, flagDirtyConcept, &ev.dirtyConcepts)
 	}
+}
+
+// Attr is one component of an exported attribute distribution.
+type Attr struct {
+	Predicate string
+	Weight    float64
 }
 
 // EntityEvidence is one page's persistent evidence, as exported for
@@ -229,32 +341,83 @@ func (ev *Evidence) ImportEntity(id, title string, attrs map[string]float64) {
 type EntityEvidence struct {
 	ID    string
 	Title string
-	// Attrs is the normalized infobox-predicate distribution; empty
-	// for pages without an infobox.
-	Attrs map[string]float64
+	// Attrs is the normalized infobox-predicate distribution sorted by
+	// predicate; empty for pages without an infobox.
+	Attrs []Attr
 }
 
 // ExportEntities returns the page-derived evidence sorted by entity
 // ID, for deterministic serialization.
 func (ev *Evidence) ExportEntities() []EntityEvidence {
-	out := make([]EntityEvidence, 0, len(ev.titleByID))
-	for id, title := range ev.titleByID {
-		out = append(out, EntityEvidence{ID: id, Title: title, Attrs: ev.EntityAttrs[id]})
+	pages, total := 0, 0
+	for i := range ev.nodes {
+		if n := &ev.nodes[i]; n.title != 0 {
+			pages++
+			total += len(n.attrs)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := make([]EntityEvidence, 0, pages)
+	flat := make([]Attr, 0, total) // one backing array for every page's vector
+	for id := range ev.nodes {
+		n := &ev.nodes[id]
+		if n.title == 0 {
+			continue
+		}
+		from := len(flat)
+		for _, a := range n.attrs {
+			flat = append(flat, Attr{ev.preds.names[a.pred], a.w})
+		}
+		attrs := flat[from:len(flat):len(flat)]
+		slices.SortFunc(attrs, func(a, b Attr) int { return strings.Compare(a.Predicate, b.Predicate) })
+		out = append(out, EntityEvidence{ID: ev.syms.names[id], Title: ev.syms.names[n.title-1], Attrs: attrs})
+	}
+	slices.SortFunc(out, func(a, b EntityEvidence) int { return strings.Compare(a.ID, b.ID) })
 	return out
+}
+
+// ImportEntity restores one page's evidence from a snapshot: the
+// ID→title mapping and (when non-empty) the attribute distribution; a
+// predicate listed twice keeps its last weight. It is the
+// deserialization counterpart of AddPages and must run before
+// AddCandidates so edge counting sees the title mapping.
+func (ev *Evidence) ImportEntity(id, title string, attrs []Attr) {
+	e, t := ev.intern(id), ev.intern(title)
+	ev.nodes[e].title = t + 1
+	ev.nodes[t].flags |= flagTitle
+	if len(attrs) == 0 {
+		return
+	}
+	dist := make([]attr, 0, len(attrs))
+	for _, a := range attrs {
+		dist = append(dist, attr{ev.preds.intern(a.Predicate), a.Weight})
+	}
+	slices.SortStableFunc(dist, func(a, b attr) int { return cmp.Compare(a.pred, b.pred) })
+	out := dist[:0]
+	for i, a := range dist {
+		if i+1 < len(dist) && dist[i+1].pred == a.pred {
+			continue
+		}
+		out = append(out, a)
+	}
+	ev.nodes[e].attrs = out
 }
 
 // FoldSupport merges delta NE-support observations into the persistent
 // accumulator and marks every touched word NE-dirty, so candidates
-// whose hypernym's s1 moved are re-verified.
+// whose hypernym's s1 moved are re-verified. Only words the evidence
+// names can be hypernyms, so only those are marked.
 func (ev *Evidence) FoldSupport(delta *ner.Support) {
 	if delta == nil {
 		return
 	}
 	ev.Support.Merge(delta)
+	if ev.allDirty {
+		return
+	}
 	for _, w := range delta.Words() {
-		ev.dirtyNE[w] = true
+		if id, ok := ev.syms.ids[w]; ok {
+			ev.mark(id, flagDirtyNE, &ev.dirtyNE)
+		}
 	}
 }
 
@@ -264,146 +427,35 @@ func (ev *Evidence) FoldSupport(delta *ner.Support) {
 // assembly consumes). Returns how many pairs were new.
 func (ev *Evidence) AddCandidates(cands []extract.Candidate) int {
 	added := 0
-	for _, c := range cands {
-		hypers := ev.byHypo[c.Hypo]
-		if hypers == nil {
-			hypers = make(map[string]bool)
-			ev.byHypo[c.Hypo] = hypers
-		}
-		if hypers[c.Hyper] {
+	for i := range cands {
+		hypo, hyper := ev.intern(cands[i].Hypo), ev.intern(cands[i].Hyper)
+		if ev.findClaim(hypo, hyper) >= 0 {
 			continue
 		}
-		_, isPage := ev.titleByID[c.Hypo]
-		for d := range hypers {
-			ev.bumpCooc(c.Hyper, d, 1)
-			if isPage {
-				ev.bumpEntityCooc(c.Hyper, d, 1)
-			}
+		con := ev.conceptOf(hyper)
+		n := &ev.nodes[hypo]
+		var page int32
+		if n.title != 0 {
+			page = 1
 		}
-		hypers[c.Hyper] = true
-		hs := ev.Hyponyms[c.Hyper]
-		if hs == nil {
-			hs = make(map[string]bool)
-			ev.Hyponyms[c.Hyper] = hs
+		for _, cl := range n.claims {
+			ev.bumpCooc(hyper, cl.hyper, 1, page)
 		}
-		hs[c.Hypo] = true
-		ev.adjustConceptAttrs(c.Hyper, ev.EntityAttrs[c.Hypo], +1)
-		ev.hyperEdges[c.Hyper]++
-		ev.dirtyNE[c.Hyper] = true
-		ev.dirtyConcepts[c.Hyper] = true
-		ev.dirtyEntities[c.Hypo] = true
-		if t, ok := ev.titleByID[c.Hypo]; ok {
-			ev.titleEdges[t]++
-			ev.dirtyNE[t] = true
-			ev.addEntityHypo(c.Hyper, c.Hypo)
+		n.claims = append(n.claims, claim{hyper: hyper, pos: uint32(len(con.hypos))})
+		con.hypos = append(con.hypos, hypo)
+		con.adjustAttrs(n.attrs, +1)
+		ev.dirty(hyper, flagDirtyNE, &ev.dirtyNE)
+		ev.dirty(hyper, flagDirtyConcept, &ev.dirtyConcepts)
+		ev.dirty(hypo, flagDirtyEntity, &ev.dirtyEntities)
+		if page != 0 {
+			ev.nodes[n.title-1].titleEdges++
+			ev.dirty(n.title-1, flagDirtyNE, &ev.dirtyNE)
+			con.pages++
+			ev.mark(hyper, flagEntityDirty, &ev.entityDirty)
 		}
 		added++
 	}
 	return added
-}
-
-// bumpCooc adjusts the shared-hyponym count of a concept pair,
-// maintaining the partner index and dropping entries that reach zero.
-func (ev *Evidence) bumpCooc(a, b string, delta int) {
-	pk := orderedPair(a, b)
-	n := ev.cooc[pk] + delta
-	if n <= 0 {
-		delete(ev.cooc, pk)
-		ev.dropPartner(a, b)
-		ev.dropPartner(b, a)
-		return
-	}
-	ev.cooc[pk] = n
-	ev.addPartner(a, b)
-	ev.addPartner(b, a)
-}
-
-func (ev *Evidence) addPartner(a, b string) {
-	m := ev.coocPartners[a]
-	if m == nil {
-		m = make(map[string]bool)
-		ev.coocPartners[a] = m
-	}
-	m[b] = true
-}
-
-func (ev *Evidence) dropPartner(a, b string) {
-	if m := ev.coocPartners[a]; m != nil {
-		delete(m, b)
-		if len(m) == 0 {
-			delete(ev.coocPartners, a)
-		}
-	}
-}
-
-// bumpEntityCooc adjusts the page-only shared-hyponym count of a
-// concept pair — the overlap subsumption derivation reads.
-func (ev *Evidence) bumpEntityCooc(a, b string, delta int) {
-	pk := orderedPair(a, b)
-	n := ev.entityCooc[pk] + delta
-	if n <= 0 {
-		delete(ev.entityCooc, pk)
-		ev.dropEntityPartner(a, b)
-		ev.dropEntityPartner(b, a)
-		return
-	}
-	ev.entityCooc[pk] = n
-	ev.addEntityPartner(a, b)
-	ev.addEntityPartner(b, a)
-}
-
-func (ev *Evidence) addEntityPartner(a, b string) {
-	m := ev.entityCoocPartners[a]
-	if m == nil {
-		m = make(map[string]bool)
-		ev.entityCoocPartners[a] = m
-	}
-	m[b] = true
-}
-
-func (ev *Evidence) dropEntityPartner(a, b string) {
-	if m := ev.entityCoocPartners[a]; m != nil {
-		delete(m, b)
-		if len(m) == 0 {
-			delete(ev.entityCoocPartners, a)
-		}
-	}
-}
-
-// EntityOverlap returns how many known pages the two concepts share.
-func (ev *Evidence) EntityOverlap(a, b string) int { return ev.entityCooc[orderedPair(a, b)] }
-
-// EntityPartners returns the concepts sharing at least one page with
-// c (the evidence's own index — read-only).
-func (ev *Evidence) EntityPartners(c string) map[string]bool { return ev.entityCoocPartners[c] }
-
-// TakeEntityDirtyConcepts returns and clears the set of concepts whose
-// entity extent changed since the last call — the re-derivation
-// frontier for subsumption. After construction or a snapshot load the
-// set covers every concept with entity hyponyms, so the first
-// derivation pass evaluates everything.
-func (ev *Evidence) TakeEntityDirtyConcepts() map[string]bool {
-	out := ev.entityDirty
-	ev.entityDirty = make(map[string]bool)
-	return out
-}
-
-// addEntityHypo records that the known page hypo sits under hyper.
-func (ev *Evidence) addEntityHypo(hyper, hypo string) {
-	hs := ev.entityHypos[hyper]
-	if hs == nil {
-		hs = make(map[string]bool)
-		ev.entityHypos[hyper] = hs
-	}
-	hs[hypo] = true
-	ev.entityDirty[hyper] = true
-}
-
-// EntityHyponyms returns the subset of a concept's hyponyms that are
-// known pages. The returned map is the evidence's own index — callers
-// must treat it as read-only.
-func (ev *Evidence) EntityHyponyms(concept string) map[string]bool {
-	return ev.entityHypos[concept]
 }
 
 // RemoveCandidates retracts candidate pairs from the edge-derived
@@ -411,63 +463,99 @@ func (ev *Evidence) EntityHyponyms(concept string) map[string]bool {
 // verification pass rejects previously kept pairs. Unknown pairs are
 // ignored.
 func (ev *Evidence) RemoveCandidates(cands []extract.Candidate) {
-	for _, c := range cands {
-		hypers := ev.byHypo[c.Hypo]
-		if hypers == nil || !hypers[c.Hyper] {
+	for i := range cands {
+		hypo, ok := ev.syms.ids[cands[i].Hypo]
+		if !ok {
 			continue
 		}
-		delete(hypers, c.Hyper)
-		_, isPage := ev.titleByID[c.Hypo]
-		for d := range hypers {
-			ev.bumpCooc(c.Hyper, d, -1)
-			if isPage {
-				ev.bumpEntityCooc(c.Hyper, d, -1)
-			}
+		hyper, ok := ev.syms.ids[cands[i].Hyper]
+		if !ok {
+			continue
 		}
-		if len(hypers) == 0 {
-			delete(ev.byHypo, c.Hypo)
+		at := ev.findClaim(hypo, hyper)
+		if at < 0 {
+			continue
 		}
-		if hs := ev.Hyponyms[c.Hyper]; hs != nil {
-			delete(hs, c.Hypo)
-			if len(hs) == 0 {
-				delete(ev.Hyponyms, c.Hyper)
-			}
+		n, con := &ev.nodes[hypo], ev.nodes[hyper].con
+		// Swap the pair out of both lists; the hyponym moved into the
+		// vacated extent slot learns its new position.
+		slot, last := n.claims[at].pos, len(con.hypos)-1
+		if moved := con.hypos[last]; moved != hypo {
+			con.hypos[slot] = moved
+			ev.nodes[moved].claims[ev.findClaim(moved, hyper)].pos = slot
 		}
-		ev.adjustConceptAttrs(c.Hyper, ev.EntityAttrs[c.Hypo], -1)
-		if ev.hyperEdges[c.Hyper]--; ev.hyperEdges[c.Hyper] <= 0 {
-			delete(ev.hyperEdges, c.Hyper)
+		con.hypos = con.hypos[:last]
+		n.claims[at] = n.claims[len(n.claims)-1]
+		n.claims = n.claims[:len(n.claims)-1]
+
+		var page int32
+		if n.title != 0 {
+			page = 1
 		}
-		ev.dirtyNE[c.Hyper] = true
-		ev.dirtyConcepts[c.Hyper] = true
-		ev.dirtyEntities[c.Hypo] = true
-		if t, ok := ev.titleByID[c.Hypo]; ok {
-			if ev.titleEdges[t]--; ev.titleEdges[t] <= 0 {
-				delete(ev.titleEdges, t)
-			}
-			ev.dirtyNE[t] = true
-			if hs := ev.entityHypos[c.Hyper]; hs != nil {
-				delete(hs, c.Hypo)
-				if len(hs) == 0 {
-					delete(ev.entityHypos, c.Hyper)
-				}
-				ev.entityDirty[c.Hyper] = true
-			}
+		for _, cl := range n.claims {
+			ev.bumpCooc(hyper, cl.hyper, -1, -page)
 		}
-		k := edgeKey{c.Hypo, c.Hyper}
-		delete(ev.decisions, k)
-		delete(ev.killed, k)
+		con.adjustAttrs(n.attrs, -1)
+		ev.dirty(hyper, flagDirtyNE, &ev.dirtyNE)
+		ev.dirty(hyper, flagDirtyConcept, &ev.dirtyConcepts)
+		ev.dirty(hypo, flagDirtyEntity, &ev.dirtyEntities)
+		if page != 0 {
+			ev.nodes[n.title-1].titleEdges--
+			ev.dirty(n.title-1, flagDirtyNE, &ev.dirtyNE)
+			con.pages--
+			ev.mark(hyper, flagEntityDirty, &ev.entityDirty)
+		}
+		if last == 0 {
+			tail := ev.concepts[len(ev.concepts)-1]
+			ev.concepts[con.pos], tail.pos = tail, con.pos
+			ev.concepts = ev.concepts[:len(ev.concepts)-1]
+			ev.nodes[hyper].con = nil
+		}
 	}
 }
 
-// attrSum is one concept's aggregated attribute evidence: the sum of
-// the attribute distributions of its n attribute-bearing candidate
-// hyponyms. v_att(c) is the sum normalized; it is never materialized —
-// cosine is scale-free and klToSum divides on read — so folding one
-// entity in or out costs that entity's handful of predicates, however
-// many hyponyms the concept has.
-type attrSum struct {
-	sum map[string]float64
-	n   int
+// bumpCooc adjusts what a concept pair shares — hyponyms, and pages
+// among them — maintaining the partner lists and dropping the entry
+// with the last shared hyponym. Both concepts have their records.
+func (ev *Evidence) bumpCooc(a, b uint32, shared, pages int32) {
+	key, side := packPair(a, b)
+	lo, hi := a, b
+	if side == 1 {
+		lo, hi = b, a
+	}
+	e, ok := ev.cooc[key]
+	if !ok {
+		cl, ch := ev.nodes[lo].con, ev.nodes[hi].con
+		e.pos = [2]uint32{uint32(len(cl.partners)), uint32(len(ch.partners))}
+		cl.partners = append(cl.partners, hi)
+		ch.partners = append(ch.partners, lo)
+	}
+	e.shared = uint32(int32(e.shared) + shared)
+	e.pages = uint32(int32(e.pages) + pages)
+	if e.shared == 0 {
+		ev.dropPartner(lo, e.pos[0])
+		ev.dropPartner(hi, e.pos[1])
+		delete(ev.cooc, key)
+		return
+	}
+	ev.cooc[key] = e
+}
+
+// dropPartner swaps the partner at index at out of c's partner list;
+// the partner moved into the slot has its stored position corrected.
+func (ev *Evidence) dropPartner(c, at uint32) {
+	con := ev.nodes[c].con
+	last := uint32(len(con.partners) - 1)
+	moved := con.partners[last]
+	con.partners = con.partners[:last]
+	if at == last {
+		return
+	}
+	con.partners[at] = moved
+	key, side := packPair(c, moved)
+	e := ev.cooc[key]
+	e.pos[side] = at
+	ev.cooc[key] = e
 }
 
 // attrResidue separates a real predicate mass from the rounding
@@ -476,48 +564,101 @@ type attrSum struct {
 // of magnitude above it; residue is ~1e-16 per operation.
 const attrResidue = 1e-9
 
-// adjustConceptAttrs folds one entity's attribute distribution into
-// (sign +1) or out of (sign -1) the concept's aggregate. Entities
-// without attributes contribute nothing, exactly as a from-scratch
-// aggregation skips them; a concept whose last contributor leaves
-// loses its entry.
-func (ev *Evidence) adjustConceptAttrs(concept string, dist map[string]float64, sign int) {
+// adjustAttrs folds one entity's attribute distribution into (sign +1)
+// or out of (sign -1) the concept's aggregate. Entities without
+// attributes contribute nothing, exactly as a from-scratch aggregation
+// skips them; a concept whose last contributor leaves has no aggregate.
+func (c *concept) adjustAttrs(dist []attr, sign int) {
 	if len(dist) == 0 {
 		return
 	}
-	a := ev.conceptAttrs[concept]
-	if a == nil {
-		a = &attrSum{sum: make(map[string]float64, len(dist))}
-		ev.conceptAttrs[concept] = a
-	}
-	if a.n += sign; a.n <= 0 {
-		delete(ev.conceptAttrs, concept)
+	if c.nAttr += sign; c.nAttr <= 0 {
+		c.nAttr, c.sum = 0, c.sum[:0]
 		return
 	}
-	for k, v := range dist {
-		if s := a.sum[k] + float64(sign)*v; s > attrResidue {
-			a.sum[k] = s
-		} else {
-			delete(a.sum, k)
+	for _, a := range dist {
+		i, found := findAttr(c.sum, a.pred)
+		s := float64(sign) * a.w
+		if found {
+			s += c.sum[i].w
+		}
+		switch {
+		case s > attrResidue && found:
+			c.sum[i].w = s
+		case s > attrResidue:
+			c.sum = slices.Insert(c.sum, i, attr{a.pred, s})
+		case found:
+			c.sum = slices.Delete(c.sum, i, i+1)
 		}
 	}
 }
 
-// conceptAttrSum returns the concept's aggregated (unnormalized)
-// attribute mass; nil when no hyponym carries attributes.
-func (ev *Evidence) conceptAttrSum(concept string) map[string]float64 {
-	if a := ev.conceptAttrs[concept]; a != nil {
-		return a.sum
+// EntityExtent returns how many known pages sit under the concept.
+func (ev *Evidence) EntityExtent(concept string) int {
+	if id, ok := ev.syms.ids[concept]; ok && ev.nodes[id].con != nil {
+		return ev.nodes[id].con.pages
 	}
-	return nil
+	return 0
+}
+
+// EntityOverlap returns how many known pages the two concepts share.
+func (ev *Evidence) EntityOverlap(a, b string) int {
+	x, ok := ev.syms.ids[a]
+	if !ok {
+		return 0
+	}
+	y, ok := ev.syms.ids[b]
+	if !ok {
+		return 0
+	}
+	key, _ := packPair(x, y)
+	return int(ev.cooc[key].pages)
+}
+
+// EntityPartners returns the concepts sharing at least one known page
+// with c.
+func (ev *Evidence) EntityPartners(c string) []string {
+	id, ok := ev.syms.ids[c]
+	if !ok || ev.nodes[id].con == nil {
+		return nil
+	}
+	var out []string
+	for _, p := range ev.nodes[id].con.partners {
+		if key, _ := packPair(id, p); ev.cooc[key].pages > 0 {
+			out = append(out, ev.syms.names[p])
+		}
+	}
+	return out
+}
+
+// TakeEntityDirtyConcepts returns and clears the list of concepts
+// whose page extent changed since the last call — the re-derivation
+// frontier for subsumption. After construction or a snapshot load it
+// covers every concept with page hyponyms, so the first derivation
+// pass evaluates everything.
+func (ev *Evidence) TakeEntityDirtyConcepts() []string {
+	out := make([]string, len(ev.entityDirty))
+	for i, id := range ev.entityDirty {
+		out[i] = ev.syms.names[id]
+	}
+	ev.unmark(flagEntityDirty, &ev.entityDirty)
+	return out
 }
 
 // S2 is the taxonomy NE support of the paper: the fraction of a word's
 // taxonomy occurrences in which it behaves as an entity (a page title
 // appearing as a hyponym) rather than as a concept (a hypernym).
 func (ev *Evidence) S2(w string) float64 {
-	te, he := ev.titleEdges[w], ev.hyperEdges[w]
-	if !ev.EntityTitles[w] || te+he == 0 {
+	id, ok := ev.syms.ids[w]
+	if !ok {
+		return 0
+	}
+	n := &ev.nodes[id]
+	te, he := int(n.titleEdges), 0
+	if n.con != nil {
+		he = len(n.con.hypos)
+	}
+	if n.flags&flagTitle == 0 || te+he == 0 {
 		return 0
 	}
 	return float64(te) / float64(te+he)

@@ -2,7 +2,6 @@ package verify
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -55,32 +54,14 @@ func (w *evidenceWorld) page() (encyclopedia.Page, []extract.Candidate) {
 	return p, cands
 }
 
-func attrsClose(a, b map[string]map[string]float64) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("map sizes %d != %d", len(a), len(b))
-	}
-	for k, da := range a {
-		db, ok := b[k]
-		if !ok || len(da) != len(db) {
-			return fmt.Errorf("entry %q mismatch", k)
-		}
-		for p, va := range da {
-			if math.Abs(va-db[p]) > 1e-9 {
-				return fmt.Errorf("entry %q attr %q: %v != %v", k, p, va, db[p])
-			}
-		}
-	}
-	return nil
-}
-
 // normalizedConceptAttrs reads v_att(c) for every concept out of the
 // running sums.
-func normalizedConceptAttrs(ev *Evidence) map[string]map[string]float64 {
-	out := make(map[string]map[string]float64, len(ev.conceptAttrs))
-	for c, a := range ev.conceptAttrs {
-		d := make(map[string]float64, len(a.sum))
-		for k, v := range a.sum {
-			d[k] = v
+func normalizedConceptAttrs(v evidenceView) map[string]map[string]float64 {
+	out := make(map[string]map[string]float64, len(v.ConceptSums))
+	for c, sum := range v.ConceptSums {
+		d := make(map[string]float64, len(sum))
+		for k, w := range sum {
+			d[k] = w
 		}
 		normalize(d)
 		out[c] = d
@@ -91,13 +72,13 @@ func normalizedConceptAttrs(ev *Evidence) map[string]map[string]float64 {
 // naiveConceptAttrs is the reference aggregation: sum the attribute
 // distributions of each concept's attribute-bearing hyponyms and
 // normalize, skipping concepts that have none.
-func naiveConceptAttrs(ev *Evidence) map[string]map[string]float64 {
+func naiveConceptAttrs(v evidenceView) map[string]map[string]float64 {
 	out := make(map[string]map[string]float64)
-	for c, hypos := range ev.Hyponyms {
+	for c, hypos := range v.Hyponyms {
 		agg := make(map[string]float64)
 		n := 0
 		for h := range hypos {
-			if d, ok := ev.EntityAttrs[h]; ok {
+			if d, ok := v.EntityAttrs[h]; ok {
 				for k, v := range d {
 					agg[k] += v
 				}
@@ -164,7 +145,7 @@ func TestEvidenceMatchesOracle(t *testing.T) {
 				// ---- oracle: from scratch over the accumulated state ----
 				allPages = append(allPages, pages...)
 				oracleSup.Merge(deltaSup)
-				oracle := NewContext(&encyclopedia.Corpus{Pages: allPages}, merged, oracleSup, ner.New())
+				oracle := newContext(&encyclopedia.Corpus{Pages: allPages}, merged, oracleSup, ner.New())
 				keptOra, repOra := Verify(merged, oracle, seg, opts)
 
 				if !reflect.DeepEqual(keptInc, keptOra) {
@@ -175,25 +156,16 @@ func TestEvidenceMatchesOracle(t *testing.T) {
 					!reflect.DeepEqual(repInc.Rejected, repOra.Rejected) {
 					t.Fatalf("batch %d: reports diverged: %+v vs %+v", batch, repInc, repOra)
 				}
-				for name, pair := range map[string][2]any{
-					"Hyponyms":     {inc.Hyponyms, oracle.Hyponyms},
-					"EntityTitles": {inc.EntityTitles, oracle.EntityTitles},
-					"titleEdges":   {inc.titleEdges, oracle.titleEdges},
-					"hyperEdges":   {inc.hyperEdges, oracle.hyperEdges},
-					"titleByID":    {inc.titleByID, oracle.titleByID},
-					"byHypo":       {inc.byHypo, oracle.byHypo},
-				} {
-					if !reflect.DeepEqual(pair[0], pair[1]) {
-						t.Fatalf("batch %d: %s diverged:\nincremental: %v\noracle: %v", batch, name, pair[0], pair[1])
-					}
-				}
-				if err := attrsClose(inc.EntityAttrs, oracle.EntityAttrs); err != nil {
-					t.Fatalf("batch %d: EntityAttrs: %v", batch, err)
+				// The incrementally folded evidence and the from-scratch one
+				// hold the same tables and the same decisions.
+				vInc, vOra := viewOf(t, inc), viewOf(t, oracle)
+				if err := diffViews(vInc, vOra); err != nil {
+					t.Fatalf("batch %d: incremental vs oracle: %v", batch, err)
 				}
 				// The running per-concept sums, folded in and out one
 				// entity at a time across batches, must describe the
 				// distributions a naive re-aggregation produces.
-				if err := attrsClose(normalizedConceptAttrs(inc), naiveConceptAttrs(inc)); err != nil {
+				if err := attrsClose(normalizedConceptAttrs(vInc), naiveConceptAttrs(vInc)); err != nil {
 					t.Fatalf("batch %d: concept attributes: %v", batch, err)
 				}
 

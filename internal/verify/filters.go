@@ -1,7 +1,7 @@
 package verify
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"cnprobase/internal/encyclopedia"
@@ -22,6 +22,20 @@ const (
 	ReasonThematic     Reason = "thematic-word"
 	ReasonHeadPosition Reason = "head-in-nonhead-position"
 )
+
+// reasonCode is a Reason as a claim stores it; zero means kept.
+type reasonCode uint8
+
+const (
+	codeKept reasonCode = iota
+	codeIncompatible
+	codeNE
+	codeThematic
+	codeHeadPosition
+)
+
+var reasons = [...]Reason{codeKept: "", codeIncompatible: ReasonIncompatible, codeNE: ReasonNE,
+	codeThematic: ReasonThematic, codeHeadPosition: ReasonHeadPosition}
 
 // Report summarizes a verification run.
 type Report struct {
@@ -59,23 +73,42 @@ func Verify(cands []extract.Candidate, ev *Evidence, seg *segment.Segmenter, opt
 func VerifyDelta(cands []extract.Candidate, ev *Evidence, seg *segment.Segmenter, opts Options) ([]extract.Candidate, Report) {
 	_, rep := ev.Reverify(seg, opts)
 	rep.Input, rep.Rejected = len(cands), make(map[Reason]int)
-	var kept []extract.Candidate
-	for _, c := range cands {
-		r, ok := ev.decisions[edgeKey{c.Hypo, c.Hyper}]
-		if !ok {
-			// A pair the evidence never saw (caller passed candidates
-			// outside the evidence set): decide it on the spot.
-			r = ev.decide(c.Hypo, c.Hyper, seg, opts)
-			ev.decisions[edgeKey{c.Hypo, c.Hyper}] = r
-		}
-		if r == "" {
-			kept = append(kept, c)
+	codes := make([]reasonCode, len(cands))
+	for i := range cands {
+		codes[i] = ev.decisionOf(cands[i].Hypo, cands[i].Hyper, seg, opts)
+		if codes[i] == codeKept {
+			rep.Kept++
 		} else {
-			rep.Rejected[r]++
+			rep.Rejected[reasons[codes[i]]]++
 		}
 	}
-	rep.Kept = len(kept)
+	var kept []extract.Candidate
+	if rep.Kept > 0 {
+		kept = make([]extract.Candidate, 0, rep.Kept)
+	}
+	for i, code := range codes {
+		if code == codeKept {
+			kept = append(kept, cands[i])
+		}
+	}
 	return kept, rep
+}
+
+// decisionOf reads the pair's cached decision; a pair the evidence
+// never saw (the caller passed candidates outside the evidence set) is
+// decided on the spot.
+func (ev *Evidence) decisionOf(hypo, hyper string, seg *segment.Segmenter, opts Options) reasonCode {
+	var con *concept
+	y, known := ev.syms.ids[hyper]
+	if known {
+		if h, ok := ev.syms.ids[hypo]; ok {
+			if at := ev.findClaim(h, y); at >= 0 {
+				return ev.nodes[h].claims[at].reason
+			}
+		}
+		con = ev.nodes[y].con
+	}
+	return ev.decide(hypo, hyper, con, false, seg, opts)
 }
 
 // Decision is the outcome Reverify reached for one candidate pair; an
@@ -84,6 +117,9 @@ type Decision struct {
 	Hypo, Hyper string
 	Reason      Reason
 }
+
+// claimRef addresses one claim; claims do not move during a pass.
+type claimRef struct{ hypo, at uint32 }
 
 // Reverify applies the enabled strategies to the candidates whose
 // evidence changed since the last pass — fresh pairs, pairs whose
@@ -112,29 +148,32 @@ func (ev *Evidence) Reverify(seg *segment.Segmenter, opts Options) ([]Decision, 
 	// corpus statistics accumulate, so heads are recomputed for every
 	// distinct hypernym (cheap: the hypernym vocabulary is tiny next
 	// to the corpus) and pairs under a changed head are re-verified.
-	dirtyHead := make(map[string]bool)
+	var flipped []*concept
 	if opts.EnableSyntax {
-		heads := make(map[string]string, len(ev.Hyponyms))
-		for hyper := range ev.Hyponyms {
-			head := lexicalHead(hyper, seg)
-			heads[hyper] = head
-			if old, ok := ev.heads[hyper]; !ok || old != head {
-				dirtyHead[hyper] = true
+		for _, c := range ev.concepts {
+			head := lexicalHead(ev.syms.names[c.id], seg)
+			if !c.headKnown || c.head != head {
+				flipped = append(flipped, c)
 			}
+			c.head, c.headKnown = head, true
 		}
-		ev.heads = heads
 	}
 
 	// Strategy III-A: recompute pair statuses and kill entries for the
-	// dirty subset (everything, on a cold cache). killSet is the set
-	// of entities whose kill entries were re-resolved — their
-	// candidates must be re-decided.
-	killSet := ev.dirtyEntities
+	// dirty subset (everything, on a cold cache). kill lists the
+	// entities whose kill entries were re-resolved — their candidates
+	// must be re-decided.
+	kill := ev.dirtyEntities
 	if opts.EnableIncompatible {
-		killSet = ev.recomputeIncompatible(opts)
-	} else {
-		ev.incompatible = make(map[pairKey]bool)
-		ev.killed = make(map[edgeKey]bool)
+		kill = ev.recomputeIncompatible(opts)
+	} else if ev.allDirty {
+		// Off since the last cold pass otherwise: nothing to clear.
+		clear(ev.incompatible)
+		for i := range ev.nodes {
+			for j := range ev.nodes[i].claims {
+				ev.nodes[i].claims[j].killed = false
+			}
+		}
 	}
 	rep.IncompatiblePairs = len(ev.incompatible)
 
@@ -142,101 +181,101 @@ func (ev *Evidence) Reverify(seg *segment.Segmenter, opts Options) ([]Decision, 
 	// whose support inputs moved; only a flipped verdict makes the
 	// hypernym's candidates affected (s1 drifts on nearly every common
 	// word every batch, but it rarely crosses the threshold).
-	neChanged := ev.refreshNEVerdicts(opts)
+	flipped = append(flipped, ev.refreshNEVerdicts(opts)...)
 
 	// Collect the affected pairs and recompute their decisions.
-	affected := ev.affectedPairs(dirtyHead, neChanged, killSet)
+	affected := ev.affectedPairs(flipped, kill)
 	rep.Reverified = len(affected)
-	decided := par.Concat(par.MapBatches(par.NewPool(opts.Workers), len(affected), func(lo, hi int) []Decision {
-		out := make([]Decision, 0, hi-lo)
-		for _, pair := range affected[lo:hi] {
-			out = append(out, Decision{Hypo: pair.hypo, Hyper: pair.hyper, Reason: ev.decide(pair.hypo, pair.hyper, seg, opts)})
+	codes := par.Concat(par.MapBatches(par.NewPool(opts.Workers), len(affected), func(lo, hi int) []reasonCode {
+		out := make([]reasonCode, 0, hi-lo)
+		for _, ref := range affected[lo:hi] {
+			cl := &ev.nodes[ref.hypo].claims[ref.at]
+			out = append(out, ev.decide(ev.syms.names[ref.hypo], ev.syms.names[cl.hyper], ev.nodes[cl.hyper].con, cl.killed, seg, opts))
 		}
 		return out
 	}))
-	for _, d := range decided {
-		ev.decisions[edgeKey{d.Hypo, d.Hyper}] = d.Reason
-		if d.Reason != "" {
-			rep.Rejected[d.Reason]++
+	decided := make([]Decision, len(affected))
+	for i, ref := range affected {
+		cl := &ev.nodes[ref.hypo].claims[ref.at]
+		cl.reason, cl.queued = codes[i], false
+		decided[i] = Decision{Hypo: ev.syms.names[ref.hypo], Hyper: ev.syms.names[cl.hyper], Reason: reasons[codes[i]]}
+		if codes[i] != codeKept {
+			rep.Rejected[reasons[codes[i]]]++
 		}
 	}
 
 	// Dirt consumed; the caches now describe the current evidence.
-	ev.dirtyConcepts = make(map[string]bool)
-	ev.dirtyEntities = make(map[string]bool)
-	ev.dirtyNE = make(map[string]bool)
+	ev.unmark(flagDirtyConcept, &ev.dirtyConcepts)
+	ev.unmark(flagDirtyEntity, &ev.dirtyEntities)
+	ev.unmark(flagDirtyNE, &ev.dirtyNE)
 	ev.allDirty = false
 	return decided, rep
 }
 
 // decide classifies one candidate pair against the current evidence; a
 // candidate is rejected as soon as any enabled strategy rejects it.
-// The hypernym's lexical head comes from the cache filled by the head
-// scan; hypernyms outside the evidence set are segmented on the spot.
-func (ev *Evidence) decide(hypo, hyper string, seg *segment.Segmenter, opts Options) Reason {
+// The hypernym's lexical head and NE verdict come from its concept
+// record when the verification pass filled them; hypernyms outside the
+// evidence (con nil) are segmented and scored on the spot.
+func (ev *Evidence) decide(hypo, hyper string, con *concept, killed bool, seg *segment.Segmenter, opts Options) reasonCode {
 	if opts.EnableSyntax {
 		if lexicon.IsThematic(hyper) {
-			return ReasonThematic
+			return codeThematic
 		}
-		head, cached := ev.heads[hyper]
-		if !cached {
+		var head string
+		if con != nil && con.headKnown {
+			head = con.head
+		} else {
 			head = lexicalHead(hyper, seg)
 		}
 		if headInNonHeadPosition(hypo, head) {
-			return ReasonHeadPosition
+			return codeHeadPosition
 		}
 	}
 	if opts.EnableNE {
-		if v, cached := ev.neVerdict[hyper]; cached {
-			if v {
-				return ReasonNE
+		if con != nil && con.neKnown {
+			if con.ne {
+				return codeNE
 			}
 		} else if ev.NESupport(hyper) > opts.NEThreshold {
-			return ReasonNE
+			return codeNE
 		}
 	}
-	if opts.EnableIncompatible && ev.killed[edgeKey{hypo, hyper}] {
-		return ReasonIncompatible
+	if opts.EnableIncompatible && killed {
+		return codeIncompatible
 	}
-	return ""
+	return codeKept
 }
 
 // affectedPairs enumerates the candidate pairs whose decision inputs
 // changed: every pair when the caches are cold, otherwise pairs under
-// hypernyms whose NE verdict or lexical head flipped, plus all pairs
-// of entities whose kill entries were re-resolved (which covers fresh
-// pairs — adding a pair dirties both its endpoints).
-func (ev *Evidence) affectedPairs(dirtyHead, neChanged, killSet map[string]bool) []edgeKey {
+// the hypernyms whose lexical head or NE verdict flipped, plus all
+// pairs of entities whose kill entries were re-resolved (which covers
+// fresh pairs — adding a pair dirties both its endpoints).
+func (ev *Evidence) affectedPairs(flipped []*concept, kill []uint32) []claimRef {
+	var out []claimRef
+	add := func(hypo uint32, at int) {
+		if cl := &ev.nodes[hypo].claims[at]; !cl.queued {
+			cl.queued = true
+			out = append(out, claimRef{hypo, uint32(at)})
+		}
+	}
 	if ev.allDirty {
-		var out []edgeKey
-		for hypo, hypers := range ev.byHypo {
-			for hyper := range hypers {
-				out = append(out, edgeKey{hypo, hyper})
+		for id := range ev.nodes {
+			for at := range ev.nodes[id].claims {
+				add(uint32(id), at)
 			}
 		}
 		return out
 	}
-	seen := make(map[edgeKey]bool)
-	var out []edgeKey
-	add := func(k edgeKey) {
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
+	for _, c := range flipped {
+		for _, hypo := range c.hypos {
+			add(hypo, ev.findClaim(hypo, c.id))
 		}
 	}
-	for hyper := range neChanged {
-		for hypo := range ev.Hyponyms[hyper] {
-			add(edgeKey{hypo, hyper})
-		}
-	}
-	for hyper := range dirtyHead {
-		for hypo := range ev.Hyponyms[hyper] {
-			add(edgeKey{hypo, hyper})
-		}
-	}
-	for e := range killSet {
-		for hyper := range ev.byHypo[e] {
-			add(edgeKey{e, hyper})
+	for _, e := range kill {
+		for at := range ev.nodes[e].claims {
+			add(e, at)
 		}
 	}
 	return out
@@ -244,47 +283,36 @@ func (ev *Evidence) affectedPairs(dirtyHead, neChanged, killSet map[string]bool)
 
 // refreshNEVerdicts recomputes the cached per-hypernym NE rejection
 // verdict for every NE-dirty word, returning the hypernyms whose
-// verdict flipped. On a cold cache it fills the whole table (affected
+// verdict flipped. On a cold cache it fills every record (affected
 // enumeration covers everything then anyway).
-func (ev *Evidence) refreshNEVerdicts(opts Options) map[string]bool {
+func (ev *Evidence) refreshNEVerdicts(opts Options) []*concept {
 	if !opts.EnableNE {
-		ev.neVerdict = make(map[string]bool)
-		return nil
+		return nil // a change of options is a cold pass: decide ignores the stale verdicts until then
 	}
+	verdict := func(c *concept) bool { return ev.NESupport(ev.syms.names[c.id]) > opts.NEThreshold }
 	if ev.allDirty {
-		ev.neVerdict = make(map[string]bool, len(ev.Hyponyms))
-		for h := range ev.Hyponyms {
-			ev.neVerdict[h] = ev.NESupport(h) > opts.NEThreshold
+		for _, c := range ev.concepts {
+			c.ne, c.neKnown = verdict(c), true
 		}
 		return nil
 	}
-	changed := make(map[string]bool)
-	for w := range ev.dirtyNE {
-		if _, isHyper := ev.Hyponyms[w]; !isHyper {
-			delete(ev.neVerdict, w)
-			continue
+	var changed []*concept
+	for _, w := range ev.dirtyNE {
+		c := ev.nodes[w].con
+		if c == nil {
+			continue // not a hypernym (any longer): its record went with its verdict
 		}
-		v := ev.NESupport(w) > opts.NEThreshold
-		if old, cached := ev.neVerdict[w]; !cached || old != v {
-			changed[w] = true
+		v := verdict(c)
+		if !c.neKnown || c.ne != v {
+			changed = append(changed, c)
 		}
-		ev.neVerdict[w] = v
+		c.ne, c.neKnown = v, true
 	}
 	return changed
 }
 
-type pairKey struct{ a, b string } // a < b
-type edgeKey struct{ hypo, hyper string }
-
-func orderedPair(a, b string) pairKey {
-	if a > b {
-		a, b = b, a
-	}
-	return pairKey{a, b}
-}
-
 // recomputeIncompatible maintains strategy III-A incrementally and
-// returns the set of entities whose kill entries were re-resolved.
+// returns the entities whose kill entries were re-resolved.
 //
 // Step one: pair statuses involving a dirty concept are dropped and
 // re-derived from hyponym-set Jaccard and attribute cosine (a pair can
@@ -296,117 +324,128 @@ func orderedPair(a, b string) pairKey {
 // status flipped or whose KL inputs (a dirty side's aggregated
 // attributes) changed. On a cold cache both steps run over everything,
 // reproducing the from-scratch computation.
-func (ev *Evidence) recomputeIncompatible(opts Options) map[string]bool {
+func (ev *Evidence) recomputeIncompatible(opts Options) []uint32 {
+	isDirty := func(c uint32) bool { return ev.allDirty || ev.nodes[c].flags&flagDirtyConcept != 0 }
+	// moved collects the pairs whose kill influence moved: flipped
+	// statuses (true while the flip stands), plus still-incompatible
+	// pairs with a dirty side (their KL inputs shifted with the
+	// concept's aggregated attributes).
+	moved := make(map[uint64]bool)
 	dirty := ev.dirtyConcepts
-	statusChanged := make(map[pairKey]bool)
 	if ev.allDirty {
-		ev.incompatible = make(map[pairKey]bool)
-		dirty = make(map[string]bool, len(ev.Hyponyms))
-		for c := range ev.Hyponyms {
-			dirty[c] = true
+		clear(ev.incompatible)
+		dirty = make([]uint32, len(ev.concepts))
+		for i, c := range ev.concepts {
+			dirty[i] = c.id
 		}
 	} else {
-		for pk := range ev.incompatible {
-			if dirty[pk.a] || dirty[pk.b] {
-				delete(ev.incompatible, pk)
-				statusChanged[pk] = true // provisionally: flipped off
+		for key := range ev.incompatible {
+			if isDirty(uint32(key>>32)) || isDirty(uint32(key)) {
+				delete(ev.incompatible, key)
+				moved[key] = true // provisionally: flipped off
 			}
 		}
 	}
-	eligible := func(c string) bool { return len(ev.Hyponyms[c]) >= opts.MinConceptSupport }
-	done := make(map[pairKey]bool)
-	for a := range dirty {
-		if !eligible(a) {
+	eligible := func(c *concept) bool { return c != nil && len(c.hypos) >= opts.MinConceptSupport }
+	for _, a := range dirty {
+		ca := ev.nodes[a].con
+		if !eligible(ca) {
 			continue
 		}
-		// Only co-claiming pairs can conflict; the partner index
+		// Only co-claiming pairs can conflict; the partner list
 		// enumerates them directly and the maintained intersection
 		// count makes the Jaccard test O(1) — no hyponym-set scans.
-		for b := range ev.coocPartners[a] {
-			if !eligible(b) {
-				continue
+		for _, b := range ca.partners {
+			cb := ev.nodes[b].con
+			if !eligible(cb) || (isDirty(b) && b < a) {
+				continue // a pair of two dirty concepts is tested from its lower ID
 			}
-			pk := orderedPair(a, b)
-			if done[pk] {
-				continue
-			}
-			done[pk] = true
-			inter := ev.cooc[pk]
-			union := len(ev.Hyponyms[pk.a]) + len(ev.Hyponyms[pk.b]) - inter
+			key, _ := packPair(a, b)
+			inter := int(ev.cooc[key].shared)
+			union := len(ca.hypos) + len(cb.hypos) - inter
 			if float64(inter)/float64(union) >= opts.JaccardMax {
 				continue
 			}
-			if cosine(ev.conceptAttrSum(pk.a), ev.conceptAttrSum(pk.b)) >= opts.CosineMax {
+			if cosine(ca.sum, cb.sum) >= opts.CosineMax {
 				continue
 			}
-			ev.incompatible[pk] = true
-			if statusChanged[pk] {
-				delete(statusChanged, pk) // was on, still on
+			ev.incompatible[key] = struct{}{}
+			if moved[key] {
+				delete(moved, key) // was on, still on
 			} else {
-				statusChanged[pk] = true // flipped on
+				moved[key] = true // flipped on
 			}
 		}
 	}
 
 	// Step two: re-resolve conflicts for every affected entity.
-	var kill map[string]bool
+	var kill []uint32
 	if ev.allDirty {
-		ev.killed = make(map[edgeKey]bool)
-		kill = make(map[string]bool, len(ev.byHypo))
-		for e := range ev.byHypo {
-			kill[e] = true
+		for id := range ev.nodes {
+			if len(ev.nodes[id].claims) > 0 {
+				kill = append(kill, uint32(id))
+			}
 		}
 	} else {
-		// Pairs whose kill influence moved: flipped statuses, plus
-		// still-incompatible pairs with a dirty side (their KL inputs
-		// shifted with the concept's aggregated attributes).
-		relevant := statusChanged
-		for pk := range ev.incompatible {
-			if dirty[pk.a] || dirty[pk.b] {
-				relevant[pk] = true
+		for _, e := range ev.dirtyEntities {
+			ev.mark(e, flagKill, &kill)
+		}
+		for key := range ev.incompatible {
+			if isDirty(uint32(key>>32)) || isDirty(uint32(key)) {
+				moved[key] = true
 			}
 		}
-		kill = make(map[string]bool, len(ev.dirtyEntities))
-		for e := range ev.dirtyEntities {
-			kill[e] = true
-		}
-		for pk := range relevant {
-			small, large := ev.Hyponyms[pk.a], ev.Hyponyms[pk.b]
-			if len(small) > len(large) {
+		for key := range moved {
+			// The hyponyms the pair shares: walk the smaller extent and
+			// test membership on each hyponym's own few claims.
+			small, large := ev.nodes[uint32(key>>32)].con, ev.nodes[uint32(key)].con
+			if small == nil || large == nil {
+				continue // a side lost its last hyponym: nothing is shared
+			}
+			if len(small.hypos) > len(large.hypos) {
 				small, large = large, small
 			}
-			for e := range small {
-				if large[e] {
-					kill[e] = true
+			for _, e := range small.hypos {
+				if ev.findClaim(e, large.id) >= 0 {
+					ev.mark(e, flagKill, &kill)
 				}
 			}
 		}
-	}
-	for e := range kill {
-		for c := range ev.byHypo[e] {
-			delete(ev.killed, edgeKey{e, c})
+		for _, e := range kill {
+			ev.nodes[e].flags &^= flagKill
 		}
-		attr, ok := ev.EntityAttrs[e]
-		if !ok {
+	}
+	var order []int // the entity's claims, by hypernym name
+	for _, e := range kill {
+		n := &ev.nodes[e]
+		for i := range n.claims {
+			n.claims[i].killed = false
+		}
+		if n.attrs == nil {
 			continue
 		}
-		concepts := make([]string, 0, len(ev.byHypo[e]))
-		for c := range ev.byHypo[e] {
-			concepts = append(concepts, c)
+		order = order[:0]
+		for i := range n.claims {
+			order = append(order, i)
 		}
-		sort.Strings(concepts)
-		for i := 0; i < len(concepts); i++ {
-			for j := i + 1; j < len(concepts); j++ {
-				c1, c2 := concepts[i], concepts[j]
-				if !ev.incompatible[orderedPair(c1, c2)] {
+		// Name order makes a KL tie fall on the same side whatever order
+		// the claims arrived in.
+		slices.SortFunc(order, func(i, j int) int {
+			return strings.Compare(ev.syms.names[n.claims[i].hyper], ev.syms.names[n.claims[j].hyper])
+		})
+		for i, x := range order {
+			for _, y := range order[i+1:] {
+				c1, c2 := &n.claims[x], &n.claims[y]
+				key, _ := packPair(c1.hyper, c2.hyper)
+				if _, bad := ev.incompatible[key]; !bad {
 					continue
 				}
-				k1 := klToSum(attr, ev.conceptAttrSum(c1))
-				k2 := klToSum(attr, ev.conceptAttrSum(c2))
+				k1 := klToSum(n.attrs, ev.nodes[c1.hyper].con.sum)
+				k2 := klToSum(n.attrs, ev.nodes[c2.hyper].con.sum)
 				if k1 > k2 {
-					ev.killed[edgeKey{e, c1}] = true
+					c1.killed = true
 				} else {
-					ev.killed[edgeKey{e, c2}] = true
+					c2.killed = true
 				}
 			}
 		}

@@ -13,9 +13,53 @@
 //  3. Syntax rules (III-C): thematic (non-taxonomic) hypernyms from a
 //     184-word lexicon are rejected, and the hypernym's lexical head
 //     must not occur in a non-head position of the hyponym.
+//
+// # The ID space
+//
+// The strategies run over an Evidence, and an Evidence holds no string
+// but in one place. Every name it is told about — entity IDs, page
+// titles, hypernyms — is interned once into a symbol table (name →
+// dense uint32, names kept once) and infobox predicates into a second,
+// much smaller one; everything else is indexed by those IDs:
+//
+//   - per ID, one node record: the hypernyms the name claims as a
+//     hyponym ([]claim, each carrying its cached decision and kill
+//     flag), its attribute distribution as a page (a vector sorted by
+//     predicate ID), its title, its occurrence count as a title, its
+//     dirty marks, and — while it has hyponyms — a concept record with
+//     the hyponym list, the co-occurrence partner list, the running
+//     attribute sum, the page count of its extent and the cached head
+//     and NE verdict;
+//   - per concept pair, one entry of a pointer-free map keyed by the
+//     two IDs packed into a uint64: how many hyponyms the pair shares,
+//     how many of those are pages, and where each concept sits in the
+//     other's partner list; the incompatible pairs are a set on the
+//     same key.
+//
+// Nothing scans a concept's extent to answer about one hyponym: the
+// paper's top concepts have millions. "Does h sit under c" reads h's
+// few claims; a claim stores h's position in c's hyponym list and a
+// pair entry stores the partner positions, so retracting either is a
+// swap with the last element; the size of an extent or of its page
+// subset is a length or a counter. The only walks over an extent
+// enumerate it because every member is needed: the pairs to re-decide
+// under a hypernym whose head or NE verdict flipped, and the hyponyms
+// two concepts share when their incompatibility status flipped (the
+// smaller side is walked).
+//
+// Strings cross the boundary at: candidates in (AddCandidates,
+// RemoveCandidates, VerifyDelta), pages in (AddPages), Decisions out
+// (Reverify), the snapshot section (ExportEntities / ImportEntity),
+// S2 / NESupport, and the four reads subconcept derivation makes
+// (TakeEntityDirtyConcepts, EntityPartners, EntityOverlap,
+// EntityExtent).
 package verify
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // Options holds the thresholds of the three strategies, with toggles so
 // ablations can disable each independently.
@@ -62,30 +106,34 @@ func DefaultOptions() Options {
 	}
 }
 
-func normalize(d map[string]float64) {
-	sum := 0.0
-	for _, v := range d {
-		sum += v
-	}
-	if sum == 0 {
-		return
-	}
-	for k := range d {
-		d[k] /= sum
-	}
+// attr is one component of a sparse attribute vector over interned
+// infobox predicates. Vectors are kept sorted by predicate ID, so two
+// of them are compared by one merge walk and summed in one order.
+type attr struct {
+	pred uint32
+	w    float64
 }
 
-// cosine returns the cosine similarity of two sparse distributions.
-func cosine(a, b map[string]float64) float64 {
+// findAttr locates pred in a sorted vector.
+func findAttr(v []attr, pred uint32) (int, bool) {
+	return slices.BinarySearchFunc(v, pred, func(a attr, p uint32) int { return cmp.Compare(a.pred, p) })
+}
+
+// cosine returns the cosine similarity of two sparse vectors.
+func cosine(a, b []attr) float64 {
 	var dot, na, nb float64
-	for k, v := range a {
-		na += v * v
-		if w, ok := b[k]; ok {
-			dot += v * w
+	j := 0
+	for _, x := range a {
+		na += x.w * x.w
+		for j < len(b) && b[j].pred < x.pred {
+			j++
+		}
+		if j < len(b) && b[j].pred == x.pred {
+			dot += x.w * b[j].w
 		}
 	}
-	for _, v := range b {
-		nb += v * v
+	for _, y := range b {
+		nb += y.w * y.w
 	}
 	if na == 0 || nb == 0 {
 		return 0
@@ -93,58 +141,35 @@ func cosine(a, b map[string]float64) float64 {
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
-// jaccard returns |a∩b| / |a∪b|.
-func jaccard(a, b map[string]bool) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	small, large := a, b
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	inter := 0
-	for k := range small {
-		if large[k] {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
-// KL computes D_KL(p‖q) = Σ p(x)·log(p(x)/q(x)) with ε-smoothing for
-// q-zeros (Equation 1 of the paper, sign normalized).
-func KL(p, q map[string]float64) float64 { return klScaled(p, q, 1) }
-
-// klToSum is KL against the distribution an unnormalized mass sum
-// describes: D_KL(p ‖ sum/Σsum).
-func klToSum(p, sum map[string]float64) float64 {
+// klToSum is D_KL(p ‖ sum/Σsum) = Σ p(x)·log(p(x)/q(x)) with
+// ε-smoothing for q-zeros (Equation 1 of the paper, sign normalized),
+// taken against the distribution an unnormalized mass sum describes.
+func klToSum(p, sum []attr) float64 {
+	const eps = 1e-6
 	total := 0.0
-	for _, v := range sum {
-		total += v
+	for _, y := range sum {
+		total += y.w
 	}
 	if total == 0 {
 		total = 1
 	}
-	return klScaled(p, sum, total)
-}
-
-// klScaled computes D_KL(p ‖ q/scale).
-func klScaled(p, q map[string]float64, scale float64) float64 {
-	const eps = 1e-6
-	sum := 0.0
-	for k, pv := range p {
-		if pv <= 0 {
+	kl := 0.0
+	j := 0
+	for _, x := range p {
+		if x.w <= 0 {
 			continue
 		}
-		qv := q[k] / scale
-		if qv <= 0 {
-			qv = eps
+		for j < len(sum) && sum[j].pred < x.pred {
+			j++
 		}
-		sum += pv * math.Log(pv/qv)
+		q := 0.0
+		if j < len(sum) && sum[j].pred == x.pred {
+			q = sum[j].w / total
+		}
+		if q <= 0 {
+			q = eps
+		}
+		kl += x.w * math.Log(x.w/q)
 	}
-	return sum
+	return kl
 }

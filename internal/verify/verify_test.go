@@ -2,6 +2,7 @@ package verify
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"cnprobase/internal/encyclopedia"
@@ -20,9 +21,19 @@ func cand(hypo, hyper string) extract.Candidate {
 	return extract.Candidate{Hypo: hypo, Hyper: hyper, Source: taxonomy.SourceTag, Score: 1}
 }
 
+// newContext assembles verification evidence from the corpus and the
+// merged candidate set in one shot — the from-scratch path the
+// incremental operations are equivalence-tested against.
+func newContext(c *encyclopedia.Corpus, cands []extract.Candidate, support *ner.Support, rec *ner.Recognizer) *Evidence {
+	ev := NewEvidence(support, rec)
+	ev.AddPages(c.Pages)
+	ev.AddCandidates(cands)
+	return ev
+}
+
 // emptyContext builds a minimal context with no corpus evidence.
 func emptyContext(cands []extract.Candidate) *Evidence {
-	return NewContext(&encyclopedia.Corpus{}, cands, ner.NewSupport(), ner.New())
+	return newContext(&encyclopedia.Corpus{}, cands, ner.NewSupport(), ner.New())
 }
 
 func TestThematicFilter(t *testing.T) {
@@ -73,7 +84,7 @@ func TestNEFilter(t *testing.T) {
 		sup.ObserveWord("演员", false)
 	}
 	cands := []extract.Candidate{cand("刘德华", "北京"), cand("刘德华", "演员")}
-	ctx := NewContext(&encyclopedia.Corpus{}, cands, sup, ner.New())
+	ctx := newContext(&encyclopedia.Corpus{}, cands, sup, ner.New())
 	opts := Options{EnableNE: true, NEThreshold: 0.5}
 	kept, rep := Verify(cands, ctx, testSeg(), opts)
 	if len(kept) != 1 || kept[0].Hyper != "演员" {
@@ -97,7 +108,7 @@ func TestNESupportNoisyOr(t *testing.T) {
 		cand(encyclopedia.EntityID("泪花", "歌曲"), "歌曲"),
 		cand("某人", "泪花"), // the entity title used as a hypernym
 	}
-	ctx := NewContext(corp, cands, sup, ner.New())
+	ctx := newContext(corp, cands, sup, ner.New())
 	s1 := sup.S1("泪花")
 	s2 := ctx.S2("泪花")
 	if s2 <= 0 {
@@ -165,7 +176,7 @@ func incompatibleFixture() (*encyclopedia.Corpus, []extract.Candidate) {
 
 func TestIncompatibleConceptsFilter(t *testing.T) {
 	c, cands := incompatibleFixture()
-	ctx := NewContext(c, cands, ner.NewSupport(), ner.New())
+	ctx := newContext(c, cands, ner.NewSupport(), ner.New())
 	opts := Options{
 		EnableIncompatible: true,
 		JaccardMax:         0.2,
@@ -190,7 +201,7 @@ func TestIncompatibleConceptsFilter(t *testing.T) {
 func TestVerifyDisabledKeepsAll(t *testing.T) {
 	c, cands := incompatibleFixture()
 	cands = append(cands, cand("某人", "音乐"))
-	ctx := NewContext(c, cands, ner.NewSupport(), ner.New())
+	ctx := newContext(c, cands, ner.NewSupport(), ner.New())
 	kept, rep := Verify(cands, ctx, testSeg(), Options{})
 	if len(kept) != len(cands) {
 		t.Errorf("kept %d of %d with all filters off", len(kept), len(cands))
@@ -200,17 +211,28 @@ func TestVerifyDisabledKeepsAll(t *testing.T) {
 	}
 }
 
+// vec interns a distribution's predicates in tab and returns it as a
+// sorted vector.
+func vec(tab *symtab, d map[string]float64) []attr {
+	var out []attr
+	for k, w := range d {
+		out = append(out, attr{tab.intern(k), w})
+	}
+	return sortedAttrs(out)
+}
+
 func TestMathHelpers(t *testing.T) {
+	tab := &symtab{ids: map[string]uint32{}}
 	a := map[string]float64{"x": 0.5, "y": 0.5}
 	b := map[string]float64{"x": 0.5, "y": 0.5}
-	if got := cosine(a, b); math.Abs(got-1) > 1e-12 {
+	if got := cosine(vec(tab, a), vec(tab, b)); math.Abs(got-1) > 1e-12 {
 		t.Errorf("cosine identical = %v, want 1", got)
 	}
 	c := map[string]float64{"z": 1}
-	if got := cosine(a, c); got != 0 {
+	if got := cosine(vec(tab, a), vec(tab, c)); got != 0 {
 		t.Errorf("cosine disjoint = %v, want 0", got)
 	}
-	if got := cosine(nil, a); got != 0 {
+	if got := cosine(nil, vec(tab, a)); got != 0 {
 		t.Errorf("cosine empty = %v, want 0", got)
 	}
 
@@ -225,12 +247,35 @@ func TestMathHelpers(t *testing.T) {
 
 	p := map[string]float64{"x": 1}
 	q := map[string]float64{"x": 1}
-	if got := KL(p, q); math.Abs(got) > 1e-12 {
+	if got := klToSum(vec(tab, p), vec(tab, q)); math.Abs(got) > 1e-12 {
 		t.Errorf("KL identical = %v, want 0", got)
 	}
 	far := map[string]float64{"y": 1}
-	if KL(p, far) <= KL(p, q) {
+	if klToSum(vec(tab, p), vec(tab, far)) <= klToSum(vec(tab, p), vec(tab, q)) {
 		t.Error("KL to disjoint distribution must exceed KL to itself")
+	}
+
+	// The vector forms agree with the map forms they replaced, on
+	// overlapping supports and an unnormalized right-hand side.
+	rng := rand.New(rand.NewSource(1))
+	preds := []string{"a", "b", "c", "d", "e", "f"}
+	dist := func() map[string]float64 {
+		d := map[string]float64{}
+		for _, k := range preds {
+			if rng.Intn(2) == 0 {
+				d[k] = rng.Float64() * 3
+			}
+		}
+		return d
+	}
+	for i := 0; i < 200; i++ {
+		x, y := dist(), dist()
+		if got, want := cosine(vec(tab, x), vec(tab, y)), mapCosine(x, y); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("cosine(%v, %v) = %v, map form %v", x, y, got, want)
+		}
+		if got, want := klToSum(vec(tab, x), vec(tab, y)), mapKLToSum(x, y); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("klToSum(%v, %v) = %v, map form %v", x, y, got, want)
+		}
 	}
 }
 
