@@ -306,27 +306,20 @@ func TestSighupHotReload(t *testing.T) {
 		t.Fatalf("SIGHUP: %v", err)
 	}
 
-	deadline := time.Now().Add(20 * time.Second)
-	for {
+	defer func() {
+		if t.Failed() {
+			t.Logf("stderr:\n%s", stderr.String())
+		}
+	}()
+	eventually(t, 20*time.Second, "the new edge being served after SIGHUP", func() bool {
 		get("/api/getEntity?concept=热更新概念", &ent)
-		if len(ent.Hyponyms) == 1 && ent.Hyponyms[0] == "热更新实体（测试）" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("new edge never became visible after SIGHUP; stderr:\n%s", stderr.String())
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+		return len(ent.Hyponyms) == 1 && ent.Hyponyms[0] == "热更新实体（测试）"
+	})
 	// The swap is visible over HTTP before the server writes its log
-	// line, so poll for the line under the same deadline instead of
-	// reading the buffer once.
-	for !strings.Contains(stderr.String(), "view swapped") {
-		if time.Now().After(deadline) {
-			t.Errorf("reload not logged; stderr:\n%s", stderr.String())
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	// line, so the line is waited for too rather than read once.
+	eventually(t, 20*time.Second, "the reload being logged", func() bool {
+		return strings.Contains(stderr.String(), "view swapped")
+	})
 }
 
 // startServerWithIngest launches the binary with an ingestion listener

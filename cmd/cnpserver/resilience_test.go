@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,6 +25,54 @@ func getStatus(t *testing.T, url string) int {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	return resp.StatusCode
+}
+
+// eventually polls cond until it holds, failing the test if it has not
+// by the timeout. Every wait of the integration tests is one of these:
+// on a state the server reports (a gauge or counter in /api/stats,
+// /readyz, a log line, an answer), never on a guess at how long the
+// server needs to reach it.
+func eventually(t *testing.T, timeout time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not within %v", what, timeout)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// inFlight reads the admission gauge off /api/stats (which is exempt
+// from admission and from the chaos delay).
+func inFlight(t *testing.T, base string) int {
+	t.Helper()
+	resp, err := http.Get(base + "/api/stats")
+	if err != nil {
+		t.Fatalf("GET /api/stats: %v", err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Resilience struct {
+			InFlight int `json:"in_flight"`
+		} `json:"resilience"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatalf("decode /api/stats: %v", err)
+	}
+	return stats.Resilience.InFlight
+}
+
+// draining reports whether the server has begun its shutdown: /readyz
+// answers 503, or — the grace over — the listener is already closed.
+func draining(base string) bool {
+	resp, err := http.Get(base + "/readyz")
+	if err != nil {
+		return true
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusServiceUnavailable
 }
 
 // TestProbes pins the orchestration endpoints on a running binary:
@@ -165,37 +214,27 @@ func TestSigtermDrainsSlowQuery(t *testing.T) {
 		resp.Body.Close()
 		slowDone <- resp.StatusCode
 	}()
-	// The probe endpoints skip the chaos delay, so readyz==200 here
-	// also proves the slow request above has been accepted (same mux,
-	// announced listener).
+	// The probe endpoints skip the chaos delay and the admission slots.
 	if code := getStatus(t, base+"/readyz"); code != http.StatusOK {
 		t.Fatalf("/readyz before SIGTERM = %d, want 200", code)
 	}
-	time.Sleep(300 * time.Millisecond) // let the slow GET land in its handler
+	// The slow GET is in its handler once it holds an admission slot.
+	eventually(t, 10*time.Second, "the slow query holding an admission slot", func() bool { return inFlight(t, base) == 1 })
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("SIGTERM: %v", err)
 	}
 	// During the drain grace the listener still accepts: /readyz must
 	// answer 503 so the load balancer rotates this replica out.
-	readyCode := -1
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) {
+	eventually(t, 10*time.Second, "/readyz answering 503 during the drain grace", func() bool {
 		resp, err := http.Get(base + "/readyz")
 		if err != nil {
-			break // grace elapsed and the listener closed before we sampled
+			t.Fatalf("/readyz during the drain grace: %v (the listener closed before readiness was seen to flip)", err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		readyCode = resp.StatusCode
-		if readyCode == http.StatusServiceUnavailable {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if readyCode != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz during drain = %d, want 503", readyCode)
-	}
+		return resp.StatusCode == http.StatusServiceUnavailable
+	})
 
 	// The slow query drains to completion despite the shutdown.
 	select {
@@ -232,7 +271,6 @@ func TestSigtermDrainsInflightIngest(t *testing.T) {
 	apiBase, ingestBase, cmd := startServerWithIngest(t, &stderr,
 		"-load", snap, "-wal", walDir, "-compact-every", "0",
 		"-drain-grace", "200ms", "-drain-timeout", "30s")
-	_ = apiBase
 
 	page, err := json.Marshal(map[string]any{"title": title, "tags": []string{concept}})
 	if err != nil {
@@ -241,26 +279,36 @@ func TestSigtermDrainsInflightIngest(t *testing.T) {
 	body := append(page, '\n')
 
 	// Hand-rolled request so the body can straddle the SIGTERM: send
-	// the headers plus the first byte, signal, then finish the body.
+	// the headers with Expect: 100-continue, which the server answers
+	// at the handler's first read of the body — the request is then
+	// provably in its handler, inside ReadAll — send the first byte,
+	// signal, and finish the body once the drain is observably underway.
 	conn, err := net.Dial("tcp", strings.TrimPrefix(ingestBase, "http://"))
 	if err != nil {
 		t.Fatalf("dial ingest: %v", err)
 	}
 	defer conn.Close()
-	fmt.Fprintf(conn, "POST /ingest HTTP/1.1\r\nHost: ingest\r\nContent-Type: application/x-ndjson\r\nContent-Length: %d\r\nConnection: close\r\n\r\n", len(body))
+	fmt.Fprintf(conn, "POST /ingest HTTP/1.1\r\nHost: ingest\r\nContent-Type: application/x-ndjson\r\nContent-Length: %d\r\nExpect: 100-continue\r\nConnection: close\r\n\r\n", len(body))
+	reply := bufio.NewReader(conn)
+	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	if line, err := reply.ReadString('\n'); err != nil || !strings.HasPrefix(line, "HTTP/1.1 100") {
+		t.Fatalf("waiting for 100 Continue: %q, %v\nstderr:\n%s", line, err, stderr.String())
+	}
+	if line, err := reply.ReadString('\n'); err != nil || strings.TrimSpace(line) != "" {
+		t.Fatalf("after 100 Continue: %q, %v", line, err)
+	}
 	if _, err := conn.Write(body[:1]); err != nil {
 		t.Fatalf("write first body byte: %v", err)
 	}
-	time.Sleep(200 * time.Millisecond) // let the handler enter ReadAll
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("SIGTERM: %v", err)
 	}
-	time.Sleep(300 * time.Millisecond) // shutdown is now underway
+	eventually(t, 10*time.Second, "the shutdown being underway", func() bool { return draining(apiBase) })
 	if _, err := conn.Write(body[1:]); err != nil {
 		t.Fatalf("write body remainder during drain: %v", err)
 	}
-	respBytes, err := io.ReadAll(conn)
+	respBytes, err := io.ReadAll(reply)
 	if err != nil {
 		t.Fatalf("read in-flight ingest response: %v\nstderr:\n%s", err, stderr.String())
 	}

@@ -127,11 +127,16 @@ func Build(c *Corpus, opts Options) (*Result, error) {
 // recognized, the persistent verification evidence on the Result folds
 // forward, only fresh candidates plus those whose evidence changed are
 // re-verified, and the store, the kept list and the derived subconcept
-// edges are edited where the batch reaches them — the one cost that
-// follows the taxonomy's size is a block-copy splice of the sorted kept
-// list. The incremental state lives on the Result (and its evidence
-// and store), not on the pipeline, so each call may bring its own
-// Options. Result.Freeze then publishes the change by patching the
+// edges are edited where the batch reaches them. Update owns
+// prev.Kept: the sorted list is edited in place (regenerated pairs
+// updated where they sit, rejected pairs closed over, new pairs slid
+// into its own amortised capacity), so a slice of it taken before the
+// call is stale after it; the candidate union is never built —
+// Report.Verification.Input is its size by arithmetic and
+// Result.Candidates holds the delta's own deduplicated candidates
+// afterwards. The incremental state lives on the Result (and its
+// evidence and store), not on the pipeline, so each call may bring its
+// own Options. Result.Freeze then publishes the change by patching the
 // previous view. Results restored with LoadSnapshot (evidence-carrying
 // snapshots) accept Update too; their first Update runs on cold caches
 // and re-decides every candidate once.
@@ -292,11 +297,13 @@ func NewDurableIngester(res *Result, opts Options, srv *APIServer, cfg DurableIn
 // substrate: verification evidence, kept candidates and corpus
 // statistics — as a versioned, checksummed binary snapshot. A server can
 // LoadSnapshot the file and be query-ready in milliseconds instead of
-// re-running the pipeline (build once, serve many). Encoding fans out
-// over the same worker count the build used; the bytes are identical
-// for any Workers/Shards configuration, so snapshots of the same
-// logical taxonomy are directly comparable. The on-disk layout is
-// specified in docs/SNAPSHOT.md.
+// re-running the pipeline (build once, serve many). The writer sizes
+// every section first and then streams it — no copy of the image or of
+// the evidence is held, whatever the taxonomy's size — and a write
+// error from w is returned as is. The bytes are identical for any
+// Workers/Shards configuration, so snapshots of the same logical
+// taxonomy are directly comparable. The on-disk layout is specified in
+// docs/SNAPSHOT.md.
 func SaveSnapshot(w io.Writer, res *Result) error {
 	return saveSnapshotLSN(w, res, 0)
 }
@@ -338,7 +345,8 @@ func saveSnapshotLSN(w io.Writer, res *Result, lsn uint64) error {
 		Meta:     meta,
 		// A Result whose last Freeze is still current — the ingest
 		// plane at compaction time — is saved from that view; any other
-		// is compiled by Save, and is left without a view attached.
+		// is compiled by Save (without the hash indexes only queries
+		// need), and is left without a view attached.
 		View:     res.PublishedView(),
 		Evidence: res.Evidence,
 		Kept:     res.Kept,

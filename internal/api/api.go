@@ -111,6 +111,9 @@ type Server struct {
 	metrics resilience.Metrics
 	health  resilience.Health
 	shed    map[string]*atomic.Int64 // per-endpoint load-shed counters, keyed like the latency map
+	// ingester is the ingest plane publishing to this server, if any;
+	// /api/stats reports its state.
+	ingester atomic.Pointer[Ingester]
 
 	men2entCalls           atomic.Int64
 	men2entBatchCalls      atomic.Int64
@@ -381,20 +384,25 @@ func (s *Server) Counters() Stats {
 	}
 }
 
-// ResilienceStats reports the failure-path counters of the overload
-// stack: panics isolated (handler or ingest updater), deadlines
-// expired, and — per endpoint — requests shed by admission control.
+// ResilienceStats reports the overload stack: the admission slots held
+// right now (a gauge; the exempt endpoints, this one included, hold
+// none), and the failure-path counters — panics isolated (handler or
+// ingest updater), deadlines expired, and, per endpoint, requests shed
+// by admission control.
 type ResilienceStats struct {
+	InFlight int              `json:"in_flight,omitempty"`
 	Panics   int64            `json:"panics"`
 	Timeouts int64            `json:"timeouts"`
 	Shed     map[string]int64 `json:"shed,omitempty"`
 }
 
-// ResilienceReport snapshots the overload counters, or nil when every
-// counter is zero (so the legacy /api/stats payload shape is
-// preserved until the stack first absorbs something).
+// ResilienceReport snapshots the overload stack, or nil when nothing
+// is in flight and every counter is zero (so the legacy /api/stats
+// payload shape is preserved on an idle server that never absorbed
+// anything).
 func (s *Server) ResilienceReport() *ResilienceStats {
 	rs := &ResilienceStats{
+		InFlight: s.limiter.InFlight(),
 		Panics:   s.metrics.Panics.Load(),
 		Timeouts: s.metrics.Timeouts.Load(),
 	}
@@ -408,19 +416,21 @@ func (s *Server) ResilienceReport() *ResilienceStats {
 			total += n
 		}
 	}
-	if rs.Panics == 0 && rs.Timeouts == 0 && total == 0 {
+	if rs.InFlight == 0 && rs.Panics == 0 && rs.Timeouts == 0 && total == 0 {
 		return nil
 	}
 	return rs
 }
 
 // statsResponse is the /api/stats payload: the Table II counters plus
-// per-endpoint latency summaries and, once the overload stack has
-// absorbed anything, its failure-path counters.
+// per-endpoint latency summaries, the overload stack's gauge and
+// failure-path counters once there is anything to report, and the
+// ingest plane's state when an ingester is attached.
 type statsResponse struct {
 	Stats
 	Latency    []EndpointLatency `json:"latency,omitempty"`
 	Resilience *ResilienceStats  `json:"resilience,omitempty"`
+	Ingest     *IngestStats      `json:"ingest,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -429,7 +439,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "stats requires GET")
 		return
 	}
-	writeJSON(w, statsResponse{Stats: s.Counters(), Latency: s.LatencyReport(), Resilience: s.ResilienceReport()})
+	resp := statsResponse{Stats: s.Counters(), Latency: s.LatencyReport(), Resilience: s.ResilienceReport()}
+	if ing := s.ingester.Load(); ing != nil {
+		resp.Ingest = ing.Stats()
+	}
+	writeJSON(w, resp)
 }
 
 func (h *histogram) since(start time.Time) { h.observe(time.Since(start)) }

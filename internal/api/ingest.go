@@ -160,6 +160,36 @@ type Ingester struct {
 	// snapshot covers. atomically read by compaction-lag accounting.
 	lsn       atomic.Uint64
 	compacted atomic.Uint64
+	// compactions counts the snapshots the compactor has written;
+	// lastCompactMicros and lastSnapshotBytes describe the latest.
+	compactions       atomic.Int64
+	lastCompactMicros atomic.Int64
+	lastSnapshotBytes atomic.Int64
+}
+
+// IngestStats is the ingest plane's state as /api/stats reports it:
+// how far the write-ahead log has been applied and how far the
+// snapshot covers it (the difference is what a restart replays), what
+// the compactor has done, and whether the updater is wedged.
+type IngestStats struct {
+	AppliedLSN        uint64  `json:"applied_lsn"`
+	CompactedLSN      uint64  `json:"compacted_lsn"`
+	Compactions       int64   `json:"compactions"`
+	LastCompactMs     float64 `json:"last_compact_ms"`
+	LastSnapshotBytes int64   `json:"last_snapshot_bytes"`
+	Wedged            bool    `json:"wedged"`
+}
+
+// Stats snapshots the ingest plane's state.
+func (ing *Ingester) Stats() *IngestStats {
+	return &IngestStats{
+		AppliedLSN:        ing.lsn.Load(),
+		CompactedLSN:      ing.compacted.Load(),
+		Compactions:       ing.compactions.Load(),
+		LastCompactMs:     float64(ing.lastCompactMicros.Load()) / 1000,
+		LastSnapshotBytes: ing.lastSnapshotBytes.Load(),
+		Wedged:            ing.wedged.Load(),
+	}
 }
 
 // NewIngester starts a volatile (memory-only) ingester over a mutable
@@ -201,6 +231,7 @@ func NewDurableIngester(res *core.Result, pipeline Updater, srv *Server, cfg Ing
 		ing.lsn.Store(cfg.WAL.LastLSN())
 	}
 	ing.compacted.Store(cfg.SnapshotLSN)
+	srv.ingester.Store(ing)
 	go ing.run(res)
 	return ing, nil
 }
@@ -334,6 +365,7 @@ func (ing *Ingester) compact(res *core.Result) error {
 	if ing.cfg.WAL == nil || lsn == ing.compacted.Load() {
 		return nil
 	}
+	start := time.Now()
 	dir := filepath.Dir(ing.cfg.SnapshotPath)
 	f, err := os.CreateTemp(dir, ".cnpsnap-*")
 	if err != nil {
@@ -351,6 +383,10 @@ func (ing *Ingester) compact(res *core.Result) error {
 	if err := f.Sync(); err != nil {
 		return fail(err)
 	}
+	size, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return fail(err)
+	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("compaction snapshot: %w", err)
@@ -363,6 +399,9 @@ func (ing *Ingester) compact(res *core.Result) error {
 		return fmt.Errorf("compaction snapshot: %w", err)
 	}
 	ing.compacted.Store(lsn)
+	ing.compactions.Add(1)
+	ing.lastSnapshotBytes.Store(size)
+	ing.lastCompactMicros.Store(time.Since(start).Microseconds())
 	// Seal the tail so the whole covered range is eligible, then
 	// prune. Roll before truncate is what lets the log shrink to a
 	// single header-only segment when the snapshot covers everything.

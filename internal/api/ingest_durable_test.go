@@ -2,7 +2,9 @@ package api
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -104,6 +106,10 @@ func loadResult(t *testing.T, data []byte) (*core.Result, uint64) {
 }
 
 type durableFixture struct {
+	// failSaveAfter, when not negative, makes the compactor's snapshot
+	// destination fail after that many bytes.
+	failSaveAfter atomic.Int64
+
 	res      *core.Result
 	pipeline *core.Pipeline
 	srv      *Server
@@ -135,21 +141,28 @@ func newDurableFixture(t *testing.T, queue int) *durableFixture {
 	opts.EnableNeural = false
 	pipeline := core.New(opts)
 	srv := NewViewServer(res.Freeze())
+	f := &durableFixture{
+		res: res, pipeline: pipeline, srv: srv,
+		snapPath: snapPath, walDir: walDir, concept: res.Kept[0].Hyper,
+	}
+	f.failSaveAfter.Store(-1)
 	ing, err := NewDurableIngester(res, pipeline, srv, IngesterConfig{
 		WAL:          l,
 		SnapshotPath: snapPath,
 		SnapshotLSN:  lsn,
-		SaveSnapshot: testSaveSnapshot,
-		Queue:        queue,
+		SaveSnapshot: func(w io.Writer, res *core.Result, lsn uint64) error {
+			if k := f.failSaveAfter.Load(); k >= 0 {
+				w = &failingWriter{w: w, k: int(k)}
+			}
+			return testSaveSnapshot(w, res, lsn)
+		},
+		Queue: queue,
 	})
 	if err != nil {
 		t.Fatalf("NewDurableIngester: %v", err)
 	}
 	t.Cleanup(ing.Close)
-	f := &durableFixture{
-		res: res, pipeline: pipeline, srv: srv, ing: ing,
-		snapPath: snapPath, walDir: walDir, concept: res.Kept[0].Hyper,
-	}
+	f.ing = ing
 	f.apiTS = httptest.NewServer(srv.Handler())
 	t.Cleanup(f.apiTS.Close)
 	f.ingTS = httptest.NewServer(ing.Handler())
@@ -279,6 +292,108 @@ func TestCompactionSavesPublishedView(t *testing.T) {
 	}
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("snapshot saved from the published view (%d bytes) differs from a compiling save (%d bytes)", len(got), want.Len())
+	}
+}
+
+// failingWriter passes k bytes through and fails every write after.
+type failingWriter struct {
+	w io.Writer
+	k int
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > f.k {
+		n, _ := f.w.Write(p[:f.k])
+		f.k = 0
+		return n, errDiskFull
+	}
+	f.k -= len(p)
+	return f.w.Write(p)
+}
+
+// dirListing renders a directory as name:size:content-hash lines.
+func dirListing(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := ""
+	for _, e := range entries {
+		if e.IsDir() {
+			continue // the WAL directory, listed on its own
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out += fmt.Sprintf("%s:%d:%x\n", e.Name(), len(data), sha256.Sum256(data))
+	}
+	return out
+}
+
+// TestCompactionOverFailingWriter is the streamed snapshot writer's
+// failure contract at the compactor: wherever in the snapshot the
+// destination fails — first byte, inside each section, last byte —
+// Compact reports it, the previous snapshot and the WAL stay byte for
+// byte what they were (no temp file left beside them), /api/stats
+// counts no compaction, and the next healthy cycle compacts everything.
+func TestCompactionOverFailingWriter(t *testing.T) {
+	f := newDurableFixture(t, 0)
+	for _, title := range []string{"落盘实体甲", "落盘实体乙"} {
+		resp := postJSONL(t, f.ingTS.URL, []encyclopedia.Page{{Title: title, Tags: []string{f.concept}}})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest status = %d", resp.StatusCode)
+		}
+	}
+	ingestStats := func() IngestStats {
+		var stats struct {
+			Ingest *IngestStats `json:"ingest"`
+		}
+		getJSON(t, f.apiTS.URL+"/api/stats", &stats)
+		if stats.Ingest == nil {
+			t.Fatal("/api/stats of a server with an ingester attached has no ingest block")
+		}
+		return *stats.Ingest
+	}
+	if got, want := ingestStats(), (IngestStats{AppliedLSN: 2}); got != want {
+		t.Fatalf("ingest stats before any compaction = %+v, want %+v", got, want)
+	}
+	size := len(baseSnapshot(t))
+	snapDir := filepath.Dir(f.snapPath)
+	before := dirListing(t, snapDir) + dirListing(t, f.walDir)
+	for _, k := range []int{0, 1, 15, 16, 17, 29, 200, size / 4, size / 2, size - 9, size - 1} {
+		f.failSaveAfter.Store(int64(k))
+		if err := f.ing.Compact(); !errors.Is(err, errDiskFull) {
+			t.Fatalf("Compact over a writer failing after %d bytes = %v", k, err)
+		}
+		if after := dirListing(t, snapDir) + dirListing(t, f.walDir); after != before {
+			t.Fatalf("a compaction that failed after %d bytes changed the files:\n%s\nbefore:\n%s", k, after, before)
+		}
+	}
+	if got, want := ingestStats(), (IngestStats{AppliedLSN: 2}); got != want {
+		t.Fatalf("ingest stats after failed compactions = %+v, want %+v", got, want)
+	}
+
+	f.failSaveAfter.Store(-1)
+	if err := f.ing.Compact(); err != nil {
+		t.Fatalf("healthy Compact after the failures: %v", err)
+	}
+	got := ingestStats()
+	snap, err := os.Stat(f.snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.AppliedLSN != 2 || got.CompactedLSN != 2 || got.Compactions != 1 || got.LastSnapshotBytes != snap.Size() || got.LastCompactMs <= 0 || got.Wedged {
+		t.Fatalf("ingest stats after a compaction = %+v (snapshot is %d bytes)", got, snap.Size())
+	}
+	f.ing.Close()
+	recovered, stats := f.recover(t)
+	if stats.Applied != 0 || !recovered.Taxonomy.HasIsA("落盘实体乙", f.concept) {
+		t.Fatalf("recovery after the healthy compaction replayed %d batches; the last batch's hypernyms: %v", stats.Applied, recovered.Taxonomy.Hypernyms("落盘实体乙"))
 	}
 }
 

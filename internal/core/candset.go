@@ -9,10 +9,11 @@ import (
 // The candidate lists the pipeline manipulates (previously kept,
 // freshly generated, newly kept) are all deduplicated and sorted by
 // (Hypo, Hyper) — extract.Dedupe's canonical order, preserved by
-// verification (survivors keep candidate order) and by the splices
+// verification (survivors keep candidate order) and by the edit
 // below. An update batch therefore finds its few pairs in the kept
-// list by binary search and rebuilds the list with block copies; no
-// per-batch step compares or hashes its way through the whole list.
+// list by binary search and edits the list where it stands; no
+// per-batch step compares, hashes or copies its way through the whole
+// list.
 
 // findPair locates the pair in a sorted deduplicated list.
 func findPair(cands []extract.Candidate, hypo, hyper string) (int, bool) {
@@ -20,28 +21,39 @@ func findPair(cands []extract.Candidate, hypo, hyper string) (int, bool) {
 		func(c, target extract.Candidate) int { return extract.ComparePair(&c, &target) })
 }
 
-// spliceCandidates returns base without the elements at the ascending
-// indexes drop and with the candidates of add (sorted, none of whose
-// pairs base holds) slotted in — a fresh slice assembled from block
-// copies of the stretches between changes.
-func spliceCandidates(base []extract.Candidate, drop []int, add []extract.Candidate) []extract.Candidate {
-	out := make([]extract.Candidate, 0, len(base)+len(add)-len(drop))
-	from := 0
-	for len(drop)+len(add) > 0 {
-		at := len(base)
-		if len(add) > 0 {
-			at, _ = findPair(base, add[0].Hypo, add[0].Hyper)
+// editCandidates removes the elements at the ascending indexes drop
+// from base and slots in the candidates of add (sorted, none of whose
+// pairs base holds), in place: the stretches between drops slide
+// forward over them, then the stretches between insertion points
+// slide backward into capacity grown (amortised) for the adds. What
+// moves is the part of the list behind the first change; nothing the
+// size of the list is allocated unless its capacity is exhausted. The
+// caller gives up base.
+func editCandidates(base []extract.Candidate, drop []int, add []extract.Candidate) []extract.Candidate {
+	if len(drop) > 0 {
+		w := drop[0]
+		for i, d := range drop {
+			next := len(base)
+			if i+1 < len(drop) {
+				next = drop[i+1]
+			}
+			w += copy(base[w:], base[d+1:next])
 		}
-		if len(drop) > 0 && drop[0] < at {
-			out = append(out, base[from:drop[0]]...)
-			from, drop = drop[0]+1, drop[1:]
-			continue
-		}
-		out = append(out, base[from:at]...)
-		out = append(out, add[0])
-		from, add = at, add[1:]
+		clear(base[w:]) // the vacated tail must not pin dropped strings
+		base = base[:w]
 	}
-	return append(out, base[from:]...)
+	if len(add) == 0 {
+		return base
+	}
+	end := len(base)
+	base = slices.Grow(base, len(add))[:end+len(add)]
+	for j := len(add) - 1; j >= 0; j-- {
+		at, _ := findPair(base[:end], add[j].Hypo, add[j].Hyper)
+		copy(base[at+j+1:], base[at:end])
+		base[at+j] = add[j]
+		end = at
+	}
+	return base
 }
 
 // diffCandidates returns the candidates of a whose pair does not

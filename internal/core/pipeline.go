@@ -142,10 +142,14 @@ type Result struct {
 	Taxonomy *taxonomy.Taxonomy
 	Mentions *taxonomy.MentionIndex
 	Report   *Report
-	// Candidates holds the merged pre-verification candidates (kept
-	// for per-source precision experiments).
+	// Candidates holds the merged pre-verification candidates of the
+	// last run (kept for per-source precision experiments): after Build
+	// the whole candidate set, after an Update the delta's own
+	// deduplicated candidates — the union with the previously kept
+	// pairs is never built.
 	Candidates []extract.Candidate
-	// Kept holds the post-verification candidates.
+	// Kept holds the post-verification candidates, sorted by (Hypo,
+	// Hyper). Update edits the list in place.
 	Kept []extract.Candidate
 	// Segmenter and Stats expose the substrates for reuse (QA, APIs,
 	// experiments).

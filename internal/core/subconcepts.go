@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sort"
 	"strings"
 
 	"cnprobase/internal/runes"
@@ -113,7 +112,10 @@ func deriveHeads(tax *taxonomy.Taxonomy, eval []string, supported map[string]boo
 // sides untouched has the same overlap, sizes and ratio it had last
 // time, so re-testing it cannot change the outcome (derived edges only
 // accumulate). The first pass after a build or a snapshot load sees
-// every concept dirty and therefore evaluates everything.
+// every concept dirty and therefore evaluates everything. The two
+// extent tests, which discard nearly every pair, run inside the
+// evidence on its counters; only the survivors are named, put in
+// deterministic order and tested against the store.
 func deriveSubsumption(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options) int {
 	minRatio := opts.SubsumeMinRatio
 	if minRatio <= 0 {
@@ -123,46 +125,32 @@ func deriveSubsumption(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options
 	if minSize <= 0 {
 		minSize = 8
 	}
-	cand := make(map[[2]string]bool)
-	for _, a := range ev.TakeEntityDirtyConcepts() {
-		for _, b := range ev.EntityPartners(a) {
-			cand[[2]string{a, b}] = true
-			cand[[2]string{b, a}] = true
-		}
-	}
-	added := 0
-	// Deterministic iteration over pairs.
-	keys := make([][2]string, 0, len(cand))
-	for k := range cand {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
+	pairs := ev.TakeExtentPairs(func(n1, n2 int) bool {
+		// Both sides need real extents, and a clear size gap between
+		// them: generalization, not synonymy.
+		return n1 >= minSize && n2 >= minSize && n2 >= 2*n1
 	})
-	for _, k := range keys {
-		c1, c2 := k[0], k[1]
-		n1, n2 := ev.EntityExtent(c1), ev.EntityExtent(c2)
-		if n1 < minSize || n2 < minSize {
-			continue // both sides need real extents
+	slices.SortFunc(pairs, func(a, b verify.ExtentPair) int {
+		if c := strings.Compare(a.Sub, b.Sub); c != 0 {
+			return c
 		}
-		if n2 < 2*n1 {
-			continue // need a clear size gap: generalization, not synonymy
-		}
-		overlap := ev.EntityOverlap(c1, c2)
-		if float64(overlap)/float64(n1) < minRatio {
+		return strings.Compare(a.Super, b.Super)
+	})
+	pairs = slices.Compact(pairs) // a pair dirty on both sides came twice
+	added := 0
+	for _, p := range pairs {
+		ratio := float64(p.Overlap) / float64(p.SubExtent)
+		if ratio < minRatio {
 			continue
 		}
-		if morphRelated(c1, c2) {
+		if morphRelated(p.Sub, p.Super) {
 			continue // already added by the head rule
 		}
-		if tax.HasIsA(c1, c2) || tax.IsAncestor(c2, c1) {
+		if tax.HasIsA(p.Sub, p.Super) || tax.IsAncestor(p.Super, p.Sub) {
 			continue // avoid duplicates and 2-cycles
 		}
-		if err := tax.AddIsA(c1, c2, taxonomy.SourceSubsume, float64(overlap)/float64(n1)); err == nil {
-			tax.MarkConcept(c1)
+		if err := tax.AddIsA(p.Sub, p.Super, taxonomy.SourceSubsume, ratio); err == nil {
+			tax.MarkConcept(p.Sub)
 			added++
 		}
 	}

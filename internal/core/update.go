@@ -23,14 +23,20 @@ import (
 // Result: only delta abstracts are segmented and recognized, and only
 // fresh candidates plus the affected subset (candidates whose
 // hyper/hypo evidence actually changed) are re-verified, while every
-// other candidate keeps its cached decision. The re-decided pairs are
-// spliced into the sorted kept list (binary searches plus block
-// copies — the one step whose cost follows the list, at memcpy
-// speed); the store re-sorts only the adjacency lists the batch
-// appended to and keeps its node list and statistics current as it is
-// written; subconcept derivation re-tests only concepts the batch
-// reached. No step walks the candidate union, the node list or the
-// store. Raw pages are never retained or copied. The neural extractor
+// other candidate keeps its cached decision. Update owns prev.Kept and
+// edits it in place: a regenerated pair is updated where it sits, and
+// the rejected and the brand-new pairs are applied by one edit that
+// slides the stretches between them (binary searches plus block moves
+// within the list's own, amortised, capacity) — a slice of prev.Kept
+// taken before the call must not be read after it. The candidate union
+// (kept plus fresh) is never materialised: Report.Verification.Input
+// is its size by arithmetic, and Result.Candidates afterwards holds
+// the delta's own deduplicated candidates, not the union. The store
+// re-sorts only the adjacency lists the batch appended to and keeps
+// its node list and statistics current as it is written; subconcept
+// derivation re-tests only concepts the batch reached. No step walks
+// the candidate union, the node list or the store, and none allocates
+// in proportion to the kept list. Raw pages are never retained or copied. The neural extractor
 // is skipped during updates; bracket, infobox and tag extraction cover
 // the delta. Per-page work (segmentation, extraction, NE recognition)
 // fans out over the same bounded worker pool Build uses, sized by
@@ -115,30 +121,27 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 	prev.Evidence.FoldSupport(deltaSupport)
 	prev.Evidence.AddPages(delta.Pages)
 
-	// ---- the candidate union, as a splice of the kept list ----
+	// ---- the candidate union, without building it ----
 	// The union is previously kept pairs plus the fresh delta. A fresh
 	// pair either is new to the kept list or regenerates a kept pair,
-	// whose provenance it then extends (sources OR-ed, maximum score —
-	// what extract.Dedupe over the concatenation would produce).
-	var brandNew, regenerated []extract.Candidate
-	for _, c := range fresh {
-		if _, ok := findPair(prev.Kept, c.Hypo, c.Hyper); ok {
-			regenerated = append(regenerated, c)
-		} else {
-			brandNew = append(brandNew, c)
-		}
-	}
-	union := spliceCandidates(prev.Kept, nil, brandNew)
+	// whose provenance it then extends where it sits (sources OR-ed,
+	// maximum score — what extract.Dedupe over the concatenation would
+	// produce).
+	var brandNew []extract.Candidate
 	generated := keptTally(prev)
-	for _, c := range brandNew {
-		generated.add(c.Source, 1)
+	for _, c := range fresh {
+		i, ok := findPair(prev.Kept, c.Hypo, c.Hyper)
+		if !ok {
+			brandNew = append(brandNew, c)
+			generated.add(c.Source, 1)
+			continue
+		}
+		k := &prev.Kept[i]
+		generated.add(c.Source&^k.Source, 1)
+		k.Source |= c.Source
+		k.Score = max(k.Score, c.Score)
 	}
-	for _, c := range regenerated {
-		u, _ := findPair(union, c.Hypo, c.Hyper)
-		generated.add(c.Source&^union[u].Source, 1)
-		union[u].Source |= c.Source
-		union[u].Score = max(union[u].Score, c.Score)
-	}
+	union := len(prev.Kept) + len(brandNew)
 
 	// ---- verification of the affected subset ----
 	// Only the fresh pairs enter the evidence (kept pairs are already
@@ -155,21 +158,26 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 	decided, vrep := prev.Evidence.Reverify(prev.Segmenter, vopts)
 	// Every pair of the union that was not re-decided is a kept pair
 	// with a cached "kept" decision, so the survivors are the union
-	// minus the pairs rejected just now.
+	// minus the pairs rejected just now: previously kept ones leave the
+	// list, brand-new ones never enter it.
 	var rejected []extract.Candidate
-	var drop []int
+	var dropKept, dropNew []int
 	survived := generated
 	for _, d := range decided {
 		if d.Reason == "" {
 			continue
 		}
-		u, _ := findPair(union, d.Hypo, d.Hyper)
-		rejected = append(rejected, union[u])
-		drop = append(drop, u)
-		survived.add(union[u].Source, -1)
+		if i, ok := findPair(prev.Kept, d.Hypo, d.Hyper); ok {
+			dropKept = append(dropKept, i)
+			rejected = append(rejected, prev.Kept[i])
+		} else if i, ok := findPair(brandNew, d.Hypo, d.Hyper); ok {
+			dropNew = append(dropNew, i)
+			rejected = append(rejected, brandNew[i])
+		} else {
+			continue // not a pair of the union: nothing to retract
+		}
+		survived.add(rejected[len(rejected)-1].Source, -1)
 	}
-	slices.Sort(drop)
-	kept := spliceCandidates(union, drop, nil)
 	// Between batches the evidence describes the kept set only.
 	prev.Evidence.RemoveCandidates(rejected)
 
@@ -179,14 +187,15 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 	// then insert the delta's evidence: brand-new kept pairs, plus
 	// re-generated pairs whose fresh occurrence reinforces an existing
 	// edge. Unaffected edges are left alone.
-	for _, c := range rejected {
-		if _, wasKept := findPair(prev.Kept, c.Hypo, c.Hyper); wasKept {
-			prev.Taxonomy.RemoveIsA(c.Hypo, c.Hyper)
-		}
+	for _, i := range dropKept {
+		prev.Taxonomy.RemoveIsA(prev.Kept[i].Hypo, prev.Kept[i].Hyper)
 	}
+	slices.Sort(dropKept)
+	slices.Sort(dropNew)
+	prev.Kept = editCandidates(prev.Kept, dropKept, editCandidates(brandNew, dropNew, nil))
 	var inserts []extract.Candidate
 	for _, c := range fresh {
-		if _, ok := findPair(kept, c.Hypo, c.Hyper); ok {
+		if _, ok := findPair(prev.Kept, c.Hypo, c.Hyper); ok {
 			inserts = append(inserts, c)
 		}
 	}
@@ -199,11 +208,10 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 	}
 	prev.Taxonomy.Finalize()
 
-	prev.Candidates = union
-	prev.Kept = kept
+	prev.Candidates = fresh
 	prev.Report.Pages += len(delta.Pages)
 	prev.Report.Workers = workers
-	vrep.Input, vrep.Kept = len(union), len(kept)
+	vrep.Input, vrep.Kept = union, len(prev.Kept)
 	prev.Report.Verification = vrep
 	prev.Report.PerSource = perSourceReport(generated, survived)
 	prev.Report.Stats = prev.Taxonomy.ComputeStats()

@@ -171,40 +171,6 @@ func TestUpdateIncrementalMatchesFullReverify(t *testing.T) {
 	}
 }
 
-// TestUpdateRefreshesPerSource is the regression test for the stale
-// per-source counters: after an update the Generated/Kept columns must
-// describe the current candidate union, not the original build.
-func TestUpdateRefreshesPerSource(t *testing.T) {
-	w := buildSmallWorld(t, 600)
-	corpus := w.Corpus()
-	half := corpus.Len() / 2
-	first := &encyclopedia.Corpus{Pages: corpus.Pages[:half]}
-	delta := &encyclopedia.Corpus{Pages: corpus.Pages[half:]}
-
-	p := New(fastOptions())
-	res, err := p.Build(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := res.Report.PerSource[taxonomy.SourceTag]
-	if before == nil || before.Generated == 0 {
-		t.Fatal("build produced no tag candidates; fixture too small")
-	}
-	beforeGenerated := before.Generated
-	if _, err := p.Update(res, delta); err != nil {
-		t.Fatal(err)
-	}
-	after := res.Report.PerSource[taxonomy.SourceTag]
-	if after == nil || after.Generated <= beforeGenerated {
-		t.Fatalf("tag Generated %d → %v; update did not fold the delta's per-source counts in", beforeGenerated, after)
-	}
-	// The counters must equal a from-scratch tally over the current
-	// candidate union and kept set.
-	if want := perSourceCounts(res.Candidates, res.Kept); !reflect.DeepEqual(res.Report.PerSource, want) {
-		t.Errorf("PerSource = %+v, want recomputed %+v", res.Report.PerSource, want)
-	}
-}
-
 func TestUpdateNilAndEmpty(t *testing.T) {
 	p := New(fastOptions())
 	if _, err := p.Update(nil, &encyclopedia.Corpus{}); err == nil {

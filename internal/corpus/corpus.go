@@ -10,10 +10,12 @@ package corpus
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -163,25 +165,37 @@ type bigramJSON struct {
 	N int    `json:"n"`
 }
 
-// WriteTo serializes the statistics as JSON.
+// countingWriter counts the bytes its writer accepted.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// WriteTo serializes the statistics as JSON and returns the number of
+// bytes written to w (io.WriterTo).
 func (s *Stats) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
+	cw := &countingWriter{w: w}
+	bw := bufio.NewWriter(cw)
 	enc := json.NewEncoder(bw)
 	out := statsJSON{Unigrams: s.unigrams}
 	out.Bigrams = make([]bigramJSON, 0, len(s.bigrams))
 	for k, n := range s.bigrams {
 		out.Bigrams = append(out.Bigrams, bigramJSON{A: k.a, B: k.b, N: n})
 	}
-	sort.Slice(out.Bigrams, func(i, j int) bool {
-		if out.Bigrams[i].A != out.Bigrams[j].A {
-			return out.Bigrams[i].A < out.Bigrams[j].A
-		}
-		return out.Bigrams[i].B < out.Bigrams[j].B
+	slices.SortFunc(out.Bigrams, func(x, y bigramJSON) int {
+		return cmp.Or(strings.Compare(x.A, y.A), strings.Compare(x.B, y.B))
 	})
 	if err := enc.Encode(out); err != nil {
-		return 0, fmt.Errorf("corpus: encode stats: %w", err)
+		return cw.n, fmt.Errorf("corpus: encode stats: %w", err)
 	}
-	return 0, bw.Flush()
+	err := bw.Flush()
+	return cw.n, err
 }
 
 // ReadStats deserializes statistics written by WriteTo.

@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"testing"
 	"testing/quick"
@@ -125,6 +126,39 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 	if got.PMI("首席", "战略官") != s.PMI("首席", "战略官") {
 		t.Error("PMI changed across serialization")
+	}
+}
+
+// tallyWriter counts what it is handed and refuses everything past
+// limit bytes.
+type tallyWriter struct{ n, limit int64 }
+
+func (w *tallyWriter) Write(p []byte) (int, error) {
+	if room := w.limit - w.n; int64(len(p)) > room {
+		w.n += room
+		return int(room), io.ErrShortWrite
+	}
+	w.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestWriteToReportsBytes pins the io.WriterTo contract: the count is
+// the bytes the writer accepted, on success and on failure.
+func TestWriteToReportsBytes(t *testing.T) {
+	s := buildStats(
+		[]string{"蚂蚁", "金服", "首席"},
+		[]string{"首席", "战略官"},
+	)
+	var _ io.WriterTo = s
+	var buf bytes.Buffer
+	full := &tallyWriter{limit: 1 << 20}
+	n, err := s.WriteTo(io.MultiWriter(full, &buf))
+	if err != nil || n == 0 || n != full.n || n != int64(buf.Len()) {
+		t.Fatalf("WriteTo = %d, %v; the writer saw %d bytes, the buffer holds %d", n, err, full.n, buf.Len())
+	}
+	short := &tallyWriter{limit: n / 2}
+	if got, err := s.WriteTo(short); err == nil || got != short.n || got != n/2 {
+		t.Fatalf("WriteTo into a writer that takes %d bytes = %d, %v", n/2, got, err)
 	}
 }
 

@@ -16,6 +16,19 @@ import (
 // evidence counts — regardless of whether Finalize has been called.
 // Later writes to the store are not reflected; compile again and swap.
 func Compile(t *taxonomy.Taxonomy, m *taxonomy.MentionIndex) *View {
+	return compileStore(t, m, true)
+}
+
+// CompileUnindexed is Compile without the hash indexes (interning map,
+// mention hash, mention trie): the view binary-searches its sorted
+// tables, as a patched or mapped view does. Same answers, same image
+// bytes; what a writer wants when the view exists only to be
+// serialized.
+func CompileUnindexed(t *taxonomy.Taxonomy, m *taxonomy.MentionIndex) *View {
+	return compileStore(t, m, false)
+}
+
+func compileStore(t *taxonomy.Taxonomy, m *taxonomy.MentionIndex, indexed bool) *View {
 	marks := make(map[string]taxonomy.NodeKind)
 	for _, n := range t.Nodes() {
 		if k := t.Kind(n); k != taxonomy.KindUnknown {
@@ -26,7 +39,7 @@ func Compile(t *taxonomy.Taxonomy, m *taxonomy.MentionIndex) *View {
 	if m != nil {
 		mentions = m.ExportPartitions(1)[0]
 	}
-	return compile(marks, t.Edges(), mentions)
+	return compile(marks, t.Edges(), mentions, indexed)
 }
 
 // Builder accumulates raw taxonomy content — kind marks, edges with
@@ -115,7 +128,7 @@ func (b *Builder) Build() *View {
 	for n, k := range b.marks {
 		marks[n] = k
 	}
-	return compile(marks, append([]taxonomy.Edge(nil), b.edges...), b.mentions)
+	return compile(marks, append([]taxonomy.Edge(nil), b.edges...), b.mentions, true)
 }
 
 // compile is the shared full freeze: from explicit kind marks, a
@@ -125,7 +138,7 @@ func (b *Builder) Build() *View {
 // view, builds the arrays. All three arguments are consumed: implicit
 // hypernym-concept marks are added to marks, edges and mentionEntries
 // are sorted in place.
-func compile(marks map[string]taxonomy.NodeKind, edges []taxonomy.Edge, mentionEntries []taxonomy.MentionEntry) *View {
+func compile(marks map[string]taxonomy.NodeKind, edges []taxonomy.Edge, mentionEntries []taxonomy.MentionEntry, indexed bool) *View {
 	// ---- node set = explicit marks ∪ edge endpoints ----
 	nameSet := make(map[string]struct{}, len(marks)+len(edges))
 	for n := range marks {
@@ -185,7 +198,7 @@ func compile(marks map[string]taxonomy.NodeKind, edges []taxonomy.Edge, mentionE
 		ch.mentions = append(ch.mentions, taxonomy.MentionEntry{Mention: mentionEntries[i].Mention, IDs: slices.Compact(ids)})
 		i = j
 	}
-	return assemble(&View{}, ch, true)
+	return assemble(&View{}, ch, indexed)
 }
 
 // Patch returns the view Compile(t, m) would build, assembled from
@@ -588,23 +601,4 @@ func sortScored(xs []taxonomy.Scored) {
 		}
 		return strings.Compare(a.Node, b.Node)
 	})
-}
-
-// ImageLen returns the exact number of bytes AppendImage appends for
-// this view at file offset base, so a writer can allocate the image
-// once instead of growing into it.
-func (v *View) ImageLen(base uint64) int {
-	var arena [3]uint64
-	for i, strs := range [3][]string{v.names, v.mentions, v.mentionEnts} {
-		for _, s := range strs {
-			arena[i] += uint64(len(s))
-		}
-	}
-	pos := uint64(imagePreambleLen)
-	for _, sz := range imageBlockSizes(uint64(len(v.names)), uint64(len(v.hyperIDs)), uint64(len(v.mentions)),
-		uint64(len(v.mentionEnts)), arena[0], arena[1], arena[2]) {
-		pos += (8 - (base+pos)%8) % 8
-		pos += sz[0] * sz[1]
-	}
-	return int(pos)
 }

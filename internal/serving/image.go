@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"unicode/utf8"
 	"unsafe"
@@ -65,131 +66,165 @@ func imageBlockSizes(n, e, m, me, nameLen, menLen, entLen uint64) [13][2]uint64 
 	}
 }
 
-// AppendImage appends the view's canonical content to dst in the
-// mappable v3 image layout and returns the extended slice. base is the
-// absolute file offset the payload will land at: blocks are padded so
-// their file offsets are 8-aligned, making them aligned in any
-// page-aligned mapping of the file. Mentions must be valid UTF-8 (the
-// mapped FindAll path matches byte-wise over the sorted table; JSON
-// ingestion guarantees this, hand-built stores are checked here).
-func (v *View) AppendImage(dst []byte, base uint64) ([]byte, error) {
+// SizedImage is a view checked and measured for serialization as a v3
+// image at one file offset: Image validates and sizes, WriteTo
+// streams. Between the two the section header that declares the
+// length can be written, so no copy of the image is ever held.
+type SizedImage struct {
+	v     *View
+	base  uint64
+	arena [3]uint64 // name, mention and mention-entity arena lengths
+	size  uint64
+}
+
+// Image prepares the view's canonical content for writing in the
+// mappable v3 image layout. base is the absolute file offset the
+// payload will land at: blocks are padded so their file offsets are
+// 8-aligned, making them aligned in any page-aligned mapping of the
+// file. Mentions must be valid UTF-8 (the mapped FindAll path matches
+// byte-wise over the sorted table; JSON ingestion guarantees this,
+// hand-built stores are checked here).
+func (v *View) Image(base uint64) (SizedImage, error) {
+	im := SizedImage{v: v, base: base}
 	for _, s := range v.mentions {
 		if !utf8.ValidString(s) {
-			return nil, fmt.Errorf("serving: mention %q is not valid UTF-8; the mappable image requires UTF-8 mentions", s)
+			return im, fmt.Errorf("serving: mention %q is not valid UTF-8; the mappable image requires UTF-8 mentions", s)
 		}
 	}
 	n, e := len(v.names), len(v.hyperIDs)
 	m, me := len(v.mentions), len(v.mentionEnts)
 	if n >= maxImageElems || e >= maxImageElems || m >= maxImageElems || me >= maxImageElems {
-		return nil, fmt.Errorf("serving: view too large for the image format")
+		return im, fmt.Errorf("serving: view too large for the image format")
 	}
-	nameLen, err := arenaLen("node name", v.names)
-	if err != nil {
-		return nil, err
-	}
-	menLen, err := arenaLen("mention", v.mentions)
-	if err != nil {
-		return nil, err
-	}
-	entLen, err := arenaLen("mention entity", v.mentionEnts)
-	if err != nil {
-		return nil, err
-	}
-
-	start := len(dst)
-	pad := func() {
-		for (base+uint64(len(dst)-start))%8 != 0 {
-			dst = append(dst, 0)
+	for i, arena := range [3]struct {
+		what string
+		strs []string
+	}{{"node name", v.names}, {"mention", v.mentions}, {"mention entity", v.mentionEnts}} {
+		for _, s := range arena.strs {
+			im.arena[i] += uint64(len(s))
+		}
+		if im.arena[i] > math.MaxUint32 {
+			return im, fmt.Errorf("serving: %s arena exceeds the 4 GiB image limit", arena.what)
 		}
 	}
-	putU64 := func(x uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], x)
-		dst = append(dst, b[:]...)
+	im.size = imagePreambleLen
+	for _, sz := range imageBlockSizes(uint64(n), uint64(e), uint64(m), uint64(me), im.arena[0], im.arena[1], im.arena[2]) {
+		im.size += (8 - (base+im.size)%8) % 8
+		im.size += sz[0] * sz[1]
 	}
-	putU32 := func(x uint32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], x)
-		dst = append(dst, b[:]...)
-	}
-	strOffsets := func(strs []string) {
-		off := uint32(0)
-		putU32(0)
-		for _, s := range strs {
-			off += uint32(len(s))
-			putU32(off)
-		}
-	}
-
-	putU64(uint64(n))
-	putU64(uint64(e))
-	putU64(uint64(m))
-	putU64(uint64(me))
-	putU64(nameLen)
-	putU64(menLen)
-	putU64(entLen)
-
-	pad()
-	strOffsets(v.names)
-	pad()
-	for _, o := range v.hyperOff {
-		putU32(o)
-	}
-	pad()
-	for _, id := range v.hyperIDs {
-		putU32(id)
-	}
-	pad()
-	for _, s := range v.edgeScores {
-		putU64(math.Float64bits(s))
-	}
-	pad()
-	for _, c := range v.edgeCounts {
-		if c < 0 {
-			c = 0 // defensive clamp, mirroring the stripe encoder
-		}
-		putU64(uint64(c))
-	}
-	pad()
-	strOffsets(v.mentions)
-	pad()
-	for _, o := range v.mentionOff {
-		putU32(o)
-	}
-	pad()
-	strOffsets(v.mentionEnts)
-	pad()
-	for _, k := range v.kinds {
-		dst = append(dst, byte(k))
-	}
-	pad()
-	for _, s := range v.edgeSources {
-		dst = append(dst, byte(s))
-	}
-	pad()
-	for _, s := range v.names {
-		dst = append(dst, s...)
-	}
-	pad()
-	for _, s := range v.mentions {
-		dst = append(dst, s...)
-	}
-	pad()
-	for _, s := range v.mentionEnts {
-		dst = append(dst, s...)
-	}
-	return dst, nil
+	return im, nil
 }
 
-func arenaLen(what string, strs []string) (uint64, error) {
-	var total uint64
-	for _, s := range strs {
-		total += uint64(len(s))
+// Len returns the exact number of bytes WriteTo writes.
+func (im SizedImage) Len() int { return int(im.size) }
+
+// WriteTo writes the image block by block from the view's arrays,
+// through a small chunk buffer: what it allocates does not depend on
+// the view.
+func (im SizedImage) WriteTo(w io.Writer) (int64, error) {
+	v := im.v
+	out := imageOut{w: w, base: im.base, buf: make([]byte, 0, 4096)}
+	strOffsets := func(strs []string) {
+		out.pad()
+		off := uint32(0)
+		out.u32(0)
+		for _, s := range strs {
+			off += uint32(len(s))
+			out.u32(off)
+		}
 	}
-	if total > math.MaxUint32 {
-		return 0, fmt.Errorf("serving: %s arena exceeds the 4 GiB image limit", what)
+	arena := func(strs []string) {
+		out.pad()
+		for _, s := range strs {
+			out.str(s)
+		}
 	}
-	return total, nil
+	u32s := func(xs []uint32) {
+		out.pad()
+		for _, x := range xs {
+			out.u32(x)
+		}
+	}
+
+	for _, x := range [7]uint64{uint64(len(v.names)), uint64(len(v.hyperIDs)), uint64(len(v.mentions)),
+		uint64(len(v.mentionEnts)), im.arena[0], im.arena[1], im.arena[2]} {
+		out.u64(x)
+	}
+	strOffsets(v.names)
+	u32s(v.hyperOff)
+	u32s(v.hyperIDs)
+	out.pad()
+	for _, s := range v.edgeScores {
+		out.u64(math.Float64bits(s))
+	}
+	out.pad()
+	for _, c := range v.edgeCounts {
+		out.u64(uint64(max(c, 0))) // defensive clamp, mirroring the stripe encoder
+	}
+	strOffsets(v.mentions)
+	u32s(v.mentionOff)
+	strOffsets(v.mentionEnts)
+	out.pad()
+	for _, k := range v.kinds {
+		out.u8(byte(k))
+	}
+	out.pad()
+	for _, s := range v.edgeSources {
+		out.u8(byte(s))
+	}
+	arena(v.names)
+	arena(v.mentions)
+	arena(v.mentionEnts)
+	out.flush()
+	return out.written, out.err
+}
+
+// imageOut is WriteTo's sink: little-endian appends into a chunk that
+// is handed to the writer whenever it fills, a running position for
+// the alignment padding, and the first write error, after which
+// everything is dropped.
+type imageOut struct {
+	w       io.Writer
+	base    uint64
+	n       uint64 // bytes emitted, flushed or not
+	buf     []byte
+	written int64
+	err     error
+}
+
+func (o *imageOut) flush() {
+	if o.err == nil && len(o.buf) > 0 {
+		var k int
+		k, o.err = o.w.Write(o.buf)
+		o.written += int64(k)
+	}
+	o.buf = o.buf[:0]
+}
+
+func (o *imageOut) room(n int) {
+	if len(o.buf)+n > cap(o.buf) {
+		o.flush()
+	}
+	o.n += uint64(n)
+}
+
+func (o *imageOut) u8(x byte)    { o.room(1); o.buf = append(o.buf, x) }
+func (o *imageOut) u32(x uint32) { o.room(4); o.buf = binary.LittleEndian.AppendUint32(o.buf, x) }
+func (o *imageOut) u64(x uint64) { o.room(8); o.buf = binary.LittleEndian.AppendUint64(o.buf, x) }
+
+func (o *imageOut) str(s string) {
+	for len(s) > cap(o.buf) { // longer than a chunk: in chunk-sized pieces
+		o.str(s[:cap(o.buf)])
+		s = s[cap(o.buf):]
+	}
+	o.room(len(s))
+	o.buf = append(o.buf, s...)
+}
+
+func (o *imageOut) pad() {
+	for (o.base+o.n)%8 != 0 {
+		o.u8(0)
+	}
 }
 
 // image is a parsed v3 payload: the canonical view content, either

@@ -49,19 +49,23 @@ func requireSameAnswers(t *testing.T, step string, got, want *serving.View, text
 			eq("Lookup "+m, got.Lookup(m), want.Lookup(m))
 		}
 	}
-	gotImage, err := got.AppendImage(nil, 8)
+	im, err := got.Image(8)
 	if err != nil {
-		t.Fatalf("%s: AppendImage: %v", step, err)
+		t.Fatalf("%s: Image: %v", step, err)
 	}
-	wantImage, err := want.AppendImage(nil, 8)
+	var gotImage bytes.Buffer
+	if _, err := im.WriteTo(&gotImage); err != nil {
+		t.Fatalf("%s: WriteTo: %v", step, err)
+	}
+	wantImage, err := serving.AppendImageOracle(want, nil, 8)
 	if err != nil {
-		t.Fatalf("%s: AppendImage of the full compile: %v", step, err)
+		t.Fatalf("%s: image of the full compile: %v", step, err)
 	}
-	if len(gotImage) != got.ImageLen(8) {
-		t.Fatalf("%s: ImageLen = %d, AppendImage wrote %d bytes", step, got.ImageLen(8), len(gotImage))
+	if gotImage.Len() != im.Len() {
+		t.Fatalf("%s: Image.Len = %d, WriteTo wrote %d bytes", step, im.Len(), gotImage.Len())
 	}
-	if !bytes.Equal(gotImage, wantImage) {
-		t.Fatalf("%s: image differs from the full compile's (%d vs %d bytes)", step, len(gotImage), len(wantImage))
+	if !bytes.Equal(gotImage.Bytes(), wantImage) {
+		t.Fatalf("%s: image differs from the full compile's (%d vs %d bytes)", step, gotImage.Len(), len(wantImage))
 	}
 }
 

@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -10,22 +9,33 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 
+	"cnprobase/internal/ner"
 	"cnprobase/internal/par"
 	"cnprobase/internal/serving"
 	"cnprobase/internal/taxonomy"
+	"cnprobase/internal/verify"
 )
 
 // Save writes st as a version-3 snapshot: the store is compiled into
 // the canonical serving view (or st.View, the same view compiled
 // earlier, is taken as is) and serialized as one mappable image
-// section (the layout serving.View.AppendImage documents), framed by
-// the build metadata and evidence sections. Saving the same logical
-// state always produces the same bytes, no matter the Workers/Shards
+// section (the layout serving.View.Image documents), framed by the
+// build metadata and evidence sections. Saving the same logical state
+// always produces the same bytes, no matter the Workers/Shards
 // settings of the build or of this call — compilation canonicalizes
 // order by construction. Mentions must be valid UTF-8 (JSON ingestion
 // guarantees it; a hand-built store with raw invalid bytes is
-// rejected with an error).
+// rejected with an error, before anything is written).
+//
+// The writer is sized-then-streamed: every section's exact length is
+// computed first, then header, payload and a running checksum go
+// through one buffered writer — the image block by block from the
+// view's arrays, the evidence straight from the kept list and the
+// evidence's ID tables. No section payload is held in memory (the
+// corpus statistics' JSON, a small part of the evidence section,
+// aside), so a save allocates the same whatever the taxonomy's size.
 //
 // Save is safe to call while the taxonomy is being queried. Concurrent
 // *writers* are tolerated — per-shard locking means the export sees
@@ -48,18 +58,19 @@ func Save(w io.Writer, st *State, opts Options) error {
 	// the image's own section header (13).
 	imageBase := uint64(16 + 13 + len(metaPayload) + 4 + 13)
 	// The evidence section reads nothing the image does, so it is
-	// encoded beside the compile.
-	var evidencePayload []byte
+	// indexed and measured beside the compile.
+	var evidence *evidenceSection
 	side := &par.Group{Inline: workerCount(opts.Workers) <= 1}
 	side.Go(func() (err error) {
-		evidencePayload, err = encodeEvidence(st)
+		evidence, err = measureEvidence(st)
 		return err
 	})
 	view := st.View
 	if view == nil {
-		view = serving.Compile(st.Taxonomy, mentions)
+		// A view that exists only to be serialized needs no hash index.
+		view = serving.CompileUnindexed(st.Taxonomy, mentions)
 	}
-	imagePayload, err := view.AppendImage(make([]byte, 0, view.ImageLen(imageBase)), imageBase)
+	image, err := view.Image(imageBase)
 	sideErr := side.Wait()
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
@@ -68,30 +79,13 @@ func Save(w io.Writer, st *State, opts Options) error {
 		return sideErr
 	}
 
-	bw := bufio.NewWriter(w)
-	var hdr [16]byte
-	copy(hdr[:8], Magic)
-	binary.LittleEndian.PutUint32(hdr[8:12], Version)
-	binary.LittleEndian.PutUint32(hdr[12:16], Stripes)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("snapshot: write header: %w", err)
-	}
-	if err := writeSection(bw, sectionMeta, 0, metaPayload); err != nil {
-		return err
-	}
-	if err := writeSection(bw, sectionView, 0, imagePayload); err != nil {
-		return err
-	}
-	if err := writeSection(bw, sectionEvidence, 0, evidencePayload); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(EndMagic); err != nil {
-		return fmt.Errorf("snapshot: write end marker: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("snapshot: flush: %w", err)
-	}
-	return nil
+	out := newSectionWriter(w, Version)
+	out.bytes(sectionMeta, 0, metaPayload)
+	out.section(sectionView, 0, uint64(image.Len()), func(bw *bufio.Writer) {
+		_, _ = image.WriteTo(bw) // a write error stays on bw
+	})
+	out.section(sectionEvidence, 0, evidence.size, evidence.writeTo)
+	return out.close()
 }
 
 // SaveLegacy writes st in the striped version-2 layout — the taxonomy
@@ -132,64 +126,98 @@ func SaveLegacy(w io.Writer, st *State, opts Options) error {
 		}
 		return out
 	}))
-
-	evidencePayload, err := encodeEvidence(st)
+	evidence, err := measureEvidence(st)
 	if err != nil {
 		return err
 	}
 
-	bw := bufio.NewWriter(w)
-	var hdr [16]byte
-	copy(hdr[:8], Magic)
-	binary.LittleEndian.PutUint32(hdr[8:12], versionV2)
-	binary.LittleEndian.PutUint32(hdr[12:16], Stripes)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("snapshot: write header: %w", err)
-	}
-	if err := writeSection(bw, sectionMeta, 0, metaPayload); err != nil {
-		return err
-	}
+	out := newSectionWriter(w, versionV2)
+	out.bytes(sectionMeta, 0, metaPayload)
 	for i, p := range taxPayloads {
-		if err := writeSection(bw, sectionTaxonomy, uint32(i), p); err != nil {
-			return err
-		}
+		out.bytes(sectionTaxonomy, uint32(i), p)
 	}
 	for i, p := range menPayloads {
-		if err := writeSection(bw, sectionMentions, uint32(i), p); err != nil {
-			return err
-		}
+		out.bytes(sectionMentions, uint32(i), p)
 	}
-	if err := writeSection(bw, sectionEvidence, 0, evidencePayload); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(EndMagic); err != nil {
-		return fmt.Errorf("snapshot: write end marker: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("snapshot: flush: %w", err)
-	}
-	return nil
+	out.section(sectionEvidence, 0, evidence.size, evidence.writeTo)
+	return out.close()
 }
 
-// writeSection frames one payload: kind byte, stripe index, payload
-// length, payload, CRC-32 (IEEE) of the payload.
-func writeSection(bw *bufio.Writer, kind byte, index uint32, payload []byte) error {
+// sectionWriter frames a snapshot: the file header, then sections —
+// kind byte, stripe index, payload length, payload, CRC-32 (IEEE) of
+// the payload — then the end marker. A section's length is announced
+// before its payload is produced, and the checksum runs over the
+// buffer-sized chunks on their way out, so a payload is never held.
+// Write errors are not checked call by call: the first one sticks to
+// bw, every later write is dropped, and close reports it.
+type sectionWriter struct {
+	bw  *bufio.Writer
+	sum checksumWriter // what bw flushes into
+	// broken is set when a section's payload was not of the length its
+	// frame announced; the file is unreadable and close says so.
+	broken error
+}
+
+// checksumWriter forwards to w, counting and checksumming what passes.
+type checksumWriter struct {
+	w   io.Writer
+	crc uint32
+	n   uint64
+}
+
+func (c *checksumWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
+	c.n += uint64(n)
+	return n, err
+}
+
+func newSectionWriter(w io.Writer, version uint32) *sectionWriter {
+	out := &sectionWriter{sum: checksumWriter{w: w}}
+	out.bw = bufio.NewWriterSize(&out.sum, 64<<10)
+	var hdr [16]byte
+	copy(hdr[:8], Magic)
+	binary.LittleEndian.PutUint32(hdr[8:12], version)
+	binary.LittleEndian.PutUint32(hdr[12:16], Stripes)
+	_, _ = out.bw.Write(hdr[:])
+	return out
+}
+
+// section frames one payload of exactly size bytes, which body writes
+// to bw. The buffer is flushed on both sides of the payload so that
+// the checksum covers the payload alone.
+func (out *sectionWriter) section(kind byte, index uint32, size uint64, body func(bw *bufio.Writer)) {
 	var hdr [13]byte
 	hdr[0] = kind
 	binary.LittleEndian.PutUint32(hdr[1:5], index)
-	binary.LittleEndian.PutUint64(hdr[5:13], uint64(len(payload)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("snapshot: write section header: %w", err)
+	binary.LittleEndian.PutUint64(hdr[5:13], size)
+	_, _ = out.bw.Write(hdr[:])
+	if out.bw.Flush() != nil {
+		return // the destination has failed; spare the walk
 	}
-	if _, err := bw.Write(payload); err != nil {
-		return fmt.Errorf("snapshot: write section payload: %w", err)
+	out.sum.crc, out.sum.n = 0, 0
+	body(out.bw)
+	if out.bw.Flush() == nil && out.sum.n != size && out.broken == nil {
+		out.broken = fmt.Errorf("snapshot: section %d wrote %d bytes, announced %d", kind, out.sum.n, size)
 	}
 	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	if _, err := bw.Write(crc[:]); err != nil {
-		return fmt.Errorf("snapshot: write section checksum: %w", err)
+	binary.LittleEndian.PutUint32(crc[:], out.sum.crc)
+	_, _ = out.bw.Write(crc[:])
+}
+
+// bytes frames a payload that already exists.
+func (out *sectionWriter) bytes(kind byte, index uint32, payload []byte) {
+	out.section(kind, index, uint64(len(payload)), func(bw *bufio.Writer) { _, _ = bw.Write(payload) })
+}
+
+// close writes the end marker and flushes; it returns the first error
+// of the whole write.
+func (out *sectionWriter) close() error {
+	_, _ = out.bw.WriteString(EndMagic)
+	if err := out.bw.Flush(); err != nil {
+		return fmt.Errorf("snapshot: write: %w", err)
 	}
-	return nil
+	return out.broken
 }
 
 // encodeTaxStripe canonicalizes and encodes one taxonomy partition:
@@ -244,49 +272,110 @@ func encodeMentionStripe(entries []taxonomy.MentionEntry) []byte {
 	return b
 }
 
-// encodeEvidence encodes the version-2 evidence section: a presence
-// flag, the kept candidate set, the page-derived evidence (sorted by
-// entity ID, attributes sorted by predicate), the NE support counts
-// (sorted by word) and the corpus statistics (their canonical JSON
-// form). Everything is sorted at encode time, so evidence bytes are as
-// deterministic as the graph stripes.
-func encodeEvidence(st *State) ([]byte, error) {
-	if st.Evidence == nil || st.Stats == nil {
-		return []byte{0}, nil
-	}
-	b := []byte{1}
-	b = binary.AppendUvarint(b, uint64(len(st.Kept)))
-	for _, c := range st.Kept {
-		b = appendString(b, c.Hypo)
-		b = appendString(b, c.Hyper)
-		b = append(b, byte(c.Source))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.Score))
-	}
-	ents := st.Evidence.ExportEntities()
-	b = binary.AppendUvarint(b, uint64(len(ents)))
-	for _, e := range ents {
-		b = appendString(b, e.ID)
-		b = appendString(b, e.Title)
-		b = binary.AppendUvarint(b, uint64(len(e.Attrs)))
-		for _, a := range e.Attrs {
-			b = appendString(b, a.Predicate)
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a.Weight))
+// evidenceSection is the version-2 evidence section, indexed and
+// measured but not encoded: a presence flag, the kept candidate set,
+// the page-derived evidence (sorted by entity ID, attributes sorted by
+// predicate), the NE support counts (sorted by word) and the corpus
+// statistics (their canonical JSON form). Everything is put in order
+// here, so evidence bytes are as deterministic as the graph stripes.
+type evidenceSection struct {
+	st      *State // nil: the section says "no evidence"
+	pages   verify.PageIndex
+	support []ner.SupportEntry
+	stats   string // the corpus statistics' JSON
+	size    uint64
+}
+
+// measureEvidence prepares st's evidence section and computes its
+// exact encoded length by running the encoder without a writer.
+func measureEvidence(st *State) (*evidenceSection, error) {
+	e := &evidenceSection{}
+	if st.Evidence != nil && st.Stats != nil {
+		var stats strings.Builder
+		if _, err := st.Stats.WriteTo(&stats); err != nil {
+			return nil, fmt.Errorf("snapshot: encode statistics: %w", err)
 		}
+		e.st, e.stats = st, stats.String()
+		e.pages = st.Evidence.SortedPages()
+		e.support = st.Evidence.Support.Entries()
 	}
-	entries := st.Evidence.Support.Entries()
-	b = binary.AppendUvarint(b, uint64(len(entries)))
-	for _, s := range entries {
-		b = appendString(b, s.Word)
-		b = binary.AppendUvarint(b, uint64(s.NE))
-		b = binary.AppendUvarint(b, uint64(s.Total))
+	var measure payloadOut
+	e.encode(&measure)
+	e.size = measure.n
+	return e, nil
+}
+
+func (e *evidenceSection) writeTo(bw *bufio.Writer) { e.encode(&payloadOut{bw: bw}) }
+
+// encode is the one walk behind both the measuring and the writing
+// pass, so the announced length cannot disagree with the payload.
+func (e *evidenceSection) encode(o *payloadOut) {
+	if e.st == nil {
+		o.byte(0)
+		return
 	}
-	var stats bytes.Buffer
-	if _, err := st.Stats.WriteTo(&stats); err != nil {
-		return nil, fmt.Errorf("snapshot: encode statistics: %w", err)
+	o.byte(1)
+	o.uvarint(uint64(len(e.st.Kept)))
+	for i := range e.st.Kept {
+		c := &e.st.Kept[i]
+		o.str(c.Hypo)
+		o.str(c.Hyper)
+		o.byte(byte(c.Source))
+		o.u64(math.Float64bits(c.Score))
 	}
-	b = binary.AppendUvarint(b, uint64(stats.Len()))
-	b = append(b, stats.Bytes()...)
-	return b, nil
+	o.uvarint(uint64(e.pages.Len()))
+	e.pages.Each(func(id, title string, attrs []verify.Attr) {
+		o.str(id)
+		o.str(title)
+		o.uvarint(uint64(len(attrs)))
+		for _, a := range attrs {
+			o.str(a.Predicate)
+			o.u64(math.Float64bits(a.Weight))
+		}
+	})
+	o.uvarint(uint64(len(e.support)))
+	for _, s := range e.support {
+		o.str(s.Word)
+		o.uvarint(uint64(s.NE))
+		o.uvarint(uint64(s.Total))
+	}
+	o.str(e.stats)
+}
+
+// payloadOut receives a varint-encoded payload: it counts the bytes
+// and, given a writer, writes them (errors stick to the writer).
+type payloadOut struct {
+	bw      *bufio.Writer // nil: measure only
+	n       uint64
+	scratch [binary.MaxVarintLen64]byte
+}
+
+func (o *payloadOut) put(k int) {
+	o.n += uint64(k)
+	if o.bw != nil {
+		_, _ = o.bw.Write(o.scratch[:k])
+	}
+}
+
+func (o *payloadOut) byte(b byte) {
+	o.scratch[0] = b
+	o.put(1)
+}
+
+func (o *payloadOut) uvarint(x uint64) { o.put(binary.PutUvarint(o.scratch[:], x)) }
+
+func (o *payloadOut) u64(x uint64) {
+	binary.LittleEndian.PutUint64(o.scratch[:], x)
+	o.put(8)
+}
+
+// str encodes s as uvarint length + raw bytes, like appendString.
+func (o *payloadOut) str(s string) {
+	o.uvarint(uint64(len(s)))
+	o.n += uint64(len(s))
+	if o.bw != nil {
+		_, _ = o.bw.WriteString(s)
+	}
 }
 
 // appendString encodes s as uvarint length + raw bytes.

@@ -1,0 +1,279 @@
+package snapshot
+
+import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
+	"testing"
+
+	"cnprobase/internal/corpus"
+	"cnprobase/internal/ner"
+	"cnprobase/internal/serving"
+	"cnprobase/internal/taxonomy"
+	"cnprobase/internal/verify"
+)
+
+// saveOracle is Save as it was while every section was built in
+// memory first: compile with the hash indexes, append the image and
+// the evidence into byte slices, then frame each with its length and
+// a one-shot checksum.
+func saveOracle(w io.Writer, st *State) error {
+	mentions := st.Mentions
+	if mentions == nil {
+		mentions = taxonomy.NewMentionIndex()
+	}
+	metaPayload, err := json.Marshal(st.Meta)
+	if err != nil {
+		return err
+	}
+	imageBase := uint64(16 + 13 + len(metaPayload) + 4 + 13)
+	evidencePayload, err := encodeEvidenceOracle(st)
+	if err != nil {
+		return err
+	}
+	view := st.View
+	if view == nil {
+		view = serving.Compile(st.Taxonomy, mentions)
+	}
+	image, err := view.Image(imageBase)
+	if err != nil {
+		return err
+	}
+	var imagePayload bytes.Buffer
+	if _, err := image.WriteTo(&imagePayload); err != nil {
+		return err
+	}
+
+	bw := bufio.NewWriter(w)
+	var hdr [16]byte
+	copy(hdr[:8], Magic)
+	binary.LittleEndian.PutUint32(hdr[8:12], Version)
+	binary.LittleEndian.PutUint32(hdr[12:16], Stripes)
+	if _, err := bw.Write(hdr[:]); err != nil {
+		return err
+	}
+	for _, s := range []struct {
+		kind    byte
+		payload []byte
+	}{{sectionMeta, metaPayload}, {sectionView, imagePayload.Bytes()}, {sectionEvidence, evidencePayload}} {
+		if err := writeSectionOracle(bw, s.kind, 0, s.payload); err != nil {
+			return err
+		}
+	}
+	if _, err := bw.WriteString(EndMagic); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// writeSection frames one payload: kind byte, stripe index, payload
+// length, payload, CRC-32 (IEEE) of the payload.
+func writeSectionOracle(bw *bufio.Writer, kind byte, index uint32, payload []byte) error {
+	var hdr [13]byte
+	hdr[0] = kind
+	binary.LittleEndian.PutUint32(hdr[1:5], index)
+	binary.LittleEndian.PutUint64(hdr[5:13], uint64(len(payload)))
+	if _, err := bw.Write(hdr[:]); err != nil {
+		return fmt.Errorf("snapshot: write section header: %w", err)
+	}
+	if _, err := bw.Write(payload); err != nil {
+		return fmt.Errorf("snapshot: write section payload: %w", err)
+	}
+	var crc [4]byte
+	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
+	if _, err := bw.Write(crc[:]); err != nil {
+		return fmt.Errorf("snapshot: write section checksum: %w", err)
+	}
+	return nil
+}
+
+// encodeEvidenceOracle is the append-built encoder of the evidence
+// section that the measured-then-streamed evidenceSection replaced: a presence
+// flag, the kept candidate set, the page-derived evidence (sorted by
+// entity ID, attributes sorted by predicate), the NE support counts
+// (sorted by word) and the corpus statistics (their canonical JSON
+// form). Everything is sorted at encode time, so evidence bytes are as
+// deterministic as the graph stripes.
+func encodeEvidenceOracle(st *State) ([]byte, error) {
+	if st.Evidence == nil || st.Stats == nil {
+		return []byte{0}, nil
+	}
+	b := []byte{1}
+	b = binary.AppendUvarint(b, uint64(len(st.Kept)))
+	for _, c := range st.Kept {
+		b = appendString(b, c.Hypo)
+		b = appendString(b, c.Hyper)
+		b = append(b, byte(c.Source))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.Score))
+	}
+	// (The pages came materialized and sorted from Evidence.ExportEntities,
+	// which the verify package keeps as SortedPages' oracle.)
+	pages := st.Evidence.SortedPages()
+	b = binary.AppendUvarint(b, uint64(pages.Len()))
+	pages.Each(func(id, title string, attrs []verify.Attr) {
+		b = appendString(b, id)
+		b = appendString(b, title)
+		b = binary.AppendUvarint(b, uint64(len(attrs)))
+		for _, a := range attrs {
+			b = appendString(b, a.Predicate)
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a.Weight))
+		}
+	})
+	entries := st.Evidence.Support.Entries()
+	b = binary.AppendUvarint(b, uint64(len(entries)))
+	for _, s := range entries {
+		b = appendString(b, s.Word)
+		b = binary.AppendUvarint(b, uint64(s.NE))
+		b = binary.AppendUvarint(b, uint64(s.Total))
+	}
+	var stats bytes.Buffer
+	if _, err := st.Stats.WriteTo(&stats); err != nil {
+		return nil, fmt.Errorf("snapshot: encode statistics: %w", err)
+	}
+	b = binary.AppendUvarint(b, uint64(stats.Len()))
+	b = append(b, stats.Bytes()...)
+	return b, nil
+}
+
+// streamStates returns the states the streaming tests save: a built
+// world with the update substrate — as Build leaves it and with the
+// view a Freeze published — and a hand-assembled one without evidence.
+func streamStates(t *testing.T) map[string]*State {
+	res := buildResult(t, 400)
+	built := func(view *serving.View) *State {
+		return &State{Taxonomy: res.Taxonomy, Mentions: res.Mentions, View: view, Evidence: res.Evidence, Kept: res.Kept, Stats: res.Stats,
+			Meta: Meta{Pages: res.Report.Pages, Stats: res.Report.Stats, LSN: 7}}
+	}
+	return map[string]*State{
+		"built, no view":        built(nil),
+		"built, published view": built(res.Freeze()),
+		"no evidence":           handState(t),
+		"no mentions":           {Taxonomy: handState(t).Taxonomy},
+		"empty evidence": {Taxonomy: handState(t).Taxonomy, Mentions: handState(t).Mentions,
+			Evidence: verify.NewEvidence(ner.NewSupport(), ner.New()), Stats: corpus.NewStats()},
+	}
+}
+
+// TestSaveStreamsSameBytes pins the sized-then-streamed writer to the
+// buffer-built one it replaced: equal digests with and without a
+// published view, at one worker and at the default, with and without
+// an evidence section — and for the v2 writer, whose evidence section
+// goes through the same code.
+func TestSaveStreamsSameBytes(t *testing.T) {
+	for name, st := range streamStates(t) {
+		var want bytes.Buffer
+		if err := saveOracle(&want, st); err != nil {
+			t.Fatalf("%s: oracle: %v", name, err)
+		}
+		for _, workers := range []int{1, 0} {
+			got := saveBytes(t, st, Options{Workers: workers})
+			if sha256.Sum256(got) != sha256.Sum256(want.Bytes()) {
+				t.Fatalf("%s, Workers=%d: streamed snapshot (%d bytes) differs from the buffer-built one (%d bytes)", name, workers, len(got), want.Len())
+			}
+		}
+		wantEvidence, err := encodeEvidenceOracle(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy := saveLegacyBytes(t, st, Options{})
+		tail := legacy[len(legacy)-len(EndMagic)-4-len(wantEvidence):]
+		if !bytes.Equal(tail[:len(wantEvidence)], wantEvidence) ||
+			binary.LittleEndian.Uint32(tail[len(wantEvidence):]) != crc32.ChecksumIEEE(wantEvidence) {
+			t.Fatalf("%s: the v2 writer's evidence section differs from the buffer-built one", name)
+		}
+	}
+}
+
+// failAfter passes k bytes through and fails every write from then on.
+type failAfter struct {
+	w io.Writer
+	k int
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.k {
+		n, _ := f.w.Write(p[:f.k])
+		f.k = 0
+		return n, errDiskFull
+	}
+	f.k -= len(p)
+	return f.w.Write(p)
+}
+
+// TestSaveFailingWriter fails the destination after k bytes, k swept
+// across every section boundary ±1 (and a stride through the
+// payloads): Save must return the writer's error — not panic, not
+// report success — having passed on exactly the first k bytes of the
+// snapshot.
+func TestSaveFailingWriter(t *testing.T) {
+	for name, st := range streamStates(t) {
+		whole := saveBytes(t, st, Options{})
+		// Section boundaries, from the framing: header, then per section
+		// 13 bytes of header, the payload, 4 of checksum.
+		cuts := map[int]bool{0: true, 1: true, len(whole) - 1: true}
+		mark := func(at int) {
+			for d := -1; d <= 1; d++ {
+				if k := at + d; k >= 0 && k < len(whole) {
+					cuts[k] = true
+				}
+			}
+		}
+		for at := 16; at < len(whole)-len(EndMagic); {
+			size := int(binary.LittleEndian.Uint64(whole[at+5 : at+13]))
+			mark(at)
+			mark(at + 13)
+			mark(at + 13 + size)
+			at += 13 + size + 4
+			mark(at)
+		}
+		for k := 0; k < len(whole); k += len(whole)/61 + 1 {
+			cuts[k] = true
+		}
+		for k := range cuts {
+			var got bytes.Buffer
+			err := Save(&failAfter{w: &got, k: k}, st, Options{})
+			if !errors.Is(err, errDiskFull) {
+				t.Fatalf("%s: writer failing after %d of %d bytes: Save = %v", name, k, len(whole), err)
+			}
+			if !bytes.Equal(got.Bytes(), whole[:k]) {
+				t.Fatalf("%s: writer failing after %d bytes received %d, not the snapshot's first %d", name, k, got.Len(), k)
+			}
+		}
+		// A writer that fails only after the last byte is a success.
+		if err := Save(&failAfter{w: io.Discard, k: len(whole)}, st, Options{}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if err := Save(io.Discard, &State{Taxonomy: badMentionStore(t), Mentions: badMentions()}, Options{}); err == nil {
+		t.Fatal("Save accepted a mention that is not valid UTF-8")
+	}
+	// ... and refused it before writing anything.
+	var got bytes.Buffer
+	_ = Save(&got, &State{Taxonomy: badMentionStore(t), Mentions: badMentions()}, Options{})
+	if got.Len() != 0 {
+		t.Fatalf("Save wrote %d bytes of a snapshot it refused", got.Len())
+	}
+}
+
+func badMentionStore(t *testing.T) *taxonomy.Taxonomy {
+	tax := taxonomy.New()
+	if err := tax.AddIsA("实体", "概念", taxonomy.SourceTag, 1); err != nil {
+		t.Fatal(err)
+	}
+	return tax
+}
+
+func badMentions() *taxonomy.MentionIndex {
+	m := taxonomy.NewMentionIndex()
+	m.Add("坏\xff", "实体")
+	return m
+}

@@ -64,7 +64,7 @@ type Evidence struct {
 	// freshly constructed, snapshot-loaded, or option change).
 	allDirty bool
 	// entityDirty lists the concepts whose page extent changed since
-	// the last TakeEntityDirtyConcepts — the re-derivation frontier for
+	// the last TakeExtentPairs — the re-derivation frontier for
 	// subsumption.
 	entityDirty []uint32
 }
@@ -336,43 +336,46 @@ type Attr struct {
 	Weight    float64
 }
 
-// EntityEvidence is one page's persistent evidence, as exported for
-// snapshots.
-type EntityEvidence struct {
-	ID    string
-	Title string
-	// Attrs is the normalized infobox-predicate distribution sorted by
-	// predicate; empty for pages without an infobox.
-	Attrs []Attr
+// PageIndex lists the known pages in entity-ID order — the order the
+// snapshot section stores them in — as IDs: building it sorts an index,
+// not the evidence, and walking it materializes one page at a time.
+type PageIndex struct {
+	ev  *Evidence
+	ids []uint32
 }
 
-// ExportEntities returns the page-derived evidence sorted by entity
-// ID, for deterministic serialization.
-func (ev *Evidence) ExportEntities() []EntityEvidence {
-	pages, total := 0, 0
-	for i := range ev.nodes {
-		if n := &ev.nodes[i]; n.title != 0 {
-			pages++
-			total += len(n.attrs)
-		}
-	}
-	out := make([]EntityEvidence, 0, pages)
-	flat := make([]Attr, 0, total) // one backing array for every page's vector
+// SortedPages indexes the page-derived evidence for deterministic
+// serialization. The index describes the evidence as of the call.
+func (ev *Evidence) SortedPages() PageIndex {
+	var ids []uint32
 	for id := range ev.nodes {
-		n := &ev.nodes[id]
-		if n.title == 0 {
-			continue
+		if ev.nodes[id].title != 0 {
+			ids = append(ids, uint32(id))
 		}
-		from := len(flat)
-		for _, a := range n.attrs {
-			flat = append(flat, Attr{ev.preds.names[a.pred], a.w})
-		}
-		attrs := flat[from:len(flat):len(flat)]
-		slices.SortFunc(attrs, func(a, b Attr) int { return strings.Compare(a.Predicate, b.Predicate) })
-		out = append(out, EntityEvidence{ID: ev.syms.names[id], Title: ev.syms.names[n.title-1], Attrs: attrs})
 	}
-	slices.SortFunc(out, func(a, b EntityEvidence) int { return strings.Compare(a.ID, b.ID) })
-	return out
+	slices.SortFunc(ids, func(a, b uint32) int { return strings.Compare(ev.syms.names[a], ev.syms.names[b]) })
+	return PageIndex{ev, ids}
+}
+
+// Len returns the number of pages.
+func (p PageIndex) Len() int { return len(p.ids) }
+
+// Each calls visit once per page, in entity-ID order, with the page's
+// ID, its title and its normalized infobox-predicate distribution
+// sorted by predicate (empty for pages without an infobox). attrs is
+// reused between calls.
+func (p PageIndex) Each(visit func(id, title string, attrs []Attr)) {
+	ev := p.ev
+	var attrs []Attr
+	for _, id := range p.ids {
+		n := &ev.nodes[id]
+		attrs = attrs[:0]
+		for _, a := range n.attrs {
+			attrs = append(attrs, Attr{ev.preds.names[a.pred], a.w})
+		}
+		slices.SortFunc(attrs, func(a, b Attr) int { return strings.Compare(a.Predicate, b.Predicate) })
+		visit(ev.syms.names[id], ev.syms.names[n.title-1], attrs)
+	}
 }
 
 // ImportEntity restores one page's evidence from a snapshot: the
@@ -593,53 +596,53 @@ func (c *concept) adjustAttrs(dist []attr, sign int) {
 	}
 }
 
-// EntityExtent returns how many known pages sit under the concept.
-func (ev *Evidence) EntityExtent(concept string) int {
-	if id, ok := ev.syms.ids[concept]; ok && ev.nodes[id].con != nil {
-		return ev.nodes[id].con.pages
-	}
-	return 0
+// ExtentPair is an ordered pair of concepts that share known pages,
+// with the integer extents subsumption derivation decides on.
+type ExtentPair struct {
+	// Sub and Super name the pair's sides in the order the caller's
+	// filter accepted them.
+	Sub, Super string
+	// SubExtent counts the known pages under Sub, Overlap those under
+	// both.
+	SubExtent, Overlap int
 }
 
-// EntityOverlap returns how many known pages the two concepts share.
-func (ev *Evidence) EntityOverlap(a, b string) int {
-	x, ok := ev.syms.ids[a]
-	if !ok {
-		return 0
-	}
-	y, ok := ev.syms.ids[b]
-	if !ok {
-		return 0
-	}
-	key, _ := packPair(x, y)
-	return int(ev.cooc[key].pages)
-}
-
-// EntityPartners returns the concepts sharing at least one known page
-// with c.
-func (ev *Evidence) EntityPartners(c string) []string {
-	id, ok := ev.syms.ids[c]
-	if !ok || ev.nodes[id].con == nil {
-		return nil
-	}
-	var out []string
-	for _, p := range ev.nodes[id].con.partners {
-		if key, _ := packPair(id, p); ev.cooc[key].pages > 0 {
-			out = append(out, ev.syms.names[p])
+// TakeExtentPairs returns the re-derivation frontier for subsumption
+// and clears it: every ordered pair (c1, c2) of concepts sharing at
+// least one known page in which a side's page extent changed since the
+// last call, restricted to the pairs whose extents pass keep. The walk
+// — dirty concepts × their partners — runs on IDs and counters; keep
+// sees the two extents before the pair's shared count is looked up or
+// a name resolved, so a filter that rejects nearly everything makes
+// the call cost nearly nothing. A pair with both sides dirty is
+// reported once per side. After construction or a snapshot load every
+// concept with page hyponyms is dirty, so the first call covers
+// everything.
+func (ev *Evidence) TakeExtentPairs(keep func(n1, n2 int) bool) []ExtentPair {
+	var out []ExtentPair
+	for _, a := range ev.entityDirty {
+		ca := ev.nodes[a].con
+		if ca == nil {
+			continue
 		}
-	}
-	return out
-}
-
-// TakeEntityDirtyConcepts returns and clears the list of concepts
-// whose page extent changed since the last call — the re-derivation
-// frontier for subsumption. After construction or a snapshot load it
-// covers every concept with page hyponyms, so the first derivation
-// pass evaluates everything.
-func (ev *Evidence) TakeEntityDirtyConcepts() []string {
-	out := make([]string, len(ev.entityDirty))
-	for i, id := range ev.entityDirty {
-		out[i] = ev.syms.names[id]
+		for _, b := range ca.partners {
+			cb := ev.nodes[b].con
+			fwd, rev := keep(ca.pages, cb.pages), keep(cb.pages, ca.pages)
+			if !fwd && !rev {
+				continue
+			}
+			key, _ := packPair(a, b)
+			shared := int(ev.cooc[key].pages)
+			if shared == 0 {
+				continue
+			}
+			if fwd {
+				out = append(out, ExtentPair{ev.syms.names[a], ev.syms.names[b], ca.pages, shared})
+			}
+			if rev {
+				out = append(out, ExtentPair{ev.syms.names[b], ev.syms.names[a], cb.pages, shared})
+			}
+		}
 	}
 	ev.unmark(flagEntityDirty, &ev.entityDirty)
 	return out

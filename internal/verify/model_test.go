@@ -1,11 +1,14 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"cnprobase/internal/encyclopedia"
@@ -399,16 +402,35 @@ func TestEvidenceModel(t *testing.T) {
 					opts = variants[w.rng.Intn(len(variants))]
 					op = "change thresholds"
 				default:
-					op = "TakeEntityDirtyConcepts"
-					got := dense.TakeEntityDirtyConcepts()
-					var want []string
-					for c := range ref.TakeEntityDirtyConcepts() {
-						want = append(want, c)
+					// The subsumption frontier, unfiltered or through a
+					// size-gap filter: dirty concepts × page-sharing
+					// partners, both orders, with the counters.
+					op = "TakeExtentPairs"
+					gap := w.rng.Intn(3)
+					keep := func(n1, n2 int) bool { return n2 >= gap*n1 }
+					got := dense.TakeExtentPairs(keep)
+					var want []ExtentPair
+					for a := range ref.TakeEntityDirtyConcepts() {
+						for b := range ref.EntityPartners(a) {
+							na, nb, shared := len(ref.EntityHyponyms(a)), len(ref.EntityHyponyms(b)), ref.EntityOverlap(a, b)
+							if keep(na, nb) {
+								want = append(want, ExtentPair{a, b, na, shared})
+							}
+							if keep(nb, na) {
+								want = append(want, ExtentPair{b, a, nb, shared})
+							}
+						}
 					}
-					sort.Strings(got)
-					sort.Strings(want)
+					byNames := func(a, b ExtentPair) int {
+						return cmp.Or(strings.Compare(a.Sub, b.Sub), strings.Compare(a.Super, b.Super))
+					}
+					slices.SortFunc(got, byNames)
+					slices.SortFunc(want, byNames)
 					if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
-						t.Fatalf("step %d %s: %v, reference %v", step, op, got, want)
+						t.Fatalf("step %d %s (gap %d): %v, reference %v", step, op, gap, got, want)
+					}
+					if again := dense.TakeExtentPairs(keep); len(again) != 0 {
+						t.Fatalf("step %d %s: the frontier was not cleared: %v", step, op, again)
 					}
 				}
 
@@ -441,18 +463,26 @@ func TestEvidenceModel(t *testing.T) {
 					if ne, ok := ref.neVerdict[c]; ok && opts.EnableNE && (con == nil || !con.neKnown || con.ne != ne) {
 						t.Fatalf("step %d %s: NE verdict of %s not cached as %v", step, op, c, ne)
 					}
-					if got, want := dense.EntityExtent(c), len(ref.EntityHyponyms(c)); got != want {
-						t.Fatalf("step %d %s: EntityExtent(%s) = %d, reference %d", step, op, c, got, want)
-					}
-					partners := map[string]bool{}
-					for _, p := range dense.EntityPartners(c) {
-						partners[p] = true
-						if got, want := dense.EntityOverlap(c, p), ref.EntityOverlap(c, p); got != want {
-							t.Fatalf("step %d %s: EntityOverlap(%s, %s) = %d, reference %d", step, op, c, p, got, want)
+					extent, partners := 0, map[string]bool{}
+					if con != nil {
+						extent = con.pages
+						for _, p := range con.partners {
+							key, _ := packPair(con.id, p)
+							shared, name := int(dense.cooc[key].pages), dense.syms.names[p]
+							if shared == 0 {
+								continue
+							}
+							partners[name] = true
+							if want := ref.EntityOverlap(c, name); shared != want {
+								t.Fatalf("step %d %s: pages shared by %s and %s = %d, reference %d", step, op, c, name, shared, want)
+							}
 						}
 					}
+					if want := len(ref.EntityHyponyms(c)); extent != want {
+						t.Fatalf("step %d %s: page extent of %s = %d, reference %d", step, op, c, extent, want)
+					}
 					if want := ref.EntityPartners(c); len(partners)+len(want) > 0 && !reflect.DeepEqual(partners, want) {
-						t.Fatalf("step %d %s: EntityPartners(%s) = %v, reference %v", step, op, c, partners, want)
+						t.Fatalf("step %d %s: page-sharing partners of %s = %v, reference %v", step, op, c, partners, want)
 					}
 				}
 			}
@@ -461,8 +491,17 @@ func TestEvidenceModel(t *testing.T) {
 			// rebuilds the same evidence in a fresh ID space, and a cold
 			// pass over it reaches the same decisions.
 			loaded := NewEvidence(dense.Support, ner.New())
-			for _, e := range dense.ExportEntities() {
-				loaded.ImportEntity(e.ID, e.Title, e.Attrs)
+			exported := exportEntitiesOracle(dense)
+			pages, at := dense.SortedPages(), 0
+			pages.Each(func(id, title string, attrs []Attr) {
+				if e := exported[at]; e.ID != id || e.Title != title || len(e.Attrs)+len(attrs) > 0 && !reflect.DeepEqual(e.Attrs, attrs) {
+					t.Fatalf("SortedPages: page %d = %s %s %v, materialize-and-sort gives %+v", at, id, title, attrs, e)
+				}
+				at++
+				loaded.ImportEntity(id, title, attrs)
+			})
+			if at != len(exported) || pages.Len() != at {
+				t.Fatalf("SortedPages: visited %d of %d pages, Len %d", at, len(exported), pages.Len())
 			}
 			var pairs []extract.Candidate
 			for hypo, hypers := range ref.byHypo {

@@ -8,7 +8,9 @@ package verify
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"cnprobase/internal/encyclopedia"
 	"cnprobase/internal/extract"
@@ -932,4 +934,43 @@ func klScaled(p, q map[string]float64, scale float64) float64 {
 		sum += pv * math.Log(pv/qv)
 	}
 	return sum
+}
+
+// entityEvidence is one page's persistent evidence, materialized.
+type entityEvidence struct {
+	ID    string
+	Title string
+	// Attrs is the normalized infobox-predicate distribution sorted by
+	// predicate; empty for pages without an infobox.
+	Attrs []Attr
+}
+
+// exportEntitiesOracle is the export SortedPages replaced, kept
+// verbatim: every page materialized, then the whole list sorted by
+// entity ID.
+func exportEntitiesOracle(ev *Evidence) []entityEvidence {
+	pages, total := 0, 0
+	for i := range ev.nodes {
+		if n := &ev.nodes[i]; n.title != 0 {
+			pages++
+			total += len(n.attrs)
+		}
+	}
+	out := make([]entityEvidence, 0, pages)
+	flat := make([]Attr, 0, total) // one backing array for every page's vector
+	for id := range ev.nodes {
+		n := &ev.nodes[id]
+		if n.title == 0 {
+			continue
+		}
+		from := len(flat)
+		for _, a := range n.attrs {
+			flat = append(flat, Attr{ev.preds.names[a.pred], a.w})
+		}
+		attrs := flat[from:len(flat):len(flat)]
+		slices.SortFunc(attrs, func(a, b Attr) int { return strings.Compare(a.Predicate, b.Predicate) })
+		out = append(out, entityEvidence{ID: ev.syms.names[id], Title: ev.syms.names[n.title-1], Attrs: attrs})
+	}
+	slices.SortFunc(out, func(a, b entityEvidence) int { return strings.Compare(a.ID, b.ID) })
+	return out
 }

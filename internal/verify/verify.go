@@ -49,10 +49,9 @@
 //
 // Strings cross the boundary at: candidates in (AddCandidates,
 // RemoveCandidates, VerifyDelta), pages in (AddPages), Decisions out
-// (Reverify), the snapshot section (ExportEntities / ImportEntity),
-// S2 / NESupport, and the four reads subconcept derivation makes
-// (TakeEntityDirtyConcepts, EntityPartners, EntityOverlap,
-// EntityExtent).
+// (Reverify), the snapshot section (SortedPages / ImportEntity),
+// S2 / NESupport, and the one read subconcept derivation makes
+// (TakeExtentPairs — names only for the pairs that pass its filter).
 package verify
 
 import (
