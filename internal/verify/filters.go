@@ -366,7 +366,7 @@ func (ev *Evidence) recomputeIncompatible(opts Options) []uint32 {
 			if float64(inter)/float64(union) >= opts.JaccardMax {
 				continue
 			}
-			if cosine(ca.sum, cb.sum) >= opts.CosineMax {
+			if cos := cosine(ca.sum, cb.sum); cos >= opts.CosineMax || nearlyEqual(cos, opts.CosineMax) {
 				continue
 			}
 			ev.incompatible[key] = struct{}{}
@@ -429,7 +429,9 @@ func (ev *Evidence) recomputeIncompatible(opts Options) []uint32 {
 			order = append(order, i)
 		}
 		// Name order makes a KL tie fall on the same side whatever order
-		// the claims arrived in.
+		// the claims arrived in — and a tie is judged with a tolerance,
+		// because a concept's aggregate is a running sum whose last bits
+		// depend on the order its hyponyms were folded in.
 		slices.SortFunc(order, func(i, j int) int {
 			return strings.Compare(ev.syms.names[n.claims[i].hyper], ev.syms.names[n.claims[j].hyper])
 		})
@@ -442,7 +444,7 @@ func (ev *Evidence) recomputeIncompatible(opts Options) []uint32 {
 				}
 				k1 := klToSum(n.attrs, ev.nodes[c1.hyper].con.sum)
 				k2 := klToSum(n.attrs, ev.nodes[c2.hyper].con.sum)
-				if k1 > k2 {
+				if k1 > k2 && !nearlyEqual(k1, k2) {
 					c1.killed = true
 				} else {
 					c2.killed = true

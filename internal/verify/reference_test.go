@@ -775,7 +775,7 @@ func (ev *mapEvidence) recomputeIncompatible(opts Options) map[string]bool {
 			if float64(inter)/float64(union) >= opts.JaccardMax {
 				continue
 			}
-			if mapCosine(ev.conceptAttrSum(pk.a), ev.conceptAttrSum(pk.b)) >= opts.CosineMax {
+			if cos := mapCosine(ev.conceptAttrSum(pk.a), ev.conceptAttrSum(pk.b)); cos >= opts.CosineMax || nearlyEqual(cos, opts.CosineMax) {
 				continue
 			}
 			ev.incompatible[pk] = true
@@ -842,7 +842,7 @@ func (ev *mapEvidence) recomputeIncompatible(opts Options) map[string]bool {
 				}
 				k1 := mapKLToSum(attr, ev.conceptAttrSum(c1))
 				k2 := mapKLToSum(attr, ev.conceptAttrSum(c2))
-				if k1 > k2 {
+				if k1 > k2 && !nearlyEqual(k1, k2) {
 					ev.killed[edgeKey{e, c1}] = true
 				} else {
 					ev.killed[edgeKey{e, c2}] = true
@@ -866,17 +866,29 @@ func normalize(d map[string]float64) {
 	}
 }
 
+// sortedKeys fixes the order the oracle sums floats in: map iteration
+// order would make its last bits differ from run to run.
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // mapCosine returns the cosine similarity of two sparse distributions.
 func mapCosine(a, b map[string]float64) float64 {
 	var dot, na, nb float64
-	for k, v := range a {
+	for _, k := range sortedKeys(a) {
+		v := a[k]
 		na += v * v
 		if w, ok := b[k]; ok {
 			dot += v * w
 		}
 	}
-	for _, v := range b {
-		nb += v * v
+	for _, k := range sortedKeys(b) {
+		nb += b[k] * b[k]
 	}
 	if na == 0 || nb == 0 {
 		return 0
@@ -910,8 +922,8 @@ func jaccard(a, b map[string]bool) float64 {
 // describes: D_KL(p ‖ sum/Σsum).
 func mapKLToSum(p, sum map[string]float64) float64 {
 	total := 0.0
-	for _, v := range sum {
-		total += v
+	for _, k := range sortedKeys(sum) {
+		total += sum[k]
 	}
 	if total == 0 {
 		total = 1
@@ -923,7 +935,8 @@ func mapKLToSum(p, sum map[string]float64) float64 {
 func klScaled(p, q map[string]float64, scale float64) float64 {
 	const eps = 1e-6
 	sum := 0.0
-	for k, pv := range p {
+	for _, k := range sortedKeys(p) {
+		pv := p[k]
 		if pv <= 0 {
 			continue
 		}

@@ -140,6 +140,17 @@ func cosine(a, b []attr) float64 {
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
+// nearlyEqual reports whether two evidence scores differ by no more
+// than summation order can explain. Attribute aggregates are sums of
+// floats folded in arrival order (and adjusted in place by updates),
+// so two runs over the same evidence agree only to the last few bits;
+// every threshold and tie-break of strategy III-A treats such a
+// difference as none, which keeps Build, Update and any page order on
+// the same verdicts.
+func nearlyEqual(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*max(1, math.Abs(a), math.Abs(b))
+}
+
 // klToSum is D_KL(p ‖ sum/Σsum) = Σ p(x)·log(p(x)/q(x)) with
 // ε-smoothing for q-zeros (Equation 1 of the paper, sign normalized),
 // taken against the distribution an unnormalized mass sum describes.

@@ -255,6 +255,23 @@ func TestMathHelpers(t *testing.T) {
 		t.Error("KL to disjoint distribution must exceed KL to itself")
 	}
 
+	// A tie is a difference summation order can explain (both values
+	// below are ln 4, summed in two orders); anything larger is not.
+	for _, c := range []struct {
+		a, b float64
+		tie  bool
+	}{
+		{1.3862943611198906, 1.3862943611198904, true},
+		{0, 1e-10, true},
+		{0.6, 0.6 + 1e-12, true},
+		{1, 1 + 1e-6, false},
+		{1e6, 1e6 + 1, false},
+	} {
+		if nearlyEqual(c.a, c.b) != c.tie || nearlyEqual(c.b, c.a) != c.tie {
+			t.Errorf("nearlyEqual(%v, %v) != %v", c.a, c.b, c.tie)
+		}
+	}
+
 	// The vector forms agree with the map forms they replaced, on
 	// overlapping supports and an unnormalized right-hand side.
 	rng := rand.New(rand.NewSource(1))
