@@ -113,25 +113,6 @@ func BenchmarkBuildEndToEnd(b *testing.B) {
 	})
 }
 
-// BenchmarkShardedTaxonomyConcurrentQueries measures the serving-path
-// win of the sharded store: hypernym/hyponym lookups from GOMAXPROCS
-// goroutines at once, the access pattern behind Table II's 82M calls.
-func BenchmarkShardedTaxonomyConcurrentQueries(b *testing.B) {
-	s := benchSuite(b)
-	tax := s.Result.Taxonomy
-	nodes := tax.Nodes()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			n := nodes[i%len(nodes)]
-			_ = tax.Hypernyms(n)
-			_ = tax.Hyponyms(n, 50)
-			i++
-		}
-	})
-}
-
 // BenchmarkTableI regenerates Table I: all four taxonomies and their
 // sampled precision.
 func BenchmarkTableI(b *testing.B) {
@@ -321,7 +302,7 @@ func BenchmarkTaxonomyQueries(b *testing.B) {
 
 // BenchmarkQueryStoreVsView is the build/serve-split acceptance
 // benchmark: the same getConcept/getEntity/men2ent lookups (plus the
-// typicality-ranked getConcept variant) against the mutable sharded
+// typicality-ranked getConcept variant) against the mutable
 // store and against the frozen serving view. The view side must show
 // the ≥2x single-thread speedup with ~0 allocs/op the refactor
 // promises — the store pays a lock, a map probe and a defensive copy
@@ -356,8 +337,8 @@ func BenchmarkQueryStoreVsView(b *testing.B) {
 
 // BenchmarkParallelQPSStoreVsView measures the Table II access
 // pattern — the three APIs in the paper's observed mix — from
-// GOMAXPROCS goroutines at once. The store serializes readers on
-// per-shard RWMutexes; the view is lock-free, so this is where the
+// GOMAXPROCS goroutines at once. The store's readers share one
+// RWMutex; the view is lock-free, so this is where the
 // serving split pays at scale.
 func BenchmarkParallelQPSStoreVsView(b *testing.B) {
 	s := benchSuite(b)
@@ -477,7 +458,7 @@ func BenchmarkSnapshotSave(b *testing.B) {
 }
 
 // BenchmarkSnapshotLoad measures reassembling the full serving state —
-// sharded taxonomy, merged indexes, mention index — from a snapshot.
+// taxonomy store, mention index, evidence — from a snapshot.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	data := snapshotBytes(b)
 	b.SetBytes(int64(len(data)))

@@ -5,15 +5,15 @@
 // Usage:
 //
 //	cnprobase gen   -entities 8000 -out corpus.jsonl
-//	cnprobase build -in corpus.jsonl -out taxonomy.json [-no-neural] [-workers 8] [-shards 16]
+//	cnprobase build -in corpus.jsonl -out taxonomy.json [-no-neural] [-workers 8]
 //	cnprobase build -in corpus.jsonl -save taxonomy.snap    # binary serving snapshot
 //	cnprobase build -in corpus.jsonl -cpuprofile cpu.pprof -memprofile mem.pprof
 //	cnprobase query -tax taxonomy.json -hypernyms 刘德华
 //	cnprobase query -tax taxonomy.json -hyponyms 演员 -limit 20
 //
 // build fans the construction pipeline out over -workers goroutines
-// (0 = one per CPU, 1 = sequential) assembling into a -shards-way
-// sharded taxonomy store; any worker count produces the same taxonomy.
+// (0 = one per CPU, 1 = sequential); any worker count produces the
+// same taxonomy.
 // -save additionally writes the complete serving state (taxonomy +
 // mention index + build report) as a binary snapshot that
 // `cnpserver -load` starts from without re-running the pipeline —
@@ -137,7 +137,6 @@ func cmdBuild(args []string) {
 	save := fs.String("save", "", "also write a binary serving snapshot (for cnpserver -load)")
 	noNeural := fs.Bool("no-neural", false, "skip the neural (abstract) extractor")
 	workers := fs.Int("workers", 0, "pipeline worker pool size (0 = one per CPU, 1 = sequential)")
-	shards := fs.Int("shards", 0, "taxonomy store shard count (0 = default)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the build to this file")
 	memProfile := fs.String("memprofile", "", "write a post-build heap profile to this file")
 	_ = fs.Parse(args)
@@ -185,15 +184,14 @@ func cmdBuild(args []string) {
 		opts.EnableNeural = false
 	}
 	opts.Workers = *workers
-	opts.Shards = *shards
 	res, err := cnprobase.Build(corpus, opts)
 	if err != nil {
 		fail("build: %v", err)
 	}
 	stopCPUProfile() // the build is what the CPU profile measures
 	st := res.Report.Stats
-	fmt.Printf("built taxonomy (%d workers, %d shards): %d entities, %d concepts, %d isA relations\n",
-		res.Report.Workers, res.Report.Shards, st.Entities, st.Concepts, st.IsARelations)
+	fmt.Printf("built taxonomy (%d workers): %d entities, %d concepts, %d isA relations\n",
+		res.Report.Workers, st.Entities, st.Concepts, st.IsARelations)
 	fmt.Printf("verification: kept %d of %d candidates\n",
 		res.Report.Verification.Kept, res.Report.Verification.Input)
 	g, err := os.Create(*out)

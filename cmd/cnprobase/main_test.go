@@ -40,11 +40,11 @@ func TestCLIRoundTrip(t *testing.T) {
 	if !strings.Contains(out, "pages") {
 		t.Errorf("gen output: %s", out)
 	}
-	out = run("build", "-in", corpus, "-out", tax, "-save", snap, "-no-neural", "-workers", "8", "-shards", "32")
+	out = run("build", "-in", corpus, "-out", tax, "-save", snap, "-no-neural", "-workers", "8")
 	if !strings.Contains(out, "isA relations") {
 		t.Errorf("build output: %s", out)
 	}
-	if !strings.Contains(out, "8 workers, 32 shards") {
+	if !strings.Contains(out, "(8 workers)") {
 		t.Errorf("build output missing concurrency settings: %s", out)
 	}
 	if !strings.Contains(out, "wrote snapshot") {

@@ -11,7 +11,7 @@
 //	cnpserver -addr :8080 -load taxonomy.snap         # serve a binary snapshot (fastest start)
 //	cnpserver -addr :8080 -tax taxonomy.json          # serve a JSON taxonomy
 //	cnpserver -addr :8080 -entities 4000              # build in-memory demo world
-//	cnpserver -entities 4000 -workers 8 -shards 32    # parallel demo build
+//	cnpserver -entities 4000 -workers 8               # parallel demo build
 //	cnpserver -addr :8080 -load taxonomy.snap -pprof localhost:6060
 //	cnpserver -addr :8080 -load taxonomy.snap -ingest localhost:7070
 //
@@ -117,7 +117,6 @@ func main() {
 		taxPath  = flag.String("tax", "", "taxonomy JSON path")
 		entities = flag.Int("entities", 4000, "demo world size when -load and -tax are empty")
 		workers  = flag.Int("workers", 0, "worker pool size for the demo build and snapshot decode (0 = one per CPU, 1 = sequential)")
-		shards   = flag.Int("shards", 0, "taxonomy store shard count for the demo build (0 = default)")
 		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
 		ingestA  = flag.String("ingest", "", "serve the POST /ingest admin endpoint on this address (e.g. localhost:7070); off when empty")
 		walDir   = flag.String("wal", "", "write-ahead-log directory for durable ingestion (requires -load and -ingest); startup replays the log tail past the snapshot's LSN")
@@ -182,7 +181,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("load snapshot %s: %v", *loadPath, err)
 		}
-		res, snapLSN, err = cnprobase.LoadSnapshotLSN(f, *workers, *shards)
+		res, snapLSN, err = cnprobase.LoadSnapshotLSN(f, *workers, 0)
 		f.Close()
 		if err != nil {
 			log.Fatalf("load snapshot %s: %v", *loadPath, err)
@@ -250,15 +249,14 @@ func main() {
 		}
 		opts := cnprobase.DefaultOptions()
 		opts.Workers = *workers
-		opts.Shards = *shards
 		res, err = cnprobase.Build(w.Corpus(), opts)
 		if err != nil {
 			log.Fatalf("build: %v", err)
 		}
 		view = res.Freeze()
 		st := res.Report.Stats
-		log.Printf("built in %v (%d workers, %d shards): %d entities, %d concepts, %d isA",
-			time.Since(start).Round(time.Millisecond), res.Report.Workers, res.Report.Shards,
+		log.Printf("built in %v (%d workers): %d entities, %d concepts, %d isA",
+			time.Since(start).Round(time.Millisecond), res.Report.Workers,
 			st.Entities, st.Concepts, st.IsARelations)
 	}
 

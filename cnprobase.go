@@ -17,11 +17,9 @@
 // rules) and assembles the taxonomy with derived subconcept edges.
 //
 // The pipeline is concurrent: Options.Workers sizes the bounded worker
-// pool every stage fans out over (0 = one worker per CPU, 1 = fully
-// sequential) and Options.Shards sets the shard count of the
-// lock-per-shard taxonomy store the build assembles into. Any worker
-// count produces the same taxonomy, so parallelism is a pure throughput
-// knob.
+// pool every per-page stage fans out over (0 = one worker per CPU, 1 =
+// fully sequential). Any worker count produces the same taxonomy, so
+// parallelism is a pure throughput knob.
 package cnprobase
 
 import (
@@ -301,8 +299,8 @@ func NewDurableIngester(res *Result, opts Options, srv *APIServer, cfg DurableIn
 // every section first and then streams it — no copy of the image or of
 // the evidence is held, whatever the taxonomy's size — and a write
 // error from w is returned as is. The bytes are identical for any
-// Workers/Shards configuration, so snapshots of the same logical
-// taxonomy are directly comparable. The on-disk layout is specified in
+// Workers setting, so snapshots of the same logical taxonomy are
+// directly comparable. The on-disk layout is specified in
 // docs/SNAPSHOT.md.
 func SaveSnapshot(w io.Writer, res *Result) error {
 	return saveSnapshotLSN(w, res, 0)
@@ -357,23 +355,22 @@ func saveSnapshotLSN(w io.Writer, res *Result, lsn uint64) error {
 
 // LoadSnapshot reads a snapshot written by SaveSnapshot and
 // reassembles a Result ready for serving *and* further building:
-// taxonomy (finalized, so every query answers exactly like the freshly
-// built original), mention index, the saved build report with Stats
+// taxonomy (every query answers exactly like the freshly built
+// original), mention index, the saved build report with Stats
 // recomputed from the loaded graph, and — for snapshots carrying the
 // version-2 evidence section — the persistent verification evidence,
 // kept candidate set and corpus statistics, so the Result accepts
 // incremental Update (the segmenter is rebuilt from the dictionary and
 // the restored statistics on first use). Legacy version-1 snapshots
 // load without evidence; such Results serve queries but refuse Update.
-// Decoding uses default concurrency and store settings; use
-// LoadSnapshotSharded to tune them.
+// Decoding uses default concurrency; use LoadSnapshotSharded to set it.
 func LoadSnapshot(r io.Reader) (*Result, error) { return LoadSnapshotSharded(r, 0, 0) }
 
-// LoadSnapshotSharded is LoadSnapshot with explicit concurrency and
-// store-shape settings, mirroring the build's knobs: workers bounds
-// the stripe-decode pool (0 = one per CPU, 1 = sequential) and shards
-// is the shard count of the assembled taxonomy store (0 = default).
-// Either setting yields the same loaded state.
+// LoadSnapshotSharded is LoadSnapshot with an explicit worker count:
+// workers bounds the pool legacy stripes are decoded on (0 = one per
+// CPU, 1 = sequential). shards is ignored — the store is no longer
+// sharded — and remains only because the signature is frozen. Any
+// setting yields the same loaded state.
 func LoadSnapshotSharded(r io.Reader, workers, shards int) (*Result, error) {
 	res, _, err := LoadSnapshotLSN(r, workers, shards)
 	return res, err
@@ -383,8 +380,9 @@ func LoadSnapshotSharded(r io.Reader, workers, shards int) (*Result, error) {
 // write-ahead-log position the snapshot covers (zero for snapshots
 // saved outside the durable ingest plane). Recovery passes that LSN
 // to ReplayWAL so only the batches the snapshot missed are re-applied.
+// shards is ignored, as in LoadSnapshotSharded.
 func LoadSnapshotLSN(r io.Reader, workers, shards int) (*Result, uint64, error) {
-	st, err := snapshot.Load(r, snapshot.Options{Workers: workers, Shards: shards})
+	st, err := snapshot.Load(r, snapshot.Options{Workers: workers})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -397,7 +395,6 @@ func LoadSnapshotLSN(r io.Reader, workers, shards int) (*Result, uint64, error) 
 	if rep.Pages == 0 {
 		rep.Pages = st.Meta.Pages
 	}
-	rep.Shards = st.Taxonomy.ShardCount()
 	rep.Stats = st.Taxonomy.ComputeStats()
 	return &Result{
 		Taxonomy: st.Taxonomy,

@@ -2,6 +2,7 @@ package cnprobase
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"reflect"
 	"testing"
@@ -166,9 +167,6 @@ func TestFacadeSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadSnapshotSharded: %v", err)
 	}
-	if sharded.Taxonomy.ShardCount() != 64 {
-		t.Errorf("LoadSnapshotSharded shard count = %d, want 64", sharded.Taxonomy.ShardCount())
-	}
 	if sharded.Taxonomy.EdgeCount() != res.Taxonomy.EdgeCount() {
 		t.Errorf("sharded load edges = %d, want %d", sharded.Taxonomy.EdgeCount(), res.Taxonomy.EdgeCount())
 	}
@@ -283,7 +281,7 @@ func TestFacadeUpdateAfterSnapshotLoad(t *testing.T) {
 
 // TestFacadeSnapshotBytesIgnoreConcurrency pins the golden guarantee
 // at the facade level: builds of the same world with different
-// Workers/Shards settings save byte-identical snapshots, because the
+// Workers settings save byte-identical snapshots, because the
 // report's concurrency knobs are normalized out of the metadata.
 func TestFacadeSnapshotBytesIgnoreConcurrency(t *testing.T) {
 	wcfg := DefaultWorldConfig()
@@ -292,14 +290,13 @@ func TestFacadeSnapshotBytesIgnoreConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenerateWorld: %v", err)
 	}
-	save := func(workers, shards int) []byte {
+	save := func(workers int) []byte {
 		opts := smallOptions()
 		opts.EnableNeural = false
 		opts.Workers = workers
-		opts.Shards = shards
 		res, err := Build(w.Corpus(), opts)
 		if err != nil {
-			t.Fatalf("Build(workers=%d, shards=%d): %v", workers, shards, err)
+			t.Fatalf("Build(workers=%d): %v", workers, err)
 		}
 		var buf bytes.Buffer
 		if err := SaveSnapshot(&buf, res); err != nil {
@@ -307,8 +304,8 @@ func TestFacadeSnapshotBytesIgnoreConcurrency(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	ref := save(1, 1)
-	if got := save(8, 48); !bytes.Equal(ref, got) {
+	ref := save(1)
+	if got := save(8); !bytes.Equal(ref, got) {
 		t.Errorf("snapshot bytes differ across build concurrency: %d vs %d bytes", len(ref), len(got))
 	}
 }
@@ -374,5 +371,40 @@ func TestFacadeBaselines(t *testing.T) {
 	if wiki.EdgeCount() >= res.Taxonomy.EdgeCount() {
 		t.Errorf("WikiTaxonomy %d edges should be below CN-Probase %d",
 			wiki.EdgeCount(), res.Taxonomy.EdgeCount())
+	}
+}
+
+// goldenSnapshotSHA256 is the digest of the version-3 snapshot of the
+// seed-7, 2 000-entity synthetic world built with the default options
+// minus the neural extractor. It was recorded from the sharded
+// string-map store's build; any change to it is a change of format,
+// of canonical order or of what a build decides, and needs a reason.
+const goldenSnapshotSHA256 = "3029d7c4286ec91724ec178429cbfc65817db3c1bbb2c70d4d9d761aaf24db05"
+
+// TestFacadeSnapshotGolden holds "snapshot bytes unchanged" as a test:
+// the same world saves to the recorded digest whether built
+// sequentially or on eight workers.
+func TestFacadeSnapshotGolden(t *testing.T) {
+	wcfg := DefaultWorldConfig()
+	wcfg.Seed, wcfg.Entities = 7, 2000
+	w, err := GenerateWorld(wcfg)
+	if err != nil {
+		t.Fatalf("GenerateWorld: %v", err)
+	}
+	for _, workers := range []int{1, 8} {
+		opts := DefaultOptions()
+		opts.EnableNeural = false
+		opts.Workers = workers
+		res, err := Build(w.Corpus(), opts)
+		if err != nil {
+			t.Fatalf("Build(workers=%d): %v", workers, err)
+		}
+		var buf bytes.Buffer
+		if err := SaveSnapshot(&buf, res); err != nil {
+			t.Fatalf("SaveSnapshot: %v", err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != goldenSnapshotSHA256 {
+			t.Errorf("workers=%d: snapshot sha256 = %s, want %s (%d bytes)", workers, got, goldenSnapshotSHA256, buf.Len())
+		}
 	}
 }

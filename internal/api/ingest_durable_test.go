@@ -98,7 +98,7 @@ func loadResult(t *testing.T, data []byte) (*core.Result, uint64) {
 	return &core.Result{
 		Taxonomy: st.Taxonomy,
 		Mentions: st.Mentions,
-		Report:   &core.Report{Pages: st.Meta.Pages, Shards: st.Taxonomy.ShardCount(), Stats: st.Taxonomy.ComputeStats()},
+		Report:   &core.Report{Pages: st.Meta.Pages, Stats: st.Taxonomy.ComputeStats()},
 		Evidence: st.Evidence,
 		Kept:     st.Kept,
 		Stats:    st.Stats,

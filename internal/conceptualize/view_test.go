@@ -53,7 +53,7 @@ func TestViewMatchesStore(t *testing.T) {
 func TestViewMatchesStoreRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tx := taxonomy.NewSharded(1 + rng.Intn(4))
+		tx := taxonomy.New()
 		m := taxonomy.NewMentionIndex()
 		nEnt, nCon := 15+rng.Intn(20), 5+rng.Intn(5)
 		ent := func(i int) string { return fmt.Sprintf("实体%02d", i) }

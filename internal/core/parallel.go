@@ -117,21 +117,12 @@ func addPages(tax *taxonomy.Taxonomy, mentions *taxonomy.MentionIndex, pages []e
 	}
 }
 
-// assembleEdges inserts the kept candidates into the sharded taxonomy,
-// fanning contiguous chunks out over the pool. Insertion order across
-// chunks is not deterministic; Finalize canonicalizes adjacency order
-// afterwards.
-func assembleEdges(tax *taxonomy.Taxonomy, kept []extract.Candidate, p *par.Pool) error {
-	errs := par.MapBatches(p, len(kept), func(lo, hi int) error {
-		for _, cand := range kept[lo:hi] {
-			if err := tax.AddIsA(cand.Hypo, cand.Hyper, cand.Source, cand.Score); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	for _, err := range errs {
-		if err != nil {
+// assembleEdges inserts the kept candidates into the store, in list
+// order: a few appends per pair on the store's dense IDs, too little
+// work to fan out.
+func assembleEdges(tax *taxonomy.Taxonomy, kept []extract.Candidate) error {
+	for i := range kept {
+		if err := tax.AddIsA(kept[i].Hypo, kept[i].Hyper, kept[i].Source, kept[i].Score); err != nil {
 			return err
 		}
 	}

@@ -5,15 +5,19 @@
 // strategies filter noise; the survivors become the taxonomy, extended
 // with derived subconcept-concept edges.
 //
-// The pipeline is concurrent end-to-end. Per-page work (segmentation,
-// extraction, NE recognition) fans out in entity batches over a bounded
-// worker pool sized by Options.Workers; the four generators feed the
-// verification stage through a channel of per-source candidate sets
-// while the NE-evidence pass runs alongside them; assembly inserts the
-// surviving relations into a sharded taxonomy store (Options.Shards)
-// and finalizes its merged indexes. Workers=1 degrades every stage to
-// inline sequential execution — the reference path determinism tests
-// compare against — and produces the same taxonomy as any parallel run.
+// The pipeline is concurrent where the work is. Per-page work
+// (segmentation, extraction, NE recognition) fans out in entity batches
+// over a bounded worker pool sized by Options.Workers; the four
+// generators feed the verification stage through a channel of
+// per-source candidate sets while the NE-evidence pass and the page
+// fold run alongside them. What follows verification is a short
+// sequential tail on dense IDs: one symbol table (internal/symtab)
+// serves the verification evidence and the taxonomy store, so a name
+// is interned once per build, and the surviving relations are appended
+// to the store's per-ID adjacency in one pass — there is no index to
+// finalize. Workers=1 degrades every stage to inline sequential
+// execution — the reference path determinism tests compare against —
+// and produces the same taxonomy as any parallel run.
 package core
 
 import (
@@ -27,6 +31,7 @@ import (
 	"cnprobase/internal/ner"
 	"cnprobase/internal/par"
 	"cnprobase/internal/segment"
+	"cnprobase/internal/symtab"
 	"cnprobase/internal/taxonomy"
 	"cnprobase/internal/verify"
 )
@@ -46,15 +51,11 @@ type Options struct {
 
 	// Workers bounds the worker pool shared by every parallel stage of
 	// the build (substrate statistics, the four generators, the
-	// NE-evidence pass, verification filtering and taxonomy assembly).
-	// 0 selects one worker per logical CPU; 1 runs fully sequentially
-	// (the deterministic reference path). Any worker count produces the
-	// same taxonomy.
+	// NE-evidence pass and verification filtering). 0 selects one
+	// worker per logical CPU; 1 runs fully sequentially (the
+	// deterministic reference path). Any worker count produces the same
+	// taxonomy.
 	Workers int
-	// Shards is the shard count of the taxonomy store the build
-	// assembles into; 0 selects taxonomy.DefaultShards. More shards
-	// reduce write contention at high worker counts.
-	Shards int
 
 	// Neural holds the copy-model configuration.
 	Neural copynet.Config
@@ -120,9 +121,11 @@ type SourceReport struct {
 // Report describes one pipeline run.
 type Report struct {
 	Pages int
-	// Workers / Shards record the resolved concurrency settings the run
-	// used.
-	Workers             int
+	// Workers records the resolved worker count the run used.
+	Workers int
+	// Shards is always zero: the store is no longer sharded. The field
+	// stays because saved build reports carry its JSON key and snapshot
+	// bytes must not change.
 	Shards              int
 	PerSource           map[taxonomy.Source]*SourceReport
 	PredicateCandidates []extract.PredicateStat
@@ -202,13 +205,16 @@ func (p *Pipeline) Build(c *encyclopedia.Corpus) (*Result, error) {
 	seg := segment.New(dict, segment.WithStats(stats))
 
 	// ---- the passes that need only pages, overlapped with generation ----
-	// The NE-support pass (on the shared pool), the evidence's page fold
-	// and the store's entity marks and mention index read the corpus and
-	// the segmenter and no candidate, so they run alongside the
-	// generators; each writes a different object.
+	// The NE-support pass (on the shared pool) and the page fold — into
+	// the evidence, then the store's entity marks and the mention index
+	// — read the corpus and the segmenter and no candidate, so they run
+	// alongside the generators. The fold is one task: evidence and store
+	// intern into one symbol table, and a fixed order of arrival keeps
+	// the IDs the same in every run.
 	rec := ner.New()
-	ctx := verify.NewEvidence(nil, rec) // its Support is the first pass's result
-	tax := taxonomy.NewSharded(p.opts.Shards)
+	syms := symtab.New()
+	ctx := verify.NewEvidence(syms, nil, rec) // its Support is the first pass's result
+	tax := taxonomy.NewWithSymbols(syms)
 	mentions := taxonomy.NewMentionIndex()
 	evidence := &par.Group{Inline: pl == nil}
 	evidence.Go(func() error {
@@ -217,9 +223,6 @@ func (p *Pipeline) Build(c *encyclopedia.Corpus) (*Result, error) {
 	})
 	evidence.Go(func() error {
 		ctx.AddPages(c.Pages)
-		return nil
-	})
-	evidence.Go(func() error {
 		addPages(tax, mentions, c.Pages)
 		return nil
 	})
@@ -320,9 +323,8 @@ func (p *Pipeline) Build(c *encyclopedia.Corpus) (*Result, error) {
 		return nil
 	})
 
-	// ---- taxonomy assembly into the sharded store ----
-	rep.Shards = tax.ShardCount()
-	err := assembleEdges(tax, kept, pl)
+	// ---- taxonomy assembly ----
+	err := assembleEdges(tax, kept)
 	trim.Wait()
 	if err != nil {
 		return nil, fmt.Errorf("core: assembling taxonomy: %w", err)
@@ -330,7 +332,6 @@ func (p *Pipeline) Build(c *encyclopedia.Corpus) (*Result, error) {
 	if p.opts.DeriveSubconcepts {
 		rep.DerivedSubconcepts = deriveSubconcepts(tax, ctx, p.opts, nil)
 	}
-	tax.Finalize()
 	rep.Stats = tax.ComputeStats()
 
 	return &Result{

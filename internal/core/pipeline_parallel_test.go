@@ -8,7 +8,7 @@ import (
 )
 
 // TestParallelBuildMatchesSequential is the determinism contract of the
-// concurrent pipeline: a Workers=8 build over a sharded store must
+// concurrent pipeline: a Workers=8 build must
 // produce a taxonomy identical to the Workers=1 sequential reference —
 // same edge set (with sources, scores and counts), same node kinds,
 // same stats, same kept candidates, same verification report.
@@ -17,7 +17,6 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 
 	seqOpts := testOptions()
 	seqOpts.Workers = 1
-	seqOpts.Shards = 1
 	seq, err := New(seqOpts).Build(w.Corpus())
 	if err != nil {
 		t.Fatalf("sequential Build: %v", err)
@@ -25,14 +24,13 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 
 	parOpts := testOptions()
 	parOpts.Workers = 8
-	parOpts.Shards = 32
 	par, err := New(parOpts).Build(w.Corpus())
 	if err != nil {
 		t.Fatalf("parallel Build: %v", err)
 	}
 
-	if par.Report.Workers != 8 || par.Report.Shards != 32 {
-		t.Errorf("report knobs = workers %d shards %d, want 8/32",
+	if par.Report.Workers != 8 || par.Report.Shards != 0 {
+		t.Errorf("report knobs = workers %d shards %d, want 8/0",
 			par.Report.Workers, par.Report.Shards)
 	}
 
@@ -136,27 +134,6 @@ func TestParallelUpdateMatchesSequential(t *testing.T) {
 	}
 	if seq.Report.Stats != par.Report.Stats {
 		t.Errorf("stats: parallel %+v, sequential %+v", par.Report.Stats, seq.Report.Stats)
-	}
-}
-
-// TestBuildUsesShardedStore checks the Shards option reaches the store.
-func TestBuildUsesShardedStore(t *testing.T) {
-	w := buildSmallWorld(t, 300)
-	opts := testOptions()
-	opts.EnableNeural = false
-	opts.Shards = 7
-	res, err := New(opts).Build(w.Corpus())
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	if got := res.Taxonomy.ShardCount(); got != 7 {
-		t.Errorf("ShardCount = %d, want 7", got)
-	}
-	if !res.Taxonomy.Finalized() {
-		t.Error("Build returned a non-finalized taxonomy")
-	}
-	if res.Report.Shards != 7 {
-		t.Errorf("Report.Shards = %d, want 7", res.Report.Shards)
 	}
 }
 

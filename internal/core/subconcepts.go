@@ -166,8 +166,8 @@ func morphRelated(c1, c2 string) bool { return strings.HasSuffix(c1, c2) && c1 !
 // from.
 func conceptNodes(tax *taxonomy.Taxonomy) []string {
 	var out []string
-	for _, n := range tax.Nodes() {
-		if tax.Kind(n) == taxonomy.KindConcept && runes.AllHan(n) {
+	for _, n := range tax.Concepts() {
+		if runes.AllHan(n) {
 			out = append(out, n)
 		}
 	}

@@ -32,13 +32,13 @@ import (
 // (kept plus fresh) is never materialised: Report.Verification.Input
 // is its size by arithmetic, and Result.Candidates afterwards holds
 // the delta's own deduplicated candidates, not the union. The store
-// re-sorts only the adjacency lists the batch appended to and keeps
-// its node list and statistics current as it is written; subconcept
-// derivation re-tests only concepts the batch reached. No step walks
-// the candidate union, the node list or the store, and none allocates
-// in proportion to the kept list. Raw pages are never retained or copied. The neural extractor
-// is skipped during updates; bracket, infobox and tag extraction cover
-// the delta. Per-page work (segmentation, extraction, NE recognition)
+// keeps its statistics current as it is written and logs the nodes the
+// batch touched; subconcept derivation re-tests only concepts the batch
+// reached. No step walks the candidate union, the node list or the
+// store, and none allocates in proportion to the kept list. Raw pages
+// are never retained or copied. The neural extractor is skipped during
+// updates; bracket, infobox and tag extraction cover the delta.
+// Per-page work (segmentation, extraction, NE recognition)
 // fans out over the same bounded worker pool Build uses, sized by
 // Options.Workers.
 //
@@ -199,14 +199,13 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 			inserts = append(inserts, c)
 		}
 	}
-	if err := assembleEdges(prev.Taxonomy, inserts, pl); err != nil {
+	if err := assembleEdges(prev.Taxonomy, inserts); err != nil {
 		return nil, fmt.Errorf("core: updating taxonomy: %w", err)
 	}
 	if p.opts.DeriveSubconcepts {
 		prev.takeChanges()
 		prev.Report.DerivedSubconcepts += deriveSubconcepts(prev.Taxonomy, prev.Evidence, p.opts, &prev.inc)
 	}
-	prev.Taxonomy.Finalize()
 
 	prev.Candidates = fresh
 	prev.Report.Pages += len(delta.Pages)

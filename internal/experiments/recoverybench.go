@@ -215,7 +215,7 @@ func measureRecovery(snapPath, walDir string, batches int) (RecoveryBenchPoint, 
 	res := &core.Result{
 		Taxonomy: st.Taxonomy,
 		Mentions: st.Mentions,
-		Report:   &core.Report{Pages: st.Meta.Pages, Shards: st.Taxonomy.ShardCount(), Stats: st.Taxonomy.ComputeStats()},
+		Report:   &core.Report{Pages: st.Meta.Pages, Stats: st.Taxonomy.ComputeStats()},
 		Evidence: st.Evidence,
 		Kept:     st.Kept,
 		Stats:    st.Stats,

@@ -17,7 +17,7 @@ import (
 func randWorld(t *testing.T, seed int64) (Source, *serving.View, []Question) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	tax := taxonomy.NewSharded(1 + rng.Intn(4))
+	tax := taxonomy.New()
 	mentions := taxonomy.NewMentionIndex()
 	nEnt, nCon := 20+rng.Intn(20), 4+rng.Intn(4)
 	ent := func(i int) string { return fmt.Sprintf("实体%02d", i) }

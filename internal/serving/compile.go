@@ -11,10 +11,12 @@ import (
 
 // Compile freezes the current contents of a build store (plus its
 // mention index, which may be nil) into an immutable View. The View
-// answers every query exactly like the store would after Finalize —
-// adjacency in canonical sorted order, typicality from the same
-// evidence counts — regardless of whether Finalize has been called.
-// Later writes to the store are not reflected; compile again and swap.
+// answers every query exactly like the store does — adjacency in
+// canonical sorted order, typicality from the same evidence counts.
+// The store hands its content over already in that order, hypernyms
+// resolved to positions (taxonomy.ReadAll), so compiling hashes and
+// compares no name. Later writes to the store are not reflected;
+// compile again, or Patch, and swap.
 func Compile(t *taxonomy.Taxonomy, m *taxonomy.MentionIndex) *View {
 	return compileStore(t, m, true)
 }
@@ -29,17 +31,11 @@ func CompileUnindexed(t *taxonomy.Taxonomy, m *taxonomy.MentionIndex) *View {
 }
 
 func compileStore(t *taxonomy.Taxonomy, m *taxonomy.MentionIndex, indexed bool) *View {
-	marks := make(map[string]taxonomy.NodeKind)
-	for _, n := range t.Nodes() {
-		if k := t.Kind(n); k != taxonomy.KindUnknown {
-			marks[n] = k
-		}
-	}
-	var mentions []taxonomy.MentionEntry
+	ch := &change{NodeSet: t.ReadAll()}
 	if m != nil {
-		mentions = m.ExportPartitions(1)[0]
+		ch.mentions = m.Sorted()
 	}
-	return compile(marks, t.Edges(), mentions, indexed)
+	return assemble(&View{}, ch, indexed)
 }
 
 // Builder accumulates raw taxonomy content — kind marks, edges with
@@ -128,17 +124,17 @@ func (b *Builder) Build() *View {
 	for n, k := range b.marks {
 		marks[n] = k
 	}
-	return compile(marks, append([]taxonomy.Edge(nil), b.edges...), b.mentions, true)
+	return compile(marks, append([]taxonomy.Edge(nil), b.edges...), b.mentions)
 }
 
-// compile is the shared full freeze: from explicit kind marks, a
+// compile is the Builder's full freeze: from explicit kind marks, a
 // deduplicated edge list and raw mention entries, produce the interned
 // CSR view. It only normalizes its inputs into a change that names
 // every node and mention; assemble, folding that change over an empty
 // view, builds the arrays. All three arguments are consumed: implicit
 // hypernym-concept marks are added to marks, edges and mentionEntries
 // are sorted in place.
-func compile(marks map[string]taxonomy.NodeKind, edges []taxonomy.Edge, mentionEntries []taxonomy.MentionEntry, indexed bool) *View {
+func compile(marks map[string]taxonomy.NodeKind, edges []taxonomy.Edge, mentionEntries []taxonomy.MentionEntry) *View {
 	// ---- node set = explicit marks ∪ edge endpoints ----
 	nameSet := make(map[string]struct{}, len(marks)+len(edges))
 	for n := range marks {
@@ -161,28 +157,32 @@ func compile(marks map[string]taxonomy.NodeKind, edges []taxonomy.Edge, mentionE
 		}
 		return strings.Compare(a.Hyper, b.Hyper)
 	})
-	ch := &change{
-		nodes:   names,
-		kinds:   make([]taxonomy.NodeKind, len(names)),
-		edgeOff: make([]uint32, len(names)+1),
-		edges:   edges,
-	}
 	// Kinds: explicit marks, then the store's implicit rule that a
 	// hypernym whose kind is unknown is a concept (a Builder fed edges
-	// without marks relies on it; the store has applied it already).
+	// without marks relies on it).
 	for i := range edges {
 		if marks[edges[i].Hyper] == taxonomy.KindUnknown {
 			marks[edges[i].Hyper] = taxonomy.KindConcept
 		}
 	}
+	set := &taxonomy.NodeSet{
+		Names:   names,
+		Kinds:   make([]taxonomy.NodeKind, len(names)),
+		EdgeOff: make([]uint32, len(names)+1),
+		Edges:   make([]taxonomy.NodeEdge, len(edges)),
+	}
+	for i, e := range edges {
+		set.Edges[i] = taxonomy.NodeEdge{Hyper: e.Hyper, At: -1, Sources: e.Sources, Score: e.Score, Count: e.Count}
+	}
 	e := 0
 	for i, n := range names {
-		ch.kinds[i] = marks[n]
+		set.Kinds[i] = marks[n]
 		for e < len(edges) && edges[e].Hypo == n {
 			e++
 		}
-		ch.edgeOff[i+1] = uint32(e)
+		set.EdgeOff[i+1] = uint32(e)
 	}
+	ch := &change{NodeSet: set}
 
 	// ---- mentions: one entry per mention, IDs ascending and distinct ----
 	slices.SortFunc(mentionEntries, func(a, b taxonomy.MentionEntry) int {
@@ -198,7 +198,7 @@ func compile(marks map[string]taxonomy.NodeKind, edges []taxonomy.Edge, mentionE
 		ch.mentions = append(ch.mentions, taxonomy.MentionEntry{Mention: mentionEntries[i].Mention, IDs: slices.Compact(ids)})
 		i = j
 	}
-	return assemble(&View{}, ch, indexed)
+	return assemble(&View{}, ch, true)
 }
 
 // Patch returns the view Compile(t, m) would build, assembled from
@@ -221,24 +221,7 @@ func compile(marks map[string]taxonomy.NodeKind, edges []taxonomy.Edge, mentionE
 // while Patch read it, or prev belongs to another store); compile in
 // full then.
 func Patch(prev *View, t *taxonomy.Taxonomy, m *taxonomy.MentionIndex, nodes, mentions []string) *View {
-	ch := &change{
-		nodes:   nodes,
-		absent:  make([]bool, len(nodes)),
-		kinds:   make([]taxonomy.NodeKind, len(nodes)),
-		edgeOff: make([]uint32, len(nodes)+1),
-	}
-	for i, n := range nodes {
-		hypers := t.Hypernyms(n)
-		slices.Sort(hypers) // canonical already on a finalized store
-		for _, h := range hypers {
-			if e, ok := t.EdgeOf(n, h); ok {
-				ch.edges = append(ch.edges, e)
-			}
-		}
-		ch.edgeOff[i+1] = uint32(len(ch.edges))
-		ch.kinds[i] = t.Kind(n)
-		ch.absent[i] = ch.kinds[i] == taxonomy.KindUnknown && len(hypers) == 0 && t.HyponymCount(n) == 0
-	}
+	ch := &change{NodeSet: t.ReadNodes(nodes)}
 	for _, mention := range mentions {
 		if ids := m.Lookup(mention); len(ids) > 0 {
 			ch.mentions = append(ch.mentions, taxonomy.MentionEntry{Mention: mention, IDs: ids})
@@ -252,13 +235,10 @@ func Patch(prev *View, t *taxonomy.Taxonomy, m *taxonomy.MentionIndex, nodes, me
 // whose ID list may. A full compile is the change that names
 // everything, folded over the empty view.
 type change struct {
-	nodes  []string            // ascending, distinct
-	absent []bool              // parallel to nodes: the node no longer exists; nil = all exist
-	kinds  []taxonomy.NodeKind // parallel to nodes
-	// Node i's outgoing edges are edges[edgeOff[i]:edgeOff[i+1]],
-	// ascending by Hyper.
-	edgeOff  []uint32
-	edges    []taxonomy.Edge
+	// The nodes, as the store reads them out in canonical order. An edge
+	// whose hypernym the read resolved (At >= 0) names a node of the
+	// change; any other is looked up in the new view.
+	*taxonomy.NodeSet
 	mentions []taxonomy.MentionEntry // ascending by Mention, distinct; IDs ascending, distinct, non-empty
 }
 
@@ -282,7 +262,7 @@ func assemble(prev *View, ch *change, indexed bool) *View {
 	// ---- plan: interleave prev's untouched runs with the named nodes ----
 	var runs []run
 	remap := make([]uint32, len(prev.names)) // prev ID → new ID, or gone
-	at := make([]uint32, len(ch.nodes))      // named node → new ID, or gone
+	at := make([]uint32, len(ch.Names))      // named node → new ID, or gone
 	n, p := uint32(0), uint32(0)
 	keep := func(hi uint32) {
 		if hi > p {
@@ -294,11 +274,11 @@ func assemble(prev *View, ch *change, indexed bool) *View {
 			p = hi
 		}
 	}
-	for ci, name := range ch.nodes {
+	for ci, name := range ch.Names {
 		pos, found := slices.BinarySearch(prev.names[p:], name)
 		keep(p + uint32(pos))
 		at[ci] = gone
-		if ch.absent == nil || !ch.absent[ci] {
+		if ch.Absent == nil || !ch.Absent[ci] {
 			at[ci] = n
 			n++
 		}
@@ -323,8 +303,8 @@ func assemble(prev *View, ch *change, indexed bool) *View {
 	}
 	for ci, id := range at {
 		if id != gone {
-			v.names[id], v.kinds[id], fresh[id] = ch.nodes[ci], ch.kinds[ci], true
-			e += ch.edgeOff[ci+1] - ch.edgeOff[ci]
+			v.names[id], v.kinds[id], fresh[id] = ch.Names[ci], ch.Kinds[ci], true
+			e += ch.EdgeOff[ci+1] - ch.EdgeOff[ci]
 		}
 	}
 	if indexed {
@@ -366,9 +346,14 @@ func assemble(prev *View, ch *change, indexed bool) *View {
 			ci++
 		}
 		v.hyperOff[id] = off
-		for _, edge := range ch.edges[ch.edgeOff[ci]:ch.edgeOff[ci+1]] {
-			hyperID, ok := v.id(edge.Hyper)
-			covered = covered && ok
+		for _, edge := range ch.Edges[ch.EdgeOff[ci]:ch.EdgeOff[ci+1]] {
+			hyperID := gone
+			if edge.At >= 0 {
+				hyperID = at[edge.At]
+			} else if id, ok := v.id(edge.Hyper); ok {
+				hyperID = id
+			}
+			covered = covered && hyperID != gone
 			v.hyperIDs[off] = hyperID
 			v.edgeSources[off] = edge.Sources
 			v.edgeScores[off] = edge.Score

@@ -1,9 +1,8 @@
 // Package serving implements the immutable, read-optimized serving
 // view of a built taxonomy — the classic build/serve split of the
-// CN-Probase deployment. The mutable, RWMutex-sharded store in
-// internal/taxonomy is the *build* structure: it absorbs concurrent
-// writes from the pipeline. A View is the *serve* structure: compiled
-// once from a finalized store (or decoded straight from a snapshot via
+// CN-Probase deployment. The mutable store in internal/taxonomy is the
+// *build* structure: the pipeline's write-side accumulator. A View is
+// the *serve* structure: compiled once from the store (or decoded straight from a snapshot via
 // a Builder), it answers the paper's three APIs — men2ent, getConcept,
 // getEntity — with zero locks and near-zero allocation per query.
 //

@@ -156,7 +156,7 @@ func TestCompileMatchesStore(t *testing.T) {
 func TestCompileMatchesStoreRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tax := taxonomy.NewSharded(1 + rng.Intn(8))
+		tax := taxonomy.New()
 		mentions := taxonomy.NewMentionIndex()
 		nNodes := 20 + rng.Intn(40)
 		name := func(i int) string { return fmt.Sprintf("节点%02d", i) }

@@ -17,19 +17,21 @@ import (
 	"cnprobase/internal/ner"
 	"cnprobase/internal/par"
 	"cnprobase/internal/serving"
+	"cnprobase/internal/symtab"
 	"cnprobase/internal/taxonomy"
 	"cnprobase/internal/verify"
 )
 
 // Load reads a snapshot written by Save and reassembles the serving
-// state: a fresh opts.Shards-way sharded taxonomy, the mention index
-// and the saved metadata. Sections are read (and CRC-verified)
-// sequentially from the stream, then decoded and applied to the store
-// in parallel over the worker pool — safe because the store's insert
-// path is thread-safe and kind/edge restoration order is commutative —
-// and the merged query indexes are rebuilt with Finalize, so the
-// loaded taxonomy answers every query exactly like the finalized
-// original.
+// state: a fresh taxonomy store, the mention index and the saved
+// metadata. Sections are read (and CRC-verified) sequentially from the
+// stream; the evidence and the store are then restored over one symbol
+// table, as a build leaves them. A version-3 image is applied through
+// the store's verbatim import path in one sequential pass — appends on
+// dense IDs, nothing to finalize — and legacy stripes are decoded on
+// the worker pool (the store's insert path is thread-safe and
+// kind/edge restoration order is commutative). The loaded taxonomy
+// answers every query exactly like the original.
 //
 // Load never panics on malformed input: any truncation, checksum
 // mismatch, or structurally bogus value yields an error, and claimed
@@ -40,13 +42,13 @@ func Load(r io.Reader, opts Options) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev, kept, stats, err := decodeEvidence(p.evidence)
+	syms := symtab.New()
+	ev, kept, stats, err := decodeEvidence(p.evidence, syms)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: evidence section: %w", err)
 	}
-	tax := taxonomy.NewSharded(opts.Shards)
+	tax := taxonomy.NewWithSymbols(syms)
 	mentions := taxonomy.NewMentionIndex()
-	pool := par.NewPool(workerCount(opts.Workers))
 	if p.version >= Version {
 		// Version 3: decode the view image into the same logical
 		// kind/edge/mention stream the stripes carried, then restore
@@ -58,28 +60,18 @@ func Load(r io.Reader, opts Options) (*State, error) {
 		for _, k := range content.Kinds {
 			tax.ImportKind(k.Name, k.Kind)
 		}
-		for _, err := range par.MapBatches(pool, len(content.Edges), func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				if err := tax.InsertEdge(content.Edges[i]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}) {
-			if err != nil {
+		for _, e := range content.Edges {
+			if err := tax.InsertEdge(e); err != nil {
 				return nil, fmt.Errorf("snapshot: %w", err)
 			}
 		}
-		for range par.MapBatches(pool, len(content.Mentions), func(lo, hi int) struct{} {
-			for i := lo; i < hi; i++ {
-				for _, id := range content.Mentions[i].IDs {
-					mentions.Add(content.Mentions[i].Mention, id)
-				}
+		for _, m := range content.Mentions {
+			for _, id := range m.IDs {
+				mentions.Add(m.Mention, id)
 			}
-			return struct{}{}
-		}) {
 		}
 	} else {
+		pool := par.NewPool(workerCount(opts.Workers))
 		for _, err := range par.MapBatches(pool, len(p.tax), func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				err := decodeTaxStripe(p.tax[i], tax.ImportKind, tax.InsertEdge)
@@ -97,16 +89,14 @@ func Load(r io.Reader, opts Options) (*State, error) {
 			}
 		}
 	}
-	tax.Finalize()
 	return &State{Taxonomy: tax, Mentions: mentions, Meta: p.meta, Evidence: ev, Kept: kept, Stats: stats}, nil
 }
 
 // LoadView reads a snapshot and compiles it straight into an immutable
-// serving.View, never materializing the mutable sharded store: stripes
+// serving.View, never materializing the mutable store: stripes
 // decode in parallel into raw parts which a serving.Builder freezes
 // once. The resulting View answers every query exactly like a store
-// restored with Load (pinned by the serving-equivalence tests), and
-// opts.Shards is meaningless here (there is no store to shard).
+// restored with Load (pinned by the serving-equivalence tests).
 // Malformed input yields an error, never a panic, with the same
 // validation Load applies.
 func LoadView(r io.Reader, opts Options) (*serving.View, Meta, error) {
@@ -490,27 +480,26 @@ const (
 	minSupportBytes = 3
 )
 
+// validateEvidence walks the section with the exact same checks but
+// materializes nothing — the view-only serving path must accept and
+// reject precisely the inputs Load does (the fuzz target pins the
+// agreement) without paying for the update substrate's index maps.
+func validateEvidence(payload []byte) error {
+	_, _, _, err := decodeEvidence(payload, nil)
+	return err
+}
+
 // decodeEvidence parses the version-2 evidence section and rebuilds
 // the persistent update substrate: the kept candidate set, a
 // verify.Evidence re-derived from it (entity evidence imported, edge
 // evidence re-counted through AddCandidates, caches marked cold so the
 // first Update recomputes decisions), and the corpus statistics. A nil
 // or flag-0 payload (legacy file, or saved without evidence) yields
-// all-nil — the Result then serves queries but refuses Update.
-func decodeEvidence(payload []byte) (*verify.Evidence, []extract.Candidate, *corpus.Stats, error) {
-	return parseEvidence(payload, true)
-}
-
-// validateEvidence walks the section with the exact same checks but
-// materializes nothing — the view-only serving path must accept and
-// reject precisely the inputs Load does (the fuzz target pins the
-// agreement) without paying for the update substrate's index maps.
-func validateEvidence(payload []byte) error {
-	_, _, _, err := parseEvidence(payload, false)
-	return err
-}
-
-func parseEvidence(payload []byte, materialize bool) (*verify.Evidence, []extract.Candidate, *corpus.Stats, error) {
+// all-nil — the Result then serves queries but refuses Update. The
+// evidence interns in syms; given no table, the section is only
+// validated (see validateEvidence) and nothing is returned.
+func decodeEvidence(payload []byte, syms *symtab.Table) (*verify.Evidence, []extract.Candidate, *corpus.Stats, error) {
+	materialize := syms != nil
 	// A zero-length payload means "no evidence" like a legacy file's
 	// nil: the streaming decoder yields nil for it, the mapped path an
 	// empty slice — both must land here.
@@ -566,7 +555,7 @@ func parseEvidence(payload []byte, materialize bool) (*verify.Evidence, []extrac
 	}
 	var ev *verify.Evidence
 	if materialize {
-		ev = verify.NewEvidence(ner.NewSupport(), ner.New())
+		ev = verify.NewEvidence(syms, ner.NewSupport(), ner.New())
 	}
 	nEnts, err := r.count(minEntityBytes)
 	if err != nil {

@@ -23,8 +23,8 @@ import (
 // earlier, is taken as is) and serialized as one mappable image
 // section (the layout serving.View.Image documents), framed by the
 // build metadata and evidence sections. Saving the same logical state
-// always produces the same bytes, no matter the Workers/Shards
-// settings of the build or of this call — compilation canonicalizes
+// always produces the same bytes, no matter the Workers setting of
+// the build or of this call — compilation canonicalizes
 // order by construction. Mentions must be valid UTF-8 (JSON ingestion
 // guarantees it; a hand-built store with raw invalid bytes is
 // rejected with an error, before anything is written).
@@ -38,9 +38,9 @@ import (
 // aside), so a save allocates the same whatever the taxonomy's size.
 //
 // Save is safe to call while the taxonomy is being queried. Concurrent
-// *writers* are tolerated — per-shard locking means the export sees
-// each shard atomically — but the snapshot then captures some
-// intermediate state between the writes, exactly like Edges does.
+// *writers* are tolerated — the store is read under its lock, in one
+// piece — but the snapshot then captures whatever state lies between
+// two writes, exactly like Edges does.
 func Save(w io.Writer, st *State, opts Options) error {
 	if st == nil || st.Taxonomy == nil {
 		return fmt.Errorf("snapshot: nil state or taxonomy")

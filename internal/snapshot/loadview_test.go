@@ -15,7 +15,7 @@ import (
 // into the immutable serving view (LoadView) — at any decode worker
 // count.
 func TestLoadViewServingEquivalence(t *testing.T) {
-	fresh := buildState(t, 400, 4, 8)
+	fresh := buildState(t, 400, 4)
 	data := saveBytes(t, fresh, Options{Workers: 4})
 
 	loaded, err := Load(bytes.NewReader(data), Options{Workers: 4})

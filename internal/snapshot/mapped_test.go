@@ -44,7 +44,7 @@ func openMapped(tb testing.TB, path string) *serving.View {
 // to both the freshly built state and the legacy streaming decode of
 // the same state.
 func TestOpenMappedServingEquivalence(t *testing.T) {
-	fresh := buildState(t, 400, 4, 8)
+	fresh := buildState(t, 400, 4)
 	legacy := saveLegacyBytes(t, fresh, Options{Workers: 4})
 	v3 := saveBytes(t, fresh, Options{Workers: 4})
 

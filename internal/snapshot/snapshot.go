@@ -15,7 +15,7 @@
 // with no decode pass and restart cost independent of taxonomy size.
 // Saving compiles the store into the canonical serving view first, so
 // the same logical state produces byte-identical snapshots regardless
-// of the Workers/Shards settings it was built or saved with — the
+// of the Workers setting it was built or saved with — the
 // pipeline's determinism guarantee extended to the on-disk artifact.
 // Versions 1 and 2 hash-partitioned the content into a fixed number of
 // varint-encoded stripes instead; SaveLegacy still writes version 2 and
@@ -50,8 +50,8 @@ import (
 // Format constants. The magic and end marker frame the file; Version
 // is bumped on any incompatible layout change (a loader rejects
 // versions it does not know). Stripes is part of the format, not a
-// tuning knob: fixing it is what keeps snapshot bytes independent of
-// the in-memory shard count.
+// tuning knob: fixing it is what keeps striped snapshot bytes
+// independent of how the in-memory store is laid out.
 const (
 	// Magic opens every snapshot file.
 	Magic = "CNPBSNP1"
@@ -96,10 +96,9 @@ const maxStripes = 1 << 16
 
 // Meta is the build metadata saved alongside the graph. It describes
 // the logical artifact, so it deliberately excludes runtime knobs
-// (worker counts, shard counts) — those may differ between the build
-// that produced a snapshot and the server that loads it, and keeping
-// them out is what makes snapshot bytes identical across
-// Workers/Shards configurations.
+// (worker counts) — those may differ between the build that produced a
+// snapshot and the server that loads it, and keeping them out is what
+// makes snapshot bytes identical across Workers configurations.
 type Meta struct {
 	// Pages is the number of corpus pages the taxonomy was built from.
 	Pages int `json:"pages"`
@@ -144,16 +143,13 @@ type State struct {
 	Stats *corpus.Stats
 }
 
-// Options tunes snapshot I/O concurrency and the loaded store shape.
+// Options tunes snapshot I/O concurrency.
 type Options struct {
 	// Workers bounds the pool stripe encoding/decoding fans out over:
 	// 0 selects one worker per logical CPU, 1 runs sequentially. Any
 	// worker count produces the same bytes (Save) and the same loaded
 	// state (Load).
 	Workers int
-	// Shards is the shard count of the taxonomy store Load assembles
-	// into; 0 selects taxonomy.DefaultShards. Ignored by Save.
-	Shards int
 }
 
 // workerCount resolves Options.Workers like the build pipeline does.

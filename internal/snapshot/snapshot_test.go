@@ -53,7 +53,7 @@ func handState(tb testing.TB) *State {
 
 // buildState runs the real pipeline (neural stage off for speed) over
 // the deterministic synthetic world at the given concurrency settings.
-func buildState(tb testing.TB, entities, workers, shards int) *State {
+func buildState(tb testing.TB, entities, workers int) *State {
 	tb.Helper()
 	cfg := synth.DefaultConfig()
 	cfg.Entities = entities
@@ -64,7 +64,6 @@ func buildState(tb testing.TB, entities, workers, shards int) *State {
 	opts := core.DefaultOptions()
 	opts.EnableNeural = false
 	opts.Workers = workers
-	opts.Shards = shards
 	res, err := core.New(opts).Build(w.Corpus())
 	if err != nil {
 		tb.Fatalf("Build: %v", err)
@@ -147,28 +146,20 @@ func requireEqualState(tb testing.TB, want, got *State) {
 }
 
 // TestRoundTripHandAssembled is the core property: Load(Save(x)) is
-// query-identical to x, for every combination of save/load worker and
-// shard settings.
+// query-identical to x, for every combination of save/load worker
+// settings.
 func TestRoundTripHandAssembled(t *testing.T) {
 	st := handState(t)
 	for _, saveWorkers := range []int{1, 4} {
 		data := saveBytes(t, st, Options{Workers: saveWorkers})
 		for _, loadOpts := range []Options{
-			{Workers: 1, Shards: 1},
-			{Workers: 1, Shards: 64},
-			{Workers: 8, Shards: 1},
-			{Workers: 8, Shards: 64},
+			{Workers: 1},
+			{Workers: 8},
 			{}, // all defaults
 		} {
 			got, err := Load(bytes.NewReader(data), loadOpts)
 			if err != nil {
 				t.Fatalf("Load(save=%d, opts=%+v): %v", saveWorkers, loadOpts, err)
-			}
-			if !got.Taxonomy.Finalized() {
-				t.Fatalf("loaded taxonomy not finalized (opts %+v)", loadOpts)
-			}
-			if loadOpts.Shards > 0 && got.Taxonomy.ShardCount() != loadOpts.Shards {
-				t.Fatalf("loaded ShardCount = %d, want %d", got.Taxonomy.ShardCount(), loadOpts.Shards)
 			}
 			if got.Meta.Pages != st.Meta.Pages || got.Meta.Stats != st.Meta.Stats {
 				t.Fatalf("meta = %+v, want %+v", got.Meta, st.Meta)
@@ -182,9 +173,9 @@ func TestRoundTripHandAssembled(t *testing.T) {
 // output, including provenance-heavy multi-source edges and the full
 // mention index.
 func TestRoundTripBuiltWorld(t *testing.T) {
-	st := buildState(t, 500, 4, 8)
+	st := buildState(t, 500, 4)
 	data := saveBytes(t, st, Options{Workers: 4})
-	got, err := Load(bytes.NewReader(data), Options{Workers: 4, Shards: 32})
+	got, err := Load(bytes.NewReader(data), Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -193,12 +184,12 @@ func TestRoundTripBuiltWorld(t *testing.T) {
 
 // TestByteStabilityAcrossConfigs is the golden guarantee: the same
 // synthetic world produces byte-identical snapshots no matter which
-// Workers/Shards settings built the taxonomy and no matter which
+// Workers setting built the taxonomy and no matter which
 // worker count saved it — the PR-1 determinism contract extended to
 // the on-disk format. A repeated save is also byte-identical (no
 // timestamps, no map-order leakage).
 func TestByteStabilityAcrossConfigs(t *testing.T) {
-	ref := buildState(t, 400, 1, 1)
+	ref := buildState(t, 400, 1)
 	refBytes := saveBytes(t, ref, Options{Workers: 1})
 
 	if again := saveBytes(t, ref, Options{Workers: 1}); !bytes.Equal(refBytes, again) {
@@ -207,9 +198,9 @@ func TestByteStabilityAcrossConfigs(t *testing.T) {
 	if par := saveBytes(t, ref, Options{Workers: 8}); !bytes.Equal(refBytes, par) {
 		t.Fatal("Workers=8 save differs from Workers=1 save of the same state")
 	}
-	other := buildState(t, 400, 8, 48)
+	other := buildState(t, 400, 8)
 	if otherBytes := saveBytes(t, other, Options{Workers: 3}); !bytes.Equal(refBytes, otherBytes) {
-		t.Fatalf("snapshot of (workers=8, shards=48) build differs from (1, 1) build: %d vs %d bytes",
+		t.Fatalf("snapshot of workers=8 build differs from workers=1 build: %d vs %d bytes",
 			len(otherBytes), len(refBytes))
 	}
 }
@@ -261,18 +252,15 @@ func apiResponses(tb testing.TB, srv *api.Server, nodes, mentions []string) stri
 }
 
 // TestServingEquivalence pins the acceptance criterion: a taxonomy
-// saved from any Workers/Shards build configuration loads into a
+// saved from any Workers build configuration loads into a
 // server whose men2ent/getConcept/getEntity responses are identical to
 // serving the freshly built taxonomy.
 func TestServingEquivalence(t *testing.T) {
-	for _, cfg := range []struct{ workers, shards int }{
-		{1, 1},
-		{8, 32},
-	} {
-		t.Run(fmt.Sprintf("workers=%d,shards=%d", cfg.workers, cfg.shards), func(t *testing.T) {
-			fresh := buildState(t, 400, cfg.workers, cfg.shards)
-			data := saveBytes(t, fresh, Options{Workers: cfg.workers})
-			loaded, err := Load(bytes.NewReader(data), Options{Workers: cfg.workers, Shards: cfg.shards})
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			fresh := buildState(t, 400, workers)
+			data := saveBytes(t, fresh, Options{Workers: workers})
+			loaded, err := Load(bytes.NewReader(data), Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("Load: %v", err)
 			}

@@ -157,7 +157,7 @@ func streamStates(t *testing.T) map[string]*State {
 		"no evidence":           handState(t),
 		"no mentions":           {Taxonomy: handState(t).Taxonomy},
 		"empty evidence": {Taxonomy: handState(t).Taxonomy, Mentions: handState(t).Mentions,
-			Evidence: verify.NewEvidence(ner.NewSupport(), ner.New()), Stats: corpus.NewStats()},
+			Evidence: verify.NewEvidence(nil, ner.NewSupport(), ner.New()), Stats: corpus.NewStats()},
 	}
 }
 

@@ -13,7 +13,10 @@ import (
 // classifying every edge by its hyponym's kind.
 func recountStats(t *Taxonomy) Stats {
 	var s Stats
-	kinds := t.snapshotKinds()
+	kinds := map[string]NodeKind{}
+	for _, k := range t.ExportPartitions(1)[0].Kinds {
+		kinds[k.Name] = k.Kind
+	}
 	for _, k := range kinds {
 		switch k {
 		case KindEntity:
@@ -36,6 +39,20 @@ func recountStats(t *Taxonomy) Stats {
 	return s
 }
 
+// unionNodes is the reference node list: every marked name and every
+// edge endpoint, ascending.
+func unionNodes(t *Taxonomy) []string {
+	var out []string
+	for _, k := range t.ExportPartitions(1)[0].Kinds {
+		out = append(out, k.Name)
+	}
+	for _, e := range t.Edges() {
+		out = append(out, e.Hypo, e.Hyper)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
 // nodeState is everything a reader can observe about one node.
 func nodeState(t *Taxonomy, n string) string {
 	var edges []Edge
@@ -56,12 +73,13 @@ func nodeState(t *Taxonomy, n string) string {
 // TestIncrementalBookkeepingMatchesRecount drives random writes of
 // every kind through the store and holds the three things the writes
 // maintain incrementally to their from-scratch definitions: the stats
-// counters to a recount, the finalized node list to a re-union of the
-// shards, and the change log to a before/after diff of every node.
+// counters to a recount, the node list to the union of marked names and
+// edge endpoints, and the change log to a before/after diff of every
+// node.
 func TestIncrementalBookkeepingMatchesRecount(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tx := NewSharded(1 + rng.Intn(6))
+		tx := New()
 		name := func() string { return fmt.Sprintf("节点%02d", rng.Intn(40)) }
 		_, token, ok := tx.ChangesSince(0)
 		if ok {
@@ -92,8 +110,8 @@ func TestIncrementalBookkeepingMatchesRecount(t *testing.T) {
 				t.Fatalf("seed %d round %d: chained ChangesSince lost its place", seed, round)
 			}
 			token = next
-			if !tx.Finalized() || !reflect.DeepEqual(tx.Nodes(), tx.computeNodes()) {
-				t.Fatalf("seed %d round %d: node list %v, re-union %v", seed, round, tx.Nodes(), tx.computeNodes())
+			if union := unionNodes(tx); !reflect.DeepEqual(tx.Nodes(), union) {
+				t.Fatalf("seed %d round %d: node list %v, re-union %v", seed, round, tx.Nodes(), union)
 			}
 			if !slices.IsSorted(changed) || len(slices.Compact(slices.Clone(changed))) != len(changed) {
 				t.Fatalf("seed %d round %d: change list not ascending and distinct: %v", seed, round, changed)

@@ -38,10 +38,7 @@ func (t *Taxonomy) WriteDOT(w io.Writer) error {
 	}
 	fmt.Fprintln(bw, `  rankdir=BT;`)
 	fmt.Fprintln(bw, `  node [shape=box, fontname="sans"];`)
-	for _, n := range t.Nodes() {
-		if t.Kind(n) != KindConcept {
-			continue
-		}
+	for _, n := range t.Concepts() {
 		fmt.Fprintf(bw, "  %q [label=\"%s\\n(%d)\"];\n", n, escapeDOT(n), t.HyponymCount(n))
 	}
 	for _, e := range t.Edges() {

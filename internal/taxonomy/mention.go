@@ -1,6 +1,7 @@
 package taxonomy
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -15,13 +16,17 @@ import (
 type MentionIndex struct {
 	mu       sync.RWMutex
 	mentions map[string][]string // mention → entity IDs
-	dict     *trie.Trie
-	changes  changeLog // mentions whose ID list grew; see ChangesSince
+	// dict is the text scanner's dictionary. Only FindAll reads it, and
+	// the build and serving paths never call FindAll here (a view
+	// compiles its own dictionary), so it is built by the first scan
+	// and kept current from then on; nil until then.
+	dict    *trie.Trie
+	changes changeLog[string] // mentions whose ID list grew; see ChangesSince
 }
 
 // NewMentionIndex returns an empty index.
 func NewMentionIndex() *MentionIndex {
-	return &MentionIndex{mentions: make(map[string][]string), dict: trie.New()}
+	return &MentionIndex{mentions: make(map[string][]string)}
 }
 
 // Add registers a mention for an entity ID. Duplicate (mention, id)
@@ -39,7 +44,9 @@ func (m *MentionIndex) Add(mention, entityID string) {
 		}
 	}
 	m.mentions[mention] = append(m.mentions[mention], entityID)
-	m.dict.Insert(mention)
+	if m.dict != nil {
+		m.dict.Insert(mention)
+	}
 	m.changes.record(mention)
 }
 
@@ -78,22 +85,44 @@ type MentionEntry struct {
 	IDs     []string
 }
 
+// Sorted returns the whole index in canonical order: one entry per
+// mention, ascending by mention, each with its entity IDs ascending —
+// the mention table of a serving view, ready-made. The ID lists share
+// one backing array.
+func (m *MentionIndex) Sorted() []MentionEntry {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	mentions := make([]string, 0, len(m.mentions))
+	total := 0
+	for mention, ids := range m.mentions {
+		mentions = append(mentions, mention)
+		total += len(ids)
+	}
+	slices.Sort(mentions)
+	out := make([]MentionEntry, len(mentions))
+	flat := make([]string, 0, total)
+	for i, mention := range mentions {
+		from := len(flat)
+		flat = append(flat, m.mentions[mention]...)
+		ids := flat[from:len(flat):len(flat)]
+		slices.Sort(ids)
+		out[i] = MentionEntry{Mention: mention, IDs: ids}
+	}
+	return out
+}
+
 // ExportPartitions splits the index into n hash partitions: entry i
 // holds the mentions with fnv32a(mention) % n == i, each with a copy of
 // its ID list. Like Taxonomy.ExportPartitions, the split depends only
-// on the logical content and n; entry order within a partition is
-// unspecified and ID lists keep their insertion order (Lookup sorts, so
-// ID order is not query-visible).
+// on the logical content and n.
 func (m *MentionIndex) ExportPartitions(n int) [][]MentionEntry {
 	if n <= 0 {
 		n = 1
 	}
 	parts := make([][]MentionEntry, n)
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for mention, ids := range m.mentions {
-		i := fnv32a(mention) % uint32(n)
-		parts[i] = append(parts[i], MentionEntry{Mention: mention, IDs: append([]string(nil), ids...)})
+	for _, e := range m.Sorted() {
+		i := fnv32a(e.Mention) % uint32(n)
+		parts[i] = append(parts[i], e)
 	}
 	return parts
 }
@@ -111,6 +140,11 @@ func (m *MentionIndex) FindAll(text string) []string {
 // equivalent on the immutable view.
 func (m *MentionIndex) FindAllAppend(dst []string, text string) []string {
 	m.mu.RLock()
+	if m.dict == nil {
+		m.mu.RUnlock()
+		m.buildDict()
+		m.mu.RLock()
+	}
 	defer m.mu.RUnlock()
 	rs := []rune(text)
 	base := len(dst)
@@ -134,4 +168,18 @@ func (m *MentionIndex) FindAllAppend(dst []string, text string) []string {
 		i += l
 	}
 	return dst
+}
+
+// buildDict builds the scan dictionary from the mentions indexed so
+// far, unless another scan got there first.
+func (m *MentionIndex) buildDict() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.dict != nil {
+		return
+	}
+	m.dict = trie.New()
+	for mention := range m.mentions {
+		m.dict.Insert(mention)
+	}
 }

@@ -5,9 +5,9 @@ package taxonomy
 
 // PathToAncestor returns one shortest isA chain from node to ancestor
 // (inclusive of both ends), or nil when ancestor is not reachable. BFS
-// guarantees minimal length; ties resolve to the first-indexed edge.
-// Each BFS step locks one shard via Hypernyms, so the query never holds
-// more than one shard lock.
+// guarantees minimal length; ties resolve to the hypernym that sorts
+// first. Each BFS step reads through Hypernyms, so the store's lock is
+// never held across steps.
 func (t *Taxonomy) PathToAncestor(node, ancestor string) []string {
 	if node == ancestor {
 		return []string{node}

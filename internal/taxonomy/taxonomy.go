@@ -1,38 +1,38 @@
 // Package taxonomy implements the conceptual taxonomy *build* store:
-// the mutable structure the construction pipeline assembles into. It
-// holds entities, concepts and provenance-tagged isA edges, maintains
-// hypernym/hyponym indexes, answers closure queries (with cycle
-// guards) and serializes to JSON. For serving traffic, the finished
-// store is frozen into the immutable, lock-free view in
-// internal/serving (see serving.Compile); the query methods here have
-// View equivalents with equivalence pinned by tests.
+// the write-side accumulator the construction pipeline assembles into.
+// It holds entities, concepts and provenance-tagged isA edges, answers
+// point and closure queries (with cycle guards) and serializes to JSON.
+// For serving traffic the store is frozen into the immutable, lock-free
+// view in internal/serving (serving.Compile, or serving.Patch for the
+// nodes written since); the query methods here have View equivalents
+// with equivalence pinned by tests.
 //
-// The store is sharded: nodes and edges are distributed over N
-// lock-protected shards keyed by a hash of the hyponym (edges, hypernym
-// lists) or of the node itself (kinds, hyponym lists), so concurrent
-// writers contend only when they touch the same shard. Single-node
-// queries (Hypernyms, Hyponyms, Kind, EdgeOf) lock exactly one shard;
-// whole-graph queries (Edges, Nodes, ComputeStats) visit shards one at
-// a time. Finalize puts adjacency lists into canonical order and keeps
-// a merged sorted node list that Nodes is served from until the next
-// write. Every write records the nodes it touches, so re-finalizing
-// after an incremental update sorts and merges only those; Stats are
-// per-shard counters maintained by the writes themselves.
+// The store lives on dense IDs. Names are interned in a symtab.Table —
+// the one the build's verification evidence uses, so a name is hashed
+// once per build — and the rest is one flat array of node records
+// indexed by ID: kind, outgoing edges (hypernym ID, sources, score,
+// evidence count) and hyponym IDs, in arrival order. There is no second
+// index to keep in step and nothing to finalize: the Stats counters are
+// kept by the writes, the change log is a list of touched IDs, and what
+// a reader returns as strings it puts in name order itself. Consumers
+// that compile the store read it in canonical form through ReadAll /
+// ReadNodes instead of querying it name by name.
 //
-// A Taxonomy is safe for concurrent use: writes lock at most two
-// shards (always in index order, so writers cannot deadlock), and
-// readers never hold more than one shard lock at a time.
+// A Taxonomy is safe for concurrent use: one RWMutex, writers
+// exclusive, readers shared.
 package taxonomy
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
+
+	"cnprobase/internal/symtab"
 )
 
 // Source identifies where an isA relation was generated from (paper
@@ -109,179 +109,111 @@ type Edge struct {
 	Count int `json:"count"`
 }
 
-type edgeKey struct{ hypo, hyper string }
-
-// DefaultShards is the shard count used by New. Sixteen shards keep
-// write contention negligible for the pipeline's worker counts while
-// the per-shard maps stay large enough to amortize.
-const DefaultShards = 16
-
-// shard is one lock-protected partition of the store. Edges and
-// hypernym lists live in the hyponym's shard; hyponym lists and node
-// kinds live in the named node's shard.
-type shard struct {
-	mu     sync.RWMutex
-	edges  map[edgeKey]*Edge   // keyed by shard(hypo)
-	hypers map[string][]string // hypo → hypernyms, keyed by shard(hypo)
-	hypos  map[string][]string // hyper → hyponyms, keyed by shard(hyper)
-	kinds  map[string]NodeKind // keyed by shard(node)
-	// touched holds every node of this shard written since the last
-	// Finalize, with the adjacency lists that were appended to (removals
-	// keep list order). Finalize sorts those lists and merges the names
-	// into the node list, so its cost follows the writes, not the store.
-	touched map[string]touch
-	// This shard's share of Stats, maintained by the writes: marked
-	// entities and concepts, and the outgoing edges of concept-kind
-	// nodes (a node's kind and its hypernym list share a shard).
-	entities, concepts, subConceptIsA int
+// edge is one outgoing isA relation, stored on its hyponym.
+type edge struct {
+	score   float64
+	count   int
+	hyper   uint32
+	sources Source
 }
 
-// touch says which of a touched node's adjacency lists need re-sorting.
-type touch uint8
-
-const (
-	touchHypers touch = 1 << iota
-	touchHypos
-)
-
-// touch records a write to the node. Callers hold sh.mu.
-func (sh *shard) touch(name string, lists touch) { sh.touched[name] |= lists }
-
-// setKind changes a node's kind and keeps the shard's counters in step;
-// KindUnknown removes the entry. Callers hold sh.mu.
-func (sh *shard) setKind(name string, k NodeKind) {
-	old := sh.kinds[name]
-	if old == k {
-		return
-	}
-	out := len(sh.hypers[name])
-	switch old {
-	case KindEntity:
-		sh.entities--
-	case KindConcept:
-		sh.concepts--
-		sh.subConceptIsA -= out
-	}
-	switch k {
-	case KindEntity:
-		sh.entities++
-	case KindConcept:
-		sh.concepts++
-		sh.subConceptIsA += out
-	}
-	if k == KindUnknown {
-		delete(sh.kinds, name)
-	} else {
-		sh.kinds[name] = k
-	}
-	sh.touch(name, 0)
+// node is what the store holds about one name. A node exists while it
+// is marked or touches an edge; a record that is neither is only a slot
+// another owner of the symbol table caused.
+type node struct {
+	hypers []edge   // outgoing edges, in arrival order
+	hypos  []uint32 // the nodes with an edge to this one, in arrival order
+	kind   NodeKind
 }
 
-// has reports whether the node exists: it is marked or touches an edge.
-// All three facts live in the node's own shard. Callers hold sh.mu.
-func (sh *shard) has(name string) bool {
-	return sh.kinds[name] != KindUnknown || len(sh.hypers[name]) > 0 || len(sh.hypos[name]) > 0
+func (n *node) exists() bool {
+	return n.kind != KindUnknown || len(n.hypers) > 0 || len(n.hypos) > 0
 }
 
-// merged is the sorted node list Finalize maintains. gen records the
-// write generation it was computed at; readers treat it as valid only
-// while the store's generation still matches, so a write racing
-// Finalize can never leave a stale list looking valid. A stale list
-// stays reachable: it is the base the next Finalize merges the touched
-// names into.
-type merged struct {
-	gen   uint64
-	nodes []string // sorted
+// canonicalKind is the kind a canonical read reports; see NodeSet.Kinds.
+func (n *node) canonicalKind() NodeKind {
+	if n.kind == KindUnknown && len(n.hypos) > 0 {
+		return KindConcept
+	}
+	return n.kind
+}
+
+// find returns the index of the edge to hyper, or -1. Nodes have a
+// handful of hypernyms, so a scan beats any index.
+func (n *node) find(hyper uint32) int {
+	for i := range n.hypers {
+		if n.hypers[i].hyper == hyper {
+			return i
+		}
+	}
+	return -1
 }
 
 // Taxonomy is the isA graph.
 type Taxonomy struct {
-	shards   []shard
-	writeGen atomic.Uint64
-	final    atomic.Pointer[merged]
+	syms *symtab.Table
 
-	// finalizeMu serializes Finalize and ChangesSince; changes is the
-	// log of node names ChangesSince hands out.
-	finalizeMu sync.Mutex
-	changes    changeLog
+	mu sync.RWMutex
+	// nodes is indexed by symbol ID; IDs past its end have no record.
+	nodes []node
+	// stats is kept current by the writes (EntityConceptIsA aside, which
+	// ComputeStats derives).
+	stats Stats
+	// changes logs the IDs ChangesSince hands out.
+	changes changeLog[uint32]
 }
 
-// New returns an empty taxonomy with DefaultShards shards.
-func New() *Taxonomy { return NewSharded(DefaultShards) }
+// New returns an empty taxonomy over a symbol table of its own.
+func New() *Taxonomy { return NewWithSymbols(symtab.New()) }
 
-// NewSharded returns an empty taxonomy with n shards (n <= 0 selects
-// DefaultShards). Higher shard counts reduce write contention during
-// parallel construction; shard count does not affect query results.
-func NewSharded(n int) *Taxonomy {
-	if n <= 0 {
-		n = DefaultShards
+// NewWithSymbols returns an empty taxonomy that interns its names in
+// syms. The build pipeline hands the store and the verification
+// evidence the same table.
+func NewWithSymbols(syms *symtab.Table) *Taxonomy { return &Taxonomy{syms: syms} }
+
+// lookup returns name's ID and record, nil when the store has none.
+// Callers hold mu.
+func (t *Taxonomy) lookup(name string) (uint32, *node) {
+	id, ok := t.syms.Lookup(name)
+	if !ok || int(id) >= len(t.nodes) {
+		return 0, nil
 	}
-	t := &Taxonomy{shards: make([]shard, n)}
-	for i := range t.shards {
-		t.shards[i] = shard{
-			edges:   make(map[edgeKey]*Edge),
-			hypers:  make(map[string][]string),
-			hypos:   make(map[string][]string),
-			kinds:   make(map[string]NodeKind),
-			touched: make(map[string]touch),
-		}
-	}
-	return t
+	return id, &t.nodes[id]
 }
 
-// ShardCount returns the number of shards.
-func (t *Taxonomy) ShardCount() int { return len(t.shards) }
-
-// fnv32a hashes s with 32-bit FNV-1a.
-func fnv32a(s string) uint32 {
-	const (
-		offset = 2166136261
-		prime  = 16777619
-	)
-	h := uint32(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime
+// intern returns name's ID with its record in place. Callers hold mu
+// for writing; node pointers taken earlier may be stale afterwards.
+func (t *Taxonomy) intern(name string) uint32 {
+	id := t.syms.Intern(name)
+	if grow := int(id) + 1 - len(t.nodes); grow > 0 {
+		t.nodes = append(t.nodes, make([]node, grow)...)
 	}
-	return h
+	return id
 }
 
-func (t *Taxonomy) shardIndex(name string) int {
-	return int(fnv32a(name) % uint32(len(t.shards)))
+// setKind changes a node's kind and keeps the counters in step.
+// Callers hold mu for writing.
+func (t *Taxonomy) setKind(id uint32, k NodeKind) {
+	n := &t.nodes[id]
+	if n.kind == k {
+		return
+	}
+	t.countKind(n, -1)
+	n.kind = k
+	t.countKind(n, +1)
+	t.changes.record(id)
 }
 
-func (t *Taxonomy) shardOf(name string) *shard { return &t.shards[t.shardIndex(name)] }
-
-// invalidate makes readers ignore the merged node list: a Finalize
-// computing concurrently publishes its result under the generation it
-// started at, which no longer matches.
-func (t *Taxonomy) invalidate() { t.writeGen.Add(1) }
-
-// mergedIndexes returns the merged node list if it is still current,
-// nil otherwise.
-func (t *Taxonomy) mergedIndexes() *merged {
-	if m := t.final.Load(); m != nil && m.gen == t.writeGen.Load() {
-		return m
+// countKind adds (sign +1) or removes (sign -1) a node's contribution
+// to the kind-dependent counters.
+func (t *Taxonomy) countKind(n *node, sign int) {
+	switch n.kind {
+	case KindEntity:
+		t.stats.Entities += sign
+	case KindConcept:
+		t.stats.Concepts += sign
+		t.stats.SubConceptIsA += sign * len(n.hypers)
 	}
-	return nil
-}
-
-// lockPair write-locks the shards of a and b in index order (deadlock
-// free) and returns the corresponding shards plus an unlock function.
-func (t *Taxonomy) lockPair(a, b string) (sa, sb *shard, unlock func()) {
-	i, j := t.shardIndex(a), t.shardIndex(b)
-	sa, sb = &t.shards[i], &t.shards[j]
-	if i == j {
-		sa.mu.Lock()
-		return sa, sb, sa.mu.Unlock
-	}
-	lo, hi := sa, sb
-	if i > j {
-		lo, hi = sb, sa
-	}
-	lo.mu.Lock()
-	hi.mu.Lock()
-	return sa, sb, func() { hi.mu.Unlock(); lo.mu.Unlock() }
 }
 
 // MarkEntity declares node as an entity.
@@ -294,38 +226,44 @@ func (t *Taxonomy) mark(name string, k NodeKind) {
 	if name == "" {
 		return
 	}
-	sh := t.shardOf(name)
-	sh.mu.Lock()
-	if sh.kinds[name] == KindUnknown {
-		sh.setKind(name, k)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if id := t.intern(name); t.nodes[id].kind == KindUnknown {
+		t.setKind(id, k)
 	}
-	sh.mu.Unlock()
-	t.invalidate()
 }
 
 // ImportKind overwrites the node kind unconditionally. It is the
 // deserialization counterpart of MarkEntity/MarkConcept: JSON and
 // binary-snapshot loaders restore saved kinds through it. KindUnknown
-// entries are dropped rather than stored — Unknown is the absence of a
-// kind, and storing it would make a parallel restore racy against
-// InsertEdge's implicit concept marking.
+// removes the mark — Unknown is the absence of a kind.
 func (t *Taxonomy) ImportKind(name string, k NodeKind) {
 	if name == "" {
 		return
 	}
-	sh := t.shardOf(name)
-	sh.mu.Lock()
-	sh.setKind(name, k)
-	sh.mu.Unlock()
-	t.invalidate()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.setKind(t.intern(name), k)
 }
 
 // Kind returns the node kind of name.
 func (t *Taxonomy) Kind(name string) NodeKind {
-	sh := t.shardOf(name)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.kinds[name]
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if _, n := t.lookup(name); n != nil {
+		return n.kind
+	}
+	return KindUnknown
+}
+
+func checkEdge(hypo, hyper string) error {
+	if hypo == "" || hyper == "" {
+		return fmt.Errorf("taxonomy: empty node in isA(%q, %q)", hypo, hyper)
+	}
+	if hypo == hyper {
+		return fmt.Errorf("taxonomy: self-loop isA(%q, %q)", hypo, hyper)
+	}
+	return nil
 }
 
 // AddIsA inserts or reinforces the isA(hypo, hyper) edge. Self-loops
@@ -333,46 +271,43 @@ func (t *Taxonomy) Kind(name string) NodeKind {
 // keep their current kind (entities are marked via MarkEntity by the
 // pipeline; hyponyms that are concepts form subconcept edges).
 func (t *Taxonomy) AddIsA(hypo, hyper string, src Source, score float64) error {
-	if hypo == "" || hyper == "" {
-		return fmt.Errorf("taxonomy: empty node in isA(%q, %q)", hypo, hyper)
+	if err := checkEdge(hypo, hyper); err != nil {
+		return err
 	}
-	if hypo == hyper {
-		return fmt.Errorf("taxonomy: self-loop isA(%q, %q)", hypo, hyper)
-	}
-	sa, sb, unlock := t.lockPair(hypo, hyper)
-	defer unlock()
-	k := edgeKey{hypo, hyper}
-	if e, ok := sa.edges[k]; ok {
-		e.Sources |= src
-		e.Count++
-		if score > e.Score {
-			e.Score = score
-		}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	a, b := t.intern(hypo), t.intern(hyper)
+	n := &t.nodes[a]
+	if i := n.find(b); i >= 0 {
+		e := &n.hypers[i]
+		e.sources |= src
+		e.count++
+		e.score = max(e.score, score)
 		// The evidence count feeds both endpoints' typicality rankings.
-		sa.touch(hypo, 0)
-		sb.touch(hyper, 0)
-		t.invalidate()
+		t.changes.record(a, b)
 		return nil
 	}
-	sa.edges[k] = &Edge{Hypo: hypo, Hyper: hyper, Sources: src, Score: score, Count: 1}
-	linkEdge(sa, sb, hypo, hyper)
-	t.invalidate()
+	t.link(a, b, edge{hyper: b, sources: src, score: score, count: 1})
 	return nil
 }
 
-// linkEdge indexes a new edge on both endpoints, marks an unknown
-// hypernym as a concept and keeps the counters in step. Callers hold
-// both shard locks.
-func linkEdge(sa, sb *shard, hypo, hyper string) {
-	sa.hypers[hypo] = append(sa.hypers[hypo], hyper)
-	sa.touch(hypo, touchHypers)
-	if sa.kinds[hypo] == KindConcept {
-		sa.subConceptIsA++
+// link stores a new edge on both endpoints, marks an unknown hypernym
+// as a concept and keeps the counters in step. Callers hold mu for
+// writing.
+func (t *Taxonomy) link(a, b uint32, e edge) {
+	hypo, hyper := &t.nodes[a], &t.nodes[b]
+	hypo.hypers = append(hypo.hypers, e)
+	hyper.hypos = append(hyper.hypos, a)
+	t.stats.IsARelations++
+	if len(hypo.hypers) == 1 {
+		t.stats.NodesWithHypernym++
 	}
-	sb.hypos[hyper] = append(sb.hypos[hyper], hypo)
-	sb.touch(hyper, touchHypos)
-	if sb.kinds[hyper] == KindUnknown {
-		sb.setKind(hyper, KindConcept)
+	if hypo.kind == KindConcept {
+		t.stats.SubConceptIsA++
+	}
+	t.changes.record(a, b)
+	if hyper.kind == KindUnknown {
+		t.setKind(b, KindConcept)
 	}
 }
 
@@ -382,232 +317,231 @@ func linkEdge(sa, sb *shard, hypo, hyper string) {
 // loaders restoring a saved graph use it so counts and scores round-trip
 // bit-exactly. An existing (Hypo, Hyper) edge is overwritten in place.
 // Like AddIsA, the hypernym is implicitly marked as a concept when its
-// kind is still unknown, so edge and kind sections may be restored
-// concurrently in any order.
+// kind is still unknown, so edges and kinds may be restored in any
+// order.
 func (t *Taxonomy) InsertEdge(e Edge) error {
-	if e.Hypo == "" || e.Hyper == "" {
-		return fmt.Errorf("taxonomy: empty node in isA(%q, %q)", e.Hypo, e.Hyper)
+	if err := checkEdge(e.Hypo, e.Hyper); err != nil {
+		return err
 	}
-	if e.Hypo == e.Hyper {
-		return fmt.Errorf("taxonomy: self-loop isA(%q, %q)", e.Hypo, e.Hyper)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	a, b := t.intern(e.Hypo), t.intern(e.Hyper)
+	stored := edge{hyper: b, sources: e.Sources, score: e.Score, count: e.Count}
+	n := &t.nodes[a]
+	i := n.find(b)
+	if i < 0 {
+		t.link(a, b, stored)
+		return nil
 	}
-	sa, sb, unlock := t.lockPair(e.Hypo, e.Hyper)
-	defer unlock()
-	k := edgeKey{e.Hypo, e.Hyper}
-	if old, ok := sa.edges[k]; ok {
-		*old = e
-		sa.touch(e.Hypo, 0)
-		sb.touch(e.Hyper, 0)
-		if sb.kinds[e.Hyper] == KindUnknown {
-			sb.setKind(e.Hyper, KindConcept)
-		}
-	} else {
-		cp := e
-		sa.edges[k] = &cp
-		linkEdge(sa, sb, e.Hypo, e.Hyper)
+	n.hypers[i] = stored
+	t.changes.record(a, b)
+	if t.nodes[b].kind == KindUnknown {
+		t.setKind(b, KindConcept)
 	}
-	t.invalidate()
 	return nil
 }
 
 // RemoveIsA deletes the edge if present and reports whether it existed.
 // Concept endpoints left without any remaining edge are demoted: their
-// kinds entry is dropped, so a concept whose last hyponym is retracted
-// by re-verification stops counting toward Stats.Concepts instead of
+// mark is dropped, so a concept whose last hyponym is retracted by
+// re-verification stops counting toward Stats.Concepts instead of
 // drifting the count upward across update batches. Entities (marked
 // via MarkEntity) always survive retraction.
 func (t *Taxonomy) RemoveIsA(hypo, hyper string) bool {
-	sa, sb, unlock := t.lockPair(hypo, hyper)
-	defer unlock()
-	k := edgeKey{hypo, hyper}
-	if _, ok := sa.edges[k]; !ok {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	a, from := t.lookup(hypo)
+	b, to := t.lookup(hyper)
+	if from == nil || to == nil {
 		return false
 	}
-	delete(sa.edges, k)
-	sa.touch(hypo, 0)
-	sb.touch(hyper, 0)
-	if sa.kinds[hypo] == KindConcept {
-		sa.subConceptIsA--
+	i := from.find(b)
+	if i < 0 {
+		return false
 	}
-	if hs := removeString(sa.hypers[hypo], hyper); len(hs) > 0 {
-		sa.hypers[hypo] = hs
-	} else {
-		delete(sa.hypers, hypo) // empty entries would skew NodesWithHypernym
+	from.hypers = slices.Delete(from.hypers, i, i+1)
+	j := slices.Index(to.hypos, a)
+	to.hypos = slices.Delete(to.hypos, j, j+1)
+	t.stats.IsARelations--
+	if len(from.hypers) == 0 {
+		t.stats.NodesWithHypernym--
 	}
-	if hs := removeString(sb.hypos[hyper], hypo); len(hs) > 0 {
-		sb.hypos[hyper] = hs
-	} else {
-		delete(sb.hypos, hyper)
+	if from.kind == KindConcept {
+		t.stats.SubConceptIsA--
 	}
-	// Demote orphaned concepts. A node's adjacency both ways lives in
-	// its own shard (hypers is keyed by the hyponym side, hypos by the
-	// hypernym side), so each endpoint check stays inside the shard
-	// lock already held.
-	if sb.kinds[hyper] == KindConcept && len(sb.hypos[hyper]) == 0 && len(sb.hypers[hyper]) == 0 {
-		sb.setKind(hyper, KindUnknown)
+	t.changes.record(a, b)
+	for _, id := range [2]uint32{b, a} {
+		if n := &t.nodes[id]; n.kind == KindConcept && len(n.hypers) == 0 && len(n.hypos) == 0 {
+			t.setKind(id, KindUnknown)
+		}
 	}
-	if sa.kinds[hypo] == KindConcept && len(sa.hypers[hypo]) == 0 && len(sa.hypos[hypo]) == 0 {
-		sa.setKind(hypo, KindUnknown)
-	}
-	t.invalidate()
 	return true
 }
 
-func removeString(xs []string, x string) []string {
-	for i, v := range xs {
-		if v == x {
-			return append(xs[:i], xs[i+1:]...)
-		}
+// edgeOf locates the stored edge; nil when absent. Callers hold mu.
+func (t *Taxonomy) edgeOf(hypo, hyper string) *edge {
+	_, from := t.lookup(hypo)
+	b, to := t.lookup(hyper)
+	if from == nil || to == nil {
+		return nil
 	}
-	return xs
+	if i := from.find(b); i >= 0 {
+		return &from.hypers[i]
+	}
+	return nil
 }
 
 // HasIsA reports whether the direct edge exists.
 func (t *Taxonomy) HasIsA(hypo, hyper string) bool {
-	sh := t.shardOf(hypo)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	_, ok := sh.edges[edgeKey{hypo, hyper}]
+	_, ok := t.EdgeOf(hypo, hyper)
 	return ok
 }
 
 // EdgeOf returns a copy of the edge, if present.
 func (t *Taxonomy) EdgeOf(hypo, hyper string) (Edge, bool) {
-	sh := t.shardOf(hypo)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e, ok := sh.edges[edgeKey{hypo, hyper}]
-	if !ok {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	e := t.edgeOf(hypo, hyper)
+	if e == nil {
 		return Edge{}, false
 	}
-	return *e, true
+	return Edge{Hypo: hypo, Hyper: hyper, Sources: e.sources, Score: e.score, Count: e.count}, true
 }
 
-// Hypernyms returns the direct hypernyms of node (getConcept in the
-// paper's API table).
-func (t *Taxonomy) Hypernyms(node string) []string {
-	sh := t.shardOf(node)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return append([]string(nil), sh.hypers[node]...)
-}
-
-// Hyponyms returns up to limit direct hyponyms of a concept (getEntity
-// in the paper's API table); limit <= 0 means all.
-func (t *Taxonomy) Hyponyms(concept string, limit int) []string {
-	sh := t.shardOf(concept)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	hs := sh.hypos[concept]
-	if limit <= 0 || limit > len(hs) {
-		limit = len(hs)
+// sortedNames resolves n IDs — id(0) … id(n-1) — to their names,
+// ascending; nil for none. Callers hold mu.
+func (t *Taxonomy) sortedNames(n int, id func(i int) uint32) []string {
+	if n == 0 {
+		return nil
 	}
-	return append([]string(nil), hs[:limit]...)
+	names, out := t.syms.Names(), make([]string, n)
+	for i := range out {
+		out[i] = names[id(i)]
+	}
+	slices.Sort(out)
+	return out
+}
+
+// Hypernyms returns the direct hypernyms of node, ascending
+// (getConcept in the paper's API table).
+func (t *Taxonomy) Hypernyms(node string) []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	_, n := t.lookup(node)
+	if n == nil {
+		return nil
+	}
+	return t.sortedNames(len(n.hypers), func(i int) uint32 { return n.hypers[i].hyper })
+}
+
+// Hyponyms returns the first limit direct hyponyms of a concept in
+// ascending order (getEntity in the paper's API table); limit <= 0
+// means all.
+func (t *Taxonomy) Hyponyms(concept string, limit int) []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	_, n := t.lookup(concept)
+	if n == nil {
+		return nil
+	}
+	out := t.sortedNames(len(n.hypos), func(i int) uint32 { return n.hypos[i] })
+	if limit > 0 && limit < len(out) {
+		out = out[:limit:limit]
+	}
+	return out
 }
 
 // HyponymCount returns the number of direct hyponyms of a concept.
 func (t *Taxonomy) HyponymCount(concept string) int {
-	sh := t.shardOf(concept)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return len(sh.hypos[concept])
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if _, n := t.lookup(concept); n != nil {
+		return len(n.hypos)
+	}
+	return 0
 }
 
-// Ancestors returns all transitive hypernyms of node, breadth-first,
-// excluding node itself. Cycles are tolerated. Each BFS step reads one
-// shard; concurrent writers may interleave, in which case the result is
-// a best-effort snapshot (exact once construction has finished).
+// Ancestors returns all transitive hypernyms of node, breadth-first
+// with each node's hypernyms in ascending order, excluding node itself.
+// Cycles are tolerated.
 func (t *Taxonomy) Ancestors(node string) []string {
-	seen := map[string]bool{node: true}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	start, n := t.lookup(node)
+	if n == nil {
+		return nil
+	}
+	names := t.syms.Names()
+	seen := map[uint32]struct{}{start: {}}
+	var queue []uint32
+	expand := func(id uint32) {
+		from := len(queue)
+		for _, e := range t.nodes[id].hypers {
+			queue = append(queue, e.hyper)
+		}
+		slices.SortFunc(queue[from:], func(a, b uint32) int { return strings.Compare(names[a], names[b]) })
+	}
 	var out []string
-	queue := t.Hypernyms(node)
-	for len(queue) > 0 {
+	for expand(start); len(queue) > 0; {
 		cur := queue[0]
 		queue = queue[1:]
-		if seen[cur] {
+		if _, dup := seen[cur]; dup {
 			continue
 		}
-		seen[cur] = true
-		out = append(out, cur)
-		queue = append(queue, t.Hypernyms(cur)...)
+		seen[cur] = struct{}{}
+		out = append(out, names[cur])
+		expand(cur)
 	}
 	return out
 }
 
 // IsAncestor reports whether hyper is reachable from hypo.
 func (t *Taxonomy) IsAncestor(hypo, hyper string) bool {
-	for _, a := range t.Ancestors(hypo) {
-		if a == hyper {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(t.Ancestors(hypo), hyper)
 }
 
-// Nodes returns all node names, sorted. After Finalize the merged
-// sorted list is served from cache.
-func (t *Taxonomy) Nodes() []string {
-	if m := t.mergedIndexes(); m != nil {
-		return append([]string(nil), m.nodes...)
+// idsWhere lists the nodes keep accepts. Callers hold mu.
+func (t *Taxonomy) idsWhere(keep func(*node) bool) []uint32 {
+	var ids []uint32
+	for id := range t.nodes {
+		if keep(&t.nodes[id]) {
+			ids = append(ids, uint32(id))
+		}
 	}
-	return t.computeNodes()
+	return ids
 }
 
-// computeNodes unions every shard's nodes — the from-nothing node list
-// the first Finalize starts from and un-finalized reads fall back to.
-func (t *Taxonomy) computeNodes() []string {
-	seen := make(map[string]bool)
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		for k := range sh.edges {
-			seen[k.hypo] = true
-			seen[k.hyper] = true
-		}
-		for n := range sh.kinds {
-			seen[n] = true
-		}
-		sh.mu.RUnlock()
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+// namesWhere returns the names of the nodes keep accepts, sorted.
+func (t *Taxonomy) namesWhere(keep func(*node) bool) []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	ids := t.idsWhere(keep)
+	return t.sortedNames(len(ids), func(i int) uint32 { return ids[i] })
+}
+
+// Nodes returns all node names, sorted.
+func (t *Taxonomy) Nodes() []string { return t.namesWhere((*node).exists) }
+
+// Concepts returns the names of the nodes whose kind is KindConcept,
+// sorted.
+func (t *Taxonomy) Concepts() []string {
+	return t.namesWhere(func(n *node) bool { return n.kind == KindConcept })
 }
 
 // Edges returns copies of all edges, sorted for determinism.
 func (t *Taxonomy) Edges() []Edge {
-	out := make([]Edge, 0, t.EdgeCount())
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.edges {
-			out = append(out, *e)
+	set := t.ReadAll()
+	out := make([]Edge, 0, len(set.Edges))
+	for i, hypo := range set.Names {
+		for _, e := range set.Edges[set.EdgeOff[i]:set.EdgeOff[i+1]] {
+			out = append(out, Edge{Hypo: hypo, Hyper: e.Hyper, Sources: e.Sources, Score: e.Score, Count: e.Count})
 		}
-		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hypo != out[j].Hypo {
-			return out[i].Hypo < out[j].Hypo
-		}
-		return out[i].Hyper < out[j].Hyper
-	})
 	return out
 }
 
 // EdgeCount returns the number of isA edges.
-func (t *Taxonomy) EdgeCount() int {
-	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		n += len(sh.edges)
-		sh.mu.RUnlock()
-	}
-	return n
-}
+func (t *Taxonomy) EdgeCount() int { return t.ComputeStats().IsARelations }
 
 // Stats summarizes the taxonomy in the shape of the paper's Table I
 // row: entities, concepts, and the entity-concept / subconcept-concept
@@ -621,149 +555,141 @@ type Stats struct {
 	NodesWithHypernym int `json:"nodes_with_hypernym"`
 }
 
-// snapshotKinds copies the merged kind map, one shard at a time.
-func (t *Taxonomy) snapshotKinds() map[string]NodeKind {
-	out := make(map[string]NodeKind)
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		for n, k := range sh.kinds {
-			out[n] = k
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
-// ComputeStats sums the shards' counters: edges are classified by
-// hyponym kind (unmarked hyponyms behave as instances). It costs
-// O(shards) whether or not the store is finalized.
+// ComputeStats reads the counters the writes maintain: edges are
+// classified by hyponym kind (unmarked hyponyms behave as instances).
 func (t *Taxonomy) ComputeStats() Stats {
-	var s Stats
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		s.Entities += sh.entities
-		s.Concepts += sh.concepts
-		s.IsARelations += len(sh.edges)
-		s.SubConceptIsA += sh.subConceptIsA
-		s.NodesWithHypernym += len(sh.hypers)
-		sh.mu.RUnlock()
-	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	s := t.stats
 	s.EntityConceptIsA = s.IsARelations - s.SubConceptIsA
 	return s
 }
 
-// Finalize puts the adjacency lists appended to since the last call
-// into canonical (sorted) order — so the result of a parallel build is
-// structurally identical to a sequential one — and brings the merged
-// sorted node list up to date for the serving path. The first call
-// builds the list from the whole store; later calls merge in only the
-// nodes written since, so re-finalizing after an incremental update
-// costs what the update touched (plus one copy of the list when a node
-// appeared or vanished). Any subsequent write invalidates the list;
-// one racing Finalize bumps the generation the list is published
-// under, so the stale list is ignored rather than served.
-func (t *Taxonomy) Finalize() {
-	t.finalizeMu.Lock()
-	defer t.finalizeMu.Unlock()
-	t.finalizeLocked()
-}
+// Finalize does nothing: the store keeps no derived index to bring up
+// to date, and readers return canonical (sorted) order whether or not
+// it was called. It remains so code written against the store's
+// earlier, index-building form keeps compiling.
+func (t *Taxonomy) Finalize() {}
 
-func (t *Taxonomy) finalizeLocked() {
-	gen := t.writeGen.Load()
-	base := t.final.Load()
-	// Names are only worth collecting when something consumes them: a
-	// node list to merge into, or a change log someone reads.
-	collect := base != nil || t.changes.tracking()
-	var written, added, removed []string
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for n, lists := range sh.touched {
-			if lists&touchHypers != 0 {
-				sort.Strings(sh.hypers[n])
-			}
-			if lists&touchHypos != 0 {
-				sort.Strings(sh.hypos[n])
-			}
-			if !collect {
-				continue
-			}
-			written = append(written, n)
-			if base != nil {
-				_, listed := slices.BinarySearch(base.nodes, n)
-				switch exists := sh.has(n); {
-				case exists && !listed:
-					added = append(added, n)
-				case listed && !exists:
-					removed = append(removed, n)
-				}
-			}
-		}
-		if len(sh.touched) > 0 {
-			sh.touched = make(map[string]touch)
-		}
-		sh.mu.Unlock()
-	}
-	t.changes.record(written...)
-	nodes := []string(nil)
-	switch {
-	case base == nil:
-		nodes = t.computeNodes()
-	case len(added)+len(removed) == 0:
-		nodes = base.nodes
-	default:
-		sort.Strings(added)
-		sort.Strings(removed)
-		nodes = spliceSorted(base.nodes, removed, added)
-	}
-	t.final.Store(&merged{gen: gen, nodes: nodes})
-}
-
-// spliceSorted returns base without the names in removed and with the
-// names in added, all three ascending; removed ⊆ base, added ∩ base = ∅.
-// Runs of base between two changes are copied whole.
-func spliceSorted(base, removed, added []string) []string {
-	out := make([]string, 0, len(base)+len(added)-len(removed))
-	from := 0
-	copyTo := func(name string) int {
-		at, _ := slices.BinarySearch(base[from:], name)
-		out = append(out, base[from:from+at]...)
-		return from + at
-	}
-	for len(removed)+len(added) > 0 {
-		if len(added) == 0 || (len(removed) > 0 && removed[0] < added[0]) {
-			from = copyTo(removed[0]) + 1
-			removed = removed[1:]
-		} else {
-			from = copyTo(added[0])
-			out = append(out, added[0])
-			added = added[1:]
-		}
-	}
-	return append(out, base[from:]...)
-}
-
-// ChangesSince finalizes the store and returns the names of the nodes
-// written — marked, demoted, or at either end of an inserted, removed
-// or reinforced edge — since the call that returned token, ascending
-// and without duplicates, plus the token for the next call. ok is
-// false, and nodes nil, when token does not name the previous call
-// (the first call ever, or another consumer called in between): the
-// caller must then treat every node as changed. Names are recorded
-// only from the first call on, so a store nobody asks retains nothing.
+// ChangesSince returns the names of the nodes written — marked,
+// demoted, or at either end of an inserted, removed or reinforced edge
+// — since the call that returned token, ascending and without
+// duplicates, plus the token for the next call. ok is false, and nodes
+// nil, when token does not name the previous call (the first call
+// ever, or another consumer called in between): the caller must then
+// treat every node as changed. IDs are recorded only from the first
+// call on, so a store nobody asks retains nothing.
 func (t *Taxonomy) ChangesSince(token uint64) (nodes []string, next uint64, ok bool) {
-	t.finalizeMu.Lock()
-	defer t.finalizeMu.Unlock()
-	t.finalizeLocked()
-	return t.changes.since(token)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ids, next, ok := t.changes.since(token)
+	return t.sortedNames(len(ids), func(i int) uint32 { return ids[i] }), next, ok
 }
 
-// Finalized reports whether the merged indexes are currently valid.
-func (t *Taxonomy) Finalized() bool { return t.mergedIndexes() != nil }
+// ---- canonical reads (compilation into serving views) ----
 
-// ---- partitioned export (binary snapshots) ----
+// NodeSet is the state of a set of nodes read from the store in
+// canonical order: what a serving view is compiled or patched from.
+type NodeSet struct {
+	// Names lists the nodes, ascending and distinct.
+	Names []string
+	// Absent marks, parallel to Names, the nodes that do not exist (a
+	// ReadNodes of a name since retracted); nil when all exist.
+	Absent []bool
+	// Kinds is parallel to Names. A node with hyponyms always reads as
+	// marked: one whose mark was withdrawn (ImportKind with KindUnknown)
+	// reads as a concept, the rule every edge insertion applies — a
+	// view, and the snapshot image made of it, has no unmarked hypernym.
+	Kinds []NodeKind
+	// Node i's outgoing edges are Edges[EdgeOff[i]:EdgeOff[i+1]],
+	// ascending by hypernym name.
+	EdgeOff []uint32
+	Edges   []NodeEdge
+}
+
+// NodeEdge is one outgoing edge of a NodeSet node.
+type NodeEdge struct {
+	Hyper string
+	Score float64
+	Count int
+	// At is Hyper's index in the set's Names, or -1 when the reader did
+	// not resolve it (the hypernym may still be among them).
+	At      int32
+	Sources Source
+}
+
+// ReadAll returns every node of the store. The IDs are put in name
+// order once; edges are then ordered, and their hypernyms resolved
+// (At), through that permutation — no name is hashed or compared again.
+func (t *Taxonomy) ReadAll() *NodeSet {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	names := t.syms.Names()
+	order := t.idsWhere((*node).exists)
+	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(names[a], names[b]) })
+	rank := make([]int32, len(t.nodes)) // only ranks of existing nodes are read
+	for i, id := range order {
+		rank[id] = int32(i)
+	}
+	set := &NodeSet{
+		Names:   make([]string, len(order)),
+		Kinds:   make([]NodeKind, len(order)),
+		EdgeOff: make([]uint32, len(order)+1),
+		Edges:   make([]NodeEdge, 0, t.stats.IsARelations),
+	}
+	for i, id := range order {
+		set.Names[i] = names[id]
+		set.put(i, &t.nodes[id], names, rank)
+	}
+	return set
+}
+
+// ReadNodes returns the named nodes, which must be ascending and
+// distinct; names the store does not know, or no longer holds anything
+// about, are reported Absent. Hypernyms are left unresolved (At = -1).
+func (t *Taxonomy) ReadNodes(nodes []string) *NodeSet {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	names := t.syms.Names()
+	set := &NodeSet{
+		Names:   nodes,
+		Absent:  make([]bool, len(nodes)),
+		Kinds:   make([]NodeKind, len(nodes)),
+		EdgeOff: make([]uint32, len(nodes)+1),
+	}
+	for i, name := range nodes {
+		if _, n := t.lookup(name); n != nil && n.exists() {
+			set.put(i, n, names, nil)
+		} else {
+			set.Absent[i] = true
+			set.EdgeOff[i+1] = set.EdgeOff[i]
+		}
+	}
+	return set
+}
+
+// put fills in node i of the set from its record: kind and edges, the
+// edges ascending by hypernym name — which, given the rank of every ID
+// in name order, is ascending by rank, and the rank is the edge's At.
+func (set *NodeSet) put(i int, n *node, names []string, rank []int32) {
+	set.Kinds[i] = n.canonicalKind()
+	for _, e := range n.hypers {
+		at := int32(-1)
+		if rank != nil {
+			at = rank[e.hyper]
+		}
+		set.Edges = append(set.Edges, NodeEdge{Hyper: names[e.hyper], At: at, Sources: e.sources, Score: e.score, Count: e.count})
+	}
+	slices.SortFunc(set.Edges[set.EdgeOff[i]:], func(a, b NodeEdge) int {
+		if rank != nil {
+			return int(a.At - b.At)
+		}
+		return strings.Compare(a.Hyper, b.Hyper)
+	})
+	set.EdgeOff[i+1] = uint32(len(set.Edges))
+}
+
+// ---- partitioned export (version-2 snapshots) ----
 
 // KindEntry is one explicitly marked node in a Partition.
 type KindEntry struct {
@@ -779,35 +705,38 @@ type Partition struct {
 	Edges []Edge
 }
 
+// fnv32a hashes s with 32-bit FNV-1a.
+func fnv32a(s string) uint32 {
+	h := fnv.New32a()
+	_, _ = io.WriteString(h, s) // a hash never fails to write
+	return h.Sum32()
+}
+
 // ExportPartitions splits the store's content into n hash partitions:
 // entry i holds the kinds of nodes with fnv32a(name) % n == i and the
 // edges with fnv32a(hypo) % n == i. The partitioning depends only on
-// the logical content and n — not on the store's shard count — which
-// is what lets a snapshot format built on it stay byte-stable across
-// Shards settings. Entry order within a partition is unspecified
-// (callers needing determinism sort); KindUnknown entries are omitted.
-// Shards are read one RLock at a time, so a concurrent writer may or
-// may not be reflected (exact once construction has finished).
+// the logical content and n, which is what lets the striped snapshot
+// format built on it stay byte-stable. Entry order within a partition
+// is unspecified (callers needing determinism sort); KindUnknown
+// entries are omitted.
 func (t *Taxonomy) ExportPartitions(n int) []Partition {
-	if n <= 0 {
-		n = 1
-	}
+	n = max(n, 1)
 	parts := make([]Partition, n)
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		for name, k := range sh.kinds {
-			if k == KindUnknown {
-				continue
-			}
-			p := &parts[fnv32a(name)%uint32(n)]
-			p.Kinds = append(p.Kinds, KindEntry{Name: name, Kind: k})
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	names := t.syms.Names()
+	for id := range t.nodes {
+		nd := &t.nodes[id]
+		if !nd.exists() {
+			continue
 		}
-		for _, e := range sh.edges {
-			p := &parts[fnv32a(e.Hypo)%uint32(n)]
-			p.Edges = append(p.Edges, *e)
+		p := &parts[fnv32a(names[id])%uint32(n)]
+		if nd.kind != KindUnknown {
+			p.Kinds = append(p.Kinds, KindEntry{Name: names[id], Kind: nd.kind})
 		}
-		sh.mu.RUnlock()
+		for _, e := range nd.hypers {
+			p.Edges = append(p.Edges, Edge{Hypo: names[id], Hyper: names[e.hyper], Sources: e.sources, Score: e.score, Count: e.count})
+		}
 	}
 	return parts
 }
@@ -821,7 +750,12 @@ type taxJSON struct {
 
 // WriteJSON serializes the taxonomy.
 func (t *Taxonomy) WriteJSON(w io.Writer) error {
-	out := taxJSON{Kinds: t.snapshotKinds(), Edges: t.Edges()}
+	out := taxJSON{Kinds: make(map[string]NodeKind), Edges: t.Edges()}
+	for _, p := range t.ExportPartitions(1) {
+		for _, k := range p.Kinds {
+			out.Kinds[k.Name] = k.Kind
+		}
+	}
 	bw := bufio.NewWriter(w)
 	if err := json.NewEncoder(bw).Encode(out); err != nil {
 		return fmt.Errorf("taxonomy: encode: %w", err)

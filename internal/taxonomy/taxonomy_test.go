@@ -340,3 +340,142 @@ func mustAdd(t *testing.T, tx *Taxonomy, hypo, hyper string, src Source) {
 		t.Fatalf("AddIsA(%q,%q): %v", hypo, hyper, err)
 	}
 }
+
+// TestShardedConcurrentAddAndQuery hammers one store with concurrent
+// writers and readers; run under -race this is the data-race
+// certification of the store's locking (the name dates from the
+// lock-per-shard store it was written against).
+func TestShardedConcurrentAddAndQuery(t *testing.T) {
+	tx := New()
+	const (
+		writers = 8
+		readers = 8
+		perG    = 300
+	)
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				hypo := fmt.Sprintf("实体%d_%d", g, i)
+				hyper := fmt.Sprintf("概念%d", i%13)
+				if err := tx.AddIsA(hypo, hyper, SourceTag, 1); err != nil {
+					t.Errorf("AddIsA: %v", err)
+					return
+				}
+				tx.MarkEntity(hypo)
+				if i%7 == 0 {
+					// Second edge: hypernym of a hypernym.
+					_ = tx.AddIsA(hyper, fmt.Sprintf("上位%d", i%3), SourceSubsume, 0.5)
+				}
+				if i%11 == 0 {
+					tx.RemoveIsA(hypo, hyper)
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				_ = tx.Hypernyms(fmt.Sprintf("实体%d_%d", g, i))
+				_ = tx.Hyponyms(fmt.Sprintf("概念%d", i%13), 10)
+				_ = tx.Ancestors(fmt.Sprintf("实体%d_%d", g%writers, i))
+				_ = tx.RankedHypernyms(fmt.Sprintf("实体%d_%d", g, i), 3)
+				if i%29 == 0 {
+					_ = tx.ComputeStats()
+					_ = tx.EdgeCount()
+				}
+				if i%53 == 0 {
+					_ = tx.Edges()
+					_ = tx.Nodes()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	// Index invariant after the storm: every hypernym entry has its
+	// reverse hyponym entry.
+	for _, n := range tx.Nodes() {
+		for _, h := range tx.Hypernyms(n) {
+			found := false
+			for _, back := range tx.Hyponyms(h, 0) {
+				if back == n {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("missing reverse index: %q isA %q", n, h)
+			}
+		}
+	}
+}
+
+// TestFinalizeCanonicalizesAndCaches checks that adjacency is read in
+// canonical order — before Finalize as much as after it: the store no
+// longer caches a merged index for Finalize to build — and that a
+// subsequent write is visible at once.
+func TestFinalizeCanonicalizesAndCaches(t *testing.T) {
+	tx := New()
+	// Insert out of lexicographic order.
+	mustAdd(t, tx, "甲", "丙概念", SourceTag)
+	mustAdd(t, tx, "甲", "乙概念", SourceTag)
+	mustAdd(t, tx, "戊", "乙概念", SourceTag)
+	mustAdd(t, tx, "丁", "乙概念", SourceTag)
+	if hs := tx.Hypernyms("甲"); len(hs) != 2 || hs[0] != "丙概念" {
+		t.Fatalf("hypernyms not canonical before Finalize: %v", hs)
+	}
+	tx.Finalize()
+	hs := tx.Hypernyms("甲")
+	if len(hs) != 2 || hs[0] != "丙概念" || hs[1] != "乙概念" { // 丙 U+4E19 < 乙 U+4E59
+		t.Fatalf("hypernyms not canonical: %v", hs)
+	}
+	hypos := tx.Hyponyms("乙概念", 0)
+	if len(hypos) != 3 || hypos[0] != "丁" || hypos[1] != "戊" || hypos[2] != "甲" {
+		t.Fatalf("hyponyms not canonical: %v", hypos)
+	}
+	stats := tx.ComputeStats()
+	if stats.IsARelations != 4 {
+		t.Fatalf("stats = %+v", stats)
+	}
+	// Queries see a later write immediately.
+	mustAdd(t, tx, "己", "乙概念", SourceTag)
+	if got := tx.ComputeStats().IsARelations; got != 5 {
+		t.Fatalf("stats after a write = %d, want 5", got)
+	}
+	if got := len(tx.Nodes()); got != 6 {
+		t.Fatalf("nodes after a write = %d, want 6", got)
+	}
+}
+
+// TestRemoveLastEdgeCleansIndexes pins the regression where removing a
+// node's only hypernym left an empty adjacency entry behind, inflating
+// Stats.NodesWithHypernym.
+func TestRemoveLastEdgeCleansIndexes(t *testing.T) {
+	tx := New()
+	mustAdd(t, tx, "甲", "概念", SourceTag)
+	mustAdd(t, tx, "乙", "概念", SourceTag)
+	if got := tx.ComputeStats().NodesWithHypernym; got != 2 {
+		t.Fatalf("NodesWithHypernym = %d, want 2", got)
+	}
+	if !tx.RemoveIsA("甲", "概念") {
+		t.Fatal("RemoveIsA returned false")
+	}
+	if got := tx.ComputeStats().NodesWithHypernym; got != 1 {
+		t.Errorf("NodesWithHypernym after remove = %d, want 1", got)
+	}
+	if got := tx.HyponymCount("概念"); got != 1 {
+		t.Errorf("HyponymCount = %d, want 1", got)
+	}
+	// Removing the final edge of the concept clears its hyponym entry
+	// too.
+	if !tx.RemoveIsA("乙", "概念") {
+		t.Fatal("second RemoveIsA returned false")
+	}
+	if got := tx.ComputeStats().NodesWithHypernym; got != 0 {
+		t.Errorf("NodesWithHypernym after removing all = %d, want 0", got)
+	}
+}

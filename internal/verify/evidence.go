@@ -8,6 +8,7 @@ import (
 	"cnprobase/internal/encyclopedia"
 	"cnprobase/internal/extract"
 	"cnprobase/internal/ner"
+	"cnprobase/internal/symtab"
 )
 
 // Evidence carries the evidence the verification strategies consult,
@@ -32,9 +33,12 @@ type Evidence struct {
 	Recognizer *ner.Recognizer
 
 	// syms interns every entity ID, page title and hypernym; nodes is
-	// indexed by its IDs. preds interns infobox predicates.
-	syms  symtab
-	preds symtab
+	// indexed by its IDs. The table may be shared (the build's taxonomy
+	// store interns into it too), so it can hold IDs past the end of
+	// nodes: names the evidence has no record for. preds interns
+	// infobox predicates and is the evidence's own.
+	syms  *symtab.Table
+	preds *symtab.Table
 	nodes []node
 	// concepts lists the concept records (the names with at least one
 	// hyponym), unordered; a record knows its position.
@@ -67,22 +71,6 @@ type Evidence struct {
 	// the last TakeExtentPairs — the re-derivation frontier for
 	// subsumption.
 	entityDirty []uint32
-}
-
-// symtab interns names to dense IDs, in arrival order.
-type symtab struct {
-	ids   map[string]uint32
-	names []string
-}
-
-func (t *symtab) intern(s string) uint32 {
-	if id, ok := t.ids[s]; ok {
-		return id
-	}
-	id := uint32(len(t.names))
-	t.ids[s] = id
-	t.names = append(t.names, s)
-	return id
 }
 
 // node is everything the evidence knows about one name, in each of the
@@ -181,13 +169,18 @@ func packPair(a, b uint32) (key uint64, side int) {
 
 // NewEvidence returns an empty Evidence over the given support
 // accumulator and recognizer, with cold caches (the first verification
-// pass recomputes everything).
-func NewEvidence(support *ner.Support, rec *ner.Recognizer) *Evidence {
+// pass recomputes everything). Names are interned in syms — the table
+// the build shares with its taxonomy store; nil gives the evidence a
+// table of its own.
+func NewEvidence(syms *symtab.Table, support *ner.Support, rec *ner.Recognizer) *Evidence {
+	if syms == nil {
+		syms = symtab.New()
+	}
 	return &Evidence{
 		Support:      support,
 		Recognizer:   rec,
-		syms:         symtab{ids: make(map[string]uint32)},
-		preds:        symtab{ids: make(map[string]uint32)},
+		syms:         syms,
+		preds:        symtab.New(),
 		cooc:         make(map[uint64]coocEntry),
 		incompatible: make(map[uint64]struct{}),
 		allDirty:     true,
@@ -199,13 +192,19 @@ func NewEvidence(support *ner.Support, rec *ner.Recognizer) *Evidence {
 // candidate decisions from the current evidence.
 func (ev *Evidence) MarkAllDirty() { ev.allDirty = true }
 
-// intern returns the name's ID, giving a new name its node.
+// intern returns the name's ID with its node in place.
 func (ev *Evidence) intern(name string) uint32 {
-	id := ev.syms.intern(name)
-	if int(id) == len(ev.nodes) {
-		ev.nodes = append(ev.nodes, node{})
+	id := ev.syms.Intern(name)
+	if grow := int(id) + 1 - len(ev.nodes); grow > 0 {
+		ev.nodes = append(ev.nodes, make([]node, grow)...)
 	}
 	return id
+}
+
+// lookup returns the ID of a name the evidence has a node for.
+func (ev *Evidence) lookup(name string) (uint32, bool) {
+	id, ok := ev.syms.Lookup(name)
+	return id, ok && int(id) < len(ev.nodes)
 }
 
 // mark lists id under flag once.
@@ -292,7 +291,7 @@ func (ev *Evidence) AddPages(pages []encyclopedia.Page) {
 		scratch = scratch[:0]
 	triples:
 		for _, t := range p.Infobox {
-			pred := ev.preds.intern(t.Predicate)
+			pred := ev.preds.Intern(t.Predicate)
 			for j := range scratch {
 				if scratch[j].pred == pred {
 					scratch[j].w++
@@ -353,7 +352,8 @@ func (ev *Evidence) SortedPages() PageIndex {
 			ids = append(ids, uint32(id))
 		}
 	}
-	slices.SortFunc(ids, func(a, b uint32) int { return strings.Compare(ev.syms.names[a], ev.syms.names[b]) })
+	names := ev.syms.Names()
+	slices.SortFunc(ids, func(a, b uint32) int { return strings.Compare(names[a], names[b]) })
 	return PageIndex{ev, ids}
 }
 
@@ -366,15 +366,16 @@ func (p PageIndex) Len() int { return len(p.ids) }
 // reused between calls.
 func (p PageIndex) Each(visit func(id, title string, attrs []Attr)) {
 	ev := p.ev
+	names, preds := ev.syms.Names(), ev.preds.Names()
 	var attrs []Attr
 	for _, id := range p.ids {
 		n := &ev.nodes[id]
 		attrs = attrs[:0]
 		for _, a := range n.attrs {
-			attrs = append(attrs, Attr{ev.preds.names[a.pred], a.w})
+			attrs = append(attrs, Attr{preds[a.pred], a.w})
 		}
 		slices.SortFunc(attrs, func(a, b Attr) int { return strings.Compare(a.Predicate, b.Predicate) })
-		visit(ev.syms.names[id], ev.syms.names[n.title-1], attrs)
+		visit(names[id], names[n.title-1], attrs)
 	}
 }
 
@@ -392,7 +393,7 @@ func (ev *Evidence) ImportEntity(id, title string, attrs []Attr) {
 	}
 	dist := make([]attr, 0, len(attrs))
 	for _, a := range attrs {
-		dist = append(dist, attr{ev.preds.intern(a.Predicate), a.Weight})
+		dist = append(dist, attr{ev.preds.Intern(a.Predicate), a.Weight})
 	}
 	slices.SortStableFunc(dist, func(a, b attr) int { return cmp.Compare(a.pred, b.pred) })
 	out := dist[:0]
@@ -418,7 +419,7 @@ func (ev *Evidence) FoldSupport(delta *ner.Support) {
 		return
 	}
 	for _, w := range delta.Words() {
-		if id, ok := ev.syms.ids[w]; ok {
+		if id, ok := ev.lookup(w); ok {
 			ev.mark(id, flagDirtyNE, &ev.dirtyNE)
 		}
 	}
@@ -467,11 +468,11 @@ func (ev *Evidence) AddCandidates(cands []extract.Candidate) int {
 // ignored.
 func (ev *Evidence) RemoveCandidates(cands []extract.Candidate) {
 	for i := range cands {
-		hypo, ok := ev.syms.ids[cands[i].Hypo]
+		hypo, ok := ev.lookup(cands[i].Hypo)
 		if !ok {
 			continue
 		}
-		hyper, ok := ev.syms.ids[cands[i].Hyper]
+		hyper, ok := ev.lookup(cands[i].Hyper)
 		if !ok {
 			continue
 		}
@@ -620,6 +621,7 @@ type ExtentPair struct {
 // everything.
 func (ev *Evidence) TakeExtentPairs(keep func(n1, n2 int) bool) []ExtentPair {
 	var out []ExtentPair
+	names := ev.syms.Names()
 	for _, a := range ev.entityDirty {
 		ca := ev.nodes[a].con
 		if ca == nil {
@@ -637,10 +639,10 @@ func (ev *Evidence) TakeExtentPairs(keep func(n1, n2 int) bool) []ExtentPair {
 				continue
 			}
 			if fwd {
-				out = append(out, ExtentPair{ev.syms.names[a], ev.syms.names[b], ca.pages, shared})
+				out = append(out, ExtentPair{names[a], names[b], ca.pages, shared})
 			}
 			if rev {
-				out = append(out, ExtentPair{ev.syms.names[b], ev.syms.names[a], cb.pages, shared})
+				out = append(out, ExtentPair{names[b], names[a], cb.pages, shared})
 			}
 		}
 	}
@@ -652,7 +654,7 @@ func (ev *Evidence) TakeExtentPairs(keep func(n1, n2 int) bool) []ExtentPair {
 // taxonomy occurrences in which it behaves as an entity (a page title
 // appearing as a hyponym) rather than as a concept (a hypernym).
 func (ev *Evidence) S2(w string) float64 {
-	id, ok := ev.syms.ids[w]
+	id, ok := ev.lookup(w)
 	if !ok {
 		return 0
 	}

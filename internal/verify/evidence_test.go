@@ -112,7 +112,7 @@ func TestEvidenceMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			w := &evidenceWorld{rng: rand.New(rand.NewSource(seed))}
-			inc := NewEvidence(ner.NewSupport(), ner.New())
+			inc := NewEvidence(nil, ner.NewSupport(), ner.New())
 			oracleSup := ner.NewSupport()
 			var allPages []encyclopedia.Page
 			var kept []extract.Candidate
@@ -192,7 +192,7 @@ func TestEvidenceMatchesOracle(t *testing.T) {
 // verify level: a batch that only touches one cluster of the evidence
 // re-verifies that cluster's candidates, not the whole set.
 func TestVerifyDeltaSkipsUntouchedClusters(t *testing.T) {
-	ev := NewEvidence(ner.NewSupport(), ner.New())
+	ev := NewEvidence(nil, ner.NewSupport(), ner.New())
 	var pages []encyclopedia.Page
 	var cands []extract.Candidate
 	for i := 0; i < 10; i++ {

@@ -99,9 +99,9 @@ func VerifyDelta(cands []extract.Candidate, ev *Evidence, seg *segment.Segmenter
 // decided on the spot.
 func (ev *Evidence) decisionOf(hypo, hyper string, seg *segment.Segmenter, opts Options) reasonCode {
 	var con *concept
-	y, known := ev.syms.ids[hyper]
+	y, known := ev.lookup(hyper)
 	if known {
-		if h, ok := ev.syms.ids[hypo]; ok {
+		if h, ok := ev.lookup(hypo); ok {
 			if at := ev.findClaim(h, y); at >= 0 {
 				return ev.nodes[h].claims[at].reason
 			}
@@ -148,10 +148,11 @@ func (ev *Evidence) Reverify(seg *segment.Segmenter, opts Options) ([]Decision, 
 	// corpus statistics accumulate, so heads are recomputed for every
 	// distinct hypernym (cheap: the hypernym vocabulary is tiny next
 	// to the corpus) and pairs under a changed head are re-verified.
+	names := ev.syms.Names()
 	var flipped []*concept
 	if opts.EnableSyntax {
 		for _, c := range ev.concepts {
-			head := lexicalHead(ev.syms.names[c.id], seg)
+			head := lexicalHead(names[c.id], seg)
 			if !c.headKnown || c.head != head {
 				flipped = append(flipped, c)
 			}
@@ -190,7 +191,7 @@ func (ev *Evidence) Reverify(seg *segment.Segmenter, opts Options) ([]Decision, 
 		out := make([]reasonCode, 0, hi-lo)
 		for _, ref := range affected[lo:hi] {
 			cl := &ev.nodes[ref.hypo].claims[ref.at]
-			out = append(out, ev.decide(ev.syms.names[ref.hypo], ev.syms.names[cl.hyper], ev.nodes[cl.hyper].con, cl.killed, seg, opts))
+			out = append(out, ev.decide(names[ref.hypo], names[cl.hyper], ev.nodes[cl.hyper].con, cl.killed, seg, opts))
 		}
 		return out
 	}))
@@ -198,7 +199,7 @@ func (ev *Evidence) Reverify(seg *segment.Segmenter, opts Options) ([]Decision, 
 	for i, ref := range affected {
 		cl := &ev.nodes[ref.hypo].claims[ref.at]
 		cl.reason, cl.queued = codes[i], false
-		decided[i] = Decision{Hypo: ev.syms.names[ref.hypo], Hyper: ev.syms.names[cl.hyper], Reason: reasons[codes[i]]}
+		decided[i] = Decision{Hypo: names[ref.hypo], Hyper: names[cl.hyper], Reason: reasons[codes[i]]}
 		if codes[i] != codeKept {
 			rep.Rejected[reasons[codes[i]]]++
 		}
@@ -289,7 +290,8 @@ func (ev *Evidence) refreshNEVerdicts(opts Options) []*concept {
 	if !opts.EnableNE {
 		return nil // a change of options is a cold pass: decide ignores the stale verdicts until then
 	}
-	verdict := func(c *concept) bool { return ev.NESupport(ev.syms.names[c.id]) > opts.NEThreshold }
+	names := ev.syms.Names()
+	verdict := func(c *concept) bool { return ev.NESupport(names[c.id]) > opts.NEThreshold }
 	if ev.allDirty {
 		for _, c := range ev.concepts {
 			c.ne, c.neKnown = verdict(c), true
@@ -415,6 +417,7 @@ func (ev *Evidence) recomputeIncompatible(opts Options) []uint32 {
 			ev.nodes[e].flags &^= flagKill
 		}
 	}
+	names := ev.syms.Names()
 	var order []int // the entity's claims, by hypernym name
 	for _, e := range kill {
 		n := &ev.nodes[e]
@@ -433,7 +436,7 @@ func (ev *Evidence) recomputeIncompatible(opts Options) []uint32 {
 		// because a concept's aggregate is a running sum whose last bits
 		// depend on the order its hyponyms were folded in.
 		slices.SortFunc(order, func(i, j int) int {
-			return strings.Compare(ev.syms.names[n.claims[i].hyper], ev.syms.names[n.claims[j].hyper])
+			return strings.Compare(names[n.claims[i].hyper], names[n.claims[j].hyper])
 		})
 		for i, x := range order {
 			for _, y := range order[i+1:] {

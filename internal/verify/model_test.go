@@ -14,6 +14,7 @@ import (
 	"cnprobase/internal/encyclopedia"
 	"cnprobase/internal/extract"
 	"cnprobase/internal/ner"
+	"cnprobase/internal/symtab"
 	"cnprobase/internal/taxonomy"
 )
 
@@ -59,9 +60,10 @@ func viewOf(t testing.TB, ev *Evidence) evidenceView {
 		EntityAttrs: map[string]map[string]float64{}, ConceptSums: map[string]map[string]float64{}, Contributors: map[string]int{},
 		Decisions: map[edgeKey]Reason{}, Killed: map[edgeKey]bool{}, Incompatible: map[pairKey]bool{},
 	}
-	name := func(id uint32) string { return ev.syms.names[id] }
-	if len(ev.nodes) != len(ev.syms.names) || len(ev.syms.ids) != len(ev.syms.names) {
-		t.Fatalf("symbol table out of step: %d nodes, %d names, %d ids", len(ev.nodes), len(ev.syms.names), len(ev.syms.ids))
+	names, preds := ev.syms.Names(), ev.preds.Names()
+	name := func(id uint32) string { return names[id] }
+	if len(ev.nodes) > len(names) {
+		t.Fatalf("symbol table out of step: %d nodes, %d names", len(ev.nodes), len(names))
 	}
 	concepts := 0
 	for i := range ev.nodes {
@@ -84,7 +86,7 @@ func viewOf(t testing.TB, ev *Evidence) evidenceView {
 				if j > 0 && n.attrs[j-1].pred >= a.pred {
 					t.Fatalf("%s: attribute vector not sorted", name(id))
 				}
-				d[ev.preds.names[a.pred]] = a.w
+				d[preds[a.pred]] = a.w
 			}
 			v.EntityAttrs[name(id)] = d
 		}
@@ -141,7 +143,7 @@ func viewOf(t testing.TB, ev *Evidence) evidenceView {
 		if con.nAttr > 0 {
 			d := map[string]float64{}
 			for _, a := range con.sum {
-				d[ev.preds.names[a.pred]] = a.w
+				d[preds[a.pred]] = a.w
 			}
 			v.ConceptSums[name(id)], v.Contributors[name(id)] = d, con.nAttr
 		} else if len(con.sum) != 0 {
@@ -334,11 +336,20 @@ func TestEvidenceModel(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			w := &modelWorld{rng: rand.New(rand.NewSource(seed))}
-			dense := NewEvidence(ner.NewSupport(), ner.New())
+			// The dense evidence shares its symbol table with a second
+			// owner, as it does with the build's store: names it never
+			// sees, and names it sees only later, get IDs behind its back.
+			syms := symtab.New()
+			dense := NewEvidence(syms, ner.NewSupport(), ner.New())
 			ref := newMapEvidence(ner.NewSupport(), ner.New())
 			opts := variants[0]
 			present := func(c extract.Candidate) bool { return ref.byHypo[c.Hypo][c.Hyper] }
 			for step := 0; step < 300; step++ {
+				if w.rng.Intn(4) == 0 {
+					syms.Intern(fmt.Sprintf("外来名%d", w.rng.Intn(40)))
+					syms.Intern(w.candidate().Hypo)
+					syms.Intern(modelTypes[w.rng.Intn(len(modelTypes))].concept)
+				}
 				var op string
 				switch k := w.rng.Intn(20); {
 				case k < 5: // pages, new or re-crawled
@@ -454,7 +465,7 @@ func TestEvidenceModel(t *testing.T) {
 						t.Fatalf("step %d %s: S2(%s) = %v, reference %v", step, op, c, got, want)
 					}
 					con := (*concept)(nil)
-					if id, ok := dense.syms.ids[c]; ok {
+					if id, ok := dense.lookup(c); ok {
 						con = dense.nodes[id].con
 					}
 					if head, ok := ref.heads[c]; ok && opts.EnableSyntax && (con == nil || !con.headKnown || con.head != head) {
@@ -468,7 +479,7 @@ func TestEvidenceModel(t *testing.T) {
 						extent = con.pages
 						for _, p := range con.partners {
 							key, _ := packPair(con.id, p)
-							shared, name := int(dense.cooc[key].pages), dense.syms.names[p]
+							shared, name := int(dense.cooc[key].pages), dense.syms.Names()[p]
 							if shared == 0 {
 								continue
 							}
@@ -490,7 +501,7 @@ func TestEvidenceModel(t *testing.T) {
 			// What a snapshot carries — the exported pages and the pairs —
 			// rebuilds the same evidence in a fresh ID space, and a cold
 			// pass over it reaches the same decisions.
-			loaded := NewEvidence(dense.Support, ner.New())
+			loaded := NewEvidence(nil, dense.Support, ner.New())
 			exported := exportEntitiesOracle(dense)
 			pages, at := dense.SortedPages(), 0
 			pages.Each(func(id, title string, attrs []Attr) {

@@ -978,11 +978,11 @@ func exportEntitiesOracle(ev *Evidence) []entityEvidence {
 		}
 		from := len(flat)
 		for _, a := range n.attrs {
-			flat = append(flat, Attr{ev.preds.names[a.pred], a.w})
+			flat = append(flat, Attr{ev.preds.Names()[a.pred], a.w})
 		}
 		attrs := flat[from:len(flat):len(flat)]
 		slices.SortFunc(attrs, func(a, b Attr) int { return strings.Compare(a.Predicate, b.Predicate) })
-		out = append(out, entityEvidence{ID: ev.syms.names[id], Title: ev.syms.names[n.title-1], Attrs: attrs})
+		out = append(out, entityEvidence{ID: ev.syms.Names()[id], Title: ev.syms.Names()[n.title-1], Attrs: attrs})
 	}
 	slices.SortFunc(out, func(a, b entityEvidence) int { return strings.Compare(a.ID, b.ID) })
 	return out

@@ -10,6 +10,7 @@ import (
 	"cnprobase/internal/lexicon"
 	"cnprobase/internal/ner"
 	"cnprobase/internal/segment"
+	"cnprobase/internal/symtab"
 	"cnprobase/internal/taxonomy"
 )
 
@@ -25,7 +26,7 @@ func cand(hypo, hyper string) extract.Candidate {
 // merged candidate set in one shot — the from-scratch path the
 // incremental operations are equivalence-tested against.
 func newContext(c *encyclopedia.Corpus, cands []extract.Candidate, support *ner.Support, rec *ner.Recognizer) *Evidence {
-	ev := NewEvidence(support, rec)
+	ev := NewEvidence(nil, support, rec)
 	ev.AddPages(c.Pages)
 	ev.AddCandidates(cands)
 	return ev
@@ -213,16 +214,16 @@ func TestVerifyDisabledKeepsAll(t *testing.T) {
 
 // vec interns a distribution's predicates in tab and returns it as a
 // sorted vector.
-func vec(tab *symtab, d map[string]float64) []attr {
+func vec(tab *symtab.Table, d map[string]float64) []attr {
 	var out []attr
 	for k, w := range d {
-		out = append(out, attr{tab.intern(k), w})
+		out = append(out, attr{tab.Intern(k), w})
 	}
 	return sortedAttrs(out)
 }
 
 func TestMathHelpers(t *testing.T) {
-	tab := &symtab{ids: map[string]uint32{}}
+	tab := symtab.New()
 	a := map[string]float64{"x": 0.5, "y": 0.5}
 	b := map[string]float64{"x": 0.5, "y": 0.5}
 	if got := cosine(vec(tab, a), vec(tab, b)); math.Abs(got-1) > 1e-12 {
