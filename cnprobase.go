@@ -143,17 +143,18 @@ func Update(prev *Result, delta *Corpus, opts Options) (*Result, error) {
 }
 
 // NewConceptualizer builds the short-text conceptualization engine over
-// a built taxonomy — the downstream application layer of Section V.
+// a built taxonomy — the downstream application layer of Section V. It
+// compiles the store's current content into a serving view and is
+// NewViewConceptualizer over that snapshot: later writes to t or m are
+// not seen, build a new engine (or Freeze the Result) after an Update.
 func NewConceptualizer(t *Taxonomy, m *MentionIndex) *Conceptualizer {
-	return conceptualize.New(t, m)
+	return conceptualize.NewView(serving.Compile(t, m))
 }
 
-// NewViewConceptualizer builds the conceptualization engine directly
-// over an immutable serving view — the engine behind
-// /api/conceptualize. It produces bitwise-identical results to a
-// store-backed NewConceptualizer over the same data (pinned by the
-// equivalence tests) while sharing the view's lock-free, allocation-
-// free lookup path.
+// NewViewConceptualizer builds the conceptualization engine over an
+// immutable serving view — the engine behind /api/conceptualize, and
+// the only one: it reads the view's dense IDs on a lock-free,
+// allocation-free path.
 func NewViewConceptualizer(v *ServingView) *Conceptualizer {
 	return conceptualize.NewView(v)
 }
@@ -445,19 +446,14 @@ func SamplePrecision(t *Taxonomy, o *Oracle, sample int, seed int64) float64 {
 }
 
 // QACoverage runs the paper's text-understanding experiment: generate
-// n questions from the world and measure taxonomy coverage.
+// n questions from the world and measure taxonomy coverage. It is
+// QACoverageView on a view compiled from the result's store.
 func QACoverage(w *World, res *Result, n int) (coverage, avgConcepts float64) {
-	cfg := qa.DefaultGeneratorConfig()
-	if n > 0 {
-		cfg.N = n
-	}
-	r := qa.Evaluate(qa.Generate(w, cfg), res.Taxonomy, res.Mentions)
-	return r.Coverage(), r.AvgConceptsPerEntity
+	return QACoverageView(w, serving.Compile(res.Taxonomy, res.Mentions), n)
 }
 
-// QACoverageView is QACoverage evaluated on an immutable serving view
-// — the data path /api/qa answers from. Equal inputs give results
-// identical to QACoverage (pinned by the serving-equivalence tests).
+// QACoverageView runs the experiment on an immutable serving view — the
+// data path /api/qa answers from.
 func QACoverageView(w *World, v *ServingView, n int) (coverage, avgConcepts float64) {
 	cfg := qa.DefaultGeneratorConfig()
 	if n > 0 {

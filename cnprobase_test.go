@@ -79,8 +79,9 @@ func TestFacadeQACoverage(t *testing.T) {
 }
 
 // TestFacadeViewApplications pins the application layer on the serving
-// view: the view-backed conceptualizer and QA evaluation must agree
-// exactly with their store-backed counterparts over the same build.
+// view: the conceptualizer and QA evaluation on the view Freeze
+// publishes must agree exactly with the store-taking entry points,
+// which compile the same build's store first.
 func TestFacadeViewApplications(t *testing.T) {
 	w, res := buildSmall(t, 800)
 	view := res.Freeze()

@@ -10,9 +10,7 @@ import (
 	"sync"
 	"testing"
 
-	"cnprobase/internal/conceptualize"
 	"cnprobase/internal/encyclopedia"
-	"cnprobase/internal/qa"
 	"cnprobase/internal/serving"
 	"cnprobase/internal/snapshot"
 	"cnprobase/internal/taxonomy"
@@ -200,19 +198,18 @@ func TestApplicationEndpointsInvalidUTF8(t *testing.T) {
 }
 
 // storeApplicationHandler extends the storeHandler idea to the
-// application endpoints: the same response structs and handlers
-// answered from the mutable store — the reference side of the
-// equivalence test.
+// application endpoints: the same response structs and wire encoding,
+// answered by the string-keyed reference straight from the mutable
+// store — the reference side of the equivalence test.
 func storeApplicationHandler(tax *taxonomy.Taxonomy, mentions *taxonomy.MentionIndex) http.Handler {
-	engine := conceptualize.New(tax, mentions)
-	src := qa.NewStoreSource(tax, mentions)
+	ref := storeReference{tax: tax, mentions: mentions}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/conceptualize", func(w http.ResponseWriter, r *http.Request) {
 		var req ConceptualizeRequest
 		if !decodePost(w, r, &req) {
 			return
 		}
-		writeJSON(w, conceptualizeOne(engine, req.Text))
+		writeJSON(w, ref.conceptualize(req.Text))
 	})
 	mux.HandleFunc("/api/conceptualizeBatch", func(w http.ResponseWriter, r *http.Request) {
 		var batch []string
@@ -221,7 +218,7 @@ func storeApplicationHandler(tax *taxonomy.Taxonomy, mentions *taxonomy.MentionI
 		}
 		out := make([]ConceptualizeResponse, len(batch))
 		for i, text := range batch {
-			out[i] = conceptualizeOne(engine, text)
+			out[i] = ref.conceptualize(text)
 		}
 		writeJSON(w, out)
 	})
@@ -230,8 +227,7 @@ func storeApplicationHandler(tax *taxonomy.Taxonomy, mentions *taxonomy.MentionI
 		if !decodePost(w, r, &req) {
 			return
 		}
-		u := qa.Understand(req.Question, src)
-		writeJSON(w, QAResponse{Question: req.Question, Covered: u.Covered, Mentions: u.Mentions, Concepts: u.Concepts})
+		writeJSON(w, ref.understand(req.Question))
 	})
 	return mux
 }
@@ -303,7 +299,7 @@ func fetchPost(t *testing.T, base, path string, body []byte) string {
 
 // TestStoreVsViewApplicationEquivalence pins the tentpole guarantee:
 // the view-backed application endpoints answer byte-identically to the
-// same handlers served from the finalized mutable store.
+// string-keyed reference computed from the mutable store.
 func TestStoreVsViewApplicationEquivalence(t *testing.T) {
 	tax, mentions := equivFixture(t)
 	storeTS := httptest.NewServer(storeApplicationHandler(tax, mentions))

@@ -9,14 +9,16 @@
 // concept vector for the text — the "conceptualized" reading used by
 // downstream classifiers.
 //
-// The engine reads through the Source interface, which both the
-// mutable build store (taxonomy.Taxonomy + taxonomy.MentionIndex, via
-// New) and the immutable serving view (serving.View, via NewView)
-// satisfy. The two paths are algorithmically identical — one code
-// path, two data structures — and pinned equivalent by tests down to
-// bit-equal scores. Serving traffic should use the view engine: its
-// resolve path takes no locks and, through ConceptualizeInto with
-// recycled buffers, allocates nothing per text.
+// The engine reads one model, the immutable serving.View, through its
+// ID-native surface: the text scan hands back each surface with its
+// mention-table row, every candidate entity is resolved name → ID once
+// per text, and rankings, evidence totals and the context table are
+// read by ID or scanned in small pooled slices. The resolve path takes
+// no locks and, through ConceptualizeInto with recycled buffers,
+// allocates nothing per text. A build store is conceptualized by
+// compiling it first (serving.Compile); the string-keyed algorithm the
+// engine replaced is the oracle in reference_test.go, which holds the
+// engine to bit-equal scores.
 package conceptualize
 
 import (
@@ -27,72 +29,20 @@ import (
 	"cnprobase/internal/taxonomy"
 )
 
-// Source is the read surface the engine conceptualizes against: text
-// scanning and mention resolution (men2ent), hypernym lookup
-// (getConcept), typicality rankings, and edge evidence for the
-// popularity prior. serving.View implements it directly; New wraps the
-// mutable store in an adapter.
-type Source interface {
-	// FindAllAppend appends the distinct mentions found in text to dst
-	// (greedy longest-match, first-occurrence order) and returns the
-	// extended slice.
-	FindAllAppend(dst []string, text string) []string
-	// Lookup returns the entity IDs a mention may refer to, sorted.
-	Lookup(mention string) []string
-	// Hypernyms returns the direct hypernyms of a node in canonical
-	// order.
-	Hypernyms(node string) []string
-	// RankedHypernyms returns hypernyms by descending typicality;
-	// limit <= 0 returns all.
-	RankedHypernyms(node string, limit int) []taxonomy.Scored
-	// EdgeOf returns the isA edge with its evidence, if present.
-	EdgeOf(hypo, hyper string) (taxonomy.Edge, bool)
-}
-
-// storeSource adapts the mutable build store to Source. It is the
-// reference oracle the view-backed engine is equivalence-tested
-// against.
-type storeSource struct {
-	tax      *taxonomy.Taxonomy
-	mentions *taxonomy.MentionIndex
-}
-
-func (s storeSource) FindAllAppend(dst []string, text string) []string {
-	return s.mentions.FindAllAppend(dst, text)
-}
-func (s storeSource) Lookup(mention string) []string { return s.mentions.Lookup(mention) }
-func (s storeSource) Hypernyms(node string) []string { return s.tax.Hypernyms(node) }
-func (s storeSource) RankedHypernyms(node string, limit int) []taxonomy.Scored {
-	return s.tax.RankedHypernyms(node, limit)
-}
-func (s storeSource) EdgeOf(hypo, hyper string) (taxonomy.Edge, bool) {
-	return s.tax.EdgeOf(hypo, hyper)
-}
-
-// Engine conceptualizes text against a taxonomy + mention index
-// (store-backed, New) or a compiled serving view (NewView). An Engine
-// is a small immutable configuration over its Source; it is safe for
+// Engine conceptualizes text against a serving view. An Engine is a
+// small immutable configuration over its view; it is safe for
 // concurrent use and cheap to construct per request.
 type Engine struct {
-	src Source
+	v *serving.View
 	// MaxConceptsPerEntity bounds how many concepts each resolved
 	// entity contributes (most typical first); <= 0 means no bound.
 	MaxConceptsPerEntity int
 }
 
-// New returns a store-backed Engine with default settings — the
-// reference path; serving traffic should prefer NewView.
-func New(tax *taxonomy.Taxonomy, mentions *taxonomy.MentionIndex) *Engine {
-	return NewSource(storeSource{tax: tax, mentions: mentions})
-}
-
-// NewView returns an Engine over an immutable serving view: lock-free,
-// and allocation-free through ConceptualizeInto.
-func NewView(v *serving.View) *Engine { return NewSource(v) }
-
-// NewSource returns an Engine over any Source with default settings.
-func NewSource(src Source) *Engine {
-	return &Engine{src: src, MaxConceptsPerEntity: 5}
+// NewView returns an Engine over an immutable serving view with
+// default settings.
+func NewView(v *serving.View) *Engine {
+	return &Engine{v: v, MaxConceptsPerEntity: 5}
 }
 
 // Mention is one resolved mention inside a text.
@@ -102,9 +52,8 @@ type Mention struct {
 	Entity string `json:"entity"`
 	// Candidates is the number of entities the surface could mean.
 	Candidates int `json:"candidates"`
-	// Concepts are the chosen entity's ranked concepts. On the view
-	// path this is a shared subslice of the view's precomputed
-	// rankings: do not modify it.
+	// Concepts are the chosen entity's ranked concepts: a shared
+	// subslice of the view's precomputed rankings, do not modify it.
 	Concepts []taxonomy.Scored `json:"concepts"`
 }
 
@@ -121,21 +70,29 @@ type Result struct {
 // experiment.
 func (r Result) Covered() bool { return len(r.Mentions) > 0 }
 
-// scratch is the pooled per-call state of ConceptualizeInto. The maps
-// are cleared (not reallocated) between uses, so their buckets stay
-// warm and steady-state conceptualization allocates nothing.
-type scratch struct {
-	surfaces []string
-	context  map[string]float64
-	agg      map[string]float64
+// candidate is one entity a surface may mean, resolved to its node —
+// ok is false when the mention table names an entity that is no node.
+type candidate struct {
+	id uint32
+	ok bool
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	return &scratch{
-		context: make(map[string]float64, 16),
-		agg:     make(map[string]float64, 16),
-	}
-}}
+// scratch is the pooled per-call state of ConceptualizeInto: the found
+// surfaces, their candidates resolved once (flat, in surface order),
+// and the text's concept context. A text touches a few candidates × a
+// few concepts, so the context is a slice scanned linearly, not a map.
+type scratch struct {
+	found   []serving.Found
+	cands   []candidate
+	context []taxonomy.Scored
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxPooledScratch bounds, in elements per slice, the scratch handed
+// back to the pool: what one very long text grew is left to the
+// collector instead of being parked per P for the life of the process.
+const maxPooledScratch = 4 << 10
 
 // Conceptualize processes one text and returns a fresh Result.
 func (e *Engine) Conceptualize(text string) Result {
@@ -146,45 +103,71 @@ func (e *Engine) Conceptualize(text string) Result {
 
 // ConceptualizeInto is Conceptualize in recycle style: res's slices
 // are truncated and refilled, so passing the same Result across calls
-// keeps the view-backed resolve path at 0 allocs/op (all other
-// per-call state is pooled internally). The refilled res must not be
-// retained across a subsequent call.
+// keeps the resolve path at 0 allocs/op (all other per-call state is
+// pooled internally). The refilled res must not be retained across a
+// subsequent call.
 //
 //cnp:noalloc
 func (e *Engine) ConceptualizeInto(res *Result, text string) {
 	res.Mentions = res.Mentions[:0]
 	res.Concepts = res.Concepts[:0]
+	v := e.v
 	sc := scratchPool.Get().(*scratch)
-	sc.surfaces = e.src.FindAllAppend(sc.surfaces[:0], text)
+	found := v.FindMentionsAppend(sc.found[:0], text)
+	cands, context := sc.cands[:0], sc.context[:0]
 
-	// First pass: collect every candidate's concepts for context
-	// agreement.
-	for _, sf := range sc.surfaces {
-		for _, id := range e.src.Lookup(sf) {
-			for _, s := range e.src.RankedHypernyms(id, e.MaxConceptsPerEntity) {
-				sc.context[s.Node] += s.Score
+	// First pass: resolve every candidate, once, and collect its
+	// concepts for context agreement.
+	for i := range found {
+		from := uint32(0) // a mention's entities ascend, so do their IDs
+		for _, name := range v.MentionEntities(found[i].Row) {
+			id, ok := v.ID(name, from)
+			cands = append(cands, candidate{id: id, ok: ok})
+			if !ok {
+				continue
+			}
+			from = id + 1
+			for _, s := range v.RankedHypernymsOf(id, e.MaxConceptsPerEntity) {
+				if at := indexOf(context, s.Node); at >= 0 {
+					context[at].Score += s.Score
+				} else {
+					context = append(context, s)
+				}
 			}
 		}
 	}
 	// Second pass: disambiguate each surface and aggregate the chosen
-	// entities' concepts. total accumulates alongside agg so the
-	// normalizer is summed in deterministic (mention) order — the
-	// store- and view-backed paths produce bit-identical scores.
+	// entities' concepts straight into res.Concepts. Every sum — per
+	// concept and the normalizer — runs in mention order, so scores are
+	// bit-identical to the reference's.
 	total := 0.0
-	for _, sf := range sc.surfaces {
-		ids := e.src.Lookup(sf)
-		if len(ids) == 0 {
+	next := 0
+	for i := range found {
+		names := v.MentionEntities(found[i].Row)
+		if len(names) == 0 {
 			continue
 		}
-		best := e.disambiguate(ids, sc.context)
-		concepts := e.src.RankedHypernyms(best, e.MaxConceptsPerEntity)
+		mine := cands[next : next+len(names)]
+		next += len(names)
+		best := e.disambiguate(mine, context)
+		if !mine[best].ok {
+			continue
+		}
+		concepts := v.RankedHypernymsOf(mine[best].id, e.MaxConceptsPerEntity)
 		if len(concepts) == 0 {
 			continue
 		}
+		if res.Mentions == nil {
+			// A fresh Result: size both vectors once instead of growing
+			// them append by append (the context holds every concept the
+			// aggregate can).
+			//cnp:allow noallochot (only a Result that was never filled; a recycled one keeps its arrays)
+			res.Mentions, res.Concepts = make([]Mention, 0, len(found)-i), make([]taxonomy.Scored, 0, len(context))
+		}
 		res.Mentions = append(res.Mentions, Mention{
-			Surface:    sf,
-			Entity:     best,
-			Candidates: len(ids),
+			Surface:    found[i].Surface,
+			Entity:     names[best],
+			Candidates: len(names),
 			Concepts:   concepts,
 		})
 		for _, s := range concepts {
@@ -192,52 +175,67 @@ func (e *Engine) ConceptualizeInto(res *Result, text string) {
 			if weight == 0 {
 				weight = 1e-3
 			}
-			sc.agg[s.Node] += weight
+			if at := indexOf(res.Concepts, s.Node); at >= 0 {
+				res.Concepts[at].Score += weight
+			} else {
+				res.Concepts = append(res.Concepts, taxonomy.Scored{Node: s.Node, Score: weight})
+			}
 			total += weight
 		}
 	}
-	for c, v := range sc.agg {
-		if total > 0 {
-			v /= total
+	if total > 0 {
+		for i := range res.Concepts {
+			res.Concepts[i].Score /= total
 		}
-		res.Concepts = append(res.Concepts, taxonomy.Scored{Node: c, Score: v})
 	}
 	sort.Sort((*scoredByRank)(&res.Concepts))
 	if res.Concepts == nil {
 		res.Concepts = []taxonomy.Scored{}
 	}
 
-	clear(sc.context)
-	clear(sc.agg)
-	scratchPool.Put(sc)
+	if cap(found) <= maxPooledScratch && cap(cands) <= maxPooledScratch && cap(context) <= maxPooledScratch {
+		sc.found, sc.cands, sc.context = found, cands, context
+		scratchPool.Put(sc)
+	}
 }
 
-// disambiguate picks the candidate entity by evidence popularity (the
-// total generation count behind its isA edges — a prior favoring the
-// dominant sense) modulated by agreement with the text's aggregate
-// context (a mention of 刘德华 next to 专辑 resolves to the singer
-// sense).
+// disambiguate picks, by position, the candidate entity by evidence
+// popularity (the total generation count behind its isA edges — a
+// prior favoring the dominant sense) modulated by agreement with the
+// text's aggregate context (a mention of 刘德华 next to 专辑 resolves
+// to the singer sense). A candidate that is no node scores zero.
 //
 //cnp:noalloc
-func (e *Engine) disambiguate(ids []string, context map[string]float64) string {
-	best, bestScore := ids[0], -1.0
-	for _, id := range ids {
-		pop := 0
-		agree := 0.0
-		for _, h := range e.src.Hypernyms(id) {
-			if ed, ok := e.src.EdgeOf(id, h); ok {
-				pop += ed.Count
+func (e *Engine) disambiguate(cands []candidate, context []taxonomy.Scored) int {
+	best, bestScore := 0, -1.0
+	for i, c := range cands {
+		score := 0.0
+		if c.ok {
+			agree := 0.0
+			for _, s := range e.v.RankedHypernymsOf(c.id, e.MaxConceptsPerEntity) {
+				if at := indexOf(context, s.Node); at >= 0 {
+					agree += context[at].Score * s.Score
+				}
 			}
+			score = float64(e.v.EvidenceTotalOf(c.id)) * (1 + agree)
 		}
-		for _, s := range e.src.RankedHypernyms(id, e.MaxConceptsPerEntity) {
-			agree += context[s.Node] * s.Score
-		}
-		score := float64(pop) * (1 + agree)
 		if score > bestScore {
-			best, bestScore = id, score
+			best, bestScore = i, score
 		}
 	}
 	return best
+}
+
+// indexOf returns the position of node in xs, or -1.
+//
+//cnp:noalloc
+func indexOf(xs []taxonomy.Scored, node string) int {
+	for i := range xs {
+		if xs[i].Node == node {
+			return i
+		}
+	}
+	return -1
 }
 
 // scoredByRank sorts descending by score, ties broken

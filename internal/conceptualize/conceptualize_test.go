@@ -36,7 +36,7 @@ func fixture(t *testing.T) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
 
 func TestConceptualizeBasic(t *testing.T) {
 	tx, m := fixture(t)
-	e := New(tx, m)
+	e := NewView(viewOf(t, tx, m))
 	res := e.Conceptualize("刘德华演唱了忘情水。")
 	if !res.Covered() {
 		t.Fatal("text not covered")
@@ -59,7 +59,7 @@ func TestConceptualizeBasic(t *testing.T) {
 
 func TestDisambiguationPrefersStrongerSense(t *testing.T) {
 	tx, m := fixture(t)
-	e := New(tx, m)
+	e := NewView(viewOf(t, tx, m))
 	res := e.Conceptualize("刘德华")
 	if len(res.Mentions) != 1 {
 		t.Fatalf("mentions = %+v", res.Mentions)
@@ -75,7 +75,7 @@ func TestDisambiguationPrefersStrongerSense(t *testing.T) {
 
 func TestUncoveredText(t *testing.T) {
 	tx, m := fixture(t)
-	e := New(tx, m)
+	e := NewView(viewOf(t, tx, m))
 	res := e.Conceptualize("今天天气怎么样？")
 	if res.Covered() || len(res.Concepts) != 0 {
 		t.Errorf("distractor conceptualized: %+v", res)
@@ -84,7 +84,7 @@ func TestUncoveredText(t *testing.T) {
 
 func TestMaxConceptsPerEntity(t *testing.T) {
 	tx, m := fixture(t)
-	e := New(tx, m)
+	e := NewView(viewOf(t, tx, m))
 	e.MaxConceptsPerEntity = 1
 	res := e.Conceptualize("刘德华")
 	if len(res.Mentions[0].Concepts) != 1 {

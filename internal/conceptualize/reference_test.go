@@ -1,0 +1,104 @@
+package conceptualize
+
+import (
+	"sort"
+
+	"cnprobase/internal/taxonomy"
+)
+
+// The oracle: the string-keyed algorithm the ID-native engine replaced,
+// kept verbatim and run against the mutable build store. Every name is
+// re-resolved at every step, popularity is re-summed edge by edge, and
+// context and aggregate are string maps — slow and obviously right. The
+// engine must agree with it down to bit-equal scores.
+
+// reference is the oracle engine.
+type reference struct {
+	tax                  *taxonomy.Taxonomy
+	mentions             *taxonomy.MentionIndex
+	MaxConceptsPerEntity int
+}
+
+// newReference returns the oracle over a build store, with the
+// engine's default settings.
+func newReference(tax *taxonomy.Taxonomy, mentions *taxonomy.MentionIndex) *reference {
+	return &reference{tax: tax, mentions: mentions, MaxConceptsPerEntity: 5}
+}
+
+func (e *reference) Conceptualize(text string) Result {
+	var res Result
+	surfaces := e.mentions.FindAllAppend(nil, text)
+	context := map[string]float64{}
+	agg := map[string]float64{}
+
+	// First pass: collect every candidate's concepts for context
+	// agreement.
+	for _, sf := range surfaces {
+		for _, id := range e.mentions.Lookup(sf) {
+			for _, s := range e.tax.RankedHypernyms(id, e.MaxConceptsPerEntity) {
+				context[s.Node] += s.Score
+			}
+		}
+	}
+	// Second pass: disambiguate each surface and aggregate the chosen
+	// entities' concepts. total accumulates alongside agg so the
+	// normalizer is summed in deterministic (mention) order.
+	total := 0.0
+	for _, sf := range surfaces {
+		ids := e.mentions.Lookup(sf)
+		if len(ids) == 0 {
+			continue
+		}
+		best := e.disambiguate(ids, context)
+		concepts := e.tax.RankedHypernyms(best, e.MaxConceptsPerEntity)
+		if len(concepts) == 0 {
+			continue
+		}
+		res.Mentions = append(res.Mentions, Mention{
+			Surface:    sf,
+			Entity:     best,
+			Candidates: len(ids),
+			Concepts:   concepts,
+		})
+		for _, s := range concepts {
+			weight := s.Score
+			if weight == 0 {
+				weight = 1e-3
+			}
+			agg[s.Node] += weight
+			total += weight
+		}
+	}
+	for c, v := range agg {
+		if total > 0 {
+			v /= total
+		}
+		res.Concepts = append(res.Concepts, taxonomy.Scored{Node: c, Score: v})
+	}
+	sort.Sort((*scoredByRank)(&res.Concepts))
+	if res.Concepts == nil {
+		res.Concepts = []taxonomy.Scored{}
+	}
+	return res
+}
+
+func (e *reference) disambiguate(ids []string, context map[string]float64) string {
+	best, bestScore := ids[0], -1.0
+	for _, id := range ids {
+		pop := 0
+		agree := 0.0
+		for _, h := range e.tax.Hypernyms(id) {
+			if ed, ok := e.tax.EdgeOf(id, h); ok {
+				pop += ed.Count
+			}
+		}
+		for _, s := range e.tax.RankedHypernyms(id, e.MaxConceptsPerEntity) {
+			agree += context[s.Node] * s.Score
+		}
+		score := float64(pop) * (1 + agree)
+		if score > bestScore {
+			best, bestScore = id, score
+		}
+	}
+	return best
+}

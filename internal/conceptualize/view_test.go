@@ -4,39 +4,52 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"cnprobase/internal/serving"
+	"cnprobase/internal/serving/servingtest"
 	"cnprobase/internal/taxonomy"
 )
 
 // viewOf compiles the store world into an immutable serving view.
 func viewOf(t *testing.T, tx *taxonomy.Taxonomy, m *taxonomy.MentionIndex) *serving.View {
 	t.Helper()
-	tx.Finalize()
 	return serving.Compile(tx, m)
 }
 
-// requireEquivalent conceptualizes the texts with both engines and
-// demands identical results — same resolved mentions, same concept
-// vectors, bit-equal scores.
-func requireEquivalent(t *testing.T, store, view *Engine, texts []string) {
+// enginesOf returns one engine per backing of the store's content —
+// compiled (hash + trie), patched, opened from image bytes.
+func enginesOf(t *testing.T, tx *taxonomy.Taxonomy, m *taxonomy.MentionIndex) map[string]*Engine {
+	t.Helper()
+	engines := map[string]*Engine{}
+	for name, v := range servingtest.Backings(t, tx, m) {
+		engines[name] = NewView(v)
+	}
+	return engines
+}
+
+// requireEquivalent conceptualizes the texts with the store-backed
+// reference and with every engine and demands identical results — same
+// resolved mentions, same concept vectors, scores equal under ==. Each
+// engine runs with the reference's concept bound.
+func requireEquivalent(t *testing.T, ref *reference, engines map[string]*Engine, texts []string) {
 	t.Helper()
 	for _, text := range texts {
-		want := store.Conceptualize(text)
-		got := view.Conceptualize(text)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("Conceptualize(%q):\n  view  = %+v\n  store = %+v", text, got, want)
+		want := ref.Conceptualize(text)
+		for name, e := range engines {
+			e.MaxConceptsPerEntity = ref.MaxConceptsPerEntity
+			if got := e.Conceptualize(text); !reflect.DeepEqual(want, got) {
+				t.Errorf("Conceptualize(%q) on the %s view:\n  engine    = %+v\n  reference = %+v", text, name, got, want)
+			}
 		}
 	}
 }
 
 func TestViewMatchesStore(t *testing.T) {
 	tx, m := fixture(t)
-	store := New(tx, m)
-	view := NewView(viewOf(t, tx, m))
-	requireEquivalent(t, store, view, []string{
+	requireEquivalent(t, newReference(tx, m), enginesOf(t, tx, m), []string{
 		"",
 		"刘德华演唱了忘情水。",
 		"刘德华",
@@ -47,11 +60,15 @@ func TestViewMatchesStore(t *testing.T) {
 }
 
 // TestViewMatchesStoreRandomized fuzzes the equivalence over random
-// worlds: random graphs, random ambiguity, random texts mixing real
-// mentions with noise. Every result must agree with the store oracle,
-// including the float scores.
+// worlds: random graphs, random ambiguity, surfaces that are prefixes
+// of one another (词1, 词12), surfaces starting with a 4-byte rune,
+// mentions of an entity that is no node and of one without hypernyms,
+// every concept bound from -1 up, and texts mixing real mentions with
+// noise, 4-byte runes and invalid UTF-8. Every result on every backing
+// must agree with the store-backed reference, including the float
+// scores.
 func TestViewMatchesStoreRandomized(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
+	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tx := taxonomy.New()
 		m := taxonomy.NewMentionIndex()
@@ -61,23 +78,29 @@ func TestViewMatchesStoreRandomized(t *testing.T) {
 		var surfaces []string
 		for i := 0; i < nEnt; i++ {
 			tx.MarkEntity(ent(i))
-			for tries := 1 + rng.Intn(3); tries > 0; tries-- {
+			// Every fifth entity has no hypernyms at all.
+			for tries := 1 + rng.Intn(3); tries > 0 && i%5 != 4; tries-- {
 				if err := tx.AddIsA(ent(i), con(rng.Intn(nCon)), taxonomy.SourceTag, rng.Float64()); err != nil {
 					t.Fatal(err)
 				}
 			}
 			// Some surfaces are shared across entities (ambiguity),
-			// some unique.
+			// some unique; some start beyond the BMP.
 			sf := fmt.Sprintf("词%d", rng.Intn(nEnt/2+1))
+			if rng.Intn(4) == 0 {
+				sf = "𠀀" + sf
+			}
 			m.Add(sf, ent(i))
+			if rng.Intn(6) == 0 {
+				m.Add(sf, "不是节点的实体")
+			}
 			surfaces = append(surfaces, sf)
 		}
-		store := New(tx, m)
-		view := NewView(viewOf(t, tx, m))
-		if rng.Intn(2) == 0 {
-			store.MaxConceptsPerEntity = rng.Intn(4)
-			view.MaxConceptsPerEntity = store.MaxConceptsPerEntity
-		}
+		m.Add("孤词", "不是节点的实体")
+		surfaces = append(surfaces, "孤词")
+		ref := newReference(tx, m)
+		ref.MaxConceptsPerEntity = int(seed) - 2 // -1, 0 (both unbounded), 1 … 4
+		noise := []string{"无关", "𠀀", "词", "\xff", "\xe5\x88", "\uFFFD", "，"}
 		var texts []string
 		for i := 0; i < 100; i++ {
 			var b strings.Builder
@@ -85,7 +108,7 @@ func TestViewMatchesStoreRandomized(t *testing.T) {
 				if rng.Intn(3) > 0 {
 					b.WriteString(surfaces[rng.Intn(len(surfaces))])
 				} else {
-					b.WriteString("无关")
+					b.WriteString(noise[rng.Intn(len(noise))])
 				}
 				if rng.Intn(3) == 0 {
 					b.WriteString("，")
@@ -93,7 +116,7 @@ func TestViewMatchesStoreRandomized(t *testing.T) {
 			}
 			texts = append(texts, b.String())
 		}
-		requireEquivalent(t, store, view, texts)
+		requireEquivalent(t, ref, enginesOf(t, tx, m), texts)
 	}
 }
 
@@ -123,17 +146,13 @@ func tieFixture(t *testing.T) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
 	return tx, m
 }
 
-// TestContextBreaksTies pins the disambiguation contract on both
-// engines: with equal popularity, a lone 苹果 resolves to the first
+// TestContextBreaksTies pins the disambiguation contract on every
+// backing: with equal popularity, a lone 苹果 resolves to the first
 // candidate in canonical order, but co-occurring 微软 swings it to the
 // company sense through concept agreement.
 func TestContextBreaksTies(t *testing.T) {
 	tx, m := tieFixture(t)
-	engines := map[string]*Engine{
-		"store": New(tx, m),
-		"view":  NewView(viewOf(t, tx, m)),
-	}
-	for name, e := range engines {
+	for name, e := range enginesOf(t, tx, m) {
 		lone := e.Conceptualize("苹果")
 		if got := lone.Mentions[0].Entity; got != "苹果（一种水果）" {
 			t.Errorf("%s: lone 苹果 = %q, want canonical-order fruit sense", name, got)
@@ -146,7 +165,7 @@ func TestContextBreaksTies(t *testing.T) {
 }
 
 // TestConceptBounds exercises MaxConceptsPerEntity at its edges on
-// both engines: 0 means unbounded, 1 keeps only the most typical.
+// every backing: 0 means unbounded, 1 keeps only the most typical.
 func TestConceptBounds(t *testing.T) {
 	tx := taxonomy.New()
 	tx.MarkEntity("多概念实体")
@@ -157,12 +176,7 @@ func TestConceptBounds(t *testing.T) {
 	}
 	m := taxonomy.NewMentionIndex()
 	m.Add("多概念", "多概念实体")
-	v := viewOf(t, tx, m)
-	for name, mk := range map[string]func() *Engine{
-		"store": func() *Engine { return New(tx, m) },
-		"view":  func() *Engine { return NewView(v) },
-	} {
-		e := mk()
+	for name, e := range enginesOf(t, tx, m) {
 		if got := len(e.Conceptualize("多概念").Mentions[0].Concepts); got != 5 {
 			t.Errorf("%s: default bound kept %d concepts, want 5", name, got)
 		}
@@ -188,10 +202,7 @@ func TestEmptyAndUncovered(t *testing.T) {
 	tx, m := fixture(t)
 	tx.MarkEntity("孤儿实体") // no hypernyms
 	m.Add("孤儿", "孤儿实体")
-	for name, e := range map[string]*Engine{
-		"store": New(tx, m),
-		"view":  NewView(viewOf(t, tx, m)),
-	} {
+	for name, e := range enginesOf(t, tx, m) {
 		for _, text := range []string{"", "完全无关的文本", "孤儿"} {
 			res := e.Conceptualize(text)
 			if res.Covered() {
@@ -205,8 +216,9 @@ func TestEmptyAndUncovered(t *testing.T) {
 }
 
 // TestOverlappingMentions pins greedy longest-match through the full
-// engine: 刘德华 must win over its substrings 刘德/德华, and both
-// engines must agree when only the shorter surfaces fit.
+// engine: 刘德华 must win over its substrings 刘德/德华, and every
+// backing must agree with the reference when only the shorter surfaces
+// fit.
 func TestOverlappingMentions(t *testing.T) {
 	tx, m := fixture(t)
 	tx.MarkEntity("刘德（武术指导）")
@@ -219,9 +231,8 @@ func TestOverlappingMentions(t *testing.T) {
 	}
 	m.Add("刘德", "刘德（武术指导）")
 	m.Add("德华", "德华（角色）")
-	store := New(tx, m)
+	requireEquivalent(t, newReference(tx, m), enginesOf(t, tx, m), []string{"刘德华", "刘德与德华", "刘德德华"})
 	view := NewView(viewOf(t, tx, m))
-	requireEquivalent(t, store, view, []string{"刘德华", "刘德与德华", "刘德德华"})
 	res := view.Conceptualize("刘德华")
 	if len(res.Mentions) != 1 || res.Mentions[0].Surface != "刘德华" {
 		t.Errorf("longest match lost to a substring: %+v", res.Mentions)
@@ -266,5 +277,48 @@ func TestConceptualizeIntoAllocations(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("view-backed ConceptualizeInto allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestScratchIsBounded pins the pool bound: a text naming thousands of
+// distinct entities is conceptualized, but the scratch it grew is not
+// parked in the pool for the next request to inherit, and an ordinary
+// text still runs without allocating afterwards.
+func TestScratchIsBounded(t *testing.T) {
+	// One P: the pool's per-P private slot is then the only place a
+	// Put can land, so draining the pool below sees it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tx, m := fixture(t)
+	var long strings.Builder
+	for i := 0; i < maxPooledScratch+100; i++ {
+		id := fmt.Sprintf("实体%05d", i)
+		tx.MarkEntity(id)
+		if err := tx.AddIsA(id, fmt.Sprintf("概念%d", i%7), taxonomy.SourceTag, 1); err != nil {
+			t.Fatal(err)
+		}
+		m.Add(id, id)
+		long.WriteString(id + "，")
+	}
+	e := NewView(viewOf(t, tx, m))
+	var res Result
+	if e.ConceptualizeInto(&res, long.String()); len(res.Mentions) != maxPooledScratch+100 {
+		t.Fatalf("long text resolved %d mentions, want %d", len(res.Mentions), maxPooledScratch+100)
+	}
+	for i := 0; i < 16; i++ {
+		sc := scratchPool.Get().(*scratch)
+		if cap(sc.found) > maxPooledScratch || cap(sc.cands) > maxPooledScratch || cap(sc.context) > maxPooledScratch {
+			t.Fatalf("pool kept scratch of %d surfaces / %d candidates / %d concepts (bound %d)",
+				cap(sc.found), cap(sc.cands), cap(sc.context), maxPooledScratch)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	text := "刘德华演唱了忘情水。"
+	for i := 0; i < 8; i++ {
+		e.ConceptualizeInto(&res, text)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e.ConceptualizeInto(&res, text) }); allocs != 0 {
+		t.Fatalf("ConceptualizeInto allocates %.1f allocs/op after the long text, want 0", allocs)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"cnprobase/internal/eval"
 	"cnprobase/internal/extract"
 	"cnprobase/internal/qa"
+	"cnprobase/internal/serving"
 	"cnprobase/internal/synth"
 	"cnprobase/internal/taxonomy"
 )
@@ -154,7 +155,7 @@ func (s *Suite) QA(n int) (string, qa.CoverageResult) {
 	if n > 0 {
 		cfg.N = n
 	}
-	res := qa.Evaluate(qa.Generate(s.World, cfg), s.Result.Taxonomy, s.Result.Mentions)
+	res := qa.EvaluateSource(qa.Generate(s.World, cfg), serving.Compile(s.Result.Taxonomy, s.Result.Mentions))
 	out := fmt.Sprintf("questions=%d covered=%d coverage=%.2f%% avg-concepts-per-covered-entity=%.2f\n",
 		res.Questions, res.Covered, res.Coverage()*100, res.AvgConceptsPerEntity)
 	return out, res

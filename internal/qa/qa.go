@@ -9,17 +9,23 @@
 // synthetic world, mixed with out-of-taxonomy distractor questions
 // (chitchat, arithmetic, unknown entities) at a calibrated rate.
 //
-// Evaluation reads through the Source interface, satisfied both by the
-// mutable build store (NewStoreSource) and by the immutable
-// serving.View — the serving path the /api/qa endpoint uses, pinned
-// equivalent to the store by tests.
+// Evaluation and the /api/qa endpoint read one model, the immutable
+// serving.View, through its ID-native surface: mentions come back from
+// the text scan with their table rows, a mention's concept union is
+// built from its candidates' ascending hypernym-ID segments, and the
+// 2–6-rune concept windows of a start position are one prefix narrowing
+// over the sorted name table. A build store is evaluated by compiling
+// it first (serving.Compile); the string-keyed algorithm this replaced
+// is the oracle in reference_test.go.
 package qa
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"unicode/utf8"
 
+	"cnprobase/internal/serving"
 	"cnprobase/internal/synth"
 	"cnprobase/internal/taxonomy"
 )
@@ -101,36 +107,6 @@ func Generate(w *synth.World, cfg GeneratorConfig) []Question {
 	return out
 }
 
-// Source is the taxonomy read surface question understanding needs:
-// mention scanning, mention resolution, hypernym lookup, and node
-// kinds. serving.View implements it directly; NewStoreSource adapts
-// the mutable build store.
-type Source interface {
-	FindAllAppend(dst []string, text string) []string
-	Lookup(mention string) []string
-	Hypernyms(node string) []string
-	Kind(node string) taxonomy.NodeKind
-}
-
-// storeSource adapts the build store to Source — the reference oracle
-// the view-backed path is equivalence-tested against.
-type storeSource struct {
-	tax      *taxonomy.Taxonomy
-	mentions *taxonomy.MentionIndex
-}
-
-func (s storeSource) FindAllAppend(dst []string, text string) []string {
-	return s.mentions.FindAllAppend(dst, text)
-}
-func (s storeSource) Lookup(mention string) []string     { return s.mentions.Lookup(mention) }
-func (s storeSource) Hypernyms(node string) []string     { return s.tax.Hypernyms(node) }
-func (s storeSource) Kind(node string) taxonomy.NodeKind { return s.tax.Kind(node) }
-
-// NewStoreSource wraps the mutable store as a Source.
-func NewStoreSource(tax *taxonomy.Taxonomy, mentions *taxonomy.MentionIndex) Source {
-	return storeSource{tax: tax, mentions: mentions}
-}
-
 // CoverageResult reports the experiment's metrics.
 type CoverageResult struct {
 	Questions int
@@ -148,43 +124,25 @@ func (r CoverageResult) Coverage() float64 {
 	return float64(r.Covered) / float64(r.Questions)
 }
 
-// Evaluate measures taxonomy coverage over the question set against
-// the build store. EvaluateSource is the general form.
-func Evaluate(questions []Question, tax *taxonomy.Taxonomy, mentions *taxonomy.MentionIndex) CoverageResult {
-	return EvaluateSource(questions, NewStoreSource(tax, mentions))
-}
-
-// EvaluateSource measures taxonomy coverage over the question set: a
-// question counts as covered when the mention index finds an entity
-// mention or the text contains a taxonomy concept.
-func EvaluateSource(questions []Question, src Source) CoverageResult {
+// EvaluateSource measures taxonomy coverage over the question set on a
+// serving view: a question counts as covered when the mention scan
+// finds an entity mention with concepts or the text contains a taxonomy
+// concept.
+func EvaluateSource(questions []Question, v *serving.View) CoverageResult {
 	res := CoverageResult{Questions: len(questions)}
 	conceptHits := 0
 	conceptSum := 0
-	var found []string
+	var buf [8]serving.Found
+	found := buf[:0]
 	for _, q := range questions {
-		found = src.FindAllAppend(found[:0], q.Text)
-		covered := false
-		for _, m := range found {
-			for _, id := range src.Lookup(m) {
-				if n := len(src.Hypernyms(id)); n > 0 {
-					covered = true
-					conceptHits++
-					conceptSum += n
-					break
-				}
-			}
-			if covered {
-				break
-			}
+		found = v.FindMentionsAppend(found[:0], q.Text)
+		n := firstConceptCount(v, found)
+		if n > 0 {
+			conceptHits++
+			conceptSum += n
 		}
-		if !covered {
-			// Concept mention: any taxonomy concept inside the text.
-			if containsConcept(q.Text, src) {
-				covered = true
-			}
-		}
-		if covered {
+		// Concept mention: any taxonomy concept inside the text.
+		if n > 0 || containsConcept(q.Text, v) {
 			res.Covered++
 		}
 	}
@@ -192,6 +150,26 @@ func EvaluateSource(questions []Question, src Source) CoverageResult {
 		res.AvgConceptsPerEntity = float64(conceptSum) / float64(conceptHits)
 	}
 	return res
+}
+
+// firstConceptCount returns the number of direct concepts of the first
+// candidate entity, in mention order, that has any — 0 when no mention
+// resolves to an entity with concepts.
+//
+//cnp:noalloc
+func firstConceptCount(v *serving.View, found []serving.Found) int {
+	for i := range found {
+		from := uint32(0) // a mention's entities ascend, so do their IDs
+		for _, name := range v.MentionEntities(found[i].Row) {
+			if id, ok := v.ID(name, from); ok {
+				if n := len(v.HypernymIDsOf(id)); n > 0 {
+					return n
+				}
+				from = id + 1
+			}
+		}
+	}
+	return 0
 }
 
 // EntityMention is one resolved surface inside an understood question.
@@ -218,47 +196,75 @@ type Understanding struct {
 	Concepts []string `json:"concepts,omitempty"`
 }
 
-// Understand analyzes one question against a Source. Its Covered field
+// Understand analyzes one question on a serving view. Its Covered field
 // agrees with EvaluateSource question by question — the endpoint and
-// the batch experiment cannot drift apart.
-func Understand(text string, src Source) Understanding {
+// the batch experiment cannot drift apart. The scan and the concept
+// union run in stack buffers an ordinary question fits, so only the
+// returned slices are allocated; Entities is shared with the view: do
+// not modify it.
+func Understand(text string, v *serving.View) Understanding {
 	var u Understanding
-	for _, sf := range src.FindAllAppend(nil, text) {
-		ids := src.Lookup(sf)
-		if len(ids) == 0 {
+	var foundBuf [8]serving.Found
+	var idBuf [64]uint32
+	for _, f := range v.FindMentionsAppend(foundBuf[:0], text) {
+		names := v.MentionEntities(f.Row)
+		if len(names) == 0 {
 			continue
 		}
-		union := map[string]bool{}
-		for _, id := range ids {
-			for _, h := range src.Hypernyms(id) {
-				union[h] = true
+		// Hypernym IDs ascend with names, so the sorted union of the
+		// candidates' concepts is their ID segments merged.
+		ids, from := idBuf[:0], uint32(0)
+		for _, name := range names {
+			if id, ok := v.ID(name, from); ok {
+				ids = append(ids, v.HypernymIDsOf(id)...)
+				from = id + 1
 			}
 		}
-		concepts := make([]string, 0, len(union))
-		for h := range union {
-			concepts = append(concepts, h)
-		}
-		sort.Strings(concepts)
-		if len(concepts) > 0 {
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+		if len(ids) > 0 {
 			u.Covered = true
 		}
-		u.Mentions = append(u.Mentions, EntityMention{Surface: sf, Entities: ids, Concepts: concepts})
+		u.Mentions = append(u.Mentions, EntityMention{Surface: f.Surface, Entities: names, Concepts: nodeNames(v, ids)})
 	}
-	u.Concepts = conceptWindows(text, src)
+	u.Concepts = conceptWindows(text, v)
 	if len(u.Concepts) > 0 {
 		u.Covered = true
 	}
 	return u
 }
 
-// containsConcept scans the question for any concept node of the
-// taxonomy using greedy windows up to 6 runes.
-func containsConcept(text string, src Source) bool {
-	rs := []rune(text)
-	for i := 0; i < len(rs); i++ {
-		for l := 2; l <= 6 && i+l <= len(rs); l++ {
-			w := string(rs[i : i+l])
-			if src.Kind(w) == taxonomy.KindConcept {
+// nodeNames resolves IDs to a fresh, never-nil name slice.
+func nodeNames(v *serving.View, ids []uint32) []string {
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = v.Name(id)
+	}
+	return out
+}
+
+// validText returns text with every invalid byte re-encoded as U+FFFD —
+// the text the rune windows of the reference see. Valid text, the
+// common case, is returned as is.
+func validText(text string) string {
+	if utf8.ValidString(text) {
+		return text
+	}
+	return string([]rune(text))
+}
+
+// minConceptWindow and maxConceptWindow bound, in runes, the windows
+// scanned for bare concepts.
+const minConceptWindow, maxConceptWindow = 2, 6
+
+// containsConcept reports whether any window of the question is a
+// concept node of the taxonomy.
+func containsConcept(text string, v *serving.View) bool {
+	text = validText(text)
+	var buf [maxConceptWindow]uint32
+	for i := range text {
+		for _, id := range v.NamePrefixesAppend(buf[:0], text[i:], minConceptWindow, maxConceptWindow) {
+			if v.KindOf(id) == taxonomy.KindConcept {
 				return true
 			}
 		}
@@ -269,23 +275,13 @@ func containsConcept(text string, src Source) bool {
 // conceptWindows returns the distinct concept nodes appearing verbatim
 // in text (the windows containsConcept scans), in first-occurrence
 // order.
-func conceptWindows(text string, src Source) []string {
-	rs := []rune(text)
+func conceptWindows(text string, v *serving.View) []string {
+	text = validText(text)
 	var out []string
-	for i := 0; i < len(rs); i++ {
-		for l := 2; l <= 6 && i+l <= len(rs); l++ {
-			w := string(rs[i : i+l])
-			if src.Kind(w) != taxonomy.KindConcept {
-				continue
-			}
-			dup := false
-			for _, x := range out {
-				if x == w {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+	var buf [maxConceptWindow]uint32
+	for i := range text {
+		for _, id := range v.NamePrefixesAppend(buf[:0], text[i:], minConceptWindow, maxConceptWindow) {
+			if w := v.Name(id); v.KindOf(id) == taxonomy.KindConcept && !slices.Contains(out, w) {
 				out = append(out, w)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"cnprobase/internal/serving"
 	"cnprobase/internal/synth"
 	"cnprobase/internal/taxonomy"
 )
@@ -72,7 +73,7 @@ func TestEvaluateCoverage(t *testing.T) {
 		{Text: "有哪些著名的演员？"},                           // covered via concept
 		{Text: "今天天气怎么样？"},                            // uncovered
 	}
-	res := Evaluate(qs, tax, mentions)
+	res := EvaluateSource(qs, serving.Compile(tax, mentions))
 	if res.Questions != 3 || res.Covered != 2 {
 		t.Fatalf("res = %+v, want 2/3 covered", res)
 	}
@@ -85,7 +86,7 @@ func TestEvaluateCoverage(t *testing.T) {
 }
 
 func TestEvaluateEmpty(t *testing.T) {
-	res := Evaluate(nil, taxonomy.New(), taxonomy.NewMentionIndex())
+	res := EvaluateSource(nil, serving.Compile(taxonomy.New(), taxonomy.NewMentionIndex()))
 	if res.Coverage() != 0 {
 		t.Errorf("empty coverage = %v", res.Coverage())
 	}
@@ -98,7 +99,7 @@ func TestDistractorsNeverCovered(t *testing.T) {
 	for _, d := range distractors {
 		qs = append(qs, Question{Text: d})
 	}
-	res := Evaluate(qs, tax, mentions)
+	res := EvaluateSource(qs, serving.Compile(tax, mentions))
 	if res.Covered != 0 {
 		t.Errorf("distractors covered: %+v", res)
 	}

@@ -412,6 +412,8 @@ func assemble(prev *View, ch *change, indexed bool) *View {
 	}
 	if indexed || !trieFreeSafe(prev, ch) {
 		v.mentionDict = compileMentionDict(v.mentions)
+	} else {
+		v.mentionFirst = firstRuneSet(v.mentions)
 	}
 	return v
 }

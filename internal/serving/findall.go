@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"strings"
 	"sync"
 	"unicode/utf8"
 
@@ -8,24 +9,54 @@ import (
 )
 
 // Text scanning over the view's mention table — the primitive the
-// conceptualization and QA engines run on. The mentions are compiled
-// into a frozen arena trie once (compile does it), so FindAll answers
-// exactly like MentionIndex.FindAll on the same dictionary: greedy
-// longest-match from each rune position, distinct surfaces in
-// first-occurrence order. Like every other View query it takes no
-// locks, and the append form allocates nothing on the steady path.
+// conceptualization and QA engines run on. Compiled views scan with a
+// frozen arena trie over the mentions; mapped and patched views seek a
+// growing byte prefix in the sorted table, behind a first-rune filter.
+// Either way the scan answers exactly like MentionIndex.FindAll on the
+// same dictionary: greedy longest-match from each rune position,
+// distinct surfaces in first-occurrence order. Like every other View
+// query it takes no locks, and the append forms allocate nothing on
+// the steady path.
 
-// findScratch is the pooled per-call state of FindAllAppend: the
-// decoded rune buffer, the parallel byte-offset table that lets
-// matched spans be returned as substrings of the input, and the
-// re-encoding buffer the mapped (trie-free) matcher compares with.
+// Found is one distinct surface a text scan found, with its row in the
+// view's mention table (MentionEntities resolves it), so a caller never
+// looks the surface up again. Row is negative when the surface matched
+// rune-wise but is no table row: a mention that is not valid UTF-8
+// matches U+FFFD in text, and the re-encoded surface names nothing.
+type Found struct {
+	Surface string
+	Row     int32
+}
+
+// findScratch is the pooled per-call state of a scan: the decoded rune
+// buffer, the parallel byte-offset table that lets matched spans be
+// returned as substrings of the input, and FindAllAppend's staging
+// slice.
 type findScratch struct {
-	rs   []rune
-	offs []int
-	p    []byte
+	rs    []rune
+	offs  []int
+	found []Found
 }
 
 var findPool = sync.Pool{New: func() any { return new(findScratch) }}
+
+// maxPooledRunes bounds the scratch a scan hands back to the pool. The
+// buffers grow to the longest text seen (12 B per rune) and a cycling
+// pool entry is never dropped, so without a bound one body-cap-sized
+// request would park tens of megabytes per P for the life of the
+// process; scratch grown past the bound is left to the collector.
+const maxPooledRunes = 64 << 10
+
+// release returns the scratch to the pool unless a long text grew it
+// past the bound.
+//
+//cnp:noalloc
+func (sc *findScratch) release() {
+	if cap(sc.rs) > maxPooledRunes || cap(sc.offs) > maxPooledRunes || cap(sc.found) > maxPooledRunes {
+		return
+	}
+	findPool.Put(sc)
+}
 
 // FindAll scans text and returns the distinct mentions found, using
 // greedy longest-match from each position — exactly like
@@ -46,6 +77,45 @@ func (v *View) FindAllAppend(dst []string, text string) []string {
 		return dst
 	}
 	sc := findPool.Get().(*findScratch)
+	sc.found = v.scan(sc, sc.found[:0], text)
+	for i := range sc.found {
+		dst = append(dst, sc.found[i].Surface)
+	}
+	sc.release()
+	return dst
+}
+
+// FindMentionsAppend is FindAllAppend returning each surface with its
+// mention-table row — the scan the application engines call, so that
+// no surface is resolved a second time.
+//
+//cnp:noalloc
+func (v *View) FindMentionsAppend(dst []Found, text string) []Found {
+	if len(v.mentions) == 0 || text == "" {
+		return dst
+	}
+	sc := findPool.Get().(*findScratch)
+	dst = v.scan(sc, dst, text)
+	sc.release()
+	return dst
+}
+
+// MentionEntities returns the entity IDs of mention-table row — what
+// Lookup answers for that row's mention. The returned slice is shared:
+// do not modify it. Nil for a negative row.
+//
+//cnp:noalloc
+func (v *View) MentionEntities(row int32) []string {
+	if row < 0 {
+		return nil
+	}
+	return v.mentionEnts[v.mentionOff[row]:v.mentionOff[row+1]]
+}
+
+// scan is the one greedy matcher behind both append forms.
+//
+//cnp:noalloc
+func (v *View) scan(sc *findScratch, dst []Found, text string) []Found {
 	rs, offs := sc.rs[:0], sc.offs[:0]
 	clean := true // no invalid UTF-8 seen
 	for bi, r := range text {
@@ -55,34 +125,58 @@ func (v *View) FindAllAppend(dst []string, text string) []string {
 		rs = append(rs, r)
 		offs = append(offs, bi)
 	}
+	if !clean {
+		// Invalid input bytes decode to U+FFFD; scan the re-encoded runes
+		// so surfaces match MentionIndex.FindAll byte for byte.
+		//cnp:allow noallochot (cold path: only texts carrying invalid UTF-8)
+		text = string(rs)
+		offs = offs[:0]
+		for bi := range text {
+			offs = append(offs, bi)
+		}
+	}
 	offs = append(offs, len(text))
 	base := len(dst)
 	for i := 0; i < len(rs); {
 		var l int
+		var row int32
 		if v.mentionDict != nil {
-			l = v.mentionDict.LongestFrom(rs, i)
-		} else {
-			l, sc.p = v.longestMentionFrom(rs, i, sc.p[:0])
+			if l = v.mentionDict.LongestFrom(rs, i); l != 0 {
+				row = v.mentionRow(text[offs[i]:offs[i+l]])
+			}
+		} else if v.mentionFirst.has(rs[i]) {
+			l, row = v.longestMentionFrom(text, offs, i)
 		}
 		if l == 0 {
 			i++
 			continue
 		}
 		w := text[offs[i]:offs[i+l]]
-		if !clean {
-			// Invalid input bytes decode to U+FFFD; re-encode the runes
-			// so the result matches MentionIndex.FindAll byte for byte.
-			//cnp:allow noallochot (cold path: only texts carrying invalid UTF-8)
-			w = string(rs[i : i+l])
-		}
-		if !containsString(dst[base:], w) {
-			dst = append(dst, w)
+		if !containsSurface(dst[base:], w) {
+			dst = append(dst, Found{Surface: w, Row: row})
 		}
 		i += l
 	}
 	sc.rs, sc.offs = rs, offs
-	findPool.Put(sc)
 	return dst
+}
+
+// mentionRow resolves a surface the trie matched to its table row:
+// one hash read on a compiled view. Negative when the surface is no
+// row (see Found).
+//
+//cnp:noalloc
+func (v *View) mentionRow(w string) int32 {
+	if v.mentionAt != nil {
+		if i, ok := v.mentionAt[w]; ok {
+			return int32(i)
+		}
+		return -1
+	}
+	if i, ok := searchSorted(v.mentions, w); ok {
+		return int32(i)
+	}
+	return -1
 }
 
 // validRuneAt reports whether the rune starting at byte offset i of s
@@ -95,102 +189,114 @@ func validRuneAt(s string, i int) bool {
 	return !(r == utf8.RuneError && size == 1)
 }
 
-// containsString reports whether xs contains w. Found-mention counts
-// per text are tiny, so a linear scan beats a map (and allocates
-// nothing).
+// containsSurface reports whether xs already holds the surface w.
+// Found counts per text are tiny, so a linear scan beats a map (and
+// allocates nothing).
 //
 //cnp:noalloc
-func containsString(xs []string, w string) bool {
-	for _, x := range xs {
-		if x == w {
+func containsSurface(xs []Found, w string) bool {
+	for i := range xs {
+		if xs[i].Surface == w {
 			return true
 		}
 	}
 	return false
 }
 
-// longestMentionFrom is the trie-free greedy matcher of mapped views:
-// the length (in runes) of the longest mention starting at rs[start],
-// found by narrowing a byte-prefix range over the sorted mention
-// table, one rune at a time. p is a reusable encoding buffer; the
-// (possibly grown) buffer is returned for the pool.
+// runeSet is the filter in front of the trie-free scan: bit r&0xFFFF
+// is set when some mention starts with rune r, so a text position whose
+// rune starts no mention costs one bit test instead of binary searches
+// over the whole table. Runes beyond the BMP fold onto it — a false
+// positive only costs the search the filter would have saved.
+type runeSet []uint64
+
+//cnp:noalloc
+func (s runeSet) has(r rune) bool { return s[(r&0xFFFF)>>6]&(1<<(r&63)) != 0 }
+
+// firstRuneSet collects the first rune of every mention in one pass
+// over the table. Derived state: never stored in an image.
+func firstRuneSet(mentions []string) runeSet {
+	set := make(runeSet, 0x10000/64)
+	for _, m := range mentions {
+		r, _ := utf8.DecodeRuneInString(m)
+		set[(r&0xFFFF)>>6] |= 1 << (r & 63)
+	}
+	return set
+}
+
+// longestMentionFrom is the trie-free greedy matcher of mapped and
+// patched views: the length (in runes) and table row of the longest
+// mention starting at rune start of text, found by seeking, one rune at
+// a time, the first entry of the sorted mention table not below the
+// prefix read so far. offs holds the byte offset of every rune of
+// text, then len(text).
 //
-// Mapped images require valid-UTF-8 mentions, so byte order over the
+// Trie-free views require valid-UTF-8 mentions, so byte order over the
 // table equals decoded-rune order and this scan matches
 // trie.LongestFrom exactly — including on text whose invalid bytes
-// decoded to U+FFFD: the runes re-encode to valid bytes before any
-// comparison, just as trie.Insert/LongestFrom operate on runes.
+// decoded to U+FFFD: scan re-encodes such text before any comparison,
+// just as trie.Insert/LongestFrom operate on runes.
 //
 //cnp:noalloc
-func (v *View) longestMentionFrom(rs []rune, start int, p []byte) (int, []byte) {
-	lo, hi := 0, len(v.mentions)
-	best := 0
-	for i := start; i < len(rs) && lo < hi; i++ {
-		p = utf8.AppendRune(p, rs[i])
-		lo, hi = prefixRange(v.mentions, lo, hi, p)
-		if lo == hi {
+func (v *View) longestMentionFrom(text string, offs []int, start int) (int, int32) {
+	at := 0
+	best, row := 0, int32(-1)
+	for i := start + 1; i < len(offs); i++ {
+		p := text[offs[start]:offs[i]]
+		if at = seekPrefix(v.mentions, at, p); at < 0 {
 			break
 		}
-		if len(v.mentions[lo]) == len(p) {
-			// The range minimum carries the full prefix and has equal
-			// length: it IS the prefix — a terminal in trie terms.
-			best = i - start + 1
+		if len(v.mentions[at]) == len(p) {
+			// The first carrier of the prefix has its length: it IS the
+			// prefix — a terminal in trie terms.
+			best, row = i-start, int32(at)
 		}
 	}
-	return best, p
+	return best, row
 }
 
-// prefixRange narrows [lo, hi) — a range of the ascending table
-// already known to share p's previous prefix — to the entries carrying
-// the full prefix p. Hand-rolled binary searches (no sort.Search
-// closures) keep the scan at 0 allocs/op.
+// seekPrefix returns the index of the first entry of the ascending
+// table xs[from:] that carries the prefix p, or -1 when none does. It
+// is how a prefix is narrowed a rune at a time without ever finding
+// where its carriers end: the carriers of a longer prefix start at or
+// after the first carrier of the shorter one, so the next call resumes
+// from this one's answer.
 //
 //cnp:noalloc
-func prefixRange(xs []string, lo, hi int, p []byte) (int, int) {
-	l, h := lo, hi // first entry not below the prefix
-	for l < h {
-		mid := int(uint(l+h) >> 1)
-		if prefixCompare(xs[mid], p) < 0 {
-			l = mid + 1
-		} else {
-			h = mid
-		}
+func seekPrefix(xs []string, from int, p string) int {
+	if i := seek(xs, from, p); i < len(xs) && strings.HasPrefix(xs[i], p) {
+		return i
 	}
-	newLo := l
-	h = hi // first entry above every p-prefixed string
-	for l < h {
-		mid := int(uint(l+h) >> 1)
-		if prefixCompare(xs[mid], p) <= 0 {
-			l = mid + 1
-		} else {
-			h = mid
-		}
-	}
-	return newLo, l
+	return -1
 }
 
-// prefixCompare orders s against the prefix p: negative when s sorts
-// before every string with prefix p, 0 when s carries the prefix,
-// positive when it sorts after.
+// seek returns the index of the first entry of the ascending table
+// xs[from:] that is not below s (len(xs) when all are). A search from
+// the table's start bisects it; one resumed from an earlier answer
+// (from > 0) expects its own close by and gallops — a few comparisons
+// when it is, twice a bisection's when it is not. Hand-rolled (no
+// sort.Search closure) to keep the callers at 0 allocs/op.
 //
 //cnp:noalloc
-func prefixCompare(s string, p []byte) int {
-	n := len(s)
-	if len(p) < n {
-		n = len(p)
+func seek(xs []string, from int, s string) int {
+	lo, hi := from, len(xs)
+	if from > 0 {
+		step := 1
+		for lo+step < hi && xs[lo+step] < s {
+			lo += step
+			step <<= 1
+		}
+		hi = min(lo+step, hi)
 	}
-	for i := 0; i < n; i++ {
-		if s[i] != p[i] {
-			if s[i] < p[i] {
-				return -1
-			}
-			return 1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if xs[mid] < s {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	if len(s) < len(p) {
-		return -1
-	}
-	return 0
+	return lo
 }
 
 // compileMentionDict builds the frozen mention trie FindAll scans.

@@ -1,11 +1,14 @@
 package serving
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"cnprobase/internal/taxonomy"
 )
@@ -140,5 +143,207 @@ func TestFindAllAppendAllocations(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("FindAllAppend allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// scanBackings returns the mention index's content as the three kinds
+// of view a scan can run on: compiled (trie + mention hash), unindexed
+// (what Patch assembles: sorted tables behind the first-rune filter)
+// and opened from image bytes, where the mentions allow an image.
+func scanBackings(t *testing.T, tax *taxonomy.Taxonomy, m *taxonomy.MentionIndex) map[string]*View {
+	t.Helper()
+	compiled := Compile(tax, m)
+	views := map[string]*View{"compiled": compiled, "unindexed": CompileUnindexed(tax, m)}
+	if im, err := compiled.Image(0); err == nil {
+		var buf bytes.Buffer
+		if _, err := im.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if views["image"], err = OpenImage(buf.Bytes(), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return views
+}
+
+// requireScanMatchesIndex holds FindMentionsAppend on every backing to
+// the mention index: the surfaces are MentionIndex.FindAll's, and each
+// row resolves to what MentionIndex.Lookup answers for its surface.
+func requireScanMatchesIndex(t *testing.T, views map[string]*View, m *taxonomy.MentionIndex, text string) {
+	t.Helper()
+	want := m.FindAll(text)
+	for name, v := range views {
+		found := v.FindMentionsAppend(nil, text)
+		var got []string
+		for _, f := range found {
+			got = append(got, f.Surface)
+			if ents, want := v.MentionEntities(f.Row), m.Lookup(f.Surface); fmt.Sprint(ents) != fmt.Sprint(want) {
+				t.Errorf("%s view, text %q: surface %q row %d resolves to %q, Lookup says %q", name, text, f.Surface, f.Row, ents, want)
+			}
+			if f.Row >= 0 && v.mentions[f.Row] != f.Surface {
+				t.Errorf("%s view, text %q: surface %q carries row %d = %q", name, text, f.Surface, f.Row, v.mentions[f.Row])
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s view: FindMentionsAppend(%q) = %q, MentionIndex.FindAll = %q", name, text, got, want)
+		}
+		if all := v.FindAll(text); !reflect.DeepEqual(all, want) {
+			t.Errorf("%s view: FindAll(%q) = %q, MentionIndex.FindAll = %q", name, text, all, want)
+		}
+	}
+}
+
+// TestFindMentionsMatchesMentionIndex runs the scan-with-rows on every
+// backing, over the fixture plus what the first-rune filter must not
+// lose: a mention starting beyond the BMP (folded onto it in the
+// filter), one starting with a literal U+FFFD (which invalid input
+// bytes must match too), and text runes that alias a mention's first
+// rune in the filter without starting one.
+func TestFindMentionsMatchesMentionIndex(t *testing.T) {
+	m, _ := findFixture(t)
+	tax := taxonomy.New()
+	m.Add("𠀀字头", "𠀀字头（实体）")
+	m.Add("�开头", "替换符开头（实体）")
+	m.Add("𠀀", "𠀀（单字）")
+	views := scanBackings(t, tax, m)
+	if len(views) != 3 {
+		t.Fatalf("backings = %d, want compiled, unindexed and image", len(views))
+	}
+	for name, v := range views {
+		if (v.mentionDict == nil) != (name != "compiled") || (v.mentionFirst == nil) != (name == "compiled") {
+			t.Fatalf("%s view: trie %v, first-rune filter %v", name, v.mentionDict != nil, v.mentionFirst != nil)
+		}
+	}
+	for _, text := range []string{
+		"",
+		"刘德华演唱了忘情水。",
+		"刘德里有德华。",
+		"华仔就是刘德华",
+		"AI与A股都涨了",
+		"刘德华刘德华刘德华",
+		"无关文本 totally x",
+		"\xff\xfe刘德华\xff",
+		"前缀\xe5\x88伪字节刘德华",
+		"看𠀀字头和𠀀字",       // non-BMP first rune: longest match, then the 1-rune mention
+		"�开头在这里",        // literal U+FFFD first rune
+		"坏字节\xff开头也算",   // an invalid byte decodes to U+FFFD and starts the mention
+		"𐀀字头\x00字头𠀀",    // U+10000 and NUL alias U+20000 in the filter, start nothing
+		"\U0010FFFF开头�", // aliases U+FFFF, then a bare U+FFFD at the end
+	} {
+		requireScanMatchesIndex(t, views, m, text)
+	}
+}
+
+// TestFindMentionsInvalidMention covers the one case a surface has no
+// row: a mention that is not valid UTF-8 matches rune-wise (its bad
+// byte is U+FFFD in the trie), the surface is the re-encoded text, and
+// that names nothing — exactly what MentionIndex.FindAll + Lookup give.
+// Such a table never goes trie-free.
+func TestFindMentionsInvalidMention(t *testing.T) {
+	m := taxonomy.NewMentionIndex()
+	m.Add("\xff坏", "坏字节（实体）")
+	m.Add("好", "好（实体）")
+	views := scanBackings(t, taxonomy.New(), m)
+	if _, ok := views["image"]; ok || views["unindexed"].mentionDict == nil {
+		t.Fatal("a table with an invalid-UTF-8 mention must keep its trie and refuse the image")
+	}
+	for _, text := range []string{"\xff坏好", "�坏", "好\xfe坏\xff坏"} {
+		requireScanMatchesIndex(t, views, m, text)
+	}
+	found := views["compiled"].FindMentionsAppend(nil, "\xff坏好")
+	if len(found) != 2 || found[0].Row >= 0 || found[1].Row < 0 {
+		t.Fatalf("found = %+v, want the rune-matched surface without a row, then 好 with one", found)
+	}
+}
+
+func TestFindMentionsAppendAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under -race")
+	}
+	m, _ := findFixture(t)
+	text := "刘德华演唱了忘情水，AI与A股都涨了。"
+	for name, v := range scanBackings(t, taxonomy.New(), m) {
+		var dst []Found
+		for i := 0; i < 4; i++ { // warm the pool and dst
+			dst = v.FindMentionsAppend(dst[:0], text)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			dst = v.FindMentionsAppend(dst[:0], text)
+		})
+		if allocs != 0 || len(dst) != 4 {
+			t.Errorf("%s view: FindMentionsAppend allocates %.1f allocs/op finding %d mentions, want 0 and 4", name, allocs, len(dst))
+		}
+	}
+}
+
+// TestScanScratchIsBounded pins the pool bound: a text of a million
+// runes is scanned, but the buffers it grew are not parked in the pool
+// for the next request to inherit, and ordinary texts still scan
+// without allocating afterwards.
+func TestScanScratchIsBounded(t *testing.T) {
+	// One P: the pool's per-P private slot is then the only place a
+	// Put can land, so draining the pool below sees it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m, _ := findFixture(t)
+	long := strings.Repeat("无关文本刘德华", (1<<20)/7+1)
+	for name, v := range scanBackings(t, taxonomy.New(), m) {
+		if got := v.FindAllAppend(nil, long); !reflect.DeepEqual(got, []string{"刘德华"}) {
+			t.Fatalf("%s view: long text found %q", name, got)
+		}
+		if got := v.FindMentionsAppend(nil, long); len(got) != 1 {
+			t.Fatalf("%s view: long text found %+v", name, got)
+		}
+		for i := 0; i < 16; i++ {
+			sc := findPool.Get().(*findScratch)
+			if cap(sc.rs) > maxPooledRunes || cap(sc.offs) > maxPooledRunes || cap(sc.found) > maxPooledRunes {
+				t.Fatalf("%s view: pool kept scratch of %d runes / %d offsets / %d surfaces after a %d-rune text (bound %d)",
+					name, cap(sc.rs), cap(sc.offs), cap(sc.found), utf8.RuneCountInString(long), maxPooledRunes)
+			}
+		}
+		if raceEnabled {
+			continue
+		}
+		text := "刘德华演唱了忘情水，AI与A股都涨了。"
+		var dst []string
+		for i := 0; i < 4; i++ {
+			dst = v.FindAllAppend(dst[:0], text)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { dst = v.FindAllAppend(dst[:0], text) }); allocs != 0 {
+			t.Errorf("%s view: FindAllAppend allocates %.1f allocs/op after the long text, want 0", name, allocs)
+		}
+	}
+}
+
+// TestNamePrefixesAppend holds the one-narrowing prefix search to one
+// exact lookup per length, on every backing.
+func TestNamePrefixesAppend(t *testing.T) {
+	tax, m := fixture(t)
+	for _, n := range []string{"概", "概念", "概念0号", "概念0号分支甲乙", "𠀀", "𠀀概念", "A", "AB"} {
+		tax.MarkConcept(n)
+	}
+	rng := rand.New(rand.NewSource(1))
+	alphabet := []rune("概念0号分支甲乙𠀀AB实体1（人物）顶层孤岛")
+	for name, v := range scanBackings(t, tax, m) {
+		for i := 0; i < 2000; i++ {
+			var b strings.Builder
+			for j := rng.Intn(9); j > 0; j-- {
+				b.WriteRune(alphabet[rng.Intn(len(alphabet))])
+			}
+			s := b.String()
+			if i%5 == 0 {
+				s = v.Nodes()[rng.Intn(len(v.Nodes()))] + s
+			}
+			minR, maxR := rng.Intn(3), 1+rng.Intn(8)
+			var want []uint32
+			rs := []rune(s)
+			for l := max(minR, 1); l <= maxR && l <= len(rs); l++ {
+				if id, ok := v.ID(string(rs[:l]), 0); ok {
+					want = append(want, id)
+				}
+			}
+			if got := v.NamePrefixesAppend(nil, s, minR, maxR); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s view: NamePrefixesAppend(%q, %d, %d) = %v, want %v", name, s, minR, maxR, got, want)
+			}
+		}
 	}
 }

@@ -432,17 +432,19 @@ func OpenImage(data []byte, base uint64) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
+	mentions := arenaStrings(img.mentionArena, img.mentionStrOff, false)
 	v := &View{
-		names:       arenaStrings(img.nameArena, img.nameOff, false),
-		kinds:       img.kinds,
-		hyperOff:    img.hyperOff,
-		hyperIDs:    img.hyperIDs,
-		edgeSources: img.edgeSources,
-		edgeScores:  img.edgeScores,
-		edgeCounts:  img.edgeCounts,
-		mentions:    arenaStrings(img.mentionArena, img.mentionStrOff, false),
-		mentionOff:  img.mentionOff,
-		mentionEnts: arenaStrings(img.mentEntArena, img.mentEntOff, false),
+		names:        arenaStrings(img.nameArena, img.nameOff, false),
+		kinds:        img.kinds,
+		hyperOff:     img.hyperOff,
+		hyperIDs:     img.hyperIDs,
+		edgeSources:  img.edgeSources,
+		edgeScores:   img.edgeScores,
+		edgeCounts:   img.edgeCounts,
+		mentions:     mentions,
+		mentionOff:   img.mentionOff,
+		mentionEnts:  arenaStrings(img.mentEntArena, img.mentEntOff, false),
+		mentionFirst: firstRuneSet(mentions),
 	}
 	v.buildDerived()
 	return v, nil

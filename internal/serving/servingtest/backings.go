@@ -1,0 +1,55 @@
+// Package servingtest builds, for tests, the kinds of view a server can
+// find itself answering from, so that one oracle can be held against
+// all of them.
+package servingtest
+
+import (
+	"bytes"
+	"testing"
+
+	"cnprobase/internal/serving"
+	"cnprobase/internal/taxonomy"
+)
+
+// Backings returns the store's current content as the three backings of
+// a serving.View, by name: "compiled" carries the hash indexes and the
+// mention trie; "patched" is serving.Patch over the compiled view with
+// every other node and mention re-read from the store, so copied runs
+// and fresh rows interleave; "image" is opened over the compiled view's
+// serialized bytes, as a mapped snapshot is. The last two search their
+// sorted tables behind the first-rune filter. The mentions must be
+// valid UTF-8 (the image format requires it).
+func Backings(t testing.TB, tx *taxonomy.Taxonomy, m *taxonomy.MentionIndex) map[string]*serving.View {
+	t.Helper()
+	compiled := serving.Compile(tx, m)
+
+	var nodes, mentions []string
+	for i, n := range compiled.Nodes() {
+		if i%2 == 0 {
+			nodes = append(nodes, n)
+		}
+	}
+	for i, e := range m.Sorted() {
+		if i%2 == 1 {
+			mentions = append(mentions, e.Mention)
+		}
+	}
+	patched := serving.Patch(compiled, tx, m, nodes, mentions)
+	if patched == nil {
+		t.Fatal("servingtest: Patch over the same store's compiled view refused")
+	}
+
+	im, err := compiled.Image(0)
+	if err != nil {
+		t.Fatalf("servingtest: Image: %v", err)
+	}
+	var buf bytes.Buffer
+	if _, err := im.WriteTo(&buf); err != nil {
+		t.Fatalf("servingtest: WriteTo: %v", err)
+	}
+	opened, err := serving.OpenImage(buf.Bytes(), 0)
+	if err != nil {
+		t.Fatalf("servingtest: OpenImage: %v", err)
+	}
+	return map[string]*serving.View{"compiled": compiled, "patched": patched, "image": opened}
+}

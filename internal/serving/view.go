@@ -20,10 +20,24 @@
 // a finalized store (pinned by equivalence tests, down to byte-equal
 // HTTP responses). Returned slices are views into shared immutable
 // arrays: callers must not modify them.
+//
+// Beside the name-keyed queries of the three APIs the view has an
+// ID-native read surface for the application engines (conceptualize,
+// qa), which are its only read model: ID resolves a name once,
+// the *Of methods read kind, hypernym IDs, rankings and evidence total
+// of an ID, FindMentionsAppend scans a text and hands back each surface
+// with its mention-table row (MentionEntities), and NamePrefixesAppend
+// finds the node names that are prefixes of a string in one pass over
+// the sorted table. Views without the hash indexes and the trie —
+// mapped and patched ones — put a first-rune filter (one bit per rune
+// some mention starts with, built in one pass at construction, never
+// stored) in front of the text scan, so a position that starts no
+// mention costs one bit test.
 package serving
 
 import (
 	"strings"
+	"unicode/utf8"
 
 	"cnprobase/internal/taxonomy"
 	"cnprobase/internal/trie"
@@ -64,12 +78,15 @@ type View struct {
 	// Mention table: mentions sorted ascending; mention i's entity IDs
 	// occupy mentionEnts[mentionOff[i]:mentionOff[i+1]], sorted.
 	// mentionAt interns mention → table index for O(1) resolution;
-	// mentionDict is the frozen trie FindAll scans text with.
-	mentions    []string
-	mentionAt   map[string]uint32
-	mentionOff  []uint32
-	mentionEnts []string
-	mentionDict *trie.Trie
+	// mentionDict is the frozen trie FindAll scans text with. A view
+	// without a trie (mapped, patched) scans the sorted table behind
+	// mentionFirst, the set of runes some mention starts with.
+	mentions     []string
+	mentionAt    map[string]uint32
+	mentionOff   []uint32
+	mentionEnts  []string
+	mentionDict  *trie.Trie
+	mentionFirst runeSet
 
 	stats taxonomy.Stats
 }
@@ -107,6 +124,89 @@ func searchSorted(xs []string, s string) (uint32, bool) {
 		return uint32(lo), true
 	}
 	return 0, false
+}
+
+// The ID-native read surface. A node's ID is its rank in the sorted
+// name table, so IDs ascend with names and stay valid for the life of
+// the view (never across views). The application engines resolve each
+// name once with ID and read everything else by it — no second search,
+// no hash. The *Of methods panic on an ID the view did not hand out.
+
+// ID resolves a node name to its dense ID. from is where to look: 0,
+// or one past the previous answer when resolving an ascending list of
+// names (a mention's entities) — on a view without the interning map
+// the search then gallops from there, so neighbours in the name table
+// resolve in a few comparisons. name must not sort below node from.
+//
+//cnp:noalloc
+func (v *View) ID(name string, from uint32) (uint32, bool) {
+	if v.ids != nil {
+		id, ok := v.ids[name]
+		return id, ok
+	}
+	if i := seek(v.names, int(from), name); i < len(v.names) && v.names[i] == name {
+		return uint32(i), true
+	}
+	return 0, false
+}
+
+// Name returns the name of node id.
+//
+//cnp:noalloc
+func (v *View) Name(id uint32) string { return v.names[id] }
+
+// KindOf returns the kind of node id.
+//
+//cnp:noalloc
+func (v *View) KindOf(id uint32) taxonomy.NodeKind { return v.kinds[id] }
+
+// HypernymIDsOf returns the direct hypernyms of node id as ascending
+// IDs — Hypernyms' names in the same order. The returned slice is
+// shared: do not modify it.
+//
+//cnp:noalloc
+func (v *View) HypernymIDsOf(id uint32) []uint32 {
+	return v.hyperIDs[v.hyperOff[id]:v.hyperOff[id+1]]
+}
+
+// RankedHypernymsOf is RankedHypernyms of node id.
+//
+//cnp:noalloc
+func (v *View) RankedHypernymsOf(id uint32, limit int) []taxonomy.Scored {
+	lo, hi := v.hyperOff[id], v.hyperOff[id+1]
+	if limit > 0 && uint32(limit) < hi-lo {
+		hi = lo + uint32(limit)
+	}
+	return v.hyperRank[lo:hi]
+}
+
+// EvidenceTotalOf returns the summed evidence count behind node id's
+// outgoing isA edges — Σ EdgeOf(id, h).Count over its hypernyms, the
+// denominator of TypicalityOfConcept.
+//
+//cnp:noalloc
+func (v *View) EvidenceTotalOf(id uint32) int64 { return v.hyperTotals[id] }
+
+// NamePrefixesAppend appends the IDs of the nodes whose names are
+// prefixes of s between minRunes and maxRunes runes long, shortest
+// first: one narrowing over the sorted name table, a rune at a time
+// (seekPrefix), instead of one search per length. s must be valid
+// UTF-8.
+//
+//cnp:noalloc
+func (v *View) NamePrefixesAppend(dst []uint32, s string, minRunes, maxRunes int) []uint32 {
+	at, end := 0, 0
+	for k := 1; k <= maxRunes && end < len(s); k++ {
+		_, size := utf8.DecodeRuneInString(s[end:])
+		end += size
+		if at = seekPrefix(v.names, at, s[:end]); at < 0 {
+			break
+		}
+		if k >= minRunes && len(v.names[at]) == end {
+			dst = append(dst, uint32(at))
+		}
+	}
+	return dst
 }
 
 // NodeCount returns the number of nodes.
@@ -204,11 +304,7 @@ func (v *View) RankedHypernyms(node string, limit int) []taxonomy.Scored {
 	if !ok {
 		return []taxonomy.Scored{}
 	}
-	lo, hi := v.hyperOff[id], v.hyperOff[id+1]
-	if limit > 0 && uint32(limit) < hi-lo {
-		hi = lo + uint32(limit)
-	}
-	return v.hyperRank[lo:hi]
+	return v.RankedHypernymsOf(id, limit)
 }
 
 // RankedHyponyms returns the concept's hyponyms pre-sorted by
@@ -267,7 +363,11 @@ func (v *View) HasIsA(hypo, hyper string) bool {
 	return ok
 }
 
-// EdgeOf returns the edge with its full provenance, if present.
+// EdgeOf returns the edge with its full provenance, if present. No
+// production path calls it since the conceptualization engine reads
+// evidence totals by ID (EvidenceTotalOf); it stays as the facade's
+// per-edge provenance query and is what the store-, patch- and
+// image-equivalence tests compare edge payloads through.
 //
 //cnp:noalloc
 func (v *View) EdgeOf(hypo, hyper string) (taxonomy.Edge, bool) {
@@ -289,7 +389,10 @@ func (v *View) EdgeOf(hypo, hyper string) (taxonomy.Edge, bool) {
 }
 
 // TypicalityOfConcept returns P(hyper | hypo) from the edge evidence
-// counts; zero when the edge is absent.
+// counts; zero when the edge is absent. Like TypicalityOfInstance and
+// HasIsA it has no production caller (rankings are precomputed); the
+// three stay as facade queries, held to the store by the equivalence
+// tests and to 0 allocs/op by the allocation pins.
 //
 //cnp:noalloc
 func (v *View) TypicalityOfConcept(hypo, hyper string) float64 {

@@ -82,6 +82,7 @@ func requireViewMatchesStore(tb testing.TB, v *View, tax *taxonomy.Taxonomy, men
 		if got, want := v.HyponymCount(n), tax.HyponymCount(n); got != want {
 			tb.Fatalf("HyponymCount(%q) = %d, want %d", n, got, want)
 		}
+		requireIDSurfaceMatchesStore(tb, v, tax, n)
 		if got, want := v.Ancestors(n), tax.Ancestors(n); fmt.Sprint(got) != fmt.Sprint(want) {
 			tb.Fatalf("Ancestors(%q) = %v, want %v", n, got, want)
 		}
@@ -131,6 +132,52 @@ func requireViewMatchesStore(tb testing.TB, v *View, tax *taxonomy.Taxonomy, men
 		}
 		if got, want := v.Lookup("  "+m+" "), mentions.Lookup("  "+m+" "); fmt.Sprint(got) != fmt.Sprint(want) {
 			tb.Fatalf("Lookup(padded %q) = %v, want %v", m, got, want)
+		}
+	}
+}
+
+// requireIDSurfaceMatchesStore pins the ID-native read surface for one
+// name: ID agrees with the node set, and everything read by ID is what
+// the store answers by name.
+func requireIDSurfaceMatchesStore(tb testing.TB, v *View, tax *taxonomy.Taxonomy, n string) {
+	tb.Helper()
+	id, ok := v.ID(n, 0)
+	if known := tax.Kind(n) != taxonomy.KindUnknown || len(tax.Hypernyms(n)) > 0; ok != known {
+		tb.Fatalf("ID(%q) ok = %v, store knows it: %v", n, ok, known)
+	}
+	if !ok {
+		return
+	}
+	for _, from := range []uint32{id, id / 2, id - min(id, 3)} { // resumed searches gallop to the same answer
+		if got, ok := v.ID(n, from); !ok || got != id {
+			tb.Fatalf("ID(%q, %d) = %d/%v, want %d", n, from, got, ok, id)
+		}
+	}
+	if got := v.Name(id); got != n {
+		tb.Fatalf("Name(ID(%q)) = %q", n, got)
+	}
+	if got, want := v.KindOf(id), tax.Kind(n); got != want {
+		tb.Fatalf("KindOf(%q) = %d, want %d", n, got, want)
+	}
+	var hypers []string
+	total := int64(0)
+	for i, h := range v.HypernymIDsOf(id) {
+		if i > 0 && h <= v.HypernymIDsOf(id)[i-1] {
+			tb.Fatalf("HypernymIDsOf(%q) not ascending: %v", n, v.HypernymIDsOf(id))
+		}
+		hypers = append(hypers, v.Name(h))
+		e, _ := tax.EdgeOf(n, v.Name(h))
+		total += int64(e.Count)
+	}
+	if want := tax.Hypernyms(n); fmt.Sprint(hypers) != fmt.Sprint(want) {
+		tb.Fatalf("HypernymIDsOf(%q) names %v, want %v", n, hypers, want)
+	}
+	if got := v.EvidenceTotalOf(id); got != total {
+		tb.Fatalf("EvidenceTotalOf(%q) = %d, the store's edge counts sum to %d", n, got, total)
+	}
+	for _, limit := range []int{-1, 0, 1, 2, 1000} {
+		if got, want := v.RankedHypernymsOf(id, limit), tax.RankedHypernyms(n, limit); fmt.Sprint(got) != fmt.Sprint(want) {
+			tb.Fatalf("RankedHypernymsOf(%q, %d) = %v, want %v", n, limit, got, want)
 		}
 	}
 }
