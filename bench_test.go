@@ -100,8 +100,8 @@ func benchBuild(b *testing.B, workers int) {
 // sequential reference width and at full width, reporting pages/s.
 // Together with BenchmarkSegmentThroughput (internal/segment) and
 // BenchmarkTrieMatchesFrom (internal/trie) it pins the build-side perf
-// trajectory; cmd/experiments -bench-build emits the same quantities
-// as BENCH_BUILD.json for the CI artifact.
+// trajectory; the bench/ harness's build workload reports the same
+// quantities (core.build_seq_s, core.build_par_s, segment.runes_per_s).
 // (BenchmarkBuildEndToEnd subsumes the former
 // BenchmarkPipelineBuildSequential/Parallel pair, which measured the
 // same two builds under different names — CI runs every benchmark
@@ -369,24 +369,6 @@ func BenchmarkParallelQPSStoreVsView(b *testing.B) {
 	b.Run("view", func(b *testing.B) {
 		mix(b, view.Lookup, view.Hypernyms, view.Hyponyms)
 	})
-}
-
-// BenchmarkSnapshotLoadView measures the snapshot → serving-view
-// direct decode (no mutable store, no Finalize), the cnpserver -load
-// startup path.
-func BenchmarkSnapshotLoadView(b *testing.B) {
-	data := snapshotBytes(b)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		view, err := LoadSnapshotView(bytes.NewReader(data), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if view.EdgeCount() == 0 {
-			b.Fatal("empty view")
-		}
-	}
 }
 
 // BenchmarkMentionLookup measures men2ent resolution.

@@ -41,10 +41,11 @@
 // -load is the production serving path: the snapshot (written by
 // `cnprobase build -save`) becomes the immutable serving view — the
 // mutable build store is never materialized (unless -ingest asks for
-// it). Version-3 snapshots are memory-mapped and served in place, so
-// the server is query-ready in constant time regardless of taxonomy
-// size; older snapshots stream-decode instead. All requests are
-// answered from that lock-free view.
+// it). The snapshot is memory-mapped and served in place, so the
+// server is query-ready in constant time regardless of taxonomy size;
+// a file in a format older than version 3 is refused with an error
+// that says to rebuild it. All requests are answered from that
+// lock-free view.
 //
 // Overload safety: every listener (query, ingest, pprof) runs with
 // hard ReadHeader/Read/Write/Idle timeouts and a header-size cap, so a
@@ -116,7 +117,7 @@ func main() {
 		loadPath = flag.String("load", "", "binary snapshot path (from `cnprobase build -save`); SIGHUP hot-reloads it")
 		taxPath  = flag.String("tax", "", "taxonomy JSON path")
 		entities = flag.Int("entities", 4000, "demo world size when -load and -tax are empty")
-		workers  = flag.Int("workers", 0, "worker pool size for the demo build and snapshot decode (0 = one per CPU, 1 = sequential)")
+		workers  = flag.Int("workers", 0, "worker pool size for the demo build and the ingest plane (0 = one per CPU, 1 = sequential)")
 		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
 		ingestA  = flag.String("ingest", "", "serve the POST /ingest admin endpoint on this address (e.g. localhost:7070); off when empty")
 		walDir   = flag.String("wal", "", "write-ahead-log directory for durable ingestion (requires -load and -ingest); startup replays the log tail past the snapshot's LSN")
@@ -181,7 +182,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("load snapshot %s: %v", *loadPath, err)
 		}
-		res, snapLSN, err = cnprobase.LoadSnapshotLSN(f, *workers, 0)
+		res, snapLSN, err = cnprobase.LoadSnapshotLSN(f, 0, 0)
 		f.Close()
 		if err != nil {
 			log.Fatalf("load snapshot %s: %v", *loadPath, err)
@@ -214,7 +215,7 @@ func main() {
 			st.Entities, st.Concepts, st.IsARelations, view.MentionCount())
 	case *loadPath != "":
 		var err error
-		if view, err = loadView(*loadPath, *workers); err != nil {
+		if view, err = loadView(*loadPath); err != nil {
 			log.Fatalf("load snapshot %s: %v", *loadPath, err)
 		}
 	case *taxPath != "":
@@ -331,7 +332,7 @@ func main() {
 					log.Printf("SIGHUP ignored: -ingest owns the live state; restart the server to load a different snapshot")
 					continue
 				}
-				fresh, err := loadView(*loadPath, *workers)
+				fresh, err := loadView(*loadPath)
 				if err != nil {
 					log.Printf("SIGHUP reload failed, keeping current view: %v", err)
 					continue
@@ -382,27 +383,16 @@ func main() {
 }
 
 // loadView brings a snapshot file up as a serving view and logs its
-// shape. Version-3 files are memory-mapped — the view serves straight
-// off the file, so startup cost is flat in taxonomy size — while older
-// files fall back to the streaming decode.
-func loadView(path string, workers int) (*cnprobase.ServingView, error) {
+// shape. The file is memory-mapped — the view serves straight off it,
+// so startup cost is flat in taxonomy size.
+func loadView(path string) (*cnprobase.ServingView, error) {
 	start := time.Now()
-	how := "mapped"
 	view, err := cnprobase.OpenSnapshotMapped(path)
-	if errors.Is(err, cnprobase.ErrSnapshotNotMappable) {
-		how = "decoded (legacy format)"
-		var f *os.File
-		if f, err = os.Open(path); err != nil {
-			return nil, err
-		}
-		view, err = cnprobase.LoadSnapshotView(f, workers)
-		f.Close()
-	}
 	if err != nil {
 		return nil, err
 	}
 	st := view.Stats()
-	log.Printf("%s snapshot in %v: %d entities, %d concepts, %d isA, %d mentions", how,
+	log.Printf("mapped snapshot in %v: %d entities, %d concepts, %d isA, %d mentions",
 		time.Since(start).Round(time.Millisecond),
 		st.Entities, st.Concepts, st.IsARelations, view.MentionCount())
 	return view, nil

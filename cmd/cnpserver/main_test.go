@@ -670,6 +670,66 @@ func TestLoadCorruptSnapshot(t *testing.T) {
 	}
 }
 
+// TestLoadLegacySnapshotRefused: a pre-v3 snapshot is refused loudly,
+// not decoded quietly. At startup — view-only and with the build store
+// — the server exits non-zero with the one-line error that names the
+// version found and the rebuild command; on SIGHUP the same file leaves
+// the current view serving and logs that line.
+func TestLoadLegacySnapshotRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test: compiles and runs the binary")
+	}
+	const refusal = "format version 2 is no longer read — rebuild the snapshot with `cnprobase build -save`"
+	legacy, err := filepath.Abs("../../internal/snapshot/testdata/legacy-v2.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range [][]string{nil, {"-ingest", "127.0.0.1:0"}} {
+		args := append([]string{"-addr", "127.0.0.1:0", "-load", legacy}, extra...)
+		out, err := exec.Command(serverBinary(t), args...).CombinedOutput()
+		if err == nil {
+			t.Fatalf("%v: server started from a version-2 snapshot:\n%s", args, out)
+		}
+		if !strings.Contains(string(out), refusal) || strings.Contains(string(out), "panic") ||
+			strings.Count(strings.TrimSpace(string(out)), "\n") != 0 {
+			t.Errorf("%v: want the one-line refusal, got:\n%s", args, out)
+		}
+	}
+
+	snap, _ := writeSnapshot(t)
+	var stderr syncBuffer
+	base, cmd := startServerCapture(t, &stderr, "-load", snap)
+	// Replace the file by rename, as the compactor does: the serving
+	// view is a mapping of the old inode, which must stay whole.
+	data, err := os.ReadFile(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snap+".tmp", data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(snap+".tmp", snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Process.Signal(syscall.SIGHUP); err != nil {
+		t.Fatalf("SIGHUP: %v", err)
+	}
+	eventually(t, 20*time.Second, "the refused reload being logged", func() bool {
+		return strings.Contains(stderr.String(), "keeping current view") && strings.Contains(stderr.String(), refusal)
+	})
+	resp, err := http.Get(base + "/api/getEntity?concept=人物&limit=1")
+	if err != nil {
+		t.Fatalf("query after refused reload: %v", err)
+	}
+	defer resp.Body.Close()
+	var ent struct {
+		Hyponyms []string `json:"hyponyms"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&ent); err != nil || resp.StatusCode != http.StatusOK || len(ent.Hyponyms) != 1 {
+		t.Fatalf("current view not serving after the refused reload: status %d, %v, %v", resp.StatusCode, ent.Hyponyms, err)
+	}
+}
+
 // TestFlagValidation covers flag parsing: unknown flags exit with the
 // flag package's status 2, and -load/-tax are mutually exclusive.
 func TestFlagValidation(t *testing.T) {

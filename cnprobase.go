@@ -84,7 +84,7 @@ type (
 	// HTTP APIs answer from: interned node IDs, CSR adjacency,
 	// pre-sorted typicality rankings, flat sorted mention table — zero
 	// locks and near-zero allocation per query. Obtain one with
-	// Result.Freeze (from a build) or LoadSnapshotView (from a file).
+	// Result.Freeze (from a build) or OpenSnapshotMapped (from a file).
 	ServingView = serving.View
 
 	// Conceptualizer turns short text into a ranked concept vector.
@@ -358,32 +358,28 @@ func saveSnapshotLSN(w io.Writer, res *Result, lsn uint64) error {
 // reassembles a Result ready for serving *and* further building:
 // taxonomy (every query answers exactly like the freshly built
 // original), mention index, the saved build report with Stats
-// recomputed from the loaded graph, and — for snapshots carrying the
-// version-2 evidence section — the persistent verification evidence,
-// kept candidate set and corpus statistics, so the Result accepts
+// recomputed from the loaded graph, and — for snapshots saved with the
+// evidence section — the persistent verification evidence, kept
+// candidate set and corpus statistics, so the Result accepts
 // incremental Update (the segmenter is rebuilt from the dictionary and
-// the restored statistics on first use). Legacy version-1 snapshots
-// load without evidence; such Results serve queries but refuse Update.
-// Decoding uses default concurrency; use LoadSnapshotSharded to set it.
-func LoadSnapshot(r io.Reader) (*Result, error) { return LoadSnapshotSharded(r, 0, 0) }
-
-// LoadSnapshotSharded is LoadSnapshot with an explicit worker count:
-// workers bounds the pool legacy stripes are decoded on (0 = one per
-// CPU, 1 = sequential). shards is ignored — the store is no longer
-// sharded — and remains only because the signature is frozen. Any
-// setting yields the same loaded state.
-func LoadSnapshotSharded(r io.Reader, workers, shards int) (*Result, error) {
-	res, _, err := LoadSnapshotLSN(r, workers, shards)
+// the restored statistics on first use). A snapshot saved without
+// evidence loads into a Result that serves queries but refuses Update.
+// Files in a format older than version 3 are refused with an error
+// that says to rebuild them (`cnprobase build -save`).
+func LoadSnapshot(r io.Reader) (*Result, error) {
+	res, _, err := LoadSnapshotLSN(r, 0, 0)
 	return res, err
 }
 
-// LoadSnapshotLSN is LoadSnapshotSharded returning, in addition, the
+// LoadSnapshotLSN is LoadSnapshot returning, in addition, the
 // write-ahead-log position the snapshot covers (zero for snapshots
 // saved outside the durable ingest plane). Recovery passes that LSN
 // to ReplayWAL so only the batches the snapshot missed are re-applied.
-// shards is ignored, as in LoadSnapshotSharded.
+// workers and shards are both ignored — loading is one sequential pass
+// and the store is not sharded — and remain only because the signature
+// is frozen.
 func LoadSnapshotLSN(r io.Reader, workers, shards int) (*Result, uint64, error) {
-	st, err := snapshot.Load(r, snapshot.Options{Workers: workers})
+	st, err := snapshot.Load(r)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -407,32 +403,15 @@ func LoadSnapshotLSN(r io.Reader, workers, shards int) (*Result, uint64, error) 
 	}, st.Meta.LSN, nil
 }
 
-// LoadSnapshotView reads a snapshot written by SaveSnapshot and
-// compiles it straight into an immutable serving view, skipping the
-// mutable store entirely — the fastest path from file to serving
-// traffic. workers bounds the stripe-decode pool (0 = one per CPU).
-// The view answers every query exactly like a LoadSnapshot-restored
-// taxonomy (pinned by the serving-equivalence tests); use LoadSnapshot
-// instead when the mutable Result is needed (JSON export, experiments).
-func LoadSnapshotView(r io.Reader, workers int) (*ServingView, error) {
-	v, _, err := snapshot.LoadView(r, snapshot.Options{Workers: workers})
-	return v, err
-}
-
-// ErrSnapshotNotMappable reports that a snapshot file predates the
-// mappable version-3 layout. OpenSnapshotMapped returns it (wrapped)
-// for version-1/2 files; callers fall back to LoadSnapshotView.
-var ErrSnapshotNotMappable = snapshot.ErrNotMappable
-
-// OpenSnapshotMapped memory-maps a version-3 snapshot file and serves
-// straight off the mapping: after header and checksum verification the
-// view's arrays alias the file's bytes, so startup cost is independent
-// of taxonomy size and replicas share one page-cache copy. The mapping
+// OpenSnapshotMapped memory-maps a snapshot file and serves straight
+// off the mapping: after header and checksum verification the view's
+// arrays alias the file's bytes, so startup cost is independent of
+// taxonomy size and replicas share one page-cache copy. The mapping
 // is released automatically once the view becomes unreachable (after a
 // hot swap, once in-flight queries drain). Answers are byte-identical
-// to LoadSnapshotView over the same state (pinned by the mapped
-// serving-equivalence tests). Files older than version 3 return
-// ErrSnapshotNotMappable.
+// to the freshly built state's (pinned by the mapped
+// serving-equivalence tests). Files in a format older than version 3
+// are refused, with the same error LoadSnapshot gives.
 func OpenSnapshotMapped(path string) (*ServingView, error) {
 	v, _, err := snapshot.OpenMapped(path)
 	return v, err

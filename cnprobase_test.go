@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -164,13 +166,6 @@ func TestFacadeSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadSnapshot: %v", err)
 	}
-	sharded, err := LoadSnapshotSharded(bytes.NewReader(buf.Bytes()), 2, 64)
-	if err != nil {
-		t.Fatalf("LoadSnapshotSharded: %v", err)
-	}
-	if sharded.Taxonomy.EdgeCount() != res.Taxonomy.EdgeCount() {
-		t.Errorf("sharded load edges = %d, want %d", sharded.Taxonomy.EdgeCount(), res.Taxonomy.EdgeCount())
-	}
 	if loaded.Taxonomy.EdgeCount() != res.Taxonomy.EdgeCount() {
 		t.Errorf("edges = %d, want %d", loaded.Taxonomy.EdgeCount(), res.Taxonomy.EdgeCount())
 	}
@@ -311,11 +306,12 @@ func TestFacadeSnapshotBytesIgnoreConcurrency(t *testing.T) {
 	}
 }
 
-// TestFacadeFreezeAndLoadView covers the serving-view surface of the
-// facade: Result.Freeze answers like the store, NewViewServer serves
-// it, and LoadSnapshotView decodes a snapshot straight into an
-// equivalent view.
-func TestFacadeFreezeAndLoadView(t *testing.T) {
+// TestFacadeFreezeAndMappedView covers the serving-view surface of the
+// facade: Result.Freeze answers like the store, a snapshot saved from
+// the published view is the one the saver compiles itself,
+// OpenSnapshotMapped serves that file as an equivalent view, and
+// NewViewServer serves the view it is given.
+func TestFacadeFreezeAndMappedView(t *testing.T) {
 	_, res := buildSmall(t, 300)
 	var compiled bytes.Buffer // saved before any Freeze: the saver compiles the store itself
 	if err := SaveSnapshot(&compiled, res); err != nil {
@@ -341,17 +337,21 @@ func TestFacadeFreezeAndLoadView(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), compiled.Bytes()) {
 		t.Fatal("a snapshot saved from the published view differs from one that compiled the store")
 	}
-	loadedView, err := LoadSnapshotView(bytes.NewReader(buf.Bytes()), 4)
-	if err != nil {
-		t.Fatalf("LoadSnapshotView: %v", err)
+	path := filepath.Join(t.TempDir(), "taxonomy.snap")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if loadedView.EdgeCount() != view.EdgeCount() || loadedView.Stats() != view.Stats() {
-		t.Fatalf("snapshot view (%d edges, %+v) != frozen view (%d edges, %+v)",
-			loadedView.EdgeCount(), loadedView.Stats(), view.EdgeCount(), view.Stats())
+	mapped, err := OpenSnapshotMapped(path)
+	if err != nil {
+		t.Fatalf("OpenSnapshotMapped: %v", err)
+	}
+	if mapped.EdgeCount() != view.EdgeCount() || mapped.Stats() != view.Stats() {
+		t.Fatalf("mapped view (%d edges, %+v) != frozen view (%d edges, %+v)",
+			mapped.EdgeCount(), mapped.Stats(), view.EdgeCount(), view.Stats())
 	}
 	for _, n := range res.Taxonomy.Nodes() {
-		if a, b := view.Hypernyms(n), loadedView.Hypernyms(n); fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Fatalf("Hypernyms(%q): snapshot view %v, frozen view %v", n, b, a)
+		if a, b := view.Hypernyms(n), mapped.Hypernyms(n); fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Fatalf("Hypernyms(%q): mapped view %v, frozen view %v", n, b, a)
 		}
 	}
 	if srv := NewViewServer(view); srv.View() != view {

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -328,9 +330,13 @@ func TestApplicationGoldenSnapshotRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot.Save: %v", err)
 	}
-	loaded, _, err := snapshot.LoadView(bytes.NewReader(buf.Bytes()), snapshot.Options{})
+	path := filepath.Join(t.TempDir(), "fixture.snap")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, _, err := snapshot.OpenMapped(path)
 	if err != nil {
-		t.Fatalf("snapshot.LoadView: %v", err)
+		t.Fatalf("snapshot.OpenMapped: %v", err)
 	}
 	loadedTS := httptest.NewServer(NewViewServer(loaded).Handler())
 	defer loadedTS.Close()

@@ -91,7 +91,7 @@ func testSaveSnapshot(w io.Writer, res *core.Result, lsn uint64) error {
 // covers.
 func loadResult(t *testing.T, data []byte) (*core.Result, uint64) {
 	t.Helper()
-	st, err := snapshot.Load(bytes.NewReader(data), snapshot.Options{})
+	st, err := snapshot.Load(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("snapshot.Load: %v", err)
 	}

@@ -45,20 +45,6 @@ func DefaultWorkloadConfig() WorkloadConfig {
 	}
 }
 
-// MixedWorkloadConfig extends the paper's mix with the application
-// endpoints (conceptualize and qa at a minority share, as application
-// traffic rides on top of the lookup APIs) and Zipfian argument
-// skew — the extended serving workload CI exercises.
-func MixedWorkloadConfig() WorkloadConfig {
-	return WorkloadConfig{
-		Calls:   20000,
-		Weights: [5]float64{43896044, 13815076, 25793372, 15000000, 8000000},
-		ZipfS:   1.2,
-		ZipfV:   1,
-		Seed:    3,
-	}
-}
-
 // Client calls the APIs over HTTP.
 type Client struct {
 	Base string

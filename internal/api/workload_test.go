@@ -34,13 +34,23 @@ func benchWorld(tb testing.TB) (*Server, *httptest.Server, *taxonomy.Taxonomy, *
 	return srv, ts, tax, mentions
 }
 
+// mixedWorkloadConfig extends the paper's mix with the application
+// endpoints at a minority share and Zipfian argument skew, so the
+// generator's conceptualize/qa branches and its sampler are exercised.
+func mixedWorkloadConfig() WorkloadConfig {
+	cfg := DefaultWorkloadConfig()
+	cfg.Weights[3], cfg.Weights[4] = 15000000, 8000000
+	cfg.ZipfS, cfg.ZipfV = 1.2, 1
+	return cfg
+}
+
 // TestMixedWorkload drives the extended generator: all five endpoints
 // must receive traffic, the server's counters must match what the
 // client issued, and Zipfian sampling must actually skew toward head
 // nodes.
 func TestMixedWorkload(t *testing.T) {
 	srv, ts, tax, mentions := benchWorld(t)
-	cfg := MixedWorkloadConfig()
+	cfg := mixedWorkloadConfig()
 	cfg.Calls = 2000
 	issued, err := RunWorkload(NewClient(ts.URL), tax, mentions, cfg)
 	if err != nil {
@@ -78,7 +88,7 @@ func TestMixedWorkload(t *testing.T) {
 // the head node must absorb far more picks than a uniform sampler
 // would give it.
 func TestWorkloadZipfSkew(t *testing.T) {
-	cfg := MixedWorkloadConfig()
+	cfg := mixedWorkloadConfig()
 	rngPicks := func(zipf bool) []int {
 		c := cfg
 		if !zipf {
@@ -104,7 +114,7 @@ func TestWorkloadZipfSkew(t *testing.T) {
 // bench cycle.
 func BenchmarkMixedWorkload(b *testing.B) {
 	srv, ts, tax, mentions := benchWorld(b)
-	cfg := MixedWorkloadConfig()
+	cfg := mixedWorkloadConfig()
 	cfg.Calls = 400
 	client := NewClient(ts.URL)
 	start := time.Now()

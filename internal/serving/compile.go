@@ -40,11 +40,14 @@ func compileStore(t *taxonomy.Taxonomy, m *taxonomy.MentionIndex, indexed bool) 
 
 // Builder accumulates raw taxonomy content — kind marks, edges with
 // provenance, mention entries — and compiles it into a View without
-// ever materializing the mutable store. It is the direct snapshot →
-// View decode path: the methods mirror the store's deserialization
-// accessors (ImportKind, InsertEdge, MentionIndex.Add) including their
-// validation and overwrite semantics. A Builder is not safe for
-// concurrent use.
+// ever materializing the mutable store. Nothing in production builds a
+// view this way any more (views are compiled or patched from the store,
+// or opened over a snapshot image); it stays as the reference that is
+// independent of the dense-ID store: taxonomy's TestTaxonomyModel
+// compiles its expected image through it from the string-map oracle.
+// The methods mirror the store's deserialization accessors (ImportKind,
+// InsertEdge, MentionIndex.Add) including their validation and
+// overwrite semantics. A Builder is not safe for concurrent use.
 type Builder struct {
 	marks    map[string]taxonomy.NodeKind
 	edges    []taxonomy.Edge
@@ -107,7 +110,7 @@ func (b *Builder) AddMention(mention, entityID string) {
 }
 
 // AddMentionEntry registers a whole mention entry (one mention with
-// its ID list) — the bulk form snapshot decoding uses.
+// its ID list).
 func (b *Builder) AddMentionEntry(e taxonomy.MentionEntry) {
 	e.Mention = strings.TrimSpace(e.Mention)
 	if e.Mention == "" || len(e.IDs) == 0 {

@@ -450,10 +450,9 @@ func OpenImage(data []byte, base uint64) (*View, error) {
 	return v, nil
 }
 
-// ImageContent is the logical content of an image — the same
-// kind/edge/mention stream a v1/v2 stripe decoder yields — for the
-// paths that rebuild mutable state (snapshot.Load) or a heap view
-// (snapshot.LoadView). Everything is copied out of the input buffer.
+// ImageContent is the logical content of an image — its kind marks,
+// edges and mention entries — for the path that rebuilds mutable state
+// (snapshot.Load). Everything is copied out of the input buffer.
 type ImageContent struct {
 	Kinds    []taxonomy.KindEntry
 	Edges    []taxonomy.Edge

@@ -188,7 +188,7 @@ func TestFreezePatchesLikeCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := snapshot.Load(bytes.NewReader(buf.Bytes()), snapshot.Options{})
+	st, err := snapshot.Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

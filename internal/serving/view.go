@@ -2,9 +2,10 @@
 // view of a built taxonomy — the classic build/serve split of the
 // CN-Probase deployment. The mutable store in internal/taxonomy is the
 // *build* structure: the pipeline's write-side accumulator. A View is
-// the *serve* structure: compiled once from the store (or decoded straight from a snapshot via
-// a Builder), it answers the paper's three APIs — men2ent, getConcept,
-// getEntity — with zero locks and near-zero allocation per query.
+// the *serve* structure: compiled once from the store (or opened over
+// a snapshot's image), it answers the paper's three APIs — men2ent,
+// getConcept, getEntity — with zero locks and near-zero allocation per
+// query.
 //
 // Layout: node names are interned to dense uint32 IDs assigned in
 // sorted order (so ascending IDs are ascending strings and adjacency
@@ -44,7 +45,7 @@ import (
 )
 
 // View is the immutable serving view. The zero value is not usable;
-// build one with Compile or a Builder. A View is safe for unlimited
+// build one with Compile, Patch or OpenImage. A View is safe for unlimited
 // concurrent use and never changes after construction — servers swap
 // whole Views atomically to pick up new data (see api.Server.SwapView).
 type View struct {

@@ -246,10 +246,8 @@ func TestBuilderMatchesCompile(t *testing.T) {
 			t.Fatalf("InsertEdge: %v", err)
 		}
 	}
-	for _, entry := range mentions.ExportPartitions(3) {
-		for _, me := range entry {
-			b.AddMentionEntry(me)
-		}
+	for _, me := range mentions.Sorted() {
+		b.AddMentionEntry(me)
 	}
 	requireViewMatchesStore(t, b.Build(), tax, mentions)
 }

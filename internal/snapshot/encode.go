@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"cnprobase/internal/ner"
@@ -84,61 +83,6 @@ func Save(w io.Writer, st *State, opts Options) error {
 	out.section(sectionView, 0, uint64(image.Len()), func(bw *bufio.Writer) {
 		_, _ = image.WriteTo(bw) // a write error stays on bw
 	})
-	out.section(sectionEvidence, 0, evidence.size, evidence.writeTo)
-	return out.close()
-}
-
-// SaveLegacy writes st in the striped version-2 layout — the taxonomy
-// and mention index exported into Stripes hash partitions, each put
-// into canonical (sorted) order and encoded on the worker pool. Kept
-// as the compatibility oracle: v2 files exercise the legacy decode
-// path in tests, and the startup benchmark uses them as the
-// decode-at-open baseline the mapped path is measured against.
-func SaveLegacy(w io.Writer, st *State, opts Options) error {
-	if st == nil || st.Taxonomy == nil {
-		return fmt.Errorf("snapshot: nil state or taxonomy")
-	}
-	mentions := st.Mentions
-	if mentions == nil {
-		mentions = taxonomy.NewMentionIndex()
-	}
-	metaPayload, err := json.Marshal(st.Meta)
-	if err != nil {
-		return fmt.Errorf("snapshot: encode meta: %w", err)
-	}
-
-	// Export first (cheap map walks), then encode the stripes — the
-	// sort + varint + CRC work that dominates — in parallel.
-	taxParts := st.Taxonomy.ExportPartitions(Stripes)
-	menParts := mentions.ExportPartitions(Stripes)
-	pool := par.NewPool(workerCount(opts.Workers))
-	taxPayloads := par.Concat(par.MapBatches(pool, Stripes, func(lo, hi int) [][]byte {
-		out := make([][]byte, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			out = append(out, encodeTaxStripe(taxParts[i]))
-		}
-		return out
-	}))
-	menPayloads := par.Concat(par.MapBatches(pool, Stripes, func(lo, hi int) [][]byte {
-		out := make([][]byte, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			out = append(out, encodeMentionStripe(menParts[i]))
-		}
-		return out
-	}))
-	evidence, err := measureEvidence(st)
-	if err != nil {
-		return err
-	}
-
-	out := newSectionWriter(w, versionV2)
-	out.bytes(sectionMeta, 0, metaPayload)
-	for i, p := range taxPayloads {
-		out.bytes(sectionTaxonomy, uint32(i), p)
-	}
-	for i, p := range menPayloads {
-		out.bytes(sectionMentions, uint32(i), p)
-	}
 	out.section(sectionEvidence, 0, evidence.size, evidence.writeTo)
 	return out.close()
 }
@@ -220,64 +164,12 @@ func (out *sectionWriter) close() error {
 	return out.broken
 }
 
-// encodeTaxStripe canonicalizes and encodes one taxonomy partition:
-// kinds sorted by name, then edges sorted by (hypo, hyper), each edge
-// carrying its full provenance so counts and scores round-trip
-// bit-exactly. Negative evidence counts (impossible through the public
-// build path) encode as zero.
-func encodeTaxStripe(p taxonomy.Partition) []byte {
-	sort.Slice(p.Kinds, func(i, j int) bool { return p.Kinds[i].Name < p.Kinds[j].Name })
-	sort.Slice(p.Edges, func(i, j int) bool {
-		if p.Edges[i].Hypo != p.Edges[j].Hypo {
-			return p.Edges[i].Hypo < p.Edges[j].Hypo
-		}
-		return p.Edges[i].Hyper < p.Edges[j].Hyper
-	})
-	var b []byte
-	b = binary.AppendUvarint(b, uint64(len(p.Kinds)))
-	for _, k := range p.Kinds {
-		b = appendString(b, k.Name)
-		b = append(b, byte(k.Kind))
-	}
-	b = binary.AppendUvarint(b, uint64(len(p.Edges)))
-	for _, e := range p.Edges {
-		b = appendString(b, e.Hypo)
-		b = appendString(b, e.Hyper)
-		b = append(b, byte(e.Sources))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Score))
-		count := e.Count
-		if count < 0 {
-			count = 0
-		}
-		b = binary.AppendUvarint(b, uint64(count))
-	}
-	return b
-}
-
-// encodeMentionStripe canonicalizes and encodes one mention partition:
-// entries sorted by mention, ID lists sorted (ID order is not
-// query-visible — Lookup sorts — so canonical order costs nothing).
-func encodeMentionStripe(entries []taxonomy.MentionEntry) []byte {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Mention < entries[j].Mention })
-	var b []byte
-	b = binary.AppendUvarint(b, uint64(len(entries)))
-	for _, e := range entries {
-		sort.Strings(e.IDs)
-		b = appendString(b, e.Mention)
-		b = binary.AppendUvarint(b, uint64(len(e.IDs)))
-		for _, id := range e.IDs {
-			b = appendString(b, id)
-		}
-	}
-	return b
-}
-
-// evidenceSection is the version-2 evidence section, indexed and
+// evidenceSection is the evidence section, indexed and
 // measured but not encoded: a presence flag, the kept candidate set,
 // the page-derived evidence (sorted by entity ID, attributes sorted by
 // predicate), the NE support counts (sorted by word) and the corpus
 // statistics (their canonical JSON form). Everything is put in order
-// here, so evidence bytes are as deterministic as the graph stripes.
+// here, so evidence bytes are as deterministic as the view image.
 type evidenceSection struct {
 	st      *State // nil: the section says "no evidence"
 	pages   verify.PageIndex
@@ -369,17 +261,11 @@ func (o *payloadOut) u64(x uint64) {
 	o.put(8)
 }
 
-// str encodes s as uvarint length + raw bytes, like appendString.
+// str encodes s as uvarint length + raw bytes.
 func (o *payloadOut) str(s string) {
 	o.uvarint(uint64(len(s)))
 	o.n += uint64(len(s))
 	if o.bw != nil {
 		_, _ = o.bw.WriteString(s)
 	}
-}
-
-// appendString encodes s as uvarint length + raw bytes.
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
 }

@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"cnprobase/internal/core"
@@ -28,7 +27,7 @@ func buildResult(tb testing.TB, entities int) *core.Result {
 	return res
 }
 
-// TestEvidenceRoundTrip pins the version-2 evidence section: a state
+// TestEvidenceRoundTrip pins the evidence section: a state
 // saved with evidence loads with the kept candidate set, support
 // counts and corpus statistics intact.
 func TestEvidenceRoundTrip(t *testing.T) {
@@ -41,7 +40,7 @@ func TestEvidenceRoundTrip(t *testing.T) {
 		Kept:     res.Kept,
 		Stats:    res.Stats,
 	}
-	loaded, err := Load(bytes.NewReader(saveBytes(t, st, Options{Workers: 1})), Options{Workers: 1})
+	loaded, err := Load(bytes.NewReader(saveBytes(t, st, Options{Workers: 1})))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -71,11 +70,11 @@ func TestEvidenceRoundTrip(t *testing.T) {
 }
 
 // TestSaveWithoutEvidence: states without the update substrate (e.g.
-// hand-assembled or re-saved from a legacy file) save with an
+// hand-assembled) save with an
 // absent-evidence flag and load back with nil evidence.
 func TestSaveWithoutEvidence(t *testing.T) {
 	st := handState(t)
-	loaded, err := Load(bytes.NewReader(saveBytes(t, st, Options{Workers: 1})), Options{Workers: 1})
+	loaded, err := Load(bytes.NewReader(saveBytes(t, st, Options{Workers: 1})))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -83,50 +82,4 @@ func TestSaveWithoutEvidence(t *testing.T) {
 		t.Fatal("evidence materialized from an evidence-less snapshot")
 	}
 	requireEqualState(t, st, loaded)
-}
-
-// stripToV1 rewrites a version-2 snapshot into the version-1 layout:
-// drop the evidence section and patch the header version. Section
-// framing makes this a linear walk.
-func stripToV1(tb testing.TB, data []byte) []byte {
-	tb.Helper()
-	out := append([]byte(nil), data[:16]...)
-	binary.LittleEndian.PutUint32(out[8:12], 1)
-	off := 16
-	for off+13 <= len(data)-8 {
-		kind := data[off]
-		length := binary.LittleEndian.Uint64(data[off+5 : off+13])
-		end := off + 13 + int(length) + 4
-		if end > len(data) {
-			tb.Fatalf("malformed section at %d", off)
-		}
-		if kind != sectionEvidence {
-			out = append(out, data[off:end]...)
-		}
-		off = end
-	}
-	return append(out, data[off:]...) // end marker
-}
-
-// TestLoadsLegacyV1 pins backward compatibility: a version-1 file
-// (no evidence section) still loads — queries work, evidence is nil —
-// through both Load and LoadView.
-func TestLoadsLegacyV1(t *testing.T) {
-	st := handState(t)
-	v1 := stripToV1(t, saveLegacyBytes(t, st, Options{Workers: 1}))
-	loaded, err := Load(bytes.NewReader(v1), Options{Workers: 1})
-	if err != nil {
-		t.Fatalf("Load(v1): %v", err)
-	}
-	if loaded.Evidence != nil {
-		t.Error("legacy snapshot produced evidence")
-	}
-	requireEqualState(t, st, loaded)
-	view, _, err := LoadView(bytes.NewReader(v1), Options{Workers: 1})
-	if err != nil {
-		t.Fatalf("LoadView(v1): %v", err)
-	}
-	if a, b := loaded.Taxonomy.ComputeStats(), view.Stats(); a != b {
-		t.Fatalf("store and view stats differ on v1: %+v != %+v", a, b)
-	}
 }

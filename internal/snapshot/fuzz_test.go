@@ -3,16 +3,17 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"testing"
 )
 
-// FuzzDecodeSnapshot throws arbitrary bytes at the loader. The
-// invariants: Load never panics, never allocates past the input it
-// actually has (the seeds include a section claiming multiple exabytes
-// to pin the chunked-read guard), and any input it *accepts* is
-// internally consistent — re-saving the loaded state and loading that
-// again reproduces the same graph.
+// FuzzDecodeSnapshot throws arbitrary bytes at both entry points. The
+// invariants: neither panics nor allocates past the input it actually
+// has (the seeds include a section claiming multiple exabytes, which
+// the length-vs-remaining check must answer), Load accepts exactly
+// what the mapped opener accepts, a version-1 or version-2 header is
+// always refused, and any input they *accept* is internally
+// consistent — store and mapped view describe the same graph, and
+// re-saving the loaded state and loading that again reproduces it.
 //
 // CI runs this as a short smoke (-fuzztime=10s); run it longer locally
 // with:
@@ -21,7 +22,9 @@ import (
 func FuzzDecodeSnapshot(f *testing.F) {
 	valid := saveBytes(f, handState(f), Options{Workers: 1})
 	f.Add(valid)
-	f.Add(saveLegacyBytes(f, handState(f), Options{Workers: 1})) // striped v2 layout
+	for _, legacy := range legacyInputs(f) { // must-reject: the v1 header, the v2 file
+		f.Add(legacy)
+	}
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
 	f.Add(valid[:16])                // header only
@@ -36,45 +39,34 @@ func FuzzDecodeSnapshot(f *testing.F) {
 
 	// A structurally valid header whose first section claims an
 	// exabyte-scale payload: the loader must fail on the missing bytes
-	// long before it has allocated anything of that order.
+	// without allocating anything of that order.
 	huge := append([]byte(nil), valid[:16]...)
 	huge = append(huge, sectionMeta, 0, 0, 0, 0)
 	huge = binary.LittleEndian.AppendUint64(huge, 1<<60)
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := Load(bytes.NewReader(data), Options{Workers: 1})
-		view, _, viewErr := LoadView(bytes.NewReader(data), Options{Workers: 1})
-		if (err == nil) != (viewErr == nil) {
-			t.Fatalf("Load and LoadView disagree: store err=%v, view err=%v", err, viewErr)
-		}
+		st, err := Load(bytes.NewReader(data))
 		mapped, _, mappedErr := openMappedBytes(data)
+		// A crafted file must never serve mapped while being refused (or
+		// read differently) by Load, nor the other way round.
+		if (err == nil) != (mappedErr == nil) {
+			t.Fatalf("Load and openMappedBytes disagree: store err=%v, mapped err=%v", err, mappedErr)
+		}
 		if err != nil {
-			// The mapped opener must reject everything the streaming
-			// decoders reject: a crafted file must never serve mapped
-			// while being refused (or read differently) by Load.
-			if mappedErr == nil {
-				t.Fatalf("Load rejected (%v) but openMappedBytes accepted", err)
-			}
 			return // rejected: that is the expected path for noise
 		}
-		// Load accepted. The mapped opener accepts the same v3 files and
-		// punts pre-v3 layouts to the streaming path via ErrNotMappable.
-		if mappedErr != nil {
-			if !errors.Is(mappedErr, ErrNotMappable) {
-				t.Fatalf("Load accepted but openMappedBytes failed: %v", mappedErr)
-			}
-		} else if a, b := view.Stats(), mapped.Stats(); a != b {
-			t.Fatalf("decoded and mapped view stats differ: %+v != %+v", a, b)
+		if v := binary.LittleEndian.Uint32(data[8:12]); v != Version {
+			t.Fatalf("accepted a version-%d file", v)
 		}
-		// Both loaders accepted: they must describe the same graph.
-		if a, b := st.Taxonomy.ComputeStats(), view.Stats(); a != b {
-			t.Fatalf("store and view stats differ: %+v != %+v", a, b)
+		// Both accepted: they must describe the same graph.
+		if a, b := st.Taxonomy.ComputeStats(), mapped.Stats(); a != b {
+			t.Fatalf("store and mapped view stats differ: %+v != %+v", a, b)
 		}
 		// Accepted input must round-trip: the loaded state re-saves,
 		// reloads, and describes the same graph.
 		resaved := saveBytes(t, st, Options{Workers: 1})
-		again, err := Load(bytes.NewReader(resaved), Options{Workers: 1})
+		again, err := Load(bytes.NewReader(resaved))
 		if err != nil {
 			t.Fatalf("re-loading a re-saved accepted snapshot failed: %v", err)
 		}

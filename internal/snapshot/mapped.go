@@ -1,21 +1,11 @@
 package snapshot
 
 import (
-	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"runtime"
 
 	"cnprobase/internal/serving"
 )
-
-// ErrNotMappable reports that a snapshot file predates the mappable
-// version-3 layout. Load and LoadView still read such files; callers
-// (the facade, cnpserver) use this sentinel to fall back to the
-// streaming decode.
-var ErrNotMappable = errors.New("snapshot: file predates the mappable v3 layout")
 
 // OpenMapped maps a version-3 snapshot file read-only and builds a
 // serving view directly over the mapping: header and CRCs are
@@ -29,8 +19,6 @@ var ErrNotMappable = errors.New("snapshot: file predates the mappable v3 layout"
 // it when the view becomes unreachable, so after an api.Server.SwapView
 // the old file is released only once in-flight queries have drained
 // and the garbage collector has proven no reader remains.
-//
-// Version-1/2 files yield ErrNotMappable (wrapped); use LoadView.
 func OpenMapped(path string) (*serving.View, Meta, error) {
 	data, unmap, err := mmapFile(path)
 	if err != nil {
@@ -53,95 +41,21 @@ func OpenMapped(path string) (*serving.View, Meta, error) {
 }
 
 // openMappedBytes is OpenMapped over an in-memory buffer — the
-// fuzz-target entry, and the shared tail of the file path. It accepts
-// exactly the version-3 files Load accepts (the fuzz target pins the
-// agreement), except that bytes after the end marker are ignored, as
-// the streaming decoders never read past it either.
+// fuzz-target entry, and the shared tail of the file path. It frames
+// the file with parse, exactly as Load does, and validates the
+// evidence section Load would materialize, so it accepts the files
+// Load accepts.
 func openMappedBytes(data []byte) (*serving.View, Meta, error) {
-	if len(data) < 16 {
-		return nil, Meta{}, fmt.Errorf("snapshot: read header: file too short (%d bytes)", len(data))
-	}
-	if string(data[:8]) != Magic {
-		return nil, Meta{}, fmt.Errorf("snapshot: bad magic %q", data[:8])
-	}
-	version := binary.LittleEndian.Uint32(data[8:12])
-	switch version {
-	case versionLegacy, versionV2:
-		return nil, Meta{}, fmt.Errorf("snapshot: version %d: %w", version, ErrNotMappable)
-	case Version:
-	default:
-		return nil, Meta{}, fmt.Errorf("snapshot: unsupported format version %d (supported: %d, %d, %d)", version, versionLegacy, versionV2, Version)
-	}
-	stripes := binary.LittleEndian.Uint32(data[12:16])
-	if stripes == 0 || stripes > maxStripes {
-		return nil, Meta{}, fmt.Errorf("snapshot: implausible stripe count %d", stripes)
-	}
-	// Version 3 has no stripes; the field is pinned to the constant so
-	// every header byte stays covered by validation.
-	if stripes != Stripes {
-		return nil, Meta{}, fmt.Errorf("snapshot: version %d stripe field %d, want %d", version, stripes, Stripes)
-	}
-
-	metaPayload, off, err := sliceSection(data, 16, sectionMeta, 0)
+	f, err := parse(data)
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	var meta Meta
-	if err := json.Unmarshal(metaPayload, &meta); err != nil {
-		return nil, Meta{}, fmt.Errorf("snapshot: decode meta: %w", err)
-	}
-	imageBase := uint64(off + 13)
-	imagePayload, off, err := sliceSection(data, off, sectionView, 0)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	evidencePayload, off, err := sliceSection(data, off, sectionEvidence, 0)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	if err := validateEvidence(evidencePayload); err != nil {
+	if err := validateEvidence(f.evidence); err != nil {
 		return nil, Meta{}, fmt.Errorf("snapshot: evidence section: %w", err)
 	}
-	if len(data)-off < 8 {
-		return nil, Meta{}, fmt.Errorf("snapshot: read end marker: truncated at offset %d", off)
-	}
-	if string(data[off:off+8]) != EndMagic {
-		return nil, Meta{}, fmt.Errorf("snapshot: bad end marker %q", data[off:off+8])
-	}
-	view, err := serving.OpenImage(imagePayload, imageBase)
+	view, err := serving.OpenImage(f.image, f.imageBase)
 	if err != nil {
 		return nil, Meta{}, fmt.Errorf("snapshot: view image: %w", err)
 	}
-	return view, meta, nil
-}
-
-// sliceSection frames one section out of a mapped buffer, enforcing
-// the expected kind and index and verifying the payload CRC — the
-// in-memory counterpart of readSection. Returns the payload (aliasing
-// data) and the offset just past the section.
-func sliceSection(data []byte, off int, wantKind byte, wantIndex uint32) ([]byte, int, error) {
-	if len(data)-off < 13 {
-		return nil, 0, fmt.Errorf("snapshot: read section header: truncated at offset %d", off)
-	}
-	kind, index := data[off], binary.LittleEndian.Uint32(data[off+1:off+5])
-	if kind != wantKind || index != wantIndex {
-		return nil, 0, fmt.Errorf("snapshot: unexpected section (kind %d, index %d), want (kind %d, index %d)",
-			kind, index, wantKind, wantIndex)
-	}
-	length := binary.LittleEndian.Uint64(data[off+5 : off+13])
-	off += 13
-	if length > uint64(len(data)-off) {
-		return nil, 0, fmt.Errorf("snapshot: section (kind %d, index %d) length %d exceeds remaining %d bytes",
-			wantKind, wantIndex, length, len(data)-off)
-	}
-	payload := data[off : off+int(length)]
-	off += int(length)
-	if len(data)-off < 4 {
-		return nil, 0, fmt.Errorf("snapshot: read section checksum: truncated at offset %d", off)
-	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(data[off:off+4]); got != want {
-		return nil, 0, fmt.Errorf("snapshot: section (kind %d, index %d) checksum mismatch: %08x != %08x",
-			wantKind, wantIndex, got, want)
-	}
-	return payload, off + 4, nil
+	return view, f.meta, nil
 }

@@ -1,8 +1,6 @@
 package snapshot
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -38,21 +36,13 @@ func openMapped(tb testing.TB, path string) *serving.View {
 	return v
 }
 
-// TestOpenMappedServingEquivalence pins the tentpole acceptance
-// criterion: the memory-mapped view answers every HTTP endpoint —
+// TestOpenMappedServingEquivalence pins the acceptance criterion of
+// the mapped path: the memory-mapped view answers every HTTP endpoint —
 // men2ent, getConcept, getEntity, conceptualize, qa — byte-identically
-// to both the freshly built state and the legacy streaming decode of
-// the same state.
+// to the freshly built state.
 func TestOpenMappedServingEquivalence(t *testing.T) {
 	fresh := buildState(t, 400, 4)
-	legacy := saveLegacyBytes(t, fresh, Options{Workers: 4})
-	v3 := saveBytes(t, fresh, Options{Workers: 4})
-
-	decoded, _, err := LoadView(bytes.NewReader(legacy), Options{Workers: 4})
-	if err != nil {
-		t.Fatalf("LoadView(v2): %v", err)
-	}
-	mapped := openMapped(t, writeTempSnapshot(t, v3))
+	mapped := openMapped(t, writeTempSnapshot(t, saveBytes(t, fresh, Options{Workers: 4})))
 
 	nodes := fresh.Taxonomy.Nodes()
 	if len(nodes) > 80 {
@@ -60,11 +50,7 @@ func TestOpenMappedServingEquivalence(t *testing.T) {
 	}
 	mentions := append([]string(nil), nodes...)
 	freshBody := apiResponses(t, api.NewServer(fresh.Taxonomy, fresh.Mentions), nodes, mentions)
-	decodedBody := apiResponses(t, api.NewViewServer(decoded), nodes, mentions)
 	mappedBody := apiResponses(t, api.NewViewServer(mapped), nodes, mentions)
-	if freshBody != decodedBody {
-		t.Fatal("v2-decoded server responses differ from freshly built server responses")
-	}
 	if freshBody != mappedBody {
 		t.Fatal("mapped server responses differ from freshly built server responses")
 	}
@@ -112,43 +98,23 @@ func randomState(tb testing.TB, seed int64) *State {
 
 // TestOpenMappedRandomizedRoundTrip drives the save→map cycle over
 // seeded random states and requires the mapped view to answer the full
-// endpoint mix identically to the streaming decode of the same bytes.
+// endpoint mix identically to the store the bytes were saved from.
 func TestOpenMappedRandomizedRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			st := randomState(t, seed)
-			data := saveBytes(t, st, Options{Workers: 1})
-			decoded, _, err := LoadView(bytes.NewReader(data), Options{Workers: 1})
-			if err != nil {
-				t.Fatalf("LoadView: %v", err)
-			}
-			mapped := openMapped(t, writeTempSnapshot(t, data))
-			if a, b := decoded.Stats(), mapped.Stats(); a != b {
-				t.Fatalf("stats differ: decoded %+v, mapped %+v", a, b)
+			mapped := openMapped(t, writeTempSnapshot(t, saveBytes(t, st, Options{Workers: 1})))
+			if a, b := st.Taxonomy.ComputeStats(), mapped.Stats(); a != b {
+				t.Fatalf("stats differ: store %+v, mapped %+v", a, b)
 			}
 			nodes := st.Taxonomy.Nodes()
 			mentions := append([]string(nil), nodes...)
-			decodedBody := apiResponses(t, api.NewViewServer(decoded), nodes, mentions)
+			storeBody := apiResponses(t, api.NewServer(st.Taxonomy, st.Mentions), nodes, mentions)
 			mappedBody := apiResponses(t, api.NewViewServer(mapped), nodes, mentions)
-			if decodedBody != mappedBody {
-				t.Fatal("mapped server responses differ from decoded server responses")
+			if storeBody != mappedBody {
+				t.Fatal("mapped server responses differ from the store's")
 			}
 		})
-	}
-}
-
-// TestOpenMappedRejectsLegacy pins the fallback protocol: version-1/2
-// files yield ErrNotMappable (so callers retry with LoadView), not a
-// generic failure.
-func TestOpenMappedRejectsLegacy(t *testing.T) {
-	st := handState(t)
-	v2 := saveLegacyBytes(t, st, Options{Workers: 1})
-	if _, _, err := OpenMapped(writeTempSnapshot(t, v2)); !errors.Is(err, ErrNotMappable) {
-		t.Fatalf("OpenMapped(v2) = %v, want ErrNotMappable", err)
-	}
-	v1 := stripToV1(t, v2)
-	if _, _, err := openMappedBytes(v1); !errors.Is(err, ErrNotMappable) {
-		t.Fatalf("openMappedBytes(v1) = %v, want ErrNotMappable", err)
 	}
 }
 

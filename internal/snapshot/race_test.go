@@ -72,7 +72,7 @@ func TestConcurrentSaveAndQueries(t *testing.T) {
 					errc <- fmt.Errorf("save %d/%d: %w", w, i, err)
 					return
 				}
-				if _, err := Load(bytes.NewReader(buf.Bytes()), Options{Workers: 2}); err != nil {
+				if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
 					errc <- fmt.Errorf("load of mid-write snapshot %d/%d: %w", w, i, err)
 					return
 				}

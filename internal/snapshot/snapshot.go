@@ -8,32 +8,29 @@
 // and build metadata.
 //
 // The format is versioned, sectioned and checksummed (docs/SNAPSHOT.md
-// specifies the byte layout). Since version 3 the content section is a
-// single mappable "view image": the serving view's canonical arrays as
-// fixed-width little-endian blocks plus interned string arenas, 8-byte
-// aligned in the file, so OpenMapped can serve straight out of an mmap
-// with no decode pass and restart cost independent of taxonomy size.
-// Saving compiles the store into the canonical serving view first, so
-// the same logical state produces byte-identical snapshots regardless
-// of the Workers setting it was built or saved with — the
-// pipeline's determinism guarantee extended to the on-disk artifact.
-// Versions 1 and 2 hash-partitioned the content into a fixed number of
-// varint-encoded stripes instead; SaveLegacy still writes version 2 and
-// the loaders still read both.
+// specifies the byte layout). The content section is a single mappable
+// "view image": the serving view's canonical arrays as fixed-width
+// little-endian blocks plus interned string arenas, 8-byte aligned in
+// the file, so OpenMapped can serve straight out of an mmap with no
+// decode pass and restart cost independent of taxonomy size. Saving
+// compiles the store into the canonical serving view first, so the
+// same logical state produces byte-identical snapshots regardless of
+// the Workers setting it was built or saved with — the pipeline's
+// determinism guarantee extended to the on-disk artifact. One version
+// is written and read: the striped versions 1 and 2 are refused with
+// an error that says to rebuild the snapshot.
 //
 // Decoding defends against arbitrary input: every length is validated
-// against the bytes actually present before anything is allocated or
-// parsed, oversized section claims read incrementally and fail fast,
-// and corruption anywhere — truncation, bit flips, bogus counts — is
-// reported as an error, never a panic (fuzz-tested by
-// FuzzDecodeSnapshot).
+// against the bytes actually present before anything is sliced,
+// allocated or parsed, and corruption anywhere — truncation, bit
+// flips, bogus counts — is reported as an error, never a panic
+// (fuzz-tested by FuzzDecodeSnapshot).
 //
-// There are three read paths: Load reassembles the mutable build
-// store (for JSON export, experiments, further building), LoadView
-// compiles the snapshot into an immutable heap serving.View, and
-// OpenMapped — version 3 only — maps the file and serves directly from
-// the mapping: the cheapest startup, and N replicas on one box share a
-// single page-cache copy of the string arenas.
+// There are two read paths over one framing parser: Load reassembles
+// the mutable build store (for JSON export, experiments, further
+// building and ingest), and OpenMapped maps the file and serves
+// directly from the mapping: the cheapest startup, and N replicas on
+// one box share a single page-cache copy of the string arenas.
 package snapshot
 
 import (
@@ -48,51 +45,32 @@ import (
 )
 
 // Format constants. The magic and end marker frame the file; Version
-// is bumped on any incompatible layout change (a loader rejects
-// versions it does not know). Stripes is part of the format, not a
-// tuning knob: fixing it is what keeps striped snapshot bytes
-// independent of how the in-memory store is laid out.
+// is bumped on any incompatible layout change (a loader rejects every
+// version but its own).
 const (
 	// Magic opens every snapshot file.
 	Magic = "CNPBSNP1"
 	// EndMagic closes every snapshot file (truncation tripwire).
 	EndMagic = "CNPBEND1"
-	// Version is the current format version. Version 3 replaces the
-	// taxonomy/mention stripes with a single mappable "view image"
-	// section — the serving view's canonical arrays as fixed-width
-	// little-endian blocks plus interned string arenas, 8-byte aligned
-	// in the file — so OpenMapped can serve straight out of an mmap of
-	// the file with no decode pass. Version-1 and version-2 (striped)
-	// files are still read by Load and LoadView; they simply cannot be
-	// mapped.
+	// Version is the format version written and read: the content is a
+	// single mappable "view image" section — the serving view's
+	// canonical arrays as fixed-width little-endian blocks plus interned
+	// string arenas, 8-byte aligned in the file — so OpenMapped can
+	// serve straight out of an mmap of the file with no decode pass.
 	Version = 3
-	// versionV2 is the striped layout with an evidence section (kept
-	// candidates, page-derived verification evidence, NE support,
-	// corpus statistics) after the mention stripes — what lets a
-	// snapshot-loaded Result accept incremental Update. SaveLegacy
-	// still writes it as the compatibility oracle.
-	versionV2 = 2
-	// versionLegacy is the pre-evidence striped layout the loader
-	// still accepts.
-	versionLegacy = 1
-	// Stripes is the number of hash partitions per index (taxonomy,
-	// mentions).
+	// Stripes is the header's second field. Versions 1 and 2 counted
+	// their hash partitions there; version 3 has none and pins the
+	// field to this constant, so every header byte is validated.
 	Stripes = 16
 )
 
-// Section kinds, in the order sections appear in the file.
+// Section kinds, in the order sections appear in the file. (2 and 3
+// were the taxonomy and mention stripes of versions 1 and 2.)
 const (
 	sectionMeta     byte = 1
-	sectionTaxonomy byte = 2
-	sectionMentions byte = 3
 	sectionEvidence byte = 4
-	// sectionView is the version-3 mappable view image, replacing the
-	// taxonomy and mention stripes.
-	sectionView byte = 5
+	sectionView     byte = 5
 )
-
-// maxStripes bounds the stripe count a loader accepts from a header.
-const maxStripes = 1 << 16
 
 // Meta is the build metadata saved alongside the graph. It describes
 // the logical artifact, so it deliberately excludes runtime knobs
@@ -116,11 +94,10 @@ type Meta struct {
 	LSN uint64 `json:"lsn,omitempty"`
 }
 
-// State is the complete serving state a snapshot round-trips, plus —
-// since version 2 — the substrate a Result needs to accept incremental
-// Update after loading: the persistent verification evidence, the kept
-// candidate set it describes, and the corpus statistics the segmenter
-// is rebuilt from. The three travel together: Save writes the evidence
+// State is the complete serving state a snapshot round-trips, plus the
+// substrate a Result needs to accept incremental Update after loading:
+// the persistent verification evidence, the kept candidate set it
+// describes, and the corpus statistics the segmenter is rebuilt from. The three travel together: Save writes the evidence
 // section only when Evidence and Stats are both present.
 type State struct {
 	Taxonomy *taxonomy.Taxonomy
@@ -134,7 +111,7 @@ type State struct {
 	View *serving.View
 
 	// Evidence is the persistent incremental-update evidence; nil when
-	// the snapshot predates version 2 or was saved without it.
+	// the snapshot was saved without it.
 	Evidence *verify.Evidence
 	// Kept is the post-verification candidate set the evidence
 	// describes.
@@ -143,12 +120,12 @@ type State struct {
 	Stats *corpus.Stats
 }
 
-// Options tunes snapshot I/O concurrency.
+// Options tunes Save's concurrency.
 type Options struct {
-	// Workers bounds the pool stripe encoding/decoding fans out over:
-	// 0 selects one worker per logical CPU, 1 runs sequentially. Any
-	// worker count produces the same bytes (Save) and the same loaded
-	// state (Load).
+	// Workers resolves like the build pipeline's (0 = one worker per
+	// logical CPU). With more than one, Save measures the evidence
+	// section beside the view compile; with one, after it. Either way
+	// produces the same bytes.
 	Workers int
 }
 

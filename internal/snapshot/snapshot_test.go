@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strings"
 	"testing"
 
 	"cnprobase/internal/api"
@@ -84,17 +86,6 @@ func saveBytes(tb testing.TB, st *State, opts Options) []byte {
 	return buf.Bytes()
 }
 
-// saveLegacyBytes writes st in the striped version-2 layout — the
-// compatibility-path fixture source.
-func saveLegacyBytes(tb testing.TB, st *State, opts Options) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	if err := SaveLegacy(&buf, st, opts); err != nil {
-		tb.Fatalf("SaveLegacy: %v", err)
-	}
-	return buf.Bytes()
-}
-
 // requireEqualState checks that two states are query-identical across
 // everything the serving APIs read: edges with full provenance, node
 // kinds, stats, adjacency (plain and typicality-ranked) and mention
@@ -146,26 +137,19 @@ func requireEqualState(tb testing.TB, want, got *State) {
 }
 
 // TestRoundTripHandAssembled is the core property: Load(Save(x)) is
-// query-identical to x, for every combination of save/load worker
-// settings.
+// query-identical to x, whatever worker setting saved it.
 func TestRoundTripHandAssembled(t *testing.T) {
 	st := handState(t)
 	for _, saveWorkers := range []int{1, 4} {
 		data := saveBytes(t, st, Options{Workers: saveWorkers})
-		for _, loadOpts := range []Options{
-			{Workers: 1},
-			{Workers: 8},
-			{}, // all defaults
-		} {
-			got, err := Load(bytes.NewReader(data), loadOpts)
-			if err != nil {
-				t.Fatalf("Load(save=%d, opts=%+v): %v", saveWorkers, loadOpts, err)
-			}
-			if got.Meta.Pages != st.Meta.Pages || got.Meta.Stats != st.Meta.Stats {
-				t.Fatalf("meta = %+v, want %+v", got.Meta, st.Meta)
-			}
-			requireEqualState(t, st, got)
+		got, err := Load(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("Load(save=%d): %v", saveWorkers, err)
 		}
+		if got.Meta.Pages != st.Meta.Pages || got.Meta.Stats != st.Meta.Stats {
+			t.Fatalf("meta = %+v, want %+v", got.Meta, st.Meta)
+		}
+		requireEqualState(t, st, got)
 	}
 }
 
@@ -175,7 +159,7 @@ func TestRoundTripHandAssembled(t *testing.T) {
 func TestRoundTripBuiltWorld(t *testing.T) {
 	st := buildState(t, 500, 4)
 	data := saveBytes(t, st, Options{Workers: 4})
-	got, err := Load(bytes.NewReader(data), Options{Workers: 4})
+	got, err := Load(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -260,7 +244,7 @@ func TestServingEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			fresh := buildState(t, 400, workers)
 			data := saveBytes(t, fresh, Options{Workers: workers})
-			loaded, err := Load(bytes.NewReader(data), Options{Workers: workers})
+			loaded, err := Load(bytes.NewReader(data))
 			if err != nil {
 				t.Fatalf("Load: %v", err)
 			}
@@ -289,7 +273,7 @@ func TestEveryBitFlipDetected(t *testing.T) {
 		for i := range data {
 			mutated := append([]byte(nil), data...)
 			mutated[i] ^= mask
-			if _, err := Load(bytes.NewReader(mutated), Options{Workers: 1}); err == nil {
+			if _, err := Load(bytes.NewReader(mutated)); err == nil {
 				t.Fatalf("flip of byte %d (mask %#02x) in a %d-byte snapshot was not detected", i, mask, len(data))
 			}
 		}
@@ -302,7 +286,7 @@ func TestEveryTruncationErrors(t *testing.T) {
 	st := handState(t)
 	data := saveBytes(t, st, Options{Workers: 1})
 	for n := 0; n < len(data); n++ {
-		if _, err := Load(bytes.NewReader(data[:n]), Options{Workers: 1}); err == nil {
+		if _, err := Load(bytes.NewReader(data[:n])); err == nil {
 			t.Fatalf("truncation to %d of %d bytes was not detected", n, len(data))
 		}
 	}
@@ -315,20 +299,84 @@ func TestHeaderValidation(t *testing.T) {
 
 	bad := append([]byte(nil), data...)
 	copy(bad, "NOTASNAP")
-	if _, err := Load(bytes.NewReader(bad), Options{}); err == nil {
+	if _, err := Load(bytes.NewReader(bad)); err == nil {
 		t.Error("bad magic accepted")
 	}
 
 	bad = append([]byte(nil), data...)
 	bad[8] = 99 // version
-	if _, err := Load(bytes.NewReader(bad), Options{}); err == nil {
+	if _, err := Load(bytes.NewReader(bad)); err == nil {
 		t.Error("unknown version accepted")
 	}
 
 	bad = append([]byte(nil), data...)
 	bad[12], bad[13], bad[14], bad[15] = 0, 0, 0, 0 // stripe count 0
-	if _, err := Load(bytes.NewReader(bad), Options{}); err == nil {
+	if _, err := Load(bytes.NewReader(bad)); err == nil {
 		t.Error("zero stripe count accepted")
+	}
+}
+
+// legacyInputs are the pre-v3 files the loaders refuse, by version: a
+// hand-made version-1 header and a real version-2 file — handState as
+// the striped writer wrote it, at the last commit that had one.
+func legacyInputs(tb testing.TB) map[uint32][]byte {
+	tb.Helper()
+	v2, err := os.ReadFile("testdata/legacy-v2.snap")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v1 := append([]byte(Magic), 1, 0, 0, 0, Stripes, 0, 0, 0)
+	return map[uint32][]byte{1: v1, 2: v2}
+}
+
+// TestLegacyVersionsRefused: a version-1 or version-2 file is answered
+// by both entry points with one error that names the version found and
+// the command that rebuilds the snapshot — not decoded, not a generic
+// "unsupported".
+func TestLegacyVersionsRefused(t *testing.T) {
+	for version, data := range legacyInputs(t) {
+		_, loadErr := Load(bytes.NewReader(data))
+		_, _, mapErr := OpenMapped(writeTempSnapshot(t, data))
+		for entry, err := range map[string]error{"Load": loadErr, "OpenMapped": mapErr} {
+			if err == nil {
+				t.Fatalf("%s accepted a version-%d file", entry, version)
+			}
+			for _, want := range []string{fmt.Sprintf("format version %d is no longer read", version), "cnprobase build -save"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s(v%d) = %q, want it to say %q", entry, version, err, want)
+				}
+			}
+		}
+	}
+}
+
+// TestLoadAndMappedRejectAlike holds the shared framing parser from
+// the outside: every truncation and a low and a high bit flip of every
+// byte of a valid file is refused by Load and by the mapped opener
+// with the same error text — one parser, so one wording and one order
+// of checks.
+func TestLoadAndMappedRejectAlike(t *testing.T) {
+	data := saveBytes(t, handState(t), Options{Workers: 1})
+	alike := func(what string, in []byte) {
+		t.Helper()
+		_, loadErr := Load(bytes.NewReader(in))
+		_, _, mapErr := openMappedBytes(in)
+		if loadErr == nil || mapErr == nil {
+			t.Fatalf("%s: accepted (Load: %v, mapped: %v)", what, loadErr, mapErr)
+		}
+		if loadErr.Error() != mapErr.Error() {
+			t.Fatalf("%s: Load says %q, the mapped opener %q", what, loadErr, mapErr)
+		}
+	}
+	for n := 0; n < len(data); n++ {
+		alike(fmt.Sprintf("truncation to %d of %d bytes", n, len(data)), data[:n])
+	}
+	for _, mask := range []byte{0x01, 0x80} {
+		for i := range data {
+			mutated := append([]byte(nil), data...)
+			mutated[i] ^= mask
+			alike(fmt.Sprintf("flip of byte %d (mask %#02x)", i, mask), mutated)
+		}
 	}
 }
 
@@ -349,7 +397,7 @@ func TestSaveWithoutMentions(t *testing.T) {
 	st := handState(t)
 	st.Mentions = nil
 	data := saveBytes(t, st, Options{})
-	got, err := Load(bytes.NewReader(data), Options{})
+	got, err := Load(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

@@ -9,14 +9,24 @@ import (
 	"testing"
 )
 
+// markedKinds reads the explicit kind marks. ReadAll lists the nodes;
+// its own Kinds are canonical (a withdrawn mark on a node with hyponyms
+// reads as a concept), so the raw mark is asked of Kind.
+func markedKinds(t *Taxonomy) map[string]NodeKind {
+	kinds := map[string]NodeKind{}
+	for _, name := range t.ReadAll().Names {
+		if k := t.Kind(name); k != KindUnknown {
+			kinds[name] = k
+		}
+	}
+	return kinds
+}
+
 // recountStats is the reference Stats: one walk over the whole store,
 // classifying every edge by its hyponym's kind.
 func recountStats(t *Taxonomy) Stats {
 	var s Stats
-	kinds := map[string]NodeKind{}
-	for _, k := range t.ExportPartitions(1)[0].Kinds {
-		kinds[k.Name] = k.Kind
-	}
+	kinds := markedKinds(t)
 	for _, k := range kinds {
 		switch k {
 		case KindEntity:
@@ -43,8 +53,8 @@ func recountStats(t *Taxonomy) Stats {
 // edge endpoint, ascending.
 func unionNodes(t *Taxonomy) []string {
 	var out []string
-	for _, k := range t.ExportPartitions(1)[0].Kinds {
-		out = append(out, k.Name)
+	for name := range markedKinds(t) {
+		out = append(out, name)
 	}
 	for _, e := range t.Edges() {
 		out = append(out, e.Hypo, e.Hyper)

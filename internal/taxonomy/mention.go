@@ -111,22 +111,6 @@ func (m *MentionIndex) Sorted() []MentionEntry {
 	return out
 }
 
-// ExportPartitions splits the index into n hash partitions: entry i
-// holds the mentions with fnv32a(mention) % n == i, each with a copy of
-// its ID list. Like Taxonomy.ExportPartitions, the split depends only
-// on the logical content and n.
-func (m *MentionIndex) ExportPartitions(n int) [][]MentionEntry {
-	if n <= 0 {
-		n = 1
-	}
-	parts := make([][]MentionEntry, n)
-	for _, e := range m.Sorted() {
-		i := fnv32a(e.Mention) % uint32(n)
-		parts[i] = append(parts[i], e)
-	}
-	return parts
-}
-
 // FindAll scans text and returns the distinct mentions found, using
 // greedy longest-match from each position.
 func (m *MentionIndex) FindAll(text string) []string {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -79,17 +78,6 @@ func same(a, b any) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-func sortedPartitions(parts []taxonomy.Partition) []taxonomy.Partition {
-	for i := range parts {
-		sort.Slice(parts[i].Kinds, func(a, b int) bool { return parts[i].Kinds[a].Name < parts[i].Kinds[b].Name })
-		sort.Slice(parts[i].Edges, func(a, b int) bool {
-			x, y := parts[i].Edges[a], parts[i].Edges[b]
-			return x.Hypo+"\x00"+x.Hyper < y.Hypo+"\x00"+y.Hyper
-		})
-	}
-	return parts
-}
-
 // requireSameAnswers holds every query method of the store to the
 // (finalized) reference, over the whole name universe plus a name
 // neither has seen.
@@ -105,7 +93,6 @@ func requireSameAnswers(t *testing.T, at string, rng *rand.Rand, names int, dens
 	check("Edges", dense.Edges(), ref.Edges())
 	check("EdgeCount", dense.EdgeCount(), ref.EdgeCount())
 	check("ComputeStats", dense.ComputeStats(), ref.ComputeStats())
-	check("ExportPartitions", sortedPartitions(dense.ExportPartitions(3)), sortedPartitions(ref.ExportPartitions(3)))
 	var concepts []string
 	universe := []string{"无此节点", ""}
 	for i := 0; i < names; i++ {
@@ -177,7 +164,7 @@ func referenceImage(t *testing.T, ref *taxonomy.Reference, mentions *taxonomy.Me
 			t.Fatalf("InsertEdge: %v", err)
 		}
 	}
-	for _, e := range mentions.ExportPartitions(1)[0] {
+	for _, e := range mentions.Sorted() {
 		b.AddMentionEntry(e)
 	}
 	return imageOf(t, b.Build())

@@ -8,6 +8,8 @@ package taxonomy
 
 import (
 	"fmt"
+	"hash/fnv"
+	"io"
 	"slices"
 	"sort"
 	"sync"
@@ -138,7 +140,9 @@ func newRefSharded(n int) *refTaxonomy {
 func (t *refTaxonomy) ShardCount() int { return len(t.shards) }
 
 func (t *refTaxonomy) shardIndex(name string) int {
-	return int(fnv32a(name) % uint32(len(t.shards)))
+	h := fnv.New32a()
+	_, _ = io.WriteString(h, name) // a hash never fails to write
+	return int(h.Sum32() % uint32(len(t.shards)))
 }
 
 func (t *refTaxonomy) shardOf(name string) *refShard { return &t.shards[t.shardIndex(name)] }
@@ -641,39 +645,6 @@ func (t *refTaxonomy) ChangesSince(token uint64) (nodes []string, next uint64, o
 
 // Finalized reports whether the refMerged indexes are currently valid.
 func (t *refTaxonomy) Finalized() bool { return t.mergedIndexes() != nil }
-
-// ExportPartitions splits the store's content into n hash partitions:
-// entry i holds the kinds of nodes with fnv32a(name) % n == i and the
-// edges with fnv32a(hypo) % n == i. The partitioning depends only on
-// the logical content and n — not on the store's refShard count — which
-// is what lets a snapshot format built on it stay byte-stable across
-// Shards settings. Entry order within a partition is unspecified
-// (callers needing determinism sort); KindUnknown entries are omitted.
-// Shards are read one RLock at a time, so a concurrent writer may or
-// may not be reflected (exact once construction has finished).
-func (t *refTaxonomy) ExportPartitions(n int) []Partition {
-	if n <= 0 {
-		n = 1
-	}
-	parts := make([]Partition, n)
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		for name, k := range sh.kinds {
-			if k == KindUnknown {
-				continue
-			}
-			p := &parts[fnv32a(name)%uint32(n)]
-			p.Kinds = append(p.Kinds, KindEntry{Name: name, Kind: k})
-		}
-		for _, e := range sh.edges {
-			p := &parts[fnv32a(e.Hypo)%uint32(n)]
-			p.Edges = append(p.Edges, *e)
-		}
-		sh.mu.RUnlock()
-	}
-	return parts
-}
 
 // TypicalityOfConcept returns P(hyper | hypo): how typical the concept
 // is for the entity, from the edge evidence counts. Zero when the edge

@@ -26,7 +26,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"slices"
 	"strings"
@@ -529,8 +528,10 @@ func (t *Taxonomy) Concepts() []string {
 }
 
 // Edges returns copies of all edges, sorted for determinism.
-func (t *Taxonomy) Edges() []Edge {
-	set := t.ReadAll()
+func (t *Taxonomy) Edges() []Edge { return t.ReadAll().edgeList() }
+
+// edgeList flattens the set's edges, in node then hypernym order.
+func (set *NodeSet) edgeList() []Edge {
 	out := make([]Edge, 0, len(set.Edges))
 	for i, hypo := range set.Names {
 		for _, e := range set.Edges[set.EdgeOff[i]:set.EdgeOff[i+1]] {
@@ -689,56 +690,10 @@ func (set *NodeSet) put(i int, n *node, names []string, rank []int32) {
 	set.EdgeOff[i+1] = uint32(len(set.Edges))
 }
 
-// ---- partitioned export (version-2 snapshots) ----
-
-// KindEntry is one explicitly marked node in a Partition.
+// KindEntry is one explicitly marked node.
 type KindEntry struct {
 	Name string
 	Kind NodeKind
-}
-
-// Partition is one hash-partitioned slice of the store's logical
-// content: the marked nodes and edges whose owning name (node name for
-// kinds, hyponym for edges) hashes into the partition.
-type Partition struct {
-	Kinds []KindEntry
-	Edges []Edge
-}
-
-// fnv32a hashes s with 32-bit FNV-1a.
-func fnv32a(s string) uint32 {
-	h := fnv.New32a()
-	_, _ = io.WriteString(h, s) // a hash never fails to write
-	return h.Sum32()
-}
-
-// ExportPartitions splits the store's content into n hash partitions:
-// entry i holds the kinds of nodes with fnv32a(name) % n == i and the
-// edges with fnv32a(hypo) % n == i. The partitioning depends only on
-// the logical content and n, which is what lets the striped snapshot
-// format built on it stay byte-stable. Entry order within a partition
-// is unspecified (callers needing determinism sort); KindUnknown
-// entries are omitted.
-func (t *Taxonomy) ExportPartitions(n int) []Partition {
-	n = max(n, 1)
-	parts := make([]Partition, n)
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	names := t.syms.Names()
-	for id := range t.nodes {
-		nd := &t.nodes[id]
-		if !nd.exists() {
-			continue
-		}
-		p := &parts[fnv32a(names[id])%uint32(n)]
-		if nd.kind != KindUnknown {
-			p.Kinds = append(p.Kinds, KindEntry{Name: names[id], Kind: nd.kind})
-		}
-		for _, e := range nd.hypers {
-			p.Edges = append(p.Edges, Edge{Hypo: names[id], Hyper: names[e.hyper], Sources: e.sources, Score: e.score, Count: e.count})
-		}
-	}
-	return parts
 }
 
 // ---- serialization ----
@@ -748,12 +703,14 @@ type taxJSON struct {
 	Edges []Edge              `json:"edges"`
 }
 
-// WriteJSON serializes the taxonomy.
+// WriteJSON serializes the taxonomy: the marked nodes' kinds and every
+// edge, from one canonical read of the store.
 func (t *Taxonomy) WriteJSON(w io.Writer) error {
-	out := taxJSON{Kinds: make(map[string]NodeKind), Edges: t.Edges()}
-	for _, p := range t.ExportPartitions(1) {
-		for _, k := range p.Kinds {
-			out.Kinds[k.Name] = k.Kind
+	set := t.ReadAll()
+	out := taxJSON{Kinds: make(map[string]NodeKind), Edges: set.edgeList()}
+	for i, name := range set.Names {
+		if k := set.Kinds[i]; k != KindUnknown {
+			out.Kinds[name] = k
 		}
 	}
 	bw := bufio.NewWriter(w)
