@@ -151,6 +151,17 @@ func TestRoundTripHandAssembled(t *testing.T) {
 		}
 		requireEqualState(t, st, got)
 	}
+	// From a file, whose size Load asks for up front.
+	f, err := os.Open(writeTempSnapshot(t, saveBytes(t, st, Options{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := Load(f)
+	if err != nil {
+		t.Fatalf("Load(file): %v", err)
+	}
+	requireEqualState(t, st, got)
 }
 
 // TestRoundTripBuiltWorld runs the property over a real pipeline
