@@ -58,7 +58,7 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Taxonomy.EdgeCount() == 0 {
+		if res.Taxonomy.ComputeStats().IsARelations == 0 {
 			b.Fatal("empty taxonomy")
 		}
 	}
@@ -88,7 +88,7 @@ func benchBuild(b *testing.B, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Taxonomy.EdgeCount() == 0 {
+		if res.Taxonomy.ComputeStats().IsARelations == 0 {
 			b.Fatal("empty taxonomy")
 		}
 	}
@@ -285,92 +285,6 @@ func sanitize(s string) string {
 	return string(out)
 }
 
-// BenchmarkTaxonomyQueries measures the deployed-API query path
-// (getConcept/getEntity) against the built taxonomy — the serving cost
-// behind Table II's 82M calls.
-func BenchmarkTaxonomyQueries(b *testing.B) {
-	s := benchSuite(b)
-	tax := s.Result.Taxonomy
-	nodes := tax.Nodes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := nodes[i%len(nodes)]
-		_ = tax.Hypernyms(n)
-		_ = tax.Hyponyms(n, 50)
-	}
-}
-
-// BenchmarkQueryStoreVsView is the build/serve-split acceptance
-// benchmark: the same getConcept/getEntity/men2ent lookups (plus the
-// typicality-ranked getConcept variant) against the mutable
-// store and against the frozen serving view. The view side must show
-// the ≥2x single-thread speedup with ~0 allocs/op the refactor
-// promises — the store pays a lock, a map probe and a defensive copy
-// per query (and a full score-sort per ranked query); the view pays a
-// map probe and returns shared subslices of precomputed arrays.
-func BenchmarkQueryStoreVsView(b *testing.B) {
-	s := benchSuite(b)
-	tax, mentions := s.Result.Taxonomy, s.Result.Mentions
-	view := s.Result.Freeze()
-	nodes := tax.Nodes()
-	titles := make([]string, 0, 1024)
-	for _, p := range s.World.Corpus().Pages {
-		titles = append(titles, p.Title)
-	}
-	run := func(name string, fn func(i int)) {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				fn(i)
-			}
-		})
-	}
-	run("getConcept/store", func(i int) { _ = tax.Hypernyms(nodes[i%len(nodes)]) })
-	run("getConcept/view", func(i int) { _ = view.Hypernyms(nodes[i%len(nodes)]) })
-	run("getConceptRanked/store", func(i int) { _ = tax.RankedHypernyms(nodes[i%len(nodes)], 0) })
-	run("getConceptRanked/view", func(i int) { _ = view.RankedHypernyms(nodes[i%len(nodes)], 0) })
-	run("getEntity/store", func(i int) { _ = tax.Hyponyms(nodes[i%len(nodes)], 50) })
-	run("getEntity/view", func(i int) { _ = view.Hyponyms(nodes[i%len(nodes)], 50) })
-	run("men2ent/store", func(i int) { _ = mentions.Lookup(titles[i%len(titles)]) })
-	run("men2ent/view", func(i int) { _ = view.Lookup(titles[i%len(titles)]) })
-}
-
-// BenchmarkParallelQPSStoreVsView measures the Table II access
-// pattern — the three APIs in the paper's observed mix — from
-// GOMAXPROCS goroutines at once. The store's readers share one
-// RWMutex; the view is lock-free, so this is where the
-// serving split pays at scale.
-func BenchmarkParallelQPSStoreVsView(b *testing.B) {
-	s := benchSuite(b)
-	tax, mentions := s.Result.Taxonomy, s.Result.Mentions
-	view := s.Result.Freeze()
-	nodes := tax.Nodes()
-	mix := func(b *testing.B, men2ent func(string) []string, hypers func(string) []string, hypos func(string, int) []string) {
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				n := nodes[i%len(nodes)]
-				switch i % 10 { // ≈ the paper's 52.6 : 16.6 : 30.9 call mix
-				case 0, 1, 2, 3, 4:
-					_ = men2ent(n)
-				case 5, 6:
-					_ = hypers(n)
-				default:
-					_ = hypos(n, 50)
-				}
-				i++
-			}
-		})
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-	}
-	b.Run("store", func(b *testing.B) {
-		mix(b, mentions.Lookup, tax.Hypernyms, tax.Hyponyms)
-	})
-	b.Run("view", func(b *testing.B) {
-		mix(b, view.Lookup, view.Hypernyms, view.Hyponyms)
-	})
-}
-
 // BenchmarkMentionLookup measures men2ent resolution.
 func BenchmarkMentionLookup(b *testing.B) {
 	s := benchSuite(b)
@@ -402,7 +316,7 @@ func BenchmarkAblationSeparation(b *testing.B) {
 // aggregation per text).
 func BenchmarkConceptualize(b *testing.B) {
 	s := benchSuite(b)
-	engine := NewConceptualizer(s.Result.Taxonomy, s.Result.Mentions)
+	engine := NewViewConceptualizer(s.Result.Freeze())
 	texts := make([]string, 0, 256)
 	for _, e := range s.World.Entities[:256] {
 		texts = append(texts, e.Title+"的代表作品有哪些？")
@@ -450,7 +364,7 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Taxonomy.EdgeCount() == 0 {
+		if res.Taxonomy.ComputeStats().IsARelations == 0 {
 			b.Fatal("empty taxonomy")
 		}
 	}
@@ -470,7 +384,7 @@ func BenchmarkLoadVsRebuild(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res.Taxonomy.EdgeCount() == 0 {
+			if res.Taxonomy.ComputeStats().IsARelations == 0 {
 				b.Fatal("empty taxonomy")
 			}
 		}
@@ -484,7 +398,7 @@ func BenchmarkLoadVsRebuild(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res.Taxonomy.EdgeCount() == 0 {
+			if res.Taxonomy.ComputeStats().IsARelations == 0 {
 				b.Fatal("empty taxonomy")
 			}
 		}

@@ -229,8 +229,9 @@ func main() {
 			log.Fatalf("read taxonomy: %v", err)
 		}
 		mentions := taxonomy.NewMentionIndex()
-		for _, n := range tax.Nodes() {
-			if tax.Kind(n) == taxonomy.KindEntity {
+		nodes := tax.ReadAll()
+		for i, n := range nodes.Names {
+			if nodes.Kinds[i] == taxonomy.KindEntity {
 				mentions.Add(n, n)
 				if t, _ := encyclopedia.ParseEntityID(n); t != "" {
 					mentions.Add(t, n)

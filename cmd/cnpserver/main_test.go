@@ -141,8 +141,9 @@ func TestServeLoadedSnapshot(t *testing.T) {
 	// Pick an entity that has hypernyms so the comparison is not
 	// vacuous.
 	var entity string
-	for _, n := range res.Taxonomy.Nodes() {
-		if len(res.Taxonomy.Hypernyms(n)) > 0 && len(res.Mentions.Lookup(n)) > 0 {
+	built := res.Freeze()
+	for _, n := range built.Nodes() {
+		if len(built.Hypernyms(n)) > 0 && len(built.Lookup(n)) > 0 {
 			entity = n
 			break
 		}
@@ -171,7 +172,7 @@ func TestServeLoadedSnapshot(t *testing.T) {
 		Hypernyms []string `json:"hypernyms"`
 	}
 	get("/api/getConcept?entity="+entity, &concept)
-	if want := fmt.Sprint(res.Taxonomy.Hypernyms(entity)); fmt.Sprint(concept.Hypernyms) != want {
+	if want := fmt.Sprint(built.Hypernyms(entity)); fmt.Sprint(concept.Hypernyms) != want {
 		t.Fatalf("getConcept(%q) = %v, want %v", entity, concept.Hypernyms, want)
 	}
 
@@ -188,7 +189,7 @@ func TestServeLoadedSnapshot(t *testing.T) {
 		Hyponyms []string `json:"hyponyms"`
 	}
 	get("/api/getEntity?concept="+hyper, &ent)
-	if want := fmt.Sprint(res.Taxonomy.Hyponyms(hyper, 0)); fmt.Sprint(ent.Hyponyms) != want {
+	if want := fmt.Sprint(built.Hyponyms(hyper, 0)); fmt.Sprint(ent.Hyponyms) != want {
 		t.Errorf("getEntity(%q) = %v, want %v", hyper, ent.Hyponyms, want)
 	}
 }

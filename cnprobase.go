@@ -8,7 +8,7 @@
 //
 //	world, _ := cnprobase.GenerateWorld(cnprobase.DefaultWorldConfig()) // or ReadCorpus
 //	res, _ := cnprobase.Build(world.Corpus(), cnprobase.DefaultOptions())
-//	hypernyms := res.Taxonomy.Hypernyms(entityID)
+//	hypernyms := res.Freeze().Hypernyms(entityID)
 //
 // Build runs the four generation algorithms (bracket separation, neural
 // generation from abstracts, infobox predicate discovery, tag
@@ -142,19 +142,12 @@ func Update(prev *Result, delta *Corpus, opts Options) (*Result, error) {
 	return core.New(opts).Update(prev, delta)
 }
 
-// NewConceptualizer builds the short-text conceptualization engine over
-// a built taxonomy — the downstream application layer of Section V. It
-// compiles the store's current content into a serving view and is
-// NewViewConceptualizer over that snapshot: later writes to t or m are
-// not seen, build a new engine (or Freeze the Result) after an Update.
-func NewConceptualizer(t *Taxonomy, m *MentionIndex) *Conceptualizer {
-	return conceptualize.NewView(serving.Compile(t, m))
-}
-
-// NewViewConceptualizer builds the conceptualization engine over an
-// immutable serving view — the engine behind /api/conceptualize, and
-// the only one: it reads the view's dense IDs on a lock-free,
-// allocation-free path.
+// NewViewConceptualizer builds the short-text conceptualization engine
+// — the downstream application layer of Section V, and the engine
+// behind /api/conceptualize — over an immutable serving view
+// (Result.Freeze, or OpenSnapshotMapped). It reads the view's dense IDs
+// on a lock-free, allocation-free path; after an Update, Freeze again
+// and build a new engine.
 func NewViewConceptualizer(v *ServingView) *Conceptualizer {
 	return conceptualize.NewView(v)
 }
@@ -184,16 +177,11 @@ func NewTaxonomy() *Taxonomy { return taxonomy.New() }
 // ReadTaxonomy loads a taxonomy serialized with Taxonomy.WriteJSON.
 func ReadTaxonomy(r io.Reader) (*Taxonomy, error) { return taxonomy.ReadJSON(r) }
 
-// NewAPIServer builds the HTTP server over a taxonomy and mention
-// index by freezing their current contents into an immutable serving
-// view (see ServingView). Later writes to the store are not served;
+// NewViewServer builds the HTTP server over a serving view: a build's
+// Result.Freeze, or OpenSnapshotMapped — the path cnpserver -load uses
+// so a snapshot becomes a serving process without ever materializing
+// the mutable build store. Later writes to a store are not served;
 // freeze a new view and call APIServer.SwapView to publish them.
-func NewAPIServer(t *Taxonomy, m *MentionIndex) *APIServer { return api.NewServer(t, m) }
-
-// NewViewServer builds the HTTP server directly over an
-// already-compiled serving view — the path cnpserver -load uses so a
-// snapshot becomes a serving process without ever materializing the
-// mutable build store.
 func NewViewServer(v *ServingView) *APIServer { return api.NewViewServer(v) }
 
 // ServerResilience tunes the overload-safety stack wrapped around the
@@ -424,15 +412,10 @@ func SamplePrecision(t *Taxonomy, o *Oracle, sample int, seed int64) float64 {
 	return eval.SamplePrecision(eval.EdgePairs(t.Edges(), 0), o, sample, seed).Precision()
 }
 
-// QACoverage runs the paper's text-understanding experiment: generate
-// n questions from the world and measure taxonomy coverage. It is
-// QACoverageView on a view compiled from the result's store.
-func QACoverage(w *World, res *Result, n int) (coverage, avgConcepts float64) {
-	return QACoverageView(w, serving.Compile(res.Taxonomy, res.Mentions), n)
-}
-
-// QACoverageView runs the experiment on an immutable serving view — the
-// data path /api/qa answers from.
+// QACoverageView runs the paper's text-understanding experiment:
+// generate n questions from the world and measure the coverage of the
+// taxonomy behind v (Result.Freeze), the data path /api/qa answers
+// from.
 func QACoverageView(w *World, v *ServingView, n int) (coverage, avgConcepts float64) {
 	cfg := qa.DefaultGeneratorConfig()
 	if n > 0 {

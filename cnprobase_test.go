@@ -40,10 +40,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("empty taxonomy: %+v", st)
 	}
 	// Query path: an entity's hypernyms are judged correct.
-	oracle := w.Oracle()
+	oracle, view := w.Oracle(), res.Freeze()
 	checked := 0
 	for _, e := range w.Entities {
-		hs := res.Taxonomy.Hypernyms(e.ID)
+		hs := view.Hypernyms(e.ID)
 		if len(hs) == 0 {
 			continue
 		}
@@ -71,7 +71,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestFacadeQACoverage(t *testing.T) {
 	w, res := buildSmall(t, 800)
-	cov, avg := QACoverage(w, res, 2000)
+	cov, avg := QACoverageView(w, res.Freeze(), 2000)
 	if cov < 0.8 {
 		t.Errorf("coverage = %.3f, want ≥0.8", cov)
 	}
@@ -81,15 +81,26 @@ func TestFacadeQACoverage(t *testing.T) {
 }
 
 // TestFacadeViewApplications pins the application layer on the serving
-// view: the conceptualizer and QA evaluation on the view Freeze
-// publishes must agree exactly with the store-taking entry points,
-// which compile the same build's store first.
+// view: the conceptualizer, Understand and the QA evaluation answer
+// exactly alike on the view Freeze publishes and on the same build's
+// snapshot, mapped.
 func TestFacadeViewApplications(t *testing.T) {
 	w, res := buildSmall(t, 800)
 	view := res.Freeze()
+	var buf bytes.Buffer
+	if err := SaveSnapshot(&buf, res); err != nil {
+		t.Fatalf("SaveSnapshot: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "taxonomy.snap")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenSnapshotMapped(path)
+	if err != nil {
+		t.Fatalf("OpenSnapshotMapped: %v", err)
+	}
 
-	store := NewConceptualizer(res.Taxonomy, res.Mentions)
-	onView := NewViewConceptualizer(view)
+	onView, onMapped := NewViewConceptualizer(view), NewViewConceptualizer(mapped)
 	texts := []string{""}
 	for _, e := range w.Entities[:20] {
 		mention := e.ID
@@ -100,11 +111,14 @@ func TestFacadeViewApplications(t *testing.T) {
 	}
 	covered := 0
 	for _, text := range texts {
-		a, b := store.Conceptualize(text), onView.Conceptualize(text)
+		a, b := onView.Conceptualize(text), onMapped.Conceptualize(text)
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("conceptualize(%q): store %+v != view %+v", text, a, b)
+			t.Fatalf("conceptualize(%q): frozen %+v != mapped %+v", text, a, b)
 		}
 		u := Understand(text, view)
+		if um := Understand(text, mapped); !reflect.DeepEqual(u, um) {
+			t.Fatalf("Understand(%q): frozen %+v != mapped %+v", text, u, um)
+		}
 		if u.Covered {
 			covered++
 			if len(u.Mentions) == 0 && len(u.Concepts) == 0 {
@@ -116,10 +130,10 @@ func TestFacadeViewApplications(t *testing.T) {
 		t.Fatal("no probe text was covered by the taxonomy")
 	}
 
-	cov, avg := QACoverage(w, res, 1000)
-	covV, avgV := QACoverageView(w, view, 1000)
-	if cov != covV || avg != avgV {
-		t.Errorf("QACoverage store (%v, %v) != view (%v, %v)", cov, avg, covV, avgV)
+	cov, avg := QACoverageView(w, view, 1000)
+	covM, avgM := QACoverageView(w, mapped, 1000)
+	if cov != covM || avg != avgM {
+		t.Errorf("QACoverageView frozen (%v, %v) != mapped (%v, %v)", cov, avg, covM, avgM)
 	}
 }
 
@@ -148,8 +162,8 @@ func TestFacadeTaxonomySerialization(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadTaxonomy: %v", err)
 	}
-	if tax.EdgeCount() != res.Taxonomy.EdgeCount() {
-		t.Errorf("edges = %d, want %d", tax.EdgeCount(), res.Taxonomy.EdgeCount())
+	if tax.ComputeStats() != res.Taxonomy.ComputeStats() || !reflect.DeepEqual(tax.Edges(), res.Taxonomy.Edges()) {
+		t.Errorf("round trip: %+v, want %+v", tax.ComputeStats(), res.Taxonomy.ComputeStats())
 	}
 }
 
@@ -166,8 +180,8 @@ func TestFacadeSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadSnapshot: %v", err)
 	}
-	if loaded.Taxonomy.EdgeCount() != res.Taxonomy.EdgeCount() {
-		t.Errorf("edges = %d, want %d", loaded.Taxonomy.EdgeCount(), res.Taxonomy.EdgeCount())
+	if got, want := loaded.Taxonomy.ComputeStats().IsARelations, res.Taxonomy.ComputeStats().IsARelations; got != want {
+		t.Errorf("edges = %d, want %d", got, want)
 	}
 	if loaded.Report == nil {
 		t.Fatal("loaded Result has no report")
@@ -181,8 +195,9 @@ func TestFacadeSnapshotRoundTrip(t *testing.T) {
 	if loaded.Report.Verification.Kept != res.Report.Verification.Kept {
 		t.Errorf("verification report not restored: %+v", loaded.Report.Verification)
 	}
-	for _, n := range res.Taxonomy.Nodes() {
-		if a, b := res.Taxonomy.Hypernyms(n), loaded.Taxonomy.Hypernyms(n); len(a) != len(b) {
+	view, loadedView := res.Freeze(), loaded.Freeze()
+	for _, n := range view.Nodes() {
+		if a, b := view.Hypernyms(n), loadedView.Hypernyms(n); len(a) != len(b) {
 			t.Fatalf("Hypernyms(%q) = %v, want %v", n, b, a)
 		}
 		if a, b := res.Mentions.Lookup(n), loaded.Mentions.Lookup(n); len(a) != len(b) {
@@ -307,7 +322,7 @@ func TestFacadeSnapshotBytesIgnoreConcurrency(t *testing.T) {
 }
 
 // TestFacadeFreezeAndMappedView covers the serving-view surface of the
-// facade: Result.Freeze answers like the store, a snapshot saved from
+// facade: Result.Freeze holds what the store holds, a snapshot saved from
 // the published view is the one the saver compiles itself,
 // OpenSnapshotMapped serves that file as an equivalent view, and
 // NewViewServer serves the view it is given.
@@ -321,9 +336,14 @@ func TestFacadeFreezeAndMappedView(t *testing.T) {
 	if view.Stats() != res.Taxonomy.ComputeStats() {
 		t.Fatalf("frozen stats = %+v, want %+v", view.Stats(), res.Taxonomy.ComputeStats())
 	}
-	for _, n := range res.Taxonomy.Nodes() {
-		if a, b := res.Taxonomy.Hypernyms(n), view.Hypernyms(n); fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Fatalf("Hypernyms(%q): view %v, store %v", n, b, a)
+	set := res.Taxonomy.ReadAll()
+	for i, n := range set.Names {
+		var hypers []string
+		for _, e := range set.Edges[set.EdgeOff[i]:set.EdgeOff[i+1]] {
+			hypers = append(hypers, e.Hyper)
+		}
+		if b := view.Hypernyms(n); fmt.Sprint(hypers) != fmt.Sprint(b) {
+			t.Fatalf("Hypernyms(%q): view %v, store %v", n, b, hypers)
 		}
 		if a, b := res.Mentions.Lookup(n), view.Lookup(n); fmt.Sprint(a) != fmt.Sprint(b) {
 			t.Fatalf("Lookup(%q): view %v, store %v", n, b, a)
@@ -349,7 +369,7 @@ func TestFacadeFreezeAndMappedView(t *testing.T) {
 		t.Fatalf("mapped view (%d edges, %+v) != frozen view (%d edges, %+v)",
 			mapped.EdgeCount(), mapped.Stats(), view.EdgeCount(), view.Stats())
 	}
-	for _, n := range res.Taxonomy.Nodes() {
+	for _, n := range set.Names {
 		if a, b := view.Hypernyms(n), mapped.Hypernyms(n); fmt.Sprint(a) != fmt.Sprint(b) {
 			t.Fatalf("Hypernyms(%q): mapped view %v, frozen view %v", n, b, a)
 		}
@@ -369,9 +389,8 @@ func TestFacadeBaselines(t *testing.T) {
 	if pTran >= pCN {
 		t.Errorf("Probase-Tran %.3f should be below CN-Probase %.3f", pTran, pCN)
 	}
-	if wiki.EdgeCount() >= res.Taxonomy.EdgeCount() {
-		t.Errorf("WikiTaxonomy %d edges should be below CN-Probase %d",
-			wiki.EdgeCount(), res.Taxonomy.EdgeCount())
+	if a, b := wiki.ComputeStats().IsARelations, res.Taxonomy.ComputeStats().IsARelations; a >= b {
+		t.Errorf("WikiTaxonomy %d edges should be below CN-Probase %d", a, b)
 	}
 }
 

@@ -1,13 +1,12 @@
 package cnprobase_test
 
 // Runnable godoc examples for the public API. `go test` executes them,
-// so the documented flow — generate a world, build the taxonomy, query
-// and export it — is exercised on every run.
+// so the documented flow — generate a world, build the taxonomy, freeze
+// it into a serving view and query that — is exercised on every run.
 
 import (
 	"bytes"
 	"fmt"
-	"strings"
 
 	"cnprobase"
 )
@@ -37,9 +36,10 @@ func ExampleBuild() {
 	// Output: true true true
 }
 
-// ExampleTaxonomy_Hypernyms queries the direct hypernyms of a
-// disambiguated entity — the paper's getConcept API.
-func ExampleTaxonomy_Hypernyms() {
+// ExampleServingView_Hypernyms queries the direct hypernyms of a
+// disambiguated entity — the paper's getConcept API — on the view a
+// build result freezes into; the store itself answers no queries.
+func ExampleServingView_Hypernyms() {
 	tax := cnprobase.NewTaxonomy()
 	tax.MarkEntity("刘德华（歌手）")
 	if err := tax.AddIsA("刘德华（歌手）", "歌手", cnprobase.SourceBracket, 1); err != nil {
@@ -50,7 +50,8 @@ func ExampleTaxonomy_Hypernyms() {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println(tax.Hypernyms("刘德华（歌手）"))
+	view := (&cnprobase.Result{Taxonomy: tax}).Freeze()
+	fmt.Println(view.Hypernyms("刘德华（歌手）"))
 	// Output: [歌手 演员]
 }
 
@@ -88,11 +89,12 @@ func ExampleSaveSnapshot() {
 		return
 	}
 
-	sameEdges := loaded.Taxonomy.EdgeCount() == res.Taxonomy.EdgeCount()
+	sameEdges := loaded.Taxonomy.ComputeStats() == res.Taxonomy.ComputeStats()
 	sameMentions := loaded.Mentions.Size() == res.Mentions.Size()
 	sameAnswers := true
+	built, served := res.Freeze(), loaded.Freeze()
 	for _, e := range w.Entities {
-		if fmt.Sprint(loaded.Taxonomy.Hypernyms(e.ID)) != fmt.Sprint(res.Taxonomy.Hypernyms(e.ID)) {
+		if fmt.Sprint(served.Hypernyms(e.ID)) != fmt.Sprint(built.Hypernyms(e.ID)) {
 			sameAnswers = false
 		}
 	}
@@ -122,35 +124,4 @@ func ExampleResult_Freeze() {
 	// Output:
 	// [歌手 演员]
 	// [] 1
-}
-
-// ExampleTaxonomy_WriteTSV exports the edge list in the conventional
-// taxonomy release format (rows sorted by hyponym, then hypernym).
-func ExampleTaxonomy_WriteTSV() {
-	tax := cnprobase.NewTaxonomy()
-	tax.MarkEntity("刘德华（演员）")
-	for _, e := range []struct {
-		hypo, hyper string
-		src         cnprobase.Source
-	}{
-		{"男演员", "演员", cnprobase.SourceMorph},
-		{"刘德华（演员）", "男演员", cnprobase.SourceBracket},
-		{"刘德华（演员）", "演员", cnprobase.SourceTag},
-	} {
-		if err := tax.AddIsA(e.hypo, e.hyper, e.src, 1); err != nil {
-			fmt.Println(err)
-			return
-		}
-	}
-	var buf bytes.Buffer
-	if err := tax.WriteTSV(&buf); err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Print(strings.ReplaceAll(buf.String(), "\t", " | "))
-	// Output:
-	// hyponym | hypernym | sources | count
-	// 刘德华（演员） | 演员 | tag | 1
-	// 刘德华（演员） | 男演员 | bracket | 1
-	// 男演员 | 演员 | morph | 1
 }

@@ -25,7 +25,8 @@ func main() {
 		log.Fatalf("build: %v", err)
 	}
 
-	srv := cnprobase.NewAPIServer(res.Taxonomy, res.Mentions)
+	view := res.Freeze()
+	srv := cnprobase.NewViewServer(view)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	fmt.Printf("serving taxonomy at %s\n", ts.URL)
@@ -46,7 +47,7 @@ func main() {
 	// Then the paper's six-month mix, scaled down.
 	cfg := api.DefaultWorkloadConfig()
 	cfg.Calls = 10000
-	if _, err := api.RunWorkload(client, res.Taxonomy, res.Mentions, cfg); err != nil {
+	if _, err := api.RunWorkload(client, view, cfg); err != nil {
 		log.Fatalf("workload: %v", err)
 	}
 	fmt.Println("\nTable II — APIs and their usage (simulated workload):")

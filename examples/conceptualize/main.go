@@ -28,11 +28,14 @@ func main() {
 		log.Fatalf("build: %v", err)
 	}
 
+	// Every read goes through the serving view.
+	view := res.Freeze()
+
 	// Compose questions that mention generated entities.
 	var texts []string
 	count := 0
 	for _, e := range world.Entities {
-		if len(res.Taxonomy.Hypernyms(e.ID)) == 0 {
+		if len(view.Hypernyms(e.ID)) == 0 {
 			continue
 		}
 		texts = append(texts,
@@ -47,17 +50,17 @@ func main() {
 
 	for _, text := range texts {
 		fmt.Printf("text: %s\n", text)
-		mentions := res.Mentions.FindAll(text)
+		mentions := view.FindAll(text)
 		if len(mentions) == 0 {
 			fmt.Println("  (no taxonomy mention — uncovered)")
 			fmt.Println()
 			continue
 		}
 		for _, m := range mentions {
-			ids := res.Mentions.Lookup(m)
+			ids := view.Lookup(m)
 			fmt.Printf("  mention %q → %d entit%s\n", m, len(ids), plural(len(ids)))
 			for _, id := range ids {
-				concepts := res.Taxonomy.Hypernyms(id)
+				concepts := view.Hypernyms(id)
 				if len(concepts) == 0 {
 					continue
 				}
@@ -67,7 +70,7 @@ func main() {
 		fmt.Println()
 	}
 
-	cov, avg := cnprobase.QACoverage(world, res, 5000)
+	cov, avg := cnprobase.QACoverageView(world, view, 5000)
 	fmt.Printf("QA coverage over 5000 generated questions: %.2f%% (paper: 91.68%%)\n", cov*100)
 	fmt.Printf("avg concepts per covered entity: %.2f (paper: 2.14)\n", avg)
 }

@@ -55,5 +55,5 @@ func main() {
 
 	// A page from the last batch is fully integrated.
 	last := all.Pages[all.Len()-1]
-	fmt.Printf("\nnew page %s → hypernyms %v\n", last.ID(), res.Taxonomy.Hypernyms(last.ID()))
+	fmt.Printf("\nnew page %s → hypernyms %v\n", last.ID(), res.Freeze().Hypernyms(last.ID()))
 }

@@ -36,20 +36,22 @@ func main() {
 	fmt.Printf("verification kept %d of %d candidates\n",
 		res.Report.Verification.Kept, res.Report.Verification.Input)
 
-	// 3. Query. Pick a person with hypernyms and walk upward.
+	// 3. Query the serving view frozen from the build. Pick a person
+	// with hypernyms and walk upward.
+	view := res.Freeze()
 	for _, e := range world.Entities {
-		hs := res.Taxonomy.Hypernyms(e.ID)
+		hs := view.Hypernyms(e.ID)
 		if len(hs) < 2 {
 			continue
 		}
 		fmt.Printf("\ngetConcept(%s) = %v\n", e.ID, hs)
-		fmt.Printf("ancestors = %v\n", res.Taxonomy.Ancestors(e.ID))
+		fmt.Printf("ancestors = %v\n", view.Ancestors(e.ID))
 		if len(hs) > 0 {
-			hypos := res.Taxonomy.Hyponyms(hs[0], 5)
+			hypos := view.Hyponyms(hs[0], 5)
 			fmt.Printf("getEntity(%s, limit=5) = %v\n", hs[0], hypos)
 		}
 		// men2ent on the bare title.
-		fmt.Printf("men2ent(%s) = %v\n", e.Title, res.Mentions.Lookup(e.Title))
+		fmt.Printf("men2ent(%s) = %v\n", e.Title, view.Lookup(e.Title))
 		break
 	}
 

@@ -12,7 +12,7 @@ const servingPkgPath = "cnprobase/internal/serving"
 // viewBuildFuncs are the only functions inside internal/serving allowed
 // to write View fields: the assembly path that constructs a fresh,
 // heap-backed View before it is published (assemble lays out the
-// canonical arrays for Compile, Builder and Patch; derive, which
+// canonical arrays for Compile and Patch; derive, which
 // buildDerived also runs for mapped views, fills the derived ones).
 var viewBuildFuncs = map[string]bool{
 	"assemble": true,

@@ -65,7 +65,7 @@ const (
 // ResilienceConfig tunes the overload-safety stack wrapped around the
 // query endpoints. The zero value disables every layer (panic
 // isolation stays on — it has no knob); DefaultResilience returns the
-// production defaults NewServer and NewViewServer apply.
+// production defaults NewViewServer applies.
 type ResilienceConfig struct {
 	// MaxInFlight caps concurrently executing query-plane requests;
 	// beyond it (after AdmitWait) requests are shed with 429 +
@@ -132,16 +132,10 @@ type Server struct {
 	qaLat                 histogram
 }
 
-// NewServer builds a Server by freezing the current contents of the
-// build store into an immutable View (mentions may be nil). Later
-// writes to the store are not served; compile a new view and SwapView.
-func NewServer(tax *taxonomy.Taxonomy, mentions *taxonomy.MentionIndex) *Server {
-	return NewViewServer(serving.Compile(tax, mentions))
-}
-
-// NewViewServer builds a Server over an already-compiled view — the
-// zero-copy path snapshot loading uses — with the default resilience
-// stack.
+// NewViewServer builds a Server over a serving view — compiled from a
+// build (core.Result.Freeze), or mapped from a snapshot — with the
+// default resilience stack. To publish later writes to the store,
+// freeze a new view and SwapView it.
 func NewViewServer(v *serving.View) *Server {
 	return NewViewServerConfig(v, DefaultResilience())
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"cnprobase/internal/serving"
 	"cnprobase/internal/taxonomy"
 )
 
@@ -27,7 +28,7 @@ func testServer(t *testing.T) (*Server, *httptest.Server) {
 	mentions := taxonomy.NewMentionIndex()
 	mentions.Add("刘德华", "刘德华（演员）")
 	mentions.Add("刘德华", "刘德华（作家）")
-	srv := NewServer(tax, mentions)
+	srv := NewViewServer(serving.Compile(tax, mentions))
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -145,9 +146,8 @@ func TestCountersAndStats(t *testing.T) {
 
 func TestWorkloadMix(t *testing.T) {
 	srv, ts := testServer(t)
-	tax, mentions := srvBacking(t)
 	cfg := WorkloadConfig{Calls: 3000, Weights: [5]float64{43896044, 13815076, 25793372, 0, 0}, Seed: 1}
-	issued, err := RunWorkload(NewClient(ts.URL), tax, mentions, cfg)
+	issued, err := RunWorkload(NewClient(ts.URL), srv.View(), cfg)
 	if err != nil {
 		t.Fatalf("RunWorkload: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestWorkloadMix(t *testing.T) {
 
 func TestWorkloadRejectsEmptyTaxonomy(t *testing.T) {
 	_, ts := testServer(t)
-	if _, err := RunWorkload(NewClient(ts.URL), taxonomy.New(), taxonomy.NewMentionIndex(), DefaultWorkloadConfig()); err == nil {
+	if _, err := RunWorkload(NewClient(ts.URL), serving.Compile(taxonomy.New(), nil), DefaultWorkloadConfig()); err == nil {
 		t.Fatal("workload over empty taxonomy should fail")
 	}
 }
@@ -187,28 +187,6 @@ func TestFormatTable2(t *testing.T) {
 			t.Errorf("FormatTable2 missing %q:\n%s", want, out)
 		}
 	}
-}
-
-// srvBacking rebuilds the same backing data testServer uses, for the
-// workload generator.
-func srvBacking(t *testing.T) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
-	t.Helper()
-	tax := taxonomy.New()
-	tax.MarkEntity("刘德华（演员）")
-	tax.MarkEntity("刘德华（作家）")
-	for _, e := range [][2]string{
-		{"刘德华（演员）", "演员"},
-		{"刘德华（演员）", "歌手"},
-		{"刘德华（作家）", "作家"},
-	} {
-		if err := tax.AddIsA(e[0], e[1], taxonomy.SourceTag, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mentions := taxonomy.NewMentionIndex()
-	mentions.Add("刘德华", "刘德华（演员）")
-	mentions.Add("刘德华", "刘德华（作家）")
-	return tax, mentions
 }
 
 func escape(s string) string {

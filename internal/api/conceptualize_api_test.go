@@ -3,7 +3,6 @@ package api
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -199,48 +198,10 @@ func TestApplicationEndpointsInvalidUTF8(t *testing.T) {
 	}
 }
 
-// storeApplicationHandler extends the storeHandler idea to the
-// application endpoints: the same response structs and wire encoding,
-// answered by the string-keyed reference straight from the mutable
-// store — the reference side of the equivalence test.
-func storeApplicationHandler(tax *taxonomy.Taxonomy, mentions *taxonomy.MentionIndex) http.Handler {
-	ref := storeReference{tax: tax, mentions: mentions}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/api/conceptualize", func(w http.ResponseWriter, r *http.Request) {
-		var req ConceptualizeRequest
-		if !decodePost(w, r, &req) {
-			return
-		}
-		writeJSON(w, ref.conceptualize(req.Text))
-	})
-	mux.HandleFunc("/api/conceptualizeBatch", func(w http.ResponseWriter, r *http.Request) {
-		var batch []string
-		if !decodePost(w, r, &batch) {
-			return
-		}
-		out := make([]ConceptualizeResponse, len(batch))
-		for i, text := range batch {
-			out[i] = ref.conceptualize(text)
-		}
-		writeJSON(w, out)
-	})
-	mux.HandleFunc("/api/qa", func(w http.ResponseWriter, r *http.Request) {
-		var req QARequest
-		if !decodePost(w, r, &req) {
-			return
-		}
-		writeJSON(w, ref.understand(req.Question))
-	})
-	return mux
-}
-
-// applicationProbes is the request set the equivalence and golden
-// tests replay: ambiguous mentions, multi-mention texts, unknown text,
-// empty text, raw invalid UTF-8, and batches.
-func applicationProbes() []struct {
-	path string
-	body []byte
-} {
+// applicationProbes is the request set the golden tests replay:
+// ambiguous mentions, multi-mention texts, unknown text, empty text,
+// raw invalid UTF-8, and batches.
+func applicationProbes() []probe {
 	texts := []string{
 		"",
 		"实体00的资料",
@@ -250,81 +211,38 @@ func applicationProbes() []struct {
 		"实体01实体01实体01",
 		"有哪些著名的概念3？",
 	}
-	var probes []struct {
-		path string
-		body []byte
-	}
+	var probes []probe
 	for _, text := range texts {
 		b, _ := json.Marshal(ConceptualizeRequest{Text: text})
-		probes = append(probes, struct {
-			path string
-			body []byte
-		}{"/api/conceptualize", b})
 		q, _ := json.Marshal(QARequest{Question: text})
-		probes = append(probes, struct {
-			path string
-			body []byte
-		}{"/api/qa", q})
+		probes = append(probes, probe{"/api/conceptualize", b}, probe{"/api/qa", q})
 	}
 	batch, _ := json.Marshal(texts)
-	probes = append(probes,
-		struct {
-			path string
-			body []byte
-		}{"/api/conceptualizeBatch", batch},
+	return append(probes,
+		probe{"/api/conceptualizeBatch", batch},
 		// Raw invalid UTF-8 inside the JSON string, sent verbatim.
-		struct {
-			path string
-			body []byte
-		}{"/api/conceptualize", []byte("{\"text\":\"\xff\xfe实体00\xff\"}")},
-		struct {
-			path string
-			body []byte
-		}{"/api/qa", []byte("{\"question\":\"\xff实体13是谁\"}")},
+		probe{"/api/conceptualize", []byte("{\"text\":\"\xff\xfe实体00\xff\"}")},
+		probe{"/api/qa", []byte("{\"question\":\"\xff实体13是谁\"}")},
 	)
-	return probes
 }
 
-func fetchPost(t *testing.T, base, path string, body []byte) string {
-	t.Helper()
-	resp, err := http.Post(base+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fmt.Sprintf("%d %s %s", resp.StatusCode, resp.Header.Get("Content-Type"), raw)
-}
-
-// TestStoreVsViewApplicationEquivalence pins the tentpole guarantee:
-// the view-backed application endpoints answer byte-identically to the
-// string-keyed reference computed from the mutable store.
-func TestStoreVsViewApplicationEquivalence(t *testing.T) {
+// TestApplicationGolden pins the application endpoints byte for byte:
+// the view-backed server answers the probes exactly as
+// testdata/application.golden holds — the responses recorded when the
+// string-keyed reference still answered them from the mutable store as
+// well, and the two agreed.
+func TestApplicationGolden(t *testing.T) {
 	tax, mentions := equivFixture(t)
-	storeTS := httptest.NewServer(storeApplicationHandler(tax, mentions))
-	defer storeTS.Close()
-	viewTS := httptest.NewServer(NewServer(tax, mentions).Handler())
-	defer viewTS.Close()
-	for _, p := range applicationProbes() {
-		store := fetchPost(t, storeTS.URL, p.path, p.body)
-		view := fetchPost(t, viewTS.URL, p.path, p.body)
-		if store != view {
-			t.Fatalf("response mismatch on %s %s:\nstore: %s\nview:  %s", p.path, p.body, store, view)
-		}
-	}
+	ts := httptest.NewServer(NewViewServer(serving.Compile(tax, mentions)).Handler())
+	defer ts.Close()
+	requireGolden(t, "application", transcript(t, ts.URL, applicationProbes()))
 }
 
 // TestApplicationGoldenSnapshotRoundtrip pins the other axis: a server
-// over a snapshot-loaded view answers the application endpoints
-// byte-identically to a server compiled fresh from the store.
+// over a snapshot's mapped view answers the application endpoints with
+// the same bytes.
 func TestApplicationGoldenSnapshotRoundtrip(t *testing.T) {
 	tax, mentions := equivFixture(t)
-	freshTS := httptest.NewServer(NewServer(tax, mentions).Handler())
-	defer freshTS.Close()
-
 	var buf bytes.Buffer
 	err := snapshot.Save(&buf, &snapshot.State{Taxonomy: tax, Mentions: mentions}, snapshot.Options{})
 	if err != nil {
@@ -340,14 +258,7 @@ func TestApplicationGoldenSnapshotRoundtrip(t *testing.T) {
 	}
 	loadedTS := httptest.NewServer(NewViewServer(loaded).Handler())
 	defer loadedTS.Close()
-
-	for _, p := range applicationProbes() {
-		fresh := fetchPost(t, freshTS.URL, p.path, p.body)
-		snap := fetchPost(t, loadedTS.URL, p.path, p.body)
-		if fresh != snap {
-			t.Fatalf("response mismatch on %s %s:\nfresh:    %s\nsnapshot: %s", p.path, p.body, fresh, snap)
-		}
-	}
+	requireGolden(t, "application", transcript(t, loadedTS.URL, applicationProbes()))
 }
 
 // TestConcurrentConceptualizeDuringIngest is the -race coverage for

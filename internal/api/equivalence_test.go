@@ -8,52 +8,72 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"cnprobase/internal/serving"
 	"cnprobase/internal/taxonomy"
 )
 
-// storeHandler mirrors the pre-View read path byte for byte: the three
-// APIs answered straight from the mutable store with the same response
-// structs and JSON encoding the Server uses. It exists only as the
-// reference side of the store-vs-view equivalence test.
-func storeHandler(tax *taxonomy.Taxonomy, mentions *taxonomy.MentionIndex) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/api/men2ent", func(w http.ResponseWriter, r *http.Request) {
-		m := r.URL.Query().Get("mention")
-		if m == "" {
-			writeError(w, http.StatusBadRequest, "missing ?mention=")
-			return
-		}
-		writeJSON(w, Men2EntResponse{Mention: m, Entities: mentions.Lookup(m)})
-	})
-	mux.HandleFunc("/api/getConcept", func(w http.ResponseWriter, r *http.Request) {
-		e := r.URL.Query().Get("entity")
-		if e == "" {
-			writeError(w, http.StatusBadRequest, "missing ?entity=")
-			return
-		}
-		resp := ConceptResponse{Entity: e, Hypernyms: tax.Hypernyms(e)}
-		if r.URL.Query().Get("ranked") == "1" {
-			resp.Ranked = tax.RankedHypernyms(e, 0)
-		}
-		writeJSON(w, resp)
-	})
-	mux.HandleFunc("/api/getEntity", func(w http.ResponseWriter, r *http.Request) {
-		c := r.URL.Query().Get("concept")
-		if c == "" {
-			writeError(w, http.StatusBadRequest, "missing ?concept=")
-			return
-		}
-		limit := 0
-		fmt.Sscanf(r.URL.Query().Get("limit"), "%d", &limit)
-		writeJSON(w, EntityResponse{Concept: c, Hyponyms: tax.Hyponyms(c, limit)})
-	})
-	return mux
+// probe is one request of a golden transcript: a GET of path when body
+// is nil, a POST of body otherwise.
+type probe struct {
+	path string
+	body []byte
 }
 
-// equivFixture assembles a finalized store with the response shapes
+// transcript replays probes against the server at base and records
+// each request with the status, Content-Type and body of its response,
+// in the layout of testdata/*.golden.
+func transcript(t *testing.T, base string, probes []probe) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	for _, p := range probes {
+		var resp *http.Response
+		var err error
+		if p.body == nil {
+			fmt.Fprintf(&out, "GET %s\n", p.path)
+			resp, err = http.Get(base + p.path)
+		} else {
+			fmt.Fprintf(&out, "POST %s %q\n", p.path, p.body)
+			resp, err = http.Post(base+p.path, "application/json", bytes.NewReader(p.body))
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", p.path, err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "%d %s %s", resp.StatusCode, resp.Header.Get("Content-Type"), raw)
+	}
+	return out.Bytes()
+}
+
+// requireGolden holds a transcript to testdata/<name>.golden, line by
+// line.
+func requireGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(gotLines), len(wantLines)) {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("%s.golden line %d:\ngot:  %s\nwant: %s", name, i+1, gotLines[i], wantLines[i])
+		}
+	}
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%s.golden: got %d lines, want %d", name, len(gotLines), len(wantLines))
+	}
+}
+
+// equivFixture assembles a store with the response shapes
 // that must survive the freeze: multi-hypernym entities with uneven
 // evidence counts (non-trivial typicality), subconcept chains,
 // ambiguous mentions, and nodes with no hypernyms at all.
@@ -86,53 +106,30 @@ func equivFixture(tb testing.TB) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
 			tb.Fatal(err)
 		}
 	}
-	tax.Finalize()
 	return tax, mentions
 }
 
-// TestStoreVsViewHTTPEquivalence pins the refactor's core guarantee:
-// for every node (plus unknown and missing-parameter probes), the
-// HTTP responses of the View-backed Server are byte-identical to
-// serving the same queries from the finalized mutable store.
-func TestStoreVsViewHTTPEquivalence(t *testing.T) {
+// TestLookupGolden pins the three lookup APIs byte for byte: for every
+// node of the fixture, plus unknown and missing-parameter probes, the
+// view-backed server answers exactly what testdata/lookup.golden holds
+// — the responses recorded when the same queries were still served
+// from the mutable store as well, and the two agreed.
+func TestLookupGolden(t *testing.T) {
 	tax, mentions := equivFixture(t)
-	storeTS := httptest.NewServer(storeHandler(tax, mentions))
-	defer storeTS.Close()
-	viewTS := httptest.NewServer(NewServer(tax, mentions).Handler())
-	defer viewTS.Close()
-
-	fetch := func(base, path string) string {
-		t.Helper()
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%d %s %s", resp.StatusCode, resp.Header.Get("Content-Type"), body)
-	}
-
-	probes := append(tax.Nodes(), "未知节点", "实体00", "实体13")
-	var paths []string
-	for _, n := range probes {
+	v := serving.Compile(tax, mentions)
+	ts := httptest.NewServer(NewViewServer(v).Handler())
+	defer ts.Close()
+	var probes []probe
+	for _, n := range append(slices.Clone(v.Nodes()), "未知节点", "实体00", "实体13") {
 		q := url.QueryEscape(n)
-		paths = append(paths,
-			"/api/men2ent?mention="+q,
-			"/api/getConcept?entity="+q,
-			"/api/getConcept?ranked=1&entity="+q,
-			"/api/getEntity?concept="+q,
-			"/api/getEntity?limit=3&concept="+q,
-		)
-	}
-	paths = append(paths, "/api/men2ent", "/api/getConcept", "/api/getEntity")
-	for _, p := range paths {
-		if store, view := fetch(storeTS.URL, p), fetch(viewTS.URL, p); store != view {
-			t.Fatalf("response mismatch on %s:\nstore: %s\nview:  %s", p, store, view)
+		for _, path := range []string{"/api/men2ent?mention=", "/api/getConcept?entity=", "/api/getConcept?ranked=1&entity=", "/api/getEntity?concept=", "/api/getEntity?limit=3&concept="} {
+			probes = append(probes, probe{path: path + q})
 		}
 	}
+	for _, path := range []string{"/api/men2ent", "/api/getConcept", "/api/getEntity"} {
+		probes = append(probes, probe{path: path})
+	}
+	requireGolden(t, "lookup", transcript(t, ts.URL, probes))
 }
 
 func TestMen2EntBatch(t *testing.T) {
@@ -281,7 +278,7 @@ func checkJSONError(t *testing.T, resp *http.Response, wantStatus int) {
 // store are invisible until a freshly compiled view is swapped in.
 func TestSwapView(t *testing.T) {
 	tax, mentions := equivFixture(t)
-	srv := NewServer(tax, mentions)
+	srv := NewViewServer(serving.Compile(tax, mentions))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -17,7 +17,7 @@ import (
 // engines and their endpoints over a small fixed world served, as in
 // production, from image bytes (sorted tables behind the first-rune
 // filter, no hash, no trie). The engines must answer exactly like the
-// string-keyed reference computed from the store, on the raw bytes; the
+// string-keyed reference over the compiled view, on the raw bytes; the
 // handlers must answer 200 with the reference's JSON for the text the
 // JSON decoder hands them (invalid bytes coerced to U+FFFD), and never
 // panic.
@@ -29,8 +29,9 @@ func FuzzApplicationEngines(f *testing.F) {
 	mentions.Add("𠀀实体", "实体03（人物）") // starts beyond the BMP
 	mentions.Add("�实体", "实体05（人物）") // starts with a literal U+FFFD
 	mentions.Add("实体0", "实体11（人物）") // a prefix of other surfaces
-	ref := storeReference{tax: tax, mentions: mentions}
-	v := servingtest.Backings(f, tax, mentions)["image"]
+	backings := servingtest.Backings(f, tax, mentions)
+	ref := reference{view: backings["compiled"], mentions: mentions}
+	v := backings["image"]
 	engine := conceptualize.NewView(v)
 	handler := NewViewServer(v).Handler()
 

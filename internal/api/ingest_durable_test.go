@@ -392,8 +392,8 @@ func TestCompactionOverFailingWriter(t *testing.T) {
 	}
 	f.ing.Close()
 	recovered, stats := f.recover(t)
-	if stats.Applied != 0 || !recovered.Taxonomy.HasIsA("落盘实体乙", f.concept) {
-		t.Fatalf("recovery after the healthy compaction replayed %d batches; the last batch's hypernyms: %v", stats.Applied, recovered.Taxonomy.Hypernyms("落盘实体乙"))
+	if _, ok := recovered.Taxonomy.EdgeOf("落盘实体乙", f.concept); stats.Applied != 0 || !ok {
+		t.Fatalf("recovery after the healthy compaction replayed %d batches; the last batch's hypernyms: %v", stats.Applied, recovered.Freeze().Hypernyms("落盘实体乙"))
 	}
 }
 

@@ -5,29 +5,30 @@ import (
 
 	"cnprobase/internal/conceptualize"
 	"cnprobase/internal/qa"
+	"cnprobase/internal/serving"
 	"cnprobase/internal/taxonomy"
 )
 
 // The application oracle: conceptualization and question understanding
-// computed the string-keyed way straight from the mutable build store —
-// every name re-resolved at every step, string maps for every table.
-// The packages keep the same algorithm as the oracle of their own
-// engines; this copy is what the HTTP equivalence test and the fuzz
-// target hold the served bytes against.
-type storeReference struct {
-	tax      *taxonomy.Taxonomy
+// computed the string-keyed way — mentions found by the mention index's
+// own trie scan, every name re-resolved through the compiled view's
+// string API at every step, string maps for every table. The packages
+// keep the same algorithm as the oracle of their own engines; this copy
+// is what the fuzz target holds the served bytes against.
+type reference struct {
+	view     *serving.View
 	mentions *taxonomy.MentionIndex
 }
 
 // maxConcepts is the engine's default concept bound.
 const maxConcepts = 5
 
-func (s storeReference) conceptualize(text string) ConceptualizeResponse {
+func (s reference) conceptualize(text string) ConceptualizeResponse {
 	surfaces := s.mentions.FindAll(text)
 	context := map[string]float64{}
 	for _, sf := range surfaces {
 		for _, id := range s.mentions.Lookup(sf) {
-			for _, c := range s.tax.RankedHypernyms(id, maxConcepts) {
+			for _, c := range s.view.RankedHypernyms(id, maxConcepts) {
 				context[c.Node] += c.Score
 			}
 		}
@@ -43,19 +44,19 @@ func (s storeReference) conceptualize(text string) ConceptualizeResponse {
 		best, bestScore := ids[0], -1.0
 		for _, id := range ids {
 			pop, agree := 0, 0.0
-			for _, h := range s.tax.Hypernyms(id) {
-				if e, ok := s.tax.EdgeOf(id, h); ok {
+			for _, h := range s.view.Hypernyms(id) {
+				if e, ok := s.view.EdgeOf(id, h); ok {
 					pop += e.Count
 				}
 			}
-			for _, c := range s.tax.RankedHypernyms(id, maxConcepts) {
+			for _, c := range s.view.RankedHypernyms(id, maxConcepts) {
 				agree += context[c.Node] * c.Score
 			}
 			if score := float64(pop) * (1 + agree); score > bestScore {
 				best, bestScore = id, score
 			}
 		}
-		concepts := s.tax.RankedHypernyms(best, maxConcepts)
+		concepts := s.view.RankedHypernyms(best, maxConcepts)
 		if len(concepts) == 0 {
 			continue
 		}
@@ -88,7 +89,7 @@ func (s storeReference) conceptualize(text string) ConceptualizeResponse {
 	return resp
 }
 
-func (s storeReference) understand(question string) QAResponse {
+func (s reference) understand(question string) QAResponse {
 	resp := QAResponse{Question: question}
 	for _, sf := range s.mentions.FindAll(question) {
 		ids := s.mentions.Lookup(sf)
@@ -97,7 +98,7 @@ func (s storeReference) understand(question string) QAResponse {
 		}
 		union := map[string]bool{}
 		for _, id := range ids {
-			for _, h := range s.tax.Hypernyms(id) {
+			for _, h := range s.view.Hypernyms(id) {
 				union[h] = true
 			}
 		}
@@ -113,7 +114,7 @@ func (s storeReference) understand(question string) QAResponse {
 	seen := map[string]bool{}
 	for i := range rs {
 		for l := 2; l <= 6 && i+l <= len(rs); l++ {
-			if w := string(rs[i : i+l]); s.tax.Kind(w) == taxonomy.KindConcept && !seen[w] {
+			if w := string(rs[i : i+l]); s.view.Kind(w) == taxonomy.KindConcept && !seen[w] {
 				seen[w] = true
 				resp.Concepts = append(resp.Concepts, w)
 			}

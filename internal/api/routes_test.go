@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"testing"
 
+	"cnprobase/internal/serving"
 	"cnprobase/internal/taxonomy"
 )
 
@@ -27,7 +28,7 @@ func TestRoutesMatchDocs(t *testing.T) {
 		documented[m] = true
 	}
 
-	srv := NewServer(taxonomy.New(), taxonomy.NewMentionIndex())
+	srv := NewViewServer(serving.Compile(taxonomy.New(), nil))
 	served := map[string]bool{}
 	for path := range srv.routes() {
 		served[path] = true

@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strings"
 
+	"cnprobase/internal/serving"
 	"cnprobase/internal/taxonomy"
 )
 
@@ -145,11 +146,12 @@ func (s *sampler) pick() int {
 var qaWorkloadTemplates = []string{"%s是谁？", "%s的代表作品有哪些？", "请介绍一下%s。"}
 
 // RunWorkload fires cfg.Calls requests against the client, sampling
-// API and argument per the weights, and returns the issued counts in
-// Table II order.
-func RunWorkload(c *Client, tax *taxonomy.Taxonomy, mentions *taxonomy.MentionIndex, cfg WorkloadConfig) (Stats, error) {
+// API and argument per the weights from the nodes of v (the view the
+// server answers from, or one of the same content), and returns the
+// issued counts in Table II order.
+func RunWorkload(c *Client, v *serving.View, cfg WorkloadConfig) (Stats, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	entities, concepts := splitNodes(tax)
+	entities, concepts := splitNodes(v)
 	if len(entities) == 0 || len(concepts) == 0 {
 		return Stats{}, fmt.Errorf("api workload: taxonomy has no entities or no concepts")
 	}
@@ -206,9 +208,9 @@ func RunWorkload(c *Client, tax *taxonomy.Taxonomy, mentions *taxonomy.MentionIn
 	return issued, nil
 }
 
-func splitNodes(tax *taxonomy.Taxonomy) (entities, concepts []string) {
-	for _, n := range tax.Nodes() {
-		switch tax.Kind(n) {
+func splitNodes(v *serving.View) (entities, concepts []string) {
+	for id, n := range v.Nodes() {
+		switch v.KindOf(uint32(id)) {
 		case taxonomy.KindEntity:
 			entities = append(entities, n)
 		case taxonomy.KindConcept:

@@ -6,12 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"cnprobase/internal/serving"
 	"cnprobase/internal/taxonomy"
 )
 
-// benchWorld builds a workload-ready backing store and server usable
-// from both tests and benchmarks.
-func benchWorld(tb testing.TB) (*Server, *httptest.Server, *taxonomy.Taxonomy, *taxonomy.MentionIndex) {
+// benchWorld builds a workload-ready server usable from both tests and
+// benchmarks.
+func benchWorld(tb testing.TB) (*Server, *httptest.Server) {
 	tb.Helper()
 	tax := taxonomy.New()
 	tax.MarkEntity("刘德华（演员）")
@@ -28,10 +29,10 @@ func benchWorld(tb testing.TB) (*Server, *httptest.Server, *taxonomy.Taxonomy, *
 	mentions := taxonomy.NewMentionIndex()
 	mentions.Add("刘德华", "刘德华（演员）")
 	mentions.Add("刘德华", "刘德华（作家）")
-	srv := NewServer(tax, mentions)
+	srv := NewViewServer(serving.Compile(tax, mentions))
 	ts := httptest.NewServer(srv.Handler())
 	tb.Cleanup(ts.Close)
-	return srv, ts, tax, mentions
+	return srv, ts
 }
 
 // mixedWorkloadConfig extends the paper's mix with the application
@@ -49,10 +50,10 @@ func mixedWorkloadConfig() WorkloadConfig {
 // client issued, and Zipfian sampling must actually skew toward head
 // nodes.
 func TestMixedWorkload(t *testing.T) {
-	srv, ts, tax, mentions := benchWorld(t)
+	srv, ts := benchWorld(t)
 	cfg := mixedWorkloadConfig()
 	cfg.Calls = 2000
-	issued, err := RunWorkload(NewClient(ts.URL), tax, mentions, cfg)
+	issued, err := RunWorkload(NewClient(ts.URL), srv.View(), cfg)
 	if err != nil {
 		t.Fatalf("RunWorkload: %v", err)
 	}
@@ -113,7 +114,7 @@ func TestWorkloadZipfSkew(t *testing.T) {
 // server-observed p50/p99 — the serving-load smoke CI runs once per
 // bench cycle.
 func BenchmarkMixedWorkload(b *testing.B) {
-	srv, ts, tax, mentions := benchWorld(b)
+	srv, ts := benchWorld(b)
 	cfg := mixedWorkloadConfig()
 	cfg.Calls = 400
 	client := NewClient(ts.URL)
@@ -122,7 +123,7 @@ func BenchmarkMixedWorkload(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
-		if _, err := RunWorkload(client, tax, mentions, cfg); err != nil {
+		if _, err := RunWorkload(client, srv.View(), cfg); err != nil {
 			b.Fatalf("RunWorkload: %v", err)
 		}
 		calls += cfg.Calls

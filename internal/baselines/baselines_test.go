@@ -36,8 +36,8 @@ func TestWikiTaxonomyHighPrecisionLowCoverage(t *testing.T) {
 	if pw <= pb {
 		t.Errorf("WikiTaxonomy precision %.3f should exceed Bigcilin %.3f", pw, pb)
 	}
-	if wiki.EdgeCount()*3 > big.EdgeCount() {
-		t.Errorf("WikiTaxonomy isA=%d should be far below Bigcilin=%d", wiki.EdgeCount(), big.EdgeCount())
+	if wiki.ComputeStats().IsARelations*3 > big.ComputeStats().IsARelations {
+		t.Errorf("WikiTaxonomy isA=%d should be far below Bigcilin=%d", wiki.ComputeStats().IsARelations, big.ComputeStats().IsARelations)
 	}
 }
 
@@ -45,9 +45,9 @@ func TestWikiTaxonomySubsampleScaling(t *testing.T) {
 	w := testWorld(t)
 	small := BuildWikiTaxonomy(w.Corpus(), WikiTaxonomyConfig{SubsampleRate: 0.05, MinTagCount: 2, Seed: 1})
 	large := BuildWikiTaxonomy(w.Corpus(), WikiTaxonomyConfig{SubsampleRate: 0.5, MinTagCount: 2, Seed: 1})
-	if small.EdgeCount() >= large.EdgeCount() {
+	if small.ComputeStats().IsARelations >= large.ComputeStats().IsARelations {
 		t.Errorf("subsample 0.05 (%d edges) should be smaller than 0.5 (%d)",
-			small.EdgeCount(), large.EdgeCount())
+			small.ComputeStats().IsARelations, large.ComputeStats().IsARelations)
 	}
 }
 
@@ -97,9 +97,9 @@ func TestProbaseTranFiltersImprovePrecision(t *testing.T) {
 	if pOn < pOff-0.02 {
 		t.Errorf("filters should not hurt precision: on=%.3f off=%.3f", pOn, pOff)
 	}
-	if withoutFilters.EdgeCount() < withFilters.EdgeCount() {
+	if withoutFilters.ComputeStats().IsARelations < withFilters.ComputeStats().IsARelations {
 		t.Errorf("filters should remove edges: on=%d off=%d",
-			withFilters.EdgeCount(), withoutFilters.EdgeCount())
+			withFilters.ComputeStats().IsARelations, withoutFilters.ComputeStats().IsARelations)
 	}
 }
 

@@ -3,26 +3,29 @@ package conceptualize
 import (
 	"sort"
 
+	"cnprobase/internal/serving"
 	"cnprobase/internal/taxonomy"
 )
 
 // The oracle: the string-keyed algorithm the ID-native engine replaced,
-// kept verbatim and run against the mutable build store. Every name is
-// re-resolved at every step, popularity is re-summed edge by edge, and
-// context and aggregate are string maps — slow and obviously right. The
-// engine must agree with it down to bit-equal scores.
+// kept verbatim and run against the string API of the view compiled
+// from the build store, with mentions found by the mention index's own
+// trie scan. Every name is re-resolved at every step, popularity is
+// re-summed edge by edge, and context and aggregate are string maps —
+// slow and obviously right. The engine must agree with it down to
+// bit-equal scores.
 
 // reference is the oracle engine.
 type reference struct {
-	tax                  *taxonomy.Taxonomy
+	view                 *serving.View
 	mentions             *taxonomy.MentionIndex
 	MaxConceptsPerEntity int
 }
 
-// newReference returns the oracle over a build store, with the
-// engine's default settings.
+// newReference returns the oracle over the view compiled from a build
+// store, with the engine's default settings.
 func newReference(tax *taxonomy.Taxonomy, mentions *taxonomy.MentionIndex) *reference {
-	return &reference{tax: tax, mentions: mentions, MaxConceptsPerEntity: 5}
+	return &reference{view: serving.Compile(tax, mentions), mentions: mentions, MaxConceptsPerEntity: 5}
 }
 
 func (e *reference) Conceptualize(text string) Result {
@@ -35,7 +38,7 @@ func (e *reference) Conceptualize(text string) Result {
 	// agreement.
 	for _, sf := range surfaces {
 		for _, id := range e.mentions.Lookup(sf) {
-			for _, s := range e.tax.RankedHypernyms(id, e.MaxConceptsPerEntity) {
+			for _, s := range e.view.RankedHypernyms(id, e.MaxConceptsPerEntity) {
 				context[s.Node] += s.Score
 			}
 		}
@@ -50,7 +53,7 @@ func (e *reference) Conceptualize(text string) Result {
 			continue
 		}
 		best := e.disambiguate(ids, context)
-		concepts := e.tax.RankedHypernyms(best, e.MaxConceptsPerEntity)
+		concepts := e.view.RankedHypernyms(best, e.MaxConceptsPerEntity)
 		if len(concepts) == 0 {
 			continue
 		}
@@ -87,12 +90,12 @@ func (e *reference) disambiguate(ids []string, context map[string]float64) strin
 	for _, id := range ids {
 		pop := 0
 		agree := 0.0
-		for _, h := range e.tax.Hypernyms(id) {
-			if ed, ok := e.tax.EdgeOf(id, h); ok {
+		for _, h := range e.view.Hypernyms(id) {
+			if ed, ok := e.view.EdgeOf(id, h); ok {
 				pop += ed.Count
 			}
 		}
-		for _, s := range e.tax.RankedHypernyms(id, e.MaxConceptsPerEntity) {
+		for _, s := range e.view.RankedHypernyms(id, e.MaxConceptsPerEntity) {
 			agree += context[s.Node] * s.Score
 		}
 		score := float64(pop) * (1 + agree)

@@ -30,7 +30,7 @@ func enginesOf(t *testing.T, tx *taxonomy.Taxonomy, m *taxonomy.MentionIndex) ma
 	return engines
 }
 
-// requireEquivalent conceptualizes the texts with the store-backed
+// requireEquivalent conceptualizes the texts with the string-keyed
 // reference and with every engine and demands identical results — same
 // resolved mentions, same concept vectors, scores equal under ==. Each
 // engine runs with the reference's concept bound.
@@ -65,8 +65,8 @@ func TestViewMatchesStore(t *testing.T) {
 // mentions of an entity that is no node and of one without hypernyms,
 // every concept bound from -1 up, and texts mixing real mentions with
 // noise, 4-byte runes and invalid UTF-8. Every result on every backing
-// must agree with the store-backed reference, including the float
-// scores.
+// must agree with the string-keyed reference over the store's compiled
+// view, including the float scores.
 func TestViewMatchesStoreRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -40,7 +40,7 @@ func TestSourceToggles(t *testing.T) {
 	if noTags.Report.PerSource[taxonomy.SourceTag] != nil {
 		t.Error("tags disabled but tag candidates produced")
 	}
-	if noTags.Taxonomy.EdgeCount() >= full.Taxonomy.EdgeCount() {
+	if noTags.Taxonomy.ComputeStats().IsARelations >= full.Taxonomy.ComputeStats().IsARelations {
 		t.Error("disabling tags should shrink the taxonomy")
 	}
 	if noBracket.Report.PerSource[taxonomy.SourceBracket] != nil {
@@ -70,7 +70,7 @@ func TestSubconceptDerivation(t *testing.T) {
 	// The morphological rule must produce 男演员 → 演员 whenever both
 	// concepts were extracted.
 	if res.Taxonomy.HyponymCount("男演员") > 0 && res.Taxonomy.HyponymCount("演员") > 0 {
-		if !res.Taxonomy.HasIsA("男演员", "演员") {
+		if _, ok := res.Taxonomy.EdgeOf("男演员", "演员"); !ok {
 			t.Error("missing derived edge 男演员 → 演员")
 		}
 	}
@@ -129,7 +129,7 @@ func TestVerificationImprovesPrecision(t *testing.T) {
 	if pOn-pOff < 0.05 {
 		t.Errorf("verification gain %.3f too small; filters inert?", pOn-pOff)
 	}
-	if resOff.Taxonomy.EdgeCount() <= resOn.Taxonomy.EdgeCount() {
+	if resOff.Taxonomy.ComputeStats().IsARelations <= resOn.Taxonomy.ComputeStats().IsARelations {
 		t.Error("verification should remove edges")
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"cnprobase/internal/encyclopedia"
 	"cnprobase/internal/extract"
+	"cnprobase/internal/serving"
 	"cnprobase/internal/synth"
 	"cnprobase/internal/taxonomy"
 	"cnprobase/internal/verify"
@@ -87,7 +88,7 @@ func naiveSubsumption(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options)
 		if morphRelated(c1, c2) {
 			continue
 		}
-		if tax.HasIsA(c1, c2) || tax.IsAncestor(c2, c1) {
+		if _, dup := tax.EdgeOf(c1, c2); dup || tax.IsAncestor(c2, c1) {
 			continue
 		}
 		if err := tax.AddIsA(c1, c2, taxonomy.SourceSubsume, float64(overlap)/float64(n1)); err == nil {
@@ -205,9 +206,10 @@ func (c *crawl) recrawled() encyclopedia.Page {
 // jumps and the kept edge under it is rejected.
 func latePage(t *testing.T, tax *taxonomy.Taxonomy) (page encyclopedia.Page, victim string) {
 	t.Helper()
-	for _, n := range tax.Nodes() {
-		if tax.Kind(n) == taxonomy.KindConcept && tax.HyponymCount(n) == 1 && len(tax.Hypernyms(n)) == 0 {
-			return encyclopedia.Page{Title: n, Abstract: n + "是一部作品。", Tags: []string{"人物", "作品", "机构", "地点"}}, tax.Hyponyms(n, 1)[0]
+	v := serving.Compile(tax, nil)
+	for _, n := range v.Nodes() {
+		if v.Kind(n) == taxonomy.KindConcept && v.HyponymCount(n) == 1 && len(v.Hypernyms(n)) == 0 {
+			return encyclopedia.Page{Title: n, Abstract: n + "是一部作品。", Tags: []string{"人物", "作品", "机构", "地点"}}, v.Hyponyms(n, 1)[0]
 		}
 	}
 	t.Fatal("no single-hyponym concept to turn into a page title")
@@ -244,7 +246,7 @@ func TestUpdateRefreshesPerSource(t *testing.T) {
 		if _, err := p.Update(res, c.batch(extra...)); err != nil {
 			t.Fatalf("batch %d: %v", b, err)
 		}
-		if victim != "" && res.Taxonomy.HasIsA(victim, rare) {
+		if _, kept := res.Taxonomy.EdgeOf(victim, rare); victim != "" && kept {
 			t.Fatalf("batch %d: %s isA %s was not retracted", b, victim, rare)
 		}
 
@@ -329,8 +331,6 @@ func TestSubsumptionPrefilterMatchesNaive(t *testing.T) {
 		t.Helper()
 		got := deriveSubsumption(pre.Taxonomy, pre.Evidence, opts)
 		want := naiveSubsumption(naive.Taxonomy, naive.Evidence, opts)
-		pre.Taxonomy.Finalize()
-		naive.Taxonomy.Finalize()
 		pre.Report.DerivedSubconcepts += got
 		naive.Report.DerivedSubconcepts += want
 		if got != want || pre.Report.DerivedSubconcepts != naive.Report.DerivedSubconcepts {

@@ -146,7 +146,7 @@ func deriveSubsumption(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options
 		if morphRelated(p.Sub, p.Super) {
 			continue // already added by the head rule
 		}
-		if tax.HasIsA(p.Sub, p.Super) || tax.IsAncestor(p.Super, p.Sub) {
+		if _, dup := tax.EdgeOf(p.Sub, p.Super); dup || tax.IsAncestor(p.Super, p.Sub) {
 			continue // avoid duplicates and 2-cycles
 		}
 		if err := tax.AddIsA(p.Sub, p.Super, taxonomy.SourceSubsume, ratio); err == nil {

@@ -29,15 +29,15 @@ func TestUpdateExtendsTaxonomy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	before := res.Taxonomy.EdgeCount()
+	before := res.Taxonomy.ComputeStats().IsARelations
 	beforeEntities := res.Report.Stats.Entities
 
 	updated, err := p.Update(res, delta)
 	if err != nil {
 		t.Fatalf("Update: %v", err)
 	}
-	if updated.Taxonomy.EdgeCount() <= before {
-		t.Errorf("edges %d → %d; update did not grow the taxonomy", before, updated.Taxonomy.EdgeCount())
+	if updated.Taxonomy.ComputeStats().IsARelations <= before {
+		t.Errorf("edges %d → %d; update did not grow the taxonomy", before, updated.Taxonomy.ComputeStats().IsARelations)
 	}
 	if updated.Report.Stats.Entities <= beforeEntities {
 		t.Errorf("entities %d → %d", beforeEntities, updated.Report.Stats.Entities)
@@ -88,10 +88,10 @@ func TestUpdateIncrementalEqualsRebuildApproximately(t *testing.T) {
 	// The incremental result should be within ~15% of a full rebuild
 	// (statistics differ slightly: PMI accumulates in a different
 	// order, predicate curation is frozen).
-	ratio := float64(updated.Taxonomy.EdgeCount()) / float64(full.Taxonomy.EdgeCount())
+	ratio := float64(updated.Taxonomy.ComputeStats().IsARelations) / float64(full.Taxonomy.ComputeStats().IsARelations)
 	if ratio < 0.85 || ratio > 1.15 {
 		t.Errorf("incremental/full edge ratio = %.3f (inc=%d full=%d)",
-			ratio, updated.Taxonomy.EdgeCount(), full.Taxonomy.EdgeCount())
+			ratio, updated.Taxonomy.ComputeStats().IsARelations, full.Taxonomy.ComputeStats().IsARelations)
 	}
 }
 
@@ -164,7 +164,7 @@ func TestUpdateIncrementalMatchesFullReverify(t *testing.T) {
 		}
 	}
 	// Mention indexes agree on every node of the final taxonomy.
-	for _, n := range resInc.Taxonomy.Nodes() {
+	for _, n := range resInc.Taxonomy.ReadAll().Names {
 		if a, b := resInc.Mentions.Lookup(n), resFull.Mentions.Lookup(n); !reflect.DeepEqual(a, b) {
 			t.Fatalf("mention divergence on %q: %v vs %v", n, a, b)
 		}

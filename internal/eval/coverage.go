@@ -1,6 +1,6 @@
 package eval
 
-import "cnprobase/internal/taxonomy"
+import "cnprobase/internal/serving"
 
 // TruthSource exposes the ground-truth hypernym sets of entities — the
 // synth world's oracle satisfies it. The paper lists coverage among its
@@ -41,27 +41,11 @@ func (r CoverageResult) PairRecall() float64 {
 	return float64(r.PairsRecovered) / float64(r.TruthPairs)
 }
 
-// Graph is the reachability surface coverage needs. Both the mutable
-// build store (*taxonomy.Taxonomy) and the immutable serving view
-// (*serving.View) satisfy it, so the experiment can run against either
-// side of the build/serve split.
-type Graph interface {
-	// Hypernyms returns the direct hypernyms of a node.
-	Hypernyms(node string) []string
-	// Ancestors returns every node reachable upward from node.
-	Ancestors(node string) []string
-}
-
-// Coverage measures ground-truth recall against the build store —
-// CoverageOf is the general form accepting any Graph.
-func Coverage(t *taxonomy.Taxonomy, truth TruthSource, entityIDs []string) CoverageResult {
-	return CoverageOf(t, truth, entityIDs)
-}
-
-// CoverageOf measures how much of the ground truth a taxonomy
-// recovered, counting both direct edges and edges reachable through
-// the concept hierarchy (isA is transitive).
-func CoverageOf(g Graph, truth TruthSource, entityIDs []string) CoverageResult {
+// CoverageOf measures how much of the ground truth a taxonomy, read
+// through its serving view, recovered: a truth pair counts when the
+// hypernym is among the entity's ancestors (isA is transitive, and the
+// direct hypernyms are ancestors too).
+func CoverageOf(v *serving.View, truth TruthSource, entityIDs []string) CoverageResult {
 	var res CoverageResult
 	for _, id := range entityIDs {
 		want := truth.TruthHypernyms(id)
@@ -70,10 +54,7 @@ func CoverageOf(g Graph, truth TruthSource, entityIDs []string) CoverageResult {
 		}
 		res.Entities++
 		reach := make(map[string]bool)
-		for _, h := range g.Hypernyms(id) {
-			reach[h] = true
-		}
-		for _, h := range g.Ancestors(id) {
+		for _, h := range v.Ancestors(id) {
 			reach[h] = true
 		}
 		covered := false

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"cnprobase/internal/serving"
@@ -27,7 +29,7 @@ func TestCoverage(t *testing.T) {
 		"乙": {"歌手"},
 		"丙": {"城市"},
 	}
-	res := Coverage(tx, truth, []string{"甲", "乙", "丙"})
+	res := CoverageOf(serving.Compile(tx, nil), truth, []string{"甲", "乙", "丙"})
 	if res.Entities != 3 {
 		t.Fatalf("Entities = %d", res.Entities)
 	}
@@ -49,34 +51,42 @@ func TestCoverage(t *testing.T) {
 	}
 }
 
-// TestCoverageOfViewMatchesStore runs the experiment against the
-// compiled serving view and demands the same result as the store.
+// TestCoverageOfViewMatchesStore holds the view-based measure to the
+// store's own reachability test on a random graph: a truth pair counts
+// exactly when the store says the hypernym is reachable.
 func TestCoverageOfViewMatchesStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
 	tx := taxonomy.New()
-	add := func(a, b string) {
-		if err := tx.AddIsA(a, b, taxonomy.SourceTag, 1); err != nil {
-			t.Fatal(err)
+	truth := truthMap{}
+	var ids []string
+	for i := 0; i < 200; i++ {
+		a, b := fmt.Sprintf("节点%02d", rng.Intn(40)), fmt.Sprintf("节点%02d", rng.Intn(40))
+		_ = tx.AddIsA(a, b, taxonomy.SourceTag, 1)
+		truth[a] = append(truth[a], fmt.Sprintf("节点%02d", rng.Intn(40)))
+	}
+	var want CoverageResult
+	for id, hypers := range truth {
+		ids = append(ids, id)
+		want.Entities++
+		covered := false
+		for _, h := range hypers {
+			want.TruthPairs++
+			if tx.IsAncestor(id, h) {
+				want.PairsRecovered++
+				covered = true
+			}
+		}
+		if covered {
+			want.EntitiesCovered++
 		}
 	}
-	add("甲", "演员")
-	add("演员", "人物")
-	add("乙", "错误概念")
-	truth := truthMap{
-		"甲": {"演员", "人物"},
-		"乙": {"歌手"},
-		"丙": {"城市"},
-	}
-	ids := []string{"甲", "乙", "丙"}
-	want := Coverage(tx, truth, ids)
-	tx.Finalize()
-	v := serving.Compile(tx, taxonomy.NewMentionIndex())
-	if got := CoverageOf(v, truth, ids); got != want {
-		t.Errorf("view coverage = %+v, store = %+v", got, want)
+	if got := CoverageOf(serving.Compile(tx, nil), truth, ids); got != want || want.PairsRecovered == 0 {
+		t.Errorf("view coverage = %+v, store reachability gives %+v", got, want)
 	}
 }
 
 func TestCoverageEmpty(t *testing.T) {
-	res := Coverage(taxonomy.New(), truthMap{}, nil)
+	res := CoverageOf(serving.Compile(taxonomy.New(), nil), truthMap{}, nil)
 	if res.EntityCoverage() != 0 || res.PairRecall() != 0 {
 		t.Errorf("empty coverage: %+v", res)
 	}

@@ -19,7 +19,6 @@ import (
 	"cnprobase/internal/eval"
 	"cnprobase/internal/extract"
 	"cnprobase/internal/qa"
-	"cnprobase/internal/serving"
 	"cnprobase/internal/synth"
 	"cnprobase/internal/taxonomy"
 )
@@ -71,14 +70,15 @@ func (s *Suite) Table1() (string, []eval.TableRow) {
 // Table2 reproduces Table II by serving the taxonomy over HTTP and
 // running the simulated six-month workload mix against it.
 func (s *Suite) Table2(calls int) (string, api.Stats, error) {
-	srv := api.NewServer(s.Result.Taxonomy, s.Result.Mentions)
+	v := s.Result.Freeze()
+	srv := api.NewViewServer(v)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	cfg := api.DefaultWorkloadConfig()
 	if calls > 0 {
 		cfg.Calls = calls
 	}
-	if _, err := api.RunWorkload(api.NewClient(ts.URL), s.Result.Taxonomy, s.Result.Mentions, cfg); err != nil {
+	if _, err := api.RunWorkload(api.NewClient(ts.URL), v, cfg); err != nil {
 		return "", api.Stats{}, err
 	}
 	got := srv.Counters()
@@ -155,7 +155,7 @@ func (s *Suite) QA(n int) (string, qa.CoverageResult) {
 	if n > 0 {
 		cfg.N = n
 	}
-	res := qa.EvaluateSource(qa.Generate(s.World, cfg), serving.Compile(s.Result.Taxonomy, s.Result.Mentions))
+	res := qa.EvaluateSource(qa.Generate(s.World, cfg), s.Result.Freeze())
 	out := fmt.Sprintf("questions=%d covered=%d coverage=%.2f%% avg-concepts-per-covered-entity=%.2f\n",
 		res.Questions, res.Covered, res.Coverage()*100, res.AvgConceptsPerEntity)
 	return out, res
@@ -196,7 +196,7 @@ func (s *Suite) Ablation() (string, []AblationRow, error) {
 			return "", nil, fmt.Errorf("ablation %q: %w", c.name, err)
 		}
 		pr := eval.SamplePrecision(eval.EdgePairs(res.Taxonomy.Edges(), 0), s.Oracle, sampleSize, 1)
-		rows = append(rows, AblationRow{Name: c.name, IsA: res.Taxonomy.EdgeCount(), Precision: pr.Precision()})
+		rows = append(rows, AblationRow{Name: c.name, IsA: res.Taxonomy.ComputeStats().IsARelations, Precision: pr.Precision()})
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-20s %10s %10s\n", "configuration", "# isA", "precision")
@@ -363,7 +363,7 @@ func (s *Suite) Summary() string {
 	for _, e := range s.World.Entities {
 		ids = append(ids, e.ID)
 	}
-	cov := eval.Coverage(s.Result.Taxonomy, s.Oracle, ids)
+	cov := eval.CoverageOf(s.Result.Freeze(), s.Oracle, ids)
 	keys := make([]string, 0, len(s.Result.Report.PerSource))
 	for k := range s.Result.Report.PerSource {
 		keys = append(keys, k.String())

@@ -9,7 +9,7 @@ import (
 )
 
 func coverageOf(s *Suite, ids []string) eval.CoverageResult {
-	return eval.Coverage(s.Result.Taxonomy, s.Oracle, ids)
+	return eval.CoverageOf(s.Result.Freeze(), s.Oracle, ids)
 }
 
 func testSuite(t *testing.T) *Suite {

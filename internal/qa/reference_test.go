@@ -3,18 +3,20 @@ package qa
 import (
 	"sort"
 
+	"cnprobase/internal/serving"
 	"cnprobase/internal/taxonomy"
 )
 
 // The oracle: the string-keyed algorithm the ID-native Understand and
-// EvaluateSource replaced, kept verbatim and run against the mutable
-// build store — a map and a sort.Strings per mention, one rune-slice
+// EvaluateSource replaced, kept verbatim and run against the compiled
+// view's string API, with mentions found by the mention index's own
+// trie scan — a map and a sort.Strings per mention, one rune-slice
 // conversion and one lookup per concept window. Slow and obviously
 // right.
 
-// reference is the store the oracle reads.
+// reference is what the oracle reads.
 type reference struct {
-	tax      *taxonomy.Taxonomy
+	view     *serving.View
 	mentions *taxonomy.MentionIndex
 }
 
@@ -29,7 +31,7 @@ func (src reference) Evaluate(questions []Question) CoverageResult {
 		covered := false
 		for _, m := range found {
 			for _, id := range src.mentions.Lookup(m) {
-				if n := len(src.tax.Hypernyms(id)); n > 0 {
+				if n := len(src.view.Hypernyms(id)); n > 0 {
 					covered = true
 					conceptHits++
 					conceptSum += n
@@ -66,7 +68,7 @@ func (src reference) Understand(text string) Understanding {
 		}
 		union := map[string]bool{}
 		for _, id := range ids {
-			for _, h := range src.tax.Hypernyms(id) {
+			for _, h := range src.view.Hypernyms(id) {
 				union[h] = true
 			}
 		}
@@ -94,7 +96,7 @@ func (src reference) containsConcept(text string) bool {
 	for i := 0; i < len(rs); i++ {
 		for l := 2; l <= 6 && i+l <= len(rs); l++ {
 			w := string(rs[i : i+l])
-			if src.tax.Kind(w) == taxonomy.KindConcept {
+			if src.view.Kind(w) == taxonomy.KindConcept {
 				return true
 			}
 		}
@@ -111,7 +113,7 @@ func (src reference) conceptWindows(text string) []string {
 	for i := 0; i < len(rs); i++ {
 		for l := 2; l <= 6 && i+l <= len(rs); l++ {
 			w := string(rs[i : i+l])
-			if src.tax.Kind(w) != taxonomy.KindConcept {
+			if src.view.Kind(w) != taxonomy.KindConcept {
 				continue
 			}
 			dup := false

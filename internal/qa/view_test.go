@@ -79,13 +79,14 @@ func randWorld(t *testing.T, seed int64) (reference, map[string]*serving.View, [
 		}
 		qs = append(qs, Question{Text: b.String()})
 	}
-	return reference{tax: tax, mentions: mentions}, servingtest.Backings(t, tax, mentions), qs
+	backings := servingtest.Backings(t, tax, mentions)
+	return reference{view: backings["compiled"], mentions: mentions}, backings, qs
 }
 
 // TestEvaluateSourceViewMatchesStore pins the coverage experiment on
-// every backing of the serving view against the store-backed
-// reference: identical CoverageResult, and identical per-question
-// coverage decisions.
+// every backing of the serving view against the string-keyed reference
+// over the store's compiled view: identical CoverageResult, and
+// identical per-question coverage decisions.
 func TestEvaluateSourceViewMatchesStore(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		ref, views, qs := randWorld(t, seed)
@@ -171,7 +172,6 @@ func TestUnderstandShape(t *testing.T) {
 	mentions := taxonomy.NewMentionIndex()
 	mentions.Add("刘德华", "刘德华（演员）")
 	mentions.Add("刘德华", "刘德华（作家）")
-	tax.Finalize()
 	v := serving.Compile(tax, mentions)
 
 	u := Understand("刘德华是谁？", v)

@@ -1,7 +1,6 @@
 package serving
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 	"unicode/utf8"
@@ -10,9 +9,8 @@ import (
 )
 
 // Compile freezes the current contents of a build store (plus its
-// mention index, which may be nil) into an immutable View. The View
-// answers every query exactly like the store does — adjacency in
-// canonical sorted order, typicality from the same evidence counts.
+// mention index, which may be nil) into an immutable View: adjacency in
+// canonical sorted order, typicality from the store's evidence counts.
 // The store hands its content over already in that order, hypernyms
 // resolved to positions (taxonomy.ReadAll), so compiling hashes and
 // compares no name. Later writes to the store are not reflected;
@@ -36,172 +34,6 @@ func compileStore(t *taxonomy.Taxonomy, m *taxonomy.MentionIndex, indexed bool) 
 		ch.mentions = m.Sorted()
 	}
 	return assemble(&View{}, ch, indexed)
-}
-
-// Builder accumulates raw taxonomy content — kind marks, edges with
-// provenance, mention entries — and compiles it into a View without
-// ever materializing the mutable store. Nothing in production builds a
-// view this way any more (views are compiled or patched from the store,
-// or opened over a snapshot image); it stays as the reference that is
-// independent of the dense-ID store: taxonomy's TestTaxonomyModel
-// compiles its expected image through it from the string-map oracle.
-// The methods mirror the store's deserialization accessors (ImportKind,
-// InsertEdge, MentionIndex.Add) including their validation and
-// overwrite semantics. A Builder is not safe for concurrent use.
-type Builder struct {
-	marks    map[string]taxonomy.NodeKind
-	edges    []taxonomy.Edge
-	edgeAt   map[[2]string]int
-	mentions []taxonomy.MentionEntry
-}
-
-// NewBuilder returns an empty Builder.
-func NewBuilder() *Builder {
-	return &Builder{
-		marks:  make(map[string]taxonomy.NodeKind),
-		edgeAt: make(map[[2]string]int),
-	}
-}
-
-// ImportKind records an explicit node kind, mirroring
-// Taxonomy.ImportKind: later calls overwrite, and KindUnknown removes
-// the mark (Unknown is the absence of a kind).
-func (b *Builder) ImportKind(name string, k taxonomy.NodeKind) {
-	if name == "" {
-		return
-	}
-	if k == taxonomy.KindUnknown {
-		delete(b.marks, name)
-		return
-	}
-	b.marks[name] = k
-}
-
-// InsertEdge records an edge verbatim, mirroring Taxonomy.InsertEdge:
-// full provenance is kept, an existing (Hypo, Hyper) pair is
-// overwritten, empty nodes and self-loops are rejected.
-func (b *Builder) InsertEdge(e taxonomy.Edge) error {
-	if e.Hypo == "" || e.Hyper == "" {
-		return fmt.Errorf("serving: empty node in isA(%q, %q)", e.Hypo, e.Hyper)
-	}
-	if e.Hypo == e.Hyper {
-		return fmt.Errorf("serving: self-loop isA(%q, %q)", e.Hypo, e.Hyper)
-	}
-	k := [2]string{e.Hypo, e.Hyper}
-	if i, ok := b.edgeAt[k]; ok {
-		b.edges[i] = e
-		return nil
-	}
-	b.edgeAt[k] = len(b.edges)
-	b.edges = append(b.edges, e)
-	return nil
-}
-
-// AddMention registers a mention → entity-ID pair, mirroring
-// MentionIndex.Add: the mention is whitespace-trimmed and blank
-// mentions or empty IDs are dropped. Duplicate pairs are merged at
-// Build time.
-func (b *Builder) AddMention(mention, entityID string) {
-	mention = strings.TrimSpace(mention)
-	if mention == "" || entityID == "" {
-		return
-	}
-	b.mentions = append(b.mentions, taxonomy.MentionEntry{Mention: mention, IDs: []string{entityID}})
-}
-
-// AddMentionEntry registers a whole mention entry (one mention with
-// its ID list).
-func (b *Builder) AddMentionEntry(e taxonomy.MentionEntry) {
-	e.Mention = strings.TrimSpace(e.Mention)
-	if e.Mention == "" || len(e.IDs) == 0 {
-		return
-	}
-	b.mentions = append(b.mentions, e)
-}
-
-// Build compiles the accumulated content into a View. The Builder can
-// keep accumulating and Build again; each call compiles the content
-// seen so far.
-func (b *Builder) Build() *View {
-	marks := make(map[string]taxonomy.NodeKind, len(b.marks))
-	for n, k := range b.marks {
-		marks[n] = k
-	}
-	return compile(marks, append([]taxonomy.Edge(nil), b.edges...), b.mentions)
-}
-
-// compile is the Builder's full freeze: from explicit kind marks, a
-// deduplicated edge list and raw mention entries, produce the interned
-// CSR view. It only normalizes its inputs into a change that names
-// every node and mention; assemble, folding that change over an empty
-// view, builds the arrays. All three arguments are consumed: implicit
-// hypernym-concept marks are added to marks, edges and mentionEntries
-// are sorted in place.
-func compile(marks map[string]taxonomy.NodeKind, edges []taxonomy.Edge, mentionEntries []taxonomy.MentionEntry) *View {
-	// ---- node set = explicit marks ∪ edge endpoints ----
-	nameSet := make(map[string]struct{}, len(marks)+len(edges))
-	for n := range marks {
-		nameSet[n] = struct{}{}
-	}
-	for i := range edges {
-		nameSet[edges[i].Hypo] = struct{}{}
-		nameSet[edges[i].Hyper] = struct{}{}
-	}
-	names := make([]string, 0, len(nameSet))
-	for n := range nameSet {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-
-	// ---- edges in (hypo, hyper) order: the flat order IS CSR order ----
-	slices.SortFunc(edges, func(a, b taxonomy.Edge) int {
-		if c := strings.Compare(a.Hypo, b.Hypo); c != 0 {
-			return c
-		}
-		return strings.Compare(a.Hyper, b.Hyper)
-	})
-	// Kinds: explicit marks, then the store's implicit rule that a
-	// hypernym whose kind is unknown is a concept (a Builder fed edges
-	// without marks relies on it).
-	for i := range edges {
-		if marks[edges[i].Hyper] == taxonomy.KindUnknown {
-			marks[edges[i].Hyper] = taxonomy.KindConcept
-		}
-	}
-	set := &taxonomy.NodeSet{
-		Names:   names,
-		Kinds:   make([]taxonomy.NodeKind, len(names)),
-		EdgeOff: make([]uint32, len(names)+1),
-		Edges:   make([]taxonomy.NodeEdge, len(edges)),
-	}
-	for i, e := range edges {
-		set.Edges[i] = taxonomy.NodeEdge{Hyper: e.Hyper, At: -1, Sources: e.Sources, Score: e.Score, Count: e.Count}
-	}
-	e := 0
-	for i, n := range names {
-		set.Kinds[i] = marks[n]
-		for e < len(edges) && edges[e].Hypo == n {
-			e++
-		}
-		set.EdgeOff[i+1] = uint32(e)
-	}
-	ch := &change{NodeSet: set}
-
-	// ---- mentions: one entry per mention, IDs ascending and distinct ----
-	slices.SortFunc(mentionEntries, func(a, b taxonomy.MentionEntry) int {
-		return strings.Compare(a.Mention, b.Mention)
-	})
-	for i := 0; i < len(mentionEntries); {
-		j := i
-		var ids []string
-		for ; j < len(mentionEntries) && mentionEntries[j].Mention == mentionEntries[i].Mention; j++ {
-			ids = append(ids, mentionEntries[j].IDs...)
-		}
-		slices.Sort(ids)
-		ch.mentions = append(ch.mentions, taxonomy.MentionEntry{Mention: mentionEntries[i].Mention, IDs: slices.Compact(ids)})
-		i = j
-	}
-	return assemble(&View{}, ch, true)
 }
 
 // Patch returns the view Compile(t, m) would build, assembled from
@@ -252,8 +84,7 @@ type run struct{ lo, hi, at uint32 }
 // gone marks a node that has no ID in the new view.
 const gone = ^uint32(0)
 
-// assemble is the one array-assembly routine behind Compile, Builder
-// and Patch. Nodes the change names are written from the change; the
+// assemble is the one array-assembly routine behind Compile and Patch. Nodes the change names are written from the change; the
 // stretches of prev between them are block-copied, the node IDs inside
 // them renumbered through a monotone old → new table. indexed selects
 // the hash-indexed flavour of view (interning map, mention hash,
@@ -579,7 +410,7 @@ func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 	}
 }
 
-// sortScored matches taxonomy's ranking order: descending score, ties
+// sortScored is the typicality ranking order: descending score, ties
 // broken lexicographically.
 func sortScored(xs []taxonomy.Scored) {
 	slices.SortFunc(xs, func(a, b taxonomy.Scored) int {

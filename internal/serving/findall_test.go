@@ -34,7 +34,6 @@ func findFixture(t *testing.T) (*taxonomy.MentionIndex, *View) {
 	add("忘情水", "忘情水")
 	add("A股", "A股")
 	add("AI", "AI（人工智能）")
-	tax.Finalize()
 	return m, Compile(tax, m)
 }
 
@@ -83,7 +82,6 @@ func TestFindAllRandomizedEquivalence(t *testing.T) {
 			m.Add(w, id)
 			surfaces = append(surfaces, w)
 		}
-		tax.Finalize()
 		v := Compile(tax, m)
 		for i := 0; i < 200; i++ {
 			var b strings.Builder

@@ -17,10 +17,11 @@
 // ?ranked=1 path is a subslice too. Mentions live in one flat sorted
 // table resolved by binary search.
 //
-// Every query method answers exactly like its Taxonomy counterpart on
-// a finalized store (pinned by equivalence tests, down to byte-equal
-// HTTP responses). Returned slices are views into shared immutable
-// arrays: callers must not modify them.
+// The View is the one read model: the build store keeps no query
+// methods of its own. What each query answers is pinned against the
+// string-keyed oracle in internal/taxonomy's model test, and the HTTP
+// responses built on them against recorded goldens. Returned slices are
+// views into shared immutable arrays: callers must not modify them.
 //
 // Beside the name-keyed queries of the three APIs the view has an
 // ID-native read surface for the application engines (conceptualize,
@@ -248,8 +249,7 @@ func (v *View) Kind(name string) taxonomy.NodeKind {
 
 // Hypernyms returns the direct hypernyms of node in canonical (sorted)
 // order — the getConcept API. The returned slice is shared: do not
-// modify it. Nil when the node is unknown or has no hypernyms, exactly
-// like Taxonomy.Hypernyms.
+// modify it. Nil when the node is unknown or has no hypernyms.
 //
 //cnp:noalloc
 func (v *View) Hypernyms(node string) []string {
@@ -367,8 +367,8 @@ func (v *View) HasIsA(hypo, hyper string) bool {
 // EdgeOf returns the edge with its full provenance, if present. No
 // production path calls it since the conceptualization engine reads
 // evidence totals by ID (EvidenceTotalOf); it stays as the facade's
-// per-edge provenance query and is what the store-, patch- and
-// image-equivalence tests compare edge payloads through.
+// per-edge provenance query and is what the model, patch and image
+// equivalence tests compare edge payloads through.
 //
 //cnp:noalloc
 func (v *View) EdgeOf(hypo, hyper string) (taxonomy.Edge, bool) {
@@ -392,8 +392,8 @@ func (v *View) EdgeOf(hypo, hyper string) (taxonomy.Edge, bool) {
 // TypicalityOfConcept returns P(hyper | hypo) from the edge evidence
 // counts; zero when the edge is absent. Like TypicalityOfInstance and
 // HasIsA it has no production caller (rankings are precomputed); the
-// three stay as facade queries, held to the store by the equivalence
-// tests and to 0 allocs/op by the allocation pins.
+// three stay as facade queries, held to the model test's oracle and to
+// 0 allocs/op by the allocation pins.
 //
 //cnp:noalloc
 func (v *View) TypicalityOfConcept(hypo, hyper string) float64 {
@@ -433,9 +433,9 @@ func (v *View) TypicalityOfInstance(hyper, hypo string) float64 {
 	return float64(v.edgeCounts[i]) / float64(total)
 }
 
-// Ancestors returns all transitive hypernyms of node, breadth-first,
-// excluding node itself — the same traversal (and output order) as
-// Taxonomy.Ancestors on a finalized store. Cycles are tolerated.
+// Ancestors returns all transitive hypernyms of node, breadth-first
+// with each node's hypernyms in ascending order, excluding node itself.
+// Cycles are tolerated.
 func (v *View) Ancestors(node string) []string {
 	start, ok := v.id(node)
 	if !ok {
@@ -485,9 +485,9 @@ func (v *View) IsAncestor(hypo, hyper string) bool {
 }
 
 // PathToAncestor returns one shortest isA chain from node to ancestor
-// (inclusive of both ends), or nil when ancestor is not reachable —
-// the same BFS (and tie-break) as Taxonomy.PathToAncestor on a
-// finalized store.
+// (inclusive of both ends), or nil when ancestor is not reachable. BFS
+// guarantees minimal length; ties resolve to the hypernym that sorts
+// first. A node is its own one-element path, known or not.
 func (v *View) PathToAncestor(node, ancestor string) []string {
 	if node == ancestor {
 		return []string{node}
@@ -530,8 +530,9 @@ func (v *View) PathToAncestor(node, ancestor string) []string {
 	return nil
 }
 
-// CommonAncestors returns concepts reachable from both nodes, in the
-// order Taxonomy.CommonAncestors yields them (Ancestors(b) order).
+// CommonAncestors returns concepts reachable from both nodes, in
+// Ancestors(b) order — useful for semantic relatedness between entities
+// (two 演员 instances meet at 演员).
 func (v *View) CommonAncestors(a, b string) []string {
 	inA := make(map[string]bool)
 	for _, x := range v.Ancestors(a) {

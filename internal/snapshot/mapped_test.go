@@ -44,12 +44,12 @@ func TestOpenMappedServingEquivalence(t *testing.T) {
 	fresh := buildState(t, 400, 4)
 	mapped := openMapped(t, writeTempSnapshot(t, saveBytes(t, fresh, Options{Workers: 4})))
 
-	nodes := fresh.Taxonomy.Nodes()
+	nodes := fresh.Taxonomy.ReadAll().Names
 	if len(nodes) > 80 {
 		nodes = nodes[:80]
 	}
 	mentions := append([]string(nil), nodes...)
-	freshBody := apiResponses(t, api.NewServer(fresh.Taxonomy, fresh.Mentions), nodes, mentions)
+	freshBody := apiResponses(t, serverOf(fresh), nodes, mentions)
 	mappedBody := apiResponses(t, api.NewViewServer(mapped), nodes, mentions)
 	if freshBody != mappedBody {
 		t.Fatal("mapped server responses differ from freshly built server responses")
@@ -92,13 +92,13 @@ func randomState(tb testing.TB, seed int64) *State {
 			}
 		}
 	}
-	tax.Finalize()
 	return &State{Taxonomy: tax, Mentions: mentions, Meta: Meta{Stats: tax.ComputeStats()}}
 }
 
 // TestOpenMappedRandomizedRoundTrip drives the save→map cycle over
 // seeded random states and requires the mapped view to answer the full
-// endpoint mix identically to the store the bytes were saved from.
+// endpoint mix identically to the view compiled from the store the
+// bytes were saved from.
 func TestOpenMappedRandomizedRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -107,12 +107,12 @@ func TestOpenMappedRandomizedRoundTrip(t *testing.T) {
 			if a, b := st.Taxonomy.ComputeStats(), mapped.Stats(); a != b {
 				t.Fatalf("stats differ: store %+v, mapped %+v", a, b)
 			}
-			nodes := st.Taxonomy.Nodes()
+			nodes := st.Taxonomy.ReadAll().Names
 			mentions := append([]string(nil), nodes...)
-			storeBody := apiResponses(t, api.NewServer(st.Taxonomy, st.Mentions), nodes, mentions)
+			storeBody := apiResponses(t, serverOf(st), nodes, mentions)
 			mappedBody := apiResponses(t, api.NewViewServer(mapped), nodes, mentions)
 			if storeBody != mappedBody {
-				t.Fatal("mapped server responses differ from the store's")
+				t.Fatal("mapped server responses differ from the compiled store's")
 			}
 		})
 	}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"cnprobase/internal/api"
 	"cnprobase/internal/taxonomy"
 )
 
@@ -21,7 +20,7 @@ import (
 // valid intermediate state, never a corrupt file.
 func TestConcurrentSaveAndQueries(t *testing.T) {
 	st := handState(t)
-	srv := api.NewServer(st.Taxonomy, st.Mentions)
+	srv := serverOf(st)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -31,7 +30,7 @@ func TestConcurrentSaveAndQueries(t *testing.T) {
 		queriesPerGo   = 60
 		savesPerWorker = 8
 	)
-	nodes := st.Taxonomy.Nodes()
+	nodes := st.Taxonomy.ReadAll().Names
 
 	var wg sync.WaitGroup
 	errc := make(chan error, queryWorkers+saveWorkers+1)
@@ -93,9 +92,6 @@ func TestConcurrentSaveAndQueries(t *testing.T) {
 				return
 			}
 			st.Mentions.Add(fmt.Sprintf("新实体%03d", i), id)
-			if i%50 == 0 {
-				st.Taxonomy.Finalize()
-			}
 		}
 	}()
 

@@ -8,11 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"cnprobase/internal/api"
 	"cnprobase/internal/core"
+	"cnprobase/internal/serving"
 	"cnprobase/internal/synth"
 	"cnprobase/internal/taxonomy"
 )
@@ -45,7 +47,6 @@ func handState(tb testing.TB) *State {
 			tb.Fatalf("AddIsA: %v", err)
 		}
 	}
-	tax.Finalize()
 	return &State{
 		Taxonomy: tax,
 		Mentions: mentions,
@@ -88,8 +89,8 @@ func saveBytes(tb testing.TB, st *State, opts Options) []byte {
 
 // requireEqualState checks that two states are query-identical across
 // everything the serving APIs read: edges with full provenance, node
-// kinds, stats, adjacency (plain and typicality-ranked) and mention
-// resolution. Both states must be finalized.
+// kinds, stats, adjacency (from which the view derives typicality) and
+// mention resolution.
 func requireEqualState(tb testing.TB, want, got *State) {
 	tb.Helper()
 	wantEdges, gotEdges := want.Taxonomy.Edges(), got.Taxonomy.Edges()
@@ -101,27 +102,9 @@ func requireEqualState(tb testing.TB, want, got *State) {
 			tb.Fatalf("edge[%d] = %+v, want %+v", i, gotEdges[i], wantEdges[i])
 		}
 	}
-	wantNodes, gotNodes := want.Taxonomy.Nodes(), got.Taxonomy.Nodes()
-	if len(wantNodes) != len(gotNodes) {
-		tb.Fatalf("node count = %d, want %d", len(gotNodes), len(wantNodes))
-	}
-	for i, n := range wantNodes {
-		if gotNodes[i] != n {
-			tb.Fatalf("node[%d] = %q, want %q", i, gotNodes[i], n)
-		}
-		if wk, gk := want.Taxonomy.Kind(n), got.Taxonomy.Kind(n); wk != gk {
-			tb.Fatalf("Kind(%q) = %d, want %d", n, gk, wk)
-		}
-		wh, gh := want.Taxonomy.Hypernyms(n), got.Taxonomy.Hypernyms(n)
-		if fmt.Sprint(wh) != fmt.Sprint(gh) {
-			tb.Fatalf("Hypernyms(%q) = %v, want %v", n, gh, wh)
-		}
-		if w, g := want.Taxonomy.Hyponyms(n, 0), got.Taxonomy.Hyponyms(n, 0); fmt.Sprint(w) != fmt.Sprint(g) {
-			tb.Fatalf("Hyponyms(%q) = %v, want %v", n, g, w)
-		}
-		if w, g := want.Taxonomy.RankedHypernyms(n, 0), got.Taxonomy.RankedHypernyms(n, 0); fmt.Sprint(w) != fmt.Sprint(g) {
-			tb.Fatalf("RankedHypernyms(%q) = %v, want %v", n, g, w)
-		}
+	wantNodes := want.Taxonomy.ReadAll()
+	if !reflect.DeepEqual(wantNodes, got.Taxonomy.ReadAll()) {
+		tb.Fatal("canonical reads (nodes, kinds, adjacency) differ")
 	}
 	if ws, gs := want.Taxonomy.ComputeStats(), got.Taxonomy.ComputeStats(); ws != gs {
 		tb.Fatalf("stats = %+v, want %+v", gs, ws)
@@ -129,7 +112,7 @@ func requireEqualState(tb testing.TB, want, got *State) {
 	if ws, gs := want.Mentions.Size(), got.Mentions.Size(); ws != gs {
 		tb.Fatalf("mention count = %d, want %d", gs, ws)
 	}
-	for _, n := range wantNodes {
+	for _, n := range wantNodes.Names {
 		if w, g := want.Mentions.Lookup(n), got.Mentions.Lookup(n); fmt.Sprint(w) != fmt.Sprint(g) {
 			tb.Fatalf("Lookup(%q) = %v, want %v", n, g, w)
 		}
@@ -200,6 +183,11 @@ func TestByteStabilityAcrossConfigs(t *testing.T) {
 	}
 }
 
+// serverOf serves the view compiled from a state's store.
+func serverOf(st *State) *api.Server {
+	return api.NewViewServer(serving.Compile(st.Taxonomy, st.Mentions))
+}
+
 // apiResponses issues a fixed query mix — men2ent, getConcept (plain
 // and ranked), getEntity (unlimited and limited), plus the Section V
 // layer (conceptualize, qa) over texts built from the mentions —
@@ -259,13 +247,13 @@ func TestServingEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Load: %v", err)
 			}
-			nodes := fresh.Taxonomy.Nodes()
+			nodes := fresh.Taxonomy.ReadAll().Names
 			if len(nodes) > 80 {
 				nodes = nodes[:80]
 			}
 			mentions := append([]string(nil), nodes...) // IDs and titles are both mentions
-			freshBody := apiResponses(t, api.NewServer(fresh.Taxonomy, fresh.Mentions), nodes, mentions)
-			loadedBody := apiResponses(t, api.NewServer(loaded.Taxonomy, loaded.Mentions), nodes, mentions)
+			freshBody := apiResponses(t, serverOf(fresh), nodes, mentions)
+			loadedBody := apiResponses(t, serverOf(loaded), nodes, mentions)
 			if freshBody != loadedBody {
 				t.Fatal("loaded server responses differ from freshly built server responses")
 			}

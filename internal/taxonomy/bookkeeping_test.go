@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 )
 
@@ -63,21 +62,16 @@ func unionNodes(t *Taxonomy) []string {
 	return slices.Compact(out)
 }
 
-// nodeState is everything a reader can observe about one node.
-func nodeState(t *Taxonomy, n string) string {
-	var edges []Edge
-	for _, h := range t.Hypernyms(n) {
-		e, _ := t.EdgeOf(n, h)
-		edges = append(edges, e)
+// nodeState is everything a reader can observe about one node: its
+// kind and the edges at either end of it, from one read of edges.
+func nodeState(t *Taxonomy, edges []Edge, n string) string {
+	var mine []Edge
+	for _, e := range edges {
+		if e.Hypo == n || e.Hyper == n {
+			mine = append(mine, e)
+		}
 	}
-	for _, h := range t.Hyponyms(n, 0) {
-		e, _ := t.EdgeOf(h, n)
-		edges = append(edges, e)
-	}
-	slices.SortFunc(edges, func(a, b Edge) int {
-		return strings.Compare(a.Hypo+"\x00"+a.Hyper, b.Hypo+"\x00"+b.Hyper)
-	})
-	return fmt.Sprint(t.Kind(n), edges)
+	return fmt.Sprint(t.Kind(n), mine)
 }
 
 // TestIncrementalBookkeepingMatchesRecount drives random writes of
@@ -120,19 +114,20 @@ func TestIncrementalBookkeepingMatchesRecount(t *testing.T) {
 				t.Fatalf("seed %d round %d: chained ChangesSince lost its place", seed, round)
 			}
 			token = next
-			if union := unionNodes(tx); !reflect.DeepEqual(tx.Nodes(), union) {
-				t.Fatalf("seed %d round %d: node list %v, re-union %v", seed, round, tx.Nodes(), union)
+			nodes := tx.ReadAll().Names
+			if union := unionNodes(tx); !reflect.DeepEqual(nodes, union) {
+				t.Fatalf("seed %d round %d: node list %v, re-union %v", seed, round, nodes, union)
 			}
 			if !slices.IsSorted(changed) || len(slices.Compact(slices.Clone(changed))) != len(changed) {
 				t.Fatalf("seed %d round %d: change list not ascending and distinct: %v", seed, round, changed)
 			}
-			after := map[string]string{}
-			for _, n := range tx.Nodes() {
-				after[n] = nodeState(tx, n)
+			after, edges := map[string]string{}, tx.Edges()
+			for _, n := range nodes {
+				after[n] = nodeState(tx, edges, n)
 			}
 			for n := range before {
 				if _, still := after[n]; !still {
-					after[n] = nodeState(tx, n) // vanished: reads as the empty state
+					after[n] = nodeState(tx, edges, n) // vanished: reads as the empty state
 				}
 			}
 			for n, state := range after {

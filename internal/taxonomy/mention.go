@@ -10,16 +10,17 @@ import (
 )
 
 // MentionIndex maps surface mentions (titles, aliases) to disambiguated
-// entity IDs: the men2ent API of the paper's Table II. It also answers
-// "which mentions occur inside this text", which the QA-coverage
-// experiment needs.
+// entity IDs: the build side of the men2ent API of the paper's Table II.
+// Its own trie scan, FindAll, has no production caller: it is the
+// independent oracle the serving, conceptualize, qa and api tests hold
+// the view's text matcher and the application engines to.
 type MentionIndex struct {
 	mu       sync.RWMutex
 	mentions map[string][]string // mention → entity IDs
 	// dict is the text scanner's dictionary. Only FindAll reads it, and
-	// the build and serving paths never call FindAll here (a view
-	// compiles its own dictionary), so it is built by the first scan
-	// and kept current from then on; nil until then.
+	// only tests call FindAll here (a view compiles its own dictionary),
+	// so it is built by the first scan and kept current from then on;
+	// nil until then.
 	dict    *trie.Trie
 	changes changeLog[string] // mentions whose ID list grew; see ChangesSince
 }
@@ -121,7 +122,7 @@ func (m *MentionIndex) FindAll(text string) []string {
 // appended to dst and the extended slice is returned. Deduplication
 // applies to the mentions appended by this call, not to dst's prior
 // contents. serving.View.FindAllAppend is the allocation-free
-// equivalent on the immutable view.
+// equivalent on the immutable view, and this one is its test oracle.
 func (m *MentionIndex) FindAllAppend(dst []string, text string) []string {
 	m.mu.RLock()
 	if m.dict == nil {

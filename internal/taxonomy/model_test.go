@@ -2,6 +2,7 @@ package taxonomy_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -78,63 +79,181 @@ func same(a, b any) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// requireSameAnswers holds every query method of the store to the
-// (finalized) reference, over the whole name universe plus a name
-// neither has seen.
-func requireSameAnswers(t *testing.T, at string, rng *rand.Rand, names int, dense *taxonomy.Taxonomy, ref *taxonomy.Reference) {
+// requireSameAnswers holds the store's reads and every query of the
+// view compiled from it to the (finalized) reference, over the whole
+// name universe plus names neither has seen, and returns the view.
+// Every edge's provenance is compared, not a sample.
+func requireSameAnswers(t *testing.T, at string, rng *rand.Rand, names int, dense *taxonomy.Taxonomy, ref *taxonomy.Reference, mentions *taxonomy.MentionIndex) *serving.View {
 	t.Helper()
 	check := func(what string, got, want any) {
-		t.Helper()
 		if !same(got, want) {
 			t.Fatalf("%s: %s = %v, reference %v", at, what, got, want)
 		}
 	}
-	check("Nodes", dense.Nodes(), ref.Nodes())
-	check("Edges", dense.Edges(), ref.Edges())
-	check("EdgeCount", dense.EdgeCount(), ref.EdgeCount())
+	v := serving.Compile(dense, mentions)
+	nodes, edges := ref.Nodes(), ref.Edges()
+	check("Edges", dense.Edges(), edges)
 	check("ComputeStats", dense.ComputeStats(), ref.ComputeStats())
-	var concepts []string
-	universe := []string{"无此节点", ""}
+	check("view Nodes", v.Nodes(), nodes)
+	check("view Stats", v.Stats(), ref.ComputeStats())
+	check("view EdgeCount", v.EdgeCount(), len(edges))
+	requireSameNodeSet(t, at, dense.ReadAll(), nodes, ref, true)
+	var sub []string
+	universe := []string{"", "无此节点"}
 	for i := 0; i < names; i++ {
 		universe = append(universe, fmt.Sprintf("节点%02d", i))
+		if rng.Intn(3) == 0 {
+			sub = append(sub, universe[len(universe)-1])
+		}
 	}
+	requireSameNodeSet(t, at, dense.ReadNodes(append(sub, "非节点")), append(sub, "非节点"), ref, false)
+	requireSameJSON(t, at, dense, ref)
+
+	var concepts []string
 	for _, n := range universe {
 		if ref.Kind(n) == taxonomy.KindConcept {
 			concepts = append(concepts, n)
 		}
 		limit := 1 + rng.Intn(3)
 		check("Kind "+n, dense.Kind(n), ref.Kind(n))
-		check("Hypernyms "+n, dense.Hypernyms(n), ref.Hypernyms(n))
-		check("Hyponyms "+n, dense.Hyponyms(n, 0), ref.Hyponyms(n, 0))
-		check("Hyponyms(limit) "+n, dense.Hyponyms(n, limit), ref.Hyponyms(n, limit))
 		check("HyponymCount "+n, dense.HyponymCount(n), ref.HyponymCount(n))
-		check("Ancestors "+n, dense.Ancestors(n), ref.Ancestors(n))
-		check("RankedHypernyms "+n, dense.RankedHypernyms(n, 0), ref.RankedHypernyms(n, 0))
-		check("RankedHyponyms "+n, dense.RankedHyponyms(n, limit), ref.RankedHyponyms(n, limit))
+		check("view Kind "+n, v.Kind(n), ref.Kind(n))
+		check("view Hypernyms "+n, v.Hypernyms(n), ref.Hypernyms(n))
+		check("view Hyponyms "+n, v.Hyponyms(n, 0), ref.Hyponyms(n, 0))
+		check("view Hyponyms(limit) "+n, v.Hyponyms(n, limit), ref.Hyponyms(n, limit))
+		check("view HyponymCount "+n, v.HyponymCount(n), ref.HyponymCount(n))
+		check("view Ancestors "+n, v.Ancestors(n), ref.Ancestors(n))
+		check("view RankedHypernyms "+n, v.RankedHypernyms(n, 0), ref.RankedHypernyms(n, 0))
+		check("view RankedHyponyms "+n, v.RankedHyponyms(n, limit), ref.RankedHyponyms(n, limit))
+		id, ok := v.ID(n, 0)
+		if _, known := slices.BinarySearch(nodes, n); ok != known {
+			t.Fatalf("%s: view ID(%q) ok = %v, reference knows it: %v", at, n, ok, known)
+		}
+		if !ok {
+			continue
+		}
+		check("view ID from a neighbour "+n, fmt.Sprint(v.ID(n, id-min(id, 3))), fmt.Sprint(id, true))
+		check("view Name "+n, v.Name(id), n)
+		check("view KindOf "+n, v.KindOf(id), ref.Kind(n))
+		check("view RankedHypernymsOf "+n, v.RankedHypernymsOf(id, limit), ref.RankedHypernyms(n, limit))
+		var hypers []string
+		total := int64(0)
+		for _, h := range v.HypernymIDsOf(id) {
+			hypers = append(hypers, v.Name(h))
+			e, _ := ref.EdgeOf(n, v.Name(h))
+			total += int64(e.Count)
+		}
+		check("view HypernymIDsOf "+n, hypers, ref.Hypernyms(n))
+		check("view EvidenceTotalOf "+n, v.EvidenceTotalOf(id), total)
 	}
 	check("Concepts", dense.Concepts(), concepts)
-	pairs := [][2]string{}
-	if edges := ref.Edges(); len(edges) > 0 {
-		for i := 0; i < 12; i++ { // pairs that are edges, both ways round
-			e := edges[rng.Intn(len(edges))]
-			pairs = append(pairs, [2]string{e.Hypo, e.Hyper}, [2]string{e.Hyper, e.Hypo})
-		}
+	for _, e := range mentions.Sorted() {
+		check("view Lookup "+e.Mention, v.Lookup(e.Mention), mentions.Lookup(e.Mention))
 	}
-	for i := 0; i < 20; i++ {
+	check("view Lookup of a stranger", v.Lookup("无此称呼"), mentions.Lookup("无此称呼"))
+
+	for _, e := range edges {
+		requireSamePair(t, at, e.Hypo, e.Hyper, dense, v, ref, false)
+	}
+	var pairs [][2]string
+	for i := 0; i < 8 && len(edges) > 0; i++ { // pairs that are edges, both ways round
+		e := edges[rng.Intn(len(edges))]
+		pairs = append(pairs, [2]string{e.Hypo, e.Hyper}, [2]string{e.Hyper, e.Hypo})
+	}
+	for i := 0; i < 12; i++ {
 		pairs = append(pairs, [2]string{universe[rng.Intn(len(universe))], universe[rng.Intn(len(universe))]})
 	}
 	for _, p := range pairs {
-		a, b := p[0], p[1]
-		pair := a + "→" + b
-		check("HasIsA "+pair, dense.HasIsA(a, b), ref.HasIsA(a, b))
-		ge, gok := dense.EdgeOf(a, b)
-		we, wok := ref.EdgeOf(a, b)
-		check("EdgeOf "+pair, fmt.Sprint(ge, gok), fmt.Sprint(we, wok))
-		check("IsAncestor "+pair, dense.IsAncestor(a, b), ref.IsAncestor(a, b))
-		check("TypicalityOfConcept "+pair, dense.TypicalityOfConcept(a, b), ref.TypicalityOfConcept(a, b))
-		check("TypicalityOfInstance "+pair, dense.TypicalityOfInstance(b, a), ref.TypicalityOfInstance(b, a))
-		check("PathToAncestor "+pair, dense.PathToAncestor(a, b), ref.PathToAncestor(a, b))
-		check("CommonAncestors "+pair, dense.CommonAncestors(a, b), ref.CommonAncestors(a, b))
+		requireSamePair(t, at, p[0], p[1], dense, v, ref, true)
+	}
+	return v
+}
+
+// requireSamePair holds the pairwise reads of the store and the view to
+// the reference: the edge and its typicality, and with paths also
+// reachability, the shortest path and the common ancestors.
+func requireSamePair(t *testing.T, at, a, b string, dense *taxonomy.Taxonomy, v *serving.View, ref *taxonomy.Reference, paths bool) {
+	t.Helper()
+	pair := a + "→" + b
+	check := func(what string, got, want any) {
+		if !same(got, want) {
+			t.Fatalf("%s: %s %s = %v, reference %v", at, what, pair, got, want)
+		}
+	}
+	we, wok := ref.EdgeOf(a, b)
+	if ge, gok := dense.EdgeOf(a, b); ge != we || gok != wok {
+		t.Fatalf("%s: EdgeOf %s = %+v %v, reference %+v %v", at, pair, ge, gok, we, wok)
+	}
+	if ve, vok := v.EdgeOf(a, b); ve != we || vok != wok {
+		t.Fatalf("%s: view EdgeOf %s = %+v %v, reference %+v %v", at, pair, ve, vok, we, wok)
+	}
+	check("view HasIsA", v.HasIsA(a, b), ref.HasIsA(a, b))
+	check("view TypicalityOfConcept", v.TypicalityOfConcept(a, b), ref.TypicalityOfConcept(a, b))
+	check("view TypicalityOfInstance", v.TypicalityOfInstance(b, a), ref.TypicalityOfInstance(b, a))
+	if paths {
+		reach := ref.IsAncestor(a, b)
+		check("IsAncestor", dense.IsAncestor(a, b), reach)
+		check("view IsAncestor", v.IsAncestor(a, b), reach)
+		check("view PathToAncestor", v.PathToAncestor(a, b), ref.PathToAncestor(a, b))
+		check("view CommonAncestors", v.CommonAncestors(a, b), ref.CommonAncestors(a, b))
+	}
+}
+
+// requireSameNodeSet holds a canonical read of the named nodes to the
+// reference: existence, kind, and the outgoing edges in hypernym order,
+// resolved to their positions when the read resolves them.
+func requireSameNodeSet(t *testing.T, at string, set *taxonomy.NodeSet, names []string, ref *taxonomy.Reference, resolved bool) {
+	t.Helper()
+	all := ref.Nodes()
+	if !slices.Equal(set.Names, names) || len(set.EdgeOff) != len(names)+1 {
+		t.Fatalf("%s: read names %v, want %v", at, set.Names, names)
+	}
+	for i, n := range names {
+		_, exists := slices.BinarySearch(all, n)
+		if absent := set.Absent != nil && set.Absent[i]; absent == exists {
+			t.Fatalf("%s: read %s absent = %v", at, n, absent)
+		}
+		var got []taxonomy.Edge
+		for _, e := range set.Edges[set.EdgeOff[i]:set.EdgeOff[i+1]] {
+			if (e.At >= 0) != resolved || (resolved && names[e.At] != e.Hyper) {
+				t.Fatalf("%s: read edge %s→%s resolved to %d", at, n, e.Hyper, e.At)
+			}
+			got = append(got, taxonomy.Edge{Hypo: n, Hyper: e.Hyper, Sources: e.Sources, Score: e.Score, Count: e.Count})
+		}
+		var want []taxonomy.Edge
+		for _, h := range ref.Hypernyms(n) {
+			e, _ := ref.EdgeOf(n, h)
+			want = append(want, e)
+		}
+		if set.Kinds[i] != ref.Kind(n) || !same(got, want) {
+			t.Fatalf("%s: read %s = %v %v, reference %v %v", at, n, set.Kinds[i], got, ref.Kind(n), want)
+		}
+	}
+}
+
+// requireSameJSON holds the store's serialization to the reference's
+// marked kinds and edges.
+func requireSameJSON(t *testing.T, at string, dense *taxonomy.Taxonomy, ref *taxonomy.Reference) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := dense.WriteJSON(&buf); err != nil {
+		t.Fatalf("%s: WriteJSON: %v", at, err)
+	}
+	var got struct {
+		Kinds map[string]taxonomy.NodeKind
+		Edges []taxonomy.Edge
+	}
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatalf("%s: WriteJSON wrote %s: %v", at, buf.Bytes(), err)
+	}
+	kinds := map[string]taxonomy.NodeKind{}
+	for _, n := range ref.Nodes() {
+		if k := ref.Kind(n); k != taxonomy.KindUnknown {
+			kinds[n] = k
+		}
+	}
+	if !reflect.DeepEqual(got.Kinds, kinds) || !same(got.Edges, ref.Edges()) {
+		t.Fatalf("%s: WriteJSON wrote %s", at, buf.Bytes())
 	}
 }
 
@@ -151,43 +270,26 @@ func imageOf(t *testing.T, v *serving.View) []byte {
 	return buf.Bytes()
 }
 
-// referenceImage serializes the view a Builder compiles from what the
-// reference holds: a path that never touches the dense store.
-func referenceImage(t *testing.T, ref *taxonomy.Reference, mentions *taxonomy.MentionIndex) []byte {
+// requireSameImage holds a view patched along the change log to the
+// bytes of the full compile, which must load.
+func requireSameImage(t *testing.T, at string, patched, compiled *serving.View) {
 	t.Helper()
-	b := serving.NewBuilder()
-	for _, n := range ref.Nodes() {
-		b.ImportKind(n, ref.Kind(n))
+	got, want := imageOf(t, patched), imageOf(t, compiled)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: patched image differs from the compiled one (%d vs %d bytes)", at, len(got), len(want))
 	}
-	for _, e := range ref.Edges() {
-		if err := b.InsertEdge(e); err != nil {
-			t.Fatalf("InsertEdge: %v", err)
-		}
-	}
-	for _, e := range mentions.Sorted() {
-		b.AddMentionEntry(e)
-	}
-	return imageOf(t, b.Build())
-}
-
-// requireSameImage holds an image compiled (or patched) from the dense
-// store to the one compiled from the reference's content.
-func requireSameImage(t *testing.T, at string, got []byte, ref *taxonomy.Reference, mentions *taxonomy.MentionIndex) {
-	t.Helper()
-	if want := referenceImage(t, ref, mentions); !bytes.Equal(got, want) {
-		t.Fatalf("%s: image differs from the reference's (%d vs %d bytes)", at, len(got), len(want))
-	}
-	if _, err := serving.DecodeImage(got, 0); err != nil {
+	if _, err := serving.DecodeImage(want, 0); err != nil {
 		t.Fatalf("%s: the image does not load: %v", at, err)
 	}
 }
 
 // TestTaxonomyModel drives random write sequences through the dense-ID
 // store and through the sharded string-map store it replaced
-// (reference_test.go), and after every step holds the store to the
-// reference: every query method, the stats, the change log, and the
-// bytes of the view compiled from it — and of the view patched along
-// from the change log, which is how the ingest path reads the store.
+// (reference_test.go), and after every step holds to the reference
+// what every write reported, the store's reads and its change log, and
+// every query of the view compiled from the store — the one read model.
+// A view patched along the change log, which is how the ingest path
+// reads the store, must serialize byte for byte like the full compile.
 // The store shares its symbol table with a second owner that interns
 // behind its back, as the verification evidence does in a build.
 func TestTaxonomyModel(t *testing.T) {
@@ -200,9 +302,10 @@ func TestTaxonomyModel(t *testing.T) {
 			ref := taxonomy.NewReference(1 + rng.Intn(6))
 			mentions := taxonomy.NewMentionIndex()
 			var denseTok, refTok, menTok uint64
-			var view *serving.View // patched along from the first log read on
+			var patched *serving.View // patched along from the first log read on
 			for step := 0; step < 250; step++ {
 				at := fmt.Sprintf("step %d", step)
+				logRead := false
 				switch k := rng.Intn(14); {
 				case k == 0: // another owner of the symbol table
 					syms.Intern(fmt.Sprintf("外来名%d", rng.Intn(50)))
@@ -221,13 +324,14 @@ func TestTaxonomyModel(t *testing.T) {
 						t.Fatalf("%s: ChangesSince = %v %v, reference %v %v", at, got, gok, want, wok)
 					}
 					denseTok, refTok, menTok = gnext, wnext, mnext
-					if gok && mok && view != nil {
-						if view = serving.Patch(view, dense, mentions, got, changed); view == nil {
+					if gok && mok && patched != nil {
+						if patched = serving.Patch(patched, dense, mentions, got, changed); patched == nil {
 							t.Fatalf("%s: Patch could not cover changes %v", at, got)
 						}
 					} else {
-						view = serving.Compile(dense, mentions)
+						patched = serving.Compile(dense, mentions)
 					}
+					logRead = true
 				default:
 					op := randomOp(rng, names)
 					at = fmt.Sprintf("step %d %+v", step, op)
@@ -236,17 +340,19 @@ func TestTaxonomyModel(t *testing.T) {
 					}
 				}
 				ref.Finalize()
-				requireSameAnswers(t, at, rng, names, dense, ref)
-				requireSameImage(t, at, imageOf(t, serving.Compile(dense, mentions)), ref, mentions)
+				v := requireSameAnswers(t, at, rng, names, dense, ref, mentions)
+				if logRead {
+					requireSameImage(t, at, patched, v)
+				}
 			}
 			// The patched view has followed every logged change.
 			nodes, _, ok := dense.ChangesSince(denseTok)
 			changed, _, mok := mentions.ChangesSince(menTok)
-			if view != nil && ok && mok {
-				if view = serving.Patch(view, dense, mentions, nodes, changed); view == nil {
+			if patched != nil && ok && mok {
+				if patched = serving.Patch(patched, dense, mentions, nodes, changed); patched == nil {
 					t.Fatal("the last Patch could not cover the logged changes")
 				}
-				requireSameImage(t, "view patched along the change log", imageOf(t, view), ref, mentions)
+				requireSameImage(t, "view patched along the change log", patched, serving.Compile(dense, mentions))
 			}
 		})
 	}
@@ -278,15 +384,13 @@ func TestTaxonomyModel(t *testing.T) {
 					default:
 					}
 					n, m := fmt.Sprintf("节点%02d", rng.Intn(names)), fmt.Sprintf("节点%02d", rng.Intn(names))
-					if hs := dense.Hypernyms(n); !slices.IsSorted(hs) {
-						t.Errorf("Hypernyms(%s) not ascending: %v", n, hs)
+					if cs := dense.Concepts(); !slices.IsSorted(cs) {
+						t.Errorf("Concepts not ascending: %v", cs)
 						return
 					}
-					_ = dense.Hyponyms(n, 3)
-					_ = dense.Ancestors(n)
+					_ = dense.Kind(n)
+					_ = dense.HyponymCount(n)
 					_ = dense.IsAncestor(n, m)
-					_ = dense.RankedHyponyms(n, 2)
-					_ = dense.TypicalityOfInstance(n, m)
 					_, _ = dense.EdgeOf(n, m)
 					_ = dense.ComputeStats()
 					syms.Intern(fmt.Sprintf("外来名%d", i%200))
@@ -306,6 +410,7 @@ func TestTaxonomyModel(t *testing.T) {
 						}
 						_ = serving.Compile(dense, nil).Stats()
 						_ = dense.ReadNodes([]string{min(n, m), max(n, m) + "尾"})
+						_ = dense.Edges()
 					}
 				}
 			}(g)
@@ -320,10 +425,28 @@ func TestTaxonomyModel(t *testing.T) {
 			op.apply(ref)
 		}
 		ref.Finalize()
-		requireSameAnswers(t, "after the concurrent run", rng, names, dense, ref)
+		requireSameAnswers(t, "after the concurrent run", rng, names, dense, ref, taxonomy.NewMentionIndex())
 		logged, _, ok := dense.ChangesSince(1)
 		if !ok || !slices.IsSorted(logged) || strings.Join(logged, ",") == "" {
 			t.Fatalf("change log after the concurrent run: %v %v", logged, ok)
 		}
 	})
+}
+
+// TestUnmarkedHypernymStatsMatchView pins the one rule the store and
+// the view share about kinds: withdrawing the mark of a node that has
+// hyponyms leaves it a concept, so the store's counters and the view's
+// summary — Report.Stats and /api/stats — cannot disagree.
+func TestUnmarkedHypernymStatsMatchView(t *testing.T) {
+	tx := taxonomy.New()
+	if err := tx.AddIsA("甲", "乙", taxonomy.SourceTag, 1); err != nil {
+		t.Fatal(err)
+	}
+	tx.ImportKind("乙", taxonomy.KindUnknown)
+	if got := tx.Kind("乙"); got != taxonomy.KindConcept {
+		t.Errorf("Kind(乙) = %d, want concept", got)
+	}
+	if got, want := tx.ComputeStats(), serving.Compile(tx, nil).Stats(); got != want || got.Concepts != 1 {
+		t.Fatalf("store stats %+v, view stats %+v, want one concept in both", got, want)
+	}
 }

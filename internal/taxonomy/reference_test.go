@@ -198,18 +198,21 @@ func (t *refTaxonomy) mark(name string, k NodeKind) {
 	t.invalidate()
 }
 
-// ImportKind overwrites the node kind unconditionally. It is the
-// deserialization counterpart of MarkEntity/MarkConcept: JSON and
-// binary-snapshot loaders restore saved kinds through it. KindUnknown
-// entries are dropped rather than stored — Unknown is the absence of a
-// kind, and storing it would make a parallel restore racy against
-// InsertEdge's implicit concept marking.
+// ImportKind overwrites the node kind. It is the deserialization
+// counterpart of MarkEntity/MarkConcept: JSON and binary-snapshot
+// loaders restore saved kinds through it. KindUnknown entries are
+// dropped rather than stored — Unknown is the absence of a kind —
+// except on a node with hyponyms, which becomes a concept, as
+// InsertEdge marks it.
 func (t *refTaxonomy) ImportKind(name string, k NodeKind) {
 	if name == "" {
 		return
 	}
 	sh := t.shardOf(name)
 	sh.mu.Lock()
+	if k == KindUnknown && len(sh.hypos[name]) > 0 {
+		k = KindConcept
+	}
 	sh.setKind(name, k)
 	sh.mu.Unlock()
 	t.invalidate()

@@ -1,11 +1,15 @@
 // Package taxonomy implements the conceptual taxonomy *build* store:
 // the write-side accumulator the construction pipeline assembles into.
-// It holds entities, concepts and provenance-tagged isA edges, answers
-// point and closure queries (with cycle guards) and serializes to JSON.
-// For serving traffic the store is frozen into the immutable, lock-free
-// view in internal/serving (serving.Compile, or serving.Patch for the
-// nodes written since); the query methods here have View equivalents
-// with equivalence pinned by tests.
+// It holds entities, concepts and provenance-tagged isA edges and
+// serializes to JSON. It is not a query model: every reader — the HTTP
+// APIs, the application engines, the experiments — goes through the
+// immutable, lock-free view in internal/serving, compiled from the
+// store (serving.Compile, or serving.Patch for the nodes written since)
+// or opened over a snapshot's image. What the store reads back is its
+// content in canonical form (ReadAll, ReadNodes, Edges), the Stats
+// counters and the change log, plus the few point reads the subconcept
+// derivation rules make while they write (Kind, HyponymCount, EdgeOf,
+// Concepts, IsAncestor).
 //
 // The store lives on dense IDs. Names are interned in a symtab.Table —
 // the one the build's verification evidence uses, so a name is hashed
@@ -13,10 +17,8 @@
 // indexed by ID: kind, outgoing edges (hypernym ID, sources, score,
 // evidence count) and hyponym IDs, in arrival order. There is no second
 // index to keep in step and nothing to finalize: the Stats counters are
-// kept by the writes, the change log is a list of touched IDs, and what
-// a reader returns as strings it puts in name order itself. Consumers
-// that compile the store read it in canonical form through ReadAll /
-// ReadNodes instead of querying it name by name.
+// kept by the writes, the change log is a list of touched IDs, and the
+// canonical reads put names in order themselves.
 //
 // A Taxonomy is safe for concurrent use: one RWMutex, writers
 // exclusive, readers shared.
@@ -27,6 +29,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -129,14 +132,6 @@ func (n *node) exists() bool {
 	return n.kind != KindUnknown || len(n.hypers) > 0 || len(n.hypos) > 0
 }
 
-// canonicalKind is the kind a canonical read reports; see NodeSet.Kinds.
-func (n *node) canonicalKind() NodeKind {
-	if n.kind == KindUnknown && len(n.hypos) > 0 {
-		return KindConcept
-	}
-	return n.kind
-}
-
 // find returns the index of the edge to hyper, or -1. Nodes have a
 // handful of hypernyms, so a scan beats any index.
 func (n *node) find(hyper uint32) int {
@@ -232,17 +227,23 @@ func (t *Taxonomy) mark(name string, k NodeKind) {
 	}
 }
 
-// ImportKind overwrites the node kind unconditionally. It is the
-// deserialization counterpart of MarkEntity/MarkConcept: JSON and
-// binary-snapshot loaders restore saved kinds through it. KindUnknown
-// removes the mark — Unknown is the absence of a kind.
+// ImportKind overwrites the node kind. It is the deserialization
+// counterpart of MarkEntity/MarkConcept: JSON and binary-snapshot
+// loaders restore saved kinds through it. KindUnknown removes the mark
+// — Unknown is the absence of a kind — except on a node with hyponyms,
+// which becomes a concept: the rule every edge insertion applies, so
+// no hypernym is ever unmarked.
 func (t *Taxonomy) ImportKind(name string, k NodeKind) {
 	if name == "" {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.setKind(t.intern(name), k)
+	id := t.intern(name)
+	if k == KindUnknown && len(t.nodes[id].hypos) > 0 {
+		k = KindConcept
+	}
+	t.setKind(id, k)
 }
 
 // Kind returns the node kind of name.
@@ -377,33 +378,20 @@ func (t *Taxonomy) RemoveIsA(hypo, hyper string) bool {
 	return true
 }
 
-// edgeOf locates the stored edge; nil when absent. Callers hold mu.
-func (t *Taxonomy) edgeOf(hypo, hyper string) *edge {
-	_, from := t.lookup(hypo)
-	b, to := t.lookup(hyper)
-	if from == nil || to == nil {
-		return nil
-	}
-	if i := from.find(b); i >= 0 {
-		return &from.hypers[i]
-	}
-	return nil
-}
-
-// HasIsA reports whether the direct edge exists.
-func (t *Taxonomy) HasIsA(hypo, hyper string) bool {
-	_, ok := t.EdgeOf(hypo, hyper)
-	return ok
-}
-
 // EdgeOf returns a copy of the edge, if present.
 func (t *Taxonomy) EdgeOf(hypo, hyper string) (Edge, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	e := t.edgeOf(hypo, hyper)
-	if e == nil {
+	_, from := t.lookup(hypo)
+	b, to := t.lookup(hyper)
+	if from == nil || to == nil {
 		return Edge{}, false
 	}
+	i := from.find(b)
+	if i < 0 {
+		return Edge{}, false
+	}
+	e := &from.hypers[i]
 	return Edge{Hypo: hypo, Hyper: hyper, Sources: e.sources, Score: e.score, Count: e.count}, true
 }
 
@@ -421,35 +409,6 @@ func (t *Taxonomy) sortedNames(n int, id func(i int) uint32) []string {
 	return out
 }
 
-// Hypernyms returns the direct hypernyms of node, ascending
-// (getConcept in the paper's API table).
-func (t *Taxonomy) Hypernyms(node string) []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, n := t.lookup(node)
-	if n == nil {
-		return nil
-	}
-	return t.sortedNames(len(n.hypers), func(i int) uint32 { return n.hypers[i].hyper })
-}
-
-// Hyponyms returns the first limit direct hyponyms of a concept in
-// ascending order (getEntity in the paper's API table); limit <= 0
-// means all.
-func (t *Taxonomy) Hyponyms(concept string, limit int) []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, n := t.lookup(concept)
-	if n == nil {
-		return nil
-	}
-	out := t.sortedNames(len(n.hypos), func(i int) uint32 { return n.hypos[i] })
-	if limit > 0 && limit < len(out) {
-		out = out[:limit:limit]
-	}
-	return out
-}
-
 // HyponymCount returns the number of direct hyponyms of a concept.
 func (t *Taxonomy) HyponymCount(concept string) int {
 	t.mu.RLock()
@@ -460,43 +419,30 @@ func (t *Taxonomy) HyponymCount(concept string) int {
 	return 0
 }
 
-// Ancestors returns all transitive hypernyms of node, breadth-first
-// with each node's hypernyms in ascending order, excluding node itself.
-// Cycles are tolerated.
-func (t *Taxonomy) Ancestors(node string) []string {
+// IsAncestor reports whether hyper is reachable from hypo through one
+// or more edges: a breadth-first walk over IDs that stops at hyper. A
+// node is not its own ancestor, even on a cycle.
+func (t *Taxonomy) IsAncestor(hypo, hyper string) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	start, n := t.lookup(node)
-	if n == nil {
-		return nil
+	start, from := t.lookup(hypo)
+	target, to := t.lookup(hyper)
+	if from == nil || to == nil || start == target {
+		return false
 	}
-	names := t.syms.Names()
-	seen := map[uint32]struct{}{start: {}}
-	var queue []uint32
-	expand := func(id uint32) {
-		from := len(queue)
-		for _, e := range t.nodes[id].hypers {
-			queue = append(queue, e.hyper)
+	// Ancestor sets are small, so the queue doubles as the visited set.
+	queue := []uint32{start}
+	for i := 0; i < len(queue); i++ {
+		for _, e := range t.nodes[queue[i]].hypers {
+			switch {
+			case e.hyper == target:
+				return true
+			case !slices.Contains(queue, e.hyper):
+				queue = append(queue, e.hyper)
+			}
 		}
-		slices.SortFunc(queue[from:], func(a, b uint32) int { return strings.Compare(names[a], names[b]) })
 	}
-	var out []string
-	for expand(start); len(queue) > 0; {
-		cur := queue[0]
-		queue = queue[1:]
-		if _, dup := seen[cur]; dup {
-			continue
-		}
-		seen[cur] = struct{}{}
-		out = append(out, names[cur])
-		expand(cur)
-	}
-	return out
-}
-
-// IsAncestor reports whether hyper is reachable from hypo.
-func (t *Taxonomy) IsAncestor(hypo, hyper string) bool {
-	return slices.Contains(t.Ancestors(hypo), hyper)
+	return false
 }
 
 // idsWhere lists the nodes keep accepts. Callers hold mu.
@@ -510,21 +456,13 @@ func (t *Taxonomy) idsWhere(keep func(*node) bool) []uint32 {
 	return ids
 }
 
-// namesWhere returns the names of the nodes keep accepts, sorted.
-func (t *Taxonomy) namesWhere(keep func(*node) bool) []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ids := t.idsWhere(keep)
-	return t.sortedNames(len(ids), func(i int) uint32 { return ids[i] })
-}
-
-// Nodes returns all node names, sorted.
-func (t *Taxonomy) Nodes() []string { return t.namesWhere((*node).exists) }
-
 // Concepts returns the names of the nodes whose kind is KindConcept,
 // sorted.
 func (t *Taxonomy) Concepts() []string {
-	return t.namesWhere(func(n *node) bool { return n.kind == KindConcept })
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	ids := t.idsWhere(func(n *node) bool { return n.kind == KindConcept })
+	return t.sortedNames(len(ids), func(i int) uint32 { return ids[i] })
 }
 
 // Edges returns copies of all edges, sorted for determinism.
@@ -540,9 +478,6 @@ func (set *NodeSet) edgeList() []Edge {
 	}
 	return out
 }
-
-// EdgeCount returns the number of isA edges.
-func (t *Taxonomy) EdgeCount() int { return t.ComputeStats().IsARelations }
 
 // Stats summarizes the taxonomy in the shape of the paper's Table I
 // row: entities, concepts, and the entity-concept / subconcept-concept
@@ -565,12 +500,6 @@ func (t *Taxonomy) ComputeStats() Stats {
 	s.EntityConceptIsA = s.IsARelations - s.SubConceptIsA
 	return s
 }
-
-// Finalize does nothing: the store keeps no derived index to bring up
-// to date, and readers return canonical (sorted) order whether or not
-// it was called. It remains so code written against the store's
-// earlier, index-building form keeps compiling.
-func (t *Taxonomy) Finalize() {}
 
 // ChangesSince returns the names of the nodes written — marked,
 // demoted, or at either end of an inserted, removed or reinforced edge
@@ -597,10 +526,9 @@ type NodeSet struct {
 	// Absent marks, parallel to Names, the nodes that do not exist (a
 	// ReadNodes of a name since retracted); nil when all exist.
 	Absent []bool
-	// Kinds is parallel to Names. A node with hyponyms always reads as
-	// marked: one whose mark was withdrawn (ImportKind with KindUnknown)
-	// reads as a concept, the rule every edge insertion applies — a
-	// view, and the snapshot image made of it, has no unmarked hypernym.
+	// Kinds is parallel to Names. A node with hyponyms is always marked
+	// (see ImportKind), so a view, and the snapshot image made of it, has
+	// no unmarked hypernym.
 	Kinds []NodeKind
 	// Node i's outgoing edges are Edges[EdgeOff[i]:EdgeOff[i+1]],
 	// ascending by hypernym name.
@@ -673,7 +601,7 @@ func (t *Taxonomy) ReadNodes(nodes []string) *NodeSet {
 // edges ascending by hypernym name — which, given the rank of every ID
 // in name order, is ascending by rank, and the rank is the edge's At.
 func (set *NodeSet) put(i int, n *node, names []string, rank []int32) {
-	set.Kinds[i] = n.canonicalKind()
+	set.Kinds[i] = n.kind
 	for _, e := range n.hypers {
 		at := int32(-1)
 		if rank != nil {
@@ -720,7 +648,9 @@ func (t *Taxonomy) WriteJSON(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadJSON loads a taxonomy written by WriteJSON.
+// ReadJSON loads a taxonomy written by WriteJSON. It refuses what a
+// serving view's image could not hold: a kind above KindConcept, an
+// evidence count outside [0, MaxInt32].
 func ReadJSON(r io.Reader) (*Taxonomy, error) {
 	var in taxJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -728,9 +658,15 @@ func ReadJSON(r io.Reader) (*Taxonomy, error) {
 	}
 	t := New()
 	for n, k := range in.Kinds {
+		if k > KindConcept {
+			return nil, fmt.Errorf("taxonomy: node %q: invalid kind %d", n, k)
+		}
 		t.ImportKind(n, k)
 	}
 	for _, e := range in.Edges {
+		if e.Count < 0 || e.Count > math.MaxInt32 {
+			return nil, fmt.Errorf("taxonomy: isA(%q, %q): count %d out of range", e.Hypo, e.Hyper, e.Count)
+		}
 		if err := t.InsertEdge(e); err != nil {
 			return nil, err
 		}

@@ -15,25 +15,17 @@ func TestAddIsAAndLookups(t *testing.T) {
 	mustAdd(t, tx, "刘德华", "歌手", SourceTag)
 	mustAdd(t, tx, "男演员", "演员", SourceMorph)
 
-	if !tx.HasIsA("刘德华", "演员") {
-		t.Error("HasIsA = false")
+	if _, ok := tx.EdgeOf("刘德华", "演员"); !ok {
+		t.Error("EdgeOf found no edge")
 	}
-	hs := tx.Hypernyms("刘德华")
-	if len(hs) != 2 {
-		t.Fatalf("Hypernyms = %v", hs)
-	}
-	hypos := tx.Hyponyms("演员", 0)
-	if len(hypos) != 2 {
-		t.Fatalf("Hyponyms = %v", hypos)
-	}
-	if got := tx.Hyponyms("演员", 1); len(got) != 1 {
-		t.Errorf("Hyponyms with limit = %v", got)
+	if hs := tx.ReadNodes([]string{"刘德华"}).Edges; len(hs) != 2 {
+		t.Fatalf("hypernyms = %v", hs)
 	}
 	if tx.HyponymCount("演员") != 2 {
 		t.Errorf("HyponymCount = %d", tx.HyponymCount("演员"))
 	}
-	if tx.EdgeCount() != 3 {
-		t.Errorf("EdgeCount = %d", tx.EdgeCount())
+	if got := tx.ComputeStats().IsARelations; got != 3 {
+		t.Errorf("IsARelations = %d", got)
 	}
 }
 
@@ -64,8 +56,8 @@ func TestDuplicateEdgeMergesProvenance(t *testing.T) {
 	if e.Sources&SourceTag == 0 || e.Sources&SourceBracket == 0 {
 		t.Errorf("Sources = %v", e.Sources)
 	}
-	if tx.EdgeCount() != 1 {
-		t.Errorf("EdgeCount = %d, want 1", tx.EdgeCount())
+	if got := tx.ComputeStats().IsARelations; got != 1 {
+		t.Errorf("IsARelations = %d, want 1", got)
 	}
 }
 
@@ -78,7 +70,7 @@ func TestRemoveIsA(t *testing.T) {
 	if tx.RemoveIsA("a", "b") {
 		t.Error("second RemoveIsA returned true")
 	}
-	if tx.HasIsA("a", "b") || len(tx.Hypernyms("a")) != 0 || len(tx.Hyponyms("b", 0)) != 0 {
+	if _, ok := tx.EdgeOf("a", "b"); ok || len(tx.Edges()) != 0 || tx.HyponymCount("b") != 0 {
 		t.Error("edge not fully removed from indexes")
 	}
 }
@@ -150,42 +142,6 @@ func TestStatsStableAcrossRetractionBatches(t *testing.T) {
 	}
 }
 
-func TestAncestorsBFS(t *testing.T) {
-	tx := New()
-	mustAdd(t, tx, "男演员", "演员", SourceMorph)
-	mustAdd(t, tx, "演员", "人物", SourceTag)
-	mustAdd(t, tx, "刘德华", "男演员", SourceBracket)
-	anc := tx.Ancestors("刘德华")
-	want := map[string]bool{"男演员": true, "演员": true, "人物": true}
-	if len(anc) != len(want) {
-		t.Fatalf("Ancestors = %v", anc)
-	}
-	for _, a := range anc {
-		if !want[a] {
-			t.Fatalf("unexpected ancestor %q", a)
-		}
-	}
-	if !tx.IsAncestor("刘德华", "人物") {
-		t.Error("IsAncestor transitive = false")
-	}
-	if tx.IsAncestor("人物", "刘德华") {
-		t.Error("IsAncestor inverted = true")
-	}
-}
-
-func TestAncestorsToleratesCycle(t *testing.T) {
-	tx := New()
-	mustAdd(t, tx, "a", "b", SourceTag)
-	mustAdd(t, tx, "b", "a", SourceTag)
-	anc := tx.Ancestors("a")
-	if len(anc) != 2 { // b then a-again excluded? a is start: seen
-		// b and a reachable; a excluded as start.
-		if len(anc) != 1 {
-			t.Fatalf("Ancestors with cycle = %v", anc)
-		}
-	}
-}
-
 func TestKinds(t *testing.T) {
 	tx := New()
 	tx.MarkEntity("刘德华")
@@ -238,8 +194,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadJSON: %v", err)
 	}
-	if got.EdgeCount() != tx.EdgeCount() {
-		t.Fatalf("edges = %d, want %d", got.EdgeCount(), tx.EdgeCount())
+	if got, want := got.ComputeStats(), tx.ComputeStats(); got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
 	}
 	e, _ := got.EdgeOf("刘德华", "演员")
 	if e.Count != 2 || e.Sources != SourceBracket|SourceTag {
@@ -253,6 +209,25 @@ func TestJSONRoundTrip(t *testing.T) {
 func TestReadJSONRejectsGarbage(t *testing.T) {
 	if _, err := ReadJSON(bytes.NewBufferString("nope")); err == nil {
 		t.Fatal("ReadJSON accepted garbage")
+	}
+}
+
+// TestReadJSONRejectsInvalid pins the loader to the serving image's
+// bounds: a kind above KindConcept or an evidence count outside
+// [0, MaxInt32] would compile into a view with negative typicality and
+// save into a snapshot no reader accepts.
+func TestReadJSONRejectsInvalid(t *testing.T) {
+	for _, in := range []string{
+		`{"kinds":{"甲":7},"edges":[]}`,
+		`{"kinds":{},"edges":[{"hypo":"甲","hyper":"乙","count":-3}]}`,
+		`{"kinds":{},"edges":[{"hypo":"甲","hyper":"乙","count":2147483648}]}`,
+	} {
+		if _, err := ReadJSON(bytes.NewBufferString(in)); err == nil {
+			t.Errorf("ReadJSON accepted %s", in)
+		}
+	}
+	if _, err := ReadJSON(bytes.NewBufferString(`{"kinds":{"甲":2},"edges":[{"hypo":"乙","hyper":"甲","count":2147483647}]}`)); err != nil {
+		t.Errorf("ReadJSON refused the bounds themselves: %v", err)
 	}
 }
 
@@ -280,8 +255,8 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				name := string(rune('a' + g))
 				_ = tx.AddIsA(name+"实体", "概念", SourceTag, 1)
-				_ = tx.Hypernyms(name + "实体")
-				_ = tx.Hyponyms("概念", 10)
+				_, _ = tx.EdgeOf(name+"实体", "概念")
+				_ = tx.HyponymCount("概念")
 				_ = tx.ComputeStats()
 			}
 		}(g)
@@ -314,24 +289,26 @@ func TestQuickIndexesConsistent(t *testing.T) {
 				return false
 			}
 		}
-		for _, n := range tx.Nodes() {
-			for _, h := range tx.Hypernyms(n) {
-				found := false
-				for _, back := range tx.Hyponyms(h, 0) {
-					if back == n {
-						found = true
-					}
-				}
-				if !found {
-					return false
-				}
-			}
-		}
-		return true
+		return reverseIndexConsistent(tx) == ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// reverseIndexConsistent returns the first node whose hyponym count
+// disagrees with the edges pointing at it, or "" when none does.
+func reverseIndexConsistent(tx *Taxonomy) string {
+	in := map[string]int{}
+	for _, e := range tx.Edges() {
+		in[e.Hyper]++
+	}
+	for _, n := range tx.ReadAll().Names {
+		if tx.HyponymCount(n) != in[n] {
+			return n
+		}
+	}
+	return ""
 }
 
 func mustAdd(t *testing.T, tx *Taxonomy, hypo, hyper string, src Source) {
@@ -380,44 +357,34 @@ func TestShardedConcurrentAddAndQuery(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				_ = tx.Hypernyms(fmt.Sprintf("实体%d_%d", g, i))
-				_ = tx.Hyponyms(fmt.Sprintf("概念%d", i%13), 10)
-				_ = tx.Ancestors(fmt.Sprintf("实体%d_%d", g%writers, i))
-				_ = tx.RankedHypernyms(fmt.Sprintf("实体%d_%d", g, i), 3)
+				_, _ = tx.EdgeOf(fmt.Sprintf("实体%d_%d", g, i), fmt.Sprintf("概念%d", i%13))
+				_ = tx.HyponymCount(fmt.Sprintf("概念%d", i%13))
+				_ = tx.IsAncestor(fmt.Sprintf("实体%d_%d", g%writers, i), fmt.Sprintf("上位%d", i%3))
+				_ = tx.Kind(fmt.Sprintf("实体%d_%d", g, i))
 				if i%29 == 0 {
 					_ = tx.ComputeStats()
-					_ = tx.EdgeCount()
+					_ = tx.Concepts()
 				}
 				if i%53 == 0 {
 					_ = tx.Edges()
-					_ = tx.Nodes()
+					_ = tx.ReadAll()
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
 
-	// Index invariant after the storm: every hypernym entry has its
-	// reverse hyponym entry.
-	for _, n := range tx.Nodes() {
-		for _, h := range tx.Hypernyms(n) {
-			found := false
-			for _, back := range tx.Hyponyms(h, 0) {
-				if back == n {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("missing reverse index: %q isA %q", n, h)
-			}
-		}
+	// Index invariant after the storm: every edge has its reverse
+	// hyponym entry.
+	if n := reverseIndexConsistent(tx); n != "" {
+		t.Fatalf("reverse index of %q disagrees with its edges", n)
 	}
 }
 
-// TestFinalizeCanonicalizesAndCaches checks that adjacency is read in
-// canonical order — before Finalize as much as after it: the store no
-// longer caches a merged index for Finalize to build — and that a
-// subsequent write is visible at once.
+// TestFinalizeCanonicalizesAndCaches checks that the store reads its
+// content back in canonical order with no finalizing step in between,
+// and that a subsequent write is visible at once. (The name dates from
+// the Finalize call earlier stores needed.)
 func TestFinalizeCanonicalizesAndCaches(t *testing.T) {
 	tx := New()
 	// Insert out of lexicographic order.
@@ -425,28 +392,23 @@ func TestFinalizeCanonicalizesAndCaches(t *testing.T) {
 	mustAdd(t, tx, "甲", "乙概念", SourceTag)
 	mustAdd(t, tx, "戊", "乙概念", SourceTag)
 	mustAdd(t, tx, "丁", "乙概念", SourceTag)
-	if hs := tx.Hypernyms("甲"); len(hs) != 2 || hs[0] != "丙概念" {
-		t.Fatalf("hypernyms not canonical before Finalize: %v", hs)
+	set := tx.ReadAll()
+	if got := fmt.Sprint(set.Names); got != "[丁 丙概念 乙概念 戊 甲]" {
+		t.Fatalf("names not canonical: %s", got)
 	}
-	tx.Finalize()
-	hs := tx.Hypernyms("甲")
-	if len(hs) != 2 || hs[0] != "丙概念" || hs[1] != "乙概念" { // 丙 U+4E19 < 乙 U+4E59
+	hs := set.Edges[set.EdgeOff[4]:set.EdgeOff[5]]
+	if len(hs) != 2 || hs[0].Hyper != "丙概念" || hs[1].Hyper != "乙概念" { // 丙 U+4E19 < 乙 U+4E59
 		t.Fatalf("hypernyms not canonical: %v", hs)
 	}
-	hypos := tx.Hyponyms("乙概念", 0)
-	if len(hypos) != 3 || hypos[0] != "丁" || hypos[1] != "戊" || hypos[2] != "甲" {
-		t.Fatalf("hyponyms not canonical: %v", hypos)
+	if hs[0].At != 1 || hs[1].At != 2 {
+		t.Fatalf("hypernyms resolved to %d, %d, want 1, 2", hs[0].At, hs[1].At)
 	}
-	stats := tx.ComputeStats()
-	if stats.IsARelations != 4 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	// Queries see a later write immediately.
+	// Reads see a later write immediately.
 	mustAdd(t, tx, "己", "乙概念", SourceTag)
 	if got := tx.ComputeStats().IsARelations; got != 5 {
 		t.Fatalf("stats after a write = %d, want 5", got)
 	}
-	if got := len(tx.Nodes()); got != 6 {
+	if got := len(tx.ReadAll().Names); got != 6 {
 		t.Fatalf("nodes after a write = %d, want 6", got)
 	}
 }
