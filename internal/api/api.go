@@ -21,7 +21,9 @@
 // served from an immutable serving.View held in an atomic pointer —
 // zero locks, near-zero allocation per query — and SwapView atomically
 // replaces the whole view to pick up new data (cnpserver wires this to
-// SIGHUP for hot snapshot reload). Errors are JSON bodies
+// SIGHUP for hot snapshot reload). Answers are encoded, and the
+// canonical request forms decoded, without reflection but byte for byte
+// as encoding/json would (encode.go, decode.go). Errors are JSON bodies
 // ({"error": "..."}) with the right Content-Type. Handlers are safe
 // for concurrent use; request/response schemas are documented in
 // docs/API.md.
@@ -257,27 +259,26 @@ type Men2EntResponse struct {
 func (s *Server) handleMen2Ent(w http.ResponseWriter, r *http.Request) {
 	defer s.men2entLat.since(time.Now())
 	s.men2entCalls.Add(1)
-	mention := r.URL.Query().Get("mention")
+	mention := queryValue(r.URL.RawQuery, "mention")
 	if mention == "" {
 		writeError(w, http.StatusBadRequest, "missing ?mention=")
 		return
 	}
 	v := s.View()
-	writeJSON(w, Men2EntResponse{Mention: mention, Entities: v.Lookup(mention)})
+	entities := v.Lookup(mention)
+	jsonHeader(w)
+	sc := getScratch()
+	sc.out = appendMen2Ent(sc.out, mention, entities)
+	sc.respond(w, true)
 	runtime.KeepAlive(v)
 }
 
 func (s *Server) handleMen2EntBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.men2entBatchLat.since(time.Now())
 	s.men2entBatchCalls.Add(1)
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "men2entBatch requires POST with a JSON array of mentions")
-		return
-	}
-	var batch []string
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBatchBytes)).Decode(&batch); err != nil {
-		writeError(w, http.StatusBadRequest, "body must be a JSON array of mention strings: "+err.Error())
+	sc := getScratch()
+	batch, ok := sc.postStrings(w, r)
+	if !ok {
 		return
 	}
 	if len(batch) > MaxBatchMentions {
@@ -287,11 +288,16 @@ func (s *Server) handleMen2EntBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.men2entCalls.Add(int64(len(batch))) // each mention counts as one men2ent resolution
 	v := s.View()                         // one consistent view for the whole batch
-	out := make([]Men2EntResponse, len(batch))
+	jsonHeader(w)
+	sc.out = append(sc.out, '[')
 	for i, m := range batch {
-		out[i] = Men2EntResponse{Mention: m, Entities: v.Lookup(m)}
+		if i > 0 {
+			sc.out = append(sc.out, ',')
+		}
+		sc.out = appendMen2Ent(sc.out, m, v.Lookup(m))
 	}
-	writeJSON(w, out)
+	sc.out = append(sc.out, ']')
+	sc.respond(w, true)
 	runtime.KeepAlive(v)
 }
 
@@ -307,17 +313,22 @@ type ConceptResponse struct {
 func (s *Server) handleGetConcept(w http.ResponseWriter, r *http.Request) {
 	defer s.getConceptLat.since(time.Now())
 	s.getConceptCalls.Add(1)
-	entity := r.URL.Query().Get("entity")
+	entity := queryValue(r.URL.RawQuery, "entity")
 	if entity == "" {
 		writeError(w, http.StatusBadRequest, "missing ?entity=")
 		return
 	}
 	v := s.View()
-	resp := ConceptResponse{Entity: entity, Hypernyms: v.Hypernyms(entity)}
-	if r.URL.Query().Get("ranked") == "1" {
-		resp.Ranked = v.RankedHypernyms(entity, 0)
+	hypernyms := v.Hypernyms(entity)
+	var ranked []taxonomy.Scored
+	if queryValue(r.URL.RawQuery, "ranked") == "1" {
+		ranked = v.RankedHypernyms(entity, 0)
 	}
-	writeJSON(w, resp)
+	jsonHeader(w)
+	sc := getScratch()
+	var ok bool
+	sc.out, ok = appendConcept(sc.out, entity, hypernyms, ranked)
+	sc.respond(w, ok)
 	runtime.KeepAlive(v)
 }
 
@@ -330,13 +341,13 @@ type EntityResponse struct {
 func (s *Server) handleGetEntity(w http.ResponseWriter, r *http.Request) {
 	defer s.getEntityLat.since(time.Now())
 	s.getEntityCalls.Add(1)
-	concept := r.URL.Query().Get("concept")
+	concept := queryValue(r.URL.RawQuery, "concept")
 	if concept == "" {
 		writeError(w, http.StatusBadRequest, "missing ?concept=")
 		return
 	}
 	limit := 0
-	if arg := r.URL.Query().Get("limit"); arg != "" {
+	if arg := queryValue(r.URL.RawQuery, "limit"); arg != "" {
 		n, err := strconv.Atoi(arg)
 		if err != nil || n < 0 {
 			writeError(w, http.StatusBadRequest, "bad ?limit=")
@@ -345,7 +356,11 @@ func (s *Server) handleGetEntity(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	v := s.View()
-	writeJSON(w, EntityResponse{Concept: concept, Hyponyms: v.Hyponyms(concept, limit)})
+	hyponyms := v.Hyponyms(concept, limit)
+	jsonHeader(w)
+	sc := getScratch()
+	sc.out = appendEntity(sc.out, concept, hyponyms)
+	sc.respond(w, true)
 	runtime.KeepAlive(v)
 }
 
@@ -442,8 +457,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (h *histogram) since(start time.Time) { h.observe(time.Since(start)) }
 
+// writeJSON encodes v by reflection. Only /api/stats, which is not on
+// the query path, still answers through it.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	jsonHeader(w)
 	// Encoding to the client can fail only on connection loss; nothing
 	// actionable remains at that point.
 	_ = json.NewEncoder(w).Encode(v)

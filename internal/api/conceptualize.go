@@ -1,7 +1,6 @@
 package api
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -35,50 +34,31 @@ type ConceptualizeResponse struct {
 	Concepts []taxonomy.Scored `json:"concepts"`
 }
 
-func conceptualizeOne(e *conceptualize.Engine, text string) ConceptualizeResponse {
-	res := e.Conceptualize(text)
-	return ConceptualizeResponse{
-		Text:     text,
-		Covered:  res.Covered(),
-		Mentions: res.Mentions,
-		Concepts: res.Concepts,
-	}
-}
-
-// decodePost enforces the shared POST contract: POST only (405 with
-// Allow otherwise), body capped at MaxBatchBytes, JSON decoded into
-// dst. A malformed or oversized body yields a JSON 400; the reply to
-// the caller is true only when dst was filled.
-func decodePost(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, r.URL.Path+" requires POST with a JSON body")
-		return false
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBatchBytes)).Decode(dst); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON body: "+err.Error())
-		return false
-	}
-	return true
-}
-
 func (s *Server) handleConceptualize(w http.ResponseWriter, r *http.Request) {
 	defer s.conceptualizeLat.since(time.Now())
 	s.conceptualizeCalls.Add(1)
-	var req ConceptualizeRequest
-	if !decodePost(w, r, &req) {
+	sc := getScratch()
+	text, ok := postField[ConceptualizeRequest](sc, w, r)
+	if !ok {
 		return
 	}
 	v := s.View()
-	writeJSON(w, conceptualizeOne(conceptualize.NewView(v), req.Text))
+	var res conceptualize.Result
+	conceptualize.NewView(v).ConceptualizeInto(&res, text)
+	jsonHeader(w)
+	sc.out, ok = appendConceptualize(sc.out, text, &res)
+	sc.respond(w, ok)
 	runtime.KeepAlive(v)
 }
 
+// handleConceptualizeBatch encodes each text's answer as soon as the
+// engine has filled the one Result the batch recycles.
 func (s *Server) handleConceptualizeBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.conceptualizeBatchLat.since(time.Now())
 	s.conceptualizeBatchCall.Add(1)
-	var batch []string
-	if !decodePost(w, r, &batch) {
+	sc := getScratch()
+	batch, ok := sc.postStrings(w, r)
+	if !ok {
 		return
 	}
 	if len(batch) > MaxBatchTexts {
@@ -89,11 +69,20 @@ func (s *Server) handleConceptualizeBatch(w http.ResponseWriter, r *http.Request
 	s.conceptualizeCalls.Add(int64(len(batch))) // each text counts as one conceptualization
 	v := s.View()                               // one consistent view for the whole batch
 	e := conceptualize.NewView(v)
-	out := make([]ConceptualizeResponse, len(batch))
+	jsonHeader(w)
+	var res conceptualize.Result
+	sc.out = append(sc.out, '[')
 	for i, text := range batch {
-		out[i] = conceptualizeOne(e, text)
+		if i > 0 {
+			sc.out = append(sc.out, ',')
+		}
+		e.ConceptualizeInto(&res, text)
+		if sc.out, ok = appendConceptualize(sc.out, text, &res); !ok {
+			break
+		}
 	}
-	writeJSON(w, out)
+	sc.out = append(sc.out, ']')
+	sc.respond(w, ok)
 	runtime.KeepAlive(v)
 }
 
@@ -117,17 +106,15 @@ type QAResponse struct {
 func (s *Server) handleQA(w http.ResponseWriter, r *http.Request) {
 	defer s.qaLat.since(time.Now())
 	s.qaCalls.Add(1)
-	var req QARequest
-	if !decodePost(w, r, &req) {
+	sc := getScratch()
+	question, ok := postField[QARequest](sc, w, r)
+	if !ok {
 		return
 	}
 	v := s.View()
-	u := qa.Understand(req.Question, v)
-	writeJSON(w, QAResponse{
-		Question: req.Question,
-		Covered:  u.Covered,
-		Mentions: u.Mentions,
-		Concepts: u.Concepts,
-	})
+	u := qa.Understand(question, v)
+	jsonHeader(w)
+	sc.out = appendQA(sc.out, question, &u)
+	sc.respond(w, true)
 	runtime.KeepAlive(v)
 }

@@ -15,9 +15,10 @@ import (
 	"cnprobase/internal/snapshot"
 )
 
-// gapWriter runs gap once, at the first Header call: writeJSON makes it
-// after the handler has read its answer out of the view and before it
-// encodes a byte of it.
+// gapWriter runs gap once, at the first Header call: jsonHeader makes it
+// after the handler has read its answer out of the view (a batch
+// handler: after loading the view it reads every item from) and before
+// it encodes a byte of it.
 type gapWriter struct {
 	*httptest.ResponseRecorder
 	gap func()

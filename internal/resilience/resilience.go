@@ -37,6 +37,7 @@ import (
 	"log"
 	"net/http"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,6 +47,11 @@ import (
 // sheds: long enough to thin a retry storm, short enough that a
 // well-behaved client loses almost no time.
 const RetryAfterSeconds = 1
+
+// MaxPooledBytes bounds every buffer the serving plane recycles through
+// a sync.Pool: what one huge request or response grew is left to the
+// collector instead of being parked per P for the life of the process.
+const MaxPooledBytes = 64 << 10
 
 // errorResponse mirrors the API's uniform error body so every refusal
 // — shed, timeout, panic — parses with the same schema as a handler
@@ -192,6 +198,12 @@ func getBuffered() *bufferedResponse {
 	return b
 }
 
+func putBuffered(b *bufferedResponse) {
+	if cap(b.body) <= MaxPooledBytes {
+		bufPool.Put(b)
+	}
+}
+
 func (b *bufferedResponse) Header() http.Header { return b.header }
 
 func (b *bufferedResponse) WriteHeader(code int) {
@@ -222,7 +234,9 @@ func (b *bufferedResponse) overwriteError(code int, msg string) {
 	b.body = append(b.body, '\n')
 }
 
-// copyTo replays the buffered response onto the real writer.
+// copyTo replays the buffered response onto the real writer. The body
+// is complete, so it goes out framed by its Content-Length: net/http
+// would otherwise send any body over its 2 KiB buffer chunked.
 func (b *bufferedResponse) copyTo(w http.ResponseWriter) {
 	dst := w.Header()
 	for k, vs := range b.header {
@@ -231,6 +245,9 @@ func (b *bufferedResponse) copyTo(w http.ResponseWriter) {
 	code := b.code
 	if code == 0 {
 		code = http.StatusOK
+	}
+	if code >= http.StatusOK && code != http.StatusNoContent && code != http.StatusNotModified {
+		dst.Set("Content-Length", strconv.Itoa(len(b.body)))
 	}
 	w.WriteHeader(code)
 	_, _ = w.Write(b.body)
@@ -329,14 +346,14 @@ func (g *Guard) Wrap(h http.Handler, shed *atomic.Int64) http.Handler {
 		select {
 		case <-done:
 			bw.copyTo(w)
-			bufPool.Put(bw)
+			putBuffered(bw)
 		case <-ctx.Done():
 			// Prefer the handler's answer if it finished in the same
 			// instant the deadline fired.
 			select {
 			case <-done:
 				bw.copyTo(w)
-				bufPool.Put(bw)
+				putBuffered(bw)
 			default:
 				if g.Metrics != nil {
 					g.Metrics.Timeouts.Add(1)

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -221,6 +222,31 @@ func TestGuardDeadlineFastHandler(t *testing.T) {
 	if rec.Code != http.StatusCreated || rec.Body.String() != "payload" || rec.Header().Get("X-Custom") != "yes" {
 		t.Fatalf("buffered response mangled: code=%d body=%q header=%q",
 			rec.Code, rec.Body.String(), rec.Header().Get("X-Custom"))
+	}
+}
+
+// TestGuardBufferPoolIsBounded pins the pool bound: a guarded handler
+// writes a 4 MiB body, which reaches the client whole and framed by its
+// Content-Length, but the buffer it grew is not parked in the pool for
+// the next request to inherit.
+func TestGuardBufferPoolIsBounded(t *testing.T) {
+	// One P: the pool's per-P private slot is then the only place a
+	// Put can land, so draining the pool below sees it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	big := strings.Repeat("长", (4<<20)/3)
+	g := Guard{Timeout: 5 * time.Second}
+	h := g.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, big)
+	}), nil)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
+	if rec.Code != http.StatusOK || rec.Body.String() != big || rec.Header().Get("Content-Length") != fmt.Sprint(len(big)) {
+		t.Fatalf("code %d, %d of %d bytes, Content-Length %q", rec.Code, rec.Body.Len(), len(big), rec.Header().Get("Content-Length"))
+	}
+	for i := 0; i < 16; i++ {
+		if b := bufPool.Get().(*bufferedResponse); cap(b.body) > MaxPooledBytes {
+			t.Fatalf("pool kept a %d-byte response buffer after a %d-byte body (bound %d)", cap(b.body), len(big), MaxPooledBytes)
+		}
 	}
 }
 
