@@ -32,12 +32,14 @@ func requirePost(w http.ResponseWriter, r *http.Request) bool {
 // cap and returns it as one string: every string the scanner decodes is
 // a substring of it, so a request costs one string however many it
 // carries. err is what cut the read short, if anything.
+//
+// The buffer grows only as bytes arrive, as io.ReadAll's does, never to
+// a Content-Length the client declares. The loop calls Read itself
+// rather than handing the reader to bytes.Buffer.ReadFrom so that the
+// MaxBytesReader stays on the stack.
 func (sc *scratch) readBody(w http.ResponseWriter, r *http.Request) (string, error) {
 	src := http.MaxBytesReader(w, r.Body, MaxBatchBytes)
 	b := sc.body[:0]
-	if n := r.ContentLength; n >= int64(cap(b)) && n < MaxBatchBytes {
-		b = make([]byte, 0, n+1) // room for the read that sees EOF
-	}
 	var err error
 	for err == nil {
 		if len(b) == cap(b) {

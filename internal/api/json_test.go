@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"slices"
 	"strconv"
 	"testing"
@@ -261,6 +262,34 @@ func TestHandlerAllocations(t *testing.T) {
 		if allocs > c.max {
 			t.Errorf("%s %s: %.1f allocs/op, want <= %.0f", c.path, c.query, allocs, c.max)
 		}
+	}
+}
+
+// TestBodyBufferFollowsBytesRead holds the POST body buffer to the bytes
+// that arrive, not to the Content-Length a client declares: a request
+// that promises just under MaxBatchBytes and sends a few bytes must not
+// cost a MaxBatchBytes allocation.
+func TestBodyBufferFollowsBytesRead(t *testing.T) {
+	tax, mentions := equivFixture(t)
+	h := NewViewServerConfig(serving.Compile(tax, mentions), ResilienceConfig{}).routes()["/api/men2entBatch"]
+	body := bytes.NewReader(nil)
+	req := httptest.NewRequest(http.MethodPost, "/api/men2entBatch", body)
+	req.ContentLength = MaxBatchBytes - 1
+	w := &discardWriter{header: make(http.Header)}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		body.Reset([]byte(`["实体00"]`))
+		w.code, w.n = 0, 0
+		h(w, req)
+	}
+	runtime.ReadMemStats(&after)
+	if w.code != http.StatusOK || w.n == 0 {
+		t.Fatalf("status %d, %d bytes", w.code, w.n)
+	}
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 64<<10 {
+		t.Errorf("a %d-byte body declared as %d bytes allocates %d bytes/op", body.Size(), req.ContentLength, perOp)
 	}
 }
 
