@@ -82,7 +82,7 @@ type (
 
 	// ServingView is the immutable, read-optimized serving view the
 	// HTTP APIs answer from: interned node IDs, CSR adjacency,
-	// pre-sorted typicality rankings, flat sorted mention table — zero
+	// ID-ordered typicality rankings, flat sorted mention table — zero
 	// locks and near-zero allocation per query. Obtain one with
 	// Result.Freeze (from a build) or OpenSnapshotMapped (from a file).
 	ServingView = serving.View

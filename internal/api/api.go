@@ -320,15 +320,11 @@ func (s *Server) handleGetConcept(w http.ResponseWriter, r *http.Request) {
 	}
 	v := s.View()
 	hypernyms := v.Hypernyms(entity)
-	var ranked []taxonomy.Scored
-	if queryValue(r.URL.RawQuery, "ranked") == "1" {
-		ranked = v.RankedHypernyms(entity, 0)
-	}
+	ranked := queryValue(r.URL.RawQuery, "ranked") == "1"
 	jsonHeader(w)
 	sc := getScratch()
-	var ok bool
-	sc.out, ok = appendConcept(sc.out, entity, hypernyms, ranked)
-	sc.respond(w, ok)
+	sc.out = appendConcept(sc.out, v, entity, hypernyms, ranked)
+	sc.respond(w, true)
 	runtime.KeepAlive(v)
 }
 

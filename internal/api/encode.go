@@ -10,6 +10,7 @@ import (
 	"cnprobase/internal/conceptualize"
 	"cnprobase/internal/qa"
 	"cnprobase/internal/resilience"
+	"cnprobase/internal/serving"
 	"cnprobase/internal/taxonomy"
 )
 
@@ -76,18 +77,30 @@ func appendMen2Ent(dst []byte, mention string, entities []string) []byte {
 	return append(dst, '}')
 }
 
-// appendConcept encodes a ConceptResponse; ok is false when a score is
-// not finite.
+// appendConcept encodes the ConceptResponse of entity and its
+// hypernyms, as v answers them. With ranked, Ranked lists the same
+// hypernyms by typicality, read from v by ID entry by entry; a score is
+// a count over a non-zero total, so always finite.
 //
 //cnp:noalloc
-func appendConcept(dst []byte, entity string, hypernyms []string, ranked []taxonomy.Scored) (_ []byte, ok bool) {
+func appendConcept(dst []byte, v *serving.View, entity string, hypernyms []string, ranked bool) []byte {
 	dst = appendString(append(dst, `{"entity":`...), entity)
 	dst = appendStrings(append(dst, `,"hypernyms":`...), hypernyms)
-	ok = true
-	if len(ranked) > 0 {
-		dst, ok = appendScored(append(dst, `,"ranked":`...), ranked)
+	if ranked && len(hypernyms) > 0 {
+		id, _ := v.ID(entity, 0)
+		dst = append(dst, `,"ranked":[`...)
+		for r := range hypernyms {
+			if r > 0 {
+				dst = append(dst, ',')
+			}
+			hyper, score := v.RankedHypernymAt(id, r)
+			dst = appendString(append(dst, `{"node":`...), v.Name(hyper))
+			dst, _ = appendFloat(append(dst, `,"score":`...), score)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
 	}
-	return append(dst, '}'), ok
+	return append(dst, '}')
 }
 
 // appendEntity encodes an EntityResponse.

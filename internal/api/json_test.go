@@ -55,6 +55,8 @@ func FuzzResponseEncoding(f *testing.F) {
 	} {
 		f.Add(seed.a, seed.b, seed.x, seed.y, uint8(0xff))
 	}
+	tax, mentions := equivFixture(f)
+	v := serving.Compile(tax, mentions)
 	f.Fuzz(func(t *testing.T, a, b string, x, y float64, shape uint8) {
 		lists := [][]string{nil, {}, {a}, {a, b}}
 		scoreds := [][]taxonomy.Scored{nil, {}, {{Node: a, Score: x}}, {{Node: b, Score: y}, {Node: a, Score: x}}}
@@ -63,15 +65,23 @@ func FuzzResponseEncoding(f *testing.F) {
 
 		requireEncoded(t, "appendMen2Ent", appendMen2Ent(nil, a, strs), true, Men2EntResponse{Mention: a, Entities: strs})
 		requireEncoded(t, "appendEntity", appendEntity(nil, b, strs), true, EntityResponse{Concept: b, Hyponyms: strs})
-		got, ok := appendConcept(nil, a, strs, scored)
-		requireEncoded(t, "appendConcept", got, ok, ConceptResponse{Entity: a, Hypernyms: strs, Ranked: scored})
+		// appendConcept reads its answer from the view: for a, almost
+		// always unknown, and for a node picked by shape.
+		for _, entity := range []string{a, v.Nodes()[int(shape)%v.NodeCount()]} {
+			ranked := shape&1 != 0
+			want := ConceptResponse{Entity: entity, Hypernyms: v.Hypernyms(entity)}
+			if ranked {
+				want.Ranked = v.RankedHypernymsAppend(nil, entity, 0)
+			}
+			requireEncoded(t, "appendConcept", appendConcept(nil, v, entity, v.Hypernyms(entity), ranked), true, want)
+		}
 
 		var mentions []conceptualize.Mention
 		if shape&0x40 != 0 {
 			mentions = []conceptualize.Mention{{Surface: a, Entity: b, Candidates: int(shape), Concepts: scored}, {Surface: b, Concepts: scoreds[shape&3]}}
 		}
 		res := conceptualize.Result{Mentions: mentions, Concepts: scoreds[shape>>2&3]}
-		got, ok = appendConceptualize(nil, b, &res)
+		got, ok := appendConceptualize(nil, b, &res)
 		requireEncoded(t, "appendConceptualize", got, ok,
 			ConceptualizeResponse{Text: b, Covered: res.Covered(), Mentions: res.Mentions, Concepts: res.Concepts})
 

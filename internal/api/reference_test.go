@@ -28,7 +28,7 @@ func (s reference) conceptualize(text string) ConceptualizeResponse {
 	context := map[string]float64{}
 	for _, sf := range surfaces {
 		for _, id := range s.mentions.Lookup(sf) {
-			for _, c := range s.view.RankedHypernyms(id, maxConcepts) {
+			for _, c := range s.view.RankedHypernymsAppend(nil, id, maxConcepts) {
 				context[c.Node] += c.Score
 			}
 		}
@@ -49,14 +49,14 @@ func (s reference) conceptualize(text string) ConceptualizeResponse {
 					pop += e.Count
 				}
 			}
-			for _, c := range s.view.RankedHypernyms(id, maxConcepts) {
+			for _, c := range s.view.RankedHypernymsAppend(nil, id, maxConcepts) {
 				agree += context[c.Node] * c.Score
 			}
 			if score := float64(pop) * (1 + agree); score > bestScore {
 				best, bestScore = id, score
 			}
 		}
-		concepts := s.view.RankedHypernyms(best, maxConcepts)
+		concepts := s.view.RankedHypernymsAppend(nil, best, maxConcepts)
 		if len(concepts) == 0 {
 			continue
 		}

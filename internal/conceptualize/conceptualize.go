@@ -12,17 +12,19 @@
 // The engine reads one model, the immutable serving.View, through its
 // ID-native surface: the text scan hands back each surface with its
 // mention-table row, every candidate entity is resolved name → ID once
-// per text, and rankings, evidence totals and the context table are
-// read by ID or scanned in small pooled slices. The resolve path takes
-// no locks and, through ConceptualizeInto with recycled buffers,
-// allocates nothing per text. A build store is conceptualized by
-// compiling it first (serving.Compile); the string-keyed algorithm the
-// engine replaced is the oracle in reference_test.go, which holds the
-// engine to bit-equal scores.
+// per text, rankings and evidence totals are read by ID, and the
+// context and aggregate are keyed by concept ID in small pooled slices;
+// a concept's name is looked up only when the Result is written. The
+// resolve path takes no locks and, through ConceptualizeInto with
+// recycled buffers, allocates nothing per text. A build store is
+// conceptualized by compiling it first (serving.Compile); the
+// string-keyed algorithm the engine replaced is the oracle in
+// reference_test.go, which holds the engine to bit-equal scores.
 package conceptualize
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"cnprobase/internal/serving"
@@ -52,8 +54,9 @@ type Mention struct {
 	Entity string `json:"entity"`
 	// Candidates is the number of entities the surface could mean.
 	Candidates int `json:"candidates"`
-	// Concepts are the chosen entity's ranked concepts: a shared
-	// subslice of the view's precomputed rankings, do not modify it.
+	// Concepts are the chosen entity's ranked concepts, most typical
+	// first. They live in the Result's own storage: valid until the
+	// Result is refilled.
 	Concepts []taxonomy.Scored `json:"concepts"`
 }
 
@@ -63,6 +66,9 @@ type Result struct {
 	// Concepts is the aggregated ranked concept vector of the text,
 	// normalized to sum to 1.
 	Concepts []taxonomy.Scored `json:"concepts"`
+	// ranked backs every Mention's Concepts, one run per mention in
+	// mention order, recycled with the Result.
+	ranked []taxonomy.Scored
 }
 
 // Covered reports whether the text contained at least one resolvable
@@ -77,14 +83,22 @@ type candidate struct {
 	ok bool
 }
 
+// concept is one weighted concept of a text, by node ID.
+type concept struct {
+	id    uint32
+	score float64
+}
+
 // scratch is the pooled per-call state of ConceptualizeInto: the found
 // surfaces, their candidates resolved once (flat, in surface order),
-// and the text's concept context. A text touches a few candidates × a
-// few concepts, so the context is a slice scanned linearly, not a map.
+// the text's concept context and the chosen entities' aggregate. A text
+// touches a few candidates × a few concepts, so context and aggregate
+// are slices scanned linearly by ID, not maps.
 type scratch struct {
 	found   []serving.Found
 	cands   []candidate
-	context []taxonomy.Scored
+	context []concept
+	agg     []concept
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -111,15 +125,19 @@ func (e *Engine) Conceptualize(text string) Result {
 func (e *Engine) ConceptualizeInto(res *Result, text string) {
 	res.Mentions = res.Mentions[:0]
 	res.Concepts = res.Concepts[:0]
+	res.ranked = res.ranked[:0]
 	v := e.v
 	sc := scratchPool.Get().(*scratch)
 	found := v.FindMentionsAppend(sc.found[:0], text)
-	cands, context := sc.cands[:0], sc.context[:0]
+	cands, context, agg := sc.cands[:0], sc.context[:0], sc.agg[:0]
 
 	// First pass: resolve every candidate, once, and collect its
-	// concepts for context agreement.
+	// concepts for context agreement. most bounds the ranked concepts
+	// the chosen entities can bring: per surface, its widest candidate's.
+	most := 0
 	for i := range found {
 		from := uint32(0) // a mention's entities ascend, so do their IDs
+		widest := 0
 		for _, name := range v.MentionEntities(found[i].Row) {
 			id, ok := v.ID(name, from)
 			cands = append(cands, candidate{id: id, ok: ok})
@@ -127,19 +145,19 @@ func (e *Engine) ConceptualizeInto(res *Result, text string) {
 				continue
 			}
 			from = id + 1
-			for _, s := range v.RankedHypernymsOf(id, e.MaxConceptsPerEntity) {
-				if at := indexOf(context, s.Node); at >= 0 {
-					context[at].Score += s.Score
-				} else {
-					context = append(context, s)
-				}
+			n := e.conceptCount(id)
+			widest = max(widest, n)
+			for r := range n {
+				c, score := v.RankedHypernymAt(id, r)
+				context = add(context, c, score)
 			}
 		}
+		most += widest
 	}
 	// Second pass: disambiguate each surface and aggregate the chosen
-	// entities' concepts straight into res.Concepts. Every sum — per
-	// concept and the normalizer — runs in mention order, so scores are
-	// bit-identical to the reference's.
+	// entities' concepts. Every sum — per concept and the normalizer —
+	// runs in mention order, so scores are bit-identical to the
+	// reference's.
 	total := 0.0
 	next := 0
 	for i := range found {
@@ -153,50 +171,74 @@ func (e *Engine) ConceptualizeInto(res *Result, text string) {
 		if !mine[best].ok {
 			continue
 		}
-		concepts := v.RankedHypernymsOf(mine[best].id, e.MaxConceptsPerEntity)
-		if len(concepts) == 0 {
+		id := mine[best].id
+		n := e.conceptCount(id)
+		if n == 0 {
 			continue
 		}
 		if res.Mentions == nil {
-			// A fresh Result: size both vectors once instead of growing
-			// them append by append (the context holds every concept the
-			// aggregate can).
+			// A fresh Result: size it once instead of growing it append by
+			// append. One array backs the aggregate (it holds at most the
+			// context's concepts) and the mentions' ranked runs.
 			//cnp:allow noallochot (only a Result that was never filled; a recycled one keeps its arrays)
-			res.Mentions, res.Concepts = make([]Mention, 0, len(found)-i), make([]taxonomy.Scored, 0, len(context))
+			res.Mentions, res.ranked = make([]Mention, 0, len(found)-i), make([]taxonomy.Scored, 0, len(context)+most)
+			res.Concepts, res.ranked = res.ranked[:0:len(context)], res.ranked[len(context):len(context)]
+		}
+		start := len(res.ranked)
+		for r := range n {
+			c, score := v.RankedHypernymAt(id, r)
+			res.ranked = append(res.ranked, taxonomy.Scored{Node: v.Name(c), Score: score})
+			if score == 0 {
+				score = 1e-3
+			}
+			agg = add(agg, c, score)
+			total += score
 		}
 		res.Mentions = append(res.Mentions, Mention{
 			Surface:    found[i].Surface,
 			Entity:     names[best],
 			Candidates: len(names),
-			Concepts:   concepts,
+			Concepts:   res.ranked[start:],
 		})
-		for _, s := range concepts {
-			weight := s.Score
-			if weight == 0 {
-				weight = 1e-3
-			}
-			if at := indexOf(res.Concepts, s.Node); at >= 0 {
-				res.Concepts[at].Score += weight
-			} else {
-				res.Concepts = append(res.Concepts, taxonomy.Scored{Node: s.Node, Score: weight})
-			}
-			total += weight
-		}
+	}
+	// res.ranked may have moved while it grew: point every mention at
+	// its run of the final array.
+	at := 0
+	for i := range res.Mentions {
+		m := &res.Mentions[i]
+		end := at + len(m.Concepts)
+		m.Concepts = res.ranked[at:end:end]
+		at = end
 	}
 	if total > 0 {
-		for i := range res.Concepts {
-			res.Concepts[i].Score /= total
+		for i := range agg {
+			agg[i].score /= total
 		}
 	}
-	sort.Sort((*scoredByRank)(&res.Concepts))
+	slices.SortFunc(agg, byRank)
+	for _, c := range agg {
+		res.Concepts = append(res.Concepts, taxonomy.Scored{Node: v.Name(c.id), Score: c.score})
+	}
 	if res.Concepts == nil {
 		res.Concepts = []taxonomy.Scored{}
 	}
 
-	if cap(found) <= maxPooledScratch && cap(cands) <= maxPooledScratch && cap(context) <= maxPooledScratch {
-		sc.found, sc.cands, sc.context = found, cands, context
+	if cap(found) <= maxPooledScratch && cap(cands) <= maxPooledScratch && cap(context) <= maxPooledScratch && cap(agg) <= maxPooledScratch {
+		sc.found, sc.cands, sc.context, sc.agg = found, cands, context, agg
 		scratchPool.Put(sc)
 	}
+}
+
+// conceptCount is how many ranked concepts node id contributes: all its
+// hypernyms, bounded by MaxConceptsPerEntity.
+//
+//cnp:noalloc
+func (e *Engine) conceptCount(id uint32) int {
+	n := len(e.v.HypernymIDsOf(id))
+	if e.MaxConceptsPerEntity > 0 {
+		n = min(n, e.MaxConceptsPerEntity)
+	}
+	return n
 }
 
 // disambiguate picks, by position, the candidate entity by evidence
@@ -206,15 +248,16 @@ func (e *Engine) ConceptualizeInto(res *Result, text string) {
 // to the singer sense). A candidate that is no node scores zero.
 //
 //cnp:noalloc
-func (e *Engine) disambiguate(cands []candidate, context []taxonomy.Scored) int {
+func (e *Engine) disambiguate(cands []candidate, context []concept) int {
 	best, bestScore := 0, -1.0
 	for i, c := range cands {
 		score := 0.0
 		if c.ok {
 			agree := 0.0
-			for _, s := range e.v.RankedHypernymsOf(c.id, e.MaxConceptsPerEntity) {
-				if at := indexOf(context, s.Node); at >= 0 {
-					agree += context[at].Score * s.Score
+			for r := range e.conceptCount(c.id) {
+				h, s := e.v.RankedHypernymAt(c.id, r)
+				if at := indexOf(context, h); at >= 0 {
+					agree += context[at].score * s
 				}
 			}
 			score = float64(e.v.EvidenceTotalOf(c.id)) * (1 + agree)
@@ -226,32 +269,35 @@ func (e *Engine) disambiguate(cands []candidate, context []taxonomy.Scored) int 
 	return best
 }
 
-// indexOf returns the position of node in xs, or -1.
+// add adds score to concept id's entry of xs, appending the entry if
+// there is none.
 //
 //cnp:noalloc
-func indexOf(xs []taxonomy.Scored, node string) int {
+func add(xs []concept, id uint32, score float64) []concept {
+	if at := indexOf(xs, id); at >= 0 {
+		xs[at].score += score
+		return xs
+	}
+	return append(xs, concept{id: id, score: score})
+}
+
+// indexOf returns the position of concept id in xs, or -1.
+//
+//cnp:noalloc
+func indexOf(xs []concept, id uint32) int {
 	for i := range xs {
-		if xs[i].Node == node {
+		if xs[i].id == id {
 			return i
 		}
 	}
 	return -1
 }
 
-// scoredByRank sorts descending by score, ties broken
-// lexicographically — the shared ranking order of the taxonomy and the
-// view. A pointer receiver keeps sort.Sort allocation-free.
-type scoredByRank []taxonomy.Scored
-
-func (s *scoredByRank) Len() int { return len(*s) }
-func (s *scoredByRank) Less(i, j int) bool {
-	x := *s
-	if x[i].Score != x[j].Score {
-		return x[i].Score > x[j].Score
+// byRank orders concepts by descending score, ties by ascending ID —
+// which is name order, so this is the taxonomy's ranking order.
+func byRank(a, b concept) int {
+	if c := cmp.Compare(b.score, a.score); c != 0 {
+		return c
 	}
-	return x[i].Node < x[j].Node
-}
-func (s *scoredByRank) Swap(i, j int) {
-	x := *s
-	x[i], x[j] = x[j], x[i]
+	return cmp.Compare(a.id, b.id)
 }

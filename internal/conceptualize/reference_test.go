@@ -38,7 +38,7 @@ func (e *reference) Conceptualize(text string) Result {
 	// agreement.
 	for _, sf := range surfaces {
 		for _, id := range e.mentions.Lookup(sf) {
-			for _, s := range e.view.RankedHypernyms(id, e.MaxConceptsPerEntity) {
+			for _, s := range e.view.RankedHypernymsAppend(nil, id, e.MaxConceptsPerEntity) {
 				context[s.Node] += s.Score
 			}
 		}
@@ -53,7 +53,7 @@ func (e *reference) Conceptualize(text string) Result {
 			continue
 		}
 		best := e.disambiguate(ids, context)
-		concepts := e.view.RankedHypernyms(best, e.MaxConceptsPerEntity)
+		concepts := e.view.RankedHypernymsAppend(nil, best, e.MaxConceptsPerEntity)
 		if len(concepts) == 0 {
 			continue
 		}
@@ -95,7 +95,7 @@ func (e *reference) disambiguate(ids []string, context map[string]float64) strin
 				pop += ed.Count
 			}
 		}
-		for _, s := range e.view.RankedHypernyms(id, e.MaxConceptsPerEntity) {
+		for _, s := range e.view.RankedHypernymsAppend(nil, id, e.MaxConceptsPerEntity) {
 			agree += context[s.Node] * s.Score
 		}
 		score := float64(pop) * (1 + agree)
@@ -104,4 +104,21 @@ func (e *reference) disambiguate(ids []string, context map[string]float64) strin
 		}
 	}
 	return best
+}
+
+// scoredByRank sorts descending by score, ties broken by name — the
+// taxonomy's ranking order, which the engine reaches by concept ID.
+type scoredByRank []taxonomy.Scored
+
+func (s *scoredByRank) Len() int { return len(*s) }
+func (s *scoredByRank) Less(i, j int) bool {
+	x := *s
+	if x[i].Score != x[j].Score {
+		return x[i].Score > x[j].Score
+	}
+	return x[i].Node < x[j].Node
+}
+func (s *scoredByRank) Swap(i, j int) {
+	x := *s
+	x[i], x[j] = x[j], x[i]
 }

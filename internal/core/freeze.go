@@ -67,7 +67,7 @@ func (r *Result) takeChanges() {
 
 // Freeze returns an immutable serving.View of the Result's current
 // content — the read-optimized structure the HTTP APIs serve from
-// (interned node IDs, CSR adjacency, pre-sorted typicality, flat
+// (interned node IDs, CSR adjacency, ID-ordered typicality, flat
 // mention table; zero locks and near-zero allocation per query). The
 // view is a point-in-time copy: a later Update extends the mutable
 // store, not the view — Freeze again and swap it into the server

@@ -1,8 +1,8 @@
 package serving
 
 import (
+	"cmp"
 	"slices"
-	"strings"
 	"unicode/utf8"
 
 	"cnprobase/internal/taxonomy"
@@ -282,21 +282,24 @@ func trieFreeSafe(prev *View, ch *change) bool {
 func (v *View) buildDerived() { v.derive(nil, nil, nil, nil) }
 
 // derive fills the derived arrays — the pre-resolved name slices,
-// per-node evidence totals, the transposed hyponym CSR, the pre-sorted
-// typicality rankings and the stats summary — from the canonical ones.
-// Nodes inside runs take their segments from prev verbatim (node IDs
-// renumbered through remap): none of their edges changed, so neither
-// did their totals, scores or ranking order. Fresh nodes are derived
-// from the new canonical arrays; fresh == nil means every node is.
+// per-node evidence totals, the transposed hyponym CSR with its per-slot
+// evidence counts, the typicality rank permutations and the stats
+// summary — from the canonical ones. Nodes inside runs take their
+// segments from prev verbatim (node IDs renumbered through remap): none
+// of their edges changed, so neither did their totals, counts or
+// ranking order, and a rank is a position inside its own segment, so
+// it survives the renumbering unchanged. Fresh nodes are derived from
+// the new canonical arrays; fresh == nil means every node is.
 func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 	n, e := len(v.names), len(v.hyperIDs)
 	v.hyperNames = make([]string, e)
-	v.hyperRank = make([]taxonomy.Scored, e)
+	v.hyperRank = make([]uint32, e)
 	v.hyperTotals = make([]int64, n)
 	v.hypoOff = make([]uint32, n+1)
 	v.hypoIDs = make([]uint32, e)
 	v.hypoNames = make([]string, e)
-	v.hypoRank = make([]taxonomy.Scored, e)
+	v.hypoRank = make([]uint32, e)
+	v.hypoCounts = make([]int64, e)
 	v.hypoTotals = make([]int64, n)
 
 	// ---- hypernym side, and every node's hyponym degree ----
@@ -318,15 +321,7 @@ func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 			v.hyperNames[j] = v.names[v.hyperIDs[j]]
 			v.hyperTotals[u] += v.edgeCounts[j]
 		}
-		total := v.hyperTotals[u]
-		for j := lo; j < hi; j++ {
-			score := 0.0
-			if total != 0 {
-				score = float64(v.edgeCounts[j]) / float64(total)
-			}
-			v.hyperRank[j] = taxonomy.Scored{Node: v.hyperNames[j], Score: score}
-		}
-		sortScored(v.hyperRank[lo:hi])
+		rank(v.hyperRank[lo:hi], v.edgeCounts[lo:hi])
 	}
 	for _, hyperID := range v.hyperIDs {
 		if fresh == nil || fresh[hyperID] {
@@ -345,13 +340,12 @@ func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 		}
 		copy(v.hypoNames[to:], prev.hypoNames[a:b])
 		copy(v.hypoRank[to:], prev.hypoRank[a:b])
+		copy(v.hypoCounts[to:], prev.hypoCounts[a:b])
 		copy(v.hypoTotals[r.at:], prev.hypoTotals[r.lo:r.hi])
 	}
 	// Transpose the edges that end at fresh nodes. Scanning the flat
 	// array — which is in (hypo, hyper) ascending order — and appending
-	// per hypernym keeps each segment sorted by hyponym ID. The rank
-	// slot holds the raw evidence count until the segment's total is
-	// known.
+	// per hypernym keeps each segment sorted by hyponym ID.
 	fill := make([]uint32, n)
 	copy(fill, v.hypoOff[:n])
 	for u := 0; u < n; u++ {
@@ -364,24 +358,15 @@ func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 			fill[hyperID]++
 			v.hypoIDs[pos] = uint32(u)
 			v.hypoNames[pos] = v.names[u]
-			v.hypoRank[pos] = taxonomy.Scored{Node: v.names[u], Score: float64(v.edgeCounts[j])}
+			v.hypoCounts[pos] = v.edgeCounts[j]
 			v.hypoTotals[hyperID] += v.edgeCounts[j]
 		}
 	}
 	for id := 0; id < n; id++ {
-		if fresh != nil && !fresh[id] {
-			continue
+		if fresh == nil || fresh[id] {
+			lo, hi := v.hypoOff[id], v.hypoOff[id+1]
+			rank(v.hypoRank[lo:hi], v.hypoCounts[lo:hi])
 		}
-		lo, hi := v.hypoOff[id], v.hypoOff[id+1]
-		total := v.hypoTotals[id]
-		for j := lo; j < hi; j++ {
-			if total != 0 {
-				v.hypoRank[j].Score /= float64(total)
-			} else {
-				v.hypoRank[j].Score = 0
-			}
-		}
-		sortScored(v.hypoRank[lo:hi])
 	}
 
 	// ---- stats (the store's ComputeStats, replayed over the frozen
@@ -410,16 +395,26 @@ func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 	}
 }
 
-// sortScored is the typicality ranking order: descending score, ties
-// broken lexicographically.
-func sortScored(xs []taxonomy.Scored) {
-	slices.SortFunc(xs, func(a, b taxonomy.Scored) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
+// rank fills perm with the positions of a CSR segment whose evidence
+// counts are counts, in typicality order: count descending, then
+// position ascending. A segment's node IDs ascend with its positions
+// and IDs are sorted name ranks, while every typicality in it is
+// count/total over one shared total; so for counts in [0, MaxInt32] —
+// what the image validator and taxonomy.ReadJSON admit and the pipeline
+// produces — this is exactly "score descending, name ascending" without
+// a division or a string compare (a zero total has only zero counts,
+// hence the identity order). TestRankOrderMatchesScoreOrder holds it.
+func rank(perm []uint32, counts []int64) {
+	for i := range perm {
+		perm[i] = uint32(i)
+	}
+	if len(perm) < 2 {
+		return
+	}
+	slices.SortFunc(perm, func(a, b uint32) int {
+		if c := cmp.Compare(counts[b], counts[a]); c != 0 {
+			return c
 		}
-		return strings.Compare(a.Node, b.Node)
+		return cmp.Compare(a, b)
 	})
 }

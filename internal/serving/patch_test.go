@@ -33,8 +33,8 @@ func requireSameAnswers(t *testing.T, step string, got, want *serving.View, text
 		eq("Hypernyms "+n, got.Hypernyms(n), want.Hypernyms(n))
 		eq("Hyponyms "+n, got.Hyponyms(n, 0), want.Hyponyms(n, 0))
 		eq("Hyponyms/3 "+n, got.Hyponyms(n, 3), want.Hyponyms(n, 3))
-		eq("RankedHypernyms "+n, got.RankedHypernyms(n, 0), want.RankedHypernyms(n, 0))
-		eq("RankedHyponyms "+n, got.RankedHyponyms(n, 0), want.RankedHyponyms(n, 0))
+		eq("RankedHypernyms "+n, got.RankedHypernymsAppend(nil, n, 0), want.RankedHypernymsAppend(nil, n, 0))
+		eq("RankedHyponyms "+n, got.RankedHyponymsAppend(nil, n, 0), want.RankedHyponymsAppend(nil, n, 0))
 		eq("Lookup "+n, got.Lookup(n), want.Lookup(n))
 		for _, h := range want.Hypernyms(n) {
 			ge, gok := got.EdgeOf(n, h)

@@ -1,0 +1,166 @@
+package serving
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"cnprobase/internal/taxonomy"
+)
+
+// sortScored is the typicality order the view's rankings are defined
+// by: descending score, ties broken by name.
+func sortScored(xs []taxonomy.Scored) {
+	slices.SortFunc(xs, func(a, b taxonomy.Scored) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
+		}
+		return strings.Compare(a.Node, b.Node)
+	})
+}
+
+// TestRankOrderMatchesScoreOrder holds rank — count descending, then
+// position (ID, so name) ascending — to sortScored over the scores a
+// segment's typicality gives, on random segments: equal counts, zero
+// counts, all-zero segments (total == 0) and counts up to MaxInt32.
+func TestRankOrderMatchesScoreOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	draws := []func() int64{
+		func() int64 { return int64(rng.Intn(3)) },                 // many ties, many zeros
+		func() int64 { return 1 + int64(rng.Intn(5)) },             // pipeline-sized counts
+		func() int64 { return int64(rng.Int31()) },                 // anywhere in [0, MaxInt32)
+		func() int64 { return math.MaxInt32 - int64(rng.Intn(3)) }, // near the ceiling, ties
+		func() int64 { return 0 },                                  // total == 0
+	}
+	for trial := 0; trial < 5000; trial++ {
+		draw := draws[trial%len(draws)]
+		n := rng.Intn(40)
+		counts := make([]int64, n)
+		total := int64(0)
+		for i := range counts {
+			counts[i] = draw()
+			total += counts[i]
+		}
+		// Names ascend with position, as a CSR segment's IDs do.
+		want := make([]taxonomy.Scored, n)
+		for i := range want {
+			want[i] = taxonomy.Scored{Node: fmt.Sprintf("节点%03d", i), Score: typicality(counts[i], total)}
+		}
+		sortScored(want)
+		perm := make([]uint32, n)
+		rank(perm, counts)
+		got := make([]taxonomy.Scored, n)
+		for r, k := range perm {
+			got[r] = taxonomy.Scored{Node: fmt.Sprintf("节点%03d", k), Score: typicality(counts[k], total)}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("counts %v:\n rank order  %v\n score order %v", counts, got, want)
+		}
+	}
+}
+
+// patchBudgetStore is a few-thousand-edge store: entities with two or
+// three hypernyms among 40 concepts, each concept under one top concept.
+func patchBudgetStore(tb testing.TB) *taxonomy.Taxonomy {
+	tb.Helper()
+	tax := taxonomy.New()
+	add := func(hypo, hyper string) {
+		if err := tax.AddIsA(hypo, hyper, taxonomy.SourceTag, 1); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < 1500; i++ {
+		id := fmt.Sprintf("实体%04d", i)
+		tax.MarkEntity(id)
+		for k := 0; k < 2+i%2; k++ {
+			add(id, fmt.Sprintf("概念%02d", (i+7*k)%40))
+		}
+	}
+	for c := 0; c < 40; c++ {
+		add(fmt.Sprintf("概念%02d", c), "顶层概念")
+	}
+	return tax
+}
+
+// TestPatchAllocationBudget bounds what publishing a one-node change
+// allocates per edge of the view — the world-sized copy every ingest
+// batch pays — and pins the rank arrays pointer-free, so per-edge
+// string-bearing ranking arrays, which the collector has to scan and the
+// copy has to write-barrier, cannot come back unnoticed.
+//
+// On this 3 791-edge, 1 541-node store a patch allocated 138.1 B/edge
+// while each rank array was a []taxonomy.Scored (24 B/edge, holding a
+// string); with []uint32 ranks plus the hyponym side's []int64 counts
+// it allocates 103.5 B/edge. One Scored array back in place of a
+// []uint32 would cross the budget.
+func TestPatchAllocationBudget(t *testing.T) {
+	for _, field := range []string{"hyperRank", "hypoRank", "hypoCounts"} {
+		f, ok := reflect.TypeOf(View{}).FieldByName(field)
+		if !ok {
+			t.Fatalf("View has no field %s", field)
+		}
+		if holdsPointers(f.Type.Elem()) {
+			t.Errorf("View.%s is %v, whose elements hold pointers", field, f.Type)
+		}
+	}
+	if raceEnabled {
+		t.Skip("allocation sizes are skewed under -race")
+	}
+	tax := patchBudgetStore(t)
+	prev := Compile(tax, nil)
+	_, token, _ := tax.ChangesSince(0)
+	if err := tax.AddIsA("实体0000", "概念39", taxonomy.SourceTag, 1); err != nil {
+		t.Fatal(err)
+	}
+	nodes, _, ok := tax.ChangesSince(token)
+	if !ok || len(nodes) != 2 {
+		t.Fatalf("ChangesSince = %v, %v; want the edge's two ends", nodes, ok)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var v *View
+	for i := 0; i < runs; i++ {
+		v = Patch(prev, tax, nil, nodes, nil)
+	}
+	runtime.ReadMemStats(&after)
+	if v == nil {
+		t.Fatal("Patch refused a change ChangesSince reported")
+	}
+	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(v.EdgeCount())
+	t.Logf("%d edges, %d nodes: %.1f B/edge per patch", v.EdgeCount(), v.NodeCount(), perEdge)
+	const budget = 115
+	if perEdge > budget {
+		t.Errorf("a one-node patch allocates %.1f B per edge, budget %d", perEdge, budget)
+	}
+}
+
+// holdsPointers reports whether a value of type t contains a pointer
+// the collector has to scan.
+func holdsPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array, reflect.Slice:
+		return t.Kind() == reflect.Slice || holdsPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	}
+	return true // pointers, strings, maps, chans, funcs, interfaces
+}

@@ -12,10 +12,11 @@
 // stored by ID is already in the store's canonical order). Adjacency
 // is CSR-style — one flat edge array plus per-node offsets — with a
 // parallel array of pre-resolved name slices so Hypernyms/Hyponyms
-// return a shared subslice instead of copying. Typicality rankings
-// are computed once at compile time and stored pre-sorted, so the
-// ?ranked=1 path is a subslice too. Mentions live in one flat sorted
-// table resolved by binary search.
+// return a shared subslice instead of copying. Typicality rankings are
+// ID-ordered permutations of each CSR segment — 4-byte positions,
+// computed once per segment, pointer-free — and a ranked entry's name
+// and score are read off the CSR arrays by ID when it is asked for.
+// Mentions live in one flat sorted table resolved by binary search.
 //
 // The View is the one read model: the build store keeps no query
 // methods of its own. What each query answers is pinned against the
@@ -25,12 +26,13 @@
 //
 // Beside the name-keyed queries of the three APIs the view has an
 // ID-native read surface for the application engines (conceptualize,
-// qa), which are its only read model: ID resolves a name once,
-// the *Of methods read kind, hypernym IDs, rankings and evidence total
-// of an ID, FindMentionsAppend scans a text and hands back each surface
-// with its mention-table row (MentionEntities), and NamePrefixesAppend
-// finds the node names that are prefixes of a string in one pass over
-// the sorted table. Views without the hash indexes and the trie —
+// qa), which are its only read model: ID resolves a name once, the
+// *Of methods and RankedHypernymAt read kind, hypernym IDs, rankings
+// and evidence total of an ID, FindMentionsAppend scans a text and
+// hands back each surface with its mention-table row
+// (MentionEntities), and NamePrefixesAppend finds the node names that
+// are prefixes of a string in one pass over the sorted table. Views
+// without the hash indexes and the trie —
 // mapped and patched ones — put a first-rune filter (one bit per rune
 // some mention starts with, built in one pass at construction, never
 // stored) in front of the text scan, so a position that starts no
@@ -57,24 +59,29 @@ type View struct {
 	// Hypernym CSR: node i's outgoing edges occupy index range
 	// [hyperOff[i], hyperOff[i+1]) in the flat arrays. hyperIDs is
 	// ascending within each node (canonical order); hyperNames is the
-	// same range pre-resolved to names; hyperRank is the same range
-	// pre-sorted by descending typicality. Edge provenance (sources,
+	// same range pre-resolved to names; hyperRank is the same range's
+	// positions (0 = hyperOff[i]) in typicality order — evidence count
+	// descending, then ID ascending (rank). Edge provenance (sources,
 	// score, count) is stored on this side, aligned with hyperIDs.
 	hyperOff    []uint32
 	hyperIDs    []uint32
 	hyperNames  []string
-	hyperRank   []taxonomy.Scored
+	hyperRank   []uint32
 	edgeSources []taxonomy.Source
 	edgeScores  []float64
 	edgeCounts  []int64
 	hyperTotals []int64 // per node: Σ evidence counts of outgoing edges
 
-	// Hyponym CSR, mirroring the hypernym side (no edge payload — the
-	// provenance of edge (hypo, hyper) lives in the hypernym CSR).
+	// Hyponym CSR, mirroring the hypernym side. The provenance of edge
+	// (hypo, hyper) lives in the hypernym CSR; only its evidence count
+	// is repeated here, per slot, since ranking and scoring a segment
+	// need it and its hypernym-side position moves with the hyponym's
+	// other edges.
 	hypoOff    []uint32
 	hypoIDs    []uint32
 	hypoNames  []string
-	hypoRank   []taxonomy.Scored
+	hypoRank   []uint32
+	hypoCounts []int64
 	hypoTotals []int64 // per node: Σ evidence counts of incoming edges
 
 	// Mention table: mentions sorted ascending; mention i's entity IDs
@@ -171,15 +178,27 @@ func (v *View) HypernymIDsOf(id uint32) []uint32 {
 	return v.hyperIDs[v.hyperOff[id]:v.hyperOff[id+1]]
 }
 
-// RankedHypernymsOf is RankedHypernyms of node id.
+// RankedHypernymAt returns node id's hypernym of typicality rank r (0
+// is the most typical; r < len(HypernymIDsOf(id))) and its typicality
+// P(hyper | id) — entry r of RankedHypernymsAppend, by ID.
 //
 //cnp:noalloc
-func (v *View) RankedHypernymsOf(id uint32, limit int) []taxonomy.Scored {
-	lo, hi := v.hyperOff[id], v.hyperOff[id+1]
-	if limit > 0 && uint32(limit) < hi-lo {
-		hi = lo + uint32(limit)
+func (v *View) RankedHypernymAt(id uint32, r int) (uint32, float64) {
+	lo := v.hyperOff[id]
+	j := lo + v.hyperRank[lo:v.hyperOff[id+1]][r]
+	return v.hyperIDs[j], typicality(v.edgeCounts[j], v.hyperTotals[id])
+}
+
+// typicality is an evidence count's share of its segment's total, zero
+// when the total is — the one expression behind every score the view
+// answers.
+//
+//cnp:noalloc
+func typicality(count, total int64) float64 {
+	if total == 0 {
+		return 0
 	}
-	return v.hyperRank[lo:hi]
+	return float64(count) / float64(total)
 }
 
 // EvidenceTotalOf returns the summed evidence count behind node id's
@@ -295,34 +314,49 @@ func (v *View) HyponymCount(concept string) int {
 	return int(v.hypoOff[id+1] - v.hypoOff[id])
 }
 
-// RankedHypernyms returns the node's hypernyms pre-sorted by
-// descending typicality (ties broken lexicographically); limit <= 0
-// returns all. The returned slice is shared: do not modify it.
+// RankedHypernymsAppend appends the node's hypernyms with their
+// typicality P(hyper | node), most typical first, ties in name order;
+// limit <= 0 appends all.
 //
 //cnp:noalloc
-func (v *View) RankedHypernyms(node string, limit int) []taxonomy.Scored {
+func (v *View) RankedHypernymsAppend(dst []taxonomy.Scored, node string, limit int) []taxonomy.Scored {
 	id, ok := v.id(node)
 	if !ok {
-		return []taxonomy.Scored{}
+		return dst
 	}
-	return v.RankedHypernymsOf(id, limit)
+	lo, total := v.hyperOff[id], v.hyperTotals[id]
+	for _, k := range firstN(v.hyperRank[lo:v.hyperOff[id+1]], limit) {
+		dst = append(dst, taxonomy.Scored{Node: v.hyperNames[lo+k], Score: typicality(v.edgeCounts[lo+k], total)})
+	}
+	return dst
 }
 
-// RankedHyponyms returns the concept's hyponyms pre-sorted by
-// descending typicality; limit <= 0 returns all. The returned slice is
-// shared: do not modify it.
+// RankedHyponymsAppend appends the concept's hyponyms with their
+// typicality P(hypo | concept), most typical first, ties in name order;
+// limit <= 0 appends all.
 //
 //cnp:noalloc
-func (v *View) RankedHyponyms(concept string, limit int) []taxonomy.Scored {
+func (v *View) RankedHyponymsAppend(dst []taxonomy.Scored, concept string, limit int) []taxonomy.Scored {
 	id, ok := v.id(concept)
 	if !ok {
-		return []taxonomy.Scored{}
+		return dst
 	}
-	lo, hi := v.hypoOff[id], v.hypoOff[id+1]
-	if limit > 0 && uint32(limit) < hi-lo {
-		hi = lo + uint32(limit)
+	lo, total := v.hypoOff[id], v.hypoTotals[id]
+	for _, k := range firstN(v.hypoRank[lo:v.hypoOff[id+1]], limit) {
+		dst = append(dst, taxonomy.Scored{Node: v.hypoNames[lo+k], Score: typicality(v.hypoCounts[lo+k], total)})
 	}
-	return v.hypoRank[lo:hi]
+	return dst
+}
+
+// firstN is the first limit entries of a rank segment; limit <= 0 is
+// all of it.
+//
+//cnp:noalloc
+func firstN(seg []uint32, limit int) []uint32 {
+	if limit > 0 && limit < len(seg) {
+		return seg[:limit]
+	}
+	return seg
 }
 
 // edgeIndex locates the flat-array index of edge (hypoID → hyper) by
@@ -391,9 +425,9 @@ func (v *View) EdgeOf(hypo, hyper string) (taxonomy.Edge, bool) {
 
 // TypicalityOfConcept returns P(hyper | hypo) from the edge evidence
 // counts; zero when the edge is absent. Like TypicalityOfInstance and
-// HasIsA it has no production caller (rankings are precomputed); the
-// three stay as facade queries, held to the model test's oracle and to
-// 0 allocs/op by the allocation pins.
+// HasIsA it has no production caller (rankings read their scores by
+// position); the three stay as facade queries, held to the model
+// test's oracle and to 0 allocs/op by the allocation pins.
 //
 //cnp:noalloc
 func (v *View) TypicalityOfConcept(hypo, hyper string) float64 {
@@ -405,11 +439,7 @@ func (v *View) TypicalityOfConcept(hypo, hyper string) float64 {
 	if !ok {
 		return 0
 	}
-	total := v.hyperTotals[id]
-	if total == 0 {
-		return 0
-	}
-	return float64(v.edgeCounts[i]) / float64(total)
+	return typicality(v.edgeCounts[i], v.hyperTotals[id])
 }
 
 // TypicalityOfInstance returns P(hypo | hyper): how representative the
@@ -426,11 +456,7 @@ func (v *View) TypicalityOfInstance(hyper, hypo string) float64 {
 		return 0
 	}
 	hyperID, _ := v.id(hyper)
-	total := v.hypoTotals[hyperID]
-	if total == 0 {
-		return 0
-	}
-	return float64(v.edgeCounts[i]) / float64(total)
+	return typicality(v.edgeCounts[i], v.hypoTotals[hyperID])
 }
 
 // Ancestors returns all transitive hypernyms of node, breadth-first

@@ -132,14 +132,17 @@ func TestCompileMatchesStoreRandomized(t *testing.T) {
 func TestQueryAllocations(t *testing.T) {
 	tax, mentions := fixture(t)
 	v := Compile(tax, mentions)
+	id, _ := v.ID("实体00（人物）", 0)
+	var ranked []taxonomy.Scored // recycled, as a caller's buffer is
 	cases := []struct {
 		name string
 		fn   func()
 	}{
 		{"Hypernyms", func() { _ = v.Hypernyms("实体00（人物）") }},
 		{"Hyponyms", func() { _ = v.Hyponyms("概念0", 50) }},
-		{"RankedHypernyms", func() { _ = v.RankedHypernyms("实体00（人物）", 0) }},
-		{"RankedHyponyms", func() { _ = v.RankedHyponyms("概念0", 0) }},
+		{"RankedHypernymsAppend", func() { ranked = v.RankedHypernymsAppend(ranked[:0], "实体00（人物）", 0) }},
+		{"RankedHyponymsAppend", func() { ranked = v.RankedHyponymsAppend(ranked[:0], "概念0", 0) }},
+		{"RankedHypernymAt", func() { _, _ = v.RankedHypernymAt(id, 0) }},
 		{"Lookup", func() { _ = v.Lookup("实体00") }},
 		{"LookupMiss", func() { _ = v.Lookup("不存在") }},
 		{"Kind", func() { _ = v.Kind("概念0") }},

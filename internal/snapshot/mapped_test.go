@@ -164,18 +164,21 @@ func TestMappedQueryAllocations(t *testing.T) {
 	st := handState(t)
 	v := openMapped(t, writeTempSnapshot(t, saveBytes(t, st, Options{Workers: 1})))
 	var dst []string
+	var ranked []taxonomy.Scored
 	text := "实体00和实体07见面了"
 	for i := 0; i < 4; i++ { // warm the scratch pool and dst
 		dst = v.FindAllAppend(dst[:0], text)
 	}
+	id, _ := v.ID("实体00（人物）", 0)
 	cases := []struct {
 		name string
 		fn   func()
 	}{
 		{"Hypernyms", func() { _ = v.Hypernyms("实体00（人物）") }},
 		{"Hyponyms", func() { _ = v.Hyponyms("概念0", 50) }},
-		{"RankedHypernyms", func() { _ = v.RankedHypernyms("实体00（人物）", 0) }},
-		{"RankedHyponyms", func() { _ = v.RankedHyponyms("概念0", 0) }},
+		{"RankedHypernymsAppend", func() { ranked = v.RankedHypernymsAppend(ranked[:0], "实体00（人物）", 0) }},
+		{"RankedHyponymsAppend", func() { ranked = v.RankedHyponymsAppend(ranked[:0], "概念0", 0) }},
+		{"RankedHypernymAt", func() { _, _ = v.RankedHypernymAt(id, 0) }},
 		{"Lookup", func() { _ = v.Lookup("实体00") }},
 		{"LookupMiss", func() { _ = v.Lookup("不存在") }},
 		{"Kind", func() { _ = v.Kind("概念0") }},

@@ -123,8 +123,8 @@ func requireSameAnswers(t *testing.T, at string, rng *rand.Rand, names int, dens
 		check("view Hyponyms(limit) "+n, v.Hyponyms(n, limit), ref.Hyponyms(n, limit))
 		check("view HyponymCount "+n, v.HyponymCount(n), ref.HyponymCount(n))
 		check("view Ancestors "+n, v.Ancestors(n), ref.Ancestors(n))
-		check("view RankedHypernyms "+n, v.RankedHypernyms(n, 0), ref.RankedHypernyms(n, 0))
-		check("view RankedHyponyms "+n, v.RankedHyponyms(n, limit), ref.RankedHyponyms(n, limit))
+		check("view RankedHypernyms "+n, v.RankedHypernymsAppend(nil, n, 0), ref.RankedHypernyms(n, 0))
+		check("view RankedHyponyms "+n, v.RankedHyponymsAppend(nil, n, limit), ref.RankedHyponyms(n, limit))
 		id, ok := v.ID(n, 0)
 		if _, known := slices.BinarySearch(nodes, n); ok != known {
 			t.Fatalf("%s: view ID(%q) ok = %v, reference knows it: %v", at, n, ok, known)
@@ -135,7 +135,12 @@ func requireSameAnswers(t *testing.T, at string, rng *rand.Rand, names int, dens
 		check("view ID from a neighbour "+n, fmt.Sprint(v.ID(n, id-min(id, 3))), fmt.Sprint(id, true))
 		check("view Name "+n, v.Name(id), n)
 		check("view KindOf "+n, v.KindOf(id), ref.Kind(n))
-		check("view RankedHypernymsOf "+n, v.RankedHypernymsOf(id, limit), ref.RankedHypernyms(n, limit))
+		var atRanks []taxonomy.Scored
+		for r := range min(limit, len(v.HypernymIDsOf(id))) {
+			h, score := v.RankedHypernymAt(id, r)
+			atRanks = append(atRanks, taxonomy.Scored{Node: v.Name(h), Score: score})
+		}
+		check("view RankedHypernymAt "+n, atRanks, ref.RankedHypernyms(n, limit))
 		var hypers []string
 		total := int64(0)
 		for _, h := range v.HypernymIDsOf(id) {

@@ -6,8 +6,8 @@ package taxonomy
 // applications (conceptualization, short-text understanding) rank by.
 // The evidence for an edge is its Count — how many independent
 // generation events produced it. The serving view computes the scores
-// (serving.View.RankedHypernyms and friends); the store only keeps the
-// counts.
+// (serving.View.RankedHypernymsAppend and friends); the store only
+// keeps the counts.
 
 // Scored couples a node with a typicality score.
 type Scored struct {

@@ -43,20 +43,20 @@ func TestTypicalityOfInstance(t *testing.T) {
 
 func TestRankedHypernyms(t *testing.T) {
 	v := buildTypicality(t)
-	ranked := v.RankedHypernyms("刘德华", 0)
+	ranked := v.RankedHypernymsAppend(nil, "刘德华", 0)
 	if len(ranked) != 2 || ranked[0].Node != "演员" || ranked[1].Node != "歌手" {
 		t.Fatalf("ranked = %v, want 演员 then 歌手", ranked)
 	}
-	if got := v.RankedHypernyms("刘德华", 1); len(got) != 1 {
+	if got := v.RankedHypernymsAppend(nil, "刘德华", 1); len(got) != 1 {
 		t.Errorf("limit ignored: %v", got)
 	}
-	if got := v.RankedHypernyms("无人", 0); len(got) != 0 {
+	if got := v.RankedHypernymsAppend(nil, "无人", 0); len(got) != 0 {
 		t.Errorf("unknown node ranked = %v", got)
 	}
 }
 
 func TestRankedHyponyms(t *testing.T) {
-	ranked := buildTypicality(t).RankedHyponyms("歌手", 0)
+	ranked := buildTypicality(t).RankedHyponymsAppend(nil, "歌手", 0)
 	// Equal scores break ties lexicographically.
 	if len(ranked) != 2 || ranked[0].Node > ranked[1].Node {
 		t.Errorf("ranked = %v, want the tie broken by name", ranked)
@@ -66,14 +66,14 @@ func TestRankedHyponyms(t *testing.T) {
 func TestProbabilitiesSumToOne(t *testing.T) {
 	v := buildTypicality(t)
 	sum := 0.0
-	for _, s := range v.RankedHypernyms("刘德华", 0) {
+	for _, s := range v.RankedHypernymsAppend(nil, "刘德华", 0) {
 		sum += s.Score
 	}
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("P(c|e) sums to %v, want 1", sum)
 	}
 	sum = 0
-	for _, s := range v.RankedHyponyms("歌手", 0) {
+	for _, s := range v.RankedHyponymsAppend(nil, "歌手", 0) {
 		sum += s.Score
 	}
 	if math.Abs(sum-1) > 1e-12 {
