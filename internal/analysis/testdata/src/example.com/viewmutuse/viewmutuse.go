@@ -10,24 +10,24 @@ import (
 )
 
 func mutate(v *serving.View) {
-	hs := v.Hypernyms("刘德华")
-	hs[0] = "人物" // want "write through a serving.View backing slice"
+	hs := v.HypernymIDsOf(0)
+	hs[0] = 1 // want "write through a serving.View backing slice"
 	tail := hs[1:]
-	tail[0] = "演员"          // want "write through a serving.View backing slice"
+	tail[0] = 2             // want "write through a serving.View backing slice"
 	copy(hs, tail)          // want "copy into a serving.View backing slice"
-	_ = append(hs, "歌手")    // want "append to a serving.View backing slice"
+	_ = append(hs, 3)       // want "append to a serving.View backing slice"
 	sort.Strings(v.Nodes()) // want "in-place sort of a serving.View backing slice"
-	names := v.Nodes()
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] }) // want "in-place sort of a serving.View backing slice"
+	ents := v.Lookup("刘德华")
+	sort.Slice(ents, func(i, j int) bool { return ents[i] < ents[j] }) // want "in-place sort of a serving.View backing slice"
 }
 
 // readOnly proves query-and-read stays silent, including copying OUT of
 // a view slice and sorting a private copy.
 func readOnly(v *serving.View) string {
-	hs := v.Hypernyms("刘德华")
-	if len(hs) > 0 {
-		mine := make([]string, len(hs))
-		copy(mine, hs)
+	ents := v.Lookup("刘德华")
+	if len(ents) > 0 {
+		mine := make([]string, len(ents))
+		copy(mine, ents)
 		sort.Strings(mine)
 		return mine[0]
 	}

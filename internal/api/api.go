@@ -319,11 +319,11 @@ func (s *Server) handleGetConcept(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v := s.View()
-	hypernyms := v.Hypernyms(entity)
+	id, hypernyms := hypernymIDs(v, entity)
 	ranked := queryValue(r.URL.RawQuery, "ranked") == "1"
 	jsonHeader(w)
 	sc := getScratch()
-	sc.out = appendConcept(sc.out, v, entity, hypernyms, ranked)
+	sc.out = appendConcept(sc.out, v, entity, id, hypernyms, ranked)
 	sc.respond(w, true)
 	runtime.KeepAlive(v)
 }
@@ -352,12 +352,40 @@ func (s *Server) handleGetEntity(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	v := s.View()
-	hyponyms := v.Hyponyms(concept, limit)
+	hyponyms := hyponymIDs(v, concept, limit)
 	jsonHeader(w)
 	sc := getScratch()
-	sc.out = appendEntity(sc.out, concept, hyponyms)
+	sc.out = appendEntity(sc.out, v, concept, hyponyms)
 	sc.respond(w, true)
 	runtime.KeepAlive(v)
+}
+
+// hypernymIDs resolves entity in v once, to its ID and its hypernyms'
+// IDs; the list is nil when v does not know entity.
+//
+//cnp:noalloc
+func hypernymIDs(v *serving.View, entity string) (uint32, []uint32) {
+	id, ok := v.ID(entity, 0)
+	if !ok {
+		return 0, nil
+	}
+	return id, v.HypernymIDsOf(id)
+}
+
+// hyponymIDs is the IDs of up to limit hyponyms of concept in v, all of
+// them when limit <= 0; nil when v does not know concept.
+//
+//cnp:noalloc
+func hyponymIDs(v *serving.View, concept string, limit int) []uint32 {
+	id, ok := v.ID(concept, 0)
+	if !ok {
+		return nil
+	}
+	ids := v.HyponymIDsOf(id)
+	if limit > 0 && limit < len(ids) {
+		ids = ids[:limit]
+	}
+	return ids
 }
 
 // Stats mirrors the call-count columns of the paper's Table II, plus

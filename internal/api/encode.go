@@ -77,17 +77,17 @@ func appendMen2Ent(dst []byte, mention string, entities []string) []byte {
 	return append(dst, '}')
 }
 
-// appendConcept encodes the ConceptResponse of entity and its
-// hypernyms, as v answers them. With ranked, Ranked lists the same
-// hypernyms by typicality, read from v by ID entry by entry; a score is
-// a count over a non-zero total, so always finite.
+// appendConcept encodes the ConceptResponse of entity, node id of v
+// with the given hypernyms, as hypernymIDs(v, entity) returns them.
+// With ranked, Ranked lists the same hypernyms by typicality, read from
+// v by ID entry by entry; a score is a count over a non-zero total, so
+// always finite.
 //
 //cnp:noalloc
-func appendConcept(dst []byte, v *serving.View, entity string, hypernyms []string, ranked bool) []byte {
+func appendConcept(dst []byte, v *serving.View, entity string, id uint32, hypernyms []uint32, ranked bool) []byte {
 	dst = appendString(append(dst, `{"entity":`...), entity)
-	dst = appendStrings(append(dst, `,"hypernyms":`...), hypernyms)
+	dst = appendNames(append(dst, `,"hypernyms":`...), v, hypernyms)
 	if ranked && len(hypernyms) > 0 {
-		id, _ := v.ID(entity, 0)
 		dst = append(dst, `,"ranked":[`...)
 		for r := range hypernyms {
 			if r > 0 {
@@ -103,12 +103,13 @@ func appendConcept(dst []byte, v *serving.View, entity string, hypernyms []strin
 	return append(dst, '}')
 }
 
-// appendEntity encodes an EntityResponse.
+// appendEntity encodes the EntityResponse of concept and its hyponyms,
+// as hyponymIDs returns them from v.
 //
 //cnp:noalloc
-func appendEntity(dst []byte, concept string, hyponyms []string) []byte {
+func appendEntity(dst []byte, v *serving.View, concept string, hyponyms []uint32) []byte {
 	dst = appendString(append(dst, `{"concept":`...), concept)
-	dst = appendStrings(append(dst, `,"hyponyms":`...), hyponyms)
+	dst = appendNames(append(dst, `,"hyponyms":`...), v, hyponyms)
 	return append(dst, '}')
 }
 
@@ -179,6 +180,24 @@ func appendStrings(dst []byte, xs []string) []byte {
 			dst = append(dst, ',')
 		}
 		dst = appendString(dst, x)
+	}
+	return append(dst, ']')
+}
+
+// appendNames encodes the names of nodes ids of v as a string slice:
+// null when there are none, as the view's name lists are nil then.
+//
+//cnp:noalloc
+func appendNames(dst []byte, v *serving.View, ids []uint32) []byte {
+	if len(ids) == 0 {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, id := range ids {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendString(dst, v.Name(id))
 	}
 	return append(dst, ']')
 }

@@ -16,6 +16,7 @@ import (
 	"cnprobase/internal/conceptualize"
 	"cnprobase/internal/qa"
 	"cnprobase/internal/serving"
+	"cnprobase/internal/serving/servingtest"
 	"cnprobase/internal/taxonomy"
 )
 
@@ -64,16 +65,21 @@ func FuzzResponseEncoding(f *testing.F) {
 		scored := scoreds[shape>>4&3]
 
 		requireEncoded(t, "appendMen2Ent", appendMen2Ent(nil, a, strs), true, Men2EntResponse{Mention: a, Entities: strs})
-		requireEncoded(t, "appendEntity", appendEntity(nil, b, strs), true, EntityResponse{Concept: b, Hyponyms: strs})
-		// appendConcept reads its answer from the view: for a, almost
-		// always unknown, and for a node picked by shape.
-		for _, entity := range []string{a, v.Nodes()[int(shape)%v.NodeCount()]} {
+		requireEncoded(t, "appendStrings", appendStrings(nil, strs), true, strs)
+		// appendConcept and appendEntity read their answers from the
+		// view: for a, almost always unknown, and for a node picked by
+		// shape.
+		for _, node := range []string{a, v.Nodes()[int(shape)%v.NodeCount()]} {
 			ranked := shape&1 != 0
-			want := ConceptResponse{Entity: entity, Hypernyms: v.Hypernyms(entity)}
+			want := ConceptResponse{Entity: node, Hypernyms: v.Hypernyms(node)}
 			if ranked {
-				want.Ranked = v.RankedHypernymsAppend(nil, entity, 0)
+				want.Ranked = v.RankedHypernymsAppend(nil, node, 0)
 			}
-			requireEncoded(t, "appendConcept", appendConcept(nil, v, entity, v.Hypernyms(entity), ranked), true, want)
+			id, hypernyms := hypernymIDs(v, node)
+			requireEncoded(t, "appendConcept", appendConcept(nil, v, node, id, hypernyms, ranked), true, want)
+			limit := int(shape >> 6)
+			requireEncoded(t, "appendEntity", appendEntity(nil, v, node, hyponymIDs(v, node, limit)), true,
+				EntityResponse{Concept: node, Hyponyms: v.Hyponyms(node, limit)})
 		}
 
 		var mentions []conceptualize.Mention
@@ -92,6 +98,35 @@ func FuzzResponseEncoding(f *testing.F) {
 		requireEncoded(t, "appendQA", appendQA(nil, a, &u), true,
 			QAResponse{Question: a, Covered: u.Covered, Mentions: u.Mentions, Concepts: u.Concepts})
 	})
+}
+
+// TestNamesByIDMatchStrings holds what the lookup handlers encode off
+// the view by ID — hypernymIDs and hyponymIDs through appendNames — to
+// the view's string answers through appendStrings, on every backing:
+// an unknown node and a node with no edges are null, and a hyponym list
+// is cut at every limit from none to past its end.
+func TestNamesByIDMatchStrings(t *testing.T) {
+	tax, mentions := equivFixture(t)
+	tax.MarkConcept("孤岛概念") // no edges at all
+	for backing, v := range servingtest.Backings(t, tax, mentions) {
+		for _, n := range append([]string{"不存在的节点", "孤岛概念"}, v.Nodes()...) {
+			_, hypernyms := hypernymIDs(v, n)
+			if got, want := appendNames(nil, v, hypernyms), appendStrings(nil, v.Hypernyms(n)); !bytes.Equal(got, want) {
+				t.Fatalf("%s: hypernyms of %s encode as %s, want %s", backing, n, got, want)
+			}
+			for limit := 0; limit <= v.HyponymCount(n)+1; limit++ {
+				if got, want := appendNames(nil, v, hyponymIDs(v, n, limit)), appendStrings(nil, v.Hyponyms(n, limit)); !bytes.Equal(got, want) {
+					t.Fatalf("%s: hyponyms of %s, limit %d, encode as %s, want %s", backing, n, limit, got, want)
+				}
+			}
+		}
+		for _, n := range []string{"不存在的节点", "孤岛概念"} {
+			_, hypernyms := hypernymIDs(v, n)
+			if hypers, hypos := appendNames(nil, v, hypernyms), appendNames(nil, v, hyponymIDs(v, n, 0)); string(hypers) != "null" || string(hypos) != "null" {
+				t.Fatalf("%s: %s encodes hypernyms %s and hyponyms %s, want null and null", backing, n, hypers, hypos)
+			}
+		}
+	}
 }
 
 // FuzzRequestDecoding holds the request side to what it replaced. The

@@ -281,10 +281,11 @@ func trieFreeSafe(prev *View, ch *change) bool {
 // by one function either way.
 func (v *View) buildDerived() { v.derive(nil, nil, nil, nil) }
 
-// derive fills the derived arrays — the pre-resolved name slices,
-// per-node evidence totals, the transposed hyponym CSR with its per-slot
-// evidence counts, the typicality rank permutations and the stats
-// summary — from the canonical ones. Nodes inside runs take their
+// derive fills the derived arrays — per-node evidence totals, the
+// transposed hyponym CSR with its per-slot evidence counts, the
+// typicality rank permutations and the stats summary — from the
+// canonical ones. Every per-edge array it fills is integer-only, so
+// copying one from prev runs no write barrier. Nodes inside runs take their
 // segments from prev verbatim (node IDs renumbered through remap): none
 // of their edges changed, so neither did their totals, counts or
 // ranking order, and a rank is a position inside its own segment, so
@@ -292,12 +293,10 @@ func (v *View) buildDerived() { v.derive(nil, nil, nil, nil) }
 // the new canonical arrays; fresh == nil means every node is.
 func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 	n, e := len(v.names), len(v.hyperIDs)
-	v.hyperNames = make([]string, e)
 	v.hyperRank = make([]uint32, e)
 	v.hyperTotals = make([]int64, n)
 	v.hypoOff = make([]uint32, n+1)
 	v.hypoIDs = make([]uint32, e)
-	v.hypoNames = make([]string, e)
 	v.hypoRank = make([]uint32, e)
 	v.hypoCounts = make([]int64, e)
 	v.hypoTotals = make([]int64, n)
@@ -305,7 +304,6 @@ func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 	// ---- hypernym side, and every node's hyponym degree ----
 	for _, r := range runs {
 		a, b, to := prev.hyperOff[r.lo], prev.hyperOff[r.hi], v.hyperOff[r.at]
-		copy(v.hyperNames[to:], prev.hyperNames[a:b])
 		copy(v.hyperRank[to:], prev.hyperRank[a:b])
 		copy(v.hyperTotals[r.at:], prev.hyperTotals[r.lo:r.hi])
 		for i := r.lo; i < r.hi; i++ {
@@ -318,7 +316,6 @@ func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 		}
 		lo, hi := v.hyperOff[u], v.hyperOff[u+1]
 		for j := lo; j < hi; j++ {
-			v.hyperNames[j] = v.names[v.hyperIDs[j]]
 			v.hyperTotals[u] += v.edgeCounts[j]
 		}
 		rank(v.hyperRank[lo:hi], v.edgeCounts[lo:hi])
@@ -338,7 +335,6 @@ func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 		for j := a; j < b; j++ {
 			v.hypoIDs[to+(j-a)] = remap[prev.hypoIDs[j]]
 		}
-		copy(v.hypoNames[to:], prev.hypoNames[a:b])
 		copy(v.hypoRank[to:], prev.hypoRank[a:b])
 		copy(v.hypoCounts[to:], prev.hypoCounts[a:b])
 		copy(v.hypoTotals[r.at:], prev.hypoTotals[r.lo:r.hi])
@@ -357,7 +353,6 @@ func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 			pos := fill[hyperID]
 			fill[hyperID]++
 			v.hypoIDs[pos] = uint32(u)
-			v.hypoNames[pos] = v.names[u]
 			v.hypoCounts[pos] = v.edgeCounts[j]
 			v.hypoTotals[hyperID] += v.edgeCounts[j]
 		}

@@ -10,19 +10,21 @@
 // Layout: node names are interned to dense uint32 IDs assigned in
 // sorted order (so ascending IDs are ascending strings and adjacency
 // stored by ID is already in the store's canonical order). Adjacency
-// is CSR-style — one flat edge array plus per-node offsets — with a
-// parallel array of pre-resolved name slices so Hypernyms/Hyponyms
-// return a shared subslice instead of copying. Typicality rankings are
-// ID-ordered permutations of each CSR segment — 4-byte positions,
-// computed once per segment, pointer-free — and a ranked entry's name
-// and score are read off the CSR arrays by ID when it is asked for.
+// is CSR-style — one flat edge array plus per-node offsets — and every
+// per-edge array is integer-only: an edge's endpoint is an ID, and its
+// name is read off the name table when it is asked for. So publishing a
+// view copies no string headers and hands the collector nothing to
+// scan per edge. Typicality rankings are ID-ordered permutations of
+// each CSR segment — 4-byte positions, computed once per segment — and
+// a ranked entry's name and score are read off the CSR arrays by ID.
 // Mentions live in one flat sorted table resolved by binary search.
 //
 // The View is the one read model: the build store keeps no query
 // methods of its own. What each query answers is pinned against the
 // string-keyed oracle in internal/taxonomy's model test, and the HTTP
 // responses built on them against recorded goldens. Returned slices are
-// views into shared immutable arrays: callers must not modify them.
+// views into shared immutable arrays, which callers must not modify —
+// except Hypernyms' and Hyponyms' name lists, built fresh per call.
 //
 // Beside the name-keyed queries of the three APIs the view has an
 // ID-native read surface for the application engines (conceptualize,
@@ -58,14 +60,13 @@ type View struct {
 
 	// Hypernym CSR: node i's outgoing edges occupy index range
 	// [hyperOff[i], hyperOff[i+1]) in the flat arrays. hyperIDs is
-	// ascending within each node (canonical order); hyperNames is the
-	// same range pre-resolved to names; hyperRank is the same range's
-	// positions (0 = hyperOff[i]) in typicality order — evidence count
-	// descending, then ID ascending (rank). Edge provenance (sources,
-	// score, count) is stored on this side, aligned with hyperIDs.
+	// ascending within each node (canonical order); hyperRank is the
+	// same range's positions (0 = hyperOff[i]) in typicality order —
+	// evidence count descending, then ID ascending (rank). Edge
+	// provenance (sources, score, count) is stored on this side, aligned
+	// with hyperIDs. No per-edge array holds a pointer.
 	hyperOff    []uint32
 	hyperIDs    []uint32
-	hyperNames  []string
 	hyperRank   []uint32
 	edgeSources []taxonomy.Source
 	edgeScores  []float64
@@ -79,7 +80,6 @@ type View struct {
 	// other edges.
 	hypoOff    []uint32
 	hypoIDs    []uint32
-	hypoNames  []string
 	hypoRank   []uint32
 	hypoCounts []int64
 	hypoTotals []int64 // per node: Σ evidence counts of incoming edges
@@ -178,6 +178,15 @@ func (v *View) HypernymIDsOf(id uint32) []uint32 {
 	return v.hyperIDs[v.hyperOff[id]:v.hyperOff[id+1]]
 }
 
+// HyponymIDsOf returns the direct hyponyms of node id as ascending IDs
+// — Hyponyms' names in the same order. The returned slice is shared: do
+// not modify it.
+//
+//cnp:noalloc
+func (v *View) HyponymIDsOf(id uint32) []uint32 {
+	return v.hypoIDs[v.hypoOff[id]:v.hypoOff[id+1]]
+}
+
 // RankedHypernymAt returns node id's hypernym of typicality rank r (0
 // is the most typical; r < len(HypernymIDsOf(id))) and its typicality
 // P(hyper | id) — entry r of RankedHypernymsAppend, by ID.
@@ -267,40 +276,40 @@ func (v *View) Kind(name string) taxonomy.NodeKind {
 }
 
 // Hypernyms returns the direct hypernyms of node in canonical (sorted)
-// order — the getConcept API. The returned slice is shared: do not
-// modify it. Nil when the node is unknown or has no hypernyms.
-//
-//cnp:noalloc
+// order — the getConcept API's answer, as a fresh slice (one
+// allocation; HypernymIDsOf reads the same list without one). Nil when
+// the node is unknown or has no hypernyms.
 func (v *View) Hypernyms(node string) []string {
 	id, ok := v.id(node)
 	if !ok {
 		return nil
 	}
-	lo, hi := v.hyperOff[id], v.hyperOff[id+1]
-	if lo == hi {
-		return nil
-	}
-	return v.hyperNames[lo:hi]
+	return v.namesOf(v.HypernymIDsOf(id))
 }
 
 // Hyponyms returns up to limit direct hyponyms of a concept in
-// canonical order — the getEntity API; limit <= 0 means all. The
-// returned slice is shared: do not modify it.
-//
-//cnp:noalloc
+// canonical order — the getEntity API's answer, as a fresh slice (one
+// allocation; HyponymIDsOf reads the same list without one); limit <= 0
+// means all. Nil when the concept is unknown or has no hyponyms.
 func (v *View) Hyponyms(concept string, limit int) []string {
 	id, ok := v.id(concept)
 	if !ok {
 		return nil
 	}
-	lo, hi := v.hypoOff[id], v.hypoOff[id+1]
-	if lo == hi {
+	return v.namesOf(firstN(v.HyponymIDsOf(id), limit))
+}
+
+// namesOf resolves ids to a fresh slice of names, nil when there are
+// none.
+func (v *View) namesOf(ids []uint32) []string {
+	if len(ids) == 0 {
 		return nil
 	}
-	if limit > 0 && uint32(limit) < hi-lo {
-		hi = lo + uint32(limit)
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = v.names[id]
 	}
-	return v.hypoNames[lo:hi]
+	return out
 }
 
 // HyponymCount returns the number of direct hyponyms of a concept.
@@ -326,7 +335,7 @@ func (v *View) RankedHypernymsAppend(dst []taxonomy.Scored, node string, limit i
 	}
 	lo, total := v.hyperOff[id], v.hyperTotals[id]
 	for _, k := range firstN(v.hyperRank[lo:v.hyperOff[id+1]], limit) {
-		dst = append(dst, taxonomy.Scored{Node: v.hyperNames[lo+k], Score: typicality(v.edgeCounts[lo+k], total)})
+		dst = append(dst, taxonomy.Scored{Node: v.names[v.hyperIDs[lo+k]], Score: typicality(v.edgeCounts[lo+k], total)})
 	}
 	return dst
 }
@@ -343,7 +352,7 @@ func (v *View) RankedHyponymsAppend(dst []taxonomy.Scored, concept string, limit
 	}
 	lo, total := v.hypoOff[id], v.hypoTotals[id]
 	for _, k := range firstN(v.hypoRank[lo:v.hypoOff[id+1]], limit) {
-		dst = append(dst, taxonomy.Scored{Node: v.hypoNames[lo+k], Score: typicality(v.hypoCounts[lo+k], total)})
+		dst = append(dst, taxonomy.Scored{Node: v.names[v.hypoIDs[lo+k]], Score: typicality(v.hypoCounts[lo+k], total)})
 	}
 	return dst
 }
@@ -359,16 +368,27 @@ func firstN(seg []uint32, limit int) []uint32 {
 	return seg
 }
 
-// edgeIndex locates the flat-array index of edge (hypoID → hyper) by
+// edge resolves both names of edge (hypo → hyper), each once, and
+// locates the edge: the lookup behind every edge query.
+//
+//cnp:noalloc
+func (v *View) edge(hypo, hyper string) (hypoID, hyperID, i uint32, ok bool) {
+	if hypoID, ok = v.id(hypo); !ok {
+		return 0, 0, 0, false
+	}
+	if hyperID, ok = v.id(hyper); !ok {
+		return 0, 0, 0, false
+	}
+	i, ok = v.edgeIndex(hypoID, hyperID)
+	return hypoID, hyperID, i, ok
+}
+
+// edgeIndex locates the flat-array index of edge (hypoID → hyperID) by
 // binary search over the node's ascending hypernym IDs. Hand-rolled
 // (no sort.Search closure) to keep the edge query path at 0 allocs/op.
 //
 //cnp:noalloc
-func (v *View) edgeIndex(hypoID uint32, hyper string) (uint32, bool) {
-	hyperID, ok := v.id(hyper)
-	if !ok {
-		return 0, false
-	}
+func (v *View) edgeIndex(hypoID, hyperID uint32) (uint32, bool) {
 	off, end := v.hyperOff[hypoID], v.hyperOff[hypoID+1]
 	seg := v.hyperIDs[off:end]
 	lo, hi := 0, len(seg)
@@ -390,11 +410,7 @@ func (v *View) edgeIndex(hypoID uint32, hyper string) (uint32, bool) {
 //
 //cnp:noalloc
 func (v *View) HasIsA(hypo, hyper string) bool {
-	id, ok := v.id(hypo)
-	if !ok {
-		return false
-	}
-	_, ok = v.edgeIndex(id, hyper)
+	_, _, _, ok := v.edge(hypo, hyper)
 	return ok
 }
 
@@ -406,17 +422,13 @@ func (v *View) HasIsA(hypo, hyper string) bool {
 //
 //cnp:noalloc
 func (v *View) EdgeOf(hypo, hyper string) (taxonomy.Edge, bool) {
-	id, ok := v.id(hypo)
-	if !ok {
-		return taxonomy.Edge{}, false
-	}
-	i, ok := v.edgeIndex(id, hyper)
+	_, hyperID, i, ok := v.edge(hypo, hyper)
 	if !ok {
 		return taxonomy.Edge{}, false
 	}
 	return taxonomy.Edge{
 		Hypo:    hypo,
-		Hyper:   v.hyperNames[i],
+		Hyper:   v.names[hyperID],
 		Sources: v.edgeSources[i],
 		Score:   v.edgeScores[i],
 		Count:   int(v.edgeCounts[i]),
@@ -431,15 +443,11 @@ func (v *View) EdgeOf(hypo, hyper string) (taxonomy.Edge, bool) {
 //
 //cnp:noalloc
 func (v *View) TypicalityOfConcept(hypo, hyper string) float64 {
-	id, ok := v.id(hypo)
+	hypoID, _, i, ok := v.edge(hypo, hyper)
 	if !ok {
 		return 0
 	}
-	i, ok := v.edgeIndex(id, hyper)
-	if !ok {
-		return 0
-	}
-	return typicality(v.edgeCounts[i], v.hyperTotals[id])
+	return typicality(v.edgeCounts[i], v.hyperTotals[hypoID])
 }
 
 // TypicalityOfInstance returns P(hypo | hyper): how representative the
@@ -447,15 +455,10 @@ func (v *View) TypicalityOfConcept(hypo, hyper string) float64 {
 //
 //cnp:noalloc
 func (v *View) TypicalityOfInstance(hyper, hypo string) float64 {
-	hypoID, ok := v.id(hypo)
+	_, hyperID, i, ok := v.edge(hypo, hyper)
 	if !ok {
 		return 0
 	}
-	i, ok := v.edgeIndex(hypoID, hyper)
-	if !ok {
-		return 0
-	}
-	hyperID, _ := v.id(hyper)
 	return typicality(v.edgeCounts[i], v.hypoTotals[hyperID])
 }
 
