@@ -10,6 +10,7 @@
 //	cnprobase build -in corpus.jsonl -cpuprofile cpu.pprof -memprofile mem.pprof
 //	cnprobase query -tax taxonomy.json -hypernyms 刘德华
 //	cnprobase query -tax taxonomy.json -hyponyms 演员 -limit 20
+//	cnprobase inspect taxonomy.snap                         # what a snapshot holds, byte by byte
 //
 // build fans the construction pipeline out over -workers goroutines
 // (0 = one per CPU, 1 = sequential); any worker count produces the
@@ -17,24 +18,29 @@
 // -save additionally writes the complete serving state (taxonomy +
 // mention index + build report) as a binary snapshot that
 // `cnpserver -load` starts from without re-running the pipeline —
-// memory-mapping it directly under the version-3 layout. The write is
+// memory-mapping it directly under the version-4 layout. The write is
 // atomic (temp file, fsync, rename, directory fsync): rebuilding over
 // a snapshot a live server is mapping or SIGHUP-reloading can never
-// expose a torn file.
+// expose a torn file. inspect checks a snapshot as the mapped opener
+// does and prints its version, WAL position, metadata counts and the
+// bytes of every section and evidence sub-section.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"unicode/utf8"
 
 	"cnprobase"
 	"cnprobase/internal/encyclopedia"
+	"cnprobase/internal/snapshot"
 	"cnprobase/internal/synth"
 )
 
@@ -91,13 +97,15 @@ func main() {
 		cmdBuild(os.Args[2:])
 	case "query":
 		cmdQuery(os.Args[2:])
+	case "inspect":
+		cmdInspect(os.Args[2:])
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: cnprobase <gen|build|query> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: cnprobase <gen|build|query> [flags] | cnprobase inspect <snapshot>")
 	os.Exit(2)
 }
 
@@ -269,4 +277,53 @@ func cmdQuery(args []string) {
 		st := view.Stats()
 		fmt.Printf("entities=%d concepts=%d isA=%d\n", st.Entities, st.Concepts, st.IsARelations)
 	}
+}
+
+func cmdInspect(args []string) {
+	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
+	_ = fs.Parse(args)
+	if fs.NArg() != 1 {
+		usage()
+	}
+	if err := inspect(os.Stdout, fs.Arg(0)); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// inspect prints what the snapshot at path holds and a table of where
+// its bytes go: the file's parts, which sum to its size, with the
+// evidence section's sub-sections indented under it.
+func inspect(w io.Writer, path string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	info, err := snapshot.Inspect(data)
+	if err != nil {
+		return err
+	}
+	st := info.Meta.Stats
+	fmt.Fprintf(w, "%s: format version %d, LSN %d\n", path, info.Version, info.Meta.LSN)
+	fmt.Fprintf(w, "meta: %d pages; %d entities, %d concepts, %d isA relations (%d subconcept)\n",
+		info.Meta.Pages, st.Entities, st.Concepts, st.IsARelations, st.SubConceptIsA)
+	if !info.Evidence {
+		fmt.Fprintln(w, "evidence: none (saved without the update substrate)")
+	}
+	var rows []snapshot.Part
+	total, width := 0, len("part")
+	for _, p := range info.Parts {
+		if p.Sub {
+			p.Name = "  " + p.Name
+		} else {
+			total += p.Bytes
+		}
+		rows = append(rows, p)
+		width = max(width, utf8.RuneCountInString(p.Name))
+	}
+	rows = append(rows, snapshot.Part{Name: "total", Bytes: total})
+	fmt.Fprintf(w, "\n%-*s  %9s  %7s\n", width, "part", "bytes", "share")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-*s  %9d  %5.1f %%\n", width, r.Name, r.Bytes, 100*float64(r.Bytes)/float64(total))
+	}
+	return nil
 }

@@ -671,33 +671,50 @@ func TestLoadCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// TestLoadLegacySnapshotRefused: a pre-v3 snapshot is refused loudly,
-// not decoded quietly. At startup — view-only and with the build store
-// — the server exits non-zero with the one-line error that names the
-// version found and the rebuild command; on SIGHUP the same file leaves
-// the current view serving and logs that line.
+// TestLoadLegacySnapshotRefused: a snapshot of an older format — the
+// striped version 2, or version 3, whose evidence was keyed by name —
+// is refused loudly, not decoded quietly. At startup — view-only and
+// with the build store — the server exits non-zero with the one-line
+// error that names the version found and the rebuild command; on
+// SIGHUP the same file leaves the current view serving and logs that
+// line.
 func TestLoadLegacySnapshotRefused(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test: compiles and runs the binary")
 	}
-	const refusal = "format version 2 is no longer read — rebuild the snapshot with `cnprobase build -save`"
+	refusal := func(version int) string {
+		return fmt.Sprintf("format version %d is no longer read — rebuild the snapshot with `cnprobase build -save`", version)
+	}
 	legacy, err := filepath.Abs("../../internal/snapshot/testdata/legacy-v2.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, extra := range [][]string{nil, {"-ingest", "127.0.0.1:0"}} {
-		args := append([]string{"-addr", "127.0.0.1:0", "-load", legacy}, extra...)
-		out, err := exec.Command(serverBinary(t), args...).CombinedOutput()
-		if err == nil {
-			t.Fatalf("%v: server started from a version-2 snapshot:\n%s", args, out)
-		}
-		if !strings.Contains(string(out), refusal) || strings.Contains(string(out), "panic") ||
-			strings.Count(strings.TrimSpace(string(out)), "\n") != 0 {
-			t.Errorf("%v: want the one-line refusal, got:\n%s", args, out)
+	snap, _ := writeSnapshot(t)
+	// A version-3 file is today's file under the old version number: the
+	// version is the first thing read.
+	v3, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3[8] = 3
+	v3Path := filepath.Join(t.TempDir(), "legacy-v3.snap")
+	if err := os.WriteFile(v3Path, v3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for version, path := range map[int]string{2: legacy, 3: v3Path} {
+		for _, extra := range [][]string{nil, {"-ingest", "127.0.0.1:0"}} {
+			args := append([]string{"-addr", "127.0.0.1:0", "-load", path}, extra...)
+			out, err := exec.Command(serverBinary(t), args...).CombinedOutput()
+			if err == nil {
+				t.Fatalf("%v: server started from a version-%d snapshot:\n%s", args, version, out)
+			}
+			if !strings.Contains(string(out), refusal(version)) || strings.Contains(string(out), "panic") ||
+				strings.Count(strings.TrimSpace(string(out)), "\n") != 0 {
+				t.Errorf("%v: want the one-line refusal, got:\n%s", args, out)
+			}
 		}
 	}
 
-	snap, _ := writeSnapshot(t)
 	var stderr syncBuffer
 	base, cmd := startServerCapture(t, &stderr, "-load", snap)
 	// Replace the file by rename, as the compactor does: the serving
@@ -716,7 +733,7 @@ func TestLoadLegacySnapshotRefused(t *testing.T) {
 		t.Fatalf("SIGHUP: %v", err)
 	}
 	eventually(t, 20*time.Second, "the refused reload being logged", func() bool {
-		return strings.Contains(stderr.String(), "keeping current view") && strings.Contains(stderr.String(), refusal)
+		return strings.Contains(stderr.String(), "keeping current view") && strings.Contains(stderr.String(), refusal(2))
 	})
 	resp, err := http.Get(base + "/api/getEntity?concept=人物&limit=1")
 	if err != nil {

@@ -3,6 +3,7 @@ package cnprobase
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -394,16 +395,22 @@ func TestFacadeBaselines(t *testing.T) {
 	}
 }
 
-// goldenSnapshotSHA256 is the digest of the version-3 snapshot of the
+// goldenSnapshotSHA256 is the digest of the version-4 snapshot of the
 // seed-7, 2 000-entity synthetic world built with the default options
-// minus the neural extractor. It was recorded from the sharded
-// string-map store's build; any change to it is a change of format,
+// minus the neural extractor; any change to it is a change of format,
 // of canonical order or of what a build decides, and needs a reason.
-const goldenSnapshotSHA256 = "3029d7c4286ec91724ec178429cbfc65817db3c1bbb2c70d4d9d761aaf24db05"
+// It was re-recorded once, when version 4 wrote the evidence section
+// in the image's numbering (docs/SNAPSHOT.md); the meta and view-image
+// sections kept their version-3 bytes, which goldenImageSHA256 holds.
+const (
+	goldenSnapshotSHA256 = "42b3cd1f3c778421d0b731cee205dcf4018d5156f44994d168b8be5c20fc3f1d"
+	goldenImageSHA256    = "92c60d263df95ad9bcdb0ab5e75b2444c5bf870f6e9eccafc02007b17b95d97a"
+)
 
 // TestFacadeSnapshotGolden holds "snapshot bytes unchanged" as a test:
-// the same world saves to the recorded digest whether built
-// sequentially or on eight workers.
+// the same world saves to the recorded digests — of the file and of
+// its view-image section's payload — whether built sequentially or on
+// eight workers.
 func TestFacadeSnapshotGolden(t *testing.T) {
 	wcfg := DefaultWorldConfig()
 	wcfg.Seed, wcfg.Entities = 7, 2000
@@ -425,6 +432,14 @@ func TestFacadeSnapshotGolden(t *testing.T) {
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != goldenSnapshotSHA256 {
 			t.Errorf("workers=%d: snapshot sha256 = %s, want %s (%d bytes)", workers, got, goldenSnapshotSHA256, buf.Len())
+		}
+		// The image is the second section, after the 16-byte header and
+		// the meta section's 13-byte frame, payload and 4-byte checksum.
+		b := buf.Bytes()
+		at := 16 + 13 + int(binary.LittleEndian.Uint64(b[16+5:])) + 4
+		image := b[at+13 : at+13+int(binary.LittleEndian.Uint64(b[at+5:]))]
+		if got := fmt.Sprintf("%x", sha256.Sum256(image)); got != goldenImageSHA256 {
+			t.Errorf("workers=%d: image section sha256 = %s, want %s (%d bytes)", workers, got, goldenImageSHA256, len(image))
 		}
 	}
 }

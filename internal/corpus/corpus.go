@@ -9,70 +9,93 @@
 package corpus
 
 import (
-	"bufio"
-	"cmp"
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 )
 
-// pairKey is an adjacency key for bigram counts. Using a struct key
-// avoids the ambiguity of string concatenation.
-type pairKey struct{ a, b string }
-
 // Stats holds unigram and adjacent-bigram counts over a segmented
-// corpus.
+// corpus. Words are interned to dense IDs in arrival order: a word is
+// hashed once per occurrence, its count is a slot, and a bigram is one
+// packed pair of IDs.
 type Stats struct {
-	unigrams map[string]int
-	bigrams  map[pairKey]int
-	total    int // total unigram tokens observed
-	pairs    int // total adjacent pairs observed
+	ids     map[string]uint32 // word → ID
+	words   []string          // ID → word
+	counts  []int             // ID → unigram count
+	bigrams map[uint64]int    // pairKey(a, b) → adjacency count
+	total   int               // total unigram tokens observed
+	pairs   int               // total adjacent pairs observed
 }
 
 // NewStats returns an empty statistics accumulator.
 func NewStats() *Stats {
-	return &Stats{
-		unigrams: make(map[string]int),
-		bigrams:  make(map[pairKey]int),
-	}
+	return &Stats{ids: make(map[string]uint32), bigrams: make(map[uint64]int)}
 }
 
-// AddSentence records one segmented sentence: every word counts as a
-// unigram and every adjacent pair as a bigram. Tokens from the
-// zero-copy segmenter are substrings of whole page texts, so keys are
-// cloned on first insertion — Stats never pins its callers' backing
-// strings (the clone cost is bounded by vocabulary size, not corpus
-// size).
+// pairKey packs an ordered pair of word IDs (or of ranks) into one key.
+func pairKey(a, b uint32) uint64 { return uint64(a)<<32 | uint64(b) }
+
+// intern returns w's ID, assigning the next one. Tokens from the
+// zero-copy segmenter are substrings of whole page texts, so a new word
+// is cloned — Stats never pins its callers' backing strings (the clone
+// cost is bounded by vocabulary size, not corpus size).
+func (s *Stats) intern(w string) uint32 {
+	if id, ok := s.ids[w]; ok {
+		return id
+	}
+	w = strings.Clone(w)
+	id := uint32(len(s.words))
+	s.ids[w] = id
+	s.words = append(s.words, w)
+	s.counts = append(s.counts, 0)
+	return id
+}
+
+// AddSentence records one segmented sentence: every non-empty word
+// counts as a unigram and every adjacent pair of non-empty words as a
+// bigram.
 func (s *Stats) AddSentence(words []string) {
-	for i, w := range words {
+	var prev uint32
+	havePrev := false
+	for _, w := range words {
 		if w == "" {
+			havePrev = false
 			continue
 		}
-		if _, ok := s.unigrams[w]; !ok {
-			w = strings.Clone(w)
-		}
-		s.unigrams[w]++
+		id := s.intern(w)
+		s.counts[id]++
 		s.total++
-		if i+1 < len(words) && words[i+1] != "" {
-			k := pairKey{w, words[i+1]}
-			if _, ok := s.bigrams[k]; !ok {
-				k = pairKey{strings.Clone(k.a), strings.Clone(k.b)}
-			}
-			s.bigrams[k]++
+		if havePrev {
+			s.bigrams[pairKey(prev, id)]++
 			s.pairs++
 		}
+		prev, havePrev = id, true
 	}
 }
 
 // Count returns the unigram count of w.
-func (s *Stats) Count(w string) int { return s.unigrams[w] }
+func (s *Stats) Count(w string) int {
+	if id, ok := s.ids[w]; ok {
+		return s.counts[id]
+	}
+	return 0
+}
 
 // PairCount returns the adjacency count of (a, b).
-func (s *Stats) PairCount(a, b string) int { return s.bigrams[pairKey{a, b}] }
+func (s *Stats) PairCount(a, b string) int {
+	ia, ok := s.ids[a]
+	if !ok {
+		return 0
+	}
+	ib, ok := s.ids[b]
+	if !ok {
+		return 0
+	}
+	return s.bigrams[pairKey(ia, ib)]
+}
 
 // Tokens returns the total number of unigram tokens observed.
 func (s *Stats) Tokens() int { return s.total }
@@ -81,7 +104,7 @@ func (s *Stats) Tokens() int { return s.total }
 func (s *Stats) Pairs() int { return s.pairs }
 
 // VocabSize returns the number of distinct words observed.
-func (s *Stats) VocabSize() int { return len(s.unigrams) }
+func (s *Stats) VocabSize() int { return len(s.words) }
 
 // PMI returns the smoothed pointwise mutual information of the adjacent
 // pair (a, b):
@@ -95,11 +118,13 @@ func (s *Stats) PMI(a, b string) float64 {
 	if s.total == 0 || s.pairs == 0 {
 		return pmiFloor
 	}
-	ca, cb := s.unigrams[a], s.unigrams[b]
-	if ca == 0 || cb == 0 {
+	ia, okA := s.ids[a]
+	ib, okB := s.ids[b]
+	if !okA || !okB {
 		return pmiFloor
 	}
-	joint := float64(s.bigrams[pairKey{a, b}]) + smoothing
+	ca, cb := s.counts[ia], s.counts[ib]
+	joint := float64(s.bigrams[pairKey(ia, ib)]) + smoothing
 	pJoint := joint / (float64(s.pairs) + smoothing*float64(len(s.bigrams)+1))
 	pa := float64(ca) / float64(s.total)
 	pb := float64(cb) / float64(s.total)
@@ -122,96 +147,219 @@ func (s *Stats) Probability(w string) float64 {
 	if s.total == 0 {
 		return 1e-9
 	}
-	c := s.unigrams[w]
-	return (float64(c) + smoothing) / (float64(s.total) + smoothing*float64(len(s.unigrams)+1))
+	return (float64(s.Count(w)) + smoothing) / (float64(s.total) + smoothing*float64(len(s.words)+1))
 }
 
-// TopWords returns the n most frequent words (ties broken
-// lexicographically for determinism).
-func (s *Stats) TopWords(n int) []string {
-	type wc struct {
-		w string
-		c int
+// AppendBinary appends the statistics' binary form to dst and returns
+// the extended slice. The form is canonical — equal counts give equal
+// bytes, whatever order the words arrived in:
+//
+//	uvarint V, then V words ascending in byte order, each a uvarint
+//	    length, the word's bytes and its uvarint count;
+//	uvarint B, then B bigrams ascending by (rank a, rank b), a word's
+//	    rank being its position in the table above, each as
+//	    uvarint Δ rank a (from the previous bigram's; 0 at first),
+//	    uvarint rank b − least (least is the previous rank b + 1 under
+//	    a repeated rank a, else 0) and uvarint count.
+//
+// The words are sorted once; the bigrams are then sorted as packed
+// integers.
+func (s *Stats) AppendBinary(dst []byte) []byte {
+	order := make([]uint32, len(s.words)) // rank → ID
+	for i := range order {
+		order[i] = uint32(i)
 	}
-	all := make([]wc, 0, len(s.unigrams))
-	for w, c := range s.unigrams {
-		all = append(all, wc{w, c})
+	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(s.words[a], s.words[b]) })
+	rank := make([]uint32, len(order)) // ID → rank
+	dst = binary.AppendUvarint(dst, uint64(len(order)))
+	for r, id := range order {
+		rank[id] = uint32(r)
+		dst = binary.AppendUvarint(dst, uint64(len(s.words[id])))
+		dst = append(dst, s.words[id]...)
+		dst = binary.AppendUvarint(dst, uint64(s.counts[id]))
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
+	keys := make([]uint64, 0, len(s.bigrams))
+	for k := range s.bigrams {
+		keys = append(keys, pairKey(rank[k>>32], rank[uint32(k)]))
+	}
+	slices.Sort(keys)
+	dst = binary.AppendUvarint(dst, uint64(len(keys)))
+	var prevA, least uint64
+	for _, k := range keys {
+		a, b := k>>32, k&math.MaxUint32
+		if a != prevA {
+			least = 0
 		}
-		return all[i].w < all[j].w
-	})
-	if n > len(all) {
-		n = len(all)
+		dst = binary.AppendUvarint(dst, a-prevA)
+		dst = binary.AppendUvarint(dst, b-least)
+		dst = binary.AppendUvarint(dst, uint64(s.bigrams[pairKey(order[a], order[b])]))
+		prevA, least = a, b+1
 	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].w
-	}
-	return out
+	return dst
 }
 
-// statsJSON is the serialization schema for Stats.
-type statsJSON struct {
-	Unigrams map[string]int `json:"unigrams"`
-	Bigrams  []bigramJSON   `json:"bigrams"`
-}
-
-type bigramJSON struct {
-	A string `json:"a"`
-	B string `json:"b"`
-	N int    `json:"n"`
-}
-
-// countingWriter counts the bytes its writer accepted.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// WriteTo serializes the statistics as JSON and returns the number of
-// bytes written to w (io.WriterTo).
-func (s *Stats) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	enc := json.NewEncoder(bw)
-	out := statsJSON{Unigrams: s.unigrams}
-	out.Bigrams = make([]bigramJSON, 0, len(s.bigrams))
-	for k, n := range s.bigrams {
-		out.Bigrams = append(out.Bigrams, bigramJSON{A: k.a, B: k.b, N: n})
-	}
-	slices.SortFunc(out.Bigrams, func(x, y bigramJSON) int {
-		return cmp.Or(strings.Compare(x.A, y.A), strings.Compare(x.B, y.B))
-	})
-	if err := enc.Encode(out); err != nil {
-		return cw.n, fmt.Errorf("corpus: encode stats: %w", err)
-	}
-	err := bw.Flush()
-	return cw.n, err
-}
-
-// ReadStats deserializes statistics written by WriteTo.
-func ReadStats(r io.Reader) (*Stats, error) {
-	var in statsJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("corpus: decode stats: %w", err)
-	}
+// ReadStats decodes the binary form AppendBinary writes. It checks
+// everything a Stats built by AddSentence guarantees: words non-empty
+// and strictly ascending, bigram ranks inside the word table and
+// strictly ascending, every count in 1..MaxInt32 and both totals
+// within an int — so the probabilities it yields are positive and its
+// PMIs finite.
+func ReadStats(b []byte) (*Stats, error) {
 	s := NewStats()
-	for w, c := range in.Unigrams {
-		s.unigrams[w] = c
-		s.total += c
+	if err := decode(b, s); err != nil {
+		return nil, err
 	}
-	for _, b := range in.Bigrams {
-		s.bigrams[pairKey{b.A, b.B}] = b.N
-		s.pairs += b.N
+	return s, nil
+}
+
+// ValidateStats checks b exactly as ReadStats does — the same walk,
+// the same errors — without building anything: it allocates nothing on
+// success.
+func ValidateStats(b []byte) error { return decode(b, nil) }
+
+// decode is the one walk behind ReadStats and ValidateStats; into is
+// nil when validating.
+func decode(b []byte, into *Stats) error {
+	r := reader{b: b}
+	// Minimum encoded sizes: a word is a length, a byte and a count; a
+	// bigram is three uvarints.
+	nWords, err := r.count(3)
+	if err != nil {
+		return err
 	}
+	if into != nil {
+		into.ids = make(map[string]uint32, nWords)
+		into.words = make([]string, 0, nWords)
+		into.counts = make([]int, 0, nWords)
+	}
+	var prev []byte
+	var total, pairs int
+	for i := 0; i < nWords; i++ {
+		w, err := r.str()
+		if err != nil {
+			return err
+		}
+		if len(w) == 0 || (i > 0 && bytes.Compare(prev, w) >= 0) {
+			return fmt.Errorf("corpus: statistics word %d is empty or out of order", i)
+		}
+		c, err := r.countValue()
+		if err != nil {
+			return err
+		}
+		if total > math.MaxInt-c {
+			return fmt.Errorf("corpus: statistics token total overflows")
+		}
+		total += c
+		if into != nil {
+			word := string(w)
+			into.ids[word] = uint32(i)
+			into.words = append(into.words, word)
+			into.counts = append(into.counts, c)
+		}
+		prev = w
+	}
+	nBigrams, err := r.count(3)
+	if err != nil {
+		return err
+	}
+	if into != nil {
+		into.bigrams = make(map[uint64]int, nBigrams)
+	}
+	n := uint64(nWords)
+	var a, least uint64
+	for i := 0; i < nBigrams; i++ {
+		da, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		db, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		if da != 0 {
+			least = 0
+		}
+		// a ≤ n and least ≤ n hold throughout, so neither difference
+		// wraps.
+		if da >= n-a || db >= n-least {
+			return fmt.Errorf("corpus: statistics bigram %d names a word outside the %d-word table", i, n)
+		}
+		a += da
+		b := least + db
+		c, err := r.countValue()
+		if err != nil {
+			return err
+		}
+		if pairs > math.MaxInt-c {
+			return fmt.Errorf("corpus: statistics pair total overflows")
+		}
+		pairs += c
+		if into != nil {
+			into.bigrams[pairKey(uint32(a), uint32(b))] = c
+		}
+		least = b + 1
+	}
+	if r.off != len(r.b) {
+		return fmt.Errorf("corpus: %d trailing bytes after statistics", len(r.b)-r.off)
+	}
+	if into != nil {
+		into.total, into.pairs = total, pairs
+	}
+	return nil
+}
+
+// reader is a bounds-checked cursor over the binary form.
+type reader struct {
+	b   []byte
+	off int
+}
+
+func (r *reader) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
+		return 0, fmt.Errorf("corpus: statistics truncated or overlong varint at offset %d", r.off)
+	}
+	r.off += n
+	return v, nil
+}
+
+// count reads an element count the remaining bytes can hold at
+// minBytes an element, so a bogus count never drives a long loop or a
+// large allocation.
+func (r *reader) count(minBytes int) (int, error) {
+	v, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if v > uint64((len(r.b)-r.off)/minBytes) {
+		return 0, fmt.Errorf("corpus: statistics element count %d exceeds the remaining %d bytes", v, len(r.b)-r.off)
+	}
+	return int(v), nil
+}
+
+// countValue reads an observation count, which AddSentence never
+// leaves outside 1..MaxInt32.
+func (r *reader) countValue() (int, error) {
+	v, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if v == 0 || v > math.MaxInt32 {
+		return 0, fmt.Errorf("corpus: statistics count %d outside 1..%d", v, math.MaxInt32)
+	}
+	return int(v), nil
+}
+
+// str reads a uvarint-length-prefixed byte string, aliasing the input.
+func (r *reader) str() ([]byte, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(len(r.b)-r.off) {
+		return nil, fmt.Errorf("corpus: statistics word length %d exceeds the remaining %d bytes", n, len(r.b)-r.off)
+	}
+	s := r.b[r.off : r.off+int(n)]
+	r.off += int(n)
 	return s, nil
 }

@@ -2,7 +2,7 @@ package corpus
 
 import (
 	"bytes"
-	"io"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -96,27 +96,12 @@ func TestProbabilityMonotoneInCount(t *testing.T) {
 	}
 }
 
-func TestTopWords(t *testing.T) {
-	s := buildStats([]string{"b", "a", "b", "c", "b", "a"})
-	got := s.TopWords(2)
-	if len(got) != 2 || got[0] != "b" || got[1] != "a" {
-		t.Errorf("TopWords = %v, want [b a]", got)
-	}
-	if n := len(s.TopWords(100)); n != 3 {
-		t.Errorf("TopWords(100) len = %d, want 3", n)
-	}
-}
-
 func TestSerializationRoundTrip(t *testing.T) {
 	s := buildStats(
 		[]string{"蚂蚁", "金服", "首席"},
 		[]string{"首席", "战略官"},
 	)
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	got, err := ReadStats(&buf)
+	got, err := ReadStats(s.AppendBinary(nil))
 	if err != nil {
 		t.Fatalf("ReadStats: %v", err)
 	}
@@ -129,42 +114,82 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 }
 
-// tallyWriter counts what it is handed and refuses everything past
-// limit bytes.
-type tallyWriter struct{ n, limit int64 }
-
-func (w *tallyWriter) Write(p []byte) (int, error) {
-	if room := w.limit - w.n; int64(len(p)) > room {
-		w.n += room
-		return int(room), io.ErrShortWrite
+// TestBinaryForm pins the documented layout on a two-sentence corpus.
+func TestBinaryForm(t *testing.T) {
+	s := buildStats([]string{"b", "a", "b"}, []string{"a", "b"})
+	want := []byte{
+		2, // words
+		1, 'a', 2,
+		1, 'b', 3,
+		2,       // bigrams
+		0, 1, 2, // (a, b) ×2: rank 0, rank 1 − 0
+		1, 0, 1, // (b, a) ×1: Δ rank 1, rank 0 − 0
 	}
-	w.n += int64(len(p))
-	return len(p), nil
-}
-
-// TestWriteToReportsBytes pins the io.WriterTo contract: the count is
-// the bytes the writer accepted, on success and on failure.
-func TestWriteToReportsBytes(t *testing.T) {
-	s := buildStats(
-		[]string{"蚂蚁", "金服", "首席"},
-		[]string{"首席", "战略官"},
-	)
-	var _ io.WriterTo = s
-	var buf bytes.Buffer
-	full := &tallyWriter{limit: 1 << 20}
-	n, err := s.WriteTo(io.MultiWriter(full, &buf))
-	if err != nil || n == 0 || n != full.n || n != int64(buf.Len()) {
-		t.Fatalf("WriteTo = %d, %v; the writer saw %d bytes, the buffer holds %d", n, err, full.n, buf.Len())
-	}
-	short := &tallyWriter{limit: n / 2}
-	if got, err := s.WriteTo(short); err == nil || got != short.n || got != n/2 {
-		t.Fatalf("WriteTo into a writer that takes %d bytes = %d, %v", n/2, got, err)
+	if got := s.AppendBinary(nil); !bytes.Equal(got, want) {
+		t.Fatalf("AppendBinary = %v, want %v", got, want)
 	}
 }
 
 func TestReadStatsRejectsGarbage(t *testing.T) {
-	if _, err := ReadStats(bytes.NewBufferString("not json")); err == nil {
+	if _, err := ReadStats([]byte("not statistics")); err == nil {
 		t.Fatal("ReadStats accepted garbage")
+	}
+}
+
+// TestReadStatsRejectsImplausible crafts forms no AddSentence history
+// can produce. Each must be refused, by ReadStats and ValidateStats
+// with one error: a negative or huge count would make Probability
+// negative and the segmenter's word costs NaN.
+func TestReadStatsRejectsImplausible(t *testing.T) {
+	uv := func(b []byte, xs ...uint64) []byte {
+		for _, x := range xs {
+			b = binary.AppendUvarint(b, x)
+		}
+		return b
+	}
+	word := func(b []byte, w string, count uint64) []byte {
+		return uv(append(uv(b, uint64(len(w))), w...), count)
+	}
+	twoWords := word(word(uv(nil, 2), "a", 1), "b", 1)
+	cases := map[string][]byte{
+		"count above MaxInt32":     uv(word(uv(nil, 1), "a", math.MaxInt32+1), 0),
+		"zero count":               uv(word(uv(nil, 1), "a", 0), 0),
+		"count from a negative":    uv(word(uv(nil, 1), "a", uint64(1<<64-5)), 0),
+		"empty word":               uv(word(uv(nil, 1), "", 1), 0),
+		"words out of order":       uv(word(word(uv(nil, 2), "b", 1), "a", 1), 0),
+		"repeated word":            uv(word(word(uv(nil, 2), "a", 1), "a", 1), 0),
+		"first rank out of range":  uv(twoWords, 1, 2, 0, 1),
+		"second rank out of range": uv(twoWords, 1, 0, 2, 1),
+		"second rank wraps":        uv(twoWords, 2, 0, 0, 1, 0, math.MaxUint64, 1),
+		"bigram count too large":   uv(twoWords, 1, 0, 1, math.MaxInt32+1),
+		"bigram count zero":        uv(twoWords, 1, 0, 1, 0),
+		"word count past the end":  uv(nil, 1000),
+		"trailing bytes":           append(uv(twoWords, 0), 0),
+		"truncated":                twoWords,
+	}
+	for name, b := range cases {
+		_, readErr := ReadStats(b)
+		validErr := ValidateStats(b)
+		if readErr == nil || validErr == nil {
+			t.Errorf("%s: accepted (ReadStats: %v, ValidateStats: %v)", name, readErr, validErr)
+			continue
+		}
+		if readErr.Error() != validErr.Error() {
+			t.Errorf("%s: ReadStats says %q, ValidateStats %q", name, readErr, validErr)
+		}
+	}
+}
+
+// TestValidateStatsAllocatesNothing pins the validate-only walk the
+// mapped snapshot opener runs.
+func TestValidateStatsAllocatesNothing(t *testing.T) {
+	enc := buildStats([]string{"蚂蚁", "金服", "首席", "战略官"}, []string{"首席", "战略官"}).AppendBinary(nil)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := ValidateStats(enc); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("ValidateStats allocates %v times per call, want 0", n)
 	}
 }
 

@@ -12,10 +12,11 @@ import (
 	"cnprobase/internal/taxonomy"
 )
 
-// The v3 "view image": the View's canonical arrays serialized as
-// fixed-width little-endian blocks plus interned string arenas, laid
-// out so a page-aligned mapping of the snapshot file can be used as
-// the View's backing storage without a decode pass.
+// The snapshot's "view image" (format versions 3 and 4): the View's
+// canonical arrays serialized as fixed-width little-endian blocks plus
+// interned string arenas, laid out so a page-aligned mapping of the
+// snapshot file can be used as the View's backing storage without a
+// decode pass.
 //
 // Payload layout (offsets are absolute file offsets; `base` is the
 // file offset the payload starts at):
@@ -66,7 +67,7 @@ func imageBlockSizes(n, e, m, me, nameLen, menLen, entLen uint64) [13][2]uint64 
 	}
 }
 
-// SizedImage is a view checked and measured for serialization as a v3
+// SizedImage is a view checked and measured for serialization as an
 // image at one file offset: Image validates and sizes, WriteTo
 // streams. Between the two the section header that declares the
 // length can be written, so no copy of the image is ever held.
@@ -78,7 +79,7 @@ type SizedImage struct {
 }
 
 // Image prepares the view's canonical content for writing in the
-// mappable v3 image layout. base is the absolute file offset the
+// mappable image layout. base is the absolute file offset the
 // payload will land at: blocks are padded so their file offsets are
 // 8-aligned, making them aligned in any page-aligned mapping of the
 // file. Mentions must be valid UTF-8 (the mapped FindAll path matches
@@ -227,7 +228,7 @@ func (o *imageOut) pad() {
 	}
 }
 
-// image is a parsed v3 payload: the canonical view content, either
+// image is a parsed image payload: the canonical view content, either
 // aliased into the payload bytes (little-endian host, aligned blocks)
 // or copy-decoded out of them.
 type image struct {
@@ -252,7 +253,7 @@ func (img *image) mentEnt(i int) []byte {
 	return img.mentEntArena[img.mentEntOff[i]:img.mentEntOff[i+1]]
 }
 
-// parseImage slices a v3 payload into its blocks and validates every
+// parseImage slices an image payload into its blocks and validates every
 // structural invariant a View relies on. The same parse backs
 // OpenImage (aliasing) and DecodeImage (copying), so the mapped and
 // rebuild paths accept exactly the same set of payloads.
@@ -416,7 +417,7 @@ func checkOffsets(what string, offs []uint32, total uint32, strict bool) error {
 	return nil
 }
 
-// OpenImage builds a View directly over a v3 image payload, aliasing
+// OpenImage builds a View directly over an image payload, aliasing
 // its arrays instead of decoding them: node and mention strings become
 // string headers pointing into the arenas, and on little-endian hosts
 // the numeric blocks are reinterpreted in place (misaligned buffers
@@ -450,12 +451,21 @@ func OpenImage(data []byte, base uint64) (*View, error) {
 	return v, nil
 }
 
-// ImageContent is the logical content of an image — its kind marks,
-// edges and mention entries — for the path that rebuilds mutable state
-// (snapshot.Load). Everything is copied out of the input buffer.
+// ImageContent is the logical content of an image — its node names and
+// kinds, edges and mention entries — for the path that rebuilds
+// mutable state (snapshot.Load). Everything is copied out of the input
+// buffer once; the edges name their nodes with Names' strings.
 type ImageContent struct {
-	Kinds    []taxonomy.KindEntry
+	// Names lists the node names by image ID, ascending, and Kinds
+	// their kinds.
+	Names []string
+	Kinds []taxonomy.NodeKind
+	// Edges are in image order, by (hyponym ID, hypernym ID): node u's
+	// edges are Edges[HyperOff[u]:HyperOff[u+1]], and edge j's hypernym
+	// is node HyperIDs[j] — the numbering View.EdgeAt reads by.
 	Edges    []taxonomy.Edge
+	HyperOff []uint32
+	HyperIDs []uint32
 	Mentions []taxonomy.MentionEntry
 }
 
@@ -466,11 +476,12 @@ func DecodeImage(data []byte, base uint64) (*ImageContent, error) {
 		return nil, err
 	}
 	names := arenaStrings(img.nameArena, img.nameOff, true)
-	out := &ImageContent{}
-	for i, k := range img.kinds {
-		if k != taxonomy.KindUnknown {
-			out.Kinds = append(out.Kinds, taxonomy.KindEntry{Name: names[i], Kind: k})
-		}
+	out := &ImageContent{
+		Names:    names,
+		Kinds:    append([]taxonomy.NodeKind(nil), img.kinds...),
+		Edges:    make([]taxonomy.Edge, 0, img.e),
+		HyperOff: append([]uint32(nil), img.hyperOff...),
+		HyperIDs: append([]uint32(nil), img.hyperIDs...),
 	}
 	for u := 0; u < img.n; u++ {
 		for j := img.hyperOff[u]; j < img.hyperOff[u+1]; j++ {
@@ -485,11 +496,12 @@ func DecodeImage(data []byte, base uint64) (*ImageContent, error) {
 	}
 	mentions := arenaStrings(img.mentionArena, img.mentionStrOff, true)
 	ents := arenaStrings(img.mentEntArena, img.mentEntOff, true)
-	for i := 0; i < img.m; i++ {
-		out.Mentions = append(out.Mentions, taxonomy.MentionEntry{
+	out.Mentions = make([]taxonomy.MentionEntry, img.m)
+	for i := range out.Mentions {
+		out.Mentions[i] = taxonomy.MentionEntry{
 			Mention: mentions[i],
-			IDs:     append([]string(nil), ents[img.mentionOff[i]:img.mentionOff[i+1]]...),
-		})
+			IDs:     ents[img.mentionOff[i]:img.mentionOff[i+1]:img.mentionOff[i+1]],
+		}
 	}
 	return out, nil
 }

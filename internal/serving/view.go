@@ -239,6 +239,34 @@ func (v *View) NamePrefixesAppend(dst []uint32, s string, minRunes, maxRunes int
 	return dst
 }
 
+// EdgeAt returns the sources and score of edge i of the flat hypernym
+// array: node u's edges are the len(HypernymIDsOf(u)) indexes that
+// follow those of the nodes below u, so edges are numbered by (hyponym
+// ID, hypernym ID). The snapshot's evidence section names kept pairs
+// by this number.
+//
+//cnp:noalloc
+func (v *View) EdgeAt(i uint32) (taxonomy.Source, float64) {
+	return v.edgeSources[i], v.edgeScores[i]
+}
+
+// MentionRow returns the row of mention s in the sorted mention table,
+// s taken as stored (Lookup trims its query first). from is where to
+// look, as for ID: 0, or one past an earlier answer for a mention that
+// sorts at or above it.
+//
+//cnp:noalloc
+func (v *View) MentionRow(s string, from uint32) (uint32, bool) {
+	if v.mentionAt != nil {
+		i, ok := v.mentionAt[s]
+		return i, ok
+	}
+	if i := seek(v.mentions, int(from), s); i < len(v.mentions) && v.mentions[i] == s {
+		return uint32(i), true
+	}
+	return 0, false
+}
+
 // NodeCount returns the number of nodes.
 //
 //cnp:noalloc

@@ -9,6 +9,7 @@ import (
 	"io"
 	"io/fs"
 	"math"
+	mathbits "math/bits"
 
 	"cnprobase/internal/corpus"
 	"cnprobase/internal/extract"
@@ -23,12 +24,14 @@ import (
 // state: a fresh taxonomy store, the mention index and the saved
 // metadata. The stream is read whole and framed by parse, the walk
 // OpenMapped uses, so the two entry points accept and reject the same
-// files for the same reason; the evidence and the store are then
-// restored over one symbol table, as a build leaves them. The view
-// image is decoded into its logical kind/edge/mention content and
-// applied through the store's verbatim import path in one sequential
-// pass — appends on dense IDs, nothing to finalize. The loaded
-// taxonomy answers every query exactly like the original.
+// files for the same reason. The view image is decoded first and its
+// node names are interned in image-ID order, so a node's symbol is its
+// image ID: the evidence section, written in the image's numbering,
+// then resolves kept pairs and pages by index, and the store imports
+// the image's kinds and edges by ID in one sequential pass — appends on
+// dense IDs, no name hashed, nothing to finalize — and the mention
+// index its sorted table in one. The loaded taxonomy answers every
+// query exactly like the original.
 //
 // Load never panics on malformed input: any truncation, checksum
 // mismatch, or structurally bogus value yields an error, and claimed
@@ -44,31 +47,24 @@ func Load(r io.Reader) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	syms := symtab.New()
-	ev, kept, stats, err := decodeEvidence(f.evidence, syms)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: evidence section: %w", err)
-	}
 	content, err := serving.DecodeImage(f.image, f.imageBase)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: view image: %w", err)
 	}
+	syms := symtab.New()
+	for _, name := range content.Names {
+		syms.Intern(name)
+	}
+	ld := &loader{content: content, syms: syms}
+	shape := imageShape{len(content.Names), len(content.Edges), len(content.Mentions)}
+	if _, err := decodeEvidence(f.evidence, shape, ld); err != nil {
+		return nil, fmt.Errorf("snapshot: evidence section: %w", err)
+	}
 	tax := taxonomy.NewWithSymbols(syms)
+	tax.ImportIDs(content.Kinds, content.HyperOff, content.HyperIDs, content.Edges)
 	mentions := taxonomy.NewMentionIndex()
-	for _, k := range content.Kinds {
-		tax.ImportKind(k.Name, k.Kind)
-	}
-	for _, e := range content.Edges {
-		if err := tax.InsertEdge(e); err != nil {
-			return nil, fmt.Errorf("snapshot: %w", err)
-		}
-	}
-	for _, m := range content.Mentions {
-		for _, id := range m.IDs {
-			mentions.Add(m.Mention, id)
-		}
-	}
-	return &State{Taxonomy: tax, Mentions: mentions, Meta: f.meta, Evidence: ev, Kept: kept, Stats: stats}, nil
+	mentions.ImportSorted(content.Mentions)
+	return &State{Taxonomy: tax, Mentions: mentions, Meta: f.meta, Evidence: ld.ev, Kept: ld.kept, Stats: ld.stats}, nil
 }
 
 // readAll reads r to its end. A file says how long it is, so its
@@ -91,9 +87,12 @@ func readAll(r io.Reader) ([]byte, error) {
 // offset, which its alignment padding is relative to.
 type framed struct {
 	meta      Meta
+	version   uint32
+	metaLen   int
 	image     []byte
 	imageBase uint64
 	evidence  []byte
+	end       int // the offset just past the end marker
 }
 
 // parse is the one walk over a snapshot's framing, behind both Load
@@ -110,24 +109,27 @@ func parse(data []byte) (framed, error) {
 		return f, fmt.Errorf("snapshot: bad magic %q", data[:8])
 	}
 	version := binary.LittleEndian.Uint32(data[8:12])
-	if version == 1 || version == 2 {
-		// The striped layouts: nothing writes them any more, and a
-		// rebuild from the corpus is the supported way forward.
+	if version >= 1 && version < Version {
+		// The striped layouts (1, 2) and the name-keyed evidence (3):
+		// nothing writes them any more, and a rebuild from the corpus is
+		// the supported way forward.
 		return f, fmt.Errorf("snapshot: format version %d is no longer read — rebuild the snapshot with `cnprobase build -save`", version)
 	}
 	if version != Version {
 		return f, fmt.Errorf("snapshot: unsupported format version %d (this build reads version %d)", version, Version)
 	}
-	// Version 3 has no stripes; the field is pinned to the constant so
-	// every header byte stays covered by validation.
+	// The stripe field is pinned to the constant so every header byte
+	// stays covered by validation.
 	if stripes := binary.LittleEndian.Uint32(data[12:16]); stripes != Stripes {
 		return f, fmt.Errorf("snapshot: version %d stripe field %d, want %d", version, stripes, Stripes)
 	}
 
+	f.version = version
 	metaPayload, off, err := sliceSection(data, 16, sectionMeta, 0)
 	if err != nil {
 		return f, err
 	}
+	f.metaLen = len(metaPayload)
 	if err := json.Unmarshal(metaPayload, &f.meta); err != nil {
 		return f, fmt.Errorf("snapshot: decode meta: %w", err)
 	}
@@ -144,6 +146,7 @@ func parse(data []byte) (framed, error) {
 	if string(data[off:off+8]) != EndMagic {
 		return f, fmt.Errorf("snapshot: bad end marker %q", data[off:off+8])
 	}
+	f.end = off + 8
 	return f, nil
 }
 
@@ -217,17 +220,18 @@ func (r *payloadReader) u64() (uint64, error) {
 	return v, nil
 }
 
-func (r *payloadReader) str() (string, error) {
+// bytes reads a uvarint-length-prefixed string, aliasing the payload.
+func (r *payloadReader) bytes() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > uint64(r.remaining()) {
-		return "", fmt.Errorf("string length %d exceeds remaining %d bytes at offset %d", n, r.remaining(), r.off)
+		return nil, fmt.Errorf("string length %d exceeds remaining %d bytes at offset %d", n, r.remaining(), r.off)
 	}
-	s := string(r.b[r.off : r.off+int(n)])
+	b := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
-	return s, nil
+	return b, nil
 }
 
 // count validates a claimed element count against the minimum encoded
@@ -244,177 +248,343 @@ func (r *payloadReader) count(minElemBytes int) (int, error) {
 	return int(n), nil
 }
 
-// Minimum encoded sizes for evidence-section count validation: a kept
-// candidate is two 1-byte empty strings + source byte + 8 score bytes;
-// an entity is two 1-byte strings + attr count byte; an attribute is a
-// 1-byte predicate + 8 value bytes; a support entry is a 1-byte word +
-// two count bytes.
-const (
-	minKeptBytes    = 11
-	minEntityBytes  = 3
-	minAttrBytes    = 9
-	minSupportBytes = 3
-)
-
-// validateEvidence walks the section with the exact same checks but
-// materializes nothing — the view-only serving path must accept and
-// reject precisely the inputs Load does without paying for the update
-// substrate's index maps.
-func validateEvidence(payload []byte) error {
-	_, _, _, err := decodeEvidence(payload, nil)
-	return err
+// below reads a uvarint delta d and returns from + d, which must be
+// below limit (from ≤ limit): the next of an ascending run of IDs.
+func (r *payloadReader) below(from, limit int, what string) (int, error) {
+	d, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if d >= uint64(limit-from) {
+		return 0, fmt.Errorf("%s %d + %d is not below %d", what, from, d, limit)
+	}
+	return from + int(d), nil
 }
 
-// decodeEvidence parses the evidence section and rebuilds
-// the persistent update substrate: the kept candidate set, a
-// verify.Evidence re-derived from it (entity evidence imported, edge
-// evidence re-counted through AddCandidates, caches marked cold so the
-// first Update recomputes decisions), and the corpus statistics. An
-// empty or flag-0 payload (saved without evidence) yields all-nil — the Result then serves queries but refuses Update. The
-// evidence interns in syms; given no table, the section is only
-// validated (see validateEvidence) and nothing is returned.
-func decodeEvidence(payload []byte, syms *symtab.Table) (*verify.Evidence, []extract.Candidate, *corpus.Stats, error) {
-	materialize := syms != nil
+// Minimum encoded sizes for evidence-section count validation: a
+// bitset word is 8 bytes; a kept exception an edge delta, a source
+// byte and 8 score bytes; a predicate a length byte; a page an entity
+// byte (delta or string length), a title byte and an attribute count;
+// an attribute an index byte and 8 weight bytes; a support entry a
+// 1-byte word and two count bytes.
+const (
+	minExceptionBytes = 10
+	minPredicateBytes = 1
+	minPageBytes      = 3
+	minAttrBytes      = 9
+	minSupportBytes   = 3
+)
+
+// imageShape is what an evidence section is checked against: the
+// image's node, edge and mention counts. Kept pairs are image edges,
+// pages are image nodes and titles are image mention rows.
+type imageShape struct{ nodes, edges, mentions int }
+
+func viewShape(v *serving.View) imageShape {
+	return imageShape{v.NodeCount(), v.EdgeCount(), v.MentionCount()}
+}
+
+// loader is what Load materializes the evidence section into: the
+// decoded image, whose node names the symbol table interned first (so
+// a node's symbol is its image ID), and the evidence, kept list and
+// statistics the walk rebuilds.
+type loader struct {
+	content *serving.ImageContent
+	syms    *symtab.Table
+	ev      *verify.Evidence
+	kept    []extract.Candidate
+	stats   *corpus.Stats
+	except  []keptException
+	preds   []uint32      // predicate table index → the evidence's ID
+	attrs   []verify.Attr // one page's, recycled: ImportPage copies
+}
+
+// evidenceParts is what the walk over an evidence section measured:
+// whether it holds evidence, and the bytes of each sub-section.
+type evidenceParts struct {
+	present                           bool
+	flag, kept, pages, support, stats int
+}
+
+// validateEvidence walks the section with the exact same checks as
+// Load but materializes nothing and allocates nothing: the view-only
+// serving path accepts and rejects precisely the inputs Load does
+// without paying for the update substrate. It returns what the walk
+// measured, for Inspect.
+func validateEvidence(payload []byte, shape imageShape) (evidenceParts, error) {
+	return decodeEvidence(payload, shape, nil)
+}
+
+// decodeEvidence parses the evidence section against the image's
+// shape and, given a loader, rebuilds the persistent update substrate:
+// the page evidence by node ID and mention row, the kept candidate set
+// off the image's edges (entity evidence imported, edge evidence
+// re-counted through AddPair, caches marked cold so the first Update
+// recomputes decisions), the NE support and the corpus statistics. An
+// empty or flag-0 payload (saved without evidence) yields nothing — the
+// Result then serves queries but refuses Update. Without a loader the
+// section is only validated (see validateEvidence).
+func decodeEvidence(payload []byte, shape imageShape, ld *loader) (evidenceParts, error) {
+	var parts evidenceParts
 	// A zero-length payload means "no evidence", like the flag-0 byte
 	// Save writes.
 	if len(payload) == 0 {
-		return nil, nil, nil, nil
+		return parts, nil
 	}
-	r := &payloadReader{b: payload}
+	r := payloadReader{b: payload}
 	flag, err := r.byte()
 	if err != nil {
-		return nil, nil, nil, err
+		return parts, err
 	}
+	parts.flag = 1
 	if flag == 0 {
 		if r.remaining() != 0 {
-			return nil, nil, nil, fmt.Errorf("%d trailing bytes after absent-evidence flag", r.remaining())
+			return parts, fmt.Errorf("%d trailing bytes after absent-evidence flag", r.remaining())
 		}
-		return nil, nil, nil, nil
+		return parts, nil
 	}
 	if flag != 1 {
-		return nil, nil, nil, fmt.Errorf("invalid evidence flag %d", flag)
+		return parts, fmt.Errorf("invalid evidence flag %d", flag)
 	}
-	nKept, err := r.count(minKeptBytes)
+	parts.present = true
+
+	// Kept candidates: one bit per image edge, then the exceptions.
+	words, err := r.count(8)
 	if err != nil {
-		return nil, nil, nil, err
+		return parts, err
 	}
-	var kept []extract.Candidate
-	if materialize {
-		kept = make([]extract.Candidate, 0, nKept)
+	if want := (shape.edges + 63) / 64; words != want {
+		return parts, fmt.Errorf("kept bitset has %d words, the image's %d edges take %d", words, shape.edges, want)
 	}
-	for i := 0; i < nKept; i++ {
-		var c extract.Candidate
-		if c.Hypo, err = r.str(); err != nil {
-			return nil, nil, nil, err
+	bits := r.b[r.off : r.off+8*words]
+	r.off += 8 * words
+	if tail := shape.edges % 64; tail != 0 && binary.LittleEndian.Uint64(bits[8*(words-1):])>>tail != 0 {
+		return parts, fmt.Errorf("kept bitset marks edges past the image's %d", shape.edges)
+	}
+	nExcept, err := r.count(minExceptionBytes)
+	if err != nil {
+		return parts, err
+	}
+	for i, next := 0, 0; i < nExcept; i++ {
+		edge, err := r.below(next, shape.edges, "kept exception edge")
+		if err != nil {
+			return parts, err
 		}
-		if c.Hyper, err = r.str(); err != nil {
-			return nil, nil, nil, err
-		}
-		if c.Hypo == "" || c.Hyper == "" {
-			return nil, nil, nil, fmt.Errorf("empty node in kept candidate %d", i)
+		if !bitSet(bits, edge) {
+			return parts, fmt.Errorf("kept exception names edge %d, which is not kept", edge)
 		}
 		src, err := r.byte()
 		if err != nil {
-			return nil, nil, nil, err
+			return parts, err
 		}
-		c.Source = taxonomy.Source(src)
-		bits, err := r.u64()
+		score, err := r.u64()
 		if err != nil {
-			return nil, nil, nil, err
+			return parts, err
 		}
-		c.Score = math.Float64frombits(bits)
-		if materialize {
-			kept = append(kept, c)
+		if ld != nil {
+			ld.except = append(ld.except, keptException{uint32(edge), taxonomy.Source(src), math.Float64frombits(score)})
 		}
+		next = edge + 1
 	}
-	var ev *verify.Evidence
-	if materialize {
-		ev = verify.NewEvidence(syms, ner.NewSupport(), ner.New())
-	}
-	nEnts, err := r.count(minEntityBytes)
+	parts.kept = r.off - parts.flag
+
+	// Page evidence: the predicate table, the pages on image nodes,
+	// then the pages whose entity is no node.
+	from := r.off
+	nPreds, err := r.count(minPredicateBytes)
 	if err != nil {
-		return nil, nil, nil, err
+		return parts, err
 	}
-	var attrs []verify.Attr // recycled: ImportEntity keeps its own vector
-	for i := 0; i < nEnts; i++ {
-		id, err := r.str()
+	var table []string
+	var prev []byte
+	for i := 0; i < nPreds; i++ {
+		pred, err := r.bytes()
 		if err != nil {
-			return nil, nil, nil, err
+			return parts, err
 		}
-		title, err := r.str()
-		if err != nil {
-			return nil, nil, nil, err
+		if i > 0 && bytes.Compare(prev, pred) >= 0 {
+			return parts, fmt.Errorf("predicate table not strictly ascending at %d", i)
 		}
-		if id == "" || title == "" {
-			return nil, nil, nil, fmt.Errorf("empty entity in evidence entry %d", i)
+		if ld != nil {
+			table = append(table, string(pred))
 		}
-		nAttrs, err := r.count(minAttrBytes)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		attrs = attrs[:0]
-		for j := 0; j < nAttrs; j++ {
-			pred, err := r.str()
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			bits, err := r.u64()
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			if materialize {
-				attrs = append(attrs, verify.Attr{Predicate: pred, Weight: math.Float64frombits(bits)})
-			}
-		}
-		if materialize {
-			ev.ImportEntity(id, title, attrs)
-		}
+		prev = pred
 	}
+	if ld != nil {
+		ld.ev = verify.NewEvidence(ld.syms, ner.NewSupport(), ner.New())
+		ld.preds = ld.ev.InternPredicates(table)
+	}
+	nOnNodes, err := r.count(minPageBytes)
+	if err != nil {
+		return parts, err
+	}
+	for i, next := 0, 0; i < nOnNodes; i++ {
+		node, err := r.below(next, shape.nodes, "page node")
+		if err != nil {
+			return parts, err
+		}
+		if err := r.page(shape, nPreds, ld, uint32(node)); err != nil {
+			return parts, err
+		}
+		next = node + 1
+	}
+	nOthers, err := r.count(minPageBytes)
+	if err != nil {
+		return parts, err
+	}
+	prev = nil
+	for i := 0; i < nOthers; i++ {
+		entity, err := r.bytes()
+		if err != nil {
+			return parts, err
+		}
+		if i > 0 && bytes.Compare(prev, entity) >= 0 {
+			return parts, fmt.Errorf("pages off the image not strictly ascending at %d", i)
+		}
+		var id uint32
+		if ld != nil {
+			id = ld.syms.Intern(string(entity))
+		}
+		if err := r.page(shape, nPreds, ld, id); err != nil {
+			return parts, err
+		}
+		prev = entity
+	}
+	parts.pages = r.off - from
+
+	// NE support, by word.
+	from = r.off
 	nSup, err := r.count(minSupportBytes)
 	if err != nil {
-		return nil, nil, nil, err
+		return parts, err
 	}
 	for i := 0; i < nSup; i++ {
-		word, err := r.str()
+		word, err := r.bytes()
 		if err != nil {
-			return nil, nil, nil, err
+			return parts, err
 		}
 		ne, err := r.uvarint()
 		if err != nil {
-			return nil, nil, nil, err
+			return parts, err
 		}
 		total, err := r.uvarint()
 		if err != nil {
-			return nil, nil, nil, err
+			return parts, err
 		}
 		if ne > math.MaxInt32 || total > math.MaxInt32 {
-			return nil, nil, nil, fmt.Errorf("implausible support counts (%d, %d) for %q", ne, total, word)
+			return parts, fmt.Errorf("implausible support counts (%d, %d) for %q", ne, total, word)
 		}
-		if materialize {
-			ev.Support.Import(word, int(ne), int(total))
+		if ld != nil {
+			ld.ev.Support.Import(string(word), int(ne), int(total))
 		}
 	}
-	statsLen, err := r.uvarint()
+	parts.support = r.off - from
+
+	// Corpus statistics, which must decode in both modes: Load rejects
+	// an implausible form, and the view path has to agree.
+	from = r.off
+	stats, err := r.bytes()
 	if err != nil {
-		return nil, nil, nil, err
+		return parts, err
 	}
-	if statsLen > uint64(r.remaining()) {
-		return nil, nil, nil, fmt.Errorf("statistics length %d exceeds remaining %d bytes", statsLen, r.remaining())
+	if ld != nil {
+		ld.stats, err = corpus.ReadStats(stats)
+	} else {
+		err = corpus.ValidateStats(stats)
 	}
-	// The statistics blob must parse in both modes: Load rejects a
-	// shape-invalid blob, and the view path has to agree.
-	stats, err := corpus.ReadStats(bytes.NewReader(r.b[r.off : r.off+int(statsLen)]))
 	if err != nil {
-		return nil, nil, nil, err
+		return parts, err
 	}
-	r.off += int(statsLen)
+	parts.stats = r.off - from
 	if r.remaining() != 0 {
-		return nil, nil, nil, fmt.Errorf("%d trailing bytes after statistics", r.remaining())
+		return parts, fmt.Errorf("%d trailing bytes after statistics", r.remaining())
 	}
-	if !materialize {
-		return nil, nil, nil, nil
+	if ld != nil {
+		ld.restoreKept(bits)
 	}
-	ev.AddCandidates(kept)
-	ev.MarkAllDirty()
-	return ev, kept, stats, nil
+	return parts, nil
+}
+
+// bitSet reports whether bit i of the little-endian bitset b is set.
+func bitSet(b []byte, i int) bool { return b[i/8]&(1<<(i%8)) != 0 }
+
+// page reads one page's title and attributes and, given a loader,
+// imports the page with entity symbol id.
+func (r *payloadReader) page(shape imageShape, nPreds int, ld *loader, id uint32) error {
+	title, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	var literal []byte
+	switch {
+	case title > uint64(shape.mentions):
+		return fmt.Errorf("page title row %d is outside the image's %d mentions", title, shape.mentions)
+	case title == uint64(shape.mentions):
+		if literal, err = r.bytes(); err != nil {
+			return err
+		}
+	}
+	nAttrs, err := r.count(minAttrBytes)
+	if err != nil {
+		return err
+	}
+	if ld != nil {
+		ld.attrs = ld.attrs[:0]
+	}
+	for j, next := uint64(0), uint64(0); j < uint64(nAttrs); j++ {
+		pred, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		if pred < next || pred >= uint64(nPreds) {
+			return fmt.Errorf("attribute predicate %d is out of order or outside the %d-predicate table", pred, nPreds)
+		}
+		w, err := r.u64()
+		if err != nil {
+			return err
+		}
+		if ld != nil {
+			ld.attrs = append(ld.attrs, verify.Attr{Pred: ld.preds[pred], Weight: math.Float64frombits(w)})
+		}
+		next = pred + 1
+	}
+	if ld != nil {
+		var t uint32
+		if literal != nil {
+			t = ld.syms.Intern(string(literal))
+		} else {
+			t = ld.syms.Intern(ld.content.Mentions[title].Mention)
+		}
+		ld.ev.ImportPage(id, t, ld.attrs)
+	}
+	return nil
+}
+
+// restoreKept rebuilds the kept candidate list off the image's edges —
+// in edge order, which is the list's (hypo, hyper) order — and folds
+// the pairs into the evidence by ID.
+func (ld *loader) restoreKept(bits []byte) {
+	c := ld.content
+	n := 0
+	for i := 0; i+8 <= len(bits); i += 8 {
+		n += mathbits.OnesCount64(binary.LittleEndian.Uint64(bits[i:]))
+	}
+	ld.kept = make([]extract.Candidate, 0, n)
+	x := 0
+	for u := 0; u+1 < len(c.HyperOff); u++ {
+		for j := int(c.HyperOff[u]); j < int(c.HyperOff[u+1]); j++ {
+			if !bitSet(bits, j) {
+				continue
+			}
+			e := &c.Edges[j]
+			cand := extract.Candidate{Hypo: e.Hypo, Hyper: e.Hyper, Source: e.Sources, Score: e.Score}
+			if x < len(ld.except) && ld.except[x].edge == uint32(j) {
+				cand.Source, cand.Score = ld.except[x].source, ld.except[x].score
+				x++
+			}
+			ld.kept = append(ld.kept, cand)
+			ld.ev.AddPair(uint32(u), c.HyperIDs[j])
+		}
+	}
+	ld.ev.MarkAllDirty()
 }

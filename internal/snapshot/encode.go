@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"math"
 	"strings"
 
+	"cnprobase/internal/extract"
 	"cnprobase/internal/ner"
 	"cnprobase/internal/par"
 	"cnprobase/internal/serving"
@@ -17,24 +19,28 @@ import (
 	"cnprobase/internal/verify"
 )
 
-// Save writes st as a version-3 snapshot: the store is compiled into
+// Save writes st as a version-4 snapshot: the store is compiled into
 // the canonical serving view (or st.View, the same view compiled
 // earlier, is taken as is) and serialized as one mappable image
 // section (the layout serving.View.Image documents), framed by the
-// build metadata and evidence sections. Saving the same logical state
-// always produces the same bytes, no matter the Workers setting of
-// the build or of this call — compilation canonicalizes
-// order by construction. Mentions must be valid UTF-8 (JSON ingestion
-// guarantees it; a hand-built store with raw invalid bytes is
-// rejected with an error, before anything is written).
+// build metadata and evidence sections. The evidence is written in the
+// image's own numbering — kept pairs as one bit per image edge, pages
+// by node ID and mention row — so it is resolved against the view
+// once, by ID. Saving the same logical state always produces the same
+// bytes, no matter the Workers setting of the build or of this call —
+// compilation canonicalizes order by construction. Mentions must be
+// valid UTF-8 (JSON ingestion guarantees it; a hand-built store with
+// raw invalid bytes is rejected with an error, before anything is
+// written), and the kept candidates must be a sorted subset of the
+// store's edges, as every build and update leaves them.
 //
 // The writer is sized-then-streamed: every section's exact length is
 // computed first, then header, payload and a running checksum go
 // through one buffered writer — the image block by block from the
-// view's arrays, the evidence straight from the kept list and the
-// evidence's ID tables. No section payload is held in memory (the
-// corpus statistics' JSON, a small part of the evidence section,
-// aside), so a save allocates the same whatever the taxonomy's size.
+// view's arrays, the evidence from the bitset, the page index and the
+// corpus statistics' binary form (the one buffered part, ≈ 4 bytes a
+// bigram). So a save allocates a few bytes a page, a bit an edge and a
+// few bytes a vocabulary word, never a copy of the image.
 //
 // Save is safe to call while the taxonomy is being queried. Concurrent
 // *writers* are tolerated — the store is read under its lock, in one
@@ -56,26 +62,29 @@ func Save(w io.Writer, st *State, opts Options) error {
 	// offset: header (16) + meta section framing (13 + payload + 4) +
 	// the image's own section header (13).
 	imageBase := uint64(16 + 13 + len(metaPayload) + 4 + 13)
-	// The evidence section reads nothing the image does, so it is
-	// indexed and measured beside the compile.
-	var evidence *evidenceSection
+	// The corpus statistics and the NE support read nothing the view
+	// does, so they are encoded beside the compile.
+	ev := &evidenceSection{present: st.Evidence != nil && st.Stats != nil}
 	side := &par.Group{Inline: workerCount(opts.Workers) <= 1}
-	side.Go(func() (err error) {
-		evidence, err = measureEvidence(st)
-		return err
-	})
+	if ev.present {
+		side.Go(func() error {
+			ev.stats = st.Stats.AppendBinary(nil)
+			ev.support = st.Evidence.Support.Entries()
+			return nil
+		})
+	}
 	view := st.View
 	if view == nil {
 		// A view that exists only to be serialized needs no hash index.
 		view = serving.CompileUnindexed(st.Taxonomy, mentions)
 	}
 	image, err := view.Image(imageBase)
-	sideErr := side.Wait()
+	_ = side.Wait() // the side job has no error to return
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	if sideErr != nil {
-		return sideErr
+	if err := ev.resolve(st, view); err != nil {
+		return err
 	}
 
 	out := newSectionWriter(w, Version)
@@ -83,7 +92,7 @@ func Save(w io.Writer, st *State, opts Options) error {
 	out.section(sectionView, 0, uint64(image.Len()), func(bw *bufio.Writer) {
 		_, _ = image.WriteTo(bw) // a write error stays on bw
 	})
-	out.section(sectionEvidence, 0, evidence.size, evidence.writeTo)
+	out.section(sectionEvidence, 0, ev.size, ev.writeTo)
 	return out.close()
 }
 
@@ -164,108 +173,213 @@ func (out *sectionWriter) close() error {
 	return out.broken
 }
 
-// evidenceSection is the evidence section, indexed and
-// measured but not encoded: a presence flag, the kept candidate set,
-// the page-derived evidence (sorted by entity ID, attributes sorted by
-// predicate), the NE support counts (sorted by word) and the corpus
-// statistics (their canonical JSON form). Everything is put in order
-// here, so evidence bytes are as deterministic as the view image.
+// evidenceSection is the evidence section resolved against the view
+// it is saved beside and measured, but not encoded: a presence flag;
+// the kept candidates as a bitset over the image's edges, plus the
+// pairs whose own source or score is not their edge's; the page
+// evidence along the image's node IDs; the NE support counts (sorted
+// by word); and the corpus statistics' binary form. Everything is put
+// in order here, once, so the measuring and the writing pass only walk
+// it, and evidence bytes are as deterministic as the view image.
 type evidenceSection struct {
-	st      *State // nil: the section says "no evidence"
-	pages   verify.PageIndex
-	support []ner.SupportEntry
-	stats   string // the corpus statistics' JSON
-	size    uint64
+	present bool // false: the section says "no evidence"
+	kept    []uint64
+	except  []keptException
+	pages   *verify.PageIndex
+	// titles holds each page's title as a row of the image's mention
+	// table; the mention count marks a title that is no mention.
+	titles   []uint32
+	mentions uint32
+	support  []ner.SupportEntry
+	stats    []byte
+	attrs    []verify.Attr // scratch for one page
+	size     uint64
 }
 
-// measureEvidence prepares st's evidence section and computes its
-// exact encoded length by running the encoder without a writer.
-func measureEvidence(st *State) (*evidenceSection, error) {
-	e := &evidenceSection{}
-	if st.Evidence != nil && st.Stats != nil {
-		var stats strings.Builder
-		if _, err := st.Stats.WriteTo(&stats); err != nil {
-			return nil, fmt.Errorf("snapshot: encode statistics: %w", err)
+// keptException is a kept pair whose candidate source or score differs
+// from its edge's: a subconcept rule that derives an edge a generator
+// also proposed (or the reverse) reinforces the edge, not the
+// candidate.
+type keptException struct {
+	edge   uint32
+	source taxonomy.Source
+	score  float64
+}
+
+// resolve puts st's evidence in the view's numbering and measures the
+// section by running its encoder without a writer.
+func (e *evidenceSection) resolve(st *State, view *serving.View) error {
+	if e.present {
+		if err := e.resolveKept(st.Kept, view); err != nil {
+			return err
 		}
-		e.st, e.stats = st, stats.String()
-		e.pages = st.Evidence.SortedPages()
-		e.support = st.Evidence.Support.Entries()
+		e.pages = st.Evidence.PagesAlong(view.Nodes())
+		e.mentions = uint32(view.MentionCount())
+		e.titles = make([]uint32, e.pages.Len())
+		var row uint32
+		prev := ""
+		for i := range e.titles {
+			title, from := e.pages.Title(i), uint32(0)
+			if title >= prev {
+				from = row // titles mostly ascend with the entities
+			}
+			r, ok := view.MentionRow(title, from)
+			if !ok {
+				r = e.mentions
+			} else {
+				row, prev = r, title
+			}
+			e.titles[i] = r
+		}
 	}
 	var measure payloadOut
 	e.encode(&measure)
 	e.size = measure.n
-	return e, nil
+	return nil
+}
+
+// resolveKept sets one bit per image edge that is a kept pair, walking
+// the edges in image order — by (hyponym name, hypernym name), the
+// kept list's own order — beside the list.
+func (e *evidenceSection) resolveKept(kept []extract.Candidate, view *serving.View) error {
+	names := view.Nodes()
+	e.kept = make([]uint64, (view.EdgeCount()+63)/64)
+	k, j := 0, uint32(0)
+	for u := range names {
+		for _, h := range view.HypernymIDsOf(uint32(u)) {
+			if k == len(kept) {
+				return nil
+			}
+			c := &kept[k]
+			switch {
+			case c.Hypo == names[u] && c.Hyper == names[h]:
+				e.kept[j/64] |= 1 << (j % 64)
+				if src, score := view.EdgeAt(j); c.Source != src || math.Float64bits(c.Score) != math.Float64bits(score) {
+					e.except = append(e.except, keptException{j, c.Source, c.Score})
+				}
+				k++
+			case cmp.Or(strings.Compare(c.Hypo, names[u]), strings.Compare(c.Hyper, names[h])) < 0:
+				return notAnEdge(c)
+			}
+			j++
+		}
+	}
+	if k < len(kept) {
+		return notAnEdge(&kept[k])
+	}
+	return nil
+}
+
+func notAnEdge(c *extract.Candidate) error {
+	return fmt.Errorf("snapshot: kept candidate %q isA %q is not an edge of the taxonomy, or the kept list is not sorted", c.Hypo, c.Hyper)
 }
 
 func (e *evidenceSection) writeTo(bw *bufio.Writer) { e.encode(&payloadOut{bw: bw}) }
 
 // encode is the one walk behind both the measuring and the writing
 // pass, so the announced length cannot disagree with the payload.
+// docs/SNAPSHOT.md specifies the layout.
 func (e *evidenceSection) encode(o *payloadOut) {
-	if e.st == nil {
+	o.buf = make([]byte, 0, payloadChunk+len(e.stats))
+	defer o.flush()
+	if !e.present {
 		o.byte(0)
 		return
 	}
 	o.byte(1)
-	o.uvarint(uint64(len(e.st.Kept)))
-	for i := range e.st.Kept {
-		c := &e.st.Kept[i]
-		o.str(c.Hypo)
-		o.str(c.Hyper)
-		o.byte(byte(c.Source))
-		o.u64(math.Float64bits(c.Score))
+	o.uvarint(uint64(len(e.kept)))
+	for _, w := range e.kept {
+		o.u64(w)
 	}
-	o.uvarint(uint64(e.pages.Len()))
-	e.pages.Each(func(id, title string, attrs []verify.Attr) {
-		o.str(id)
-		o.str(title)
-		o.uvarint(uint64(len(attrs)))
-		for _, a := range attrs {
-			o.str(a.Predicate)
-			o.u64(math.Float64bits(a.Weight))
-		}
-	})
+	o.uvarint(uint64(len(e.except)))
+	next := uint32(0)
+	for _, x := range e.except {
+		o.uvarint(uint64(x.edge - next))
+		o.byte(byte(x.source))
+		o.u64(math.Float64bits(x.score))
+		next = x.edge + 1
+	}
+
+	p := e.pages
+	o.uvarint(uint64(len(p.Preds)))
+	for _, pred := range p.Preds {
+		o.str(pred)
+	}
+	o.uvarint(uint64(p.OnTable()))
+	next = 0
+	for i := 0; i < p.OnTable(); i++ {
+		o.uvarint(uint64(p.Node(i) - next))
+		next = p.Node(i) + 1
+		e.encodePage(o, i)
+	}
+	o.uvarint(uint64(p.Len() - p.OnTable()))
+	for i := p.OnTable(); i < p.Len(); i++ {
+		o.str(p.Entity(i))
+		e.encodePage(o, i)
+	}
+
 	o.uvarint(uint64(len(e.support)))
 	for _, s := range e.support {
 		o.str(s.Word)
 		o.uvarint(uint64(s.NE))
 		o.uvarint(uint64(s.Total))
 	}
-	o.str(e.stats)
+	o.uvarint(uint64(len(e.stats)))
+	o.raw(e.stats)
 }
 
-// payloadOut receives a varint-encoded payload: it counts the bytes
-// and, given a writer, writes them (errors stick to the writer).
-type payloadOut struct {
-	bw      *bufio.Writer // nil: measure only
-	n       uint64
-	scratch [binary.MaxVarintLen64]byte
-}
-
-func (o *payloadOut) put(k int) {
-	o.n += uint64(k)
-	if o.bw != nil {
-		_, _ = o.bw.Write(o.scratch[:k])
+// encodePage encodes page i's title and attributes.
+func (e *evidenceSection) encodePage(o *payloadOut, i int) {
+	o.uvarint(uint64(e.titles[i]))
+	if e.titles[i] == e.mentions {
+		o.str(e.pages.Title(i))
+	}
+	e.attrs = e.pages.AppendAttrs(e.attrs[:0], i)
+	o.uvarint(uint64(len(e.attrs)))
+	for _, a := range e.attrs {
+		o.uvarint(uint64(a.Pred))
+		o.u64(math.Float64bits(a.Weight))
 	}
 }
 
-func (o *payloadOut) byte(b byte) {
-	o.scratch[0] = b
-	o.put(1)
+// payloadOut receives a varint-encoded payload: it appends the bytes to
+// a chunk and, whenever the chunk fills and at the end (flush), counts
+// them and hands them to the writer, if it has one (errors stick to
+// the writer). The measuring pass is the same appends without a writer.
+type payloadOut struct {
+	bw  *bufio.Writer // nil: measure only
+	n   uint64
+	buf []byte
 }
 
-func (o *payloadOut) uvarint(x uint64) { o.put(binary.PutUvarint(o.scratch[:], x)) }
+const payloadChunk = 4 << 10
 
-func (o *payloadOut) u64(x uint64) {
-	binary.LittleEndian.PutUint64(o.scratch[:], x)
-	o.put(8)
+// flush counts the chunk and passes it on.
+func (o *payloadOut) flush() {
+	o.n += uint64(len(o.buf))
+	if o.bw != nil {
+		_, _ = o.bw.Write(o.buf)
+	}
+	o.buf = o.buf[:0]
 }
+
+func (o *payloadOut) spill() {
+	if len(o.buf) >= payloadChunk {
+		o.flush()
+	}
+}
+
+func (o *payloadOut) byte(b byte) { o.buf = append(o.buf, b); o.spill() }
+
+func (o *payloadOut) uvarint(x uint64) { o.buf = binary.AppendUvarint(o.buf, x); o.spill() }
+
+func (o *payloadOut) u64(x uint64) { o.buf = binary.LittleEndian.AppendUint64(o.buf, x); o.spill() }
 
 // str encodes s as uvarint length + raw bytes.
 func (o *payloadOut) str(s string) {
-	o.uvarint(uint64(len(s)))
-	o.n += uint64(len(s))
-	if o.bw != nil {
-		_, _ = o.bw.WriteString(s)
-	}
+	o.buf = append(binary.AppendUvarint(o.buf, uint64(len(s))), s...)
+	o.spill()
 }
+
+// raw passes b through as is.
+func (o *payloadOut) raw(b []byte) { o.buf = append(o.buf, b...); o.spill() }

@@ -2,10 +2,21 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"cnprobase/internal/core"
+	"cnprobase/internal/corpus"
+	"cnprobase/internal/encyclopedia"
+	"cnprobase/internal/extract"
+	"cnprobase/internal/serving"
 	"cnprobase/internal/synth"
+	"cnprobase/internal/taxonomy"
 )
 
 // buildResult runs the pipeline so the state carries the full update
@@ -82,4 +93,190 @@ func TestSaveWithoutEvidence(t *testing.T) {
 		t.Fatal("evidence materialized from an evidence-less snapshot")
 	}
 	requireEqualState(t, st, loaded)
+}
+
+// withEvidence returns a copy of a snapshot whose evidence section
+// carries payload, with its length and checksum recomputed: a file
+// that frames correctly whatever the payload says.
+func withEvidence(tb testing.TB, data, payload []byte) []byte {
+	tb.Helper()
+	off := 16
+	for i := 0; i < 2; i++ { // past the meta and image sections
+		off += 13 + int(binary.LittleEndian.Uint64(data[off+5:off+13])) + 4
+	}
+	if data[off] != sectionEvidence {
+		tb.Fatalf("section at %d is kind %d, not the evidence", off, data[off])
+	}
+	out := append([]byte(nil), data[:off+5]...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
+	out = append(out, payload...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	return append(out, EndMagic...)
+}
+
+// evidenceSpec is an evidence payload written by hand over handState's
+// image, field by field as docs/SNAPSHOT.md lays the section out: a
+// kept bitset, no exceptions, a one-predicate table, one page on a
+// node with one attribute, no page off the image, no NE support, and
+// the given corpus statistics.
+type evidenceSpec struct {
+	words                    []uint64
+	pageNode, titleRow, pred uint64
+	stats                    []byte
+}
+
+func (s evidenceSpec) payload() []byte {
+	uv := binary.AppendUvarint
+	b := uv([]byte{1}, uint64(len(s.words)))
+	for _, w := range s.words {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	b = uv(b, 0)                                 // kept exceptions
+	b = appendString(uv(b, 1), "职业")             // predicate table
+	b = uv(uv(uv(b, 1), s.pageNode), s.titleRow) // one page on a node
+	b = uv(uv(b, 1), s.pred)                     // one attribute
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
+	b = uv(uv(b, 0), 0) // no page off the image, no NE support
+	return append(uv(b, uint64(len(s.stats))), s.stats...)
+}
+
+// validSpec keeps edge 0 (实体00（人物） isA 概念0) and gives node 0 its
+// page, titled by mention row 0 (实体00).
+func validSpec() evidenceSpec {
+	st := corpus.NewStats()
+	st.AddSentence([]string{"a", "b"})
+	return evidenceSpec{words: []uint64{1}, stats: st.AppendBinary(nil)}
+}
+
+// outOfRangeEvidence returns evidence payloads that checksum but name
+// what the image of data (handState's) does not hold, each with the
+// words its refusal must contain.
+func outOfRangeEvidence(tb testing.TB, data []byte) map[string]struct {
+	payload []byte
+	reason  string
+} {
+	tb.Helper()
+	view, _, err := openMappedBytes(data)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	uv := binary.AppendUvarint
+	word := func(b []byte, w string, count uint64) []byte { return uv(appendString(b, w), count) }
+	cases := map[string]struct {
+		mutate func(*evidenceSpec)
+		reason string
+	}{
+		"page ID at the node count":         {func(s *evidenceSpec) { s.pageNode = uint64(view.NodeCount()) }, "page node"},
+		"title row past the mention count":  {func(s *evidenceSpec) { s.titleRow = uint64(view.MentionCount()) + 1 }, "page title row"},
+		"predicate index at the table size": {func(s *evidenceSpec) { s.pred = 1 }, "attribute predicate"},
+		"no bitset word":                    {func(s *evidenceSpec) { s.words = nil }, "kept bitset has 0 words"},
+		"one bitset word too many":          {func(s *evidenceSpec) { s.words = []uint64{1, 0} }, "kept bitset has 2 words"},
+		"a bit past the last edge":          {func(s *evidenceSpec) { s.words = []uint64{1 << 63} }, "kept bitset marks edges past"},
+		"bigram rank out of range":          {func(s *evidenceSpec) { s.stats = uv(uv(uv(uv(word(uv(nil, 1), "a", 1), 1), 0), 1), 1) }, "outside the 1-word table"},
+		"statistics count above MaxInt32":   {func(s *evidenceSpec) { s.stats = uv(word(uv(nil, 1), "a", math.MaxInt32+1), 0) }, "statistics count 2147483648"},
+	}
+	out := map[string]struct {
+		payload []byte
+		reason  string
+	}{}
+	for what, c := range cases {
+		s := validSpec()
+		c.mutate(&s)
+		out[what] = struct {
+			payload []byte
+			reason  string
+		}{s.payload(), c.reason}
+	}
+	return out
+}
+
+// TestEvidenceLayout holds the documented layout to Save: the payload
+// validSpec writes by hand loads into the kept pair and page it
+// describes, and saving the loaded state writes the same file back.
+func TestEvidenceLayout(t *testing.T) {
+	data := withEvidence(t, saveBytes(t, handState(t), Options{Workers: 1}), validSpec().payload())
+	st, err := Load(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if _, _, err := openMappedBytes(data); err != nil {
+		t.Fatalf("mapped: %v", err)
+	}
+	want := []extract.Candidate{{Hypo: "实体00（人物）", Hyper: "概念0", Source: taxonomy.SourceBracket | taxonomy.SourceTag, Score: 0.9}}
+	if !reflect.DeepEqual(st.Kept, want) {
+		t.Fatalf("kept = %+v, want %+v", st.Kept, want)
+	}
+	if st.Stats.Tokens() != 2 || st.Evidence.S2("实体00") != 1 {
+		t.Fatalf("tokens %d, S2(实体00) = %v: the page and statistics did not load", st.Stats.Tokens(), st.Evidence.S2("实体00"))
+	}
+	if again := saveBytes(t, st, Options{Workers: 1}); !bytes.Equal(again, data) {
+		t.Fatalf("re-saving the hand-written file gives %d other bytes", len(again))
+	}
+}
+
+// TestEvidenceOffTheImage saves the evidence the image's numbering
+// cannot name, which a build can hold: a kept pair whose edge a
+// subconcept rule also derived (so the edge's sources and score are not
+// the candidate's), and a page whose title is no mention (whitespace
+// the mention index trims) and whose entity is no node. Each goes
+// through its fallback and loads back as it was, and a kept pair that
+// is no edge is refused by name.
+func TestEvidenceOffTheImage(t *testing.T) {
+	res := buildResult(t, 300)
+	c := res.Kept[len(res.Kept)/2]
+	if err := res.Taxonomy.AddIsA(c.Hypo, c.Hyper, taxonomy.SourceMorph, 1); err != nil {
+		t.Fatal(err)
+	}
+	if e, _ := res.Taxonomy.EdgeOf(c.Hypo, c.Hyper); e.Sources == c.Source {
+		t.Fatalf("edge %+v still has the kept pair's sources", e)
+	}
+	res.Evidence.AddPages([]encyclopedia.Page{{Title: " 孤立页面 ", Infobox: []encyclopedia.Triple{{Predicate: "职业", Object: "演员"}}}})
+	st := &State{Taxonomy: res.Taxonomy, Mentions: res.Mentions, Evidence: res.Evidence, Kept: res.Kept, Stats: res.Stats}
+	data := saveBytes(t, st, Options{Workers: 1})
+	loaded, err := Load(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if _, _, err := openMappedBytes(data); err != nil {
+		t.Fatalf("mapped: %v", err)
+	}
+	if !reflect.DeepEqual(loaded.Kept, res.Kept) {
+		t.Fatal("the kept list did not round-trip")
+	}
+	pages := loaded.Evidence.PagesAlong(serving.CompileUnindexed(loaded.Taxonomy, loaded.Mentions).Nodes())
+	if pages.Len() != pages.OnTable()+1 || pages.Entity(pages.Len()-1) != " 孤立页面 " || pages.Title(pages.Len()-1) != " 孤立页面 " {
+		t.Fatalf("the page off the image did not round-trip: %d pages, %d on nodes", pages.Len(), pages.OnTable())
+	}
+	if again := saveBytes(t, loaded, Options{Workers: 1}); !bytes.Equal(again, data) {
+		t.Fatal("re-saving the loaded state changed the bytes")
+	}
+
+	st.Kept = slices.Insert(slices.Clone(res.Kept), 0, extract.Candidate{Hypo: "无此节点", Hyper: "概念"})
+	if err := Save(&bytes.Buffer{}, st, Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), "is not an edge") {
+		t.Fatalf("Save of a kept pair that is no edge = %v", err)
+	}
+}
+
+// TestValidateEvidenceAllocatesNothing pins the mapped opener's walk
+// over the evidence section: it checks a built world's section without
+// one allocation.
+func TestValidateEvidenceAllocatesNothing(t *testing.T) {
+	res := buildResult(t, 300)
+	data := saveBytes(t, &State{Taxonomy: res.Taxonomy, Mentions: res.Mentions, Evidence: res.Evidence, Kept: res.Kept, Stats: res.Stats}, Options{Workers: 1})
+	f, err := parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := serving.OpenImage(f.image, f.imageBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := viewShape(view)
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := validateEvidence(f.evidence, shape); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("validateEvidence allocates %v times per call, want 0", n)
+	}
 }

@@ -45,6 +45,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	huge = binary.LittleEndian.AppendUint64(huge, 1<<60)
 	f.Add(huge)
 
+	// An evidence section in the image's numbering, for the fuzzer to
+	// bend: a kept bit, a page on a node, its title row and attribute.
+	f.Add(withEvidence(f, valid, validSpec().payload()))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Load(bytes.NewReader(data))
 		mapped, _, mappedErr := openMappedBytes(data)

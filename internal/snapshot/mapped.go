@@ -7,7 +7,7 @@ import (
 	"cnprobase/internal/serving"
 )
 
-// OpenMapped maps a version-3 snapshot file read-only and builds a
+// OpenMapped maps a version-4 snapshot file read-only and builds a
 // serving view directly over the mapping: header and CRCs are
 // verified, the image's structure is validated, and the view's arrays
 // alias the mapped bytes (see serving.OpenImage). Startup cost is
@@ -41,21 +41,29 @@ func OpenMapped(path string) (*serving.View, Meta, error) {
 }
 
 // openMappedBytes is OpenMapped over an in-memory buffer — the
-// fuzz-target entry, and the shared tail of the file path. It frames
-// the file with parse, exactly as Load does, and validates the
-// evidence section Load would materialize, so it accepts the files
-// Load accepts.
+// fuzz-target entry, and the shared tail of the file path.
 func openMappedBytes(data []byte) (*serving.View, Meta, error) {
+	f, view, _, err := open(data)
+	return view, f.meta, err
+}
+
+// open is the validation the mapped opener and Inspect share. It
+// frames the file with parse, exactly as Load does, opens the image
+// over data and validates the evidence section Load would materialize
+// against it, in Load's order, so it accepts the files Load accepts
+// and refuses the others with Load's error.
+func open(data []byte) (framed, *serving.View, evidenceParts, error) {
+	var parts evidenceParts
 	f, err := parse(data)
 	if err != nil {
-		return nil, Meta{}, err
-	}
-	if err := validateEvidence(f.evidence); err != nil {
-		return nil, Meta{}, fmt.Errorf("snapshot: evidence section: %w", err)
+		return f, nil, parts, err
 	}
 	view, err := serving.OpenImage(f.image, f.imageBase)
 	if err != nil {
-		return nil, Meta{}, fmt.Errorf("snapshot: view image: %w", err)
+		return f, nil, parts, fmt.Errorf("snapshot: view image: %w", err)
 	}
-	return view, f.meta, nil
+	if parts, err = validateEvidence(f.evidence, viewShape(view)); err != nil {
+		return f, nil, parts, fmt.Errorf("snapshot: evidence section: %w", err)
+	}
+	return f, view, parts, nil
 }

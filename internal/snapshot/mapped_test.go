@@ -120,7 +120,7 @@ func TestOpenMappedRandomizedRoundTrip(t *testing.T) {
 
 // TestOpenMappedDetectsCorruption runs the full corruption battery
 // against the mapped opener: every single-byte flip (low and high bit)
-// and every truncation of a valid v3 file must be rejected — the
+// and every truncation of a valid file must be rejected — the
 // mapped path keeps the same zero-undetected-corruption guarantee as
 // the streaming decoder.
 func TestOpenMappedDetectsCorruption(t *testing.T) {

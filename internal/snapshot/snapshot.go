@@ -16,9 +16,11 @@
 // compiles the store into the canonical serving view first, so the
 // same logical state produces byte-identical snapshots regardless of
 // the Workers setting it was built or saved with — the pipeline's
-// determinism guarantee extended to the on-disk artifact. One version
-// is written and read: the striped versions 1 and 2 are refused with
-// an error that says to rebuild the snapshot.
+// determinism guarantee extended to the on-disk artifact. The
+// evidence section beside the image (the update substrate) is written
+// in the image's own numbering, so it is resolved and checked by index
+// rather than by name. One version is written and read: versions 1 to
+// 3 are refused with an error that says to rebuild the snapshot.
 //
 // Decoding defends against arbitrary input: every length is validated
 // against the bytes actually present before anything is sliced,
@@ -30,7 +32,8 @@
 // the mutable build store (for JSON export, experiments, further
 // building and ingest), and OpenMapped maps the file and serves
 // directly from the mapping: the cheapest startup, and N replicas on
-// one box share a single page-cache copy of the string arenas.
+// one box share a single page-cache copy of the string arenas. Inspect
+// runs the mapped path's checks and reports where the bytes go.
 package snapshot
 
 import (
@@ -57,9 +60,12 @@ const (
 	// canonical arrays as fixed-width little-endian blocks plus interned
 	// string arenas, 8-byte aligned in the file — so OpenMapped can
 	// serve straight out of an mmap of the file with no decode pass.
-	Version = 3
+	// Version 4 writes the evidence section in the image's numbering:
+	// kept pairs as bits over its edges, pages by node ID and title by
+	// mention row.
+	Version = 4
 	// Stripes is the header's second field. Versions 1 and 2 counted
-	// their hash partitions there; version 3 has none and pins the
+	// their hash partitions there; later versions have none and pin the
 	// field to this constant, so every header byte is validated.
 	Stripes = 16
 )
@@ -114,7 +120,8 @@ type State struct {
 	// the snapshot was saved without it.
 	Evidence *verify.Evidence
 	// Kept is the post-verification candidate set the evidence
-	// describes.
+	// describes: sorted by (Hypo, Hyper), each pair an edge of Taxonomy,
+	// as builds and updates leave it.
 	Kept []extract.Candidate
 	// Stats is the corpus unigram/bigram statistics.
 	Stats *corpus.Stats
@@ -123,8 +130,8 @@ type State struct {
 // Options tunes Save's concurrency.
 type Options struct {
 	// Workers resolves like the build pipeline's (0 = one worker per
-	// logical CPU). With more than one, Save measures the evidence
-	// section beside the view compile; with one, after it. Either way
+	// logical CPU). With more than one, Save encodes the corpus
+	// statistics beside the view compile; with one, after it. Either way
 	// produces the same bytes.
 	Workers int
 }

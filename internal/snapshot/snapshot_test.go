@@ -315,9 +315,11 @@ func TestHeaderValidation(t *testing.T) {
 	}
 }
 
-// legacyInputs are the pre-v3 files the loaders refuse, by version: a
-// hand-made version-1 header and a real version-2 file — handState as
-// the striped writer wrote it, at the last commit that had one.
+// legacyInputs are the older files the loaders refuse, by version: a
+// hand-made version-1 header, a real version-2 file — handState as the
+// striped writer wrote it, at the last commit that had one — and a
+// version-4 file with its header patched to 3 (version 3 differed in
+// the evidence section only, and the version is read first).
 func legacyInputs(tb testing.TB) map[uint32][]byte {
 	tb.Helper()
 	v2, err := os.ReadFile("testdata/legacy-v2.snap")
@@ -325,10 +327,12 @@ func legacyInputs(tb testing.TB) map[uint32][]byte {
 		tb.Fatal(err)
 	}
 	v1 := append([]byte(Magic), 1, 0, 0, 0, Stripes, 0, 0, 0)
-	return map[uint32][]byte{1: v1, 2: v2}
+	v3 := saveBytes(tb, handState(tb), Options{Workers: 1})
+	v3[8] = 3
+	return map[uint32][]byte{1: v1, 2: v2, 3: v3}
 }
 
-// TestLegacyVersionsRefused: a version-1 or version-2 file is answered
+// TestLegacyVersionsRefused: a version-1, -2 or -3 file is answered
 // by both entry points with one error that names the version found and
 // the command that rebuilds the snapshot — not decoded, not a generic
 // "unsupported".
@@ -375,6 +379,14 @@ func TestLoadAndMappedRejectAlike(t *testing.T) {
 			mutated := append([]byte(nil), data...)
 			mutated[i] ^= mask
 			alike(fmt.Sprintf("flip of byte %d (mask %#02x)", i, mask), mutated)
+		}
+	}
+	// Evidence that checksums but names what the image does not have.
+	for what, c := range outOfRangeEvidence(t, data) {
+		mutated := withEvidence(t, data, c.payload)
+		alike(what, mutated)
+		if _, err := Load(bytes.NewReader(mutated)); !strings.Contains(err.Error(), c.reason) {
+			t.Fatalf("%s: refused with %q, want it to say %q", what, err, c.reason)
 		}
 	}
 }

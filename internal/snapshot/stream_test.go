@@ -11,6 +11,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"testing"
 
 	"cnprobase/internal/corpus"
@@ -34,13 +35,13 @@ func saveOracle(w io.Writer, st *State) error {
 		return err
 	}
 	imageBase := uint64(16 + 13 + len(metaPayload) + 4 + 13)
-	evidencePayload, err := encodeEvidenceOracle(st)
-	if err != nil {
-		return err
-	}
 	view := st.View
 	if view == nil {
 		view = serving.Compile(st.Taxonomy, mentions)
+	}
+	evidencePayload, err := encodeEvidenceOracle(st, view)
+	if err != nil {
+		return err
 	}
 	image, err := view.Image(imageBase)
 	if err != nil {
@@ -94,38 +95,87 @@ func writeSectionOracle(bw *bufio.Writer, kind byte, index uint32, payload []byt
 	return nil
 }
 
-// encodeEvidenceOracle is the append-built encoder of the evidence
-// section that the measured-then-streamed evidenceSection replaced: a presence
-// flag, the kept candidate set, the page-derived evidence (sorted by
-// entity ID, attributes sorted by predicate), the NE support counts
-// (sorted by word) and the corpus statistics (their canonical JSON
-// form). Everything is sorted at encode time, so evidence bytes are as
-// deterministic as the view image.
-func encodeEvidenceOracle(st *State) ([]byte, error) {
+// encodeEvidenceOracle is an append-built encoder of the evidence
+// section driven by name lookups instead of the resolved ID walk: each
+// kept pair finds its edge in a map from names, each page (taken off
+// an index along no table at all, so in name order) finds its node by
+// the view's ID search and its title by a binary search of the mention
+// index's own sorted table.
+func encodeEvidenceOracle(st *State, view *serving.View) ([]byte, error) {
 	if st.Evidence == nil || st.Stats == nil {
 		return []byte{0}, nil
 	}
-	b := []byte{1}
-	b = binary.AppendUvarint(b, uint64(len(st.Kept)))
-	for _, c := range st.Kept {
-		b = appendString(b, c.Hypo)
-		b = appendString(b, c.Hyper)
-		b = append(b, byte(c.Source))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.Score))
+	type pair struct{ hypo, hyper string }
+	edgeOf := map[pair]uint32{}
+	for u, name := range view.Nodes() {
+		for _, h := range view.HypernymIDsOf(uint32(u)) {
+			edgeOf[pair{name, view.Name(h)}] = uint32(len(edgeOf))
+		}
 	}
-	// (The pages came materialized and sorted from Evidence.ExportEntities,
-	// which the verify package keeps as SortedPages' oracle.)
-	pages := st.Evidence.SortedPages()
-	b = binary.AppendUvarint(b, uint64(pages.Len()))
-	pages.Each(func(id, title string, attrs []verify.Attr) {
-		b = appendString(b, id)
-		b = appendString(b, title)
+	bits := make([]uint64, (view.EdgeCount()+63)/64)
+	var except []byte
+	nExcept, next := 0, uint32(0)
+	for _, c := range st.Kept {
+		j, ok := edgeOf[pair{c.Hypo, c.Hyper}]
+		if !ok {
+			return nil, fmt.Errorf("kept pair %v is not an edge", c)
+		}
+		bits[j/64] |= 1 << (j % 64)
+		if src, score := view.EdgeAt(j); src != c.Source || math.Float64bits(score) != math.Float64bits(c.Score) {
+			except = binary.AppendUvarint(except, uint64(j-next))
+			except = append(except, byte(c.Source))
+			except = binary.LittleEndian.AppendUint64(except, math.Float64bits(c.Score))
+			nExcept, next = nExcept+1, j+1
+		}
+	}
+	b := []byte{1}
+	b = binary.AppendUvarint(b, uint64(len(bits)))
+	for _, w := range bits {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	b = binary.AppendUvarint(b, uint64(nExcept))
+	b = append(b, except...)
+
+	var mentions []string
+	if st.Mentions != nil {
+		for _, m := range st.Mentions.Sorted() {
+			mentions = append(mentions, m.Mention)
+		}
+	}
+	pages := st.Evidence.PagesAlong(nil)
+	b = binary.AppendUvarint(b, uint64(len(pages.Preds)))
+	for _, p := range pages.Preds {
+		b = appendString(b, p)
+	}
+	page := func(b []byte, i int) []byte {
+		title := pages.Title(i)
+		if row, ok := slices.BinarySearch(mentions, title); ok {
+			b = binary.AppendUvarint(b, uint64(row))
+		} else {
+			b = appendString(binary.AppendUvarint(b, uint64(len(mentions))), title)
+		}
+		attrs := pages.AppendAttrs(nil, i)
 		b = binary.AppendUvarint(b, uint64(len(attrs)))
 		for _, a := range attrs {
-			b = appendString(b, a.Predicate)
+			b = binary.AppendUvarint(b, uint64(a.Pred))
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a.Weight))
 		}
-	})
+		return b
+	}
+	var onNodes, offNodes []byte
+	nOn, nOff, nextNode := 0, 0, uint32(0)
+	for i := 0; i < pages.Len(); i++ {
+		if id, ok := view.ID(pages.Entity(i), 0); ok {
+			onNodes = page(binary.AppendUvarint(onNodes, uint64(id-nextNode)), i)
+			nOn, nextNode = nOn+1, id+1
+		} else {
+			offNodes = page(appendString(offNodes, pages.Entity(i)), i)
+			nOff++
+		}
+	}
+	b = append(binary.AppendUvarint(b, uint64(nOn)), onNodes...)
+	b = append(binary.AppendUvarint(b, uint64(nOff)), offNodes...)
+
 	entries := st.Evidence.Support.Entries()
 	b = binary.AppendUvarint(b, uint64(len(entries)))
 	for _, s := range entries {
@@ -133,13 +183,9 @@ func encodeEvidenceOracle(st *State) ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(s.NE))
 		b = binary.AppendUvarint(b, uint64(s.Total))
 	}
-	var stats bytes.Buffer
-	if _, err := st.Stats.WriteTo(&stats); err != nil {
-		return nil, fmt.Errorf("snapshot: encode statistics: %w", err)
-	}
-	b = binary.AppendUvarint(b, uint64(stats.Len()))
-	b = append(b, stats.Bytes()...)
-	return b, nil
+	stats := st.Stats.AppendBinary(nil)
+	b = binary.AppendUvarint(b, uint64(len(stats)))
+	return append(b, stats...), nil
 }
 
 // streamStates returns the states the streaming tests save: a built

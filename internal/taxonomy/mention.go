@@ -51,6 +51,24 @@ func (m *MentionIndex) Add(mention, entityID string) {
 	m.changes.record(mention)
 }
 
+// ImportSorted fills an empty index with a serving image's mention
+// table — entries ascending and distinct, mentions trimmed and
+// non-empty, each ID list ascending and distinct — in one pass: what
+// Add would do for every (mention, ID), with one map insert a mention
+// and no duplicate scans. The ID lists are kept, not copied; their
+// capacity is clamped, so a later Add never writes into them.
+func (m *MentionIndex) ImportSorted(entries []MentionEntry) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, e := range entries {
+		m.mentions[e.Mention] = e.IDs[:len(e.IDs):len(e.IDs)]
+		if m.dict != nil {
+			m.dict.Insert(e.Mention)
+		}
+		m.changes.record(e.Mention)
+	}
+}
+
 // ChangesSince returns the mentions whose entity-ID list grew since
 // the call that returned token, ascending and without duplicates, plus
 // the token for the next call — the mention-side counterpart of

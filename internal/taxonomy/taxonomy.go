@@ -228,8 +228,8 @@ func (t *Taxonomy) mark(name string, k NodeKind) {
 }
 
 // ImportKind overwrites the node kind. It is the deserialization
-// counterpart of MarkEntity/MarkConcept: JSON and binary-snapshot
-// loaders restore saved kinds through it. KindUnknown removes the mark
+// counterpart of MarkEntity/MarkConcept: the JSON loader restores saved
+// kinds through it (a snapshot restores them by ID, see ImportIDs). KindUnknown removes the mark
 // — Unknown is the absence of a kind — except on a node with hyponyms,
 // which becomes a concept: the rule every edge insertion applies, so
 // no hypernym is ever unmarked.
@@ -339,6 +339,45 @@ func (t *Taxonomy) InsertEdge(e Edge) error {
 		t.setKind(b, KindConcept)
 	}
 	return nil
+}
+
+// ImportIDs restores an empty store from a serving image's canonical
+// content by ID: the marks ImportKind and the edges InsertEdge would
+// restore one by one — the same records, in the same order, and the
+// same counters — in one pass under one lock, with no name hashed. The
+// store's symbol table must hold the image's node names as IDs
+// 0..len(kinds)-1, in image order (snapshot.Load interns them first);
+// kinds has one entry per node, and node u's edges are
+// edges[hyperOff[u]:hyperOff[u+1]], edge j's hypernym being node
+// hyperIDs[j]. The edges' names are not read.
+func (t *Taxonomy) ImportIDs(kinds []NodeKind, hyperOff, hyperIDs []uint32, edges []Edge) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if grow := len(kinds) - len(t.nodes); grow > 0 {
+		t.nodes = append(t.nodes, make([]node, grow)...)
+	}
+	indegree := make([]uint32, len(kinds))
+	for _, h := range hyperIDs {
+		indegree[h]++
+	}
+	for u, k := range kinds {
+		n := &t.nodes[u]
+		if k != KindUnknown {
+			t.setKind(uint32(u), k)
+		}
+		if d := hyperOff[u+1] - hyperOff[u]; d > 0 {
+			n.hypers = make([]edge, 0, d)
+		}
+		if indegree[u] > 0 {
+			n.hypos = make([]uint32, 0, indegree[u])
+		}
+	}
+	for u := range kinds {
+		for j := hyperOff[u]; j < hyperOff[u+1]; j++ {
+			e := &edges[j]
+			t.link(uint32(u), hyperIDs[j], edge{hyper: hyperIDs[j], sources: e.Sources, score: e.Score, count: e.Count})
+		}
+	}
 }
 
 // RemoveIsA deletes the edge if present and reports whether it existed.
@@ -616,12 +655,6 @@ func (set *NodeSet) put(i int, n *node, names []string, rank []int32) {
 		return strings.Compare(a.Hyper, b.Hyper)
 	})
 	set.EdgeOff[i+1] = uint32(len(set.Edges))
-}
-
-// KindEntry is one explicitly marked node.
-type KindEntry struct {
-	Name string
-	Kind NodeKind
 }
 
 // ---- serialization ----

@@ -195,10 +195,15 @@ func (ev *Evidence) MarkAllDirty() { ev.allDirty = true }
 // intern returns the name's ID with its node in place.
 func (ev *Evidence) intern(name string) uint32 {
 	id := ev.syms.Intern(name)
+	ev.grow(id)
+	return id
+}
+
+// grow puts the nodes up to id in place.
+func (ev *Evidence) grow(id uint32) {
 	if grow := int(id) + 1 - len(ev.nodes); grow > 0 {
 		ev.nodes = append(ev.nodes, make([]node, grow)...)
 	}
-	return id
 }
 
 // lookup returns the ID of a name the evidence has a node for.
@@ -329,81 +334,146 @@ func (ev *Evidence) setAttrs(id uint32, dist []attr) {
 	}
 }
 
-// Attr is one component of an exported attribute distribution.
+// The snapshot's page evidence. A snapshot names a page's entity by its
+// serving-view node ID and its attribute predicates by their index in
+// one predicate table sorted once per save; PagesAlong resolves the
+// evidence into that shape, and ImportPage (after InternPredicates)
+// restores it.
+
+// Attr is one component of a page's attribute distribution as a
+// snapshot stores it: a predicate, named by its index in a predicate
+// table, and its weight.
 type Attr struct {
-	Predicate string
-	Weight    float64
+	Pred   uint32
+	Weight float64
 }
 
-// PageIndex lists the known pages in entity-ID order — the order the
-// snapshot section stores them in — as IDs: building it sorts an index,
-// not the evidence, and walking it materializes one page at a time.
+// PageIndex is the page-derived evidence resolved along a table of
+// names ascending in byte order — a serving view's node names: first
+// the pages whose entity the table holds, in table order, then the
+// pages whose entity it does not, in name order. Preds is the
+// predicate table, ascending; AppendAttrs names predicates by their
+// index in it. The index describes the evidence as of PagesAlong and
+// is walked by position, as often as needed.
 type PageIndex struct {
-	ev  *Evidence
-	ids []uint32
+	Preds []string
+	ev    *Evidence
+	names []string // the evidence's symbol names
+	rank  []uint32 // predicate ID → index in Preds
+	pages []uint32 // page symbol IDs: the table's pages, then the rest
+	nodes []uint32 // for the table's pages: their index in the table
 }
 
-// SortedPages indexes the page-derived evidence for deterministic
-// serialization. The index describes the evidence as of the call.
-func (ev *Evidence) SortedPages() PageIndex {
-	var ids []uint32
-	for id := range ev.nodes {
-		if ev.nodes[id].title != 0 {
-			ids = append(ids, uint32(id))
+// PagesAlong indexes the page evidence along table. It resolves each
+// name of the table once and sorts only the predicates — and, when
+// some page's entity is missing from the table, those pages.
+func (ev *Evidence) PagesAlong(table []string) *PageIndex {
+	p := &PageIndex{ev: ev, names: ev.syms.Names()}
+	preds := ev.preds.Names()
+	order := make([]uint32, len(preds)) // rank → predicate ID
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(preds[a], preds[b]) })
+	p.Preds, p.rank = make([]string, len(order)), make([]uint32, len(order))
+	for r, id := range order {
+		p.Preds[r], p.rank[id] = preds[id], uint32(r)
+	}
+
+	total := 0
+	for i := range ev.nodes {
+		if ev.nodes[i].title != 0 {
+			total++
 		}
 	}
-	names := ev.syms.Names()
-	slices.SortFunc(ids, func(a, b uint32) int { return strings.Compare(names[a], names[b]) })
-	return PageIndex{ev, ids}
+	p.pages = make([]uint32, 0, total)
+	for i, name := range table {
+		if id, ok := ev.lookup(name); ok && ev.nodes[id].title != 0 {
+			p.pages = append(p.pages, id)
+			p.nodes = append(p.nodes, uint32(i))
+		}
+	}
+	if len(p.pages) == total {
+		return p
+	}
+	onTable := make([]bool, len(ev.nodes))
+	for _, id := range p.pages {
+		onTable[id] = true
+	}
+	from := len(p.pages)
+	for id := range ev.nodes {
+		if ev.nodes[id].title != 0 && !onTable[id] {
+			p.pages = append(p.pages, uint32(id))
+		}
+	}
+	rest := p.pages[from:]
+	slices.SortFunc(rest, func(a, b uint32) int { return strings.Compare(p.names[a], p.names[b]) })
+	return p
 }
 
 // Len returns the number of pages.
-func (p PageIndex) Len() int { return len(p.ids) }
+func (p *PageIndex) Len() int { return len(p.pages) }
 
-// Each calls visit once per page, in entity-ID order, with the page's
-// ID, its title and its normalized infobox-predicate distribution
-// sorted by predicate (empty for pages without an infobox). attrs is
-// reused between calls.
-func (p PageIndex) Each(visit func(id, title string, attrs []Attr)) {
-	ev := p.ev
-	names, preds := ev.syms.Names(), ev.preds.Names()
-	var attrs []Attr
-	for _, id := range p.ids {
-		n := &ev.nodes[id]
-		attrs = attrs[:0]
-		for _, a := range n.attrs {
-			attrs = append(attrs, Attr{preds[a.pred], a.w})
-		}
-		slices.SortFunc(attrs, func(a, b Attr) int { return strings.Compare(a.Predicate, b.Predicate) })
-		visit(names[id], names[n.title-1], attrs)
+// OnTable returns how many pages — the first ones — have their entity
+// in the table.
+func (p *PageIndex) OnTable() int { return len(p.nodes) }
+
+// Node returns page i's entity's index in the table; i < OnTable().
+func (p *PageIndex) Node(i int) uint32 { return p.nodes[i] }
+
+// Entity returns page i's entity ID.
+func (p *PageIndex) Entity(i int) string { return p.names[p.pages[i]] }
+
+// Title returns page i's title.
+func (p *PageIndex) Title(i int) string { return p.names[p.ev.nodes[p.pages[i]].title-1] }
+
+// AppendAttrs appends page i's normalized infobox-predicate
+// distribution, predicates by their index in Preds and ascending, and
+// returns the extended slice (nothing for a page without an infobox).
+func (p *PageIndex) AppendAttrs(dst []Attr, i int) []Attr {
+	from := len(dst)
+	for _, a := range p.ev.nodes[p.pages[i]].attrs {
+		dst = append(dst, Attr{p.rank[a.pred], a.w})
 	}
+	// Stored by predicate ID; after a snapshot load IDs are ranks.
+	if out := dst[from:]; !slices.IsSortedFunc(out, cmpAttr) {
+		slices.SortFunc(out, cmpAttr)
+	}
+	return dst
 }
 
-// ImportEntity restores one page's evidence from a snapshot: the
-// ID→title mapping and (when non-empty) the attribute distribution; a
-// predicate listed twice keeps its last weight. It is the
-// deserialization counterpart of AddPages and must run before
-// AddCandidates so edge counting sees the title mapping.
-func (ev *Evidence) ImportEntity(id, title string, attrs []Attr) {
-	e, t := ev.intern(id), ev.intern(title)
-	ev.nodes[e].title = t + 1
-	ev.nodes[t].flags |= flagTitle
+func cmpAttr(a, b Attr) int { return cmp.Compare(a.Pred, b.Pred) }
+
+// InternPredicates interns a snapshot's predicate table and returns
+// each predicate's ID, in table order: what ImportPage's attributes
+// name predicates by. Interned into an evidence that has none yet, IDs
+// are table indexes.
+func (ev *Evidence) InternPredicates(table []string) []uint32 {
+	ids := make([]uint32, len(table))
+	for i, pred := range table {
+		ids[i] = ev.preds.Intern(pred)
+	}
+	return ids
+}
+
+// ImportPage restores one page's evidence from a snapshot: entity and
+// title are IDs in the evidence's symbol table, and attrs names
+// predicates by the IDs InternPredicates returned, each at most once.
+// It is the deserialization counterpart of AddPages and must run
+// before AddPair, so edge counting sees the title mapping.
+func (ev *Evidence) ImportPage(entity, title uint32, attrs []Attr) {
+	ev.grow(max(entity, title))
+	ev.nodes[entity].title = title + 1
+	ev.nodes[title].flags |= flagTitle
 	if len(attrs) == 0 {
 		return
 	}
-	dist := make([]attr, 0, len(attrs))
-	for _, a := range attrs {
-		dist = append(dist, attr{ev.preds.Intern(a.Predicate), a.Weight})
+	dist := make([]attr, len(attrs))
+	for i, a := range attrs {
+		dist[i] = attr{a.Pred, a.Weight}
 	}
-	slices.SortStableFunc(dist, func(a, b attr) int { return cmp.Compare(a.pred, b.pred) })
-	out := dist[:0]
-	for i, a := range dist {
-		if i+1 < len(dist) && dist[i+1].pred == a.pred {
-			continue
-		}
-		out = append(out, a)
-	}
-	ev.nodes[e].attrs = out
+	slices.SortFunc(dist, func(a, b attr) int { return cmp.Compare(a.pred, b.pred) })
+	ev.nodes[entity].attrs = dist
 }
 
 // FoldSupport merges delta NE-support observations into the persistent
@@ -432,34 +502,43 @@ func (ev *Evidence) FoldSupport(delta *ner.Support) {
 func (ev *Evidence) AddCandidates(cands []extract.Candidate) int {
 	added := 0
 	for i := range cands {
-		hypo, hyper := ev.intern(cands[i].Hypo), ev.intern(cands[i].Hyper)
-		if ev.findClaim(hypo, hyper) >= 0 {
-			continue
+		if ev.AddPair(ev.intern(cands[i].Hypo), ev.intern(cands[i].Hyper)) {
+			added++
 		}
-		con := ev.conceptOf(hyper)
-		n := &ev.nodes[hypo]
-		var page int32
-		if n.title != 0 {
-			page = 1
-		}
-		for _, cl := range n.claims {
-			ev.bumpCooc(hyper, cl.hyper, 1, page)
-		}
-		n.claims = append(n.claims, claim{hyper: hyper, pos: uint32(len(con.hypos))})
-		con.hypos = append(con.hypos, hypo)
-		con.adjustAttrs(n.attrs, +1)
-		ev.dirty(hyper, flagDirtyNE, &ev.dirtyNE)
-		ev.dirty(hyper, flagDirtyConcept, &ev.dirtyConcepts)
-		ev.dirty(hypo, flagDirtyEntity, &ev.dirtyEntities)
-		if page != 0 {
-			ev.nodes[n.title-1].titleEdges++
-			ev.dirty(n.title-1, flagDirtyNE, &ev.dirtyNE)
-			con.pages++
-			ev.mark(hyper, flagEntityDirty, &ev.entityDirty)
-		}
-		added++
 	}
 	return added
+}
+
+// AddPair is AddCandidates for one pair named by IDs in the evidence's
+// symbol table — the snapshot loader knows them. It reports whether
+// the pair was new.
+func (ev *Evidence) AddPair(hypo, hyper uint32) bool {
+	ev.grow(max(hypo, hyper))
+	if ev.findClaim(hypo, hyper) >= 0 {
+		return false
+	}
+	con := ev.conceptOf(hyper)
+	n := &ev.nodes[hypo]
+	var page int32
+	if n.title != 0 {
+		page = 1
+	}
+	for _, cl := range n.claims {
+		ev.bumpCooc(hyper, cl.hyper, 1, page)
+	}
+	n.claims = append(n.claims, claim{hyper: hyper, pos: uint32(len(con.hypos))})
+	con.hypos = append(con.hypos, hypo)
+	con.adjustAttrs(n.attrs, +1)
+	ev.dirty(hyper, flagDirtyNE, &ev.dirtyNE)
+	ev.dirty(hyper, flagDirtyConcept, &ev.dirtyConcepts)
+	ev.dirty(hypo, flagDirtyEntity, &ev.dirtyEntities)
+	if page != 0 {
+		ev.nodes[n.title-1].titleEdges++
+		ev.dirty(n.title-1, flagDirtyNE, &ev.dirtyNE)
+		con.pages++
+		ev.mark(hyper, flagEntityDirty, &ev.entityDirty)
+	}
+	return true
 }
 
 // RemoveCandidates retracts candidate pairs from the edge-derived

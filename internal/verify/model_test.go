@@ -501,18 +501,47 @@ func TestEvidenceModel(t *testing.T) {
 			// What a snapshot carries — the exported pages and the pairs —
 			// rebuilds the same evidence in a fresh ID space, and a cold
 			// pass over it reaches the same decisions.
+			// The index walks the pages along a name table; this one holds
+			// every other page's entity, so the pages off the table are
+			// walked too.
 			loaded := NewEvidence(nil, dense.Support, ner.New())
 			exported := exportEntitiesOracle(dense)
-			pages, at := dense.SortedPages(), 0
-			pages.Each(func(id, title string, attrs []Attr) {
-				if e := exported[at]; e.ID != id || e.Title != title || len(e.Attrs)+len(attrs) > 0 && !reflect.DeepEqual(e.Attrs, attrs) {
-					t.Fatalf("SortedPages: page %d = %s %s %v, materialize-and-sort gives %+v", at, id, title, attrs, e)
+			var table []string
+			for i, e := range exported {
+				if i%2 == 0 {
+					table = append(table, e.ID)
 				}
-				at++
-				loaded.ImportEntity(id, title, attrs)
-			})
-			if at != len(exported) || pages.Len() != at {
-				t.Fatalf("SortedPages: visited %d of %d pages, Len %d", at, len(exported), pages.Len())
+			}
+			pages := dense.PagesAlong(table)
+			if pages.Len() != len(exported) || pages.OnTable() != len(table) {
+				t.Fatalf("PagesAlong: %d pages, %d on the table; want %d and %d", pages.Len(), pages.OnTable(), len(exported), len(table))
+			}
+			predIDs := loaded.InternPredicates(pages.Preds)
+			var attrs []Attr
+			for i := 0; i < pages.Len(); i++ {
+				// On the table in table order, then the rest in name order:
+				// the exported order, evens first.
+				var want entityEvidence
+				if i < len(table) {
+					want = exported[2*i]
+					if pages.Node(i) != uint32(i) {
+						t.Fatalf("PagesAlong: page %d on table row %d, want %d", i, pages.Node(i), i)
+					}
+				} else {
+					want = exported[2*(i-len(table))+1]
+				}
+				attrs = pages.AppendAttrs(attrs[:0], i)
+				named := make([]oracleAttr, len(attrs))
+				for j, a := range attrs {
+					named[j] = oracleAttr{pages.Preds[a.Pred], a.Weight}
+				}
+				if want.ID != pages.Entity(i) || want.Title != pages.Title(i) || len(want.Attrs)+len(named) > 0 && !reflect.DeepEqual(want.Attrs, named) {
+					t.Fatalf("PagesAlong: page %d = %s %s %v, materialize-and-sort gives %+v", i, pages.Entity(i), pages.Title(i), named, want)
+				}
+				for j := range attrs {
+					attrs[j].Pred = predIDs[attrs[j].Pred]
+				}
+				loaded.ImportPage(loaded.syms.Intern(pages.Entity(i)), loaded.syms.Intern(pages.Title(i)), attrs)
 			}
 			var pairs []extract.Candidate
 			for hypo, hypers := range ref.byHypo {

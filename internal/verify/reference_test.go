@@ -955,12 +955,18 @@ type entityEvidence struct {
 	Title string
 	// Attrs is the normalized infobox-predicate distribution sorted by
 	// predicate; empty for pages without an infobox.
-	Attrs []Attr
+	Attrs []oracleAttr
 }
 
-// exportEntitiesOracle is the export SortedPages replaced, kept
-// verbatim: every page materialized, then the whole list sorted by
-// entity ID.
+// oracleAttr is one component of a materialized attribute distribution.
+type oracleAttr struct {
+	Predicate string
+	Weight    float64
+}
+
+// exportEntitiesOracle is the name-sorted export PagesAlong replaced:
+// every page materialized, predicates by name, then the whole list
+// sorted by entity ID.
 func exportEntitiesOracle(ev *Evidence) []entityEvidence {
 	pages, total := 0, 0
 	for i := range ev.nodes {
@@ -970,7 +976,7 @@ func exportEntitiesOracle(ev *Evidence) []entityEvidence {
 		}
 	}
 	out := make([]entityEvidence, 0, pages)
-	flat := make([]Attr, 0, total) // one backing array for every page's vector
+	flat := make([]oracleAttr, 0, total) // one backing array for every page's vector
 	for id := range ev.nodes {
 		n := &ev.nodes[id]
 		if n.title == 0 {
@@ -978,10 +984,10 @@ func exportEntitiesOracle(ev *Evidence) []entityEvidence {
 		}
 		from := len(flat)
 		for _, a := range n.attrs {
-			flat = append(flat, Attr{ev.preds.Names()[a.pred], a.w})
+			flat = append(flat, oracleAttr{ev.preds.Names()[a.pred], a.w})
 		}
 		attrs := flat[from:len(flat):len(flat)]
-		slices.SortFunc(attrs, func(a, b Attr) int { return strings.Compare(a.Predicate, b.Predicate) })
+		slices.SortFunc(attrs, func(a, b oracleAttr) int { return strings.Compare(a.Predicate, b.Predicate) })
 		out = append(out, entityEvidence{ID: ev.syms.Names()[id], Title: ev.syms.Names()[n.title-1], Attrs: attrs})
 	}
 	slices.SortFunc(out, func(a, b entityEvidence) int { return strings.Compare(a.ID, b.ID) })

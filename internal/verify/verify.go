@@ -49,8 +49,8 @@
 //
 // Strings cross the boundary at: candidates in (AddCandidates,
 // RemoveCandidates, VerifyDelta), pages in (AddPages), Decisions out
-// (Reverify), the snapshot section (SortedPages / ImportEntity),
-// S2 / NESupport, and the one read subconcept derivation makes
+// (Reverify), the snapshot section (PagesAlong resolves a view's node
+// names once; ImportPage and AddPair take IDs), S2 / NESupport, and the one read subconcept derivation makes
 // (TakeExtentPairs — names only for the pairs that pass its filter).
 package verify
 
