@@ -9,11 +9,10 @@ package cnprobase
 //
 // Shared suites are built once per benchmark and the construction cost
 // is excluded via b.ResetTimer where the benchmark measures queries.
+// The speed of building, updating, snapshotting and serving is measured
+// by the bench/ harness (bash bench/run.sh), not here.
 import (
-	"bytes"
 	"fmt"
-	"io"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -43,74 +42,6 @@ func benchSuite(b *testing.B) *experiments.Suite {
 		b.Fatalf("building suite: %v", suiteErr)
 	}
 	return suiteVal
-}
-
-// BenchmarkPipelineEndToEnd measures the full Figure 2 pipeline:
-// generation (all four sources) + verification + assembly.
-func BenchmarkPipelineEndToEnd(b *testing.B) {
-	s := benchSuite(b)
-	opts := core.DefaultOptions()
-	opts.EnableNeural = false // keep per-iteration cost deterministic
-	corpus := s.World.Corpus()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.New(opts).Build(corpus)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Taxonomy.ComputeStats().IsARelations == 0 {
-			b.Fatal("empty taxonomy")
-		}
-	}
-	b.ReportMetric(float64(corpus.Len())/b.Elapsed().Seconds()*float64(b.N), "pages/s")
-}
-
-// benchBuild runs one pipeline build at a fixed worker count, reporting
-// pages/s so the sequential-vs-parallel speedup reads directly off the
-// bench output:
-//
-//	go test -bench='BenchmarkBuildEndToEnd' -benchmem
-//
-// On a multi-core runner the full-width sub-benchmark should beat
-// Workers1 by roughly the core count (the
-// generation and verification stages dominate and parallelize); both
-// produce the identical taxonomy (enforced by the determinism test in
-// internal/core).
-func benchBuild(b *testing.B, workers int) {
-	s := benchSuite(b)
-	opts := core.DefaultOptions()
-	opts.EnableNeural = false
-	opts.Workers = workers
-	corpus := s.World.Corpus()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.New(opts).Build(corpus)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Taxonomy.ComputeStats().IsARelations == 0 {
-			b.Fatal("empty taxonomy")
-		}
-	}
-	b.ReportMetric(float64(corpus.Len())/b.Elapsed().Seconds()*float64(b.N), "pages/s")
-}
-
-// BenchmarkBuildEndToEnd is the build-throughput harness: the complete
-// pipeline (generation + verification + assembly, neural off) at the
-// sequential reference width and at full width, reporting pages/s.
-// Together with BenchmarkSegmentThroughput (internal/segment) and
-// BenchmarkTrieMatchesFrom (internal/trie) it pins the build-side perf
-// trajectory; the bench/ harness's build workload reports the same
-// quantities (core.build_seq_s, core.build_par_s, segment.runes_per_s).
-// (BenchmarkBuildEndToEnd subsumes the former
-// BenchmarkPipelineBuildSequential/Parallel pair, which measured the
-// same two builds under different names — CI runs every benchmark
-// once per push, so duplicates cost real wall-clock.)
-func BenchmarkBuildEndToEnd(b *testing.B) {
-	b.Run("Workers1", func(b *testing.B) { benchBuild(b, 1) })
-	b.Run(fmt.Sprintf("Workers%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		benchBuild(b, runtime.GOMAXPROCS(0))
-	})
 }
 
 // BenchmarkTableI regenerates Table I: all four taxonomies and their
@@ -285,16 +216,6 @@ func sanitize(s string) string {
 	return string(out)
 }
 
-// BenchmarkMentionLookup measures men2ent resolution.
-func BenchmarkMentionLookup(b *testing.B) {
-	s := benchSuite(b)
-	pages := s.World.Corpus().Pages
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Result.Mentions.Lookup(pages[i%len(pages)].Title)
-	}
-}
-
 // BenchmarkAblationSeparation compares the PMI separation algorithm
 // against the naive suffix heuristic on bracket extraction (the A2
 // design-choice ablation).
@@ -308,124 +229,5 @@ func BenchmarkAblationSeparation(b *testing.B) {
 	b.StopTimer()
 	for _, r := range rows {
 		b.ReportMetric(r.Precision*100, "prec-%-"+sanitize(r.Name))
-	}
-}
-
-// BenchmarkConceptualize measures the short-text conceptualization
-// application layer (mention finding + disambiguation + concept
-// aggregation per text).
-func BenchmarkConceptualize(b *testing.B) {
-	s := benchSuite(b)
-	engine := NewViewConceptualizer(s.Result.Freeze())
-	texts := make([]string, 0, 256)
-	for _, e := range s.World.Entities[:256] {
-		texts = append(texts, e.Title+"的代表作品有哪些？")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = engine.Conceptualize(texts[i%len(texts)])
-	}
-}
-
-// snapshotBytes saves the suite's serving state once, for the
-// snapshot benchmarks.
-func snapshotBytes(b *testing.B) []byte {
-	b.Helper()
-	s := benchSuite(b)
-	var buf bytes.Buffer
-	if err := SaveSnapshot(&buf, s.Result); err != nil {
-		b.Fatalf("SaveSnapshot: %v", err)
-	}
-	return buf.Bytes()
-}
-
-// BenchmarkSnapshotSave measures writing the binary serving snapshot
-// (stripe-parallel encode + CRC); MB/s reads off the -benchmem output.
-func BenchmarkSnapshotSave(b *testing.B) {
-	s := benchSuite(b)
-	size := len(snapshotBytes(b))
-	b.SetBytes(int64(size))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := SaveSnapshot(io.Discard, s.Result); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSnapshotLoad measures reassembling the full serving state —
-// taxonomy store, mention index, evidence — from a snapshot.
-func BenchmarkSnapshotLoad(b *testing.B) {
-	data := snapshotBytes(b)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := LoadSnapshot(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Taxonomy.ComputeStats().IsARelations == 0 {
-			b.Fatal("empty taxonomy")
-		}
-	}
-}
-
-// BenchmarkLoadVsRebuild is the serving-startup comparison the
-// snapshot exists for: sub-benchmark Load starts a server from the
-// snapshot, Rebuild re-runs the generation + verification pipeline
-// (neural stage off, its cheapest configuration) — the only option
-// before snapshots existed. The ns/op ratio is the startup speedup.
-func BenchmarkLoadVsRebuild(b *testing.B) {
-	s := benchSuite(b)
-	data := snapshotBytes(b)
-	b.Run("Load", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := LoadSnapshot(bytes.NewReader(data))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Taxonomy.ComputeStats().IsARelations == 0 {
-				b.Fatal("empty taxonomy")
-			}
-		}
-	})
-	b.Run("Rebuild", func(b *testing.B) {
-		opts := core.DefaultOptions()
-		opts.EnableNeural = false
-		corpus := s.World.Corpus()
-		for i := 0; i < b.N; i++ {
-			res, err := core.New(opts).Build(corpus)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Taxonomy.ComputeStats().IsARelations == 0 {
-				b.Fatal("empty taxonomy")
-			}
-		}
-	})
-}
-
-// BenchmarkIncrementalUpdate measures the never-ending-extraction mode:
-// extending a built taxonomy with a fresh crawl batch.
-func BenchmarkIncrementalUpdate(b *testing.B) {
-	s := benchSuite(b)
-	corpus := s.World.Corpus()
-	half := corpus.Len() / 2
-	opts := core.DefaultOptions()
-	opts.EnableNeural = false
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		first := &Corpus{Pages: corpus.Pages[:half]}
-		delta := &Corpus{Pages: corpus.Pages[half:]}
-		p := core.New(opts)
-		res, err := p.Build(first)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := p.Update(res, delta); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

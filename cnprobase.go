@@ -332,8 +332,7 @@ func saveSnapshotLSN(w io.Writer, res *Result, lsn uint64) error {
 		Meta:     meta,
 		// A Result whose last Freeze is still current — the ingest
 		// plane at compaction time — is saved from that view; any other
-		// is compiled by Save (without the hash indexes only queries
-		// need), and is left without a view attached.
+		// is compiled by Save, and is left without a view attached.
 		View:     res.PublishedView(),
 		Evidence: res.Evidence,
 		Kept:     res.Kept,

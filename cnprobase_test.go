@@ -380,6 +380,55 @@ func TestFacadeFreezeAndMappedView(t *testing.T) {
 	}
 }
 
+// TestFacadeInvalidUTF8Title builds a corpus in which one page title
+// carries a byte that is not valid UTF-8. The mention index stores the
+// title in its U+FFFD spelling, so the Result saves, loads and opens
+// mapped, and the fresh, loaded and mapped views answer that spelling
+// alike.
+func TestFacadeInvalidUTF8Title(t *testing.T) {
+	wcfg := DefaultWorldConfig()
+	wcfg.Entities = 300
+	w, err := GenerateWorld(wcfg)
+	if err != nil {
+		t.Fatalf("GenerateWorld: %v", err)
+	}
+	corpus := w.Corpus()
+	corpus.Pages[0].Title = "坏\xff" + corpus.Pages[0].Title
+	spelling := string([]rune(corpus.Pages[0].Title))
+	opts := smallOptions()
+	opts.EnableNeural = false
+	res, err := Build(corpus, opts)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	want := res.Freeze().Lookup(spelling)
+	if len(want) == 0 {
+		t.Fatalf("Lookup(%q) on the fresh view found nothing", spelling)
+	}
+
+	var buf bytes.Buffer
+	if err := SaveSnapshot(&buf, res); err != nil {
+		t.Fatalf("SaveSnapshot: %v", err)
+	}
+	loaded, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("LoadSnapshot: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "taxonomy.snap")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenSnapshotMapped(path)
+	if err != nil {
+		t.Fatalf("OpenSnapshotMapped: %v", err)
+	}
+	for name, v := range map[string]*ServingView{"loaded": loaded.Freeze(), "mapped": mapped} {
+		if got := v.Lookup(spelling); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s view: Lookup(%q) = %q, fresh view %q", name, spelling, got, want)
+		}
+	}
+}
+
 func TestFacadeBaselines(t *testing.T) {
 	w, res := buildSmall(t, 800)
 	oracle := w.Oracle()

@@ -3,7 +3,6 @@ package serving
 import (
 	"cmp"
 	"slices"
-	"unicode/utf8"
 
 	"cnprobase/internal/taxonomy"
 )
@@ -13,27 +12,16 @@ import (
 // canonical sorted order, typicality from the store's evidence counts.
 // The store hands its content over already in that order, hypernyms
 // resolved to positions (taxonomy.ReadAll), so compiling hashes and
-// compares no name. Later writes to the store are not reflected;
-// compile again, or Patch, and swap.
+// compares no name. The view is laid out as a mapped one is (see
+// OpenImage): sorted tables and flat arrays, no index beside them, so
+// what it allocates does not grow with the store. Later writes to the
+// store are not reflected; compile again, or Patch, and swap.
 func Compile(t *taxonomy.Taxonomy, m *taxonomy.MentionIndex) *View {
-	return compileStore(t, m, true)
-}
-
-// CompileUnindexed is Compile without the hash indexes (interning map,
-// mention hash, mention trie): the view binary-searches its sorted
-// tables, as a patched or mapped view does. Same answers, same image
-// bytes; what a writer wants when the view exists only to be
-// serialized.
-func CompileUnindexed(t *taxonomy.Taxonomy, m *taxonomy.MentionIndex) *View {
-	return compileStore(t, m, false)
-}
-
-func compileStore(t *taxonomy.Taxonomy, m *taxonomy.MentionIndex, indexed bool) *View {
 	ch := &change{NodeSet: t.ReadAll()}
 	if m != nil {
 		ch.mentions = m.Sorted()
 	}
-	return assemble(&View{}, ch, indexed)
+	return assemble(&View{}, ch)
 }
 
 // Patch returns the view Compile(t, m) would build, assembled from
@@ -47,10 +35,8 @@ func compileStore(t *taxonomy.Taxonomy, m *taxonomy.MentionIndex, indexed bool) 
 // the cost is one pass over the arrays plus work proportional to the
 // named nodes' adjacency.
 //
-// The result is an ordinary View with the same answers, and the same
-// image bytes, as a full compile. Like a mapped view it carries no
-// hash indexes — lookups binary-search the sorted tables — because
-// rebuilding those is what a patch exists to avoid. prev must be a
+// The result is an ordinary View with the same layout, the same
+// answers and the same image bytes as a full compile. prev must be a
 // heap view: a patched view shares prev's strings. Patch returns nil
 // when the names do not cover the difference (the store was written
 // while Patch read it, or prev belongs to another store); compile in
@@ -62,7 +48,7 @@ func Patch(prev *View, t *taxonomy.Taxonomy, m *taxonomy.MentionIndex, nodes, me
 			ch.mentions = append(ch.mentions, taxonomy.MentionEntry{Mention: mention, IDs: ids})
 		}
 	}
-	return assemble(prev, ch, false)
+	return assemble(prev, ch)
 }
 
 // change is what assemble folds over a previous view: the current
@@ -84,15 +70,13 @@ type run struct{ lo, hi, at uint32 }
 // gone marks a node that has no ID in the new view.
 const gone = ^uint32(0)
 
-// assemble is the one array-assembly routine behind Compile and Patch. Nodes the change names are written from the change; the
-// stretches of prev between them are block-copied, the node IDs inside
-// them renumbered through a monotone old → new table. indexed selects
-// the hash-indexed flavour of view (interning map, mention hash,
-// mention trie) that full compiles build; without it the view
-// binary-searches its sorted tables, exactly as a mapped view does.
-// It returns nil when the change does not cover the difference: a
-// carried-over or restated edge points at a node the new view lacks.
-func assemble(prev *View, ch *change, indexed bool) *View {
+// assemble is the one array-assembly routine behind Compile and Patch.
+// Nodes the change names are written from the change; the stretches of
+// prev between them are block-copied, the node IDs inside them
+// renumbered through a monotone old → new table. It returns nil when
+// the change does not cover the difference: a carried-over or restated
+// edge points at a node the new view lacks.
+func assemble(prev *View, ch *change) *View {
 	// ---- plan: interleave prev's untouched runs with the named nodes ----
 	var runs []run
 	remap := make([]uint32, len(prev.names)) // prev ID → new ID, or gone
@@ -141,12 +125,6 @@ func assemble(prev *View, ch *change, indexed bool) *View {
 			e += ch.EdgeOff[ci+1] - ch.EdgeOff[ci]
 		}
 	}
-	if indexed {
-		v.ids = make(map[string]uint32, n)
-		for i, name := range v.names {
-			v.ids[name] = uint32(i)
-		}
-	}
 
 	// ---- hypernym CSR: the canonical edge arrays, laid out in ID order
 	// (runs and named nodes interleave by construction) ----
@@ -184,7 +162,7 @@ func assemble(prev *View, ch *change, indexed bool) *View {
 			hyperID := gone
 			if edge.At >= 0 {
 				hyperID = at[edge.At]
-			} else if id, ok := v.id(edge.Hyper); ok {
+			} else if id, ok := v.ID(edge.Hyper, 0); ok {
 				hyperID = id
 			}
 			covered = covered && hyperID != gone
@@ -238,39 +216,8 @@ func assemble(prev *View, ch *change, indexed bool) *View {
 	}
 	keepRows(uint32(len(prev.mentions)))
 	v.mentionOff = append(v.mentionOff, uint32(len(v.mentionEnts)))
-	if indexed {
-		v.mentionAt = make(map[string]uint32, len(v.mentions))
-		for i, mention := range v.mentions {
-			v.mentionAt[mention] = uint32(i)
-		}
-	}
-	if indexed || !trieFreeSafe(prev, ch) {
-		v.mentionDict = compileMentionDict(v.mentions)
-	} else {
-		v.mentionFirst = firstRuneSet(v.mentions)
-	}
+	v.mentionFirst = firstRuneSet(v.mentions)
 	return v
-}
-
-// trieFreeSafe reports whether FindAll may scan the new view's sorted
-// mention table instead of a trie: the byte-wise matcher agrees with
-// the trie's rune-wise one only when every mention is valid UTF-8. A
-// prev without a trie has been through this check (or the image
-// validator) already.
-func trieFreeSafe(prev *View, ch *change) bool {
-	if prev.mentionDict != nil {
-		for _, mention := range prev.mentions {
-			if !utf8.ValidString(mention) {
-				return false
-			}
-		}
-	}
-	for i := range ch.mentions {
-		if !utf8.ValidString(ch.mentions[i].Mention) {
-			return false
-		}
-	}
-	return true
 }
 
 // buildDerived computes everything reconstructible from the canonical

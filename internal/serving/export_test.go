@@ -3,3 +3,20 @@ package serving
 // AppendImageOracle exposes the append-built image encoder kept as the
 // streamed writer's oracle.
 var AppendImageOracle = (*View).appendImageOracle
+
+// Fixture exposes the query fixture to the external tests.
+var Fixture = fixture
+
+// RaceEnabled reports whether the race detector, which skews
+// allocation counts, is on.
+const RaceEnabled = raceEnabled
+
+// MaxPooledRunes is the bound on the scratch a scan parks in its pool.
+const MaxPooledRunes = maxPooledRunes
+
+// PooledScratchCaps takes one scratch out of the scan pool and returns
+// the capacities of its buffers; it does not put the scratch back.
+func PooledScratchCaps() (rs, offs, found int) {
+	sc := findPool.Get().(*findScratch)
+	return cap(sc.rs), cap(sc.offs), cap(sc.found)
+}

@@ -4,25 +4,21 @@ import (
 	"strings"
 	"sync"
 	"unicode/utf8"
-
-	"cnprobase/internal/trie"
 )
 
 // Text scanning over the view's mention table — the primitive the
-// conceptualization and QA engines run on. Compiled views scan with a
-// frozen arena trie over the mentions; mapped and patched views seek a
-// growing byte prefix in the sorted table, behind a first-rune filter.
-// Either way the scan answers exactly like MentionIndex.FindAll on the
-// same dictionary: greedy longest-match from each rune position,
+// conceptualization and QA engines run on. Every view, compiled,
+// patched or mapped, scans the same way: from each rune position it
+// seeks a growing byte prefix in the sorted mention table, behind a
+// first-rune filter. The scan answers exactly like MentionIndex.FindAll
+// on the same dictionary: greedy longest-match from each rune position,
 // distinct surfaces in first-occurrence order. Like every other View
 // query it takes no locks, and the append forms allocate nothing on
 // the steady path.
 
 // Found is one distinct surface a text scan found, with its row in the
 // view's mention table (MentionEntities resolves it), so a caller never
-// looks the surface up again. Row is negative when the surface matched
-// rune-wise but is no table row: a mention that is not valid UTF-8
-// matches U+FFFD in text, and the re-encoded surface names nothing.
+// looks the surface up again.
 type Found struct {
 	Surface string
 	Row     int32
@@ -102,13 +98,10 @@ func (v *View) FindMentionsAppend(dst []Found, text string) []Found {
 
 // MentionEntities returns the entity IDs of mention-table row — what
 // Lookup answers for that row's mention. The returned slice is shared:
-// do not modify it. Nil for a negative row.
+// do not modify it.
 //
 //cnp:noalloc
 func (v *View) MentionEntities(row int32) []string {
-	if row < 0 {
-		return nil
-	}
 	return v.mentionEnts[v.mentionOff[row]:v.mentionOff[row+1]]
 }
 
@@ -140,11 +133,7 @@ func (v *View) scan(sc *findScratch, dst []Found, text string) []Found {
 	for i := 0; i < len(rs); {
 		var l int
 		var row int32
-		if v.mentionDict != nil {
-			if l = v.mentionDict.LongestFrom(rs, i); l != 0 {
-				row = v.mentionRow(text[offs[i]:offs[i+l]])
-			}
-		} else if v.mentionFirst.has(rs[i]) {
+		if v.mentionFirst.has(rs[i]) {
 			l, row = v.longestMentionFrom(text, offs, i)
 		}
 		if l == 0 {
@@ -159,24 +148,6 @@ func (v *View) scan(sc *findScratch, dst []Found, text string) []Found {
 	}
 	sc.rs, sc.offs = rs, offs
 	return dst
-}
-
-// mentionRow resolves a surface the trie matched to its table row:
-// one hash read on a compiled view. Negative when the surface is no
-// row (see Found).
-//
-//cnp:noalloc
-func (v *View) mentionRow(w string) int32 {
-	if v.mentionAt != nil {
-		if i, ok := v.mentionAt[w]; ok {
-			return int32(i)
-		}
-		return -1
-	}
-	if i, ok := searchSorted(v.mentions, w); ok {
-		return int32(i)
-	}
-	return -1
 }
 
 // validRuneAt reports whether the rune starting at byte offset i of s
@@ -203,7 +174,7 @@ func containsSurface(xs []Found, w string) bool {
 	return false
 }
 
-// runeSet is the filter in front of the trie-free scan: bit r&0xFFFF
+// runeSet is the filter in front of the text scan: bit r&0xFFFF
 // is set when some mention starts with rune r, so a text position whose
 // rune starts no mention costs one bit test instead of binary searches
 // over the whole table. Runes beyond the BMP fold onto it — a false
@@ -224,18 +195,17 @@ func firstRuneSet(mentions []string) runeSet {
 	return set
 }
 
-// longestMentionFrom is the trie-free greedy matcher of mapped and
-// patched views: the length (in runes) and table row of the longest
-// mention starting at rune start of text, found by seeking, one rune at
-// a time, the first entry of the sorted mention table not below the
-// prefix read so far. offs holds the byte offset of every rune of
-// text, then len(text).
+// longestMentionFrom is the greedy matcher: the length (in runes) and
+// table row of the longest mention starting at rune start of text,
+// found by seeking, one rune at a time, the first entry of the sorted
+// mention table not below the prefix read so far. offs holds the byte
+// offset of every rune of text, then len(text).
 //
-// Trie-free views require valid-UTF-8 mentions, so byte order over the
-// table equals decoded-rune order and this scan matches
-// trie.LongestFrom exactly — including on text whose invalid bytes
-// decoded to U+FFFD: scan re-encodes such text before any comparison,
-// just as trie.Insert/LongestFrom operate on runes.
+// Every mention is valid UTF-8, so byte order over the table equals
+// decoded-rune order and this scan matches a rune-wise trie exactly —
+// including on text whose invalid bytes decoded to U+FFFD: scan
+// re-encodes such text before any comparison, just as MentionIndex
+// stores a mention's invalid bytes as U+FFFD.
 //
 //cnp:noalloc
 func (v *View) longestMentionFrom(text string, offs []int, start int) (int, int32) {
@@ -297,14 +267,4 @@ func seek(xs []string, from int, s string) int {
 		}
 	}
 	return lo
-}
-
-// compileMentionDict builds the frozen mention trie FindAll scans.
-func compileMentionDict(mentions []string) *trie.Trie {
-	d := trie.New()
-	for _, m := range mentions {
-		d.Insert(m)
-	}
-	d.Freeze()
-	return d
 }

@@ -1,7 +1,6 @@
-package serving
+package serving_test
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,6 +9,8 @@ import (
 	"testing"
 	"unicode/utf8"
 
+	"cnprobase/internal/serving"
+	"cnprobase/internal/serving/servingtest"
 	"cnprobase/internal/taxonomy"
 )
 
@@ -17,7 +18,7 @@ import (
 // the shapes greedy matching must handle: overlapping surfaces where
 // one is a prefix of another, single-rune mentions, multi-entity
 // ambiguity, and latin alongside Han.
-func findFixture(t *testing.T) (*taxonomy.MentionIndex, *View) {
+func findFixture(t *testing.T) (*taxonomy.MentionIndex, *serving.View) {
 	t.Helper()
 	tax := taxonomy.New()
 	m := taxonomy.NewMentionIndex()
@@ -34,7 +35,7 @@ func findFixture(t *testing.T) (*taxonomy.MentionIndex, *View) {
 	add("忘情水", "忘情水")
 	add("A股", "A股")
 	add("AI", "AI（人工智能）")
-	return m, Compile(tax, m)
+	return m, serving.Compile(tax, m)
 }
 
 func TestFindAllMatchesMentionIndex(t *testing.T) {
@@ -82,7 +83,7 @@ func TestFindAllRandomizedEquivalence(t *testing.T) {
 			m.Add(w, id)
 			surfaces = append(surfaces, w)
 		}
-		v := Compile(tax, m)
+		v := serving.Compile(tax, m)
 		for i := 0; i < 200; i++ {
 			var b strings.Builder
 			for j := 0; j < 1+rng.Intn(6); j++ {
@@ -127,7 +128,7 @@ func TestFindAllAppendRecycles(t *testing.T) {
 }
 
 func TestFindAllAppendAllocations(t *testing.T) {
-	if raceEnabled {
+	if serving.RaceEnabled {
 		t.Skip("allocation counts are skewed under -race")
 	}
 	_, v := findFixture(t)
@@ -144,30 +145,11 @@ func TestFindAllAppendAllocations(t *testing.T) {
 	}
 }
 
-// scanBackings returns the mention index's content as the three kinds
-// of view a scan can run on: compiled (trie + mention hash), unindexed
-// (what Patch assembles: sorted tables behind the first-rune filter)
-// and opened from image bytes, where the mentions allow an image.
-func scanBackings(t *testing.T, tax *taxonomy.Taxonomy, m *taxonomy.MentionIndex) map[string]*View {
-	t.Helper()
-	compiled := Compile(tax, m)
-	views := map[string]*View{"compiled": compiled, "unindexed": CompileUnindexed(tax, m)}
-	if im, err := compiled.Image(0); err == nil {
-		var buf bytes.Buffer
-		if _, err := im.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if views["image"], err = OpenImage(buf.Bytes(), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return views
-}
-
 // requireScanMatchesIndex holds FindMentionsAppend on every backing to
 // the mention index: the surfaces are MentionIndex.FindAll's, and each
-// row resolves to what MentionIndex.Lookup answers for its surface.
-func requireScanMatchesIndex(t *testing.T, views map[string]*View, m *taxonomy.MentionIndex, text string) {
+// carries the table row of its surface, which resolves to what
+// MentionIndex.Lookup answers for it.
+func requireScanMatchesIndex(t *testing.T, views map[string]*serving.View, m *taxonomy.MentionIndex, text string) {
 	t.Helper()
 	want := m.FindAll(text)
 	for name, v := range views {
@@ -178,8 +160,8 @@ func requireScanMatchesIndex(t *testing.T, views map[string]*View, m *taxonomy.M
 			if ents, want := v.MentionEntities(f.Row), m.Lookup(f.Surface); fmt.Sprint(ents) != fmt.Sprint(want) {
 				t.Errorf("%s view, text %q: surface %q row %d resolves to %q, Lookup says %q", name, text, f.Surface, f.Row, ents, want)
 			}
-			if f.Row >= 0 && v.mentions[f.Row] != f.Surface {
-				t.Errorf("%s view, text %q: surface %q carries row %d = %q", name, text, f.Surface, f.Row, v.mentions[f.Row])
+			if row, ok := v.MentionRow(f.Surface, 0); f.Row < 0 || !ok || row != uint32(f.Row) {
+				t.Errorf("%s view, text %q: surface %q carries row %d, its row is %d (%v)", name, text, f.Surface, f.Row, row, ok)
 			}
 		}
 		if !reflect.DeepEqual(got, want) {
@@ -203,15 +185,7 @@ func TestFindMentionsMatchesMentionIndex(t *testing.T) {
 	m.Add("𠀀字头", "𠀀字头（实体）")
 	m.Add("�开头", "替换符开头（实体）")
 	m.Add("𠀀", "𠀀（单字）")
-	views := scanBackings(t, tax, m)
-	if len(views) != 3 {
-		t.Fatalf("backings = %d, want compiled, unindexed and image", len(views))
-	}
-	for name, v := range views {
-		if (v.mentionDict == nil) != (name != "compiled") || (v.mentionFirst == nil) != (name == "compiled") {
-			t.Fatalf("%s view: trie %v, first-rune filter %v", name, v.mentionDict != nil, v.mentionFirst != nil)
-		}
-	}
+	views := servingtest.Backings(t, tax, m)
 	for _, text := range []string{
 		"",
 		"刘德华演唱了忘情水。",
@@ -232,36 +206,42 @@ func TestFindMentionsMatchesMentionIndex(t *testing.T) {
 	}
 }
 
-// TestFindMentionsInvalidMention covers the one case a surface has no
-// row: a mention that is not valid UTF-8 matches rune-wise (its bad
-// byte is U+FFFD in the trie), the surface is the re-encoded text, and
-// that names nothing — exactly what MentionIndex.FindAll + Lookup give.
-// Such a table never goes trie-free.
-func TestFindMentionsInvalidMention(t *testing.T) {
+// TestMentionIndexStoresValidUTF8 pins the one owner of the UTF-8
+// rule: MentionIndex.Add stores each byte of a mention that is not
+// valid UTF-8 as U+FFFD, as a text scan decodes it, so every backing's
+// table is valid UTF-8 and every surface a scan finds is a row that
+// resolves to what Lookup answers.
+func TestMentionIndexStoresValidUTF8(t *testing.T) {
 	m := taxonomy.NewMentionIndex()
 	m.Add("\xff坏", "坏字节（实体）")
+	m.Add(" 坏\xfe\xff ", "两个坏字节（实体）")
 	m.Add("好", "好（实体）")
-	views := scanBackings(t, taxonomy.New(), m)
-	if _, ok := views["image"]; ok || views["unindexed"].mentionDict == nil {
-		t.Fatal("a table with an invalid-UTF-8 mention must keep its trie and refuse the image")
+	var stored []string
+	for _, e := range m.Sorted() {
+		stored = append(stored, e.Mention)
 	}
-	for _, text := range []string{"\xff坏好", "�坏", "好\xfe坏\xff坏"} {
+	if want := []string{"坏\uFFFD\uFFFD", "好", "\uFFFD坏"}; !reflect.DeepEqual(stored, want) {
+		t.Fatalf("stored mentions %q, want %q", stored, want)
+	}
+	views := servingtest.Backings(t, taxonomy.New(), m)
+	for _, text := range []string{"\xff坏好", "�坏", "好\xfe坏\xff坏", "坏\xfe\xff好"} {
 		requireScanMatchesIndex(t, views, m, text)
 	}
-	found := views["compiled"].FindMentionsAppend(nil, "\xff坏好")
-	if len(found) != 2 || found[0].Row >= 0 || found[1].Row < 0 {
-		t.Fatalf("found = %+v, want the rune-matched surface without a row, then 好 with one", found)
+	for name, v := range views {
+		if got := v.Lookup("\uFFFD坏"); !reflect.DeepEqual(got, []string{"坏字节（实体）"}) {
+			t.Errorf("%s view: Lookup of the U+FFFD spelling = %q", name, got)
+		}
 	}
 }
 
 func TestFindMentionsAppendAllocations(t *testing.T) {
-	if raceEnabled {
+	if serving.RaceEnabled {
 		t.Skip("allocation counts are skewed under -race")
 	}
 	m, _ := findFixture(t)
 	text := "刘德华演唱了忘情水，AI与A股都涨了。"
-	for name, v := range scanBackings(t, taxonomy.New(), m) {
-		var dst []Found
+	for name, v := range servingtest.Backings(t, taxonomy.New(), m) {
+		var dst []serving.Found
 		for i := 0; i < 4; i++ { // warm the pool and dst
 			dst = v.FindMentionsAppend(dst[:0], text)
 		}
@@ -284,7 +264,7 @@ func TestScanScratchIsBounded(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	m, _ := findFixture(t)
 	long := strings.Repeat("无关文本刘德华", (1<<20)/7+1)
-	for name, v := range scanBackings(t, taxonomy.New(), m) {
+	for name, v := range servingtest.Backings(t, taxonomy.New(), m) {
 		if got := v.FindAllAppend(nil, long); !reflect.DeepEqual(got, []string{"刘德华"}) {
 			t.Fatalf("%s view: long text found %q", name, got)
 		}
@@ -292,13 +272,12 @@ func TestScanScratchIsBounded(t *testing.T) {
 			t.Fatalf("%s view: long text found %+v", name, got)
 		}
 		for i := 0; i < 16; i++ {
-			sc := findPool.Get().(*findScratch)
-			if cap(sc.rs) > maxPooledRunes || cap(sc.offs) > maxPooledRunes || cap(sc.found) > maxPooledRunes {
+			if rs, offs, found := serving.PooledScratchCaps(); max(rs, offs, found) > serving.MaxPooledRunes {
 				t.Fatalf("%s view: pool kept scratch of %d runes / %d offsets / %d surfaces after a %d-rune text (bound %d)",
-					name, cap(sc.rs), cap(sc.offs), cap(sc.found), utf8.RuneCountInString(long), maxPooledRunes)
+					name, rs, offs, found, utf8.RuneCountInString(long), serving.MaxPooledRunes)
 			}
 		}
-		if raceEnabled {
+		if serving.RaceEnabled {
 			continue
 		}
 		text := "刘德华演唱了忘情水，AI与A股都涨了。"
@@ -315,13 +294,13 @@ func TestScanScratchIsBounded(t *testing.T) {
 // TestNamePrefixesAppend holds the one-narrowing prefix search to one
 // exact lookup per length, on every backing.
 func TestNamePrefixesAppend(t *testing.T) {
-	tax, m := fixture(t)
+	tax, m := serving.Fixture(t)
 	for _, n := range []string{"概", "概念", "概念0号", "概念0号分支甲乙", "𠀀", "𠀀概念", "A", "AB"} {
 		tax.MarkConcept(n)
 	}
 	rng := rand.New(rand.NewSource(1))
 	alphabet := []rune("概念0号分支甲乙𠀀AB实体1（人物）顶层孤岛")
-	for name, v := range scanBackings(t, tax, m) {
+	for name, v := range servingtest.Backings(t, tax, m) {
 		for i := 0; i < 2000; i++ {
 			var b strings.Builder
 			for j := rng.Intn(9); j > 0; j-- {

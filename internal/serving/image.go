@@ -82,16 +82,9 @@ type SizedImage struct {
 // mappable image layout. base is the absolute file offset the
 // payload will land at: blocks are padded so their file offsets are
 // 8-aligned, making them aligned in any page-aligned mapping of the
-// file. Mentions must be valid UTF-8 (the mapped FindAll path matches
-// byte-wise over the sorted table; JSON ingestion guarantees this,
-// hand-built stores are checked here).
+// file.
 func (v *View) Image(base uint64) (SizedImage, error) {
 	im := SizedImage{v: v, base: base}
-	for _, s := range v.mentions {
-		if !utf8.ValidString(s) {
-			return im, fmt.Errorf("serving: mention %q is not valid UTF-8; the mappable image requires UTF-8 mentions", s)
-		}
-	}
 	n, e := len(v.names), len(v.hyperIDs)
 	m, me := len(v.mentions), len(v.mentionEnts)
 	if n >= maxImageElems || e >= maxImageElems || m >= maxImageElems || me >= maxImageElems {
@@ -425,9 +418,9 @@ func checkOffsets(what string, offs []uint32, total uint32, strict bool) error {
 // unmodified for the life of the returned View — snapshot.OpenMapped
 // ties the mapping's lifetime to the View with a finalizer.
 //
-// A mapped View has no interning map, mention hash or mention trie;
-// those lookups binary-search the sorted tables instead, and every
-// query method keeps its 0 allocs/op behavior.
+// A mapped View has the layout Compile and Patch build on the heap, so
+// it answers through the same code, with the same 0 allocs/op per
+// query.
 func OpenImage(data []byte, base uint64) (*View, error) {
 	img, err := parseImage(data, base)
 	if err != nil {

@@ -11,14 +11,13 @@ import (
 	"cnprobase/internal/taxonomy"
 )
 
-// Backings returns the store's current content as the three backings of
-// a serving.View, by name: "compiled" carries the hash indexes and the
-// mention trie; "patched" is serving.Patch over the compiled view with
-// every other node and mention re-read from the store, so copied runs
-// and fresh rows interleave; "image" is opened over the compiled view's
-// serialized bytes, as a mapped snapshot is. The last two search their
-// sorted tables behind the first-rune filter. The mentions must be
-// valid UTF-8 (the image format requires it).
+// Backings returns the store's current content as the three ways a
+// serving.View comes to be, by name: "compiled" is serving.Compile;
+// "patched" is serving.Patch over the compiled view with every other
+// node and mention re-read from the store, so copied runs and fresh
+// rows interleave; "image" is opened over the compiled view's
+// serialized bytes, as a mapped snapshot is. All three have the one
+// view layout, so they must answer alike.
 func Backings(t testing.TB, tx *taxonomy.Taxonomy, m *taxonomy.MentionIndex) map[string]*serving.View {
 	t.Helper()
 	compiled := serving.Compile(tx, m)

@@ -33,12 +33,14 @@
 // and evidence total of an ID, FindMentionsAppend scans a text and
 // hands back each surface with its mention-table row
 // (MentionEntities), and NamePrefixesAppend finds the node names that
-// are prefixes of a string in one pass over the sorted table. Views
-// without the hash indexes and the trie —
-// mapped and patched ones — put a first-rune filter (one bit per rune
-// some mention starts with, built in one pass at construction, never
-// stored) in front of the text scan, so a position that starts no
-// mention costs one bit test.
+// are prefixes of a string in one pass over the sorted table.
+//
+// Every view has this one layout, whether compiled, patched or mapped
+// over a snapshot: a name or mention is found by binary search over its
+// sorted table, and a text scan seeks growing prefixes in the mention
+// table behind a first-rune filter (one bit per rune some mention
+// starts with, built in one pass at construction, never stored), so a
+// position that starts no mention costs one bit test.
 package serving
 
 import (
@@ -46,16 +48,15 @@ import (
 	"unicode/utf8"
 
 	"cnprobase/internal/taxonomy"
-	"cnprobase/internal/trie"
 )
 
 // View is the immutable serving view. The zero value is not usable;
-// build one with Compile, Patch or OpenImage. A View is safe for unlimited
-// concurrent use and never changes after construction — servers swap
-// whole Views atomically to pick up new data (see api.Server.SwapView).
+// build one with Compile, Patch or OpenImage, which all build the same
+// layout. A View is safe for unlimited concurrent use and never changes
+// after construction — servers swap whole Views atomically to pick up
+// new data (see api.Server.SwapView).
 type View struct {
-	names []string          // id → name, sorted ascending
-	ids   map[string]uint32 // name → id (the interning table)
+	names []string // id → name, sorted ascending; an ID is its name's rank
 	kinds []taxonomy.NodeKind
 
 	// Hypernym CSR: node i's outgoing edges occupy index range
@@ -84,55 +85,17 @@ type View struct {
 	hypoCounts []int64
 	hypoTotals []int64 // per node: Σ evidence counts of incoming edges
 
-	// Mention table: mentions sorted ascending; mention i's entity IDs
-	// occupy mentionEnts[mentionOff[i]:mentionOff[i+1]], sorted.
-	// mentionAt interns mention → table index for O(1) resolution;
-	// mentionDict is the frozen trie FindAll scans text with. A view
-	// without a trie (mapped, patched) scans the sorted table behind
-	// mentionFirst, the set of runes some mention starts with.
+	// Mention table: mentions sorted ascending, every one valid UTF-8
+	// (taxonomy.MentionIndex stores them so); mention i's entity IDs
+	// occupy mentionEnts[mentionOff[i]:mentionOff[i+1]], sorted. A text
+	// scan seeks prefixes in the table behind mentionFirst, the set of
+	// runes some mention starts with.
 	mentions     []string
-	mentionAt    map[string]uint32
 	mentionOff   []uint32
 	mentionEnts  []string
-	mentionDict  *trie.Trie
 	mentionFirst runeSet
 
 	stats taxonomy.Stats
-}
-
-// id resolves a node name to its interned ID. Compiled views carry an
-// interning map; mapped views (OpenImage) drop it and binary-search
-// the sorted name table instead — IDs are sorted ranks, so the found
-// index IS the ID.
-//
-//cnp:noalloc
-func (v *View) id(name string) (uint32, bool) {
-	if v.ids != nil {
-		id, ok := v.ids[name]
-		return id, ok
-	}
-	return searchSorted(v.names, name)
-}
-
-// searchSorted finds s in the ascending table xs, returning its index.
-// Hand-rolled (no sort.SearchStrings closure) to keep the mapped query
-// path at 0 allocs/op.
-//
-//cnp:noalloc
-func searchSorted(xs []string, s string) (uint32, bool) {
-	lo, hi := 0, len(xs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if xs[mid] < s {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(xs) && xs[lo] == s {
-		return uint32(lo), true
-	}
-	return 0, false
 }
 
 // The ID-native read surface. A node's ID is its rank in the sorted
@@ -143,16 +106,12 @@ func searchSorted(xs []string, s string) (uint32, bool) {
 
 // ID resolves a node name to its dense ID. from is where to look: 0,
 // or one past the previous answer when resolving an ascending list of
-// names (a mention's entities) — on a view without the interning map
-// the search then gallops from there, so neighbours in the name table
-// resolve in a few comparisons. name must not sort below node from.
+// names (a mention's entities) — the search then gallops from there,
+// so neighbours in the name table resolve in a few comparisons. name
+// must not sort below node from.
 //
 //cnp:noalloc
 func (v *View) ID(name string, from uint32) (uint32, bool) {
-	if v.ids != nil {
-		id, ok := v.ids[name]
-		return id, ok
-	}
 	if i := seek(v.names, int(from), name); i < len(v.names) && v.names[i] == name {
 		return uint32(i), true
 	}
@@ -257,10 +216,6 @@ func (v *View) EdgeAt(i uint32) (taxonomy.Source, float64) {
 //
 //cnp:noalloc
 func (v *View) MentionRow(s string, from uint32) (uint32, bool) {
-	if v.mentionAt != nil {
-		i, ok := v.mentionAt[s]
-		return i, ok
-	}
 	if i := seek(v.mentions, int(from), s); i < len(v.mentions) && v.mentions[i] == s {
 		return uint32(i), true
 	}
@@ -297,7 +252,7 @@ func (v *View) Stats() taxonomy.Stats { return v.stats }
 //
 //cnp:noalloc
 func (v *View) Kind(name string) taxonomy.NodeKind {
-	if id, ok := v.id(name); ok {
+	if id, ok := v.ID(name, 0); ok {
 		return v.kinds[id]
 	}
 	return taxonomy.KindUnknown
@@ -308,7 +263,7 @@ func (v *View) Kind(name string) taxonomy.NodeKind {
 // allocation; HypernymIDsOf reads the same list without one). Nil when
 // the node is unknown or has no hypernyms.
 func (v *View) Hypernyms(node string) []string {
-	id, ok := v.id(node)
+	id, ok := v.ID(node, 0)
 	if !ok {
 		return nil
 	}
@@ -320,7 +275,7 @@ func (v *View) Hypernyms(node string) []string {
 // allocation; HyponymIDsOf reads the same list without one); limit <= 0
 // means all. Nil when the concept is unknown or has no hyponyms.
 func (v *View) Hyponyms(concept string, limit int) []string {
-	id, ok := v.id(concept)
+	id, ok := v.ID(concept, 0)
 	if !ok {
 		return nil
 	}
@@ -344,7 +299,7 @@ func (v *View) namesOf(ids []uint32) []string {
 //
 //cnp:noalloc
 func (v *View) HyponymCount(concept string) int {
-	id, ok := v.id(concept)
+	id, ok := v.ID(concept, 0)
 	if !ok {
 		return 0
 	}
@@ -357,7 +312,7 @@ func (v *View) HyponymCount(concept string) int {
 //
 //cnp:noalloc
 func (v *View) RankedHypernymsAppend(dst []taxonomy.Scored, node string, limit int) []taxonomy.Scored {
-	id, ok := v.id(node)
+	id, ok := v.ID(node, 0)
 	if !ok {
 		return dst
 	}
@@ -374,7 +329,7 @@ func (v *View) RankedHypernymsAppend(dst []taxonomy.Scored, node string, limit i
 //
 //cnp:noalloc
 func (v *View) RankedHyponymsAppend(dst []taxonomy.Scored, concept string, limit int) []taxonomy.Scored {
-	id, ok := v.id(concept)
+	id, ok := v.ID(concept, 0)
 	if !ok {
 		return dst
 	}
@@ -401,10 +356,10 @@ func firstN(seg []uint32, limit int) []uint32 {
 //
 //cnp:noalloc
 func (v *View) edge(hypo, hyper string) (hypoID, hyperID, i uint32, ok bool) {
-	if hypoID, ok = v.id(hypo); !ok {
+	if hypoID, ok = v.ID(hypo, 0); !ok {
 		return 0, 0, 0, false
 	}
-	if hyperID, ok = v.id(hyper); !ok {
+	if hyperID, ok = v.ID(hyper, 0); !ok {
 		return 0, 0, 0, false
 	}
 	i, ok = v.edgeIndex(hypoID, hyperID)
@@ -494,7 +449,7 @@ func (v *View) TypicalityOfInstance(hyper, hypo string) float64 {
 // with each node's hypernyms in ascending order, excluding node itself.
 // Cycles are tolerated.
 func (v *View) Ancestors(node string) []string {
-	start, ok := v.id(node)
+	start, ok := v.ID(node, 0)
 	if !ok {
 		return nil
 	}
@@ -516,11 +471,11 @@ func (v *View) Ancestors(node string) []string {
 
 // IsAncestor reports whether hyper is reachable from hypo.
 func (v *View) IsAncestor(hypo, hyper string) bool {
-	start, ok := v.id(hypo)
+	start, ok := v.ID(hypo, 0)
 	if !ok {
 		return false
 	}
-	target, ok := v.id(hyper)
+	target, ok := v.ID(hyper, 0)
 	if !ok {
 		return false
 	}
@@ -549,11 +504,11 @@ func (v *View) PathToAncestor(node, ancestor string) []string {
 	if node == ancestor {
 		return []string{node}
 	}
-	start, ok := v.id(node)
+	start, ok := v.ID(node, 0)
 	if !ok {
 		return nil
 	}
-	target, ok := v.id(ancestor)
+	target, ok := v.ID(ancestor, 0)
 	if !ok {
 		return nil
 	}
@@ -610,15 +565,7 @@ func (v *View) CommonAncestors(a, b string) []string {
 //
 //cnp:noalloc
 func (v *View) Lookup(mention string) []string {
-	q := strings.TrimSpace(mention)
-	var i uint32
-	var ok bool
-	if v.mentionAt != nil {
-		i, ok = v.mentionAt[q]
-	} else {
-		// Mapped views drop the hash; the table is sorted.
-		i, ok = searchSorted(v.mentions, q)
-	}
+	i, ok := v.MentionRow(strings.TrimSpace(mention), 0)
 	if !ok {
 		return nil
 	}

@@ -167,6 +167,30 @@ func TestQueryAllocations(t *testing.T) {
 	}
 }
 
+// TestCompileAllocations pins the one view layout: Compile fills flat
+// arrays sized up front and builds no index beside them, so what it
+// allocates is a small constant, the same at two world sizes.
+func TestCompileAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under -race")
+	}
+	for _, n := range []int{300, 3000} {
+		tax := taxonomy.New()
+		mentions := taxonomy.NewMentionIndex()
+		for i := 0; i < n; i++ {
+			id := fmt.Sprintf("实体%05d（人物）", i)
+			if err := tax.AddIsA(id, fmt.Sprintf("概念%d", i%(n/10)), taxonomy.SourceTag, 1); err != nil {
+				t.Fatal(err)
+			}
+			mentions.Add(fmt.Sprintf("实体%05d", i), id)
+			mentions.Add(id, id)
+		}
+		if allocs := testing.AllocsPerRun(3, func() { _ = Compile(tax, mentions) }); allocs > 64 {
+			t.Errorf("%d entities: Compile allocates %.0f objects, want at most 64", n, allocs)
+		}
+	}
+}
+
 // TestViewNilMentions covers serving a taxonomy with no mention index
 // (the cnpserver -tax path builds one, but Compile must not require it).
 func TestViewNilMentions(t *testing.T) {

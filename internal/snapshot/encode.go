@@ -75,8 +75,7 @@ func Save(w io.Writer, st *State, opts Options) error {
 	}
 	view := st.View
 	if view == nil {
-		// A view that exists only to be serialized needs no hash index.
-		view = serving.CompileUnindexed(st.Taxonomy, mentions)
+		view = serving.Compile(st.Taxonomy, mentions)
 	}
 	image, err := view.Image(imageBase)
 	_ = side.Wait() // the side job has no error to return

@@ -237,13 +237,14 @@ func TestEvidenceOffTheImage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if _, _, err := openMappedBytes(data); err != nil {
+	mapped, _, err := openMappedBytes(data)
+	if err != nil {
 		t.Fatalf("mapped: %v", err)
 	}
 	if !reflect.DeepEqual(loaded.Kept, res.Kept) {
 		t.Fatal("the kept list did not round-trip")
 	}
-	pages := loaded.Evidence.PagesAlong(serving.CompileUnindexed(loaded.Taxonomy, loaded.Mentions).Nodes())
+	pages := loaded.Evidence.PagesAlong(mapped.Nodes())
 	if pages.Len() != pages.OnTable()+1 || pages.Entity(pages.Len()-1) != " 孤立页面 " || pages.Title(pages.Len()-1) != " 孤立页面 " {
 		t.Fatalf("the page off the image did not round-trip: %d pages, %d on nodes", pages.Len(), pages.OnTable())
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"cnprobase/internal/trie"
 )
@@ -31,9 +32,15 @@ func NewMentionIndex() *MentionIndex {
 }
 
 // Add registers a mention for an entity ID. Duplicate (mention, id)
-// pairs are ignored.
+// pairs are ignored. The mention is stored trimmed and in its
+// rune-decoded spelling: each byte that is not valid UTF-8 becomes
+// U+FFFD, as a text scan reads it, so every mention table is valid
+// UTF-8 — what a view's byte-wise scan and the snapshot image require.
 func (m *MentionIndex) Add(mention, entityID string) {
 	mention = strings.TrimSpace(mention)
+	if !utf8.ValidString(mention) {
+		mention = string([]rune(mention))
+	}
 	if mention == "" || entityID == "" {
 		return
 	}
@@ -52,8 +59,8 @@ func (m *MentionIndex) Add(mention, entityID string) {
 }
 
 // ImportSorted fills an empty index with a serving image's mention
-// table — entries ascending and distinct, mentions trimmed and
-// non-empty, each ID list ascending and distinct — in one pass: what
+// table — entries ascending and distinct, mentions trimmed, non-empty
+// and valid UTF-8, each ID list ascending and distinct — in one pass: what
 // Add would do for every (mention, ID), with one map insert a mention
 // and no duplicate scans. The ID lists are kept, not copied; their
 // capacity is clamped, so a later Add never writes into them.
