@@ -53,7 +53,9 @@
 // runs behind admission control (-max-inflight concurrent requests,
 // -admit-wait bounded wait, then 429 + Retry-After), per-request
 // deadlines (-query-timeout for the GET lookups, -batch-timeout for
-// the POST endpoints; JSON 503 on expiry) and panic isolation (a
+// the POST endpoints; they bound only the -chaos-delay, answering a
+// JSON 503 when it reaches them, and never cut off a running handler)
+// and panic isolation (a
 // handler panic is a JSON 500 on that request, never a dead process).
 // A panic on the ingest updater wedges the ingester with a sticky 503
 // — queries keep serving the last good view — and flips /readyz so the
@@ -125,8 +127,8 @@ func main() {
 
 		maxInFlight  = flag.Int("max-inflight", defres.MaxInFlight, "admission cap on concurrently executing query requests; excess is shed with 429 + Retry-After (0 disables admission control)")
 		admitWait    = flag.Duration("admit-wait", defres.AdmitWait, "how long a request may wait for an admission slot before being shed")
-		queryTimeout = flag.Duration("query-timeout", defres.LookupTimeout, "per-request deadline for the GET lookup endpoints; JSON 503 on expiry (0 disables)")
-		batchTimeout = flag.Duration("batch-timeout", defres.BatchTimeout, "per-request deadline for the POST batch/application endpoints; JSON 503 on expiry (0 disables)")
+		queryTimeout = flag.Duration("query-timeout", defres.LookupTimeout, "per-request deadline for the GET lookup endpoints; bounds the -chaos-delay only (JSON 503 when the delay reaches it), a running handler is never cut off (0 disables)")
+		batchTimeout = flag.Duration("batch-timeout", defres.BatchTimeout, "per-request deadline for the POST batch/application endpoints; bounds the -chaos-delay only (JSON 503 when the delay reaches it), a running handler is never cut off (0 disables)")
 		chaosDelay   = flag.Duration("chaos-delay", 0, "chaos knob: artificial latency injected into every query request (drain drills and overload experiments; keep 0 in production)")
 		drainGrace   = flag.Duration("drain-grace", 500*time.Millisecond, "on SIGINT/SIGTERM, how long /readyz answers 503 before the listeners stop accepting, so load balancers stop routing first")
 		drainTO      = flag.Duration("drain-timeout", 10*time.Second, "how long graceful shutdown waits for in-flight requests across all listeners")

@@ -187,9 +187,10 @@ func NewViewServer(v *ServingView) *APIServer { return api.NewViewServer(v) }
 // ServerResilience tunes the overload-safety stack wrapped around the
 // query endpoints: the admission-control cap and bounded wait (beyond
 // which requests are shed with 429 + Retry-After), the per-request
-// deadlines for the lookup and batch endpoint classes (JSON 503 on
-// expiry), and the chaos knobs (artificial per-request delay/CPU burn)
-// drain drills and the overload benchmark inject.
+// deadlines for the lookup and batch endpoint classes (JSON 503 when
+// the injected delay reaches one; a started handler is never cut off),
+// and the chaos knob (artificial per-request delay) drain drills
+// inject.
 type ServerResilience = api.ResilienceConfig
 
 // DefaultServerResilience is the production default resilience
@@ -198,7 +199,7 @@ func DefaultServerResilience() ServerResilience { return api.DefaultResilience()
 
 // NewViewServerResilient is NewViewServer with an explicit resilience
 // configuration — cnpserver builds its server through this so the
-// admission cap, deadlines and chaos knobs are flag-tunable.
+// admission cap, deadlines and chaos delay are flag-tunable.
 func NewViewServerResilient(v *ServingView, rc ServerResilience) *APIServer {
 	return api.NewViewServerConfig(v, rc)
 }

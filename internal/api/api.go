@@ -29,12 +29,16 @@
 // docs/API.md.
 //
 // Every query endpoint runs behind the resilience stack (see
-// internal/resilience): admission control sheds excess load with 429 +
-// Retry-After instead of queueing without bound, a per-request
-// deadline converts stuck work into a JSON 503, and panic isolation
-// turns a handler panic into a JSON 500 on that one request. /api/stats
-// and the health probes bypass admission so observability survives
-// overload. ResilienceConfig tunes all of it.
+// internal/resilience), on one path: the handler runs on its serving
+// goroutine after admission control, which sheds excess load with 429
+// + Retry-After instead of queueing without bound, and under panic
+// isolation, which turns a handler panic into a JSON 500 on that one
+// request. The per-request deadline bounds only the injected chaos
+// delay (JSON 503 when the delay reaches it): a handler that has
+// started is never preempted, and none needs to be — each is a bounded
+// view read on a capped body. /api/stats and the health probes bypass
+// admission so observability survives overload. ResilienceConfig
+// tunes all of it.
 package api
 
 import (
@@ -80,21 +84,22 @@ type ResilienceConfig struct {
 	// LookupTimeout is the per-request deadline for the cheap GET
 	// lookups (men2ent, getConcept, getEntity); BatchTimeout covers
 	// the heavier POST endpoints (men2entBatch, conceptualize,
-	// conceptualizeBatch, qa). 0 disables the deadline for that class.
+	// conceptualizeBatch, qa). The deadline bounds only HandlerDelay:
+	// a delay that reaches it is cut there and answered with a JSON
+	// 503, while a handler that has started always runs to completion.
+	// 0 disables the deadline for that class.
 	LookupTimeout time.Duration
 	BatchTimeout  time.Duration
-	// HandlerDelay and HandlerBurn are chaos knobs: artificial sleep /
-	// CPU spin injected inside the stack (inside the admission slot,
-	// under the deadline) on every query-plane request. Drain drills
-	// and the overload benchmark use them to make handler cost
-	// controllable; zero in production.
+	// HandlerDelay is a chaos knob: an artificial sleep injected inside
+	// the admission slot, before the handler, on every query-plane
+	// request. Drain drills and overload tests use it to make handler
+	// cost controllable; zero in production.
 	HandlerDelay time.Duration
-	HandlerBurn  time.Duration
 }
 
 // DefaultResilience is the production default: admission wide enough
-// that only true overload sheds, deadlines generous enough that only
-// stuck work times out.
+// that only true overload sheds, and deadlines far above any drill's
+// injected delay.
 func DefaultResilience() ResilienceConfig {
 	return ResilienceConfig{
 		MaxInFlight:   64 * runtime.GOMAXPROCS(0),
@@ -143,7 +148,7 @@ func NewViewServer(v *serving.View) *Server {
 }
 
 // NewViewServerConfig is NewViewServer with an explicit resilience
-// configuration (admission cap, deadlines, chaos knobs). The server
+// configuration (admission cap, deadlines, chaos delay). The server
 // starts ready: by construction its serving view is loaded.
 func NewViewServerConfig(v *serving.View, rc ResilienceConfig) *Server {
 	s := &Server{rc: rc}
@@ -231,7 +236,6 @@ func (s *Server) Handler() http.Handler {
 		Limiter: s.limiter,
 		Metrics: &s.metrics,
 		Delay:   s.rc.HandlerDelay,
-		Burn:    s.rc.HandlerBurn,
 	}
 	mux := http.NewServeMux()
 	for path, h := range s.routes() {

@@ -52,6 +52,12 @@ func getScratch() *scratch {
 	return sc
 }
 
+// chunkingBuffer is the size of net/http's response buffer: a body
+// that fits is framed by a Content-Length net/http computes itself when
+// the handler returns, and a larger one is sent chunked unless the
+// handler sets the length first.
+const chunkingBuffer = 2048
+
 // respond writes sc.out, ended by the newline Encoder.Encode writes, as
 // the whole body and recycles sc. ok false — an answer holding a NaN or
 // infinite score — sends no body, as Encode's error left the response.
@@ -59,6 +65,9 @@ func getScratch() *scratch {
 func (sc *scratch) respond(w http.ResponseWriter, ok bool) {
 	if ok {
 		sc.out = append(sc.out, '\n')
+		if len(sc.out) > chunkingBuffer {
+			w.Header().Set("Content-Length", strconv.Itoa(len(sc.out)))
+		}
 		_, _ = w.Write(sc.out) // fails only on connection loss; nothing actionable remains
 	}
 	clear(sc.strs) // they alias the request body

@@ -3,13 +3,15 @@
 // under an adversarial mix of slow clients, hot crawlers and buggy
 // handlers. It provides
 //
-//   - a composable per-endpoint middleware (Guard) that stacks
-//     admission control (bounded-concurrency semaphore with a short
-//     bounded wait, then load-shed with 429 + Retry-After), a
-//     per-request deadline (JSON 503 on expiry, the handler keeps its
-//     admission slot until it actually returns so a stuck handler can
-//     never multiply), and panic isolation (recover → JSON 500 and a
-//     counter, never a killed process or a dropped connection);
+//   - a composable per-endpoint middleware (Guard) that runs every
+//     handler on its serving goroutine behind admission control
+//     (bounded-concurrency semaphore with a short bounded wait, then
+//     load-shed with 429 + Retry-After; the slot is held until the
+//     response is first written) and panic isolation (recover → JSON
+//     500 and a counter, never a killed process or a dropped
+//     connection). Its per-request deadline bounds only the delay the
+//     guard injects for drills (JSON 503 when the delay reaches it);
+//     a handler that has started runs to completion;
 //
 //   - health-probe state (Health) behind /healthz (liveness) and
 //     /readyz (readiness: serving state loaded, not draining, the
@@ -24,10 +26,10 @@
 //
 // Every refusal the package writes is the API's uniform JSON error
 // shape {"error": "..."} with the right status code: 429 always
-// carries Retry-After, deadline expiry is 503, a recovered panic is
-// 500. The package has no dependencies beyond net/http, so the build
-// pipeline, the API layer and the server command all share one
-// vocabulary for staying up.
+// carries Retry-After, an injected delay cut at its deadline is 503, a
+// recovered panic is 500. The package has no dependencies beyond
+// net/http, so the build pipeline, the API layer and the server
+// command all share one vocabulary for staying up.
 package resilience
 
 import (
@@ -37,8 +39,6 @@ import (
 	"log"
 	"net/http"
 	"runtime/debug"
-	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -82,8 +82,9 @@ type Metrics struct {
 	// Panics counts handler panics converted to JSON 500s (and, on the
 	// ingest plane, updater panics that wedged the ingester).
 	Panics atomic.Int64
-	// Timeouts counts requests answered 503 because their per-request
-	// deadline expired before the handler finished.
+	// Timeouts counts requests answered 503 because the injected Delay
+	// reached their per-request deadline. A running handler is never
+	// cut off, so with no Delay this stays zero.
 	Timeouts atomic.Int64
 }
 
@@ -153,136 +154,60 @@ func (l *Limiter) InFlight() int {
 // pass-through; each field arms one layer:
 //
 //	Limiter — admission control: no free slot within the bounded wait
-//	          sheds the request with 429 + Retry-After.
-//	Timeout — per-request deadline: the handler runs under a context
-//	          that expires, and the client gets a JSON 503 when it
-//	          does. The handler keeps running (and keeps its admission
-//	          slot) until it actually returns, so a stuck handler
-//	          occupies exactly one slot instead of breeding goroutines
-//	          past the admission cap.
+//	          sheds the request with 429 + Retry-After. An admitted
+//	          request holds its slot until its response is first
+//	          written, or until the handler returns without writing.
+//	Timeout — per-request deadline over the work the guard itself
+//	          injects (Delay): a Delay that reaches it is cut to the
+//	          deadline and answered with a JSON 503. A handler that has
+//	          started is never preempted; every query handler is a
+//	          bounded read, so none needs to be.
 //	Metrics — where timeouts and recovered panics are counted.
-//	Delay/Burn — chaos knobs: artificial sleep / CPU spin inside the
-//	          stack (inside the admission slot, under the deadline),
-//	          used by drain drills and the overload benchmark to make
-//	          handler cost controllable. Zero in production.
+//	Delay   — chaos knob: an artificial sleep inside the admission slot
+//	          before the handler runs, used by drain drills and overload
+//	          tests to make handler cost controllable. Zero in production.
 //
-// Panic isolation is always on: a panicking handler yields a JSON 500
-// on that request and nothing else — the process, the connection and
-// every other in-flight request are unharmed.
+// Panic isolation is always on: a handler that panics before writing
+// yields a JSON 500 on that request and nothing else — the process,
+// the connection and every other in-flight request are unharmed. A
+// panic after the handler has written keeps what was written and only
+// ends the request.
+//
+// There is one path: the handler runs on the serving goroutine, under
+// admission, a deferred recover and the tracking writer, with no
+// goroutine, context or response buffer of the guard's own.
 type Guard struct {
 	Limiter *Limiter
 	Timeout time.Duration
 	Metrics *Metrics
 	Delay   time.Duration
-	Burn    time.Duration
 }
 
-// bufferedResponse captures a handler's full response in memory so the
-// deadline path can choose atomically between the handler's output and
-// a timeout error — never an interleaving of the two.
-type bufferedResponse struct {
-	header http.Header
-	code   int
-	body   []byte
-}
-
-var bufPool = sync.Pool{New: func() any { return &bufferedResponse{header: make(http.Header, 4)} }}
-
-func getBuffered() *bufferedResponse {
-	b := bufPool.Get().(*bufferedResponse)
-	b.code = 0
-	b.body = b.body[:0]
-	for k := range b.header {
-		delete(b.header, k)
-	}
-	return b
-}
-
-func putBuffered(b *bufferedResponse) {
-	if cap(b.body) <= MaxPooledBytes {
-		bufPool.Put(b)
-	}
-}
-
-func (b *bufferedResponse) Header() http.Header { return b.header }
-
-func (b *bufferedResponse) WriteHeader(code int) {
-	if b.code == 0 {
-		b.code = code
-	}
-}
-
-func (b *bufferedResponse) Write(p []byte) (int, error) {
-	b.WriteHeader(http.StatusOK)
-	b.body = append(b.body, p...)
-	return len(p), nil
-}
-
-// overwriteError discards whatever the handler managed to write and
-// replaces the buffered response with a clean JSON error. Only
-// possible because the response is fully buffered.
-func (b *bufferedResponse) overwriteError(code int, msg string) {
-	for k := range b.header {
-		delete(b.header, k)
-	}
-	b.code = 0
-	b.body = b.body[:0]
-	b.header.Set("Content-Type", "application/json; charset=utf-8")
-	b.code = code
-	raw, _ := json.Marshal(errorResponse{Error: msg})
-	b.body = append(b.body, raw...)
-	b.body = append(b.body, '\n')
-}
-
-// copyTo replays the buffered response onto the real writer. The body
-// is complete, so it goes out framed by its Content-Length: net/http
-// would otherwise send any body over its 2 KiB buffer chunked.
-func (b *bufferedResponse) copyTo(w http.ResponseWriter) {
-	dst := w.Header()
-	for k, vs := range b.header {
-		dst[k] = vs
-	}
-	code := b.code
-	if code == 0 {
-		code = http.StatusOK
-	}
-	if code >= http.StatusOK && code != http.StatusNoContent && code != http.StatusNotModified {
-		dst.Set("Content-Length", strconv.Itoa(len(b.body)))
-	}
-	w.WriteHeader(code)
-	_, _ = w.Write(b.body)
-}
-
-// trackingWriter remembers whether a status line already went out, so
-// the inline (no-deadline) panic path can tell whether a clean JSON
-// 500 is still possible.
+// trackingWriter holds the request's admission slot until the response
+// is first written, so a slot covers computing the answer and not the
+// client reading it, and remembers whether a status line went out, so
+// the panic path can tell whether a clean JSON 500 is still possible.
 type trackingWriter struct {
 	http.ResponseWriter
-	wrote bool
+	limiter *Limiter
+	wrote   bool
 }
 
 func (t *trackingWriter) WriteHeader(code int) {
-	t.wrote = true
+	t.written()
 	t.ResponseWriter.WriteHeader(code)
 }
 
 func (t *trackingWriter) Write(p []byte) (int, error) {
-	t.wrote = true
+	t.written()
 	return t.ResponseWriter.Write(p)
 }
 
-// chaos applies the injected handler cost. The delay deliberately
-// ignores the request context — it emulates a handler stuck on work
-// that does not watch ctx, which is exactly what the deadline layer
-// exists to convert into a clean 503.
-func (g *Guard) chaos() {
-	if g.Delay > 0 {
-		time.Sleep(g.Delay)
-	}
-	if g.Burn > 0 {
-		for start := time.Now(); time.Since(start) < g.Burn; {
-			// spin: emulate CPU-bound handler work
-		}
+// written marks the response started and frees the slot the first time.
+func (t *trackingWriter) written() {
+	if !t.wrote {
+		t.wrote = true
+		t.limiter.Release()
 	}
 }
 
@@ -306,63 +231,29 @@ func (g *Guard) Wrap(h http.Handler, shed *atomic.Int64) http.Handler {
 			WriteJSONError(w, http.StatusTooManyRequests, "server is at capacity; retry later")
 			return
 		}
-		if g.Timeout <= 0 {
-			// Inline path: release on return, isolate panics in place.
-			defer g.Limiter.Release()
-			tw := &trackingWriter{ResponseWriter: w}
-			defer func() {
-				if p := recover(); p != nil {
-					g.recordPanic(p)
-					if !tw.wrote {
-						WriteJSONError(w, http.StatusInternalServerError, "internal server error")
-					}
+		tw := &trackingWriter{ResponseWriter: w, limiter: g.Limiter}
+		defer func() {
+			if p := recover(); p != nil {
+				g.recordPanic(p)
+				if !tw.wrote {
+					WriteJSONError(tw, http.StatusInternalServerError, "internal server error")
 				}
-			}()
-			g.chaos()
-			h.ServeHTTP(tw, r)
+			}
+			tw.written() // a handler that wrote nothing frees its slot on return
+		}()
+		if g.Timeout > 0 && g.Delay >= g.Timeout {
+			// The injected delay would outlive the deadline: it is the
+			// one piece of work the guard owns, so the guard cuts it.
+			time.Sleep(g.Timeout)
+			if g.Metrics != nil {
+				g.Metrics.Timeouts.Add(1)
+			}
+			WriteJSONError(tw, http.StatusServiceUnavailable, "request deadline exceeded")
 			return
 		}
-
-		ctx, cancel := context.WithTimeout(r.Context(), g.Timeout)
-		defer cancel()
-		r = r.WithContext(ctx)
-		bw := getBuffered()
-		done := make(chan struct{})
-		go func() {
-			// The slot is held until the handler truly finishes: a
-			// handler that outlives its deadline occupies one admission
-			// slot, it does not breed unbounded goroutines.
-			defer g.Limiter.Release()
-			defer close(done)
-			defer func() {
-				if p := recover(); p != nil {
-					g.recordPanic(p)
-					bw.overwriteError(http.StatusInternalServerError, "internal server error")
-				}
-			}()
-			g.chaos()
-			h.ServeHTTP(bw, r)
-		}()
-		select {
-		case <-done:
-			bw.copyTo(w)
-			putBuffered(bw)
-		case <-ctx.Done():
-			// Prefer the handler's answer if it finished in the same
-			// instant the deadline fired.
-			select {
-			case <-done:
-				bw.copyTo(w)
-				putBuffered(bw)
-			default:
-				if g.Metrics != nil {
-					g.Metrics.Timeouts.Add(1)
-				}
-				WriteJSONError(w, http.StatusServiceUnavailable, "request deadline exceeded")
-				// bw still belongs to the running handler goroutine; it
-				// is garbage-collected when the handler returns instead
-				// of being recycled.
-			}
+		if g.Delay > 0 {
+			time.Sleep(g.Delay)
 		}
+		h.ServeHTTP(tw, r)
 	})
 }

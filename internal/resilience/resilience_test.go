@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -180,31 +179,35 @@ func TestGuardShed(t *testing.T) {
 	}
 }
 
+// TestGuardDeadline pins what the deadline bounds: the delay the guard
+// injects. A delay past the deadline is cut at it and answered with a
+// JSON 503, and the handler is never entered.
 func TestGuardDeadline(t *testing.T) {
 	var m Metrics
-	g := Guard{Timeout: 30 * time.Millisecond, Metrics: &m}
-	blocked := make(chan struct{})
+	g := Guard{Timeout: 30 * time.Millisecond, Metrics: &m, Delay: time.Hour}
+	var entered atomic.Int64
 	h := g.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Deliberately stuck well past the deadline (released only at
-		// test cleanup) so the timeout path is deterministic.
-		<-blocked
+		entered.Add(1)
 		io.WriteString(w, "too late")
 	}), nil)
-	defer close(blocked)
 
+	start := time.Now()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("503 took %v; the deadline should fire near 30ms", elapsed)
+	}
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("code = %d, want 503", rec.Code)
 	}
 	if msg := decodeError(t, rec.Body.Bytes()); !strings.Contains(msg, "deadline") {
 		t.Fatalf("error = %q, want a deadline message", msg)
 	}
-	if strings.Contains(rec.Body.String(), "too late") {
-		t.Fatal("timed-out handler output leaked into the response")
-	}
 	if m.Timeouts.Load() != 1 {
 		t.Fatalf("Timeouts = %d, want 1", m.Timeouts.Load())
+	}
+	if n := entered.Load(); n != 0 {
+		t.Fatalf("handler entered %d times after its deadline", n)
 	}
 }
 
@@ -220,33 +223,8 @@ func TestGuardDeadlineFastHandler(t *testing.T) {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
 	if rec.Code != http.StatusCreated || rec.Body.String() != "payload" || rec.Header().Get("X-Custom") != "yes" {
-		t.Fatalf("buffered response mangled: code=%d body=%q header=%q",
+		t.Fatalf("response mangled: code=%d body=%q header=%q",
 			rec.Code, rec.Body.String(), rec.Header().Get("X-Custom"))
-	}
-}
-
-// TestGuardBufferPoolIsBounded pins the pool bound: a guarded handler
-// writes a 4 MiB body, which reaches the client whole and framed by its
-// Content-Length, but the buffer it grew is not parked in the pool for
-// the next request to inherit.
-func TestGuardBufferPoolIsBounded(t *testing.T) {
-	// One P: the pool's per-P private slot is then the only place a
-	// Put can land, so draining the pool below sees it.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	big := strings.Repeat("长", (4<<20)/3)
-	g := Guard{Timeout: 5 * time.Second}
-	h := g.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, big)
-	}), nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
-	if rec.Code != http.StatusOK || rec.Body.String() != big || rec.Header().Get("Content-Length") != fmt.Sprint(len(big)) {
-		t.Fatalf("code %d, %d of %d bytes, Content-Length %q", rec.Code, rec.Body.Len(), len(big), rec.Header().Get("Content-Length"))
-	}
-	for i := 0; i < 16; i++ {
-		if b := bufPool.Get().(*bufferedResponse); cap(b.body) > MaxPooledBytes {
-			t.Fatalf("pool kept a %d-byte response buffer after a %d-byte body (bound %d)", cap(b.body), len(big), MaxPooledBytes)
-		}
 	}
 }
 
@@ -256,7 +234,7 @@ func TestGuardPanicIsolation(t *testing.T) {
 	})
 	t.Run("inline path", func(t *testing.T) {
 		var m Metrics
-		g := Guard{Metrics: &m}
+		g := Guard{Limiter: NewLimiter(1, 0), Timeout: 5 * time.Second, Metrics: &m}
 		rec := httptest.NewRecorder()
 		g.Wrap(boom, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
 		if rec.Code != http.StatusInternalServerError {
@@ -266,65 +244,37 @@ func TestGuardPanicIsolation(t *testing.T) {
 		if m.Panics.Load() != 1 {
 			t.Fatalf("Panics = %d, want 1", m.Panics.Load())
 		}
-	})
-	t.Run("deadline path", func(t *testing.T) {
-		var m Metrics
-		g := Guard{Timeout: 5 * time.Second, Metrics: &m}
-		rec := httptest.NewRecorder()
-		g.Wrap(boom, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
-		if rec.Code != http.StatusInternalServerError {
-			t.Fatalf("code = %d, want 500", rec.Code)
+		if n := g.Limiter.InFlight(); n != 0 {
+			t.Fatalf("a panicked request kept %d admission slots", n)
 		}
-		decodeError(t, rec.Body.Bytes())
-		if m.Panics.Load() != 1 {
-			t.Fatalf("Panics = %d, want 1", m.Panics.Load())
-		}
-	})
-	t.Run("panic after partial write on deadline path", func(t *testing.T) {
-		// The buffered writer lets the guard discard the partial output
-		// and still deliver a clean JSON 500.
-		var m Metrics
-		g := Guard{Timeout: 5 * time.Second, Metrics: &m}
-		rec := httptest.NewRecorder()
-		g.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			io.WriteString(w, "partial garbage")
-			panic("mid-write")
-		}), nil).ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
-		if rec.Code != http.StatusInternalServerError {
-			t.Fatalf("code = %d, want 500", rec.Code)
-		}
-		if strings.Contains(rec.Body.String(), "garbage") {
-			t.Fatal("partial handler output leaked past the panic")
-		}
-		decodeError(t, rec.Body.Bytes())
 	})
 }
 
 // TestGuardStuckHandlerHoldsSlot is the goroutine-bound contract: a
-// handler that outlives its deadline keeps its admission slot, so N
+// handler stuck before its first write keeps its admission slot, so N
 // stuck handlers occupy exactly N slots and the (N+1)th request sheds
 // instead of stacking another goroutine on the wedged code path.
 func TestGuardStuckHandlerHoldsSlot(t *testing.T) {
 	var m Metrics
 	g := Guard{Limiter: NewLimiter(2, 0), Timeout: 20 * time.Millisecond, Metrics: &m}
 	release := make(chan struct{})
-	var entered atomic.Int64
+	entered := make(chan struct{}, 2)
 	h := g.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		entered.Add(1)
-		<-release // ignores its deadline: deliberately stuck
+		entered <- struct{}{}
+		<-release // deliberately stuck, past its deadline
 	}), nil)
 
-	// Two requests time out (503) but their handlers stay stuck inside.
+	// Two requests enter their handlers and stay stuck inside.
+	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
-		if rec.Code != http.StatusServiceUnavailable {
-			t.Fatalf("request %d: code = %d, want 503", i, rec.Code)
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/x", nil))
+		}()
 	}
-	if got := entered.Load(); got != 2 {
-		t.Fatalf("handlers entered = %d, want 2", got)
-	}
+	<-entered
+	<-entered
 	// Both slots are held by the stuck handlers — the next request must
 	// shed rather than start a third.
 	rec := httptest.NewRecorder()
@@ -332,24 +282,78 @@ func TestGuardStuckHandlerHoldsSlot(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("code with all slots wedged = %d, want 429", rec.Code)
 	}
-	if got := entered.Load(); got != 2 {
-		t.Fatalf("a request ran past the admission cap: entered = %d", got)
+	if n := len(entered); n != 0 {
+		t.Fatalf("a request ran past the admission cap: %d more entered", n)
 	}
 
 	close(release)
-	// Once the stuck handlers return their slots free up again.
-	deadline := time.Now().Add(5 * time.Second)
-	for g.Limiter.InFlight() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("slots never freed after the stuck handlers returned")
-		}
-		time.Sleep(time.Millisecond)
+	wg.Wait()
+	// Once the stuck handlers return their slots are free again.
+	if n := g.Limiter.InFlight(); n != 0 {
+		t.Fatalf("slots held after the stuck handlers returned: %d", n)
 	}
 	// release is closed, so a fresh request returns immediately → 200.
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
+	<-entered
 	if rec.Code != http.StatusOK {
 		t.Fatalf("code after recovery = %d, want 200", rec.Code)
+	}
+}
+
+// TestGuardReleasesSlotAtFirstWrite pins when a slot frees: at the
+// response's first write, so a slot covers computing the answer and not
+// the client reading it. With one slot, a handler that has written and
+// then blocks must not shed the next request.
+func TestGuardReleasesSlotAtFirstWrite(t *testing.T) {
+	g := Guard{Limiter: NewLimiter(1, 0), Timeout: time.Second}
+	wrote := make(chan struct{})
+	release := make(chan struct{})
+	var calls atomic.Int64
+	h := g.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "ok")
+		if calls.Add(1) == 1 {
+			close(wrote)
+			<-release
+		}
+	}), nil)
+
+	firstDone := make(chan struct{})
+	go func() {
+		defer close(firstDone)
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/x", nil))
+	}()
+	<-wrote
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
+	close(release)
+	<-firstDone
+	if rec.Code != http.StatusOK {
+		t.Fatalf("request behind a written, blocked handler: code %d, want 200", rec.Code)
+	}
+	if n := g.Limiter.InFlight(); n != 0 {
+		t.Fatalf("slots held after both requests returned: %d", n)
+	}
+}
+
+// TestGuardAllocations is the guard's allocation budget with every
+// layer armed: one request makes two allocations, the tracking writer
+// and the handler's string-to-bytes write — no goroutine, context,
+// timer, channel or response buffer.
+func TestGuardAllocations(t *testing.T) {
+	var m Metrics
+	g := Guard{Limiter: NewLimiter(4, time.Millisecond), Timeout: time.Second, Metrics: &m}
+	h := g.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "ok")
+	}), nil)
+	req := httptest.NewRequest("GET", "/x", nil)
+	rec := httptest.NewRecorder()
+	allocs := testing.AllocsPerRun(200, func() {
+		rec.Body.Reset()
+		h.ServeHTTP(rec, req)
+	})
+	if allocs > 2 {
+		t.Fatalf("a guarded request made %v allocations, budget 2", allocs)
 	}
 }
 
@@ -679,8 +683,9 @@ func TestDrainGroup(t *testing.T) {
 	}
 }
 
-// TestGuardConcurrencyRace exercises the full stack (admission +
-// deadline + panic isolation + chaos delay) from many goroutines so
+// TestGuardConcurrencyRace exercises the one path with every layer
+// armed (admission, deadline, chaos delay, panic isolation, slot
+// release at the first write or on return) from many goroutines so
 // the race detector can see any unsynchronized state.
 func TestGuardConcurrencyRace(t *testing.T) {
 	var m Metrics
@@ -697,7 +702,7 @@ func TestGuardConcurrencyRace(t *testing.T) {
 			panic("every seventh request dies")
 		}
 		if n.Load()%5 == 0 {
-			time.Sleep(20 * time.Millisecond) // past the deadline
+			time.Sleep(20 * time.Millisecond) // past the deadline, never cut off
 		}
 		io.WriteString(w, "ok")
 	}), &shed)
@@ -710,8 +715,7 @@ func TestGuardConcurrencyRace(t *testing.T) {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
 			switch rec.Code {
-			case http.StatusOK, http.StatusTooManyRequests,
-				http.StatusServiceUnavailable, http.StatusInternalServerError:
+			case http.StatusOK, http.StatusTooManyRequests, http.StatusInternalServerError:
 			default:
 				t.Errorf("unexpected code %d", rec.Code)
 			}
