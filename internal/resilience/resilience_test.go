@@ -234,6 +234,21 @@ func TestGuardPanicIsolation(t *testing.T) {
 	})
 	t.Run("inline path", func(t *testing.T) {
 		var m Metrics
+		g := Guard{Metrics: &m}
+		rec := httptest.NewRecorder()
+		g.Wrap(boom, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("code = %d, want 500", rec.Code)
+		}
+		decodeError(t, rec.Body.Bytes())
+		if m.Panics.Load() != 1 {
+			t.Fatalf("Panics = %d, want 1", m.Panics.Load())
+		}
+	})
+	t.Run("deadline path", func(t *testing.T) {
+		// A deadline and a limiter armed change nothing: the panic is
+		// recovered on the same path and the slot is given back.
+		var m Metrics
 		g := Guard{Limiter: NewLimiter(1, 0), Timeout: 5 * time.Second, Metrics: &m}
 		rec := httptest.NewRecorder()
 		g.Wrap(boom, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
