@@ -3,6 +3,9 @@
 // title, an optional disambiguation bracket, an abstract, infobox SPO
 // triples and tags (paper, Figure 1). Dumps are read and written as
 // JSON Lines, one page per line.
+// WriteJSONL encodes with encoding/json; ReadJSONL decodes the lines it
+// writes with a one-pass scanner and any other line with encoding/json,
+// to the same corpus, sharing strings that repeat across pages.
 package encyclopedia
 
 import (
@@ -121,29 +124,4 @@ func (c *Corpus) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadJSONL reads a corpus written by WriteJSONL. Blank lines are
-// skipped; a malformed line aborts with an error naming the line.
-func ReadJSONL(r io.Reader) (*Corpus, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	var c Corpus
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var p Page
-		if err := json.Unmarshal([]byte(text), &p); err != nil {
-			return nil, fmt.Errorf("encyclopedia: line %d: %w", line, err)
-		}
-		c.Pages = append(c.Pages, p)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("encyclopedia: scan: %w", err)
-	}
-	return &c, nil
 }

@@ -1,7 +1,9 @@
 package encyclopedia
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -120,5 +122,19 @@ func TestReadJSONLReportsBadLine(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("error should name the line: %v", err)
+	}
+}
+
+func TestReadJSONLNamesOverlongLine(t *testing.T) {
+	in := `{"title":"甲"}` + "\n" + strings.Repeat("a", 4<<20+1) + "\n"
+	_, err := ReadJSONL(strings.NewReader(in))
+	if err == nil {
+		t.Fatal("ReadJSONL accepted a line over 4 MiB")
+	}
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("error does not wrap bufio.ErrTooLong: %v", err)
+	}
+	if !strings.Contains(err.Error(), "line 2: longer than 4 MiB") {
+		t.Errorf("error should name the line and the cap: %v", err)
 	}
 }

@@ -154,11 +154,10 @@ func TestOpenMappedDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestMappedQueryAllocations pins the mapped hot path: with the hash
-// maps and the mention trie replaced by binary search over the mapped
-// arrays, queries still allocate nothing — except Hypernyms and
-// Hyponyms, which build their name list per call and allocate exactly
-// that list.
+// TestMappedQueryAllocations pins the mapped hot path: queries answered
+// by binary search over the mapped arrays allocate nothing — except
+// Hypernyms and Hyponyms, which build their name list per call and
+// allocate exactly that list.
 func TestMappedQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under -race")
