@@ -17,6 +17,18 @@
 // the orchestration probes /healthz (liveness) and /readyz
 // (readiness).
 //
+// The seven query routes are one table (newEndpoints). A row declares
+// its stats name, whether it is a POST (which also sets its deadline
+// class), the endpoint its batch items count toward, and a handler: a
+// plain function of the view, the request's pooled scratch and the
+// request. One wrapper, serve, does the rest for every row: it counts
+// and times the request, 400s included; reads a POST body; loads the
+// served view once and hands it to the handler; writes the answer; and
+// keeps that view reachable until the response is written. A handler
+// has no Server to load another view from, so no handler can forget the
+// pin. The counters and latency histograms behind /api/stats, the
+// per-route shed counts and the mux are loops over the same table.
+//
 // Handlers never touch the mutable build store: every request is
 // served from an immutable serving.View held in an atomic pointer —
 // zero locks, near-zero allocation per query — and SwapView atomically
@@ -43,11 +55,11 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -117,26 +129,12 @@ type Server struct {
 	limiter *resilience.Limiter
 	metrics resilience.Metrics
 	health  resilience.Health
-	shed    map[string]*atomic.Int64 // per-endpoint load-shed counters, keyed like the latency map
+	// endpoints is the query plane's route table, each row holding its
+	// route's counters.
+	endpoints []*endpoint
 	// ingester is the ingest plane publishing to this server, if any;
 	// /api/stats reports its state.
 	ingester atomic.Pointer[Ingester]
-
-	men2entCalls           atomic.Int64
-	men2entBatchCalls      atomic.Int64
-	getConceptCalls        atomic.Int64
-	getEntityCalls         atomic.Int64
-	conceptualizeCalls     atomic.Int64
-	conceptualizeBatchCall atomic.Int64
-	qaCalls                atomic.Int64
-
-	men2entLat            histogram
-	men2entBatchLat       histogram
-	getConceptLat         histogram
-	getEntityLat          histogram
-	conceptualizeLat      histogram
-	conceptualizeBatchLat histogram
-	qaLat                 histogram
 }
 
 // NewViewServer builds a Server over a serving view — compiled from a
@@ -151,15 +149,8 @@ func NewViewServer(v *serving.View) *Server {
 // configuration (admission cap, deadlines, chaos delay). The server
 // starts ready: by construction its serving view is loaded.
 func NewViewServerConfig(v *serving.View, rc ResilienceConfig) *Server {
-	s := &Server{rc: rc}
+	s := &Server{rc: rc, limiter: resilience.NewLimiter(rc.MaxInFlight, rc.AdmitWait), endpoints: newEndpoints()}
 	s.view.Store(v)
-	s.limiter = resilience.NewLimiter(rc.MaxInFlight, rc.AdmitWait)
-	s.shed = make(map[string]*atomic.Int64)
-	for path := range s.routes() {
-		if admitted(path) {
-			s.shed[endpointName(path)] = new(atomic.Int64)
-		}
-	}
 	s.health.SetReady(true)
 	return s
 }
@@ -168,30 +159,6 @@ func NewViewServerConfig(v *serving.View, rc ResilienceConfig) *Server {
 // serving process can flip readiness off when it starts draining and
 // the ingest plane can mark itself wedged after an isolated panic.
 func (s *Server) Health() *resilience.Health { return &s.health }
-
-// admitted reports whether a route sits behind admission control.
-// Stats and the health probes are exempt: observability and
-// orchestration must keep answering precisely when the server sheds.
-func admitted(path string) bool {
-	switch path {
-	case "/api/stats", "/healthz", "/readyz":
-		return false
-	}
-	return true
-}
-
-// lookupClass reports whether a route is a cheap GET lookup (the
-// LookupTimeout class) rather than a heavy POST (BatchTimeout class).
-func lookupClass(path string) bool {
-	switch path {
-	case "/api/men2ent", "/api/getConcept", "/api/getEntity":
-		return true
-	}
-	return false
-}
-
-// endpointName is the short stats/latency key of a route.
-func endpointName(path string) string { return strings.TrimPrefix(path, "/api/") }
 
 // SwapView atomically replaces the serving view and returns the
 // previous one. In-flight requests finish on the view they started
@@ -203,27 +170,114 @@ func (s *Server) SwapView(v *serving.View) *serving.View {
 // View returns the view currently being served.
 func (s *Server) View() *serving.View { return s.view.Load() }
 
-// A mapped view's answers are strings inside the mapping, which a
-// finalizer releases once the view is unreachable — and after a
-// SwapView nothing but the request holds it. So every handler loads the
-// view once and ends in runtime.KeepAlive on it, after the response is
-// encoded.
+// A queryHandler answers one query request from v: it reads its
+// arguments from r's URL or from the POST body serve has read into sc,
+// appends the JSON answer to sc.out, and returns how many items a batch
+// carried. A badRequest error is the request's 400; errUnencodable is a
+// 200 with no body. It gets no Server, so v is the only view it can
+// read.
+type queryHandler func(v *serving.View, sc *scratch, r *http.Request) (items int, err error)
 
-// routes is the full endpoint table — the single source the mux is
-// built from, and the surface docs/API.md is contract-tested against.
-func (s *Server) routes() map[string]http.HandlerFunc {
-	return map[string]http.HandlerFunc{
-		"/api/men2ent":            s.handleMen2Ent,
-		"/api/men2entBatch":       s.handleMen2EntBatch,
-		"/api/getConcept":         s.handleGetConcept,
-		"/api/getEntity":          s.handleGetEntity,
-		"/api/conceptualize":      s.handleConceptualize,
-		"/api/conceptualizeBatch": s.handleConceptualizeBatch,
-		"/api/qa":                 s.handleQA,
-		"/api/stats":              s.handleStats,
-		"/healthz":                s.health.ServeLiveness,
-		"/readyz":                 s.health.ServeReadiness,
+// endpoint is one row of the query plane's route table: what the route
+// declares, and the route's counters.
+type endpoint struct {
+	lat   histogram
+	calls atomic.Int64
+	shed  atomic.Int64 // requests admission control refused
+	// name is the stats key; the route is /api/<name>.
+	name   string
+	handle queryHandler
+	// stat picks the route's column of Stats.
+	stat func(*Stats) *int64
+	// items, when set, is the endpoint each item of a batch counts as
+	// one call of.
+	items *endpoint
+	// post marks a POST route, which reads a JSON body, answers any
+	// other method with 405, and has the BatchTimeout deadline; a GET
+	// route has LookupTimeout. Every row is behind admission control:
+	// only /api/stats and the probes, which are not rows, bypass it.
+	post bool
+}
+
+func (e *endpoint) path() string { return "/api/" + e.name }
+
+// newEndpoints is the route table of the query plane.
+func newEndpoints() []*endpoint {
+	men2ent := &endpoint{name: "men2ent", handle: handleMen2Ent,
+		stat: func(c *Stats) *int64 { return &c.Men2Ent }}
+	conceptualizeText := &endpoint{name: "conceptualize", post: true, handle: handleConceptualize,
+		stat: func(c *Stats) *int64 { return &c.Conceptualize }}
+	return []*endpoint{
+		men2ent,
+		{name: "men2entBatch", post: true, items: men2ent, handle: handleMen2EntBatch,
+			stat: func(c *Stats) *int64 { return &c.Men2EntBatch }},
+		{name: "getConcept", handle: handleGetConcept,
+			stat: func(c *Stats) *int64 { return &c.GetConcept }},
+		{name: "getEntity", handle: handleGetEntity,
+			stat: func(c *Stats) *int64 { return &c.GetEntity }},
+		conceptualizeText,
+		{name: "conceptualizeBatch", post: true, items: conceptualizeText, handle: handleConceptualizeBatch,
+			stat: func(c *Stats) *int64 { return &c.ConceptualizeBatch }},
+		{name: "qa", post: true, handle: handleQA,
+			stat: func(c *Stats) *int64 { return &c.QA }},
 	}
+}
+
+// serve is the one path of every query request. It counts and times
+// the request, a 400 included; answers 405 to anything but a POST on a
+// POST route and reads a POST body into the scratch; loads the served
+// view once and runs the route's handler on it; and writes the answer.
+// The view stays reachable until the response is written: a mapped
+// view's answers are strings inside the mapping, which a finalizer
+// releases once the view is unreachable, and after a SwapView nothing
+// but this request holds it.
+func (s *Server) serve(e *endpoint, w http.ResponseWriter, r *http.Request) {
+	defer e.lat.since(time.Now())
+	e.calls.Add(1)
+	sc := getScratch()
+	if e.post {
+		if !requirePost(w, r) {
+			return
+		}
+		sc.readBody(w, r)
+	}
+	v := s.view.Load()
+	items, err := e.handle(v, sc, r)
+	if err != nil && err != errUnencodable {
+		writeError(w, http.StatusBadRequest, err.Error()) // drops sc
+		return
+	}
+	if e.items != nil {
+		e.items.calls.Add(int64(items))
+	}
+	jsonHeader(w)
+	sc.respond(w, err == nil)
+	runtime.KeepAlive(v)
+}
+
+// badRequest is a query handler's 400; its text is the error message.
+type badRequest string
+
+func (e badRequest) Error() string { return string(e) }
+
+// errUnencodable reports an answer holding a NaN or infinite score,
+// which gets a 200 with no body, as Encoder.Encode's error left it.
+var errUnencodable = errors.New("api: answer holds a non-finite score")
+
+// routes is the full endpoint table — the query routes, each served by
+// serve without the resilience stack, plus /api/stats and the probes —
+// the single source the mux is built from, and the surface docs/API.md
+// is contract-tested against.
+func (s *Server) routes() map[string]http.HandlerFunc {
+	m := map[string]http.HandlerFunc{
+		"/api/stats": s.handleStats,
+		"/healthz":   s.health.ServeLiveness,
+		"/readyz":    s.health.ServeReadiness,
+	}
+	for _, e := range s.endpoints {
+		m[e.path()] = func(w http.ResponseWriter, r *http.Request) { s.serve(e, w, r) }
+	}
+	return m
 }
 
 // Handler returns the HTTP mux with all endpoints registered, each
@@ -232,23 +286,19 @@ func (s *Server) routes() map[string]http.HandlerFunc {
 // stats and the health probes get panic isolation only (they must
 // answer while the rest of the plane sheds).
 func (s *Server) Handler() http.Handler {
-	base := resilience.Guard{
-		Limiter: s.limiter,
-		Metrics: &s.metrics,
-		Delay:   s.rc.HandlerDelay,
-	}
 	mux := http.NewServeMux()
-	for path, h := range s.routes() {
-		g := base
-		switch {
-		case !admitted(path):
-			g = resilience.Guard{Metrics: &s.metrics} // recover-only
-		case lookupClass(path):
-			g.Timeout = s.rc.LookupTimeout
-		default:
+	routes := s.routes()
+	for _, e := range s.endpoints {
+		g := resilience.Guard{Limiter: s.limiter, Metrics: &s.metrics, Delay: s.rc.HandlerDelay, Timeout: s.rc.LookupTimeout}
+		if e.post {
 			g.Timeout = s.rc.BatchTimeout
 		}
-		mux.Handle(path, g.Wrap(h, s.shed[endpointName(path)]))
+		mux.Handle(e.path(), g.Wrap(routes[e.path()], &e.shed))
+		delete(routes, e.path())
+	}
+	for path, h := range routes {
+		g := resilience.Guard{Metrics: &s.metrics} // recover-only
+		mux.Handle(path, g.Wrap(h, nil))
 	}
 	return mux
 }
@@ -260,39 +310,26 @@ type Men2EntResponse struct {
 	Entities []string `json:"entities"`
 }
 
-func (s *Server) handleMen2Ent(w http.ResponseWriter, r *http.Request) {
-	defer s.men2entLat.since(time.Now())
-	s.men2entCalls.Add(1)
+func handleMen2Ent(v *serving.View, sc *scratch, r *http.Request) (int, error) {
 	mention := queryValue(r.URL.RawQuery, "mention")
 	if mention == "" {
-		writeError(w, http.StatusBadRequest, "missing ?mention=")
-		return
+		return 0, badRequest("missing ?mention=")
 	}
-	v := s.View()
-	entities := v.Lookup(mention)
-	jsonHeader(w)
-	sc := getScratch()
-	sc.out = appendMen2Ent(sc.out, mention, entities)
-	sc.respond(w, true)
-	runtime.KeepAlive(v)
+	sc.out = appendMen2Ent(sc.out, mention, v.Lookup(mention))
+	return 0, nil
 }
 
-func (s *Server) handleMen2EntBatch(w http.ResponseWriter, r *http.Request) {
-	defer s.men2entBatchLat.since(time.Now())
-	s.men2entBatchCalls.Add(1)
-	sc := getScratch()
-	batch, ok := sc.postStrings(w, r)
-	if !ok {
-		return
+// handleMen2EntBatch resolves every mention against the one view serve
+// loaded, so a concurrent SwapView can never split a batch across
+// taxonomy versions.
+func handleMen2EntBatch(v *serving.View, sc *scratch, _ *http.Request) (int, error) {
+	batch, err := sc.postStrings()
+	if err != nil {
+		return 0, err
 	}
 	if len(batch) > MaxBatchMentions {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d mentions exceeds the limit of %d", len(batch), MaxBatchMentions))
-		return
+		return 0, badRequest(fmt.Sprintf("batch of %d mentions exceeds the limit of %d", len(batch), MaxBatchMentions))
 	}
-	s.men2entCalls.Add(int64(len(batch))) // each mention counts as one men2ent resolution
-	v := s.View()                         // one consistent view for the whole batch
-	jsonHeader(w)
 	sc.out = append(sc.out, '[')
 	for i, m := range batch {
 		if i > 0 {
@@ -301,8 +338,7 @@ func (s *Server) handleMen2EntBatch(w http.ResponseWriter, r *http.Request) {
 		sc.out = appendMen2Ent(sc.out, m, v.Lookup(m))
 	}
 	sc.out = append(sc.out, ']')
-	sc.respond(w, true)
-	runtime.KeepAlive(v)
+	return len(batch), nil
 }
 
 // ConceptResponse is the payload of /api/getConcept. Ranked is filled
@@ -314,22 +350,15 @@ type ConceptResponse struct {
 	Ranked    []taxonomy.Scored `json:"ranked,omitempty"`
 }
 
-func (s *Server) handleGetConcept(w http.ResponseWriter, r *http.Request) {
-	defer s.getConceptLat.since(time.Now())
-	s.getConceptCalls.Add(1)
+func handleGetConcept(v *serving.View, sc *scratch, r *http.Request) (int, error) {
 	entity := queryValue(r.URL.RawQuery, "entity")
 	if entity == "" {
-		writeError(w, http.StatusBadRequest, "missing ?entity=")
-		return
+		return 0, badRequest("missing ?entity=")
 	}
-	v := s.View()
 	id, hypernyms := hypernymIDs(v, entity)
 	ranked := queryValue(r.URL.RawQuery, "ranked") == "1"
-	jsonHeader(w)
-	sc := getScratch()
 	sc.out = appendConcept(sc.out, v, entity, id, hypernyms, ranked)
-	sc.respond(w, true)
-	runtime.KeepAlive(v)
+	return 0, nil
 }
 
 // EntityResponse is the payload of /api/getEntity.
@@ -338,30 +367,21 @@ type EntityResponse struct {
 	Hyponyms []string `json:"hyponyms"`
 }
 
-func (s *Server) handleGetEntity(w http.ResponseWriter, r *http.Request) {
-	defer s.getEntityLat.since(time.Now())
-	s.getEntityCalls.Add(1)
+func handleGetEntity(v *serving.View, sc *scratch, r *http.Request) (int, error) {
 	concept := queryValue(r.URL.RawQuery, "concept")
 	if concept == "" {
-		writeError(w, http.StatusBadRequest, "missing ?concept=")
-		return
+		return 0, badRequest("missing ?concept=")
 	}
 	limit := 0
 	if arg := queryValue(r.URL.RawQuery, "limit"); arg != "" {
 		n, err := strconv.Atoi(arg)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad ?limit=")
-			return
+			return 0, badRequest("bad ?limit=")
 		}
 		limit = n
 	}
-	v := s.View()
-	hyponyms := hyponymIDs(v, concept, limit)
-	jsonHeader(w)
-	sc := getScratch()
-	sc.out = appendEntity(sc.out, v, concept, hyponyms)
-	sc.respond(w, true)
-	runtime.KeepAlive(v)
+	sc.out = appendEntity(sc.out, v, concept, hyponymIDs(v, concept, limit))
+	return 0, nil
 }
 
 // hypernymIDs resolves entity in v once, to its ID and its hypernyms'
@@ -410,15 +430,11 @@ type Stats struct {
 
 // Counters returns a snapshot of the per-API call counts.
 func (s *Server) Counters() Stats {
-	return Stats{
-		Men2Ent:            s.men2entCalls.Load(),
-		GetConcept:         s.getConceptCalls.Load(),
-		GetEntity:          s.getEntityCalls.Load(),
-		Men2EntBatch:       s.men2entBatchCalls.Load(),
-		Conceptualize:      s.conceptualizeCalls.Load(),
-		ConceptualizeBatch: s.conceptualizeBatchCall.Load(),
-		QA:                 s.qaCalls.Load(),
+	var st Stats
+	for _, e := range s.endpoints {
+		*e.stat(&st) = e.calls.Load()
 	}
+	return st
 }
 
 // ResilienceStats reports the overload stack: the admission slots held
@@ -443,17 +459,15 @@ func (s *Server) ResilienceReport() *ResilienceStats {
 		Panics:   s.metrics.Panics.Load(),
 		Timeouts: s.metrics.Timeouts.Load(),
 	}
-	var total int64
-	for name, c := range s.shed {
-		if n := c.Load(); n > 0 {
+	for _, e := range s.endpoints {
+		if n := e.shed.Load(); n > 0 {
 			if rs.Shed == nil {
 				rs.Shed = make(map[string]int64)
 			}
-			rs.Shed[name] = n
-			total += n
+			rs.Shed[e.name] = n
 		}
 	}
-	if rs.InFlight == 0 && rs.Panics == 0 && rs.Timeouts == 0 && total == 0 {
+	if rs.InFlight == 0 && rs.Panics == 0 && rs.Timeouts == 0 && rs.Shed == nil {
 		return nil
 	}
 	return rs

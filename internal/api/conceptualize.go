@@ -3,20 +3,18 @@ package api
 import (
 	"fmt"
 	"net/http"
-	"runtime"
-	"time"
 
 	"cnprobase/internal/conceptualize"
 	"cnprobase/internal/qa"
+	"cnprobase/internal/serving"
 	"cnprobase/internal/taxonomy"
 )
 
 // The application endpoints: conceptualization and question
-// understanding, served — like every other handler — from the
-// immutable view in the atomic pointer, never the build store. A batch
-// resolves every text against the one view loaded at its start, so a
-// concurrent SwapView can never split a batch across taxonomy
-// versions.
+// understanding, served — like every other handler — from the view
+// serve hands them, never the build store. A batch resolves every text
+// against that one view, so a concurrent SwapView can never split a
+// batch across taxonomy versions.
 
 // ConceptualizeRequest is the body of /api/conceptualize.
 type ConceptualizeRequest struct {
@@ -34,42 +32,31 @@ type ConceptualizeResponse struct {
 	Concepts []taxonomy.Scored `json:"concepts"`
 }
 
-func (s *Server) handleConceptualize(w http.ResponseWriter, r *http.Request) {
-	defer s.conceptualizeLat.since(time.Now())
-	s.conceptualizeCalls.Add(1)
-	sc := getScratch()
-	text, ok := postField[ConceptualizeRequest](sc, w, r)
-	if !ok {
-		return
+func handleConceptualize(v *serving.View, sc *scratch, _ *http.Request) (int, error) {
+	text, err := postField[ConceptualizeRequest](sc)
+	if err != nil {
+		return 0, err
 	}
-	v := s.View()
 	var res conceptualize.Result
 	conceptualize.NewView(v).ConceptualizeInto(&res, text)
-	jsonHeader(w)
-	sc.out, ok = appendConceptualize(sc.out, text, &res)
-	sc.respond(w, ok)
-	runtime.KeepAlive(v)
+	var ok bool
+	if sc.out, ok = appendConceptualize(sc.out, text, &res); !ok {
+		return 0, errUnencodable
+	}
+	return 0, nil
 }
 
 // handleConceptualizeBatch encodes each text's answer as soon as the
 // engine has filled the one Result the batch recycles.
-func (s *Server) handleConceptualizeBatch(w http.ResponseWriter, r *http.Request) {
-	defer s.conceptualizeBatchLat.since(time.Now())
-	s.conceptualizeBatchCall.Add(1)
-	sc := getScratch()
-	batch, ok := sc.postStrings(w, r)
-	if !ok {
-		return
+func handleConceptualizeBatch(v *serving.View, sc *scratch, _ *http.Request) (int, error) {
+	batch, err := sc.postStrings()
+	if err != nil {
+		return 0, err
 	}
 	if len(batch) > MaxBatchTexts {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d texts exceeds the limit of %d", len(batch), MaxBatchTexts))
-		return
+		return 0, badRequest(fmt.Sprintf("batch of %d texts exceeds the limit of %d", len(batch), MaxBatchTexts))
 	}
-	s.conceptualizeCalls.Add(int64(len(batch))) // each text counts as one conceptualization
-	v := s.View()                               // one consistent view for the whole batch
 	e := conceptualize.NewView(v)
-	jsonHeader(w)
 	var res conceptualize.Result
 	sc.out = append(sc.out, '[')
 	for i, text := range batch {
@@ -77,13 +64,13 @@ func (s *Server) handleConceptualizeBatch(w http.ResponseWriter, r *http.Request
 			sc.out = append(sc.out, ',')
 		}
 		e.ConceptualizeInto(&res, text)
+		var ok bool
 		if sc.out, ok = appendConceptualize(sc.out, text, &res); !ok {
-			break
+			return len(batch), errUnencodable
 		}
 	}
 	sc.out = append(sc.out, ']')
-	sc.respond(w, ok)
-	runtime.KeepAlive(v)
+	return len(batch), nil
 }
 
 // QARequest is the body of /api/qa.
@@ -103,18 +90,12 @@ type QAResponse struct {
 	Concepts []string `json:"concepts,omitempty"`
 }
 
-func (s *Server) handleQA(w http.ResponseWriter, r *http.Request) {
-	defer s.qaLat.since(time.Now())
-	s.qaCalls.Add(1)
-	sc := getScratch()
-	question, ok := postField[QARequest](sc, w, r)
-	if !ok {
-		return
+func handleQA(v *serving.View, sc *scratch, _ *http.Request) (int, error) {
+	question, err := postField[QARequest](sc)
+	if err != nil {
+		return 0, err
 	}
-	v := s.View()
 	u := qa.Understand(question, v)
-	jsonHeader(w)
 	sc.out = appendQA(sc.out, question, &u)
-	sc.respond(w, true)
-	runtime.KeepAlive(v)
+	return 0, nil
 }

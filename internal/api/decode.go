@@ -29,15 +29,15 @@ func requirePost(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // readBody reads the request body into sc.body under the MaxBatchBytes
-// cap and returns it as one string: every string the scanner decodes is
-// a substring of it, so a request costs one string however many it
-// carries. err is what cut the read short, if anything.
+// cap and keeps it as one string, sc.in: every string the scanner
+// decodes is a substring of it, so a request costs one string however
+// many it carries. sc.inErr is what cut the read short, if anything.
 //
 // The buffer grows only as bytes arrive, as io.ReadAll's does, never to
 // a Content-Length the client declares. The loop calls Read itself
 // rather than handing the reader to bytes.Buffer.ReadFrom so that the
 // MaxBytesReader stays on the stack.
-func (sc *scratch) readBody(w http.ResponseWriter, r *http.Request) (string, error) {
+func (sc *scratch) readBody(w http.ResponseWriter, r *http.Request) {
 	src := http.MaxBytesReader(w, r.Body, MaxBatchBytes)
 	b := sc.body[:0]
 	var err error
@@ -53,24 +53,19 @@ func (sc *scratch) readBody(w http.ResponseWriter, r *http.Request) (string, err
 	if err == io.EOF {
 		err = nil
 	}
-	return string(b), err
+	sc.in, sc.inErr = string(b), err
 }
 
-// postStrings decodes a POST body that must be a JSON string array,
-// answering 405 or 400 itself when it cannot.
-func (sc *scratch) postStrings(w http.ResponseWriter, r *http.Request) ([]string, bool) {
-	if !requirePost(w, r) {
-		return nil, false
-	}
-	body, err := sc.readBody(w, r)
-	if err == nil {
+// postStrings decodes a POST body that must be a JSON string array.
+func (sc *scratch) postStrings() ([]string, error) {
+	if sc.inErr == nil {
 		var ok bool
 		// Kept even when the scan gives up, so respond clears what it got.
-		if sc.strs, ok = scanStrings(sc.strs[:0], body); ok {
-			return sc.strs, true
+		if sc.strs, ok = scanStrings(sc.strs[:0], sc.in); ok {
+			return sc.strs, nil
 		}
 	}
-	return decodeBody[[]string](w, body, err)
+	return decodeBody[[]string](sc.in, sc.inErr)
 }
 
 // A fieldRequest is an object-shaped request body: field names the one
@@ -83,39 +78,34 @@ func (q ConceptualizeRequest) field() (string, string) { return "text", q.Text }
 func (q QARequest) field() (string, string)            { return "question", q.Question }
 
 // postField decodes a POST body that must be a T and returns its one
-// field, answering 405 or 400 itself when it cannot.
-func postField[T fieldRequest](sc *scratch, w http.ResponseWriter, r *http.Request) (string, bool) {
-	if !requirePost(w, r) {
-		return "", false
-	}
-	body, err := sc.readBody(w, r)
+// field.
+func postField[T fieldRequest](sc *scratch) (string, error) {
 	var req T
 	key, _ := req.field()
-	if err == nil {
-		if s, ok := scanField(body, key); ok {
-			return s, true
+	if sc.inErr == nil {
+		if s, ok := scanField(sc.in, key); ok {
+			return s, nil
 		}
 	}
-	req, ok := decodeBody[T](w, body, err)
+	req, err := decodeBody[T](sc.in, sc.inErr)
 	_, s := req.field()
-	return s, ok
+	return s, err
 }
 
 // decodeBody is the scanner's fallback: encoding/json decodes body,
 // followed by readErr when the read was cut short, so an oversized or
 // broken body fails exactly where a decoder streaming from the
-// connection would. A decode error answers the JSON 400.
-func decodeBody[T any](w http.ResponseWriter, body string, readErr error) (T, bool) {
+// connection would. A decode error is the request's 400.
+func decodeBody[T any](body string, readErr error) (T, error) {
 	var v T
 	var in io.Reader = strings.NewReader(body)
 	if readErr != nil {
 		in = io.MultiReader(in, errReader{readErr})
 	}
 	if err := json.NewDecoder(in).Decode(&v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON body: "+err.Error())
-		return v, false
+		return v, badRequest("bad JSON body: " + err.Error())
 	}
-	return v, true
+	return v, nil
 }
 
 type errReader struct{ err error }

@@ -27,17 +27,20 @@ import (
 // append into it.
 var jsonContentType = []string{"application/json; charset=utf-8"}
 
-// jsonHeader marks the response as JSON. The query handlers call it
-// after reading their answer out of the view and before encoding a byte
-// of it.
+// jsonHeader marks the response as JSON; serve calls it once the
+// handler has encoded its answer.
 func jsonHeader(w http.ResponseWriter) { w.Header()["Content-Type"] = jsonContentType }
 
 // scratch is a request's pooled working memory: the POST body as read,
-// the strings decoded from it, and the encoded response.
+// as bytes and as the one string (in) the decoded strings alias, with
+// the error that cut the read short (inErr); the strings decoded from
+// it; and the encoded response.
 type scratch struct {
-	body []byte
-	strs []string
-	out  []byte
+	body  []byte
+	strs  []string
+	out   []byte
+	in    string
+	inErr error
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -61,7 +64,7 @@ const chunkingBuffer = 2048
 // respond writes sc.out, ended by the newline Encoder.Encode writes, as
 // the whole body and recycles sc. ok false — an answer holding a NaN or
 // infinite score — sends no body, as Encode's error left the response.
-// A handler that answers an error instead drops its scratch.
+// A request answered with an error instead drops its scratch.
 func (sc *scratch) respond(w http.ResponseWriter, ok bool) {
 	if ok {
 		sc.out = append(sc.out, '\n')
@@ -71,7 +74,7 @@ func (sc *scratch) respond(w http.ResponseWriter, ok bool) {
 		_, _ = w.Write(sc.out) // fails only on connection loss; nothing actionable remains
 	}
 	clear(sc.strs) // they alias the request body
-	sc.strs = sc.strs[:0]
+	sc.strs, sc.in, sc.inErr = sc.strs[:0], "", nil
 	if cap(sc.body) <= resilience.MaxPooledBytes && cap(sc.out) <= resilience.MaxPooledBytes && cap(sc.strs) <= maxPooledStrings {
 		scratchPool.Put(sc)
 	}

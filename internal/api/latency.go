@@ -71,30 +71,18 @@ type EndpointLatency struct {
 // no requests are omitted.
 func (s *Server) LatencyReport() []EndpointLatency {
 	var out []EndpointLatency
-	for name, h := range s.latency() {
-		n := h.count()
+	for _, e := range s.endpoints {
+		n := e.lat.count()
 		if n == 0 {
 			continue
 		}
 		out = append(out, EndpointLatency{
-			Endpoint: name,
+			Endpoint: e.name,
 			Count:    n,
-			P50Ms:    float64(h.quantile(0.50)) / float64(time.Millisecond),
-			P99Ms:    float64(h.quantile(0.99)) / float64(time.Millisecond),
+			P50Ms:    float64(e.lat.quantile(0.50)) / float64(time.Millisecond),
+			P99Ms:    float64(e.lat.quantile(0.99)) / float64(time.Millisecond),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Endpoint < out[j].Endpoint })
 	return out
-}
-
-func (s *Server) latency() map[string]*histogram {
-	return map[string]*histogram{
-		"men2ent":            &s.men2entLat,
-		"men2entBatch":       &s.men2entBatchLat,
-		"getConcept":         &s.getConceptLat,
-		"getEntity":          &s.getEntityLat,
-		"conceptualize":      &s.conceptualizeLat,
-		"conceptualizeBatch": &s.conceptualizeBatchLat,
-		"qa":                 &s.qaLat,
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,24 +15,6 @@ import (
 	"cnprobase/internal/serving"
 	"cnprobase/internal/snapshot"
 )
-
-// gapWriter runs gap once, at the first Header call: jsonHeader makes it
-// after the handler has read its answer out of the view (a batch
-// handler: after loading the view it reads every item from) and before
-// it encodes a byte of it.
-type gapWriter struct {
-	*httptest.ResponseRecorder
-	gap func()
-}
-
-func (w *gapWriter) Header() http.Header {
-	if w.gap != nil {
-		gap := w.gap
-		w.gap = nil
-		gap()
-	}
-	return w.ResponseRecorder.Header()
-}
 
 // collectTwice returns once two full finalizer rounds have run: each
 // round drops a sentinel and collects until its finalizer has fired.
@@ -56,66 +39,57 @@ func collectTwice() {
 
 // TestHandlersPinMappedView is the use-after-unmap regression: a hot
 // swap plus a collection between a handler's lookup and its encoding
-// must not release the mapping the answer's strings live in. Every
-// query handler serves one request from a mapped snapshot that is
-// swapped away and collected inside that gap; an unpinned view is
-// unmapped there and encoding its strings faults.
+// must not release the mapping the answer's strings live in. serve
+// pins the view it hands a handler, so the test runs serve over a row
+// whose handler opens that gap itself — men2ent's lookup, then the swap
+// and two finalizer rounds, then men2ent's encoding — on a mapped
+// snapshot the server holds the only reference to. An unpinned view is
+// unmapped in the gap and encoding its strings faults.
 func TestHandlersPinMappedView(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "base.snap")
 	if err := os.WriteFile(path, baseSnapshot(t), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	openMapped := func() *serving.View {
-		v, _, err := snapshot.OpenMapped(path)
-		if err != nil {
-			t.Fatalf("OpenMapped: %v", err)
-		}
-		return v
-	}
 	res, _ := loadResult(t, baseSnapshot(t))
 	heap := res.Freeze()
-	concept := ""
+	var mention string
 	for _, n := range heap.Nodes() {
-		if len(heap.Hyponyms(n, 0)) >= 5 {
-			concept = n
+		if len(heap.Lookup(n)) > 0 {
+			mention = n
 			break
 		}
 	}
-	entity := heap.Hyponyms(concept, 1)[0]
-	requests := []struct{ path, query, body string }{
-		{"/api/men2ent", "?mention=" + entity, ""},
-		{"/api/men2entBatch", "", `["` + entity + `","` + concept + `"]`},
-		{"/api/getConcept", "?ranked=1&entity=" + entity, ""},
-		{"/api/getEntity", "?concept=" + concept, ""},
-		{"/api/conceptualize", "", `{"text":"` + entity + `和` + concept + `"}`},
-		{"/api/conceptualizeBatch", "", `["` + entity + `","` + concept + entity + `"]`},
-		{"/api/qa", "", `{"question":"` + entity + `是哪个` + concept + `"}`},
+	request := func() *http.Request {
+		return httptest.NewRequest(http.MethodGet, "/api/men2ent?mention="+url.QueryEscape(mention), nil)
 	}
 	s := NewViewServer(heap)
-	for _, rq := range requests {
-		request := func() *http.Request {
-			if rq.body == "" {
-				return httptest.NewRequest(http.MethodGet, rq.path+rq.query, nil)
-			}
-			return httptest.NewRequest(http.MethodPost, rq.path, strings.NewReader(rq.body))
-		}
-		want := httptest.NewRecorder()
-		s.routes()[rq.path](want, request())
-		if want.Code != http.StatusOK || want.Body.Len() < 20 {
-			t.Fatalf("%s on the compiled view: %d %s", rq.path, want.Code, want.Body)
-		}
+	want := httptest.NewRecorder()
+	s.routes()["/api/men2ent"](want, request())
+	if want.Code != http.StatusOK || !strings.Contains(want.Body.String(), `"entities":["`) {
+		t.Fatalf("men2ent on the compiled view: %d %s", want.Code, want.Body)
+	}
 
-		s.SwapView(openMapped()) // the server holds the only reference
-		got := &gapWriter{ResponseRecorder: httptest.NewRecorder(), gap: func() {
-			s.SwapView(heap)
-			collectTwice()
-		}}
-		s.routes()[rq.path](got, request())
-		if got.gap != nil {
-			t.Fatalf("%s: the gap never opened", rq.path)
-		}
-		if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-			t.Errorf("%s across a swap:\n got  %d %s\n want %s", rq.path, got.Code, got.Body, want.Body)
-		}
+	mapped, _, err := snapshot.OpenMapped(path)
+	if err != nil {
+		t.Fatalf("OpenMapped: %v", err)
+	}
+	s.SwapView(mapped) // the server holds the only reference
+	gapped := false
+	gap := &endpoint{name: "men2ent", handle: func(v *serving.View, sc *scratch, r *http.Request) (int, error) {
+		m := queryValue(r.URL.RawQuery, "mention")
+		entities := v.Lookup(m)
+		s.SwapView(heap)
+		collectTwice()
+		gapped = true
+		sc.out = appendMen2Ent(sc.out, m, entities)
+		return 0, nil
+	}}
+	got := httptest.NewRecorder()
+	s.serve(gap, got, request())
+	if !gapped {
+		t.Fatal("the gap never opened")
+	}
+	if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Errorf("men2ent across a swap:\n got  %d %s\n want %s", got.Code, got.Body, want.Body)
 	}
 }

@@ -73,11 +73,6 @@ func TrainNeural(cfg copynet.Config, samples []copynet.Sample, epochs int, lr fl
 	return &Neural{model: model}
 }
 
-// NewNeural wraps an already-trained model.
-func NewNeural(model *copynet.Model, seg *segment.Segmenter) *Neural {
-	return &Neural{model: model, seg: seg}
-}
-
 // SetSegmenter attaches the segmenter used at extraction time.
 func (n *Neural) SetSegmenter(seg *segment.Segmenter) { n.seg = seg }
 

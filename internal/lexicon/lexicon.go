@@ -95,9 +95,6 @@ var titleComponents = []string{
 	"总编辑", "主编", "制片人", "设计师",
 }
 
-// TitleComponents returns the segmentation units of compound job titles.
-func TitleComponents() []string { return copyOf(titleComponents) }
-
 // orgIndustry are industry words that compose with OrgStems into company
 // names such as 蚂蚁金服 (ANT FINANCIAL in the paper's running example).
 var orgIndustry = []string{"金服", "科技", "网络", "传媒", "资本", "控股", "证券", "软件"}
@@ -149,6 +146,9 @@ var workChars = []string{
 // WorkChars returns characters used to mint titles of creative works.
 func WorkChars() []string { return copyOf(workChars) }
 
+// functionWords is the grammatical/function vocabulary of the abstract
+// templates; the segmenter needs it in its dictionary so that content
+// words are cut cleanly.
 var functionWords = []string{
 	"年", "月", "日", "出生", "出生于", "位于", "成立", "成立于",
 	"毕业于", "是", "一家", "一部", "一名", "一位", "一座", "的",
@@ -157,11 +157,6 @@ var functionWords = []string{
 	"代表作品", "主要作品", "获得", "凭借", "担任", "曾任", "现任",
 	"毕业", "就读", "任教", "享有", "被誉为", "之一", "先后",
 }
-
-// FunctionWords returns grammatical/function vocabulary used by the
-// abstract templates; the segmenter needs them in its dictionary so that
-// content words are cut cleanly.
-func FunctionWords() []string { return copyOf(functionWords) }
 
 // thematicWords is the 184-entry non-taxonomic lexicon used by syntax
 // rule (1): a good hypernym is never a thematic word. Mirrors the

@@ -38,9 +38,6 @@ func (h *Health) SetReady(ready bool) { h.ready.Store(ready) }
 // SetDraining flips readiness off permanently: shutdown has begun.
 func (h *Health) SetDraining() { h.draining.Store(true) }
 
-// Draining reports whether shutdown has begun.
-func (h *Health) Draining() bool { return h.draining.Load() }
-
 // Wedge records that the ingest updater is permanently stuck (it
 // panicked and was isolated). Readiness goes 503 with the reason; the
 // first reason recorded wins.

@@ -14,11 +14,6 @@ func IsHan(r rune) bool {
 	return unicode.Is(unicode.Han, r)
 }
 
-// IsASCIILetter reports whether r is an ASCII letter.
-func IsASCIILetter(r rune) bool {
-	return (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z')
-}
-
 // IsDigit reports whether r is an ASCII or fullwidth digit.
 func IsDigit(r rune) bool {
 	return (r >= '0' && r <= '9') || (r >= '０' && r <= '９')

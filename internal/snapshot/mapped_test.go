@@ -1,13 +1,16 @@
 package snapshot
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -204,10 +207,11 @@ func TestMappedQueryAllocations(t *testing.T) {
 }
 
 // TestMappedConcurrentSwap hot-swaps mapped views under live query
-// load with forced garbage collection between swaps: queries must keep
-// answering correctly while finalizer-driven unmapping retires old
-// mappings — the exact lifecycle of a SIGHUP reload in cnpserver. Run
-// under -race in CI.
+// load with forced garbage collection between swaps: every query route,
+// GET and POST, must keep answering 200 with a JSON body while
+// finalizer-driven unmapping retires old mappings — the exact lifecycle
+// of a SIGHUP reload in cnpserver, and the pin api's one request path
+// holds on the view it serves from. Run under -race in CI.
 func TestMappedConcurrentSwap(t *testing.T) {
 	st := handState(t)
 	data := saveBytes(t, st, Options{Workers: 1})
@@ -217,36 +221,49 @@ func TestMappedConcurrentSwap(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	requests := []struct{ path, body string }{
+		{"/api/men2ent?mention=实体00", ""},
+		{"/api/getConcept?ranked=1&entity=实体03（人物）", ""},
+		{"/api/getEntity?concept=概念0&limit=5", ""},
+		{"/api/men2entBatch", `["实体00","实体03（人物）","未知提及"]`},
+		{"/api/conceptualize", `{"text":"实体00和实体13有什么关系？"}`},
+		{"/api/conceptualizeBatch", `["实体00的资料","实体01实体01","概念0"]`},
+		{"/api/qa", `{"question":"实体07（人物）是哪个概念0？"}`},
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			urls := []string{
-				ts.URL + "/api/men2ent?mention=实体00",
-				ts.URL + "/api/getConcept?entity=实体03（人物）",
-				ts.URL + "/api/getEntity?concept=概念0&limit=5",
-			}
-			for i := 0; ; i++ {
+			for i := g; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				resp, err := http.Get(urls[i%len(urls)])
+				rq := requests[i%len(requests)]
+				var resp *http.Response
+				var err error
+				if rq.body == "" {
+					resp, err = http.Get(ts.URL + rq.path)
+				} else {
+					resp, err = http.Post(ts.URL+rq.path, "application/json", strings.NewReader(rq.body))
+				}
 				if err != nil {
-					t.Errorf("query during swap: %v", err)
+					t.Errorf("%s during swap: %v", rq.path, err)
 					return
 				}
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("query during swap: status %d", resp.StatusCode)
-				}
+				body, err := io.ReadAll(resp.Body)
 				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || !json.Valid(body) {
+					t.Errorf("%s during swap: status %d, read error %v, body %q", rq.path, resp.StatusCode, err, body)
+				}
 			}
 		}()
 	}
-	for i := 0; i < 12; i++ {
+	// At least 12 swaps, and on until every route has served requests.
+	for i := 0; i < 12 || len(srv.LatencyReport()) < len(requests); i++ {
 		srv.SwapView(openMapped(t, paths[i%len(paths)]))
 		runtime.GC() // drive the finalizer that unmaps retired views
 	}
