@@ -76,26 +76,28 @@ type Recognizer struct {
 	// (清河+市, 蚂蚁+金服); requiring a known stem keeps the suffix
 	// rules from swallowing preceding function words (于清+河).
 	stems map[string]bool
-	// knownEntities are exact entity titles (e.g. from page titles);
-	// matching them is the strongest evidence.
-	knownEntities *trie.Trie
+	// starts has bit c set when rune c begins a region, a stem or a
+	// surname; Recognize tries no window at any other rune.
+	starts []uint64
 }
 
 // New builds a Recognizer from the embedded lexicons.
 func New() *Recognizer {
 	r := &Recognizer{
-		surnames:      make(map[string]bool),
-		regions:       make(map[string]bool),
-		placeSuffix:   make(map[string]bool),
-		orgSuffix:     trie.New(),
-		givenChars:    make(map[rune]bool),
-		knownEntities: trie.New(),
+		surnames:    make(map[string]bool),
+		regions:     make(map[string]bool),
+		placeSuffix: make(map[string]bool),
+		orgSuffix:   trie.New(),
+		givenChars:  make(map[rune]bool),
+		stems:       make(map[string]bool),
 	}
 	for _, s := range lexicon.Surnames() {
 		r.surnames[s] = true
+		r.addStart(s)
 	}
 	for _, s := range lexicon.Regions() {
 		r.regions[s] = true
+		r.addStart(s)
 	}
 	for _, s := range lexicon.PlaceSuffixes() {
 		r.placeSuffix[s] = true
@@ -106,12 +108,9 @@ func New() *Recognizer {
 	for _, s := range lexicon.OrgIndustry() {
 		r.orgSuffix.Insert(s)
 	}
-	r.stems = make(map[string]bool)
-	for _, s := range lexicon.PlaceStems() {
+	for _, s := range append(lexicon.PlaceStems(), lexicon.OrgStems()...) {
 		r.stems[s] = true
-	}
-	for _, s := range lexicon.OrgStems() {
-		r.stems[s] = true
+		r.addStart(s)
 	}
 	for _, g := range lexicon.GivenChars() {
 		for _, c := range g {
@@ -119,18 +118,23 @@ func New() *Recognizer {
 		}
 	}
 	// The suffix lexicon never changes after construction; compact it.
-	// knownEntities stays thawed: AddKnownEntity keeps extending it.
 	r.orgSuffix.Freeze()
 	return r
 }
 
-// AddKnownEntity registers an exact entity title (typically a page
-// title) so occurrences of it are recognized directly.
-func (r *Recognizer) AddKnownEntity(title string, kind Kind) {
-	if title == "" {
-		return
+// addStart marks the first rune of the lexicon word w in starts.
+func (r *Recognizer) addStart(w string) {
+	c, _ := utf8.DecodeRuneInString(w)
+	for int(c>>6) >= len(r.starts) {
+		r.starts = append(r.starts, 0)
 	}
-	r.knownEntities.InsertWeighted(title, float64(kind))
+	r.starts[c>>6] |= 1 << (c & 63)
+}
+
+// canStart reports whether a window beginning with c can be an entity.
+func (r *Recognizer) canStart(c rune) bool {
+	i := uint(c) >> 6
+	return i < uint(len(r.starts)) && r.starts[i]&(1<<(c&63)) != 0
 }
 
 // Classify reports whether the word w, taken in isolation, looks like a
@@ -147,9 +151,6 @@ func (r *Recognizer) Classify(w string) Kind {
 // knows whether they are all Han, as Recognize does for every window
 // of a text it decoded once.
 func (r *Recognizer) classify(w string, rs []rune, allHan bool) Kind {
-	if wgt, ok := r.knownEntities.Weight(w); ok {
-		return Kind(int(wgt))
-	}
 	if r.regions[w] {
 		return Place
 	}
@@ -243,12 +244,11 @@ func (r *Recognizer) Recognize(text string) []Span {
 				continue
 			}
 		}
-		// Known entity exact hits.
-		if l := r.knownEntities.LongestFrom(rs, i); l > 0 {
-			w := text[off[i]:off[i+l]]
-			wgt, _ := r.knownEntities.Weight(w)
-			out = append(out, Span{Text: w, Kind: Kind(int(wgt)), Start: i, End: i + l})
-			i += l
+		// Every window classify accepts begins with a lexicon first rune
+		// (a region, stem or surname), and one beginning with 《 would
+		// have to end with the 》 the check above found none of.
+		if !r.canStart(rs[i]) {
+			i++
 			continue
 		}
 		// Window classification: try longest window first.
@@ -399,11 +399,4 @@ func (s *Support) Import(w string, ne, total int) {
 	if ne > 0 {
 		s.ne[w] += ne
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -42,17 +42,6 @@ func TestClassifyPlacesOrgsWorks(t *testing.T) {
 	}
 }
 
-func TestKnownEntityOverride(t *testing.T) {
-	r := New()
-	if got := r.Classify("忘情水"); got != None {
-		t.Fatalf("precondition: Classify(忘情水) = %v, want none", got)
-	}
-	r.AddKnownEntity("忘情水", Work)
-	if got := r.Classify("忘情水"); got != Work {
-		t.Errorf("Classify after AddKnownEntity = %v, want work", got)
-	}
-}
-
 func TestRecognizeSpans(t *testing.T) {
 	r := New()
 	text := "王伟出生于清河市，毕业于清河大学，代表作品《忘情水》。"

@@ -2,21 +2,27 @@
 // processing shared by the segmenter, the NER recognizer and the
 // extraction algorithms.
 //
-// Chinese has no word spaces, so most of the pipeline operates on rune
-// slices rather than byte offsets; this package centralizes the
-// conversions and the script classification predicates.
+// Chinese has no word spaces, so the pipeline classifies text rune by
+// rune; this package centralizes the script classification predicates.
 package runes
 
 import "unicode"
 
+// The CJK Unified Ideographs block, U+4E00–U+9FFF, is all Han and
+// holds nearly every rune of Chinese text; Han begins at U+2E80. Both
+// facts are checked for every rune by TestRuneClassesMatchUnicode.
+const (
+	cjkFirst = 0x4E00
+	cjkLast  = 0x9FFF
+	hanFirst = 0x2E80
+)
+
 // IsHan reports whether r is a Han (CJK ideograph) rune.
 func IsHan(r rune) bool {
-	return unicode.Is(unicode.Han, r)
-}
-
-// IsDigit reports whether r is an ASCII or fullwidth digit.
-func IsDigit(r rune) bool {
-	return (r >= '0' && r <= '9') || (r >= '０' && r <= '９')
+	if r >= cjkFirst && r <= cjkLast {
+		return true
+	}
+	return r >= hanFirst && unicode.Is(unicode.Han, r)
 }
 
 // IsCJKPunct reports whether r is common CJK punctuation.
@@ -31,24 +37,10 @@ func IsCJKPunct(r rune) bool {
 
 // IsPunct reports whether r is punctuation in either script.
 func IsPunct(r rune) bool {
-	return IsCJKPunct(r) || unicode.IsPunct(r) || unicode.IsSymbol(r)
-}
-
-// Split converts s into a slice of runes.
-func Split(s string) []rune { return []rune(s) }
-
-// Join converts a rune slice back into a string.
-func Join(rs []rune) string { return string(rs) }
-
-// HanCount returns the number of Han runes in s.
-func HanCount(s string) int {
-	n := 0
-	for _, r := range s {
-		if IsHan(r) {
-			n++
-		}
+	if r >= cjkFirst && r <= cjkLast {
+		return false
 	}
-	return n
+	return IsCJKPunct(r) || unicode.IsPunct(r) || unicode.IsSymbol(r)
 }
 
 // AllHan reports whether s is non-empty and consists only of Han runes.
@@ -71,29 +63,4 @@ func Len(s string) int {
 		n++
 	}
 	return n
-}
-
-// HasSuffix reports whether the rune slice rs ends with the runes of
-// suffix.
-func HasSuffix(rs []rune, suffix string) bool {
-	sfx := []rune(suffix)
-	if len(sfx) > len(rs) {
-		return false
-	}
-	off := len(rs) - len(sfx)
-	for i, r := range sfx {
-		if rs[off+i] != r {
-			return false
-		}
-	}
-	return true
-}
-
-// Reverse returns a new slice with the runes of rs in reverse order.
-func Reverse(rs []rune) []rune {
-	out := make([]rune, len(rs))
-	for i, r := range rs {
-		out[len(rs)-1-i] = r
-	}
-	return out
 }

@@ -1,6 +1,9 @@
 package runes
 
-import "testing"
+import (
+	"testing"
+	"unicode"
+)
 
 func TestIsHan(t *testing.T) {
 	for _, tc := range []struct {
@@ -40,21 +43,7 @@ func TestIsPunct(t *testing.T) {
 	}
 }
 
-func TestIsDigit(t *testing.T) {
-	for _, tc := range []struct {
-		r    rune
-		want bool
-	}{{'0', true}, {'9', true}, {'０', true}, {'９', true}, {'a', false}, {'十', false}} {
-		if got := IsDigit(tc.r); got != tc.want {
-			t.Errorf("IsDigit(%q) = %v, want %v", tc.r, got, tc.want)
-		}
-	}
-}
-
-func TestHanCountAndAllHan(t *testing.T) {
-	if got := HanCount("中abc国12"); got != 2 {
-		t.Errorf("HanCount = %d, want 2", got)
-	}
+func TestAllHan(t *testing.T) {
 	if !AllHan("中国人") {
 		t.Error("AllHan(中国人) = false, want true")
 	}
@@ -77,36 +66,15 @@ func TestLen(t *testing.T) {
 	}
 }
 
-func TestHasSuffix(t *testing.T) {
-	rs := []rune("教育机构")
-	if !HasSuffix(rs, "机构") {
-		t.Error("HasSuffix(教育机构, 机构) = false, want true")
-	}
-	if HasSuffix(rs, "教育") {
-		t.Error("HasSuffix(教育机构, 教育) = true, want false")
-	}
-	if HasSuffix(rs, "很长很长很长的后缀") {
-		t.Error("HasSuffix with over-long suffix = true, want false")
-	}
-	if !HasSuffix(rs, "") {
-		t.Error("HasSuffix with empty suffix = false, want true")
-	}
-}
-
-func TestReverse(t *testing.T) {
-	got := string(Reverse([]rune("中国人")))
-	if got != "人国中" {
-		t.Errorf("Reverse = %q, want 人国中", got)
-	}
-	if len(Reverse(nil)) != 0 {
-		t.Error("Reverse(nil) should be empty")
-	}
-}
-
-func TestSplitJoinRoundTrip(t *testing.T) {
-	for _, s := range []string{"", "abc", "中文mixed123", "《忘情水》"} {
-		if got := Join(Split(s)); got != s {
-			t.Errorf("Join(Split(%q)) = %q", s, got)
+// TestRuneClassesMatchUnicode checks IsHan and IsPunct against the
+// unicode tables for every rune, which proves their fast paths exact.
+func TestRuneClassesMatchUnicode(t *testing.T) {
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if got, want := IsHan(r), unicode.Is(unicode.Han, r); got != want {
+			t.Fatalf("IsHan(%U) = %v, want %v", r, got, want)
+		}
+		if got, want := IsPunct(r), IsCJKPunct(r) || unicode.IsPunct(r) || unicode.IsSymbol(r); got != want {
+			t.Fatalf("IsPunct(%U) = %v, want %v", r, got, want)
 		}
 	}
 }
