@@ -36,6 +36,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"time"
 	"unicode/utf8"
 
 	"cnprobase"
@@ -202,6 +203,10 @@ func cmdBuild(args []string) {
 		res.Report.Workers, st.Entities, st.Concepts, st.IsARelations)
 	fmt.Printf("verification: kept %d of %d candidates\n",
 		res.Report.Verification.Kept, res.Report.Verification.Input)
+	fmt.Println("stages (wall clock, ms from the start of the build):")
+	for _, s := range res.Report.Stages {
+		fmt.Printf("  %-18s %8.1f → %8.1f  (%.1f)\n", s.Name, ms(s.Start), ms(s.End), ms(s.End-s.Start))
+	}
 	g, err := os.Create(*out)
 	if err != nil {
 		fail("create %s: %v", *out, err)
@@ -327,3 +332,6 @@ func inspect(w io.Writer, path string) error {
 	}
 	return nil
 }
+
+// ms converts a duration to fractional milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -404,7 +404,7 @@ func TestIngestEndpointServesNewEdges(t *testing.T) {
 
 	// An existing, surviving concept keeps the delta's tag candidate
 	// through verification.
-	concept := res.Kept[0].Hyper
+	concept := res.Names()[res.Kept[0].Hyper]
 	const newTitle = "热更新摄取实体"
 	var ent struct {
 		Hypernyms []string `json:"hypernyms"`
@@ -497,7 +497,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 		t.Skip("integration test: compiles and runs the binary")
 	}
 	snap, res := writeSnapshot(t)
-	concept := res.Kept[0].Hyper
+	concept := res.Names()[res.Kept[0].Hyper]
 	dir := t.TempDir()
 	refSnap := copyFile(t, snap, dir, "ref.snap")
 	crashSnap := copyFile(t, snap, dir, "crash.snap")

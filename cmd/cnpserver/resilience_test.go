@@ -263,7 +263,7 @@ func TestSigtermDrainsInflightIngest(t *testing.T) {
 		t.Skip("integration test: compiles and runs the binary")
 	}
 	snap, res := writeSnapshot(t)
-	concept := res.Kept[0].Hyper
+	concept := res.Names()[res.Kept[0].Hyper]
 	const title = "排水期间摄取实体"
 	walDir := filepath.Join(t.TempDir(), "wal")
 
@@ -357,7 +357,7 @@ func TestConcurrentProbesAndQueriesDuringIngest(t *testing.T) {
 		t.Skip("integration test: compiles and runs the binary")
 	}
 	snap, res := writeSnapshot(t)
-	concept := res.Kept[0].Hyper
+	concept := res.Names()[res.Kept[0].Hyper]
 	var stderr syncBuffer
 	apiBase, ingestBase, _ := startServerWithIngest(t, &stderr, "-load", snap)
 

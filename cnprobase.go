@@ -125,14 +125,19 @@ func Build(c *Corpus, opts Options) (*Result, error) {
 // recognized, the persistent verification evidence on the Result folds
 // forward, only fresh candidates plus those whose evidence changed are
 // re-verified, and the store, the kept list and the derived subconcept
-// edges are edited where the batch reaches them. Update owns
-// prev.Kept: the sorted list is edited in place (regenerated pairs
-// updated where they sit, rejected pairs closed over, new pairs slid
-// into its own amortised capacity), so a slice of it taken before the
-// call is stale after it; the candidate union is never built —
-// Report.Verification.Input is its size by arithmetic and
-// Result.Candidates holds the delta's own deduplicated candidates
-// afterwards. The incremental state lives on the Result (and its
+// edges are edited where the batch reaches them. Result.Kept and
+// Result.Candidates are []extract.Candidate of pairs of symbol IDs —
+// Result.Names resolves them — deduplicated and sorted by (Hypo, Hyper)
+// ID, which is not name order. Update owns prev.Kept: the sorted list
+// is edited in place (regenerated pairs updated where they sit,
+// rejected pairs closed over, new pairs slid into its own amortised
+// capacity), so a slice of it taken before the call is stale after it;
+// the candidate union is never built — Report.Verification.Input is its
+// size by arithmetic and Result.Candidates holds the delta's own
+// candidates afterwards. The delta's names join the Result's symbol
+// table, and a page with a blank title and no bracket names no entity:
+// its candidates are dropped, as Build drops them. The incremental
+// state lives on the Result (and its
 // evidence and store), not on the pipeline, so each call may bring its
 // own Options. Result.Freeze then publishes the change by patching the
 // previous view. Results restored with LoadSnapshot (evidence-carrying

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -260,8 +261,8 @@ func TestFacadeUpdateAfterSnapshotLoad(t *testing.T) {
 	if a, b := updOrig.Taxonomy.Edges(), updLoaded.Taxonomy.Edges(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("loaded-then-updated taxonomy diverged from original-then-updated: %d vs %d edges", len(a), len(b))
 	}
-	if !reflect.DeepEqual(updOrig.Kept, updLoaded.Kept) {
-		t.Fatalf("kept sets diverged: %d vs %d", len(updOrig.Kept), len(updLoaded.Kept))
+	if a, b := keptNames(updOrig), keptNames(updLoaded); !reflect.DeepEqual(a, b) {
+		t.Fatalf("kept sets diverged: %d vs %d", len(a), len(b))
 	}
 	// The loaded evidence was re-interned from the file in another
 	// order and verified cold; what it decides, and what a second save
@@ -429,6 +430,59 @@ func TestFacadeInvalidUTF8Title(t *testing.T) {
 	}
 }
 
+// TestFacadeBlankTitlePage: a crawled page with a blank title and no
+// bracket names no entity. ReadCorpus accepts it and Update drops its
+// candidates; Build drops them through the same filter instead of
+// failing, after all its work, on an isA("", …) edge. What it builds
+// equals the build in which the page proposes nothing.
+func TestFacadeBlankTitlePage(t *testing.T) {
+	wcfg := DefaultWorldConfig()
+	wcfg.Entities = 300
+	w, err := GenerateWorld(wcfg)
+	if err != nil {
+		t.Fatalf("GenerateWorld: %v", err)
+	}
+	blank := w.Corpus()
+	blank.Pages[0].Title, blank.Pages[0].Bracket = "", ""
+	if len(blank.Pages[0].Tags) == 0 {
+		t.Fatal("page 0 has no tags: it would propose nothing")
+	}
+	var jsonl bytes.Buffer
+	if err := blank.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadCorpus(&jsonl)
+	if err != nil {
+		t.Fatalf("ReadCorpus: %v", err)
+	}
+	opts := smallOptions()
+	opts.EnableNeural = false
+	res, err := Build(read, opts)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+
+	quiet := &Corpus{Pages: append([]Page(nil), blank.Pages...)}
+	quiet.Pages[0].Tags, quiet.Pages[0].Infobox = nil, nil
+	want, err := Build(quiet, opts)
+	if err != nil {
+		t.Fatalf("Build without the page's candidates: %v", err)
+	}
+	if !reflect.DeepEqual(res.Report.SelectedPredicates, want.Report.SelectedPredicates) {
+		t.Fatalf("the infobox triples moved predicate discovery: %v vs %v", res.Report.SelectedPredicates, want.Report.SelectedPredicates)
+	}
+	if a, b := res.Taxonomy.Edges(), want.Taxonomy.Edges(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("edges differ from the build without the page's candidates: %d vs %d", len(a), len(b))
+	}
+	if a, b := keptNames(res), keptNames(want); !reflect.DeepEqual(a, b) {
+		t.Fatalf("kept lists differ: %d vs %d", len(a), len(b))
+	}
+	if a, b := res.Report.Verification, want.Report.Verification; a.Input != b.Input || a.Kept != b.Kept ||
+		!reflect.DeepEqual(res.Report.PerSource, want.Report.PerSource) {
+		t.Fatalf("reports differ: %+v vs %+v", a, b)
+	}
+}
+
 func TestFacadeBaselines(t *testing.T) {
 	w, res := buildSmall(t, 800)
 	oracle := w.Oracle()
@@ -491,4 +545,16 @@ func TestFacadeSnapshotGolden(t *testing.T) {
 			t.Errorf("workers=%d: image section sha256 = %s, want %s (%d bytes)", workers, got, goldenImageSHA256, len(image))
 		}
 	}
+}
+
+// keptNames lists a Result's kept candidates by name, sorted: the form
+// in which kept lists of two symbol tables compare.
+func keptNames(res *Result) []string {
+	names := res.Names()
+	out := make([]string, len(res.Kept))
+	for i, c := range res.Kept {
+		out[i] = fmt.Sprintf("%s isA %s %v %v", names[c.Hypo], names[c.Hyper], c.Source, c.Score)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -55,13 +55,13 @@ func main() {
 		if p.Bracket == "" {
 			continue
 		}
-		cands := sep.Extract(p.Title, p.Bracket)
-		if len(cands) == 0 {
+		hypernyms := sep.Hypernyms(p.Title, p.Bracket)
+		if len(hypernyms) == 0 {
 			continue
 		}
 		fmt.Printf("  %s（%s）", p.Title, p.Bracket)
-		for _, cand := range cands {
-			fmt.Printf(" → %s", cand.Hyper)
+		for _, h := range hypernyms {
+			fmt.Printf(" → %s", h)
 		}
 		fmt.Println()
 		if shown++; shown == 5 {

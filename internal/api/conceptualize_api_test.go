@@ -267,8 +267,8 @@ func TestApplicationGoldenSnapshotRoundtrip(t *testing.T) {
 // request must succeed on a consistent view.
 func TestConcurrentConceptualizeDuringIngest(t *testing.T) {
 	res, srv, _, apiTS, ingTS := ingestFixture(t)
-	concept := res.Kept[0].Hyper
-	entity := res.Kept[0].Hypo
+	concept := res.Names()[res.Kept[0].Hyper]
+	entity := res.Names()[res.Kept[0].Hypo]
 
 	const writers, batches = 3, 3
 	var wg sync.WaitGroup

@@ -143,7 +143,7 @@ func newDurableFixture(t *testing.T, queue int) *durableFixture {
 	srv := NewViewServer(res.Freeze())
 	f := &durableFixture{
 		res: res, pipeline: pipeline, srv: srv,
-		snapPath: snapPath, walDir: walDir, concept: res.Kept[0].Hyper,
+		snapPath: snapPath, walDir: walDir, concept: res.Names()[res.Kept[0].Hyper],
 	}
 	f.failSaveAfter.Store(-1)
 	ing, err := NewDurableIngester(res, pipeline, srv, IngesterConfig{

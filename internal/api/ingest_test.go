@@ -66,7 +66,7 @@ func postJSONL(t *testing.T, ingURL string, pages []encyclopedia.Page) *http.Res
 // restart, and the response reports the post-update shape.
 func TestIngestSwapsServingView(t *testing.T) {
 	res, _, _, apiTS, ingTS := ingestFixture(t)
-	concept := res.Kept[0].Hyper
+	concept := res.Names()[res.Kept[0].Hyper]
 	newTitle := "热更新测试实体"
 
 	// Not visible before ingestion.
@@ -167,7 +167,7 @@ func TestIngestErrors(t *testing.T) {
 // updater).
 func TestIngestSerializesConcurrentBatches(t *testing.T) {
 	res, srv, _, apiTS, ingTS := ingestFixture(t)
-	concept := res.Kept[0].Hyper
+	concept := res.Names()[res.Kept[0].Hyper]
 	baseline := srv.View().Stats().Entities
 
 	const writers, batches = 4, 3

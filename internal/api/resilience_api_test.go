@@ -237,7 +237,7 @@ func TestIngestPanicWedgesIngester(t *testing.T) {
 	t.Cleanup(ingTS.Close)
 
 	// Queries work before the fault.
-	someEntity := res.Kept[0].Hypo
+	someEntity := res.Names()[res.Kept[0].Hypo]
 	if code, _, _ := get(t, apiTS.URL+"/api/getConcept?entity="+someEntity); code != http.StatusOK {
 		t.Fatalf("query before fault = %d", code)
 	}

@@ -234,11 +234,13 @@ func (m *Model) Generate(src []string) []string {
 				bestScore, bestWord = score, w
 			}
 		}
-		for w, cm := range mass {
+		// Source order, not map order: of two out-of-vocabulary words
+		// with equal mass, the first in the source wins in every run.
+		for _, w := range bounded {
 			if m.vocab.Known(w) {
 				continue // already scored above
 			}
-			if cm > bestScore {
+			if cm := mass[w]; cm > bestScore {
 				bestScore, bestWord = cm, w
 			}
 		}

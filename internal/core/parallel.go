@@ -102,11 +102,13 @@ func observeSupport(c *encyclopedia.Corpus, seg *segment.Segmenter, rec *ner.Rec
 
 // addPages records the pages as entities of the store and indexes the
 // mentions that resolve to them: title, ID and infobox aliases.
-func addPages(tax *taxonomy.Taxonomy, mentions *taxonomy.MentionIndex, pages []encyclopedia.Page) {
+// names holds the pages' interned entity IDs and titles, interleaved.
+func addPages(tax *taxonomy.Taxonomy, mentions *taxonomy.MentionIndex, pages []encyclopedia.Page, names []uint32) {
+	strs := tax.Symbols().Names()
 	for i := range pages {
 		page := &pages[i]
-		id := page.ID()
-		tax.MarkEntity(id)
+		id := strs[names[2*i]]
+		tax.MarkEntityID(names[2*i])
 		mentions.Add(page.Title, id)
 		mentions.Add(id, id)
 		for _, t := range page.Infobox {
@@ -118,11 +120,11 @@ func addPages(tax *taxonomy.Taxonomy, mentions *taxonomy.MentionIndex, pages []e
 }
 
 // assembleEdges inserts the kept candidates into the store, in list
-// order: a few appends per pair on the store's dense IDs, too little
-// work to fan out.
+// order: a few appends per pair on the dense IDs the store shares with
+// the candidates, too little work to fan out.
 func assembleEdges(tax *taxonomy.Taxonomy, kept []extract.Candidate) error {
 	for i := range kept {
-		if err := tax.AddIsA(kept[i].Hypo, kept[i].Hyper, kept[i].Source, kept[i].Score); err != nil {
+		if err := tax.AddIsAID(kept[i].Hypo, kept[i].Hyper, kept[i].Source, kept[i].Score); err != nil {
 			return err
 		}
 	}

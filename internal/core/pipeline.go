@@ -7,21 +7,22 @@
 //
 // The pipeline is concurrent where the work is. Per-page work
 // (segmentation, extraction, NE recognition) fans out in entity batches
-// over a bounded worker pool sized by Options.Workers; the four
-// generators feed the verification stage through a channel of
-// per-source candidate sets while the NE-evidence pass and the page
-// fold run alongside them. What follows verification is a short
-// sequential tail on dense IDs: one symbol table (internal/symtab)
-// serves the verification evidence and the taxonomy store, so a name
-// is interned once per build, and the surviving relations are appended
-// to the store's per-ID adjacency in one pass — there is no index to
-// finalize. Workers=1 degrades every stage to inline sequential
-// execution — the reference path determinism tests compare against —
-// and produces the same taxonomy as any parallel run.
+// over a bounded worker pool sized by Options.Workers. One symbol table
+// (internal/symtab) serves the whole build: the pages' entity IDs are
+// interned before the generators start and their hypernyms as the
+// per-source candidate sets are merged, in a fixed source order, so
+// from the merge on — evidence, verification, the store — a candidate
+// is a pair of IDs and no name is hashed again. The NE-evidence pass
+// and the page fold run beside the generators. Workers=1 degrades every
+// stage to inline sequential execution — the reference path
+// determinism tests compare against — and produces the same taxonomy,
+// and the same IDs, as any parallel run.
 package core
 
 import (
 	"fmt"
+	"sync"
+	"time"
 
 	"cnprobase/internal/copynet"
 	"cnprobase/internal/corpus"
@@ -138,6 +139,37 @@ type Report struct {
 	// Publish describes the last Freeze. It is runtime bookkeeping, not
 	// part of the build record, so snapshots do not carry it.
 	Publish PublishReport `json:"-"`
+	// Stages times the steps of the last Build on the wall clock,
+	// ordered by start. Like Publish it is runtime bookkeeping: nil
+	// after an Update or a snapshot load, and never saved.
+	Stages []Stage `json:"-"`
+}
+
+// Stage is one timed step of a Build, as offsets from the build's
+// start on the wall clock. Steps that run beside one another overlap.
+type Stage struct {
+	Name       string
+	Start, End time.Duration
+}
+
+// stageClock records Stages from any goroutine, in the order they
+// start.
+type stageClock struct {
+	t0  time.Time
+	mu  sync.Mutex
+	out []Stage
+}
+
+// run runs f as the named stage.
+func (c *stageClock) run(name string, f func()) {
+	c.mu.Lock()
+	i := len(c.out)
+	c.out = append(c.out, Stage{Name: name, Start: time.Since(c.t0)})
+	c.mu.Unlock()
+	f()
+	c.mu.Lock()
+	c.out[i].End = time.Since(c.t0)
+	c.mu.Unlock()
 }
 
 // Result bundles the pipeline outputs.
@@ -149,10 +181,14 @@ type Result struct {
 	// last run (kept for per-source precision experiments): after Build
 	// the whole candidate set, after an Update the delta's own
 	// deduplicated candidates — the union with the previously kept
-	// pairs is never built.
+	// pairs is never built. Like Kept, the list is deduplicated, names
+	// its pairs by symbol IDs (Names resolves them) and is sorted by
+	// (Hypo, Hyper) ID.
 	Candidates []extract.Candidate
 	// Kept holds the post-verification candidates, sorted by (Hypo,
-	// Hyper). Update edits the list in place.
+	// Hyper) ID — not by name: a build hands out IDs in page order, then
+	// to hypernyms by first appearance, and a snapshot load in name
+	// order. Update edits the list in place.
 	Kept []extract.Candidate
 	// Segmenter and Stats expose the substrates for reuse (QA, APIs,
 	// experiments).
@@ -169,19 +205,28 @@ type Result struct {
 	inc incremental
 }
 
+// Names returns the names of the symbol IDs Candidates and Kept use,
+// indexed by ID. The slice is read-only; it covers every ID handed out
+// before the call.
+func (r *Result) Names() []string { return r.Taxonomy.Symbols().Names() }
+
 // Pipeline executes the CN-Probase construction.
 type Pipeline struct {
 	opts Options
+	// arrive, when set, is what the generator sets pass through on their
+	// way to the merge: tests reorder them there to show the output
+	// does not depend on the order they arrive in.
+	arrive func(<-chan candidateSet) <-chan candidateSet
 }
 
 // New returns a pipeline with the given options.
 func New(opts Options) *Pipeline { return &Pipeline{opts: opts} }
 
-// candidateSet is one generator's output, fed to the verification stage
-// over a channel as soon as the generator finishes.
+// candidateSet is one generator's output, fed to the merge over a
+// channel as soon as the generator finishes.
 type candidateSet struct {
-	source taxonomy.Source
-	cands  []extract.Candidate
+	source  taxonomy.Source
+	batches []extract.Batch
 }
 
 // Build runs the full pipeline over the corpus.
@@ -193,6 +238,8 @@ func (p *Pipeline) Build(c *encyclopedia.Corpus) (*Result, error) {
 	pl := par.NewPool(workers)
 	rep := &Report{Pages: len(c.Pages), Workers: workers, PerSource: make(map[taxonomy.Source]*SourceReport)}
 
+	clock := &stageClock{t0: time.Now()}
+
 	// ---- substrate: segmenter + corpus statistics ----
 	// Pages are cut in parallel batches; the counts merge in page
 	// order. The bootstrap segmenter reads no statistics (its costs are
@@ -200,139 +247,111 @@ func (p *Pipeline) Build(c *encyclopedia.Corpus) (*Result, error) {
 	// change the merged counts.
 	dict := lexicon.BaseDictionary()
 	dict = append(dict, p.opts.ExtraDictionary...)
-	boot := segment.New(dict)
-	stats := corpusStats(c, boot, pl)
+	var stats *corpus.Stats
+	clock.run("stats", func() { stats = corpusStats(c, segment.New(dict), pl) })
 	seg := segment.New(dict, segment.WithStats(stats))
 
 	// ---- the passes that need only pages, overlapped with generation ----
 	// The NE-support pass (on the shared pool) and the page fold — into
 	// the evidence, then the store's entity marks and the mention index
 	// — read the corpus and the segmenter and no candidate, so they run
-	// alongside the generators. The fold is one task: evidence and store
-	// intern into one symbol table, and a fixed order of arrival keeps
-	// the IDs the same in every run.
+	// alongside the generators. The NE pass, the longest, starts first.
+	// Then every page's entity ID and title are interned, in page
+	// order: generators name hyponyms by those IDs, and nothing else
+	// interns into the table until the merge.
 	rec := ner.New()
 	syms := symtab.New()
 	ctx := verify.NewEvidence(syms, nil, rec) // its Support is the first pass's result
 	tax := taxonomy.NewWithSymbols(syms)
 	mentions := taxonomy.NewMentionIndex()
-	evidence := &par.Group{Inline: pl == nil}
-	evidence.Go(func() error {
-		ctx.Support = observeSupport(c, seg, rec, pl)
+	nePass, fold := &par.Group{Inline: pl == nil}, &par.Group{Inline: pl == nil}
+	nePass.Go(func() error {
+		clock.run("NE pass", func() { ctx.Support = observeSupport(c, seg, rec, pl) })
 		return nil
 	})
-	evidence.Go(func() error {
-		ctx.AddPages(c.Pages)
-		addPages(tax, mentions, c.Pages)
+	var names, hypos []uint32
+	clock.run("page IDs", func() { names, hypos = internPages(syms, c.Pages) })
+	fold.Go(func() error {
+		clock.run("page fold", func() {
+			ctx.AddPages(c.Pages, names)
+			addPages(tax, mentions, c.Pages, names)
+		})
 		return nil
 	})
 
-	// ---- generation module: fan out, feed verification a channel ----
-	// The buffer covers one send per enabled generator, so the inline
-	// (Workers=1) path — where every producer runs to completion before
-	// the drain below starts — can never block on a full channel.
-	nGen := 0
-	for _, enabled := range []bool{p.opts.EnableBracket, p.opts.EnableTags, p.opts.EnableInfobox, p.opts.EnableNeural} {
-		if enabled {
-			nGen++
-		}
-	}
-	candSetCh := make(chan candidateSet, nGen)
+	// ---- generation module: fan out, merge in a fixed order ----
+	sets := make(chan candidateSet, len(generators))
 	gen := &par.Group{Inline: pl == nil}
-	var bracketCands []extract.Candidate
-	bracketReady := make(chan struct{})
-	gen.Go(func() error {
-		if p.opts.EnableBracket {
-			bracketCands = p.bracketStage(c, seg, stats, pl)
-		}
-		close(bracketReady)
-		if p.opts.EnableBracket {
-			candSetCh <- candidateSet{source: taxonomy.SourceBracket, cands: bracketCands}
-		}
-		return nil
-	})
-	gen.Go(func() error {
-		if !p.opts.EnableTags {
-			return nil
-		}
-		candSetCh <- candidateSet{source: taxonomy.SourceTag, cands: p.tagStage(c, pl)}
-		return nil
-	})
-	gen.Go(func() error {
-		if !p.opts.EnableInfobox {
-			return nil
-		}
-		<-bracketReady // predicate discovery aligns against the bracket prior
-		cands, predStats, selected := p.infoboxStage(c, bracketCands, pl)
-		rep.PredicateCandidates = predStats
-		rep.SelectedPredicates = selected
-		candSetCh <- candidateSet{source: taxonomy.SourceInfobox, cands: cands}
-		return nil
-	})
-	gen.Go(func() error {
-		if !p.opts.EnableNeural {
-			return nil
-		}
-		<-bracketReady // distant supervision comes from the bracket source
-		cands, nSamples, losses := p.neuralStage(c, bracketCands, seg, pl)
-		rep.NeuralSamples = nSamples
-		rep.NeuralLoss = losses
-		if cands != nil {
-			candSetCh <- candidateSet{source: taxonomy.SourceAbstract, cands: cands}
-		}
-		return nil
-	})
+	p.generate(gen, sets, c, hypos, seg, stats, pl, clock, rep, true)
 
-	// ---- verification module, fed by the candidate-set channel ----
+	// ---- merge, fed by the candidate-set channel ----
 	if pl == nil {
-		close(candSetCh) // producers ran inline; all sets are buffered
+		close(sets) // producers ran inline; all sets are buffered
 	} else {
 		go func() {
 			gen.Wait()
-			close(candSetCh)
+			close(sets)
 		}()
 	}
-	// Each set is deduplicated as it arrives, while the slower
-	// generators still run; what is left for afterwards is one merge.
-	var merged []extract.Candidate
-	for set := range candSetCh {
-		merged = extract.Union(merged, extract.Dedupe(set.cands))
+	// Each set is resolved and deduplicated as it arrives, while the
+	// slower generators still run; what is left for afterwards is one
+	// merge.
+	m := merger{syms: syms, clock: clock}
+	arrived := (<-chan candidateSet)(sets)
+	if p.arrive != nil {
+		arrived = p.arrive(sets)
 	}
+	for set := range arrived {
+		m.add(set)
+	}
+	merged := m.merged
 	if err := gen.Wait(); err != nil {
 		return nil, err
 	}
-	if err := evidence.Wait(); err != nil {
+
+	// ---- verification module ----
+	// The candidates join the evidence once the pages have (the two
+	// folds commute, but share the evidence); the NE pass may still run,
+	// as nothing before verification reads its support.
+	if err := fold.Wait(); err != nil {
 		return nil, err
 	}
-	ctx.AddCandidates(merged)
+	clock.run("AddCandidates", func() { ctx.AddCandidates(merged) })
+	if err := nePass.Wait(); err != nil {
+		return nil, err
+	}
 	vopts := p.opts.Verify
 	if vopts.Workers == 0 {
 		vopts.Workers = workers // inherit the pipeline pool size by default
 	}
-	kept, vrep := verify.Verify(merged, ctx, seg, vopts)
-	rep.Verification = vrep
-	rep.PerSource = perSourceCounts(merged, kept)
+	var kept []extract.Candidate
+	clock.run("verify", func() { kept, rep.Verification = verify.Verify(merged, ctx, seg, vopts) })
+	rep.PerSource = perSourceReport(tallySources(merged), tallySources(kept))
+
+	// ---- taxonomy assembly ----
 	// Trim the evidence to the surviving candidate set: between crawl
 	// batches the persistent evidence always describes kept pairs, so
 	// the next Update's verification sees exactly the union of kept
 	// and fresh candidates. The store does not read the evidence, so
 	// the trim runs beside the assembly.
-	trim := &par.Group{Inline: pl == nil}
-	trim.Go(func() error {
-		ctx.RemoveCandidates(diffCandidates(merged, kept))
-		return nil
+	var err error
+	clock.run("assemble+trim", func() {
+		trim := &par.Group{Inline: pl == nil}
+		trim.Go(func() error {
+			ctx.RemoveCandidates(diffCandidates(merged, kept))
+			return nil
+		})
+		err = assembleEdges(tax, kept)
+		trim.Wait()
 	})
-
-	// ---- taxonomy assembly ----
-	err := assembleEdges(tax, kept)
-	trim.Wait()
 	if err != nil {
 		return nil, fmt.Errorf("core: assembling taxonomy: %w", err)
 	}
 	if p.opts.DeriveSubconcepts {
-		rep.DerivedSubconcepts = deriveSubconcepts(tax, ctx, p.opts, nil)
+		clock.run("derive", func() { rep.DerivedSubconcepts = deriveSubconcepts(tax, ctx, p.opts, nil) })
 	}
 	rep.Stats = tax.ComputeStats()
+	rep.Stages = clock.out // every stage has ended
 
 	return &Result{
 		Taxonomy:   tax,
@@ -346,8 +365,9 @@ func (p *Pipeline) Build(c *encyclopedia.Corpus) (*Result, error) {
 	}, nil
 }
 
-// generators are the four generation sources candidates carry.
-var generators = [...]taxonomy.Source{taxonomy.SourceBracket, taxonomy.SourceAbstract, taxonomy.SourceInfobox, taxonomy.SourceTag}
+// generators are the four generation sources candidates carry, in the
+// order their sets are merged: the neural one, the slowest, last.
+var generators = [...]taxonomy.Source{taxonomy.SourceBracket, taxonomy.SourceTag, taxonomy.SourceInfobox, taxonomy.SourceAbstract}
 
 // sourceTally counts candidates per generation source, indexed like
 // generators.
@@ -382,60 +402,83 @@ func perSourceReport(generated, kept sourceTally) map[taxonomy.Source]*SourceRep
 	return out
 }
 
-// perSourceCounts tallies, per generation source, how many candidates
-// of the merged set exist and how many survived verification.
-func perSourceCounts(merged, kept []extract.Candidate) map[taxonomy.Source]*SourceReport {
-	return perSourceReport(tallySources(merged), tallySources(kept))
-}
-
-// bracketStage runs the separation algorithm over every page bracket in
-// parallel batches; concatenation in batch order reproduces the
-// sequential candidate order exactly (distant supervision depends on
-// it).
-func (p *Pipeline) bracketStage(c *encyclopedia.Corpus, seg *segment.Segmenter, stats *corpus.Stats, pl *par.Pool) []extract.Candidate {
-	sep := extract.NewSeparator(seg, stats)
-	return par.Concat(par.MapBatches(pl, len(c.Pages), func(lo, hi int) []extract.Candidate {
-		var out []extract.Candidate
-		for i := lo; i < hi; i++ {
-			page := &c.Pages[i]
-			out = append(out, sep.Extract(page.Title, page.Bracket)...)
+// generate runs the enabled generators over the corpus on g and sends
+// each one's set — empty when it is disabled — on sets, which must
+// buffer one per generator, so the inline (Workers=1) path, where every
+// producer runs to completion before the merge starts, can never block.
+// Predicate discovery aligns against the bracket prior and distant
+// supervision comes from the bracket source, so those two wait for it.
+// A build discovers the infobox predicates and runs the neural
+// extractor; an update reuses rep's curated predicates (the "manual
+// selection" does not change per crawl batch) and skips it.
+func (p *Pipeline) generate(g *par.Group, sets chan<- candidateSet, c *encyclopedia.Corpus, hypos []uint32,
+	seg *segment.Segmenter, stats *corpus.Stats, pl *par.Pool, clock *stageClock, rep *Report, build bool) {
+	var bracket []extract.Batch
+	bracketReady := make(chan struct{})
+	run := func(src taxonomy.Source, enabled bool, stage func() []extract.Batch) {
+		g.Go(func() error {
+			var batches []extract.Batch
+			if enabled {
+				if src == taxonomy.SourceInfobox || src == taxonomy.SourceAbstract {
+					<-bracketReady
+				}
+				clock.run("generate "+src.String(), func() { batches = stage() })
+			}
+			if src == taxonomy.SourceBracket {
+				bracket = batches
+				close(bracketReady)
+			}
+			sets <- candidateSet{src, batches}
+			return nil
+		})
+	}
+	run(taxonomy.SourceBracket, p.opts.EnableBracket, func() []extract.Batch {
+		sep := extract.NewSeparator(seg, stats)
+		return emit(pl, len(c.Pages), func(i int, b *extract.Batch) {
+			for _, h := range sep.Hypernyms(c.Pages[i].Title, c.Pages[i].Bracket) {
+				b.Add(hypos[i], h, taxonomy.SourceBracket, 1)
+			}
+		})
+	})
+	run(taxonomy.SourceTag, p.opts.EnableTags, func() []extract.Batch {
+		return emit(pl, len(c.Pages), func(i int, b *extract.Batch) { extract.Tags(&c.Pages[i], hypos[i], b) })
+	})
+	run(taxonomy.SourceInfobox, p.opts.EnableInfobox, func() []extract.Batch {
+		if build {
+			release := pl.Acquire() // discovery is coordinator-side CPU work
+			rep.PredicateCandidates, rep.SelectedPredicates = p.opts.Predicates.Discover(c, hypos, extract.NewPrior(bracket))
+			release()
 		}
-		return out
-	}))
+		selected := rep.SelectedPredicates
+		return par.MapBatches(pl, len(c.Pages), func(lo, hi int) (b extract.Batch) {
+			extract.ExtractInfobox(c.Pages[lo:hi], hypos[lo:hi], selected, &b)
+			return b
+		})
+	})
+	run(taxonomy.SourceAbstract, build && p.opts.EnableNeural, func() (batches []extract.Batch) {
+		batches, rep.NeuralSamples, rep.NeuralLoss = p.neuralStage(c, hypos, bracket, seg, pl)
+		return batches
+	})
 }
 
-// tagStage extracts tag candidates in parallel batches.
-func (p *Pipeline) tagStage(c *encyclopedia.Corpus, pl *par.Pool) []extract.Candidate {
-	return par.Concat(par.MapBatches(pl, len(c.Pages), func(lo, hi int) []extract.Candidate {
-		var out []extract.Candidate
+// emit runs a generator over every page in parallel batches; in batch
+// order the batches hold the sequential candidate order exactly
+// (distant supervision depends on it).
+func emit(pl *par.Pool, n int, page func(i int, b *extract.Batch)) []extract.Batch {
+	return par.MapBatches(pl, n, func(lo, hi int) (b extract.Batch) {
 		for i := lo; i < hi; i++ {
-			out = append(out, extract.Tags(&c.Pages[i])...)
+			page(i, &b)
 		}
-		return out
-	}))
-}
-
-// infoboxStage discovers isA predicates against the bracket prior
-// (sequential: a cheap counting pass) and then harvests matching
-// triples in parallel batches.
-func (p *Pipeline) infoboxStage(c *encyclopedia.Corpus, bracketCands []extract.Candidate, pl *par.Pool) (cands []extract.Candidate, predStats []extract.PredicateStat, selected []string) {
-	release := pl.Acquire() // discovery is coordinator-side CPU work
-	prior := extract.NewPrior(bracketCands)
-	predStats, selected = p.opts.Predicates.Discover(c, prior)
-	release()
-	cands = par.Concat(par.MapBatches(pl, len(c.Pages), func(lo, hi int) []extract.Candidate {
-		sub := encyclopedia.Corpus{Pages: c.Pages[lo:hi]}
-		return extract.ExtractInfobox(&sub, selected)
-	}))
-	return cands, predStats, selected
+		return b
+	})
 }
 
 // neuralStage trains the copy model on the distant dataset (sequential:
 // SGD order is part of the model) and decodes every abstract in
-// parallel batches. Returns nil candidates when no samples exist.
-func (p *Pipeline) neuralStage(c *encyclopedia.Corpus, bracketCands []extract.Candidate, seg *segment.Segmenter, pl *par.Pool) (cands []extract.Candidate, nSamples int, losses []copynet.TrainReport) {
+// parallel batches. Returns no batches when no samples exist.
+func (p *Pipeline) neuralStage(c *encyclopedia.Corpus, hypos []uint32, bracket []extract.Batch, seg *segment.Segmenter, pl *par.Pool) (batches []extract.Batch, nSamples int, losses []copynet.TrainReport) {
 	release := pl.Acquire() // dataset assembly + SGD are coordinator-side CPU work
-	samples := extract.BuildDistantDataset(c, bracketCands, seg)
+	samples := extract.BuildDistantDataset(c, hypos, bracket, seg)
 	if p.opts.NeuralMaxSamples > 0 && len(samples) > p.opts.NeuralMaxSamples {
 		samples = samples[:p.opts.NeuralMaxSamples]
 	}
@@ -448,15 +491,5 @@ func (p *Pipeline) neuralStage(c *encyclopedia.Corpus, bracketCands []extract.Ca
 		func(r copynet.TrainReport) { losses = append(losses, r) })
 	neural.SetSegmenter(seg)
 	release()
-	cands = par.Concat(par.MapBatches(pl, len(c.Pages), func(lo, hi int) []extract.Candidate {
-		var out []extract.Candidate
-		for i := lo; i < hi; i++ {
-			out = append(out, neural.Extract(&c.Pages[i])...)
-		}
-		return out
-	}))
-	if cands == nil {
-		cands = []extract.Candidate{}
-	}
-	return cands, nSamples, losses
+	return emit(pl, len(c.Pages), func(i int, b *extract.Batch) { neural.Extract(&c.Pages[i], hypos[i], b) }), nSamples, losses
 }

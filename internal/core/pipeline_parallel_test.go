@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cnprobase/internal/encyclopedia"
 	"cnprobase/internal/par"
+	"cnprobase/internal/snapshot"
+	"cnprobase/internal/taxonomy"
 )
 
 // TestParallelBuildMatchesSequential is the determinism contract of the
@@ -50,6 +54,12 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 	seqNodes, parNodes := seq.Taxonomy.ReadAll(), par.Taxonomy.ReadAll()
 	if !reflect.DeepEqual(seqNodes, parNodes) {
 		t.Fatalf("canonical reads differ: parallel %d nodes, sequential %d", len(parNodes.Names), len(seqNodes.Names))
+	}
+
+	// The same symbol IDs: hypernyms are interned in merge order, not
+	// in the order the generators finish.
+	if !slices.Equal(seq.Names(), par.Names()) {
+		t.Errorf("symbol tables differ: parallel %d names, sequential %d", len(par.Names()), len(seq.Names()))
 	}
 
 	if seq.Report.Stats != par.Report.Stats {
@@ -112,6 +122,12 @@ func TestParallelUpdateMatchesSequential(t *testing.T) {
 			t.Fatalf("edge[%d]: parallel %+v, sequential %+v", i, parEdges[i], seqEdges[i])
 		}
 	}
+	// The same symbol IDs: hypernyms are interned in merge order, not
+	// in the order the generators finish.
+	if !slices.Equal(seq.Names(), par.Names()) {
+		t.Errorf("symbol tables differ: parallel %d names, sequential %d", len(par.Names()), len(seq.Names()))
+	}
+
 	if seq.Report.Stats != par.Report.Stats {
 		t.Errorf("stats: parallel %+v, sequential %+v", par.Report.Stats, seq.Report.Stats)
 	}
@@ -139,4 +155,59 @@ func TestWorkerCountResolution(t *testing.T) {
 
 func corpusSlice(c *encyclopedia.Corpus, lo, hi int) *encyclopedia.Corpus {
 	return &encyclopedia.Corpus{Pages: append([]encyclopedia.Page(nil), c.Pages[lo:hi]...)}
+}
+
+// TestBuildIndependentOfArrivalOrder hands the merge the four generator
+// sets in every order they could arrive in. Merging a set interns its
+// hypernyms, so an ID that depended on arrival would show here as a
+// different kept list (which is sorted by ID), a different symbol
+// table, different store edges or different snapshot bytes.
+func TestBuildIndependentOfArrivalOrder(t *testing.T) {
+	w := buildSmallWorld(t, 300)
+	opts := testOptions()
+	opts.Workers = 2
+	opts.NeuralMaxSamples = 100
+	var want *Result
+	var wantSnap []byte
+	var permute func(order, rest []taxonomy.Source)
+	permute = func(order, rest []taxonomy.Source) {
+		if len(rest) > 0 {
+			for i := range rest {
+				next := append(slices.Clone(rest[:i]), rest[i+1:]...)
+				permute(append(slices.Clone(order), rest[i]), next)
+			}
+			return
+		}
+		p := New(opts)
+		p.arrive = arrivingIn(order)
+		res, err := p.Build(w.Corpus())
+		if err != nil {
+			t.Fatalf("arrival %v: Build: %v", order, err)
+		}
+		var snap bytes.Buffer
+		st := &snapshot.State{Taxonomy: res.Taxonomy, Mentions: res.Mentions, Evidence: res.Evidence, Kept: res.Kept, Stats: res.Stats}
+		if err := snapshot.Save(&snap, st, snapshot.Options{Workers: 1}); err != nil {
+			t.Fatalf("arrival %v: Save: %v", order, err)
+		}
+		if want == nil {
+			if res.Report.PerSource[taxonomy.SourceAbstract] == nil {
+				t.Fatal("the neural generator proposed nothing: the test would not permute four sets")
+			}
+			want, wantSnap = res, snap.Bytes()
+			return
+		}
+		switch {
+		case !slices.Equal(res.Kept, want.Kept):
+			t.Fatalf("arrival %v: kept list differs (%d vs %d pairs)", order, len(res.Kept), len(want.Kept))
+		case !slices.Equal(res.Candidates, want.Candidates):
+			t.Fatalf("arrival %v: candidate list differs", order)
+		case !slices.Equal(res.Names(), want.Names()):
+			t.Fatalf("arrival %v: symbol table differs", order)
+		case !reflect.DeepEqual(res.Taxonomy.Edges(), want.Taxonomy.Edges()):
+			t.Fatalf("arrival %v: store edges differ", order)
+		case !bytes.Equal(snap.Bytes(), wantSnap):
+			t.Fatalf("arrival %v: snapshot bytes differ", order)
+		}
+	}
+	permute(nil, generators[:])
 }

@@ -45,7 +45,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	t.Logf("verification=%+v", res.Report.Verification)
 	t.Logf("selected predicates=%v", res.Report.SelectedPredicates)
 	for src, sr := range res.Report.PerSource {
-		prSrc := eval.SamplePrecision(candPairs(res.Kept, src), oracle, 0, 1)
+		prSrc := eval.SamplePrecision(candPairs(res.Names(), res.Kept, src), oracle, 0, 1)
 		t.Logf("source %v: generated=%d kept=%d precision=%.3f", src, sr.Generated, sr.Kept, prSrc.Precision())
 	}
 	if pr.Precision() < 0.85 {
@@ -53,11 +53,11 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
-func candPairs(cands []extract.Candidate, src taxonomy.Source) []eval.Pair {
+func candPairs(names []string, cands []extract.Candidate, src taxonomy.Source) []eval.Pair {
 	var out []eval.Pair
 	for _, c := range cands {
 		if src == 0 || c.Source&src != 0 {
-			out = append(out, eval.Pair{Hypo: c.Hypo, Hyper: c.Hyper})
+			out = append(out, eval.Pair{Hypo: names[c.Hypo], Hyper: names[c.Hyper]})
 		}
 	}
 	return out

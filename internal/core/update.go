@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"cnprobase/internal/encyclopedia"
 	"cnprobase/internal/extract"
@@ -16,41 +17,29 @@ import (
 // CN-DBpedia pipeline CN-Probase sits on. The existing taxonomy is
 // extended in place (and also returned).
 //
-// An Update computes on what the batch touches. The delta pass reuses
-// the original run's substrates — segmenter, corpus statistics
-// (updated with the new text) and curated predicate list — and folds
-// the batch into the persistent verification evidence carried on the
-// Result: only delta abstracts are segmented and recognized, and only
-// fresh candidates plus the affected subset (candidates whose
-// hyper/hypo evidence actually changed) are re-verified, while every
-// other candidate keeps its cached decision. Update owns prev.Kept and
-// edits it in place: a regenerated pair is updated where it sits, and
-// the rejected and the brand-new pairs are applied by one edit that
-// slides the stretches between them (binary searches plus block moves
-// within the list's own, amortised, capacity) — a slice of prev.Kept
+// An Update computes on what the batch touches. It reuses the original
+// run's substrates — segmenter, corpus statistics (updated with the new
+// text), curated predicate list and symbol table — and folds the batch
+// into the persistent verification evidence: only delta abstracts are
+// segmented and recognized, and only fresh candidates plus those whose
+// evidence changed are re-verified. Per-page work fans out over the
+// worker pool Build uses; the neural extractor sits updates out. Update owns prev.Kept and edits it in place by binary searches
+// and block moves within its own, amortised, capacity, so a slice of it
 // taken before the call must not be read after it. The candidate union
-// (kept plus fresh) is never materialised: Report.Verification.Input
-// is its size by arithmetic, and Result.Candidates afterwards holds
-// the delta's own deduplicated candidates, not the union. The store
-// keeps its statistics current as it is written and logs the nodes the
-// batch touched; subconcept derivation re-tests only concepts the batch
-// reached. No step walks the candidate union, the node list or the
-// store, and none allocates in proportion to the kept list. Raw pages
-// are never retained or copied. The neural extractor is skipped during
-// updates; bracket, infobox and tag extraction cover the delta.
-// Per-page work (segmentation, extraction, NE recognition)
-// fans out over the same bounded worker pool Build uses, sized by
-// Options.Workers.
+// (kept plus fresh) is never materialised: Report.Verification.Input is
+// its size by arithmetic, and Result.Candidates afterwards holds the
+// delta's own candidates. The store logs the nodes the batch touched,
+// and subconcept derivation re-tests only concepts the batch reached.
+// No step walks the union, the node list or the store, none allocates
+// in proportion to the kept list, and raw pages are never retained.
 //
 // The first Update of a Result warms what Build does not keep: after a
 // snapshot load the verification caches are cold and every candidate
-// is re-decided once, and the head rule's memory is rebuilt by one
-// scan of the concepts. Results restored from an evidence-carrying
-// snapshot accept Update; their segmenter is rebuilt from the
-// dictionary plus the restored statistics on first use.
-// Options.ForceFullReverify selects the O(total) full re-verification
-// reference path instead of the incremental one; both produce
-// identical results (pinned by TestUpdateIncrementalMatchesFullReverify).
+// is re-decided once, the head rule's memory is rebuilt by one scan of
+// the concepts, and the segmenter is rebuilt from the dictionary and
+// the restored statistics. Options.ForceFullReverify selects the
+// O(total) re-verification reference path; both produce identical
+// results (pinned by TestUpdateIncrementalMatchesFullReverify).
 func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, error) {
 	if prev == nil || prev.Taxonomy == nil {
 		return nil, fmt.Errorf("core: Update needs a prior Result")
@@ -95,31 +84,27 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 	prev.Segmenter.RefreshCosts()
 
 	// ---- generation over the delta ----
-	var fresh []extract.Candidate
-	if p.opts.EnableBracket {
-		fresh = append(fresh, p.bracketStage(delta, prev.Segmenter, prev.Stats, pl)...)
+	// The delta's page names are interned first, then the sets are
+	// merged in the order Build merges them — the IDs depend on nothing
+	// else. The merge drops what the taxonomy would reject (blank page
+	// IDs), so a malformed crawl page cannot abort the update after the
+	// evidence and statistics have already been extended.
+	syms := prev.Taxonomy.Symbols()
+	names, hypos := internPages(syms, delta.Pages)
+	clock := &stageClock{t0: time.Now()} // an update reports no stages
+	sets := make(chan candidateSet, len(generators))
+	p.generate(&par.Group{Inline: true}, sets, delta, hypos, prev.Segmenter, prev.Stats, pl, clock, prev.Report, false)
+	close(sets)
+	m := merger{syms: syms, clock: clock}
+	for set := range sets {
+		m.add(set)
 	}
-	if p.opts.EnableInfobox {
-		// Reuse the predicates curated during the full build: the
-		// "manual selection" does not change per crawl batch.
-		fresh = append(fresh, par.Concat(par.MapBatches(pl, len(delta.Pages), func(lo, hi int) []extract.Candidate {
-			sub := encyclopedia.Corpus{Pages: delta.Pages[lo:hi]}
-			return extract.ExtractInfobox(&sub, prev.Report.SelectedPredicates)
-		}))...)
-	}
-	if p.opts.EnableTags {
-		fresh = append(fresh, p.tagStage(delta, pl)...)
-	}
-	// Malformed crawl pages (blank titles yield empty-node candidates)
-	// must not abort the update after the evidence and statistics have
-	// already been extended — drop anything the taxonomy would reject
-	// up front, so a bad batch can never leave the Result half-mutated.
-	fresh = extract.Dedupe(dropInvalid(fresh))
+	fresh := m.merged
 
 	// ---- evidence fold: only the delta is segmented and recognized ----
 	deltaSupport := observeSupport(delta, prev.Segmenter, prev.Evidence.Recognizer, pl)
 	prev.Evidence.FoldSupport(deltaSupport)
-	prev.Evidence.AddPages(delta.Pages)
+	prev.Evidence.AddPages(delta.Pages, names)
 
 	// ---- the candidate union, without building it ----
 	// The union is previously kept pairs plus the fresh delta. A fresh
@@ -182,13 +167,13 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 	prev.Evidence.RemoveCandidates(rejected)
 
 	// ---- taxonomy extension ----
-	addPages(prev.Taxonomy, prev.Mentions, delta.Pages)
+	addPages(prev.Taxonomy, prev.Mentions, delta.Pages, names)
 	// Remove previously-kept edges that re-verification now rejects,
 	// then insert the delta's evidence: brand-new kept pairs, plus
 	// re-generated pairs whose fresh occurrence reinforces an existing
 	// edge. Unaffected edges are left alone.
 	for _, i := range dropKept {
-		prev.Taxonomy.RemoveIsA(prev.Kept[i].Hypo, prev.Kept[i].Hyper)
+		prev.Taxonomy.RemoveIsAID(prev.Kept[i].Hypo, prev.Kept[i].Hyper)
 	}
 	slices.Sort(dropKept)
 	slices.Sort(dropNew)

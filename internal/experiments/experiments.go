@@ -7,8 +7,10 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 
@@ -99,8 +101,8 @@ func (s *Suite) PerSource() (string, []SourceRow) {
 	srcs := []taxonomy.Source{taxonomy.SourceBracket, taxonomy.SourceAbstract, taxonomy.SourceInfobox, taxonomy.SourceTag}
 	var rows []SourceRow
 	for _, src := range srcs {
-		gen := pairsOf(s.Result.Candidates, src)
-		kept := pairsOf(s.Result.Kept, src)
+		gen := pairsOf(s.Result.Names(), s.Result.Candidates, src)
+		kept := pairsOf(s.Result.Names(), s.Result.Kept, src)
 		rows = append(rows, SourceRow{
 			Source:             src,
 			Generated:          len(gen),
@@ -118,13 +120,18 @@ func (s *Suite) PerSource() (string, []SourceRow) {
 	return b.String(), rows
 }
 
-func pairsOf(cands []extract.Candidate, src taxonomy.Source) []eval.Pair {
+// pairsOf names the candidates of src (all of them for 0) in name
+// order, the order eval's seeded sample is drawn in.
+func pairsOf(names []string, cands []extract.Candidate, src taxonomy.Source) []eval.Pair {
 	var out []eval.Pair
 	for _, c := range cands {
 		if src == 0 || c.Source&src != 0 {
-			out = append(out, eval.Pair{Hypo: c.Hypo, Hyper: c.Hyper})
+			out = append(out, eval.Pair{Hypo: names[c.Hypo], Hyper: names[c.Hyper]})
 		}
 	}
+	slices.SortFunc(out, func(a, b eval.Pair) int {
+		return cmp.Or(strings.Compare(a.Hypo, b.Hypo), strings.Compare(a.Hyper, b.Hyper))
+	})
 	return out
 }
 
@@ -218,8 +225,19 @@ type NeuralResult struct {
 // distant-supervision task, with the OOV breakdown that motivated
 // CopyNet in the paper.
 func (s *Suite) Neural(maxSamples, epochs int) (string, NeuralResult, error) {
+	// The bracket candidates in name order, each page named by its ID:
+	// a batch whose name list is the whole symbol table.
+	names, syms := s.Result.Names(), s.Result.Taxonomy.Symbols()
 	bracket := candidatesBySource(s.Result.Candidates, taxonomy.SourceBracket)
-	samples := extract.BuildDistantDataset(s.World.Corpus(), bracket, s.Result.Segmenter)
+	slices.SortFunc(bracket, func(a, b extract.Candidate) int {
+		return cmp.Or(strings.Compare(names[a.Hypo], names[b.Hypo]), strings.Compare(names[a.Hyper], names[b.Hyper]))
+	})
+	corpus := s.World.Corpus()
+	hypos := make([]uint32, len(corpus.Pages))
+	for i := range corpus.Pages {
+		hypos[i], _ = syms.Lookup(corpus.Pages[i].ID())
+	}
+	samples := extract.BuildDistantDataset(corpus, hypos, []extract.Batch{{Cands: bracket, Names: names}}, s.Result.Segmenter)
 	if len(samples) < 20 {
 		return "", NeuralResult{}, fmt.Errorf("neural ablation: only %d distant samples", len(samples))
 	}
@@ -313,8 +331,8 @@ func (s *Suite) SeparationVsSuffix() (string, []SeparationVsSuffixRow) {
 			continue
 		}
 		id := p.ID()
-		for _, c := range sep.Extract(p.Title, p.Bracket) {
-			pmiPairs = append(pmiPairs, eval.Pair{Hypo: id, Hyper: c.Hyper})
+		for _, h := range sep.Hypernyms(p.Title, p.Bracket) {
+			pmiPairs = append(pmiPairs, eval.Pair{Hypo: id, Hyper: h})
 		}
 		// Naive heuristic: last content word of each compound.
 		for _, part := range strings.FieldsFunc(p.Bracket, func(r rune) bool { return r == '、' || r == '，' }) {

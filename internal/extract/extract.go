@@ -3,27 +3,89 @@
 // sources of a Chinese encyclopedia page — bracket (separation
 // algorithm), abstract (neural generation), infobox (predicate
 // discovery) and tag (direct extraction).
+//
+// Candidates are named by the IDs of the build's symbol table
+// (internal/symtab). A hyponym is always a page's entity, interned
+// before generation starts, so a generator is handed its ID. A
+// hypernym is a string the generator finds; it writes it into a Batch
+// under a batch-local index, and Resolve interns the batches' names
+// afterwards, in an order the caller fixes. Generators therefore touch
+// no shared state, and the IDs do not depend on how they were
+// scheduled.
 package extract
 
 import (
+	"cmp"
 	"slices"
-	"strings"
 
 	"cnprobase/internal/encyclopedia"
 	"cnprobase/internal/runes"
+	"cnprobase/internal/symtab"
 	"cnprobase/internal/taxonomy"
 )
 
 // Candidate is one candidate isA relation with provenance.
 type Candidate struct {
-	// Hypo is the hyponym: a disambiguated entity ID or a concept.
-	Hypo string
-	// Hyper is the hypernym concept string.
-	Hyper string
+	// Hypo is the hyponym's ID: a disambiguated entity ID.
+	Hypo uint32
+	// Hyper is the hypernym concept's ID.
+	Hyper uint32
 	// Source records the generating algorithm.
 	Source taxonomy.Source
 	// Score is a source-specific confidence in [0, 1].
 	Score float64
+}
+
+// Key packs the pair into one integer; keys order candidates by (Hypo,
+// Hyper), the order Dedupe returns them in.
+func (c Candidate) Key() uint64 { return uint64(c.Hypo)<<32 | uint64(c.Hyper) }
+
+func compareKeys(a, b Candidate) int { return cmp.Compare(a.Key(), b.Key()) }
+
+// Batch collects what one generator emitted over a run of pages. Until
+// Resolve, a candidate's Hyper is the index of its hypernym in Names,
+// the batch's own list of hypernyms in first-seen order.
+type Batch struct {
+	Cands []Candidate
+	Names []string
+	index map[string]uint32
+}
+
+// Add emits isA(hypo, hyper).
+func (b *Batch) Add(hypo uint32, hyper string, src taxonomy.Source, score float64) {
+	i, ok := b.index[hyper]
+	if !ok {
+		if b.index == nil {
+			b.index = make(map[string]uint32)
+		}
+		i = uint32(len(b.Names))
+		b.index[hyper] = i
+		b.Names = append(b.Names, hyper)
+	}
+	b.Cands = append(b.Cands, Candidate{Hypo: hypo, Hyper: i, Source: src, Score: score})
+}
+
+// Resolve interns the batches' hypernyms into syms — batch by batch,
+// each in first-seen order, so a name gets the ID of its first
+// appearance in the concatenated stream however it was cut into
+// batches — and returns all their candidates on those IDs, in batch
+// order. The batches are not changed.
+func Resolve(syms *symtab.Table, batches []Batch) []Candidate {
+	n := 0
+	for i := range batches {
+		n += len(batches[i].Cands)
+	}
+	out := make([]Candidate, 0, n)
+	for i := range batches {
+		b := &batches[i]
+		ids := make([]uint32, len(b.Names))
+		syms.InternAll(b.Names, ids)
+		for _, c := range b.Cands {
+			c.Hyper = ids[c.Hyper]
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // validHypernym applies the shared sanity conditions every generator
@@ -34,27 +96,16 @@ func validHypernym(h string) bool {
 }
 
 // Tags implements direct extraction from tags: "a majority of tags are
-// the hypernyms of the entities" — every tag becomes a candidate, and
-// the verification module is responsible for the rest.
-func Tags(page *encyclopedia.Page) []Candidate {
-	id := page.ID()
-	var out []Candidate
+// the hypernyms of the entities" — every tag becomes a candidate of the
+// page's entity hypo, and the verification module is responsible for
+// the rest.
+func Tags(page *encyclopedia.Page, hypo uint32, b *Batch) {
 	for _, tag := range page.Tags {
 		if !validHypernym(tag) || tag == page.Title {
 			continue
 		}
-		out = append(out, Candidate{Hypo: id, Hyper: tag, Source: taxonomy.SourceTag, Score: 1})
+		b.Add(hypo, tag, taxonomy.SourceTag, 1)
 	}
-	return out
-}
-
-// ComparePair orders candidates by (hypo, hyper), the order Dedupe
-// returns them in.
-func ComparePair(a, b *Candidate) int {
-	if c := strings.Compare(a.Hypo, b.Hypo); c != 0 {
-		return c
-	}
-	return strings.Compare(a.Hyper, b.Hyper)
 }
 
 // absorb folds a duplicate of c's pair into c.
@@ -66,8 +117,8 @@ func (c *Candidate) absorb(dup *Candidate) {
 }
 
 // Dedupe merges duplicate (hypo, hyper) candidates, OR-ing sources and
-// keeping the maximum score, and returns them sorted by (hypo, hyper)
-// in a slice of exactly their number. cands is left untouched.
+// keeping the maximum score, and returns them sorted by key, the
+// slice's capacity clipped to their number. cands is left untouched.
 func Dedupe(cands []Candidate) []Candidate {
 	if len(cands) == 0 {
 		return nil
@@ -76,23 +127,18 @@ func Dedupe(cands []Candidate) []Candidate {
 	// folds every run into its head. The fold is commutative and the
 	// duplicates of a pair differ in nothing else, so which of them
 	// leads its run does not show and the sort need not be stable.
-	sorted := slices.Clone(cands)
-	slices.SortFunc(sorted, func(a, b Candidate) int { return ComparePair(&a, &b) })
-	n := 1
-	for i := 1; i < len(sorted); i++ {
-		if ComparePair(&sorted[i], &sorted[i-1]) != 0 {
-			n++
-		}
-	}
-	out := make([]Candidate, 0, n)
-	for i := range sorted {
-		if last := len(out) - 1; last >= 0 && ComparePair(&out[last], &sorted[i]) == 0 {
-			out[last].absorb(&sorted[i])
+	out := slices.Clone(cands)
+	slices.SortFunc(out, compareKeys)
+	n := 0
+	for i := 1; i < len(out); i++ {
+		if out[i].Key() == out[n].Key() {
+			out[n].absorb(&out[i])
 			continue
 		}
-		out = append(out, sorted[i])
+		n++
+		out[n] = out[i]
 	}
-	return out
+	return slices.Clip(out[:n+1])
 }
 
 // Union returns Dedupe of the concatenation of a and b, two lists
@@ -107,7 +153,7 @@ func Union(a, b []Candidate) []Candidate {
 	}
 	n, i, j := 0, 0, 0
 	for ; i < len(a) && j < len(b); n++ {
-		c := ComparePair(&a[i], &b[j])
+		c := compareKeys(a[i], b[j])
 		if c <= 0 {
 			i++
 		}
@@ -118,7 +164,7 @@ func Union(a, b []Candidate) []Candidate {
 	out := make([]Candidate, 0, n+len(a)-i+len(b)-j)
 	i, j = 0, 0
 	for i < len(a) && j < len(b) {
-		c := ComparePair(&a[i], &b[j])
+		c := compareKeys(a[i], b[j])
 		if c > 0 {
 			out = append(out, b[j])
 			j++

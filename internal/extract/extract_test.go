@@ -1,7 +1,6 @@
 package extract
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -10,6 +9,7 @@ import (
 	"cnprobase/internal/corpus"
 	"cnprobase/internal/encyclopedia"
 	"cnprobase/internal/segment"
+	"cnprobase/internal/symtab"
 	"cnprobase/internal/taxonomy"
 )
 
@@ -98,59 +98,81 @@ func TestSeparationEmpty(t *testing.T) {
 
 func TestSeparatorExtractEnumeratedBracket(t *testing.T) {
 	sep := NewSeparator(testSegmenter(), figure3Stats())
-	cands := sep.Extract("刘德华", "中国香港男演员、歌手、词作人")
-	want := map[string]bool{"男演员": true, "歌手": true, "词作人": true}
-	if len(cands) != len(want) {
-		t.Fatalf("candidates = %+v, want 3", cands)
-	}
-	for _, c := range cands {
-		if !want[c.Hyper] {
-			t.Errorf("unexpected hypernym %q", c.Hyper)
-		}
-		if c.Hypo != "刘德华（中国香港男演员、歌手、词作人）" {
-			t.Errorf("hypo = %q", c.Hypo)
-		}
-		if c.Source != taxonomy.SourceBracket {
-			t.Errorf("source = %v", c.Source)
-		}
+	got := sep.Hypernyms("刘德华", "中国香港男演员、歌手、词作人")
+	if want := []string{"男演员", "歌手", "词作人"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Hypernyms = %q, want %q", got, want)
 	}
 }
 
 func TestSeparatorExtractNoBracket(t *testing.T) {
 	sep := NewSeparator(testSegmenter(), figure3Stats())
-	if got := sep.Extract("刘德华", ""); got != nil {
-		t.Errorf("Extract with empty bracket = %v", got)
+	if got := sep.Hypernyms("刘德华", ""); got != nil {
+		t.Errorf("Hypernyms with empty bracket = %v", got)
 	}
 }
 
 func TestTagsExtraction(t *testing.T) {
 	p := &encyclopedia.Page{
 		Title: "刘德华",
-		Tags:  []string{"演员", "人物", "刘德华", "", "Andy"},
+		Tags:  []string{"演员", "人物", "刘德华", "", "Andy", "演员"},
 	}
-	cands := Tags(p)
-	if len(cands) != 2 {
-		t.Fatalf("Tags = %+v, want 2 candidates", cands)
+	var b Batch
+	Tags(p, 7, &b)
+	if want := []string{"演员", "人物"}; !reflect.DeepEqual(b.Names, want) {
+		t.Fatalf("Tags named %q, want %q", b.Names, want)
 	}
-	for _, c := range cands {
-		if c.Hyper == "刘德华" || c.Hyper == "Andy" || c.Hyper == "" {
-			t.Errorf("Tags kept invalid hypernym %q", c.Hyper)
+	want := []Candidate{
+		{Hypo: 7, Hyper: 0, Source: taxonomy.SourceTag, Score: 1},
+		{Hypo: 7, Hyper: 1, Source: taxonomy.SourceTag, Score: 1},
+		{Hypo: 7, Hyper: 0, Source: taxonomy.SourceTag, Score: 1},
+	}
+	if !reflect.DeepEqual(b.Cands, want) {
+		t.Fatalf("Tags = %+v, want %+v", b.Cands, want)
+	}
+}
+
+// TestResolveFirstSeenOrder pins what makes IDs independent of how a
+// stream is cut into batches: a name gets the ID of its first
+// appearance in the concatenation.
+func TestResolveFirstSeenOrder(t *testing.T) {
+	stream := []string{"乙类", "甲类", "乙类", "丙类", "甲类", "丁类"}
+	var want []Candidate
+	for cut := 0; cut <= len(stream); cut++ {
+		syms := symtab.New()
+		syms.Intern("页面")
+		var a, b Batch
+		for i, h := range stream {
+			if i < cut {
+				a.Add(0, h, taxonomy.SourceTag, 1)
+			} else {
+				b.Add(0, h, taxonomy.SourceTag, 1)
+			}
+		}
+		got := Resolve(syms, []Batch{a, b})
+		if cut == 0 {
+			want = got
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut %d: %+v, want %+v", cut, got, want)
+		}
+		if names := syms.Names(); !reflect.DeepEqual(names, []string{"页面", "乙类", "甲类", "丙类", "丁类"}) {
+			t.Fatalf("cut %d: table %q", cut, names)
 		}
 	}
 }
 
 func TestDedupe(t *testing.T) {
 	in := []Candidate{
-		{Hypo: "a", Hyper: "b", Source: taxonomy.SourceTag, Score: 0.5},
-		{Hypo: "a", Hyper: "b", Source: taxonomy.SourceBracket, Score: 0.9},
-		{Hypo: "a", Hyper: "c", Source: taxonomy.SourceTag, Score: 1},
+		{Hypo: 1, Hyper: 2, Source: taxonomy.SourceTag, Score: 0.5},
+		{Hypo: 1, Hyper: 2, Source: taxonomy.SourceBracket, Score: 0.9},
+		{Hypo: 1, Hyper: 3, Source: taxonomy.SourceTag, Score: 1},
 	}
 	out := Dedupe(in)
 	if len(out) != 2 {
 		t.Fatalf("Dedupe len = %d, want 2", len(out))
 	}
 	first := out[0]
-	if first.Hypo != "a" || first.Hyper != "b" {
+	if first.Hypo != 1 || first.Hyper != 2 {
 		t.Fatalf("Dedupe order wrong: %+v", out)
 	}
 	if first.Source&taxonomy.SourceTag == 0 || first.Source&taxonomy.SourceBracket == 0 {
@@ -168,12 +190,12 @@ func TestDedupe(t *testing.T) {
 		in := make([]Candidate, rng.Intn(200))
 		for i := range in {
 			in[i] = Candidate{
-				Hypo: fmt.Sprint("h", rng.Intn(12)), Hyper: fmt.Sprint("c", rng.Intn(6)),
+				Hypo: uint32(rng.Intn(12)), Hyper: uint32(rng.Intn(6)) << 30,
 				Source: taxonomy.Source(1 << rng.Intn(4)), Score: float64(rng.Intn(5)) / 4,
 			}
 		}
 		orig := append([]Candidate(nil), in...)
-		type key struct{ hypo, hyper string }
+		type key struct{ hypo, hyper uint32 }
 		idx := make(map[key]int)
 		var want []Candidate
 		for _, c := range in {
@@ -215,6 +237,15 @@ func TestDedupe(t *testing.T) {
 	}
 }
 
+// pageIDs names page i by ID 100+i.
+func pageIDs(c *encyclopedia.Corpus) []uint32 {
+	ids := make([]uint32, len(c.Pages))
+	for i := range ids {
+		ids[i] = 100 + uint32(i)
+	}
+	return ids
+}
+
 func buildTestCorpus() *encyclopedia.Corpus {
 	c := &encyclopedia.Corpus{}
 	// 30 pages whose 职业 triples align with bracket-derived isA; a
@@ -243,12 +274,13 @@ func buildTestCorpus() *encyclopedia.Corpus {
 
 func TestPredicateDiscovery(t *testing.T) {
 	c := buildTestCorpus()
-	var prior []Candidate
+	hypos := pageIDs(c)
+	var prior Batch
 	for i := range c.Pages {
-		prior = append(prior, Candidate{Hypo: c.Pages[i].ID(), Hyper: "演员", Source: taxonomy.SourceBracket})
+		prior.Add(hypos[i], "演员", taxonomy.SourceBracket, 1)
 	}
 	pd := PredicateDiscovery{MinAligned: 1, MinScore: 0.5, MaxSelected: 12}
-	cands, selected := pd.Discover(c, NewPrior(prior))
+	cands, selected := pd.Discover(c, hypos, NewPrior([]Batch{prior}))
 	if len(cands) < 2 {
 		t.Fatalf("candidates = %+v, want 职业 and 相关人物", cands)
 	}
@@ -269,7 +301,7 @@ func TestPredicateDiscovery(t *testing.T) {
 func TestPredicateDiscoveryWhitelist(t *testing.T) {
 	c := buildTestCorpus()
 	pd := PredicateDiscovery{Whitelist: []string{"职业"}}
-	_, selected := pd.Discover(c, NewPrior(nil))
+	_, selected := pd.Discover(c, pageIDs(c), NewPrior(nil))
 	if len(selected) != 1 || selected[0] != "职业" {
 		t.Errorf("whitelist ignored: %v", selected)
 	}
@@ -277,17 +309,20 @@ func TestPredicateDiscoveryWhitelist(t *testing.T) {
 
 func TestExtractInfobox(t *testing.T) {
 	c := buildTestCorpus()
-	cands := ExtractInfobox(c, []string{"职业"})
-	if len(cands) != 30 {
-		t.Fatalf("ExtractInfobox = %d candidates, want 30", len(cands))
+	hypos := pageIDs(c)
+	var b Batch
+	ExtractInfobox(c.Pages, hypos, []string{"职业"}, &b)
+	if len(b.Cands) != 30 || !reflect.DeepEqual(b.Names, []string{"演员"}) {
+		t.Fatalf("ExtractInfobox = %d candidates naming %q, want 30 naming 演员", len(b.Cands), b.Names)
 	}
-	for _, cand := range cands {
-		if cand.Hyper != "演员" || cand.Source != taxonomy.SourceInfobox {
+	for i, cand := range b.Cands {
+		if cand.Hypo != hypos[i] || cand.Source != taxonomy.SourceInfobox {
 			t.Fatalf("bad candidate %+v", cand)
 		}
 	}
-	if got := ExtractInfobox(c, nil); got != nil {
-		t.Errorf("no predicates should yield no candidates, got %d", len(got))
+	var none Batch
+	if ExtractInfobox(c.Pages, hypos, nil, &none); len(none.Cands) != 0 {
+		t.Errorf("no predicates should yield no candidates, got %d", len(none.Cands))
 	}
 }
 

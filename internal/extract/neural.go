@@ -19,9 +19,10 @@ type Neural struct {
 // BuildDistantDataset assembles the distant-supervision training set:
 // for every high-precision bracket-derived isA(e, h), the abstract of e
 // becomes the source and h the target (paper: 300k+ pairs built the
-// same way).
-func BuildDistantDataset(c *encyclopedia.Corpus, bracketCands []Candidate, seg *segment.Segmenter) []copynet.Sample {
-	abstracts := make(map[string][]string) // entity ID → segmented abstract
+// same way). hypos[i] is page i's entity ID; bracket holds the bracket
+// generator's batches, in page order.
+func BuildDistantDataset(c *encyclopedia.Corpus, hypos []uint32, bracket []Batch, seg *segment.Segmenter) []copynet.Sample {
+	abstracts := make(map[uint32][]string) // entity ID → segmented abstract
 	var buf []string                       // recycled across pages; contentTokens copies out
 	for i := range c.Pages {
 		p := &c.Pages[i]
@@ -29,19 +30,22 @@ func BuildDistantDataset(c *encyclopedia.Corpus, bracketCands []Candidate, seg *
 			continue
 		}
 		buf = seg.CutAppend(buf[:0], p.Abstract)
-		abstracts[p.ID()] = contentTokens(buf)
+		abstracts[hypos[i]] = contentTokens(buf)
 	}
 	var out []copynet.Sample
-	for _, cand := range bracketCands {
-		src, ok := abstracts[cand.Hypo]
-		if !ok || len(src) == 0 {
-			continue
+	for i := range bracket {
+		b := &bracket[i]
+		for _, cand := range b.Cands {
+			src, ok := abstracts[cand.Hypo]
+			if !ok || len(src) == 0 {
+				continue
+			}
+			tgt := seg.Cut(b.Names[cand.Hyper])
+			if len(tgt) == 0 {
+				continue
+			}
+			out = append(out, copynet.Sample{Src: src, Tgt: tgt})
 		}
-		tgt := seg.Cut(cand.Hyper)
-		if len(tgt) == 0 {
-			continue
-		}
-		out = append(out, copynet.Sample{Src: src, Tgt: tgt})
 	}
 	return out
 }
@@ -76,14 +80,11 @@ func TrainNeural(cfg copynet.Config, samples []copynet.Sample, epochs int, lr fl
 // SetSegmenter attaches the segmenter used at extraction time.
 func (n *Neural) SetSegmenter(seg *segment.Segmenter) { n.seg = seg }
 
-// Model exposes the underlying network (for ablation experiments).
-func (n *Neural) Model() *copynet.Model { return n.model }
-
 // Extract generates a concept from the page's abstract and emits it as
-// a candidate for the page's entity.
-func (n *Neural) Extract(page *encyclopedia.Page) []Candidate {
+// a candidate of the page's entity hypo.
+func (n *Neural) Extract(page *encyclopedia.Page, hypo uint32, b *Batch) {
 	if page.Abstract == "" || n.seg == nil {
-		return nil
+		return
 	}
 	bufp := cutBufPool.Get().(*[]string)
 	toks := n.seg.CutAppend((*bufp)[:0], page.Abstract)
@@ -91,12 +92,10 @@ func (n *Neural) Extract(page *encyclopedia.Page) []Candidate {
 	*bufp = toks
 	cutBufPool.Put(bufp)
 	if len(src) == 0 {
-		return nil
+		return
 	}
 	tokens := n.model.Generate(src)
-	concept := strings.Join(tokens, "")
-	if !validHypernym(concept) || concept == page.Title {
-		return nil
+	if concept := strings.Join(tokens, ""); validHypernym(concept) && concept != page.Title {
+		b.Add(hypo, concept, taxonomy.SourceAbstract, 0.8)
 	}
-	return []Candidate{{Hypo: page.ID(), Hyper: concept, Source: taxonomy.SourceAbstract, Score: 0.8}}
 }

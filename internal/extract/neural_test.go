@@ -15,11 +15,10 @@ func TestBuildDistantDataset(t *testing.T) {
 		{Title: "刘德华", Bracket: "男演员", Abstract: "刘德华，中国香港男演员。"},
 		{Title: "无摘要", Bracket: "歌手"}, // no abstract → no sample
 	}}
-	cands := []Candidate{
-		{Hypo: "刘德华（男演员）", Hyper: "男演员", Source: taxonomy.SourceBracket},
-		{Hypo: "无摘要（歌手）", Hyper: "歌手", Source: taxonomy.SourceBracket},
-	}
-	samples := BuildDistantDataset(c, cands, seg)
+	var bracket Batch
+	bracket.Add(10, "男演员", taxonomy.SourceBracket, 1)
+	bracket.Add(11, "歌手", taxonomy.SourceBracket, 1)
+	samples := BuildDistantDataset(c, []uint32{10, 11}, []Batch{bracket}, seg)
 	if len(samples) != 1 {
 		t.Fatalf("samples = %+v, want 1", samples)
 	}
@@ -39,8 +38,9 @@ func TestBuildDistantDataset(t *testing.T) {
 
 func TestNeuralExtractSkipsDegenerate(t *testing.T) {
 	n := &Neural{} // no model, no segmenter
-	if got := n.Extract(&encyclopedia.Page{Title: "x"}); got != nil {
-		t.Errorf("Extract without abstract = %v", got)
+	var b Batch
+	if n.Extract(&encyclopedia.Page{Title: "x"}, 0, &b); b.Cands != nil {
+		t.Errorf("Extract without abstract = %v", b.Cands)
 	}
 }
 
@@ -63,11 +63,12 @@ func TestTrainNeuralAndExtract(t *testing.T) {
 	}
 	n.SetSegmenter(seg)
 	page := &encyclopedia.Page{Title: "张三", Abstract: "他是著名歌手。"}
-	cands := n.Extract(page)
-	if len(cands) != 1 {
-		t.Fatalf("Extract = %+v", cands)
+	var b Batch
+	n.Extract(page, 3, &b)
+	if len(b.Cands) != 1 {
+		t.Fatalf("Extract = %+v", b.Cands)
 	}
-	if cands[0].Hyper != "歌手" || cands[0].Source != taxonomy.SourceAbstract {
-		t.Errorf("candidate = %+v", cands[0])
+	if c := b.Cands[0]; c.Hypo != 3 || b.Names[c.Hyper] != "歌手" || c.Source != taxonomy.SourceAbstract {
+		t.Errorf("candidate = %+v naming %q", c, b.Names)
 	}
 }

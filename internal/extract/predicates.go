@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"slices"
 	"sort"
 
 	"cnprobase/internal/encyclopedia"
@@ -52,38 +53,34 @@ func DefaultPredicateDiscovery() PredicateDiscovery {
 }
 
 // Prior is the set of high-precision isA pairs (from the bracket
-// source) used as distant supervision.
-type Prior map[string]map[string]bool
+// source) used as distant supervision: per hyponym ID, its hypernyms.
+type Prior map[uint32][]string
 
-// NewPrior builds a Prior from candidates.
-func NewPrior(cands []Candidate) Prior {
+// NewPrior builds a Prior from the bracket generator's batches.
+func NewPrior(batches []Batch) Prior {
 	p := make(Prior)
-	for _, c := range cands {
-		m := p[c.Hypo]
-		if m == nil {
-			m = make(map[string]bool)
-			p[c.Hypo] = m
+	for i := range batches {
+		b := &batches[i]
+		for _, c := range b.Cands {
+			p[c.Hypo] = append(p[c.Hypo], b.Names[c.Hyper])
 		}
-		m[c.Hyper] = true
 	}
 	return p
 }
 
 // Has reports whether isA(hypo, hyper) is in the prior.
-func (p Prior) Has(hypo, hyper string) bool { return p[hypo][hyper] }
+func (p Prior) Has(hypo uint32, hyper string) bool { return slices.Contains(p[hypo], hyper) }
 
 // Discover aligns every infobox triple against the prior and returns
 // all candidate predicates (aligned at least MinAligned times) sorted
-// by score, plus the curated selection.
-func (pd PredicateDiscovery) Discover(c *encyclopedia.Corpus, prior Prior) (candidates []PredicateStat, selected []string) {
+// by score, plus the curated selection. hypos[i] is page i's entity ID.
+func (pd PredicateDiscovery) Discover(c *encyclopedia.Corpus, hypos []uint32, prior Prior) (candidates []PredicateStat, selected []string) {
 	totals := make(map[string]int)
 	aligned := make(map[string]int)
 	for i := range c.Pages {
-		page := &c.Pages[i]
-		id := page.ID()
-		for _, t := range page.Infobox {
+		for _, t := range c.Pages[i].Infobox {
 			totals[t.Predicate]++
-			if prior.Has(id, t.Object) {
+			if prior.Has(hypos[i], t.Object) {
 				aligned[t.Predicate]++
 			}
 		}
@@ -112,22 +109,22 @@ func (pd PredicateDiscovery) Discover(c *encyclopedia.Corpus, prior Prior) (cand
 }
 
 // ExtractInfobox harvests isA candidates from all triples whose
-// predicate is in the curated list.
-func ExtractInfobox(c *encyclopedia.Corpus, predicates []string) []Candidate {
+// predicate is in the curated list; hypos[i] is pages[i]'s entity ID.
+func ExtractInfobox(pages []encyclopedia.Page, hypos []uint32, predicates []string, b *Batch) {
+	if len(predicates) == 0 {
+		return
+	}
 	sel := make(map[string]bool, len(predicates))
 	for _, p := range predicates {
 		sel[p] = true
 	}
-	var out []Candidate
-	for i := range c.Pages {
-		page := &c.Pages[i]
-		id := page.ID()
+	for i := range pages {
+		page := &pages[i]
 		for _, t := range page.Infobox {
 			if !sel[t.Predicate] || !validHypernym(t.Object) || t.Object == page.Title {
 				continue
 			}
-			out = append(out, Candidate{Hypo: id, Hyper: t.Object, Source: taxonomy.SourceInfobox, Score: 1})
+			b.Add(hypos[i], t.Object, taxonomy.SourceInfobox, 1)
 		}
 	}
-	return out
 }

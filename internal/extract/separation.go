@@ -1,13 +1,13 @@
 package extract
 
 import (
+	"slices"
 	"strings"
 	"sync"
 
 	"cnprobase/internal/corpus"
 	"cnprobase/internal/runes"
 	"cnprobase/internal/segment"
-	"cnprobase/internal/taxonomy"
 )
 
 // cutBufPool recycles token buffers for the segmenter calls the
@@ -176,26 +176,18 @@ func splitCompounds(bracket string) []string {
 	return out
 }
 
-// Extract runs the separation algorithm on a page's bracket and returns
-// the candidate isA relations for the page's disambiguated entity.
-func (s *Separator) Extract(title, bracket string) []Candidate {
-	if bracket == "" {
-		return nil
-	}
-	id := title
-	if bracket != "" {
-		id = title + "（" + bracket + "）"
-	}
-	var out []Candidate
-	seen := make(map[string]bool)
+// Hypernyms runs the separation algorithm on a page's bracket and
+// returns the hypernyms it proposes for the page's disambiguated
+// entity, each once, in bracket order.
+func (s *Separator) Hypernyms(title, bracket string) []string {
+	var out []string
 	for _, part := range splitCompounds(bracket) {
 		t := s.Separate(part)
 		for _, h := range t.Hypernyms {
-			if h == title || seen[h] || !runes.AllHan(h) {
+			if h == title || slices.Contains(out, h) || !runes.AllHan(h) {
 				continue
 			}
-			seen[h] = true
-			out = append(out, Candidate{Hypo: id, Hyper: h, Source: taxonomy.SourceBracket, Score: 1})
+			out = append(out, h)
 		}
 	}
 	return out

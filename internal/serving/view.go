@@ -362,16 +362,16 @@ func (v *View) edge(hypo, hyper string) (hypoID, hyperID, i uint32, ok bool) {
 	if hyperID, ok = v.ID(hyper, 0); !ok {
 		return 0, 0, 0, false
 	}
-	i, ok = v.edgeIndex(hypoID, hyperID)
+	i, ok = v.EdgeIndex(hypoID, hyperID)
 	return hypoID, hyperID, i, ok
 }
 
-// edgeIndex locates the flat-array index of edge (hypoID → hyperID) by
+// EdgeIndex locates the flat-array index of edge (hypoID → hyperID) by
 // binary search over the node's ascending hypernym IDs. Hand-rolled
 // (no sort.Search closure) to keep the edge query path at 0 allocs/op.
 //
 //cnp:noalloc
-func (v *View) edgeIndex(hypoID, hyperID uint32) (uint32, bool) {
+func (v *View) EdgeIndex(hypoID, hyperID uint32) (uint32, bool) {
 	off, end := v.hyperOff[hypoID], v.hyperOff[hypoID+1]
 	seg := v.hyperIDs[off:end]
 	lo, hi := 0, len(seg)

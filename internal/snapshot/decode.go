@@ -561,8 +561,9 @@ func (r *payloadReader) page(shape imageShape, nPreds int, ld *loader, id uint32
 }
 
 // restoreKept rebuilds the kept candidate list off the image's edges —
-// in edge order, which is the list's (hypo, hyper) order — and folds
-// the pairs into the evidence by ID.
+// in edge order, which, since a node's symbol ID is its image ID, is
+// the list's (Hypo, Hyper) ID order — and folds the pairs into the
+// evidence by ID.
 func (ld *loader) restoreKept(bits []byte) {
 	c := ld.content
 	n := 0
@@ -577,13 +578,13 @@ func (ld *loader) restoreKept(bits []byte) {
 				continue
 			}
 			e := &c.Edges[j]
-			cand := extract.Candidate{Hypo: e.Hypo, Hyper: e.Hyper, Source: e.Sources, Score: e.Score}
+			cand := extract.Candidate{Hypo: uint32(u), Hyper: c.HyperIDs[j], Source: e.Sources, Score: e.Score}
 			if x < len(ld.except) && ld.except[x].edge == uint32(j) {
 				cand.Source, cand.Score = ld.except[x].source, ld.except[x].score
 				x++
 			}
 			ld.kept = append(ld.kept, cand)
-			ld.ev.AddPair(uint32(u), c.HyperIDs[j])
+			ld.ev.AddPair(cand.Hypo, cand.Hyper)
 		}
 	}
 	ld.ev.MarkAllDirty()

@@ -9,7 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"strings"
+	"slices"
 
 	"cnprobase/internal/extract"
 	"cnprobase/internal/ner"
@@ -209,10 +209,10 @@ type keptException struct {
 // section by running its encoder without a writer.
 func (e *evidenceSection) resolve(st *State, view *serving.View) error {
 	if e.present {
+		e.pages = st.Evidence.PagesAlong(view.Nodes())
 		if err := e.resolveKept(st.Kept, view); err != nil {
 			return err
 		}
-		e.pages = st.Evidence.PagesAlong(view.Nodes())
 		e.mentions = uint32(view.MentionCount())
 		e.titles = make([]uint32, e.pages.Len())
 		var row uint32
@@ -237,40 +237,35 @@ func (e *evidenceSection) resolve(st *State, view *serving.View) error {
 	return nil
 }
 
-// resolveKept sets one bit per image edge that is a kept pair, walking
-// the edges in image order — by (hyponym name, hypernym name), the
-// kept list's own order — beside the list.
+// resolveKept sets one bit per image edge that is a kept pair. The
+// pairs are named by symbol IDs, which PagesAlong has mapped to image
+// node IDs once; each pair is one lookup of that map per side and one
+// binary search of its hyponym's hypernyms.
 func (e *evidenceSection) resolveKept(kept []extract.Candidate, view *serving.View) error {
-	names := view.Nodes()
 	e.kept = make([]uint64, (view.EdgeCount()+63)/64)
-	k, j := 0, uint32(0)
-	for u := range names {
-		for _, h := range view.HypernymIDsOf(uint32(u)) {
-			if k == len(kept) {
-				return nil
-			}
-			c := &kept[k]
-			switch {
-			case c.Hypo == names[u] && c.Hyper == names[h]:
-				e.kept[j/64] |= 1 << (j % 64)
-				if src, score := view.EdgeAt(j); c.Source != src || math.Float64bits(c.Score) != math.Float64bits(score) {
-					e.except = append(e.except, keptException{j, c.Source, c.Score})
-				}
-				k++
-			case cmp.Or(strings.Compare(c.Hypo, names[u]), strings.Compare(c.Hyper, names[h])) < 0:
-				return notAnEdge(c)
-			}
-			j++
+	for i := range kept {
+		c := &kept[i]
+		u, ok := e.pages.IndexOf(c.Hypo)
+		h, ok2 := e.pages.IndexOf(c.Hyper)
+		var j uint32
+		if ok && ok2 {
+			j, ok = view.EdgeIndex(u, h)
+		}
+		if !ok || !ok2 {
+			return fmt.Errorf("snapshot: kept candidate %q isA %q is not an edge of the taxonomy",
+				e.pages.Name(c.Hypo), e.pages.Name(c.Hyper))
+		}
+		if e.kept[j/64]&(1<<(j%64)) != 0 {
+			return fmt.Errorf("snapshot: kept candidate %q isA %q is listed twice", e.pages.Name(c.Hypo), e.pages.Name(c.Hyper))
+		}
+		e.kept[j/64] |= 1 << (j % 64)
+		if src, score := view.EdgeAt(j); c.Source != src || math.Float64bits(c.Score) != math.Float64bits(score) {
+			e.except = append(e.except, keptException{j, c.Source, c.Score})
 		}
 	}
-	if k < len(kept) {
-		return notAnEdge(&kept[k])
-	}
+	// Written as gaps between ascending edges.
+	slices.SortFunc(e.except, func(a, b keptException) int { return cmp.Compare(a.edge, b.edge) })
 	return nil
-}
-
-func notAnEdge(c *extract.Candidate) error {
-	return fmt.Errorf("snapshot: kept candidate %q isA %q is not an edge of the taxonomy, or the kept list is not sorted", c.Hypo, c.Hyper)
 }
 
 func (e *evidenceSection) writeTo(bw *bufio.Writer) { e.encode(&payloadOut{bw: bw}) }

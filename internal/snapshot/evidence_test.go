@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"hash/crc32"
 	"math"
@@ -38,6 +39,28 @@ func buildResult(tb testing.TB, entities int) *core.Result {
 	return res
 }
 
+// namedPair is a kept candidate with its names resolved.
+type namedPair struct {
+	Hypo, Hyper string
+	Source      taxonomy.Source
+	Score       float64
+}
+
+// keptByName resolves kept pairs through the store's symbol table —
+// the one the evidence shares — and returns them in name order: the
+// form in which kept lists from two ID spaces compare.
+func keptByName(tax *taxonomy.Taxonomy, kept []extract.Candidate) []namedPair {
+	names := tax.Symbols().Names()
+	out := make([]namedPair, len(kept))
+	for i, c := range kept {
+		out[i] = namedPair{names[c.Hypo], names[c.Hyper], c.Source, c.Score}
+	}
+	slices.SortFunc(out, func(a, b namedPair) int {
+		return cmp.Or(strings.Compare(a.Hypo, b.Hypo), strings.Compare(a.Hyper, b.Hyper))
+	})
+	return out
+}
+
 // TestEvidenceRoundTrip pins the evidence section: a state
 // saved with evidence loads with the kept candidate set, support
 // counts and corpus statistics intact.
@@ -61,9 +84,18 @@ func TestEvidenceRoundTrip(t *testing.T) {
 	if len(loaded.Kept) != len(res.Kept) {
 		t.Fatalf("kept = %d candidates, want %d", len(loaded.Kept), len(res.Kept))
 	}
-	for i, c := range res.Kept {
-		if loaded.Kept[i] != c {
-			t.Fatalf("kept[%d] = %+v, want %+v", i, loaded.Kept[i], c)
+	want := keptByName(res.Taxonomy, res.Kept)
+	for i, c := range keptByName(loaded.Taxonomy, loaded.Kept) {
+		if c != want[i] {
+			t.Fatalf("kept[%d] = %+v, want %+v", i, c, want[i])
+		}
+	}
+	// Loaded IDs are image IDs, so the list, sorted by ID, is in name
+	// order too.
+	names := loaded.Taxonomy.Symbols().Names()
+	for i, c := range loaded.Kept {
+		if i > 0 && loaded.Kept[i-1].Key() >= c.Key() || names[c.Hypo] != want[i].Hypo || names[c.Hyper] != want[i].Hyper {
+			t.Fatalf("kept[%d] = %+v: the loaded list is not sorted by ID and by name alike", i, c)
 		}
 	}
 	// Support and statistics fold back exactly.
@@ -202,9 +234,9 @@ func TestEvidenceLayout(t *testing.T) {
 	if _, _, err := openMappedBytes(data); err != nil {
 		t.Fatalf("mapped: %v", err)
 	}
-	want := []extract.Candidate{{Hypo: "实体00（人物）", Hyper: "概念0", Source: taxonomy.SourceBracket | taxonomy.SourceTag, Score: 0.9}}
-	if !reflect.DeepEqual(st.Kept, want) {
-		t.Fatalf("kept = %+v, want %+v", st.Kept, want)
+	want := []namedPair{{Hypo: "实体00（人物）", Hyper: "概念0", Source: taxonomy.SourceBracket | taxonomy.SourceTag, Score: 0.9}}
+	if got := keptByName(st.Taxonomy, st.Kept); !reflect.DeepEqual(got, want) {
+		t.Fatalf("kept = %+v, want %+v", got, want)
 	}
 	if st.Stats.Tokens() != 2 || st.Evidence.S2("实体00") != 1 {
 		t.Fatalf("tokens %d, S2(实体00) = %v: the page and statistics did not load", st.Stats.Tokens(), st.Evidence.S2("实体00"))
@@ -224,13 +256,16 @@ func TestEvidenceLayout(t *testing.T) {
 func TestEvidenceOffTheImage(t *testing.T) {
 	res := buildResult(t, 300)
 	c := res.Kept[len(res.Kept)/2]
-	if err := res.Taxonomy.AddIsA(c.Hypo, c.Hyper, taxonomy.SourceMorph, 1); err != nil {
+	if err := res.Taxonomy.AddIsAID(c.Hypo, c.Hyper, taxonomy.SourceMorph, 1); err != nil {
 		t.Fatal(err)
 	}
-	if e, _ := res.Taxonomy.EdgeOf(c.Hypo, c.Hyper); e.Sources == c.Source {
+	names := res.Names()
+	if e, _ := res.Taxonomy.EdgeOf(names[c.Hypo], names[c.Hyper]); e.Sources == c.Source {
 		t.Fatalf("edge %+v still has the kept pair's sources", e)
 	}
-	res.Evidence.AddPages([]encyclopedia.Page{{Title: " 孤立页面 ", Infobox: []encyclopedia.Triple{{Predicate: "职业", Object: "演员"}}}})
+	lone := []encyclopedia.Page{{Title: " 孤立页面 ", Infobox: []encyclopedia.Triple{{Predicate: "职业", Object: "演员"}}}}
+	id := res.Taxonomy.Symbols().Intern(lone[0].Title)
+	res.Evidence.AddPages(lone, []uint32{id, id})
 	st := &State{Taxonomy: res.Taxonomy, Mentions: res.Mentions, Evidence: res.Evidence, Kept: res.Kept, Stats: res.Stats}
 	data := saveBytes(t, st, Options{Workers: 1})
 	loaded, err := Load(bytes.NewReader(data))
@@ -241,7 +276,7 @@ func TestEvidenceOffTheImage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mapped: %v", err)
 	}
-	if !reflect.DeepEqual(loaded.Kept, res.Kept) {
+	if !reflect.DeepEqual(keptByName(loaded.Taxonomy, loaded.Kept), keptByName(res.Taxonomy, res.Kept)) {
 		t.Fatal("the kept list did not round-trip")
 	}
 	pages := loaded.Evidence.PagesAlong(mapped.Nodes())
@@ -252,7 +287,8 @@ func TestEvidenceOffTheImage(t *testing.T) {
 		t.Fatal("re-saving the loaded state changed the bytes")
 	}
 
-	st.Kept = slices.Insert(slices.Clone(res.Kept), 0, extract.Candidate{Hypo: "无此节点", Hyper: "概念"})
+	syms := res.Taxonomy.Symbols()
+	st.Kept = slices.Insert(slices.Clone(res.Kept), 0, extract.Candidate{Hypo: syms.Intern("无此节点"), Hyper: syms.Intern("概念")})
 	if err := Save(&bytes.Buffer{}, st, Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), "is not an edge") {
 		t.Fatalf("Save of a kept pair that is no edge = %v", err)
 	}

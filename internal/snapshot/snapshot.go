@@ -120,8 +120,10 @@ type State struct {
 	// the snapshot was saved without it.
 	Evidence *verify.Evidence
 	// Kept is the post-verification candidate set the evidence
-	// describes: sorted by (Hypo, Hyper), each pair an edge of Taxonomy,
-	// as builds and updates leave it.
+	// describes, named by IDs of the evidence's symbol table: each pair
+	// an edge of Taxonomy, each once, as builds and updates leave it.
+	// Save takes it in any order; Load returns it sorted by ID, which
+	// after a load is name order.
 	Kept []extract.Candidate
 	// Stats is the corpus unigram/bigram statistics.
 	Stats *corpus.Stats

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
@@ -16,6 +17,7 @@ import (
 	"testing"
 
 	"cnprobase/internal/corpus"
+	"cnprobase/internal/extract"
 	"cnprobase/internal/ner"
 	"cnprobase/internal/serving"
 	"cnprobase/internal/taxonomy"
@@ -115,11 +117,22 @@ func encodeEvidenceOracle(st *State, view *serving.View) ([]byte, error) {
 	bits := make([]uint64, (view.EdgeCount()+63)/64)
 	var except []byte
 	nExcept, next := 0, uint32(0)
+	names := st.Taxonomy.Symbols().Names()
+	type keptEdge struct {
+		j uint32
+		c extract.Candidate
+	}
+	var kept []keptEdge
 	for _, c := range st.Kept {
-		j, ok := edgeOf[pair{c.Hypo, c.Hyper}]
+		j, ok := edgeOf[pair{names[c.Hypo], names[c.Hyper]}]
 		if !ok {
 			return nil, fmt.Errorf("kept pair %v is not an edge", c)
 		}
+		kept = append(kept, keptEdge{j, c})
+	}
+	slices.SortFunc(kept, func(a, b keptEdge) int { return cmp.Compare(a.j, b.j) })
+	for _, k := range kept {
+		j, c := k.j, k.c
 		bits[j/64] |= 1 << (j % 64)
 		if src, score := view.EdgeAt(j); src != c.Source || math.Float64bits(score) != math.Float64bits(c.Score) {
 			except = binary.AppendUvarint(except, uint64(j-next))

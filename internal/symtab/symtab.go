@@ -41,6 +41,26 @@ func (t *Table) Intern(name string) uint32 {
 	return id
 }
 
+// InternAll interns names in order under one lock, writing their IDs
+// to ids (len(ids) ≥ len(names)). Into an empty table the names go
+// without rehashing.
+func (t *Table) InternAll(names []string, ids []uint32) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.names) == 0 {
+		t.ids = make(map[string]uint32, len(names))
+	}
+	for i, name := range names {
+		id, ok := t.ids[name]
+		if !ok {
+			id = uint32(len(t.names))
+			t.ids[name] = id
+			t.names = append(t.names, name)
+		}
+		ids[i] = id
+	}
+}
+
 // Lookup returns the name's ID if it has one.
 func (t *Table) Lookup(name string) (uint32, bool) {
 	t.mu.RLock()

@@ -2,6 +2,7 @@ package symtab
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -66,5 +67,29 @@ func TestConcurrentInternAndRead(t *testing.T) {
 	wg.Wait()
 	if n := len(tab.Names()); n != 301 {
 		t.Fatalf("%d names, want 301 distinct", n)
+	}
+}
+
+// TestInternAllMatchesIntern: interning a list at once, into an empty
+// table or one that holds some of its names, hands out the IDs the
+// same names interned one by one would get.
+func TestInternAllMatchesIntern(t *testing.T) {
+	list := []string{"乙", "甲", "乙", "", "丙", "甲", "丁"}
+	for _, seed := range [][]string{nil, {"甲"}, {"戊", "丙"}} {
+		one, all := New(), New()
+		for _, name := range seed {
+			one.Intern(name)
+			all.Intern(name)
+		}
+		ids := make([]uint32, len(list))
+		all.InternAll(list, ids)
+		for i, name := range list {
+			if want := one.Intern(name); ids[i] != want {
+				t.Fatalf("seed %q: InternAll gave %q ID %d, Intern %d", seed, name, ids[i], want)
+			}
+		}
+		if !slices.Equal(all.Names(), one.Names()) {
+			t.Fatalf("seed %q: tables differ: %q vs %q", seed, all.Names(), one.Names())
+		}
 	}
 }

@@ -97,7 +97,7 @@ func TestIncrementalBookkeepingMatchesRecount(t *testing.T) {
 				case 0, 1, 2:
 					_ = tx.AddIsA(a, b, Source(1<<rng.Intn(6)), rng.Float64())
 				case 3:
-					tx.RemoveIsA(a, b)
+					removeIsA(tx, a, b)
 				case 4:
 					tx.MarkEntity(a)
 				case 5:

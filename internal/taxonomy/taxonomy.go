@@ -165,6 +165,9 @@ func New() *Taxonomy { return NewWithSymbols(symtab.New()) }
 // evidence the same table.
 func NewWithSymbols(syms *symtab.Table) *Taxonomy { return &Taxonomy{syms: syms} }
 
+// Symbols returns the table the store interns its names in.
+func (t *Taxonomy) Symbols() *symtab.Table { return t.syms }
+
 // lookup returns name's ID and record, nil when the store has none.
 // Callers hold mu.
 func (t *Taxonomy) lookup(name string) (uint32, *node) {
@@ -179,10 +182,15 @@ func (t *Taxonomy) lookup(name string) (uint32, *node) {
 // for writing; node pointers taken earlier may be stale afterwards.
 func (t *Taxonomy) intern(name string) uint32 {
 	id := t.syms.Intern(name)
+	t.grow(id)
+	return id
+}
+
+// grow puts the records up to id in place. Callers hold mu for writing.
+func (t *Taxonomy) grow(id uint32) {
 	if grow := int(id) + 1 - len(t.nodes); grow > 0 {
 		t.nodes = append(t.nodes, make([]node, grow)...)
 	}
-	return id
 }
 
 // setKind changes a node's kind and keeps the counters in step.
@@ -215,6 +223,20 @@ func (t *Taxonomy) MarkEntity(id string) { t.mark(id, KindEntity) }
 
 // MarkConcept declares node as a concept.
 func (t *Taxonomy) MarkConcept(name string) { t.mark(name, KindConcept) }
+
+// MarkEntityID is MarkEntity for a node named by an ID of the store's
+// symbol table.
+func (t *Taxonomy) MarkEntityID(id uint32) {
+	if t.syms.Names()[id] == "" {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.grow(id)
+	if t.nodes[id].kind == KindUnknown {
+		t.setKind(id, KindEntity)
+	}
+}
 
 func (t *Taxonomy) mark(name string, k NodeKind) {
 	if name == "" {
@@ -276,7 +298,26 @@ func (t *Taxonomy) AddIsA(hypo, hyper string, src Source, score float64) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	a, b := t.intern(hypo), t.intern(hyper)
+	t.addIsA(t.intern(hypo), t.intern(hyper), src, score)
+	return nil
+}
+
+// AddIsAID is AddIsA for a pair named by IDs of the store's symbol
+// table, with the same checks.
+func (t *Taxonomy) AddIsAID(hypo, hyper uint32, src Source, score float64) error {
+	names := t.syms.Names()
+	if err := checkEdge(names[hypo], names[hyper]); err != nil {
+		return err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.grow(max(hypo, hyper))
+	t.addIsA(hypo, hyper, src, score)
+	return nil
+}
+
+// addIsA is AddIsA on IDs with records. Callers hold mu for writing.
+func (t *Taxonomy) addIsA(a, b uint32, src Source, score float64) {
 	n := &t.nodes[a]
 	if i := n.find(b); i >= 0 {
 		e := &n.hypers[i]
@@ -285,10 +326,9 @@ func (t *Taxonomy) AddIsA(hypo, hyper string, src Source, score float64) error {
 		e.score = max(e.score, score)
 		// The evidence count feeds both endpoints' typicality rankings.
 		t.changes.record(a, b)
-		return nil
+		return
 	}
 	t.link(a, b, edge{hyper: b, sources: src, score: score, count: 1})
-	return nil
 }
 
 // link stores a new edge on both endpoints, marks an unknown hypernym
@@ -380,20 +420,21 @@ func (t *Taxonomy) ImportIDs(kinds []NodeKind, hyperOff, hyperIDs []uint32, edge
 	}
 }
 
-// RemoveIsA deletes the edge if present and reports whether it existed.
+// RemoveIsAID deletes the edge, named by IDs of the store's symbol
+// table, if present and reports whether it existed.
 // Concept endpoints left without any remaining edge are demoted: their
 // mark is dropped, so a concept whose last hyponym is retracted by
 // re-verification stops counting toward Stats.Concepts instead of
 // drifting the count upward across update batches. Entities (marked
 // via MarkEntity) always survive retraction.
-func (t *Taxonomy) RemoveIsA(hypo, hyper string) bool {
+func (t *Taxonomy) RemoveIsAID(hypo, hyper uint32) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	a, from := t.lookup(hypo)
-	b, to := t.lookup(hyper)
-	if from == nil || to == nil {
+	if int(max(hypo, hyper)) >= len(t.nodes) {
 		return false
 	}
+	a, b := hypo, hyper
+	from, to := &t.nodes[a], &t.nodes[b]
 	i := from.find(b)
 	if i < 0 {
 		return false

@@ -61,13 +61,20 @@ func TestDuplicateEdgeMergesProvenance(t *testing.T) {
 	}
 }
 
+// removeIsA removes isA(hypo, hyper) by name.
+func removeIsA(tx *Taxonomy, hypo, hyper string) bool {
+	a, ok := tx.syms.Lookup(hypo)
+	b, ok2 := tx.syms.Lookup(hyper)
+	return ok && ok2 && tx.RemoveIsAID(a, b)
+}
+
 func TestRemoveIsA(t *testing.T) {
 	tx := New()
 	mustAdd(t, tx, "a", "b", SourceTag)
-	if !tx.RemoveIsA("a", "b") {
+	if !removeIsA(tx, "a", "b") {
 		t.Error("RemoveIsA returned false")
 	}
-	if tx.RemoveIsA("a", "b") {
+	if removeIsA(tx, "a", "b") {
 		t.Error("second RemoveIsA returned true")
 	}
 	if _, ok := tx.EdgeOf("a", "b"); ok || len(tx.Edges()) != 0 || tx.HyponymCount("b") != 0 {
@@ -87,7 +94,7 @@ func TestRemoveIsADemotesOrphanedConcepts(t *testing.T) {
 	if got := tx.ComputeStats().Concepts; got != 1 {
 		t.Fatalf("Concepts = %d, want 1", got)
 	}
-	if !tx.RemoveIsA("实体甲", "概念") {
+	if !removeIsA(tx, "实体甲", "概念") {
 		t.Fatal("RemoveIsA returned false")
 	}
 	if got := tx.Kind("概念"); got != KindUnknown {
@@ -108,7 +115,7 @@ func TestRemoveIsADemotesOrphanedConcepts(t *testing.T) {
 	// edge) is not demoted when it loses its last hyponym.
 	mustAdd(t, tx, "男演员", "演员", SourceMorph)
 	mustAdd(t, tx, "实体甲", "男演员", SourceTag)
-	if !tx.RemoveIsA("实体甲", "男演员") {
+	if !removeIsA(tx, "实体甲", "男演员") {
 		t.Fatal("RemoveIsA returned false")
 	}
 	if got := tx.Kind("男演员"); got != KindConcept {
@@ -133,7 +140,7 @@ func TestStatsStableAcrossRetractionBatches(t *testing.T) {
 			t.Fatalf("batch %d: Concepts = %d, want %d", batch, got, base.Concepts+1)
 		}
 		// Union-wide re-verification retracts the batch's edge again.
-		if !tx.RemoveIsA(hypo, hyper) {
+		if !removeIsA(tx, hypo, hyper) {
 			t.Fatalf("batch %d: RemoveIsA returned false", batch)
 		}
 		if got := tx.ComputeStats().Concepts; got != base.Concepts {
@@ -347,7 +354,7 @@ func TestShardedConcurrentAddAndQuery(t *testing.T) {
 					_ = tx.AddIsA(hyper, fmt.Sprintf("上位%d", i%3), SourceSubsume, 0.5)
 				}
 				if i%11 == 0 {
-					tx.RemoveIsA(hypo, hyper)
+					removeIsA(tx, hypo, hyper)
 				}
 			}
 		}(g)
@@ -423,7 +430,7 @@ func TestRemoveLastEdgeCleansIndexes(t *testing.T) {
 	if got := tx.ComputeStats().NodesWithHypernym; got != 2 {
 		t.Fatalf("NodesWithHypernym = %d, want 2", got)
 	}
-	if !tx.RemoveIsA("甲", "概念") {
+	if !removeIsA(tx, "甲", "概念") {
 		t.Fatal("RemoveIsA returned false")
 	}
 	if got := tx.ComputeStats().NodesWithHypernym; got != 1 {
@@ -434,7 +441,7 @@ func TestRemoveLastEdgeCleansIndexes(t *testing.T) {
 	}
 	// Removing the final edge of the concept clears its hyponym entry
 	// too.
-	if !tx.RemoveIsA("乙", "概念") {
+	if !removeIsA(tx, "乙", "概念") {
 		t.Fatal("second RemoveIsA returned false")
 	}
 	if got := tx.ComputeStats().NodesWithHypernym; got != 0 {

@@ -258,14 +258,16 @@ func (ev *Evidence) findClaim(hypo, hyper uint32) int {
 
 // AddPages folds newly crawled pages into the page-derived evidence:
 // titles, the ID→title mapping, and the per-entity attribute
-// distributions. Re-crawled IDs keep their title mapping and overwrite
-// their attribute distribution, exactly like a from-scratch pass over
-// the concatenated corpus.
-func (ev *Evidence) AddPages(pages []encyclopedia.Page) {
+// distributions. The pages' names are interned already: ids[2i] is page
+// i's entity ID, ids[2i+1] its title. Re-crawled IDs keep their title
+// mapping and overwrite their attribute distribution, exactly like a
+// from-scratch pass over the concatenated corpus.
+func (ev *Evidence) AddPages(pages []encyclopedia.Page, ids []uint32) {
 	var scratch []attr
 	for i := range pages {
 		p := &pages[i]
-		id, title := ev.intern(p.ID()), ev.intern(p.Title)
+		id, title := ids[2*i], ids[2*i+1]
+		ev.grow(max(id, title))
 		n := &ev.nodes[id]
 		if n.title == 0 {
 			n.title = title + 1
@@ -362,6 +364,9 @@ type PageIndex struct {
 	rank  []uint32 // predicate ID → index in Preds
 	pages []uint32 // page symbol IDs: the table's pages, then the rest
 	nodes []uint32 // for the table's pages: their index in the table
+	// onTable maps a symbol ID to its index in the table plus one; zero
+	// for a name the table does not hold.
+	onTable []uint32
 }
 
 // PagesAlong indexes the page evidence along table. It resolves each
@@ -387,8 +392,14 @@ func (ev *Evidence) PagesAlong(table []string) *PageIndex {
 		}
 	}
 	p.pages = make([]uint32, 0, total)
+	p.onTable = make([]uint32, len(p.names))
 	for i, name := range table {
-		if id, ok := ev.lookup(name); ok && ev.nodes[id].title != 0 {
+		id, ok := ev.syms.Lookup(name)
+		if !ok || int(id) >= len(p.onTable) {
+			continue
+		}
+		p.onTable[id] = uint32(i) + 1
+		if int(id) < len(ev.nodes) && ev.nodes[id].title != 0 {
 			p.pages = append(p.pages, id)
 			p.nodes = append(p.nodes, uint32(i))
 		}
@@ -396,13 +407,9 @@ func (ev *Evidence) PagesAlong(table []string) *PageIndex {
 	if len(p.pages) == total {
 		return p
 	}
-	onTable := make([]bool, len(ev.nodes))
-	for _, id := range p.pages {
-		onTable[id] = true
-	}
 	from := len(p.pages)
 	for id := range ev.nodes {
-		if ev.nodes[id].title != 0 && !onTable[id] {
+		if ev.nodes[id].title != 0 && p.onTable[id] == 0 {
 			p.pages = append(p.pages, uint32(id))
 		}
 	}
@@ -420,6 +427,18 @@ func (p *PageIndex) OnTable() int { return len(p.nodes) }
 
 // Node returns page i's entity's index in the table; i < OnTable().
 func (p *PageIndex) Node(i int) uint32 { return p.nodes[i] }
+
+// IndexOf returns the index in the table of the name with symbol ID id,
+// if the table holds it: how a kept pair, named by IDs, finds its edge.
+func (p *PageIndex) IndexOf(id uint32) (uint32, bool) {
+	if int(id) >= len(p.onTable) || p.onTable[id] == 0 {
+		return 0, false
+	}
+	return p.onTable[id] - 1, true
+}
+
+// Name returns the name of symbol ID id.
+func (p *PageIndex) Name(id uint32) string { return p.names[id] }
 
 // Entity returns page i's entity ID.
 func (p *PageIndex) Entity(i int) string { return p.names[p.pages[i]] }
@@ -495,23 +514,23 @@ func (ev *Evidence) FoldSupport(delta *ner.Support) {
 	}
 }
 
-// AddCandidates folds candidate pairs into the edge-derived evidence;
-// pairs already present are ignored (the evidence is per distinct
-// (hypo, hyper) pair, matching the deduplicated set a from-scratch
-// assembly consumes). Returns how many pairs were new.
+// AddCandidates folds candidate pairs, named by IDs of the evidence's
+// symbol table, into the edge-derived evidence; pairs already present
+// are ignored (the evidence is per distinct (hypo, hyper) pair,
+// matching the deduplicated set a from-scratch assembly consumes).
+// Returns how many pairs were new.
 func (ev *Evidence) AddCandidates(cands []extract.Candidate) int {
 	added := 0
 	for i := range cands {
-		if ev.AddPair(ev.intern(cands[i].Hypo), ev.intern(cands[i].Hyper)) {
+		if ev.AddPair(cands[i].Hypo, cands[i].Hyper) {
 			added++
 		}
 	}
 	return added
 }
 
-// AddPair is AddCandidates for one pair named by IDs in the evidence's
-// symbol table — the snapshot loader knows them. It reports whether
-// the pair was new.
+// AddPair is AddCandidates for one pair. It reports whether the pair
+// was new.
 func (ev *Evidence) AddPair(hypo, hyper uint32) bool {
 	ev.grow(max(hypo, hyper))
 	if ev.findClaim(hypo, hyper) >= 0 {
@@ -547,12 +566,8 @@ func (ev *Evidence) AddPair(hypo, hyper uint32) bool {
 // ignored.
 func (ev *Evidence) RemoveCandidates(cands []extract.Candidate) {
 	for i := range cands {
-		hypo, ok := ev.lookup(cands[i].Hypo)
-		if !ok {
-			continue
-		}
-		hyper, ok := ev.lookup(cands[i].Hyper)
-		if !ok {
+		hypo, hyper := cands[i].Hypo, cands[i].Hyper
+		if int(max(hypo, hyper)) >= len(ev.nodes) {
 			continue
 		}
 		at := ev.findClaim(hypo, hyper)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"cnprobase/internal/encyclopedia"
-	"cnprobase/internal/extract"
 	"cnprobase/internal/ner"
 	"cnprobase/internal/taxonomy"
 )
@@ -34,7 +33,7 @@ func (w *evidenceWorld) concept() string {
 // page fabricates one typed page plus its candidate claims; about one
 // in six pages gets an extra claim from a foreign cluster, the
 // conflict III-A resolves.
-func (w *evidenceWorld) page() (encyclopedia.Page, []extract.Candidate) {
+func (w *evidenceWorld) page() (encyclopedia.Page, []named) {
 	w.n++
 	typ := w.concept()
 	title := fmt.Sprintf("实体%s%03d", typ, w.n)
@@ -44,11 +43,11 @@ func (w *evidenceWorld) page() (encyclopedia.Page, []extract.Candidate) {
 			p.Infobox = append(p.Infobox, encyclopedia.Triple{Subject: title, Predicate: pred, Object: "值"})
 		}
 	}
-	cands := []extract.Candidate{{Hypo: p.ID(), Hyper: typ, Source: taxonomy.SourceTag, Score: 1}}
+	cands := []named{{Hypo: p.ID(), Hyper: typ, Source: taxonomy.SourceTag, Score: 1}}
 	if w.rng.Intn(6) == 0 {
 		other := w.concept()
 		if other != typ {
-			cands = append(cands, extract.Candidate{Hypo: p.ID(), Hyper: other, Source: taxonomy.SourceBracket, Score: 0.5})
+			cands = append(cands, named{Hypo: p.ID(), Hyper: other, Source: taxonomy.SourceBracket, Score: 0.5})
 		}
 	}
 	return p, cands
@@ -115,10 +114,10 @@ func TestEvidenceMatchesOracle(t *testing.T) {
 			inc := NewEvidence(nil, ner.NewSupport(), ner.New())
 			oracleSup := ner.NewSupport()
 			var allPages []encyclopedia.Page
-			var kept []extract.Candidate
+			var kept []named
 			for batch := 0; batch < 5; batch++ {
 				var pages []encyclopedia.Page
-				var fresh []extract.Candidate
+				var fresh []named
 				for i := 0; i < 20; i++ {
 					p, cs := w.page()
 					pages = append(pages, p)
@@ -127,7 +126,7 @@ func TestEvidenceMatchesOracle(t *testing.T) {
 				// A candidate whose hyponym's page only arrives next
 				// batch: titleEdges must late-bind identically.
 				future := fmt.Sprintf("实体演员%03d", w.n+1)
-				fresh = append(fresh, extract.Candidate{Hypo: future, Hyper: "演员", Source: taxonomy.SourceTag, Score: 1})
+				fresh = append(fresh, named{Hypo: future, Hyper: "演员", Source: taxonomy.SourceTag, Score: 1})
 				// Delta NE observations drift s1 between batches.
 				deltaSup := ner.NewSupport()
 				for i := 0; i < 5; i++ {
@@ -137,16 +136,16 @@ func TestEvidenceMatchesOracle(t *testing.T) {
 
 				// ---- incremental path ----
 				inc.FoldSupport(deltaSup)
-				inc.AddPages(pages)
-				merged := extract.Dedupe(append(append([]extract.Candidate(nil), kept...), fresh...))
-				inc.AddCandidates(merged)
-				keptInc, repInc := VerifyDelta(merged, inc, seg, opts)
+				inc.AddPages(pages, pageIDs(inc.syms, pages))
+				merged := dedupeNamed(append(append([]named(nil), kept...), fresh...))
+				inc.AddCandidates(onIDs(inc.syms, merged))
+				keptInc, repInc := verifyDeltaNamed(merged, inc, seg, opts)
 
 				// ---- oracle: from scratch over the accumulated state ----
 				allPages = append(allPages, pages...)
 				oracleSup.Merge(deltaSup)
 				oracle := newContext(&encyclopedia.Corpus{Pages: allPages}, merged, oracleSup, ner.New())
-				keptOra, repOra := Verify(merged, oracle, seg, opts)
+				keptOra, repOra := verifyNamed(merged, oracle, seg, opts)
 
 				if !reflect.DeepEqual(keptInc, keptOra) {
 					t.Fatalf("batch %d: kept diverged: incremental %d vs oracle %d", batch, len(keptInc), len(keptOra))
@@ -175,13 +174,13 @@ func TestEvidenceMatchesOracle(t *testing.T) {
 				for _, c := range keptInc {
 					keptSet[edgeKey{c.Hypo, c.Hyper}] = true
 				}
-				var rejected []extract.Candidate
+				var rejected []named
 				for _, c := range merged {
 					if !keptSet[edgeKey{c.Hypo, c.Hyper}] {
 						rejected = append(rejected, c)
 					}
 				}
-				inc.RemoveCandidates(rejected)
+				inc.RemoveCandidates(onIDs(inc.syms, rejected))
 				kept = keptInc
 			}
 		})
@@ -194,32 +193,32 @@ func TestEvidenceMatchesOracle(t *testing.T) {
 func TestVerifyDeltaSkipsUntouchedClusters(t *testing.T) {
 	ev := NewEvidence(nil, ner.NewSupport(), ner.New())
 	var pages []encyclopedia.Page
-	var cands []extract.Candidate
+	var cands []named
 	for i := 0; i < 10; i++ {
 		a := encyclopedia.Page{Title: fmt.Sprintf("演员实体%02d", i)}
 		b := encyclopedia.Page{Title: fmt.Sprintf("图书实体%02d", i)}
 		pages = append(pages, a, b)
 		cands = append(cands,
-			extract.Candidate{Hypo: a.ID(), Hyper: "演员", Source: taxonomy.SourceTag, Score: 1},
-			extract.Candidate{Hypo: b.ID(), Hyper: "图书", Source: taxonomy.SourceTag, Score: 1})
+			named{Hypo: a.ID(), Hyper: "演员", Source: taxonomy.SourceTag, Score: 1},
+			named{Hypo: b.ID(), Hyper: "图书", Source: taxonomy.SourceTag, Score: 1})
 	}
-	cands = extract.Dedupe(cands)
-	ev.AddPages(pages)
-	ev.AddCandidates(cands)
+	cands = dedupeNamed(cands)
+	ev.AddPages(pages, pageIDs(ev.syms, pages))
+	ev.AddCandidates(onIDs(ev.syms, cands))
 	opts := DefaultOptions()
 	seg := testSeg()
-	kept, rep := VerifyDelta(cands, ev, seg, opts)
+	kept, rep := verifyDeltaNamed(cands, ev, seg, opts)
 	if rep.Reverified != len(cands) {
 		t.Fatalf("cold pass reverified %d of %d", rep.Reverified, len(cands))
 	}
 
 	// Second batch: one fresh page claiming 图书 only.
 	p := encyclopedia.Page{Title: "图书实体99"}
-	fresh := extract.Candidate{Hypo: p.ID(), Hyper: "图书", Source: taxonomy.SourceTag, Score: 1}
-	ev.AddPages([]encyclopedia.Page{p})
-	merged := extract.Dedupe(append(kept, fresh))
-	ev.AddCandidates(merged)
-	_, rep = VerifyDelta(merged, ev, seg, opts)
+	fresh := named{Hypo: p.ID(), Hyper: "图书", Source: taxonomy.SourceTag, Score: 1}
+	ev.AddPages([]encyclopedia.Page{p}, pageIDs(ev.syms, []encyclopedia.Page{p}))
+	merged := dedupeNamed(append(kept, fresh))
+	ev.AddCandidates(onIDs(ev.syms, merged))
+	_, rep = verifyDeltaNamed(merged, ev, seg, opts)
 	if rep.Reverified == 0 || rep.Reverified >= rep.Input {
 		t.Fatalf("incremental pass reverified %d of %d, want a strict subset covering the touched cluster", rep.Reverified, rep.Input)
 	}

@@ -74,8 +74,9 @@ func VerifyDelta(cands []extract.Candidate, ev *Evidence, seg *segment.Segmenter
 	_, rep := ev.Reverify(seg, opts)
 	rep.Input, rep.Rejected = len(cands), make(map[Reason]int)
 	codes := make([]reasonCode, len(cands))
+	names := ev.syms.Names()
 	for i := range cands {
-		codes[i] = ev.decisionOf(cands[i].Hypo, cands[i].Hyper, seg, opts)
+		codes[i] = ev.decisionOf(cands[i].Hypo, cands[i].Hyper, names, seg, opts)
 		if codes[i] == codeKept {
 			rep.Kept++
 		} else {
@@ -97,24 +98,24 @@ func VerifyDelta(cands []extract.Candidate, ev *Evidence, seg *segment.Segmenter
 // decisionOf reads the pair's cached decision; a pair the evidence
 // never saw (the caller passed candidates outside the evidence set) is
 // decided on the spot.
-func (ev *Evidence) decisionOf(hypo, hyper string, seg *segment.Segmenter, opts Options) reasonCode {
+func (ev *Evidence) decisionOf(hypo, hyper uint32, names []string, seg *segment.Segmenter, opts Options) reasonCode {
 	var con *concept
-	y, known := ev.lookup(hyper)
-	if known {
-		if h, ok := ev.lookup(hypo); ok {
-			if at := ev.findClaim(h, y); at >= 0 {
-				return ev.nodes[h].claims[at].reason
+	if int(hyper) < len(ev.nodes) {
+		if int(hypo) < len(ev.nodes) {
+			if at := ev.findClaim(hypo, hyper); at >= 0 {
+				return ev.nodes[hypo].claims[at].reason
 			}
 		}
-		con = ev.nodes[y].con
+		con = ev.nodes[hyper].con
 	}
-	return ev.decide(hypo, hyper, con, false, seg, opts)
+	return ev.decide(names[hypo], names[hyper], con, false, seg, opts)
 }
 
-// Decision is the outcome Reverify reached for one candidate pair; an
-// empty Reason means the pair is kept.
+// Decision is the outcome Reverify reached for one candidate pair,
+// named by IDs of the evidence's symbol table; an empty Reason means
+// the pair is kept.
 type Decision struct {
-	Hypo, Hyper string
+	Hypo, Hyper uint32
 	Reason      Reason
 }
 
@@ -199,7 +200,7 @@ func (ev *Evidence) Reverify(seg *segment.Segmenter, opts Options) ([]Decision, 
 	for i, ref := range affected {
 		cl := &ev.nodes[ref.hypo].claims[ref.at]
 		cl.reason, cl.queued = codes[i], false
-		decided[i] = Decision{Hypo: names[ref.hypo], Hyper: names[cl.hyper], Reason: reasons[codes[i]]}
+		decided[i] = Decision{Hypo: ref.hypo, Hyper: cl.hyper, Reason: reasons[codes[i]]}
 		if codes[i] != codeKept {
 			rep.Rejected[reasons[codes[i]]]++
 		}

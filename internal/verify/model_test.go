@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"cnprobase/internal/encyclopedia"
-	"cnprobase/internal/extract"
 	"cnprobase/internal/ner"
 	"cnprobase/internal/symtab"
 	"cnprobase/internal/taxonomy"
@@ -229,8 +228,8 @@ func attrsClose(a, b map[string]map[string]float64) error {
 	return nil
 }
 
-func sortedDecisions(ds []Decision) []Decision {
-	out := append([]Decision(nil), ds...)
+func sortedDecisions(ds []namedDecision) []namedDecision {
+	out := append([]namedDecision(nil), ds...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Hypo != out[j].Hypo {
 			return out[i].Hypo < out[j].Hypo
@@ -246,7 +245,7 @@ func sortedDecisions(ds []Decision) []Decision {
 // non-head position (III-C), and s1 observations on both.
 type modelWorld struct {
 	rng   *rand.Rand
-	pairs []extract.Candidate // pairs added and not yet retracted
+	pairs []named // pairs added and not yet retracted
 }
 
 var modelTypes = []struct {
@@ -292,7 +291,7 @@ func (w *modelWorld) page(i int) encyclopedia.Page {
 	return p
 }
 
-func (w *modelWorld) candidate() extract.Candidate {
+func (w *modelWorld) candidate() named {
 	i := w.rng.Intn(60)
 	p := encyclopedia.Page{Title: w.title(i)}
 	if i%5 == 0 {
@@ -306,7 +305,7 @@ func (w *modelWorld) candidate() extract.Candidate {
 	if w.rng.Intn(3) == 0 {
 		hyper = modelTypes[w.rng.Intn(len(modelTypes))].concept
 	}
-	return extract.Candidate{Hypo: hypo, Hyper: hyper, Source: taxonomy.SourceTag, Score: 1}
+	return named{Hypo: hypo, Hyper: hyper, Source: taxonomy.SourceTag, Score: 1}
 }
 
 // TestEvidenceModel drives the dense Evidence and the map-based
@@ -343,7 +342,7 @@ func TestEvidenceModel(t *testing.T) {
 			dense := NewEvidence(syms, ner.NewSupport(), ner.New())
 			ref := newMapEvidence(ner.NewSupport(), ner.New())
 			opts := variants[0]
-			present := func(c extract.Candidate) bool { return ref.byHypo[c.Hypo][c.Hyper] }
+			present := func(c named) bool { return ref.byHypo[c.Hypo][c.Hyper] }
 			for step := 0; step < 300; step++ {
 				if w.rng.Intn(4) == 0 {
 					syms.Intern(fmt.Sprintf("外来名%d", w.rng.Intn(40)))
@@ -358,23 +357,23 @@ func TestEvidenceModel(t *testing.T) {
 						pages = append(pages, w.page(w.rng.Intn(60)))
 					}
 					op = fmt.Sprintf("AddPages(%d)", len(pages))
-					dense.AddPages(pages)
+					dense.AddPages(pages, pageIDs(syms, pages))
 					ref.AddPages(pages)
 				case k < 10:
-					var cands []extract.Candidate
+					var cands []named
 					for n := 1 + w.rng.Intn(6); n > 0; n-- {
 						cands = append(cands, w.candidate())
 					}
-					cands = extract.Dedupe(cands)
+					cands = dedupeNamed(cands)
 					op = fmt.Sprintf("AddCandidates(%d)", len(cands))
-					if a, b := dense.AddCandidates(cands), ref.AddCandidates(cands); a != b {
+					if a, b := dense.AddCandidates(onIDs(syms, cands)), ref.AddCandidates(cands); a != b {
 						t.Fatalf("step %d %s: added %d, reference %d", step, op, a, b)
 					}
 					w.pairs = append(w.pairs, cands...)
 				case k < 14: // retract some pairs, a stranger among them
-					var gone []extract.Candidate
+					var gone []named
 					rest := w.pairs[:0]
-					for _, c := range extract.Dedupe(w.pairs) {
+					for _, c := range dedupeNamed(w.pairs) {
 						if present(c) && w.rng.Intn(4) == 0 {
 							gone = append(gone, c)
 						} else if present(c) {
@@ -382,15 +381,15 @@ func TestEvidenceModel(t *testing.T) {
 						}
 					}
 					w.pairs = rest
-					gone = append(gone, extract.Candidate{Hypo: "无此实体", Hyper: "演员"})
+					gone = append(gone, named{Hypo: "无此实体", Hyper: "演员"})
 					op = fmt.Sprintf("RemoveCandidates(%d)", len(gone))
-					dense.RemoveCandidates(gone)
+					dense.RemoveCandidates(onIDs(syms, gone))
 					ref.RemoveCandidates(gone)
 				case k < 15: // retract everything
-					all := extract.Dedupe(w.pairs)
+					all := dedupeNamed(w.pairs)
 					w.pairs = w.pairs[:0]
 					op = fmt.Sprintf("RemoveCandidates(all %d)", len(all))
-					dense.RemoveCandidates(all)
+					dense.RemoveCandidates(onIDs(syms, all))
 					ref.RemoveCandidates(all)
 				case k < 17:
 					delta := func() *ner.Support {
@@ -445,7 +444,8 @@ func TestEvidenceModel(t *testing.T) {
 					}
 				}
 
-				gotDec, gotRep := dense.Reverify(seg, opts)
+				ids, gotRep := dense.Reverify(seg, opts)
+				gotDec := decisionsByName(syms, ids)
 				wantDec, wantRep := ref.Reverify(seg, opts)
 				if !reflect.DeepEqual(sortedDecisions(gotDec), sortedDecisions(wantDec)) {
 					t.Fatalf("step %d %s: re-decided\n dense     %v\n reference %v", step, op, sortedDecisions(gotDec), sortedDecisions(wantDec))
@@ -543,13 +543,13 @@ func TestEvidenceModel(t *testing.T) {
 				}
 				loaded.ImportPage(loaded.syms.Intern(pages.Entity(i)), loaded.syms.Intern(pages.Title(i)), attrs)
 			}
-			var pairs []extract.Candidate
+			var pairs []named
 			for hypo, hypers := range ref.byHypo {
 				for hyper := range hypers {
-					pairs = append(pairs, extract.Candidate{Hypo: hypo, Hyper: hyper})
+					pairs = append(pairs, named{Hypo: hypo, Hyper: hyper})
 				}
 			}
-			loaded.AddCandidates(extract.Dedupe(pairs))
+			loaded.AddCandidates(onIDs(loaded.syms, dedupeNamed(pairs)))
 			loaded.Reverify(seg, opts)
 			if err := diffViews(viewOf(t, loaded), viewOf(t, dense)); err != nil {
 				t.Fatalf("export → import: %v", err)

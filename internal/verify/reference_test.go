@@ -7,6 +7,7 @@ package verify
 // two hold (TestEvidenceModel, TestEvidenceMatchesOracle).
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -18,7 +19,96 @@ import (
 	"cnprobase/internal/ner"
 	"cnprobase/internal/par"
 	"cnprobase/internal/segment"
+	"cnprobase/internal/symtab"
+	"cnprobase/internal/taxonomy"
 )
+
+// named is a candidate named by strings: the form the reference
+// evidence works on and the test fixtures are written in. The dense
+// Evidence takes candidates on IDs; onIDs and byName cross over.
+type named struct {
+	Hypo, Hyper string
+	Source      taxonomy.Source
+	Score       float64
+}
+
+// namedDecision is a Decision named by strings.
+type namedDecision struct {
+	Hypo, Hyper string
+	Reason      Reason
+}
+
+// onIDs interns the candidates' names in syms.
+func onIDs(syms *symtab.Table, cs []named) []extract.Candidate {
+	out := make([]extract.Candidate, len(cs))
+	for i, c := range cs {
+		out[i] = extract.Candidate{Hypo: syms.Intern(c.Hypo), Hyper: syms.Intern(c.Hyper), Source: c.Source, Score: c.Score}
+	}
+	return out
+}
+
+// pageIDs interns the pages' entity IDs and titles in syms, in the
+// interleaved form Evidence.AddPages takes.
+func pageIDs(syms *symtab.Table, pages []encyclopedia.Page) []uint32 {
+	var ids []uint32
+	for i := range pages {
+		ids = append(ids, syms.Intern(pages[i].ID()), syms.Intern(pages[i].Title))
+	}
+	return ids
+}
+
+// byName resolves candidates on IDs of syms to names.
+func byName(syms *symtab.Table, cs []extract.Candidate) []named {
+	names := syms.Names()
+	var out []named
+	for _, c := range cs {
+		out = append(out, named{names[c.Hypo], names[c.Hyper], c.Source, c.Score})
+	}
+	return out
+}
+
+// decisionsByName resolves decisions on IDs of syms to names.
+func decisionsByName(syms *symtab.Table, ds []Decision) []namedDecision {
+	names := syms.Names()
+	out := make([]namedDecision, len(ds))
+	for i, d := range ds {
+		out[i] = namedDecision{names[d.Hypo], names[d.Hyper], d.Reason}
+	}
+	return out
+}
+
+// dedupeNamed is extract.Dedupe on names: duplicates folded (sources
+// OR-ed, maximum score), sorted by (Hypo, Hyper) name.
+func dedupeNamed(cs []named) []named {
+	at := make(map[edgeKey]int)
+	var out []named
+	for _, c := range cs {
+		if i, ok := at[edgeKey{c.Hypo, c.Hyper}]; ok {
+			out[i].Source |= c.Source
+			out[i].Score = max(out[i].Score, c.Score)
+			continue
+		}
+		at[edgeKey{c.Hypo, c.Hyper}] = len(out)
+		out = append(out, c)
+	}
+	slices.SortFunc(out, func(a, b named) int {
+		return cmp.Or(strings.Compare(a.Hypo, b.Hypo), strings.Compare(a.Hyper, b.Hyper))
+	})
+	return out
+}
+
+// verifyNamed is Verify on named candidates; the evidence interns
+// their names.
+func verifyNamed(cs []named, ev *Evidence, seg *segment.Segmenter, opts Options) ([]named, Report) {
+	ev.MarkAllDirty()
+	return verifyDeltaNamed(cs, ev, seg, opts)
+}
+
+// verifyDeltaNamed is VerifyDelta on named candidates.
+func verifyDeltaNamed(cs []named, ev *Evidence, seg *segment.Segmenter, opts Options) ([]named, Report) {
+	kept, rep := VerifyDelta(onIDs(ev.syms, cs), ev, seg, opts)
+	return byName(ev.syms, kept), rep
+}
 
 // mapEvidence is the reference evidence.
 type mapEvidence struct {
@@ -147,7 +237,7 @@ func newMapEvidence(support *ner.Support, rec *ner.Recognizer) *mapEvidence {
 // newMapContext assembles verification evidence from the corpus and the
 // merged candidate set in one shot — the from-scratch path the
 // incremental operations are equivalence-tested against.
-func newMapContext(c *encyclopedia.Corpus, cands []extract.Candidate, support *ner.Support, rec *ner.Recognizer) *mapEvidence {
+func newMapContext(c *encyclopedia.Corpus, cands []named, support *ner.Support, rec *ner.Recognizer) *mapEvidence {
 	ev := newMapEvidence(support, rec)
 	ev.AddPages(c.Pages)
 	ev.AddCandidates(cands)
@@ -230,7 +320,7 @@ func (ev *mapEvidence) FoldSupport(delta *ner.Support) {
 // pairs already present are ignored (the evidence is per distinct
 // (hypo, hyper) pair, matching the deduplicated set a from-scratch
 // assembly consumes). Returns how many pairs were new.
-func (ev *mapEvidence) AddCandidates(cands []extract.Candidate) int {
+func (ev *mapEvidence) AddCandidates(cands []named) int {
 	added := 0
 	for _, c := range cands {
 		hypers := ev.byHypo[c.Hypo]
@@ -378,7 +468,7 @@ func (ev *mapEvidence) EntityHyponyms(concept string) map[string]bool {
 // evidence — the counterpart of AddCandidates, applied after a
 // verification pass rejects previously kept pairs. Unknown pairs are
 // ignored.
-func (ev *mapEvidence) RemoveCandidates(cands []extract.Candidate) {
+func (ev *mapEvidence) RemoveCandidates(cands []named) {
 	for _, c := range cands {
 		hypers := ev.byHypo[c.Hypo]
 		if hypers == nil || !hypers[c.Hyper] {
@@ -502,10 +592,10 @@ func (ev *mapEvidence) NESupport(h string) float64 {
 // produce it. The update pipeline does not call this: it splices the
 // few re-decided pairs into its sorted kept list instead of walking
 // the union.
-func mapVerifyDelta(cands []extract.Candidate, ev *mapEvidence, seg *segment.Segmenter, opts Options) ([]extract.Candidate, Report) {
+func mapVerifyDelta(cands []named, ev *mapEvidence, seg *segment.Segmenter, opts Options) ([]named, Report) {
 	_, rep := ev.Reverify(seg, opts)
 	rep.Input, rep.Rejected = len(cands), make(map[Reason]int)
-	var kept []extract.Candidate
+	var kept []named
 	for _, c := range cands {
 		r, ok := ev.decisions[edgeKey{c.Hypo, c.Hyper}]
 		if !ok {
@@ -536,7 +626,7 @@ func mapVerifyDelta(cands []extract.Candidate, ev *mapEvidence, seg *segment.Seg
 // re-decided. The report carries Reverified, IncompatiblePairs and the
 // rejections among the returned decisions; Input and Kept describe a
 // candidate set only the caller knows.
-func (ev *mapEvidence) Reverify(seg *segment.Segmenter, opts Options) ([]Decision, Report) {
+func (ev *mapEvidence) Reverify(seg *segment.Segmenter, opts Options) ([]namedDecision, Report) {
 	rep := Report{Rejected: make(map[Reason]int)}
 
 	// Threshold changes invalidate every cached status.
@@ -586,10 +676,10 @@ func (ev *mapEvidence) Reverify(seg *segment.Segmenter, opts Options) ([]Decisio
 	// Collect the affected pairs and recompute their decisions.
 	affected := ev.affectedPairs(dirtyHead, neChanged, killSet)
 	rep.Reverified = len(affected)
-	decided := par.Concat(par.MapBatches(par.NewPool(opts.Workers), len(affected), func(lo, hi int) []Decision {
-		out := make([]Decision, 0, hi-lo)
+	decided := par.Concat(par.MapBatches(par.NewPool(opts.Workers), len(affected), func(lo, hi int) []namedDecision {
+		out := make([]namedDecision, 0, hi-lo)
 		for _, pair := range affected[lo:hi] {
-			out = append(out, Decision{Hypo: pair.hypo, Hyper: pair.hyper, Reason: ev.decide(pair.hypo, pair.hyper, seg, opts)})
+			out = append(out, namedDecision{Hypo: pair.hypo, Hyper: pair.hyper, Reason: ev.decide(pair.hypo, pair.hyper, seg, opts)})
 		}
 		return out
 	}))

@@ -47,18 +47,19 @@
 // two concepts share when their incompatibility status flipped (the
 // smaller side is walked).
 //
-// Strings cross the boundary at: candidates in (AddCandidates,
-// RemoveCandidates, VerifyDelta), pages in (AddPages), Decisions out
-// (Reverify), the snapshot section (PagesAlong resolves a view's node
-// names once; ImportPage and AddPair take IDs), S2 / NESupport, and the one read subconcept derivation makes
-// (TakeExtentPairs — names only for the pairs that pass its filter).
+// Candidates in (AddCandidates, RemoveCandidates, VerifyDelta) and
+// Decisions out (Reverify) are named by IDs of the symbol table, which
+// the build shares with the generators and the taxonomy store. Strings
+// cross the boundary at: pages in (AddPages, their names already
+// interned), the snapshot section
+// (PagesAlong resolves a view's node names once; ImportPage and AddPair
+// take IDs), S2 / NESupport, the syntax strategy's reads of the two
+// names of a pair it decides, and the one read subconcept derivation
+// makes (TakeExtentPairs — names only for the pairs that pass its
+// filter).
 package verify
 
-import (
-	"cmp"
-	"math"
-	"slices"
-)
+import "math"
 
 // Options holds the thresholds of the three strategies, with toggles so
 // ablations can disable each independently.
@@ -113,9 +114,21 @@ type attr struct {
 	w    float64
 }
 
-// findAttr locates pred in a sorted vector.
+// findAttr locates pred in a sorted vector: the insertion point, and
+// whether pred is there. A hand-rolled binary search — no comparison
+// closure — because every candidate and page fold runs it per
+// predicate.
 func findAttr(v []attr, pred uint32) (int, bool) {
-	return slices.BinarySearchFunc(v, pred, func(a attr, p uint32) int { return cmp.Compare(a.pred, p) })
+	lo, hi := 0, len(v)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if v[mid].pred < pred {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(v) && v[lo].pred == pred
 }
 
 // cosine returns the cosine similarity of two sparse vectors.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cnprobase/internal/encyclopedia"
-	"cnprobase/internal/extract"
 	"cnprobase/internal/lexicon"
 	"cnprobase/internal/ner"
 	"cnprobase/internal/segment"
@@ -18,29 +17,29 @@ func testSeg() *segment.Segmenter {
 	return segment.New(append(lexicon.BaseDictionary(), "机构", "教育机构"))
 }
 
-func cand(hypo, hyper string) extract.Candidate {
-	return extract.Candidate{Hypo: hypo, Hyper: hyper, Source: taxonomy.SourceTag, Score: 1}
+func cand(hypo, hyper string) named {
+	return named{Hypo: hypo, Hyper: hyper, Source: taxonomy.SourceTag, Score: 1}
 }
 
 // newContext assembles verification evidence from the corpus and the
 // merged candidate set in one shot — the from-scratch path the
 // incremental operations are equivalence-tested against.
-func newContext(c *encyclopedia.Corpus, cands []extract.Candidate, support *ner.Support, rec *ner.Recognizer) *Evidence {
+func newContext(c *encyclopedia.Corpus, cands []named, support *ner.Support, rec *ner.Recognizer) *Evidence {
 	ev := NewEvidence(nil, support, rec)
-	ev.AddPages(c.Pages)
-	ev.AddCandidates(cands)
+	ev.AddPages(c.Pages, pageIDs(ev.syms, c.Pages))
+	ev.AddCandidates(onIDs(ev.syms, cands))
 	return ev
 }
 
 // emptyContext builds a minimal context with no corpus evidence.
-func emptyContext(cands []extract.Candidate) *Evidence {
+func emptyContext(cands []named) *Evidence {
 	return newContext(&encyclopedia.Corpus{}, cands, ner.NewSupport(), ner.New())
 }
 
 func TestThematicFilter(t *testing.T) {
-	cands := []extract.Candidate{cand("刘德华", "演员"), cand("刘德华", "音乐")}
+	cands := []named{cand("刘德华", "演员"), cand("刘德华", "音乐")}
 	opts := Options{EnableSyntax: true}
-	kept, rep := Verify(cands, emptyContext(cands), testSeg(), opts)
+	kept, rep := verifyNamed(cands, emptyContext(cands), testSeg(), opts)
 	if len(kept) != 1 || kept[0].Hyper != "演员" {
 		t.Fatalf("kept = %+v, want only 演员", kept)
 	}
@@ -54,12 +53,12 @@ func TestHeadPositionRule(t *testing.T) {
 	// hyponym's non-head (prefix) position, the 教育机构/教育 pattern
 	// of the paper. isA(男演员, 演员) survives: suffix position is the
 	// head.
-	cands := []extract.Candidate{
+	cands := []named{
 		cand("演员工会", "演员"),
 		cand("男演员", "演员"),
 	}
 	opts := Options{EnableSyntax: true}
-	kept, rep := Verify(cands, emptyContext(cands), testSeg(), opts)
+	kept, rep := verifyNamed(cands, emptyContext(cands), testSeg(), opts)
 	if len(kept) != 1 || kept[0].Hypo != "男演员" {
 		t.Fatalf("kept = %+v, want only 男演员→演员", kept)
 	}
@@ -72,7 +71,7 @@ func TestHeadPositionRuleUsesTitleOfEntityID(t *testing.T) {
 	// The rule must strip the disambiguation bracket before looking for
 	// the head inside the hyponym surface.
 	c := cand(encyclopedia.EntityID("演员工会", "组织"), "演员")
-	kept, _ := Verify([]extract.Candidate{c}, emptyContext(nil), testSeg(), Options{EnableSyntax: true})
+	kept, _ := verifyNamed([]named{c}, emptyContext(nil), testSeg(), Options{EnableSyntax: true})
 	if len(kept) != 0 {
 		t.Errorf("kept = %+v, want rejection", kept)
 	}
@@ -84,10 +83,10 @@ func TestNEFilter(t *testing.T) {
 		sup.ObserveWord("北京", true) // always a named entity in corpus
 		sup.ObserveWord("演员", false)
 	}
-	cands := []extract.Candidate{cand("刘德华", "北京"), cand("刘德华", "演员")}
+	cands := []named{cand("刘德华", "北京"), cand("刘德华", "演员")}
 	ctx := newContext(&encyclopedia.Corpus{}, cands, sup, ner.New())
 	opts := Options{EnableNE: true, NEThreshold: 0.5}
-	kept, rep := Verify(cands, ctx, testSeg(), opts)
+	kept, rep := verifyNamed(cands, ctx, testSeg(), opts)
 	if len(kept) != 1 || kept[0].Hyper != "演员" {
 		t.Fatalf("kept = %+v, want only 演员", kept)
 	}
@@ -105,7 +104,7 @@ func TestNESupportNoisyOr(t *testing.T) {
 	sup := ner.NewSupport()
 	sup.ObserveWord("泪花", true)
 	sup.ObserveWord("泪花", false) // s1 = 0.5
-	cands := []extract.Candidate{
+	cands := []named{
 		cand(encyclopedia.EntityID("泪花", "歌曲"), "歌曲"),
 		cand("某人", "泪花"), // the entity title used as a hypernym
 	}
@@ -134,9 +133,9 @@ func TestS2UnknownWord(t *testing.T) {
 // incompatibleFixture builds a corpus where 演员 and 图书 are
 // incompatible (disjoint hyponyms, disjoint attributes) and one entity
 // is wrongly tagged with both.
-func incompatibleFixture() (*encyclopedia.Corpus, []extract.Candidate) {
+func incompatibleFixture() (*encyclopedia.Corpus, []named) {
 	c := &encyclopedia.Corpus{}
-	var cands []extract.Candidate
+	var cands []named
 	person := func(i int) string { return encyclopedia.EntityID("演员甲"+string(rune('a'+i)), "") }
 	book := func(i int) string { return encyclopedia.EntityID("图书乙"+string(rune('a'+i)), "") }
 	for i := 0; i < 8; i++ {
@@ -184,7 +183,7 @@ func TestIncompatibleConceptsFilter(t *testing.T) {
 		CosineMax:          0.6,
 		MinConceptSupport:  3,
 	}
-	kept, rep := Verify(cands, ctx, testSeg(), opts)
+	kept, rep := verifyNamed(cands, ctx, testSeg(), opts)
 	if rep.IncompatiblePairs == 0 {
 		t.Fatal("no incompatible pairs detected")
 	}
@@ -203,7 +202,7 @@ func TestVerifyDisabledKeepsAll(t *testing.T) {
 	c, cands := incompatibleFixture()
 	cands = append(cands, cand("某人", "音乐"))
 	ctx := newContext(c, cands, ner.NewSupport(), ner.New())
-	kept, rep := Verify(cands, ctx, testSeg(), Options{})
+	kept, rep := verifyNamed(cands, ctx, testSeg(), Options{})
 	if len(kept) != len(cands) {
 		t.Errorf("kept %d of %d with all filters off", len(kept), len(cands))
 	}
