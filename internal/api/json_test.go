@@ -69,7 +69,7 @@ func FuzzResponseEncoding(f *testing.F) {
 		// appendConcept and appendEntity read their answers from the
 		// view: for a, almost always unknown, and for a node picked by
 		// shape.
-		for _, node := range []string{a, v.Nodes()[int(shape)%v.NodeCount()]} {
+		for _, node := range []string{a, v.Name(uint32(int(shape) % v.NodeCount()))} {
 			ranked := shape&1 != 0
 			want := ConceptResponse{Entity: node, Hypernyms: v.Hypernyms(node)}
 			if ranked {

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"cnprobase/internal/taxonomy"
@@ -14,8 +15,11 @@ import (
 // resolved to positions (taxonomy.ReadAll), so compiling hashes and
 // compares no name. The view is laid out as a mapped one is (see
 // OpenImage): sorted tables and flat arrays, no index beside them, so
-// what it allocates does not grow with the store. Later writes to the
-// store are not reflected; compile again, or Patch, and swap.
+// what it allocates does not grow with the store. The store's sorted
+// names and mentions are concatenated once into the view's two arenas,
+// each held, like the image's, to 4 GiB (past that Compile panics).
+// Later writes to the store are not reflected; compile again, or
+// Patch, and swap.
 func Compile(t *taxonomy.Taxonomy, m *taxonomy.MentionIndex) *View {
 	ch := &change{NodeSet: t.ReadAll()}
 	if m != nil {
@@ -37,7 +41,8 @@ func Compile(t *taxonomy.Taxonomy, m *taxonomy.MentionIndex) *View {
 //
 // The result is an ordinary View with the same layout, the same
 // answers and the same image bytes as a full compile. prev must be a
-// heap view: a patched view shares prev's strings. Patch returns nil
+// heap view: a patched view copies prev's name and mention bytes but
+// shares its mention-entity strings. Patch returns nil
 // when the names do not cover the difference (the store was written
 // while Patch read it, or prev belongs to another store); compile in
 // full then.
@@ -79,8 +84,8 @@ const gone = ^uint32(0)
 func assemble(prev *View, ch *change) *View {
 	// ---- plan: interleave prev's untouched runs with the named nodes ----
 	var runs []run
-	remap := make([]uint32, len(prev.names)) // prev ID → new ID, or gone
-	at := make([]uint32, len(ch.Names))      // named node → new ID, or gone
+	remap := make([]uint32, prev.names.len()) // prev ID → new ID, or gone
+	at := make([]uint32, len(ch.Names))       // named node → new ID, or gone
 	n, p := uint32(0), uint32(0)
 	keep := func(hi uint32) {
 		if hi > p {
@@ -93,8 +98,9 @@ func assemble(prev *View, ch *change) *View {
 		}
 	}
 	for ci, name := range ch.Names {
-		pos, found := slices.BinarySearch(prev.names[p:], name)
-		keep(p + uint32(pos))
+		pos := prev.names.seek(int(p), name)
+		found := pos < prev.names.len() && prev.names.at(pos) == name
+		keep(uint32(pos))
 		at[ci] = gone
 		if ch.Absent == nil || !ch.Absent[ci] {
 			at[ci] = n
@@ -105,25 +111,42 @@ func assemble(prev *View, ch *change) *View {
 			p++
 		}
 	}
-	keep(uint32(len(prev.names)))
+	keep(uint32(prev.names.len()))
 
+	e, nameBytes := uint32(0), 0
+	for _, r := range runs {
+		e += prev.hyperOff[r.hi] - prev.hyperOff[r.lo]
+		nameBytes += int(prev.names.off[r.hi] - prev.names.off[r.lo])
+	}
+	for ci, id := range at {
+		if id != gone {
+			e += ch.EdgeOff[ci+1] - ch.EdgeOff[ci]
+			nameBytes += len(ch.Names[ci])
+		}
+	}
 	v := &View{
-		names:    make([]string, n),
+		names:    newTable(int(n), nameBytes),
 		kinds:    make([]taxonomy.NodeKind, n),
 		hyperOff: make([]uint32, n+1),
 	}
 	fresh := make([]bool, n) // new ID → named by the change
-	e := uint32(0)
-	for _, r := range runs {
-		copy(v.names[r.at:], prev.names[r.lo:r.hi])
-		copy(v.kinds[r.at:], prev.kinds[r.lo:r.hi])
-		e += prev.hyperOff[r.hi] - prev.hyperOff[r.lo]
-	}
-	for ci, id := range at {
-		if id != gone {
-			v.names[id], v.kinds[id], fresh[id] = ch.Names[ci], ch.Kinds[ci], true
-			e += ch.EdgeOff[ci+1] - ch.EdgeOff[ci]
+	ri, ci := 0, 0
+	for id := uint32(0); id < n; {
+		if ri < len(runs) && runs[ri].at == id {
+			r := runs[ri]
+			ri++
+			v.names.pushRun(prev.names, r.lo, r.hi)
+			copy(v.kinds[id:], prev.kinds[r.lo:r.hi])
+			id += r.hi - r.lo
+			continue
 		}
+		for at[ci] != id {
+			ci++
+		}
+		v.names.push(ch.Names[ci])
+		v.kinds[id], fresh[id] = ch.Kinds[ci], true
+		ci++
+		id++
 	}
 
 	// ---- hypernym CSR: the canonical edge arrays, laid out in ID order
@@ -133,7 +156,8 @@ func assemble(prev *View, ch *change) *View {
 	v.edgeScores = make([]float64, e)
 	v.edgeCounts = make([]int64, e)
 	covered := true
-	off, ri, ci := uint32(0), 0, 0
+	off := uint32(0)
+	ri, ci = 0, 0
 	for id := uint32(0); id < n; {
 		if ri < len(runs) && runs[ri].at == id {
 			r := runs[ri]
@@ -183,11 +207,12 @@ func assemble(prev *View, ch *change) *View {
 
 	// ---- flat sorted mention table: prev's rows, with the change's
 	// entries replacing them or slotting in between ----
-	rows, ents := len(prev.mentions)+len(ch.mentions), len(prev.mentionEnts)
+	rows, ents, menBytes := prev.mentions.len()+len(ch.mentions), len(prev.mentionEnts), len(prev.mentions.arena)
 	for i := range ch.mentions {
 		ents += len(ch.mentions[i].IDs)
+		menBytes += len(ch.mentions[i].Mention)
 	}
-	v.mentions = make([]string, 0, rows)
+	v.mentions = newTable(rows, menBytes)
 	v.mentionOff = make([]uint32, 0, rows+1)
 	v.mentionEnts = make([]string, 0, ents)
 	p = 0
@@ -195,7 +220,7 @@ func assemble(prev *View, ch *change) *View {
 		if hi > p {
 			a, b := prev.mentionOff[p], prev.mentionOff[hi]
 			shift := uint32(len(v.mentionEnts)) - a
-			v.mentions = append(v.mentions, prev.mentions[p:hi]...)
+			v.mentions.pushRun(prev.mentions, p, hi)
 			for _, o := range prev.mentionOff[p:hi] {
 				v.mentionOff = append(v.mentionOff, o+shift)
 			}
@@ -203,21 +228,37 @@ func assemble(prev *View, ch *change) *View {
 			p = hi
 		}
 	}
+	// No row of prev vanishes (a MentionIndex never removes one), so the
+	// first-rune filter is prev's plus the change's first runes: no pass
+	// over the table.
+	v.mentionFirst = make(runeSet, runeSetWords)
+	copy(v.mentionFirst, prev.mentionFirst)
 	for i := range ch.mentions {
 		entry := &ch.mentions[i]
-		pos, found := slices.BinarySearch(prev.mentions[p:], entry.Mention)
-		keepRows(p + uint32(pos))
+		pos := prev.mentions.seek(int(p), entry.Mention)
+		found := pos < prev.mentions.len() && prev.mentions.at(pos) == entry.Mention
+		keepRows(uint32(pos))
 		if found {
 			p++
 		}
-		v.mentions = append(v.mentions, entry.Mention)
+		v.mentions.push(entry.Mention)
 		v.mentionOff = append(v.mentionOff, uint32(len(v.mentionEnts)))
 		v.mentionEnts = append(v.mentionEnts, entry.IDs...)
+		v.mentionFirst.add(entry.Mention)
 	}
-	keepRows(uint32(len(prev.mentions)))
+	keepRows(uint32(prev.mentions.len()))
 	v.mentionOff = append(v.mentionOff, uint32(len(v.mentionEnts)))
-	v.mentionFirst = firstRuneSet(v.mentions)
 	return v
+}
+
+// newTable returns an empty table with room for rows entries of
+// arenaLen bytes between them. Its offsets are uint32, as the image's
+// are, so a table past 4 GiB cannot be built.
+func newTable(rows, arenaLen int) table {
+	if uint64(arenaLen) > math.MaxUint32 {
+		panic("serving: string table exceeds the 4 GiB arena limit")
+	}
+	return table{arena: make([]byte, 0, arenaLen), off: make([]uint32, 1, rows+1)}
 }
 
 // buildDerived computes everything reconstructible from the canonical
@@ -239,13 +280,13 @@ func (v *View) buildDerived() { v.derive(nil, nil, nil, nil) }
 // it survives the renumbering unchanged. Fresh nodes are derived from
 // the new canonical arrays; fresh == nil means every node is.
 func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
-	n, e := len(v.names), len(v.hyperIDs)
+	n, e := v.names.len(), len(v.hyperIDs)
 	v.hyperRank = make([]uint32, e)
 	v.hyperTotals = make([]int64, n)
 	v.hypoOff = make([]uint32, n+1)
 	v.hypoIDs = make([]uint32, e)
 	v.hypoRank = make([]uint32, e)
-	v.hypoCounts = make([]int64, e)
+	v.hypoCounts = make([]uint32, e)
 	v.hypoTotals = make([]int64, n)
 
 	// ---- hypernym side, and every node's hyponym degree ----
@@ -300,7 +341,7 @@ func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 			pos := fill[hyperID]
 			fill[hyperID]++
 			v.hypoIDs[pos] = uint32(u)
-			v.hypoCounts[pos] = v.edgeCounts[j]
+			v.hypoCounts[pos] = uint32(v.edgeCounts[j])
 			v.hypoTotals[hyperID] += v.edgeCounts[j]
 		}
 	}
@@ -346,7 +387,7 @@ func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 // produces — this is exactly "score descending, name ascending" without
 // a division or a string compare (a zero total has only zero counts,
 // hence the identity order). TestRankOrderMatchesScoreOrder holds it.
-func rank(perm []uint32, counts []int64) {
+func rank[C int64 | uint32](perm []uint32, counts []C) {
 	for i := range perm {
 		perm[i] = uint32(i)
 	}

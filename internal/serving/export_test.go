@@ -1,5 +1,7 @@
 package serving
 
+import "slices"
+
 // AppendImageOracle exposes the append-built image encoder kept as the
 // streamed writer's oracle.
 var AppendImageOracle = (*View).appendImageOracle
@@ -19,4 +21,11 @@ const MaxPooledRunes = maxPooledRunes
 func PooledScratchCaps() (rs, offs, found int) {
 	sc := findPool.Get().(*findScratch)
 	return cap(sc.rs), cap(sc.offs), cap(sc.found)
+}
+
+// FilterMatchesTable reports whether v's first-rune filter is the one
+// firstRuneSet builds over v's mention table: what Patch, which only
+// adds the change's first runes to prev's filter, must keep true.
+func FilterMatchesTable(v *View) bool {
+	return slices.Equal(v.mentionFirst, firstRuneSet(v.mentions))
 }

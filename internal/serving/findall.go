@@ -69,7 +69,7 @@ func (v *View) FindAll(text string) []string { return v.FindAllAppend(nil, text)
 //
 //cnp:noalloc
 func (v *View) FindAllAppend(dst []string, text string) []string {
-	if len(v.mentions) == 0 || text == "" {
+	if v.mentions.len() == 0 || text == "" {
 		return dst
 	}
 	sc := findPool.Get().(*findScratch)
@@ -87,7 +87,7 @@ func (v *View) FindAllAppend(dst []string, text string) []string {
 //
 //cnp:noalloc
 func (v *View) FindMentionsAppend(dst []Found, text string) []Found {
-	if len(v.mentions) == 0 || text == "" {
+	if v.mentions.len() == 0 || text == "" {
 		return dst
 	}
 	sc := findPool.Get().(*findScratch)
@@ -184,16 +184,24 @@ type runeSet []uint64
 //cnp:noalloc
 func (s runeSet) has(r rune) bool { return s[(r&0xFFFF)>>6]&(1<<(r&63)) != 0 }
 
+// add sets the bit of m's first rune.
+func (s runeSet) add(m string) {
+	r, _ := utf8.DecodeRuneInString(m)
+	s[(r&0xFFFF)>>6] |= 1 << (r & 63)
+}
+
 // firstRuneSet collects the first rune of every mention in one pass
 // over the table. Derived state: never stored in an image.
-func firstRuneSet(mentions []string) runeSet {
-	set := make(runeSet, 0x10000/64)
-	for _, m := range mentions {
-		r, _ := utf8.DecodeRuneInString(m)
-		set[(r&0xFFFF)>>6] |= 1 << (r & 63)
+func firstRuneSet(mentions table) runeSet {
+	set := make(runeSet, runeSetWords)
+	for i := 0; i < mentions.len(); i++ {
+		set.add(mentions.at(i))
 	}
 	return set
 }
+
+// runeSetWords is a runeSet's length: one bit per BMP rune.
+const runeSetWords = 0x10000 / 64
 
 // longestMentionFrom is the greedy matcher: the length (in runes) and
 // table row of the longest mention starting at rune start of text,
@@ -213,10 +221,10 @@ func (v *View) longestMentionFrom(text string, offs []int, start int) (int, int3
 	best, row := 0, int32(-1)
 	for i := start + 1; i < len(offs); i++ {
 		p := text[offs[start]:offs[i]]
-		if at = seekPrefix(v.mentions, at, p); at < 0 {
+		if at = v.mentions.seekPrefix(at, p); at < 0 {
 			break
 		}
-		if len(v.mentions[at]) == len(p) {
+		if len(v.mentions.at(at)) == len(p) {
 			// The first carrier of the prefix has its length: it IS the
 			// prefix — a terminal in trie terms.
 			best, row = i-start, int32(at)
@@ -226,33 +234,33 @@ func (v *View) longestMentionFrom(text string, offs []int, start int) (int, int3
 }
 
 // seekPrefix returns the index of the first entry of the ascending
-// table xs[from:] that carries the prefix p, or -1 when none does. It
+// table t[from:] that carries the prefix p, or -1 when none does. It
 // is how a prefix is narrowed a rune at a time without ever finding
 // where its carriers end: the carriers of a longer prefix start at or
 // after the first carrier of the shorter one, so the next call resumes
 // from this one's answer.
 //
 //cnp:noalloc
-func seekPrefix(xs []string, from int, p string) int {
-	if i := seek(xs, from, p); i < len(xs) && strings.HasPrefix(xs[i], p) {
+func (t table) seekPrefix(from int, p string) int {
+	if i := t.seek(from, p); i < t.len() && strings.HasPrefix(t.at(i), p) {
 		return i
 	}
 	return -1
 }
 
 // seek returns the index of the first entry of the ascending table
-// xs[from:] that is not below s (len(xs) when all are). A search from
+// t[from:] that is not below s (t.len() when all are). A search from
 // the table's start bisects it; one resumed from an earlier answer
 // (from > 0) expects its own close by and gallops — a few comparisons
 // when it is, twice a bisection's when it is not. Hand-rolled (no
 // sort.Search closure) to keep the callers at 0 allocs/op.
 //
 //cnp:noalloc
-func seek(xs []string, from int, s string) int {
-	lo, hi := from, len(xs)
+func (t table) seek(from int, s string) int {
+	lo, hi := from, t.len()
 	if from > 0 {
 		step := 1
-		for lo+step < hi && xs[lo+step] < s {
+		for lo+step < hi && t.at(lo+step) < s {
 			lo += step
 			step <<= 1
 		}
@@ -260,7 +268,7 @@ func seek(xs []string, from int, s string) int {
 	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if xs[mid] < s {
+		if t.at(mid) < s {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -1,11 +1,11 @@
 package serving
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"unicode/utf8"
 	"unsafe"
 
@@ -85,21 +85,19 @@ type SizedImage struct {
 // file.
 func (v *View) Image(base uint64) (SizedImage, error) {
 	im := SizedImage{v: v, base: base}
-	n, e := len(v.names), len(v.hyperIDs)
-	m, me := len(v.mentions), len(v.mentionEnts)
+	n, e := v.names.len(), len(v.hyperIDs)
+	m, me := v.mentions.len(), len(v.mentionEnts)
 	if n >= maxImageElems || e >= maxImageElems || m >= maxImageElems || me >= maxImageElems {
 		return im, fmt.Errorf("serving: view too large for the image format")
 	}
-	for i, arena := range [3]struct {
-		what string
-		strs []string
-	}{{"node name", v.names}, {"mention", v.mentions}, {"mention entity", v.mentionEnts}} {
-		for _, s := range arena.strs {
-			im.arena[i] += uint64(len(s))
-		}
-		if im.arena[i] > math.MaxUint32 {
-			return im, fmt.Errorf("serving: %s arena exceeds the 4 GiB image limit", arena.what)
-		}
+	// The name and mention tables are already arenas, built within the
+	// limit (newTable); only the mention entities are summed.
+	im.arena[0], im.arena[1] = uint64(len(v.names.arena)), uint64(len(v.mentions.arena))
+	for _, s := range v.mentionEnts {
+		im.arena[2] += uint64(len(s))
+	}
+	if im.arena[2] > math.MaxUint32 {
+		return im, fmt.Errorf("serving: mention entity arena exceeds the 4 GiB image limit")
 	}
 	im.size = imagePreambleLen
 	for _, sz := range imageBlockSizes(uint64(n), uint64(e), uint64(m), uint64(me), im.arena[0], im.arena[1], im.arena[2]) {
@@ -118,21 +116,6 @@ func (im SizedImage) Len() int { return int(im.size) }
 func (im SizedImage) WriteTo(w io.Writer) (int64, error) {
 	v := im.v
 	out := imageOut{w: w, base: im.base, buf: make([]byte, 0, 4096)}
-	strOffsets := func(strs []string) {
-		out.pad()
-		off := uint32(0)
-		out.u32(0)
-		for _, s := range strs {
-			off += uint32(len(s))
-			out.u32(off)
-		}
-	}
-	arena := func(strs []string) {
-		out.pad()
-		for _, s := range strs {
-			out.str(s)
-		}
-	}
 	u32s := func(xs []uint32) {
 		out.pad()
 		for _, x := range xs {
@@ -140,11 +123,11 @@ func (im SizedImage) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 
-	for _, x := range [7]uint64{uint64(len(v.names)), uint64(len(v.hyperIDs)), uint64(len(v.mentions)),
+	for _, x := range [7]uint64{uint64(v.names.len()), uint64(len(v.hyperIDs)), uint64(v.mentions.len()),
 		uint64(len(v.mentionEnts)), im.arena[0], im.arena[1], im.arena[2]} {
 		out.u64(x)
 	}
-	strOffsets(v.names)
+	u32s(v.names.off)
 	u32s(v.hyperOff)
 	u32s(v.hyperIDs)
 	out.pad()
@@ -155,9 +138,15 @@ func (im SizedImage) WriteTo(w io.Writer) (int64, error) {
 	for _, c := range v.edgeCounts {
 		out.u64(uint64(max(c, 0))) // defensive clamp, mirroring the stripe encoder
 	}
-	strOffsets(v.mentions)
+	u32s(v.mentions.off)
 	u32s(v.mentionOff)
-	strOffsets(v.mentionEnts)
+	out.pad()
+	off := uint32(0)
+	out.u32(0)
+	for _, s := range v.mentionEnts {
+		off += uint32(len(s))
+		out.u32(off)
+	}
 	out.pad()
 	for _, k := range v.kinds {
 		out.u8(byte(k))
@@ -166,9 +155,14 @@ func (im SizedImage) WriteTo(w io.Writer) (int64, error) {
 	for _, s := range v.edgeSources {
 		out.u8(byte(s))
 	}
-	arena(v.names)
-	arena(v.mentions)
-	arena(v.mentionEnts)
+	out.pad()
+	out.bytes(v.names.arena)
+	out.pad()
+	out.bytes(v.mentions.arena)
+	out.pad()
+	for _, s := range v.mentionEnts {
+		out.str(s)
+	}
 	out.flush()
 	return out.written, out.err
 }
@@ -215,6 +209,17 @@ func (o *imageOut) str(s string) {
 	o.buf = append(o.buf, s...)
 }
 
+// bytes writes b in one write, behind whatever the chunk holds.
+func (o *imageOut) bytes(b []byte) {
+	o.flush()
+	o.n += uint64(len(b))
+	if o.err == nil && len(b) > 0 {
+		var k int
+		k, o.err = o.w.Write(b)
+		o.written += int64(k)
+	}
+}
+
 func (o *imageOut) pad() {
 	for (o.base+o.n)%8 != 0 {
 		o.u8(0)
@@ -227,23 +232,12 @@ func (o *imageOut) pad() {
 type image struct {
 	n, e, m, me int
 
-	nameOff, hyperOff, hyperIDs           []uint32
-	mentionStrOff, mentionOff, mentEntOff []uint32
-	edgeScores                            []float64
-	edgeCounts                            []int64
-	kinds                                 []taxonomy.NodeKind
-	edgeSources                           []taxonomy.Source
-	nameArena, mentionArena, mentEntArena []byte
-}
-
-func (img *image) name(i int) []byte {
-	return img.nameArena[img.nameOff[i]:img.nameOff[i+1]]
-}
-func (img *image) mention(i int) []byte {
-	return img.mentionArena[img.mentionStrOff[i]:img.mentionStrOff[i+1]]
-}
-func (img *image) mentEnt(i int) []byte {
-	return img.mentEntArena[img.mentEntOff[i]:img.mentEntOff[i+1]]
+	names, mentions, mentEnts      table // arenas over their offset blocks
+	hyperOff, hyperIDs, mentionOff []uint32
+	edgeScores                     []float64
+	edgeCounts                     []int64
+	kinds                          []taxonomy.NodeKind
+	edgeSources                    []taxonomy.Source
 }
 
 // parseImage slices an image payload into its blocks and validates every
@@ -287,23 +281,20 @@ func parseImage(data []byte, base uint64) (*image, error) {
 	blk := func(i int) []byte { return data[spans[i][0]:spans[i][1]] }
 
 	img := &image{
-		n:             int(n),
-		e:             int(e),
-		m:             int(m),
-		me:            int(me),
-		nameOff:       castU32(blk(0)),
-		hyperOff:      castU32(blk(1)),
-		hyperIDs:      castU32(blk(2)),
-		edgeScores:    castF64(blk(3)),
-		edgeCounts:    castI64(blk(4)),
-		mentionStrOff: castU32(blk(5)),
-		mentionOff:    castU32(blk(6)),
-		mentEntOff:    castU32(blk(7)),
-		kinds:         castKinds(blk(8)),
-		edgeSources:   castSources(blk(9)),
-		nameArena:     blk(10),
-		mentionArena:  blk(11),
-		mentEntArena:  blk(12),
+		n:           int(n),
+		e:           int(e),
+		m:           int(m),
+		me:          int(me),
+		names:       table{arena: blk(10), off: castU32(blk(0))},
+		hyperOff:    castU32(blk(1)),
+		hyperIDs:    castU32(blk(2)),
+		edgeScores:  castF64(blk(3)),
+		edgeCounts:  castI64(blk(4)),
+		mentions:    table{arena: blk(11), off: castU32(blk(5))},
+		mentionOff:  castU32(blk(6)),
+		mentEnts:    table{arena: blk(12), off: castU32(blk(7))},
+		kinds:       castKinds(blk(8)),
+		edgeSources: castSources(blk(9)),
 	}
 	if err := img.validate(uint32(nameLen), uint32(menLen), uint32(entLen)); err != nil {
 		return nil, err
@@ -314,11 +305,11 @@ func parseImage(data []byte, base uint64) (*image, error) {
 // validate rejects any payload that could make a mapped View answer
 // differently from Load → Compile of the same content (or crash).
 func (img *image) validate(nameLen, menLen, entLen uint32) error {
-	if err := checkOffsets("node name", img.nameOff, nameLen, true); err != nil {
+	if err := checkOffsets("node name", img.names.off, nameLen, true); err != nil {
 		return err
 	}
 	for i := 1; i < img.n; i++ {
-		if bytes.Compare(img.name(i-1), img.name(i)) >= 0 {
+		if img.names.at(i-1) >= img.names.at(i) {
 			return fmt.Errorf("serving: node names not strictly ascending at %d", i)
 		}
 	}
@@ -364,30 +355,30 @@ func (img *image) validate(nameLen, menLen, entLen uint32) error {
 		}
 	}
 
-	if err := checkOffsets("mention", img.mentionStrOff, menLen, true); err != nil {
+	if err := checkOffsets("mention", img.mentions.off, menLen, true); err != nil {
 		return err
 	}
 	for i := 0; i < img.m; i++ {
-		mb := img.mention(i)
-		if i > 0 && bytes.Compare(img.mention(i-1), mb) >= 0 {
+		ms := img.mentions.at(i)
+		if i > 0 && img.mentions.at(i-1) >= ms {
 			return fmt.Errorf("serving: mentions not strictly ascending at %d", i)
 		}
-		if !utf8.Valid(mb) {
+		if !utf8.ValidString(ms) {
 			return fmt.Errorf("serving: mention %d is not valid UTF-8", i)
 		}
-		if len(bytes.TrimSpace(mb)) != len(mb) {
+		if len(strings.TrimSpace(ms)) != len(ms) {
 			return fmt.Errorf("serving: mention %d is not whitespace-trimmed", i)
 		}
 	}
 	if err := checkOffsets("mention ID list", img.mentionOff, uint32(img.me), true); err != nil {
 		return err
 	}
-	if err := checkOffsets("mention entity", img.mentEntOff, entLen, true); err != nil {
+	if err := checkOffsets("mention entity", img.mentEnts.off, entLen, true); err != nil {
 		return err
 	}
 	for i := 0; i < img.m; i++ {
 		for j := img.mentionOff[i] + 1; j < img.mentionOff[i+1]; j++ {
-			if bytes.Compare(img.mentEnt(int(j-1)), img.mentEnt(int(j))) >= 0 {
+			if img.mentEnts.at(int(j-1)) >= img.mentEnts.at(int(j)) {
 				return fmt.Errorf("serving: mention %d: entity IDs not strictly ascending", i)
 			}
 		}
@@ -411,10 +402,12 @@ func checkOffsets(what string, offs []uint32, total uint32, strict bool) error {
 }
 
 // OpenImage builds a View directly over an image payload, aliasing
-// its arrays instead of decoding them: node and mention strings become
-// string headers pointing into the arenas, and on little-endian hosts
-// the numeric blocks are reinterpreted in place (misaligned buffers
-// and big-endian hosts get a copying decode). data must stay valid and
+// its arrays instead of decoding them: the node-name and mention tables
+// are the payload's own arenas and offsets, read in place with no
+// header per string; only the mention entities get string headers
+// (pointing into their arena). On little-endian hosts the numeric
+// blocks are reinterpreted in place (misaligned buffers and big-endian
+// hosts get a copying decode). data must stay valid and
 // unmodified for the life of the returned View — snapshot.OpenMapped
 // ties the mapping's lifetime to the View with a finalizer.
 //
@@ -426,19 +419,18 @@ func OpenImage(data []byte, base uint64) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	mentions := arenaStrings(img.mentionArena, img.mentionStrOff, false)
 	v := &View{
-		names:        arenaStrings(img.nameArena, img.nameOff, false),
+		names:        img.names,
 		kinds:        img.kinds,
 		hyperOff:     img.hyperOff,
 		hyperIDs:     img.hyperIDs,
 		edgeSources:  img.edgeSources,
 		edgeScores:   img.edgeScores,
 		edgeCounts:   img.edgeCounts,
-		mentions:     mentions,
+		mentions:     img.mentions,
 		mentionOff:   img.mentionOff,
-		mentionEnts:  arenaStrings(img.mentEntArena, img.mentEntOff, false),
-		mentionFirst: firstRuneSet(mentions),
+		mentionEnts:  tableStrings(img.mentEnts, false),
+		mentionFirst: firstRuneSet(img.mentions),
 	}
 	v.buildDerived()
 	return v, nil
@@ -468,7 +460,7 @@ func DecodeImage(data []byte, base uint64) (*ImageContent, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := arenaStrings(img.nameArena, img.nameOff, true)
+	names := tableStrings(img.names, true)
 	out := &ImageContent{
 		Names:    names,
 		Kinds:    append([]taxonomy.NodeKind(nil), img.kinds...),
@@ -487,8 +479,8 @@ func DecodeImage(data []byte, base uint64) (*ImageContent, error) {
 			})
 		}
 	}
-	mentions := arenaStrings(img.mentionArena, img.mentionStrOff, true)
-	ents := arenaStrings(img.mentEntArena, img.mentEntOff, true)
+	mentions := tableStrings(img.mentions, true)
+	ents := tableStrings(img.mentEnts, true)
 	out.Mentions = make([]taxonomy.MentionEntry, img.m)
 	for i := range out.Mentions {
 		out.Mentions[i] = taxonomy.MentionEntry{
@@ -499,18 +491,15 @@ func DecodeImage(data []byte, base uint64) (*ImageContent, error) {
 	return out, nil
 }
 
-// arenaStrings materializes an arena's string table: headers over the
+// tableStrings materializes a table as a string list: headers over the
 // arena bytes (copyBytes=false — zero bytes copied, the strings alias
 // the arena) or full copies (copyBytes=true, for results that must
 // outlive the input buffer).
-func arenaStrings(arena []byte, offs []uint32, copyBytes bool) []string {
-	out := make([]string, len(offs)-1)
+func tableStrings(t table, copyBytes bool) []string {
+	out := make([]string, t.len())
 	for i := range out {
-		b := arena[offs[i]:offs[i+1]]
-		if copyBytes {
-			out[i] = string(b)
-		} else {
-			out[i] = unsafe.String(&b[0], len(b))
+		if out[i] = t.at(i); copyBytes {
+			out[i] = strings.Clone(out[i])
 		}
 	}
 	return out

@@ -13,18 +13,20 @@ import (
 )
 
 // appendImageOracle is the image encoder SizedImage replaced, kept
-// verbatim: it appends the whole image to dst, growing as it goes.
+// verbatim but for reading the name and mention tables out as string
+// lists first: it appends the whole image to dst, growing as it goes.
 func (v *View) appendImageOracle(dst []byte, base uint64) ([]byte, error) {
-	n, e := len(v.names), len(v.hyperIDs)
-	m, me := len(v.mentions), len(v.mentionEnts)
+	names, mentions := v.Nodes(), tableStrings(v.mentions, false)
+	n, e := len(names), len(v.hyperIDs)
+	m, me := len(mentions), len(v.mentionEnts)
 	if n >= maxImageElems || e >= maxImageElems || m >= maxImageElems || me >= maxImageElems {
 		return nil, fmt.Errorf("serving: view too large for the image format")
 	}
-	nameLen, err := arenaLen("node name", v.names)
+	nameLen, err := arenaLen("node name", names)
 	if err != nil {
 		return nil, err
 	}
-	menLen, err := arenaLen("mention", v.mentions)
+	menLen, err := arenaLen("mention", mentions)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +69,7 @@ func (v *View) appendImageOracle(dst []byte, base uint64) ([]byte, error) {
 	putU64(entLen)
 
 	pad()
-	strOffsets(v.names)
+	strOffsets(names)
 	pad()
 	for _, o := range v.hyperOff {
 		putU32(o)
@@ -88,7 +90,7 @@ func (v *View) appendImageOracle(dst []byte, base uint64) ([]byte, error) {
 		putU64(uint64(c))
 	}
 	pad()
-	strOffsets(v.mentions)
+	strOffsets(mentions)
 	pad()
 	for _, o := range v.mentionOff {
 		putU32(o)
@@ -104,11 +106,11 @@ func (v *View) appendImageOracle(dst []byte, base uint64) ([]byte, error) {
 		dst = append(dst, byte(s))
 	}
 	pad()
-	for _, s := range v.names {
+	for _, s := range names {
 		dst = append(dst, s...)
 	}
 	pad()
-	for _, s := range v.mentions {
+	for _, s := range mentions {
 		dst = append(dst, s...)
 	}
 	pad()

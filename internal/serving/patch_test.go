@@ -77,7 +77,8 @@ func requireSameAnswers(t *testing.T, step string, got, want *serving.View, text
 // Freeze returns must be indistinguishable — in every query and byte
 // for byte in its image — from serving.Compile of the same store, whose
 // own answers internal/taxonomy's model test holds to the string-keyed
-// oracle.
+// oracle — and its first-rune filter, which Patch grows from prev's
+// instead of rebuilding, must be the one its mention table gives.
 func TestFreezePatchesLikeCompile(t *testing.T) {
 	cfg := synth.DefaultConfig()
 	cfg.Entities = 1500
@@ -107,6 +108,9 @@ func TestFreezePatchesLikeCompile(t *testing.T) {
 			patched++
 		}
 		requireSameAnswers(t, name, v, serving.Compile(res.Taxonomy, res.Mentions), texts)
+		if !serving.FilterMatchesTable(v) {
+			t.Fatalf("%s: the view's first-rune filter is not the one its mention table gives", name)
+		}
 	}
 	next := base
 	batch := func(extra ...encyclopedia.Page) *encyclopedia.Corpus {

@@ -19,6 +19,17 @@
 // a ranked entry's name and score are read off the CSR arrays by ID.
 // Mentions live in one flat sorted table resolved by binary search.
 //
+// The two sorted string tables, node names and mentions, are kept in
+// the snapshot image's own form on every view: one byte arena plus an
+// n+1 offset array (table). A name is read as a string over the arena
+// bytes, valid for the life of the view, so neither table holds a
+// string header per entry: a mapped view aliases the file's arenas and
+// offsets, and a heap view's two tables are four pointer-free arrays
+// whatever their length. Only the mention-entity table stays a
+// []string (mentionEnts): Lookup and MentionEntities hand out slices
+// of it, shared and allocation-free, and a list of strings is what
+// their callers take.
+//
 // The View is the one read model: the build store keeps no query
 // methods of its own. What each query answers is pinned against the
 // string-keyed oracle in internal/taxonomy's model test, and the HTTP
@@ -46,6 +57,7 @@ package serving
 import (
 	"strings"
 	"unicode/utf8"
+	"unsafe"
 
 	"cnprobase/internal/taxonomy"
 )
@@ -56,7 +68,7 @@ import (
 // after construction — servers swap whole Views atomically to pick up
 // new data (see api.Server.SwapView).
 type View struct {
-	names []string // id → name, sorted ascending; an ID is its name's rank
+	names table // id → name, sorted ascending; an ID is its name's rank
 	kinds []taxonomy.NodeKind
 
 	// Hypernym CSR: node i's outgoing edges occupy index range
@@ -82,20 +94,61 @@ type View struct {
 	hypoOff    []uint32
 	hypoIDs    []uint32
 	hypoRank   []uint32
-	hypoCounts []int64
-	hypoTotals []int64 // per node: Σ evidence counts of incoming edges
+	hypoCounts []uint32 // edge counts are in [0, MaxInt32] (see rank)
+	hypoTotals []int64  // per node: Σ evidence counts of incoming edges
 
 	// Mention table: mentions sorted ascending, every one valid UTF-8
 	// (taxonomy.MentionIndex stores them so); mention i's entity IDs
 	// occupy mentionEnts[mentionOff[i]:mentionOff[i+1]], sorted. A text
 	// scan seeks prefixes in the table behind mentionFirst, the set of
-	// runes some mention starts with.
-	mentions     []string
+	// runes some mention starts with. mentionEnts is the one field whose
+	// elements hold pointers: Lookup and MentionEntities return slices
+	// of it, so it is kept as strings (see the package doc).
+	mentions     table
 	mentionOff   []uint32
 	mentionEnts  []string
 	mentionFirst runeSet
 
 	stats taxonomy.Stats
+}
+
+// table is a sorted string table in the image's own form: entry i is
+// arena[off[i]:off[i+1]], and off has one entry more than the table
+// has rows (the zero table has none). at reads an entry as a string
+// over the arena, so the table holds no string header per entry.
+type table struct {
+	arena []byte
+	off   []uint32
+}
+
+//cnp:noalloc
+func (t table) len() int { return max(len(t.off)-1, 0) }
+
+// at is entry i. Its bytes are addressed without a second bounds
+// check: the offsets ascend and end at len(arena), which construction
+// guarantees and the image validator checks before a mapped view
+// exists.
+//
+//cnp:noalloc
+func (t table) at(i int) string {
+	lo, hi := t.off[i], t.off[i+1]
+	return unsafe.String((*byte)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(t.arena)), lo)), int(hi-lo))
+}
+
+// push appends s as the table's next entry.
+func (t *table) push(s string) {
+	t.arena = append(t.arena, s...)
+	t.off = append(t.off, uint32(len(t.arena)))
+}
+
+// pushRun appends entries [lo, hi) of src: one copy of their bytes and
+// their offsets shifted to where the bytes land.
+func (t *table) pushRun(src table, lo, hi uint32) {
+	shift := uint32(len(t.arena)) - src.off[lo] // modular: o+shift is exact
+	t.arena = append(t.arena, src.arena[src.off[lo]:src.off[hi]]...)
+	for _, o := range src.off[lo+1 : hi+1] {
+		t.off = append(t.off, o+shift)
+	}
 }
 
 // The ID-native read surface. A node's ID is its rank in the sorted
@@ -112,7 +165,7 @@ type View struct {
 //
 //cnp:noalloc
 func (v *View) ID(name string, from uint32) (uint32, bool) {
-	if i := seek(v.names, int(from), name); i < len(v.names) && v.names[i] == name {
+	if i := v.names.seek(int(from), name); i < v.names.len() && v.names.at(i) == name {
 		return uint32(i), true
 	}
 	return 0, false
@@ -121,7 +174,7 @@ func (v *View) ID(name string, from uint32) (uint32, bool) {
 // Name returns the name of node id.
 //
 //cnp:noalloc
-func (v *View) Name(id uint32) string { return v.names[id] }
+func (v *View) Name(id uint32) string { return v.names.at(int(id)) }
 
 // KindOf returns the kind of node id.
 //
@@ -188,10 +241,10 @@ func (v *View) NamePrefixesAppend(dst []uint32, s string, minRunes, maxRunes int
 	for k := 1; k <= maxRunes && end < len(s); k++ {
 		_, size := utf8.DecodeRuneInString(s[end:])
 		end += size
-		if at = seekPrefix(v.names, at, s[:end]); at < 0 {
+		if at = v.names.seekPrefix(at, s[:end]); at < 0 {
 			break
 		}
-		if k >= minRunes && len(v.names[at]) == end {
+		if k >= minRunes && len(v.names.at(at)) == end {
 			dst = append(dst, uint32(at))
 		}
 	}
@@ -216,7 +269,7 @@ func (v *View) EdgeAt(i uint32) (taxonomy.Source, float64) {
 //
 //cnp:noalloc
 func (v *View) MentionRow(s string, from uint32) (uint32, bool) {
-	if i := seek(v.mentions, int(from), s); i < len(v.mentions) && v.mentions[i] == s {
+	if i := v.mentions.seek(int(from), s); i < v.mentions.len() && v.mentions.at(i) == s {
 		return uint32(i), true
 	}
 	return 0, false
@@ -225,7 +278,7 @@ func (v *View) MentionRow(s string, from uint32) (uint32, bool) {
 // NodeCount returns the number of nodes.
 //
 //cnp:noalloc
-func (v *View) NodeCount() int { return len(v.names) }
+func (v *View) NodeCount() int { return v.names.len() }
 
 // EdgeCount returns the number of isA edges.
 //
@@ -235,13 +288,14 @@ func (v *View) EdgeCount() int { return len(v.hyperIDs) }
 // MentionCount returns the number of distinct mentions.
 //
 //cnp:noalloc
-func (v *View) MentionCount() int { return len(v.mentions) }
+func (v *View) MentionCount() int { return v.mentions.len() }
 
-// Nodes returns all node names, sorted. The returned slice is shared:
-// do not modify it.
-//
-//cnp:noalloc
-func (v *View) Nodes() []string { return v.names }
+// Nodes returns all node names, sorted, in a slice built fresh on each
+// call (one allocation of NodeCount string headers): the view keeps its
+// names in one byte arena, not as a list. The strings share the view's
+// bytes and stay valid for its life. Name reads one name by ID without
+// allocating.
+func (v *View) Nodes() []string { return tableStrings(v.names, false) }
 
 // Stats returns the Table-I-shaped summary computed at compile time.
 //
@@ -290,7 +344,7 @@ func (v *View) namesOf(ids []uint32) []string {
 	}
 	out := make([]string, len(ids))
 	for i, id := range ids {
-		out[i] = v.names[id]
+		out[i] = v.Name(id)
 	}
 	return out
 }
@@ -318,7 +372,7 @@ func (v *View) RankedHypernymsAppend(dst []taxonomy.Scored, node string, limit i
 	}
 	lo, total := v.hyperOff[id], v.hyperTotals[id]
 	for _, k := range firstN(v.hyperRank[lo:v.hyperOff[id+1]], limit) {
-		dst = append(dst, taxonomy.Scored{Node: v.names[v.hyperIDs[lo+k]], Score: typicality(v.edgeCounts[lo+k], total)})
+		dst = append(dst, taxonomy.Scored{Node: v.Name(v.hyperIDs[lo+k]), Score: typicality(v.edgeCounts[lo+k], total)})
 	}
 	return dst
 }
@@ -335,7 +389,7 @@ func (v *View) RankedHyponymsAppend(dst []taxonomy.Scored, concept string, limit
 	}
 	lo, total := v.hypoOff[id], v.hypoTotals[id]
 	for _, k := range firstN(v.hypoRank[lo:v.hypoOff[id+1]], limit) {
-		dst = append(dst, taxonomy.Scored{Node: v.names[v.hypoIDs[lo+k]], Score: typicality(v.hypoCounts[lo+k], total)})
+		dst = append(dst, taxonomy.Scored{Node: v.Name(v.hypoIDs[lo+k]), Score: typicality(int64(v.hypoCounts[lo+k]), total)})
 	}
 	return dst
 }
@@ -411,7 +465,7 @@ func (v *View) EdgeOf(hypo, hyper string) (taxonomy.Edge, bool) {
 	}
 	return taxonomy.Edge{
 		Hypo:    hypo,
-		Hyper:   v.names[hyperID],
+		Hyper:   v.Name(hyperID),
 		Sources: v.edgeSources[i],
 		Score:   v.edgeScores[i],
 		Count:   int(v.edgeCounts[i]),
@@ -463,7 +517,7 @@ func (v *View) Ancestors(node string) []string {
 			continue
 		}
 		seen[cur] = true
-		out = append(out, v.names[cur])
+		out = append(out, v.Name(cur))
 		queue = append(queue, v.hyperIDs[v.hyperOff[cur]:v.hyperOff[cur+1]]...)
 	}
 	return out
@@ -525,7 +579,7 @@ func (v *View) PathToAncestor(node, ancestor string) []string {
 			if h == target {
 				var rev []string
 				for at := h; ; at = prev[at] {
-					rev = append(rev, v.names[at])
+					rev = append(rev, v.Name(at))
 					if at == start {
 						break
 					}

@@ -209,7 +209,7 @@ type keptException struct {
 // section by running its encoder without a writer.
 func (e *evidenceSection) resolve(st *State, view *serving.View) error {
 	if e.present {
-		e.pages = st.Evidence.PagesAlong(view.Nodes())
+		e.pages = st.Evidence.PagesAlong(view.NodeCount(), view.Name)
 		if err := e.resolveKept(st.Kept, view); err != nil {
 			return err
 		}

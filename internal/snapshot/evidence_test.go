@@ -279,7 +279,7 @@ func TestEvidenceOffTheImage(t *testing.T) {
 	if !reflect.DeepEqual(keptByName(loaded.Taxonomy, loaded.Kept), keptByName(res.Taxonomy, res.Kept)) {
 		t.Fatal("the kept list did not round-trip")
 	}
-	pages := loaded.Evidence.PagesAlong(mapped.Nodes())
+	pages := loaded.Evidence.PagesAlong(mapped.NodeCount(), mapped.Name)
 	if pages.Len() != pages.OnTable()+1 || pages.Entity(pages.Len()-1) != " 孤立页面 " || pages.Title(pages.Len()-1) != " 孤立页面 " {
 		t.Fatalf("the page off the image did not round-trip: %d pages, %d on nodes", pages.Len(), pages.OnTable())
 	}

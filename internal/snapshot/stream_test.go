@@ -155,7 +155,7 @@ func encodeEvidenceOracle(st *State, view *serving.View) ([]byte, error) {
 			mentions = append(mentions, m.Mention)
 		}
 	}
-	pages := st.Evidence.PagesAlong(nil)
+	pages := st.Evidence.PagesAlong(0, nil)
 	b = binary.AppendUvarint(b, uint64(len(pages.Preds)))
 	for _, p := range pages.Preds {
 		b = appendString(b, p)

@@ -369,10 +369,12 @@ type PageIndex struct {
 	onTable []uint32
 }
 
-// PagesAlong indexes the page evidence along table. It resolves each
-// name of the table once and sorts only the predicates — and, when
-// some page's entity is missing from the table, those pages.
-func (ev *Evidence) PagesAlong(table []string) *PageIndex {
+// PagesAlong indexes the page evidence along a table of n names, name(i)
+// the i-th — a serving view's NodeCount and Name, so the table is read
+// in place. It resolves each name of the table once and sorts only the
+// predicates — and, when some page's entity is missing from the table,
+// those pages.
+func (ev *Evidence) PagesAlong(n int, name func(i uint32) string) *PageIndex {
 	p := &PageIndex{ev: ev, names: ev.syms.Names()}
 	preds := ev.preds.Names()
 	order := make([]uint32, len(preds)) // rank → predicate ID
@@ -393,15 +395,15 @@ func (ev *Evidence) PagesAlong(table []string) *PageIndex {
 	}
 	p.pages = make([]uint32, 0, total)
 	p.onTable = make([]uint32, len(p.names))
-	for i, name := range table {
-		id, ok := ev.syms.Lookup(name)
+	for i := range uint32(n) {
+		id, ok := ev.syms.Lookup(name(i))
 		if !ok || int(id) >= len(p.onTable) {
 			continue
 		}
-		p.onTable[id] = uint32(i) + 1
+		p.onTable[id] = i + 1
 		if int(id) < len(ev.nodes) && ev.nodes[id].title != 0 {
 			p.pages = append(p.pages, id)
-			p.nodes = append(p.nodes, uint32(i))
+			p.nodes = append(p.nodes, i)
 		}
 	}
 	if len(p.pages) == total {

@@ -512,7 +512,7 @@ func TestEvidenceModel(t *testing.T) {
 					table = append(table, e.ID)
 				}
 			}
-			pages := dense.PagesAlong(table)
+			pages := dense.PagesAlong(len(table), func(i uint32) string { return table[i] })
 			if pages.Len() != len(exported) || pages.OnTable() != len(table) {
 				t.Fatalf("PagesAlong: %d pages, %d on the table; want %d and %d", pages.Len(), pages.OnTable(), len(exported), len(table))
 			}
