@@ -5,85 +5,45 @@
 // Usage:
 //
 //	cnprobase gen   -entities 8000 -out corpus.jsonl
-//	cnprobase build -in corpus.jsonl -out taxonomy.json [-no-neural] [-workers 8]
-//	cnprobase build -in corpus.jsonl -save taxonomy.snap    # binary serving snapshot
+//	cnprobase build -in corpus.jsonl -save taxonomy.snap [-no-neural] [-workers 8]
 //	cnprobase build -in corpus.jsonl -cpuprofile cpu.pprof -memprofile mem.pprof
-//	cnprobase query -tax taxonomy.json -hypernyms 刘德华
-//	cnprobase query -tax taxonomy.json -hyponyms 演员 -limit 20
+//	cnprobase query -load taxonomy.snap -hypernyms 刘德华
+//	cnprobase query -load taxonomy.snap -hyponyms 演员 -limit 20
 //	cnprobase inspect taxonomy.snap                         # what a snapshot holds, byte by byte
 //
 // build fans the construction pipeline out over -workers goroutines
 // (0 = one per CPU, 1 = sequential); any worker count produces the
-// same taxonomy.
-// -save additionally writes the complete serving state (taxonomy +
-// mention index + build report) as a binary snapshot that
-// `cnpserver -load` starts from without re-running the pipeline —
-// memory-mapping it directly under the version-4 layout. The write is
-// atomic (temp file, fsync, rename, directory fsync): rebuilding over
-// a snapshot a live server is mapping or SIGHUP-reloading can never
-// expose a torn file. inspect checks a snapshot as the mapped opener
-// does and prints its version, WAL position, metadata counts and the
-// bytes of every section and evidence sub-section.
+// same taxonomy. It writes one file, the snapshot at -save: the
+// complete serving state (taxonomy + mention index + build report +
+// update evidence) that `cnpserver -load` memory-maps and serves
+// without re-running the pipeline. The write is atomic (temp file,
+// fsync, rename, directory fsync): rebuilding over a snapshot a live
+// server is mapping or SIGHUP-reloading can never expose a torn file.
+// The new file keeps the mode of the one it replaces (0644 when new).
+// query maps a snapshot the way `cnpserver -load` does and answers from
+// that view; a name that is not a node is resolved through the mention
+// index, so a bare title or an alias lists the entities it names.
+// inspect checks a snapshot as the mapped opener does and prints its
+// version, WAL position, metadata counts and the bytes of every section
+// and evidence sub-section.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"time"
 	"unicode/utf8"
 
 	"cnprobase"
-	"cnprobase/internal/encyclopedia"
+	"cnprobase/internal/atomicfile"
 	"cnprobase/internal/snapshot"
 	"cnprobase/internal/synth"
 )
-
-// saveSnapshotAtomic writes the snapshot through a temp file in the
-// target directory, fsyncs it, renames it over path and fsyncs the
-// directory — a crash at any point leaves either the old snapshot or
-// the new one, never a torn file. cnpserver may be serving (and
-// SIGHUP-reloading, or mmap-serving) the previous snapshot at this
-// path; the rename swaps it atomically under that reader.
-func saveSnapshotAtomic(path string, res *cnprobase.Result) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".cnpsnap-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	cleanup := func(err error) error {
-		err = errors.Join(err, f.Close())
-		os.Remove(tmp)
-		return err
-	}
-	if err := cnprobase.SaveSnapshot(f, res); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
 
 func main() {
 	log.SetFlags(0)
@@ -142,8 +102,7 @@ func cmdGen(args []string) {
 func cmdBuild(args []string) {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	in := fs.String("in", "corpus.jsonl", "input dump path")
-	out := fs.String("out", "taxonomy.json", "output taxonomy path")
-	save := fs.String("save", "", "also write a binary serving snapshot (for cnpserver -load)")
+	save := fs.String("save", "taxonomy.snap", "output snapshot path (for cnpserver -load and query -load)")
 	noNeural := fs.Bool("no-neural", false, "skip the neural (abstract) extractor")
 	workers := fs.Int("workers", 0, "pipeline worker pool size (0 = one per CPU, 1 = sequential)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the build to this file")
@@ -207,23 +166,10 @@ func cmdBuild(args []string) {
 	for _, s := range res.Report.Stages {
 		fmt.Printf("  %-18s %8.1f → %8.1f  (%.1f)\n", s.Name, ms(s.Start), ms(s.End), ms(s.End-s.Start))
 	}
-	g, err := os.Create(*out)
-	if err != nil {
-		fail("create %s: %v", *out, err)
+	if _, err := atomicfile.Write(*save, func(w io.Writer) error { return cnprobase.SaveSnapshot(w, res) }); err != nil {
+		fail("write snapshot: %v", err)
 	}
-	if err := res.Taxonomy.WriteJSON(g); err != nil {
-		fail("write taxonomy: %v", err)
-	}
-	if err := g.Close(); err != nil {
-		fail("close %s: %v", *out, err)
-	}
-	fmt.Printf("wrote %s\n", *out)
-	if *save != "" {
-		if err := saveSnapshotAtomic(*save, res); err != nil {
-			fail("write snapshot: %v", err)
-		}
-		fmt.Printf("wrote snapshot %s\n", *save)
-	}
+	fmt.Printf("wrote snapshot %s\n", *save)
 	if *memProfile != "" {
 		mf, err := os.Create(*memProfile)
 		if err != nil {
@@ -242,38 +188,28 @@ func cmdBuild(args []string) {
 
 func cmdQuery(args []string) {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	taxPath := fs.String("tax", "taxonomy.json", "taxonomy path")
-	hypernyms := fs.String("hypernyms", "", "entity/concept to list hypernyms of")
+	load := fs.String("load", "taxonomy.snap", "snapshot path (from cnprobase build -save)")
+	hypernyms := fs.String("hypernyms", "", "entity/concept, or a title or alias, to list hypernyms of")
 	hyponyms := fs.String("hyponyms", "", "concept to list hyponyms of")
 	limit := fs.Int("limit", 20, "max hyponyms to print")
 	_ = fs.Parse(args)
 
-	f, err := os.Open(*taxPath)
+	// The mapped view is the read path cnpserver -load answers from.
+	view, err := cnprobase.OpenSnapshotMapped(*load)
 	if err != nil {
-		log.Fatalf("open %s: %v", *taxPath, err)
+		log.Fatalf("load snapshot %s: %v", *load, err)
 	}
-	tax, err := cnprobase.ReadTaxonomy(f)
-	f.Close()
-	if err != nil {
-		log.Fatalf("read taxonomy: %v", err)
-	}
-	// Queries go through the frozen serving view — the same read path
-	// cnpserver answers from.
-	view := (&cnprobase.Result{Taxonomy: tax}).Freeze()
 	switch {
 	case *hypernyms != "":
-		// Bare titles may be ambiguous: try the exact node first, then
-		// disambiguated IDs sharing the title.
-		hs := view.Hypernyms(*hypernyms)
-		if len(hs) == 0 {
-			for _, n := range view.Nodes() {
-				if t, _ := encyclopedia.ParseEntityID(n); t == *hypernyms {
-					fmt.Printf("%s → %v\n", n, view.Hypernyms(n))
-				}
-			}
+		// A name that is no node with hypernyms may be a bare title or an
+		// alias: list the hypernyms of every entity it names.
+		if hs := view.Hypernyms(*hypernyms); len(hs) > 0 {
+			fmt.Printf("%s → %v\n", *hypernyms, hs)
 			return
 		}
-		fmt.Printf("%s → %v\n", *hypernyms, hs)
+		for _, id := range view.Lookup(*hypernyms) {
+			fmt.Printf("%s → %v\n", id, view.Hypernyms(id))
+		}
 	case *hyponyms != "":
 		for _, h := range view.Hyponyms(*hyponyms, *limit) {
 			fmt.Println(h)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,14 +13,14 @@ import (
 	"cnprobase"
 )
 
-// TestCLIRoundTrip exercises gen → build → query end to end through
-// the compiled binary.
+// TestCLIRoundTrip exercises gen → build → query → inspect end to end
+// through the compiled binary, over the one file build writes.
 func TestCLIRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test: compiles and runs the binary")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "cnprobase-cli")
+	bin := filepath.Join(t.TempDir(), "cnprobase-cli")
 	build := exec.Command("go", "build", "-o", bin, ".")
 	build.Env = os.Environ()
 	if out, err := build.CombinedOutput(); err != nil {
@@ -27,12 +28,12 @@ func TestCLIRoundTrip(t *testing.T) {
 	}
 
 	corpus := filepath.Join(dir, "corpus.jsonl")
-	tax := filepath.Join(dir, "taxonomy.json")
 	snap := filepath.Join(dir, "taxonomy.snap")
 
 	run := func(args ...string) string {
 		t.Helper()
 		cmd := exec.Command(bin, args...)
+		cmd.Dir = dir
 		out, err := cmd.CombinedOutput()
 		if err != nil {
 			t.Fatalf("%v: %v\n%s", args, err, out)
@@ -44,7 +45,8 @@ func TestCLIRoundTrip(t *testing.T) {
 	if !strings.Contains(out, "pages") {
 		t.Errorf("gen output: %s", out)
 	}
-	out = run("build", "-in", corpus, "-out", tax, "-save", snap, "-no-neural", "-workers", "8")
+	// -save defaults to taxonomy.snap in the working directory.
+	out = run("build", "-in", corpus, "-no-neural", "-workers", "8")
 	if !strings.Contains(out, "isA relations") {
 		t.Errorf("build output: %s", out)
 	}
@@ -54,20 +56,63 @@ func TestCLIRoundTrip(t *testing.T) {
 	if !strings.Contains(out, "wrote snapshot") {
 		t.Errorf("build output missing snapshot line: %s", out)
 	}
-	if fi, err := os.Stat(snap); err != nil || fi.Size() == 0 {
-		t.Errorf("snapshot file %s: err=%v, size=%v", snap, err, fi)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	out = run("query", "-tax", tax)
-	if !strings.Contains(out, "entities=") {
-		t.Errorf("query output: %s", out)
+	var files []string
+	for _, e := range entries {
+		files = append(files, e.Name())
 	}
-	out = run("query", "-tax", tax, "-hyponyms", "人物", "-limit", "3")
-	if strings.TrimSpace(out) == "" {
-		t.Error("query -hyponyms returned nothing")
+	if strings.Join(files, " ") != "corpus.jsonl taxonomy.snap" {
+		t.Errorf("build left %v, want only the corpus and the snapshot", files)
 	}
+	if fi, err := os.Stat(snap); err != nil || fi.Size() == 0 || fi.Mode().Perm() != 0o644 {
+		t.Errorf("snapshot file %s: err=%v, info=%v, want a non-empty file of mode 0644", snap, err, fi)
+	}
+
 	out = run("inspect", snap)
 	if !strings.Contains(out, "format version 4") || !strings.Contains(out, "kept candidates") {
 		t.Errorf("inspect output: %s", out)
+	}
+	var pages, entities, concepts, isA int
+	_, meta, _ := strings.Cut(out, "meta: ")
+	if _, err := fmt.Sscanf(meta, "%d pages; %d entities, %d concepts, %d isA", &pages, &entities, &concepts, &isA); err != nil {
+		t.Fatalf("inspect meta line: %v\n%s", err, out)
+	}
+	out = run("query", "-load", snap)
+	if want := fmt.Sprintf("entities=%d concepts=%d isA=%d\n", entities, concepts, isA); out != want {
+		t.Errorf("query stats %q, inspect's meta line says %q", out, want)
+	}
+	out = run("query", "-load", snap, "-hyponyms", "人物", "-limit", "3")
+	if strings.TrimSpace(out) == "" {
+		t.Error("query -hyponyms returned nothing")
+	}
+
+	// An infobox alias is no node: query resolves it through the
+	// mention index to the page it names.
+	f, err := os.Open(corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cnprobase.ReadCorpus(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alias, id := "", ""
+	for i := range c.Pages {
+		for _, tr := range c.Pages[i].Infobox {
+			if tr.Predicate == "别名" && tr.Object != "" && alias == "" {
+				alias, id = tr.Object, c.Pages[i].ID()
+			}
+		}
+	}
+	if alias == "" {
+		t.Fatal("the corpus has no infobox alias")
+	}
+	if out = run("query", "-load", snap, "-hypernyms", alias); !strings.Contains(out, id+" → ") {
+		t.Errorf("query -hypernyms %s (an alias of %s) printed %q", alias, id, out)
 	}
 }
 

@@ -8,8 +8,7 @@
 //
 // Usage:
 //
-//	cnpserver -addr :8080 -load taxonomy.snap         # serve a binary snapshot (fastest start)
-//	cnpserver -addr :8080 -tax taxonomy.json          # serve a JSON taxonomy
+//	cnpserver -addr :8080 -load taxonomy.snap         # serve a snapshot (from cnprobase build -save)
 //	cnpserver -addr :8080 -entities 4000              # build in-memory demo world
 //	cnpserver -entities 4000 -workers 8               # parallel demo build
 //	cnpserver -addr :8080 -load taxonomy.snap -pprof localhost:6060
@@ -26,8 +25,7 @@
 // serving view atomically — zero-downtime never-ending extraction.
 // Ingestion needs the mutable build state, so with -load the snapshot
 // must carry the evidence section (any snapshot saved by this version)
-// and is decoded into the build store rather than view-only; -tax
-// taxonomies cannot ingest.
+// and is decoded into the build store rather than view-only.
 //
 // -wal makes ingestion durable (requires -load and -ingest): every
 // accepted batch is appended to a checksummed write-ahead log and
@@ -83,11 +81,6 @@
 //	                   (bounded by -drain-timeout), the ingester
 //	                   flushes its WAL, and per-endpoint request counts
 //	                   and p50/p99 latency are logged before exit.
-//
-// Mentions come from the snapshot's full index with -load and from the
-// pipeline with the demo build; the -tax JSON path indexes entity IDs
-// and bare titles only (JSON taxonomies do not carry the mention
-// index).
 package main
 
 import (
@@ -105,9 +98,7 @@ import (
 	"time"
 
 	"cnprobase"
-	"cnprobase/internal/encyclopedia"
 	"cnprobase/internal/resilience"
-	"cnprobase/internal/taxonomy"
 )
 
 func main() {
@@ -117,8 +108,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		loadPath = flag.String("load", "", "binary snapshot path (from `cnprobase build -save`); SIGHUP hot-reloads it")
-		taxPath  = flag.String("tax", "", "taxonomy JSON path")
-		entities = flag.Int("entities", 4000, "demo world size when -load and -tax are empty")
+		entities = flag.Int("entities", 4000, "demo world size when -load is empty")
 		workers  = flag.Int("workers", 0, "worker pool size for the demo build and the ingest plane (0 = one per CPU, 1 = sequential)")
 		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
 		ingestA  = flag.String("ingest", "", "serve the POST /ingest admin endpoint on this address (e.g. localhost:7070); off when empty")
@@ -136,9 +126,6 @@ func main() {
 	flag.Parse()
 	if *walDir != "" && (*loadPath == "" || *ingestA == "") {
 		log.Fatal("-wal requires -load (the snapshot the compactor rewrites) and -ingest")
-	}
-	if *loadPath != "" && *taxPath != "" {
-		log.Fatal("-load and -tax are mutually exclusive")
 	}
 
 	// Every listener this process opens is registered here and drained
@@ -220,28 +207,6 @@ func main() {
 		if view, err = loadView(*loadPath); err != nil {
 			log.Fatalf("load snapshot %s: %v", *loadPath, err)
 		}
-	case *taxPath != "":
-		f, err := os.Open(*taxPath)
-		if err != nil {
-			log.Fatalf("open %s: %v", *taxPath, err)
-		}
-		tax, err := cnprobase.ReadTaxonomy(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("read taxonomy: %v", err)
-		}
-		mentions := taxonomy.NewMentionIndex()
-		nodes := tax.ReadAll()
-		for i, n := range nodes.Names {
-			if nodes.Kinds[i] == taxonomy.KindEntity {
-				mentions.Add(n, n)
-				if t, _ := encyclopedia.ParseEntityID(n); t != "" {
-					mentions.Add(t, n)
-				}
-			}
-		}
-		jsonRes := &cnprobase.Result{Taxonomy: tax, Mentions: mentions}
-		view = jsonRes.Freeze()
 	default:
 		log.Printf("building demo world with %d entities...", *entities)
 		start := time.Now()
@@ -277,9 +242,6 @@ func main() {
 
 	var ing *cnprobase.Ingester
 	if *ingestA != "" {
-		if res == nil {
-			log.Fatalf("-ingest needs the mutable build state: use -load with an evidence-carrying snapshot or the demo build (-tax cannot ingest)")
-		}
 		uopts := cnprobase.DefaultOptions()
 		uopts.EnableNeural = false // updates skip the neural stage anyway
 		uopts.Workers = *workers

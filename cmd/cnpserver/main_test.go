@@ -532,9 +532,17 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	var recoverErr syncBuffer
 	recAPI, recIngest, _ := startServerWithIngest(t, &recoverErr,
 		"-load", crashSnap, "-wal", walDir, "-compact-every", "0")
-	if !strings.Contains(recoverErr.String(), "replayed 2 wal batches") {
-		t.Fatalf("restart did not replay the 2 acknowledged batches; stderr:\n%s", recoverErr.String())
-	}
+	// The replay is logged before the address is announced, but stderr
+	// reaches the buffer through its own copier, so the line is waited
+	// for rather than read once.
+	defer func() {
+		if t.Failed() {
+			t.Logf("restart stderr:\n%s", recoverErr.String())
+		}
+	}()
+	eventually(t, 20*time.Second, "the restart replaying the 2 acknowledged batches", func() bool {
+		return strings.Contains(recoverErr.String(), "replayed 2 wal batches")
+	})
 	for _, title := range titles[2:] {
 		if code := postPage(t, recIngest, title, concept); code != http.StatusOK {
 			t.Fatalf("post-recovery ingest %q status = %d; stderr:\n%s", title, code, recoverErr.String())
@@ -590,27 +598,27 @@ func TestWalFlagValidation(t *testing.T) {
 	}
 }
 
-// TestIngestRequiresMutableState pins the flag contract: -ingest with
-// -tax has no build state to update and must refuse at startup.
+// TestIngestRequiresMutableState pins the flag contract: -ingest over
+// a snapshot saved without the update substrate has no evidence to
+// update and must refuse at startup.
 func TestIngestRequiresMutableState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test: compiles and runs the binary")
 	}
-	taxPath := filepath.Join(t.TempDir(), "t.json")
 	_, res := writeSnapshot(t)
-	f, err := os.Create(taxPath)
-	if err != nil {
+	var snap bytes.Buffer
+	if err := cnprobase.SaveSnapshot(&snap, &cnprobase.Result{Taxonomy: res.Taxonomy, Mentions: res.Mentions}); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Taxonomy.WriteJSON(f); err != nil {
+	path := filepath.Join(t.TempDir(), "bare.snap")
+	if err := os.WriteFile(path, snap.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-	out, err := exec.Command(serverBinary(t), "-addr", "127.0.0.1:0", "-ingest", "127.0.0.1:0", "-tax", taxPath).CombinedOutput()
+	out, err := exec.Command(serverBinary(t), "-addr", "127.0.0.1:0", "-ingest", "127.0.0.1:0", "-load", path).CombinedOutput()
 	if err == nil {
-		t.Fatalf("-ingest with -tax accepted:\n%s", out)
+		t.Fatalf("-ingest over a snapshot without evidence accepted:\n%s", out)
 	}
-	if !strings.Contains(string(out), "-ingest needs the mutable build state") {
+	if !strings.Contains(string(out), "ingestion needs the update substrate") {
 		t.Errorf("unexpected error output: %s", out)
 	}
 }
@@ -749,7 +757,7 @@ func TestLoadLegacySnapshotRefused(t *testing.T) {
 }
 
 // TestFlagValidation covers flag parsing: unknown flags exit with the
-// flag package's status 2, and -load/-tax are mutually exclusive.
+// flag package's status 2.
 func TestFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test: compiles and runs the binary")
@@ -763,13 +771,5 @@ func TestFlagValidation(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "Usage") {
 		t.Errorf("unknown flag output missing usage: %s", out)
-	}
-
-	out, err = exec.Command(serverBinary(t), "-load", "a.snap", "-tax", "b.json").CombinedOutput()
-	if err == nil {
-		t.Fatalf("-load with -tax accepted:\n%s", out)
-	}
-	if !strings.Contains(string(out), "mutually exclusive") {
-		t.Errorf("-load/-tax error not reported: %s", out)
 	}
 }

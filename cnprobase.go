@@ -179,9 +179,6 @@ func ReadCorpus(r io.Reader) (*Corpus, error) { return encyclopedia.ReadJSONL(r)
 // NewTaxonomy returns an empty taxonomy for manual assembly.
 func NewTaxonomy() *Taxonomy { return taxonomy.New() }
 
-// ReadTaxonomy loads a taxonomy serialized with Taxonomy.WriteJSON.
-func ReadTaxonomy(r io.Reader) (*Taxonomy, error) { return taxonomy.ReadJSON(r) }
-
 // NewViewServer builds the HTTP server over a serving view: a build's
 // Result.Freeze, or OpenSnapshotMapped — the path cnpserver -load uses
 // so a snapshot becomes a serving process without ever materializing

@@ -154,21 +154,6 @@ func TestFacadeCorpusRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFacadeTaxonomySerialization(t *testing.T) {
-	_, res := buildSmall(t, 300)
-	var buf bytes.Buffer
-	if err := res.Taxonomy.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	tax, err := ReadTaxonomy(&buf)
-	if err != nil {
-		t.Fatalf("ReadTaxonomy: %v", err)
-	}
-	if tax.ComputeStats() != res.Taxonomy.ComputeStats() || !reflect.DeepEqual(tax.Edges(), res.Taxonomy.Edges()) {
-		t.Errorf("round trip: %+v, want %+v", tax.ComputeStats(), res.Taxonomy.ComputeStats())
-	}
-}
-
 // TestFacadeSnapshotRoundTrip exercises SaveSnapshot/LoadSnapshot end
 // to end: the loaded Result serves identical queries and carries the
 // build report back (with stats recomputed from the loaded graph).
@@ -243,7 +228,7 @@ func TestFacadeUpdateAfterSnapshotLoad(t *testing.T) {
 		t.Fatalf("LoadSnapshot: %v", err)
 	}
 
-	// A Result without evidence (e.g. assembled from a JSON taxonomy)
+	// A Result without evidence (e.g. assembled by hand)
 	// must still refuse cleanly.
 	bare := &Result{Taxonomy: loaded.Taxonomy, Mentions: loaded.Mentions, Report: loaded.Report}
 	if _, err := Update(bare, delta, opts); err == nil {

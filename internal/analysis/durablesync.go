@@ -22,7 +22,8 @@ import (
 //     read-side closes (os.Open, .Open) lose nothing and are exempt
 //     everywhere. A Close whose handle has unknown provenance is
 //     flagged only inside the durability packages (internal/wal,
-//     internal/snapshot), where write handles dominate.
+//     internal/snapshot, internal/atomicfile), where write handles
+//     dominate.
 //
 //  2. A function that calls os.Rename (or a Rename method) must, later
 //     in the same function, fsync the directory — via a call whose name
@@ -40,7 +41,8 @@ var DurableSync = &Analyzer{
 // durabilityPkg reports whether path is one of the packages holding the
 // durability plane, where even unknown-origin closes must be checked.
 func durabilityPkg(path string) bool {
-	return strings.HasSuffix(path, "internal/wal") || strings.HasSuffix(path, "internal/snapshot")
+	return strings.HasSuffix(path, "internal/wal") || strings.HasSuffix(path, "internal/snapshot") ||
+		strings.HasSuffix(path, "internal/atomicfile")
 }
 
 func runDurableSync(pass *Pass) error {

@@ -31,14 +31,13 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"cnprobase/internal/atomicfile"
 	"cnprobase/internal/core"
 	"cnprobase/internal/encyclopedia"
 	"cnprobase/internal/resilience"
@@ -366,36 +365,10 @@ func (ing *Ingester) compact(res *core.Result) error {
 		return nil
 	}
 	start := time.Now()
-	dir := filepath.Dir(ing.cfg.SnapshotPath)
-	f, err := os.CreateTemp(dir, ".cnpsnap-*")
+	size, err := atomicfile.Write(ing.cfg.SnapshotPath, func(w io.Writer) error {
+		return ing.cfg.SaveSnapshot(w, res, lsn)
+	})
 	if err != nil {
-		return fmt.Errorf("compaction snapshot: %w", err)
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		err = errors.Join(err, f.Close())
-		os.Remove(tmp)
-		return fmt.Errorf("compaction snapshot: %w", err)
-	}
-	if err := ing.cfg.SaveSnapshot(f, res, lsn); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	size, err := f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("compaction snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, ing.cfg.SnapshotPath); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("compaction snapshot: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("compaction snapshot: %w", err)
 	}
 	ing.compacted.Store(lsn)
@@ -412,15 +385,6 @@ func (ing *Ingester) compact(res *core.Result) error {
 		return fmt.Errorf("compaction truncate: %w", err)
 	}
 	return nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // Compact runs one compaction cycle on the updater goroutine and

@@ -320,12 +320,8 @@ func (p *Pipeline) Build(c *encyclopedia.Corpus) (*Result, error) {
 	if err := nePass.Wait(); err != nil {
 		return nil, err
 	}
-	vopts := p.opts.Verify
-	if vopts.Workers == 0 {
-		vopts.Workers = workers // inherit the pipeline pool size by default
-	}
 	var kept []extract.Candidate
-	clock.run("verify", func() { kept, rep.Verification = verify.Verify(merged, ctx, seg, vopts) })
+	clock.run("verify", func() { kept, rep.Verification = verify.Verify(merged, ctx, seg, p.opts.Verify, workers) })
 	rep.PerSource = perSourceReport(tallySources(merged), tallySources(kept))
 
 	// ---- taxonomy assembly ----

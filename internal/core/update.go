@@ -136,11 +136,7 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 	if p.opts.ForceFullReverify {
 		prev.Evidence.MarkAllDirty()
 	}
-	vopts := p.opts.Verify
-	if vopts.Workers == 0 {
-		vopts.Workers = workers // inherit the pipeline pool size by default
-	}
-	decided, vrep := prev.Evidence.Reverify(prev.Segmenter, vopts)
+	decided, vrep := prev.Evidence.Reverify(prev.Segmenter, p.opts.Verify, workers)
 	// Every pair of the union that was not re-decided is a kept pair
 	// with a cached "kept" decision, so the survivors are the union
 	// minus the pairs rejected just now: previously kept ones leave the

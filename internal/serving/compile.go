@@ -383,10 +383,10 @@ func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 // position ascending. A segment's node IDs ascend with its positions
 // and IDs are sorted name ranks, while every typicality in it is
 // count/total over one shared total; so for counts in [0, MaxInt32] —
-// what the image validator and taxonomy.ReadJSON admit and the pipeline
-// produces — this is exactly "score descending, name ascending" without
-// a division or a string compare (a zero total has only zero counts,
-// hence the identity order). TestRankOrderMatchesScoreOrder holds it.
+// what the image validator admits and the pipeline produces — this is
+// exactly "score descending, name ascending" without a division or a
+// string compare (a zero total has only zero counts, hence the
+// identity order). TestRankOrderMatchesScoreOrder holds it.
 func rank[C int64 | uint32](perm []uint32, counts []C) {
 	for i := range perm {
 		perm[i] = uint32(i)

@@ -337,9 +337,10 @@ func (img *image) validate(nameLen, menLen, entLen uint32) error {
 			case j > lo && id <= img.hyperIDs[j-1]:
 				return fmt.Errorf("serving: node %d: hypernym IDs not strictly ascending", u)
 			case img.kinds[id] == taxonomy.KindUnknown:
-				// InsertEdge implicitly marks unknown hypernyms as
-				// concepts, so a compiled image never carries one; a
-				// crafted one would make Load and OpenMapped diverge.
+				// The store marks an unknown hypernym a concept when
+				// it links the edge, so a compiled image never carries
+				// one; a crafted one would make Load and OpenMapped
+				// diverge.
 				return fmt.Errorf("serving: edge %d: hypernym %d has unknown kind", j, id)
 			}
 			touched[id] = true

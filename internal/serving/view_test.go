@@ -192,7 +192,7 @@ func TestCompileAllocations(t *testing.T) {
 }
 
 // TestViewNilMentions covers serving a taxonomy with no mention index
-// (the cnpserver -tax path builds one, but Compile must not require it).
+// (every server has one, but Compile must not require it).
 func TestViewNilMentions(t *testing.T) {
 	tax, _ := fixture(t)
 	v := Compile(tax, nil)

@@ -29,8 +29,8 @@
 // (fuzz-tested by FuzzDecodeSnapshot).
 //
 // There are two read paths over one framing parser: Load reassembles
-// the mutable build store (for JSON export, experiments, further
-// building and ingest), and OpenMapped maps the file and serves
+// the mutable build store (for experiments, further building and
+// ingest), and OpenMapped maps the file and serves
 // directly from the mapping: the cheapest startup, and N replicas on
 // one box share a single page-cache copy of the string arenas. Inspect
 // runs the mapped path's checks and reports where the bytes go.

@@ -2,7 +2,6 @@ package taxonomy_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -23,8 +22,6 @@ type modelOp struct {
 	a, b  string
 	src   taxonomy.Source
 	score float64
-	count int
-	nk    taxonomy.NodeKind
 }
 
 // byName is the store's write surface with removal by name, as the
@@ -41,9 +38,7 @@ func (s byName) RemoveIsA(hypo, hyper string) bool {
 type writer interface {
 	MarkEntity(string)
 	MarkConcept(string)
-	ImportKind(string, taxonomy.NodeKind)
 	AddIsA(hypo, hyper string, src taxonomy.Source, score float64) error
-	InsertEdge(taxonomy.Edge) error
 	RemoveIsA(hypo, hyper string) bool
 }
 
@@ -55,9 +50,8 @@ func randomOp(rng *rand.Rand, names int) modelOp {
 		return fmt.Sprintf("节点%02d", rng.Intn(names))
 	}
 	return modelOp{
-		kind: rng.Intn(10), a: name(), b: name(),
-		src: taxonomy.Source(1 << rng.Intn(6)), score: rng.Float64(), count: 1 + rng.Intn(5),
-		nk: taxonomy.NodeKind(rng.Intn(3)),
+		kind: rng.Intn(8), a: name(), b: name(),
+		src: taxonomy.Source(1 << rng.Intn(6)), score: rng.Float64(),
 	}
 }
 
@@ -68,12 +62,8 @@ func (op modelOp) apply(w writer) string {
 		w.MarkEntity(op.a)
 	case 1:
 		w.MarkConcept(op.a)
-	case 2:
-		w.ImportKind(op.a, op.nk)
-	case 3, 4, 5:
+	case 2, 3, 4:
 		return fmt.Sprint(w.AddIsA(op.a, op.b, op.src, op.score) == nil)
-	case 6:
-		return fmt.Sprint(w.InsertEdge(taxonomy.Edge{Hypo: op.a, Hyper: op.b, Sources: op.src, Score: op.score, Count: op.count}) == nil)
 	default:
 		return fmt.Sprint(w.RemoveIsA(op.a, op.b))
 	}
@@ -117,7 +107,6 @@ func requireSameAnswers(t *testing.T, at string, rng *rand.Rand, names int, dens
 		}
 	}
 	requireSameNodeSet(t, at, dense.ReadNodes(append(sub, "非节点")), append(sub, "非节点"), ref, false)
-	requireSameJSON(t, at, dense, ref)
 
 	var concepts []string
 	for _, n := range universe {
@@ -243,32 +232,6 @@ func requireSameNodeSet(t *testing.T, at string, set *taxonomy.NodeSet, names []
 		if set.Kinds[i] != ref.Kind(n) || !same(got, want) {
 			t.Fatalf("%s: read %s = %v %v, reference %v %v", at, n, set.Kinds[i], got, ref.Kind(n), want)
 		}
-	}
-}
-
-// requireSameJSON holds the store's serialization to the reference's
-// marked kinds and edges.
-func requireSameJSON(t *testing.T, at string, dense *taxonomy.Taxonomy, ref *taxonomy.Reference) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := dense.WriteJSON(&buf); err != nil {
-		t.Fatalf("%s: WriteJSON: %v", at, err)
-	}
-	var got struct {
-		Kinds map[string]taxonomy.NodeKind
-		Edges []taxonomy.Edge
-	}
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("%s: WriteJSON wrote %s: %v", at, buf.Bytes(), err)
-	}
-	kinds := map[string]taxonomy.NodeKind{}
-	for _, n := range ref.Nodes() {
-		if k := ref.Kind(n); k != taxonomy.KindUnknown {
-			kinds[n] = k
-		}
-	}
-	if !reflect.DeepEqual(got.Kinds, kinds) || !same(got.Edges, ref.Edges()) {
-		t.Fatalf("%s: WriteJSON wrote %s", at, buf.Bytes())
 	}
 }
 
@@ -446,22 +409,4 @@ func TestTaxonomyModel(t *testing.T) {
 			t.Fatalf("change log after the concurrent run: %v %v", logged, ok)
 		}
 	})
-}
-
-// TestUnmarkedHypernymStatsMatchView pins the one rule the store and
-// the view share about kinds: withdrawing the mark of a node that has
-// hyponyms leaves it a concept, so the store's counters and the view's
-// summary — Report.Stats and /api/stats — cannot disagree.
-func TestUnmarkedHypernymStatsMatchView(t *testing.T) {
-	tx := taxonomy.New()
-	if err := tx.AddIsA("甲", "乙", taxonomy.SourceTag, 1); err != nil {
-		t.Fatal(err)
-	}
-	tx.ImportKind("乙", taxonomy.KindUnknown)
-	if got := tx.Kind("乙"); got != taxonomy.KindConcept {
-		t.Errorf("Kind(乙) = %d, want concept", got)
-	}
-	if got, want := tx.ComputeStats(), serving.Compile(tx, nil).Stats(); got != want || got.Concepts != 1 {
-		t.Fatalf("store stats %+v, view stats %+v, want one concept in both", got, want)
-	}
 }

@@ -198,26 +198,6 @@ func (t *refTaxonomy) mark(name string, k NodeKind) {
 	t.invalidate()
 }
 
-// ImportKind overwrites the node kind. It is the deserialization
-// counterpart of MarkEntity/MarkConcept: JSON and binary-snapshot
-// loaders restore saved kinds through it. KindUnknown entries are
-// dropped rather than stored — Unknown is the absence of a kind —
-// except on a node with hyponyms, which becomes a concept, as
-// InsertEdge marks it.
-func (t *refTaxonomy) ImportKind(name string, k NodeKind) {
-	if name == "" {
-		return
-	}
-	sh := t.shardOf(name)
-	sh.mu.Lock()
-	if k == KindUnknown && len(sh.hypos[name]) > 0 {
-		k = KindConcept
-	}
-	sh.setKind(name, k)
-	sh.mu.Unlock()
-	t.invalidate()
-}
-
 // Kind returns the node kind of name.
 func (t *refTaxonomy) Kind(name string) NodeKind {
 	sh := t.shardOf(name)
@@ -272,40 +252,6 @@ func refLinkEdge(sa, sb *refShard, hypo, hyper string) {
 	if sb.kinds[hyper] == KindUnknown {
 		sb.setKind(hyper, KindConcept)
 	}
-}
-
-// InsertEdge installs an edge verbatim: the full provenance — sources,
-// score, evidence count — is taken from e rather than re-derived. It is
-// the deserialization counterpart of AddIsA (which merges evidence);
-// loaders restoring a saved graph use it so counts and scores round-trip
-// bit-exactly. An existing (Hypo, Hyper) edge is overwritten in place.
-// Like AddIsA, the hypernym is implicitly marked as a concept when its
-// kind is still unknown, so edge and kind sections may be restored
-// concurrently in any order.
-func (t *refTaxonomy) InsertEdge(e Edge) error {
-	if e.Hypo == "" || e.Hyper == "" {
-		return fmt.Errorf("taxonomy: empty node in isA(%q, %q)", e.Hypo, e.Hyper)
-	}
-	if e.Hypo == e.Hyper {
-		return fmt.Errorf("taxonomy: self-loop isA(%q, %q)", e.Hypo, e.Hyper)
-	}
-	sa, sb, unlock := t.lockPair(e.Hypo, e.Hyper)
-	defer unlock()
-	k := refEdgeKey{e.Hypo, e.Hyper}
-	if old, ok := sa.edges[k]; ok {
-		*old = e
-		sa.refTouch(e.Hypo, 0)
-		sb.refTouch(e.Hyper, 0)
-		if sb.kinds[e.Hyper] == KindUnknown {
-			sb.setKind(e.Hyper, KindConcept)
-		}
-	} else {
-		cp := e
-		sa.edges[k] = &cp
-		refLinkEdge(sa, sb, e.Hypo, e.Hyper)
-	}
-	t.invalidate()
-	return nil
 }
 
 // RemoveIsA deletes the edge if present and reports whether it existed.

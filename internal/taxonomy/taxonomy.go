@@ -1,11 +1,12 @@
 // Package taxonomy implements the conceptual taxonomy *build* store:
 // the write-side accumulator the construction pipeline assembles into.
-// It holds entities, concepts and provenance-tagged isA edges and
-// serializes to JSON. It is not a query model: every reader — the HTTP
-// APIs, the application engines, the experiments — goes through the
-// immutable, lock-free view in internal/serving, compiled from the
-// store (serving.Compile, or serving.Patch for the nodes written since)
-// or opened over a snapshot's image. What the store reads back is its
+// It holds entities, concepts and provenance-tagged isA edges, and
+// is saved only inside a snapshot (internal/snapshot). It is not a
+// query model: every reader — the HTTP APIs, the application engines,
+// the experiments — goes through the immutable, lock-free view in
+// internal/serving, compiled from the store (serving.Compile, or
+// serving.Patch for the nodes written since) or opened over a
+// snapshot's image. What the store reads back is its
 // content in canonical form (ReadAll, ReadNodes, Edges), the Stats
 // counters and the change log, plus the few point reads the subconcept
 // derivation rules make while they write (Kind, HyponymCount, EdgeOf,
@@ -25,11 +26,7 @@
 package taxonomy
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
-	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -249,25 +246,6 @@ func (t *Taxonomy) mark(name string, k NodeKind) {
 	}
 }
 
-// ImportKind overwrites the node kind. It is the deserialization
-// counterpart of MarkEntity/MarkConcept: the JSON loader restores saved
-// kinds through it (a snapshot restores them by ID, see ImportIDs). KindUnknown removes the mark
-// — Unknown is the absence of a kind — except on a node with hyponyms,
-// which becomes a concept: the rule every edge insertion applies, so
-// no hypernym is ever unmarked.
-func (t *Taxonomy) ImportKind(name string, k NodeKind) {
-	if name == "" {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	id := t.intern(name)
-	if k == KindUnknown && len(t.nodes[id].hypos) > 0 {
-		k = KindConcept
-	}
-	t.setKind(id, k)
-}
-
 // Kind returns the node kind of name.
 func (t *Taxonomy) Kind(name string) NodeKind {
 	t.mu.RLock()
@@ -351,40 +329,11 @@ func (t *Taxonomy) link(a, b uint32, e edge) {
 	}
 }
 
-// InsertEdge installs an edge verbatim: the full provenance — sources,
-// score, evidence count — is taken from e rather than re-derived. It is
-// the deserialization counterpart of AddIsA (which merges evidence);
-// loaders restoring a saved graph use it so counts and scores round-trip
-// bit-exactly. An existing (Hypo, Hyper) edge is overwritten in place.
-// Like AddIsA, the hypernym is implicitly marked as a concept when its
-// kind is still unknown, so edges and kinds may be restored in any
-// order.
-func (t *Taxonomy) InsertEdge(e Edge) error {
-	if err := checkEdge(e.Hypo, e.Hyper); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	a, b := t.intern(e.Hypo), t.intern(e.Hyper)
-	stored := edge{hyper: b, sources: e.Sources, score: e.Score, count: e.Count}
-	n := &t.nodes[a]
-	i := n.find(b)
-	if i < 0 {
-		t.link(a, b, stored)
-		return nil
-	}
-	n.hypers[i] = stored
-	t.changes.record(a, b)
-	if t.nodes[b].kind == KindUnknown {
-		t.setKind(b, KindConcept)
-	}
-	return nil
-}
-
 // ImportIDs restores an empty store from a serving image's canonical
-// content by ID: the marks ImportKind and the edges InsertEdge would
-// restore one by one — the same records, in the same order, and the
-// same counters — in one pass under one lock, with no name hashed. The
+// content by ID: every node's kind and every edge verbatim, with its
+// full provenance — sources, score, evidence count — and the counters
+// the writes would keep, in one pass under one lock, with no name
+// hashed. The
 // store's symbol table must hold the image's node names as IDs
 // 0..len(kinds)-1, in image order (snapshot.Load interns them first);
 // kinds has one entry per node, and node u's edges are
@@ -607,8 +556,9 @@ type NodeSet struct {
 	// ReadNodes of a name since retracted); nil when all exist.
 	Absent []bool
 	// Kinds is parallel to Names. A node with hyponyms is always marked
-	// (see ImportKind), so a view, and the snapshot image made of it, has
-	// no unmarked hypernym.
+	// (an edge marks an unknown hypernym a concept, and only a node
+	// left without edges is unmarked), so a view, and the snapshot image
+	// made of it, has no unmarked hypernym.
 	Kinds []NodeKind
 	// Node i's outgoing edges are Edges[EdgeOff[i]:EdgeOff[i+1]],
 	// ascending by hypernym name.
@@ -696,54 +646,4 @@ func (set *NodeSet) put(i int, n *node, names []string, rank []int32) {
 		return strings.Compare(a.Hyper, b.Hyper)
 	})
 	set.EdgeOff[i+1] = uint32(len(set.Edges))
-}
-
-// ---- serialization ----
-
-type taxJSON struct {
-	Kinds map[string]NodeKind `json:"kinds"`
-	Edges []Edge              `json:"edges"`
-}
-
-// WriteJSON serializes the taxonomy: the marked nodes' kinds and every
-// edge, from one canonical read of the store.
-func (t *Taxonomy) WriteJSON(w io.Writer) error {
-	set := t.ReadAll()
-	out := taxJSON{Kinds: make(map[string]NodeKind), Edges: set.edgeList()}
-	for i, name := range set.Names {
-		if k := set.Kinds[i]; k != KindUnknown {
-			out.Kinds[name] = k
-		}
-	}
-	bw := bufio.NewWriter(w)
-	if err := json.NewEncoder(bw).Encode(out); err != nil {
-		return fmt.Errorf("taxonomy: encode: %w", err)
-	}
-	return bw.Flush()
-}
-
-// ReadJSON loads a taxonomy written by WriteJSON. It refuses what a
-// serving view's image could not hold: a kind above KindConcept, an
-// evidence count outside [0, MaxInt32].
-func ReadJSON(r io.Reader) (*Taxonomy, error) {
-	var in taxJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("taxonomy: decode: %w", err)
-	}
-	t := New()
-	for n, k := range in.Kinds {
-		if k > KindConcept {
-			return nil, fmt.Errorf("taxonomy: node %q: invalid kind %d", n, k)
-		}
-		t.ImportKind(n, k)
-	}
-	for _, e := range in.Edges {
-		if e.Count < 0 || e.Count > math.MaxInt32 {
-			return nil, fmt.Errorf("taxonomy: isA(%q, %q): count %d out of range", e.Hypo, e.Hyper, e.Count)
-		}
-		if err := t.InsertEdge(e); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
 }

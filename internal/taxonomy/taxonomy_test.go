@@ -1,7 +1,6 @@
 package taxonomy
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -184,57 +183,6 @@ func TestComputeStats(t *testing.T) {
 	}
 	if st.IsARelations != 2 || st.EntityConceptIsA != 1 || st.SubConceptIsA != 1 {
 		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	tx := New()
-	tx.MarkEntity("刘德华")
-	mustAdd(t, tx, "刘德华", "演员", SourceBracket)
-	mustAdd(t, tx, "刘德华", "演员", SourceTag) // count 2
-	mustAdd(t, tx, "男演员", "演员", SourceMorph)
-	var buf bytes.Buffer
-	if err := tx.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatalf("ReadJSON: %v", err)
-	}
-	if got, want := got.ComputeStats(), tx.ComputeStats(); got != want {
-		t.Fatalf("stats = %+v, want %+v", got, want)
-	}
-	e, _ := got.EdgeOf("刘德华", "演员")
-	if e.Count != 2 || e.Sources != SourceBracket|SourceTag {
-		t.Errorf("edge lost detail: %+v", e)
-	}
-	if got.Kind("刘德华") != KindEntity {
-		t.Error("kind lost in round trip")
-	}
-}
-
-func TestReadJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSON(bytes.NewBufferString("nope")); err == nil {
-		t.Fatal("ReadJSON accepted garbage")
-	}
-}
-
-// TestReadJSONRejectsInvalid pins the loader to the serving image's
-// bounds: a kind above KindConcept or an evidence count outside
-// [0, MaxInt32] would compile into a view with negative typicality and
-// save into a snapshot no reader accepts.
-func TestReadJSONRejectsInvalid(t *testing.T) {
-	for _, in := range []string{
-		`{"kinds":{"甲":7},"edges":[]}`,
-		`{"kinds":{},"edges":[{"hypo":"甲","hyper":"乙","count":-3}]}`,
-		`{"kinds":{},"edges":[{"hypo":"甲","hyper":"乙","count":2147483648}]}`,
-	} {
-		if _, err := ReadJSON(bytes.NewBufferString(in)); err == nil {
-			t.Errorf("ReadJSON accepted %s", in)
-		}
-	}
-	if _, err := ReadJSON(bytes.NewBufferString(`{"kinds":{"甲":2},"edges":[{"hypo":"乙","hyper":"甲","count":2147483647}]}`)); err != nil {
-		t.Errorf("ReadJSON refused the bounds themselves: %v", err)
 	}
 }
 

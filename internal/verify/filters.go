@@ -55,10 +55,12 @@ type Report struct {
 // returns the surviving candidates plus a report — the one-shot path
 // the build pipeline uses. It invalidates the evidence caches first,
 // so every decision is recomputed from the current evidence; the
-// survivor order matches the candidate order exactly.
-func Verify(cands []extract.Candidate, ev *Evidence, seg *segment.Segmenter, opts Options) ([]extract.Candidate, Report) {
+// survivor order matches the candidate order exactly. workers bounds
+// the per-candidate fan-out (<= 1 decides sequentially); decisions are
+// independent, so any count keeps the same survivors in the same order.
+func Verify(cands []extract.Candidate, ev *Evidence, seg *segment.Segmenter, opts Options, workers int) ([]extract.Candidate, Report) {
 	ev.MarkAllDirty()
-	return VerifyDelta(cands, ev, seg, opts)
+	return VerifyDelta(cands, ev, seg, opts, workers)
 }
 
 // VerifyDelta brings the decisions up to date (see Reverify) and then
@@ -70,8 +72,8 @@ func Verify(cands []extract.Candidate, ev *Evidence, seg *segment.Segmenter, opt
 // produce it. The update pipeline does not call this: it splices the
 // few re-decided pairs into its sorted kept list instead of walking
 // the union.
-func VerifyDelta(cands []extract.Candidate, ev *Evidence, seg *segment.Segmenter, opts Options) ([]extract.Candidate, Report) {
-	_, rep := ev.Reverify(seg, opts)
+func VerifyDelta(cands []extract.Candidate, ev *Evidence, seg *segment.Segmenter, opts Options, workers int) ([]extract.Candidate, Report) {
+	_, rep := ev.Reverify(seg, opts, workers)
 	rep.Input, rep.Rejected = len(cands), make(map[Reason]int)
 	codes := make([]reasonCode, len(cands))
 	names := ev.syms.Names()
@@ -133,16 +135,15 @@ type claimRef struct{ hypo, at uint32 }
 // loaded evidence, MarkAllDirty, changed thresholds) every pair is
 // re-decided. The report carries Reverified, IncompatiblePairs and the
 // rejections among the returned decisions; Input and Kept describe a
-// candidate set only the caller knows.
-func (ev *Evidence) Reverify(seg *segment.Segmenter, opts Options) ([]Decision, Report) {
+// candidate set only the caller knows. workers bounds the fan-out, as
+// in Verify.
+func (ev *Evidence) Reverify(seg *segment.Segmenter, opts Options, workers int) ([]Decision, Report) {
 	rep := Report{Rejected: make(map[Reason]int)}
 
 	// Threshold changes invalidate every cached status.
-	norm := opts
-	norm.Workers = 0
-	if !ev.haveOpts || ev.lastOpts != norm {
+	if !ev.haveOpts || ev.lastOpts != opts {
 		ev.allDirty = true
-		ev.lastOpts, ev.haveOpts = norm, true
+		ev.lastOpts, ev.haveOpts = opts, true
 	}
 
 	// Re-derive hypernym lexical heads: segmentation costs move as
@@ -188,7 +189,7 @@ func (ev *Evidence) Reverify(seg *segment.Segmenter, opts Options) ([]Decision, 
 	// Collect the affected pairs and recompute their decisions.
 	affected := ev.affectedPairs(flipped, kill)
 	rep.Reverified = len(affected)
-	codes := par.Concat(par.MapBatches(par.NewPool(opts.Workers), len(affected), func(lo, hi int) []reasonCode {
+	codes := par.Concat(par.MapBatches(par.NewPool(workers), len(affected), func(lo, hi int) []reasonCode {
 		out := make([]reasonCode, 0, hi-lo)
 		for _, ref := range affected[lo:hi] {
 			cl := &ev.nodes[ref.hypo].claims[ref.at]

@@ -444,7 +444,7 @@ func TestEvidenceModel(t *testing.T) {
 					}
 				}
 
-				ids, gotRep := dense.Reverify(seg, opts)
+				ids, gotRep := dense.Reverify(seg, opts, 1)
 				gotDec := decisionsByName(syms, ids)
 				wantDec, wantRep := ref.Reverify(seg, opts)
 				if !reflect.DeepEqual(sortedDecisions(gotDec), sortedDecisions(wantDec)) {
@@ -550,7 +550,7 @@ func TestEvidenceModel(t *testing.T) {
 				}
 			}
 			loaded.AddCandidates(onIDs(loaded.syms, dedupeNamed(pairs)))
-			loaded.Reverify(seg, opts)
+			loaded.Reverify(seg, opts, 1)
 			if err := diffViews(viewOf(t, loaded), viewOf(t, dense)); err != nil {
 				t.Fatalf("export → import: %v", err)
 			}

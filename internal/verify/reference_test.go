@@ -17,7 +17,6 @@ import (
 	"cnprobase/internal/extract"
 	"cnprobase/internal/lexicon"
 	"cnprobase/internal/ner"
-	"cnprobase/internal/par"
 	"cnprobase/internal/segment"
 	"cnprobase/internal/symtab"
 	"cnprobase/internal/taxonomy"
@@ -106,7 +105,7 @@ func verifyNamed(cs []named, ev *Evidence, seg *segment.Segmenter, opts Options)
 
 // verifyDeltaNamed is VerifyDelta on named candidates.
 func verifyDeltaNamed(cs []named, ev *Evidence, seg *segment.Segmenter, opts Options) ([]named, Report) {
-	kept, rep := VerifyDelta(onIDs(ev.syms, cs), ev, seg, opts)
+	kept, rep := VerifyDelta(onIDs(ev.syms, cs), ev, seg, opts, 1)
 	return byName(ev.syms, kept), rep
 }
 
@@ -630,11 +629,9 @@ func (ev *mapEvidence) Reverify(seg *segment.Segmenter, opts Options) ([]namedDe
 	rep := Report{Rejected: make(map[Reason]int)}
 
 	// Threshold changes invalidate every cached status.
-	norm := opts
-	norm.Workers = 0
-	if !ev.haveOpts || ev.lastOpts != norm {
+	if !ev.haveOpts || ev.lastOpts != opts {
 		ev.allDirty = true
-		ev.lastOpts, ev.haveOpts = norm, true
+		ev.lastOpts, ev.haveOpts = opts, true
 	}
 
 	// Re-derive hypernym lexical heads: segmentation costs move as
@@ -676,13 +673,10 @@ func (ev *mapEvidence) Reverify(seg *segment.Segmenter, opts Options) ([]namedDe
 	// Collect the affected pairs and recompute their decisions.
 	affected := ev.affectedPairs(dirtyHead, neChanged, killSet)
 	rep.Reverified = len(affected)
-	decided := par.Concat(par.MapBatches(par.NewPool(opts.Workers), len(affected), func(lo, hi int) []namedDecision {
-		out := make([]namedDecision, 0, hi-lo)
-		for _, pair := range affected[lo:hi] {
-			out = append(out, namedDecision{Hypo: pair.hypo, Hyper: pair.hyper, Reason: ev.decide(pair.hypo, pair.hyper, seg, opts)})
-		}
-		return out
-	}))
+	decided := make([]namedDecision, 0, len(affected))
+	for _, pair := range affected {
+		decided = append(decided, namedDecision{Hypo: pair.hypo, Hyper: pair.hyper, Reason: ev.decide(pair.hypo, pair.hyper, seg, opts)})
+	}
 	for _, d := range decided {
 		ev.decisions[edgeKey{d.Hypo, d.Hyper}] = d.Reason
 		if d.Reason != "" {

@@ -84,13 +84,6 @@ type Options struct {
 
 	// EnableSyntax toggles strategy III-C.
 	EnableSyntax bool
-
-	// Workers bounds the per-candidate filtering fan-out; values <= 1
-	// filter sequentially. Per-candidate decisions are independent, so
-	// any worker count keeps the same survivors in the same order. The
-	// pipeline fills a zero value with its own resolved worker count;
-	// set it explicitly to pin verification concurrency independently.
-	Workers int
 }
 
 // DefaultOptions returns the calibrated thresholds.
