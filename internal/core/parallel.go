@@ -29,42 +29,43 @@ func workerCount(w int) int {
 // a window while memory stays O(window), not O(corpus).
 const windowPages = 512
 
+// textBatch is one batch of a windowed corpus pass, its arrays reused
+// window after window: the tokens of the batch's texts in one backing
+// array and, in the NE pass, their spans; text k ends at ends[k].
+type textBatch struct {
+	toks  []string
+	spans []ner.Span
+	ends  []textEnd
+}
+
+// textEnd is where one text's tokens and spans end in its batch.
+type textEnd struct{ tok, span int }
+
+func (b *textBatch) reset() {
+	b.toks, b.spans, b.ends = b.toks[:0], b.spans[:0], b.ends[:0]
+}
+
 // corpusStats builds the unigram/bigram statistics over every page's
 // abstract and bracket. The accumulator only adds counts and the
 // bootstrap segmenter reads no statistics (no feedback loop), so the
 // windowed parallel fold produces exactly the sequential counts.
 func corpusStats(c *encyclopedia.Corpus, boot *segment.Segmenter, p *par.Pool) *corpus.Stats {
-	type pageCut struct{ abstract, bracket []string }
 	stats := corpus.NewStats()
-	par.WindowFold(p, len(c.Pages), windowPages, func(lo, hi int) []pageCut {
-		out := make([]pageCut, 0, hi-lo)
-		// One shared backing array per batch: CutAppend grows it in
-		// place and each page keeps a capacity-clamped sub-slice, so the
-		// batch performs a handful of amortized allocations instead of
-		// one `[]string` per page.
-		toks := make([]string, 0, 32*(hi-lo))
+	par.WindowFold(p, len(c.Pages), windowPages, func(b *textBatch, lo, hi int) {
+		b.reset()
 		for i := lo; i < hi; i++ {
-			page := &c.Pages[i]
-			var pc pageCut
-			if page.Abstract != "" {
-				a := len(toks)
-				toks = boot.CutAppend(toks, page.Abstract)
-				pc.abstract = toks[a:len(toks):len(toks)]
+			for _, text := range [2]string{c.Pages[i].Abstract, c.Pages[i].Bracket} {
+				if text != "" {
+					b.toks = boot.CutAppend(b.toks, text)
+					b.ends = append(b.ends, textEnd{tok: len(b.toks)})
+				}
 			}
-			if page.Bracket != "" {
-				b := len(toks)
-				toks = boot.CutAppend(toks, page.Bracket)
-				pc.bracket = toks[b:len(toks):len(toks)]
-			}
-			out = append(out, pc)
 		}
-		return out
-	}, func(pc pageCut) {
-		if len(pc.abstract) > 0 {
-			stats.AddSentence(pc.abstract)
-		}
-		if len(pc.bracket) > 0 {
-			stats.AddSentence(pc.bracket)
+	}, func(b *textBatch) {
+		tok := 0
+		for _, e := range b.ends {
+			stats.AddSentence(b.toks[tok:e.tok])
+			tok = e.tok
 		}
 	})
 	return stats
@@ -75,27 +76,22 @@ func corpusStats(c *encyclopedia.Corpus, boot *segment.Segmenter, p *par.Pool) *
 // into a Support accumulator in page order. Support only adds counts,
 // so windowing cannot change the result.
 func observeSupport(c *encyclopedia.Corpus, seg *segment.Segmenter, rec *ner.Recognizer, p *par.Pool) *ner.Support {
-	type obs struct {
-		tokens []string
-		spans  []ner.Span
-	}
 	support := ner.NewSupport()
-	par.WindowFold(p, len(c.Pages), windowPages, func(lo, hi int) []obs {
-		out := make([]obs, 0, hi-lo)
-		// Batch-shared token backing array; see corpusStats.
-		toks := make([]string, 0, 32*(hi-lo))
+	par.WindowFold(p, len(c.Pages), windowPages, func(b *textBatch, lo, hi int) {
+		b.reset()
 		for i := lo; i < hi; i++ {
-			page := &c.Pages[i]
-			if page.Abstract == "" {
-				continue
+			if text := c.Pages[i].Abstract; text != "" {
+				b.toks = seg.CutAppend(b.toks, text)
+				b.spans = rec.RecognizeAppend(b.spans, text)
+				b.ends = append(b.ends, textEnd{len(b.toks), len(b.spans)})
 			}
-			a := len(toks)
-			toks = seg.CutAppend(toks, page.Abstract)
-			out = append(out, obs{tokens: toks[a:len(toks):len(toks)], spans: rec.Recognize(page.Abstract)})
 		}
-		return out
-	}, func(o obs) {
-		support.Observe(o.tokens, o.spans)
+	}, func(b *textBatch) {
+		tok, span := 0, 0
+		for _, e := range b.ends {
+			support.Observe(b.toks[tok:e.tok], b.spans[span:e.span])
+			tok, span = e.tok, e.span
+		}
 	})
 	return support
 }

@@ -3,13 +3,18 @@ package extract
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"cnprobase/internal/corpus"
 	"cnprobase/internal/encyclopedia"
+	"cnprobase/internal/lexicon"
 	"cnprobase/internal/segment"
 	"cnprobase/internal/symtab"
+	"cnprobase/internal/synth"
 	"cnprobase/internal/taxonomy"
 )
 
@@ -332,5 +337,79 @@ func TestPredicateStatScore(t *testing.T) {
 	}
 	if got := (PredicateStat{Total: 4, Aligned: 1}).Score(); got != 0.25 {
 		t.Errorf("score = %v, want 0.25", got)
+	}
+}
+
+// TestSeparatorMemoMatchesFresh holds the memo to separating afresh: on
+// every page of a synthetic world, a Separator shared by several
+// goroutines (so repeats of a compound come from the memo, filled
+// concurrently) proposes the hypernyms a new Separator does.
+func TestSeparatorMemoMatchesFresh(t *testing.T) {
+	cfg := synth.DefaultConfig()
+	cfg.Entities = 8000
+	w, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatalf("synth.Generate: %v", err)
+	}
+	pages := w.Corpus().Pages
+	dict := lexicon.BaseDictionary()
+	boot := segment.New(dict)
+	stats := corpus.NewStats()
+	for i := range pages {
+		for _, text := range []string{pages[i].Abstract, pages[i].Bracket} {
+			if toks := boot.Cut(text); len(toks) > 0 {
+				stats.AddSentence(toks)
+			}
+		}
+	}
+	seg := segment.New(dict, segment.WithStats(stats))
+
+	shared := NewSeparator(seg, stats)
+	got := make([][]string, len(pages))
+	const workers = 4
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(pages); i += workers {
+				got[i] = shared.Hypernyms(pages[i].Title, pages[i].Bracket)
+			}
+		}()
+	}
+	wg.Wait()
+	occurrences := 0
+	for i := range pages {
+		want := NewSeparator(seg, stats).Hypernyms(pages[i].Title, pages[i].Bracket)
+		if !slices.Equal(got[i], want) {
+			t.Fatalf("page %d (%s, bracket %q): memoized %q, fresh %q", i, pages[i].Title, pages[i].Bracket, got[i], want)
+		}
+		occurrences += len(splitCompounds(nil, pages[i].Bracket))
+	}
+	if distinct := len(shared.memo); distinct == 0 || distinct >= occurrences {
+		t.Fatalf("%d distinct compounds over %d occurrences: the memo was never hit", distinct, occurrences)
+	}
+}
+
+// TestSplitCompoundsMatchesFields holds the one-pass splitter to the
+// strings.FieldsFunc form it replaced, on separator runs, edge
+// separators, other spaces and invalid bytes.
+func TestSplitCompoundsMatchesFields(t *testing.T) {
+	fields := func(bracket string) []string {
+		var out []string
+		for _, p := range strings.FieldsFunc(bracket, func(r rune) bool { return strings.ContainsRune("、，,；;/ ", r) }) {
+			if p = strings.TrimSpace(p); p != "" {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	for _, b := range []string{
+		"", "演员", "中国香港男演员、歌手、词作人", "、、演员，，歌手、", " 演员 / 歌手;; 导演；",
+		"\t演员\n、　歌手　", "演\xff员、\xe4\xb8", "a,b;c/d e", "、", " \t ",
+	} {
+		if got, want := splitCompounds(nil, b), fields(b); !slices.Equal(got, want) {
+			t.Errorf("splitCompounds(%q) = %q, want %q", b, got, want)
+		}
 	}
 }

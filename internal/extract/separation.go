@@ -4,14 +4,15 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"cnprobase/internal/corpus"
 	"cnprobase/internal/runes"
 	"cnprobase/internal/segment"
 )
 
-// cutBufPool recycles token buffers for the segmenter calls the
-// extractors make from concurrent batch workers; the tokens themselves
+// cutBufPool recycles token and compound buffers for the calls the
+// extractors make from concurrent batch workers; the strings themselves
 // are consumed (filtered/copied) before the buffer is returned.
 var cutBufPool = sync.Pool{New: func() any { return new([]string) }}
 
@@ -21,15 +22,23 @@ var cutBufPool = sync.Pool{New: func() any { return new([]string) }}
 // PMI-guided adjacent merging with a right-to-left sliding window, and
 // read the hypernyms off the leaves/constituents along the tree's
 // rightmost path.
+//
+// A compound's tree depends only on the segmenter and the statistics,
+// which a Separator fixes, so it separates each distinct compound once
+// and answers repeats from a memo. It is safe for concurrent use.
 type Separator struct {
 	seg   *segment.Segmenter
 	stats *corpus.Stats
+
+	mu   sync.Mutex
+	memo map[string]Tree
 }
 
 // NewSeparator builds a Separator from the segmenter and corpus
-// statistics that supply PMI.
+// statistics that supply PMI. Its memo lives as long as it does, so
+// build one per segmenter and statistics generation.
 func NewSeparator(seg *segment.Segmenter, stats *corpus.Stats) *Separator {
-	return &Separator{seg: seg, stats: stats}
+	return &Separator{seg: seg, stats: stats, memo: make(map[string]Tree)}
 }
 
 // node is a binary-tree node over the word sequence.
@@ -59,8 +68,23 @@ type Tree struct {
 
 // Separate runs the algorithm on one 、-free noun compound and returns
 // its tree summary. Compounds of fewer than two words trivially yield
-// the word itself.
+// the word itself. Repeats of a compound share one Tree, which callers
+// must not modify.
 func (s *Separator) Separate(compound string) Tree {
+	s.mu.Lock()
+	t, ok := s.memo[compound]
+	s.mu.Unlock()
+	if !ok {
+		t = s.separate(compound)
+		s.mu.Lock()
+		s.memo[compound] = t
+		s.mu.Unlock()
+	}
+	return t
+}
+
+// separate is Separate without the memo.
+func (s *Separator) separate(compound string) Tree {
 	bufp := cutBufPool.Get().(*[]string)
 	toks := s.seg.CutAppend((*bufp)[:0], compound)
 	var words []string
@@ -155,33 +179,35 @@ func rightSpine(root *node) []string {
 	return out
 }
 
-// splitCompounds cuts a bracket on enumeration separators (、/，/,/;),
-// since brackets routinely enumerate several roles
-// (中国香港男演员、歌手、词作人).
-func splitCompounds(bracket string) []string {
-	f := func(r rune) bool {
+// splitCompounds appends to dst the compounds of a bracket: its parts
+// between enumeration separators (、/，/,/;), since brackets routinely
+// enumerate several roles (中国香港男演员、歌手、词作人), space-trimmed,
+// the empty ones dropped.
+func splitCompounds(dst []string, bracket string) []string {
+	start := 0
+	for i, r := range bracket {
 		switch r {
 		case '、', '，', ',', '；', ';', '/', ' ':
-			return true
-		}
-		return false
-	}
-	var out []string
-	for _, p := range strings.FieldsFunc(bracket, f) {
-		p = strings.TrimSpace(p)
-		if p != "" {
-			out = append(out, p)
+			if p := strings.TrimSpace(bracket[start:i]); p != "" {
+				dst = append(dst, p)
+			}
+			start = i + utf8.RuneLen(r)
 		}
 	}
-	return out
+	if p := strings.TrimSpace(bracket[start:]); p != "" {
+		dst = append(dst, p)
+	}
+	return dst
 }
 
 // Hypernyms runs the separation algorithm on a page's bracket and
 // returns the hypernyms it proposes for the page's disambiguated
 // entity, each once, in bracket order.
 func (s *Separator) Hypernyms(title, bracket string) []string {
+	bufp := cutBufPool.Get().(*[]string)
+	parts := splitCompounds((*bufp)[:0], bracket)
 	var out []string
-	for _, part := range splitCompounds(bracket) {
+	for _, part := range parts {
 		t := s.Separate(part)
 		for _, h := range t.Hypernyms {
 			if h == title || slices.Contains(out, h) || !runes.AllHan(h) {
@@ -190,5 +216,7 @@ func (s *Separator) Hypernyms(title, bracket string) []string {
 			out = append(out, h)
 		}
 	}
+	*bufp = parts
+	cutBufPool.Put(bufp)
 	return out
 }

@@ -7,14 +7,14 @@ import (
 func TestClassifyPersons(t *testing.T) {
 	r := New()
 	for _, name := range []string{"王伟", "李丽", "刘涛", "欧阳明"} {
-		if got := r.Classify(name); got != Person {
-			t.Errorf("Classify(%q) = %v, want person", name, got)
+		if got := classifyWord(r, name); got != Person {
+			t.Errorf("classify(%q) = %v, want person", name, got)
 		}
 	}
 	// Not persons: unknown surname, non given-name chars.
 	for _, name := range []string{"演员", "哈伟"} {
-		if got := r.Classify(name); got == Person {
-			t.Errorf("Classify(%q) = person, want not-person", name)
+		if got := classifyWord(r, name); got == Person {
+			t.Errorf("classify(%q) = person, want not-person", name)
 		}
 	}
 }
@@ -36,8 +36,8 @@ func TestClassifyPlacesOrgsWorks(t *testing.T) {
 		"abc123": None,
 	}
 	for w, want := range cases {
-		if got := r.Classify(w); got != want {
-			t.Errorf("Classify(%q) = %v, want %v", w, got, want)
+		if got := classifyWord(r, w); got != want {
+			t.Errorf("classify(%q) = %v, want %v", w, got, want)
 		}
 	}
 }
@@ -45,7 +45,7 @@ func TestClassifyPlacesOrgsWorks(t *testing.T) {
 func TestRecognizeSpans(t *testing.T) {
 	r := New()
 	text := "王伟出生于清河市，毕业于清河大学，代表作品《忘情水》。"
-	spans := r.Recognize(text)
+	spans := r.RecognizeAppend(nil, text)
 	found := make(map[string]Kind)
 	for _, sp := range spans {
 		found[sp.Text] = sp.Kind
@@ -66,7 +66,7 @@ func TestRecognizeSpans(t *testing.T) {
 
 func TestRecognizeSpanOffsets(t *testing.T) {
 	r := New()
-	spans := r.Recognize("王伟在中国")
+	spans := r.RecognizeAppend(nil, "王伟在中国")
 	if len(spans) == 0 {
 		t.Fatal("no spans")
 	}
@@ -83,8 +83,8 @@ func TestSupportS1(t *testing.T) {
 	s := NewSupport()
 	// 北京 appears twice as NE, 演员 never.
 	text := "王伟出生于北京。"
-	s.Observe([]string{"王伟", "出生于", "北京", "。"}, r.Recognize(text))
-	s.Observe([]string{"演员", "北京"}, r.Recognize("演员北京"))
+	s.Observe([]string{"王伟", "出生于", "北京", "。"}, r.RecognizeAppend(nil, text))
+	s.Observe([]string{"演员", "北京"}, r.RecognizeAppend(nil, "演员北京"))
 	if got := s.S1("北京"); got != 1.0 {
 		t.Errorf("S1(北京) = %v, want 1.0", got)
 	}
@@ -96,6 +96,24 @@ func TestSupportS1(t *testing.T) {
 	}
 	if !s.Observed("北京") || s.Observed("没出现过") {
 		t.Error("Observed bookkeeping wrong")
+	}
+	// A sentence naming many entities, its spans in the reverse of
+	// the tokens' order: every named token counts as NE, the title of
+	// a work without its 《》.
+	regions := []string{"上海", "广州", "深圳", "杭州", "南京", "成都", "武汉", "西安", "重庆", "天津", "苏州", "长沙", "青岛", "厦门", "福州", "江苏", "浙江"}
+	var spans []Span
+	for i := len(regions) - 1; i >= 0; i-- {
+		spans = append(spans, Span{Text: regions[i], Kind: Place})
+	}
+	spans = append(spans, Span{Text: "《忘情水》", Kind: Work})
+	s.Observe(append([]string{"演员", "忘情水", "《忘情水》"}, regions...), spans)
+	for _, w := range append([]string{"忘情水"}, regions...) {
+		if got := s.S1(w); got != 1.0 {
+			t.Errorf("S1(%s) = %v after a sentence naming %d entities, want 1.0", w, got, len(spans))
+		}
+	}
+	if got := s.S1("演员"); got != 0.0 {
+		t.Errorf("S1(演员) = %v after a sentence naming %d entities, want 0", got, len(spans))
 	}
 }
 

@@ -87,27 +87,39 @@ func MapBatches[T any](p *Pool, n int, fn func(lo, hi int) T) []T {
 }
 
 // WindowFold processes [0, n) in windows of Size()*perWorker items:
-// each window's index range fans out through MapBatches (fn receives
-// absolute [lo, hi) bounds) and every produced item is folded in batch
-// order before the next window is cut. Resident intermediate results
-// are bounded to one window — O(window), not O(n) — which is what the
-// pipeline's streaming accumulator passes need. fold runs only on the
-// calling goroutine, so it may touch non-thread-safe state.
-func WindowFold[T any](p *Pool, n, perWorker int, fn func(lo, hi int) []T, fold func(T)) {
+// each window's index range fans out through MapBatches, fn filling one
+// batch value for the absolute bounds [lo, hi), and fold reads the
+// batch values in batch order before the next window is cut. Resident
+// intermediate results are bounded to one window — O(window), not
+// O(n) — which is what the pipeline's streaming accumulator passes
+// need. A window's batch values are handed to the next window's
+// batches, so fn resets what it reuses and fold keeps no reference
+// into a value. fold runs only on the calling goroutine, so it may
+// touch non-thread-safe state.
+func WindowFold[B any](p *Pool, n, perWorker int, fn func(b *B, lo, hi int), fold func(b *B)) {
 	window := p.Size() * perWorker
+	var (
+		mu   sync.Mutex
+		free []*B // the finished window's batch values
+	)
 	for base := 0; base < n; base += window {
-		end := base + window
-		if end > n {
-			end = n
-		}
-		base := base
-		for _, batch := range MapBatches(p, end-base, func(lo, hi int) []T {
-			return fn(base+lo, base+hi)
-		}) {
-			for _, v := range batch {
-				fold(v)
+		end := min(base+window, n)
+		batches := MapBatches(p, end-base, func(lo, hi int) *B {
+			mu.Lock()
+			var b *B
+			if k := len(free); k > 0 {
+				b, free = free[k-1], free[:k-1]
+			} else {
+				b = new(B)
 			}
+			mu.Unlock()
+			fn(b, base+lo, base+hi)
+			return b
+		})
+		for _, b := range batches {
+			fold(b)
 		}
+		free = append(free, batches...)
 	}
 }
 

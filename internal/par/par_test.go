@@ -51,13 +51,16 @@ func TestMapBatchesBoundsConcurrency(t *testing.T) {
 func TestWindowFoldCoversAllInOrder(t *testing.T) {
 	for _, p := range []*Pool{nil, NewPool(4)} {
 		var got []int
-		WindowFold(p, 1000, 64, func(lo, hi int) []int {
-			out := make([]int, 0, hi-lo)
+		values := make(map[*[]int]bool)
+		WindowFold(p, 1000, 64, func(b *[]int, lo, hi int) {
+			*b = (*b)[:0]
 			for i := lo; i < hi; i++ {
-				out = append(out, i)
+				*b = append(*b, i)
 			}
-			return out
-		}, func(v int) { got = append(got, v) })
+		}, func(b *[]int) {
+			values[b] = true
+			got = append(got, *b...)
+		})
 		if len(got) != 1000 {
 			t.Fatalf("pool=%v: folded %d items", p, len(got))
 		}
@@ -65,6 +68,10 @@ func TestWindowFoldCoversAllInOrder(t *testing.T) {
 			if v != i {
 				t.Fatalf("pool=%v: got[%d] = %d", p, i, v)
 			}
+		}
+		// One window's batches; the later windows reuse them.
+		if want := len(MapBatches(p, 64*p.Size(), func(lo, hi int) int { return 0 })); len(values) != want {
+			t.Fatalf("pool=%v: %d batch values, want %d", p, len(values), want)
 		}
 	}
 }

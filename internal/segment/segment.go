@@ -165,16 +165,6 @@ func (sg *Segmenter) CutAppend(dst []string, text string) []string {
 	return dst
 }
 
-// CutAll is like Cut applied to each input string, flattening the
-// results with sentence boundaries preserved per input.
-func (sg *Segmenter) CutAll(texts []string) [][]string {
-	out := make([][]string, len(texts))
-	for i, t := range texts {
-		out[i] = sg.Cut(t)
-	}
-	return out
-}
-
 // wordCost returns the negative log probability of w as one token.
 // Known-word costs are computed once per dictionary word at
 // construction (or AddWord) and carried as trie weights; the decoder

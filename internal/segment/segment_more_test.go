@@ -6,17 +6,6 @@ import (
 	"cnprobase/internal/corpus"
 )
 
-func TestCutAll(t *testing.T) {
-	sg := New(dict)
-	got := sg.CutAll([]string{"演员", "歌手"})
-	if len(got) != 2 || got[0][0] != "演员" || got[1][0] != "歌手" {
-		t.Errorf("CutAll = %v", got)
-	}
-	if out := sg.CutAll(nil); len(out) != 0 {
-		t.Errorf("CutAll(nil) = %v", out)
-	}
-}
-
 func TestViterbiBeatsFMMWithStats(t *testing.T) {
 	// Classic FMM failure: greedy longest match takes a long word that
 	// strands the remainder. Dictionary: 研究, 研究生, 生命, 命.

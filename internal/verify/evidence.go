@@ -29,7 +29,8 @@ type Evidence struct {
 	// Support provides the corpus NE statistic s1. It is an
 	// accumulator: updates fold delta observations in via FoldSupport.
 	Support *ner.Support
-	// Recognizer classifies isolated words.
+	// Recognizer finds the named entities of the abstracts an update
+	// folds into Support.
 	Recognizer *ner.Recognizer
 
 	// syms interns every entity ID, page title and hypernym; nodes is

@@ -153,8 +153,10 @@ func (ev *Evidence) Reverify(seg *segment.Segmenter, opts Options, workers int) 
 	names := ev.syms.Names()
 	var flipped []*concept
 	if opts.EnableSyntax {
+		var toks []string // lexicalHead's cut, recycled over the pass
 		for _, c := range ev.concepts {
-			head := lexicalHead(names[c.id], seg)
+			var head string
+			head, toks = lexicalHead(names[c.id], seg, toks)
 			if !c.headKnown || c.head != head {
 				flipped = append(flipped, c)
 			}
@@ -229,7 +231,7 @@ func (ev *Evidence) decide(hypo, hyper string, con *concept, killed bool, seg *s
 		if con != nil && con.headKnown {
 			head = con.head
 		} else {
-			head = lexicalHead(hyper, seg)
+			head, _ = lexicalHead(hyper, seg, nil)
 		}
 		if headInNonHeadPosition(hypo, head) {
 			return codeHeadPosition
@@ -483,16 +485,18 @@ func headInNonHeadPosition(hypo, head string) bool {
 }
 
 // lexicalHead returns the rightmost segmented word of a compound (the
-// head of a Chinese noun compound).
-func lexicalHead(w string, seg *segment.Segmenter) string {
+// head of a Chinese noun compound). It cuts w into buf[:0] and returns
+// the cut for the next call to recycle; the head is a substring of w,
+// not of buf.
+func lexicalHead(w string, seg *segment.Segmenter, buf []string) (string, []string) {
 	if seg == nil {
-		return w
+		return w, buf
 	}
-	toks := seg.Cut(w)
+	toks := seg.CutAppend(buf[:0], w)
 	for i := len(toks) - 1; i >= 0; i-- {
 		if segment.IsContentToken(toks[i]) {
-			return toks[i]
+			return toks[i], toks
 		}
 	}
-	return ""
+	return "", toks
 }

@@ -642,7 +642,7 @@ func (ev *mapEvidence) Reverify(seg *segment.Segmenter, opts Options) ([]namedDe
 	if opts.EnableSyntax {
 		heads := make(map[string]string, len(ev.Hyponyms))
 		for hyper := range ev.Hyponyms {
-			head := lexicalHead(hyper, seg)
+			head, _ := lexicalHead(hyper, seg, nil)
 			heads[hyper] = head
 			if old, ok := ev.heads[hyper]; !ok || old != head {
 				dirtyHead[hyper] = true
@@ -703,7 +703,7 @@ func (ev *mapEvidence) decide(hypo, hyper string, seg *segment.Segmenter, opts O
 		}
 		head, cached := ev.heads[hyper]
 		if !cached {
-			head = lexicalHead(hyper, seg)
+			head, _ = lexicalHead(hyper, seg, nil)
 		}
 		if headInNonHeadPosition(hypo, head) {
 			return ReasonHeadPosition
