@@ -1,7 +1,8 @@
 package cnprobase
 
 // Benchmarks regenerating the paper's evaluation artifacts, one per
-// table/figure (DESIGN.md Section 4). Custom metrics report the
+// table/figure (the experiment index is internal/experiments' package
+// doc). Custom metrics report the
 // quantities the paper reports — precision, coverage, counts — so the
 // bench output doubles as the reproduction record:
 //
@@ -184,8 +185,7 @@ func BenchmarkNeuralGeneration(b *testing.B) {
 }
 
 // BenchmarkAblationVerification regenerates A1: the pipeline with each
-// verification strategy toggled (the design-choice ablation DESIGN.md
-// calls out).
+// verification strategy toggled (see internal/experiments' index).
 func BenchmarkAblationVerification(b *testing.B) {
 	s := benchSuite(b)
 	b.ResetTimer()

@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure of the
-// paper's evaluation over a synthetic encyclopedia world (see
-// DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
-// results).
+// paper's evaluation over a synthetic encyclopedia world and prints the
+// results. The experiment codes (E1…E7, A1, A2, F3) are indexed in the
+// package doc of internal/experiments.
 //
 // Usage:
 //

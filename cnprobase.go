@@ -81,10 +81,11 @@ type (
 	APIServer = api.Server
 
 	// ServingView is the immutable, read-optimized serving view the
-	// HTTP APIs answer from: interned node IDs, CSR adjacency,
-	// ID-ordered typicality rankings, flat sorted mention table — zero
-	// locks and near-zero allocation per query. Obtain one with
-	// Result.Freeze (from a build) or OpenSnapshotMapped (from a file).
+	// HTTP APIs answer from: interned node IDs, CSR adjacency, each
+	// node's hypernyms ranked by P(concept | entity), flat sorted
+	// mention table — zero locks and near-zero allocation per query.
+	// Obtain one with Result.Freeze (from a build) or
+	// OpenSnapshotMapped (from a file).
 	ServingView = serving.View
 
 	// Conceptualizer turns short text into a ranked concept vector.
@@ -170,7 +171,8 @@ func Understand(text string, v *ServingView) Understanding {
 func DefaultWorldConfig() WorldConfig { return synth.DefaultConfig() }
 
 // GenerateWorld builds a synthetic encyclopedia world with ground
-// truth (the substitute for the CN-DBpedia dump; see DESIGN.md).
+// truth (the substitute for the CN-DBpedia dump; internal/synth's
+// package doc describes it).
 func GenerateWorld(cfg WorldConfig) (*World, error) { return synth.Generate(cfg) }
 
 // ReadCorpus loads a JSON-Lines encyclopedia dump.

@@ -14,7 +14,8 @@ func main() {
 	log.SetFlags(0)
 
 	// 1. A corpus. Normally ReadCorpus on a CN-DBpedia-style JSONL
-	// dump; here the synthetic world (see DESIGN.md) stands in.
+	// dump; here the synthetic world (internal/synth's package doc)
+	// stands in.
 	wcfg := cnprobase.DefaultWorldConfig()
 	wcfg.Entities = 2000
 	world, err := cnprobase.GenerateWorld(wcfg)

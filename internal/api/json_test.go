@@ -73,7 +73,7 @@ func FuzzResponseEncoding(f *testing.F) {
 			ranked := shape&1 != 0
 			want := ConceptResponse{Entity: node, Hypernyms: v.Hypernyms(node)}
 			if ranked {
-				want.Ranked = v.RankedHypernymsAppend(nil, node, 0)
+				want.Ranked = servingtest.RankedHypernyms(v, node, 0)
 			}
 			id, hypernyms := hypernymIDs(v, node)
 			requireEncoded(t, "appendConcept", appendConcept(nil, v, node, id, hypernyms, ranked), true, want)

@@ -6,13 +6,15 @@ import (
 	"cnprobase/internal/conceptualize"
 	"cnprobase/internal/qa"
 	"cnprobase/internal/serving"
+	"cnprobase/internal/serving/servingtest"
 	"cnprobase/internal/taxonomy"
 )
 
 // The application oracle: conceptualization and question understanding
 // computed the string-keyed way — mentions found by the mention index's
 // own trie scan, every name re-resolved through the compiled view's
-// string API at every step, string maps for every table. The packages
+// string API (ranked concepts through servingtest.RankedHypernyms) at
+// every step, string maps for every table. The packages
 // keep the same algorithm as the oracle of their own engines; this copy
 // is what the fuzz target holds the served bytes against.
 type reference struct {
@@ -28,7 +30,7 @@ func (s reference) conceptualize(text string) ConceptualizeResponse {
 	context := map[string]float64{}
 	for _, sf := range surfaces {
 		for _, id := range s.mentions.Lookup(sf) {
-			for _, c := range s.view.RankedHypernymsAppend(nil, id, maxConcepts) {
+			for _, c := range servingtest.RankedHypernyms(s.view, id, maxConcepts) {
 				context[c.Node] += c.Score
 			}
 		}
@@ -49,14 +51,14 @@ func (s reference) conceptualize(text string) ConceptualizeResponse {
 					pop += e.Count
 				}
 			}
-			for _, c := range s.view.RankedHypernymsAppend(nil, id, maxConcepts) {
+			for _, c := range servingtest.RankedHypernyms(s.view, id, maxConcepts) {
 				agree += context[c.Node] * c.Score
 			}
 			if score := float64(pop) * (1 + agree); score > bestScore {
 				best, bestScore = id, score
 			}
 		}
-		concepts := s.view.RankedHypernymsAppend(nil, best, maxConcepts)
+		concepts := servingtest.RankedHypernyms(s.view, best, maxConcepts)
 		if len(concepts) == 0 {
 			continue
 		}

@@ -4,13 +4,16 @@ import (
 	"sort"
 
 	"cnprobase/internal/serving"
+	"cnprobase/internal/serving/servingtest"
 	"cnprobase/internal/taxonomy"
 )
 
 // The oracle: the string-keyed algorithm the ID-native engine replaced,
 // kept verbatim and run against the string API of the view compiled
-// from the build store, with mentions found by the mention index's own
-// trie scan. Every name is re-resolved at every step, popularity is
+// from the build store (ranked concepts read by rank through
+// servingtest.RankedHypernyms), with mentions found by the mention
+// index's own trie scan. Every name is re-resolved at every step,
+// popularity is
 // re-summed edge by edge, and context and aggregate are string maps —
 // slow and obviously right. The engine must agree with it down to
 // bit-equal scores.
@@ -38,7 +41,7 @@ func (e *reference) Conceptualize(text string) Result {
 	// agreement.
 	for _, sf := range surfaces {
 		for _, id := range e.mentions.Lookup(sf) {
-			for _, s := range e.view.RankedHypernymsAppend(nil, id, e.MaxConceptsPerEntity) {
+			for _, s := range servingtest.RankedHypernyms(e.view, id, e.MaxConceptsPerEntity) {
 				context[s.Node] += s.Score
 			}
 		}
@@ -53,7 +56,7 @@ func (e *reference) Conceptualize(text string) Result {
 			continue
 		}
 		best := e.disambiguate(ids, context)
-		concepts := e.view.RankedHypernymsAppend(nil, best, e.MaxConceptsPerEntity)
+		concepts := servingtest.RankedHypernyms(e.view, best, e.MaxConceptsPerEntity)
 		if len(concepts) == 0 {
 			continue
 		}
@@ -95,7 +98,7 @@ func (e *reference) disambiguate(ids []string, context map[string]float64) strin
 				pop += ed.Count
 			}
 		}
-		for _, s := range e.view.RankedHypernymsAppend(nil, id, e.MaxConceptsPerEntity) {
+		for _, s := range servingtest.RankedHypernyms(e.view, id, e.MaxConceptsPerEntity) {
 			agree += context[s.Node] * s.Score
 		}
 		score := float64(pop) * (1 + agree)

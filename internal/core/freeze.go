@@ -67,8 +67,9 @@ func (r *Result) takeChanges() {
 
 // Freeze returns an immutable serving.View of the Result's current
 // content — the read-optimized structure the HTTP APIs serve from
-// (interned node IDs, CSR adjacency, ID-ordered typicality, flat
-// mention table; zero locks and near-zero allocation per query). The
+// (interned node IDs, CSR adjacency, hypernyms ranked by P(concept |
+// entity), flat mention table; zero locks and near-zero allocation per
+// query). The
 // view is a point-in-time copy: a later Update extends the mutable
 // store, not the view — Freeze again and swap it into the server
 // (api.Server.SwapView) to publish the new data.
@@ -76,7 +77,7 @@ func (r *Result) takeChanges() {
 // The first Freeze of a Result compiles the whole store. Later ones
 // patch the previous view: the store and the mention index log which
 // nodes and mentions were written since, only those are re-read and
-// re-ranked, and everything else is copied from the previous view's
+// their hypernyms re-ranked, and everything else is copied from the previous view's
 // arrays — one sequential copy of the arrays plus work proportional to
 // what changed, whatever the size of the taxonomy. With nothing
 // written, the previous view itself is returned. Either way the view

@@ -1,9 +1,20 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation (DESIGN.md Section 4): Table I (taxonomy
-// comparison), Table II (API usage), the per-source precision numbers,
-// predicate discovery, the neural-generation ablation, QA coverage and
-// the verification ablation. Both cmd/experiments and the root
-// benchmarks drive this package.
+// paper's evaluation over a synthetic world (internal/synth). This doc
+// is the experiment index; each code names one reproduction:
+//
+//	E1     Table I, the four taxonomies side by side (Table1)
+//	E2     Table II, the API workload served over HTTP (Table2)
+//	E3/E4  per-source precision: bracket, abstract, infobox, tag (PerSource)
+//	E5     QA coverage over the generated question set (QA)
+//	E6     predicate discovery (Predicates)
+//	E7     the copy mechanism vs plain seq2seq (Neural)
+//	A1     the pipeline with each verification strategy toggled (Ablation)
+//	A2     the PMI separation algorithm vs the longest-suffix heuristic
+//	       (SeparationVsSuffix)
+//	F3     Figure 3's separation example walked through (SeparationDemo)
+//
+// Both cmd/experiments, which prints every result, and the root
+// benchmarks drive this package; no result is recorded in the repo.
 package experiments
 
 import (
@@ -314,7 +325,8 @@ func candidatesBySource(cands []extract.Candidate, src taxonomy.Source) []extrac
 
 // SeparationVsSuffixRow compares the paper's PMI separation algorithm
 // against the naive longest-suffix heuristic (Bigcilin's bracket
-// treatment) — the A-level ablation DESIGN.md calls out for E3.
+// treatment) — ablation A2 of the package index, on E3's bracket
+// source.
 type SeparationVsSuffixRow struct {
 	Name       string
 	Candidates int

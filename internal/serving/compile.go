@@ -10,7 +10,8 @@ import (
 
 // Compile freezes the current contents of a build store (plus its
 // mention index, which may be nil) into an immutable View: adjacency in
-// canonical sorted order, typicality from the store's evidence counts.
+// canonical sorted order, each node's hypernyms ranked by typicality
+// P(concept | entity) from the store's evidence counts.
 // The store hands its content over already in that order, hypernyms
 // resolved to positions (taxonomy.ReadAll), so compiling hashes and
 // compares no name. The view is laid out as a mapped one is (see
@@ -270,24 +271,21 @@ func newTable(rows, arenaLen int) table {
 func (v *View) buildDerived() { v.derive(nil, nil, nil, nil) }
 
 // derive fills the derived arrays — per-node evidence totals, the
-// transposed hyponym CSR with its per-slot evidence counts, the
-// typicality rank permutations and the stats summary — from the
-// canonical ones. Every per-edge array it fills is integer-only, so
-// copying one from prev runs no write barrier. Nodes inside runs take their
-// segments from prev verbatim (node IDs renumbered through remap): none
-// of their edges changed, so neither did their totals, counts or
-// ranking order, and a rank is a position inside its own segment, so
-// it survives the renumbering unchanged. Fresh nodes are derived from
-// the new canonical arrays; fresh == nil means every node is.
+// hypernym typicality rank permutations, the transposed hyponym CSR and
+// the stats summary — from the canonical ones. Every per-edge array it
+// fills is integer-only, so copying one from prev runs no write
+// barrier. Nodes inside runs take their segments from prev verbatim
+// (node IDs renumbered through remap): none of their edges changed, so
+// neither did their totals, hyponyms or ranking order, and a rank is a
+// position inside its own segment, so it survives the renumbering
+// unchanged. Fresh nodes are derived from the new canonical arrays;
+// fresh == nil means every node is.
 func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 	n, e := v.names.len(), len(v.hyperIDs)
 	v.hyperRank = make([]uint32, e)
 	v.hyperTotals = make([]int64, n)
 	v.hypoOff = make([]uint32, n+1)
 	v.hypoIDs = make([]uint32, e)
-	v.hypoRank = make([]uint32, e)
-	v.hypoCounts = make([]uint32, e)
-	v.hypoTotals = make([]int64, n)
 
 	// ---- hypernym side, and every node's hyponym degree ----
 	for _, r := range runs {
@@ -323,9 +321,6 @@ func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 		for j := a; j < b; j++ {
 			v.hypoIDs[to+(j-a)] = remap[prev.hypoIDs[j]]
 		}
-		copy(v.hypoRank[to:], prev.hypoRank[a:b])
-		copy(v.hypoCounts[to:], prev.hypoCounts[a:b])
-		copy(v.hypoTotals[r.at:], prev.hypoTotals[r.lo:r.hi])
 	}
 	// Transpose the edges that end at fresh nodes. Scanning the flat
 	// array — which is in (hypo, hyper) ascending order — and appending
@@ -338,17 +333,8 @@ func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 			if fresh != nil && !fresh[hyperID] {
 				continue
 			}
-			pos := fill[hyperID]
+			v.hypoIDs[fill[hyperID]] = uint32(u)
 			fill[hyperID]++
-			v.hypoIDs[pos] = uint32(u)
-			v.hypoCounts[pos] = uint32(v.edgeCounts[j])
-			v.hypoTotals[hyperID] += v.edgeCounts[j]
-		}
-	}
-	for id := 0; id < n; id++ {
-		if fresh == nil || fresh[id] {
-			lo, hi := v.hypoOff[id], v.hypoOff[id+1]
-			rank(v.hypoRank[lo:hi], v.hypoCounts[lo:hi])
 		}
 	}
 
@@ -387,7 +373,7 @@ func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 // exactly "score descending, name ascending" without a division or a
 // string compare (a zero total has only zero counts, hence the
 // identity order). TestRankOrderMatchesScoreOrder holds it.
-func rank[C int64 | uint32](perm []uint32, counts []C) {
+func rank(perm []uint32, counts []int64) {
 	for i := range perm {
 		perm[i] = uint32(i)
 	}

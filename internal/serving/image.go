@@ -41,7 +41,8 @@ import (
 //	    13. mention-entity arena (concatenated ID strings)
 //
 // Only canonical content is stored. Everything derivable — the hyponym
-// CSR, evidence totals, typicality rankings, stats — is recomputed at
+// CSR (adjacency only), evidence totals, the hypernym typicality
+// rankings, stats — is recomputed at
 // open by buildDerived, the same function the heap compile path uses,
 // which is what keeps a mapped View query-identical to a compiled one.
 const (

@@ -100,7 +100,7 @@ func heapWorldImage(t *testing.T, entities int) []byte {
 // holds beyond the image's canonical content.
 func derivedBytes(v *View) uint64 {
 	var total uint64
-	for _, f := range []any{v.hyperRank, v.hyperTotals, v.hypoOff, v.hypoIDs, v.hypoRank, v.hypoCounts, v.hypoTotals} {
+	for _, f := range []any{v.hyperRank, v.hyperTotals, v.hypoOff, v.hypoIDs} {
 		s := reflect.ValueOf(f)
 		total += uint64(s.Len()) * uint64(s.Type().Elem().Size())
 	}

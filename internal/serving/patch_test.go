@@ -9,6 +9,7 @@ import (
 	"cnprobase/internal/core"
 	"cnprobase/internal/encyclopedia"
 	"cnprobase/internal/serving"
+	"cnprobase/internal/serving/servingtest"
 	"cnprobase/internal/snapshot"
 	"cnprobase/internal/synth"
 	"cnprobase/internal/taxonomy"
@@ -33,14 +34,12 @@ func requireSameAnswers(t *testing.T, step string, got, want *serving.View, text
 		eq("Hypernyms "+n, got.Hypernyms(n), want.Hypernyms(n))
 		eq("Hyponyms "+n, got.Hyponyms(n, 0), want.Hyponyms(n, 0))
 		eq("Hyponyms/3 "+n, got.Hyponyms(n, 3), want.Hyponyms(n, 3))
-		eq("RankedHypernyms "+n, got.RankedHypernymsAppend(nil, n, 0), want.RankedHypernymsAppend(nil, n, 0))
-		eq("RankedHyponyms "+n, got.RankedHyponymsAppend(nil, n, 0), want.RankedHyponymsAppend(nil, n, 0))
+		eq("RankedHypernyms "+n, servingtest.RankedHypernyms(got, n, 0), servingtest.RankedHypernyms(want, n, 0))
 		eq("Lookup "+n, got.Lookup(n), want.Lookup(n))
 		for _, h := range want.Hypernyms(n) {
 			ge, gok := got.EdgeOf(n, h)
 			we, wok := want.EdgeOf(n, h)
 			eq("EdgeOf "+n+"→"+h, []any{ge, gok}, []any{we, wok})
-			eq("TypicalityOfInstance "+h+"←"+n, got.TypicalityOfInstance(h, n), want.TypicalityOfInstance(h, n))
 		}
 	}
 	for _, text := range texts {

@@ -52,3 +52,25 @@ func Backings(t testing.TB, tx *taxonomy.Taxonomy, m *taxonomy.MentionIndex) map
 	}
 	return map[string]*serving.View{"compiled": compiled, "patched": patched, "image": opened}
 }
+
+// RankedHypernyms reads node's first limit hypernyms (all when limit <=
+// 0) in typicality order, with their scores P(hyper | node), through
+// the view's one ranked reader, RankedHypernymAt: the name-keyed list
+// the string oracles compare. Nil when the view does not know node or
+// node has no hypernyms.
+func RankedHypernyms(v *serving.View, node string, limit int) []taxonomy.Scored {
+	id, ok := v.ID(node, 0)
+	if !ok {
+		return nil
+	}
+	n := len(v.HypernymIDsOf(id))
+	if limit > 0 {
+		n = min(n, limit)
+	}
+	var out []taxonomy.Scored
+	for r := range n {
+		h, score := v.RankedHypernymAt(id, r)
+		out = append(out, taxonomy.Scored{Node: v.Name(h), Score: score})
+	}
+	return out
+}

@@ -14,9 +14,11 @@
 // per-edge array is integer-only: an edge's endpoint is an ID, and its
 // name is read off the name table when it is asked for. So publishing a
 // view copies no string headers and hands the collector nothing to
-// scan per edge. Typicality rankings are ID-ordered permutations of
-// each CSR segment — 4-byte positions, computed once per segment — and
-// a ranked entry's name and score are read off the CSR arrays by ID.
+// scan per edge. The view ranks one direction, P(concept | entity): each
+// node's hypernym segment has a typicality permutation — 4-byte
+// positions, computed once per segment — and a ranked entry's ID and
+// score are read off the CSR arrays (RankedHypernymAt). The hyponym
+// side is adjacency only, in ID order, which is what getEntity serves.
 // Mentions live in one flat sorted table resolved by binary search.
 //
 // The two sorted string tables, node names and mentions, are kept in
@@ -86,16 +88,12 @@ type View struct {
 	edgeCounts  []int64
 	hyperTotals []int64 // per node: Σ evidence counts of outgoing edges
 
-	// Hyponym CSR, mirroring the hypernym side. The provenance of edge
-	// (hypo, hyper) lives in the hypernym CSR; only its evidence count
-	// is repeated here, per slot, since ranking and scoring a segment
-	// need it and its hypernym-side position moves with the hyponym's
-	// other edges.
-	hypoOff    []uint32
-	hypoIDs    []uint32
-	hypoRank   []uint32
-	hypoCounts []uint32 // edge counts are in [0, MaxInt32] (see rank)
-	hypoTotals []int64  // per node: Σ evidence counts of incoming edges
+	// Hyponym CSR, the transpose of the hypernym side: hypoIDs is
+	// ascending within each node, and that ID order is the one getEntity
+	// answers in. It carries no ranking and no evidence: everything an
+	// edge holds lives in the hypernym CSR.
+	hypoOff []uint32
+	hypoIDs []uint32
 
 	// Mention table: mentions sorted ascending, every one valid UTF-8
 	// (taxonomy.MentionIndex stores them so); mention i's entity IDs
@@ -201,7 +199,7 @@ func (v *View) HyponymIDsOf(id uint32) []uint32 {
 
 // RankedHypernymAt returns node id's hypernym of typicality rank r (0
 // is the most typical; r < len(HypernymIDsOf(id))) and its typicality
-// P(hyper | id) — entry r of RankedHypernymsAppend, by ID.
+// P(hyper | id): evidence count descending, ties in name (ID) order.
 //
 //cnp:noalloc
 func (v *View) RankedHypernymAt(id uint32, r int) (uint32, float64) {
@@ -212,7 +210,7 @@ func (v *View) RankedHypernymAt(id uint32, r int) (uint32, float64) {
 
 // typicality is an evidence count's share of its segment's total, zero
 // when the total is — the one expression behind every score the view
-// answers.
+// answers (RankedHypernymAt).
 //
 //cnp:noalloc
 func typicality(count, total int64) float64 {
@@ -224,7 +222,7 @@ func typicality(count, total int64) float64 {
 
 // EvidenceTotalOf returns the summed evidence count behind node id's
 // outgoing isA edges — Σ EdgeOf(id, h).Count over its hypernyms, the
-// denominator of TypicalityOfConcept.
+// denominator of RankedHypernymAt's scores.
 //
 //cnp:noalloc
 func (v *View) EvidenceTotalOf(id uint32) int64 { return v.hyperTotals[id] }
@@ -333,7 +331,11 @@ func (v *View) Hyponyms(concept string, limit int) []string {
 	if !ok {
 		return nil
 	}
-	return v.namesOf(firstN(v.HyponymIDsOf(id), limit))
+	ids := v.HyponymIDsOf(id)
+	if limit > 0 && limit < len(ids) {
+		ids = ids[:limit]
+	}
+	return v.namesOf(ids)
 }
 
 // namesOf resolves ids to a fresh slice of names, nil when there are
@@ -360,69 +362,9 @@ func (v *View) HyponymCount(concept string) int {
 	return int(v.hypoOff[id+1] - v.hypoOff[id])
 }
 
-// RankedHypernymsAppend appends the node's hypernyms with their
-// typicality P(hyper | node), most typical first, ties in name order;
-// limit <= 0 appends all.
-//
-//cnp:noalloc
-func (v *View) RankedHypernymsAppend(dst []taxonomy.Scored, node string, limit int) []taxonomy.Scored {
-	id, ok := v.ID(node, 0)
-	if !ok {
-		return dst
-	}
-	lo, total := v.hyperOff[id], v.hyperTotals[id]
-	for _, k := range firstN(v.hyperRank[lo:v.hyperOff[id+1]], limit) {
-		dst = append(dst, taxonomy.Scored{Node: v.Name(v.hyperIDs[lo+k]), Score: typicality(v.edgeCounts[lo+k], total)})
-	}
-	return dst
-}
-
-// RankedHyponymsAppend appends the concept's hyponyms with their
-// typicality P(hypo | concept), most typical first, ties in name order;
-// limit <= 0 appends all.
-//
-//cnp:noalloc
-func (v *View) RankedHyponymsAppend(dst []taxonomy.Scored, concept string, limit int) []taxonomy.Scored {
-	id, ok := v.ID(concept, 0)
-	if !ok {
-		return dst
-	}
-	lo, total := v.hypoOff[id], v.hypoTotals[id]
-	for _, k := range firstN(v.hypoRank[lo:v.hypoOff[id+1]], limit) {
-		dst = append(dst, taxonomy.Scored{Node: v.Name(v.hypoIDs[lo+k]), Score: typicality(int64(v.hypoCounts[lo+k]), total)})
-	}
-	return dst
-}
-
-// firstN is the first limit entries of a rank segment; limit <= 0 is
-// all of it.
-//
-//cnp:noalloc
-func firstN(seg []uint32, limit int) []uint32 {
-	if limit > 0 && limit < len(seg) {
-		return seg[:limit]
-	}
-	return seg
-}
-
-// edge resolves both names of edge (hypo → hyper), each once, and
-// locates the edge: the lookup behind every edge query.
-//
-//cnp:noalloc
-func (v *View) edge(hypo, hyper string) (hypoID, hyperID, i uint32, ok bool) {
-	if hypoID, ok = v.ID(hypo, 0); !ok {
-		return 0, 0, 0, false
-	}
-	if hyperID, ok = v.ID(hyper, 0); !ok {
-		return 0, 0, 0, false
-	}
-	i, ok = v.EdgeIndex(hypoID, hyperID)
-	return hypoID, hyperID, i, ok
-}
-
 // EdgeIndex locates the flat-array index of edge (hypoID → hyperID) by
 // binary search over the node's ascending hypernym IDs. Hand-rolled
-// (no sort.Search closure) to keep the edge query path at 0 allocs/op.
+// (no sort.Search closure) to keep EdgeOf at 0 allocs/op.
 //
 //cnp:noalloc
 func (v *View) EdgeIndex(hypoID, hyperID uint32) (uint32, bool) {
@@ -443,14 +385,6 @@ func (v *View) EdgeIndex(hypoID, hyperID uint32) (uint32, bool) {
 	return 0, false
 }
 
-// HasIsA reports whether the direct edge exists.
-//
-//cnp:noalloc
-func (v *View) HasIsA(hypo, hyper string) bool {
-	_, _, _, ok := v.edge(hypo, hyper)
-	return ok
-}
-
 // EdgeOf returns the edge with its full provenance, if present. No
 // production path calls it since the conceptualization engine reads
 // evidence totals by ID (EvidenceTotalOf); it stays as the facade's
@@ -459,44 +393,22 @@ func (v *View) HasIsA(hypo, hyper string) bool {
 //
 //cnp:noalloc
 func (v *View) EdgeOf(hypo, hyper string) (taxonomy.Edge, bool) {
-	_, hyperID, i, ok := v.edge(hypo, hyper)
+	hypoID, ok := v.ID(hypo, 0)
+	hyperID, ok2 := v.ID(hyper, 0)
+	if !ok || !ok2 {
+		return taxonomy.Edge{}, false
+	}
+	i, ok := v.EdgeIndex(hypoID, hyperID)
 	if !ok {
 		return taxonomy.Edge{}, false
 	}
 	return taxonomy.Edge{
 		Hypo:    hypo,
-		Hyper:   v.Name(hyperID),
+		Hyper:   hyper,
 		Sources: v.edgeSources[i],
 		Score:   v.edgeScores[i],
 		Count:   int(v.edgeCounts[i]),
 	}, true
-}
-
-// TypicalityOfConcept returns P(hyper | hypo) from the edge evidence
-// counts; zero when the edge is absent. Like TypicalityOfInstance and
-// HasIsA it has no production caller (rankings read their scores by
-// position); the three stay as facade queries, held to the model
-// test's oracle and to 0 allocs/op by the allocation pins.
-//
-//cnp:noalloc
-func (v *View) TypicalityOfConcept(hypo, hyper string) float64 {
-	hypoID, _, i, ok := v.edge(hypo, hyper)
-	if !ok {
-		return 0
-	}
-	return typicality(v.edgeCounts[i], v.hyperTotals[hypoID])
-}
-
-// TypicalityOfInstance returns P(hypo | hyper): how representative the
-// instance is of the concept.
-//
-//cnp:noalloc
-func (v *View) TypicalityOfInstance(hyper, hypo string) float64 {
-	_, hyperID, i, ok := v.edge(hypo, hyper)
-	if !ok {
-		return 0
-	}
-	return typicality(v.edgeCounts[i], v.hypoTotals[hyperID])
 }
 
 // Ancestors returns all transitive hypernyms of node, breadth-first
@@ -519,96 +431,6 @@ func (v *View) Ancestors(node string) []string {
 		seen[cur] = true
 		out = append(out, v.Name(cur))
 		queue = append(queue, v.hyperIDs[v.hyperOff[cur]:v.hyperOff[cur+1]]...)
-	}
-	return out
-}
-
-// IsAncestor reports whether hyper is reachable from hypo.
-func (v *View) IsAncestor(hypo, hyper string) bool {
-	start, ok := v.ID(hypo, 0)
-	if !ok {
-		return false
-	}
-	target, ok := v.ID(hyper, 0)
-	if !ok {
-		return false
-	}
-	seen := map[uint32]bool{start: true}
-	queue := append([]uint32(nil), v.hyperIDs[v.hyperOff[start]:v.hyperOff[start+1]]...)
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if seen[cur] {
-			continue
-		}
-		if cur == target {
-			return true
-		}
-		seen[cur] = true
-		queue = append(queue, v.hyperIDs[v.hyperOff[cur]:v.hyperOff[cur+1]]...)
-	}
-	return false
-}
-
-// PathToAncestor returns one shortest isA chain from node to ancestor
-// (inclusive of both ends), or nil when ancestor is not reachable. BFS
-// guarantees minimal length; ties resolve to the hypernym that sorts
-// first. A node is its own one-element path, known or not.
-func (v *View) PathToAncestor(node, ancestor string) []string {
-	if node == ancestor {
-		return []string{node}
-	}
-	start, ok := v.ID(node, 0)
-	if !ok {
-		return nil
-	}
-	target, ok := v.ID(ancestor, 0)
-	if !ok {
-		return nil
-	}
-	prev := map[uint32]uint32{start: start}
-	queue := []uint32{start}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, h := range v.hyperIDs[v.hyperOff[cur]:v.hyperOff[cur+1]] {
-			if _, ok := prev[h]; ok {
-				continue
-			}
-			prev[h] = cur
-			if h == target {
-				var rev []string
-				for at := h; ; at = prev[at] {
-					rev = append(rev, v.Name(at))
-					if at == start {
-						break
-					}
-				}
-				out := make([]string, len(rev))
-				for i := range rev {
-					out[i] = rev[len(rev)-1-i]
-				}
-				return out
-			}
-			queue = append(queue, h)
-		}
-	}
-	return nil
-}
-
-// CommonAncestors returns concepts reachable from both nodes, in
-// Ancestors(b) order — useful for semantic relatedness between entities
-// (two 演员 instances meet at 演员).
-func (v *View) CommonAncestors(a, b string) []string {
-	inA := make(map[string]bool)
-	for _, x := range v.Ancestors(a) {
-		inA[x] = true
-	}
-	var out []string
-	for _, x := range v.Ancestors(b) {
-		if inA[x] {
-			out = append(out, x)
-		}
 	}
 	return out
 }

@@ -168,7 +168,6 @@ func TestMappedQueryAllocations(t *testing.T) {
 	st := handState(t)
 	v := openMapped(t, writeTempSnapshot(t, saveBytes(t, st, Options{Workers: 1})))
 	var dst []string
-	var ranked []taxonomy.Scored
 	text := "实体00和实体07见面了"
 	for i := 0; i < 4; i++ { // warm the scratch pool and dst
 		dst = v.FindAllAppend(dst[:0], text)
@@ -188,14 +187,12 @@ func TestMappedQueryAllocations(t *testing.T) {
 		{"HypernymIDsOf", 0, func() { _ = v.HypernymIDsOf(id) }},
 		{"HyponymIDsOf", 0, func() { _ = v.HyponymIDsOf(concept) }},
 		{"Name", 0, func() { _ = v.Name(concept) }},
-		{"RankedHypernymsAppend", 0, func() { ranked = v.RankedHypernymsAppend(ranked[:0], "实体00（人物）", 0) }},
-		{"RankedHyponymsAppend", 0, func() { ranked = v.RankedHyponymsAppend(ranked[:0], "概念0", 0) }},
 		{"RankedHypernymAt", 0, func() { _, _ = v.RankedHypernymAt(id, 0) }},
 		{"Lookup", 0, func() { _ = v.Lookup("实体00") }},
 		{"LookupMiss", 0, func() { _ = v.Lookup("不存在") }},
 		{"Kind", 0, func() { _ = v.Kind("概念0") }},
-		{"HasIsA", 0, func() { _ = v.HasIsA("实体00（人物）", "概念0") }},
-		{"TypicalityOfConcept", 0, func() { _ = v.TypicalityOfConcept("实体00（人物）", "概念0") }},
+		{"EdgeOf", 0, func() { _, _ = v.EdgeOf("实体00（人物）", "概念0") }},
+		{"EvidenceTotalOf", 0, func() { _ = v.EvidenceTotalOf(id) }},
 		{"HyponymCount", 0, func() { _ = v.HyponymCount("概念0") }},
 		{"FindAllAppend", 0, func() { dst = v.FindAllAppend(dst[:0], text) }},
 	}

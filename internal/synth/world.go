@@ -1,6 +1,5 @@
 // Package synth generates the synthetic Chinese encyclopedia that
-// substitutes for the CN-DBpedia dump the paper consumes (DESIGN.md
-// Section 2). It builds a ground-truth world — a concept ontology plus
+// substitutes for the CN-DBpedia dump the paper consumes. It builds a ground-truth world — a concept ontology plus
 // typed entities — and renders each entity into an encyclopedia page
 // with the four sources the paper extracts from: disambiguation bracket,
 // abstract, infobox SPO triples and tags, each with calibrated noise.
@@ -78,7 +77,7 @@ type Config struct {
 
 // DefaultConfig returns the calibrated defaults used by the experiment
 // harness. The noise levels are tuned so the reproduction lands in the
-// paper's precision bands (DESIGN.md Section 4).
+// paper's precision bands (experiments E3/E4 in internal/experiments).
 func DefaultConfig() Config {
 	return Config{
 		Seed:                 1,

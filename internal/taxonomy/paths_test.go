@@ -8,8 +8,9 @@ import (
 	"cnprobase/internal/taxonomy"
 )
 
-// Ancestor and path queries are answered by the serving view compiled
-// from the store; these tests pin their semantics on small graphs.
+// The ancestor walk is answered by the serving view compiled from the
+// store, reachability by the store itself (the derivation rules' check);
+// these tests pin their semantics on small graphs.
 
 // viewOf compiles a store holding the given edges, each added once
 // with AddIsA (a pair listed twice is reinforced), and the given
@@ -70,95 +71,43 @@ func TestAncestorsToleratesCycle(t *testing.T) {
 	}
 }
 
-func TestPathToAncestor(t *testing.T) {
-	v := pathFixture(t)
-	// 刘德华 → 歌手 → 人物 and 刘德华 → 男演员 → 演员 → 人物: BFS takes the
-	// shorter one.
-	if got := fmt.Sprint(v.PathToAncestor("刘德华", "人物")); got != "[刘德华 歌手 人物]" {
-		t.Fatalf("path = %s, want the shortest [刘德华 歌手 人物]", got)
-	}
-	if got := fmt.Sprint(v.PathToAncestor("刘德华", "演员")); got != "[刘德华 男演员 演员]" {
-		t.Fatalf("path = %s", got)
-	}
-}
-
-func TestPathToAncestorUnreachable(t *testing.T) {
-	v := pathFixture(t)
-	if got := v.PathToAncestor("人物", "刘德华"); got != nil {
-		t.Errorf("inverted path = %v, want nil", got)
-	}
-	if got := v.PathToAncestor("无名", "人物"); got != nil {
-		t.Errorf("unknown node path = %v", got)
-	}
-}
-
-func TestPathToSelf(t *testing.T) {
-	if got := pathFixture(t).PathToAncestor("演员", "演员"); fmt.Sprint(got) != "[演员]" {
-		t.Errorf("self path = %v", got)
-	}
-}
-
-// TestPathToSelfUnknownNode pins the self-path contract precisely: a
-// node is trivially its own ancestor even when the graph has never
-// seen it — the length-1 path is answered before any edge lookup.
-func TestPathToSelfUnknownNode(t *testing.T) {
-	if got := pathFixture(t).PathToAncestor("从未出现", "从未出现"); fmt.Sprint(got) != "[从未出现]" {
-		t.Errorf("self path for unknown node = %v, want [从未出现]", got)
-	}
-}
-
 // TestPathDisconnectedComponents covers nodes living in separate
-// components: no path in either direction, no common ancestors, and a
-// marked island node (no edges at all) behaves the same.
+// components: neither reaches the other, they share no ancestor, and a
+// marked island node (no edges at all) has none.
 func TestPathDisconnectedComponents(t *testing.T) {
 	v := pathFixture(t, [2]string{"长江", "河流"}, [2]string{"河流", "地理实体"})
-	for _, p := range [][2]string{{"刘德华", "地理实体"}, {"长江", "人物"}, {"孤岛实体", "人物"}} {
-		if got := v.PathToAncestor(p[0], p[1]); got != nil {
-			t.Errorf("path %s→%s = %v, want nil", p[0], p[1], got)
-		}
+	if got := fmt.Sprint(v.Ancestors("长江")); got != "[河流 地理实体]" {
+		t.Errorf("Ancestors(长江) = %s, want [河流 地理实体]", got)
 	}
-	for _, other := range []string{"长江", "孤岛实体"} {
-		if got := v.CommonAncestors("刘德华", other); len(got) != 0 {
-			t.Errorf("CommonAncestors(刘德华, %s) = %v, want none", other, got)
-		}
+	if got := fmt.Sprint(v.Ancestors("刘德华")); got != "[歌手 男演员 人物 演员]" {
+		t.Errorf("Ancestors(刘德华) = %s, want its own component only", got)
+	}
+	if got := v.Ancestors("孤岛实体"); got != nil {
+		t.Errorf("Ancestors(孤岛实体) = %v, want none", got)
 	}
 }
 
-// TestCommonAncestorsDiamond pins the diamond shape: ancestors
-// reachable along multiple paths appear exactly once, the intersection
-// keeps only what both sides reach, and a shortest-path tie resolves
-// to the hypernym that sorts first.
-func TestCommonAncestorsDiamond(t *testing.T) {
+// TestAncestorsDiamond pins the diamond shape: an ancestor reachable
+// along two paths appears exactly once, at its breadth-first depth.
+func TestAncestorsDiamond(t *testing.T) {
 	// 底A → 右/左 → 顶 (the diamond); 底B → 右 only.
 	v := viewOf(t, [][2]string{{"底A", "左"}, {"底A", "右"}, {"左", "顶"}, {"右", "顶"}, {"底B", "右"}})
 	if got := fmt.Sprint(v.Ancestors("底A")); got != "[右 左 顶]" { // 右 U+53F3 < 左 U+5DE6
 		t.Errorf("Ancestors(底A) = %s, want the top exactly once", got)
 	}
-	if got := fmt.Sprint(v.CommonAncestors("底A", "底B")); got != "[右 顶]" {
-		t.Errorf("CommonAncestors = %s, want 右 and 顶 only (左 is not reachable from 底B)", got)
-	}
-	if got := fmt.Sprint(v.PathToAncestor("底A", "顶")); got != "[底A 右 顶]" {
-		t.Errorf("diamond path = %s, want the tie broken toward 右", got)
+	if got := fmt.Sprint(v.Ancestors("底B")); got != "[右 顶]" {
+		t.Errorf("Ancestors(底B) = %s, want [右 顶] (左 is not reachable from 底B)", got)
 	}
 }
 
 // TestPathsTolerateCycles: verification should prevent isA cycles, but
-// path queries must not hang or duplicate if one slips through.
+// the ancestor walk must not hang or duplicate if one slips through.
 func TestPathsTolerateCycles(t *testing.T) {
 	v := viewOf(t, [][2]string{{"甲", "乙"}, {"乙", "丙"}, {"丙", "甲"}})
 	if got := fmt.Sprint(v.Ancestors("甲")); got != "[乙 丙]" {
 		t.Errorf("Ancestors in a cycle = %s, want [乙 丙]", got)
 	}
-	if got := fmt.Sprint(v.PathToAncestor("甲", "丙")); got != "[甲 乙 丙]" {
-		t.Errorf("path through cycle = %s, want [甲 乙 丙]", got)
-	}
-	if got := v.CommonAncestors("甲", "乙"); len(got) == 0 {
-		t.Error("cycle members should share ancestors")
-	}
-}
-
-func TestCommonAncestors(t *testing.T) {
-	if got := fmt.Sprint(pathFixture(t).CommonAncestors("刘德华", "张学友")); got != "[歌手 人物]" {
-		t.Errorf("CommonAncestors = %s, want 歌手 and 人物 (演员 is not an ancestor of 张学友)", got)
+	if got := fmt.Sprint(v.Ancestors("乙")); got != "[丙 甲]" {
+		t.Errorf("Ancestors in a cycle = %s, want [丙 甲]", got)
 	}
 }

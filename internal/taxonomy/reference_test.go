@@ -226,7 +226,7 @@ func (t *refTaxonomy) AddIsA(hypo, hyper string, src Source, score float64) erro
 		if score > e.Score {
 			e.Score = score
 		}
-		// The evidence count feeds both endpoints' typicality rankings.
+		// Both ends are logged, as the store logs them.
 		sa.refTouch(hypo, 0)
 		sb.refTouch(hyper, 0)
 		t.invalidate()
@@ -304,15 +304,6 @@ func removeString(xs []string, x string) []string {
 		}
 	}
 	return xs
-}
-
-// HasIsA reports whether the direct edge exists.
-func (t *refTaxonomy) HasIsA(hypo, hyper string) bool {
-	sh := t.shardOf(hypo)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	_, ok := sh.edges[refEdgeKey{hypo, hyper}]
-	return ok
 }
 
 // EdgeOf returns a copy of the edge, if present.
@@ -595,133 +586,35 @@ func (t *refTaxonomy) ChangesSince(token uint64) (nodes []string, next uint64, o
 // Finalized reports whether the refMerged indexes are currently valid.
 func (t *refTaxonomy) Finalized() bool { return t.mergedIndexes() != nil }
 
-// TypicalityOfConcept returns P(hyper | hypo): how typical the concept
-// is for the entity, from the edge evidence counts. Zero when the edge
-// is absent.
-func (t *refTaxonomy) TypicalityOfConcept(hypo, hyper string) float64 {
-	// All of hypo's outgoing edges live in hypo's refShard, so one lock
-	// covers the whole sibling scan.
-	sh := t.shardOf(hypo)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e, ok := sh.edges[refEdgeKey{hypo, hyper}]
-	if !ok {
-		return 0
-	}
-	total := 0
-	for _, h := range sh.hypers[hypo] {
-		if sib, ok := sh.edges[refEdgeKey{hypo, h}]; ok {
-			total += sib.Count
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(e.Count) / float64(total)
-}
-
-// TypicalityOfInstance returns P(hypo | hyper): how representative the
-// instance is of the concept.
-func (t *refTaxonomy) TypicalityOfInstance(hyper, hypo string) float64 {
-	// Sibling edges are keyed by their own hyponyms and may live in any
-	// refShard, so collect the hyponym list first and read each edge
-	// through EdgeOf — never holding two refShard locks at once.
-	e, ok := t.EdgeOf(hypo, hyper)
-	if !ok {
-		return 0
-	}
-	total := 0
-	for _, h := range t.Hyponyms(hyper, 0) {
-		if sib, ok := t.EdgeOf(h, hyper); ok {
-			total += sib.Count
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(e.Count) / float64(total)
-}
-
-// RankedHypernyms returns the node's hypernyms sorted by descending
-// typicality (ties broken lexicographically); limit <= 0 returns all.
+// RankedHypernyms returns the node's hypernyms with their typicality
+// P(hyper | node) — the edge's evidence count over the sum of the
+// node's — sorted by descending typicality (ties broken
+// lexicographically); limit <= 0 returns all. Zero scores when the sum
+// is zero.
 func (t *refTaxonomy) RankedHypernyms(node string, limit int) []Scored {
-	hypers := t.Hypernyms(node)
+	// All of node's outgoing edges live in node's refShard, so one lock
+	// covers the whole sibling scan.
+	sh := t.shardOf(node)
+	sh.mu.RLock()
+	hypers := sh.hypers[node]
 	out := make([]Scored, 0, len(hypers))
+	total := 0
 	for _, h := range hypers {
-		out = append(out, Scored{Node: h, Score: t.TypicalityOfConcept(node, h)})
+		e := sh.edges[refEdgeKey{node, h}]
+		out = append(out, Scored{Node: h, Score: float64(e.Count)})
+		total += e.Count
+	}
+	sh.mu.RUnlock()
+	for i := range out {
+		if total == 0 {
+			out[i].Score = 0
+		} else {
+			out[i].Score /= float64(total)
+		}
 	}
 	sortScored(out)
 	if limit > 0 && limit < len(out) {
 		out = out[:limit]
-	}
-	return out
-}
-
-// RankedHyponyms returns the concept's hyponyms sorted by descending
-// typicality; limit <= 0 returns all.
-func (t *refTaxonomy) RankedHyponyms(concept string, limit int) []Scored {
-	hypos := t.Hyponyms(concept, 0)
-	out := make([]Scored, 0, len(hypos))
-	for _, h := range hypos {
-		out = append(out, Scored{Node: h, Score: t.TypicalityOfInstance(concept, h)})
-	}
-	sortScored(out)
-	if limit > 0 && limit < len(out) {
-		out = out[:limit]
-	}
-	return out
-}
-
-// PathToAncestor returns one shortest isA chain from node to ancestor
-// (inclusive of both ends), or nil when ancestor is not reachable. BFS
-// guarantees minimal length; ties resolve to the first-indexed edge.
-// Each BFS step locks one refShard via Hypernyms, so the query never holds
-// more than one refShard lock.
-func (t *refTaxonomy) PathToAncestor(node, ancestor string) []string {
-	if node == ancestor {
-		return []string{node}
-	}
-	prev := map[string]string{node: ""}
-	queue := []string{node}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, h := range t.Hypernyms(cur) {
-			if _, seen := prev[h]; seen {
-				continue
-			}
-			prev[h] = cur
-			if h == ancestor {
-				// Reconstruct.
-				var rev []string
-				for at := h; at != ""; at = prev[at] {
-					rev = append(rev, at)
-				}
-				out := make([]string, len(rev))
-				for i := range rev {
-					out[i] = rev[len(rev)-1-i]
-				}
-				return out
-			}
-			queue = append(queue, h)
-		}
-	}
-	return nil
-}
-
-// CommonAncestors returns concepts reachable from both nodes, useful
-// for semantic relatedness between entities (e.g. two 演员 instances
-// meet at 演员).
-func (t *refTaxonomy) CommonAncestors(a, b string) []string {
-	inA := make(map[string]bool)
-	for _, x := range t.Ancestors(a) {
-		inA[x] = true
-	}
-	var out []string
-	for _, x := range t.Ancestors(b) {
-		if inA[x] {
-			out = append(out, x)
-		}
 	}
 	return out
 }

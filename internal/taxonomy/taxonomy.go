@@ -302,7 +302,9 @@ func (t *Taxonomy) addIsA(a, b uint32, src Source, score float64) {
 		e.sources |= src
 		e.count++
 		e.score = max(e.score, score)
-		// The evidence count feeds both endpoints' typicality rankings.
+		// The log names both ends of every edge whose content changed,
+		// as TestIncrementalBookkeepingMatchesRecount holds it, though a
+		// view reads the count only on the hyponym's side.
 		t.changes.record(a, b)
 		return
 	}
