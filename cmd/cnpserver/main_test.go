@@ -680,12 +680,12 @@ func TestLoadCorruptSnapshot(t *testing.T) {
 }
 
 // TestLoadLegacySnapshotRefused: a snapshot of an older format — the
-// striped version 2, or version 3, whose evidence was keyed by name —
-// is refused loudly, not decoded quietly. At startup — view-only and
-// with the build store — the server exits non-zero with the one-line
-// error that names the version found and the rebuild command; on
-// SIGHUP the same file leaves the current view serving and logs that
-// line.
+// striped version 2, or version 4, whose image stored an evidence count
+// per edge — is refused loudly, not decoded quietly. At startup —
+// view-only and with the build store — the server exits non-zero with
+// the one-line error that names the version found and the rebuild
+// command; on SIGHUP the same file leaves the current view serving and
+// logs that line.
 func TestLoadLegacySnapshotRefused(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test: compiles and runs the binary")
@@ -698,18 +698,18 @@ func TestLoadLegacySnapshotRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap, _ := writeSnapshot(t)
-	// A version-3 file is today's file under the old version number: the
+	// A version-4 file is today's file under the old version number: the
 	// version is the first thing read.
-	v3, err := os.ReadFile(snap)
+	v4, err := os.ReadFile(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3[8] = 3
-	v3Path := filepath.Join(t.TempDir(), "legacy-v3.snap")
-	if err := os.WriteFile(v3Path, v3, 0o644); err != nil {
+	v4[8] = 4
+	v4Path := filepath.Join(t.TempDir(), "legacy-v4.snap")
+	if err := os.WriteFile(v4Path, v4, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for version, path := range map[int]string{2: legacy, 3: v3Path} {
+	for version, path := range map[int]string{2: legacy, 4: v4Path} {
 		for _, extra := range [][]string{nil, {"-ingest", "127.0.0.1:0"}} {
 			args := append([]string{"-addr", "127.0.0.1:0", "-load", path}, extra...)
 			out, err := exec.Command(serverBinary(t), args...).CombinedOutput()

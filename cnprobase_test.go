@@ -483,16 +483,17 @@ func TestFacadeBaselines(t *testing.T) {
 	}
 }
 
-// goldenSnapshotSHA256 is the digest of the version-4 snapshot of the
+// goldenSnapshotSHA256 is the digest of the version-5 snapshot of the
 // seed-7, 2 000-entity synthetic world built with the default options
 // minus the neural extractor; any change to it is a change of format,
 // of canonical order or of what a build decides, and needs a reason.
-// It was re-recorded once, when version 4 wrote the evidence section
-// in the image's numbering (docs/SNAPSHOT.md); the meta and view-image
-// sections kept their version-3 bytes, which goldenImageSHA256 holds.
+// It was re-recorded when version 4 wrote the evidence section in the
+// image's numbering, and when version 5 dropped the image's evidence
+// count block and the build report its always-zero Shards field
+// (572 397 → 519 461 bytes; image 410 323 → 357 398 bytes).
 const (
-	goldenSnapshotSHA256 = "42b3cd1f3c778421d0b731cee205dcf4018d5156f44994d168b8be5c20fc3f1d"
-	goldenImageSHA256    = "92c60d263df95ad9bcdb0ab5e75b2444c5bf870f6e9eccafc02007b17b95d97a"
+	goldenSnapshotSHA256 = "74fe66708cc15dc3cc741d5f5c6abce456b326875e286237286532ca82395d8a"
+	goldenImageSHA256    = "11fcb4b0dd75a7fed6ec3de5e6f8b6ee8a0ee06af187d16b927a9dc4b581fe6e"
 )
 
 // TestFacadeSnapshotGolden holds "snapshot bytes unchanged" as a test:

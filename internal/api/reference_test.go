@@ -48,7 +48,7 @@ func (s reference) conceptualize(text string) ConceptualizeResponse {
 			pop, agree := 0, 0.0
 			for _, h := range s.view.Hypernyms(id) {
 				if e, ok := s.view.EdgeOf(id, h); ok {
-					pop += e.Count
+					pop += e.Sources.Evidence()
 				}
 			}
 			for _, c := range servingtest.RankedHypernyms(s.view, id, maxConcepts) {

@@ -242,10 +242,10 @@ func (e *Engine) conceptCount(id uint32) int {
 }
 
 // disambiguate picks, by position, the candidate entity by evidence
-// popularity (the total generation count behind its isA edges — a
-// prior favoring the dominant sense) modulated by agreement with the
-// text's aggregate context (a mention of 刘德华 next to 专辑 resolves
-// to the singer sense). A candidate that is no node scores zero.
+// popularity (its isA edges' evidence counts — each edge's number of
+// sources — summed: a prior favoring the dominant sense) modulated by
+// agreement with the text's aggregate context (a mention of 刘德华
+// next to 专辑 resolves to the singer sense). A candidate that is no node scores zero.
 //
 //cnp:noalloc
 func (e *Engine) disambiguate(cands []candidate, context []concept) int {

@@ -7,13 +7,14 @@ import (
 )
 
 // fixture: ambiguous 刘德华 (actor sense with strong evidence, writer
-// sense) plus an unambiguous song.
+// sense) plus an unambiguous song. An edge's evidence is the number of
+// sources that generated it.
 func fixture(t *testing.T) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
 	t.Helper()
 	tx := taxonomy.New()
 	add := func(hypo, hyper string, n int) {
-		for i := 0; i < n; i++ {
-			if err := tx.AddIsA(hypo, hyper, taxonomy.SourceTag, 1); err != nil {
+		for _, src := range []taxonomy.Source{taxonomy.SourceTag, taxonomy.SourceBracket, taxonomy.SourceInfobox}[:n] {
+			if err := tx.AddIsA(hypo, hyper, src, 1); err != nil {
 				t.Fatal(err)
 			}
 		}

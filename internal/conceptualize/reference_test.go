@@ -95,7 +95,7 @@ func (e *reference) disambiguate(ids []string, context map[string]float64) strin
 		agree := 0.0
 		for _, h := range e.view.Hypernyms(id) {
 			if ed, ok := e.view.EdgeOf(id, h); ok {
-				pop += ed.Count
+				pop += ed.Sources.Evidence()
 			}
 		}
 		for _, s := range servingtest.RankedHypernyms(e.view, id, e.MaxConceptsPerEntity) {

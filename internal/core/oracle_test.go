@@ -203,8 +203,8 @@ func (c *crawl) recrawled() encyclopedia.Page {
 func latePage(t *testing.T, tax *taxonomy.Taxonomy) (page encyclopedia.Page, victim string) {
 	t.Helper()
 	v := serving.Compile(tax, nil)
-	for _, n := range v.Nodes() {
-		if v.Kind(n) == taxonomy.KindConcept && v.HyponymCount(n) == 1 && len(v.Hypernyms(n)) == 0 {
+	for i, n := range v.Nodes() {
+		if v.Kind(n) == taxonomy.KindConcept && len(v.HyponymIDsOf(uint32(i))) == 1 && len(v.Hypernyms(n)) == 0 {
 			return encyclopedia.Page{Title: n, Abstract: n + "是一部作品。", Tags: []string{"人物", "作品", "机构", "地点"}}, v.Hyponyms(n, 1)[0]
 		}
 	}

@@ -123,11 +123,7 @@ type SourceReport struct {
 type Report struct {
 	Pages int
 	// Workers records the resolved worker count the run used.
-	Workers int
-	// Shards is always zero: the store is no longer sharded. The field
-	// stays because saved build reports carry its JSON key and snapshot
-	// bytes must not change.
-	Shards              int
+	Workers             int
 	PerSource           map[taxonomy.Source]*SourceReport
 	PredicateCandidates []extract.PredicateStat
 	SelectedPredicates  []string

@@ -34,12 +34,11 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 		t.Fatalf("parallel Build: %v", err)
 	}
 
-	if par.Report.Workers != 8 || par.Report.Shards != 0 {
-		t.Errorf("report knobs = workers %d shards %d, want 8/0",
-			par.Report.Workers, par.Report.Shards)
+	if par.Report.Workers != 8 {
+		t.Errorf("report workers = %d, want 8", par.Report.Workers)
 	}
 
-	// Edge sets, including provenance and evidence counts.
+	// Edge sets, including provenance.
 	seqEdges, parEdges := seq.Taxonomy.Edges(), par.Taxonomy.Edges()
 	if len(seqEdges) != len(parEdges) {
 		t.Fatalf("edge count: parallel %d, sequential %d", len(parEdges), len(seqEdges))

@@ -62,3 +62,50 @@ func candPairs(names []string, cands []extract.Candidate, src taxonomy.Source) [
 	}
 	return out
 }
+
+// TestBuiltWorldRanksRightConceptFirst holds typicality ranking on a
+// built world, not only on hand-built ones. Among the entities with
+// both right and wrong hypernyms by the world's oracle, the first of
+// the ranked hypernyms (RankedHypernymAt(id, 0), what getConcept?ranked=1
+// and conceptualization lead with) must be a right one for at least
+// 95 %. An edge's evidence is its number of sources, and a wrong pair
+// rarely comes from more than one, so ranking by evidence puts right
+// concepts first; a ranking in name order, which a build left when
+// every stored count was 1, led with a right one for 86.5 % of the 133
+// such entities of this world.
+func TestBuiltWorldRanksRightConceptFirst(t *testing.T) {
+	w := buildSmallWorld(t, 8000)
+	res, err := New(fastOptions()).Build(w.Corpus())
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	v, oracle := res.Freeze(), w.Oracle()
+	mixed, right := 0, 0
+	for id := uint32(0); int(id) < v.NodeCount(); id++ {
+		if v.KindOf(id) != taxonomy.KindEntity {
+			continue
+		}
+		hypers := v.HypernymIDsOf(id)
+		good := 0
+		for _, h := range hypers {
+			if oracle.Judge(v.Name(id), v.Name(h)) {
+				good++
+			}
+		}
+		if good == 0 || good == len(hypers) {
+			continue
+		}
+		mixed++
+		if top, _ := v.RankedHypernymAt(id, 0); oracle.Judge(v.Name(id), v.Name(top)) {
+			right++
+		}
+	}
+	if mixed < 50 {
+		t.Fatalf("only %d entities with right and wrong hypernyms; the world is too small to judge the ranking", mixed)
+	}
+	share := float64(right) / float64(mixed)
+	t.Logf("%d of %d entities with right and wrong hypernyms rank a right one first (%.1f %%)", right, mixed, 100*share)
+	if share < 0.95 {
+		t.Errorf("the first-ranked hypernym is right for %.1f %% of %d entities with right and wrong hypernyms, want at least 95 %%", 100*share, mixed)
+	}
+}

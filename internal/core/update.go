@@ -166,8 +166,9 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 	addPages(prev.Taxonomy, prev.Mentions, delta.Pages, names)
 	// Remove previously-kept edges that re-verification now rejects,
 	// then insert the delta's evidence: brand-new kept pairs, plus
-	// re-generated pairs whose fresh occurrence reinforces an existing
-	// edge. Unaffected edges are left alone.
+	// re-generated pairs whose fresh occurrence merges its source and
+	// score into an existing edge (evidence grows only by a source the
+	// edge lacked). Unaffected edges are left alone.
 	for _, i := range dropKept {
 		prev.Taxonomy.RemoveIsAID(prev.Kept[i].Hypo, prev.Kept[i].Hyper)
 	}

@@ -11,7 +11,8 @@ import (
 // Compile freezes the current contents of a build store (plus its
 // mention index, which may be nil) into an immutable View: adjacency in
 // canonical sorted order, each node's hypernyms ranked by typicality
-// P(concept | entity) from the store's evidence counts.
+// P(concept | entity) from their evidence counts — each edge's number
+// of sources.
 // The store hands its content over already in that order, hypernyms
 // resolved to positions (taxonomy.ReadAll), so compiling hashes and
 // compares no name. The view is laid out as a mapped one is (see
@@ -155,7 +156,6 @@ func assemble(prev *View, ch *change) *View {
 	v.hyperIDs = make([]uint32, e)
 	v.edgeSources = make([]taxonomy.Source, e)
 	v.edgeScores = make([]float64, e)
-	v.edgeCounts = make([]int64, e)
 	covered := true
 	off := uint32(0)
 	ri, ci = 0, 0
@@ -174,7 +174,6 @@ func assemble(prev *View, ch *change) *View {
 			}
 			copy(v.edgeSources[off:], prev.edgeSources[a:b])
 			copy(v.edgeScores[off:], prev.edgeScores[a:b])
-			copy(v.edgeCounts[off:], prev.edgeCounts[a:b])
 			off += b - a
 			id += r.hi - r.lo
 			continue
@@ -194,7 +193,6 @@ func assemble(prev *View, ch *change) *View {
 			v.hyperIDs[off] = hyperID
 			v.edgeSources[off] = edge.Sources
 			v.edgeScores[off] = edge.Score
-			v.edgeCounts[off] = int64(edge.Count)
 			off++
 		}
 		ci++
@@ -272,7 +270,8 @@ func (v *View) buildDerived() { v.derive(nil, nil, nil, nil) }
 
 // derive fills the derived arrays — per-node evidence totals, the
 // hypernym typicality rank permutations, the transposed hyponym CSR and
-// the stats summary — from the canonical ones. Every per-edge array it
+// the stats summary — from the canonical ones; an edge's evidence
+// count is the number of its sources. Every per-edge array it
 // fills is integer-only, so copying one from prev runs no write
 // barrier. Nodes inside runs take their segments from prev verbatim
 // (node IDs renumbered through remap): none of their edges changed, so
@@ -301,10 +300,10 @@ func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 			continue
 		}
 		lo, hi := v.hyperOff[u], v.hyperOff[u+1]
-		for j := lo; j < hi; j++ {
-			v.hyperTotals[u] += v.edgeCounts[j]
+		for _, s := range v.edgeSources[lo:hi] {
+			v.hyperTotals[u] += int64(s.Evidence())
 		}
-		rank(v.hyperRank[lo:hi], v.edgeCounts[lo:hi])
+		rank(v.hyperRank[lo:hi], v.edgeSources[lo:hi])
 	}
 	for _, hyperID := range v.hyperIDs {
 		if fresh == nil || fresh[hyperID] {
@@ -364,16 +363,15 @@ func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 	}
 }
 
-// rank fills perm with the positions of a CSR segment whose evidence
-// counts are counts, in typicality order: count descending, then
-// position ascending. A segment's node IDs ascend with its positions
-// and IDs are sorted name ranks, while every typicality in it is
-// count/total over one shared total; so for counts in [0, MaxInt32] —
-// what the image validator admits and the pipeline produces — this is
+// rank fills perm with the positions of a CSR segment whose edges
+// have sources, in typicality order: evidence count (the number of
+// sources) descending, then position ascending. A segment's node IDs
+// ascend with its positions and IDs are sorted name ranks, while every
+// typicality in it is count/total over one shared total; so this is
 // exactly "score descending, name ascending" without a division or a
 // string compare (a zero total has only zero counts, hence the
 // identity order). TestRankOrderMatchesScoreOrder holds it.
-func rank(perm []uint32, counts []int64) {
+func rank(perm []uint32, sources []taxonomy.Source) {
 	for i := range perm {
 		perm[i] = uint32(i)
 	}
@@ -381,7 +379,7 @@ func rank(perm []uint32, counts []int64) {
 		return
 	}
 	slices.SortFunc(perm, func(a, b uint32) int {
-		if c := cmp.Compare(counts[b], counts[a]); c != 0 {
+		if c := cmp.Compare(sources[b].Evidence(), sources[a].Evidence()); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)

@@ -12,7 +12,7 @@ import (
 	"cnprobase/internal/taxonomy"
 )
 
-// The snapshot's "view image" (format versions 3 and 4): the View's
+// The snapshot's "view image" (format version 5): the View's
 // canonical arrays serialized as fixed-width little-endian blocks plus
 // interned string arenas, laid out so a page-aligned mapping of the
 // snapshot file can be used as the View's backing storage without a
@@ -24,27 +24,27 @@ import (
 //	preamble (56 bytes): 7 × u64 LE —
 //	    n (nodes), e (edges), m (mentions), me (mention-entity IDs),
 //	    len(name arena), len(mention arena), len(mention-entity arena)
-//	then 13 blocks, each preceded by zero padding up to the next
+//	then 12 blocks, each preceded by zero padding up to the next
 //	8-aligned file offset:
 //	     1. nameOff       (n+1) × u32   name i = nameArena[off[i]:off[i+1]]
 //	     2. hyperOff      (n+1) × u32   hypernym CSR offsets
 //	     3. hyperIDs        e  × u32    CSR targets, ascending per node
 //	     4. edgeScores      e  × u64    float64 bits
-//	     5. edgeCounts      e  × u64    evidence counts (≤ MaxInt32)
-//	     6. mentionStrOff (m+1) × u32   mention string offsets
-//	     7. mentionOff    (m+1) × u32   mention → ID-list offsets
-//	     8. mentEntOff   (me+1) × u32   ID string offsets
-//	     9. kinds           n  × u8     NodeKind per node
-//	    10. edgeSources     e  × u8     Source bitmask per edge
-//	    11. name arena      (concatenated node names, sorted)
-//	    12. mention arena   (concatenated mentions, sorted)
-//	    13. mention-entity arena (concatenated ID strings)
+//	     5. mentionStrOff (m+1) × u32   mention string offsets
+//	     6. mentionOff    (m+1) × u32   mention → ID-list offsets
+//	     7. mentEntOff   (me+1) × u32   ID string offsets
+//	     8. kinds           n  × u8     NodeKind per node
+//	     9. edgeSources     e  × u8     Source bitmask per edge
+//	    10. name arena      (concatenated node names, sorted)
+//	    11. mention arena   (concatenated mentions, sorted)
+//	    12. mention-entity arena (concatenated ID strings)
 //
 // Only canonical content is stored. Everything derivable — the hyponym
-// CSR (adjacency only), evidence totals, the hypernym typicality
-// rankings, stats — is recomputed at
-// open by buildDerived, the same function the heap compile path uses,
-// which is what keeps a mapped View query-identical to a compiled one.
+// CSR (adjacency only), the evidence counts (each edge's number of
+// sources) and their totals, the hypernym typicality rankings, stats —
+// is recomputed at open by buildDerived, the same function the heap
+// compile path uses, which is what keeps a mapped View query-identical
+// to a compiled one.
 const (
 	imagePreambleLen = 56
 	// maxImageElems bounds every element count so offset arithmetic
@@ -58,11 +58,11 @@ const (
 var littleEndianHost = binary.NativeEndian.Uint16([]byte{0x12, 0x34}) == 0x3412
 
 // imageBlockSizes returns the (element size, element count) walk of
-// the 13 blocks, shared by the encoder and the parser so the two can
+// the 12 blocks, shared by the encoder and the parser so the two can
 // never disagree about where a block lands.
-func imageBlockSizes(n, e, m, me, nameLen, menLen, entLen uint64) [13][2]uint64 {
-	return [13][2]uint64{
-		{4, n + 1}, {4, n + 1}, {4, e}, {8, e}, {8, e},
+func imageBlockSizes(n, e, m, me, nameLen, menLen, entLen uint64) [12][2]uint64 {
+	return [12][2]uint64{
+		{4, n + 1}, {4, n + 1}, {4, e}, {8, e},
 		{4, m + 1}, {4, m + 1}, {4, me + 1}, {1, n}, {1, e},
 		{1, nameLen}, {1, menLen}, {1, entLen},
 	}
@@ -134,10 +134,6 @@ func (im SizedImage) WriteTo(w io.Writer) (int64, error) {
 	out.pad()
 	for _, s := range v.edgeScores {
 		out.u64(math.Float64bits(s))
-	}
-	out.pad()
-	for _, c := range v.edgeCounts {
-		out.u64(uint64(max(c, 0))) // defensive clamp, mirroring the stripe encoder
 	}
 	u32s(v.mentions.off)
 	u32s(v.mentionOff)
@@ -236,7 +232,6 @@ type image struct {
 	names, mentions, mentEnts      table // arenas over their offset blocks
 	hyperOff, hyperIDs, mentionOff []uint32
 	edgeScores                     []float64
-	edgeCounts                     []int64
 	kinds                          []taxonomy.NodeKind
 	edgeSources                    []taxonomy.Source
 }
@@ -266,7 +261,7 @@ func parseImage(data []byte, base uint64) (*image, error) {
 		}
 	}
 	pos := uint64(imagePreambleLen)
-	var spans [13][2]uint64
+	var spans [12][2]uint64
 	for i, sz := range imageBlockSizes(n, e, m, me, nameLen, menLen, entLen) {
 		pos += (8 - (base+pos)%8) % 8
 		start := pos
@@ -286,16 +281,15 @@ func parseImage(data []byte, base uint64) (*image, error) {
 		e:           int(e),
 		m:           int(m),
 		me:          int(me),
-		names:       table{arena: blk(10), off: castU32(blk(0))},
+		names:       table{arena: blk(9), off: castU32(blk(0))},
 		hyperOff:    castU32(blk(1)),
 		hyperIDs:    castU32(blk(2)),
 		edgeScores:  castF64(blk(3)),
-		edgeCounts:  castI64(blk(4)),
-		mentions:    table{arena: blk(11), off: castU32(blk(5))},
-		mentionOff:  castU32(blk(6)),
-		mentEnts:    table{arena: blk(12), off: castU32(blk(7))},
-		kinds:       castKinds(blk(8)),
-		edgeSources: castSources(blk(9)),
+		mentions:    table{arena: blk(10), off: castU32(blk(4))},
+		mentionOff:  castU32(blk(5)),
+		mentEnts:    table{arena: blk(11), off: castU32(blk(6))},
+		kinds:       castKinds(blk(7)),
+		edgeSources: castSources(blk(8)),
 	}
 	if err := img.validate(uint32(nameLen), uint32(menLen), uint32(entLen)); err != nil {
 		return nil, err
@@ -345,9 +339,6 @@ func (img *image) validate(nameLen, menLen, entLen uint32) error {
 				return fmt.Errorf("serving: edge %d: hypernym %d has unknown kind", j, id)
 			}
 			touched[id] = true
-			if c := img.edgeCounts[j]; c < 0 || c > math.MaxInt32 {
-				return fmt.Errorf("serving: edge %d: count %d out of range", j, c)
-			}
 		}
 	}
 	for u, ok := range touched {
@@ -428,7 +419,6 @@ func OpenImage(data []byte, base uint64) (*View, error) {
 		hyperIDs:     img.hyperIDs,
 		edgeSources:  img.edgeSources,
 		edgeScores:   img.edgeScores,
-		edgeCounts:   img.edgeCounts,
 		mentions:     img.mentions,
 		mentionOff:   img.mentionOff,
 		mentionEnts:  tableStrings(img.mentEnts, false),
@@ -477,7 +467,6 @@ func DecodeImage(data []byte, base uint64) (*ImageContent, error) {
 				Hyper:   names[img.hyperIDs[j]],
 				Sources: img.edgeSources[j],
 				Score:   img.edgeScores[j],
-				Count:   int(img.edgeCounts[j]),
 			})
 		}
 	}
@@ -531,20 +520,6 @@ func castF64(b []byte) []float64 {
 	out := make([]float64, len(b)/8)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out
-}
-
-func castI64(b []byte) []int64 {
-	if len(b) == 0 {
-		return nil
-	}
-	if littleEndianHost && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), len(b)/8)
-	}
-	out := make([]int64, len(b)/8)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
 	}
 	return out
 }

@@ -83,13 +83,6 @@ func (v *View) appendImageOracle(dst []byte, base uint64) ([]byte, error) {
 		putU64(math.Float64bits(s))
 	}
 	pad()
-	for _, c := range v.edgeCounts {
-		if c < 0 {
-			c = 0 // defensive clamp, mirroring the stripe encoder
-		}
-		putU64(uint64(c))
-	}
-	pad()
 	strOffsets(mentions)
 	pad()
 	for _, o := range v.mentionOff {

@@ -149,8 +149,8 @@ func TestFreezePatchesLikeCompile(t *testing.T) {
 	// are retracted. The page also arrives after the candidates that
 	// name it (as a hypernym).
 	rare, now := "", serving.Compile(res.Taxonomy, res.Mentions)
-	for _, n := range now.Nodes() {
-		if now.Kind(n) == taxonomy.KindConcept && now.HyponymCount(n) == 1 && len(now.Hypernyms(n)) == 0 {
+	for i, n := range now.Nodes() {
+		if now.Kind(n) == taxonomy.KindConcept && len(now.HyponymIDsOf(uint32(i))) == 1 && len(now.Hypernyms(n)) == 0 {
 			rare = n
 			break
 		}

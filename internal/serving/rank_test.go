@@ -2,7 +2,6 @@ package serving
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -27,42 +26,42 @@ func sortScored(xs []taxonomy.Scored) {
 	})
 }
 
-// TestRankOrderMatchesScoreOrder holds rank — count descending, then
-// position (ID, so name) ascending — to sortScored over the scores a
-// segment's typicality gives, on random segments: equal counts, zero
-// counts, all-zero segments (total == 0) and counts up to MaxInt32.
+// TestRankOrderMatchesScoreOrder holds rank — evidence count (number
+// of sources) descending, then position (ID, so name) ascending — to
+// sortScored over the scores a segment's typicality gives, on random
+// segments: any source sets, one source per edge (all counts tied) and
+// no sources at all (total == 0).
 func TestRankOrderMatchesScoreOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	draws := []func() int64{
-		func() int64 { return int64(rng.Intn(3)) },                 // many ties, many zeros
-		func() int64 { return 1 + int64(rng.Intn(5)) },             // pipeline-sized counts
-		func() int64 { return int64(rng.Int31()) },                 // anywhere in [0, MaxInt32)
-		func() int64 { return math.MaxInt32 - int64(rng.Intn(3)) }, // near the ceiling, ties
-		func() int64 { return 0 },                                  // total == 0
+	draws := []func() taxonomy.Source{
+		func() taxonomy.Source { return taxonomy.Source(rng.Intn(256)) },    // counts 0…8, many ties
+		func() taxonomy.Source { return taxonomy.Source(1 << rng.Intn(7)) }, // count 1 each
+		func() taxonomy.Source { return 0 },                                 // total == 0
 	}
 	for trial := 0; trial < 5000; trial++ {
 		draw := draws[trial%len(draws)]
 		n := rng.Intn(40)
-		counts := make([]int64, n)
+		sources := make([]taxonomy.Source, n)
 		total := int64(0)
-		for i := range counts {
-			counts[i] = draw()
-			total += counts[i]
+		for i := range sources {
+			sources[i] = draw()
+			total += int64(sources[i].Evidence())
 		}
+		score := func(i int) float64 { return typicality(int64(sources[i].Evidence()), total) }
 		// Names ascend with position, as a CSR segment's IDs do.
 		want := make([]taxonomy.Scored, n)
 		for i := range want {
-			want[i] = taxonomy.Scored{Node: fmt.Sprintf("节点%03d", i), Score: typicality(counts[i], total)}
+			want[i] = taxonomy.Scored{Node: fmt.Sprintf("节点%03d", i), Score: score(i)}
 		}
 		sortScored(want)
 		perm := make([]uint32, n)
-		rank(perm, counts)
+		rank(perm, sources)
 		got := make([]taxonomy.Scored, n)
 		for r, k := range perm {
-			got[r] = taxonomy.Scored{Node: fmt.Sprintf("节点%03d", k), Score: typicality(counts[k], total)}
+			got[r] = taxonomy.Scored{Node: fmt.Sprintf("节点%03d", k), Score: score(int(k))}
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("counts %v:\n rank order  %v\n score order %v", counts, got, want)
+			t.Fatalf("sources %v:\n rank order  %v\n score order %v", sources, got, want)
 		}
 	}
 }
@@ -101,10 +100,11 @@ func patchBudgetStore(tb testing.TB) *taxonomy.Taxonomy {
 // string), and 103.5 B/edge with []uint32 ranks but both adjacency
 // sides' per-edge name slices (2 × 16 B/edge); with neither it
 // allocated 68.9 B/edge, 63.5 B/edge once the hyponym-side counts
-// became uint32 and the name table an arena, and 51.2 B/edge once the
-// hyponym side lost its ranking and counts (per-edge arrays 37 → 29 B).
-// Either array back would cross the budget, and so would a wider
-// per-edge array set.
+// became uint32 and the name table an arena, 51.2 B/edge once the
+// hyponym side lost its ranking and counts (per-edge arrays 37 → 29 B),
+// and 42.5 B/edge once evidence counts were read off the sources
+// instead of stored (29 → 21 B). Either array back would cross the
+// budget, and so would a wider per-edge array set.
 func TestPatchAllocationBudget(t *testing.T) {
 	tax := patchBudgetStore(t)
 	prev := Compile(tax, nil)
@@ -125,8 +125,8 @@ func TestPatchAllocationBudget(t *testing.T) {
 		t.Fatal("no View slice field is as long as the view has edges")
 	}
 	t.Logf("%d per-edge arrays, %d B/edge", arrays, width)
-	if width > 29 {
-		t.Errorf("the per-edge arrays hold %d B/edge, want at most 29", width)
+	if width > 21 {
+		t.Errorf("the per-edge arrays hold %d B/edge, want at most 21", width)
 	}
 	if raceEnabled {
 		t.Skip("allocation sizes are skewed under -race")
@@ -153,7 +153,7 @@ func TestPatchAllocationBudget(t *testing.T) {
 	}
 	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(v.EdgeCount())
 	t.Logf("%d edges, %d nodes: %.1f B/edge per patch", v.EdgeCount(), v.NodeCount(), perEdge)
-	const budget = 52
+	const budget = 43
 	if perEdge > budget {
 		t.Errorf("a one-node patch allocates %.1f B per edge, budget %d", perEdge, budget)
 	}

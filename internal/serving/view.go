@@ -78,14 +78,15 @@ type View struct {
 	// ascending within each node (canonical order); hyperRank is the
 	// same range's positions (0 = hyperOff[i]) in typicality order —
 	// evidence count descending, then ID ascending (rank). Edge
-	// provenance (sources, score, count) is stored on this side, aligned
-	// with hyperIDs. No per-edge array holds a pointer.
+	// provenance (sources, score) is stored on this side, aligned with
+	// hyperIDs; an edge's evidence count is the number of its sources
+	// (taxonomy.Source.Evidence), so it is never stored. No per-edge
+	// array holds a pointer.
 	hyperOff    []uint32
 	hyperIDs    []uint32
 	hyperRank   []uint32
 	edgeSources []taxonomy.Source
 	edgeScores  []float64
-	edgeCounts  []int64
 	hyperTotals []int64 // per node: Σ evidence counts of outgoing edges
 
 	// Hyponym CSR, the transpose of the hypernym side: hypoIDs is
@@ -199,13 +200,14 @@ func (v *View) HyponymIDsOf(id uint32) []uint32 {
 
 // RankedHypernymAt returns node id's hypernym of typicality rank r (0
 // is the most typical; r < len(HypernymIDsOf(id))) and its typicality
-// P(hyper | id): evidence count descending, ties in name (ID) order.
+// P(hyper | id): evidence count — the number of the edge's sources —
+// descending, ties in name (ID) order.
 //
 //cnp:noalloc
 func (v *View) RankedHypernymAt(id uint32, r int) (uint32, float64) {
 	lo := v.hyperOff[id]
 	j := lo + v.hyperRank[lo:v.hyperOff[id+1]][r]
-	return v.hyperIDs[j], typicality(v.edgeCounts[j], v.hyperTotals[id])
+	return v.hyperIDs[j], typicality(int64(v.edgeSources[j].Evidence()), v.hyperTotals[id])
 }
 
 // typicality is an evidence count's share of its segment's total, zero
@@ -221,8 +223,8 @@ func typicality(count, total int64) float64 {
 }
 
 // EvidenceTotalOf returns the summed evidence count behind node id's
-// outgoing isA edges — Σ EdgeOf(id, h).Count over its hypernyms, the
-// denominator of RankedHypernymAt's scores.
+// outgoing isA edges — Σ EdgeOf(id, h).Sources.Evidence() over its
+// hypernyms, the denominator of RankedHypernymAt's scores.
 //
 //cnp:noalloc
 func (v *View) EvidenceTotalOf(id uint32) int64 { return v.hyperTotals[id] }
@@ -351,17 +353,6 @@ func (v *View) namesOf(ids []uint32) []string {
 	return out
 }
 
-// HyponymCount returns the number of direct hyponyms of a concept.
-//
-//cnp:noalloc
-func (v *View) HyponymCount(concept string) int {
-	id, ok := v.ID(concept, 0)
-	if !ok {
-		return 0
-	}
-	return int(v.hypoOff[id+1] - v.hypoOff[id])
-}
-
 // EdgeIndex locates the flat-array index of edge (hypoID → hyperID) by
 // binary search over the node's ascending hypernym IDs. Hand-rolled
 // (no sort.Search closure) to keep EdgeOf at 0 allocs/op.
@@ -407,7 +398,6 @@ func (v *View) EdgeOf(hypo, hyper string) (taxonomy.Edge, bool) {
 		Hyper:   hyper,
 		Sources: v.edgeSources[i],
 		Score:   v.edgeScores[i],
-		Count:   int(v.edgeCounts[i]),
 	}, true
 }
 

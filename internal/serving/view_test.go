@@ -26,7 +26,7 @@ func fixture(tb testing.TB) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
 		id := fmt.Sprintf("实体%02d（人物）", i)
 		tax.MarkEntity(id)
 		add(id, fmt.Sprintf("概念%d", i%5), taxonomy.SourceBracket, 0.5+float64(i)/100)
-		if i%3 == 0 { // reinforce: bump count, extend source bits
+		if i%3 == 0 { // reinforce: extend source bits, so evidence count 2
 			add(id, fmt.Sprintf("概念%d", i%5), taxonomy.SourceTag, 0.9)
 		}
 		if i%4 == 0 {
@@ -58,8 +58,8 @@ func requireStoreReads(tb testing.TB, v *View, tax *taxonomy.Taxonomy, mentions 
 		tb.Fatalf("Nodes/Stats = %v %+v, store %v %+v", v.Nodes(), v.Stats(), set.Names, tax.ComputeStats())
 	}
 	for i, n := range set.Names {
-		if v.Kind(n) != set.Kinds[i] || v.HyponymCount(n) != tax.HyponymCount(n) {
-			tb.Fatalf("%s: kind %d, %d hyponyms; store %d, %d", n, v.Kind(n), v.HyponymCount(n), set.Kinds[i], tax.HyponymCount(n))
+		if hypos := len(v.HyponymIDsOf(uint32(i))); v.Kind(n) != set.Kinds[i] || hypos != tax.HyponymCount(n) {
+			tb.Fatalf("%s: kind %d, %d hyponyms; store %d, %d", n, v.Kind(n), hypos, set.Kinds[i], tax.HyponymCount(n))
 		}
 		var hypers []string
 		for _, e := range set.Edges[set.EdgeOff[i]:set.EdgeOff[i+1]] {
@@ -157,7 +157,6 @@ func TestQueryAllocations(t *testing.T) {
 		{"Kind", 0, func() { _ = v.Kind("概念0") }},
 		{"EdgeOf", 0, func() { _, _ = v.EdgeOf("实体00（人物）", "概念0") }},
 		{"EvidenceTotalOf", 0, func() { _ = v.EvidenceTotalOf(id) }},
-		{"HyponymCount", 0, func() { _ = v.HyponymCount("概念0") }},
 	}
 	for _, c := range cases {
 		if allocs := testing.AllocsPerRun(100, c.fn); allocs != c.allocs {

@@ -110,9 +110,9 @@ func parse(data []byte) (framed, error) {
 	}
 	version := binary.LittleEndian.Uint32(data[8:12])
 	if version >= 1 && version < Version {
-		// The striped layouts (1, 2) and the name-keyed evidence (3):
-		// nothing writes them any more, and a rebuild from the corpus is
-		// the supported way forward.
+		// The striped layouts (1, 2), the name-keyed evidence (3) and
+		// the stored evidence counts (4): nothing writes them any more,
+		// and a rebuild from the corpus is the supported way forward.
 		return f, fmt.Errorf("snapshot: format version %d is no longer read — rebuild the snapshot with `cnprobase build -save`", version)
 	}
 	if version != Version {

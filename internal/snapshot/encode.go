@@ -19,7 +19,7 @@ import (
 	"cnprobase/internal/verify"
 )
 
-// Save writes st as a version-4 snapshot: the store is compiled into
+// Save writes st as a version-5 snapshot: the store is compiled into
 // the canonical serving view (or st.View, the same view compiled
 // earlier, is taken as is) and serialized as one mappable image
 // section (the layout serving.View.Image documents), framed by the

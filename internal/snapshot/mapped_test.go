@@ -193,7 +193,6 @@ func TestMappedQueryAllocations(t *testing.T) {
 		{"Kind", 0, func() { _ = v.Kind("概念0") }},
 		{"EdgeOf", 0, func() { _, _ = v.EdgeOf("实体00（人物）", "概念0") }},
 		{"EvidenceTotalOf", 0, func() { _ = v.EvidenceTotalOf(id) }},
-		{"HyponymCount", 0, func() { _ = v.HyponymCount("概念0") }},
 		{"FindAllAppend", 0, func() { dst = v.FindAllAppend(dst[:0], text) }},
 	}
 	for _, c := range cases {

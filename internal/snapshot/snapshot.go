@@ -3,9 +3,9 @@
 // number of servers from the file in milliseconds instead of re-running
 // the generation + verification pipeline. A snapshot captures the
 // complete state the paper's three public APIs (men2ent, getConcept,
-// getEntity) serve from: the taxonomy — edges with full provenance and
-// the evidence counts typicality ranking reads — plus the mention index
-// and build metadata.
+// getEntity) serve from: the taxonomy — edges with full provenance,
+// whose sources are the evidence typicality ranking counts — plus the
+// mention index and build metadata.
 //
 // The format is versioned, sectioned and checksummed (docs/SNAPSHOT.md
 // specifies the byte layout). The content section is a single mappable
@@ -20,7 +20,7 @@
 // evidence section beside the image (the update substrate) is written
 // in the image's own numbering, so it is resolved and checked by index
 // rather than by name. One version is written and read: versions 1 to
-// 3 are refused with an error that says to rebuild the snapshot.
+// 4 are refused with an error that says to rebuild the snapshot.
 //
 // Decoding defends against arbitrary input: every length is validated
 // against the bytes actually present before anything is sliced,
@@ -60,10 +60,11 @@ const (
 	// canonical arrays as fixed-width little-endian blocks plus interned
 	// string arenas, 8-byte aligned in the file — so OpenMapped can
 	// serve straight out of an mmap of the file with no decode pass.
-	// Version 4 writes the evidence section in the image's numbering:
-	// kept pairs as bits over its edges, pages by node ID and title by
-	// mention row.
-	Version = 4
+	// The evidence section is written in the image's numbering: kept
+	// pairs as bits over its edges, pages by node ID and title by
+	// mention row. Version 5 dropped the image's per-edge evidence
+	// count block: a count is the number of an edge's sources.
+	Version = 5
 	// Stripes is the header's second field. Versions 1 and 2 counted
 	// their hash partitions there; later versions have none and pin the
 	// field to this constant, so every header byte is validated.

@@ -21,7 +21,7 @@ import (
 
 // handState assembles a small deterministic serving state without the
 // pipeline: entities, concepts, a subconcept edge, multi-source
-// provenance, reinforced evidence counts and an ambiguous mention.
+// provenance (evidence count 2), and an ambiguous mention.
 func handState(tb testing.TB) *State {
 	tb.Helper()
 	tax := taxonomy.New()
@@ -33,7 +33,7 @@ func handState(tb testing.TB) *State {
 		if err := tax.AddIsA(id, concept, taxonomy.SourceBracket, 0.5+float64(i)/100); err != nil {
 			tb.Fatalf("AddIsA: %v", err)
 		}
-		if i%3 == 0 { // reinforce: bump Count and add a source bit
+		if i%3 == 0 { // reinforce: add a source bit, so evidence count 2
 			if err := tax.AddIsA(id, concept, taxonomy.SourceTag, 0.9); err != nil {
 				tb.Fatalf("AddIsA: %v", err)
 			}
@@ -318,8 +318,9 @@ func TestHeaderValidation(t *testing.T) {
 // legacyInputs are the older files the loaders refuse, by version: a
 // hand-made version-1 header, a real version-2 file — handState as the
 // striped writer wrote it, at the last commit that had one — and a
-// version-4 file with its header patched to 3 (version 3 differed in
-// the evidence section only, and the version is read first).
+// current file with its header patched to 3 and to 4 (version 3
+// differed in the evidence section, version 4 in the image's evidence
+// count block, and the version is read first).
 func legacyInputs(tb testing.TB) map[uint32][]byte {
 	tb.Helper()
 	v2, err := os.ReadFile("testdata/legacy-v2.snap")
@@ -329,10 +330,12 @@ func legacyInputs(tb testing.TB) map[uint32][]byte {
 	v1 := append([]byte(Magic), 1, 0, 0, 0, Stripes, 0, 0, 0)
 	v3 := saveBytes(tb, handState(tb), Options{Workers: 1})
 	v3[8] = 3
-	return map[uint32][]byte{1: v1, 2: v2, 3: v3}
+	v4 := bytes.Clone(v3)
+	v4[8] = 4
+	return map[uint32][]byte{1: v1, 2: v2, 3: v3, 4: v4}
 }
 
-// TestLegacyVersionsRefused: a version-1, -2 or -3 file is answered
+// TestLegacyVersionsRefused: a version-1, -2, -3 or -4 file is answered
 // by both entry points with one error that names the version found and
 // the command that rebuilds the snapshot — not decoded, not a generic
 // "unsupported".

@@ -13,8 +13,8 @@ import (
 // these tests pin their semantics on small graphs.
 
 // viewOf compiles a store holding the given edges, each added once
-// with AddIsA (a pair listed twice is reinforced), and the given
-// entity marks.
+// with AddIsA from one source (a pair listed twice is one edge of
+// evidence count 1), and the given entity marks.
 func viewOf(t *testing.T, edges [][2]string, entities ...string) *serving.View {
 	t.Helper()
 	tx := taxonomy.New()

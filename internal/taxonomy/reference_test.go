@@ -221,8 +221,10 @@ func (t *refTaxonomy) AddIsA(hypo, hyper string, src Source, score float64) erro
 	defer unlock()
 	k := refEdgeKey{hypo, hyper}
 	if e, ok := sa.edges[k]; ok {
+		if e.Sources|src == e.Sources && score <= e.Score {
+			return nil // nothing new: nothing logged, as the store logs nothing
+		}
 		e.Sources |= src
-		e.Count++
 		if score > e.Score {
 			e.Score = score
 		}
@@ -232,7 +234,7 @@ func (t *refTaxonomy) AddIsA(hypo, hyper string, src Source, score float64) erro
 		t.invalidate()
 		return nil
 	}
-	sa.edges[k] = &Edge{Hypo: hypo, Hyper: hyper, Sources: src, Score: score, Count: 1}
+	sa.edges[k] = &Edge{Hypo: hypo, Hyper: hyper, Sources: src, Score: score}
 	refLinkEdge(sa, sb, hypo, hyper)
 	t.invalidate()
 	return nil
@@ -587,8 +589,8 @@ func (t *refTaxonomy) ChangesSince(token uint64) (nodes []string, next uint64, o
 func (t *refTaxonomy) Finalized() bool { return t.mergedIndexes() != nil }
 
 // RankedHypernyms returns the node's hypernyms with their typicality
-// P(hyper | node) — the edge's evidence count over the sum of the
-// node's — sorted by descending typicality (ties broken
+// P(hyper | node) — the edge's evidence count, its number of sources,
+// over the sum of the node's — sorted by descending typicality (ties broken
 // lexicographically); limit <= 0 returns all. Zero scores when the sum
 // is zero.
 func (t *refTaxonomy) RankedHypernyms(node string, limit int) []Scored {
@@ -601,8 +603,8 @@ func (t *refTaxonomy) RankedHypernyms(node string, limit int) []Scored {
 	total := 0
 	for _, h := range hypers {
 		e := sh.edges[refEdgeKey{node, h}]
-		out = append(out, Scored{Node: h, Score: float64(e.Count)})
-		total += e.Count
+		out = append(out, Scored{Node: h, Score: float64(e.Sources.Evidence())})
+		total += e.Sources.Evidence()
 	}
 	sh.mu.RUnlock()
 	for i := range out {

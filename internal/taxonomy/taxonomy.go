@@ -15,8 +15,8 @@
 // The store lives on dense IDs. Names are interned in a symtab.Table —
 // the one the build's verification evidence uses, so a name is hashed
 // once per build — and the rest is one flat array of node records
-// indexed by ID: kind, outgoing edges (hypernym ID, sources, score,
-// evidence count) and hyponym IDs, in arrival order. There is no second
+// indexed by ID: kind, outgoing edges (hypernym ID, sources, score)
+// and hyponym IDs, in arrival order. There is no second
 // index to keep in step and nothing to finalize: the Stats counters are
 // kept by the writes, the change log is a list of touched IDs, and the
 // canonical reads put names in order themselves.
@@ -104,14 +104,11 @@ type Edge struct {
 	Hyper   string  `json:"hyper"`
 	Sources Source  `json:"sources"`
 	Score   float64 `json:"score"`
-	// Count is how many times the pair was generated across sources.
-	Count int `json:"count"`
 }
 
 // edge is one outgoing isA relation, stored on its hyponym.
 type edge struct {
 	score   float64
-	count   int
 	hyper   uint32
 	sources Source
 }
@@ -298,17 +295,20 @@ func (t *Taxonomy) AddIsAID(hypo, hyper uint32, src Source, score float64) error
 func (t *Taxonomy) addIsA(a, b uint32, src Source, score float64) {
 	n := &t.nodes[a]
 	if i := n.find(b); i >= 0 {
+		// A pair generated again adds no evidence unless it comes from
+		// a source the edge lacks: its evidence count is the number of
+		// its sources, so re-sending a page changes nothing. The log
+		// names both ends of every edge whose content changed, as
+		// TestIncrementalBookkeepingMatchesRecount holds it, though a
+		// view reads the edge only on the hyponym's side.
 		e := &n.hypers[i]
-		e.sources |= src
-		e.count++
-		e.score = max(e.score, score)
-		// The log names both ends of every edge whose content changed,
-		// as TestIncrementalBookkeepingMatchesRecount holds it, though a
-		// view reads the count only on the hyponym's side.
-		t.changes.record(a, b)
+		if sources, best := e.sources|src, max(e.score, score); sources != e.sources || best != e.score {
+			e.sources, e.score = sources, best
+			t.changes.record(a, b)
+		}
 		return
 	}
-	t.link(a, b, edge{hyper: b, sources: src, score: score, count: 1})
+	t.link(a, b, edge{hyper: b, sources: src, score: score})
 }
 
 // link stores a new edge on both endpoints, marks an unknown hypernym
@@ -333,7 +333,7 @@ func (t *Taxonomy) link(a, b uint32, e edge) {
 
 // ImportIDs restores an empty store from a serving image's canonical
 // content by ID: every node's kind and every edge verbatim, with its
-// full provenance — sources, score, evidence count — and the counters
+// full provenance — sources and score — and the counters
 // the writes would keep, in one pass under one lock, with no name
 // hashed. The
 // store's symbol table must hold the image's node names as IDs
@@ -366,7 +366,7 @@ func (t *Taxonomy) ImportIDs(kinds []NodeKind, hyperOff, hyperIDs []uint32, edge
 	for u := range kinds {
 		for j := hyperOff[u]; j < hyperOff[u+1]; j++ {
 			e := &edges[j]
-			t.link(uint32(u), hyperIDs[j], edge{hyper: hyperIDs[j], sources: e.Sources, score: e.Score, count: e.Count})
+			t.link(uint32(u), hyperIDs[j], edge{hyper: hyperIDs[j], sources: e.Sources, score: e.Score})
 		}
 	}
 }
@@ -423,7 +423,7 @@ func (t *Taxonomy) EdgeOf(hypo, hyper string) (Edge, bool) {
 		return Edge{}, false
 	}
 	e := &from.hypers[i]
-	return Edge{Hypo: hypo, Hyper: hyper, Sources: e.sources, Score: e.score, Count: e.count}, true
+	return Edge{Hypo: hypo, Hyper: hyper, Sources: e.sources, Score: e.score}, true
 }
 
 // sortedNames resolves n IDs — id(0) … id(n-1) — to their names,
@@ -504,7 +504,7 @@ func (set *NodeSet) edgeList() []Edge {
 	out := make([]Edge, 0, len(set.Edges))
 	for i, hypo := range set.Names {
 		for _, e := range set.Edges[set.EdgeOff[i]:set.EdgeOff[i+1]] {
-			out = append(out, Edge{Hypo: hypo, Hyper: e.Hyper, Sources: e.Sources, Score: e.Score, Count: e.Count})
+			out = append(out, Edge{Hypo: hypo, Hyper: e.Hyper, Sources: e.Sources, Score: e.Score})
 		}
 	}
 	return out
@@ -572,7 +572,6 @@ type NodeSet struct {
 type NodeEdge struct {
 	Hyper string
 	Score float64
-	Count int
 	// At is Hyper's index in the set's Names, or -1 when the reader did
 	// not resolve it (the hypernym may still be among them).
 	At      int32
@@ -639,7 +638,7 @@ func (set *NodeSet) put(i int, n *node, names []string, rank []int32) {
 		if rank != nil {
 			at = rank[e.hyper]
 		}
-		set.Edges = append(set.Edges, NodeEdge{Hyper: names[e.hyper], At: at, Sources: e.sources, Score: e.score, Count: e.count})
+		set.Edges = append(set.Edges, NodeEdge{Hyper: names[e.hyper], At: at, Sources: e.sources, Score: e.score})
 	}
 	slices.SortFunc(set.Edges[set.EdgeOff[i]:], func(a, b NodeEdge) int {
 		if rank != nil {

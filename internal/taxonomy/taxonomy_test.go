@@ -49,8 +49,8 @@ func TestDuplicateEdgeMergesProvenance(t *testing.T) {
 	if !ok {
 		t.Fatal("edge missing")
 	}
-	if e.Count != 2 {
-		t.Errorf("Count = %d, want 2", e.Count)
+	if e.Sources.Evidence() != 2 {
+		t.Errorf("Sources.Evidence() = %d, want 2", e.Sources.Evidence())
 	}
 	if e.Sources&SourceTag == 0 || e.Sources&SourceBracket == 0 {
 		t.Errorf("Sources = %v", e.Sources)

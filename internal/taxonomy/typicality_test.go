@@ -9,18 +9,31 @@ import (
 	"cnprobase/internal/taxonomy"
 )
 
-// buildTypicality compiles: 刘德华 isA 演员 (count 3: three generation
-// events), 刘德华 isA 歌手 (count 1); 张学友 isA 歌手 (count 1).
+// buildTypicality compiles: 刘德华 isA 演员 (count 3: three sources,
+// one of them twice), 刘德华 isA 歌手 (count 1); 张学友 isA 歌手 (count 1).
 func buildTypicality(t *testing.T) *serving.View {
 	t.Helper()
-	return viewOf(t, [][2]string{
-		{"刘德华", "演员"}, {"刘德华", "演员"}, {"刘德华", "演员"},
-		{"刘德华", "歌手"}, {"张学友", "歌手"},
-	}, "刘德华", "张学友")
+	tx := taxonomy.New()
+	tx.MarkEntity("刘德华")
+	tx.MarkEntity("张学友")
+	for _, e := range []struct {
+		hypo, hyper string
+		src         taxonomy.Source
+	}{
+		{"刘德华", "演员", taxonomy.SourceTag}, {"刘德华", "演员", taxonomy.SourceBracket},
+		{"刘德华", "演员", taxonomy.SourceTag}, {"刘德华", "演员", taxonomy.SourceInfobox},
+		{"刘德华", "歌手", taxonomy.SourceTag}, {"张学友", "歌手", taxonomy.SourceTag},
+	} {
+		if err := tx.AddIsA(e.hypo, e.hyper, e.src, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return serving.Compile(tx, nil)
 }
 
 // TestTypicalityOfConcept reads P(concept | entity) — an edge's
-// evidence count over the entity's total — by rank, as
+// evidence count (its number of sources) over the entity's total — by
+// rank, as
 // getConcept?ranked=1 and conceptualization do.
 func TestTypicalityOfConcept(t *testing.T) {
 	v := buildTypicality(t)
