@@ -72,7 +72,7 @@ func TestCLIRoundTrip(t *testing.T) {
 	}
 
 	out = run("inspect", snap)
-	if !strings.Contains(out, "format version 5") || !strings.Contains(out, "kept candidates") {
+	if !strings.Contains(out, "format version 6") || !strings.Contains(out, "kept candidates") {
 		t.Errorf("inspect output: %s", out)
 	}
 	var pages, entities, concepts, isA int

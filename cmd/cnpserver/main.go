@@ -41,7 +41,7 @@
 // mutable build store is never materialized (unless -ingest asks for
 // it). The snapshot is memory-mapped and served in place, so the
 // server is query-ready in constant time regardless of taxonomy size;
-// a file in a format older than version 5 is refused with an error
+// a file in a format older than version 6 is refused with an error
 // that says to rebuild it. All requests are answered from that
 // lock-free view.
 //

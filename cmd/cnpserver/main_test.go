@@ -290,7 +290,7 @@ func TestSighupHotReload(t *testing.T) {
 	}
 
 	// Extend the taxonomy, overwrite the snapshot in place, reload.
-	if err := res.Taxonomy.AddIsA("热更新实体（测试）", "热更新概念", cnprobase.SourceTag, 1); err != nil {
+	if err := res.Taxonomy.AddIsA("热更新实体（测试）", "热更新概念", cnprobase.SourceTag); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Create(snap)

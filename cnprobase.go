@@ -356,7 +356,7 @@ func saveSnapshotLSN(w io.Writer, res *Result, lsn uint64) error {
 // incremental Update (the segmenter is rebuilt from the dictionary and
 // the restored statistics on first use). A snapshot saved without
 // evidence loads into a Result that serves queries but refuses Update.
-// Files in a format older than version 5 are refused with an error
+// Files in a format older than version 6 are refused with an error
 // that says to rebuild them (`cnprobase build -save`).
 func LoadSnapshot(r io.Reader) (*Result, error) {
 	res, _, err := LoadSnapshotLSN(r, 0, 0)
@@ -402,7 +402,7 @@ func LoadSnapshotLSN(r io.Reader, workers, shards int) (*Result, uint64, error) 
 // is released automatically once the view becomes unreachable (after a
 // hot swap, once in-flight queries drain). Answers are byte-identical
 // to the freshly built state's (pinned by the mapped
-// serving-equivalence tests). Files in a format older than version 5
+// serving-equivalence tests). Files in a format older than version 6
 // are refused, with the same error LoadSnapshot gives.
 func OpenSnapshotMapped(path string) (*ServingView, error) {
 	v, _, err := snapshot.OpenMapped(path)

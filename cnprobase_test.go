@@ -483,17 +483,19 @@ func TestFacadeBaselines(t *testing.T) {
 	}
 }
 
-// goldenSnapshotSHA256 is the digest of the version-5 snapshot of the
+// goldenSnapshotSHA256 is the digest of the version-6 snapshot of the
 // seed-7, 2 000-entity synthetic world built with the default options
 // minus the neural extractor; any change to it is a change of format,
 // of canonical order or of what a build decides, and needs a reason.
 // It was re-recorded when version 4 wrote the evidence section in the
 // image's numbering, and when version 5 dropped the image's evidence
 // count block and the build report its always-zero Shards field
-// (572 397 → 519 461 bytes; image 410 323 → 357 398 bytes).
+// (572 397 → 519 461 bytes; image 410 323 → 357 398 bytes), and when
+// version 6 named mention entities by node ID and dropped the per-edge
+// score (519 461 → 368 845 bytes; image 357 398 → 206 782 bytes).
 const (
-	goldenSnapshotSHA256 = "74fe66708cc15dc3cc741d5f5c6abce456b326875e286237286532ca82395d8a"
-	goldenImageSHA256    = "11fcb4b0dd75a7fed6ec3de5e6f8b6ee8a0ee06af187d16b927a9dc4b581fe6e"
+	goldenSnapshotSHA256 = "06fd53c6e0a87809908e0636748426a94a70218f3d7d922cbfb50eee61048539"
+	goldenImageSHA256    = "47b70a42388154c9634763626dfa0fff56a97a42c19d8453e182642f59568c5b"
 )
 
 // TestFacadeSnapshotGolden holds "snapshot bytes unchanged" as a test:
@@ -539,7 +541,7 @@ func keptNames(res *Result) []string {
 	names := res.Names()
 	out := make([]string, len(res.Kept))
 	for i, c := range res.Kept {
-		out[i] = fmt.Sprintf("%s isA %s %v %v", names[c.Hypo], names[c.Hyper], c.Source, c.Score)
+		out[i] = fmt.Sprintf("%s isA %s %v", names[c.Hypo], names[c.Hyper], c.Source)
 	}
 	sort.Strings(out)
 	return out

@@ -42,11 +42,11 @@ func ExampleBuild() {
 func ExampleServingView_Hypernyms() {
 	tax := cnprobase.NewTaxonomy()
 	tax.MarkEntity("刘德华（歌手）")
-	if err := tax.AddIsA("刘德华（歌手）", "歌手", cnprobase.SourceBracket, 1); err != nil {
+	if err := tax.AddIsA("刘德华（歌手）", "歌手", cnprobase.SourceBracket); err != nil {
 		fmt.Println(err)
 		return
 	}
-	if err := tax.AddIsA("刘德华（歌手）", "演员", cnprobase.SourceTag, 1); err != nil {
+	if err := tax.AddIsA("刘德华（歌手）", "演员", cnprobase.SourceTag); err != nil {
 		fmt.Println(err)
 		return
 	}
@@ -112,7 +112,7 @@ func ExampleResult_Freeze() {
 	tax := cnprobase.NewTaxonomy()
 	tax.MarkEntity("刘德华（歌手）")
 	for _, hyper := range []string{"歌手", "演员"} {
-		if err := tax.AddIsA("刘德华（歌手）", hyper, cnprobase.SourceTag, 1); err != nil {
+		if err := tax.AddIsA("刘德华（歌手）", hyper, cnprobase.SourceTag); err != nil {
 			fmt.Println(err)
 			return
 		}

@@ -60,6 +60,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -315,8 +316,20 @@ func handleMen2Ent(v *serving.View, sc *scratch, r *http.Request) (int, error) {
 	if mention == "" {
 		return 0, badRequest("missing ?mention=")
 	}
-	sc.out = appendMen2Ent(sc.out, mention, v.Lookup(mention))
+	sc.out = appendMen2Ent(sc.out, v, mention, mentionEntities(v, mention))
 	return 0, nil
+}
+
+// mentionEntities is the entities of mention in v as node IDs — what
+// v.Lookup names — nil when v does not know the mention.
+//
+//cnp:noalloc
+func mentionEntities(v *serving.View, mention string) []uint32 {
+	row, ok := v.MentionRow(strings.TrimSpace(mention), 0)
+	if !ok {
+		return nil
+	}
+	return v.MentionEntities(int32(row))
 }
 
 // handleMen2EntBatch resolves every mention against the one view serve
@@ -335,7 +348,7 @@ func handleMen2EntBatch(v *serving.View, sc *scratch, _ *http.Request) (int, err
 		if i > 0 {
 			sc.out = append(sc.out, ',')
 		}
-		sc.out = appendMen2Ent(sc.out, m, v.Lookup(m))
+		sc.out = appendMen2Ent(sc.out, v, m, mentionEntities(v, m))
 	}
 	sc.out = append(sc.out, ']')
 	return len(batch), nil

@@ -80,12 +80,13 @@ func (sc *scratch) respond(w http.ResponseWriter, ok bool) {
 	}
 }
 
-// appendMen2Ent encodes a Men2EntResponse.
+// appendMen2Ent encodes the Men2EntResponse of mention, whose entities
+// are the node IDs ids of v, as mentionEntities returns them.
 //
 //cnp:noalloc
-func appendMen2Ent(dst []byte, mention string, entities []string) []byte {
+func appendMen2Ent(dst []byte, v *serving.View, mention string, ids []uint32) []byte {
 	dst = appendString(append(dst, `{"mention":`...), mention)
-	dst = appendStrings(append(dst, `,"entities":`...), entities)
+	dst = appendNames(append(dst, `,"entities":`...), v, ids)
 	return append(dst, '}')
 }
 

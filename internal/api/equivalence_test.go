@@ -84,16 +84,16 @@ func equivFixture(tb testing.TB) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
 	for i := 0; i < 40; i++ {
 		id := fmt.Sprintf("实体%02d（人物）", i)
 		tax.MarkEntity(id)
-		if err := tax.AddIsA(id, fmt.Sprintf("概念%d", i%7), taxonomy.SourceBracket, 0.5+float64(i)/100); err != nil {
+		if err := tax.AddIsA(id, fmt.Sprintf("概念%d", i%7), taxonomy.SourceBracket); err != nil {
 			tb.Fatal(err)
 		}
 		if i%3 == 0 {
-			if err := tax.AddIsA(id, fmt.Sprintf("概念%d", i%7), taxonomy.SourceTag, 0.9); err != nil {
+			if err := tax.AddIsA(id, fmt.Sprintf("概念%d", i%7), taxonomy.SourceTag); err != nil {
 				tb.Fatal(err)
 			}
 		}
 		if i%4 == 0 {
-			if err := tax.AddIsA(id, fmt.Sprintf("概念%d", (i+2)%7), taxonomy.SourceAbstract, 0.7); err != nil {
+			if err := tax.AddIsA(id, fmt.Sprintf("概念%d", (i+2)%7), taxonomy.SourceAbstract); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -102,7 +102,7 @@ func equivFixture(tb testing.TB) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
 	}
 	mentions.Add("实体00", "实体07（人物）")
 	for i := 0; i < 7; i++ {
-		if err := tax.AddIsA(fmt.Sprintf("概念%d", i), "顶层概念", taxonomy.SourceMorph, 1); err != nil {
+		if err := tax.AddIsA(fmt.Sprintf("概念%d", i), "顶层概念", taxonomy.SourceMorph); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -282,7 +282,7 @@ func TestSwapView(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if err := tax.AddIsA("新实体（测试）", "概念0", taxonomy.SourceTag, 1); err != nil {
+	if err := tax.AddIsA("新实体（测试）", "概念0", taxonomy.SourceTag); err != nil {
 		t.Fatal(err)
 	}
 	var out ConceptResponse

@@ -64,12 +64,13 @@ func FuzzResponseEncoding(f *testing.F) {
 		strs, other := lists[shape&3], lists[shape>>2&3]
 		scored := scoreds[shape>>4&3]
 
-		requireEncoded(t, "appendMen2Ent", appendMen2Ent(nil, a, strs), true, Men2EntResponse{Mention: a, Entities: strs})
 		requireEncoded(t, "appendStrings", appendStrings(nil, strs), true, strs)
-		// appendConcept and appendEntity read their answers from the
-		// view: for a, almost always unknown, and for a node picked by
-		// shape.
+		// appendMen2Ent, appendConcept and appendEntity read their
+		// answers from the view: for a, almost always unknown, and for a
+		// node picked by shape, which is a mention too.
 		for _, node := range []string{a, v.Name(uint32(int(shape) % v.NodeCount()))} {
+			requireEncoded(t, "appendMen2Ent", appendMen2Ent(nil, v, node, mentionEntities(v, node)), true,
+				Men2EntResponse{Mention: node, Entities: v.Lookup(node)})
 			ranked := shape&1 != 0
 			want := ConceptResponse{Entity: node, Hypernyms: v.Hypernyms(node)}
 			if ranked {

@@ -77,11 +77,11 @@ func TestHandlersPinMappedView(t *testing.T) {
 	gapped := false
 	gap := &endpoint{name: "men2ent", handle: func(v *serving.View, sc *scratch, r *http.Request) (int, error) {
 		m := queryValue(r.URL.RawQuery, "mention")
-		entities := v.Lookup(m)
+		entities := mentionEntities(v, m)
 		s.SwapView(heap)
 		collectTwice()
 		gapped = true
-		sc.out = appendMen2Ent(sc.out, m, entities)
+		sc.out = appendMen2Ent(sc.out, v, m, entities)
 		return 0, nil
 	}}
 	got := httptest.NewRecorder()

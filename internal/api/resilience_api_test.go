@@ -23,7 +23,7 @@ func resilientServer(t *testing.T, rc ResilienceConfig) (*Server, *httptest.Serv
 	t.Helper()
 	tax := taxonomy.New()
 	tax.MarkEntity("李小龙（武术家）")
-	if err := tax.AddIsA("李小龙（武术家）", "武术家", taxonomy.SourceTag, 1); err != nil {
+	if err := tax.AddIsA("李小龙（武术家）", "武术家", taxonomy.SourceTag); err != nil {
 		t.Fatal(err)
 	}
 	mentions := taxonomy.NewMentionIndex()

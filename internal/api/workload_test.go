@@ -22,7 +22,7 @@ func benchWorld(tb testing.TB) (*Server, *httptest.Server) {
 		{"刘德华（演员）", "歌手"},
 		{"刘德华（作家）", "作家"},
 	} {
-		if err := tax.AddIsA(e[0], e[1], taxonomy.SourceTag, 1); err != nil {
+		if err := tax.AddIsA(e[0], e[1], taxonomy.SourceTag); err != nil {
 			tb.Fatal(err)
 		}
 	}

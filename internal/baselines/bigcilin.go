@@ -48,7 +48,7 @@ func BuildBigcilin(c *encyclopedia.Corpus, cfg BigcilinConfig) *taxonomy.Taxonom
 		tax.MarkEntity(id)
 		add := func(h string) {
 			if h != "" && h != p.Title && h != id {
-				_ = tax.AddIsA(id, h, taxonomy.SourceTag, 1)
+				_ = tax.AddIsA(id, h, taxonomy.SourceTag)
 			}
 		}
 		// Tags: frequency filter plus a thematic-word lexicon (the

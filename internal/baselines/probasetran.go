@@ -180,7 +180,7 @@ func BuildProbaseTran(w *synth.World, cfg ProbaseTranConfig) (*taxonomy.Taxonomy
 			rep.DroppedTrans++
 			continue
 		}
-		if err := tax.AddIsA(p.hypo, p.hyper, taxonomy.SourceTranslation, 1); err != nil {
+		if err := tax.AddIsA(p.hypo, p.hyper, taxonomy.SourceTranslation); err != nil {
 			continue
 		}
 		if !w.IsConcept(p.hypo) {

@@ -79,7 +79,7 @@ func BuildWikiTaxonomy(c *encyclopedia.Corpus, cfg WikiTaxonomyConfig) *taxonomy
 			default:
 				// Error deliberately ignored: the only failure mode is
 				// a self-loop, excluded above.
-				_ = tax.AddIsA(id, t, taxonomy.SourceTag, 1)
+				_ = tax.AddIsA(id, t, taxonomy.SourceTag)
 			}
 		}
 	}

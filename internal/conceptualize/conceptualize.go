@@ -11,10 +11,10 @@
 //
 // The engine reads one model, the immutable serving.View, through its
 // ID-native surface: the text scan hands back each surface with its
-// mention-table row, every candidate entity is resolved name → ID once
-// per text, rankings and evidence totals are read by ID, and the
-// context and aggregate are keyed by concept ID in small pooled slices;
-// a concept's name is looked up only when the Result is written. The
+// mention-table row, whose candidate entities are node IDs, rankings
+// and evidence totals are read by ID, and the context and aggregate are
+// keyed by concept ID in small pooled slices; a name is looked up only
+// when the Result is written. The
 // resolve path takes no locks and, through ConceptualizeInto with
 // recycled buffers, allocates nothing per text. A build store is
 // conceptualized by compiling it first (serving.Compile); the
@@ -76,13 +76,6 @@ type Result struct {
 // experiment.
 func (r Result) Covered() bool { return len(r.Mentions) > 0 }
 
-// candidate is one entity a surface may mean, resolved to its node —
-// ok is false when the mention table names an entity that is no node.
-type candidate struct {
-	id uint32
-	ok bool
-}
-
 // concept is one weighted concept of a text, by node ID.
 type concept struct {
 	id    uint32
@@ -90,13 +83,11 @@ type concept struct {
 }
 
 // scratch is the pooled per-call state of ConceptualizeInto: the found
-// surfaces, their candidates resolved once (flat, in surface order),
-// the text's concept context and the chosen entities' aggregate. A text
-// touches a few candidates × a few concepts, so context and aggregate
-// are slices scanned linearly by ID, not maps.
+// surfaces, the text's concept context and the chosen entities'
+// aggregate. A text touches a few candidates × a few concepts, so
+// context and aggregate are slices scanned linearly by ID, not maps.
 type scratch struct {
 	found   []serving.Found
-	cands   []candidate
 	context []concept
 	agg     []concept
 }
@@ -129,22 +120,15 @@ func (e *Engine) ConceptualizeInto(res *Result, text string) {
 	v := e.v
 	sc := scratchPool.Get().(*scratch)
 	found := v.FindMentionsAppend(sc.found[:0], text)
-	cands, context, agg := sc.cands[:0], sc.context[:0], sc.agg[:0]
+	context, agg := sc.context[:0], sc.agg[:0]
 
-	// First pass: resolve every candidate, once, and collect its
-	// concepts for context agreement. most bounds the ranked concepts
-	// the chosen entities can bring: per surface, its widest candidate's.
+	// First pass: collect every candidate's concepts for context
+	// agreement. most bounds the ranked concepts the chosen entities can
+	// bring: per surface, its widest candidate's.
 	most := 0
 	for i := range found {
-		from := uint32(0) // a mention's entities ascend, so do their IDs
 		widest := 0
-		for _, name := range v.MentionEntities(found[i].Row) {
-			id, ok := v.ID(name, from)
-			cands = append(cands, candidate{id: id, ok: ok})
-			if !ok {
-				continue
-			}
-			from = id + 1
+		for _, id := range v.MentionEntities(found[i].Row) {
 			n := e.conceptCount(id)
 			widest = max(widest, n)
 			for r := range n {
@@ -159,19 +143,9 @@ func (e *Engine) ConceptualizeInto(res *Result, text string) {
 	// runs in mention order, so scores are bit-identical to the
 	// reference's.
 	total := 0.0
-	next := 0
 	for i := range found {
-		names := v.MentionEntities(found[i].Row)
-		if len(names) == 0 {
-			continue
-		}
-		mine := cands[next : next+len(names)]
-		next += len(names)
-		best := e.disambiguate(mine, context)
-		if !mine[best].ok {
-			continue
-		}
-		id := mine[best].id
+		cands := v.MentionEntities(found[i].Row)
+		id := cands[e.disambiguate(cands, context)]
 		n := e.conceptCount(id)
 		if n == 0 {
 			continue
@@ -196,8 +170,8 @@ func (e *Engine) ConceptualizeInto(res *Result, text string) {
 		}
 		res.Mentions = append(res.Mentions, Mention{
 			Surface:    found[i].Surface,
-			Entity:     names[best],
-			Candidates: len(names),
+			Entity:     v.Name(id),
+			Candidates: len(cands),
 			Concepts:   res.ranked[start:],
 		})
 	}
@@ -223,8 +197,8 @@ func (e *Engine) ConceptualizeInto(res *Result, text string) {
 		res.Concepts = []taxonomy.Scored{}
 	}
 
-	if cap(found) <= maxPooledScratch && cap(cands) <= maxPooledScratch && cap(context) <= maxPooledScratch && cap(agg) <= maxPooledScratch {
-		sc.found, sc.cands, sc.context, sc.agg = found, cands, context, agg
+	if cap(found) <= maxPooledScratch && cap(context) <= maxPooledScratch && cap(agg) <= maxPooledScratch {
+		sc.found, sc.context, sc.agg = found, context, agg
 		scratchPool.Put(sc)
 	}
 }
@@ -245,23 +219,21 @@ func (e *Engine) conceptCount(id uint32) int {
 // popularity (its isA edges' evidence counts — each edge's number of
 // sources — summed: a prior favoring the dominant sense) modulated by
 // agreement with the text's aggregate context (a mention of 刘德华
-// next to 专辑 resolves to the singer sense). A candidate that is no node scores zero.
+// next to 专辑 resolves to the singer sense). A candidate with no
+// hypernym scores zero.
 //
 //cnp:noalloc
-func (e *Engine) disambiguate(cands []candidate, context []concept) int {
+func (e *Engine) disambiguate(cands []uint32, context []concept) int {
 	best, bestScore := 0, -1.0
-	for i, c := range cands {
-		score := 0.0
-		if c.ok {
-			agree := 0.0
-			for r := range e.conceptCount(c.id) {
-				h, s := e.v.RankedHypernymAt(c.id, r)
-				if at := indexOf(context, h); at >= 0 {
-					agree += context[at].score * s
-				}
+	for i, id := range cands {
+		agree := 0.0
+		for r := range e.conceptCount(id) {
+			h, s := e.v.RankedHypernymAt(id, r)
+			if at := indexOf(context, h); at >= 0 {
+				agree += context[at].score * s
 			}
-			score = float64(e.v.EvidenceTotalOf(c.id)) * (1 + agree)
 		}
+		score := float64(e.v.EvidenceTotalOf(id)) * (1 + agree)
 		if score > bestScore {
 			best, bestScore = i, score
 		}

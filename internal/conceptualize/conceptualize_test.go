@@ -14,7 +14,7 @@ func fixture(t *testing.T) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
 	tx := taxonomy.New()
 	add := func(hypo, hyper string, n int) {
 		for _, src := range []taxonomy.Source{taxonomy.SourceTag, taxonomy.SourceBracket, taxonomy.SourceInfobox}[:n] {
-			if err := tx.AddIsA(hypo, hyper, src, 1); err != nil {
+			if err := tx.AddIsA(hypo, hyper, src); err != nil {
 				t.Fatal(err)
 			}
 		}

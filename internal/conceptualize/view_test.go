@@ -81,7 +81,7 @@ func TestViewMatchesStoreRandomized(t *testing.T) {
 			tx.MarkEntity(ent(i))
 			// Every fifth entity has no hypernyms at all.
 			for tries := 1 + rng.Intn(3); tries > 0 && i%5 != 4; tries-- {
-				if err := tx.AddIsA(ent(i), con(rng.Intn(nCon)), taxonomy.SourceTag, rng.Float64()); err != nil {
+				if err := tx.AddIsA(ent(i), con(rng.Intn(nCon)), taxonomy.SourceTag); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -129,7 +129,7 @@ func tieFixture(t *testing.T) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
 	tx := taxonomy.New()
 	add := func(hypo, hyper string, n int) {
 		for i := 0; i < n; i++ {
-			if err := tx.AddIsA(hypo, hyper, taxonomy.SourceTag, 1); err != nil {
+			if err := tx.AddIsA(hypo, hyper, taxonomy.SourceTag); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -171,7 +171,7 @@ func TestConceptBounds(t *testing.T) {
 	tx := taxonomy.New()
 	tx.MarkEntity("多概念实体")
 	for i := 0; i < 7; i++ {
-		if err := tx.AddIsA("多概念实体", fmt.Sprintf("概念%d", i), taxonomy.SourceTag, float64(i+1)); err != nil {
+		if err := tx.AddIsA("多概念实体", fmt.Sprintf("概念%d", i), taxonomy.SourceTag); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,10 +224,10 @@ func TestOverlappingMentions(t *testing.T) {
 	tx, m := fixture(t)
 	tx.MarkEntity("刘德（武术指导）")
 	tx.MarkEntity("德华（角色）")
-	if err := tx.AddIsA("刘德（武术指导）", "武术指导", taxonomy.SourceTag, 1); err != nil {
+	if err := tx.AddIsA("刘德（武术指导）", "武术指导", taxonomy.SourceTag); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.AddIsA("德华（角色）", "角色", taxonomy.SourceTag, 1); err != nil {
+	if err := tx.AddIsA("德华（角色）", "角色", taxonomy.SourceTag); err != nil {
 		t.Fatal(err)
 	}
 	m.Add("刘德", "刘德（武术指导）")
@@ -294,7 +294,7 @@ func TestScratchIsBounded(t *testing.T) {
 	for i := 0; i < maxPooledScratch+100; i++ {
 		id := fmt.Sprintf("实体%05d", i)
 		tx.MarkEntity(id)
-		if err := tx.AddIsA(id, fmt.Sprintf("概念%d", i%7), taxonomy.SourceTag, 1); err != nil {
+		if err := tx.AddIsA(id, fmt.Sprintf("概念%d", i%7), taxonomy.SourceTag); err != nil {
 			t.Fatal(err)
 		}
 		m.Add(id, id)
@@ -307,9 +307,9 @@ func TestScratchIsBounded(t *testing.T) {
 	}
 	for i := 0; i < 16; i++ {
 		sc := scratchPool.Get().(*scratch)
-		if cap(sc.found) > maxPooledScratch || cap(sc.cands) > maxPooledScratch || cap(sc.context) > maxPooledScratch {
-			t.Fatalf("pool kept scratch of %d surfaces / %d candidates / %d concepts (bound %d)",
-				cap(sc.found), cap(sc.cands), cap(sc.context), maxPooledScratch)
+		if cap(sc.found) > maxPooledScratch || cap(sc.context) > maxPooledScratch {
+			t.Fatalf("pool kept scratch of %d surfaces / %d concepts (bound %d)",
+				cap(sc.found), cap(sc.context), maxPooledScratch)
 		}
 	}
 	if raceEnabled {

@@ -34,7 +34,7 @@ func FuzzCandidateSet(f *testing.F) {
 		toNamed := func(cs []extract.Candidate) []named {
 			out := make([]named, len(cs))
 			for i, c := range cs {
-				out[i] = named{name(c.Hypo), name(c.Hyper), c.Source, c.Score}
+				out[i] = named{name(c.Hypo), name(c.Hyper), c.Source}
 			}
 			return out
 		}
@@ -52,13 +52,13 @@ func FuzzCandidateSet(f *testing.F) {
 				t.Fatalf("%s: not sorted by key: %v", op, got)
 			}
 		}
-		// Four bytes per element: hypo, hyper, then source and score,
-		// then which list it joins.
+		// Four bytes per element: hypo, hyper, source, then which list
+		// it joins.
 		var a, b, adds []extract.Candidate
 		var dropPick []byte
 		for rest := data[1:]; len(rest) >= 4; rest = rest[4:] {
 			c := extract.Candidate{Hypo: uint32(rest[0] % n), Hyper: uint32(rest[1] % n),
-				Source: taxonomy.Source(1 << (rest[2] % 4)), Score: float64(rest[2]>>2) / 63}
+				Source: taxonomy.Source(1 << (rest[2] % 4))}
 			switch rest[3] % 4 {
 			case 0:
 				a = append(a, c)

@@ -80,7 +80,8 @@ func (r *Result) takeChanges() {
 // their hypernyms re-ranked, and everything else is copied from the previous view's
 // arrays — one sequential copy of the arrays plus work proportional to
 // what changed, whatever the size of the taxonomy. With nothing
-// written, the previous view itself is returned. Either way the view
+// written, the previous view itself is returned, and the Report's
+// Publish reads zero touched nodes. Either way the view
 // answers, and serializes, exactly like serving.Compile(r.Taxonomy,
 // r.Mentions). Freeze updates the Result's bookkeeping, so it must not
 // run concurrently with itself or with Update.
@@ -94,7 +95,8 @@ func (r *Result) Freeze() *serving.View {
 	switch {
 	case inc.view == nil:
 	case len(inc.nodes)+len(inc.mentions) == 0:
-		return inc.view
+		// Nothing was written: the view is the last one, and this
+		// publication re-read no node (pub is zero).
 	default:
 		inc.view = serving.Patch(inc.view, r.Taxonomy, r.Mentions, inc.nodes, inc.mentions)
 	}

@@ -92,7 +92,7 @@ func naiveSubsumption(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options)
 		if _, dup := tax.EdgeOf(c1, c2); dup || tax.IsAncestor(c2, c1) {
 			continue
 		}
-		if err := tax.AddIsA(c1, c2, taxonomy.SourceSubsume, float64(overlap)/float64(n1)); err == nil {
+		if err := tax.AddIsA(c1, c2, taxonomy.SourceSubsume); err == nil {
 			tax.MarkConcept(c1)
 			added++
 		}
@@ -108,7 +108,7 @@ func naiveSubsumption(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options)
 // the last element.
 func TestEditCandidatesMatchesSplice(t *testing.T) {
 	pair := func(i int) extract.Candidate {
-		return extract.Candidate{Hypo: uint32(i / 3), Hyper: 1<<20 + uint32(i%3), Source: taxonomy.SourceTag, Score: float64(i)}
+		return extract.Candidate{Hypo: uint32(i / 3), Hyper: 1<<20 + uint32(i%3), Source: taxonomy.SourceTag}
 	}
 	rng := rand.New(rand.NewSource(20))
 	for round := 0; round < 400; round++ {
@@ -253,7 +253,6 @@ func TestUpdateRefreshesPerSource(t *testing.T) {
 		for _, f := range fresh {
 			if i, ok := findPair(union, f.Hypo, f.Hyper); ok {
 				union[i].Source |= f.Source
-				union[i].Score = max(union[i].Score, f.Score)
 				seen.regenerated++
 			} else {
 				brandNew = append(brandNew, f)

@@ -120,7 +120,7 @@ func addPages(tax *taxonomy.Taxonomy, mentions *taxonomy.MentionIndex, pages []e
 // the candidates, too little work to fan out.
 func assembleEdges(tax *taxonomy.Taxonomy, kept []extract.Candidate) error {
 	for i := range kept {
-		if err := tax.AddIsAID(kept[i].Hypo, kept[i].Hyper, kept[i].Source, kept[i].Score); err != nil {
+		if err := tax.AddIsAID(kept[i].Hypo, kept[i].Hyper, kept[i].Source); err != nil {
 			return err
 		}
 	}

@@ -428,7 +428,7 @@ func (p *Pipeline) generate(g *par.Group, sets chan<- candidateSet, c *encyclope
 		sep := extract.NewSeparator(seg, stats)
 		return emit(pl, len(c.Pages), func(i int, b *extract.Batch) {
 			for _, h := range sep.Hypernyms(c.Pages[i].Title, c.Pages[i].Bracket) {
-				b.Add(hypos[i], h, taxonomy.SourceBracket, 1)
+				b.Add(hypos[i], h, taxonomy.SourceBracket)
 			}
 		})
 	})

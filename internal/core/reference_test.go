@@ -17,19 +17,13 @@ import (
 type named struct {
 	Hypo, Hyper string
 	Source      taxonomy.Source
-	Score       float64
 }
 
 func compareNamed(a, b named) int {
 	return cmp.Or(strings.Compare(a.Hypo, b.Hypo), strings.Compare(a.Hyper, b.Hyper))
 }
 
-func (c *named) absorb(dup *named) {
-	c.Source |= dup.Source
-	if dup.Score > c.Score {
-		c.Score = dup.Score
-	}
-}
+func (c *named) absorb(dup *named) { c.Source |= dup.Source }
 
 func dedupeNamed(cands []named) []named {
 	if len(cands) == 0 {

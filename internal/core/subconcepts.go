@@ -97,7 +97,7 @@ func deriveHeads(tax *taxonomy.Taxonomy, eval []string, supported map[string]boo
 		if e, ok := tax.EdgeOf(l.concept, l.head); ok && e.Sources&taxonomy.SourceMorph != 0 {
 			continue // derived before
 		}
-		if err := tax.AddIsA(l.concept, l.head, taxonomy.SourceMorph, 1); err == nil {
+		if err := tax.AddIsA(l.concept, l.head, taxonomy.SourceMorph); err == nil {
 			added++
 		}
 	}
@@ -149,7 +149,7 @@ func deriveSubsumption(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options
 		if _, dup := tax.EdgeOf(p.Sub, p.Super); dup || tax.IsAncestor(p.Super, p.Sub) {
 			continue // avoid duplicates and 2-cycles
 		}
-		if err := tax.AddIsA(p.Sub, p.Super, taxonomy.SourceSubsume, ratio); err == nil {
+		if err := tax.AddIsA(p.Sub, p.Super, taxonomy.SourceSubsume); err == nil {
 			tax.MarkConcept(p.Sub)
 			added++
 		}

@@ -109,9 +109,8 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 	// ---- the candidate union, without building it ----
 	// The union is previously kept pairs plus the fresh delta. A fresh
 	// pair either is new to the kept list or regenerates a kept pair,
-	// whose provenance it then extends where it sits (sources OR-ed,
-	// maximum score — what extract.Dedupe over the concatenation would
-	// produce).
+	// whose provenance it then extends where it sits (sources OR-ed —
+	// what extract.Dedupe over the concatenation would produce).
 	var brandNew []extract.Candidate
 	generated := keptTally(prev)
 	for _, c := range fresh {
@@ -124,7 +123,6 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 		k := &prev.Kept[i]
 		generated.add(c.Source&^k.Source, 1)
 		k.Source |= c.Source
-		k.Score = max(k.Score, c.Score)
 	}
 	union := len(prev.Kept) + len(brandNew)
 

@@ -16,7 +16,7 @@ func (m truthMap) TruthHypernyms(id string) []string { return m[id] }
 func TestCoverage(t *testing.T) {
 	tx := taxonomy.New()
 	add := func(a, b string) {
-		if err := tx.AddIsA(a, b, taxonomy.SourceTag, 1); err != nil {
+		if err := tx.AddIsA(a, b, taxonomy.SourceTag); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,7 +61,7 @@ func TestCoverageOfViewMatchesStore(t *testing.T) {
 	var ids []string
 	for i := 0; i < 200; i++ {
 		a, b := fmt.Sprintf("节点%02d", rng.Intn(40)), fmt.Sprintf("节点%02d", rng.Intn(40))
-		_ = tx.AddIsA(a, b, taxonomy.SourceTag, 1)
+		_ = tx.AddIsA(a, b, taxonomy.SourceTag)
 		truth[a] = append(truth[a], fmt.Sprintf("节点%02d", rng.Intn(40)))
 	}
 	var want CoverageResult

@@ -53,10 +53,10 @@ func TestSamplePrecisionEmpty(t *testing.T) {
 
 func TestEdgePairsSourceFilter(t *testing.T) {
 	tx := taxonomy.New()
-	if err := tx.AddIsA("a", "b", taxonomy.SourceBracket, 1); err != nil {
+	if err := tx.AddIsA("a", "b", taxonomy.SourceBracket); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.AddIsA("a", "c", taxonomy.SourceTag, 1); err != nil {
+	if err := tx.AddIsA("a", "c", taxonomy.SourceTag); err != nil {
 		t.Fatal(err)
 	}
 	all := EdgePairs(tx.Edges(), 0)
@@ -72,7 +72,7 @@ func TestEdgePairsSourceFilter(t *testing.T) {
 func TestRowForAndFormat(t *testing.T) {
 	tx := taxonomy.New()
 	tx.MarkEntity("e")
-	if err := tx.AddIsA("e", "c", taxonomy.SourceTag, 1); err != nil {
+	if err := tx.AddIsA("e", "c", taxonomy.SourceTag); err != nil {
 		t.Fatal(err)
 	}
 	row := RowFor("测试", tx, mapJudge{"e|c": true}, 0, 1)

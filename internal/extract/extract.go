@@ -32,8 +32,6 @@ type Candidate struct {
 	Hyper uint32
 	// Source records the generating algorithm.
 	Source taxonomy.Source
-	// Score is a source-specific confidence in [0, 1].
-	Score float64
 }
 
 // Key packs the pair into one integer; keys order candidates by (Hypo,
@@ -52,7 +50,7 @@ type Batch struct {
 }
 
 // Add emits isA(hypo, hyper).
-func (b *Batch) Add(hypo uint32, hyper string, src taxonomy.Source, score float64) {
+func (b *Batch) Add(hypo uint32, hyper string, src taxonomy.Source) {
 	i, ok := b.index[hyper]
 	if !ok {
 		if b.index == nil {
@@ -62,7 +60,7 @@ func (b *Batch) Add(hypo uint32, hyper string, src taxonomy.Source, score float6
 		b.index[hyper] = i
 		b.Names = append(b.Names, hyper)
 	}
-	b.Cands = append(b.Cands, Candidate{Hypo: hypo, Hyper: i, Source: src, Score: score})
+	b.Cands = append(b.Cands, Candidate{Hypo: hypo, Hyper: i, Source: src})
 }
 
 // Resolve interns the batches' hypernyms into syms — batch by batch,
@@ -104,20 +102,12 @@ func Tags(page *encyclopedia.Page, hypo uint32, b *Batch) {
 		if !validHypernym(tag) || tag == page.Title {
 			continue
 		}
-		b.Add(hypo, tag, taxonomy.SourceTag, 1)
+		b.Add(hypo, tag, taxonomy.SourceTag)
 	}
 }
 
-// absorb folds a duplicate of c's pair into c.
-func (c *Candidate) absorb(dup *Candidate) {
-	c.Source |= dup.Source
-	if dup.Score > c.Score {
-		c.Score = dup.Score
-	}
-}
-
-// Dedupe merges duplicate (hypo, hyper) candidates, OR-ing sources and
-// keeping the maximum score, and returns them sorted by key, the
+// Dedupe merges duplicate (hypo, hyper) candidates, OR-ing sources,
+// and returns them sorted by key, the
 // slice's capacity clipped to their number. cands is left untouched.
 func Dedupe(cands []Candidate) []Candidate {
 	if len(cands) == 0 {
@@ -132,7 +122,7 @@ func Dedupe(cands []Candidate) []Candidate {
 	n := 0
 	for i := 1; i < len(out); i++ {
 		if out[i].Key() == out[n].Key() {
-			out[n].absorb(&out[i])
+			out[n].Source |= out[i].Source
 			continue
 		}
 		n++
@@ -173,7 +163,7 @@ func Union(a, b []Candidate) []Candidate {
 		out = append(out, a[i])
 		i++
 		if c == 0 {
-			out[len(out)-1].absorb(&b[j])
+			out[len(out)-1].Source |= b[j].Source
 			j++
 		}
 	}

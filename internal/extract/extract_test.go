@@ -127,9 +127,9 @@ func TestTagsExtraction(t *testing.T) {
 		t.Fatalf("Tags named %q, want %q", b.Names, want)
 	}
 	want := []Candidate{
-		{Hypo: 7, Hyper: 0, Source: taxonomy.SourceTag, Score: 1},
-		{Hypo: 7, Hyper: 1, Source: taxonomy.SourceTag, Score: 1},
-		{Hypo: 7, Hyper: 0, Source: taxonomy.SourceTag, Score: 1},
+		{Hypo: 7, Hyper: 0, Source: taxonomy.SourceTag},
+		{Hypo: 7, Hyper: 1, Source: taxonomy.SourceTag},
+		{Hypo: 7, Hyper: 0, Source: taxonomy.SourceTag},
 	}
 	if !reflect.DeepEqual(b.Cands, want) {
 		t.Fatalf("Tags = %+v, want %+v", b.Cands, want)
@@ -148,9 +148,9 @@ func TestResolveFirstSeenOrder(t *testing.T) {
 		var a, b Batch
 		for i, h := range stream {
 			if i < cut {
-				a.Add(0, h, taxonomy.SourceTag, 1)
+				a.Add(0, h, taxonomy.SourceTag)
 			} else {
-				b.Add(0, h, taxonomy.SourceTag, 1)
+				b.Add(0, h, taxonomy.SourceTag)
 			}
 		}
 		got := Resolve(syms, []Batch{a, b})
@@ -168,9 +168,9 @@ func TestResolveFirstSeenOrder(t *testing.T) {
 
 func TestDedupe(t *testing.T) {
 	in := []Candidate{
-		{Hypo: 1, Hyper: 2, Source: taxonomy.SourceTag, Score: 0.5},
-		{Hypo: 1, Hyper: 2, Source: taxonomy.SourceBracket, Score: 0.9},
-		{Hypo: 1, Hyper: 3, Source: taxonomy.SourceTag, Score: 1},
+		{Hypo: 1, Hyper: 2, Source: taxonomy.SourceTag},
+		{Hypo: 1, Hyper: 2, Source: taxonomy.SourceBracket},
+		{Hypo: 1, Hyper: 3, Source: taxonomy.SourceTag},
 	}
 	out := Dedupe(in)
 	if len(out) != 2 {
@@ -183,9 +183,6 @@ func TestDedupe(t *testing.T) {
 	if first.Source&taxonomy.SourceTag == 0 || first.Source&taxonomy.SourceBracket == 0 {
 		t.Errorf("sources not merged: %v", first.Source)
 	}
-	if first.Score != 0.9 {
-		t.Errorf("score = %v, want max 0.9", first.Score)
-	}
 
 	// Against the hash-and-sort formulation, on inputs dense in
 	// duplicates: same candidates in the same order, input untouched,
@@ -196,17 +193,16 @@ func TestDedupe(t *testing.T) {
 		for i := range in {
 			in[i] = Candidate{
 				Hypo: uint32(rng.Intn(12)), Hyper: uint32(rng.Intn(6)) << 30,
-				Source: taxonomy.Source(1 << rng.Intn(4)), Score: float64(rng.Intn(5)) / 4,
+				Source: taxonomy.Source(1 << rng.Intn(4)),
 			}
 		}
-		orig := append([]Candidate(nil), in...)
+		orig := slices.Clone(in) // empty, not nil, when in is
 		type key struct{ hypo, hyper uint32 }
 		idx := make(map[key]int)
 		var want []Candidate
 		for _, c := range in {
 			if i, ok := idx[key{c.Hypo, c.Hyper}]; ok {
 				want[i].Source |= c.Source
-				want[i].Score = max(want[i].Score, c.Score)
 				continue
 			}
 			idx[key{c.Hypo, c.Hyper}] = len(want)
@@ -282,7 +278,7 @@ func TestPredicateDiscovery(t *testing.T) {
 	hypos := pageIDs(c)
 	var prior Batch
 	for i := range c.Pages {
-		prior.Add(hypos[i], "演员", taxonomy.SourceBracket, 1)
+		prior.Add(hypos[i], "演员", taxonomy.SourceBracket)
 	}
 	pd := PredicateDiscovery{MinAligned: 1, MinScore: 0.5, MaxSelected: 12}
 	cands, selected := pd.Discover(c, hypos, NewPrior([]Batch{prior}))

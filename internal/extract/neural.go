@@ -96,6 +96,6 @@ func (n *Neural) Extract(page *encyclopedia.Page, hypo uint32, b *Batch) {
 	}
 	tokens := n.model.Generate(src)
 	if concept := strings.Join(tokens, ""); validHypernym(concept) && concept != page.Title {
-		b.Add(hypo, concept, taxonomy.SourceAbstract, 0.8)
+		b.Add(hypo, concept, taxonomy.SourceAbstract)
 	}
 }

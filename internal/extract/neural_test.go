@@ -16,8 +16,8 @@ func TestBuildDistantDataset(t *testing.T) {
 		{Title: "无摘要", Bracket: "歌手"}, // no abstract → no sample
 	}}
 	var bracket Batch
-	bracket.Add(10, "男演员", taxonomy.SourceBracket, 1)
-	bracket.Add(11, "歌手", taxonomy.SourceBracket, 1)
+	bracket.Add(10, "男演员", taxonomy.SourceBracket)
+	bracket.Add(11, "歌手", taxonomy.SourceBracket)
 	samples := BuildDistantDataset(c, []uint32{10, 11}, []Batch{bracket}, seg)
 	if len(samples) != 1 {
 		t.Fatalf("samples = %+v, want 1", samples)

@@ -124,7 +124,7 @@ func ExtractInfobox(pages []encyclopedia.Page, hypos []uint32, predicates []stri
 			if !sel[t.Predicate] || !validHypernym(t.Object) || t.Object == page.Title {
 				continue
 			}
-			b.Add(hypos[i], t.Object, taxonomy.SourceInfobox, 1)
+			b.Add(hypos[i], t.Object, taxonomy.SourceInfobox)
 		}
 	}
 }

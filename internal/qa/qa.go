@@ -11,8 +11,9 @@
 //
 // Evaluation and the /api/qa endpoint read one model, the immutable
 // serving.View, through its ID-native surface: mentions come back from
-// the text scan with their table rows, a mention's concept union is
-// built from its candidates' ascending hypernym-ID segments, and the
+// the text scan with their table rows, whose candidate entities are
+// node IDs, a mention's concept union is built from its candidates'
+// ascending hypernym-ID segments, and the
 // 2–6-rune concept windows of a start position are one prefix narrowing
 // over the sorted name table. A build store is evaluated by compiling
 // it first (serving.Compile); the string-keyed algorithm this replaced
@@ -159,13 +160,9 @@ func EvaluateSource(questions []Question, v *serving.View) CoverageResult {
 //cnp:noalloc
 func firstConceptCount(v *serving.View, found []serving.Found) int {
 	for i := range found {
-		from := uint32(0) // a mention's entities ascend, so do their IDs
-		for _, name := range v.MentionEntities(found[i].Row) {
-			if id, ok := v.ID(name, from); ok {
-				if n := len(v.HypernymIDsOf(id)); n > 0 {
-					return n
-				}
-				from = id + 1
+		for _, id := range v.MentionEntities(found[i].Row) {
+			if n := len(v.HypernymIDsOf(id)); n > 0 {
+				return n
 			}
 		}
 	}
@@ -200,47 +197,44 @@ type Understanding struct {
 // agrees with EvaluateSource question by question — the endpoint and
 // the batch experiment cannot drift apart. The scan and the concept
 // union run in stack buffers an ordinary question fits, so only the
-// returned slices are allocated; Entities is shared with the view: do
-// not modify it.
+// returned slices are allocated: the mention list, and per mention one
+// array behind its Entities and Concepts.
 func Understand(text string, v *serving.View) Understanding {
 	var u Understanding
 	var foundBuf [8]serving.Found
 	var idBuf [64]uint32
 	for _, f := range v.FindMentionsAppend(foundBuf[:0], text) {
-		names := v.MentionEntities(f.Row)
-		if len(names) == 0 {
-			continue
-		}
+		ents := v.MentionEntities(f.Row)
 		// Hypernym IDs ascend with names, so the sorted union of the
 		// candidates' concepts is their ID segments merged.
-		ids, from := idBuf[:0], uint32(0)
-		for _, name := range names {
-			if id, ok := v.ID(name, from); ok {
-				ids = append(ids, v.HypernymIDsOf(id)...)
-				from = id + 1
-			}
+		ids := idBuf[:0]
+		for _, id := range ents {
+			ids = append(ids, v.HypernymIDsOf(id)...)
 		}
 		slices.Sort(ids)
 		ids = slices.Compact(ids)
 		if len(ids) > 0 {
 			u.Covered = true
 		}
-		u.Mentions = append(u.Mentions, EntityMention{Surface: f.Surface, Entities: names, Concepts: nodeNames(v, ids)})
+		// One array holds the mention's entity names, then its concepts'.
+		names := make([]string, 0, len(ents)+len(ids))
+		for _, id := range ents {
+			names = append(names, v.Name(id))
+		}
+		for _, id := range ids {
+			names = append(names, v.Name(id))
+		}
+		u.Mentions = append(u.Mentions, EntityMention{
+			Surface:  f.Surface,
+			Entities: names[:len(ents):len(ents)],
+			Concepts: names[len(ents):],
+		})
 	}
 	u.Concepts = conceptWindows(text, v)
 	if len(u.Concepts) > 0 {
 		u.Covered = true
 	}
 	return u
-}
-
-// nodeNames resolves IDs to a fresh, never-nil name slice.
-func nodeNames(v *serving.View, ids []uint32) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = v.Name(id)
-	}
-	return out
 }
 
 // validText returns text with every invalid byte re-encoded as U+FFFD —

@@ -61,7 +61,7 @@ func TestEvaluateCoverage(t *testing.T) {
 	// Handmade taxonomy: one entity known, plus the concept 演员.
 	tax := taxonomy.New()
 	tax.MarkEntity("刘德华（演员）")
-	if err := tax.AddIsA("刘德华（演员）", "演员", taxonomy.SourceTag, 1); err != nil {
+	if err := tax.AddIsA("刘德华（演员）", "演员", taxonomy.SourceTag); err != nil {
 		t.Fatal(err)
 	}
 	tax.MarkConcept("演员")

@@ -39,7 +39,7 @@ func randWorld(t *testing.T, seed int64) (reference, map[string]*serving.View, [
 		// Some entities get no concepts: mentioning them must not
 		// count as coverage.
 		for tries := rng.Intn(4); tries > 0; tries-- {
-			if err := tax.AddIsA(ent(i), cons[rng.Intn(len(cons))], taxonomy.SourceTag, rng.Float64()); err != nil {
+			if err := tax.AddIsA(ent(i), cons[rng.Intn(len(cons))], taxonomy.SourceTag); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -133,8 +133,9 @@ func TestUnderstandMatchesEvaluate(t *testing.T) {
 }
 
 // TestUnderstandAllocations pins what Understand may allocate: its
-// returned slices and nothing else — the scan, the candidate
-// resolution, the concept union and the window search run in stack
+// returned slices and nothing else — the mention list, one array per
+// mention behind its entity and concept names, and the concept list;
+// the scan, the concept union and the window search run in stack
 // buffers an ordinary question fits.
 func TestUnderstandAllocations(t *testing.T) {
 	if raceEnabled {
@@ -147,7 +148,7 @@ func TestUnderstandAllocations(t *testing.T) {
 			max  float64
 		}{
 			{"今天天气怎么样？", 0},
-			{"孤词是谁？", 1},      // Mentions (its empty Concepts is no allocation)
+			{"孤词是谁？", 2},      // Mentions, and its entity names (no concept)
 			{"有哪些著名的概念1？", 1}, // Concepts
 		} {
 			Understand(c.text, v) // warm the scan's pool
@@ -163,10 +164,10 @@ func TestUnderstandShape(t *testing.T) {
 	tax := taxonomy.New()
 	tax.MarkEntity("刘德华（演员）")
 	tax.MarkEntity("刘德华（作家）")
-	if err := tax.AddIsA("刘德华（演员）", "演员", taxonomy.SourceTag, 1); err != nil {
+	if err := tax.AddIsA("刘德华（演员）", "演员", taxonomy.SourceTag); err != nil {
 		t.Fatal(err)
 	}
-	if err := tax.AddIsA("刘德华（作家）", "作家", taxonomy.SourceTag, 1); err != nil {
+	if err := tax.AddIsA("刘德华（作家）", "作家", taxonomy.SourceTag); err != nil {
 		t.Fatal(err)
 	}
 	mentions := taxonomy.NewMentionIndex()

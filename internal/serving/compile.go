@@ -14,12 +14,20 @@ import (
 // P(concept | entity) from their evidence counts — each edge's number
 // of sources.
 // The store hands its content over already in that order, hypernyms
-// resolved to positions (taxonomy.ReadAll), so compiling hashes and
-// compares no name. The view is laid out as a mapped one is (see
-// OpenImage): sorted tables and flat arrays, no index beside them, so
-// what it allocates does not grow with the store. The store's sorted
-// names and mentions are concatenated once into the view's two arenas,
-// each held, like the image's, to 4 GiB (past that Compile panics).
+// resolved to positions (taxonomy.ReadAll), and a mention's entities
+// are resolved to node IDs through the store's symbol table, so
+// compiling searches no sorted table per edge or per mention entity.
+// The view is laid out as a mapped one is (see OpenImage): sorted
+// tables and flat arrays, no index beside them, so what it allocates
+// does not grow with the store. The store's sorted names and mentions
+// are concatenated once into the view's two arenas, each held, like the
+// image's, to 4 GiB (past that Compile panics).
+//
+// Every entity a mention names is a node of the view: one the store
+// holds no node for (a hand-built index can name any string) is a node
+// of unknown kind with no edge, which every query but ID, Name and
+// Nodes answers for as for a name the view does not know.
+//
 // Later writes to the store are not reflected; compile again, or
 // Patch, and swap.
 func Compile(t *taxonomy.Taxonomy, m *taxonomy.MentionIndex) *View {
@@ -27,7 +35,7 @@ func Compile(t *taxonomy.Taxonomy, m *taxonomy.MentionIndex) *View {
 	if m != nil {
 		ch.mentions = m.Sorted()
 	}
-	return assemble(&View{}, ch)
+	return build(&View{}, t, ch)
 }
 
 // Patch returns the view Compile(t, m) would build, assembled from
@@ -39,15 +47,14 @@ func Compile(t *taxonomy.Taxonomy, m *taxonomy.MentionIndex) *View {
 // without duplicates. Everything else is copied from prev's arrays
 // with node IDs shifted past the nodes that appeared or vanished, so
 // the cost is one pass over the arrays plus work proportional to the
-// named nodes' adjacency.
+// named nodes' adjacency and mentions.
 //
 // The result is an ordinary View with the same layout, the same
-// answers and the same image bytes as a full compile. prev must be a
-// heap view: a patched view copies prev's name and mention bytes but
-// shares its mention-entity strings. Patch returns nil
-// when the names do not cover the difference (the store was written
-// while Patch read it, or prev belongs to another store); compile in
-// full then.
+// answers and the same image bytes as a full compile. prev may have
+// any backing: a patched view copies everything it keeps. Patch
+// returns nil when the names do not cover the difference (the store
+// was written while Patch read it, or prev belongs to another store);
+// compile in full then.
 func Patch(prev *View, t *taxonomy.Taxonomy, m *taxonomy.MentionIndex, nodes, mentions []string) *View {
 	ch := &change{NodeSet: t.ReadNodes(nodes)}
 	for _, mention := range mentions {
@@ -55,12 +62,12 @@ func Patch(prev *View, t *taxonomy.Taxonomy, m *taxonomy.MentionIndex, nodes, me
 			ch.mentions = append(ch.mentions, taxonomy.MentionEntry{Mention: mention, IDs: ids})
 		}
 	}
-	return assemble(prev, ch)
+	return build(prev, t, ch)
 }
 
 // change is what assemble folds over a previous view: the current
 // state of every node that may differ from it, and of every mention
-// whose ID list may. A full compile is the change that names
+// whose entity list may. A full compile is the change that names
 // everything, folded over the empty view.
 type change struct {
 	// The nodes, as the store reads them out in canonical order. An edge
@@ -77,13 +84,42 @@ type run struct{ lo, hi, at uint32 }
 // gone marks a node that has no ID in the new view.
 const gone = ^uint32(0)
 
+// build assembles the change over prev. A mention entity that would be
+// no node of the result — a name the store holds no node for, or a
+// node of prev the change reads as absent — is read again with the
+// change's nodes and kept as a node of unknown kind with no edge, and
+// the view assembled again, which resolves every entity. The
+// pipeline's mentions name nodes of the store, so it assembles once.
+func build(prev *View, t *taxonomy.Taxonomy, ch *change) *View {
+	v, missing := assemble(prev, ch)
+	if len(missing) == 0 {
+		return v
+	}
+	slices.Sort(missing)
+	missing = slices.Compact(missing)
+	names := slices.Concat(ch.Names, missing)
+	slices.Sort(names)
+	names = slices.Compact(names)
+	ch.NodeSet = t.ReadNodes(names)
+	for i, j := 0, 0; j < len(missing); i++ {
+		if names[i] == missing[j] {
+			ch.Absent[i] = false // read as absent: of no kind, without edges
+			j++
+		}
+	}
+	v, _ = assemble(prev, ch)
+	return v
+}
+
 // assemble is the one array-assembly routine behind Compile and Patch.
 // Nodes the change names are written from the change; the stretches of
 // prev between them are block-copied, the node IDs inside them
-// renumbered through a monotone old → new table. It returns nil when
-// the change does not cover the difference: a carried-over or restated
-// edge points at a node the new view lacks.
-func assemble(prev *View, ch *change) *View {
+// renumbered through a monotone old → new table. It returns a nil view
+// when the change does not cover the difference: a carried-over or
+// restated edge points at a node the new view lacks. When a mention
+// entity is no node of the new view, it returns a nil view and the
+// names of all such entities (see build).
+func assemble(prev *View, ch *change) (*View, []string) {
 	// ---- plan: interleave prev's untouched runs with the named nodes ----
 	var runs []run
 	remap := make([]uint32, prev.names.len()) // prev ID → new ID, or gone
@@ -151,61 +187,11 @@ func assemble(prev *View, ch *change) *View {
 		id++
 	}
 
-	// ---- hypernym CSR: the canonical edge arrays, laid out in ID order
-	// (runs and named nodes interleave by construction) ----
-	v.hyperIDs = make([]uint32, e)
-	v.edgeSources = make([]taxonomy.Source, e)
-	v.edgeScores = make([]float64, e)
-	covered := true
-	off := uint32(0)
-	ri, ci = 0, 0
-	for id := uint32(0); id < n; {
-		if ri < len(runs) && runs[ri].at == id {
-			r := runs[ri]
-			ri++
-			a, b := prev.hyperOff[r.lo], prev.hyperOff[r.hi]
-			for i := r.lo; i < r.hi; i++ {
-				v.hyperOff[id+(i-r.lo)] = prev.hyperOff[i] - a + off
-			}
-			for j := a; j < b; j++ {
-				hyperID := remap[prev.hyperIDs[j]]
-				covered = covered && hyperID != gone
-				v.hyperIDs[off+(j-a)] = hyperID
-			}
-			copy(v.edgeSources[off:], prev.edgeSources[a:b])
-			copy(v.edgeScores[off:], prev.edgeScores[a:b])
-			off += b - a
-			id += r.hi - r.lo
-			continue
-		}
-		for at[ci] != id {
-			ci++
-		}
-		v.hyperOff[id] = off
-		for _, edge := range ch.Edges[ch.EdgeOff[ci]:ch.EdgeOff[ci+1]] {
-			hyperID := gone
-			if edge.At >= 0 {
-				hyperID = at[edge.At]
-			} else if id, ok := v.ID(edge.Hyper, 0); ok {
-				hyperID = id
-			}
-			covered = covered && hyperID != gone
-			v.hyperIDs[off] = hyperID
-			v.edgeSources[off] = edge.Sources
-			v.edgeScores[off] = edge.Score
-			off++
-		}
-		ci++
-		id++
-	}
-	v.hyperOff[n] = off
-	if !covered {
-		return nil
-	}
-	v.derive(prev, runs, remap, fresh)
-
-	// ---- flat sorted mention table: prev's rows, with the change's
-	// entries replacing them or slotting in between ----
+	// ---- flat sorted mention table: prev's rows, their entities
+	// renumbered, with the change's entries replacing them or slotting
+	// in between, their entities resolved to node IDs — through the
+	// store's symbol table when the change is a full read
+	// (NodeSet.Find), by a search of the new names otherwise ----
 	rows, ents, menBytes := prev.mentions.len()+len(ch.mentions), len(prev.mentionEnts), len(prev.mentions.arena)
 	for i := range ch.mentions {
 		ents += len(ch.mentions[i].IDs)
@@ -213,7 +199,8 @@ func assemble(prev *View, ch *change) *View {
 	}
 	v.mentions = newTable(rows, menBytes)
 	v.mentionOff = make([]uint32, 0, rows+1)
-	v.mentionEnts = make([]string, 0, ents)
+	v.mentionEnts = make([]uint32, 0, ents)
+	var missing []string
 	p = 0
 	keepRows := func(hi uint32) {
 		if hi > p {
@@ -223,7 +210,12 @@ func assemble(prev *View, ch *change) *View {
 			for _, o := range prev.mentionOff[p:hi] {
 				v.mentionOff = append(v.mentionOff, o+shift)
 			}
-			v.mentionEnts = append(v.mentionEnts, prev.mentionEnts[a:b]...)
+			for _, id := range prev.mentionEnts[a:b] {
+				if remap[id] == gone {
+					missing = append(missing, prev.Name(id))
+				}
+				v.mentionEnts = append(v.mentionEnts, remap[id])
+			}
 			p = hi
 		}
 	}
@@ -242,12 +234,80 @@ func assemble(prev *View, ch *change) *View {
 		}
 		v.mentions.push(entry.Mention)
 		v.mentionOff = append(v.mentionOff, uint32(len(v.mentionEnts)))
-		v.mentionEnts = append(v.mentionEnts, entry.IDs...)
+		from := uint32(0) // the entities ascend, so do their IDs
+		for _, name := range entry.IDs {
+			var id uint32
+			var ok bool
+			if c := ch.Find(name); c >= 0 {
+				id, ok = at[c], at[c] != gone
+			} else {
+				id, ok = v.ID(name, from)
+			}
+			if !ok {
+				missing = append(missing, name)
+				continue
+			}
+			v.mentionEnts = append(v.mentionEnts, id)
+			from = id + 1
+		}
 		v.mentionFirst.add(entry.Mention)
 	}
 	keepRows(uint32(prev.mentions.len()))
 	v.mentionOff = append(v.mentionOff, uint32(len(v.mentionEnts)))
-	return v
+	if len(missing) > 0 {
+		return nil, missing
+	}
+
+	// ---- hypernym CSR: the canonical edge arrays, laid out in ID order
+	// (runs and named nodes interleave by construction) ----
+	v.hyperIDs = make([]uint32, e)
+	v.edgeSources = make([]taxonomy.Source, e)
+	covered := true
+	off := uint32(0)
+	ri, ci = 0, 0
+	for id := uint32(0); id < n; {
+		if ri < len(runs) && runs[ri].at == id {
+			r := runs[ri]
+			ri++
+			a, b := prev.hyperOff[r.lo], prev.hyperOff[r.hi]
+			for i := r.lo; i < r.hi; i++ {
+				v.hyperOff[id+(i-r.lo)] = prev.hyperOff[i] - a + off
+			}
+			for j := a; j < b; j++ {
+				hyperID := remap[prev.hyperIDs[j]]
+				covered = covered && hyperID != gone
+				v.hyperIDs[off+(j-a)] = hyperID
+			}
+			copy(v.edgeSources[off:], prev.edgeSources[a:b])
+			off += b - a
+			id += r.hi - r.lo
+			continue
+		}
+		for at[ci] != id {
+			ci++
+		}
+		v.hyperOff[id] = off
+		for _, edge := range ch.Edges[ch.EdgeOff[ci]:ch.EdgeOff[ci+1]] {
+			hyperID := gone
+			if edge.At >= 0 {
+				hyperID = at[edge.At]
+			} else if id, ok := v.ID(edge.Hyper, 0); ok {
+				hyperID = id
+			}
+			covered = covered && hyperID != gone
+			v.hyperIDs[off] = hyperID
+			v.edgeSources[off] = edge.Sources
+			off++
+		}
+		ci++
+		id++
+	}
+	v.hyperOff[n] = off
+	if !covered {
+		return nil, nil
+	}
+	v.derive(prev, runs, remap, fresh)
+	return v, nil
 }
 
 // newTable returns an empty table with room for rows entries of

@@ -96,12 +96,12 @@ func (v *View) FindMentionsAppend(dst []Found, text string) []Found {
 	return dst
 }
 
-// MentionEntities returns the entity IDs of mention-table row — what
-// Lookup answers for that row's mention. The returned slice is shared:
-// do not modify it.
+// MentionEntities returns the entities of mention-table row as node
+// IDs, ascending — what Lookup answers for that row's mention, by
+// Name. The returned slice is shared: do not modify it.
 //
 //cnp:noalloc
-func (v *View) MentionEntities(row int32) []string {
+func (v *View) MentionEntities(row int32) []uint32 {
 	return v.mentionEnts[v.mentionOff[row]:v.mentionOff[row+1]]
 }
 

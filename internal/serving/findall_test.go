@@ -157,7 +157,11 @@ func requireScanMatchesIndex(t *testing.T, views map[string]*serving.View, m *ta
 		var got []string
 		for _, f := range found {
 			got = append(got, f.Surface)
-			if ents, want := v.MentionEntities(f.Row), m.Lookup(f.Surface); fmt.Sprint(ents) != fmt.Sprint(want) {
+			var ents []string
+			for _, id := range v.MentionEntities(f.Row) {
+				ents = append(ents, v.Name(id))
+			}
+			if want := m.Lookup(f.Surface); fmt.Sprint(ents) != fmt.Sprint(want) {
 				t.Errorf("%s view, text %q: surface %q row %d resolves to %q, Lookup says %q", name, text, f.Surface, f.Row, ents, want)
 			}
 			if row, ok := v.MentionRow(f.Surface, 0); f.Row < 0 || !ok || row != uint32(f.Row) {

@@ -12,32 +12,30 @@ import (
 	"cnprobase/internal/taxonomy"
 )
 
-// The snapshot's "view image" (format version 5): the View's
+// The snapshot's "view image" (format version 6): the View's
 // canonical arrays serialized as fixed-width little-endian blocks plus
-// interned string arenas, laid out so a page-aligned mapping of the
+// two string arenas, laid out so a page-aligned mapping of the
 // snapshot file can be used as the View's backing storage without a
 // decode pass.
 //
 // Payload layout (offsets are absolute file offsets; `base` is the
 // file offset the payload starts at):
 //
-//	preamble (56 bytes): 7 × u64 LE —
-//	    n (nodes), e (edges), m (mentions), me (mention-entity IDs),
-//	    len(name arena), len(mention arena), len(mention-entity arena)
-//	then 12 blocks, each preceded by zero padding up to the next
+//	preamble (48 bytes): 6 × u64 LE —
+//	    n (nodes), e (edges), m (mentions), me (mention entities),
+//	    len(name arena), len(mention arena)
+//	then 10 blocks, each preceded by zero padding up to the next
 //	8-aligned file offset:
 //	     1. nameOff       (n+1) × u32   name i = nameArena[off[i]:off[i+1]]
 //	     2. hyperOff      (n+1) × u32   hypernym CSR offsets
 //	     3. hyperIDs        e  × u32    CSR targets, ascending per node
-//	     4. edgeScores      e  × u64    float64 bits
-//	     5. mentionStrOff (m+1) × u32   mention string offsets
-//	     6. mentionOff    (m+1) × u32   mention → ID-list offsets
-//	     7. mentEntOff   (me+1) × u32   ID string offsets
-//	     8. kinds           n  × u8     NodeKind per node
-//	     9. edgeSources     e  × u8     Source bitmask per edge
-//	    10. name arena      (concatenated node names, sorted)
-//	    11. mention arena   (concatenated mentions, sorted)
-//	    12. mention-entity arena (concatenated ID strings)
+//	     4. mentionStrOff (m+1) × u32   mention string offsets
+//	     5. mentionOff    (m+1) × u32   mention → entity offsets
+//	     6. mentionEnts    me  × u32    entity node IDs, ascending per mention
+//	     7. kinds           n  × u8     NodeKind per node
+//	     8. edgeSources     e  × u8     Source bitmask per edge
+//	     9. name arena      (concatenated node names, sorted)
+//	    10. mention arena   (concatenated mentions, sorted)
 //
 // Only canonical content is stored. Everything derivable — the hyponym
 // CSR (adjacency only), the evidence counts (each edge's number of
@@ -46,7 +44,7 @@ import (
 // compile path uses, which is what keeps a mapped View query-identical
 // to a compiled one.
 const (
-	imagePreambleLen = 56
+	imagePreambleLen = 48
 	// maxImageElems bounds every element count so offset arithmetic
 	// stays far from uint64 overflow and indexes fit in int32.
 	maxImageElems = 1 << 31
@@ -58,13 +56,13 @@ const (
 var littleEndianHost = binary.NativeEndian.Uint16([]byte{0x12, 0x34}) == 0x3412
 
 // imageBlockSizes returns the (element size, element count) walk of
-// the 12 blocks, shared by the encoder and the parser so the two can
+// the 10 blocks, shared by the encoder and the parser so the two can
 // never disagree about where a block lands.
-func imageBlockSizes(n, e, m, me, nameLen, menLen, entLen uint64) [12][2]uint64 {
-	return [12][2]uint64{
-		{4, n + 1}, {4, n + 1}, {4, e}, {8, e},
-		{4, m + 1}, {4, m + 1}, {4, me + 1}, {1, n}, {1, e},
-		{1, nameLen}, {1, menLen}, {1, entLen},
+func imageBlockSizes(n, e, m, me, nameLen, menLen uint64) [10][2]uint64 {
+	return [10][2]uint64{
+		{4, n + 1}, {4, n + 1}, {4, e},
+		{4, m + 1}, {4, m + 1}, {4, me}, {1, n}, {1, e},
+		{1, nameLen}, {1, menLen},
 	}
 }
 
@@ -73,10 +71,9 @@ func imageBlockSizes(n, e, m, me, nameLen, menLen, entLen uint64) [12][2]uint64 
 // streams. Between the two the section header that declares the
 // length can be written, so no copy of the image is ever held.
 type SizedImage struct {
-	v     *View
-	base  uint64
-	arena [3]uint64 // name, mention and mention-entity arena lengths
-	size  uint64
+	v    *View
+	base uint64
+	size uint64
 }
 
 // Image prepares the view's canonical content for writing in the
@@ -92,16 +89,9 @@ func (v *View) Image(base uint64) (SizedImage, error) {
 		return im, fmt.Errorf("serving: view too large for the image format")
 	}
 	// The name and mention tables are already arenas, built within the
-	// limit (newTable); only the mention entities are summed.
-	im.arena[0], im.arena[1] = uint64(len(v.names.arena)), uint64(len(v.mentions.arena))
-	for _, s := range v.mentionEnts {
-		im.arena[2] += uint64(len(s))
-	}
-	if im.arena[2] > math.MaxUint32 {
-		return im, fmt.Errorf("serving: mention entity arena exceeds the 4 GiB image limit")
-	}
+	// 4 GiB limit (newTable).
 	im.size = imagePreambleLen
-	for _, sz := range imageBlockSizes(uint64(n), uint64(e), uint64(m), uint64(me), im.arena[0], im.arena[1], im.arena[2]) {
+	for _, sz := range imageBlockSizes(uint64(n), uint64(e), uint64(m), uint64(me), uint64(len(v.names.arena)), uint64(len(v.mentions.arena))) {
 		im.size += (8 - (base+im.size)%8) % 8
 		im.size += sz[0] * sz[1]
 	}
@@ -124,26 +114,16 @@ func (im SizedImage) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 
-	for _, x := range [7]uint64{uint64(v.names.len()), uint64(len(v.hyperIDs)), uint64(v.mentions.len()),
-		uint64(len(v.mentionEnts)), im.arena[0], im.arena[1], im.arena[2]} {
+	for _, x := range [6]uint64{uint64(v.names.len()), uint64(len(v.hyperIDs)), uint64(v.mentions.len()),
+		uint64(len(v.mentionEnts)), uint64(len(v.names.arena)), uint64(len(v.mentions.arena))} {
 		out.u64(x)
 	}
 	u32s(v.names.off)
 	u32s(v.hyperOff)
 	u32s(v.hyperIDs)
-	out.pad()
-	for _, s := range v.edgeScores {
-		out.u64(math.Float64bits(s))
-	}
 	u32s(v.mentions.off)
 	u32s(v.mentionOff)
-	out.pad()
-	off := uint32(0)
-	out.u32(0)
-	for _, s := range v.mentionEnts {
-		off += uint32(len(s))
-		out.u32(off)
-	}
+	u32s(v.mentionEnts)
 	out.pad()
 	for _, k := range v.kinds {
 		out.u8(byte(k))
@@ -156,10 +136,6 @@ func (im SizedImage) WriteTo(w io.Writer) (int64, error) {
 	out.bytes(v.names.arena)
 	out.pad()
 	out.bytes(v.mentions.arena)
-	out.pad()
-	for _, s := range v.mentionEnts {
-		out.str(s)
-	}
 	out.flush()
 	return out.written, out.err
 }
@@ -197,15 +173,6 @@ func (o *imageOut) u8(x byte)    { o.room(1); o.buf = append(o.buf, x) }
 func (o *imageOut) u32(x uint32) { o.room(4); o.buf = binary.LittleEndian.AppendUint32(o.buf, x) }
 func (o *imageOut) u64(x uint64) { o.room(8); o.buf = binary.LittleEndian.AppendUint64(o.buf, x) }
 
-func (o *imageOut) str(s string) {
-	for len(s) > cap(o.buf) { // longer than a chunk: in chunk-sized pieces
-		o.str(s[:cap(o.buf)])
-		s = s[cap(o.buf):]
-	}
-	o.room(len(s))
-	o.buf = append(o.buf, s...)
-}
-
 // bytes writes b in one write, behind whatever the chunk holds.
 func (o *imageOut) bytes(b []byte) {
 	o.flush()
@@ -229,11 +196,10 @@ func (o *imageOut) pad() {
 type image struct {
 	n, e, m, me int
 
-	names, mentions, mentEnts      table // arenas over their offset blocks
-	hyperOff, hyperIDs, mentionOff []uint32
-	edgeScores                     []float64
-	kinds                          []taxonomy.NodeKind
-	edgeSources                    []taxonomy.Source
+	names, mentions                             table // arenas over their offset blocks
+	hyperOff, hyperIDs, mentionOff, mentionEnts []uint32
+	kinds                                       []taxonomy.NodeKind
+	edgeSources                                 []taxonomy.Source
 }
 
 // parseImage slices an image payload into its blocks and validates every
@@ -244,25 +210,25 @@ func parseImage(data []byte, base uint64) (*image, error) {
 	if len(data) < imagePreambleLen {
 		return nil, fmt.Errorf("serving: image payload too short (%d bytes)", len(data))
 	}
-	var hdr [7]uint64
+	var hdr [6]uint64
 	for i := range hdr {
 		hdr[i] = binary.LittleEndian.Uint64(data[i*8:])
 	}
 	n, e, m, me := hdr[0], hdr[1], hdr[2], hdr[3]
-	nameLen, menLen, entLen := hdr[4], hdr[5], hdr[6]
+	nameLen, menLen := hdr[4], hdr[5]
 	for _, c := range [4]uint64{n, e, m, me} {
 		if c >= maxImageElems {
 			return nil, fmt.Errorf("serving: image element count %d exceeds limit", c)
 		}
 	}
-	for _, l := range [3]uint64{nameLen, menLen, entLen} {
+	for _, l := range [2]uint64{nameLen, menLen} {
 		if l > math.MaxUint32 {
 			return nil, fmt.Errorf("serving: image arena length %d exceeds limit", l)
 		}
 	}
 	pos := uint64(imagePreambleLen)
-	var spans [12][2]uint64
-	for i, sz := range imageBlockSizes(n, e, m, me, nameLen, menLen, entLen) {
+	var spans [10][2]uint64
+	for i, sz := range imageBlockSizes(n, e, m, me, nameLen, menLen) {
 		pos += (8 - (base+pos)%8) % 8
 		start := pos
 		pos += sz[0] * sz[1]
@@ -281,17 +247,16 @@ func parseImage(data []byte, base uint64) (*image, error) {
 		e:           int(e),
 		m:           int(m),
 		me:          int(me),
-		names:       table{arena: blk(9), off: castU32(blk(0))},
+		names:       table{arena: blk(8), off: castU32(blk(0))},
 		hyperOff:    castU32(blk(1)),
 		hyperIDs:    castU32(blk(2)),
-		edgeScores:  castF64(blk(3)),
-		mentions:    table{arena: blk(10), off: castU32(blk(4))},
-		mentionOff:  castU32(blk(5)),
-		mentEnts:    table{arena: blk(11), off: castU32(blk(6))},
-		kinds:       castKinds(blk(7)),
-		edgeSources: castSources(blk(8)),
+		mentions:    table{arena: blk(9), off: castU32(blk(3))},
+		mentionOff:  castU32(blk(4)),
+		mentionEnts: castU32(blk(5)),
+		kinds:       castKinds(blk(6)),
+		edgeSources: castSources(blk(7)),
 	}
-	if err := img.validate(uint32(nameLen), uint32(menLen), uint32(entLen)); err != nil {
+	if err := img.validate(uint32(nameLen), uint32(menLen)); err != nil {
 		return nil, err
 	}
 	return img, nil
@@ -299,7 +264,7 @@ func parseImage(data []byte, base uint64) (*image, error) {
 
 // validate rejects any payload that could make a mapped View answer
 // differently from Load → Compile of the same content (or crash).
-func (img *image) validate(nameLen, menLen, entLen uint32) error {
+func (img *image) validate(nameLen, menLen uint32) error {
 	if err := checkOffsets("node name", img.names.off, nameLen, true); err != nil {
 		return err
 	}
@@ -341,12 +306,6 @@ func (img *image) validate(nameLen, menLen, entLen uint32) error {
 			touched[id] = true
 		}
 	}
-	for u, ok := range touched {
-		if !ok && img.kinds[u] == taxonomy.KindUnknown {
-			// compile only interns marked nodes and edge endpoints.
-			return fmt.Errorf("serving: node %d is unmarked and touches no edge", u)
-		}
-	}
 
 	if err := checkOffsets("mention", img.mentions.off, menLen, true); err != nil {
 		return err
@@ -363,17 +322,26 @@ func (img *image) validate(nameLen, menLen, entLen uint32) error {
 			return fmt.Errorf("serving: mention %d is not whitespace-trimmed", i)
 		}
 	}
-	if err := checkOffsets("mention ID list", img.mentionOff, uint32(img.me), true); err != nil {
-		return err
-	}
-	if err := checkOffsets("mention entity", img.mentEnts.off, entLen, true); err != nil {
+	if err := checkOffsets("mention entity", img.mentionOff, uint32(img.me), true); err != nil {
 		return err
 	}
 	for i := 0; i < img.m; i++ {
-		for j := img.mentionOff[i] + 1; j < img.mentionOff[i+1]; j++ {
-			if img.mentEnts.at(int(j-1)) >= img.mentEnts.at(int(j)) {
+		for j := img.mentionOff[i]; j < img.mentionOff[i+1]; j++ {
+			id := img.mentionEnts[j]
+			switch {
+			case id >= uint32(img.n):
+				return fmt.Errorf("serving: mention %d: entity ID %d out of range", i, id)
+			case j > img.mentionOff[i] && id <= img.mentionEnts[j-1]:
 				return fmt.Errorf("serving: mention %d: entity IDs not strictly ascending", i)
 			}
+			touched[id] = true
+		}
+	}
+	for u, ok := range touched {
+		if !ok && img.kinds[u] == taxonomy.KindUnknown {
+			// compile only interns marked nodes, edge endpoints and
+			// mention entities.
+			return fmt.Errorf("serving: node %d is unmarked and touches no edge or mention", u)
 		}
 	}
 	return nil
@@ -397,12 +365,13 @@ func checkOffsets(what string, offs []uint32, total uint32, strict bool) error {
 // OpenImage builds a View directly over an image payload, aliasing
 // its arrays instead of decoding them: the node-name and mention tables
 // are the payload's own arenas and offsets, read in place with no
-// header per string; only the mention entities get string headers
-// (pointing into their arena). On little-endian hosts the numeric
-// blocks are reinterpreted in place (misaligned buffers and big-endian
-// hosts get a copying decode). data must stay valid and
-// unmodified for the life of the returned View — snapshot.OpenMapped
-// ties the mapping's lifetime to the View with a finalizer.
+// header per string, and the mention entities are the payload's node
+// ID block, so the view holds nothing per name, mention or entity. On
+// little-endian hosts the numeric blocks are reinterpreted in place
+// (misaligned buffers and big-endian hosts get a copying decode). data
+// must stay valid and unmodified for the life of the returned View —
+// snapshot.OpenMapped ties the mapping's lifetime to the View with a
+// finalizer.
 //
 // A mapped View has the layout Compile and Patch build on the heap, so
 // it answers through the same code, with the same 0 allocs/op per
@@ -418,10 +387,9 @@ func OpenImage(data []byte, base uint64) (*View, error) {
 		hyperOff:     img.hyperOff,
 		hyperIDs:     img.hyperIDs,
 		edgeSources:  img.edgeSources,
-		edgeScores:   img.edgeScores,
 		mentions:     img.mentions,
 		mentionOff:   img.mentionOff,
-		mentionEnts:  tableStrings(img.mentEnts, false),
+		mentionEnts:  img.mentionEnts,
 		mentionFirst: firstRuneSet(img.mentions),
 	}
 	v.buildDerived()
@@ -431,18 +399,20 @@ func OpenImage(data []byte, base uint64) (*View, error) {
 // ImageContent is the logical content of an image — its node names and
 // kinds, edges and mention entries — for the path that rebuilds
 // mutable state (snapshot.Load). Everything is copied out of the input
-// buffer once; the edges name their nodes with Names' strings.
+// buffer once; the mention entries name their entities with Names'
+// strings.
 type ImageContent struct {
 	// Names lists the node names by image ID, ascending, and Kinds
 	// their kinds.
 	Names []string
 	Kinds []taxonomy.NodeKind
 	// Edges are in image order, by (hyponym ID, hypernym ID): node u's
-	// edges are Edges[HyperOff[u]:HyperOff[u+1]], and edge j's hypernym
-	// is node HyperIDs[j] — the numbering View.EdgeAt reads by.
-	Edges    []taxonomy.Edge
+	// edges are [HyperOff[u], HyperOff[u+1]), and edge j's hypernym is
+	// node HyperIDs[j] and its sources Sources[j] — the numbering
+	// View.EdgeAt reads by.
 	HyperOff []uint32
 	HyperIDs []uint32
+	Sources  []taxonomy.Source
 	Mentions []taxonomy.MentionEntry
 }
 
@@ -456,22 +426,15 @@ func DecodeImage(data []byte, base uint64) (*ImageContent, error) {
 	out := &ImageContent{
 		Names:    names,
 		Kinds:    append([]taxonomy.NodeKind(nil), img.kinds...),
-		Edges:    make([]taxonomy.Edge, 0, img.e),
 		HyperOff: append([]uint32(nil), img.hyperOff...),
 		HyperIDs: append([]uint32(nil), img.hyperIDs...),
-	}
-	for u := 0; u < img.n; u++ {
-		for j := img.hyperOff[u]; j < img.hyperOff[u+1]; j++ {
-			out.Edges = append(out.Edges, taxonomy.Edge{
-				Hypo:    names[u],
-				Hyper:   names[img.hyperIDs[j]],
-				Sources: img.edgeSources[j],
-				Score:   img.edgeScores[j],
-			})
-		}
+		Sources:  append([]taxonomy.Source(nil), img.edgeSources...),
 	}
 	mentions := tableStrings(img.mentions, true)
-	ents := tableStrings(img.mentEnts, true)
+	ents := make([]string, img.me)
+	for j, id := range img.mentionEnts {
+		ents[j] = names[id]
+	}
 	out.Mentions = make([]taxonomy.MentionEntry, img.m)
 	for i := range out.Mentions {
 		out.Mentions[i] = taxonomy.MentionEntry{
@@ -506,20 +469,6 @@ func castU32(b []byte) []uint32 {
 	out := make([]uint32, len(b)/4)
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint32(b[i*4:])
-	}
-	return out
-}
-
-func castF64(b []byte) []float64 {
-	if len(b) == 0 {
-		return nil
-	}
-	if littleEndianHost && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
-	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 	}
 	return out
 }

@@ -30,10 +30,6 @@ func (v *View) appendImageOracle(dst []byte, base uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	entLen, err := arenaLen("mention entity", v.mentionEnts)
-	if err != nil {
-		return nil, err
-	}
 
 	start := len(dst)
 	pad := func() {
@@ -66,7 +62,6 @@ func (v *View) appendImageOracle(dst []byte, base uint64) ([]byte, error) {
 	putU64(uint64(me))
 	putU64(nameLen)
 	putU64(menLen)
-	putU64(entLen)
 
 	pad()
 	strOffsets(names)
@@ -79,17 +74,15 @@ func (v *View) appendImageOracle(dst []byte, base uint64) ([]byte, error) {
 		putU32(id)
 	}
 	pad()
-	for _, s := range v.edgeScores {
-		putU64(math.Float64bits(s))
-	}
-	pad()
 	strOffsets(mentions)
 	pad()
 	for _, o := range v.mentionOff {
 		putU32(o)
 	}
 	pad()
-	strOffsets(v.mentionEnts)
+	for _, id := range v.mentionEnts {
+		putU32(id)
+	}
 	pad()
 	for _, k := range v.kinds {
 		dst = append(dst, byte(k))
@@ -104,10 +97,6 @@ func (v *View) appendImageOracle(dst []byte, base uint64) ([]byte, error) {
 	}
 	pad()
 	for _, s := range mentions {
-		dst = append(dst, s...)
-	}
-	pad()
-	for _, s := range v.mentionEnts {
 		dst = append(dst, s...)
 	}
 	return dst, nil
@@ -146,7 +135,7 @@ func (f *failAfter) Write(p []byte) (int, error) {
 func TestImageStreamsLikeAppend(t *testing.T) {
 	tax, mentions := fixture(t)
 	long := taxonomy.New()
-	if err := long.AddIsA(strings.Repeat("长", 3000), "概念", taxonomy.SourceTag, 1); err != nil {
+	if err := long.AddIsA(strings.Repeat("长", 3000), "概念", taxonomy.SourceTag); err != nil {
 		t.Fatal(err)
 	}
 	views := map[string]*View{

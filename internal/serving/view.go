@@ -27,26 +27,27 @@
 // bytes, valid for the life of the view, so neither table holds a
 // string header per entry: a mapped view aliases the file's arenas and
 // offsets, and a heap view's two tables are four pointer-free arrays
-// whatever their length. Only the mention-entity table stays a
-// []string (mentionEnts): Lookup and MentionEntities hand out slices
-// of it, shared and allocation-free, and a list of strings is what
-// their callers take.
+// whatever their length. A mention's entities are node IDs
+// (mentionEnts), read by MentionEntities and named through Name, so no
+// array of a view holds a pointer per element.
 //
 // The View is the one read model: the build store keeps no query
 // methods of its own. What each query answers is pinned against the
 // string-keyed oracle in internal/taxonomy's model test, and the HTTP
 // responses built on them against recorded goldens. Returned slices are
 // views into shared immutable arrays, which callers must not modify —
-// except Hypernyms' and Hyponyms' name lists, built fresh per call.
+// except the name lists of Hypernyms, Hyponyms and Lookup, built fresh per
+// call.
 //
 // Beside the name-keyed queries of the three APIs the view has an
-// ID-native read surface for the application engines (conceptualize,
-// qa), which are its only read model: ID resolves a name once, the
-// *Of methods and RankedHypernymAt read kind, hypernym IDs, rankings
-// and evidence total of an ID, FindMentionsAppend scans a text and
-// hands back each surface with its mention-table row
-// (MentionEntities), and NamePrefixesAppend finds the node names that
-// are prefixes of a string in one pass over the sorted table.
+// ID-native read surface for the handlers and the application engines
+// (conceptualize, qa), which are its only read model: ID resolves a
+// name once, the *Of methods and RankedHypernymAt read kind, hypernym
+// IDs, rankings and evidence total of an ID, FindMentionsAppend scans a
+// text and hands back each surface with its mention-table row, whose
+// entities MentionEntities reads as node IDs, and NamePrefixesAppend
+// finds the node names that are prefixes of a string in one pass over
+// the sorted table.
 //
 // Every view has this one layout, whether compiled, patched or mapped
 // over a snapshot: a name or mention is found by binary search over its
@@ -78,7 +79,7 @@ type View struct {
 	// ascending within each node (canonical order); hyperRank is the
 	// same range's positions (0 = hyperOff[i]) in typicality order —
 	// evidence count descending, then ID ascending (rank). Edge
-	// provenance (sources, score) is stored on this side, aligned with
+	// provenance, its sources, is stored on this side, aligned with
 	// hyperIDs; an edge's evidence count is the number of its sources
 	// (taxonomy.Source.Evidence), so it is never stored. No per-edge
 	// array holds a pointer.
@@ -86,7 +87,6 @@ type View struct {
 	hyperIDs    []uint32
 	hyperRank   []uint32
 	edgeSources []taxonomy.Source
-	edgeScores  []float64
 	hyperTotals []int64 // per node: Σ evidence counts of outgoing edges
 
 	// Hyponym CSR, the transpose of the hypernym side: hypoIDs is
@@ -97,15 +97,15 @@ type View struct {
 	hypoIDs []uint32
 
 	// Mention table: mentions sorted ascending, every one valid UTF-8
-	// (taxonomy.MentionIndex stores them so); mention i's entity IDs
-	// occupy mentionEnts[mentionOff[i]:mentionOff[i+1]], sorted. A text
-	// scan seeks prefixes in the table behind mentionFirst, the set of
-	// runes some mention starts with. mentionEnts is the one field whose
-	// elements hold pointers: Lookup and MentionEntities return slices
-	// of it, so it is kept as strings (see the package doc).
+	// (taxonomy.MentionIndex stores them so); mention i's entities are
+	// the node IDs mentionEnts[mentionOff[i]:mentionOff[i+1]], ascending,
+	// so in name order. Every entity a mention names is a node: one the
+	// store does not hold is a node of unknown kind with no edge (see
+	// Compile). A text scan seeks prefixes in the table behind
+	// mentionFirst, the set of runes some mention starts with.
 	mentions     table
 	mentionOff   []uint32
-	mentionEnts  []string
+	mentionEnts  []uint32
 	mentionFirst runeSet
 
 	stats taxonomy.Stats
@@ -251,16 +251,13 @@ func (v *View) NamePrefixesAppend(dst []uint32, s string, minRunes, maxRunes int
 	return dst
 }
 
-// EdgeAt returns the sources and score of edge i of the flat hypernym
-// array: node u's edges are the len(HypernymIDsOf(u)) indexes that
+// EdgeAt returns the sources of edge i of the flat hypernym array: node u's edges are the len(HypernymIDsOf(u)) indexes that
 // follow those of the nodes below u, so edges are numbered by (hyponym
 // ID, hypernym ID). The snapshot's evidence section names kept pairs
 // by this number.
 //
 //cnp:noalloc
-func (v *View) EdgeAt(i uint32) (taxonomy.Source, float64) {
-	return v.edgeSources[i], v.edgeScores[i]
-}
+func (v *View) EdgeAt(i uint32) taxonomy.Source { return v.edgeSources[i] }
 
 // MentionRow returns the row of mention s in the sorted mention table,
 // s taken as stored (Lookup trims its query first). from is where to
@@ -397,7 +394,6 @@ func (v *View) EdgeOf(hypo, hyper string) (taxonomy.Edge, bool) {
 		Hypo:    hypo,
 		Hyper:   hyper,
 		Sources: v.edgeSources[i],
-		Score:   v.edgeScores[i],
 	}, true
 }
 
@@ -426,14 +422,14 @@ func (v *View) Ancestors(node string) []string {
 }
 
 // Lookup returns the entity IDs a mention may refer to, sorted — the
-// men2ent API. The returned slice is shared: do not modify it. Nil
-// when the mention is unknown, exactly like MentionIndex.Lookup.
-//
-//cnp:noalloc
+// men2ent API — as a fresh slice of names (one allocation, as for
+// Hypernyms; MentionRow and MentionEntities read the same list as node
+// IDs without one). Nil when the mention is unknown, exactly like
+// MentionIndex.Lookup.
 func (v *View) Lookup(mention string) []string {
 	i, ok := v.MentionRow(strings.TrimSpace(mention), 0)
 	if !ok {
 		return nil
 	}
-	return v.mentionEnts[v.mentionOff[i]:v.mentionOff[i+1]]
+	return v.namesOf(v.MentionEntities(int32(i)))
 }

@@ -18,7 +18,7 @@ func fixture(tb testing.TB) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
 	mentions := taxonomy.NewMentionIndex()
 	add := func(hypo, hyper string, src taxonomy.Source, score float64) {
 		tb.Helper()
-		if err := tax.AddIsA(hypo, hyper, src, score); err != nil {
+		if err := tax.AddIsA(hypo, hyper, src); err != nil {
 			tb.Fatalf("AddIsA(%q, %q): %v", hypo, hyper, err)
 		}
 	}
@@ -120,7 +120,7 @@ func TestCompileMatchesStoreRandomized(t *testing.T) {
 				continue
 			}
 			src := taxonomy.Source(1 << rng.Intn(6))
-			_ = tax.AddIsA(name(a), name(b), src, rng.Float64())
+			_ = tax.AddIsA(name(a), name(b), src)
 		}
 		for tries := 0; tries < nNodes; tries++ {
 			mentions.Add(fmt.Sprintf("提及%d", rng.Intn(nNodes/2+1)), name(rng.Intn(nNodes)))
@@ -131,8 +131,8 @@ func TestCompileMatchesStoreRandomized(t *testing.T) {
 
 // TestQueryAllocations pins the hot-path guarantee the View exists
 // for: the lookups the API handlers answer from — by ID, and the
-// name-keyed ones — allocate nothing. Hypernyms and Hyponyms, which
-// build their name list per call, allocate exactly that list.
+// name-keyed ones — allocate nothing. Hypernyms, Hyponyms and Lookup,
+// which build their name list per call, allocate exactly that list.
 func TestQueryAllocations(t *testing.T) {
 	tax, mentions := fixture(t)
 	v := Compile(tax, mentions)
@@ -152,8 +152,10 @@ func TestQueryAllocations(t *testing.T) {
 		{"HyponymIDsOf", 0, func() { _ = v.HyponymIDsOf(concept) }},
 		{"Name", 0, func() { _ = v.Name(concept) }},
 		{"RankedHypernymAt", 0, func() { _, _ = v.RankedHypernymAt(id, 0) }},
-		{"Lookup", 0, func() { _ = v.Lookup("实体00") }},
+		{"Lookup", 1, func() { _ = v.Lookup("实体00") }},
 		{"LookupMiss", 0, func() { _ = v.Lookup("不存在") }},
+		{"MentionRow", 0, func() { _, _ = v.MentionRow("实体00", 0) }},
+		{"MentionEntities", 0, func() { _ = v.MentionEntities(0) }},
 		{"Kind", 0, func() { _ = v.Kind("概念0") }},
 		{"EdgeOf", 0, func() { _, _ = v.EdgeOf("实体00（人物）", "概念0") }},
 		{"EvidenceTotalOf", 0, func() { _ = v.EvidenceTotalOf(id) }},
@@ -177,7 +179,7 @@ func TestCompileAllocations(t *testing.T) {
 		mentions := taxonomy.NewMentionIndex()
 		for i := 0; i < n; i++ {
 			id := fmt.Sprintf("实体%05d（人物）", i)
-			if err := tax.AddIsA(id, fmt.Sprintf("概念%d", i%(n/10)), taxonomy.SourceTag, 1); err != nil {
+			if err := tax.AddIsA(id, fmt.Sprintf("概念%d", i%(n/10)), taxonomy.SourceTag); err != nil {
 				t.Fatal(err)
 			}
 			mentions.Add(fmt.Sprintf("实体%05d", i), id)

@@ -56,12 +56,12 @@ func Load(r io.Reader) (*State, error) {
 		syms.Intern(name)
 	}
 	ld := &loader{content: content, syms: syms}
-	shape := imageShape{len(content.Names), len(content.Edges), len(content.Mentions)}
+	shape := imageShape{len(content.Names), len(content.HyperIDs), len(content.Mentions)}
 	if _, err := decodeEvidence(f.evidence, shape, ld); err != nil {
 		return nil, fmt.Errorf("snapshot: evidence section: %w", err)
 	}
 	tax := taxonomy.NewWithSymbols(syms)
-	tax.ImportIDs(content.Kinds, content.HyperOff, content.HyperIDs, content.Edges)
+	tax.ImportIDs(content.Kinds, content.HyperOff, content.HyperIDs, content.Sources)
 	mentions := taxonomy.NewMentionIndex()
 	mentions.ImportSorted(content.Mentions)
 	return &State{Taxonomy: tax, Mentions: mentions, Meta: f.meta, Evidence: ld.ev, Kept: ld.kept, Stats: ld.stats}, nil
@@ -110,9 +110,10 @@ func parse(data []byte) (framed, error) {
 	}
 	version := binary.LittleEndian.Uint32(data[8:12])
 	if version >= 1 && version < Version {
-		// The striped layouts (1, 2), the name-keyed evidence (3) and
-		// the stored evidence counts (4): nothing writes them any more,
-		// and a rebuild from the corpus is the supported way forward.
+		// The striped layouts (1, 2), the name-keyed evidence (3), the
+		// stored evidence counts (4) and the named mention entities and
+		// edge scores (5): nothing writes them any more, and a rebuild
+		// from the corpus is the supported way forward.
 		return f, fmt.Errorf("snapshot: format version %d is no longer read — rebuild the snapshot with `cnprobase build -save`", version)
 	}
 	if version != Version {
@@ -262,13 +263,13 @@ func (r *payloadReader) below(from, limit int, what string) (int, error) {
 }
 
 // Minimum encoded sizes for evidence-section count validation: a
-// bitset word is 8 bytes; a kept exception an edge delta, a source
-// byte and 8 score bytes; a predicate a length byte; a page an entity
+// bitset word is 8 bytes; a kept exception an edge delta and a source
+// byte; a predicate a length byte; a page an entity
 // byte (delta or string length), a title byte and an attribute count;
 // an attribute an index byte and 8 weight bytes; a support entry a
 // 1-byte word and two count bytes.
 const (
-	minExceptionBytes = 10
+	minExceptionBytes = 2
 	minPredicateBytes = 1
 	minPageBytes      = 3
 	minAttrBytes      = 9
@@ -377,12 +378,8 @@ func decodeEvidence(payload []byte, shape imageShape, ld *loader) (evidenceParts
 		if err != nil {
 			return parts, err
 		}
-		score, err := r.u64()
-		if err != nil {
-			return parts, err
-		}
 		if ld != nil {
-			ld.except = append(ld.except, keptException{uint32(edge), taxonomy.Source(src), math.Float64frombits(score)})
+			ld.except = append(ld.except, keptException{uint32(edge), taxonomy.Source(src)})
 		}
 		next = edge + 1
 	}
@@ -577,10 +574,9 @@ func (ld *loader) restoreKept(bits []byte) {
 			if !bitSet(bits, j) {
 				continue
 			}
-			e := &c.Edges[j]
-			cand := extract.Candidate{Hypo: uint32(u), Hyper: c.HyperIDs[j], Source: e.Sources, Score: e.Score}
+			cand := extract.Candidate{Hypo: uint32(u), Hyper: c.HyperIDs[j], Source: c.Sources[j]}
 			if x < len(ld.except) && ld.except[x].edge == uint32(j) {
-				cand.Source, cand.Score = ld.except[x].source, ld.except[x].score
+				cand.Source = ld.except[x].source
 				x++
 			}
 			ld.kept = append(ld.kept, cand)

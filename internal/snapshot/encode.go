@@ -19,7 +19,7 @@ import (
 	"cnprobase/internal/verify"
 )
 
-// Save writes st as a version-5 snapshot: the store is compiled into
+// Save writes st as a version-6 snapshot: the store is compiled into
 // the canonical serving view (or st.View, the same view compiled
 // earlier, is taken as is) and serialized as one mappable image
 // section (the layout serving.View.Image documents), framed by the
@@ -175,7 +175,7 @@ func (out *sectionWriter) close() error {
 // evidenceSection is the evidence section resolved against the view
 // it is saved beside and measured, but not encoded: a presence flag;
 // the kept candidates as a bitset over the image's edges, plus the
-// pairs whose own source or score is not their edge's; the page
+// pairs whose own sources are not their edge's; the page
 // evidence along the image's node IDs; the NE support counts (sorted
 // by word); and the corpus statistics' binary form. Everything is put
 // in order here, once, so the measuring and the writing pass only walk
@@ -195,14 +195,12 @@ type evidenceSection struct {
 	size     uint64
 }
 
-// keptException is a kept pair whose candidate source or score differs
-// from its edge's: a subconcept rule that derives an edge a generator
-// also proposed (or the reverse) reinforces the edge, not the
-// candidate.
+// keptException is a kept pair whose candidate sources differ from its
+// edge's: a subconcept rule that derives an edge a generator also
+// proposed (or the reverse) reinforces the edge, not the candidate.
 type keptException struct {
 	edge   uint32
 	source taxonomy.Source
-	score  float64
 }
 
 // resolve puts st's evidence in the view's numbering and measures the
@@ -259,8 +257,8 @@ func (e *evidenceSection) resolveKept(kept []extract.Candidate, view *serving.Vi
 			return fmt.Errorf("snapshot: kept candidate %q isA %q is listed twice", e.pages.Name(c.Hypo), e.pages.Name(c.Hyper))
 		}
 		e.kept[j/64] |= 1 << (j % 64)
-		if src, score := view.EdgeAt(j); c.Source != src || math.Float64bits(c.Score) != math.Float64bits(score) {
-			e.except = append(e.except, keptException{j, c.Source, c.Score})
+		if c.Source != view.EdgeAt(j) {
+			e.except = append(e.except, keptException{j, c.Source})
 		}
 	}
 	// Written as gaps between ascending edges.
@@ -290,7 +288,6 @@ func (e *evidenceSection) encode(o *payloadOut) {
 	for _, x := range e.except {
 		o.uvarint(uint64(x.edge - next))
 		o.byte(byte(x.source))
-		o.u64(math.Float64bits(x.score))
 		next = x.edge + 1
 	}
 

@@ -43,7 +43,6 @@ func buildResult(tb testing.TB, entities int) *core.Result {
 type namedPair struct {
 	Hypo, Hyper string
 	Source      taxonomy.Source
-	Score       float64
 }
 
 // keptByName resolves kept pairs through the store's symbol table —
@@ -53,7 +52,7 @@ func keptByName(tax *taxonomy.Taxonomy, kept []extract.Candidate) []namedPair {
 	names := tax.Symbols().Names()
 	out := make([]namedPair, len(kept))
 	for i, c := range kept {
-		out[i] = namedPair{names[c.Hypo], names[c.Hyper], c.Source, c.Score}
+		out[i] = namedPair{names[c.Hypo], names[c.Hyper], c.Source}
 	}
 	slices.SortFunc(out, func(a, b namedPair) int {
 		return cmp.Or(strings.Compare(a.Hypo, b.Hypo), strings.Compare(a.Hyper, b.Hyper))
@@ -234,7 +233,7 @@ func TestEvidenceLayout(t *testing.T) {
 	if _, _, err := openMappedBytes(data); err != nil {
 		t.Fatalf("mapped: %v", err)
 	}
-	want := []namedPair{{Hypo: "实体00（人物）", Hyper: "概念0", Source: taxonomy.SourceBracket | taxonomy.SourceTag, Score: 0.9}}
+	want := []namedPair{{Hypo: "实体00（人物）", Hyper: "概念0", Source: taxonomy.SourceBracket | taxonomy.SourceTag}}
 	if got := keptByName(st.Taxonomy, st.Kept); !reflect.DeepEqual(got, want) {
 		t.Fatalf("kept = %+v, want %+v", got, want)
 	}
@@ -248,15 +247,15 @@ func TestEvidenceLayout(t *testing.T) {
 
 // TestEvidenceOffTheImage saves the evidence the image's numbering
 // cannot name, which a build can hold: a kept pair whose edge a
-// subconcept rule also derived (so the edge's sources and score are not
-// the candidate's), and a page whose title is no mention (whitespace
+// subconcept rule also derived (so the edge's sources are not the
+// candidate's), and a page whose title is no mention (whitespace
 // the mention index trims) and whose entity is no node. Each goes
 // through its fallback and loads back as it was, and a kept pair that
 // is no edge is refused by name.
 func TestEvidenceOffTheImage(t *testing.T) {
 	res := buildResult(t, 300)
 	c := res.Kept[len(res.Kept)/2]
-	if err := res.Taxonomy.AddIsAID(c.Hypo, c.Hyper, taxonomy.SourceMorph, 1); err != nil {
+	if err := res.Taxonomy.AddIsAID(c.Hypo, c.Hyper, taxonomy.SourceMorph); err != nil {
 		t.Fatal(err)
 	}
 	names := res.Names()

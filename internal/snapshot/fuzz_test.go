@@ -49,6 +49,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	// bend: a kept bit, a page on a node, its title row and attribute.
 	f.Add(withEvidence(f, valid, validSpec().payload()))
 
+	// Must-reject images that frame correctly: a mention entity at the
+	// node count, and a mention whose entity IDs do not ascend.
+	for _, bad := range badMentionEntities(f, valid) {
+		f.Add(bad)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Load(bytes.NewReader(data))
 		mapped, _, mappedErr := openMappedBytes(data)

@@ -7,7 +7,7 @@ import (
 	"cnprobase/internal/serving"
 )
 
-// OpenMapped maps a version-5 snapshot file read-only and builds a
+// OpenMapped maps a version-6 snapshot file read-only and builds a
 // serving view directly over the mapping: header and CRCs are
 // verified, the image's structure is validated, and the view's arrays
 // alias the mapped bytes (see serving.OpenImage). Startup cost is

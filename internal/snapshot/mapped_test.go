@@ -1,8 +1,11 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"net/http"
@@ -75,7 +78,7 @@ func randomState(tb testing.TB, seed int64) *State {
 		id := fmt.Sprintf("%s（%s）", title, kinds[rng.Intn(len(kinds))])
 		tax.MarkEntity(id)
 		for c, nc := 0, 1+rng.Intn(3); c < nc; c++ {
-			if err := tax.AddIsA(id, fmt.Sprintf("概念%d", rng.Intn(9)), taxonomy.SourceBracket, rng.Float64()); err != nil {
+			if err := tax.AddIsA(id, fmt.Sprintf("概念%d", rng.Intn(9)), taxonomy.SourceBracket); err != nil {
 				tb.Fatalf("AddIsA: %v", err)
 			}
 		}
@@ -90,7 +93,7 @@ func randomState(tb testing.TB, seed int64) *State {
 	}
 	for i := 0; i < 9; i++ {
 		if rng.Intn(3) > 0 {
-			if err := tax.AddIsA(fmt.Sprintf("概念%d", i), "顶层概念", taxonomy.SourceMorph, 1); err != nil {
+			if err := tax.AddIsA(fmt.Sprintf("概念%d", i), "顶层概念", taxonomy.SourceMorph); err != nil {
 				tb.Fatalf("AddIsA: %v", err)
 			}
 		}
@@ -157,10 +160,93 @@ func TestOpenMappedDetectsCorruption(t *testing.T) {
 	}
 }
 
+// withMentionEntities returns a copy of a snapshot whose image's
+// mention-entity block (docs/SNAPSHOT.md, block 6) edit has changed in
+// place — edit gets the block's IDs, its per-mention offsets and the
+// node count — with the image's checksum recomputed: a file that frames
+// correctly whatever the block says.
+func withMentionEntities(tb testing.TB, data []byte, edit func(ents, off []uint32, nodes uint32)) []byte {
+	tb.Helper()
+	out := bytes.Clone(data)
+	imgAt := 16 + 13 + int(binary.LittleEndian.Uint64(out[16+5:])) + 4
+	if out[imgAt] != sectionView {
+		tb.Fatalf("section at %d is kind %d, not the image", imgAt, out[imgAt])
+	}
+	base := imgAt + 13
+	img := out[base : base+int(binary.LittleEndian.Uint64(out[imgAt+5:]))]
+	var hdr [6]uint64
+	for i := range hdr {
+		hdr[i] = binary.LittleEndian.Uint64(img[8*i:])
+	}
+	n, e, m, me := hdr[0], hdr[1], hdr[2], hdr[3]
+	pos := uint64(48)
+	var blocks [6][2]uint64 // the u32 blocks, up to the mention entities
+	for i, count := range [6]uint64{n + 1, n + 1, e, m + 1, m + 1, me} {
+		pos += (8 - (uint64(base)+pos)%8) % 8
+		blocks[i] = [2]uint64{pos, pos + 4*count}
+		pos += 4 * count
+	}
+	u32s := func(b [2]uint64) []uint32 {
+		xs := make([]uint32, (b[1]-b[0])/4)
+		for i := range xs {
+			xs[i] = binary.LittleEndian.Uint32(img[b[0]+4*uint64(i):])
+		}
+		return xs
+	}
+	ents := u32s(blocks[5])
+	edit(ents, u32s(blocks[4]), uint32(n))
+	for i, x := range ents {
+		binary.LittleEndian.PutUint32(img[blocks[5][0]+4*uint64(i):], x)
+	}
+	binary.LittleEndian.PutUint32(out[base+len(img):], crc32.ChecksumIEEE(img))
+	return out
+}
+
+// badMentionEntities are the two ways an image's mention-entity block
+// can name what no compile writes: an ID at the node count, and a
+// mention whose IDs do not ascend (the first mention with two swaps
+// them).
+func badMentionEntities(tb testing.TB, data []byte) map[string][]byte {
+	tb.Helper()
+	return map[string][]byte{
+		"out of range": withMentionEntities(tb, data, func(ents, _ []uint32, nodes uint32) { ents[len(ents)/2] = nodes }),
+		"not strictly ascending": withMentionEntities(tb, data, func(ents, off []uint32, _ uint32) {
+			for i := 0; i+1 < len(off); i++ {
+				if off[i+1]-off[i] >= 2 {
+					ents[off[i]], ents[off[i]+1] = ents[off[i]+1], ents[off[i]]
+					return
+				}
+			}
+			tb.Fatal("no mention has two entities")
+		}),
+	}
+}
+
+// TestMentionEntitiesValidated holds the opener's checks of the
+// mention-entity block: an entity ID at or past the node count, and a
+// mention whose entity IDs do not ascend, are refused by Load and by
+// the mapped opener alike, with the same error.
+func TestMentionEntitiesValidated(t *testing.T) {
+	data := saveBytes(t, handState(t), Options{Workers: 1})
+	if _, _, err := openMappedBytes(withMentionEntities(t, data, func([]uint32, []uint32, uint32) {})); err != nil {
+		t.Fatalf("the unedited block is refused: %v", err)
+	}
+	for want, bad := range badMentionEntities(t, data) {
+		_, loadErr := Load(bytes.NewReader(bad))
+		_, _, mapErr := openMappedBytes(bad)
+		if loadErr == nil || mapErr == nil || loadErr.Error() != mapErr.Error() {
+			t.Fatalf("%s: Load says %v, the mapped opener %v; want one refusal", want, loadErr, mapErr)
+		}
+		if !strings.Contains(mapErr.Error(), "entity ID") || !strings.Contains(mapErr.Error(), want) {
+			t.Errorf("%s: refused with %q", want, mapErr)
+		}
+	}
+}
+
 // TestMappedQueryAllocations pins the mapped hot path: queries answered
 // by binary search over the mapped arrays allocate nothing — except
-// Hypernyms and Hyponyms, which build their name list per call and
-// allocate exactly that list.
+// Hypernyms, Hyponyms and Lookup, which build their name list per call
+// and allocate exactly that list.
 func TestMappedQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under -race")
@@ -188,8 +274,10 @@ func TestMappedQueryAllocations(t *testing.T) {
 		{"HyponymIDsOf", 0, func() { _ = v.HyponymIDsOf(concept) }},
 		{"Name", 0, func() { _ = v.Name(concept) }},
 		{"RankedHypernymAt", 0, func() { _, _ = v.RankedHypernymAt(id, 0) }},
-		{"Lookup", 0, func() { _ = v.Lookup("实体00") }},
+		{"Lookup", 1, func() { _ = v.Lookup("实体00") }},
 		{"LookupMiss", 0, func() { _ = v.Lookup("不存在") }},
+		{"MentionRow", 0, func() { _, _ = v.MentionRow("实体00", 0) }},
+		{"MentionEntities", 0, func() { _ = v.MentionEntities(0) }},
 		{"Kind", 0, func() { _ = v.Kind("概念0") }},
 		{"EdgeOf", 0, func() { _, _ = v.EdgeOf("实体00（人物）", "概念0") }},
 		{"EvidenceTotalOf", 0, func() { _ = v.EvidenceTotalOf(id) }},

@@ -87,7 +87,7 @@ func TestConcurrentSaveAndQueries(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			id := fmt.Sprintf("新实体%03d（更新）", i)
 			st.Taxonomy.MarkEntity(id)
-			if err := st.Taxonomy.AddIsA(id, fmt.Sprintf("概念%d", i%7), taxonomy.SourceTag, 1); err != nil {
+			if err := st.Taxonomy.AddIsA(id, fmt.Sprintf("概念%d", i%7), taxonomy.SourceTag); err != nil {
 				errc <- fmt.Errorf("AddIsA: %w", err)
 				return
 			}

@@ -10,8 +10,8 @@
 // The format is versioned, sectioned and checksummed (docs/SNAPSHOT.md
 // specifies the byte layout). The content section is a single mappable
 // "view image": the serving view's canonical arrays as fixed-width
-// little-endian blocks plus interned string arenas, 8-byte aligned in
-// the file, so OpenMapped can serve straight out of an mmap with no
+// little-endian blocks plus two string arenas (node names and
+// mentions), 8-byte aligned in the file, so OpenMapped can serve straight out of an mmap with no
 // decode pass and restart cost independent of taxonomy size. Saving
 // compiles the store into the canonical serving view first, so the
 // same logical state produces byte-identical snapshots regardless of
@@ -20,7 +20,7 @@
 // evidence section beside the image (the update substrate) is written
 // in the image's own numbering, so it is resolved and checked by index
 // rather than by name. One version is written and read: versions 1 to
-// 4 are refused with an error that says to rebuild the snapshot.
+// 5 are refused with an error that says to rebuild the snapshot.
 //
 // Decoding defends against arbitrary input: every length is validated
 // against the bytes actually present before anything is sliced,
@@ -63,8 +63,11 @@ const (
 	// The evidence section is written in the image's numbering: kept
 	// pairs as bits over its edges, pages by node ID and title by
 	// mention row. Version 5 dropped the image's per-edge evidence
-	// count block: a count is the number of an edge's sources.
-	Version = 5
+	// count block: a count is the number of an edge's sources. Version
+	// 6 names a mention's entities by node ID instead of a third string
+	// arena, and drops the per-edge score block and the kept exceptions'
+	// scores.
+	Version = 6
 	// Stripes is the header's second field. Versions 1 and 2 counted
 	// their hash partitions there; later versions have none and pin the
 	// field to this constant, so every header byte is validated.

@@ -30,11 +30,11 @@ func handState(tb testing.TB) *State {
 		id := fmt.Sprintf("实体%02d（人物）", i)
 		concept := fmt.Sprintf("概念%d", i%7)
 		tax.MarkEntity(id)
-		if err := tax.AddIsA(id, concept, taxonomy.SourceBracket, 0.5+float64(i)/100); err != nil {
+		if err := tax.AddIsA(id, concept, taxonomy.SourceBracket); err != nil {
 			tb.Fatalf("AddIsA: %v", err)
 		}
 		if i%3 == 0 { // reinforce: add a source bit, so evidence count 2
-			if err := tax.AddIsA(id, concept, taxonomy.SourceTag, 0.9); err != nil {
+			if err := tax.AddIsA(id, concept, taxonomy.SourceTag); err != nil {
 				tb.Fatalf("AddIsA: %v", err)
 			}
 		}
@@ -43,7 +43,7 @@ func handState(tb testing.TB) *State {
 	}
 	mentions.Add("实体00", "实体07（人物）") // ambiguous mention
 	for i := 0; i < 7; i++ {
-		if err := tax.AddIsA(fmt.Sprintf("概念%d", i), "顶层概念", taxonomy.SourceMorph, 1); err != nil {
+		if err := tax.AddIsA(fmt.Sprintf("概念%d", i), "顶层概念", taxonomy.SourceMorph); err != nil {
 			tb.Fatalf("AddIsA: %v", err)
 		}
 	}
@@ -102,8 +102,11 @@ func requireEqualState(tb testing.TB, want, got *State) {
 			tb.Fatalf("edge[%d] = %+v, want %+v", i, gotEdges[i], wantEdges[i])
 		}
 	}
-	wantNodes := want.Taxonomy.ReadAll()
-	if !reflect.DeepEqual(wantNodes, got.Taxonomy.ReadAll()) {
+	// The reads' exported content: how a name resolves to its position
+	// (NodeSet.Find) goes through each store's own symbol table.
+	wantNodes, gotNodes := want.Taxonomy.ReadAll(), got.Taxonomy.ReadAll()
+	if !reflect.DeepEqual([]any{wantNodes.Names, wantNodes.Kinds, wantNodes.EdgeOff, wantNodes.Edges},
+		[]any{gotNodes.Names, gotNodes.Kinds, gotNodes.EdgeOff, gotNodes.Edges}) {
 		tb.Fatal("canonical reads (nodes, kinds, adjacency) differ")
 	}
 	if ws, gs := want.Taxonomy.ComputeStats(), got.Taxonomy.ComputeStats(); ws != gs {
@@ -318,9 +321,10 @@ func TestHeaderValidation(t *testing.T) {
 // legacyInputs are the older files the loaders refuse, by version: a
 // hand-made version-1 header, a real version-2 file — handState as the
 // striped writer wrote it, at the last commit that had one — and a
-// current file with its header patched to 3 and to 4 (version 3
+// current file with its header patched to 3, 4 and 5 (version 3
 // differed in the evidence section, version 4 in the image's evidence
-// count block, and the version is read first).
+// count block, version 5 in its named mention entities and edge
+// scores, and the version is read first).
 func legacyInputs(tb testing.TB) map[uint32][]byte {
 	tb.Helper()
 	v2, err := os.ReadFile("testdata/legacy-v2.snap")
@@ -332,10 +336,12 @@ func legacyInputs(tb testing.TB) map[uint32][]byte {
 	v3[8] = 3
 	v4 := bytes.Clone(v3)
 	v4[8] = 4
-	return map[uint32][]byte{1: v1, 2: v2, 3: v3, 4: v4}
+	v5 := bytes.Clone(v3)
+	v5[8] = 5
+	return map[uint32][]byte{1: v1, 2: v2, 3: v3, 4: v4, 5: v5}
 }
 
-// TestLegacyVersionsRefused: a version-1, -2, -3 or -4 file is answered
+// TestLegacyVersionsRefused: a version-1, -2, -3, -4 or -5 file is answered
 // by both entry points with one error that names the version found and
 // the command that rebuilds the snapshot — not decoded, not a generic
 // "unsupported".

@@ -134,10 +134,9 @@ func encodeEvidenceOracle(st *State, view *serving.View) ([]byte, error) {
 	for _, k := range kept {
 		j, c := k.j, k.c
 		bits[j/64] |= 1 << (j % 64)
-		if src, score := view.EdgeAt(j); src != c.Source || math.Float64bits(score) != math.Float64bits(c.Score) {
+		if view.EdgeAt(j) != c.Source {
 			except = binary.AppendUvarint(except, uint64(j-next))
 			except = append(except, byte(c.Source))
-			except = binary.LittleEndian.AppendUint64(except, math.Float64bits(c.Score))
 			nExcept, next = nExcept+1, j+1
 		}
 	}
@@ -308,7 +307,7 @@ func TestSaveFailingWriter(t *testing.T) {
 // so Save writes it, and Load and the mapped opener both answer it.
 func TestSaveMentionWithInvalidBytes(t *testing.T) {
 	tax := taxonomy.New()
-	if err := tax.AddIsA("实体", "概念", taxonomy.SourceTag, 1); err != nil {
+	if err := tax.AddIsA("实体", "概念", taxonomy.SourceTag); err != nil {
 		t.Fatal(err)
 	}
 	m := taxonomy.NewMentionIndex()

@@ -95,7 +95,7 @@ func TestIncrementalBookkeepingMatchesRecount(t *testing.T) {
 				a, b := name(), name()
 				switch rng.Intn(6) {
 				case 0, 1, 2:
-					_ = tx.AddIsA(a, b, Source(1<<rng.Intn(6)), rng.Float64())
+					_ = tx.AddIsA(a, b, Source(1<<rng.Intn(6)))
 				case 3:
 					removeIsA(tx, a, b)
 				case 4:

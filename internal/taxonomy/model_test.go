@@ -19,10 +19,9 @@ import (
 // modelOp is one write of the model's random sequences, applicable to
 // the store and to the reference alike.
 type modelOp struct {
-	kind  int
-	a, b  string
-	src   taxonomy.Source
-	score float64
+	kind int
+	a, b string
+	src  taxonomy.Source
 }
 
 // byName is the store's write surface with removal by name, as the
@@ -39,7 +38,7 @@ func (s byName) RemoveIsA(hypo, hyper string) bool {
 type writer interface {
 	MarkEntity(string)
 	MarkConcept(string)
-	AddIsA(hypo, hyper string, src taxonomy.Source, score float64) error
+	AddIsA(hypo, hyper string, src taxonomy.Source) error
 	RemoveIsA(hypo, hyper string) bool
 }
 
@@ -52,7 +51,7 @@ func randomOp(rng *rand.Rand, names int) modelOp {
 	}
 	return modelOp{
 		kind: rng.Intn(8), a: name(), b: name(),
-		src: taxonomy.Source(1 << rng.Intn(6)), score: rng.Float64(),
+		src: taxonomy.Source(1 << rng.Intn(6)),
 	}
 }
 
@@ -64,7 +63,7 @@ func (op modelOp) apply(w writer) string {
 	case 1:
 		w.MarkConcept(op.a)
 	case 2, 3, 4:
-		return fmt.Sprint(w.AddIsA(op.a, op.b, op.src, op.score) == nil)
+		return fmt.Sprint(w.AddIsA(op.a, op.b, op.src) == nil)
 	default:
 		return fmt.Sprint(w.RemoveIsA(op.a, op.b))
 	}
@@ -83,7 +82,10 @@ func same(a, b any) bool {
 // requireSameAnswers holds the store's reads and every query of the
 // view compiled from it to the (finalized) reference, over the whole
 // name universe plus names neither has seen, and returns the view.
-// Every edge's provenance is compared, not a sample.
+// Every edge's provenance is compared, not a sample. The view's nodes
+// are the reference's plus every mention's entities: one the store
+// holds no node for is a node of unknown kind with no edge, which
+// answers every other query as a name the reference does not know.
 func requireSameAnswers(t *testing.T, at string, rng *rand.Rand, names int, dense *taxonomy.Taxonomy, ref *taxonomy.Reference, mentions *taxonomy.MentionIndex) *serving.View {
 	t.Helper()
 	check := func(what string, got, want any) {
@@ -93,9 +95,15 @@ func requireSameAnswers(t *testing.T, at string, rng *rand.Rand, names int, dens
 	}
 	v := serving.Compile(dense, mentions)
 	nodes, edges := ref.Nodes(), ref.Edges()
+	viewNodes := slices.Clone(nodes)
+	for _, e := range mentions.Sorted() {
+		viewNodes = append(viewNodes, e.IDs...)
+	}
+	slices.Sort(viewNodes)
+	viewNodes = slices.Compact(viewNodes)
 	check("Edges", dense.Edges(), edges)
 	check("ComputeStats", dense.ComputeStats(), ref.ComputeStats())
-	check("view Nodes", v.Nodes(), nodes)
+	check("view Nodes", v.Nodes(), viewNodes)
 	check("view Stats", v.Stats(), ref.ComputeStats())
 	check("view EdgeCount", v.EdgeCount(), len(edges))
 	requireSameNodeSet(t, at, dense.ReadAll(), nodes, ref, true)
@@ -123,8 +131,8 @@ func requireSameAnswers(t *testing.T, at string, rng *rand.Rand, names int, dens
 		check("view Hyponyms(limit) "+n, v.Hyponyms(n, limit), ref.Hyponyms(n, limit))
 		check("view Ancestors "+n, v.Ancestors(n), ref.Ancestors(n))
 		id, ok := v.ID(n, 0)
-		if _, known := slices.BinarySearch(nodes, n); ok != known {
-			t.Fatalf("%s: view ID(%q) ok = %v, reference knows it: %v", at, n, ok, known)
+		if _, known := slices.BinarySearch(viewNodes, n); ok != known {
+			t.Fatalf("%s: view ID(%q) ok = %v, reference or mentions know it: %v", at, n, ok, known)
 		}
 		if !ok {
 			continue
@@ -209,7 +217,7 @@ func requireSameNodeSet(t *testing.T, at string, set *taxonomy.NodeSet, names []
 			if (e.At >= 0) != resolved || (resolved && names[e.At] != e.Hyper) {
 				t.Fatalf("%s: read edge %s→%s resolved to %d", at, n, e.Hyper, e.At)
 			}
-			got = append(got, taxonomy.Edge{Hypo: n, Hyper: e.Hyper, Sources: e.Sources, Score: e.Score})
+			got = append(got, taxonomy.Edge{Hypo: n, Hyper: e.Hyper, Sources: e.Sources})
 		}
 		var want []taxonomy.Edge
 		for _, h := range ref.Hypernyms(n) {

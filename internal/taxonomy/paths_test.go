@@ -22,7 +22,7 @@ func viewOf(t *testing.T, edges [][2]string, entities ...string) *serving.View {
 		tx.MarkEntity(e)
 	}
 	for _, e := range edges {
-		if err := tx.AddIsA(e[0], e[1], taxonomy.SourceTag, 1); err != nil {
+		if err := tx.AddIsA(e[0], e[1], taxonomy.SourceTag); err != nil {
 			t.Fatalf("AddIsA(%q, %q): %v", e[0], e[1], err)
 		}
 	}
@@ -40,7 +40,7 @@ func pathFixture(t *testing.T, extra ...[2]string) *serving.View {
 func TestAncestorsBFS(t *testing.T) {
 	tx := taxonomy.New()
 	for _, e := range [][2]string{{"男演员", "演员"}, {"演员", "人物"}, {"刘德华", "男演员"}} {
-		if err := tx.AddIsA(e[0], e[1], taxonomy.SourceTag, 1); err != nil {
+		if err := tx.AddIsA(e[0], e[1], taxonomy.SourceTag); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +59,7 @@ func TestAncestorsBFS(t *testing.T) {
 func TestAncestorsToleratesCycle(t *testing.T) {
 	tx := taxonomy.New()
 	for _, e := range [][2]string{{"a", "b"}, {"b", "a"}} {
-		if err := tx.AddIsA(e[0], e[1], taxonomy.SourceTag, 1); err != nil {
+		if err := tx.AddIsA(e[0], e[1], taxonomy.SourceTag); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -210,7 +210,7 @@ func (t *refTaxonomy) Kind(name string) NodeKind {
 // are rejected. Hypernyms are implicitly marked as concepts; hyponyms
 // keep their current kind (entities are marked via MarkEntity by the
 // pipeline; hyponyms that are concepts form subconcept edges).
-func (t *refTaxonomy) AddIsA(hypo, hyper string, src Source, score float64) error {
+func (t *refTaxonomy) AddIsA(hypo, hyper string, src Source) error {
 	if hypo == "" || hyper == "" {
 		return fmt.Errorf("taxonomy: empty node in isA(%q, %q)", hypo, hyper)
 	}
@@ -221,20 +221,17 @@ func (t *refTaxonomy) AddIsA(hypo, hyper string, src Source, score float64) erro
 	defer unlock()
 	k := refEdgeKey{hypo, hyper}
 	if e, ok := sa.edges[k]; ok {
-		if e.Sources|src == e.Sources && score <= e.Score {
+		if e.Sources|src == e.Sources {
 			return nil // nothing new: nothing logged, as the store logs nothing
 		}
 		e.Sources |= src
-		if score > e.Score {
-			e.Score = score
-		}
 		// Both ends are logged, as the store logs them.
 		sa.refTouch(hypo, 0)
 		sb.refTouch(hyper, 0)
 		t.invalidate()
 		return nil
 	}
-	sa.edges[k] = &Edge{Hypo: hypo, Hyper: hyper, Sources: src, Score: score}
+	sa.edges[k] = &Edge{Hypo: hypo, Hyper: hyper, Sources: src}
 	refLinkEdge(sa, sb, hypo, hyper)
 	t.invalidate()
 	return nil

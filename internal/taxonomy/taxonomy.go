@@ -15,7 +15,7 @@
 // The store lives on dense IDs. Names are interned in a symtab.Table —
 // the one the build's verification evidence uses, so a name is hashed
 // once per build — and the rest is one flat array of node records
-// indexed by ID: kind, outgoing edges (hypernym ID, sources, score)
+// indexed by ID: kind, outgoing edges (hypernym ID, sources)
 // and hyponym IDs, in arrival order. There is no second
 // index to keep in step and nothing to finalize: the Stats counters are
 // kept by the writes, the change log is a list of touched IDs, and the
@@ -100,15 +100,13 @@ const (
 
 // Edge is one isA relation: Hypo isA Hyper.
 type Edge struct {
-	Hypo    string  `json:"hypo"`
-	Hyper   string  `json:"hyper"`
-	Sources Source  `json:"sources"`
-	Score   float64 `json:"score"`
+	Hypo    string `json:"hypo"`
+	Hyper   string `json:"hyper"`
+	Sources Source `json:"sources"`
 }
 
 // edge is one outgoing isA relation, stored on its hyponym.
 type edge struct {
-	score   float64
 	hyper   uint32
 	sources Source
 }
@@ -218,8 +216,11 @@ func (t *Taxonomy) MarkEntity(id string) { t.mark(id, KindEntity) }
 // MarkConcept declares node as a concept.
 func (t *Taxonomy) MarkConcept(name string) { t.mark(name, KindConcept) }
 
-// MarkEntityID is MarkEntity for a node named by an ID of the store's
-// symbol table.
+// MarkEntityID marks a page's entity, named by an ID of the store's
+// symbol table: the node is an entity whatever it was before — a
+// concept some other page's tag made of it too — as a build makes it,
+// which marks every page before it links an edge. An entity is never
+// demoted (RemoveIsAID), so a page's entity stays a node.
 func (t *Taxonomy) MarkEntityID(id uint32) {
 	if t.syms.Names()[id] == "" {
 		return
@@ -227,9 +228,7 @@ func (t *Taxonomy) MarkEntityID(id uint32) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.grow(id)
-	if t.nodes[id].kind == KindUnknown {
-		t.setKind(id, KindEntity)
-	}
+	t.setKind(id, KindEntity)
 }
 
 func (t *Taxonomy) mark(name string, k NodeKind) {
@@ -267,19 +266,19 @@ func checkEdge(hypo, hyper string) error {
 // are rejected. Hypernyms are implicitly marked as concepts; hyponyms
 // keep their current kind (entities are marked via MarkEntity by the
 // pipeline; hyponyms that are concepts form subconcept edges).
-func (t *Taxonomy) AddIsA(hypo, hyper string, src Source, score float64) error {
+func (t *Taxonomy) AddIsA(hypo, hyper string, src Source) error {
 	if err := checkEdge(hypo, hyper); err != nil {
 		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.addIsA(t.intern(hypo), t.intern(hyper), src, score)
+	t.addIsA(t.intern(hypo), t.intern(hyper), src)
 	return nil
 }
 
 // AddIsAID is AddIsA for a pair named by IDs of the store's symbol
 // table, with the same checks.
-func (t *Taxonomy) AddIsAID(hypo, hyper uint32, src Source, score float64) error {
+func (t *Taxonomy) AddIsAID(hypo, hyper uint32, src Source) error {
 	names := t.syms.Names()
 	if err := checkEdge(names[hypo], names[hyper]); err != nil {
 		return err
@@ -287,12 +286,12 @@ func (t *Taxonomy) AddIsAID(hypo, hyper uint32, src Source, score float64) error
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.grow(max(hypo, hyper))
-	t.addIsA(hypo, hyper, src, score)
+	t.addIsA(hypo, hyper, src)
 	return nil
 }
 
 // addIsA is AddIsA on IDs with records. Callers hold mu for writing.
-func (t *Taxonomy) addIsA(a, b uint32, src Source, score float64) {
+func (t *Taxonomy) addIsA(a, b uint32, src Source) {
 	n := &t.nodes[a]
 	if i := n.find(b); i >= 0 {
 		// A pair generated again adds no evidence unless it comes from
@@ -302,13 +301,13 @@ func (t *Taxonomy) addIsA(a, b uint32, src Source, score float64) {
 		// TestIncrementalBookkeepingMatchesRecount holds it, though a
 		// view reads the edge only on the hyponym's side.
 		e := &n.hypers[i]
-		if sources, best := e.sources|src, max(e.score, score); sources != e.sources || best != e.score {
-			e.sources, e.score = sources, best
+		if e.sources|src != e.sources {
+			e.sources |= src
 			t.changes.record(a, b)
 		}
 		return
 	}
-	t.link(a, b, edge{hyper: b, sources: src, score: score})
+	t.link(a, b, edge{hyper: b, sources: src})
 }
 
 // link stores a new edge on both endpoints, marks an unknown hypernym
@@ -333,15 +332,13 @@ func (t *Taxonomy) link(a, b uint32, e edge) {
 
 // ImportIDs restores an empty store from a serving image's canonical
 // content by ID: every node's kind and every edge verbatim, with its
-// full provenance — sources and score — and the counters
-// the writes would keep, in one pass under one lock, with no name
-// hashed. The
-// store's symbol table must hold the image's node names as IDs
-// 0..len(kinds)-1, in image order (snapshot.Load interns them first);
-// kinds has one entry per node, and node u's edges are
-// edges[hyperOff[u]:hyperOff[u+1]], edge j's hypernym being node
-// hyperIDs[j]. The edges' names are not read.
-func (t *Taxonomy) ImportIDs(kinds []NodeKind, hyperOff, hyperIDs []uint32, edges []Edge) {
+// sources, and the counters the writes would keep, in one pass under
+// one lock, with no name hashed. The store's symbol table must hold the
+// image's node names as IDs 0..len(kinds)-1, in image order
+// (snapshot.Load interns them first); kinds has one entry per node, and
+// node u's edges are [hyperOff[u], hyperOff[u+1]), edge j's hypernym
+// being node hyperIDs[j] and its sources sources[j].
+func (t *Taxonomy) ImportIDs(kinds []NodeKind, hyperOff, hyperIDs []uint32, sources []Source) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if grow := len(kinds) - len(t.nodes); grow > 0 {
@@ -365,8 +362,7 @@ func (t *Taxonomy) ImportIDs(kinds []NodeKind, hyperOff, hyperIDs []uint32, edge
 	}
 	for u := range kinds {
 		for j := hyperOff[u]; j < hyperOff[u+1]; j++ {
-			e := &edges[j]
-			t.link(uint32(u), hyperIDs[j], edge{hyper: hyperIDs[j], sources: e.Sources, score: e.Score})
+			t.link(uint32(u), hyperIDs[j], edge{hyper: hyperIDs[j], sources: sources[j]})
 		}
 	}
 }
@@ -423,7 +419,7 @@ func (t *Taxonomy) EdgeOf(hypo, hyper string) (Edge, bool) {
 		return Edge{}, false
 	}
 	e := &from.hypers[i]
-	return Edge{Hypo: hypo, Hyper: hyper, Sources: e.sources, Score: e.score}, true
+	return Edge{Hypo: hypo, Hyper: hyper, Sources: e.sources}, true
 }
 
 // sortedNames resolves n IDs — id(0) … id(n-1) — to their names,
@@ -504,7 +500,7 @@ func (set *NodeSet) edgeList() []Edge {
 	out := make([]Edge, 0, len(set.Edges))
 	for i, hypo := range set.Names {
 		for _, e := range set.Edges[set.EdgeOff[i]:set.EdgeOff[i+1]] {
-			out = append(out, Edge{Hypo: hypo, Hyper: e.Hyper, Sources: e.Sources, Score: e.Score})
+			out = append(out, Edge{Hypo: hypo, Hyper: e.Hyper, Sources: e.Sources})
 		}
 	}
 	return out
@@ -566,12 +562,30 @@ type NodeSet struct {
 	// ascending by hypernym name.
 	EdgeOff []uint32
 	Edges   []NodeEdge
+
+	// syms and rank resolve a name to its position (Find): rank maps a
+	// symbol ID to the position of its node, -1 when it has none. Only
+	// ReadAll sets them.
+	syms *symtab.Table
+	rank []int32
+}
+
+// Find returns the position of node name in a set ReadAll returned, or
+// -1 when the store read no such node: one lookup in the store's symbol
+// table, no search of Names. A set ReadNodes returned answers -1.
+func (set *NodeSet) Find(name string) int32 {
+	if set.syms == nil {
+		return -1
+	}
+	if id, ok := set.syms.Lookup(name); ok && int(id) < len(set.rank) {
+		return set.rank[id]
+	}
+	return -1
 }
 
 // NodeEdge is one outgoing edge of a NodeSet node.
 type NodeEdge struct {
 	Hyper string
-	Score float64
 	// At is Hyper's index in the set's Names, or -1 when the reader did
 	// not resolve it (the hypernym may still be among them).
 	At      int32
@@ -587,7 +601,10 @@ func (t *Taxonomy) ReadAll() *NodeSet {
 	names := t.syms.Names()
 	order := t.idsWhere((*node).exists)
 	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(names[a], names[b]) })
-	rank := make([]int32, len(t.nodes)) // only ranks of existing nodes are read
+	rank := make([]int32, len(t.nodes))
+	for i := range rank {
+		rank[i] = -1
+	}
 	for i, id := range order {
 		rank[id] = int32(i)
 	}
@@ -596,6 +613,8 @@ func (t *Taxonomy) ReadAll() *NodeSet {
 		Kinds:   make([]NodeKind, len(order)),
 		EdgeOff: make([]uint32, len(order)+1),
 		Edges:   make([]NodeEdge, 0, t.stats.IsARelations),
+		syms:    t.syms,
+		rank:    rank,
 	}
 	for i, id := range order {
 		set.Names[i] = names[id]
@@ -638,7 +657,7 @@ func (set *NodeSet) put(i int, n *node, names []string, rank []int32) {
 		if rank != nil {
 			at = rank[e.hyper]
 		}
-		set.Edges = append(set.Edges, NodeEdge{Hyper: names[e.hyper], At: at, Sources: e.sources, Score: e.score})
+		set.Edges = append(set.Edges, NodeEdge{Hyper: names[e.hyper], At: at, Sources: e.sources})
 	}
 	slices.SortFunc(set.Edges[set.EdgeOff[i]:], func(a, b NodeEdge) int {
 		if rank != nil {

@@ -30,13 +30,13 @@ func TestAddIsAAndLookups(t *testing.T) {
 
 func TestAddIsARejectsDegenerate(t *testing.T) {
 	tx := New()
-	if err := tx.AddIsA("a", "a", SourceTag, 1); err == nil {
+	if err := tx.AddIsA("a", "a", SourceTag); err == nil {
 		t.Error("self-loop accepted")
 	}
-	if err := tx.AddIsA("", "b", SourceTag, 1); err == nil {
+	if err := tx.AddIsA("", "b", SourceTag); err == nil {
 		t.Error("empty hyponym accepted")
 	}
-	if err := tx.AddIsA("a", "", SourceTag, 1); err == nil {
+	if err := tx.AddIsA("a", "", SourceTag); err == nil {
 		t.Error("empty hypernym accepted")
 	}
 }
@@ -209,7 +209,7 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				name := string(rune('a' + g))
-				_ = tx.AddIsA(name+"实体", "概念", SourceTag, 1)
+				_ = tx.AddIsA(name+"实体", "概念", SourceTag)
 				_, _ = tx.EdgeOf(name+"实体", "概念")
 				_ = tx.HyponymCount("概念")
 				_ = tx.ComputeStats()
@@ -240,7 +240,7 @@ func TestQuickIndexesConsistent(t *testing.T) {
 			if hypo == hyper {
 				continue
 			}
-			if err := tx.AddIsA(hypo, hyper, SourceTag, 1); err != nil {
+			if err := tx.AddIsA(hypo, hyper, SourceTag); err != nil {
 				return false
 			}
 		}
@@ -268,7 +268,7 @@ func reverseIndexConsistent(tx *Taxonomy) string {
 
 func mustAdd(t *testing.T, tx *Taxonomy, hypo, hyper string, src Source) {
 	t.Helper()
-	if err := tx.AddIsA(hypo, hyper, src, 1); err != nil {
+	if err := tx.AddIsA(hypo, hyper, src); err != nil {
 		t.Fatalf("AddIsA(%q,%q): %v", hypo, hyper, err)
 	}
 }
@@ -292,14 +292,14 @@ func TestShardedConcurrentAddAndQuery(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				hypo := fmt.Sprintf("实体%d_%d", g, i)
 				hyper := fmt.Sprintf("概念%d", i%13)
-				if err := tx.AddIsA(hypo, hyper, SourceTag, 1); err != nil {
+				if err := tx.AddIsA(hypo, hyper, SourceTag); err != nil {
 					t.Errorf("AddIsA: %v", err)
 					return
 				}
 				tx.MarkEntity(hypo)
 				if i%7 == 0 {
 					// Second edge: hypernym of a hypernym.
-					_ = tx.AddIsA(hyper, fmt.Sprintf("上位%d", i%3), SourceSubsume, 0.5)
+					_ = tx.AddIsA(hyper, fmt.Sprintf("上位%d", i%3), SourceSubsume)
 				}
 				if i%11 == 0 {
 					removeIsA(tx, hypo, hyper)

@@ -24,7 +24,7 @@ func buildTypicality(t *testing.T) *serving.View {
 		{"刘德华", "演员", taxonomy.SourceTag}, {"刘德华", "演员", taxonomy.SourceInfobox},
 		{"刘德华", "歌手", taxonomy.SourceTag}, {"张学友", "歌手", taxonomy.SourceTag},
 	} {
-		if err := tx.AddIsA(e.hypo, e.hyper, e.src, 1); err != nil {
+		if err := tx.AddIsA(e.hypo, e.hyper, e.src); err != nil {
 			t.Fatal(err)
 		}
 	}

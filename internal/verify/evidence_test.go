@@ -43,11 +43,11 @@ func (w *evidenceWorld) page() (encyclopedia.Page, []named) {
 			p.Infobox = append(p.Infobox, encyclopedia.Triple{Subject: title, Predicate: pred, Object: "值"})
 		}
 	}
-	cands := []named{{Hypo: p.ID(), Hyper: typ, Source: taxonomy.SourceTag, Score: 1}}
+	cands := []named{{Hypo: p.ID(), Hyper: typ, Source: taxonomy.SourceTag}}
 	if w.rng.Intn(6) == 0 {
 		other := w.concept()
 		if other != typ {
-			cands = append(cands, named{Hypo: p.ID(), Hyper: other, Source: taxonomy.SourceBracket, Score: 0.5})
+			cands = append(cands, named{Hypo: p.ID(), Hyper: other, Source: taxonomy.SourceBracket})
 		}
 	}
 	return p, cands
@@ -126,7 +126,7 @@ func TestEvidenceMatchesOracle(t *testing.T) {
 				// A candidate whose hyponym's page only arrives next
 				// batch: titleEdges must late-bind identically.
 				future := fmt.Sprintf("实体演员%03d", w.n+1)
-				fresh = append(fresh, named{Hypo: future, Hyper: "演员", Source: taxonomy.SourceTag, Score: 1})
+				fresh = append(fresh, named{Hypo: future, Hyper: "演员", Source: taxonomy.SourceTag})
 				// Delta NE observations drift s1 between batches.
 				deltaSup := ner.NewSupport()
 				for i := 0; i < 5; i++ {
@@ -199,8 +199,8 @@ func TestVerifyDeltaSkipsUntouchedClusters(t *testing.T) {
 		b := encyclopedia.Page{Title: fmt.Sprintf("图书实体%02d", i)}
 		pages = append(pages, a, b)
 		cands = append(cands,
-			named{Hypo: a.ID(), Hyper: "演员", Source: taxonomy.SourceTag, Score: 1},
-			named{Hypo: b.ID(), Hyper: "图书", Source: taxonomy.SourceTag, Score: 1})
+			named{Hypo: a.ID(), Hyper: "演员", Source: taxonomy.SourceTag},
+			named{Hypo: b.ID(), Hyper: "图书", Source: taxonomy.SourceTag})
 	}
 	cands = dedupeNamed(cands)
 	ev.AddPages(pages, pageIDs(ev.syms, pages))
@@ -214,7 +214,7 @@ func TestVerifyDeltaSkipsUntouchedClusters(t *testing.T) {
 
 	// Second batch: one fresh page claiming 图书 only.
 	p := encyclopedia.Page{Title: "图书实体99"}
-	fresh := named{Hypo: p.ID(), Hyper: "图书", Source: taxonomy.SourceTag, Score: 1}
+	fresh := named{Hypo: p.ID(), Hyper: "图书", Source: taxonomy.SourceTag}
 	ev.AddPages([]encyclopedia.Page{p}, pageIDs(ev.syms, []encyclopedia.Page{p}))
 	merged := dedupeNamed(append(kept, fresh))
 	ev.AddCandidates(onIDs(ev.syms, merged))

@@ -305,7 +305,7 @@ func (w *modelWorld) candidate() named {
 	if w.rng.Intn(3) == 0 {
 		hyper = modelTypes[w.rng.Intn(len(modelTypes))].concept
 	}
-	return named{Hypo: hypo, Hyper: hyper, Source: taxonomy.SourceTag, Score: 1}
+	return named{Hypo: hypo, Hyper: hyper, Source: taxonomy.SourceTag}
 }
 
 // TestEvidenceModel drives the dense Evidence and the map-based

@@ -28,7 +28,6 @@ import (
 type named struct {
 	Hypo, Hyper string
 	Source      taxonomy.Source
-	Score       float64
 }
 
 // namedDecision is a Decision named by strings.
@@ -41,7 +40,7 @@ type namedDecision struct {
 func onIDs(syms *symtab.Table, cs []named) []extract.Candidate {
 	out := make([]extract.Candidate, len(cs))
 	for i, c := range cs {
-		out[i] = extract.Candidate{Hypo: syms.Intern(c.Hypo), Hyper: syms.Intern(c.Hyper), Source: c.Source, Score: c.Score}
+		out[i] = extract.Candidate{Hypo: syms.Intern(c.Hypo), Hyper: syms.Intern(c.Hyper), Source: c.Source}
 	}
 	return out
 }
@@ -61,7 +60,7 @@ func byName(syms *symtab.Table, cs []extract.Candidate) []named {
 	names := syms.Names()
 	var out []named
 	for _, c := range cs {
-		out = append(out, named{names[c.Hypo], names[c.Hyper], c.Source, c.Score})
+		out = append(out, named{names[c.Hypo], names[c.Hyper], c.Source})
 	}
 	return out
 }
@@ -77,14 +76,13 @@ func decisionsByName(syms *symtab.Table, ds []Decision) []namedDecision {
 }
 
 // dedupeNamed is extract.Dedupe on names: duplicates folded (sources
-// OR-ed, maximum score), sorted by (Hypo, Hyper) name.
+// OR-ed), sorted by (Hypo, Hyper) name.
 func dedupeNamed(cs []named) []named {
 	at := make(map[edgeKey]int)
 	var out []named
 	for _, c := range cs {
 		if i, ok := at[edgeKey{c.Hypo, c.Hyper}]; ok {
 			out[i].Source |= c.Source
-			out[i].Score = max(out[i].Score, c.Score)
 			continue
 		}
 		at[edgeKey{c.Hypo, c.Hyper}] = len(out)

@@ -18,7 +18,7 @@ func testSeg() *segment.Segmenter {
 }
 
 func cand(hypo, hyper string) named {
-	return named{Hypo: hypo, Hyper: hyper, Source: taxonomy.SourceTag, Score: 1}
+	return named{Hypo: hypo, Hyper: hyper, Source: taxonomy.SourceTag}
 }
 
 // newContext assembles verification evidence from the corpus and the
