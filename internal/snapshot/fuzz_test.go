@@ -3,6 +3,8 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
+	"slices"
 	"testing"
 )
 
@@ -22,8 +24,9 @@ import (
 func FuzzDecodeSnapshot(f *testing.F) {
 	valid := saveBytes(f, handState(f), Options{Workers: 1})
 	f.Add(valid)
-	for _, legacy := range legacyInputs(f) { // must-reject: the v1 header, the v2 file
-		f.Add(legacy)
+	legacy := legacyInputs(f) // must-reject: the v1 header, the v2 file, patched versions
+	for _, version := range slices.Sorted(maps.Keys(legacy)) {
+		f.Add(legacy[version]) // in version order, so a seed's number names one input
 	}
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
@@ -51,8 +54,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 
 	// Must-reject images that frame correctly: a mention entity at the
 	// node count, and a mention whose entity IDs do not ascend.
-	for _, bad := range badMentionEntities(f, valid) {
-		f.Add(bad)
+	bad := badMentionEntities(f, valid)
+	for _, what := range slices.Sorted(maps.Keys(bad)) {
+		f.Add(bad[what])
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
