@@ -297,3 +297,74 @@ nodes:
 		t.Fatalf("only %d nodes with the same hypernyms and sources as the scratch build; too few to pin anything", compared)
 	}
 }
+
+// TestUpdateRetractsKeptHalfOfDerivedEdge pins retraction of an edge
+// that is both generated and derived. A concept c with a head-rule
+// edge c isA h becomes a page tagged h, so a kept pair lands on the
+// derived edge; a later page titled h raises h's NE support until the
+// kept pair is rejected. The edge c isA h, and the kinds of c and h,
+// must then read as a fresh Build of the same pages reads them.
+func TestUpdateRetractsKeptHalfOfDerivedEdge(t *testing.T) {
+	base := buildSmallWorld(t, 900).Corpus().Pages
+	p := New(fastOptions())
+	res, err := p.Build(&encyclopedia.Corpus{Pages: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The head-rule edge whose head has the fewest hyponyms, so one
+	// page titled with the head outweighs them.
+	v := res.Freeze()
+	c, h, fewest := "", "", 0
+	for id := uint32(0); int(id) < v.NodeCount(); id++ {
+		if v.KindOf(id) != taxonomy.KindConcept {
+			continue
+		}
+		for _, hyper := range v.HypernymIDsOf(id) {
+			e, _ := v.EdgeOf(v.Name(id), v.Name(hyper))
+			if n := len(v.HyponymIDsOf(hyper)); e.Sources == taxonomy.SourceMorph && (h == "" || n < fewest) {
+				c, h, fewest = v.Name(id), v.Name(hyper), n
+			}
+		}
+	}
+	if h == "" {
+		t.Fatal("the world derived no head-rule edge")
+	}
+	lands := encyclopedia.Page{Title: c, Abstract: c + "是一个条目。", Tags: []string{h}}
+	tags := make([]string, 24)
+	for i := range tags {
+		tags[i] = "标签" + string(rune('甲'+i))
+	}
+	retracts := encyclopedia.Page{Title: h, Abstract: h + "是一部作品。", Tags: tags}
+
+	if _, err := p.Update(res, &encyclopedia.Corpus{Pages: []encyclopedia.Page{lands}}); err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := res.Freeze().EdgeOf(c, h); !ok || e.Sources != taxonomy.SourceTag|taxonomy.SourceMorph {
+		t.Fatalf("%s isA %s after the page tagged %s: %v %v, want tag+morph", c, h, h, e.Sources, ok)
+	}
+	if _, err := p.Update(res, &encyclopedia.Corpus{Pages: []encyclopedia.Page{retracts}}); err != nil {
+		t.Fatal(err)
+	}
+	hypo, _ := res.Taxonomy.Symbols().Lookup(c)
+	hyper, _ := res.Taxonomy.Symbols().Lookup(h)
+	if _, kept := findPair(res.Kept, hypo, hyper); kept {
+		t.Fatalf("%s isA %s is still kept after the page titled %s", c, h, h)
+	}
+
+	all := append(append(base[:len(base):len(base)], lands), retracts)
+	fresh, err := New(fastOptions()).Build(&encyclopedia.Corpus{Pages: all})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := res.Freeze(), fresh.Freeze()
+	ge, gok := got.EdgeOf(c, h)
+	we, wok := want.EdgeOf(c, h)
+	if gok != wok || ge.Sources != we.Sources {
+		t.Errorf("%s isA %s after the updates: %v %v; a fresh build: %v %v", c, h, ge.Sources, gok, we.Sources, wok)
+	}
+	for _, n := range []string{c, h} {
+		if g, w := got.Kind(n), want.Kind(n); g != w {
+			t.Errorf("%s: kind %v after the updates, %v from a fresh build", n, g, w)
+		}
+	}
+}
