@@ -132,7 +132,7 @@ func TestInspectPartsSumToFileSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare := &cnprobase.Result{Taxonomy: res.Taxonomy, Mentions: res.Mentions}
+	bare := &cnprobase.Result{Taxonomy: res.Taxonomy}
 	for name, r := range map[string]*cnprobase.Result{"built": res, "without evidence": bare} {
 		var snap bytes.Buffer
 		if err := cnprobase.SaveSnapshot(&snap, r); err != nil {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"cnprobase"
+	"cnprobase/internal/serving/servingtest"
 )
 
 // buildServerBinary compiles cnpserver once per test binary.
@@ -180,7 +181,7 @@ func TestServeLoadedSnapshot(t *testing.T) {
 		Entities []string `json:"entities"`
 	}
 	get("/api/men2ent?mention="+entity, &men)
-	if want := fmt.Sprint(res.Mentions.Lookup(entity)); fmt.Sprint(men.Entities) != want {
+	if want := fmt.Sprint(servingtest.Lookup(res.Taxonomy, entity)); fmt.Sprint(men.Entities) != want {
 		t.Errorf("men2ent(%q) = %v, want %v", entity, men.Entities, want)
 	}
 
@@ -607,7 +608,7 @@ func TestIngestRequiresMutableState(t *testing.T) {
 	}
 	_, res := writeSnapshot(t)
 	var snap bytes.Buffer
-	if err := cnprobase.SaveSnapshot(&snap, &cnprobase.Result{Taxonomy: res.Taxonomy, Mentions: res.Mentions}); err != nil {
+	if err := cnprobase.SaveSnapshot(&snap, &cnprobase.Result{Taxonomy: res.Taxonomy}); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "bare.snap")

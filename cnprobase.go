@@ -53,8 +53,8 @@ type (
 	Source = taxonomy.Source
 	// TaxonomyStats summarizes a taxonomy (Table I row shape).
 	TaxonomyStats = taxonomy.Stats
-	// MentionIndex resolves surface mentions to entity IDs (men2ent).
-	MentionIndex = taxonomy.MentionIndex
+	// Mention is one surface mention of an entity (men2ent's table).
+	Mention = taxonomy.Mention
 
 	// Corpus is an in-memory encyclopedia dump.
 	Corpus = encyclopedia.Corpus
@@ -184,8 +184,8 @@ func NewTaxonomy() *Taxonomy { return taxonomy.New() }
 // NewViewServer builds the HTTP server over a serving view: a build's
 // Result.Freeze, or OpenSnapshotMapped — the path cnpserver -load uses
 // so a snapshot becomes a serving process without ever materializing
-// the mutable build store. Later writes to a store are not served;
-// freeze a new view and call APIServer.SwapView to publish them.
+// the write model. Later writes to a taxonomy are not served; freeze a
+// new view and call APIServer.SwapView to publish them.
 func NewViewServer(v *ServingView) *APIServer { return api.NewViewServer(v) }
 
 // ServerResilience tunes the overload-safety stack wrapped around the
@@ -333,14 +333,12 @@ func saveSnapshotLSN(w io.Writer, res *Result, lsn uint64) error {
 	meta.LSN = lsn
 	st := &snapshot.State{
 		Taxonomy: res.Taxonomy,
-		Mentions: res.Mentions,
 		Meta:     meta,
 		// A Result whose last Freeze is still current — the ingest
 		// plane at compaction time — is saved from that view; any other
 		// is compiled by Save, and is left without a view attached.
 		View:     res.PublishedView(),
 		Evidence: res.Evidence,
-		Kept:     res.Kept,
 		Stats:    res.Stats,
 	}
 	return snapshot.Save(w, st, snapshot.Options{Workers: workers})
@@ -387,10 +385,8 @@ func LoadSnapshotLSN(r io.Reader, workers, shards int) (*Result, uint64, error) 
 	rep.Stats = st.Taxonomy.ComputeStats()
 	return &Result{
 		Taxonomy: st.Taxonomy,
-		Mentions: st.Mentions,
 		Report:   rep,
 		Evidence: st.Evidence,
-		Kept:     st.Kept,
 		Stats:    st.Stats,
 	}, st.Meta.LSN, nil
 }

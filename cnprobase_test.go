@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"cnprobase/internal/serving/servingtest"
 )
 
 func smallOptions() Options {
@@ -187,7 +189,7 @@ func TestFacadeSnapshotRoundTrip(t *testing.T) {
 		if a, b := view.Hypernyms(n), loadedView.Hypernyms(n); len(a) != len(b) {
 			t.Fatalf("Hypernyms(%q) = %v, want %v", n, b, a)
 		}
-		if a, b := res.Mentions.Lookup(n), loaded.Mentions.Lookup(n); len(a) != len(b) {
+		if a, b := servingtest.Lookup(res.Taxonomy, n), servingtest.Lookup(loaded.Taxonomy, n); len(a) != len(b) {
 			t.Fatalf("Lookup(%q) = %v, want %v", n, b, a)
 		}
 	}
@@ -230,7 +232,7 @@ func TestFacadeUpdateAfterSnapshotLoad(t *testing.T) {
 
 	// A Result without evidence (e.g. assembled by hand)
 	// must still refuse cleanly.
-	bare := &Result{Taxonomy: loaded.Taxonomy, Mentions: loaded.Mentions, Report: loaded.Report}
+	bare := &Result{Taxonomy: loaded.Taxonomy, Report: loaded.Report}
 	if _, err := Update(bare, delta, opts); err == nil {
 		t.Error("Update on an evidence-less Result should fail")
 	}
@@ -272,7 +274,7 @@ func TestFacadeUpdateAfterSnapshotLoad(t *testing.T) {
 		t.Fatalf("snapshots after the update differ: %d vs %d bytes", savedOrig.Len(), savedLoaded.Len())
 	}
 	newPage := &delta.Pages[0]
-	if len(updLoaded.Mentions.Lookup(newPage.Title)) == 0 {
+	if len(servingtest.Lookup(updLoaded.Taxonomy, newPage.Title)) == 0 {
 		t.Errorf("mention %q not indexed after post-load update", newPage.Title)
 	}
 }
@@ -309,13 +311,13 @@ func TestFacadeSnapshotBytesIgnoreConcurrency(t *testing.T) {
 }
 
 // TestFacadeFreezeAndMappedView covers the serving-view surface of the
-// facade: Result.Freeze holds what the store holds, a snapshot saved from
-// the published view is the one the saver compiles itself,
+// facade: Result.Freeze holds what the lists hold, a snapshot saved
+// from the published view is the one the saver compiles itself,
 // OpenSnapshotMapped serves that file as an equivalent view, and
 // NewViewServer serves the view it is given.
 func TestFacadeFreezeAndMappedView(t *testing.T) {
 	_, res := buildSmall(t, 300)
-	var compiled bytes.Buffer // saved before any Freeze: the saver compiles the store itself
+	var compiled bytes.Buffer // saved before any Freeze: the saver compiles the taxonomy itself
 	if err := SaveSnapshot(&compiled, res); err != nil {
 		t.Fatalf("SaveSnapshot: %v", err)
 	}
@@ -323,17 +325,18 @@ func TestFacadeFreezeAndMappedView(t *testing.T) {
 	if view.Stats() != res.Taxonomy.ComputeStats() {
 		t.Fatalf("frozen stats = %+v, want %+v", view.Stats(), res.Taxonomy.ComputeStats())
 	}
-	set := res.Taxonomy.ReadAll()
-	for i, n := range set.Names {
-		var hypers []string
-		for _, e := range set.Edges[set.EdgeOff[i]:set.EdgeOff[i+1]] {
-			hypers = append(hypers, e.Hyper)
+	hypers := map[string][]string{}
+	for _, e := range res.Taxonomy.Edges() {
+		hypers[e.Hypo] = append(hypers[e.Hypo], e.Hyper)
+	}
+	names := res.Names()
+	for _, id := range res.Taxonomy.Nodes() {
+		n := names[id]
+		if b := view.Hypernyms(n); fmt.Sprint(hypers[n]) != fmt.Sprint(b) {
+			t.Fatalf("Hypernyms(%q): view %v, lists %v", n, b, hypers[n])
 		}
-		if b := view.Hypernyms(n); fmt.Sprint(hypers) != fmt.Sprint(b) {
-			t.Fatalf("Hypernyms(%q): view %v, store %v", n, b, hypers)
-		}
-		if a, b := res.Mentions.Lookup(n), view.Lookup(n); fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Fatalf("Lookup(%q): view %v, store %v", n, b, a)
+		if a, b := servingtest.Lookup(res.Taxonomy, n), view.Lookup(n); fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Fatalf("Lookup(%q): view %v, lists %v", n, b, a)
 		}
 	}
 
@@ -342,7 +345,7 @@ func TestFacadeFreezeAndMappedView(t *testing.T) {
 		t.Fatalf("SaveSnapshot: %v", err)
 	}
 	if !bytes.Equal(buf.Bytes(), compiled.Bytes()) {
-		t.Fatal("a snapshot saved from the published view differs from one that compiled the store")
+		t.Fatal("a snapshot saved from the published view differs from one that compiled the taxonomy")
 	}
 	path := filepath.Join(t.TempDir(), "taxonomy.snap")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -356,7 +359,7 @@ func TestFacadeFreezeAndMappedView(t *testing.T) {
 		t.Fatalf("mapped view (%d edges, %+v) != frozen view (%d edges, %+v)",
 			mapped.EdgeCount(), mapped.Stats(), view.EdgeCount(), view.Stats())
 	}
-	for _, n := range set.Names {
+	for _, n := range view.Nodes() {
 		if a, b := view.Hypernyms(n), mapped.Hypernyms(n); fmt.Sprint(a) != fmt.Sprint(b) {
 			t.Fatalf("Hypernyms(%q): mapped view %v, frozen view %v", n, b, a)
 		}
@@ -367,8 +370,8 @@ func TestFacadeFreezeAndMappedView(t *testing.T) {
 }
 
 // TestFacadeInvalidUTF8Title builds a corpus in which one page title
-// carries a byte that is not valid UTF-8. The mention index stores the
-// title in its U+FFFD spelling, so the Result saves, loads and opens
+// carries a byte that is not valid UTF-8. The taxonomy stores the
+// mention in its U+FFFD spelling, so the Result saves, loads and opens
 // mapped, and the fresh, loaded and mapped views answer that spelling
 // alike.
 func TestFacadeInvalidUTF8Title(t *testing.T) {

@@ -90,7 +90,7 @@ func ExampleSaveSnapshot() {
 	}
 
 	sameEdges := loaded.Taxonomy.ComputeStats() == res.Taxonomy.ComputeStats()
-	sameMentions := loaded.Mentions.Size() == res.Mentions.Size()
+	sameMentions := len(loaded.Mentions) == len(res.Mentions)
 	sameAnswers := true
 	built, served := res.Freeze(), loaded.Freeze()
 	for _, e := range w.Entities {

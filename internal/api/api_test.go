@@ -25,10 +25,9 @@ func testServer(t *testing.T) (*Server, *httptest.Server) {
 			t.Fatal(err)
 		}
 	}
-	mentions := taxonomy.NewMentionIndex()
-	mentions.Add("刘德华", "刘德华（演员）")
-	mentions.Add("刘德华", "刘德华（作家）")
-	srv := NewViewServer(serving.Compile(tax, mentions))
+	tax.AddMention("刘德华", "刘德华（演员）")
+	tax.AddMention("刘德华", "刘德华（作家）")
+	srv := NewViewServer(serving.Compile(tax))
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -175,7 +174,7 @@ func TestWorkloadMix(t *testing.T) {
 
 func TestWorkloadRejectsEmptyTaxonomy(t *testing.T) {
 	_, ts := testServer(t)
-	if _, err := RunWorkload(NewClient(ts.URL), serving.Compile(taxonomy.New(), nil), DefaultWorkloadConfig()); err == nil {
+	if _, err := RunWorkload(NewClient(ts.URL), serving.Compile(taxonomy.New()), DefaultWorkloadConfig()); err == nil {
 		t.Fatal("workload over empty taxonomy should fail")
 	}
 }

@@ -232,8 +232,8 @@ func applicationProbes() []probe {
 // string-keyed reference still answered them from the mutable store as
 // well, and the two agreed.
 func TestApplicationGolden(t *testing.T) {
-	tax, mentions := equivFixture(t)
-	ts := httptest.NewServer(NewViewServer(serving.Compile(tax, mentions)).Handler())
+	tax := equivFixture(t)
+	ts := httptest.NewServer(NewViewServer(serving.Compile(tax)).Handler())
 	defer ts.Close()
 	requireGolden(t, "application", transcript(t, ts.URL, applicationProbes()))
 }
@@ -242,9 +242,9 @@ func TestApplicationGolden(t *testing.T) {
 // over a snapshot's mapped view answers the application endpoints with
 // the same bytes.
 func TestApplicationGoldenSnapshotRoundtrip(t *testing.T) {
-	tax, mentions := equivFixture(t)
+	tax := equivFixture(t)
 	var buf bytes.Buffer
-	err := snapshot.Save(&buf, &snapshot.State{Taxonomy: tax, Mentions: mentions}, snapshot.Options{})
+	err := snapshot.Save(&buf, &snapshot.State{Taxonomy: tax}, snapshot.Options{})
 	if err != nil {
 		t.Fatalf("snapshot.Save: %v", err)
 	}
@@ -325,7 +325,7 @@ func TestConcurrentConceptualizeDuringIngest(t *testing.T) {
 	}
 	// SwapView also composes directly with the application endpoints.
 	var swapped ConceptualizeResponse
-	srv.SwapView(serving.Compile(taxonomy.New(), taxonomy.NewMentionIndex()))
+	srv.SwapView(serving.Compile(taxonomy.New()))
 	postJSON(t, apiTS.URL+"/api/conceptualize", ConceptualizeRequest{Text: entity}, &swapped)
 	if swapped.Covered {
 		t.Errorf("empty view still conceptualizes: %+v", swapped)

@@ -77,10 +77,9 @@ func requireGolden(t *testing.T, name string, got []byte) {
 // that must survive the freeze: multi-hypernym entities with uneven
 // evidence counts (non-trivial typicality), subconcept chains,
 // ambiguous mentions, and nodes with no hypernyms at all.
-func equivFixture(tb testing.TB) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
+func equivFixture(tb testing.TB) *taxonomy.Taxonomy {
 	tb.Helper()
 	tax := taxonomy.New()
-	mentions := taxonomy.NewMentionIndex()
 	for i := 0; i < 40; i++ {
 		id := fmt.Sprintf("实体%02d（人物）", i)
 		tax.MarkEntity(id)
@@ -97,16 +96,16 @@ func equivFixture(tb testing.TB) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
 				tb.Fatal(err)
 			}
 		}
-		mentions.Add(fmt.Sprintf("实体%02d", i), id)
-		mentions.Add(id, id)
+		tax.AddMention(fmt.Sprintf("实体%02d", i), id)
+		tax.AddMention(id, id)
 	}
-	mentions.Add("实体00", "实体07（人物）")
+	tax.AddMention("实体00", "实体07（人物）")
 	for i := 0; i < 7; i++ {
 		if err := tax.AddIsA(fmt.Sprintf("概念%d", i), "顶层概念", taxonomy.SourceMorph); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	return tax, mentions
+	return tax
 }
 
 // TestLookupGolden pins the three lookup APIs byte for byte: for every
@@ -115,8 +114,8 @@ func equivFixture(tb testing.TB) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
 // — the responses recorded when the same queries were still served
 // from the mutable store as well, and the two agreed.
 func TestLookupGolden(t *testing.T) {
-	tax, mentions := equivFixture(t)
-	v := serving.Compile(tax, mentions)
+	tax := equivFixture(t)
+	v := serving.Compile(tax)
 	ts := httptest.NewServer(NewViewServer(v).Handler())
 	defer ts.Close()
 	var probes []probe
@@ -277,8 +276,8 @@ func checkJSONError(t *testing.T, resp *http.Response, wantStatus int) {
 // TestSwapView pins the hot-reload semantics: writes to the build
 // store are invisible until a freshly compiled view is swapped in.
 func TestSwapView(t *testing.T) {
-	tax, mentions := equivFixture(t)
-	srv := NewViewServer(serving.Compile(tax, mentions))
+	tax := equivFixture(t)
+	srv := NewViewServer(serving.Compile(tax))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -290,7 +289,7 @@ func TestSwapView(t *testing.T) {
 	if len(out.Hypernyms) != 0 {
 		t.Fatalf("store write visible before SwapView: %v", out.Hypernyms)
 	}
-	old := srv.SwapView(serving.Compile(tax, mentions))
+	old := srv.SwapView(serving.Compile(tax))
 	if old == nil {
 		t.Fatal("SwapView returned nil previous view")
 	}

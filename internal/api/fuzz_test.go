@@ -22,15 +22,15 @@ import (
 // JSON decoder hands them (invalid bytes coerced to U+FFFD), and never
 // panic.
 func FuzzApplicationEngines(f *testing.F) {
-	tax, mentions := equivFixture(f)
+	tax := equivFixture(f)
 	tax.MarkEntity("无概念实体")
-	mentions.Add("无概念", "无概念实体")
-	mentions.Add("孤词", "不是节点的实体")
-	mentions.Add("𠀀实体", "实体03（人物）") // starts beyond the BMP
-	mentions.Add("�实体", "实体05（人物）") // starts with a literal U+FFFD
-	mentions.Add("实体0", "实体11（人物）") // a prefix of other surfaces
-	backings := servingtest.Backings(f, tax, mentions)
-	ref := reference{view: backings["compiled"], mentions: mentions}
+	tax.AddMention("无概念", "无概念实体")
+	tax.AddMention("孤词", "不是节点的实体")
+	tax.AddMention("𠀀实体", "实体03（人物）") // starts beyond the BMP
+	tax.AddMention("�实体", "实体05（人物）") // starts with a literal U+FFFD
+	tax.AddMention("实体0", "实体11（人物）") // a prefix of other surfaces
+	backings := servingtest.Backings(f, tax)
+	ref := newReference(backings["compiled"], tax)
 	v := backings["image"]
 	engine := conceptualize.NewView(v)
 	handler := NewViewServer(v).Handler()

@@ -78,11 +78,9 @@ func testSaveSnapshot(w io.Writer, res *core.Result, lsn uint64) error {
 	}
 	return snapshot.Save(w, &snapshot.State{
 		Taxonomy: res.Taxonomy,
-		Mentions: res.Mentions,
 		View:     view,
 		Meta:     snapshot.Meta{Pages: res.Report.Pages, Stats: res.Report.Stats, LSN: lsn},
 		Evidence: res.Evidence,
-		Kept:     res.Kept,
 		Stats:    res.Stats,
 	}, snapshot.Options{})
 }
@@ -97,10 +95,8 @@ func loadResult(t *testing.T, data []byte) (*core.Result, uint64) {
 	}
 	return &core.Result{
 		Taxonomy: st.Taxonomy,
-		Mentions: st.Mentions,
 		Report:   &core.Report{Pages: st.Meta.Pages, Stats: st.Taxonomy.ComputeStats()},
 		Evidence: st.Evidence,
-		Kept:     st.Kept,
 		Stats:    st.Stats,
 	}, st.Meta.LSN
 }
@@ -284,7 +280,7 @@ func TestCompactionSavesPublishedView(t *testing.T) {
 	}
 	var want bytes.Buffer
 	err = snapshot.Save(&want, &snapshot.State{
-		Taxonomy: f.res.Taxonomy, Mentions: f.res.Mentions, Evidence: f.res.Evidence, Kept: f.res.Kept, Stats: f.res.Stats,
+		Taxonomy: f.res.Taxonomy, Evidence: f.res.Evidence, Stats: f.res.Stats,
 		Meta: snapshot.Meta{Pages: f.res.Report.Pages, Stats: f.res.Report.Stats, LSN: f.ing.CompactedLSN()},
 	}, snapshot.Options{})
 	if err != nil {

@@ -56,8 +56,8 @@ func FuzzResponseEncoding(f *testing.F) {
 	} {
 		f.Add(seed.a, seed.b, seed.x, seed.y, uint8(0xff))
 	}
-	tax, mentions := equivFixture(f)
-	v := serving.Compile(tax, mentions)
+	tax := equivFixture(f)
+	v := serving.Compile(tax)
 	f.Fuzz(func(t *testing.T, a, b string, x, y float64, shape uint8) {
 		lists := [][]string{nil, {}, {a}, {a, b}}
 		scoreds := [][]taxonomy.Scored{nil, {}, {{Node: a, Score: x}}, {{Node: b, Score: y}, {Node: a, Score: x}}}
@@ -107,9 +107,9 @@ func FuzzResponseEncoding(f *testing.F) {
 // an unknown node and a node with no edges are null, and a hyponym list
 // is cut at every limit from none to past its end.
 func TestNamesByIDMatchStrings(t *testing.T) {
-	tax, mentions := equivFixture(t)
+	tax := equivFixture(t)
 	tax.MarkConcept("孤岛概念") // no edges at all
-	for backing, v := range servingtest.Backings(t, tax, mentions) {
+	for backing, v := range servingtest.Backings(t, tax) {
 		for _, n := range append([]string{"不存在的节点", "孤岛概念"}, v.Nodes()...) {
 			_, hypernyms := hypernymIDs(v, n)
 			if got, want := appendNames(nil, v, hypernyms), appendStrings(nil, v.Hypernyms(n)); !bytes.Equal(got, want) {
@@ -136,8 +136,8 @@ func TestNamesByIDMatchStrings(t *testing.T) {
 // exactly as decoding it with encoding/json and marshalling the answer
 // would; and queryValue is url.ParseQuery(raw).Get.
 func FuzzRequestDecoding(f *testing.F) {
-	tax, mentions := equivFixture(f)
-	v := serving.Compile(tax, mentions)
+	tax := equivFixture(f)
+	v := serving.Compile(tax)
 	handler := NewViewServer(v).Handler()
 	engine := conceptualize.NewView(v)
 	for _, seed := range []struct{ body, query string }{
@@ -273,8 +273,8 @@ func TestHandlerAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")
 	}
-	tax, mentions := equivFixture(t)
-	s := NewViewServerConfig(serving.Compile(tax, mentions), ResilienceConfig{})
+	tax := equivFixture(t)
+	s := NewViewServerConfig(serving.Compile(tax), ResilienceConfig{})
 	esc := url.QueryEscape
 	for _, c := range []struct {
 		path, query, body string
@@ -316,8 +316,8 @@ func TestHandlerAllocations(t *testing.T) {
 // that promises just under MaxBatchBytes and sends a few bytes must not
 // cost a MaxBatchBytes allocation.
 func TestBodyBufferFollowsBytesRead(t *testing.T) {
-	tax, mentions := equivFixture(t)
-	h := NewViewServerConfig(serving.Compile(tax, mentions), ResilienceConfig{}).routes()["/api/men2entBatch"]
+	tax := equivFixture(t)
+	h := NewViewServerConfig(serving.Compile(tax), ResilienceConfig{}).routes()["/api/men2entBatch"]
 	body := bytes.NewReader(nil)
 	req := httptest.NewRequest(http.MethodPost, "/api/men2entBatch", body)
 	req.ContentLength = MaxBatchBytes - 1
@@ -343,8 +343,8 @@ func TestBodyBufferFollowsBytesRead(t *testing.T) {
 // real listener, to Content-Length framing: a response over net/http's
 // 2 KiB chunking buffer too goes out with its length, not chunked.
 func TestResponsesCarryContentLength(t *testing.T) {
-	tax, mentions := equivFixture(t)
-	ts := httptest.NewServer(NewViewServer(serving.Compile(tax, mentions)).Handler())
+	tax := equivFixture(t)
+	ts := httptest.NewServer(NewViewServer(serving.Compile(tax)).Handler())
 	defer ts.Close()
 	texts := make([]string, 40)
 	for i := range texts {

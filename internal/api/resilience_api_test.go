@@ -26,9 +26,8 @@ func resilientServer(t *testing.T, rc ResilienceConfig) (*Server, *httptest.Serv
 	if err := tax.AddIsA("李小龙（武术家）", "武术家", taxonomy.SourceTag); err != nil {
 		t.Fatal(err)
 	}
-	mentions := taxonomy.NewMentionIndex()
-	mentions.Add("李小龙", "李小龙（武术家）")
-	srv := NewViewServerConfig(serving.Compile(tax, mentions), rc)
+	tax.AddMention("李小龙", "李小龙（武术家）")
+	srv := NewViewServerConfig(serving.Compile(tax), rc)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -320,7 +319,7 @@ func TestShedDuringConcurrentSwap(t *testing.T) {
 		defer close(swapperDone)
 		tax := taxonomy.New()
 		tax.MarkEntity("交换实体")
-		fresh := serving.Compile(tax, nil)
+		fresh := serving.Compile(tax)
 		for {
 			select {
 			case <-stop:

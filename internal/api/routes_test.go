@@ -32,7 +32,7 @@ func TestRoutesMatchDocs(t *testing.T) {
 		documented[m] = true
 	}
 
-	srv := NewViewServer(serving.Compile(taxonomy.New(), nil))
+	srv := NewViewServer(serving.Compile(taxonomy.New()))
 	served := map[string]bool{}
 	for path := range srv.routes() {
 		served[path] = true

@@ -26,10 +26,9 @@ func benchWorld(tb testing.TB) (*Server, *httptest.Server) {
 			tb.Fatal(err)
 		}
 	}
-	mentions := taxonomy.NewMentionIndex()
-	mentions.Add("刘德华", "刘德华（演员）")
-	mentions.Add("刘德华", "刘德华（作家）")
-	srv := NewViewServer(serving.Compile(tax, mentions))
+	tax.AddMention("刘德华", "刘德华（演员）")
+	tax.AddMention("刘德华", "刘德华（作家）")
+	srv := NewViewServer(serving.Compile(tax))
 	ts := httptest.NewServer(srv.Handler())
 	tb.Cleanup(ts.Close)
 	return srv, ts

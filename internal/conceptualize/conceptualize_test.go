@@ -9,7 +9,7 @@ import (
 // fixture: ambiguous 刘德华 (actor sense with strong evidence, writer
 // sense) plus an unambiguous song. An edge's evidence is the number of
 // sources that generated it.
-func fixture(t *testing.T) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
+func fixture(t *testing.T) *taxonomy.Taxonomy {
 	t.Helper()
 	tx := taxonomy.New()
 	add := func(hypo, hyper string, n int) {
@@ -28,16 +28,15 @@ func fixture(t *testing.T) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
 	add("忘情水", "歌曲", 2)
 	add("忘情水", "作品", 1)
 
-	m := taxonomy.NewMentionIndex()
-	m.Add("刘德华", "刘德华（演员）")
-	m.Add("刘德华", "刘德华（作家）")
-	m.Add("忘情水", "忘情水")
-	return tx, m
+	tx.AddMention("刘德华", "刘德华（演员）")
+	tx.AddMention("刘德华", "刘德华（作家）")
+	tx.AddMention("忘情水", "忘情水")
+	return tx
 }
 
 func TestConceptualizeBasic(t *testing.T) {
-	tx, m := fixture(t)
-	e := NewView(viewOf(t, tx, m))
+	tx := fixture(t)
+	e := NewView(viewOf(t, tx))
 	res := e.Conceptualize("刘德华演唱了忘情水。")
 	if !res.Covered() {
 		t.Fatal("text not covered")
@@ -59,8 +58,8 @@ func TestConceptualizeBasic(t *testing.T) {
 }
 
 func TestDisambiguationPrefersStrongerSense(t *testing.T) {
-	tx, m := fixture(t)
-	e := NewView(viewOf(t, tx, m))
+	tx := fixture(t)
+	e := NewView(viewOf(t, tx))
 	res := e.Conceptualize("刘德华")
 	if len(res.Mentions) != 1 {
 		t.Fatalf("mentions = %+v", res.Mentions)
@@ -75,8 +74,8 @@ func TestDisambiguationPrefersStrongerSense(t *testing.T) {
 }
 
 func TestUncoveredText(t *testing.T) {
-	tx, m := fixture(t)
-	e := NewView(viewOf(t, tx, m))
+	tx := fixture(t)
+	e := NewView(viewOf(t, tx))
 	res := e.Conceptualize("今天天气怎么样？")
 	if res.Covered() || len(res.Concepts) != 0 {
 		t.Errorf("distractor conceptualized: %+v", res)
@@ -84,8 +83,8 @@ func TestUncoveredText(t *testing.T) {
 }
 
 func TestMaxConceptsPerEntity(t *testing.T) {
-	tx, m := fixture(t)
-	e := NewView(viewOf(t, tx, m))
+	tx := fixture(t)
+	e := NewView(viewOf(t, tx))
 	e.MaxConceptsPerEntity = 1
 	res := e.Conceptualize("刘德华")
 	if len(res.Mentions[0].Concepts) != 1 {

@@ -14,17 +14,17 @@ import (
 )
 
 // viewOf compiles the store world into an immutable serving view.
-func viewOf(t *testing.T, tx *taxonomy.Taxonomy, m *taxonomy.MentionIndex) *serving.View {
+func viewOf(t *testing.T, tx *taxonomy.Taxonomy) *serving.View {
 	t.Helper()
-	return serving.Compile(tx, m)
+	return serving.Compile(tx)
 }
 
 // enginesOf returns one engine per backing of the store's content —
 // compiled (hash + trie), patched, opened from image bytes.
-func enginesOf(t *testing.T, tx *taxonomy.Taxonomy, m *taxonomy.MentionIndex) map[string]*Engine {
+func enginesOf(t *testing.T, tx *taxonomy.Taxonomy) map[string]*Engine {
 	t.Helper()
 	engines := map[string]*Engine{}
-	for name, v := range servingtest.Backings(t, tx, m) {
+	for name, v := range servingtest.Backings(t, tx) {
 		engines[name] = NewView(v)
 	}
 	return engines
@@ -49,8 +49,8 @@ func requireEquivalent(t *testing.T, ref *reference, engines map[string]*Engine,
 }
 
 func TestViewMatchesStore(t *testing.T) {
-	tx, m := fixture(t)
-	requireEquivalent(t, newReference(tx, m), enginesOf(t, tx, m), []string{
+	tx := fixture(t)
+	requireEquivalent(t, newReference(tx), enginesOf(t, tx), []string{
 		"",
 		"刘德华演唱了忘情水。",
 		"刘德华",
@@ -72,7 +72,6 @@ func TestViewMatchesStoreRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tx := taxonomy.New()
-		m := taxonomy.NewMentionIndex()
 		nEnt, nCon := 15+rng.Intn(20), 5+rng.Intn(5)
 		ent := func(i int) string { return fmt.Sprintf("实体%02d", i) }
 		con := func(i int) string { return fmt.Sprintf("概念%d", i) }
@@ -91,15 +90,15 @@ func TestViewMatchesStoreRandomized(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				sf = "𠀀" + sf
 			}
-			m.Add(sf, ent(i))
+			tx.AddMention(sf, ent(i))
 			if rng.Intn(6) == 0 {
-				m.Add(sf, "不是节点的实体")
+				tx.AddMention(sf, "不是节点的实体")
 			}
 			surfaces = append(surfaces, sf)
 		}
-		m.Add("孤词", "不是节点的实体")
+		tx.AddMention("孤词", "不是节点的实体")
 		surfaces = append(surfaces, "孤词")
-		ref := newReference(tx, m)
+		ref := newReference(tx)
 		ref.MaxConceptsPerEntity = int(seed) - 2 // -1, 0 (both unbounded), 1 … 4
 		noise := []string{"无关", "𠀀", "词", "\xff", "\xe5\x88", "\uFFFD", "，"}
 		var texts []string
@@ -117,14 +116,14 @@ func TestViewMatchesStoreRandomized(t *testing.T) {
 			}
 			texts = append(texts, b.String())
 		}
-		requireEquivalent(t, ref, enginesOf(t, tx, m), texts)
+		requireEquivalent(t, ref, enginesOf(t, tx), texts)
 	}
 }
 
 // tieFixture builds two senses of 苹果 with identical edge evidence, so
 // the popularity prior alone cannot separate them, plus 微软 sharing
 // the 科技公司 concept with the company sense.
-func tieFixture(t *testing.T) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
+func tieFixture(t *testing.T) *taxonomy.Taxonomy {
 	t.Helper()
 	tx := taxonomy.New()
 	add := func(hypo, hyper string, n int) {
@@ -140,11 +139,10 @@ func tieFixture(t *testing.T) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
 	add("苹果（一种水果）", "水果", 2)
 	add("苹果（公司）", "科技公司", 2)
 	add("微软", "科技公司", 2)
-	m := taxonomy.NewMentionIndex()
-	m.Add("苹果", "苹果（一种水果）")
-	m.Add("苹果", "苹果（公司）")
-	m.Add("微软", "微软")
-	return tx, m
+	tx.AddMention("苹果", "苹果（一种水果）")
+	tx.AddMention("苹果", "苹果（公司）")
+	tx.AddMention("微软", "微软")
+	return tx
 }
 
 // TestContextBreaksTies pins the disambiguation contract on every
@@ -152,8 +150,8 @@ func tieFixture(t *testing.T) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
 // candidate in canonical order, but co-occurring 微软 swings it to the
 // company sense through concept agreement.
 func TestContextBreaksTies(t *testing.T) {
-	tx, m := tieFixture(t)
-	for name, e := range enginesOf(t, tx, m) {
+	tx := tieFixture(t)
+	for name, e := range enginesOf(t, tx) {
 		lone := e.Conceptualize("苹果")
 		if got := lone.Mentions[0].Entity; got != "苹果（一种水果）" {
 			t.Errorf("%s: lone 苹果 = %q, want canonical-order fruit sense", name, got)
@@ -175,9 +173,8 @@ func TestConceptBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := taxonomy.NewMentionIndex()
-	m.Add("多概念", "多概念实体")
-	for name, e := range enginesOf(t, tx, m) {
+	tx.AddMention("多概念", "多概念实体")
+	for name, e := range enginesOf(t, tx) {
 		if got := len(e.Conceptualize("多概念").Mentions[0].Concepts); got != 5 {
 			t.Errorf("%s: default bound kept %d concepts, want 5", name, got)
 		}
@@ -200,10 +197,10 @@ func TestConceptBounds(t *testing.T) {
 // with zero mentions, and a mention whose entities have no concepts
 // all produce an uncovered result with a non-nil empty vector.
 func TestEmptyAndUncovered(t *testing.T) {
-	tx, m := fixture(t)
+	tx := fixture(t)
 	tx.MarkEntity("孤儿实体") // no hypernyms
-	m.Add("孤儿", "孤儿实体")
-	for name, e := range enginesOf(t, tx, m) {
+	tx.AddMention("孤儿", "孤儿实体")
+	for name, e := range enginesOf(t, tx) {
 		for _, text := range []string{"", "完全无关的文本", "孤儿"} {
 			res := e.Conceptualize(text)
 			if res.Covered() {
@@ -221,7 +218,7 @@ func TestEmptyAndUncovered(t *testing.T) {
 // backing must agree with the reference when only the shorter surfaces
 // fit.
 func TestOverlappingMentions(t *testing.T) {
-	tx, m := fixture(t)
+	tx := fixture(t)
 	tx.MarkEntity("刘德（武术指导）")
 	tx.MarkEntity("德华（角色）")
 	if err := tx.AddIsA("刘德（武术指导）", "武术指导", taxonomy.SourceTag); err != nil {
@@ -230,10 +227,10 @@ func TestOverlappingMentions(t *testing.T) {
 	if err := tx.AddIsA("德华（角色）", "角色", taxonomy.SourceTag); err != nil {
 		t.Fatal(err)
 	}
-	m.Add("刘德", "刘德（武术指导）")
-	m.Add("德华", "德华（角色）")
-	requireEquivalent(t, newReference(tx, m), enginesOf(t, tx, m), []string{"刘德华", "刘德与德华", "刘德德华"})
-	view := NewView(viewOf(t, tx, m))
+	tx.AddMention("刘德", "刘德（武术指导）")
+	tx.AddMention("德华", "德华（角色）")
+	requireEquivalent(t, newReference(tx), enginesOf(t, tx), []string{"刘德华", "刘德与德华", "刘德德华"})
+	view := NewView(viewOf(t, tx))
 	res := view.Conceptualize("刘德华")
 	if len(res.Mentions) != 1 || res.Mentions[0].Surface != "刘德华" {
 		t.Errorf("longest match lost to a substring: %+v", res.Mentions)
@@ -247,8 +244,8 @@ func TestOverlappingMentions(t *testing.T) {
 // TestConceptualizeIntoRecycles pins the recycle contract: a reused
 // Result is truncated and refilled, never accumulating stale state.
 func TestConceptualizeIntoRecycles(t *testing.T) {
-	tx, m := fixture(t)
-	e := NewView(viewOf(t, tx, m))
+	tx := fixture(t)
+	e := NewView(viewOf(t, tx))
 	var res Result
 	e.ConceptualizeInto(&res, "刘德华演唱了忘情水。")
 	first := len(res.Mentions)
@@ -266,8 +263,8 @@ func TestConceptualizeIntoAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under -race")
 	}
-	tx, m := fixture(t)
-	e := NewView(viewOf(t, tx, m))
+	tx := fixture(t)
+	e := NewView(viewOf(t, tx))
 	text := "刘德华演唱了忘情水。"
 	var res Result
 	for i := 0; i < 8; i++ { // warm the pool and res capacity
@@ -289,7 +286,7 @@ func TestScratchIsBounded(t *testing.T) {
 	// One P: the pool's per-P private slot is then the only place a
 	// Put can land, so draining the pool below sees it.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	tx, m := fixture(t)
+	tx := fixture(t)
 	var long strings.Builder
 	for i := 0; i < maxPooledScratch+100; i++ {
 		id := fmt.Sprintf("实体%05d", i)
@@ -297,10 +294,10 @@ func TestScratchIsBounded(t *testing.T) {
 		if err := tx.AddIsA(id, fmt.Sprintf("概念%d", i%7), taxonomy.SourceTag); err != nil {
 			t.Fatal(err)
 		}
-		m.Add(id, id)
+		tx.AddMention(id, id)
 		long.WriteString(id + "，")
 	}
-	e := NewView(viewOf(t, tx, m))
+	e := NewView(viewOf(t, tx))
 	var res Result
 	if e.ConceptualizeInto(&res, long.String()); len(res.Mentions) != maxPooledScratch+100 {
 		t.Fatalf("long text resolved %d mentions, want %d", len(res.Mentions), maxPooledScratch+100)

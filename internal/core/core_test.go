@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"cnprobase/internal/serving/servingtest"
 	"cnprobase/internal/taxonomy"
 )
 
@@ -69,7 +70,7 @@ func TestSubconceptDerivation(t *testing.T) {
 	}
 	// The morphological rule must produce 男演员 → 演员 whenever both
 	// concepts were extracted.
-	if res.Taxonomy.HyponymCount("男演员") > 0 && res.Taxonomy.HyponymCount("演员") > 0 {
+	if v := res.Freeze(); len(v.Hyponyms("男演员", 0)) > 0 && len(v.Hyponyms("演员", 0)) > 0 {
 		if _, ok := res.Taxonomy.EdgeOf("男演员", "演员"); !ok {
 			t.Error("missing derived edge 男演员 → 演员")
 		}
@@ -158,12 +159,12 @@ func TestMentionIndexBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mentions.Size() == 0 {
-		t.Fatal("empty mention index")
+	if len(res.Mentions) == 0 {
+		t.Fatal("no mention pairs")
 	}
 	// Every page title must resolve to its entity.
 	p := w.Corpus().Pages[0]
-	ids := res.Mentions.Lookup(p.Title)
+	ids := servingtest.Lookup(res.Taxonomy, p.Title)
 	found := false
 	for _, id := range ids {
 		if id == p.ID() {
@@ -177,7 +178,7 @@ func TestMentionIndexBuilt(t *testing.T) {
 	for _, page := range w.Corpus().Pages {
 		for _, tr := range page.Infobox {
 			if tr.Predicate == "别名" {
-				if len(res.Mentions.Lookup(tr.Object)) == 0 {
+				if len(servingtest.Lookup(res.Taxonomy, tr.Object)) == 0 {
 					t.Errorf("alias %q not indexed", tr.Object)
 				}
 				return

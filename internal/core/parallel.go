@@ -5,7 +5,6 @@ import (
 
 	"cnprobase/internal/corpus"
 	"cnprobase/internal/encyclopedia"
-	"cnprobase/internal/extract"
 	"cnprobase/internal/ner"
 	"cnprobase/internal/par"
 	"cnprobase/internal/segment"
@@ -96,33 +95,28 @@ func observeSupport(c *encyclopedia.Corpus, seg *segment.Segmenter, rec *ner.Rec
 	return support
 }
 
-// addPages records the pages as entities of the store and indexes the
-// mentions that resolve to them: title, ID and infobox aliases.
-// names holds the pages' interned entity IDs and titles, interleaved.
-func addPages(tax *taxonomy.Taxonomy, mentions *taxonomy.MentionIndex, pages []encyclopedia.Page, names []uint32) {
+// markPages marks the pages' entities in the taxonomy and returns the
+// entities whose kind changed, plus the mention pairs that resolve to
+// them: title, ID and infobox aliases. names holds the pages' interned
+// entity IDs and titles, interleaved. A page whose entity ID is blank
+// names no entity.
+func markPages(tax *taxonomy.Taxonomy, pages []encyclopedia.Page, names []uint32) (marked []uint32, ms []taxonomy.Mention) {
 	strs := tax.Symbols().Names()
 	for i := range pages {
-		page := &pages[i]
-		id := strs[names[2*i]]
-		tax.MarkEntityID(names[2*i])
-		mentions.Add(page.Title, id)
-		mentions.Add(id, id)
+		page, id := &pages[i], names[2*i]
+		if strs[id] == "" {
+			continue
+		}
+		if tax.MarkEntityID(id) {
+			marked = append(marked, id)
+		}
+		// The title as interned: the pair shares the symbol table's bytes.
+		ms = append(ms, taxonomy.Mention{Text: strs[names[2*i+1]], Entity: id}, taxonomy.Mention{Text: strs[id], Entity: id})
 		for _, t := range page.Infobox {
 			if t.Predicate == "别名" && t.Object != "" {
-				mentions.Add(t.Object, id)
+				ms = append(ms, taxonomy.Mention{Text: t.Object, Entity: id})
 			}
 		}
 	}
-}
-
-// assembleEdges inserts the kept candidates into the store, in list
-// order: a few appends per pair on the dense IDs the store shares with
-// the candidates, too little work to fan out.
-func assembleEdges(tax *taxonomy.Taxonomy, kept []extract.Candidate) error {
-	for i := range kept {
-		if err := tax.AddIsAID(kept[i].Hypo, kept[i].Hyper, kept[i].Source); err != nil {
-			return err
-		}
-	}
-	return nil
+	return marked, ms
 }

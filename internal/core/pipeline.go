@@ -11,8 +11,8 @@
 // (internal/symtab) serves the whole build: the pages' entity IDs are
 // interned before the generators start and their hypernyms as the
 // per-source candidate sets are merged, in a fixed source order, so
-// from the merge on — evidence, verification, the store — a candidate
-// is a pair of IDs and no name is hashed again. The NE-evidence pass
+// from the merge on — evidence, verification, the taxonomy — a
+// candidate is a pair of IDs and no name is hashed again. The NE-evidence pass
 // and the page fold run beside the generators. Workers=1 degrades every
 // stage to inline sequential execution — the reference path
 // determinism tests compare against — and produces the same taxonomy,
@@ -168,11 +168,17 @@ func (c *stageClock) run(name string, f func()) {
 	c.mu.Unlock()
 }
 
-// Result bundles the pipeline outputs.
+// Result bundles the pipeline outputs. It embeds the taxonomy, the
+// write model, so Result.Kept is the taxonomy's kept list itself.
 type Result struct {
-	Taxonomy *taxonomy.Taxonomy
-	Mentions *taxonomy.MentionIndex
-	Report   *Report
+	// Taxonomy holds the kinds, the kept and derived pairs and the
+	// mention pairs. Its Kept — promoted, Result.Kept — holds the
+	// post-verification candidates, sorted by (Hypo, Hyper) ID — not by
+	// name: a build hands out IDs in page order, then to hypernyms by
+	// first appearance, and a snapshot load in name order. Update edits
+	// the list in place.
+	*taxonomy.Taxonomy
+	Report *Report
 	// Candidates holds the merged pre-verification candidates of the
 	// last run (kept for per-source precision experiments): after Build
 	// the whole candidate set, after an Update the delta's own
@@ -181,11 +187,6 @@ type Result struct {
 	// its pairs by symbol IDs (Names resolves them) and is sorted by
 	// (Hypo, Hyper) ID.
 	Candidates []extract.Candidate
-	// Kept holds the post-verification candidates, sorted by (Hypo,
-	// Hyper) ID — not by name: a build hands out IDs in page order, then
-	// to hypernyms by first appearance, and a snapshot load in name
-	// order. Update edits the list in place.
-	Kept []extract.Candidate
 	// Segmenter and Stats expose the substrates for reuse (QA, APIs,
 	// experiments).
 	Segmenter *segment.Segmenter
@@ -204,7 +205,7 @@ type Result struct {
 // Names returns the names of the symbol IDs Candidates and Kept use,
 // indexed by ID. The slice is read-only; it covers every ID handed out
 // before the call.
-func (r *Result) Names() []string { return r.Taxonomy.Symbols().Names() }
+func (r *Result) Names() []string { return r.Symbols().Names() }
 
 // Pipeline executes the CN-Probase construction.
 type Pipeline struct {
@@ -249,7 +250,7 @@ func (p *Pipeline) Build(c *encyclopedia.Corpus) (*Result, error) {
 
 	// ---- the passes that need only pages, overlapped with generation ----
 	// The NE-support pass (on the shared pool) and the page fold — into
-	// the evidence, then the store's entity marks and the mention index
+	// the evidence, then the taxonomy's entity marks and mention pairs
 	// — read the corpus and the segmenter and no candidate, so they run
 	// alongside the generators. The NE pass, the longest, starts first.
 	// Then every page's entity ID and title are interned, in page
@@ -259,7 +260,6 @@ func (p *Pipeline) Build(c *encyclopedia.Corpus) (*Result, error) {
 	syms := symtab.New()
 	ctx := verify.NewEvidence(syms, nil, rec) // its Support is the first pass's result
 	tax := taxonomy.NewWithSymbols(syms)
-	mentions := taxonomy.NewMentionIndex()
 	nePass, fold := &par.Group{Inline: pl == nil}, &par.Group{Inline: pl == nil}
 	nePass.Go(func() error {
 		clock.run("NE pass", func() { ctx.Support = observeSupport(c, seg, rec, pl) })
@@ -270,7 +270,8 @@ func (p *Pipeline) Build(c *encyclopedia.Corpus) (*Result, error) {
 	fold.Go(func() error {
 		clock.run("page fold", func() {
 			ctx.AddPages(c.Pages, names)
-			addPages(tax, mentions, c.Pages, names)
+			_, ms := markPages(tax, c.Pages, names)
+			tax.AddMentions(ms)
 		})
 		return nil
 	})
@@ -324,33 +325,27 @@ func (p *Pipeline) Build(c *encyclopedia.Corpus) (*Result, error) {
 	// Trim the evidence to the surviving candidate set: between crawl
 	// batches the persistent evidence always describes kept pairs, so
 	// the next Update's verification sees exactly the union of kept
-	// and fresh candidates. The store does not read the evidence, so
-	// the trim runs beside the assembly.
-	var err error
+	// and fresh candidates. The kept list becomes the taxonomy's as it
+	// stands, so the trim runs beside the hypernym marks.
 	clock.run("assemble+trim", func() {
 		trim := &par.Group{Inline: pl == nil}
 		trim.Go(func() error {
 			ctx.RemoveCandidates(diffCandidates(merged, kept))
 			return nil
 		})
-		err = assembleEdges(tax, kept)
+		tax.Assemble(kept)
 		trim.Wait()
 	})
-	if err != nil {
-		return nil, fmt.Errorf("core: assembling taxonomy: %w", err)
-	}
 	if p.opts.DeriveSubconcepts {
-		clock.run("derive", func() { rep.DerivedSubconcepts = deriveSubconcepts(tax, ctx, p.opts, nil) })
+		clock.run("derive", func() { rep.DerivedSubconcepts, _ = deriveSubconcepts(tax, ctx, p.opts, nil) })
 	}
 	rep.Stats = tax.ComputeStats()
 	rep.Stages = clock.out // every stage has ended
 
 	return &Result{
 		Taxonomy:   tax,
-		Mentions:   mentions,
 		Report:     rep,
 		Candidates: merged,
-		Kept:       kept,
 		Segmenter:  seg,
 		Stats:      stats,
 		Evidence:   ctx,

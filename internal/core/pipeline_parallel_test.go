@@ -49,10 +49,18 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 		}
 	}
 
-	// Node sets, kinds and canonical adjacency.
-	seqNodes, parNodes := seq.Taxonomy.ReadAll(), par.Taxonomy.ReadAll()
-	if !reflect.DeepEqual(seqNodes, parNodes) {
-		t.Fatalf("canonical reads differ: parallel %d nodes, sequential %d", len(parNodes.Names), len(seqNodes.Names))
+	// Node sets and kinds, the derived and the mention lists.
+	seqNodes, parNodes := seq.Taxonomy.Nodes(), par.Taxonomy.Nodes()
+	if !slices.Equal(seqNodes, parNodes) {
+		t.Fatalf("node lists differ: parallel %d nodes, sequential %d", len(parNodes), len(seqNodes))
+	}
+	for _, id := range seqNodes {
+		if a, b := seq.KindOf(id), par.KindOf(id); a != b {
+			t.Fatalf("node %s: parallel kind %v, sequential %v", seq.Names()[id], b, a)
+		}
+	}
+	if !reflect.DeepEqual(seq.Derived, par.Derived) || !reflect.DeepEqual(seq.Mentions, par.Mentions) {
+		t.Fatalf("derived or mention lists differ: parallel %d/%d, sequential %d/%d", len(par.Derived), len(par.Mentions), len(seq.Derived), len(seq.Mentions))
 	}
 
 	// The same symbol IDs: hypernyms are interned in merge order, not
@@ -184,7 +192,7 @@ func TestBuildIndependentOfArrivalOrder(t *testing.T) {
 			t.Fatalf("arrival %v: Build: %v", order, err)
 		}
 		var snap bytes.Buffer
-		st := &snapshot.State{Taxonomy: res.Taxonomy, Mentions: res.Mentions, Evidence: res.Evidence, Kept: res.Kept, Stats: res.Stats}
+		st := &snapshot.State{Taxonomy: res.Taxonomy, Evidence: res.Evidence, Stats: res.Stats}
 		if err := snapshot.Save(&snap, st, snapshot.Options{Workers: 1}); err != nil {
 			t.Fatalf("arrival %v: Save: %v", order, err)
 		}

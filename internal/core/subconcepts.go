@@ -18,7 +18,8 @@ import (
 //   - subsumption: concept c1 whose hyponym set is (nearly) contained
 //     in a much larger concept c2's set is its subconcept.
 //
-// Returns the number of derived edges added. Both rules are evaluated
+// It returns the number of derived edges added and the nodes it wrote:
+// the ends of every edge whose sources grew. Both rules are evaluated
 // incrementally when inc carries their memory: the head rule re-tests
 // only the concepts written since it last ran and the concepts whose
 // candidate suffix gained or lost its support since then, and the
@@ -27,7 +28,12 @@ import (
 // once — re-deriving it in a later batch adds nothing, so an edge's
 // count does not depend on how many batches the crawl arrived in.
 // Build passes a nil inc: everything is evaluated, nothing retained.
-func deriveSubconcepts(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options, inc *incremental) int {
+//
+// The rules read the taxonomy's lists by ID — kinds, edges, the
+// derived pairs — and a concept's kept hyponyms off the evidence,
+// which describes exactly the kept list whenever derivation runs.
+func deriveSubconcepts(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options, inc *incremental) (int, []uint32) {
+	g := newGraph(tax, ev)
 	// supported maps every concept the head rule ranges over to whether
 	// it has the hyponyms (≥ 2) to serve as a head, as of the state the
 	// rule is about to run on.
@@ -37,18 +43,20 @@ func deriveSubconcepts(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options
 		eval = conceptNodes(tax)
 		supported = make(map[string]bool, len(eval))
 		for _, c := range eval {
-			supported[c] = tax.HyponymCount(c) >= 2
+			supported[c] = g.hyponyms(c) >= 2
 		}
 		if inc != nil {
 			inc.morph = supported
 		}
 	} else {
 		supported = inc.morph
+		slices.Sort(inc.derive)
 		var flipped []string
-		for _, n := range inc.derive {
+		for _, id := range slices.Compact(inc.derive) {
+			n := g.names[id]
 			was, now := supported[n], false
-			if tax.Kind(n) == taxonomy.KindConcept && runes.AllHan(n) {
-				now = tax.HyponymCount(n) >= 2
+			if tax.KindOf(id) == taxonomy.KindConcept && runes.AllHan(n) {
+				now = g.hyponyms(n) >= 2
 				supported[n] = now
 				eval = append(eval, n)
 			} else {
@@ -73,33 +81,75 @@ func deriveSubconcepts(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options
 	if inc != nil {
 		inc.derive = nil
 	}
-	return deriveHeads(tax, eval, supported) + deriveSubsumption(tax, ev, opts)
+	heads := deriveHeads(g, eval, supported)
+	return heads + deriveSubsumption(g, opts), g.wrote
+}
+
+// graph is what the derivation rules read and write: the taxonomy, the
+// evidence's kept hyponyms and the derived hyponyms no kept pair
+// holds, counted once per pass.
+type graph struct {
+	tax     *taxonomy.Taxonomy
+	ev      *verify.Evidence
+	names   []string
+	derived map[uint32]int // concept → derived hyponyms, as the pass starts
+	wrote   []uint32
+}
+
+func newGraph(tax *taxonomy.Taxonomy, ev *verify.Evidence) *graph {
+	g := &graph{tax: tax, ev: ev, names: tax.Symbols().Names(), derived: make(map[uint32]int)}
+	for _, p := range tax.Derived {
+		if _, kept := taxonomy.Find(tax.Kept, p.Hypo, p.Hyper); !kept {
+			g.derived[p.Hyper]++
+		}
+	}
+	return g
+}
+
+// id resolves a name the rules got from the taxonomy or the evidence,
+// which share the symbol table.
+func (g *graph) id(name string) uint32 {
+	id, _ := g.tax.Symbols().Lookup(name)
+	return id
+}
+
+// hyponyms counts the concept's hyponyms as the pass started.
+func (g *graph) hyponyms(concept string) int {
+	id := g.id(concept)
+	return g.ev.Hyponyms(id) + g.derived[id]
+}
+
+// add links hypo isA hyper from a derivation rule and reports whether
+// the edge's sources grew.
+func (g *graph) add(hypo, hyper uint32, src taxonomy.Source) {
+	if g.tax.Add(taxonomy.Pair{Hypo: hypo, Hyper: hyper, Source: src}) {
+		g.wrote = append(g.wrote, hypo, hyper)
+	}
 }
 
 // deriveHeads links each concept of eval to its longest proper suffix
 // that is a supported concept. The links are chosen against supported
 // before any is added, so an edge added here never feeds the rule
 // within the same pass.
-func deriveHeads(tax *taxonomy.Taxonomy, eval []string, supported map[string]bool) int {
-	type link struct{ concept, head string }
+func deriveHeads(g *graph, eval []string, supported map[string]bool) int {
+	type link struct{ concept, head uint32 }
 	var links []link
 	for _, c := range eval {
 		rs := []rune(c)
 		for cut := 1; cut <= len(rs)-2; cut++ {
 			if sfx := string(rs[cut:]); supported[sfx] {
-				links = append(links, link{c, sfx})
+				links = append(links, link{g.id(c), g.id(sfx)})
 				break
 			}
 		}
 	}
 	added := 0
 	for _, l := range links {
-		if e, ok := tax.EdgeOf(l.concept, l.head); ok && e.Sources&taxonomy.SourceMorph != 0 {
+		if src, _ := g.tax.SourcesOf(l.concept, l.head); src&taxonomy.SourceMorph != 0 {
 			continue // derived before
 		}
-		if err := tax.AddIsA(l.concept, l.head, taxonomy.SourceMorph); err == nil {
-			added++
-		}
+		g.add(l.concept, l.head, taxonomy.SourceMorph)
+		added++
 	}
 	return added
 }
@@ -115,8 +165,8 @@ func deriveHeads(tax *taxonomy.Taxonomy, eval []string, supported map[string]boo
 // every concept dirty and therefore evaluates everything. The two
 // extent tests, which discard nearly every pair, run inside the
 // evidence on its counters; only the survivors are named, put in
-// deterministic order and tested against the store.
-func deriveSubsumption(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options) int {
+// deterministic order and tested against the taxonomy.
+func deriveSubsumption(g *graph, opts Options) int {
 	minRatio := opts.SubsumeMinRatio
 	if minRatio <= 0 {
 		minRatio = 0.75
@@ -125,7 +175,7 @@ func deriveSubsumption(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options
 	if minSize <= 0 {
 		minSize = 8
 	}
-	pairs := ev.TakeExtentPairs(func(n1, n2 int) bool {
+	pairs := g.ev.TakeExtentPairs(func(n1, n2 int) bool {
 		// Both sides need real extents, and a clear size gap between
 		// them: generalization, not synonymy.
 		return n1 >= minSize && n2 >= minSize && n2 >= 2*n1
@@ -146,13 +196,15 @@ func deriveSubsumption(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options
 		if morphRelated(p.Sub, p.Super) {
 			continue // already added by the head rule
 		}
-		if _, dup := tax.EdgeOf(p.Sub, p.Super); dup || tax.IsAncestor(p.Super, p.Sub) {
+		sub, super := g.id(p.Sub), g.id(p.Super)
+		if _, dup := g.tax.SourcesOf(sub, super); dup || g.tax.IsAncestor(super, sub) {
 			continue // avoid duplicates and 2-cycles
 		}
-		if err := tax.AddIsA(p.Sub, p.Super, taxonomy.SourceSubsume); err == nil {
-			tax.MarkConcept(p.Sub)
-			added++
+		g.add(sub, super, taxonomy.SourceSubsume)
+		if g.tax.MarkConceptID(sub) {
+			g.wrote = append(g.wrote, sub)
 		}
+		added++
 	}
 	return added
 }

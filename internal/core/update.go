@@ -23,15 +23,21 @@ import (
 // into the persistent verification evidence: only delta abstracts are
 // segmented and recognized, and only fresh candidates plus those whose
 // evidence changed are re-verified. Per-page work fans out over the
-// worker pool Build uses; the neural extractor sits updates out. Update owns prev.Kept and edits it in place by binary searches
-// and block moves within its own, amortised, capacity, so a slice of it
-// taken before the call must not be read after it. The candidate union
-// (kept plus fresh) is never materialised: Report.Verification.Input is
-// its size by arithmetic, and Result.Candidates afterwards holds the
-// delta's own candidates. The store logs the nodes the batch touched,
-// and subconcept derivation re-tests only concepts the batch reached.
-// No step walks the union, the node list or the store, none allocates
-// in proportion to the kept list, and raw pages are never retained.
+// worker pool Build uses; the neural extractor sits updates out.
+//
+// Update owns prev.Kept — the taxonomy's kept list — and edits it in
+// place by binary searches and block moves within its own, amortised,
+// capacity, so a slice of it taken before the call must not be read
+// after it. The candidate union (kept plus fresh) is never
+// materialised: Report.Verification.Input is its size by arithmetic,
+// and Result.Candidates afterwards holds the delta's own candidates.
+//
+// What the batch wrote — the pairs that joined or left the kept and
+// derived lists or gained a source, the pages whose kind changed, the
+// mentions that gained an entity — is what the next Freeze patches and
+// what subconcept derivation re-tests. No step walks the union, the
+// node list or the lists, none allocates in proportion to the kept
+// list, and raw pages are never retained.
 //
 // The first Update of a Result warms what Build does not keep: after a
 // snapshot load the verification caches are cold and every candidate
@@ -57,6 +63,7 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 		dict = append(dict, p.opts.ExtraDictionary...)
 		prev.Segmenter = segment.New(dict, segment.WithStats(prev.Stats))
 	}
+	prev.followNamed()
 	workers := workerCount(p.opts.Workers)
 	pl := par.NewPool(workers)
 
@@ -89,7 +96,7 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 	// else. The merge drops what the taxonomy would reject (blank page
 	// IDs), so a malformed crawl page cannot abort the update after the
 	// evidence and statistics have already been extended.
-	syms := prev.Taxonomy.Symbols()
+	syms := prev.Symbols()
 	names, hypos := internPages(syms, delta.Pages)
 	clock := &stageClock{t0: time.Now()} // an update reports no stages
 	sets := make(chan candidateSet, len(generators))
@@ -112,6 +119,7 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 	// whose provenance it then extends where it sits (sources OR-ed —
 	// what extract.Dedupe over the concatenation would produce).
 	var brandNew []extract.Candidate
+	var grown []extract.Candidate // kept pairs the batch added a source to
 	generated := keptTally(prev)
 	for _, c := range fresh {
 		i, ok := findPair(prev.Kept, c.Hypo, c.Hyper)
@@ -121,8 +129,11 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 			continue
 		}
 		k := &prev.Kept[i]
-		generated.add(c.Source&^k.Source, 1)
-		k.Source |= c.Source
+		if more := c.Source &^ k.Source; more != 0 {
+			generated.add(more, 1)
+			k.Source |= c.Source
+			grown = append(grown, *k)
+		}
 	}
 	union := len(prev.Kept) + len(brandNew)
 
@@ -139,7 +150,7 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 	// with a cached "kept" decision, so the survivors are the union
 	// minus the pairs rejected just now: previously kept ones leave the
 	// list, brand-new ones never enter it.
-	var rejected []extract.Candidate
+	var rejected, retracted []extract.Candidate
 	var dropKept, dropNew []int
 	survived := generated
 	for _, d := range decided {
@@ -148,6 +159,7 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 		}
 		if i, ok := findPair(prev.Kept, d.Hypo, d.Hyper); ok {
 			dropKept = append(dropKept, i)
+			retracted = append(retracted, prev.Kept[i])
 			rejected = append(rejected, prev.Kept[i])
 		} else if i, ok := findPair(brandNew, d.Hypo, d.Hyper); ok {
 			dropNew = append(dropNew, i)
@@ -161,30 +173,30 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 	prev.Evidence.RemoveCandidates(rejected)
 
 	// ---- taxonomy extension ----
-	addPages(prev.Taxonomy, prev.Mentions, delta.Pages, names)
-	// Remove previously-kept edges that re-verification now rejects,
-	// then insert the delta's evidence: brand-new kept pairs, plus
-	// re-generated pairs whose fresh occurrence merges its source and
-	// score into an existing edge (evidence grows only by a source the
-	// edge lacked). Unaffected edges are left alone.
-	for _, i := range dropKept {
-		prev.Taxonomy.RemoveIsAID(prev.Kept[i].Hypo, prev.Kept[i].Hyper)
-	}
+	// The pages' entities and mentions, then the kept list: rejected
+	// pairs leave it, with any derived part of their edge, and the
+	// brand-new kept pairs slot in (a regenerated pair already carries
+	// its new sources where it sits). The evidence now indexes the kept
+	// list, so it answers which concepts still have a kept hyponym.
+	marked, ms := markPages(prev.Taxonomy, delta.Pages, names)
+	mentions := prev.AddMentions(ms)
 	slices.Sort(dropKept)
 	slices.Sort(dropNew)
-	prev.Kept = editCandidates(prev.Kept, dropKept, editCandidates(brandNew, dropNew, nil))
-	var inserts []extract.Candidate
-	for _, c := range fresh {
-		if _, ok := findPair(prev.Kept, c.Hypo, c.Hyper); ok {
-			inserts = append(inserts, c)
+	added := editCandidates(brandNew, dropNew, nil)
+	prev.Kept = editCandidates(prev.Kept, dropKept, added)
+	prev.Retracted(retracted, func(id uint32) bool { return prev.Evidence.Hyponyms(id) > 0 })
+	prev.Inserted(added)
+	touched := marked
+	for _, list := range [3][]extract.Candidate{retracted, added, grown} {
+		for _, c := range list {
+			touched = append(touched, c.Hypo, c.Hyper)
 		}
 	}
-	if err := assembleEdges(prev.Taxonomy, inserts); err != nil {
-		return nil, fmt.Errorf("core: updating taxonomy: %w", err)
-	}
+	prev.inc.wrote(touched, mentions)
 	if p.opts.DeriveSubconcepts {
-		prev.takeChanges()
-		prev.Report.DerivedSubconcepts += deriveSubconcepts(prev.Taxonomy, prev.Evidence, p.opts, &prev.inc)
+		n, derived := deriveSubconcepts(prev.Taxonomy, prev.Evidence, p.opts, &prev.inc)
+		prev.Report.DerivedSubconcepts += n
+		prev.inc.wrote(derived, nil)
 	}
 
 	prev.Candidates = fresh
@@ -193,7 +205,7 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 	vrep.Input, vrep.Kept = union, len(prev.Kept)
 	prev.Report.Verification = vrep
 	prev.Report.PerSource = perSourceReport(generated, survived)
-	prev.Report.Stats = prev.Taxonomy.ComputeStats()
+	prev.Report.Stats = prev.ComputeStats()
 	return prev, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cnprobase/internal/encyclopedia"
+	"cnprobase/internal/serving/servingtest"
 	"cnprobase/internal/synth"
 	"cnprobase/internal/taxonomy"
 )
@@ -47,7 +48,7 @@ func TestUpdateExtendsTaxonomy(t *testing.T) {
 	}
 	// New pages must be queryable.
 	newPage := delta.Pages[0]
-	if len(updated.Mentions.Lookup(newPage.Title)) == 0 {
+	if len(servingtest.Lookup(updated.Taxonomy, newPage.Title)) == 0 {
 		t.Errorf("mention %q not indexed after update", newPage.Title)
 	}
 
@@ -163,11 +164,9 @@ func TestUpdateIncrementalMatchesFullReverify(t *testing.T) {
 			t.Errorf("batch %d reverified %d of %d candidates; expected a strict subset", b, ri.Reverified, ri.Input)
 		}
 	}
-	// Mention indexes agree on every node of the final taxonomy.
-	for _, n := range resInc.Taxonomy.ReadAll().Names {
-		if a, b := resInc.Mentions.Lookup(n), resFull.Mentions.Lookup(n); !reflect.DeepEqual(a, b) {
-			t.Fatalf("mention divergence on %q: %v vs %v", n, a, b)
-		}
+	// The mention pairs agree.
+	if !reflect.DeepEqual(resInc.Mentions, resFull.Mentions) {
+		t.Fatalf("mention pairs diverged: %d vs %d", len(resInc.Mentions), len(resFull.Mentions))
 	}
 }
 
@@ -365,6 +364,36 @@ func TestUpdateRetractsKeptHalfOfDerivedEdge(t *testing.T) {
 	for _, n := range []string{c, h} {
 		if g, w := got.Kind(n), want.Kind(n); g != w {
 			t.Errorf("%s: kind %v after the updates, %v from a fresh build", n, g, w)
+		}
+	}
+}
+
+// TestUpdateStatsMatchTheView pins the counters an update keeps by the
+// batch: after every batch of the crawl — brand-new pages with several
+// kept pairs each, a re-crawled page, a late page whose title retracts
+// kept pairs — Report.Stats must equal the stats the published view
+// counts from scratch.
+func TestUpdateStatsMatchTheView(t *testing.T) {
+	c := newCrawl(t)
+	p := New(fastOptions())
+	res, err := p.Build(&encyclopedia.Corpus{Pages: c.pages[:c.base]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 4; b++ {
+		var extra []encyclopedia.Page
+		switch b {
+		case 1:
+			extra = append(extra, c.recrawled())
+		case 2:
+			late, _ := latePage(t, res.Taxonomy)
+			extra = append(extra, late)
+		}
+		if _, err := p.Update(res, c.batch(extra...)); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		if got, want := res.Report.Stats, res.Freeze().Stats(); got != want {
+			t.Fatalf("batch %d: Report.Stats %+v, the view counts %+v", b, got, want)
 		}
 	}
 }

@@ -29,7 +29,7 @@ func TestCoverage(t *testing.T) {
 		"乙": {"歌手"},
 		"丙": {"城市"},
 	}
-	res := CoverageOf(serving.Compile(tx, nil), truth, []string{"甲", "乙", "丙"})
+	res := CoverageOf(serving.Compile(tx), truth, []string{"甲", "乙", "丙"})
 	if res.Entities != 3 {
 		t.Fatalf("Entities = %d", res.Entities)
 	}
@@ -71,7 +71,9 @@ func TestCoverageOfViewMatchesStore(t *testing.T) {
 		covered := false
 		for _, h := range hypers {
 			want.TruthPairs++
-			if tx.IsAncestor(id, h) {
+			a, ok := tx.Symbols().Lookup(id)
+			b, ok2 := tx.Symbols().Lookup(h)
+			if ok && ok2 && tx.IsAncestor(a, b) {
 				want.PairsRecovered++
 				covered = true
 			}
@@ -80,13 +82,13 @@ func TestCoverageOfViewMatchesStore(t *testing.T) {
 			want.EntitiesCovered++
 		}
 	}
-	if got := CoverageOf(serving.Compile(tx, nil), truth, ids); got != want || want.PairsRecovered == 0 {
+	if got := CoverageOf(serving.Compile(tx), truth, ids); got != want || want.PairsRecovered == 0 {
 		t.Errorf("view coverage = %+v, store reachability gives %+v", got, want)
 	}
 }
 
 func TestCoverageEmpty(t *testing.T) {
-	res := CoverageOf(serving.Compile(taxonomy.New(), nil), truthMap{}, nil)
+	res := CoverageOf(serving.Compile(taxonomy.New()), truthMap{}, nil)
 	if res.EntityCoverage() != 0 || res.PairRecall() != 0 {
 		t.Errorf("empty coverage: %+v", res)
 	}

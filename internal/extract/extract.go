@@ -24,19 +24,11 @@ import (
 	"cnprobase/internal/taxonomy"
 )
 
-// Candidate is one candidate isA relation with provenance.
-type Candidate struct {
-	// Hypo is the hyponym's ID: a disambiguated entity ID.
-	Hypo uint32
-	// Hyper is the hypernym concept's ID.
-	Hyper uint32
-	// Source records the generating algorithm.
-	Source taxonomy.Source
-}
-
-// Key packs the pair into one integer; keys order candidates by (Hypo,
-// Hyper), the order Dedupe returns them in.
-func (c Candidate) Key() uint64 { return uint64(c.Hypo)<<32 | uint64(c.Hyper) }
+// Candidate is one candidate isA relation with provenance, on symbol
+// IDs: a taxonomy pair, so the kept candidates are the taxonomy's kept
+// list as they stand. Its Key orders candidates by (Hypo, Hyper), the
+// order Dedupe returns them in.
+type Candidate = taxonomy.Pair
 
 func compareKeys(a, b Candidate) int { return cmp.Compare(a.Key(), b.Key()) }
 

@@ -65,15 +65,14 @@ func TestEvaluateCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	tax.MarkConcept("演员")
-	mentions := taxonomy.NewMentionIndex()
-	mentions.Add("刘德华", "刘德华（演员）")
+	tax.AddMention("刘德华", "刘德华（演员）")
 
 	qs := []Question{
 		{Text: "刘德华的出生地是哪里？", AboutEntity: "刘德华（演员）"}, // covered via mention
 		{Text: "有哪些著名的演员？"},                           // covered via concept
 		{Text: "今天天气怎么样？"},                            // uncovered
 	}
-	res := EvaluateSource(qs, serving.Compile(tax, mentions))
+	res := EvaluateSource(qs, serving.Compile(tax))
 	if res.Questions != 3 || res.Covered != 2 {
 		t.Fatalf("res = %+v, want 2/3 covered", res)
 	}
@@ -86,7 +85,7 @@ func TestEvaluateCoverage(t *testing.T) {
 }
 
 func TestEvaluateEmpty(t *testing.T) {
-	res := EvaluateSource(nil, serving.Compile(taxonomy.New(), taxonomy.NewMentionIndex()))
+	res := EvaluateSource(nil, serving.Compile(taxonomy.New()))
 	if res.Coverage() != 0 {
 		t.Errorf("empty coverage = %v", res.Coverage())
 	}
@@ -94,12 +93,11 @@ func TestEvaluateEmpty(t *testing.T) {
 
 func TestDistractorsNeverCovered(t *testing.T) {
 	tax := taxonomy.New()
-	mentions := taxonomy.NewMentionIndex()
 	var qs []Question
 	for _, d := range distractors {
 		qs = append(qs, Question{Text: d})
 	}
-	res := EvaluateSource(qs, serving.Compile(tax, mentions))
+	res := EvaluateSource(qs, serving.Compile(tax))
 	if res.Covered != 0 {
 		t.Errorf("distractors covered: %+v", res)
 	}

@@ -26,7 +26,6 @@ func randWorld(t *testing.T, seed int64) (reference, map[string]*serving.View, [
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	tax := taxonomy.New()
-	mentions := taxonomy.NewMentionIndex()
 	nEnt, nCon := 20+rng.Intn(20), 4+rng.Intn(4)
 	ent := func(i int) string { return fmt.Sprintf("实体%02d", i) }
 	cons := []string{"甲", "七个字的概念名", "两字", "六个字概念名", "𠀀概念"}
@@ -47,16 +46,16 @@ func randWorld(t *testing.T, seed int64) (reference, map[string]*serving.View, [
 		if rng.Intn(4) == 0 {
 			sf = "𠀀" + sf
 		}
-		mentions.Add(sf, ent(i))
+		tax.AddMention(sf, ent(i))
 		if rng.Intn(6) == 0 {
-			mentions.Add(sf, "不是节点的实体")
+			tax.AddMention(sf, "不是节点的实体")
 		}
 		surfaces = append(surfaces, sf)
 	}
 	for _, c := range cons {
 		tax.MarkConcept(c) // also the ones no edge happened to reach
 	}
-	mentions.Add("孤词", "不是节点的实体")
+	tax.AddMention("孤词", "不是节点的实体")
 	surfaces = append(surfaces, "孤词")
 
 	noise := []string{"𠀀", "\xff", "\xe5\x88", "\uFFFD", "概", "词"}
@@ -79,8 +78,8 @@ func randWorld(t *testing.T, seed int64) (reference, map[string]*serving.View, [
 		}
 		qs = append(qs, Question{Text: b.String()})
 	}
-	backings := servingtest.Backings(t, tax, mentions)
-	return reference{view: backings["compiled"], mentions: mentions}, backings, qs
+	backings := servingtest.Backings(t, tax)
+	return reference{view: backings["compiled"], tax: tax, scan: servingtest.NewScanner(tax)}, backings, qs
 }
 
 // TestEvaluateSourceViewMatchesStore pins the coverage experiment on
@@ -170,10 +169,9 @@ func TestUnderstandShape(t *testing.T) {
 	if err := tax.AddIsA("刘德华（作家）", "作家", taxonomy.SourceTag); err != nil {
 		t.Fatal(err)
 	}
-	mentions := taxonomy.NewMentionIndex()
-	mentions.Add("刘德华", "刘德华（演员）")
-	mentions.Add("刘德华", "刘德华（作家）")
-	v := serving.Compile(tax, mentions)
+	tax.AddMention("刘德华", "刘德华（演员）")
+	tax.AddMention("刘德华", "刘德华（作家）")
+	v := serving.Compile(tax)
 
 	u := Understand("刘德华是谁？", v)
 	if !u.Covered || len(u.Mentions) != 1 {

@@ -4,62 +4,64 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"strings"
 
 	"cnprobase/internal/taxonomy"
 )
 
-// Compile freezes the current contents of a build store (plus its
-// mention index, which may be nil) into an immutable View: adjacency in
-// canonical sorted order, each node's hypernyms ranked by typicality
-// P(concept | entity) from their evidence counts — each edge's number
-// of sources.
-// The store hands its content over already in that order, hypernyms
-// resolved to positions (taxonomy.ReadAll), and a mention's entities
-// are resolved to node IDs through the store's symbol table, so
-// compiling searches no sorted table per edge or per mention entity.
-// The view is laid out as a mapped one is (see OpenImage): sorted
-// tables and flat arrays, no index beside them, so what it allocates
-// does not grow with the store. The store's sorted names and mentions
-// are concatenated once into the view's two arenas, each held, like the
-// image's, to 4 GiB (past that Compile panics).
+// Compile freezes the taxonomy's lists into an immutable View:
+// adjacency in canonical sorted order, each node's hypernyms ranked by
+// typicality P(concept | entity) from their evidence counts — each
+// edge's number of sources. The nodes are put in name order once;
+// edges are then ordered, and their hypernyms resolved, through that
+// permutation, and so are a mention's entities, so compiling searches
+// no sorted table per edge or per mention entity. An edge held by both
+// Kept and Derived is one edge, its sources OR'ed. The view is laid out
+// as a mapped one is (see OpenImage): sorted tables and flat arrays, no
+// index beside them, so what it allocates does not grow with the
+// taxonomy. The sorted names and mentions are concatenated once into
+// the view's two arenas, each held, like the image's, to 4 GiB (past
+// that Compile panics).
 //
-// Every entity a mention names is a node of the view: one the store
-// holds no node for (a hand-built index can name any string) is a node
-// of unknown kind with no edge, which every query but ID, Name and
-// Nodes answers for as for a name the view does not know.
+// Every entity a mention names is a node of the view: one the
+// taxonomy holds no node for (a hand-assembled mention can name any
+// string) is a node of unknown kind with no edge, which every query but
+// ID, Name and Nodes answers for as for a name the view does not know.
 //
-// Later writes to the store are not reflected; compile again, or
+// Later writes to the taxonomy are not reflected; compile again, or
 // Patch, and swap.
-func Compile(t *taxonomy.Taxonomy, m *taxonomy.MentionIndex) *View {
-	ch := &change{NodeSet: t.ReadAll()}
-	if m != nil {
-		ch.mentions = m.Sorted()
-	}
-	return build(&View{}, t, ch)
+func Compile(t *taxonomy.Taxonomy) *View {
+	return build(&View{}, t, readAll(t))
 }
 
-// Patch returns the view Compile(t, m) would build, assembled from
-// prev — a view compiled or patched from the same store earlier — and
-// a fresh read of only the named nodes and mentions. The names must
-// cover everything written to the store and the index since prev was
-// built, which is what Taxonomy.ChangesSince and
-// MentionIndex.ChangesSince report; both lists must be ascending and
-// without duplicates. Everything else is copied from prev's arrays
-// with node IDs shifted past the nodes that appeared or vanished, so
-// the cost is one pass over the arrays plus work proportional to the
-// named nodes' adjacency and mentions.
+// Patch returns the view Compile(t) would build, assembled from prev —
+// a view compiled or patched from the same taxonomy earlier — and a
+// read of only the named nodes (symbol IDs) and mentions. They must
+// cover everything written since prev was built: the ends of every pair
+// that joined or left Kept or Derived or changed its sources, every
+// node whose kind changed, every mention that gained an entity — what
+// core.Update's diffs name. Everything else is copied from prev's
+// arrays with node IDs shifted past the nodes that appeared or
+// vanished, so the cost is one pass over the arrays plus work
+// proportional to the named nodes' adjacency and mentions.
 //
 // The result is an ordinary View with the same layout, the same
 // answers and the same image bytes as a full compile. prev may have
 // any backing: a patched view copies everything it keeps. Patch
-// returns nil when the names do not cover the difference (the store
-// was written while Patch read it, or prev belongs to another store);
-// compile in full then.
-func Patch(prev *View, t *taxonomy.Taxonomy, m *taxonomy.MentionIndex, nodes, mentions []string) *View {
-	ch := &change{NodeSet: t.ReadNodes(nodes)}
-	for _, mention := range mentions {
-		if ids := m.Lookup(mention); len(ids) > 0 {
-			ch.mentions = append(ch.mentions, taxonomy.MentionEntry{Mention: mention, IDs: ids})
+// returns nil when the names do not cover the difference (prev belongs
+// to another taxonomy, or the list missed a write); compile in full
+// then.
+func Patch(prev *View, t *taxonomy.Taxonomy, nodes []uint32, mentions []string) *View {
+	ch := readNodes(t, nodes)
+	mentions = slices.Clone(mentions)
+	slices.Sort(mentions)
+	for _, text := range slices.Compact(mentions) {
+		if ms := t.MentionsOf(text); len(ms) > 0 {
+			row := changeMention{text: text}
+			for _, m := range ms {
+				row.ents = append(row.ents, m.Entity)
+			}
+			ch.mentions = append(ch.mentions, row)
 		}
 	}
 	return build(prev, t, ch)
@@ -70,11 +72,111 @@ func Patch(prev *View, t *taxonomy.Taxonomy, m *taxonomy.MentionIndex, nodes, me
 // whose entity list may. A full compile is the change that names
 // everything, folded over the empty view.
 type change struct {
-	// The nodes, as the store reads them out in canonical order. An edge
-	// whose hypernym the read resolved (At >= 0) names a node of the
-	// change; any other is looked up in the new view.
-	*taxonomy.NodeSet
-	mentions []taxonomy.MentionEntry // ascending by Mention, distinct; IDs ascending, distinct, non-empty
+	// names lists the nodes, ascending and distinct; absent marks,
+	// parallel to it, the nodes that do not exist (nil when all do), and
+	// kinds their kinds.
+	names  []string
+	absent []bool
+	kinds  []taxonomy.NodeKind
+	// Node i's edges are edges[edgeOff[i]:edgeOff[i+1]], ascending by
+	// hypernym name.
+	edgeOff []uint32
+	edges   []changeEdge
+	// rank maps a symbol ID to its node's position in a full read, -1
+	// when it is no node; nil for a read of named nodes.
+	rank     []int32
+	mentions []changeMention // ascending by text, distinct
+	// symNames names the symbol IDs mention entities are given by.
+	symNames []string
+}
+
+// changeEdge is one edge of a change's node. at is the hypernym's
+// position in the change, or -1 when the read did not resolve it (it
+// is then looked up in the new view).
+type changeEdge struct {
+	hyper   string
+	at      int32
+	sources taxonomy.Source
+}
+
+// changeMention is one mention and its entities, by symbol ID.
+type changeMention struct {
+	text string
+	ents []uint32
+}
+
+// readAll reads every node of t, in name order, and every mention.
+func readAll(t *taxonomy.Taxonomy) *change {
+	names := t.Symbols().Names()
+	order := t.Nodes()
+	ch := &change{
+		names:    make([]string, len(order)),
+		kinds:    make([]taxonomy.NodeKind, len(order)),
+		edgeOff:  make([]uint32, len(order)+1),
+		rank:     make([]int32, len(names)),
+		symNames: names,
+	}
+	for i := range ch.rank {
+		ch.rank[i] = -1
+	}
+	for i, id := range order {
+		ch.rank[id] = int32(i)
+		ch.names[i], ch.kinds[i] = names[id], t.KindOf(id)
+	}
+	t.EachEdge(func(p taxonomy.Pair) { ch.edgeOff[ch.rank[p.Hypo]+1]++ })
+	for i := range order {
+		ch.edgeOff[i+1] += ch.edgeOff[i]
+	}
+	ch.edges = make([]changeEdge, ch.edgeOff[len(order)])
+	fill := slices.Clone(ch.edgeOff[:len(order)])
+	t.EachEdge(func(p taxonomy.Pair) {
+		at := ch.rank[p.Hypo]
+		ch.edges[fill[at]] = changeEdge{hyper: names[p.Hyper], at: ch.rank[p.Hyper], sources: p.Source}
+		fill[at]++
+	})
+	for i := range order {
+		slices.SortFunc(ch.edges[ch.edgeOff[i]:ch.edgeOff[i+1]], func(a, b changeEdge) int { return cmp.Compare(a.at, b.at) })
+	}
+	ents := make([]uint32, len(t.Mentions))
+	for i := 0; i < len(t.Mentions); {
+		row := changeMention{text: t.Mentions[i].Text}
+		from := i
+		for ; i < len(t.Mentions) && t.Mentions[i].Text == row.text; i++ {
+			ents[i] = t.Mentions[i].Entity
+		}
+		row.ents = ents[from:i:i]
+		ch.mentions = append(ch.mentions, row)
+	}
+	return ch
+}
+
+// readNodes reads the nodes of the given symbol IDs, put in name order
+// and deduplicated; IDs that are no node are read as absent. Hypernyms
+// are left unresolved (at = -1).
+func readNodes(t *taxonomy.Taxonomy, ids []uint32) *change {
+	names := t.Symbols().Names()
+	ids = slices.Clone(ids)
+	slices.SortFunc(ids, func(a, b uint32) int { return strings.Compare(names[a], names[b]) })
+	ids = slices.Compact(ids)
+	ch := &change{
+		names:    make([]string, len(ids)),
+		absent:   make([]bool, len(ids)),
+		kinds:    make([]taxonomy.NodeKind, len(ids)),
+		edgeOff:  make([]uint32, len(ids)+1),
+		symNames: names,
+	}
+	var pairs []taxonomy.Pair
+	for i, id := range ids {
+		ch.names[i], ch.kinds[i], ch.absent[i] = names[id], t.KindOf(id), !t.Exists(id)
+		pairs = t.AppendEdges(pairs[:0], id)
+		from := len(ch.edges)
+		for _, p := range pairs {
+			ch.edges = append(ch.edges, changeEdge{hyper: names[p.Hyper], at: -1, sources: p.Source})
+		}
+		slices.SortFunc(ch.edges[from:], func(a, b changeEdge) int { return strings.Compare(a.hyper, b.hyper) })
+		ch.edgeOff[i+1] = uint32(len(ch.edges))
+	}
+	return ch
 }
 
 // run is a stretch of prev's nodes the change does not name: prev IDs
@@ -85,26 +187,35 @@ type run struct{ lo, hi, at uint32 }
 const gone = ^uint32(0)
 
 // build assembles the change over prev. A mention entity that would be
-// no node of the result — a name the store holds no node for, or a
+// no node of the result — a name the taxonomy holds no node for, or a
 // node of prev the change reads as absent — is read again with the
 // change's nodes and kept as a node of unknown kind with no edge, and
 // the view assembled again, which resolves every entity. The
-// pipeline's mentions name nodes of the store, so it assembles once.
+// pipeline's mentions name page entities, which are always nodes, so
+// it assembles once.
 func build(prev *View, t *taxonomy.Taxonomy, ch *change) *View {
 	v, missing := assemble(prev, ch)
 	if len(missing) == 0 {
 		return v
 	}
+	ids := make([]uint32, 0, len(ch.names)+len(missing))
+	for _, name := range slices.Concat(ch.names, missing) {
+		id, ok := t.Symbols().Lookup(name)
+		if !ok {
+			return nil // a name of another taxonomy's view
+		}
+		ids = append(ids, id)
+	}
+	mentions := ch.mentions
+	ch = readNodes(t, ids)
+	ch.mentions = mentions
 	slices.Sort(missing)
-	missing = slices.Compact(missing)
-	names := slices.Concat(ch.Names, missing)
-	slices.Sort(names)
-	names = slices.Compact(names)
-	ch.NodeSet = t.ReadNodes(names)
 	for i, j := 0, 0; j < len(missing); i++ {
-		if names[i] == missing[j] {
-			ch.Absent[i] = false // read as absent: of no kind, without edges
-			j++
+		if ch.names[i] == missing[j] {
+			ch.absent[i] = false // read as absent: of no kind, without edges
+			for j < len(missing) && missing[j] == ch.names[i] {
+				j++
+			}
 		}
 	}
 	v, _ = assemble(prev, ch)
@@ -123,7 +234,7 @@ func assemble(prev *View, ch *change) (*View, []string) {
 	// ---- plan: interleave prev's untouched runs with the named nodes ----
 	var runs []run
 	remap := make([]uint32, prev.names.len()) // prev ID → new ID, or gone
-	at := make([]uint32, len(ch.Names))       // named node → new ID, or gone
+	at := make([]uint32, len(ch.names))       // named node → new ID, or gone
 	n, p := uint32(0), uint32(0)
 	keep := func(hi uint32) {
 		if hi > p {
@@ -135,12 +246,12 @@ func assemble(prev *View, ch *change) (*View, []string) {
 			p = hi
 		}
 	}
-	for ci, name := range ch.Names {
+	for ci, name := range ch.names {
 		pos := prev.names.seek(int(p), name)
 		found := pos < prev.names.len() && prev.names.at(pos) == name
 		keep(uint32(pos))
 		at[ci] = gone
-		if ch.Absent == nil || !ch.Absent[ci] {
+		if ch.absent == nil || !ch.absent[ci] {
 			at[ci] = n
 			n++
 		}
@@ -158,8 +269,8 @@ func assemble(prev *View, ch *change) (*View, []string) {
 	}
 	for ci, id := range at {
 		if id != gone {
-			e += ch.EdgeOff[ci+1] - ch.EdgeOff[ci]
-			nameBytes += len(ch.Names[ci])
+			e += ch.edgeOff[ci+1] - ch.edgeOff[ci]
+			nameBytes += len(ch.names[ci])
 		}
 	}
 	v := &View{
@@ -181,8 +292,8 @@ func assemble(prev *View, ch *change) (*View, []string) {
 		for at[ci] != id {
 			ci++
 		}
-		v.names.push(ch.Names[ci])
-		v.kinds[id], fresh[id] = ch.Kinds[ci], true
+		v.names.push(ch.names[ci])
+		v.kinds[id], fresh[id] = ch.kinds[ci], true
 		ci++
 		id++
 	}
@@ -190,12 +301,11 @@ func assemble(prev *View, ch *change) (*View, []string) {
 	// ---- flat sorted mention table: prev's rows, their entities
 	// renumbered, with the change's entries replacing them or slotting
 	// in between, their entities resolved to node IDs — through the
-	// store's symbol table when the change is a full read
-	// (NodeSet.Find), by a search of the new names otherwise ----
+	// full read's rank, by a search of the new names otherwise ----
 	rows, ents, menBytes := prev.mentions.len()+len(ch.mentions), len(prev.mentionEnts), len(prev.mentions.arena)
 	for i := range ch.mentions {
-		ents += len(ch.mentions[i].IDs)
-		menBytes += len(ch.mentions[i].Mention)
+		ents += len(ch.mentions[i].ents)
+		menBytes += len(ch.mentions[i].text)
 	}
 	v.mentions = newTable(rows, menBytes)
 	v.mentionOff = make([]uint32, 0, rows+1)
@@ -219,38 +329,40 @@ func assemble(prev *View, ch *change) (*View, []string) {
 			p = hi
 		}
 	}
-	// No row of prev vanishes (a MentionIndex never removes one), so the
+	// No row of prev vanishes (no mention pair is ever removed), so the
 	// first-rune filter is prev's plus the change's first runes: no pass
 	// over the table.
 	v.mentionFirst = make(runeSet, runeSetWords)
 	copy(v.mentionFirst, prev.mentionFirst)
 	for i := range ch.mentions {
 		entry := &ch.mentions[i]
-		pos := prev.mentions.seek(int(p), entry.Mention)
-		found := pos < prev.mentions.len() && prev.mentions.at(pos) == entry.Mention
+		pos := prev.mentions.seek(int(p), entry.text)
+		found := pos < prev.mentions.len() && prev.mentions.at(pos) == entry.text
 		keepRows(uint32(pos))
 		if found {
 			p++
 		}
-		v.mentions.push(entry.Mention)
+		v.mentions.push(entry.text)
 		v.mentionOff = append(v.mentionOff, uint32(len(v.mentionEnts)))
-		from := uint32(0) // the entities ascend, so do their IDs
-		for _, name := range entry.IDs {
+		row := len(v.mentionEnts)
+		for _, ent := range entry.ents {
 			var id uint32
 			var ok bool
-			if c := ch.Find(name); c >= 0 {
-				id, ok = at[c], at[c] != gone
+			if ch.rank != nil {
+				if c := ch.rank[ent]; c >= 0 {
+					id, ok = at[c], at[c] != gone
+				}
 			} else {
-				id, ok = v.ID(name, from)
+				id, ok = v.ID(ch.symNames[ent], 0)
 			}
 			if !ok {
-				missing = append(missing, name)
+				missing = append(missing, ch.symNames[ent])
 				continue
 			}
 			v.mentionEnts = append(v.mentionEnts, id)
-			from = id + 1
 		}
-		v.mentionFirst.add(entry.Mention)
+		slices.Sort(v.mentionEnts[row:]) // node IDs ascend with the entities' names
+		v.mentionFirst.add(entry.text)
 	}
 	keepRows(uint32(prev.mentions.len()))
 	v.mentionOff = append(v.mentionOff, uint32(len(v.mentionEnts)))
@@ -287,16 +399,16 @@ func assemble(prev *View, ch *change) (*View, []string) {
 			ci++
 		}
 		v.hyperOff[id] = off
-		for _, edge := range ch.Edges[ch.EdgeOff[ci]:ch.EdgeOff[ci+1]] {
+		for _, edge := range ch.edges[ch.edgeOff[ci]:ch.edgeOff[ci+1]] {
 			hyperID := gone
-			if edge.At >= 0 {
-				hyperID = at[edge.At]
-			} else if id, ok := v.ID(edge.Hyper, 0); ok {
+			if edge.at >= 0 {
+				hyperID = at[edge.at]
+			} else if id, ok := v.ID(edge.hyper, 0); ok {
 				hyperID = id
 			}
 			covered = covered && hyperID != gone
 			v.hyperIDs[off] = hyperID
-			v.edgeSources[off] = edge.Sources
+			v.edgeSources[off] = edge.sources
 			off++
 		}
 		ci++

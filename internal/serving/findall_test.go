@@ -14,18 +14,17 @@ import (
 	"cnprobase/internal/taxonomy"
 )
 
-// findFixture builds a mention index (and matching compiled view) with
-// the shapes greedy matching must handle: overlapping surfaces where
-// one is a prefix of another, single-rune mentions, multi-entity
-// ambiguity, and latin alongside Han.
-func findFixture(t *testing.T) (*taxonomy.MentionIndex, *serving.View) {
+// findFixture builds a taxonomy's mention pairs (and the matching
+// compiled view) with the shapes greedy matching must handle:
+// overlapping surfaces where one is a prefix of another, single-rune
+// mentions, multi-entity ambiguity, and latin alongside Han.
+func findFixture(t *testing.T) (*taxonomy.Taxonomy, *serving.View) {
 	t.Helper()
 	tax := taxonomy.New()
-	m := taxonomy.NewMentionIndex()
 	add := func(mention string, ids ...string) {
 		for _, id := range ids {
 			tax.MarkEntity(id)
-			m.Add(mention, id)
+			tax.AddMention(mention, id)
 		}
 	}
 	add("刘德华", "刘德华（演员）", "刘德华（作家）")
@@ -35,11 +34,12 @@ func findFixture(t *testing.T) (*taxonomy.MentionIndex, *serving.View) {
 	add("忘情水", "忘情水")
 	add("A股", "A股")
 	add("AI", "AI（人工智能）")
-	return m, serving.Compile(tax, m)
+	return tax, serving.Compile(tax)
 }
 
 func TestFindAllMatchesMentionIndex(t *testing.T) {
-	m, v := findFixture(t)
+	tax, v := findFixture(t)
+	m := servingtest.NewScanner(tax)
 	texts := []string{
 		"",
 		"刘德华演唱了忘情水。",
@@ -56,7 +56,7 @@ func TestFindAllMatchesMentionIndex(t *testing.T) {
 		want := m.FindAll(text)
 		got := v.FindAll(text)
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("FindAll(%q): view = %q, store = %q", text, got, want)
+			t.Errorf("FindAll(%q): view = %q, trie scan = %q", text, got, want)
 		}
 	}
 }
@@ -65,7 +65,6 @@ func TestFindAllRandomizedEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tax := taxonomy.New()
-		m := taxonomy.NewMentionIndex()
 		runes := []rune("刘德华周杰伦演员歌手作品abc")
 		randWord := func() string {
 			n := 1 + rng.Intn(4)
@@ -80,10 +79,10 @@ func TestFindAllRandomizedEquivalence(t *testing.T) {
 			w := randWord()
 			id := fmt.Sprintf("%s（实体%d）", w, rng.Intn(3))
 			tax.MarkEntity(id)
-			m.Add(w, id)
+			tax.AddMention(w, id)
 			surfaces = append(surfaces, w)
 		}
-		v := serving.Compile(tax, m)
+		v, m := serving.Compile(tax), servingtest.NewScanner(tax)
 		for i := 0; i < 200; i++ {
 			var b strings.Builder
 			for j := 0; j < 1+rng.Intn(6); j++ {
@@ -98,7 +97,7 @@ func TestFindAllRandomizedEquivalence(t *testing.T) {
 			}
 			text := b.String()
 			if want, got := m.FindAll(text), v.FindAll(text); !reflect.DeepEqual(want, got) {
-				t.Fatalf("seed %d FindAll(%q): view = %q, store = %q", seed, text, got, want)
+				t.Fatalf("seed %d FindAll(%q): view = %q, trie scan = %q", seed, text, got, want)
 			}
 		}
 	}
@@ -146,12 +145,12 @@ func TestFindAllAppendAllocations(t *testing.T) {
 }
 
 // requireScanMatchesIndex holds FindMentionsAppend on every backing to
-// the mention index: the surfaces are MentionIndex.FindAll's, and each
-// carries the table row of its surface, which resolves to what
-// MentionIndex.Lookup answers for it.
-func requireScanMatchesIndex(t *testing.T, views map[string]*serving.View, m *taxonomy.MentionIndex, text string) {
+// the taxonomy's mention pairs: the surfaces are the trie scan's, and
+// each carries the table row of its surface, which resolves to the
+// entities the pairs name.
+func requireScanMatchesIndex(t *testing.T, views map[string]*serving.View, tax *taxonomy.Taxonomy, text string) {
 	t.Helper()
-	want := m.FindAll(text)
+	want := servingtest.NewScanner(tax).FindAll(text)
 	for name, v := range views {
 		found := v.FindMentionsAppend(nil, text)
 		var got []string
@@ -161,18 +160,18 @@ func requireScanMatchesIndex(t *testing.T, views map[string]*serving.View, m *ta
 			for _, id := range v.MentionEntities(f.Row) {
 				ents = append(ents, v.Name(id))
 			}
-			if want := m.Lookup(f.Surface); fmt.Sprint(ents) != fmt.Sprint(want) {
-				t.Errorf("%s view, text %q: surface %q row %d resolves to %q, Lookup says %q", name, text, f.Surface, f.Row, ents, want)
+			if want := servingtest.Lookup(tax, f.Surface); fmt.Sprint(ents) != fmt.Sprint(want) {
+				t.Errorf("%s view, text %q: surface %q row %d resolves to %q, the pairs say %q", name, text, f.Surface, f.Row, ents, want)
 			}
 			if row, ok := v.MentionRow(f.Surface, 0); f.Row < 0 || !ok || row != uint32(f.Row) {
 				t.Errorf("%s view, text %q: surface %q carries row %d, its row is %d (%v)", name, text, f.Surface, f.Row, row, ok)
 			}
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s view: FindMentionsAppend(%q) = %q, MentionIndex.FindAll = %q", name, text, got, want)
+			t.Errorf("%s view: FindMentionsAppend(%q) = %q, trie scan = %q", name, text, got, want)
 		}
 		if all := v.FindAll(text); !reflect.DeepEqual(all, want) {
-			t.Errorf("%s view: FindAll(%q) = %q, MentionIndex.FindAll = %q", name, text, all, want)
+			t.Errorf("%s view: FindAll(%q) = %q, trie scan = %q", name, text, all, want)
 		}
 	}
 }
@@ -184,12 +183,11 @@ func requireScanMatchesIndex(t *testing.T, views map[string]*serving.View, m *ta
 // bytes must match too), and text runes that alias a mention's first
 // rune in the filter without starting one.
 func TestFindMentionsMatchesMentionIndex(t *testing.T) {
-	m, _ := findFixture(t)
-	tax := taxonomy.New()
-	m.Add("𠀀字头", "𠀀字头（实体）")
-	m.Add("�开头", "替换符开头（实体）")
-	m.Add("𠀀", "𠀀（单字）")
-	views := servingtest.Backings(t, tax, m)
+	tax, _ := findFixture(t)
+	tax.AddMention("𠀀字头", "𠀀字头（实体）")
+	tax.AddMention("�开头", "替换符开头（实体）")
+	tax.AddMention("𠀀", "𠀀（单字）")
+	views := servingtest.Backings(t, tax)
 	for _, text := range []string{
 		"",
 		"刘德华演唱了忘情水。",
@@ -206,30 +204,26 @@ func TestFindMentionsMatchesMentionIndex(t *testing.T) {
 		"𐀀字头\x00字头𠀀",    // U+10000 and NUL alias U+20000 in the filter, start nothing
 		"\U0010FFFF开头�", // aliases U+FFFF, then a bare U+FFFD at the end
 	} {
-		requireScanMatchesIndex(t, views, m, text)
+		requireScanMatchesIndex(t, views, tax, text)
 	}
 }
 
 // TestMentionIndexStoresValidUTF8 pins the one owner of the UTF-8
-// rule: MentionIndex.Add stores each byte of a mention that is not
+// rule: Taxonomy.AddMention stores each byte of a mention that is not
 // valid UTF-8 as U+FFFD, as a text scan decodes it, so every backing's
 // table is valid UTF-8 and every surface a scan finds is a row that
-// resolves to what Lookup answers.
+// resolves to the entities its pairs name.
 func TestMentionIndexStoresValidUTF8(t *testing.T) {
-	m := taxonomy.NewMentionIndex()
-	m.Add("\xff坏", "坏字节（实体）")
-	m.Add(" 坏\xfe\xff ", "两个坏字节（实体）")
-	m.Add("好", "好（实体）")
-	var stored []string
-	for _, e := range m.Sorted() {
-		stored = append(stored, e.Mention)
-	}
-	if want := []string{"坏\uFFFD\uFFFD", "好", "\uFFFD坏"}; !reflect.DeepEqual(stored, want) {
+	tax := taxonomy.New()
+	tax.AddMention("\xff坏", "坏字节（实体）")
+	tax.AddMention(" 坏\xfe\xff ", "两个坏字节（实体）")
+	tax.AddMention("好", "好（实体）")
+	if stored, want := servingtest.MentionTexts(tax), []string{"坏\uFFFD\uFFFD", "好", "\uFFFD坏"}; !reflect.DeepEqual(stored, want) {
 		t.Fatalf("stored mentions %q, want %q", stored, want)
 	}
-	views := servingtest.Backings(t, taxonomy.New(), m)
+	views := servingtest.Backings(t, tax)
 	for _, text := range []string{"\xff坏好", "�坏", "好\xfe坏\xff坏", "坏\xfe\xff好"} {
-		requireScanMatchesIndex(t, views, m, text)
+		requireScanMatchesIndex(t, views, tax, text)
 	}
 	for name, v := range views {
 		if got := v.Lookup("\uFFFD坏"); !reflect.DeepEqual(got, []string{"坏字节（实体）"}) {
@@ -242,9 +236,9 @@ func TestFindMentionsAppendAllocations(t *testing.T) {
 	if serving.RaceEnabled {
 		t.Skip("allocation counts are skewed under -race")
 	}
-	m, _ := findFixture(t)
+	tax, _ := findFixture(t)
 	text := "刘德华演唱了忘情水，AI与A股都涨了。"
-	for name, v := range servingtest.Backings(t, taxonomy.New(), m) {
+	for name, v := range servingtest.Backings(t, tax) {
 		var dst []serving.Found
 		for i := 0; i < 4; i++ { // warm the pool and dst
 			dst = v.FindMentionsAppend(dst[:0], text)
@@ -266,9 +260,9 @@ func TestScanScratchIsBounded(t *testing.T) {
 	// One P: the pool's per-P private slot is then the only place a
 	// Put can land, so draining the pool below sees it.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	m, _ := findFixture(t)
+	tax, _ := findFixture(t)
 	long := strings.Repeat("无关文本刘德华", (1<<20)/7+1)
-	for name, v := range servingtest.Backings(t, taxonomy.New(), m) {
+	for name, v := range servingtest.Backings(t, tax) {
 		if got := v.FindAllAppend(nil, long); !reflect.DeepEqual(got, []string{"刘德华"}) {
 			t.Fatalf("%s view: long text found %q", name, got)
 		}
@@ -298,13 +292,13 @@ func TestScanScratchIsBounded(t *testing.T) {
 // TestNamePrefixesAppend holds the one-narrowing prefix search to one
 // exact lookup per length, on every backing.
 func TestNamePrefixesAppend(t *testing.T) {
-	tax, m := serving.Fixture(t)
+	tax := serving.Fixture(t)
 	for _, n := range []string{"概", "概念", "概念0号", "概念0号分支甲乙", "𠀀", "𠀀概念", "A", "AB"} {
 		tax.MarkConcept(n)
 	}
 	rng := rand.New(rand.NewSource(1))
 	alphabet := []rune("概念0号分支甲乙𠀀AB实体1（人物）顶层孤岛")
-	for name, v := range servingtest.Backings(t, tax, m) {
+	for name, v := range servingtest.Backings(t, tax) {
 		for i := 0; i < 2000; i++ {
 			var b strings.Builder
 			for j := rng.Intn(9); j > 0; j-- {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"unicode/utf8"
 	"unsafe"
@@ -397,10 +398,9 @@ func OpenImage(data []byte, base uint64) (*View, error) {
 }
 
 // ImageContent is the logical content of an image — its node names and
-// kinds, edges and mention entries — for the path that rebuilds
-// mutable state (snapshot.Load). Everything is copied out of the input
-// buffer once; the mention entries name their entities with Names'
-// strings.
+// kinds, edges and mention table — for the path that rebuilds the
+// write model (snapshot.Load). Everything is copied out of the input
+// buffer once.
 type ImageContent struct {
 	// Names lists the node names by image ID, ascending, and Kinds
 	// their kinds.
@@ -413,7 +413,11 @@ type ImageContent struct {
 	HyperOff []uint32
 	HyperIDs []uint32
 	Sources  []taxonomy.Source
-	Mentions []taxonomy.MentionEntry
+	// Mentions lists the mentions, ascending; mention i's entities are
+	// the node IDs MentionEnts[MentionOff[i]:MentionOff[i+1]], ascending.
+	Mentions    []string
+	MentionOff  []uint32
+	MentionEnts []uint32
 }
 
 // DecodeImage parses and fully materializes an image payload.
@@ -422,39 +426,30 @@ func DecodeImage(data []byte, base uint64) (*ImageContent, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := tableStrings(img.names, true)
-	out := &ImageContent{
-		Names:    names,
-		Kinds:    append([]taxonomy.NodeKind(nil), img.kinds...),
-		HyperOff: append([]uint32(nil), img.hyperOff...),
-		HyperIDs: append([]uint32(nil), img.hyperIDs...),
-		Sources:  append([]taxonomy.Source(nil), img.edgeSources...),
-	}
-	mentions := tableStrings(img.mentions, true)
-	ents := make([]string, img.me)
-	for j, id := range img.mentionEnts {
-		ents[j] = names[id]
-	}
-	out.Mentions = make([]taxonomy.MentionEntry, img.m)
-	for i := range out.Mentions {
-		out.Mentions[i] = taxonomy.MentionEntry{
-			Mention: mentions[i],
-			IDs:     ents[img.mentionOff[i]:img.mentionOff[i+1]:img.mentionOff[i+1]],
-		}
-	}
-	return out, nil
+	return &ImageContent{
+		Names:       tableStrings(img.names, true),
+		Kinds:       slices.Clone(img.kinds),
+		HyperOff:    slices.Clone(img.hyperOff),
+		HyperIDs:    slices.Clone(img.hyperIDs),
+		Sources:     slices.Clone(img.edgeSources),
+		Mentions:    tableStrings(img.mentions, true),
+		MentionOff:  slices.Clone(img.mentionOff),
+		MentionEnts: slices.Clone(img.mentionEnts),
+	}, nil
 }
 
 // tableStrings materializes a table as a string list: headers over the
 // arena bytes (copyBytes=false — zero bytes copied, the strings alias
-// the arena) or full copies (copyBytes=true, for results that must
-// outlive the input buffer).
+// the arena) or over one copy of the arena (copyBytes=true, for results
+// that must outlive the input buffer: one allocation, not one a row).
 func tableStrings(t table, copyBytes bool) []string {
+	arena := unsafe.String(unsafe.SliceData(t.arena), len(t.arena))
+	if copyBytes {
+		arena = strings.Clone(arena)
+	}
 	out := make([]string, t.len())
 	for i := range out {
-		if out[i] = t.at(i); copyBytes {
-			out[i] = strings.Clone(out[i])
-		}
+		out[i] = arena[t.off[i]:t.off[i+1]]
 	}
 	return out
 }

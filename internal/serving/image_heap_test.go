@@ -76,16 +76,15 @@ func TestOpenImageHeap(t *testing.T) {
 func heapWorldImage(t *testing.T, entities int) []byte {
 	t.Helper()
 	tax := taxonomy.New()
-	mentions := taxonomy.NewMentionIndex()
 	for i := 0; i < entities; i++ {
 		id := fmt.Sprintf("实体%05d（人物）", i)
 		if err := tax.AddIsA(id, fmt.Sprintf("概念%d", i%(entities/10)), taxonomy.SourceTag); err != nil {
 			t.Fatal(err)
 		}
-		mentions.Add(fmt.Sprintf("实体%05d", i), id)
-		mentions.Add(id, id)
+		tax.AddMention(fmt.Sprintf("实体%05d", i), id)
+		tax.AddMention(id, id)
 	}
-	im, err := Compile(tax, mentions).Image(0)
+	im, err := Compile(tax).Image(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,16 +133,18 @@ func (f *failAfter) Write(p []byte) (int, error) {
 // announced length exact, the byte count honest and write errors
 // returned.
 func TestImageStreamsLikeAppend(t *testing.T) {
-	tax, mentions := fixture(t)
+	tax := fixture(t)
+	bare := *tax
+	bare.Mentions = nil
 	long := taxonomy.New()
 	if err := long.AddIsA(strings.Repeat("长", 3000), "概念", taxonomy.SourceTag); err != nil {
 		t.Fatal(err)
 	}
 	views := map[string]*View{
-		"empty":       Compile(taxonomy.New(), nil),
-		"fixture":     Compile(tax, mentions),
-		"no mentions": Compile(tax, nil),
-		"long name":   Compile(long, nil), // longer than the writer's chunk
+		"empty":       Compile(taxonomy.New()),
+		"fixture":     Compile(tax),
+		"no mentions": Compile(&bare),
+		"long name":   Compile(long), // longer than the writer's chunk
 	}
 	for name, v := range views {
 		for base := uint64(0); base < 9; base++ {

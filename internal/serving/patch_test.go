@@ -16,7 +16,7 @@ import (
 )
 
 // requireSameAnswers pins got — a view Freeze patched together — to
-// want, the full compile of the same store: every exported query and
+// want, the full compile of the same taxonomy: every exported query and
 // the serialized image must be indistinguishable.
 func requireSameAnswers(t *testing.T, step string, got, want *serving.View, texts []string) {
 	t.Helper()
@@ -74,7 +74,7 @@ func requireSameAnswers(t *testing.T, step string, got, want *serving.View, text
 // candidates that name it, fail, pile up without a Freeze in between
 // and continue on a snapshot-loaded Result. After every step the view
 // Freeze returns must be indistinguishable — in every query and byte
-// for byte in its image — from serving.Compile of the same store, whose
+// for byte in its image — from serving.Compile of the same taxonomy, whose
 // own answers internal/taxonomy's model test holds to the string-keyed
 // oracle — and its first-rune filter, which Patch grows from prev's
 // instead of rebuilding, must be the one its mention table gives.
@@ -106,7 +106,7 @@ func TestFreezePatchesLikeCompile(t *testing.T) {
 		if !res.Report.Publish.FullCompile {
 			patched++
 		}
-		requireSameAnswers(t, name, v, serving.Compile(res.Taxonomy, res.Mentions), texts)
+		requireSameAnswers(t, name, v, serving.Compile(res.Taxonomy), texts)
 		if !serving.FilterMatchesTable(v) {
 			t.Fatalf("%s: the view's first-rune filter is not the one its mention table gives", name)
 		}
@@ -148,7 +148,7 @@ func TestFreezePatchesLikeCompile(t *testing.T) {
 	// a named entity, and the edges under it that earlier batches kept
 	// are retracted. The page also arrives after the candidates that
 	// name it (as a hypernym).
-	rare, now := "", serving.Compile(res.Taxonomy, res.Mentions)
+	rare, now := "", serving.Compile(res.Taxonomy)
 	for i, n := range now.Nodes() {
 		if now.Kind(n) == taxonomy.KindConcept && len(now.HyponymIDsOf(uint32(i))) == 1 && len(now.Hypernyms(n)) == 0 {
 			rare = n
@@ -186,8 +186,8 @@ func TestFreezePatchesLikeCompile(t *testing.T) {
 	// Through a snapshot: a loaded Result compiles in full once, then
 	// patches like any other.
 	var buf bytes.Buffer
-	err = snapshot.Save(&buf, &snapshot.State{Taxonomy: res.Taxonomy, Mentions: res.Mentions, View: res.PublishedView(),
-		Meta: snapshot.Meta{Pages: res.Report.Pages}, Evidence: res.Evidence, Kept: res.Kept, Stats: res.Stats}, snapshot.Options{})
+	err = snapshot.Save(&buf, &snapshot.State{Taxonomy: res.Taxonomy, View: res.PublishedView(),
+		Meta: snapshot.Meta{Pages: res.Report.Pages}, Evidence: res.Evidence, Stats: res.Stats}, snapshot.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestFreezePatchesLikeCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res = &core.Result{Taxonomy: st.Taxonomy, Mentions: st.Mentions, Evidence: st.Evidence, Kept: st.Kept, Stats: st.Stats,
+	res = &core.Result{Taxonomy: st.Taxonomy, Evidence: st.Evidence, Stats: st.Stats,
 		Report: &core.Report{Pages: st.Meta.Pages, SelectedPredicates: res.Report.SelectedPredicates}}
 	check("snapshot-loaded")
 	if !res.Report.Publish.FullCompile {

@@ -108,7 +108,7 @@ func patchBudgetStore(tb testing.TB) *taxonomy.Taxonomy {
 // wider per-edge array set.
 func TestPatchAllocationBudget(t *testing.T) {
 	tax := patchBudgetStore(t)
-	prev := Compile(tax, nil)
+	prev := Compile(tax)
 	fields := reflect.ValueOf(prev).Elem()
 	arrays, width := 0, uintptr(0)
 	for i := 0; i < fields.NumField(); i++ {
@@ -132,25 +132,23 @@ func TestPatchAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes are skewed under -race")
 	}
-	_, token, _ := tax.ChangesSince(0)
 	if err := tax.AddIsA("实体0000", "概念39", taxonomy.SourceTag); err != nil {
 		t.Fatal(err)
 	}
-	nodes, _, ok := tax.ChangesSince(token)
-	if !ok || len(nodes) != 2 {
-		t.Fatalf("ChangesSince = %v, %v; want the edge's two ends", nodes, ok)
-	}
+	hypo, _ := tax.Symbols().Lookup("实体0000")
+	hyper, _ := tax.Symbols().Lookup("概念39")
+	nodes := []uint32{hypo, hyper} // the new edge's two ends
 	const runs = 20
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	var v *View
 	for i := 0; i < runs; i++ {
-		v = Patch(prev, tax, nil, nodes, nil)
+		v = Patch(prev, tax, nodes, nil)
 	}
 	runtime.ReadMemStats(&after)
 	if v == nil {
-		t.Fatal("Patch refused a change ChangesSince reported")
+		t.Fatal("Patch refused the edge's two ends")
 	}
 	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(v.EdgeCount())
 	t.Logf("%d edges, %d nodes: %.1f B/edge per patch", v.EdgeCount(), v.NodeCount(), perEdge)

@@ -1,41 +1,46 @@
 // Package servingtest builds, for tests, the kinds of view a server can
 // find itself answering from, so that one oracle can be held against
-// all of them.
+// all of them, and holds the string oracles of the view's mention
+// table: Lookup and the trie scan, Scanner.
 package servingtest
 
 import (
 	"bytes"
+	"slices"
+	"strings"
 	"testing"
 
 	"cnprobase/internal/serving"
 	"cnprobase/internal/taxonomy"
+	"cnprobase/internal/trie"
 )
 
-// Backings returns the store's current content as the three ways a
+// Backings returns the taxonomy's current content as the three ways a
 // serving.View comes to be, by name: "compiled" is serving.Compile;
 // "patched" is serving.Patch over the compiled view with every other
-// node and mention re-read from the store, so copied runs and fresh
+// node and mention re-read from the taxonomy, so copied runs and fresh
 // rows interleave; "image" is opened over the compiled view's
 // serialized bytes, as a mapped snapshot is. All three have the one
 // view layout, so they must answer alike.
-func Backings(t testing.TB, tx *taxonomy.Taxonomy, m *taxonomy.MentionIndex) map[string]*serving.View {
+func Backings(t testing.TB, tx *taxonomy.Taxonomy) map[string]*serving.View {
 	t.Helper()
-	compiled := serving.Compile(tx, m)
+	compiled := serving.Compile(tx)
 
-	var nodes, mentions []string
+	var nodes []uint32
 	for i, n := range compiled.Nodes() {
-		if i%2 == 0 {
-			nodes = append(nodes, n)
+		if id, ok := tx.Symbols().Lookup(n); ok && i%2 == 0 {
+			nodes = append(nodes, id)
 		}
 	}
-	for i, e := range m.Sorted() {
+	var mentions []string
+	for i, text := range MentionTexts(tx) {
 		if i%2 == 1 {
-			mentions = append(mentions, e.Mention)
+			mentions = append(mentions, text)
 		}
 	}
-	patched := serving.Patch(compiled, tx, m, nodes, mentions)
+	patched := serving.Patch(compiled, tx, nodes, mentions)
 	if patched == nil {
-		t.Fatal("servingtest: Patch over the same store's compiled view refused")
+		t.Fatal("servingtest: Patch over the same taxonomy's compiled view refused")
 	}
 
 	im, err := compiled.Image(0)
@@ -73,4 +78,66 @@ func RankedHypernyms(v *serving.View, node string, limit int) []taxonomy.Scored 
 		out = append(out, taxonomy.Scored{Node: v.Name(h), Score: score})
 	}
 	return out
+}
+
+// MentionTexts lists the taxonomy's distinct mentions, ascending.
+func MentionTexts(tx *taxonomy.Taxonomy) []string {
+	var out []string
+	for _, m := range tx.Mentions {
+		if len(out) == 0 || out[len(out)-1] != m.Text {
+			out = append(out, m.Text)
+		}
+	}
+	return out
+}
+
+// Lookup returns the names of the entities a mention resolves to in
+// the taxonomy, ascending, read off its mention pairs: the string
+// oracle of a view's men2ent.
+func Lookup(tx *taxonomy.Taxonomy, mention string) []string {
+	var out []string
+	for _, m := range tx.MentionsOf(strings.TrimSpace(mention)) {
+		out = append(out, tx.Symbols().Names()[m.Entity])
+	}
+	slices.Sort(out)
+	return out
+}
+
+// Scanner is the independent oracle of a view's text scan: a trie of
+// a taxonomy's mentions, scanned greedy longest-match from each
+// position.
+type Scanner struct{ dict *trie.Trie }
+
+// NewScanner returns a scanner over the taxonomy's mentions.
+func NewScanner(tx *taxonomy.Taxonomy) *Scanner {
+	s := &Scanner{dict: trie.New()}
+	for _, text := range MentionTexts(tx) {
+		s.dict.Insert(text)
+	}
+	return s
+}
+
+// FindAll scans text and returns the distinct mentions found, using
+// greedy longest-match from each position.
+func (s *Scanner) FindAll(text string) []string { return s.FindAllAppend(nil, text) }
+
+// FindAllAppend is FindAll in append style: found mentions are
+// appended to dst and the extended slice is returned. Deduplication
+// applies to the mentions appended by this call, not to dst's prior
+// contents — serving.View.FindAllAppend's contract.
+func (s *Scanner) FindAllAppend(dst []string, text string) []string {
+	rs := []rune(text)
+	base := len(dst)
+	for i := 0; i < len(rs); {
+		l := s.dict.LongestFrom(rs, i)
+		if l == 0 {
+			i++
+			continue
+		}
+		if w := string(rs[i : i+l]); !slices.Contains(dst[base:], w) {
+			dst = append(dst, w)
+		}
+		i += l
+	}
+	return dst
 }

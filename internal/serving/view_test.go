@@ -9,13 +9,12 @@ import (
 	"cnprobase/internal/taxonomy"
 )
 
-// fixture assembles a store + mention index with the shapes queries
-// must survive: multi-source reinforced edges, subconcept chains, a
-// diamond, an ambiguous mention, disconnected nodes, island marks.
-func fixture(tb testing.TB) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
+// fixture assembles a taxonomy with the shapes queries must survive:
+// multi-source reinforced edges, subconcept chains, a diamond, an
+// ambiguous mention, disconnected nodes, island marks.
+func fixture(tb testing.TB) *taxonomy.Taxonomy {
 	tb.Helper()
 	tax := taxonomy.New()
-	mentions := taxonomy.NewMentionIndex()
 	add := func(hypo, hyper string, src taxonomy.Source, score float64) {
 		tb.Helper()
 		if err := tax.AddIsA(hypo, hyper, src); err != nil {
@@ -32,10 +31,10 @@ func fixture(tb testing.TB) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
 		if i%4 == 0 {
 			add(id, fmt.Sprintf("概念%d", (i+1)%5), taxonomy.SourceAbstract, 0.7)
 		}
-		mentions.Add(fmt.Sprintf("实体%02d", i), id)
-		mentions.Add(id, id)
+		tax.AddMention(fmt.Sprintf("实体%02d", i), id)
+		tax.AddMention(id, id)
 	}
-	mentions.Add("实体00", "实体07（人物）") // ambiguous mention
+	tax.AddMention("实体00", "实体07（人物）") // ambiguous mention
 	for i := 0; i < 5; i++ {
 		add(fmt.Sprintf("概念%d", i), "顶层概念", taxonomy.SourceMorph, 1)
 	}
@@ -43,57 +42,75 @@ func fixture(tb testing.TB) (*taxonomy.Taxonomy, *taxonomy.MentionIndex) {
 	// Disconnected marked nodes with no edges at all.
 	tax.MarkEntity("孤岛实体（测试）")
 	tax.MarkConcept("孤岛概念")
-	return tax, mentions
+	return tax
 }
 
-// requireStoreReads holds a view to what its store reads back itself:
-// the canonical node list and kinds, every edge with its provenance in
+// requireStoreReads holds a view to what its taxonomy's lists read
+// back: the node list and kinds, every edge with its provenance in
 // canonical order, the counters, hyponym counts, reachability between
-// the first nodes, and the mention table. Every other query is held to
+// the first nodes, and the mention pairs. Every other query is held to
 // the string-keyed oracle by internal/taxonomy's TestTaxonomyModel.
-func requireStoreReads(tb testing.TB, v *View, tax *taxonomy.Taxonomy, mentions *taxonomy.MentionIndex) {
+func requireStoreReads(tb testing.TB, v *View, tax *taxonomy.Taxonomy) {
 	tb.Helper()
-	set := tax.ReadAll()
-	if fmt.Sprint(v.Nodes()) != fmt.Sprint(set.Names) || v.Stats() != tax.ComputeStats() {
-		tb.Fatalf("Nodes/Stats = %v %+v, store %v %+v", v.Nodes(), v.Stats(), set.Names, tax.ComputeStats())
+	names := tax.Symbols().Names()
+	var nodes []string
+	for _, id := range tax.Nodes() {
+		nodes = append(nodes, names[id])
 	}
-	for i, n := range set.Names {
-		if hypos := len(v.HyponymIDsOf(uint32(i))); v.Kind(n) != set.Kinds[i] || hypos != tax.HyponymCount(n) {
-			tb.Fatalf("%s: kind %d, %d hyponyms; store %d, %d", n, v.Kind(n), hypos, set.Kinds[i], tax.HyponymCount(n))
-		}
-		var hypers []string
-		for _, e := range set.Edges[set.EdgeOff[i]:set.EdgeOff[i+1]] {
-			hypers = append(hypers, e.Hyper)
-			got, _ := v.EdgeOf(n, e.Hyper)
-			if want, _ := tax.EdgeOf(n, e.Hyper); got != want {
-				tb.Fatalf("EdgeOf(%q, %q) = %+v, store %+v", n, e.Hyper, got, want)
-			}
-		}
-		if got := v.Hypernyms(n); fmt.Sprint(got) != fmt.Sprint(hypers) {
-			tb.Fatalf("Hypernyms(%q) = %v, store edges %v", n, got, hypers)
+	for _, m := range tax.Mentions {
+		if !tax.Exists(m.Entity) {
+			nodes = append(nodes, names[m.Entity]) // a mention's entity is a node of the view
 		}
 	}
-	sample := set.Names[:min(len(set.Names), 25)]
+	slices.Sort(nodes)
+	nodes = slices.Compact(nodes)
+	if fmt.Sprint(v.Nodes()) != fmt.Sprint(nodes) || v.Stats() != tax.ComputeStats() {
+		tb.Fatalf("Nodes/Stats = %v %+v, lists %v %+v", v.Nodes(), v.Stats(), nodes, tax.ComputeStats())
+	}
+	hypers, hypos := map[string][]string{}, map[string]int{}
+	for _, e := range tax.Edges() {
+		hypers[e.Hypo] = append(hypers[e.Hypo], e.Hyper)
+		hypos[e.Hyper]++
+		if got, _ := v.EdgeOf(e.Hypo, e.Hyper); got != e {
+			tb.Fatalf("EdgeOf(%q, %q) = %+v, lists %+v", e.Hypo, e.Hyper, got, e)
+		}
+	}
+	for _, n := range nodes {
+		id, _ := v.ID(n, 0)
+		if got := len(v.HyponymIDsOf(id)); v.Kind(n) != tax.Kind(n) || got != hypos[n] {
+			tb.Fatalf("%s: kind %d, %d hyponyms; lists %d, %d", n, v.Kind(n), got, tax.Kind(n), hypos[n])
+		}
+		if got := v.Hypernyms(n); fmt.Sprint(got) != fmt.Sprint(hypers[n]) {
+			tb.Fatalf("Hypernyms(%q) = %v, lists %v", n, got, hypers[n])
+		}
+	}
+	sample := nodes[:min(len(nodes), 25)]
 	for _, a := range sample {
 		ancestors := v.Ancestors(a)
+		ida, _ := tax.Symbols().Lookup(a)
 		for _, b := range sample {
-			if got := slices.Contains(ancestors, b); got != tax.IsAncestor(a, b) {
-				tb.Fatalf("%q in Ancestors(%q) = %v, store IsAncestor %v", b, a, got, tax.IsAncestor(a, b))
+			idb, _ := tax.Symbols().Lookup(b)
+			if got := slices.Contains(ancestors, b); got != tax.IsAncestor(ida, idb) {
+				tb.Fatalf("%q in Ancestors(%q) = %v, lists IsAncestor %v", b, a, got, tax.IsAncestor(ida, idb))
 			}
 		}
 	}
-	if mentions != nil {
-		for _, e := range mentions.Sorted() {
-			if got := v.Lookup(" " + e.Mention); fmt.Sprint(got) != fmt.Sprint(e.IDs) {
-				tb.Fatalf("Lookup(%q) = %v, want %v", e.Mention, got, e.IDs)
-			}
+	for i := 0; i < len(tax.Mentions); {
+		text := tax.Mentions[i].Text
+		var ents []string
+		for ; i < len(tax.Mentions) && tax.Mentions[i].Text == text; i++ {
+			ents = append(ents, names[tax.Mentions[i].Entity])
+		}
+		slices.Sort(ents)
+		if got := v.Lookup(" " + text); fmt.Sprint(got) != fmt.Sprint(ents) {
+			tb.Fatalf("Lookup(%q) = %v, want %v", text, got, ents)
 		}
 	}
 }
 
 func TestCompileMatchesStore(t *testing.T) {
-	tax, mentions := fixture(t)
-	requireStoreReads(t, Compile(tax, mentions), tax, mentions)
+	tax := fixture(t)
+	requireStoreReads(t, Compile(tax), tax)
 }
 
 // TestCompileMatchesStoreRandomized runs the same check over random
@@ -103,7 +120,6 @@ func TestCompileMatchesStoreRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tax := taxonomy.New()
-		mentions := taxonomy.NewMentionIndex()
 		nNodes := 20 + rng.Intn(40)
 		name := func(i int) string { return fmt.Sprintf("节点%02d", i) }
 		for i := 0; i < nNodes; i++ {
@@ -123,9 +139,9 @@ func TestCompileMatchesStoreRandomized(t *testing.T) {
 			_ = tax.AddIsA(name(a), name(b), src)
 		}
 		for tries := 0; tries < nNodes; tries++ {
-			mentions.Add(fmt.Sprintf("提及%d", rng.Intn(nNodes/2+1)), name(rng.Intn(nNodes)))
+			tax.AddMention(fmt.Sprintf("提及%d", rng.Intn(nNodes/2+1)), name(rng.Intn(nNodes)))
 		}
-		requireStoreReads(t, Compile(tax, mentions), tax, mentions)
+		requireStoreReads(t, Compile(tax), tax)
 	}
 }
 
@@ -134,8 +150,8 @@ func TestCompileMatchesStoreRandomized(t *testing.T) {
 // name-keyed ones — allocate nothing. Hypernyms, Hyponyms and Lookup,
 // which build their name list per call, allocate exactly that list.
 func TestQueryAllocations(t *testing.T) {
-	tax, mentions := fixture(t)
-	v := Compile(tax, mentions)
+	tax := fixture(t)
+	v := Compile(tax)
 	id, _ := v.ID("实体00（人物）", 0)
 	concept, _ := v.ID("概念0", 0)
 	cases := []struct {
@@ -176,41 +192,42 @@ func TestCompileAllocations(t *testing.T) {
 	}
 	for _, n := range []int{300, 3000} {
 		tax := taxonomy.New()
-		mentions := taxonomy.NewMentionIndex()
 		for i := 0; i < n; i++ {
 			id := fmt.Sprintf("实体%05d（人物）", i)
 			if err := tax.AddIsA(id, fmt.Sprintf("概念%d", i%(n/10)), taxonomy.SourceTag); err != nil {
 				t.Fatal(err)
 			}
-			mentions.Add(fmt.Sprintf("实体%05d", i), id)
-			mentions.Add(id, id)
+			tax.AddMention(fmt.Sprintf("实体%05d", i), id)
+			tax.AddMention(id, id)
 		}
-		if allocs := testing.AllocsPerRun(3, func() { _ = Compile(tax, mentions) }); allocs > 64 {
+		if allocs := testing.AllocsPerRun(3, func() { _ = Compile(tax) }); allocs > 64 {
 			t.Errorf("%d entities: Compile allocates %.0f objects, want at most 64", n, allocs)
 		}
 	}
 }
 
-// TestViewNilMentions covers serving a taxonomy with no mention index
-// (every server has one, but Compile must not require it).
+// TestViewNilMentions covers serving a taxonomy with no mention pairs
+// (every server has some, but Compile must not require them).
 func TestViewNilMentions(t *testing.T) {
-	tax, _ := fixture(t)
-	v := Compile(tax, nil)
+	tax := fixture(t)
+	bare := *tax
+	bare.Mentions = nil
+	v := Compile(&bare)
 	if v.MentionCount() != 0 {
 		t.Fatalf("MentionCount = %d, want 0", v.MentionCount())
 	}
 	if got := v.Lookup("实体00"); got != nil {
 		t.Fatalf("Lookup on empty table = %v, want nil", got)
 	}
-	if fmt.Sprint(v.Hypernyms("实体00（人物）")) != fmt.Sprint(Compile(tax, taxonomy.NewMentionIndex()).Hypernyms("实体00（人物）")) {
-		t.Fatal("graph queries must be unaffected by a nil mention index")
+	if fmt.Sprint(v.Hypernyms("实体00（人物）")) != fmt.Sprint(Compile(tax).Hypernyms("实体00（人物）")) {
+		t.Fatal("graph queries must be unaffected by missing mention pairs")
 	}
 }
 
 func BenchmarkViewCompile(b *testing.B) {
-	tax, mentions := fixture(b)
+	tax := fixture(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = Compile(tax, mentions)
+		_ = Compile(tax)
 	}
 }

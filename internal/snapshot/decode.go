@@ -20,18 +20,18 @@ import (
 	"cnprobase/internal/verify"
 )
 
-// Load reads a snapshot written by Save and reassembles the serving
-// state: a fresh taxonomy store, the mention index and the saved
-// metadata. The stream is read whole and framed by parse, the walk
-// OpenMapped uses, so the two entry points accept and reject the same
-// files for the same reason. The view image is decoded first and its
-// node names are interned in image-ID order, so a node's symbol is its
-// image ID: the evidence section, written in the image's numbering,
-// then resolves kept pairs and pages by index, and the store imports
-// the image's kinds and edges by ID in one sequential pass — appends on
-// dense IDs, no name hashed, nothing to finalize — and the mention
-// index its sorted table in one. The loaded taxonomy answers every
-// query exactly like the original.
+// Load reads a snapshot written by Save and reassembles the taxonomy's
+// write model and the saved metadata. The stream is read whole and
+// framed by parse, the walk OpenMapped uses, so the two entry points
+// accept and reject the same files for the same reason. The view image
+// is decoded first and its node names are interned in image-ID order,
+// so a node's symbol is its image ID: the evidence section, written in
+// the image's numbering, then resolves kept pairs and pages by index,
+// and the taxonomy's lists are filled straight from the image's arrays
+// — the kinds as they stand, the kept pairs off the kept bits, every
+// other edge part as a derived pair, the mention pairs row by row —
+// with no name hashed and nothing to sort. The loaded taxonomy compiles
+// to exactly the saved view.
 //
 // Load never panics on malformed input: any truncation, checksum
 // mismatch, or structurally bogus value yields an error, and claimed
@@ -52,19 +52,28 @@ func Load(r io.Reader) (*State, error) {
 		return nil, fmt.Errorf("snapshot: view image: %w", err)
 	}
 	syms := symtab.New()
-	for _, name := range content.Names {
-		syms.Intern(name)
-	}
+	syms.InternAll(content.Names, make([]uint32, len(content.Names)))
 	ld := &loader{content: content, syms: syms}
 	shape := imageShape{len(content.Names), len(content.HyperIDs), len(content.Mentions)}
 	if _, err := decodeEvidence(f.evidence, shape, ld); err != nil {
 		return nil, fmt.Errorf("snapshot: evidence section: %w", err)
 	}
-	tax := taxonomy.NewWithSymbols(syms)
-	tax.ImportIDs(content.Kinds, content.HyperOff, content.HyperIDs, content.Sources)
-	mentions := taxonomy.NewMentionIndex()
-	mentions.ImportSorted(content.Mentions)
-	return &State{Taxonomy: tax, Mentions: mentions, Meta: f.meta, Evidence: ld.ev, Kept: ld.kept, Stats: ld.stats}, nil
+	kept, derived := ld.edges()
+	tax := taxonomy.Restore(syms, content.Kinds, kept, derived, mentionPairs(content))
+	return &State{Taxonomy: tax, Meta: f.meta, Evidence: ld.ev, Stats: ld.stats}, nil
+}
+
+// mentionPairs lists the image's mention table as mention pairs: rows
+// ascending, each row's entities ascending by image ID, which is their
+// symbol ID — so the list is sorted as the taxonomy keeps it.
+func mentionPairs(c *serving.ImageContent) []taxonomy.Mention {
+	out := make([]taxonomy.Mention, len(c.MentionEnts))
+	for i, text := range c.Mentions {
+		for j := c.MentionOff[i]; j < c.MentionOff[i+1]; j++ {
+			out[j] = taxonomy.Mention{Text: text, Entity: c.MentionEnts[j]}
+		}
+	}
+	return out
 }
 
 // readAll reads r to its end. A file says how long it is, so its
@@ -296,6 +305,7 @@ type loader struct {
 	kept    []extract.Candidate
 	stats   *corpus.Stats
 	except  []keptException
+	bits    []byte        // the kept bitset, one bit per image edge
 	preds   []uint32      // predicate table index → the evidence's ID
 	attrs   []verify.Attr // one page's, recycled: ImportPage copies
 }
@@ -550,16 +560,16 @@ func (r *payloadReader) page(shape imageShape, nPreds int, ld *loader, id uint32
 		if literal != nil {
 			t = ld.syms.Intern(string(literal))
 		} else {
-			t = ld.syms.Intern(ld.content.Mentions[title].Mention)
+			t = ld.syms.Intern(ld.content.Mentions[title])
 		}
 		ld.ev.ImportPage(id, t, ld.attrs)
 	}
 	return nil
 }
 
-// restoreKept rebuilds the kept candidate list off the image's edges —
-// in edge order, which, since a node's symbol ID is its image ID, is
-// the list's (Hypo, Hyper) ID order — and folds the pairs into the
+// restoreKept rebuilds the kept list off the image's edges — in edge
+// order, which, since a node's symbol ID is its image ID, is the
+// list's (Hypo, Hyper) ID order — and folds the pairs into the
 // evidence by ID.
 func (ld *loader) restoreKept(bits []byte) {
 	c := ld.content
@@ -568,6 +578,7 @@ func (ld *loader) restoreKept(bits []byte) {
 		n += mathbits.OnesCount64(binary.LittleEndian.Uint64(bits[i:]))
 	}
 	ld.kept = make([]extract.Candidate, 0, n)
+	ld.bits = bits
 	x := 0
 	for u := 0; u+1 < len(c.HyperOff); u++ {
 		for j := int(c.HyperOff[u]); j < int(c.HyperOff[u+1]); j++ {
@@ -584,4 +595,27 @@ func (ld *loader) restoreKept(bits []byte) {
 		}
 	}
 	ld.ev.MarkAllDirty()
+}
+
+// edges splits the image's edges between the taxonomy's two lists:
+// each kept pair, as restoreKept read it, to Kept, and every edge part
+// no kept pair holds to Derived — a subconcept pair, or the derived
+// part of a kept pair's edge. A snapshot saved without evidence names
+// no kept pair, so all its edges are Derived's.
+func (ld *loader) edges() (kept, derived []taxonomy.Pair) {
+	c := ld.content
+	x := 0
+	for u := 0; u+1 < len(c.HyperOff); u++ {
+		for j := int(c.HyperOff[u]); j < int(c.HyperOff[u+1]); j++ {
+			rest, isKept := c.Sources[j], ld.bits != nil && bitSet(ld.bits, j)
+			if isKept {
+				rest &^= ld.kept[x].Source
+				x++
+			}
+			if rest != 0 || !isKept {
+				derived = append(derived, taxonomy.Pair{Hypo: uint32(u), Hyper: c.HyperIDs[j], Source: rest})
+			}
+		}
+	}
+	return ld.kept, derived
 }

@@ -19,8 +19,8 @@ import (
 	"cnprobase/internal/verify"
 )
 
-// Save writes st as a version-6 snapshot: the store is compiled into
-// the canonical serving view (or st.View, the same view compiled
+// Save writes st as a version-6 snapshot: the taxonomy is compiled
+// into the canonical serving view (or st.View, the same view compiled
 // earlier, is taken as is) and serialized as one mappable image
 // section (the layout serving.View.Image documents), framed by the
 // build metadata and evidence sections. The evidence is written in the
@@ -28,11 +28,7 @@ import (
 // by node ID and mention row — so it is resolved against the view
 // once, by ID. Saving the same logical state always produces the same
 // bytes, no matter the Workers setting of the build or of this call —
-// compilation canonicalizes order by construction. Mentions must be
-// valid UTF-8 (JSON ingestion guarantees it; a hand-built store with
-// raw invalid bytes is rejected with an error, before anything is
-// written), and the kept candidates must be a sorted subset of the
-// store's edges, as every build and update leaves them.
+// compilation canonicalizes order by construction.
 //
 // The writer is sized-then-streamed: every section's exact length is
 // computed first, then header, payload and a running checksum go
@@ -42,17 +38,12 @@ import (
 // bigram). So a save allocates a few bytes a page, a bit an edge and a
 // few bytes a vocabulary word, never a copy of the image.
 //
-// Save is safe to call while the taxonomy is being queried. Concurrent
-// *writers* are tolerated — the store is read under its lock, in one
-// piece — but the snapshot then captures whatever state lies between
-// two writes, exactly like Edges does.
+// Save reads the taxonomy and the evidence, so it must not run
+// concurrently with a writer of either; it may run beside queries of
+// any view.
 func Save(w io.Writer, st *State, opts Options) error {
 	if st == nil || st.Taxonomy == nil {
 		return fmt.Errorf("snapshot: nil state or taxonomy")
-	}
-	mentions := st.Mentions
-	if mentions == nil {
-		mentions = taxonomy.NewMentionIndex()
 	}
 	metaPayload, err := json.Marshal(st.Meta)
 	if err != nil {
@@ -75,7 +66,7 @@ func Save(w io.Writer, st *State, opts Options) error {
 	}
 	view := st.View
 	if view == nil {
-		view = serving.Compile(st.Taxonomy, mentions)
+		view = serving.Compile(st.Taxonomy)
 	}
 	image, err := view.Image(imageBase)
 	_ = side.Wait() // the side job has no error to return
@@ -208,7 +199,7 @@ type keptException struct {
 func (e *evidenceSection) resolve(st *State, view *serving.View) error {
 	if e.present {
 		e.pages = st.Evidence.PagesAlong(view.NodeCount(), view.Name)
-		if err := e.resolveKept(st.Kept, view); err != nil {
+		if err := e.resolveKept(st.Taxonomy.Kept, view); err != nil {
 			return err
 		}
 		e.mentions = uint32(view.MentionCount())

@@ -67,10 +67,8 @@ func TestEvidenceRoundTrip(t *testing.T) {
 	res := buildResult(t, 300)
 	st := &State{
 		Taxonomy: res.Taxonomy,
-		Mentions: res.Mentions,
 		Meta:     Meta{Pages: res.Report.Pages, Stats: res.Report.Stats},
 		Evidence: res.Evidence,
-		Kept:     res.Kept,
 		Stats:    res.Stats,
 	}
 	loaded, err := Load(bytes.NewReader(saveBytes(t, st, Options{Workers: 1})))
@@ -80,11 +78,11 @@ func TestEvidenceRoundTrip(t *testing.T) {
 	if loaded.Evidence == nil || loaded.Stats == nil {
 		t.Fatal("evidence section did not round-trip")
 	}
-	if len(loaded.Kept) != len(res.Kept) {
-		t.Fatalf("kept = %d candidates, want %d", len(loaded.Kept), len(res.Kept))
+	if len(loaded.Taxonomy.Kept) != len(res.Kept) {
+		t.Fatalf("kept = %d candidates, want %d", len(loaded.Taxonomy.Kept), len(res.Kept))
 	}
 	want := keptByName(res.Taxonomy, res.Kept)
-	for i, c := range keptByName(loaded.Taxonomy, loaded.Kept) {
+	for i, c := range keptByName(loaded.Taxonomy, loaded.Taxonomy.Kept) {
 		if c != want[i] {
 			t.Fatalf("kept[%d] = %+v, want %+v", i, c, want[i])
 		}
@@ -92,8 +90,8 @@ func TestEvidenceRoundTrip(t *testing.T) {
 	// Loaded IDs are image IDs, so the list, sorted by ID, is in name
 	// order too.
 	names := loaded.Taxonomy.Symbols().Names()
-	for i, c := range loaded.Kept {
-		if i > 0 && loaded.Kept[i-1].Key() >= c.Key() || names[c.Hypo] != want[i].Hypo || names[c.Hyper] != want[i].Hyper {
+	for i, c := range loaded.Taxonomy.Kept {
+		if i > 0 && loaded.Taxonomy.Kept[i-1].Key() >= c.Key() || names[c.Hypo] != want[i].Hypo || names[c.Hyper] != want[i].Hyper {
 			t.Fatalf("kept[%d] = %+v: the loaded list is not sorted by ID and by name alike", i, c)
 		}
 	}
@@ -120,7 +118,7 @@ func TestSaveWithoutEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if loaded.Evidence != nil || loaded.Kept != nil || loaded.Stats != nil {
+	if loaded.Evidence != nil || loaded.Taxonomy.Kept != nil || loaded.Stats != nil {
 		t.Fatal("evidence materialized from an evidence-less snapshot")
 	}
 	requireEqualState(t, st, loaded)
@@ -234,7 +232,7 @@ func TestEvidenceLayout(t *testing.T) {
 		t.Fatalf("mapped: %v", err)
 	}
 	want := []namedPair{{Hypo: "实体00（人物）", Hyper: "概念0", Source: taxonomy.SourceBracket | taxonomy.SourceTag}}
-	if got := keptByName(st.Taxonomy, st.Kept); !reflect.DeepEqual(got, want) {
+	if got := keptByName(st.Taxonomy, st.Taxonomy.Kept); !reflect.DeepEqual(got, want) {
 		t.Fatalf("kept = %+v, want %+v", got, want)
 	}
 	if st.Stats.Tokens() != 2 || st.Evidence.S2("实体00") != 1 {
@@ -250,14 +248,12 @@ func TestEvidenceLayout(t *testing.T) {
 // subconcept rule also derived (so the edge's sources are not the
 // candidate's), and a page whose title is no mention (whitespace
 // the mention index trims) and whose entity is no node. Each goes
-// through its fallback and loads back as it was, and a kept pair that
-// is no edge is refused by name.
+// through its fallback and loads back as it was, and a kept pair the
+// saved view has no edge for is refused by name.
 func TestEvidenceOffTheImage(t *testing.T) {
 	res := buildResult(t, 300)
 	c := res.Kept[len(res.Kept)/2]
-	if err := res.Taxonomy.AddIsAID(c.Hypo, c.Hyper, taxonomy.SourceMorph); err != nil {
-		t.Fatal(err)
-	}
+	res.Taxonomy.Add(taxonomy.Pair{Hypo: c.Hypo, Hyper: c.Hyper, Source: taxonomy.SourceMorph})
 	names := res.Names()
 	if e, _ := res.Taxonomy.EdgeOf(names[c.Hypo], names[c.Hyper]); e.Sources == c.Source {
 		t.Fatalf("edge %+v still has the kept pair's sources", e)
@@ -265,7 +261,7 @@ func TestEvidenceOffTheImage(t *testing.T) {
 	lone := []encyclopedia.Page{{Title: " 孤立页面 ", Infobox: []encyclopedia.Triple{{Predicate: "职业", Object: "演员"}}}}
 	id := res.Taxonomy.Symbols().Intern(lone[0].Title)
 	res.Evidence.AddPages(lone, []uint32{id, id})
-	st := &State{Taxonomy: res.Taxonomy, Mentions: res.Mentions, Evidence: res.Evidence, Kept: res.Kept, Stats: res.Stats}
+	st := &State{Taxonomy: res.Taxonomy, Evidence: res.Evidence, Stats: res.Stats}
 	data := saveBytes(t, st, Options{Workers: 1})
 	loaded, err := Load(bytes.NewReader(data))
 	if err != nil {
@@ -275,7 +271,7 @@ func TestEvidenceOffTheImage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mapped: %v", err)
 	}
-	if !reflect.DeepEqual(keptByName(loaded.Taxonomy, loaded.Kept), keptByName(res.Taxonomy, res.Kept)) {
+	if !reflect.DeepEqual(keptByName(loaded.Taxonomy, loaded.Taxonomy.Kept), keptByName(res.Taxonomy, res.Kept)) {
 		t.Fatal("the kept list did not round-trip")
 	}
 	pages := loaded.Evidence.PagesAlong(mapped.NodeCount(), mapped.Name)
@@ -287,9 +283,10 @@ func TestEvidenceOffTheImage(t *testing.T) {
 	}
 
 	syms := res.Taxonomy.Symbols()
-	st.Kept = slices.Insert(slices.Clone(res.Kept), 0, extract.Candidate{Hypo: syms.Intern("无此节点"), Hyper: syms.Intern("概念")})
+	st.View = serving.Compile(st.Taxonomy) // the view saved is of the list before the insert below
+	st.Taxonomy.Kept = slices.Insert(slices.Clone(res.Kept), 0, extract.Candidate{Hypo: syms.Intern("无此节点"), Hyper: syms.Intern("概念")})
 	if err := Save(&bytes.Buffer{}, st, Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), "is not an edge") {
-		t.Fatalf("Save of a kept pair that is no edge = %v", err)
+		t.Fatalf("Save of a kept pair the view has no edge for = %v", err)
 	}
 }
 
@@ -298,7 +295,7 @@ func TestEvidenceOffTheImage(t *testing.T) {
 // one allocation.
 func TestValidateEvidenceAllocatesNothing(t *testing.T) {
 	res := buildResult(t, 300)
-	data := saveBytes(t, &State{Taxonomy: res.Taxonomy, Mentions: res.Mentions, Evidence: res.Evidence, Kept: res.Kept, Stats: res.Stats}, Options{Workers: 1})
+	data := saveBytes(t, &State{Taxonomy: res.Taxonomy, Evidence: res.Evidence, Stats: res.Stats}, Options{Workers: 1})
 	f, err := parse(data)
 	if err != nil {
 		t.Fatal(err)

@@ -2,11 +2,21 @@ package snapshot
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
-	"maps"
 	"slices"
 	"testing"
 )
+
+// sortedKeys returns m's keys in order, so seeds go in in a fixed one.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
 
 // FuzzDecodeSnapshot throws arbitrary bytes at both entry points. The
 // invariants: neither panics nor allocates past the input it actually
@@ -14,7 +24,7 @@ import (
 // the length-vs-remaining check must answer), Load accepts exactly
 // what the mapped opener accepts, a version-1 or version-2 header is
 // always refused, and any input they *accept* is internally
-// consistent — store and mapped view describe the same graph, and
+// consistent — taxonomy and mapped view describe the same graph, and
 // re-saving the loaded state and loading that again reproduces it.
 //
 // CI runs this as a short smoke (-fuzztime=10s); run it longer locally
@@ -25,7 +35,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	valid := saveBytes(f, handState(f), Options{Workers: 1})
 	f.Add(valid)
 	legacy := legacyInputs(f) // must-reject: the v1 header, the v2 file, patched versions
-	for _, version := range slices.Sorted(maps.Keys(legacy)) {
+	for _, version := range sortedKeys(legacy) {
 		f.Add(legacy[version]) // in version order, so a seed's number names one input
 	}
 	f.Add([]byte{})
@@ -55,7 +65,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	// Must-reject images that frame correctly: a mention entity at the
 	// node count, and a mention whose entity IDs do not ascend.
 	bad := badMentionEntities(f, valid)
-	for _, what := range slices.Sorted(maps.Keys(bad)) {
+	for _, what := range sortedKeys(bad) {
 		f.Add(bad[what])
 	}
 
@@ -90,7 +100,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if a, b := st.Taxonomy.ComputeStats(), again.Taxonomy.ComputeStats(); a != b {
 			t.Fatalf("stats changed across re-save: %+v != %+v", a, b)
 		}
-		if a, b := st.Mentions.Size(), again.Mentions.Size(); a != b {
+		if a, b := len(st.Taxonomy.Mentions), len(again.Taxonomy.Mentions); a != b {
 			t.Fatalf("mention count changed across re-save: %d != %d", a, b)
 		}
 	})

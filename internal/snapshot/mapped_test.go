@@ -50,7 +50,7 @@ func TestOpenMappedServingEquivalence(t *testing.T) {
 	fresh := buildState(t, 400, 4)
 	mapped := openMapped(t, writeTempSnapshot(t, saveBytes(t, fresh, Options{Workers: 4})))
 
-	nodes := fresh.Taxonomy.ReadAll().Names
+	nodes := nodeNames(fresh.Taxonomy)
 	if len(nodes) > 80 {
 		nodes = nodes[:80]
 	}
@@ -70,7 +70,6 @@ func randomState(tb testing.TB, seed int64) *State {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	tax := taxonomy.New()
-	mentions := taxonomy.NewMentionIndex()
 	kinds := []string{"人物", "地点", "作品"}
 	n := 30 + rng.Intn(50)
 	for i := 0; i < n; i++ {
@@ -82,13 +81,13 @@ func randomState(tb testing.TB, seed int64) *State {
 				tb.Fatalf("AddIsA: %v", err)
 			}
 		}
-		mentions.Add(id, id)
-		mentions.Add(title, id)
+		tax.AddMention(id, id)
+		tax.AddMention(title, id)
 		if rng.Intn(2) == 0 {
-			mentions.Add(title[:len(title)-1], id) // proper byte-prefix of title (ASCII tail)
+			tax.AddMention(title[:len(title)-1], id) // proper byte-prefix of title (ASCII tail)
 		}
 		if rng.Intn(4) == 0 {
-			mentions.Add("实体", id) // heavily ambiguous shared prefix
+			tax.AddMention("实体", id) // heavily ambiguous shared prefix
 		}
 	}
 	for i := 0; i < 9; i++ {
@@ -98,7 +97,7 @@ func randomState(tb testing.TB, seed int64) *State {
 			}
 		}
 	}
-	return &State{Taxonomy: tax, Mentions: mentions, Meta: Meta{Stats: tax.ComputeStats()}}
+	return &State{Taxonomy: tax, Meta: Meta{Stats: tax.ComputeStats()}}
 }
 
 // TestOpenMappedRandomizedRoundTrip drives the save→map cycle over
@@ -113,7 +112,7 @@ func TestOpenMappedRandomizedRoundTrip(t *testing.T) {
 			if a, b := st.Taxonomy.ComputeStats(), mapped.Stats(); a != b {
 				t.Fatalf("stats differ: store %+v, mapped %+v", a, b)
 			}
-			nodes := st.Taxonomy.ReadAll().Names
+			nodes := nodeNames(st.Taxonomy)
 			mentions := append([]string(nil), nodes...)
 			storeBody := apiResponses(t, serverOf(st), nodes, mentions)
 			mappedBody := apiResponses(t, api.NewViewServer(mapped), nodes, mentions)

@@ -13,11 +13,13 @@ import (
 // TestConcurrentSaveAndQueries drives the serving scenario the
 // snapshot exists for, under the race detector: API queries
 // (men2ent/getConcept/getEntity through the real HTTP handlers) keep
-// hammering the taxonomy while snapshots of it are being written — and
-// while a background writer keeps mutating it, the never-ending
-// extraction mode. Every snapshot taken mid-write must still load
-// cleanly: per-shard locking means a torn view can only ever be a
-// valid intermediate state, never a corrupt file.
+// hammering the served view while snapshots of the taxonomy are being
+// written — and while a background writer keeps extending it between
+// saves, the never-ending extraction mode. The taxonomy has one writer
+// at a time, so the writer and the savers take turns as the ingest
+// plane's updater and compactor do (one lock here); the queries go to
+// the view and wait for neither. Every snapshot taken between two
+// writes must load cleanly.
 func TestConcurrentSaveAndQueries(t *testing.T) {
 	st := handState(t)
 	srv := serverOf(st)
@@ -30,7 +32,7 @@ func TestConcurrentSaveAndQueries(t *testing.T) {
 		queriesPerGo   = 60
 		savesPerWorker = 8
 	)
-	nodes := st.Taxonomy.ReadAll().Names
+	nodes := nodeNames(st.Taxonomy)
 
 	var wg sync.WaitGroup
 	errc := make(chan error, queryWorkers+saveWorkers+1)
@@ -61,13 +63,17 @@ func TestConcurrentSaveAndQueries(t *testing.T) {
 		}(w)
 	}
 
+	var turns sync.Mutex // the taxonomy's one writer and its savers take turns
 	for w := 0; w < saveWorkers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < savesPerWorker; i++ {
 				var buf bytes.Buffer
-				if err := Save(&buf, st, Options{Workers: 2}); err != nil {
+				turns.Lock()
+				err := Save(&buf, st, Options{Workers: 2})
+				turns.Unlock()
+				if err != nil {
 					errc <- fmt.Errorf("save %d/%d: %w", w, i, err)
 					return
 				}
@@ -79,19 +85,22 @@ func TestConcurrentSaveAndQueries(t *testing.T) {
 		}(w)
 	}
 
-	// One writer extends the graph and the mention index throughout,
-	// so saves and queries race against live mutation.
+	// One writer extends the graph and the mention pairs throughout,
+	// so saves and queries interleave with live mutation.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 300; i++ {
 			id := fmt.Sprintf("新实体%03d（更新）", i)
+			turns.Lock()
 			st.Taxonomy.MarkEntity(id)
-			if err := st.Taxonomy.AddIsA(id, fmt.Sprintf("概念%d", i%7), taxonomy.SourceTag); err != nil {
+			err := st.Taxonomy.AddIsA(id, fmt.Sprintf("概念%d", i%7), taxonomy.SourceTag)
+			st.Taxonomy.AddMention(fmt.Sprintf("新实体%03d", i), id)
+			turns.Unlock()
+			if err != nil {
 				errc <- fmt.Errorf("AddIsA: %w", err)
 				return
 			}
-			st.Mentions.Add(fmt.Sprintf("新实体%03d", i), id)
 		}
 	}()
 

@@ -5,7 +5,7 @@
 // complete state the paper's three public APIs (men2ent, getConcept,
 // getEntity) serve from: the taxonomy — edges with full provenance,
 // whose sources are the evidence typicality ranking counts — plus the
-// mention index and build metadata.
+// mention pairs and build metadata.
 //
 // The format is versioned, sectioned and checksummed (docs/SNAPSHOT.md
 // specifies the byte layout). The content section is a single mappable
@@ -13,7 +13,7 @@
 // little-endian blocks plus two string arenas (node names and
 // mentions), 8-byte aligned in the file, so OpenMapped can serve straight out of an mmap with no
 // decode pass and restart cost independent of taxonomy size. Saving
-// compiles the store into the canonical serving view first, so the
+// compiles the taxonomy into the canonical serving view first, so the
 // same logical state produces byte-identical snapshots regardless of
 // the Workers setting it was built or saved with — the pipeline's
 // determinism guarantee extended to the on-disk artifact. The
@@ -29,7 +29,7 @@
 // (fuzz-tested by FuzzDecodeSnapshot).
 //
 // There are two read paths over one framing parser: Load reassembles
-// the mutable build store (for experiments, further building and
+// the taxonomy's write model (for experiments, further building and
 // ingest), and OpenMapped maps the file and serves
 // directly from the mapping: the cheapest startup, and N replicas on
 // one box share a single page-cache copy of the string arenas. Inspect
@@ -41,7 +41,6 @@ import (
 	"runtime"
 
 	"cnprobase/internal/corpus"
-	"cnprobase/internal/extract"
 	"cnprobase/internal/serving"
 	"cnprobase/internal/taxonomy"
 	"cnprobase/internal/verify"
@@ -106,29 +105,27 @@ type Meta struct {
 
 // State is the complete serving state a snapshot round-trips, plus the
 // substrate a Result needs to accept incremental Update after loading:
-// the persistent verification evidence, the kept candidate set it
-// describes, and the corpus statistics the segmenter is rebuilt from. The three travel together: Save writes the evidence
-// section only when Evidence and Stats are both present.
+// the persistent verification evidence, which describes the taxonomy's
+// kept list, and the corpus statistics the segmenter is rebuilt from.
+// The two travel together: Save writes the evidence section only when
+// Evidence and Stats are both present.
 type State struct {
+	// Taxonomy holds the kinds, the kept and derived pairs and the
+	// mention pairs. After Load its symbol IDs are the image's node IDs
+	// (then the evidence's other names), so its kept list is in name
+	// order.
 	Taxonomy *taxonomy.Taxonomy
-	Mentions *taxonomy.MentionIndex
 	Meta     Meta
 
 	// View, when set, is an already-compiled serving view of exactly
-	// Taxonomy and Mentions; Save serializes it instead of compiling
-	// the store again (the ingest plane's compactor hands over the view
-	// it just published). Ignored by the loaders.
+	// Taxonomy; Save serializes it instead of compiling the taxonomy
+	// again (the ingest plane's compactor hands over the view it just
+	// published). Ignored by the loaders.
 	View *serving.View
 
 	// Evidence is the persistent incremental-update evidence; nil when
 	// the snapshot was saved without it.
 	Evidence *verify.Evidence
-	// Kept is the post-verification candidate set the evidence
-	// describes, named by IDs of the evidence's symbol table: each pair
-	// an edge of Taxonomy, each once, as builds and updates leave it.
-	// Save takes it in any order; Load returns it sorted by ID, which
-	// after a load is name order.
-	Kept []extract.Candidate
 	// Stats is the corpus unigram/bigram statistics.
 	Stats *corpus.Stats
 }

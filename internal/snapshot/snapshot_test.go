@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,7 +26,6 @@ import (
 func handState(tb testing.TB) *State {
 	tb.Helper()
 	tax := taxonomy.New()
-	mentions := taxonomy.NewMentionIndex()
 	for i := 0; i < 40; i++ {
 		id := fmt.Sprintf("实体%02d（人物）", i)
 		concept := fmt.Sprintf("概念%d", i%7)
@@ -38,10 +38,10 @@ func handState(tb testing.TB) *State {
 				tb.Fatalf("AddIsA: %v", err)
 			}
 		}
-		mentions.Add(fmt.Sprintf("实体%02d", i), id)
-		mentions.Add(id, id)
+		tax.AddMention(fmt.Sprintf("实体%02d", i), id)
+		tax.AddMention(id, id)
 	}
-	mentions.Add("实体00", "实体07（人物）") // ambiguous mention
+	tax.AddMention("实体00", "实体07（人物）") // ambiguous mention
 	for i := 0; i < 7; i++ {
 		if err := tax.AddIsA(fmt.Sprintf("概念%d", i), "顶层概念", taxonomy.SourceMorph); err != nil {
 			tb.Fatalf("AddIsA: %v", err)
@@ -49,7 +49,6 @@ func handState(tb testing.TB) *State {
 	}
 	return &State{
 		Taxonomy: tax,
-		Mentions: mentions,
 		Meta:     Meta{Pages: 40, Stats: tax.ComputeStats()},
 	}
 }
@@ -73,7 +72,6 @@ func buildState(tb testing.TB, entities, workers int) *State {
 	}
 	return &State{
 		Taxonomy: res.Taxonomy,
-		Mentions: res.Mentions,
 		Meta:     Meta{Pages: res.Report.Pages, Stats: res.Report.Stats},
 	}
 }
@@ -102,24 +100,39 @@ func requireEqualState(tb testing.TB, want, got *State) {
 			tb.Fatalf("edge[%d] = %+v, want %+v", i, gotEdges[i], wantEdges[i])
 		}
 	}
-	// The reads' exported content: how a name resolves to its position
-	// (NodeSet.Find) goes through each store's own symbol table.
-	wantNodes, gotNodes := want.Taxonomy.ReadAll(), got.Taxonomy.ReadAll()
-	if !reflect.DeepEqual([]any{wantNodes.Names, wantNodes.Kinds, wantNodes.EdgeOff, wantNodes.Edges},
-		[]any{gotNodes.Names, gotNodes.Kinds, gotNodes.EdgeOff, gotNodes.Edges}) {
-		tb.Fatal("canonical reads (nodes, kinds, adjacency) differ")
+	// The nodes and their kinds, and the mention pairs, by name: each
+	// taxonomy numbers its names its own way.
+	if w, g := namedContent(want.Taxonomy), namedContent(got.Taxonomy); !reflect.DeepEqual(w, g) {
+		tb.Fatalf("nodes, kinds or mention pairs differ:\n got %v\nwant %v", g, w)
 	}
 	if ws, gs := want.Taxonomy.ComputeStats(), got.Taxonomy.ComputeStats(); ws != gs {
 		tb.Fatalf("stats = %+v, want %+v", gs, ws)
 	}
-	if ws, gs := want.Mentions.Size(), got.Mentions.Size(); ws != gs {
-		tb.Fatalf("mention count = %d, want %d", gs, ws)
+}
+
+// nodeNames lists a taxonomy's nodes by name, ascending.
+func nodeNames(tax *taxonomy.Taxonomy) []string {
+	var out []string
+	for _, id := range tax.Nodes() {
+		out = append(out, tax.Symbols().Names()[id])
 	}
-	for _, n := range wantNodes.Names {
-		if w, g := want.Mentions.Lookup(n), got.Mentions.Lookup(n); fmt.Sprint(w) != fmt.Sprint(g) {
-			tb.Fatalf("Lookup(%q) = %v, want %v", n, g, w)
-		}
+	return out
+}
+
+// namedContent lists a taxonomy's nodes with their kinds, in name
+// order, then its mention pairs with their entities named.
+func namedContent(tax *taxonomy.Taxonomy) []string {
+	names := tax.Symbols().Names()
+	var out []string
+	for _, id := range tax.Nodes() {
+		out = append(out, fmt.Sprint(names[id], tax.KindOf(id)))
 	}
+	var mentions []string
+	for _, m := range tax.Mentions {
+		mentions = append(mentions, m.Text+"→"+names[m.Entity])
+	}
+	slices.Sort(mentions) // each taxonomy orders a mention's entities by its own IDs
+	return append(out, mentions...)
 }
 
 // TestRoundTripHandAssembled is the core property: Load(Save(x)) is
@@ -188,7 +201,7 @@ func TestByteStabilityAcrossConfigs(t *testing.T) {
 
 // serverOf serves the view compiled from a state's store.
 func serverOf(st *State) *api.Server {
-	return api.NewViewServer(serving.Compile(st.Taxonomy, st.Mentions))
+	return api.NewViewServer(serving.Compile(st.Taxonomy))
 }
 
 // apiResponses issues a fixed query mix — men2ent, getConcept (plain
@@ -250,7 +263,7 @@ func TestServingEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Load: %v", err)
 			}
-			nodes := fresh.Taxonomy.ReadAll().Names
+			nodes := nodeNames(fresh.Taxonomy)
 			if len(nodes) > 80 {
 				nodes = nodes[:80]
 			}
@@ -411,17 +424,17 @@ func TestSaveNilState(t *testing.T) {
 	}
 }
 
-// TestSaveWithoutMentions treats a nil mention index as empty rather
-// than failing: a hand-assembled taxonomy is still snapshottable.
+// TestSaveWithoutMentions treats a taxonomy without mention pairs as
+// any other: a hand-assembled taxonomy is still snapshottable.
 func TestSaveWithoutMentions(t *testing.T) {
 	st := handState(t)
-	st.Mentions = nil
+	st.Taxonomy.Mentions = nil
 	data := saveBytes(t, st, Options{})
 	got, err := Load(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if got.Mentions == nil || got.Mentions.Size() != 0 {
-		t.Fatalf("loaded mentions = %v, want empty index", got.Mentions)
+	if len(got.Taxonomy.Mentions) != 0 {
+		t.Fatalf("loaded mentions = %v, want none", got.Taxonomy.Mentions)
 	}
 }

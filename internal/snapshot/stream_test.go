@@ -20,6 +20,7 @@ import (
 	"cnprobase/internal/extract"
 	"cnprobase/internal/ner"
 	"cnprobase/internal/serving"
+	"cnprobase/internal/serving/servingtest"
 	"cnprobase/internal/taxonomy"
 	"cnprobase/internal/verify"
 )
@@ -28,10 +29,6 @@ import (
 // memory first: compile, append the image and the evidence into byte
 // slices, then frame each with its length and a one-shot checksum.
 func saveOracle(w io.Writer, st *State) error {
-	mentions := st.Mentions
-	if mentions == nil {
-		mentions = taxonomy.NewMentionIndex()
-	}
 	metaPayload, err := json.Marshal(st.Meta)
 	if err != nil {
 		return err
@@ -39,7 +36,7 @@ func saveOracle(w io.Writer, st *State) error {
 	imageBase := uint64(16 + 13 + len(metaPayload) + 4 + 13)
 	view := st.View
 	if view == nil {
-		view = serving.Compile(st.Taxonomy, mentions)
+		view = serving.Compile(st.Taxonomy)
 	}
 	evidencePayload, err := encodeEvidenceOracle(st, view)
 	if err != nil {
@@ -123,7 +120,7 @@ func encodeEvidenceOracle(st *State, view *serving.View) ([]byte, error) {
 		c extract.Candidate
 	}
 	var kept []keptEdge
-	for _, c := range st.Kept {
+	for _, c := range st.Taxonomy.Kept {
 		j, ok := edgeOf[pair{names[c.Hypo], names[c.Hyper]}]
 		if !ok {
 			return nil, fmt.Errorf("kept pair %v is not an edge", c)
@@ -148,12 +145,7 @@ func encodeEvidenceOracle(st *State, view *serving.View) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(nExcept))
 	b = append(b, except...)
 
-	var mentions []string
-	if st.Mentions != nil {
-		for _, m := range st.Mentions.Sorted() {
-			mentions = append(mentions, m.Mention)
-		}
-	}
+	mentions := servingtest.MentionTexts(st.Taxonomy)
 	pages := st.Evidence.PagesAlong(0, nil)
 	b = binary.AppendUvarint(b, uint64(len(pages.Preds)))
 	for _, p := range pages.Preds {
@@ -206,15 +198,21 @@ func encodeEvidenceOracle(st *State, view *serving.View) ([]byte, error) {
 func streamStates(t *testing.T) map[string]*State {
 	res := buildResult(t, 400)
 	built := func(view *serving.View) *State {
-		return &State{Taxonomy: res.Taxonomy, Mentions: res.Mentions, View: view, Evidence: res.Evidence, Kept: res.Kept, Stats: res.Stats,
+		return &State{Taxonomy: res.Taxonomy, View: view, Evidence: res.Evidence, Stats: res.Stats,
 			Meta: Meta{Pages: res.Report.Pages, Stats: res.Report.Stats, LSN: 7}}
+	}
+	// Loaded from a file without evidence, a taxonomy holds no kept
+	// pair (every edge is Derived's): what an empty evidence describes.
+	unkept, err := Load(bytes.NewReader(saveBytes(t, handState(t), Options{})))
+	if err != nil {
+		t.Fatal(err)
 	}
 	return map[string]*State{
 		"built, no view":        built(nil),
 		"built, published view": built(res.Freeze()),
 		"no evidence":           handState(t),
 		"no mentions":           {Taxonomy: handState(t).Taxonomy},
-		"empty evidence": {Taxonomy: handState(t).Taxonomy, Mentions: handState(t).Mentions,
+		"empty evidence": {Taxonomy: unkept.Taxonomy,
 			Evidence: verify.NewEvidence(nil, ner.NewSupport(), ner.New()), Stats: corpus.NewStats()},
 	}
 }
@@ -303,16 +301,15 @@ func TestSaveFailingWriter(t *testing.T) {
 }
 
 // TestSaveMentionWithInvalidBytes saves a mention added with a byte
-// that is not valid UTF-8. The index stores it in its U+FFFD spelling,
+// that is not valid UTF-8. The taxonomy stores it in its U+FFFD spelling,
 // so Save writes it, and Load and the mapped opener both answer it.
 func TestSaveMentionWithInvalidBytes(t *testing.T) {
 	tax := taxonomy.New()
 	if err := tax.AddIsA("实体", "概念", taxonomy.SourceTag); err != nil {
 		t.Fatal(err)
 	}
-	m := taxonomy.NewMentionIndex()
-	m.Add("坏\xff", "实体")
-	data := saveBytes(t, &State{Taxonomy: tax, Mentions: m}, Options{})
+	tax.AddMention("坏\xff", "实体")
+	data := saveBytes(t, &State{Taxonomy: tax}, Options{})
 	loaded, err := Load(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
@@ -322,7 +319,7 @@ func TestSaveMentionWithInvalidBytes(t *testing.T) {
 		t.Fatalf("mapped: %v", err)
 	}
 	for name, got := range map[string][]string{
-		"loaded": loaded.Mentions.Lookup("坏\uFFFD"),
+		"loaded": servingtest.Lookup(loaded.Taxonomy, "坏\uFFFD"),
 		"mapped": mapped.Lookup("坏\uFFFD"),
 	} {
 		if !reflect.DeepEqual(got, []string{"实体"}) {

@@ -1,64 +1,54 @@
 package taxonomy
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
+
+// lookup names the entities of mention's pairs, by entity ID.
+func lookup(tx *Taxonomy, mention string) []string {
+	var out []string
+	for _, m := range tx.MentionsOf(mention) {
+		out = append(out, tx.syms.Names()[m.Entity])
+	}
+	return out
+}
 
 func TestMentionIndexLookup(t *testing.T) {
-	m := NewMentionIndex()
-	m.Add("刘德华", "刘德华（演员）")
-	m.Add("刘德华", "刘德华（作家）")
-	m.Add("刘德华", "刘德华（演员）") // duplicate ignored
-	m.Add("德华", "刘德华（演员）")
-	got := m.Lookup("刘德华")
-	if len(got) != 2 {
-		t.Fatalf("Lookup = %v", got)
+	tx := New()
+	tx.AddMention("刘德华", "刘德华（演员）")
+	tx.AddMention("刘德华", "刘德华（作家）")
+	tx.AddMention("刘德华", "刘德华（演员）") // duplicate ignored
+	tx.AddMention("德华", "刘德华（演员）")
+	if got := lookup(tx, "刘德华"); !reflect.DeepEqual(got, []string{"刘德华（演员）", "刘德华（作家）"}) {
+		t.Fatalf("pairs of 刘德华 = %v", got)
 	}
-	if got[0] > got[1] {
-		t.Error("Lookup result not sorted")
+	tx.AddMention("  刘德华  ", "刘德华（作家）") // stored trimmed: already held
+	if got := len(tx.Mentions); got != 3 {
+		t.Errorf("%d mention pairs, want 3", got)
 	}
-	if got := m.Lookup("  刘德华  "); len(got) != 2 {
-		t.Errorf("Lookup should trim spaces, got %v", got)
+	if got := lookup(tx, "无人"); got != nil {
+		t.Errorf("pairs of an unknown mention = %v", got)
 	}
-	if got := m.Lookup("无人"); got != nil {
-		t.Errorf("Lookup unknown = %v", got)
+	// A batch merges into the sorted list and reports the mentions that
+	// gained an entity.
+	got := tx.AddMentions([]Mention{{Text: "德华", Entity: tx.syms.Intern("德华（角色）")}, {Text: "甲", Entity: 0}, {Text: "刘德华", Entity: 0}})
+	if !reflect.DeepEqual(got, []string{"德华", "甲"}) {
+		t.Errorf("AddMentions reported %v, want [德华 甲]", got)
 	}
-	if m.Size() != 2 {
-		t.Errorf("Size = %d, want 2", m.Size())
+	for i := 1; i < len(tx.Mentions); i++ {
+		if compareMentions(tx.Mentions[i-1], tx.Mentions[i]) >= 0 {
+			t.Fatalf("mention pairs not sorted and distinct: %v", tx.Mentions)
+		}
 	}
 }
 
 func TestMentionIndexIgnoresEmpty(t *testing.T) {
-	m := NewMentionIndex()
-	m.Add("", "id")
-	m.Add("  ", "id")
-	m.Add("mention", "")
-	if m.Size() != 0 {
-		t.Errorf("Size = %d, want 0", m.Size())
-	}
-}
-
-func TestFindAll(t *testing.T) {
-	m := NewMentionIndex()
-	m.Add("刘德华", "刘德华（演员）")
-	m.Add("忘情水", "忘情水")
-	found := m.FindAll("刘德华演唱了《忘情水》，刘德华很出名。")
-	if len(found) != 2 {
-		t.Fatalf("FindAll = %v", found)
-	}
-	seen := map[string]bool{}
-	for _, f := range found {
-		seen[f] = true
-	}
-	if !seen["刘德华"] || !seen["忘情水"] {
-		t.Errorf("FindAll = %v", found)
-	}
-}
-
-func TestFindAllLongestMatch(t *testing.T) {
-	m := NewMentionIndex()
-	m.Add("刘德", "刘德")
-	m.Add("刘德华", "刘德华（演员）")
-	found := m.FindAll("刘德华")
-	if len(found) != 1 || found[0] != "刘德华" {
-		t.Errorf("FindAll = %v, want longest match 刘德华", found)
+	tx := New()
+	tx.AddMention("", "id")
+	tx.AddMention("  ", "id")
+	tx.AddMention("mention", "")
+	if len(tx.Mentions) != 0 {
+		t.Errorf("%d mention pairs, want 0", len(tx.Mentions))
 	}
 }

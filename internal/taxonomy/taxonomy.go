@@ -1,35 +1,37 @@
-// Package taxonomy implements the conceptual taxonomy *build* store:
-// the write-side accumulator the construction pipeline assembles into.
-// It holds entities, concepts and provenance-tagged isA edges, and
-// is saved only inside a snapshot (internal/snapshot). It is not a
-// query model: every reader — the HTTP APIs, the application engines,
-// the experiments — goes through the immutable, lock-free view in
-// internal/serving, compiled from the store (serving.Compile, or
-// serving.Patch for the nodes written since) or opened over a
-// snapshot's image. What the store reads back is its
-// content in canonical form (ReadAll, ReadNodes, Edges), the Stats
-// counters and the change log, plus the few point reads the subconcept
-// derivation rules make while they write (Kind, HyponymCount, EdgeOf,
-// Concepts, IsAncestor).
+// Package taxonomy holds the conceptual taxonomy's write model: what
+// the construction pipeline assembles and an ingest replica extends
+// batch after batch. It is a value over the dense IDs of a
+// symtab.Table — the table the build's verification evidence interns
+// into, so a name is hashed once per build — made of four lists:
 //
-// The store lives on dense IDs. Names are interned in a symtab.Table —
-// the one the build's verification evidence uses, so a name is hashed
-// once per build — and the rest is one flat array of node records
-// indexed by ID: kind, outgoing edges (hypernym ID, sources)
-// and hyponym IDs, in arrival order. There is no second
-// index to keep in step and nothing to finalize: the Stats counters are
-// kept by the writes, the change log is a list of touched IDs, and the
-// canonical reads put names in order themselves.
+//   - the kind of every node, indexed by symbol ID;
+//   - Kept, the verified generated isA pairs, sorted by (Hypo, Hyper)
+//     ID: the pipeline's kept candidate list itself;
+//   - Derived, every edge part no kept pair holds — the subconcept
+//     pairs the derivation rules add (SourceMorph, SourceSubsume) —
+//     sorted the same way;
+//   - Mentions, the (mention, entity) pairs men2ent resolves, sorted.
 //
-// A Taxonomy is safe for concurrent use: one RWMutex, writers
-// exclusive, readers shared.
+// A pair in both Kept and Derived — a rule derived what a generator
+// proposed — is one edge, its sources the two lists' OR'ed. Nothing
+// indexes the lists a second way: the pipeline reads a concept's kept
+// hyponyms off the verification evidence, which indexes the kept pairs
+// by hypernym anyway, and every query goes through the immutable view
+// in internal/serving, compiled from the lists (serving.Compile, or
+// serving.Patch for what an update touched) or opened over a snapshot's
+// image. The Stats counters are kept by the writes.
+//
+// A Taxonomy has one writer at a time — a build, an update, or a hand
+// assembly through the name-keyed writers (MarkEntity, MarkConcept,
+// AddIsA, AddMention) — and is read between writes.
 package taxonomy
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
+	"unicode/utf8"
 
 	"cnprobase/internal/symtab"
 )
@@ -55,6 +57,10 @@ const (
 	// SourceTranslation marks pairs from the Probase-Tran baseline.
 	SourceTranslation
 )
+
+// derivedSources are the bits the derivation rules set; AddIsA files
+// every other bit under Kept.
+const derivedSources = SourceMorph | SourceSubsume
 
 // String names a single source bit or a combination.
 func (s Source) String() string {
@@ -98,158 +104,190 @@ const (
 	KindConcept
 )
 
-// Edge is one isA relation: Hypo isA Hyper.
+// Edge is one isA relation named by its nodes: Hypo isA Hyper.
 type Edge struct {
 	Hypo    string `json:"hypo"`
 	Hyper   string `json:"hyper"`
 	Sources Source `json:"sources"`
 }
 
-// edge is one outgoing isA relation, stored on its hyponym.
-type edge struct {
-	hyper   uint32
-	sources Source
+// Pair is one isA relation on symbol IDs: Hypo isA Hyper, from Source.
+// The pipeline's candidates are pairs (extract.Candidate).
+type Pair struct {
+	// Hypo is the hyponym's ID: a disambiguated entity ID, or a
+	// concept's for a subconcept pair.
+	Hypo uint32
+	// Hyper is the hypernym concept's ID.
+	Hyper uint32
+	// Source records the generating algorithms or derivation rules.
+	Source Source
 }
 
-// node is what the store holds about one name. A node exists while it
-// is marked or touches an edge; a record that is neither is only a slot
-// another owner of the symbol table caused.
-type node struct {
-	hypers []edge   // outgoing edges, in arrival order
-	hypos  []uint32 // the nodes with an edge to this one, in arrival order
-	kind   NodeKind
+// Key packs the pair into one integer; keys order pairs by (Hypo,
+// Hyper), the order of Kept and Derived.
+func (p Pair) Key() uint64 { return uint64(p.Hypo)<<32 | uint64(p.Hyper) }
+
+// Find locates the pair (hypo, hyper) in a list sorted by key: its
+// position, or where it would go, and whether it is there.
+func Find(list []Pair, hypo, hyper uint32) (int, bool) {
+	key := Pair{Hypo: hypo, Hyper: hyper}.Key()
+	return slices.BinarySearchFunc(list, key, func(p Pair, k uint64) int { return cmp.Compare(p.Key(), k) })
 }
 
-func (n *node) exists() bool {
-	return n.kind != KindUnknown || len(n.hypers) > 0 || len(n.hypos) > 0
-}
-
-// find returns the index of the edge to hyper, or -1. Nodes have a
-// handful of hypernyms, so a scan beats any index.
-func (n *node) find(hyper uint32) int {
-	for i := range n.hypers {
-		if n.hypers[i].hyper == hyper {
-			return i
-		}
+// span is the stretch of a sorted list whose pairs have hyponym id.
+func span(list []Pair, id uint32) []Pair {
+	lo, _ := Find(list, id, 0)
+	hi := lo
+	for hi < len(list) && list[hi].Hypo == id {
+		hi++
 	}
-	return -1
+	return list[lo:hi]
 }
 
-// Taxonomy is the isA graph.
+// Mention is one surface mention of an entity — its title, its ID or
+// an alias — the entity named by symbol ID.
+type Mention struct {
+	Text   string
+	Entity uint32
+}
+
+func compareMentions(a, b Mention) int {
+	if c := strings.Compare(a.Text, b.Text); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Entity, b.Entity)
+}
+
+// Taxonomy is the isA graph as the lists the package comment describes.
 type Taxonomy struct {
 	syms *symtab.Table
+	// kinds is indexed by symbol ID; IDs past its end are KindUnknown.
+	kinds []NodeKind
+	// Kept holds the verified generated pairs, sorted by key and
+	// distinct. The pipeline edits it in place (core.Result.Kept is
+	// this field) and reports the edit (Inserted, Retracted), which
+	// keeps the counters in step.
+	Kept []Pair
+	// Derived holds every edge part no kept pair holds, sorted by key
+	// and distinct: the pairs the subconcept rules derived.
+	Derived []Pair
+	// Mentions holds the mention pairs, sorted by Text then Entity and
+	// distinct; every Text is trimmed, non-empty and valid UTF-8.
+	Mentions []Mention
 
-	mu sync.RWMutex
-	// nodes is indexed by symbol ID; IDs past its end have no record.
-	nodes []node
-	// stats is kept current by the writes (EntityConceptIsA aside, which
-	// ComputeStats derives).
 	stats Stats
-	// changes logs the IDs ChangesSince hands out.
-	changes changeLog[uint32]
+	// named counts the writes of the name-keyed writers, which no
+	// pipeline diff reports (see NamedWrites).
+	named uint64
 }
 
 // New returns an empty taxonomy over a symbol table of its own.
 func New() *Taxonomy { return NewWithSymbols(symtab.New()) }
 
 // NewWithSymbols returns an empty taxonomy that interns its names in
-// syms. The build pipeline hands the store and the verification
+// syms. The build pipeline hands the taxonomy and the verification
 // evidence the same table.
 func NewWithSymbols(syms *symtab.Table) *Taxonomy { return &Taxonomy{syms: syms} }
 
-// Symbols returns the table the store interns its names in.
+// Restore returns the taxonomy of the given lists — kinds by ID of
+// syms, kept and derived pairs sorted by key, mentions sorted — as a
+// snapshot describes it, and counts its Stats in one pass.
+func Restore(syms *symtab.Table, kinds []NodeKind, kept, derived []Pair, mentions []Mention) *Taxonomy {
+	t := &Taxonomy{syms: syms, kinds: kinds, Kept: kept, Derived: derived, Mentions: mentions}
+	t.recount()
+	return t
+}
+
+// Symbols returns the table the taxonomy interns its names in.
 func (t *Taxonomy) Symbols() *symtab.Table { return t.syms }
 
-// lookup returns name's ID and record, nil when the store has none.
-// Callers hold mu.
-func (t *Taxonomy) lookup(name string) (uint32, *node) {
-	id, ok := t.syms.Lookup(name)
-	if !ok || int(id) >= len(t.nodes) {
-		return 0, nil
+// NamedWrites counts the writes made through the name-keyed writers
+// (MarkEntity, MarkConcept, AddIsA, AddMention). The pipeline reports
+// its own writes as diffs; a reader that follows those diffs — the
+// published view — starts over from the lists when this count moves.
+func (t *Taxonomy) NamedWrites() uint64 { return t.named }
+
+// KindOf returns the kind of symbol ID id.
+func (t *Taxonomy) KindOf(id uint32) NodeKind {
+	if int(id) < len(t.kinds) {
+		return t.kinds[id]
 	}
-	return id, &t.nodes[id]
+	return KindUnknown
 }
 
-// intern returns name's ID with its record in place. Callers hold mu
-// for writing; node pointers taken earlier may be stale afterwards.
-func (t *Taxonomy) intern(name string) uint32 {
-	id := t.syms.Intern(name)
-	t.grow(id)
-	return id
+// Kind returns the kind of the named node.
+func (t *Taxonomy) Kind(name string) NodeKind {
+	if id, ok := t.syms.Lookup(name); ok {
+		return t.KindOf(id)
+	}
+	return KindUnknown
 }
 
-// grow puts the records up to id in place. Callers hold mu for writing.
-func (t *Taxonomy) grow(id uint32) {
-	if grow := int(id) + 1 - len(t.nodes); grow > 0 {
-		t.nodes = append(t.nodes, make([]node, grow)...)
-	}
+// Exists reports whether symbol ID id is a node: marked, or the
+// hyponym of an edge (a hypernym is always marked).
+func (t *Taxonomy) Exists(id uint32) bool {
+	return t.KindOf(id) != KindUnknown || t.outDegree(id) > 0
 }
 
-// setKind changes a node's kind and keeps the counters in step.
-// Callers hold mu for writing.
-func (t *Taxonomy) setKind(id uint32, k NodeKind) {
-	n := &t.nodes[id]
-	if n.kind == k {
-		return
+// setKind changes a node's kind and keeps the counters in step. It
+// reports whether the kind changed.
+func (t *Taxonomy) setKind(id uint32, k NodeKind) bool {
+	if t.KindOf(id) == k {
+		return false
 	}
-	t.countKind(n, -1)
-	n.kind = k
-	t.countKind(n, +1)
-	t.changes.record(id)
+	if grow := int(id) + 1 - len(t.kinds); grow > 0 {
+		t.kinds = append(t.kinds, make([]NodeKind, grow)...)
+	}
+	t.countKind(id, -1)
+	t.kinds[id] = k
+	t.countKind(id, +1)
+	return true
 }
 
 // countKind adds (sign +1) or removes (sign -1) a node's contribution
 // to the kind-dependent counters.
-func (t *Taxonomy) countKind(n *node, sign int) {
-	switch n.kind {
+func (t *Taxonomy) countKind(id uint32, sign int) {
+	switch t.kinds[id] {
 	case KindEntity:
 		t.stats.Entities += sign
 	case KindConcept:
 		t.stats.Concepts += sign
-		t.stats.SubConceptIsA += sign * len(n.hypers)
+		t.stats.SubConceptIsA += sign * t.outDegree(id)
 	}
 }
 
-// MarkEntity declares node as an entity.
-func (t *Taxonomy) MarkEntity(id string) { t.mark(id, KindEntity) }
+// MarkEntity declares the named node an entity, unless it has a kind.
+func (t *Taxonomy) MarkEntity(name string) { t.mark(name, KindEntity) }
 
-// MarkConcept declares node as a concept.
+// MarkConcept declares the named node a concept, unless it has a kind.
 func (t *Taxonomy) MarkConcept(name string) { t.mark(name, KindConcept) }
-
-// MarkEntityID marks a page's entity, named by an ID of the store's
-// symbol table: the node is an entity whatever it was before — a
-// concept some other page's tag made of it too — as a build makes it,
-// which marks every page before it links an edge. An entity is never
-// demoted (RemoveIsAID), so a page's entity stays a node.
-func (t *Taxonomy) MarkEntityID(id uint32) {
-	if t.syms.Names()[id] == "" {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.grow(id)
-	t.setKind(id, KindEntity)
-}
 
 func (t *Taxonomy) mark(name string, k NodeKind) {
 	if name == "" {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if id := t.intern(name); t.nodes[id].kind == KindUnknown {
+	t.named++
+	if id := t.syms.Intern(name); t.KindOf(id) == KindUnknown {
 		t.setKind(id, k)
 	}
 }
 
-// Kind returns the node kind of name.
-func (t *Taxonomy) Kind(name string) NodeKind {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if _, n := t.lookup(name); n != nil {
-		return n.kind
+// MarkEntityID marks a page's entity, named by symbol ID: the node is
+// an entity whatever it was before — a concept some other page's tag
+// made of it too — as a build makes it, which marks every page before
+// it links an edge. An entity is never demoted (Retracted), so a page's
+// entity stays a node. It reports whether the kind changed.
+func (t *Taxonomy) MarkEntityID(id uint32) bool {
+	if t.syms.Names()[id] == "" {
+		return false
 	}
-	return KindUnknown
+	return t.setKind(id, KindEntity)
+}
+
+// MarkConceptID declares symbol ID id a concept unless it has a kind,
+// and reports whether it had none.
+func (t *Taxonomy) MarkConceptID(id uint32) bool {
+	return t.KindOf(id) == KindUnknown && t.setKind(id, KindConcept)
 }
 
 func checkEdge(hypo, hyper string) error {
@@ -263,245 +301,292 @@ func checkEdge(hypo, hyper string) error {
 }
 
 // AddIsA inserts or reinforces the isA(hypo, hyper) edge. Self-loops
-// are rejected. Hypernyms are implicitly marked as concepts; hyponyms
-// keep their current kind (entities are marked via MarkEntity by the
-// pipeline; hyponyms that are concepts form subconcept edges).
+// and empty names are rejected. Hypernyms are implicitly marked as
+// concepts; hyponyms keep their current kind.
 func (t *Taxonomy) AddIsA(hypo, hyper string, src Source) error {
 	if err := checkEdge(hypo, hyper); err != nil {
 		return err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.addIsA(t.intern(hypo), t.intern(hyper), src)
+	t.named++
+	t.Add(Pair{Hypo: t.syms.Intern(hypo), Hyper: t.syms.Intern(hyper), Source: src})
 	return nil
 }
 
-// AddIsAID is AddIsA for a pair named by IDs of the store's symbol
-// table, with the same checks.
-func (t *Taxonomy) AddIsAID(hypo, hyper uint32, src Source) error {
-	names := t.syms.Names()
-	if err := checkEdge(names[hypo], names[hyper]); err != nil {
-		return err
+// Add inserts or reinforces the edge of pair p, whose ends must differ:
+// its derivation bits go to Derived, every other bit to Kept. A new
+// edge marks an unknown hypernym a concept. Add reports whether the
+// edge's sources grew (a new edge's always do, even from none).
+func (t *Taxonomy) Add(p Pair) bool {
+	before, existed := t.SourcesOf(p.Hypo, p.Hyper)
+	if gen := p.Source &^ derivedSources; gen != 0 || p.Source == 0 {
+		t.Kept = insert(t.Kept, Pair{Hypo: p.Hypo, Hyper: p.Hyper, Source: gen})
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.grow(max(hypo, hyper))
-	t.addIsA(hypo, hyper, src)
-	return nil
+	if der := p.Source & derivedSources; der != 0 {
+		t.Derived = insert(t.Derived, Pair{Hypo: p.Hypo, Hyper: p.Hyper, Source: der})
+	}
+	if !existed {
+		t.linked(p)
+	}
+	return !existed || before|p.Source != before
 }
 
-// addIsA is AddIsA on IDs with records. Callers hold mu for writing.
-func (t *Taxonomy) addIsA(a, b uint32, src Source) {
-	n := &t.nodes[a]
-	if i := n.find(b); i >= 0 {
-		// A pair generated again adds no evidence unless it comes from
-		// a source the edge lacks: its evidence count is the number of
-		// its sources, so re-sending a page changes nothing. The log
-		// names both ends of every edge whose content changed, as
-		// TestIncrementalBookkeepingMatchesRecount holds it, though a
-		// view reads the edge only on the hyponym's side.
-		e := &n.hypers[i]
-		if e.sources|src != e.sources {
-			e.sources |= src
-			t.changes.record(a, b)
+// insert adds p to a sorted list, OR-ing its sources into an equal
+// pair already there.
+func insert(list []Pair, p Pair) []Pair {
+	i, ok := Find(list, p.Hypo, p.Hyper)
+	if ok {
+		list[i].Source |= p.Source
+		return list
+	}
+	return slices.Insert(list, i, p)
+}
+
+// Inserted keeps the counters in step with pairs, sorted by key, the
+// caller has just inserted into Kept: every pair that is a new edge —
+// none of Derived holds it — marks an unknown hypernym a concept.
+func (t *Taxonomy) Inserted(pairs []Pair) {
+	for i := 0; i < len(pairs); {
+		hypo, fresh := pairs[i].Hypo, 0
+		for ; i < len(pairs) && pairs[i].Hypo == hypo; i++ {
+			if _, ok := Find(t.Derived, hypo, pairs[i].Hyper); !ok {
+				t.link(pairs[i])
+				fresh++
+			}
 		}
-		return
+		if fresh > 0 && t.outDegree(hypo) == fresh {
+			t.stats.NodesWithHypernym++ // its first edges
+		}
 	}
-	t.link(a, b, edge{hyper: b, sources: src})
 }
 
-// link stores a new edge on both endpoints, marks an unknown hypernym
-// as a concept and keeps the counters in step. Callers hold mu for
-// writing.
-func (t *Taxonomy) link(a, b uint32, e edge) {
-	hypo, hyper := &t.nodes[a], &t.nodes[b]
-	hypo.hypers = append(hypo.hypers, e)
-	hyper.hypos = append(hyper.hypos, a)
-	t.stats.IsARelations++
-	if len(hypo.hypers) == 1 {
+// Retracted removes the edges of pairs the caller has just removed from
+// Kept — re-verification rejected them — whole: a derived part the
+// edge also held goes with it. A concept at either end left without any
+// edge is demoted (it is no node any more), so the concept count does
+// not drift upward across update batches; an entity always survives.
+// keptHypernym reports whether an ID is still the hypernym of a kept
+// pair, which the verification evidence indexes.
+func (t *Taxonomy) Retracted(pairs []Pair, keptHypernym func(id uint32) bool) {
+	pairs = slices.Clone(pairs)
+	slices.SortFunc(pairs, func(a, b Pair) int { return cmp.Compare(a.Key(), b.Key()) })
+	for i := 0; i < len(pairs); {
+		hypo := pairs[i].Hypo
+		for ; i < len(pairs) && pairs[i].Hypo == hypo; i++ {
+			if j, ok := Find(t.Derived, hypo, pairs[i].Hyper); ok {
+				t.Derived = slices.Delete(t.Derived, j, j+1)
+			}
+			t.stats.IsARelations--
+			if t.KindOf(hypo) == KindConcept {
+				t.stats.SubConceptIsA--
+			}
+		}
+		if t.outDegree(hypo) == 0 {
+			t.stats.NodesWithHypernym-- // its last edges
+		}
+	}
+	for _, p := range pairs {
+		for _, id := range [2]uint32{p.Hyper, p.Hypo} {
+			if t.KindOf(id) == KindConcept && t.outDegree(id) == 0 && !keptHypernym(id) && !derivedHypernym(t.Derived, id) {
+				t.setKind(id, KindUnknown)
+			}
+		}
+	}
+}
+
+// derivedHypernym reports whether id is the hypernym of a pair of
+// list. The derived list is a few subconcept pairs per concept, so a
+// scan beats any index.
+func derivedHypernym(list []Pair, id uint32) bool {
+	for _, p := range list {
+		if p.Hyper == id {
+			return true
+		}
+	}
+	return false
+}
+
+// linked keeps the counters in step with a pair that has just become
+// an edge, and marks an unknown hypernym a concept.
+func (t *Taxonomy) linked(p Pair) {
+	t.link(p)
+	if t.outDegree(p.Hypo) == 1 {
 		t.stats.NodesWithHypernym++
 	}
-	if hypo.kind == KindConcept {
+}
+
+// link is linked but for NodesWithHypernym, which depends on how many
+// edges the hyponym gained at once.
+func (t *Taxonomy) link(p Pair) {
+	t.stats.IsARelations++
+	if t.KindOf(p.Hypo) == KindConcept {
 		t.stats.SubConceptIsA++
 	}
-	t.changes.record(a, b)
-	if hyper.kind == KindUnknown {
-		t.setKind(b, KindConcept)
+	t.MarkConceptID(p.Hyper)
+}
+
+// outDegree is the number of edges of node id: its kept and derived
+// pairs, a pair in both once.
+func (t *Taxonomy) outDegree(id uint32) int {
+	kept, derived := span(t.Kept, id), span(t.Derived, id)
+	n := len(kept) + len(derived)
+	for _, p := range derived {
+		if _, ok := Find(kept, p.Hypo, p.Hyper); ok {
+			n--
+		}
+	}
+	return n
+}
+
+// AppendEdges appends node id's edges to dst — one per hypernym,
+// ascending by hypernym ID, with the sources of both lists OR'ed — and
+// returns the extended slice.
+func (t *Taxonomy) AppendEdges(dst []Pair, id uint32) []Pair {
+	return mergePairs(dst, span(t.Kept, id), span(t.Derived, id))
+}
+
+// mergePairs appends the union of two lists sorted by key, a pair in
+// both once with its sources OR'ed.
+func mergePairs(dst, a, b []Pair) []Pair {
+	for len(a) > 0 || len(b) > 0 {
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0].Key() < b[0].Key():
+			dst, a = append(dst, a[0]), a[1:]
+		case len(a) == 0 || b[0].Key() < a[0].Key():
+			dst, b = append(dst, b[0]), b[1:]
+		default:
+			p := a[0]
+			p.Source |= b[0].Source
+			dst, a, b = append(dst, p), a[1:], b[1:]
+		}
+	}
+	return dst
+}
+
+// EachEdge calls f for every edge in (Hypo, Hyper) ID order: each pair
+// of Kept and Derived once, with the sources of both lists OR'ed.
+func (t *Taxonomy) EachEdge(f func(Pair)) {
+	a, b := t.Kept, t.Derived
+	for len(a) > 0 || len(b) > 0 {
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0].Key() < b[0].Key():
+			f(a[0])
+			a = a[1:]
+		case len(a) == 0 || b[0].Key() < a[0].Key():
+			f(b[0])
+			b = b[1:]
+		default:
+			p := a[0]
+			p.Source |= b[0].Source
+			f(p)
+			a, b = a[1:], b[1:]
+		}
 	}
 }
 
-// ImportIDs restores an empty store from a serving image's canonical
-// content by ID: every node's kind and every edge verbatim, with its
-// sources, and the counters the writes would keep, in one pass under
-// one lock, with no name hashed. The store's symbol table must hold the
-// image's node names as IDs 0..len(kinds)-1, in image order
-// (snapshot.Load interns them first); kinds has one entry per node, and
-// node u's edges are [hyperOff[u], hyperOff[u+1]), edge j's hypernym
-// being node hyperIDs[j] and its sources sources[j].
-func (t *Taxonomy) ImportIDs(kinds []NodeKind, hyperOff, hyperIDs []uint32, sources []Source) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if grow := len(kinds) - len(t.nodes); grow > 0 {
-		t.nodes = append(t.nodes, make([]node, grow)...)
+// SourcesOf returns the sources of the edge (hypo, hyper), and whether
+// there is one.
+func (t *Taxonomy) SourcesOf(hypo, hyper uint32) (Source, bool) {
+	var src Source
+	i, kept := Find(t.Kept, hypo, hyper)
+	if kept {
+		src = t.Kept[i].Source
 	}
-	indegree := make([]uint32, len(kinds))
-	for _, h := range hyperIDs {
-		indegree[h]++
+	j, derived := Find(t.Derived, hypo, hyper)
+	if derived {
+		src |= t.Derived[j].Source
 	}
-	for u, k := range kinds {
-		n := &t.nodes[u]
-		if k != KindUnknown {
-			t.setKind(uint32(u), k)
-		}
-		if d := hyperOff[u+1] - hyperOff[u]; d > 0 {
-			n.hypers = make([]edge, 0, d)
-		}
-		if indegree[u] > 0 {
-			n.hypos = make([]uint32, 0, indegree[u])
-		}
-	}
-	for u := range kinds {
-		for j := hyperOff[u]; j < hyperOff[u+1]; j++ {
-			t.link(uint32(u), hyperIDs[j], edge{hyper: hyperIDs[j], sources: sources[j]})
-		}
-	}
+	return src, kept || derived
 }
 
-// RemoveIsAID deletes the edge, named by IDs of the store's symbol
-// table, if present and reports whether it existed.
-// Concept endpoints left without any remaining edge are demoted: their
-// mark is dropped, so a concept whose last hyponym is retracted by
-// re-verification stops counting toward Stats.Concepts instead of
-// drifting the count upward across update batches. Entities (marked
-// via MarkEntity) always survive retraction.
-func (t *Taxonomy) RemoveIsAID(hypo, hyper uint32) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if int(max(hypo, hyper)) >= len(t.nodes) {
-		return false
-	}
-	a, b := hypo, hyper
-	from, to := &t.nodes[a], &t.nodes[b]
-	i := from.find(b)
-	if i < 0 {
-		return false
-	}
-	from.hypers = slices.Delete(from.hypers, i, i+1)
-	j := slices.Index(to.hypos, a)
-	to.hypos = slices.Delete(to.hypos, j, j+1)
-	t.stats.IsARelations--
-	if len(from.hypers) == 0 {
-		t.stats.NodesWithHypernym--
-	}
-	if from.kind == KindConcept {
-		t.stats.SubConceptIsA--
-	}
-	t.changes.record(a, b)
-	for _, id := range [2]uint32{b, a} {
-		if n := &t.nodes[id]; n.kind == KindConcept && len(n.hypers) == 0 && len(n.hypos) == 0 {
-			t.setKind(id, KindUnknown)
-		}
-	}
-	return true
-}
-
-// EdgeOf returns a copy of the edge, if present.
+// EdgeOf returns the named edge, if present.
 func (t *Taxonomy) EdgeOf(hypo, hyper string) (Edge, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, from := t.lookup(hypo)
-	b, to := t.lookup(hyper)
-	if from == nil || to == nil {
+	a, ok := t.syms.Lookup(hypo)
+	b, ok2 := t.syms.Lookup(hyper)
+	if !ok || !ok2 {
 		return Edge{}, false
 	}
-	i := from.find(b)
-	if i < 0 {
+	src, ok := t.SourcesOf(a, b)
+	if !ok {
 		return Edge{}, false
 	}
-	e := &from.hypers[i]
-	return Edge{Hypo: hypo, Hyper: hyper, Sources: e.sources}, true
-}
-
-// sortedNames resolves n IDs — id(0) … id(n-1) — to their names,
-// ascending; nil for none. Callers hold mu.
-func (t *Taxonomy) sortedNames(n int, id func(i int) uint32) []string {
-	if n == 0 {
-		return nil
-	}
-	names, out := t.syms.Names(), make([]string, n)
-	for i := range out {
-		out[i] = names[id(i)]
-	}
-	slices.Sort(out)
-	return out
-}
-
-// HyponymCount returns the number of direct hyponyms of a concept.
-func (t *Taxonomy) HyponymCount(concept string) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if _, n := t.lookup(concept); n != nil {
-		return len(n.hypos)
-	}
-	return 0
+	return Edge{Hypo: hypo, Hyper: hyper, Sources: src}, true
 }
 
 // IsAncestor reports whether hyper is reachable from hypo through one
 // or more edges: a breadth-first walk over IDs that stops at hyper. A
 // node is not its own ancestor, even on a cycle.
-func (t *Taxonomy) IsAncestor(hypo, hyper string) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	start, from := t.lookup(hypo)
-	target, to := t.lookup(hyper)
-	if from == nil || to == nil || start == target {
+func (t *Taxonomy) IsAncestor(hypo, hyper uint32) bool {
+	if hypo == hyper {
 		return false
 	}
 	// Ancestor sets are small, so the queue doubles as the visited set.
-	queue := []uint32{start}
+	queue := []uint32{hypo}
+	var edges []Pair
 	for i := 0; i < len(queue); i++ {
-		for _, e := range t.nodes[queue[i]].hypers {
+		edges = t.AppendEdges(edges[:0], queue[i])
+		for _, e := range edges {
 			switch {
-			case e.hyper == target:
+			case e.Hyper == hyper:
 				return true
-			case !slices.Contains(queue, e.hyper):
-				queue = append(queue, e.hyper)
+			case !slices.Contains(queue, e.Hyper):
+				queue = append(queue, e.Hyper)
 			}
 		}
 	}
 	return false
 }
 
-// idsWhere lists the nodes keep accepts. Callers hold mu.
-func (t *Taxonomy) idsWhere(keep func(*node) bool) []uint32 {
-	var ids []uint32
-	for id := range t.nodes {
-		if keep(&t.nodes[id]) {
-			ids = append(ids, uint32(id))
-		}
-	}
-	return ids
-}
-
 // Concepts returns the names of the nodes whose kind is KindConcept,
 // sorted.
 func (t *Taxonomy) Concepts() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ids := t.idsWhere(func(n *node) bool { return n.kind == KindConcept })
-	return t.sortedNames(len(ids), func(i int) uint32 { return ids[i] })
+	names := t.syms.Names()
+	var out []string
+	for id, k := range t.kinds {
+		if k == KindConcept {
+			out = append(out, names[id])
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
-// Edges returns copies of all edges, sorted for determinism.
-func (t *Taxonomy) Edges() []Edge { return t.ReadAll().edgeList() }
-
-// edgeList flattens the set's edges, in node then hypernym order.
-func (set *NodeSet) edgeList() []Edge {
-	out := make([]Edge, 0, len(set.Edges))
-	for i, hypo := range set.Names {
-		for _, e := range set.Edges[set.EdgeOff[i]:set.EdgeOff[i+1]] {
-			out = append(out, Edge{Hypo: hypo, Hyper: e.Hyper, Sources: e.Sources})
+// Nodes returns the IDs of every node, in name order: the marked ones
+// and the ends of every edge.
+func (t *Taxonomy) Nodes() []uint32 {
+	node := make([]bool, max(len(t.kinds), len(t.syms.Names())))
+	for id, k := range t.kinds {
+		node[id] = k != KindUnknown
+	}
+	t.EachEdge(func(p Pair) { node[p.Hypo], node[p.Hyper] = true, true })
+	var ids []uint32
+	for id, ok := range node {
+		if ok {
+			ids = append(ids, uint32(id))
 		}
+	}
+	names := t.syms.Names()
+	slices.SortFunc(ids, func(a, b uint32) int { return strings.Compare(names[a], names[b]) })
+	return ids
+}
+
+// Edges returns every edge, by hyponym name then hypernym name.
+func (t *Taxonomy) Edges() []Edge {
+	names := t.syms.Names()
+	rank := make([]int32, len(names))
+	for i, id := range t.Nodes() {
+		rank[id] = int32(i)
+	}
+	var pairs []Pair
+	t.EachEdge(func(p Pair) { pairs = append(pairs, p) })
+	slices.SortFunc(pairs, func(a, b Pair) int {
+		if c := cmp.Compare(rank[a.Hypo], rank[b.Hypo]); c != 0 {
+			return c
+		}
+		return cmp.Compare(rank[a.Hyper], rank[b.Hyper])
+	})
+	out := make([]Edge, len(pairs))
+	for i, p := range pairs {
+		out[i] = Edge{Hypo: names[p.Hypo], Hyper: names[p.Hyper], Sources: p.Source}
 	}
 	return out
 }
@@ -521,149 +606,114 @@ type Stats struct {
 // ComputeStats reads the counters the writes maintain: edges are
 // classified by hyponym kind (unmarked hyponyms behave as instances).
 func (t *Taxonomy) ComputeStats() Stats {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	s := t.stats
 	s.EntityConceptIsA = s.IsARelations - s.SubConceptIsA
 	return s
 }
 
-// ChangesSince returns the names of the nodes written — marked,
-// demoted, or at either end of an inserted, removed or reinforced edge
-// — since the call that returned token, ascending and without
-// duplicates, plus the token for the next call. ok is false, and nodes
-// nil, when token does not name the previous call (the first call
-// ever, or another consumer called in between): the caller must then
-// treat every node as changed. IDs are recorded only from the first
-// call on, so a store nobody asks retains nothing.
-func (t *Taxonomy) ChangesSince(token uint64) (nodes []string, next uint64, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ids, next, ok := t.changes.since(token)
-	return t.sortedNames(len(ids), func(i int) uint32 { return ids[i] }), next, ok
-}
-
-// ---- canonical reads (compilation into serving views) ----
-
-// NodeSet is the state of a set of nodes read from the store in
-// canonical order: what a serving view is compiled or patched from.
-type NodeSet struct {
-	// Names lists the nodes, ascending and distinct.
-	Names []string
-	// Absent marks, parallel to Names, the nodes that do not exist (a
-	// ReadNodes of a name since retracted); nil when all exist.
-	Absent []bool
-	// Kinds is parallel to Names. A node with hyponyms is always marked
-	// (an edge marks an unknown hypernym a concept, and only a node
-	// left without edges is unmarked), so a view, and the snapshot image
-	// made of it, has no unmarked hypernym.
-	Kinds []NodeKind
-	// Node i's outgoing edges are Edges[EdgeOff[i]:EdgeOff[i+1]],
-	// ascending by hypernym name.
-	EdgeOff []uint32
-	Edges   []NodeEdge
-
-	// syms and rank resolve a name to its position (Find): rank maps a
-	// symbol ID to the position of its node, -1 when it has none. Only
-	// ReadAll sets them.
-	syms *symtab.Table
-	rank []int32
-}
-
-// Find returns the position of node name in a set ReadAll returned, or
-// -1 when the store read no such node: one lookup in the store's symbol
-// table, no search of Names. A set ReadNodes returned answers -1.
-func (set *NodeSet) Find(name string) int32 {
-	if set.syms == nil {
-		return -1
-	}
-	if id, ok := set.syms.Lookup(name); ok && int(id) < len(set.rank) {
-		return set.rank[id]
-	}
-	return -1
-}
-
-// NodeEdge is one outgoing edge of a NodeSet node.
-type NodeEdge struct {
-	Hyper string
-	// At is Hyper's index in the set's Names, or -1 when the reader did
-	// not resolve it (the hypernym may still be among them).
-	At      int32
-	Sources Source
-}
-
-// ReadAll returns every node of the store. The IDs are put in name
-// order once; edges are then ordered, and their hypernyms resolved
-// (At), through that permutation — no name is hashed or compared again.
-func (t *Taxonomy) ReadAll() *NodeSet {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	names := t.syms.Names()
-	order := t.idsWhere((*node).exists)
-	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(names[a], names[b]) })
-	rank := make([]int32, len(t.nodes))
-	for i := range rank {
-		rank[i] = -1
-	}
-	for i, id := range order {
-		rank[id] = int32(i)
-	}
-	set := &NodeSet{
-		Names:   make([]string, len(order)),
-		Kinds:   make([]NodeKind, len(order)),
-		EdgeOff: make([]uint32, len(order)+1),
-		Edges:   make([]NodeEdge, 0, t.stats.IsARelations),
-		syms:    t.syms,
-		rank:    rank,
-	}
-	for i, id := range order {
-		set.Names[i] = names[id]
-		set.put(i, &t.nodes[id], names, rank)
-	}
-	return set
-}
-
-// ReadNodes returns the named nodes, which must be ascending and
-// distinct; names the store does not know, or no longer holds anything
-// about, are reported Absent. Hypernyms are left unresolved (At = -1).
-func (t *Taxonomy) ReadNodes(nodes []string) *NodeSet {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	names := t.syms.Names()
-	set := &NodeSet{
-		Names:   nodes,
-		Absent:  make([]bool, len(nodes)),
-		Kinds:   make([]NodeKind, len(nodes)),
-		EdgeOff: make([]uint32, len(nodes)+1),
-	}
-	for i, name := range nodes {
-		if _, n := t.lookup(name); n != nil && n.exists() {
-			set.put(i, n, names, nil)
-		} else {
-			set.Absent[i] = true
-			set.EdgeOff[i+1] = set.EdgeOff[i]
+// recount sets the counters from the lists, in one pass over each.
+func (t *Taxonomy) recount() {
+	t.stats = Stats{}
+	for _, k := range t.kinds {
+		switch k {
+		case KindEntity:
+			t.stats.Entities++
+		case KindConcept:
+			t.stats.Concepts++
 		}
 	}
-	return set
-}
-
-// put fills in node i of the set from its record: kind and edges, the
-// edges ascending by hypernym name — which, given the rank of every ID
-// in name order, is ascending by rank, and the rank is the edge's At.
-func (set *NodeSet) put(i int, n *node, names []string, rank []int32) {
-	set.Kinds[i] = n.kind
-	for _, e := range n.hypers {
-		at := int32(-1)
-		if rank != nil {
-			at = rank[e.hyper]
+	last := ^uint32(0)
+	t.EachEdge(func(p Pair) {
+		t.stats.IsARelations++
+		if p.Hypo != last {
+			t.stats.NodesWithHypernym++
+			last = p.Hypo
 		}
-		set.Edges = append(set.Edges, NodeEdge{Hyper: names[e.hyper], At: at, Sources: e.sources})
-	}
-	slices.SortFunc(set.Edges[set.EdgeOff[i]:], func(a, b NodeEdge) int {
-		if rank != nil {
-			return int(a.At - b.At)
+		if t.KindOf(p.Hypo) == KindConcept {
+			t.stats.SubConceptIsA++
 		}
-		return strings.Compare(a.Hyper, b.Hyper)
 	})
-	set.EdgeOff[i+1] = uint32(len(set.Edges))
+}
+
+// Assemble adopts kept — a build's verified pairs, sorted by key and
+// distinct — as the kept list of a taxonomy that holds no edge yet,
+// marks every unknown hypernym a concept and counts the edges.
+func (t *Taxonomy) Assemble(kept []Pair) {
+	t.Kept = kept
+	for _, p := range kept {
+		if t.KindOf(p.Hyper) == KindUnknown {
+			t.setKind(p.Hyper, KindConcept)
+		}
+	}
+	t.recount()
+}
+
+// AddMention registers mention for the named entity. Empty mentions
+// and entities are ignored, and so is a pair already held.
+func (t *Taxonomy) AddMention(mention, entity string) {
+	if entity == "" {
+		return
+	}
+	t.named++
+	t.AddMentions([]Mention{{Text: mention, Entity: t.syms.Intern(entity)}})
+}
+
+// AddMentions merges ms into Mentions and returns the mentions that
+// gained an entity, ascending and distinct. Each mention is stored
+// trimmed and in its rune-decoded spelling — each byte that is not
+// valid UTF-8 becomes U+FFFD, as a text scan reads it, so every mention
+// table is valid UTF-8, which a view's byte-wise scan and the snapshot
+// image require — and an empty one is dropped, as is a pair already
+// held. ms is reordered. The merge moves the part of the list behind
+// the first new pair, within capacity grown amortised.
+func (t *Taxonomy) AddMentions(ms []Mention) []string {
+	fresh := ms[:0]
+	for _, m := range ms {
+		if m.Text = strings.TrimSpace(m.Text); !utf8.ValidString(m.Text) {
+			m.Text = string([]rune(m.Text))
+		}
+		if m.Text != "" {
+			fresh = append(fresh, m)
+		}
+	}
+	slices.SortFunc(fresh, compareMentions)
+	fresh = slices.Compact(fresh)
+	n := 0
+	for _, m := range fresh {
+		if _, held := slices.BinarySearchFunc(t.Mentions, m, compareMentions); !held {
+			fresh[n] = m
+			n++
+		}
+	}
+	fresh = fresh[:n]
+	if len(t.Mentions) == 0 {
+		t.Mentions = slices.Clip(fresh)
+	} else if n > 0 {
+		end := len(t.Mentions)
+		t.Mentions = slices.Grow(t.Mentions, n)[:end+n]
+		for j := n - 1; j >= 0; j-- {
+			at, _ := slices.BinarySearchFunc(t.Mentions[:end], fresh[j], compareMentions)
+			copy(t.Mentions[at+j+1:], t.Mentions[at:end])
+			t.Mentions[at+j] = fresh[j]
+			end = at
+		}
+	}
+	var texts []string
+	for _, m := range fresh {
+		if len(texts) == 0 || texts[len(texts)-1] != m.Text {
+			texts = append(texts, m.Text)
+		}
+	}
+	return texts
+}
+
+// MentionsOf returns the pairs of mention text, by entity ID: a
+// stretch of Mentions the caller must not modify.
+func (t *Taxonomy) MentionsOf(text string) []Mention {
+	lo, _ := slices.BinarySearchFunc(t.Mentions, Mention{Text: text}, compareMentions)
+	hi := lo
+	for hi < len(t.Mentions) && t.Mentions[hi].Text == text {
+		hi++
+	}
+	return t.Mentions[lo:hi]
 }

@@ -28,7 +28,7 @@ func buildTypicality(t *testing.T) *serving.View {
 			t.Fatal(err)
 		}
 	}
-	return serving.Compile(tx, nil)
+	return serving.Compile(tx)
 }
 
 // TestTypicalityOfConcept reads P(concept | entity) — an edge's

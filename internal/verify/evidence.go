@@ -747,6 +747,16 @@ func (ev *Evidence) TakeExtentPairs(keep func(n1, n2 int) bool) []ExtentPair {
 	return out
 }
 
+// Hyponyms returns how many candidate pairs name symbol ID id as their
+// hypernym: between update batches, when the evidence describes the
+// kept pairs, the kept hyponyms the taxonomy does not index.
+func (ev *Evidence) Hyponyms(id uint32) int {
+	if int(id) < len(ev.nodes) && ev.nodes[id].con != nil {
+		return len(ev.nodes[id].con.hypos)
+	}
+	return 0
+}
+
 // S2 is the taxonomy NE support of the paper: the fraction of a word's
 // taxonomy occurrences in which it behaves as an entity (a page title
 // appearing as a hyponym) rather than as a concept (a hypernym).
