@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"cnprobase"
-	"cnprobase/internal/serving/servingtest"
 )
 
 // buildServerBinary compiles cnpserver once per test binary.
@@ -181,7 +180,7 @@ func TestServeLoadedSnapshot(t *testing.T) {
 		Entities []string `json:"entities"`
 	}
 	get("/api/men2ent?mention="+entity, &men)
-	if want := fmt.Sprint(servingtest.Lookup(res.Taxonomy, entity)); fmt.Sprint(men.Entities) != want {
+	if want := fmt.Sprint(res.Freeze().Lookup(entity)); fmt.Sprint(men.Entities) != want {
 		t.Errorf("men2ent(%q) = %v, want %v", entity, men.Entities, want)
 	}
 

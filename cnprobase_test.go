@@ -10,8 +10,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-
-	"cnprobase/internal/serving/servingtest"
 )
 
 func smallOptions() Options {
@@ -189,7 +187,7 @@ func TestFacadeSnapshotRoundTrip(t *testing.T) {
 		if a, b := view.Hypernyms(n), loadedView.Hypernyms(n); len(a) != len(b) {
 			t.Fatalf("Hypernyms(%q) = %v, want %v", n, b, a)
 		}
-		if a, b := servingtest.Lookup(res.Taxonomy, n), servingtest.Lookup(loaded.Taxonomy, n); len(a) != len(b) {
+		if a, b := view.Lookup(n), loadedView.Lookup(n); len(a) != len(b) {
 			t.Fatalf("Lookup(%q) = %v, want %v", n, b, a)
 		}
 	}
@@ -274,7 +272,7 @@ func TestFacadeUpdateAfterSnapshotLoad(t *testing.T) {
 		t.Fatalf("snapshots after the update differ: %d vs %d bytes", savedOrig.Len(), savedLoaded.Len())
 	}
 	newPage := &delta.Pages[0]
-	if len(servingtest.Lookup(updLoaded.Taxonomy, newPage.Title)) == 0 {
+	if len(updLoaded.Freeze().Lookup(newPage.Title)) == 0 {
 		t.Errorf("mention %q not indexed after post-load update", newPage.Title)
 	}
 }
@@ -335,7 +333,12 @@ func TestFacadeFreezeAndMappedView(t *testing.T) {
 		if b := view.Hypernyms(n); fmt.Sprint(hypers[n]) != fmt.Sprint(b) {
 			t.Fatalf("Hypernyms(%q): view %v, lists %v", n, b, hypers[n])
 		}
-		if a, b := servingtest.Lookup(res.Taxonomy, n), view.Lookup(n); fmt.Sprint(a) != fmt.Sprint(b) {
+		var ents []string
+		for _, m := range res.MentionsOf(n) {
+			ents = append(ents, names[m.Entity])
+		}
+		sort.Strings(ents)
+		if a, b := ents, view.Lookup(n); fmt.Sprint(a) != fmt.Sprint(b) {
 			t.Fatalf("Lookup(%q): view %v, lists %v", n, b, a)
 		}
 	}

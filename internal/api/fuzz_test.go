@@ -30,7 +30,7 @@ func FuzzApplicationEngines(f *testing.F) {
 	tax.AddMention("�实体", "实体05（人物）") // starts with a literal U+FFFD
 	tax.AddMention("实体0", "实体11（人物）") // a prefix of other surfaces
 	backings := servingtest.Backings(f, tax)
-	ref := newReference(backings["compiled"], tax)
+	ref := reference{view: backings["compiled"]}
 	v := backings["image"]
 	engine := conceptualize.NewView(v)
 	handler := NewViewServer(v).Handler()

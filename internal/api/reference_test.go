@@ -11,30 +11,24 @@ import (
 )
 
 // The application oracle: conceptualization and question understanding
-// computed the string-keyed way — mentions found by a trie scan of the
-// taxonomy's mention pairs, every name re-resolved through the compiled view's
+// computed the string-keyed way — mentions found by the view's string
+// scan (internal/serving holds it to a trie scan of the mention pairs), every name re-resolved through the compiled view's
 // string API (ranked concepts through servingtest.RankedHypernyms) at
 // every step, string maps for every table. The packages
 // keep the same algorithm as the oracle of their own engines; this copy
 // is what the fuzz target holds the served bytes against.
 type reference struct {
 	view *serving.View
-	tax  *taxonomy.Taxonomy
-	scan *servingtest.Scanner
-}
-
-func newReference(v *serving.View, tax *taxonomy.Taxonomy) reference {
-	return reference{view: v, tax: tax, scan: servingtest.NewScanner(tax)}
 }
 
 // maxConcepts is the engine's default concept bound.
 const maxConcepts = 5
 
 func (s reference) conceptualize(text string) ConceptualizeResponse {
-	surfaces := s.scan.FindAll(text)
+	surfaces := s.view.FindAll(text)
 	context := map[string]float64{}
 	for _, sf := range surfaces {
-		for _, id := range servingtest.Lookup(s.tax, sf) {
+		for _, id := range s.view.Lookup(sf) {
 			for _, c := range servingtest.RankedHypernyms(s.view, id, maxConcepts) {
 				context[c.Node] += c.Score
 			}
@@ -44,7 +38,7 @@ func (s reference) conceptualize(text string) ConceptualizeResponse {
 	agg := map[string]float64{}
 	total := 0.0
 	for _, sf := range surfaces {
-		ids := servingtest.Lookup(s.tax, sf)
+		ids := s.view.Lookup(sf)
 		if len(ids) == 0 {
 			continue
 		}
@@ -98,8 +92,8 @@ func (s reference) conceptualize(text string) ConceptualizeResponse {
 
 func (s reference) understand(question string) QAResponse {
 	resp := QAResponse{Question: question}
-	for _, sf := range s.scan.FindAll(question) {
-		ids := servingtest.Lookup(s.tax, sf)
+	for _, sf := range s.view.FindAll(question) {
+		ids := s.view.Lookup(sf)
 		if len(ids) == 0 {
 			continue
 		}

@@ -11,8 +11,8 @@ import (
 // The oracle: the string-keyed algorithm the ID-native engine replaced,
 // kept verbatim and run against the string API of the view compiled
 // from the taxonomy (ranked concepts read by rank through
-// servingtest.RankedHypernyms), with mentions found by a trie scan of
-// the taxonomy's mention pairs. Every name is re-resolved at every step,
+// servingtest.RankedHypernyms), with mentions found by its string scan
+// (which internal/serving holds to a trie scan of the mention pairs). Every name is re-resolved at every step,
 // popularity is
 // re-summed edge by edge, and context and aggregate are string maps —
 // slow and obviously right. The engine must agree with it down to
@@ -21,27 +21,25 @@ import (
 // reference is the oracle engine.
 type reference struct {
 	view                 *serving.View
-	tax                  *taxonomy.Taxonomy
-	scan                 *servingtest.Scanner
 	MaxConceptsPerEntity int
 }
 
 // newReference returns the oracle over the view compiled from a
 // taxonomy, with the engine's default settings.
 func newReference(tax *taxonomy.Taxonomy) *reference {
-	return &reference{view: serving.Compile(tax), tax: tax, scan: servingtest.NewScanner(tax), MaxConceptsPerEntity: 5}
+	return &reference{view: serving.Compile(tax), MaxConceptsPerEntity: 5}
 }
 
 func (e *reference) Conceptualize(text string) Result {
 	var res Result
-	surfaces := e.scan.FindAllAppend(nil, text)
+	surfaces := e.view.FindAllAppend(nil, text)
 	context := map[string]float64{}
 	agg := map[string]float64{}
 
 	// First pass: collect every candidate's concepts for context
 	// agreement.
 	for _, sf := range surfaces {
-		for _, id := range servingtest.Lookup(e.tax, sf) {
+		for _, id := range e.view.Lookup(sf) {
 			for _, s := range servingtest.RankedHypernyms(e.view, id, e.MaxConceptsPerEntity) {
 				context[s.Node] += s.Score
 			}
@@ -52,7 +50,7 @@ func (e *reference) Conceptualize(text string) Result {
 	// normalizer is summed in deterministic (mention) order.
 	total := 0.0
 	for _, sf := range surfaces {
-		ids := servingtest.Lookup(e.tax, sf)
+		ids := e.view.Lookup(sf)
 		if len(ids) == 0 {
 			continue
 		}

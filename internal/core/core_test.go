@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"cnprobase/internal/serving/servingtest"
 	"cnprobase/internal/taxonomy"
 )
 
@@ -164,7 +163,8 @@ func TestMentionIndexBuilt(t *testing.T) {
 	}
 	// Every page title must resolve to its entity.
 	p := w.Corpus().Pages[0]
-	ids := servingtest.Lookup(res.Taxonomy, p.Title)
+	v := res.Freeze()
+	ids := v.Lookup(p.Title)
 	found := false
 	for _, id := range ids {
 		if id == p.ID() {
@@ -178,7 +178,7 @@ func TestMentionIndexBuilt(t *testing.T) {
 	for _, page := range w.Corpus().Pages {
 		for _, tr := range page.Infobox {
 			if tr.Predicate == "别名" {
-				if len(servingtest.Lookup(res.Taxonomy, tr.Object)) == 0 {
+				if len(v.Lookup(tr.Object)) == 0 {
 					t.Errorf("alias %q not indexed", tr.Object)
 				}
 				return

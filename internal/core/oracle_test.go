@@ -325,7 +325,7 @@ func TestSubsumptionPrefilterMatchesNaive(t *testing.T) {
 	total := 0
 	derive := func(step string) {
 		t.Helper()
-		got := deriveSubsumption(newGraph(pre.Taxonomy, pre.Evidence), opts)
+		got := deriveSubsumption(pre.Taxonomy, pre.Evidence, opts, nil)
 		want := naiveSubsumption(naive.Taxonomy, naive.Evidence, opts)
 		pre.Report.DerivedSubconcepts += got
 		naive.Report.DerivedSubconcepts += want

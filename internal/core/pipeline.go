@@ -326,14 +326,15 @@ func (p *Pipeline) Build(c *encyclopedia.Corpus) (*Result, error) {
 	// batches the persistent evidence always describes kept pairs, so
 	// the next Update's verification sees exactly the union of kept
 	// and fresh candidates. The kept list becomes the taxonomy's as it
-	// stands, so the trim runs beside the hypernym marks.
+	// stands, so the trim runs beside its bookkeeping.
 	clock.run("assemble+trim", func() {
 		trim := &par.Group{Inline: pl == nil}
 		trim.Go(func() error {
 			ctx.RemoveCandidates(diffCandidates(merged, kept))
 			return nil
 		})
-		tax.Assemble(kept)
+		tax.Kept = kept
+		tax.Inserted(kept)
 		trim.Wait()
 	})
 	if p.opts.DeriveSubconcepts {

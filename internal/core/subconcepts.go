@@ -33,7 +33,16 @@ import (
 // derived pairs — and a concept's kept hyponyms off the evidence,
 // which describes exactly the kept list whenever derivation runs.
 func deriveSubconcepts(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options, inc *incremental) (int, []uint32) {
-	g := newGraph(tax, ev)
+	// A concept's hyponyms are its kept ones, which the evidence counts,
+	// and the derived ones no kept pair holds, counted as the pass starts.
+	derived := map[uint32]int{}
+	for _, p := range tax.Derived {
+		if !ev.Holds(p.Hypo, p.Hyper) {
+			derived[p.Hyper]++
+		}
+	}
+	names := tax.Symbols().Names()
+	head := func(id uint32) bool { return ev.Hyponyms(id)+derived[id] >= 2 }
 	// supported maps every concept the head rule ranges over to whether
 	// it has the hyponyms (≥ 2) to serve as a head, as of the state the
 	// rule is about to run on.
@@ -43,7 +52,7 @@ func deriveSubconcepts(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options
 		eval = conceptNodes(tax)
 		supported = make(map[string]bool, len(eval))
 		for _, c := range eval {
-			supported[c] = g.hyponyms(c) >= 2
+			supported[c] = head(symbol(tax, c))
 		}
 		if inc != nil {
 			inc.morph = supported
@@ -53,10 +62,10 @@ func deriveSubconcepts(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options
 		slices.Sort(inc.derive)
 		var flipped []string
 		for _, id := range slices.Compact(inc.derive) {
-			n := g.names[id]
+			n := names[id]
 			was, now := supported[n], false
 			if tax.KindOf(id) == taxonomy.KindConcept && runes.AllHan(n) {
-				now = g.hyponyms(n) >= 2
+				now = head(id)
 				supported[n] = now
 				eval = append(eval, n)
 			} else {
@@ -81,49 +90,23 @@ func deriveSubconcepts(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options
 	if inc != nil {
 		inc.derive = nil
 	}
-	heads := deriveHeads(g, eval, supported)
-	return heads + deriveSubsumption(g, opts), g.wrote
+	var wrote []uint32
+	added := deriveHeads(tax, eval, supported, &wrote)
+	return added + deriveSubsumption(tax, ev, opts, &wrote), wrote
 }
 
-// graph is what the derivation rules read and write: the taxonomy, the
-// evidence's kept hyponyms and the derived hyponyms no kept pair
-// holds, counted once per pass.
-type graph struct {
-	tax     *taxonomy.Taxonomy
-	ev      *verify.Evidence
-	names   []string
-	derived map[uint32]int // concept → derived hyponyms, as the pass starts
-	wrote   []uint32
-}
-
-func newGraph(tax *taxonomy.Taxonomy, ev *verify.Evidence) *graph {
-	g := &graph{tax: tax, ev: ev, names: tax.Symbols().Names(), derived: make(map[uint32]int)}
-	for _, p := range tax.Derived {
-		if _, kept := taxonomy.Find(tax.Kept, p.Hypo, p.Hyper); !kept {
-			g.derived[p.Hyper]++
-		}
-	}
-	return g
-}
-
-// id resolves a name the rules got from the taxonomy or the evidence,
-// which share the symbol table.
-func (g *graph) id(name string) uint32 {
-	id, _ := g.tax.Symbols().Lookup(name)
+// symbol resolves a name the rules got from the taxonomy or the
+// evidence, which share the symbol table.
+func symbol(tax *taxonomy.Taxonomy, name string) uint32 {
+	id, _ := tax.Symbols().Lookup(name)
 	return id
 }
 
-// hyponyms counts the concept's hyponyms as the pass started.
-func (g *graph) hyponyms(concept string) int {
-	id := g.id(concept)
-	return g.ev.Hyponyms(id) + g.derived[id]
-}
-
-// add links hypo isA hyper from a derivation rule and reports whether
-// the edge's sources grew.
-func (g *graph) add(hypo, hyper uint32, src taxonomy.Source) {
-	if g.tax.Add(taxonomy.Pair{Hypo: hypo, Hyper: hyper, Source: src}) {
-		g.wrote = append(g.wrote, hypo, hyper)
+// derive links hypo isA hyper from a derivation rule and appends the
+// ends to wrote when the edge's sources grew.
+func derive(tax *taxonomy.Taxonomy, hypo, hyper uint32, src taxonomy.Source, wrote *[]uint32) {
+	if tax.Add(taxonomy.Pair{Hypo: hypo, Hyper: hyper, Source: src}) && wrote != nil {
+		*wrote = append(*wrote, hypo, hyper)
 	}
 }
 
@@ -131,24 +114,24 @@ func (g *graph) add(hypo, hyper uint32, src taxonomy.Source) {
 // that is a supported concept. The links are chosen against supported
 // before any is added, so an edge added here never feeds the rule
 // within the same pass.
-func deriveHeads(g *graph, eval []string, supported map[string]bool) int {
+func deriveHeads(tax *taxonomy.Taxonomy, eval []string, supported map[string]bool, wrote *[]uint32) int {
 	type link struct{ concept, head uint32 }
 	var links []link
 	for _, c := range eval {
 		rs := []rune(c)
 		for cut := 1; cut <= len(rs)-2; cut++ {
 			if sfx := string(rs[cut:]); supported[sfx] {
-				links = append(links, link{g.id(c), g.id(sfx)})
+				links = append(links, link{symbol(tax, c), symbol(tax, sfx)})
 				break
 			}
 		}
 	}
 	added := 0
 	for _, l := range links {
-		if src, _ := g.tax.SourcesOf(l.concept, l.head); src&taxonomy.SourceMorph != 0 {
+		if src, _ := tax.SourcesOf(l.concept, l.head); src&taxonomy.SourceMorph != 0 {
 			continue // derived before
 		}
-		g.add(l.concept, l.head, taxonomy.SourceMorph)
+		derive(tax, l.concept, l.head, taxonomy.SourceMorph, wrote)
 		added++
 	}
 	return added
@@ -166,7 +149,7 @@ func deriveHeads(g *graph, eval []string, supported map[string]bool) int {
 // extent tests, which discard nearly every pair, run inside the
 // evidence on its counters; only the survivors are named, put in
 // deterministic order and tested against the taxonomy.
-func deriveSubsumption(g *graph, opts Options) int {
+func deriveSubsumption(tax *taxonomy.Taxonomy, ev *verify.Evidence, opts Options, wrote *[]uint32) int {
 	minRatio := opts.SubsumeMinRatio
 	if minRatio <= 0 {
 		minRatio = 0.75
@@ -175,7 +158,7 @@ func deriveSubsumption(g *graph, opts Options) int {
 	if minSize <= 0 {
 		minSize = 8
 	}
-	pairs := g.ev.TakeExtentPairs(func(n1, n2 int) bool {
+	pairs := ev.TakeExtentPairs(func(n1, n2 int) bool {
 		// Both sides need real extents, and a clear size gap between
 		// them: generalization, not synonymy.
 		return n1 >= minSize && n2 >= minSize && n2 >= 2*n1
@@ -196,14 +179,12 @@ func deriveSubsumption(g *graph, opts Options) int {
 		if morphRelated(p.Sub, p.Super) {
 			continue // already added by the head rule
 		}
-		sub, super := g.id(p.Sub), g.id(p.Super)
-		if _, dup := g.tax.SourcesOf(sub, super); dup || g.tax.IsAncestor(super, sub) {
+		sub, super := symbol(tax, p.Sub), symbol(tax, p.Super)
+		if _, dup := tax.SourcesOf(sub, super); dup || tax.IsAncestor(super, sub) {
 			continue // avoid duplicates and 2-cycles
 		}
-		g.add(sub, super, taxonomy.SourceSubsume)
-		if g.tax.MarkConceptID(sub) {
-			g.wrote = append(g.wrote, sub)
-		}
+		derive(tax, sub, super, taxonomy.SourceSubsume, wrote) // and sub, a new edge's end, is written
+		tax.MarkConceptID(sub)
 		added++
 	}
 	return added

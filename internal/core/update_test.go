@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cnprobase/internal/encyclopedia"
-	"cnprobase/internal/serving/servingtest"
 	"cnprobase/internal/synth"
 	"cnprobase/internal/taxonomy"
 )
@@ -48,7 +47,7 @@ func TestUpdateExtendsTaxonomy(t *testing.T) {
 	}
 	// New pages must be queryable.
 	newPage := delta.Pages[0]
-	if len(servingtest.Lookup(updated.Taxonomy, newPage.Title)) == 0 {
+	if len(updated.Freeze().Lookup(newPage.Title)) == 0 {
 		t.Errorf("mention %q not indexed after update", newPage.Title)
 	}
 

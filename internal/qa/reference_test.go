@@ -4,22 +4,19 @@ import (
 	"sort"
 
 	"cnprobase/internal/serving"
-	"cnprobase/internal/serving/servingtest"
 	"cnprobase/internal/taxonomy"
 )
 
 // The oracle: the string-keyed algorithm the ID-native Understand and
 // EvaluateSource replaced, kept verbatim and run against the compiled
-// view's string API, with mentions found by a trie scan of the
-// taxonomy's mention pairs — a map and a sort.Strings per mention, one rune-slice
+// view's string API, with mentions found by its string scan (which
+// internal/serving holds to a trie scan of the mention pairs) — a map and a sort.Strings per mention, one rune-slice
 // conversion and one lookup per concept window. Slow and obviously
 // right.
 
 // reference is what the oracle reads.
 type reference struct {
 	view *serving.View
-	tax  *taxonomy.Taxonomy
-	scan *servingtest.Scanner
 }
 
 // Evaluate is the oracle of EvaluateSource.
@@ -29,10 +26,10 @@ func (src reference) Evaluate(questions []Question) CoverageResult {
 	conceptSum := 0
 	var found []string
 	for _, q := range questions {
-		found = src.scan.FindAllAppend(found[:0], q.Text)
+		found = src.view.FindAllAppend(found[:0], q.Text)
 		covered := false
 		for _, m := range found {
-			for _, id := range servingtest.Lookup(src.tax, m) {
+			for _, id := range src.view.Lookup(m) {
 				if n := len(src.view.Hypernyms(id)); n > 0 {
 					covered = true
 					conceptHits++
@@ -63,8 +60,8 @@ func (src reference) Evaluate(questions []Question) CoverageResult {
 // Understand is the oracle of Understand.
 func (src reference) Understand(text string) Understanding {
 	var u Understanding
-	for _, sf := range src.scan.FindAllAppend(nil, text) {
-		ids := servingtest.Lookup(src.tax, sf)
+	for _, sf := range src.view.FindAllAppend(nil, text) {
+		ids := src.view.Lookup(sf)
 		if len(ids) == 0 {
 			continue
 		}

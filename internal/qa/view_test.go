@@ -79,7 +79,7 @@ func randWorld(t *testing.T, seed int64) (reference, map[string]*serving.View, [
 		qs = append(qs, Question{Text: b.String()})
 	}
 	backings := servingtest.Backings(t, tax)
-	return reference{view: backings["compiled"], tax: tax, scan: servingtest.NewScanner(tax)}, backings, qs
+	return reference{view: backings["compiled"]}, backings, qs
 }
 
 // TestEvaluateSourceViewMatchesStore pins the coverage experiment on

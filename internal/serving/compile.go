@@ -31,7 +31,26 @@ import (
 // Later writes to the taxonomy are not reflected; compile again, or
 // Patch, and swap.
 func Compile(t *taxonomy.Taxonomy) *View {
-	return build(&View{}, t, readAll(t))
+	names := t.Symbols().Names()
+	order := t.Nodes()
+	ch := &change{rank: make([]int32, len(names)), symNames: names}
+	for i := range ch.rank {
+		ch.rank[i] = -1
+	}
+	for i, id := range order {
+		ch.rank[id] = int32(i)
+	}
+	ch.read(t, order)
+	ents := make([]uint32, len(t.Mentions))
+	for i := 0; i < len(t.Mentions); {
+		row, from := changeMention{text: t.Mentions[i].Text}, i
+		for ; i < len(t.Mentions) && t.Mentions[i].Text == row.text; i++ {
+			ents[i] = t.Mentions[i].Entity
+		}
+		row.ents = ents[from:i:i]
+		ch.mentions = append(ch.mentions, row)
+	}
+	return assemble(&View{}, ch)
 }
 
 // Patch returns the view Compile(t) would build, assembled from prev —
@@ -52,19 +71,23 @@ func Compile(t *taxonomy.Taxonomy) *View {
 // to another taxonomy, or the list missed a write); compile in full
 // then.
 func Patch(prev *View, t *taxonomy.Taxonomy, nodes []uint32, mentions []string) *View {
-	ch := readNodes(t, nodes)
+	ch := &change{symNames: t.Symbols().Names()}
 	mentions = slices.Clone(mentions)
 	slices.Sort(mentions)
+	nodes = slices.Clone(nodes)
 	for _, text := range slices.Compact(mentions) {
 		if ms := t.MentionsOf(text); len(ms) > 0 {
 			row := changeMention{text: text}
 			for _, m := range ms {
 				row.ents = append(row.ents, m.Entity)
+				nodes = append(nodes, m.Entity) // a mention's entity is a node
 			}
 			ch.mentions = append(ch.mentions, row)
 		}
 	}
-	return build(prev, t, ch)
+	slices.SortFunc(nodes, func(a, b uint32) int { return strings.Compare(ch.symNames[a], ch.symNames[b]) })
+	ch.read(t, slices.Compact(nodes))
+	return assemble(prev, ch)
 }
 
 // change is what assemble folds over a previous view: the current
@@ -73,8 +96,7 @@ func Patch(prev *View, t *taxonomy.Taxonomy, nodes []uint32, mentions []string) 
 // everything, folded over the empty view.
 type change struct {
 	// names lists the nodes, ascending and distinct; absent marks,
-	// parallel to it, the nodes that do not exist (nil when all do), and
-	// kinds their kinds.
+	// parallel to it, the nodes that do not exist, and kinds their kinds.
 	names  []string
 	absent []bool
 	kinds  []taxonomy.NodeKind
@@ -86,8 +108,7 @@ type change struct {
 	// when it is no node; nil for a read of named nodes.
 	rank     []int32
 	mentions []changeMention // ascending by text, distinct
-	// symNames names the symbol IDs mention entities are given by.
-	symNames []string
+	symNames []string        // names the symbol IDs
 }
 
 // changeEdge is one edge of a change's node. at is the hypernym's
@@ -105,78 +126,38 @@ type changeMention struct {
 	ents []uint32
 }
 
-// readAll reads every node of t, in name order, and every mention.
-func readAll(t *taxonomy.Taxonomy) *change {
-	names := t.Symbols().Names()
-	order := t.Nodes()
-	ch := &change{
-		names:    make([]string, len(order)),
-		kinds:    make([]taxonomy.NodeKind, len(order)),
-		edgeOff:  make([]uint32, len(order)+1),
-		rank:     make([]int32, len(names)),
-		symNames: names,
-	}
-	for i := range ch.rank {
-		ch.rank[i] = -1
-	}
-	for i, id := range order {
-		ch.rank[id] = int32(i)
-		ch.names[i], ch.kinds[i] = names[id], t.KindOf(id)
-	}
-	t.EachEdge(func(p taxonomy.Pair) { ch.edgeOff[ch.rank[p.Hypo]+1]++ })
-	for i := range order {
-		ch.edgeOff[i+1] += ch.edgeOff[i]
-	}
-	ch.edges = make([]changeEdge, ch.edgeOff[len(order)])
-	fill := slices.Clone(ch.edgeOff[:len(order)])
-	t.EachEdge(func(p taxonomy.Pair) {
-		at := ch.rank[p.Hypo]
-		ch.edges[fill[at]] = changeEdge{hyper: names[p.Hyper], at: ch.rank[p.Hyper], sources: p.Source}
-		fill[at]++
-	})
-	for i := range order {
-		slices.SortFunc(ch.edges[ch.edgeOff[i]:ch.edgeOff[i+1]], func(a, b changeEdge) int { return cmp.Compare(a.at, b.at) })
-	}
-	ents := make([]uint32, len(t.Mentions))
-	for i := 0; i < len(t.Mentions); {
-		row := changeMention{text: t.Mentions[i].Text}
-		from := i
-		for ; i < len(t.Mentions) && t.Mentions[i].Text == row.text; i++ {
-			ents[i] = t.Mentions[i].Entity
-		}
-		row.ents = ents[from:i:i]
-		ch.mentions = append(ch.mentions, row)
-	}
-	return ch
-}
-
-// readNodes reads the nodes of the given symbol IDs, put in name order
-// and deduplicated; IDs that are no node are read as absent. Hypernyms
-// are left unresolved (at = -1).
-func readNodes(t *taxonomy.Taxonomy, ids []uint32) *change {
-	names := t.Symbols().Names()
-	ids = slices.Clone(ids)
-	slices.SortFunc(ids, func(a, b uint32) int { return strings.Compare(names[a], names[b]) })
-	ids = slices.Compact(ids)
-	ch := &change{
-		names:    make([]string, len(ids)),
-		absent:   make([]bool, len(ids)),
-		kinds:    make([]taxonomy.NodeKind, len(ids)),
-		edgeOff:  make([]uint32, len(ids)+1),
-		symNames: names,
+// read reads the nodes of ids, which are in name order and distinct:
+// kind, existence and edges, in hypernym name order — resolved through
+// rank, which a full read has, by name otherwise.
+func (ch *change) read(t *taxonomy.Taxonomy, ids []uint32) {
+	ch.names = make([]string, len(ids))
+	ch.absent = make([]bool, len(ids))
+	ch.kinds = make([]taxonomy.NodeKind, len(ids))
+	ch.edgeOff = make([]uint32, len(ids)+1)
+	if ch.rank != nil {
+		ch.edges = make([]changeEdge, 0, len(t.Kept)+len(t.Derived))
 	}
 	var pairs []taxonomy.Pair
 	for i, id := range ids {
-		ch.names[i], ch.kinds[i], ch.absent[i] = names[id], t.KindOf(id), !t.Exists(id)
+		ch.names[i], ch.kinds[i] = ch.symNames[id], t.KindOf(id)
+		ch.absent[i] = ch.rank == nil && !t.Exists(id)
 		pairs = t.AppendEdges(pairs[:0], id)
 		from := len(ch.edges)
 		for _, p := range pairs {
-			ch.edges = append(ch.edges, changeEdge{hyper: names[p.Hyper], at: -1, sources: p.Source})
+			at := int32(-1)
+			if ch.rank != nil {
+				at = ch.rank[p.Hyper]
+			}
+			ch.edges = append(ch.edges, changeEdge{hyper: ch.symNames[p.Hyper], at: at, sources: p.Source})
 		}
-		slices.SortFunc(ch.edges[from:], func(a, b changeEdge) int { return strings.Compare(a.hyper, b.hyper) })
+		slices.SortFunc(ch.edges[from:], func(a, b changeEdge) int {
+			if ch.rank != nil {
+				return cmp.Compare(a.at, b.at)
+			}
+			return strings.Compare(a.hyper, b.hyper)
+		})
 		ch.edgeOff[i+1] = uint32(len(ch.edges))
 	}
-	return ch
 }
 
 // run is a stretch of prev's nodes the change does not name: prev IDs
@@ -186,51 +167,13 @@ type run struct{ lo, hi, at uint32 }
 // gone marks a node that has no ID in the new view.
 const gone = ^uint32(0)
 
-// build assembles the change over prev. A mention entity that would be
-// no node of the result — a name the taxonomy holds no node for, or a
-// node of prev the change reads as absent — is read again with the
-// change's nodes and kept as a node of unknown kind with no edge, and
-// the view assembled again, which resolves every entity. The
-// pipeline's mentions name page entities, which are always nodes, so
-// it assembles once.
-func build(prev *View, t *taxonomy.Taxonomy, ch *change) *View {
-	v, missing := assemble(prev, ch)
-	if len(missing) == 0 {
-		return v
-	}
-	ids := make([]uint32, 0, len(ch.names)+len(missing))
-	for _, name := range slices.Concat(ch.names, missing) {
-		id, ok := t.Symbols().Lookup(name)
-		if !ok {
-			return nil // a name of another taxonomy's view
-		}
-		ids = append(ids, id)
-	}
-	mentions := ch.mentions
-	ch = readNodes(t, ids)
-	ch.mentions = mentions
-	slices.Sort(missing)
-	for i, j := 0, 0; j < len(missing); i++ {
-		if ch.names[i] == missing[j] {
-			ch.absent[i] = false // read as absent: of no kind, without edges
-			for j < len(missing) && missing[j] == ch.names[i] {
-				j++
-			}
-		}
-	}
-	v, _ = assemble(prev, ch)
-	return v
-}
-
 // assemble is the one array-assembly routine behind Compile and Patch.
 // Nodes the change names are written from the change; the stretches of
 // prev between them are block-copied, the node IDs inside them
-// renumbered through a monotone old → new table. It returns a nil view
-// when the change does not cover the difference: a carried-over or
-// restated edge points at a node the new view lacks. When a mention
-// entity is no node of the new view, it returns a nil view and the
-// names of all such entities (see build).
-func assemble(prev *View, ch *change) (*View, []string) {
+// renumbered through a monotone old → new table. It returns nil when
+// the change does not cover the difference: a carried-over or restated
+// edge, or a mention, names a node the new view lacks.
+func assemble(prev *View, ch *change) *View {
 	// ---- plan: interleave prev's untouched runs with the named nodes ----
 	var runs []run
 	remap := make([]uint32, prev.names.len()) // prev ID → new ID, or gone
@@ -310,7 +253,7 @@ func assemble(prev *View, ch *change) (*View, []string) {
 	v.mentions = newTable(rows, menBytes)
 	v.mentionOff = make([]uint32, 0, rows+1)
 	v.mentionEnts = make([]uint32, 0, ents)
-	var missing []string
+	covered := true
 	p = 0
 	keepRows := func(hi uint32) {
 		if hi > p {
@@ -321,9 +264,7 @@ func assemble(prev *View, ch *change) (*View, []string) {
 				v.mentionOff = append(v.mentionOff, o+shift)
 			}
 			for _, id := range prev.mentionEnts[a:b] {
-				if remap[id] == gone {
-					missing = append(missing, prev.Name(id))
-				}
+				covered = covered && remap[id] != gone
 				v.mentionEnts = append(v.mentionEnts, remap[id])
 			}
 			p = hi
@@ -355,10 +296,7 @@ func assemble(prev *View, ch *change) (*View, []string) {
 			} else {
 				id, ok = v.ID(ch.symNames[ent], 0)
 			}
-			if !ok {
-				missing = append(missing, ch.symNames[ent])
-				continue
-			}
+			covered = covered && ok
 			v.mentionEnts = append(v.mentionEnts, id)
 		}
 		slices.Sort(v.mentionEnts[row:]) // node IDs ascend with the entities' names
@@ -366,15 +304,14 @@ func assemble(prev *View, ch *change) (*View, []string) {
 	}
 	keepRows(uint32(prev.mentions.len()))
 	v.mentionOff = append(v.mentionOff, uint32(len(v.mentionEnts)))
-	if len(missing) > 0 {
-		return nil, missing
+	if !covered {
+		return nil
 	}
 
 	// ---- hypernym CSR: the canonical edge arrays, laid out in ID order
 	// (runs and named nodes interleave by construction) ----
 	v.hyperIDs = make([]uint32, e)
 	v.edgeSources = make([]taxonomy.Source, e)
-	covered := true
 	off := uint32(0)
 	ri, ci = 0, 0
 	for id := uint32(0); id < n; {
@@ -416,10 +353,10 @@ func assemble(prev *View, ch *change) (*View, []string) {
 	}
 	v.hyperOff[n] = off
 	if !covered {
-		return nil, nil
+		return nil
 	}
 	v.derive(prev, runs, remap, fresh)
-	return v, nil
+	return v
 }
 
 // newTable returns an empty table with room for rows entries of

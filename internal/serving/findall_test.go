@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -12,6 +13,7 @@ import (
 	"cnprobase/internal/serving"
 	"cnprobase/internal/serving/servingtest"
 	"cnprobase/internal/taxonomy"
+	"cnprobase/internal/trie"
 )
 
 // findFixture builds a taxonomy's mention pairs (and the matching
@@ -37,9 +39,68 @@ func findFixture(t *testing.T) (*taxonomy.Taxonomy, *serving.View) {
 	return tax, serving.Compile(tax)
 }
 
+// scanner is the independent oracle of a view's text scan: a trie of a
+// taxonomy's mentions, scanned greedy longest-match from each position.
+type scanner struct{ dict *trie.Trie }
+
+func newScanner(tx *taxonomy.Taxonomy) scanner {
+	s := scanner{dict: trie.New()}
+	for _, text := range servingtest.MentionTexts(tx) {
+		s.dict.Insert(text)
+	}
+	return s
+}
+
+// FindAll returns the distinct mentions found in text, in order.
+func (s scanner) FindAll(text string) []string {
+	var out []string
+	rs := []rune(text)
+	for i := 0; i < len(rs); {
+		l := s.dict.LongestFrom(rs, i)
+		if l == 0 {
+			i++
+			continue
+		}
+		if w := string(rs[i : i+l]); !slices.Contains(out, w) {
+			out = append(out, w)
+		}
+		i += l
+	}
+	return out
+}
+
+// lookup names the entities of mention's pairs, ascending.
+func lookup(tx *taxonomy.Taxonomy, mention string) []string {
+	var out []string
+	for _, m := range tx.MentionsOf(mention) {
+		out = append(out, tx.Symbols().Names()[m.Entity])
+	}
+	slices.Sort(out)
+	return out
+}
+
+func TestFindAll(t *testing.T) {
+	tx := taxonomy.New()
+	tx.AddMention("刘德华", "刘德华（演员）")
+	tx.AddMention("忘情水", "忘情水")
+	found := newScanner(tx).FindAll("刘德华演唱了《忘情水》，刘德华很出名。")
+	if !reflect.DeepEqual(found, []string{"刘德华", "忘情水"}) {
+		t.Fatalf("FindAll = %v", found)
+	}
+}
+
+func TestFindAllLongestMatch(t *testing.T) {
+	tx := taxonomy.New()
+	tx.AddMention("刘德", "刘德")
+	tx.AddMention("刘德华", "刘德华（演员）")
+	if found := newScanner(tx).FindAll("刘德华"); len(found) != 1 || found[0] != "刘德华" {
+		t.Errorf("FindAll = %v, want longest match 刘德华", found)
+	}
+}
+
 func TestFindAllMatchesMentionIndex(t *testing.T) {
 	tax, v := findFixture(t)
-	m := servingtest.NewScanner(tax)
+	m := newScanner(tax)
 	texts := []string{
 		"",
 		"刘德华演唱了忘情水。",
@@ -82,7 +143,7 @@ func TestFindAllRandomizedEquivalence(t *testing.T) {
 			tax.AddMention(w, id)
 			surfaces = append(surfaces, w)
 		}
-		v, m := serving.Compile(tax), servingtest.NewScanner(tax)
+		v, m := serving.Compile(tax), newScanner(tax)
 		for i := 0; i < 200; i++ {
 			var b strings.Builder
 			for j := 0; j < 1+rng.Intn(6); j++ {
@@ -150,7 +211,7 @@ func TestFindAllAppendAllocations(t *testing.T) {
 // entities the pairs name.
 func requireScanMatchesIndex(t *testing.T, views map[string]*serving.View, tax *taxonomy.Taxonomy, text string) {
 	t.Helper()
-	want := servingtest.NewScanner(tax).FindAll(text)
+	want := newScanner(tax).FindAll(text)
 	for name, v := range views {
 		found := v.FindMentionsAppend(nil, text)
 		var got []string
@@ -160,7 +221,7 @@ func requireScanMatchesIndex(t *testing.T, views map[string]*serving.View, tax *
 			for _, id := range v.MentionEntities(f.Row) {
 				ents = append(ents, v.Name(id))
 			}
-			if want := servingtest.Lookup(tax, f.Surface); fmt.Sprint(ents) != fmt.Sprint(want) {
+			if want := lookup(tax, f.Surface); fmt.Sprint(ents) != fmt.Sprint(want) {
 				t.Errorf("%s view, text %q: surface %q row %d resolves to %q, the pairs say %q", name, text, f.Surface, f.Row, ents, want)
 			}
 			if row, ok := v.MentionRow(f.Surface, 0); f.Row < 0 || !ok || row != uint32(f.Row) {

@@ -1,18 +1,14 @@
 // Package servingtest builds, for tests, the kinds of view a server can
 // find itself answering from, so that one oracle can be held against
-// all of them, and holds the string oracles of the view's mention
-// table: Lookup and the trie scan, Scanner.
+// all of them.
 package servingtest
 
 import (
 	"bytes"
-	"slices"
-	"strings"
 	"testing"
 
 	"cnprobase/internal/serving"
 	"cnprobase/internal/taxonomy"
-	"cnprobase/internal/trie"
 )
 
 // Backings returns the taxonomy's current content as the three ways a
@@ -89,55 +85,4 @@ func MentionTexts(tx *taxonomy.Taxonomy) []string {
 		}
 	}
 	return out
-}
-
-// Lookup returns the names of the entities a mention resolves to in
-// the taxonomy, ascending, read off its mention pairs: the string
-// oracle of a view's men2ent.
-func Lookup(tx *taxonomy.Taxonomy, mention string) []string {
-	var out []string
-	for _, m := range tx.MentionsOf(strings.TrimSpace(mention)) {
-		out = append(out, tx.Symbols().Names()[m.Entity])
-	}
-	slices.Sort(out)
-	return out
-}
-
-// Scanner is the independent oracle of a view's text scan: a trie of
-// a taxonomy's mentions, scanned greedy longest-match from each
-// position.
-type Scanner struct{ dict *trie.Trie }
-
-// NewScanner returns a scanner over the taxonomy's mentions.
-func NewScanner(tx *taxonomy.Taxonomy) *Scanner {
-	s := &Scanner{dict: trie.New()}
-	for _, text := range MentionTexts(tx) {
-		s.dict.Insert(text)
-	}
-	return s
-}
-
-// FindAll scans text and returns the distinct mentions found, using
-// greedy longest-match from each position.
-func (s *Scanner) FindAll(text string) []string { return s.FindAllAppend(nil, text) }
-
-// FindAllAppend is FindAll in append style: found mentions are
-// appended to dst and the extended slice is returned. Deduplication
-// applies to the mentions appended by this call, not to dst's prior
-// contents — serving.View.FindAllAppend's contract.
-func (s *Scanner) FindAllAppend(dst []string, text string) []string {
-	rs := []rune(text)
-	base := len(dst)
-	for i := 0; i < len(rs); {
-		l := s.dict.LongestFrom(rs, i)
-		if l == 0 {
-			i++
-			continue
-		}
-		if w := string(rs[i : i+l]); !slices.Contains(dst[base:], w) {
-			dst = append(dst, w)
-		}
-		i += l
-	}
-	return dst
 }

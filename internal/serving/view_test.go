@@ -57,13 +57,6 @@ func requireStoreReads(tb testing.TB, v *View, tax *taxonomy.Taxonomy) {
 	for _, id := range tax.Nodes() {
 		nodes = append(nodes, names[id])
 	}
-	for _, m := range tax.Mentions {
-		if !tax.Exists(m.Entity) {
-			nodes = append(nodes, names[m.Entity]) // a mention's entity is a node of the view
-		}
-	}
-	slices.Sort(nodes)
-	nodes = slices.Compact(nodes)
 	if fmt.Sprint(v.Nodes()) != fmt.Sprint(nodes) || v.Stats() != tax.ComputeStats() {
 		tb.Fatalf("Nodes/Stats = %v %+v, lists %v %+v", v.Nodes(), v.Stats(), nodes, tax.ComputeStats())
 	}

@@ -58,8 +58,8 @@ func Load(r io.Reader) (*State, error) {
 	if _, err := decodeEvidence(f.evidence, shape, ld); err != nil {
 		return nil, fmt.Errorf("snapshot: evidence section: %w", err)
 	}
-	kept, derived := ld.edges()
-	tax := taxonomy.Restore(syms, content.Kinds, kept, derived, mentionPairs(content))
+	ld.restoreEdges()
+	tax := taxonomy.Restore(syms, content.Kinds, ld.kept, ld.derived, mentionPairs(content))
 	return &State{Taxonomy: tax, Meta: f.meta, Evidence: ld.ev, Stats: ld.stats}, nil
 }
 
@@ -303,6 +303,7 @@ type loader struct {
 	syms    *symtab.Table
 	ev      *verify.Evidence
 	kept    []extract.Candidate
+	derived []taxonomy.Pair
 	stats   *corpus.Stats
 	except  []keptException
 	bits    []byte        // the kept bitset, one bit per image edge
@@ -507,7 +508,7 @@ func decodeEvidence(payload []byte, shape imageShape, ld *loader) (evidenceParts
 		return parts, fmt.Errorf("%d trailing bytes after statistics", r.remaining())
 	}
 	if ld != nil {
-		ld.restoreKept(bits)
+		ld.bits = bits
 	}
 	return parts, nil
 }
@@ -567,55 +568,42 @@ func (r *payloadReader) page(shape imageShape, nPreds int, ld *loader, id uint32
 	return nil
 }
 
-// restoreKept rebuilds the kept list off the image's edges — in edge
-// order, which, since a node's symbol ID is its image ID, is the
-// list's (Hypo, Hyper) ID order — and folds the pairs into the
-// evidence by ID.
-func (ld *loader) restoreKept(bits []byte) {
+// restoreEdges splits the image's edges — in edge order, which, since
+// a node's symbol ID is its image ID, is (Hypo, Hyper) ID order —
+// between the taxonomy's lists: each kept pair (a bit of the evidence's
+// bitset, with its exception's sources) to Kept, folded into the
+// evidence by ID, and every edge part no kept pair holds to Derived: a
+// subconcept pair, or the derived part of a kept pair's edge. A
+// snapshot saved without evidence keeps no pair.
+func (ld *loader) restoreEdges() {
 	c := ld.content
 	n := 0
-	for i := 0; i+8 <= len(bits); i += 8 {
-		n += mathbits.OnesCount64(binary.LittleEndian.Uint64(bits[i:]))
+	for i := 0; i+8 <= len(ld.bits); i += 8 {
+		n += mathbits.OnesCount64(binary.LittleEndian.Uint64(ld.bits[i:]))
 	}
-	ld.kept = make([]extract.Candidate, 0, n)
-	ld.bits = bits
+	if n > 0 {
+		ld.kept = make([]extract.Candidate, 0, n)
+	}
 	x := 0
 	for u := 0; u+1 < len(c.HyperOff); u++ {
 		for j := int(c.HyperOff[u]); j < int(c.HyperOff[u+1]); j++ {
-			if !bitSet(bits, j) {
-				continue
+			rest := c.Sources[j]
+			if ld.bits != nil && bitSet(ld.bits, j) {
+				cand := extract.Candidate{Hypo: uint32(u), Hyper: c.HyperIDs[j], Source: rest}
+				if x < len(ld.except) && ld.except[x].edge == uint32(j) {
+					cand.Source = ld.except[x].source
+					x++
+				}
+				ld.kept = append(ld.kept, cand)
+				ld.ev.AddPair(cand.Hypo, cand.Hyper)
+				if rest &^= cand.Source; rest == 0 {
+					continue
+				}
 			}
-			cand := extract.Candidate{Hypo: uint32(u), Hyper: c.HyperIDs[j], Source: c.Sources[j]}
-			if x < len(ld.except) && ld.except[x].edge == uint32(j) {
-				cand.Source = ld.except[x].source
-				x++
-			}
-			ld.kept = append(ld.kept, cand)
-			ld.ev.AddPair(cand.Hypo, cand.Hyper)
+			ld.derived = append(ld.derived, taxonomy.Pair{Hypo: uint32(u), Hyper: c.HyperIDs[j], Source: rest})
 		}
 	}
-	ld.ev.MarkAllDirty()
-}
-
-// edges splits the image's edges between the taxonomy's two lists:
-// each kept pair, as restoreKept read it, to Kept, and every edge part
-// no kept pair holds to Derived — a subconcept pair, or the derived
-// part of a kept pair's edge. A snapshot saved without evidence names
-// no kept pair, so all its edges are Derived's.
-func (ld *loader) edges() (kept, derived []taxonomy.Pair) {
-	c := ld.content
-	x := 0
-	for u := 0; u+1 < len(c.HyperOff); u++ {
-		for j := int(c.HyperOff[u]); j < int(c.HyperOff[u+1]); j++ {
-			rest, isKept := c.Sources[j], ld.bits != nil && bitSet(ld.bits, j)
-			if isKept {
-				rest &^= ld.kept[x].Source
-				x++
-			}
-			if rest != 0 || !isKept {
-				derived = append(derived, taxonomy.Pair{Hypo: uint32(u), Hyper: c.HyperIDs[j], Source: rest})
-			}
-		}
+	if ld.ev != nil {
+		ld.ev.MarkAllDirty()
 	}
-	return ld.kept, derived
 }

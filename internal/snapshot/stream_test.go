@@ -319,7 +319,7 @@ func TestSaveMentionWithInvalidBytes(t *testing.T) {
 		t.Fatalf("mapped: %v", err)
 	}
 	for name, got := range map[string][]string{
-		"loaded": servingtest.Lookup(loaded.Taxonomy, "坏\uFFFD"),
+		"loaded": serving.Compile(loaded.Taxonomy).Lookup("坏\uFFFD"),
 		"mapped": mapped.Lookup("坏\uFFFD"),
 	} {
 		if !reflect.DeepEqual(got, []string{"实体"}) {

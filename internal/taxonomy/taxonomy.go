@@ -1,25 +1,22 @@
-// Package taxonomy holds the conceptual taxonomy's write model: what
-// the construction pipeline assembles and an ingest replica extends
-// batch after batch. It is a value over the dense IDs of a
-// symtab.Table — the table the build's verification evidence interns
-// into, so a name is hashed once per build — made of four lists:
+// Package taxonomy holds the taxonomy's write model: what the
+// construction pipeline assembles and an ingest replica extends batch
+// after batch. It is a value over the dense IDs of a symtab.Table (the
+// one the build's verification evidence interns into), made of four
+// lists:
 //
-//   - the kind of every node, indexed by symbol ID;
+//   - the kind of every node, by symbol ID;
 //   - Kept, the verified generated isA pairs, sorted by (Hypo, Hyper)
 //     ID: the pipeline's kept candidate list itself;
-//   - Derived, every edge part no kept pair holds — the subconcept
-//     pairs the derivation rules add (SourceMorph, SourceSubsume) —
-//     sorted the same way;
+//   - Derived, every edge part no kept pair holds — the pairs the
+//     subconcept rules derive — sorted the same way;
 //   - Mentions, the (mention, entity) pairs men2ent resolves, sorted.
 //
-// A pair in both Kept and Derived — a rule derived what a generator
-// proposed — is one edge, its sources the two lists' OR'ed. Nothing
-// indexes the lists a second way: the pipeline reads a concept's kept
-// hyponyms off the verification evidence, which indexes the kept pairs
-// by hypernym anyway, and every query goes through the immutable view
-// in internal/serving, compiled from the lists (serving.Compile, or
-// serving.Patch for what an update touched) or opened over a snapshot's
-// image. The Stats counters are kept by the writes.
+// A pair in both Kept and Derived is one edge, its sources the two
+// lists' OR'ed. Nothing indexes the lists a second way: the pipeline
+// reads a concept's kept hyponyms off the verification evidence, and
+// every query goes through the immutable view in internal/serving,
+// compiled from the lists or opened over a snapshot's image. The Stats
+// counters are kept by the writes.
 //
 // A Taxonomy has one writer at a time — a build, an update, or a hand
 // assembly through the name-keyed writers (MarkEntity, MarkConcept,
@@ -58,7 +55,7 @@ const (
 	SourceTranslation
 )
 
-// derivedSources are the bits the derivation rules set; AddIsA files
+// derivedSources are the bits the derivation rules set; Add files
 // every other bit under Kept.
 const derivedSources = SourceMorph | SourceSubsume
 
@@ -111,16 +108,12 @@ type Edge struct {
 	Sources Source `json:"sources"`
 }
 
-// Pair is one isA relation on symbol IDs: Hypo isA Hyper, from Source.
-// The pipeline's candidates are pairs (extract.Candidate).
+// Pair is one isA relation on symbol IDs, Hypo isA Hyper, with the
+// sources that generated or derived it. The pipeline's candidates are
+// pairs (extract.Candidate).
 type Pair struct {
-	// Hypo is the hyponym's ID: a disambiguated entity ID, or a
-	// concept's for a subconcept pair.
-	Hypo uint32
-	// Hyper is the hypernym concept's ID.
-	Hyper uint32
-	// Source records the generating algorithms or derivation rules.
-	Source Source
+	Hypo, Hyper uint32
+	Source      Source
 }
 
 // Key packs the pair into one integer; keys order pairs by (Hypo,
@@ -144,6 +137,26 @@ func span(list []Pair, id uint32) []Pair {
 	return list[lo:hi]
 }
 
+// merge calls f for the union of two lists sorted by key, in key order:
+// a pair in both once, with its sources OR'ed.
+func merge(a, b []Pair, f func(Pair)) {
+	for len(a) > 0 || len(b) > 0 {
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0].Key() < b[0].Key():
+			f(a[0])
+			a = a[1:]
+		case len(a) == 0 || b[0].Key() < a[0].Key():
+			f(b[0])
+			b = b[1:]
+		default:
+			p := a[0]
+			p.Source |= b[0].Source
+			f(p)
+			a, b = a[1:], b[1:]
+		}
+	}
+}
+
 // Mention is one surface mention of an entity — its title, its ID or
 // an alias — the entity named by symbol ID.
 type Mention struct {
@@ -152,46 +165,37 @@ type Mention struct {
 }
 
 func compareMentions(a, b Mention) int {
-	if c := strings.Compare(a.Text, b.Text); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Entity, b.Entity)
+	return cmp.Or(strings.Compare(a.Text, b.Text), cmp.Compare(a.Entity, b.Entity))
 }
 
 // Taxonomy is the isA graph as the lists the package comment describes.
 type Taxonomy struct {
-	syms *symtab.Table
-	// kinds is indexed by symbol ID; IDs past its end are KindUnknown.
-	kinds []NodeKind
+	syms  *symtab.Table
+	kinds []NodeKind // by symbol ID; IDs past its end are KindUnknown
 	// Kept holds the verified generated pairs, sorted by key and
-	// distinct. The pipeline edits it in place (core.Result.Kept is
-	// this field) and reports the edit (Inserted, Retracted), which
-	// keeps the counters in step.
+	// distinct. The pipeline edits it in place (core.Result.Kept is this
+	// field) and reports the edit (Inserted, Retracted).
 	Kept []Pair
 	// Derived holds every edge part no kept pair holds, sorted by key
-	// and distinct: the pairs the subconcept rules derived.
+	// and distinct.
 	Derived []Pair
 	// Mentions holds the mention pairs, sorted by Text then Entity and
 	// distinct; every Text is trimmed, non-empty and valid UTF-8.
 	Mentions []Mention
 
 	stats Stats
-	// named counts the writes of the name-keyed writers, which no
-	// pipeline diff reports (see NamedWrites).
-	named uint64
+	named uint64 // writes of the name-keyed writers, see NamedWrites
 }
 
 // New returns an empty taxonomy over a symbol table of its own.
 func New() *Taxonomy { return NewWithSymbols(symtab.New()) }
 
 // NewWithSymbols returns an empty taxonomy that interns its names in
-// syms. The build pipeline hands the taxonomy and the verification
-// evidence the same table.
+// syms, the table the build pipeline shares with the evidence.
 func NewWithSymbols(syms *symtab.Table) *Taxonomy { return &Taxonomy{syms: syms} }
 
-// Restore returns the taxonomy of the given lists — kinds by ID of
-// syms, kept and derived pairs sorted by key, mentions sorted — as a
-// snapshot describes it, and counts its Stats in one pass.
+// Restore returns the taxonomy of the given lists — kinds by symbol ID,
+// pairs sorted by key, mentions sorted — as a snapshot describes it.
 func Restore(syms *symtab.Table, kinds []NodeKind, kept, derived []Pair, mentions []Mention) *Taxonomy {
 	t := &Taxonomy{syms: syms, kinds: kinds, Kept: kept, Derived: derived, Mentions: mentions}
 	t.recount()
@@ -201,10 +205,9 @@ func Restore(syms *symtab.Table, kinds []NodeKind, kept, derived []Pair, mention
 // Symbols returns the table the taxonomy interns its names in.
 func (t *Taxonomy) Symbols() *symtab.Table { return t.syms }
 
-// NamedWrites counts the writes made through the name-keyed writers
-// (MarkEntity, MarkConcept, AddIsA, AddMention). The pipeline reports
-// its own writes as diffs; a reader that follows those diffs — the
-// published view — starts over from the lists when this count moves.
+// NamedWrites counts the writes made through the name-keyed writers.
+// The pipeline reports its own writes as diffs; a reader that follows
+// those diffs starts over from the lists when this count moves.
 func (t *Taxonomy) NamedWrites() uint64 { return t.named }
 
 // KindOf returns the kind of symbol ID id.
@@ -217,16 +220,19 @@ func (t *Taxonomy) KindOf(id uint32) NodeKind {
 
 // Kind returns the kind of the named node.
 func (t *Taxonomy) Kind(name string) NodeKind {
-	if id, ok := t.syms.Lookup(name); ok {
-		return t.KindOf(id)
+	id, ok := t.syms.Lookup(name)
+	if !ok {
+		return KindUnknown
 	}
-	return KindUnknown
+	return t.KindOf(id)
 }
 
-// Exists reports whether symbol ID id is a node: marked, or the
-// hyponym of an edge (a hypernym is always marked).
+// Exists reports whether symbol ID id is a node: marked, the hyponym
+// of an edge (a hypernym is always marked) or a mention's entity, which
+// the view holds as a node of unknown kind.
 func (t *Taxonomy) Exists(id uint32) bool {
-	return t.KindOf(id) != KindUnknown || t.outDegree(id) > 0
+	return t.KindOf(id) != KindUnknown || t.outDegree(id) > 0 ||
+		slices.ContainsFunc(t.Mentions, func(m Mention) bool { return m.Entity == id })
 }
 
 // setKind changes a node's kind and keeps the counters in step. It
@@ -238,15 +244,15 @@ func (t *Taxonomy) setKind(id uint32, k NodeKind) bool {
 	if grow := int(id) + 1 - len(t.kinds); grow > 0 {
 		t.kinds = append(t.kinds, make([]NodeKind, grow)...)
 	}
-	t.countKind(id, -1)
+	t.count(id, -1)
 	t.kinds[id] = k
-	t.countKind(id, +1)
+	t.count(id, +1)
 	return true
 }
 
-// countKind adds (sign +1) or removes (sign -1) a node's contribution
-// to the kind-dependent counters.
-func (t *Taxonomy) countKind(id uint32, sign int) {
+// count adds (sign +1) or removes (sign -1) a node's contribution to
+// the kind-dependent counters.
+func (t *Taxonomy) count(id uint32, sign int) {
 	switch t.kinds[id] {
 	case KindEntity:
 		t.stats.Entities += sign
@@ -263,25 +269,20 @@ func (t *Taxonomy) MarkEntity(name string) { t.mark(name, KindEntity) }
 func (t *Taxonomy) MarkConcept(name string) { t.mark(name, KindConcept) }
 
 func (t *Taxonomy) mark(name string, k NodeKind) {
-	if name == "" {
-		return
-	}
-	t.named++
-	if id := t.syms.Intern(name); t.KindOf(id) == KindUnknown {
-		t.setKind(id, k)
+	if name != "" {
+		t.named++
+		if id := t.syms.Intern(name); t.KindOf(id) == KindUnknown {
+			t.setKind(id, k)
+		}
 	}
 }
 
-// MarkEntityID marks a page's entity, named by symbol ID: the node is
-// an entity whatever it was before — a concept some other page's tag
-// made of it too — as a build makes it, which marks every page before
-// it links an edge. An entity is never demoted (Retracted), so a page's
-// entity stays a node. It reports whether the kind changed.
+// MarkEntityID marks a page's entity: the node is an entity whatever it
+// was before, as a build makes it, which marks every page before it
+// links an edge. An entity is never demoted, so a page's entity stays a
+// node. It reports whether the kind changed.
 func (t *Taxonomy) MarkEntityID(id uint32) bool {
-	if t.syms.Names()[id] == "" {
-		return false
-	}
-	return t.setKind(id, KindEntity)
+	return t.syms.Names()[id] != "" && t.setKind(id, KindEntity)
 }
 
 // MarkConceptID declares symbol ID id a concept unless it has a kind,
@@ -290,32 +291,21 @@ func (t *Taxonomy) MarkConceptID(id uint32) bool {
 	return t.KindOf(id) == KindUnknown && t.setKind(id, KindConcept)
 }
 
-func checkEdge(hypo, hyper string) error {
-	if hypo == "" || hyper == "" {
-		return fmt.Errorf("taxonomy: empty node in isA(%q, %q)", hypo, hyper)
-	}
-	if hypo == hyper {
-		return fmt.Errorf("taxonomy: self-loop isA(%q, %q)", hypo, hyper)
-	}
-	return nil
-}
-
 // AddIsA inserts or reinforces the isA(hypo, hyper) edge. Self-loops
-// and empty names are rejected. Hypernyms are implicitly marked as
-// concepts; hyponyms keep their current kind.
+// and empty names are rejected. An unknown hypernym becomes a concept;
+// the hyponym keeps its kind.
 func (t *Taxonomy) AddIsA(hypo, hyper string, src Source) error {
-	if err := checkEdge(hypo, hyper); err != nil {
-		return err
+	if hypo == "" || hyper == "" || hypo == hyper {
+		return fmt.Errorf("taxonomy: empty node or self-loop in isA(%q, %q)", hypo, hyper)
 	}
 	t.named++
 	t.Add(Pair{Hypo: t.syms.Intern(hypo), Hyper: t.syms.Intern(hyper), Source: src})
 	return nil
 }
 
-// Add inserts or reinforces the edge of pair p, whose ends must differ:
-// its derivation bits go to Derived, every other bit to Kept. A new
-// edge marks an unknown hypernym a concept. Add reports whether the
-// edge's sources grew (a new edge's always do, even from none).
+// Add inserts or reinforces the edge of pair p, whose ends differ: its
+// derivation bits go to Derived, every other bit to Kept. It reports
+// whether the edge's sources grew (a new edge's always do).
 func (t *Taxonomy) Add(p Pair) bool {
 	before, existed := t.SourcesOf(p.Hypo, p.Hyper)
 	if gen := p.Source &^ derivedSources; gen != 0 || p.Source == 0 {
@@ -325,7 +315,7 @@ func (t *Taxonomy) Add(p Pair) bool {
 		t.Derived = insert(t.Derived, Pair{Hypo: p.Hypo, Hyper: p.Hyper, Source: der})
 	}
 	if !existed {
-		t.linked(p)
+		t.linked([]Pair{p})
 	}
 	return !existed || before|p.Source != before
 }
@@ -342,30 +332,45 @@ func insert(list []Pair, p Pair) []Pair {
 }
 
 // Inserted keeps the counters in step with pairs, sorted by key, the
-// caller has just inserted into Kept: every pair that is a new edge —
-// none of Derived holds it — marks an unknown hypernym a concept.
+// caller has just inserted into Kept: a pair Derived holds was an edge
+// already; every other one is new.
 func (t *Taxonomy) Inserted(pairs []Pair) {
+	var fresh []Pair
+	for _, p := range pairs {
+		if _, ok := Find(t.Derived, p.Hypo, p.Hyper); !ok {
+			fresh = append(fresh, p)
+		}
+	}
+	t.linked(fresh)
+}
+
+// linked keeps the counters in step with pairs, sorted by key, that
+// have just become edges, then marks every unknown hypernym a concept
+// (which counts the concept's edges, new ones included).
+func (t *Taxonomy) linked(pairs []Pair) {
 	for i := 0; i < len(pairs); {
-		hypo, fresh := pairs[i].Hypo, 0
+		hypo, from := pairs[i].Hypo, i
 		for ; i < len(pairs) && pairs[i].Hypo == hypo; i++ {
-			if _, ok := Find(t.Derived, hypo, pairs[i].Hyper); !ok {
-				t.link(pairs[i])
-				fresh++
+			t.stats.IsARelations++
+			if t.KindOf(hypo) == KindConcept {
+				t.stats.SubConceptIsA++
 			}
 		}
-		if fresh > 0 && t.outDegree(hypo) == fresh {
+		if t.outDegree(hypo) == i-from {
 			t.stats.NodesWithHypernym++ // its first edges
 		}
+	}
+	for _, p := range pairs {
+		t.MarkConceptID(p.Hyper)
 	}
 }
 
 // Retracted removes the edges of pairs the caller has just removed from
-// Kept — re-verification rejected them — whole: a derived part the
-// edge also held goes with it. A concept at either end left without any
-// edge is demoted (it is no node any more), so the concept count does
-// not drift upward across update batches; an entity always survives.
-// keptHypernym reports whether an ID is still the hypernym of a kept
-// pair, which the verification evidence indexes.
+// Kept — re-verification rejected them — whole: a derived part goes
+// with them. A concept at either end left without any edge is demoted,
+// so the concept count does not drift upward across update batches; an
+// entity always survives. keptHypernym reports whether an ID is still
+// the hypernym of a kept pair, which the verification evidence indexes.
 func (t *Taxonomy) Retracted(pairs []Pair, keptHypernym func(id uint32) bool) {
 	pairs = slices.Clone(pairs)
 	slices.SortFunc(pairs, func(a, b Pair) int { return cmp.Compare(a.Key(), b.Key()) })
@@ -386,116 +391,40 @@ func (t *Taxonomy) Retracted(pairs []Pair, keptHypernym func(id uint32) bool) {
 	}
 	for _, p := range pairs {
 		for _, id := range [2]uint32{p.Hyper, p.Hypo} {
-			if t.KindOf(id) == KindConcept && t.outDegree(id) == 0 && !keptHypernym(id) && !derivedHypernym(t.Derived, id) {
+			if t.KindOf(id) == KindConcept && t.outDegree(id) == 0 && !keptHypernym(id) &&
+				!slices.ContainsFunc(t.Derived, func(d Pair) bool { return d.Hyper == id }) {
 				t.setKind(id, KindUnknown)
 			}
 		}
 	}
 }
 
-// derivedHypernym reports whether id is the hypernym of a pair of
-// list. The derived list is a few subconcept pairs per concept, so a
-// scan beats any index.
-func derivedHypernym(list []Pair, id uint32) bool {
-	for _, p := range list {
-		if p.Hyper == id {
-			return true
-		}
-	}
-	return false
-}
-
-// linked keeps the counters in step with a pair that has just become
-// an edge, and marks an unknown hypernym a concept.
-func (t *Taxonomy) linked(p Pair) {
-	t.link(p)
-	if t.outDegree(p.Hypo) == 1 {
-		t.stats.NodesWithHypernym++
-	}
-}
-
-// link is linked but for NodesWithHypernym, which depends on how many
-// edges the hyponym gained at once.
-func (t *Taxonomy) link(p Pair) {
-	t.stats.IsARelations++
-	if t.KindOf(p.Hypo) == KindConcept {
-		t.stats.SubConceptIsA++
-	}
-	t.MarkConceptID(p.Hyper)
-}
-
-// outDegree is the number of edges of node id: its kept and derived
-// pairs, a pair in both once.
-func (t *Taxonomy) outDegree(id uint32) int {
-	kept, derived := span(t.Kept, id), span(t.Derived, id)
-	n := len(kept) + len(derived)
-	for _, p := range derived {
-		if _, ok := Find(kept, p.Hypo, p.Hyper); ok {
-			n--
-		}
-	}
+// outDegree is the number of edges of node id.
+func (t *Taxonomy) outDegree(id uint32) (n int) {
+	merge(span(t.Kept, id), span(t.Derived, id), func(Pair) { n++ })
 	return n
 }
 
 // AppendEdges appends node id's edges to dst — one per hypernym,
-// ascending by hypernym ID, with the sources of both lists OR'ed — and
-// returns the extended slice.
+// ascending by hypernym ID — and returns the extended slice.
 func (t *Taxonomy) AppendEdges(dst []Pair, id uint32) []Pair {
-	return mergePairs(dst, span(t.Kept, id), span(t.Derived, id))
-}
-
-// mergePairs appends the union of two lists sorted by key, a pair in
-// both once with its sources OR'ed.
-func mergePairs(dst, a, b []Pair) []Pair {
-	for len(a) > 0 || len(b) > 0 {
-		switch {
-		case len(b) == 0 || len(a) > 0 && a[0].Key() < b[0].Key():
-			dst, a = append(dst, a[0]), a[1:]
-		case len(a) == 0 || b[0].Key() < a[0].Key():
-			dst, b = append(dst, b[0]), b[1:]
-		default:
-			p := a[0]
-			p.Source |= b[0].Source
-			dst, a, b = append(dst, p), a[1:], b[1:]
-		}
-	}
+	merge(span(t.Kept, id), span(t.Derived, id), func(p Pair) { dst = append(dst, p) })
 	return dst
 }
 
-// EachEdge calls f for every edge in (Hypo, Hyper) ID order: each pair
-// of Kept and Derived once, with the sources of both lists OR'ed.
-func (t *Taxonomy) EachEdge(f func(Pair)) {
-	a, b := t.Kept, t.Derived
-	for len(a) > 0 || len(b) > 0 {
-		switch {
-		case len(b) == 0 || len(a) > 0 && a[0].Key() < b[0].Key():
-			f(a[0])
-			a = a[1:]
-		case len(a) == 0 || b[0].Key() < a[0].Key():
-			f(b[0])
-			b = b[1:]
-		default:
-			p := a[0]
-			p.Source |= b[0].Source
-			f(p)
-			a, b = a[1:], b[1:]
-		}
-	}
-}
+// EachEdge calls f for every edge, in (Hypo, Hyper) ID order.
+func (t *Taxonomy) EachEdge(f func(Pair)) { merge(t.Kept, t.Derived, f) }
 
 // SourcesOf returns the sources of the edge (hypo, hyper), and whether
 // there is one.
-func (t *Taxonomy) SourcesOf(hypo, hyper uint32) (Source, bool) {
-	var src Source
-	i, kept := Find(t.Kept, hypo, hyper)
-	if kept {
-		src = t.Kept[i].Source
+func (t *Taxonomy) SourcesOf(hypo, hyper uint32) (src Source, ok bool) {
+	if i, kept := Find(t.Kept, hypo, hyper); kept {
+		src, ok = t.Kept[i].Source, true
 	}
-	j, derived := Find(t.Derived, hypo, hyper)
-	if derived {
-		src |= t.Derived[j].Source
+	if i, derived := Find(t.Derived, hypo, hyper); derived {
+		src, ok = src|t.Derived[i].Source, true
 	}
-	return src, kept || derived
+	return src, ok
 }
 
 // EdgeOf returns the named edge, if present.
@@ -513,22 +442,16 @@ func (t *Taxonomy) EdgeOf(hypo, hyper string) (Edge, bool) {
 }
 
 // IsAncestor reports whether hyper is reachable from hypo through one
-// or more edges: a breadth-first walk over IDs that stops at hyper. A
-// node is not its own ancestor, even on a cycle.
+// or more edges: a breadth-first walk that stops at hyper. A node is
+// not its own ancestor, even on a cycle.
 func (t *Taxonomy) IsAncestor(hypo, hyper uint32) bool {
-	if hypo == hyper {
-		return false
-	}
-	// Ancestor sets are small, so the queue doubles as the visited set.
-	queue := []uint32{hypo}
-	var edges []Pair
-	for i := 0; i < len(queue); i++ {
-		edges = t.AppendEdges(edges[:0], queue[i])
-		for _, e := range edges {
-			switch {
-			case e.Hyper == hyper:
+	queue := []uint32{hypo} // ancestor sets are small: the queue is the visited set
+	for i := 0; i < len(queue) && hypo != hyper; i++ {
+		for _, e := range t.AppendEdges(nil, queue[i]) {
+			if e.Hyper == hyper {
 				return true
-			case !slices.Contains(queue, e.Hyper):
+			}
+			if !slices.Contains(queue, e.Hyper) {
 				queue = append(queue, e.Hyper)
 			}
 		}
@@ -536,35 +459,36 @@ func (t *Taxonomy) IsAncestor(hypo, hyper uint32) bool {
 	return false
 }
 
-// Concepts returns the names of the nodes whose kind is KindConcept,
-// sorted.
+// Concepts returns the names of the concept nodes, sorted.
 func (t *Taxonomy) Concepts() []string {
-	names := t.syms.Names()
 	var out []string
 	for id, k := range t.kinds {
 		if k == KindConcept {
-			out = append(out, names[id])
+			out = append(out, t.syms.Names()[id])
 		}
 	}
 	slices.Sort(out)
 	return out
 }
 
-// Nodes returns the IDs of every node, in name order: the marked ones
-// and the ends of every edge.
+// Nodes returns the IDs of every node, in name order: the marked ones,
+// the ends of every edge and every mention's entity.
 func (t *Taxonomy) Nodes() []uint32 {
-	node := make([]bool, max(len(t.kinds), len(t.syms.Names())))
+	names := t.syms.Names()
+	node := make([]bool, len(names))
 	for id, k := range t.kinds {
 		node[id] = k != KindUnknown
 	}
 	t.EachEdge(func(p Pair) { node[p.Hypo], node[p.Hyper] = true, true })
+	for _, m := range t.Mentions {
+		node[m.Entity] = true
+	}
 	var ids []uint32
 	for id, ok := range node {
 		if ok {
 			ids = append(ids, uint32(id))
 		}
 	}
-	names := t.syms.Names()
 	slices.SortFunc(ids, func(a, b uint32) int { return strings.Compare(names[a], names[b]) })
 	return ids
 }
@@ -579,10 +503,7 @@ func (t *Taxonomy) Edges() []Edge {
 	var pairs []Pair
 	t.EachEdge(func(p Pair) { pairs = append(pairs, p) })
 	slices.SortFunc(pairs, func(a, b Pair) int {
-		if c := cmp.Compare(rank[a.Hypo], rank[b.Hypo]); c != 0 {
-			return c
-		}
-		return cmp.Compare(rank[a.Hyper], rank[b.Hyper])
+		return cmp.Or(cmp.Compare(rank[a.Hypo], rank[b.Hypo]), cmp.Compare(rank[a.Hyper], rank[b.Hyper]))
 	})
 	out := make([]Edge, len(pairs))
 	for i, p := range pairs {
@@ -635,68 +556,44 @@ func (t *Taxonomy) recount() {
 	})
 }
 
-// Assemble adopts kept — a build's verified pairs, sorted by key and
-// distinct — as the kept list of a taxonomy that holds no edge yet,
-// marks every unknown hypernym a concept and counts the edges.
-func (t *Taxonomy) Assemble(kept []Pair) {
-	t.Kept = kept
-	for _, p := range kept {
-		if t.KindOf(p.Hyper) == KindUnknown {
-			t.setKind(p.Hyper, KindConcept)
-		}
-	}
-	t.recount()
-}
-
-// AddMention registers mention for the named entity. Empty mentions
+// AddMention registers mention for the named entity; empty mentions
 // and entities are ignored, and so is a pair already held.
 func (t *Taxonomy) AddMention(mention, entity string) {
-	if entity == "" {
-		return
+	if entity != "" {
+		t.named++
+		t.AddMentions([]Mention{{Text: mention, Entity: t.syms.Intern(entity)}})
 	}
-	t.named++
-	t.AddMentions([]Mention{{Text: mention, Entity: t.syms.Intern(entity)}})
 }
 
-// AddMentions merges ms into Mentions and returns the mentions that
-// gained an entity, ascending and distinct. Each mention is stored
-// trimmed and in its rune-decoded spelling — each byte that is not
-// valid UTF-8 becomes U+FFFD, as a text scan reads it, so every mention
-// table is valid UTF-8, which a view's byte-wise scan and the snapshot
-// image require — and an empty one is dropped, as is a pair already
-// held. ms is reordered. The merge moves the part of the list behind
-// the first new pair, within capacity grown amortised.
+// AddMentions merges ms (which it reorders) into Mentions and returns
+// the mentions that gained an entity, ascending and distinct. Each
+// mention is stored trimmed and in its rune-decoded spelling — a byte
+// that is not valid UTF-8 becomes U+FFFD, as a text scan reads it, so
+// every mention table is valid UTF-8, which a view's byte-wise scan and
+// the snapshot image require; empty ones and pairs already held are
+// dropped. The merge moves the part of the list behind the first new
+// pair, within capacity grown amortised.
 func (t *Taxonomy) AddMentions(ms []Mention) []string {
-	fresh := ms[:0]
+	n := 0
 	for _, m := range ms {
 		if m.Text = strings.TrimSpace(m.Text); !utf8.ValidString(m.Text) {
 			m.Text = string([]rune(m.Text))
 		}
-		if m.Text != "" {
-			fresh = append(fresh, m)
-		}
-	}
-	slices.SortFunc(fresh, compareMentions)
-	fresh = slices.Compact(fresh)
-	n := 0
-	for _, m := range fresh {
-		if _, held := slices.BinarySearchFunc(t.Mentions, m, compareMentions); !held {
-			fresh[n] = m
+		if _, held := slices.BinarySearchFunc(t.Mentions, m, compareMentions); m.Text != "" && !held {
+			ms[n] = m
 			n++
 		}
 	}
-	fresh = fresh[:n]
-	if len(t.Mentions) == 0 {
-		t.Mentions = slices.Clip(fresh)
-	} else if n > 0 {
-		end := len(t.Mentions)
-		t.Mentions = slices.Grow(t.Mentions, n)[:end+n]
-		for j := n - 1; j >= 0; j-- {
-			at, _ := slices.BinarySearchFunc(t.Mentions[:end], fresh[j], compareMentions)
-			copy(t.Mentions[at+j+1:], t.Mentions[at:end])
-			t.Mentions[at+j] = fresh[j]
-			end = at
-		}
+	fresh := ms[:n]
+	slices.SortFunc(fresh, compareMentions)
+	fresh = slices.Compact(fresh)
+	end := len(t.Mentions)
+	t.Mentions = slices.Grow(t.Mentions, len(fresh))[:end+len(fresh)]
+	for j := len(fresh) - 1; j >= 0; j-- {
+		at, _ := slices.BinarySearchFunc(t.Mentions[:end], fresh[j], compareMentions)
+		copy(t.Mentions[at+j+1:], t.Mentions[at:end])
+		t.Mentions[at+j] = fresh[j]
+		end = at
 	}
 	var texts []string
 	for _, m := range fresh {
@@ -707,8 +604,8 @@ func (t *Taxonomy) AddMentions(ms []Mention) []string {
 	return texts
 }
 
-// MentionsOf returns the pairs of mention text, by entity ID: a
-// stretch of Mentions the caller must not modify.
+// MentionsOf returns the pairs of mention text, by entity ID: a stretch
+// of Mentions the caller must not modify.
 func (t *Taxonomy) MentionsOf(text string) []Mention {
 	lo, _ := slices.BinarySearchFunc(t.Mentions, Mention{Text: text}, compareMentions)
 	hi := lo

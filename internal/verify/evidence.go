@@ -757,6 +757,12 @@ func (ev *Evidence) Hyponyms(id uint32) int {
 	return 0
 }
 
+// Holds reports whether (hypo, hyper) is a candidate pair of the
+// evidence: between update batches, whether it is kept.
+func (ev *Evidence) Holds(hypo, hyper uint32) bool {
+	return int(hypo) < len(ev.nodes) && ev.findClaim(hypo, hyper) >= 0
+}
+
 // S2 is the taxonomy NE support of the paper: the fraction of a word's
 // taxonomy occurrences in which it behaves as an entity (a page title
 // appearing as a hyponym) rather than as a concept (a hypernym).
