@@ -14,7 +14,7 @@
 // build fans the construction pipeline out over -workers goroutines
 // (0 = one per CPU, 1 = sequential); any worker count produces the
 // same taxonomy. It writes one file, the snapshot at -save: the
-// complete serving state (taxonomy + mention index + build report +
+// complete serving state (taxonomy + mention table + build report +
 // update evidence) that `cnpserver -load` memory-maps and serves
 // without re-running the pipeline. The write is atomic (temp file,
 // fsync, rename, directory fsync): rebuilding over a snapshot a live

@@ -90,7 +90,7 @@ func TestCLIRoundTrip(t *testing.T) {
 	}
 
 	// An infobox alias is no node: query resolves it through the
-	// mention index to the page it names.
+	// mention table to the page it names.
 	f, err := os.Open(corpus)
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@
 // serving view atomically — zero-downtime never-ending extraction.
 // Ingestion needs the mutable build state, so with -load the snapshot
 // must carry the evidence section (any snapshot saved by this version)
-// and is decoded into the build store rather than view-only.
+// and is decoded into the taxonomy's write model rather than view-only.
 //
 // -wal makes ingestion durable (requires -load and -ingest): every
 // accepted batch is appended to a checksummed write-ahead log and
@@ -38,8 +38,8 @@
 //
 // -load is the production serving path: the snapshot (written by
 // `cnprobase build -save`) becomes the immutable serving view — the
-// mutable build store is never materialized (unless -ingest asks for
-// it). The snapshot is memory-mapped and served in place, so the
+// taxonomy's write model is never materialized (unless -ingest asks
+// for it). The snapshot is memory-mapped and served in place, so the
 // server is query-ready in constant time regardless of taxonomy size;
 // a file in a format older than version 6 is refused with an error
 // that says to rebuild it. All requests are answered from that
@@ -164,7 +164,7 @@ func main() {
 	)
 	switch {
 	case *loadPath != "" && *ingestA != "":
-		// Ingestion needs the mutable store + evidence, so decode the
+		// Ingestion needs the write model + evidence, so decode the
 		// full Result instead of the view-only fast path.
 		start := time.Now()
 		f, err := os.Open(*loadPath)
@@ -199,7 +199,7 @@ func main() {
 		}
 		view = res.Freeze()
 		st := view.Stats()
-		log.Printf("loaded snapshot (with build store) in %v: %d entities, %d concepts, %d isA, %d mentions",
+		log.Printf("loaded snapshot (with the write model) in %v: %d entities, %d concepts, %d isA, %d mentions",
 			time.Since(start).Round(time.Millisecond),
 			st.Entities, st.Concepts, st.IsARelations, view.MentionCount())
 	case *loadPath != "":

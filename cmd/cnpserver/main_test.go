@@ -682,7 +682,7 @@ func TestLoadCorruptSnapshot(t *testing.T) {
 // TestLoadLegacySnapshotRefused: a snapshot of an older format — the
 // striped version 2, or version 4, whose image stored an evidence count
 // per edge — is refused loudly, not decoded quietly. At startup —
-// view-only and with the build store — the server exits non-zero with
+// view-only and with the write model — the server exits non-zero with
 // the one-line error that names the version found and the rebuild
 // command; on SIGHUP the same file leaves the current view serving and
 // logs that line.

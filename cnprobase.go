@@ -125,8 +125,8 @@ func Build(c *Corpus, opts Options) (*Result, error) {
 // computes on what the batch touches: only new text is segmented and
 // recognized, the persistent verification evidence on the Result folds
 // forward, only fresh candidates plus those whose evidence changed are
-// re-verified, and the store, the kept list and the derived subconcept
-// edges are edited where the batch reaches them. Result.Kept and
+// re-verified, and the taxonomy's kept, derived and mention lists are
+// edited where the batch reaches them. Result.Kept and
 // Result.Candidates are []extract.Candidate of pairs of symbol IDs —
 // Result.Names resolves them — deduplicated and sorted by (Hypo, Hyper)
 // ID, which is not name order. Update owns prev.Kept: the sorted list
@@ -139,7 +139,7 @@ func Build(c *Corpus, opts Options) (*Result, error) {
 // table, and a page with a blank title and no bracket names no entity:
 // its candidates are dropped, as Build drops them. The incremental
 // state lives on the Result (and its
-// evidence and store), not on the pipeline, so each call may bring its
+// evidence and taxonomy), not on the pipeline, so each call may bring its
 // own Options. Result.Freeze then publishes the change by patching the
 // previous view. Results restored with LoadSnapshot (evidence-carrying
 // snapshots) accept Update too; their first Update runs on cold caches
@@ -284,7 +284,7 @@ func NewDurableIngester(res *Result, opts Options, srv *APIServer, cfg DurableIn
 }
 
 // SaveSnapshot writes the complete serving state of a build — the
-// taxonomy with full edge provenance, the mention index, the build
+// taxonomy with full edge provenance, the mention table, the build
 // report, and (when the Result carries it) the persistent update
 // substrate: verification evidence, kept candidates and corpus
 // statistics — as a versioned, checksummed binary snapshot. A server can

@@ -38,7 +38,7 @@ func ExampleBuild() {
 
 // ExampleServingView_Hypernyms queries the direct hypernyms of a
 // disambiguated entity — the paper's getConcept API — on the view a
-// build result freezes into; the store itself answers no queries.
+// build result freezes into; the taxonomy itself answers no queries.
 func ExampleServingView_Hypernyms() {
 	tax := cnprobase.NewTaxonomy()
 	tax.MarkEntity("刘德华（歌手）")

@@ -21,7 +21,7 @@ var viewBuildFuncs = map[string]bool{
 
 // ViewMut flags writes through serving.View backing slices. A View
 // served from a memory-mapped snapshot aliases PROT_READ pages: any
-// store through a slice returned by its query methods (HypernymIDsOf,
+// write through a slice returned by its query methods (HypernymIDsOf,
 // Lookup, MentionEntities, ...) is a guaranteed SIGSEGV in production, and on
 // a heap-backed View it silently corrupts the shared immutable
 // taxonomy. Outside internal/serving the analyzer taints every slice

@@ -29,7 +29,7 @@
 // pin. The counters and latency histograms behind /api/stats, the
 // per-route shed counts and the mux are loops over the same table.
 //
-// Handlers never touch the mutable build store: every request is
+// Handlers never touch the taxonomy's write model: every request is
 // served from an immutable serving.View held in an atomic pointer —
 // zero locks, near-zero allocation per query — and SwapView atomically
 // replaces the whole view to pick up new data (cnpserver wires this to

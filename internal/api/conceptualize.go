@@ -12,7 +12,7 @@ import (
 
 // The application endpoints: conceptualization and question
 // understanding, served — like every other handler — from the view
-// serve hands them, never the build store. A batch resolves every text
+// serve hands them, never the taxonomy's write model. A batch resolves every text
 // against that one view, so a concurrent SwapView can never split a
 // batch across taxonomy versions.
 

@@ -94,7 +94,7 @@ type IngesterConfig struct {
 	// to and including lsn. Injected by the facade so this package
 	// does not depend on the snapshot encoder; the facade's saver
 	// serializes the view the updater just published
-	// (Result.PublishedView) rather than compiling the store again.
+	// (Result.PublishedView) rather than compiling the taxonomy again.
 	// Required for compaction.
 	SaveSnapshot func(w io.Writer, res *core.Result, lsn uint64) error
 	// Queue bounds batches waiting for the updater; 0 selects
@@ -105,9 +105,9 @@ type IngesterConfig struct {
 // IngestResponse is the /ingest success payload: the batch size, how
 // long settling it took — in total (WAL append included) and split
 // into folding the batch in (update_ms) and freezing + swapping the
-// new view (publish_ms) — how much of the store the view was brought
-// up to date from (touched_nodes re-read; full_compile when the whole
-// store was), the post-update taxonomy shape, and — on a durable
+// new view (publish_ms) — how much of the taxonomy the view was
+// brought up to date from (touched_nodes re-read; full_compile when
+// the whole taxonomy was), the post-update taxonomy shape, and — on a durable
 // ingester — the batch's log sequence number.
 type IngestResponse struct {
 	Pages        int     `json:"pages"`

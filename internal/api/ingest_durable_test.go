@@ -65,7 +65,7 @@ func baseSnapshot(t *testing.T) []byte {
 }
 
 // savedFromView counts the snapshots testSaveSnapshot serialized from
-// the ingester's published view instead of compiling the store.
+// the ingester's published view instead of compiling the taxonomy.
 var savedFromView atomic.Int64
 
 // testSaveSnapshot is the snapshot saver the durable fixtures inject —
@@ -256,7 +256,7 @@ func TestDurableIngestRecoversAcknowledgedBatches(t *testing.T) {
 
 // TestCompactionSavesPublishedView pins the compactor's shortcut: the
 // snapshot it writes from the view the updater just published is byte
-// for byte the snapshot a save that compiles the store writes.
+// for byte the snapshot a save that compiles the taxonomy writes.
 func TestCompactionSavesPublishedView(t *testing.T) {
 	f := newDurableFixture(t, 0)
 	for b := 0; b < 3; b++ {
@@ -271,7 +271,7 @@ func TestCompactionSavesPublishedView(t *testing.T) {
 		t.Fatalf("Compact: %v", err)
 	}
 	if savedFromView.Load() == before {
-		t.Fatal("compaction compiled the store instead of saving the published view")
+		t.Fatal("compaction compiled the taxonomy instead of saving the published view")
 	}
 	f.ing.Close()
 	got, err := os.ReadFile(f.snapPath)

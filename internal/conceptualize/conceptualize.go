@@ -16,7 +16,7 @@
 // keyed by concept ID in small pooled slices; a name is looked up only
 // when the Result is written. The
 // resolve path takes no locks and, through ConceptualizeInto with
-// recycled buffers, allocates nothing per text. A build store is
+// recycled buffers, allocates nothing per text. A taxonomy is
 // conceptualized by compiling it first (serving.Compile); the
 // string-keyed algorithm the engine replaced is the oracle in
 // reference_test.go, which holds the engine to bit-equal scores.

@@ -13,13 +13,13 @@ import (
 	"cnprobase/internal/taxonomy"
 )
 
-// viewOf compiles the store world into an immutable serving view.
+// viewOf compiles the taxonomy into an immutable serving view.
 func viewOf(t *testing.T, tx *taxonomy.Taxonomy) *serving.View {
 	t.Helper()
 	return serving.Compile(tx)
 }
 
-// enginesOf returns one engine per backing of the store's content —
+// enginesOf returns one engine per backing of the taxonomy's content —
 // compiled (hash + trie), patched, opened from image bytes.
 func enginesOf(t *testing.T, tx *taxonomy.Taxonomy) map[string]*Engine {
 	t.Helper()
@@ -66,7 +66,7 @@ func TestViewMatchesStore(t *testing.T) {
 // mentions of an entity that is no node and of one without hypernyms,
 // every concept bound from -1 up, and texts mixing real mentions with
 // noise, 4-byte runes and invalid UTF-8. Every result on every backing
-// must agree with the string-keyed reference over the store's compiled
+// must agree with the string-keyed reference over the taxonomy's compiled
 // view, including the float scores.
 func TestViewMatchesStoreRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {

@@ -57,7 +57,7 @@ func TestFreezeReportsAnUnchangedBatch(t *testing.T) {
 
 // TestMentionEntitiesAreNodes holds what lets a view name a mention's
 // entities by node ID with no exceptions: every entity the pipeline
-// indexes a mention for is a node of the store (a page's entity is
+// records a mention for is a node of the taxonomy (a page's entity is
 // marked), so no view of a built or updated world carries one as a
 // node of unknown kind — after the compile of a build and after the
 // patch of an update that adds pages and re-sends built ones.

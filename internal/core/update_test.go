@@ -98,7 +98,7 @@ func TestUpdateIncrementalEqualsRebuildApproximately(t *testing.T) {
 // TestUpdateIncrementalMatchesFullReverify pins the O(delta) update
 // path against the O(total) reference: folding K batches through the
 // incremental evidence (cached decisions, affected-subset
-// re-verification) must produce exactly the taxonomy, mention index,
+// re-verification) must produce exactly the taxonomy, mention pairs,
 // kept set and report that full re-verification over the union
 // produces at every batch.
 func TestUpdateIncrementalMatchesFullReverify(t *testing.T) {

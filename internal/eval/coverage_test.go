@@ -52,8 +52,8 @@ func TestCoverage(t *testing.T) {
 }
 
 // TestCoverageOfViewMatchesStore holds the view-based measure to the
-// store's own reachability test on a random graph: a truth pair counts
-// exactly when the store says the hypernym is reachable.
+// taxonomy's own reachability test on a random graph: a truth pair
+// counts exactly when the taxonomy says the hypernym is reachable.
 func TestCoverageOfViewMatchesStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tx := taxonomy.New()

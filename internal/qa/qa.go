@@ -15,8 +15,8 @@
 // node IDs, a mention's concept union is built from its candidates'
 // ascending hypernym-ID segments, and the
 // 2–6-rune concept windows of a start position are one prefix narrowing
-// over the sorted name table. A build store is evaluated by compiling
-// it first (serving.Compile); the string-keyed algorithm this replaced
+// over the sorted name table. A taxonomy is evaluated by compiling it
+// first (serving.Compile); the string-keyed algorithm this replaced
 // is the oracle in reference_test.go.
 package qa
 

@@ -84,7 +84,7 @@ func randWorld(t *testing.T, seed int64) (reference, map[string]*serving.View, [
 
 // TestEvaluateSourceViewMatchesStore pins the coverage experiment on
 // every backing of the serving view against the string-keyed reference
-// over the store's compiled view: identical CoverageResult, and
+// over the taxonomy's compiled view: identical CoverageResult, and
 // identical per-question coverage decisions.
 func TestEvaluateSourceViewMatchesStore(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {

@@ -446,7 +446,7 @@ func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
 		}
 	}
 
-	// ---- stats (the store's ComputeStats, replayed over the frozen
+	// ---- stats (the taxonomy's ComputeStats, replayed over the frozen
 	// content) ----
 	v.stats = taxonomy.Stats{}
 	for _, k := range v.kinds {

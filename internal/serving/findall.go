@@ -10,8 +10,8 @@ import (
 // conceptualization and QA engines run on. Every view, compiled,
 // patched or mapped, scans the same way: from each rune position it
 // seeks a growing byte prefix in the sorted mention table, behind a
-// first-rune filter. The scan answers exactly like MentionIndex.FindAll
-// on the same dictionary: greedy longest-match from each rune position,
+// first-rune filter. The scan answers exactly like a trie scan of the
+// same mentions (the serving tests' oracle): greedy longest-match from each rune position,
 // distinct surfaces in first-occurrence order. Like every other View
 // query it takes no locks, and the append forms allocate nothing on
 // the steady path.
@@ -55,9 +55,8 @@ func (sc *findScratch) release() {
 }
 
 // FindAll scans text and returns the distinct mentions found, using
-// greedy longest-match from each position — exactly like
-// MentionIndex.FindAll over the same mention set. Nil when nothing
-// matches.
+// greedy longest-match from each position — exactly like a trie scan
+// of the same mention set. Nil when nothing matches.
 func (v *View) FindAll(text string) []string { return v.FindAllAppend(nil, text) }
 
 // FindAllAppend is FindAll in append style: found mentions are
@@ -120,7 +119,7 @@ func (v *View) scan(sc *findScratch, dst []Found, text string) []Found {
 	}
 	if !clean {
 		// Invalid input bytes decode to U+FFFD; scan the re-encoded runes
-		// so surfaces match MentionIndex.FindAll byte for byte.
+		// so surfaces match a rune-wise trie scan byte for byte.
 		//cnp:allow noallochot (cold path: only texts carrying invalid UTF-8)
 		text = string(rs)
 		offs = offs[:0]
@@ -212,7 +211,7 @@ const runeSetWords = 0x10000 / 64
 // Every mention is valid UTF-8, so byte order over the table equals
 // decoded-rune order and this scan matches a rune-wise trie exactly —
 // including on text whose invalid bytes decoded to U+FFFD: scan
-// re-encodes such text before any comparison, just as MentionIndex
+// re-encodes such text before any comparison, just as the taxonomy
 // stores a mention's invalid bytes as U+FFFD.
 //
 //cnp:noalloc

@@ -1,15 +1,15 @@
 // Package serving implements the immutable, read-optimized serving
 // view of a built taxonomy — the classic build/serve split of the
-// CN-Probase deployment. The mutable store in internal/taxonomy is the
-// *build* structure: the pipeline's write-side accumulator. A View is
-// the *serve* structure: compiled once from the store (or opened over
-// a snapshot's image), it answers the paper's three APIs — men2ent,
+// CN-Probase deployment. The lists in internal/taxonomy are the *write*
+// model: what the pipeline assembles and extends. A View is the *read*
+// model: compiled once from the lists (or opened over a snapshot's
+// image), it answers the paper's three APIs — men2ent,
 // getConcept, getEntity — with zero locks and near-zero allocation per
 // query.
 //
 // Layout: node names are interned to dense uint32 IDs assigned in
 // sorted order (so ascending IDs are ascending strings and adjacency
-// stored by ID is already in the store's canonical order). Adjacency
+// stored by ID is already in canonical name order). Adjacency
 // is CSR-style — one flat edge array plus per-node offsets — and every
 // per-edge array is integer-only: an edge's endpoint is an ID, and its
 // name is read off the name table when it is asked for. So publishing a
@@ -31,9 +31,9 @@
 // (mentionEnts), read by MentionEntities and named through Name, so no
 // array of a view holds a pointer per element.
 //
-// The View is the one read model: the build store keeps no query
-// methods of its own. What each query answers is pinned against the
-// string-keyed oracle in internal/taxonomy's model test, and the HTTP
+// The View is the one read model: the taxonomy keeps no query methods
+// of its own. What each query answers is pinned against the
+// string-keyed model in internal/taxonomy's model test, and the HTTP
 // responses built on them against recorded goldens. Returned slices are
 // views into shared immutable arrays, which callers must not modify —
 // except the name lists of Hypernyms, Hyponyms and Lookup, built fresh per
@@ -97,11 +97,11 @@ type View struct {
 	hypoIDs []uint32
 
 	// Mention table: mentions sorted ascending, every one valid UTF-8
-	// (taxonomy.MentionIndex stores them so); mention i's entities are
-	// the node IDs mentionEnts[mentionOff[i]:mentionOff[i+1]], ascending,
-	// so in name order. Every entity a mention names is a node: one the
-	// store does not hold is a node of unknown kind with no edge (see
-	// Compile). A text scan seeks prefixes in the table behind
+	// (the taxonomy stores them so); mention i's entities are the node
+	// IDs mentionEnts[mentionOff[i]:mentionOff[i+1]], ascending, so in
+	// name order. Every entity a mention names is a node: one the
+	// taxonomy neither marks nor links is a node of unknown kind with no
+	// edge (see Compile). A text scan seeks prefixes in the table behind
 	// mentionFirst, the set of runes some mention starts with.
 	mentions     table
 	mentionOff   []uint32
@@ -424,8 +424,7 @@ func (v *View) Ancestors(node string) []string {
 // Lookup returns the entity IDs a mention may refer to, sorted — the
 // men2ent API — as a fresh slice of names (one allocation, as for
 // Hypernyms; MentionRow and MentionEntities read the same list as node
-// IDs without one). Nil when the mention is unknown, exactly like
-// MentionIndex.Lookup.
+// IDs without one). Nil when the mention is unknown.
 func (v *View) Lookup(mention string) []string {
 	i, ok := v.MentionRow(strings.TrimSpace(mention), 0)
 	if !ok {

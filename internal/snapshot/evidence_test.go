@@ -45,7 +45,7 @@ type namedPair struct {
 	Source      taxonomy.Source
 }
 
-// keptByName resolves kept pairs through the store's symbol table —
+// keptByName resolves kept pairs through the taxonomy's symbol table —
 // the one the evidence shares — and returns them in name order: the
 // form in which kept lists from two ID spaces compare.
 func keptByName(tax *taxonomy.Taxonomy, kept []extract.Candidate) []namedPair {
@@ -247,7 +247,7 @@ func TestEvidenceLayout(t *testing.T) {
 // cannot name, which a build can hold: a kept pair whose edge a
 // subconcept rule also derived (so the edge's sources are not the
 // candidate's), and a page whose title is no mention (whitespace
-// the mention index trims) and whose entity is no node. Each goes
+// the taxonomy trims) and whose entity is no node. Each goes
 // through its fallback and loads back as it was, and a kept pair the
 // saved view has no edge for is refused by name.
 func TestEvidenceOffTheImage(t *testing.T) {

@@ -102,7 +102,7 @@ func randomState(tb testing.TB, seed int64) *State {
 
 // TestOpenMappedRandomizedRoundTrip drives the save→map cycle over
 // seeded random states and requires the mapped view to answer the full
-// endpoint mix identically to the view compiled from the store the
+// endpoint mix identically to the view compiled from the taxonomy the
 // bytes were saved from.
 func TestOpenMappedRandomizedRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
@@ -117,7 +117,7 @@ func TestOpenMappedRandomizedRoundTrip(t *testing.T) {
 			storeBody := apiResponses(t, serverOf(st), nodes, mentions)
 			mappedBody := apiResponses(t, api.NewViewServer(mapped), nodes, mentions)
 			if storeBody != mappedBody {
-				t.Fatal("mapped server responses differ from the compiled store's")
+				t.Fatal("mapped server responses differ from the compiled taxonomy's")
 			}
 		})
 	}

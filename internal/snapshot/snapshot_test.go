@@ -165,7 +165,7 @@ func TestRoundTripHandAssembled(t *testing.T) {
 
 // TestRoundTripBuiltWorld runs the property over a real pipeline
 // output, including provenance-heavy multi-source edges and the full
-// mention index.
+// mention table.
 func TestRoundTripBuiltWorld(t *testing.T) {
 	st := buildState(t, 500, 4)
 	data := saveBytes(t, st, Options{Workers: 4})

@@ -1,7 +1,7 @@
 // Package symtab interns names — entity IDs, page titles, concepts — to
 // dense uint32 IDs. One Table serves a whole build: the verification
-// evidence and the taxonomy store index their flat per-name arrays by
-// its IDs, so a name is hashed once when it enters the build and is an
+// evidence and the taxonomy index their flat per-name arrays by its
+// IDs, so a name is hashed once when it enters the build and is an
 // integer from then on. IDs are handed out in arrival order and never
 // reused or forgotten; an owner whose array is shorter than the table
 // simply has no record for the newer IDs.

@@ -54,7 +54,7 @@ func TestAncestorsBFS(t *testing.T) {
 	if got := fmt.Sprint(serving.Compile(tx).Ancestors("刘德华")); got != "[男演员 演员 人物]" {
 		t.Fatalf("Ancestors = %s, want breadth-first [男演员 演员 人物]", got)
 	}
-	// The store's own reachability test, which the derivation rules use.
+	// The taxonomy's own reachability test, which the derivation rules use.
 	if !isAncestor(tx, "刘德华", "人物") {
 		t.Error("IsAncestor transitive = false")
 	}

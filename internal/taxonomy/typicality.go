@@ -9,7 +9,7 @@ import "math/bits"
 // entity's concepts by. The evidence for an edge is the number of
 // independent sources that generated it (Source.Evidence): a page sent
 // twice adds none. The serving view computes the scores
-// (serving.View.RankedHypernymAt); the store keeps only the sources.
+// (serving.View.RankedHypernymAt); the taxonomy keeps only the sources.
 // P(entity | concept) is not served: getEntity lists a concept's
 // hyponyms in name order.
 

@@ -1,5 +1,5 @@
 // Package trie implements a rune-keyed prefix tree used as the
-// dictionary backbone of the word segmenter and the mention index.
+// dictionary backbone of the word segmenter and the NE recognizer.
 //
 // The trie stores words as sequences of runes, which matches the unit of
 // Chinese text processing (one Han character per rune). It supports exact

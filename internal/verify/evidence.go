@@ -35,7 +35,7 @@ type Evidence struct {
 
 	// syms interns every entity ID, page title and hypernym; nodes is
 	// indexed by its IDs. The table may be shared (the build's taxonomy
-	// store interns into it too), so it can hold IDs past the end of
+	// interns into it too), so it can hold IDs past the end of
 	// nodes: names the evidence has no record for. preds interns
 	// infobox predicates and is the evidence's own.
 	syms  *symtab.Table
@@ -171,7 +171,7 @@ func packPair(a, b uint32) (key uint64, side int) {
 // NewEvidence returns an empty Evidence over the given support
 // accumulator and recognizer, with cold caches (the first verification
 // pass recomputes everything). Names are interned in syms — the table
-// the build shares with its taxonomy store; nil gives the evidence a
+// the build shares with its taxonomy; nil gives the evidence a
 // table of its own.
 func NewEvidence(syms *symtab.Table, support *ner.Support, rec *ner.Recognizer) *Evidence {
 	if syms == nil {

@@ -49,7 +49,7 @@
 //
 // Candidates in (AddCandidates, RemoveCandidates, VerifyDelta) and
 // Decisions out (Reverify) are named by IDs of the symbol table, which
-// the build shares with the generators and the taxonomy store. Strings
+// the build shares with the generators and the taxonomy. Strings
 // cross the boundary at: pages in (AddPages, their names already
 // interned), the snapshot section
 // (PagesAlong resolves a view's node names once; ImportPage and AddPair
