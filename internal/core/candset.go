@@ -1,13 +1,13 @@
 package core
 
 import (
-	"cmp"
 	"math"
 	"slices"
 
 	"cnprobase/internal/encyclopedia"
 	"cnprobase/internal/extract"
 	"cnprobase/internal/symtab"
+	"cnprobase/internal/taxonomy"
 )
 
 // The candidate lists the pipeline manipulates (previously kept,
@@ -67,12 +67,6 @@ func (m *merger) add(set candidateSet) {
 	}
 }
 
-// findPair locates the pair in a sorted deduplicated list.
-func findPair(cands []extract.Candidate, hypo, hyper uint32) (int, bool) {
-	key := extract.Candidate{Hypo: hypo, Hyper: hyper}.Key()
-	return slices.BinarySearchFunc(cands, key, func(c extract.Candidate, k uint64) int { return cmp.Compare(c.Key(), k) })
-}
-
 // editCandidates removes the elements at the ascending indexes drop
 // from base and slots in the candidates of add (sorted, none of whose
 // pairs base holds), in place: the stretches between drops slide
@@ -99,7 +93,7 @@ func editCandidates(base []extract.Candidate, drop []int, add []extract.Candidat
 	end := len(base)
 	base = slices.Grow(base, len(add))[:end+len(add)]
 	for j := len(add) - 1; j >= 0; j-- {
-		at, _ := findPair(base[:end], add[j].Hypo, add[j].Hyper)
+		at, _ := taxonomy.Find(base[:end], add[j].Hypo, add[j].Hyper)
 		copy(base[at+j+1:], base[at:end])
 		base[at+j] = add[j]
 		end = at

@@ -79,10 +79,10 @@ func FuzzCandidateSet(f *testing.F) {
 		same("Union", u, wu)
 		same("diffCandidates", diffCandidates(u, db), diffNamed(wu, wb))
 		for _, c := range append(slices.Clone(a), adds...) {
-			i, ok := findPair(u, c.Hypo, c.Hyper)
+			i, ok := taxonomy.Find(u, c.Hypo, c.Hyper)
 			_, wok := findNamed(wu, name(c.Hypo), name(c.Hyper))
 			if ok != wok || ok && (u[i].Hypo != c.Hypo || u[i].Hyper != c.Hyper) {
-				t.Fatalf("findPair(%v): %d %v, by name %v", c, i, ok, wok)
+				t.Fatalf("taxonomy.Find(%v): %d %v, by name %v", c, i, ok, wok)
 			}
 		}
 
@@ -94,7 +94,7 @@ func FuzzCandidateSet(f *testing.F) {
 				break
 			}
 			c := u[int(p)%len(u)]
-			i, _ := findPair(u, c.Hypo, c.Hyper)
+			i, _ := taxonomy.Find(u, c.Hypo, c.Hyper)
 			wi, _ := findNamed(wu, name(c.Hypo), name(c.Hyper))
 			drop, wdrop = append(drop, i), append(wdrop, wi)
 		}
@@ -103,7 +103,7 @@ func FuzzCandidateSet(f *testing.F) {
 		drop, wdrop = slices.Compact(drop), slices.Compact(wdrop)
 		var fresh []extract.Candidate
 		for _, c := range extract.Dedupe(adds) {
-			if _, ok := findPair(u, c.Hypo, c.Hyper); !ok {
+			if _, ok := taxonomy.Find(u, c.Hypo, c.Hyper); !ok {
 				fresh = append(fresh, c)
 			}
 		}

@@ -32,7 +32,7 @@ func spliceCandidates(base []extract.Candidate, drop []int, add []extract.Candid
 	for len(drop)+len(add) > 0 {
 		at := len(base)
 		if len(add) > 0 {
-			at, _ = findPair(base, add[0].Hypo, add[0].Hyper)
+			at, _ = taxonomy.Find(base, add[0].Hypo, add[0].Hyper)
 		}
 		if len(drop) > 0 && drop[0] < at {
 			out = append(out, base[from:drop[0]]...)
@@ -252,7 +252,7 @@ func TestUpdateRefreshesPerSource(t *testing.T) {
 		var brandNew []extract.Candidate
 		union := slices.Clone(prevKept)
 		for _, f := range fresh {
-			if i, ok := findPair(union, f.Hypo, f.Hyper); ok {
+			if i, ok := taxonomy.Find(union, f.Hypo, f.Hyper); ok {
 				union[i].Source |= f.Source
 				seen.regenerated++
 			} else {
@@ -263,11 +263,11 @@ func TestUpdateRefreshesPerSource(t *testing.T) {
 		union = spliceCandidates(union, nil, brandNew)
 		var drop []int
 		for i, u := range union {
-			if _, ok := findPair(res.Kept, u.Hypo, u.Hyper); ok {
+			if _, ok := taxonomy.Find(res.Kept, u.Hypo, u.Hyper); ok {
 				continue
 			}
 			drop = append(drop, i)
-			if _, ok := findPair(prevKept, u.Hypo, u.Hyper); ok {
+			if _, ok := taxonomy.Find(prevKept, u.Hypo, u.Hyper); ok {
 				seen.rejectedKept++
 			} else {
 				seen.rejectedNew++

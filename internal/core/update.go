@@ -10,6 +10,7 @@ import (
 	"cnprobase/internal/lexicon"
 	"cnprobase/internal/par"
 	"cnprobase/internal/segment"
+	"cnprobase/internal/taxonomy"
 )
 
 // Update performs an incremental build: it extends an existing Result
@@ -122,7 +123,7 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 	var grown []extract.Candidate // kept pairs the batch added a source to
 	generated := keptTally(prev)
 	for _, c := range fresh {
-		i, ok := findPair(prev.Kept, c.Hypo, c.Hyper)
+		i, ok := taxonomy.Find(prev.Kept, c.Hypo, c.Hyper)
 		if !ok {
 			brandNew = append(brandNew, c)
 			generated.add(c.Source, 1)
@@ -157,11 +158,11 @@ func (p *Pipeline) Update(prev *Result, delta *encyclopedia.Corpus) (*Result, er
 		if d.Reason == "" {
 			continue
 		}
-		if i, ok := findPair(prev.Kept, d.Hypo, d.Hyper); ok {
+		if i, ok := taxonomy.Find(prev.Kept, d.Hypo, d.Hyper); ok {
 			dropKept = append(dropKept, i)
 			retracted = append(retracted, prev.Kept[i])
 			rejected = append(rejected, prev.Kept[i])
-		} else if i, ok := findPair(brandNew, d.Hypo, d.Hyper); ok {
+		} else if i, ok := taxonomy.Find(brandNew, d.Hypo, d.Hyper); ok {
 			dropNew = append(dropNew, i)
 			rejected = append(rejected, brandNew[i])
 		} else {

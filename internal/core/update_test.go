@@ -345,7 +345,7 @@ func TestUpdateRetractsKeptHalfOfDerivedEdge(t *testing.T) {
 	}
 	hypo, _ := res.Taxonomy.Symbols().Lookup(c)
 	hyper, _ := res.Taxonomy.Symbols().Lookup(h)
-	if _, kept := findPair(res.Kept, hypo, hyper); kept {
+	if _, kept := taxonomy.Find(res.Kept, hypo, hyper); kept {
 		t.Fatalf("%s isA %s is still kept after the page titled %s", c, h, h)
 	}
 

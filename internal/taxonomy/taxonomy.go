@@ -59,33 +59,21 @@ const (
 // every other bit under Kept.
 const derivedSources = SourceMorph | SourceSubsume
 
+// sourceNames names the source bits, lowest first.
+var sourceNames = [...]string{"bracket", "abstract", "infobox", "tag", "morph", "subsume", "translation"}
+
 // String names a single source bit or a combination.
 func (s Source) String() string {
-	names := []struct {
-		bit  Source
-		name string
-	}{
-		{SourceBracket, "bracket"},
-		{SourceAbstract, "abstract"},
-		{SourceInfobox, "infobox"},
-		{SourceTag, "tag"},
-		{SourceMorph, "morph"},
-		{SourceSubsume, "subsume"},
-		{SourceTranslation, "translation"},
-	}
-	out := ""
-	for _, n := range names {
-		if s&n.bit != 0 {
-			if out != "" {
-				out += "+"
-			}
-			out += n.name
+	var parts []string
+	for i, name := range sourceNames {
+		if s&(1<<i) != 0 {
+			parts = append(parts, name)
 		}
 	}
-	if out == "" {
+	if len(parts) == 0 {
 		return "none"
 	}
-	return out
+	return strings.Join(parts, "+")
 }
 
 // NodeKind classifies a taxonomy node.
