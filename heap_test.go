@@ -63,9 +63,9 @@ func TestResultHeapBudget(t *testing.T) {
 	}
 	// Measured on this world: 3 116 784 B — the mention pairs 221 168 B
 	// of it, 30.4 B a pair, and everything else 228 B per kept edge — so
-	// a twentieth of headroom over each. The old store held the edges a
-	// second time and the mention index the pairs a second time: 4 028
-	// 832 B, 750 kB over this budget.
+	// a twentieth of headroom over each. A per-node adjacency beside the
+	// kept list and a string-keyed mention index beside the pairs bring
+	// it to 4 028 832 B, 750 kB over.
 	const perEdge, perPair = 240, 32
 	budget := int64(perEdge*len(res.Kept) + perPair*pairs)
 	t.Logf("%d kept edges, %d mention pairs: the Result holds %d B (%.1f B per edge and pair), budget %d B",

@@ -323,6 +323,10 @@ func insert(list []Pair, p Pair) []Pair {
 // caller has just inserted into Kept: a pair Derived holds was an edge
 // already; every other one is new.
 func (t *Taxonomy) Inserted(pairs []Pair) {
+	if len(t.Derived) == 0 {
+		t.linked(pairs) // a build's kept list: every pair is new
+		return
+	}
 	var fresh []Pair
 	for _, p := range pairs {
 		if _, ok := Find(t.Derived, p.Hypo, p.Hyper); !ok {
