@@ -453,10 +453,11 @@ func (t *Taxonomy) IsAncestor(hypo, hyper uint32) bool {
 
 // Concepts returns the names of the concept nodes, sorted.
 func (t *Taxonomy) Concepts() []string {
+	names := t.syms.Names()
 	var out []string
 	for id, k := range t.kinds {
 		if k == KindConcept {
-			out = append(out, t.syms.Names()[id])
+			out = append(out, names[id])
 		}
 	}
 	slices.Sort(out)
