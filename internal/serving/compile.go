@@ -50,7 +50,8 @@ func Compile(t *taxonomy.Taxonomy) *View {
 		row.ents = ents[from:i:i]
 		ch.mentions = append(ch.mentions, row)
 	}
-	return assemble(&View{}, ch)
+	v, _ := assemble(&View{}, ch)
+	return v
 }
 
 // Patch returns the view Compile(t) would build, assembled from prev —
@@ -74,20 +75,37 @@ func Patch(prev *View, t *taxonomy.Taxonomy, nodes []uint32, mentions []string) 
 	ch := &change{symNames: t.Symbols().Names()}
 	mentions = slices.Clone(mentions)
 	slices.Sort(mentions)
-	nodes = slices.Clone(nodes)
+	var ents []uint32
 	for _, text := range slices.Compact(mentions) {
 		if ms := t.MentionsOf(text); len(ms) > 0 {
 			row := changeMention{text: text}
 			for _, m := range ms {
 				row.ents = append(row.ents, m.Entity)
-				nodes = append(nodes, m.Entity) // a mention's entity is a node
 			}
 			ch.mentions = append(ch.mentions, row)
+			ents = append(ents, row.ents...)
 		}
 	}
+	nodes = slices.Concat(nodes, ents)
 	slices.SortFunc(nodes, func(a, b uint32) int { return strings.Compare(ch.symNames[a], ch.symNames[b]) })
-	ch.read(t, slices.Compact(nodes))
-	return assemble(prev, ch)
+	nodes = slices.Compact(nodes)
+	ch.read(t, nodes)
+	// A mention's entity is a node, whatever the taxonomy holds of it:
+	// those of the mentions read, and — found by a first assembly — any
+	// node read as absent that an untouched mention still names.
+	slices.Sort(ents)
+	for i, id := range nodes {
+		_, named := slices.BinarySearch(ents, id)
+		ch.absent[i] = ch.absent[i] && !named
+	}
+	v, missing := assemble(prev, ch)
+	if len(missing) > 0 {
+		for i, name := range ch.names {
+			ch.absent[i] = ch.absent[i] && !slices.Contains(missing, name)
+		}
+		v, _ = assemble(prev, ch)
+	}
+	return v
 }
 
 // change is what assemble folds over a previous view: the current
@@ -172,8 +190,10 @@ const gone = ^uint32(0)
 // prev between them are block-copied, the node IDs inside them
 // renumbered through a monotone old → new table. It returns nil when
 // the change does not cover the difference: a carried-over or restated
-// edge, or a mention, names a node the new view lacks.
-func assemble(prev *View, ch *change) *View {
+// edge, or a mention, names a node the new view lacks — and, when
+// carried-over mentions name nodes the change reads as absent, their
+// names (see Patch).
+func assemble(prev *View, ch *change) (*View, []string) {
 	// ---- plan: interleave prev's untouched runs with the named nodes ----
 	var runs []run
 	remap := make([]uint32, prev.names.len()) // prev ID → new ID, or gone
@@ -253,6 +273,7 @@ func assemble(prev *View, ch *change) *View {
 	v.mentions = newTable(rows, menBytes)
 	v.mentionOff = make([]uint32, 0, rows+1)
 	v.mentionEnts = make([]uint32, 0, ents)
+	var missing []string
 	covered := true
 	p = 0
 	keepRows := func(hi uint32) {
@@ -264,7 +285,9 @@ func assemble(prev *View, ch *change) *View {
 				v.mentionOff = append(v.mentionOff, o+shift)
 			}
 			for _, id := range prev.mentionEnts[a:b] {
-				covered = covered && remap[id] != gone
+				if remap[id] == gone {
+					missing = append(missing, prev.Name(id))
+				}
 				v.mentionEnts = append(v.mentionEnts, remap[id])
 			}
 			p = hi
@@ -304,8 +327,8 @@ func assemble(prev *View, ch *change) *View {
 	}
 	keepRows(uint32(prev.mentions.len()))
 	v.mentionOff = append(v.mentionOff, uint32(len(v.mentionEnts)))
-	if !covered {
-		return nil
+	if !covered || len(missing) > 0 {
+		return nil, missing
 	}
 
 	// ---- hypernym CSR: the canonical edge arrays, laid out in ID order
@@ -353,10 +376,10 @@ func assemble(prev *View, ch *change) *View {
 	}
 	v.hyperOff[n] = off
 	if !covered {
-		return nil
+		return nil, nil
 	}
 	v.derive(prev, runs, remap, fresh)
-	return v
+	return v, nil
 }
 
 // newTable returns an empty table with room for rows entries of

@@ -215,13 +215,10 @@ func (t *Taxonomy) Kind(name string) NodeKind {
 	return t.KindOf(id)
 }
 
-// Exists reports whether symbol ID id is a node: marked, the hyponym
-// of an edge (a hypernym is always marked) or a mention's entity, which
-// the view holds as a node of unknown kind.
-func (t *Taxonomy) Exists(id uint32) bool {
-	return t.KindOf(id) != KindUnknown || t.outDegree(id) > 0 ||
-		slices.ContainsFunc(t.Mentions, func(m Mention) bool { return m.Entity == id })
-}
+// Exists reports whether symbol ID id is a node of the isA graph:
+// marked, or the hyponym of an edge (a hypernym is always marked). A
+// view also holds every mention's entity as a node (see Nodes).
+func (t *Taxonomy) Exists(id uint32) bool { return t.KindOf(id) != KindUnknown || t.outDegree(id) > 0 }
 
 // setKind changes a node's kind and keeps the counters in step. It
 // reports whether the kind changed.
