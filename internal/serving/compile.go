@@ -157,9 +157,11 @@ func (ch *change) read(t *taxonomy.Taxonomy, ids []uint32) {
 	}
 	var pairs []taxonomy.Pair
 	for i, id := range ids {
-		ch.names[i], ch.kinds[i] = ch.symNames[id], t.KindOf(id)
-		ch.absent[i] = ch.rank == nil && !t.Exists(id)
 		pairs = t.AppendEdges(pairs[:0], id)
+		ch.names[i], ch.kinds[i] = ch.symNames[id], t.KindOf(id)
+		// A node is marked or the hyponym of an edge (a hypernym is always
+		// marked); a full read holds mention entities too (Nodes).
+		ch.absent[i] = ch.rank == nil && ch.kinds[i] == taxonomy.KindUnknown && len(pairs) == 0
 		from := len(ch.edges)
 		for _, p := range pairs {
 			at := int32(-1)

@@ -215,11 +215,6 @@ func (t *Taxonomy) Kind(name string) NodeKind {
 	return t.KindOf(id)
 }
 
-// Exists reports whether symbol ID id is a node of the isA graph:
-// marked, or the hyponym of an edge (a hypernym is always marked). A
-// view also holds every mention's entity as a node (see Nodes).
-func (t *Taxonomy) Exists(id uint32) bool { return t.KindOf(id) != KindUnknown || t.outDegree(id) > 0 }
-
 // setKind changes a node's kind and keeps the counters in step. It
 // reports whether the kind changed.
 func (t *Taxonomy) setKind(id uint32, k NodeKind) bool {
@@ -569,7 +564,7 @@ func (t *Taxonomy) AddMentions(ms []Mention) []string {
 		if m.Text = strings.TrimSpace(m.Text); !utf8.ValidString(m.Text) {
 			m.Text = string([]rune(m.Text))
 		}
-		if _, held := slices.BinarySearchFunc(t.Mentions, m, compareMentions); m.Text != "" && !held {
+		if m.Text != "" {
 			ms[n] = m
 			n++
 		}
@@ -577,13 +572,24 @@ func (t *Taxonomy) AddMentions(ms []Mention) []string {
 	fresh := ms[:n]
 	slices.SortFunc(fresh, compareMentions)
 	fresh = slices.Compact(fresh)
+	// Where each new pair goes in the list as it stands; one held
+	// already is dropped.
+	at := make([]int, 0, len(fresh))
+	n = 0
+	for _, m := range fresh {
+		if i, held := slices.BinarySearchFunc(t.Mentions, m, compareMentions); !held {
+			fresh[n] = m
+			at = append(at, i)
+			n++
+		}
+	}
+	fresh = fresh[:n]
 	end := len(t.Mentions)
-	t.Mentions = slices.Grow(t.Mentions, len(fresh))[:end+len(fresh)]
-	for j := len(fresh) - 1; j >= 0; j-- {
-		at, _ := slices.BinarySearchFunc(t.Mentions[:end], fresh[j], compareMentions)
-		copy(t.Mentions[at+j+1:], t.Mentions[at:end])
-		t.Mentions[at+j] = fresh[j]
-		end = at
+	t.Mentions = slices.Grow(t.Mentions, n)[:end+n]
+	for j := n - 1; j >= 0; j-- {
+		copy(t.Mentions[at[j]+j+1:], t.Mentions[at[j]:end])
+		t.Mentions[at[j]+j] = fresh[j]
+		end = at[j]
 	}
 	var texts []string
 	for _, m := range fresh {
@@ -597,7 +603,7 @@ func (t *Taxonomy) AddMentions(ms []Mention) []string {
 // MentionsOf returns the pairs of mention text, by entity ID: a stretch
 // of Mentions the caller must not modify.
 func (t *Taxonomy) MentionsOf(text string) []Mention {
-	lo, _ := slices.BinarySearchFunc(t.Mentions, Mention{Text: text}, compareMentions)
+	lo, _ := slices.BinarySearchFunc(t.Mentions, text, func(m Mention, s string) int { return strings.Compare(m.Text, s) })
 	hi := lo
 	for hi < len(t.Mentions) && t.Mentions[hi].Text == text {
 		hi++
