@@ -61,7 +61,7 @@ func TestResultHeapBudget(t *testing.T) {
 	for row := 0; row < v.MentionCount(); row++ {
 		pairs += len(v.MentionEntities(int32(row)))
 	}
-	// Measured on this world: 3 116 784 B — the mention pairs 221 168 B
+	// Measured on this world: 3 111 320 B — the mention pairs 221 168 B
 	// of it, 30.4 B a pair, and everything else 228 B per kept edge — so
 	// a twentieth of headroom over each. A per-node adjacency beside the
 	// kept list and a string-keyed mention index beside the pairs bring
