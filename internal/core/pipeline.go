@@ -12,11 +12,11 @@
 // interned before the generators start and their hypernyms as the
 // per-source candidate sets are merged, in a fixed source order, so
 // from the merge on — evidence, verification, the taxonomy — a
-// candidate is a pair of IDs and no name is hashed again. The NE-evidence pass
-// and the page fold run beside the generators. Workers=1 degrades every
-// stage to inline sequential execution — the reference path
-// determinism tests compare against — and produces the same taxonomy,
-// and the same IDs, as any parallel run.
+// candidate is a pair of IDs and no name is hashed again. The
+// NE-evidence pass and the page fold run beside the generators.
+// Workers=1 degrades every stage to inline sequential execution — the
+// reference path determinism tests compare against — and produces the
+// same taxonomy, and the same IDs, as any parallel run.
 package core
 
 import (
