@@ -6,8 +6,10 @@ import (
 	"reflect"
 	"testing"
 
+	"cnprobase/internal/conceptualize"
 	"cnprobase/internal/core"
 	"cnprobase/internal/encyclopedia"
+	"cnprobase/internal/qa"
 	"cnprobase/internal/serving"
 	"cnprobase/internal/serving/servingtest"
 	"cnprobase/internal/snapshot"
@@ -16,8 +18,10 @@ import (
 )
 
 // requireSameAnswers pins got — a view Freeze patched together — to
-// want, the full compile of the same taxonomy: every exported query and
-// the serialized image must be indistinguishable.
+// want, the full compile of the same taxonomy: every exported query,
+// the ID surface the handlers and the application engines read (IDs
+// compared through the names they stand for), the engines' answers
+// and the serialized image must be indistinguishable.
 func requireSameAnswers(t *testing.T, step string, got, want *serving.View, texts []string) {
 	t.Helper()
 	eq := func(what string, a, b any) {
@@ -48,6 +52,7 @@ func requireSameAnswers(t *testing.T, step string, got, want *serving.View, text
 			eq("Lookup "+m, got.Lookup(m), want.Lookup(m))
 		}
 	}
+	requireSameIDSurface(t, step, got, want, texts)
 	im, err := got.Image(8)
 	if err != nil {
 		t.Fatalf("%s: Image: %v", step, err)
@@ -65,6 +70,68 @@ func requireSameAnswers(t *testing.T, step string, got, want *serving.View, text
 	}
 	if !bytes.Equal(gotImage.Bytes(), wantImage) {
 		t.Fatalf("%s: image differs from the full compile's (%d vs %d bytes)", step, gotImage.Len(), len(wantImage))
+	}
+}
+
+// requireSameIDSurface is requireSameAnswers' half for the ID-native
+// reads: every node resolves, and its kind, hypernym and hyponym IDs,
+// ranking and evidence total name the same things in both views; a
+// text's mention scan finds the same surfaces, whose entities name the
+// same nodes; the node names that prefix a text are the same; and the
+// conceptualization and QA engines, which read only that surface,
+// answer alike.
+func requireSameIDSurface(t *testing.T, step string, got, want *serving.View, texts []string) {
+	t.Helper()
+	eq := func(what string, a, b any) {
+		t.Helper()
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: %s = %v, full compile gives %v", step, what, a, b)
+		}
+	}
+	named := func(v *serving.View, ids []uint32) []string {
+		out := []string{}
+		for _, id := range ids {
+			out = append(out, v.Name(id))
+		}
+		return out
+	}
+	if _, ok := got.ID("不存在的节点", 0); ok {
+		t.Fatalf("%s: ID resolves a name that is no node", step)
+	}
+	for _, n := range want.Nodes() {
+		gid, ok := got.ID(n, 0)
+		wid, _ := want.ID(n, 0)
+		if !ok || got.Name(gid) != n {
+			t.Fatalf("%s: ID(%q) = %d, %v (named %q)", step, n, gid, ok, got.Name(gid))
+		}
+		eq("KindOf "+n, got.KindOf(gid), want.KindOf(wid))
+		eq("HypernymIDsOf "+n, named(got, got.HypernymIDsOf(gid)), named(want, want.HypernymIDsOf(wid)))
+		eq("HyponymIDsOf "+n, named(got, got.HyponymIDsOf(gid)), named(want, want.HyponymIDsOf(wid)))
+		eq("EvidenceTotalOf "+n, got.EvidenceTotalOf(gid), want.EvidenceTotalOf(wid))
+		for r := range want.HypernymIDsOf(wid) {
+			gh, gs := got.RankedHypernymAt(gid, r)
+			wh, ws := want.RankedHypernymAt(wid, r)
+			eq(fmt.Sprintf("RankedHypernymAt %s %d", n, r), []any{got.Name(gh), gs}, []any{want.Name(wh), ws})
+		}
+	}
+	found := func(v *serving.View, text string) (out [][]string) {
+		for _, f := range v.FindMentionsAppend(nil, text) {
+			out = append(out, append([]string{f.Surface}, named(v, v.MentionEntities(f.Row))...))
+		}
+		return out
+	}
+	prefixes := func(v *serving.View, text string) (out [][]string) {
+		for i := range text {
+			out = append(out, named(v, v.NamePrefixesAppend(nil, text[i:], 1, 8)))
+		}
+		return out
+	}
+	gotEngine, wantEngine := conceptualize.NewView(got), conceptualize.NewView(want)
+	for _, text := range texts {
+		eq("FindMentionsAppend "+text, found(got, text), found(want, text))
+		eq("NamePrefixesAppend "+text, prefixes(got, text), prefixes(want, text))
+		eq("Conceptualize "+text, gotEngine.Conceptualize(text), wantEngine.Conceptualize(text))
+		eq("Understand "+text, qa.Understand(text, got), qa.Understand(text, want))
 	}
 }
 
