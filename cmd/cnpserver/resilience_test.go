@@ -2,11 +2,13 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -351,7 +353,10 @@ func TestSigtermDrainsInflightIngest(t *testing.T) {
 
 // TestConcurrentProbesAndQueriesDuringIngest hammers probes, queries
 // and ingest batches at a live binary simultaneously — a smoke screen
-// for the full serving plane under mixed load.
+// for the full serving plane under mixed load. Every batch after the
+// first is published as a delta over the last flat view, and the
+// queries read the rows those deltas rewrite: the batches' pages and
+// the concept they all name.
 func TestConcurrentProbesAndQueriesDuringIngest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test: compiles and runs the binary")
@@ -376,19 +381,43 @@ func TestConcurrentProbesAndQueriesDuringIngest(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				if code := getStatus(t, apiBase+"/api/men2ent?mention=任意"); code != http.StatusOK {
-					t.Errorf("query under load = %d", code)
-					return
+				for _, q := range []string{
+					"/api/men2ent?mention=任意",
+					"/api/getConcept?entity=" + url.QueryEscape(fmt.Sprintf("混合负载实体%d·%d", i, j/2)),
+					"/api/getEntity?concept=" + url.QueryEscape(concept),
+				} {
+					if code := getStatus(t, apiBase+q); code != http.StatusOK {
+						t.Errorf("query %s under load = %d", q, code)
+						return
+					}
 				}
 				if code := getStatus(t, apiBase+"/readyz"); code != http.StatusOK {
 					t.Errorf("/readyz under load = %d", code)
 					return
 				}
 			}
-		}()
+		}(i)
 	}
 	wg.Wait()
+	// One batch more, its reply read: it was published over the last
+	// view, not compiled.
+	page, err := json.Marshal(map[string]any{"title": "混合负载实体·末", "tags": []string{concept}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ingestBase+"/ingest", "application/x-ndjson", bytes.NewReader(append(page, '\n')))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ack struct {
+		TouchedNodes int  `json:"touched_nodes"`
+		FullCompile  bool `json:"full_compile"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil || resp.StatusCode != http.StatusOK || ack.FullCompile || ack.TouchedNodes == 0 {
+		t.Fatalf("last batch: status %d, %+v, %v; want a publication over the last view", resp.StatusCode, ack, err)
+	}
 }

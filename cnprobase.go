@@ -140,8 +140,8 @@ func Build(c *Corpus, opts Options) (*Result, error) {
 // its candidates are dropped, as Build drops them. The incremental
 // state lives on the Result (and its
 // evidence and taxonomy), not on the pipeline, so each call may bring its
-// own Options. Result.Freeze then publishes the change by patching the
-// previous view. Results restored with LoadSnapshot (evidence-carrying
+// own Options. Result.Freeze then publishes the change as a delta over
+// the last flat view. Results restored with LoadSnapshot (evidence-carrying
 // snapshots) accept Update too; their first Update runs on cold caches
 // and re-decides every candidate once.
 func Update(prev *Result, delta *Corpus, opts Options) (*Result, error) {

@@ -303,7 +303,9 @@ func TestIngestPanicWedgesIngester(t *testing.T) {
 // TestShedDuringConcurrentSwap hammers a small-capacity server with
 // queries while another goroutine swaps the serving view — the
 // admission, metrics and view-swap paths all run concurrently so the
-// race detector can check their synchronization.
+// race detector can check their synchronization. The swapper alternates
+// a flat view and one with a delta over it, which the queried mention
+// reads a rewritten row of, as an ingesting server publishes them.
 func TestShedDuringConcurrentSwap(t *testing.T) {
 	srv, ts := resilientServer(t, ResilienceConfig{
 		MaxInFlight:   2,
@@ -311,21 +313,39 @@ func TestShedDuringConcurrentSwap(t *testing.T) {
 		LookupTimeout: time.Second,
 		HandlerDelay:  time.Millisecond,
 	})
+	tax := taxonomy.New()
+	tax.MarkEntity("李小龙（武术家）")
+	if err := tax.AddIsA("李小龙（武术家）", "武术家", taxonomy.SourceTag); err != nil {
+		t.Fatal(err)
+	}
+	tax.AddMention("李小龙", "李小龙（武术家）")
+	flat := serving.Compile(tax)
+	if err := tax.AddIsA("李小龙（演员）", "演员", taxonomy.SourceTag); err != nil {
+		t.Fatal(err)
+	}
+	tax.AddMention("李小龙", "李小龙（演员）")
+	var nodes []uint32
+	for _, n := range []string{"李小龙（演员）", "演员"} {
+		id, _ := tax.Symbols().Lookup(n)
+		nodes = append(nodes, id)
+	}
+	withDelta := serving.Patch(flat, tax, nodes, []string{"李小龙"})
+	if withDelta == nil || !withDelta.HasDelta() {
+		t.Fatal("Patch did not publish a delta")
+	}
 
 	stop := make(chan struct{})
 	swapperDone := make(chan struct{})
 	var wg sync.WaitGroup
 	go func() { // view swapper, runs until the queriers are done
 		defer close(swapperDone)
-		tax := taxonomy.New()
-		tax.MarkEntity("交换实体")
-		fresh := serving.Compile(tax)
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				srv.SwapView(fresh)
+				srv.SwapView(withDelta)
+				srv.SwapView(flat)
 			}
 		}
 	}()

@@ -209,8 +209,8 @@ func RunWorkload(c *Client, v *serving.View, cfg WorkloadConfig) (Stats, error) 
 }
 
 func splitNodes(v *serving.View) (entities, concepts []string) {
-	for id, n := range v.Nodes() {
-		switch v.KindOf(uint32(id)) {
+	for _, n := range v.Nodes() {
+		switch v.Kind(n) {
 		case taxonomy.KindEntity:
 			entities = append(entities, n)
 		case taxonomy.KindConcept:

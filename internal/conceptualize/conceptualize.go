@@ -189,7 +189,7 @@ func (e *Engine) ConceptualizeInto(res *Result, text string) {
 			agg[i].score /= total
 		}
 	}
-	slices.SortFunc(agg, byRank)
+	slices.SortFunc(agg, e.byRank)
 	for _, c := range agg {
 		res.Concepts = append(res.Concepts, taxonomy.Scored{Node: v.Name(c.id), Score: c.score})
 	}
@@ -265,11 +265,11 @@ func indexOf(xs []concept, id uint32) int {
 	return -1
 }
 
-// byRank orders concepts by descending score, ties by ascending ID —
-// which is name order, so this is the taxonomy's ranking order.
-func byRank(a, b concept) int {
+// byRank orders concepts by descending score, ties in name order
+// (View.CompareIDs) — the taxonomy's ranking order.
+func (e *Engine) byRank(a, b concept) int {
 	if c := cmp.Compare(b.score, a.score); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.id, b.id)
+	return e.v.CompareIDs(a.id, b.id)
 }

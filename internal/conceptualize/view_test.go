@@ -264,17 +264,19 @@ func TestConceptualizeIntoAllocations(t *testing.T) {
 		t.Skip("allocation counts are skewed under -race")
 	}
 	tx := fixture(t)
-	e := NewView(viewOf(t, tx))
-	text := "刘德华演唱了忘情水。"
-	var res Result
-	for i := 0; i < 8; i++ { // warm the pool and res capacity
-		e.ConceptualizeInto(&res, text)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		e.ConceptualizeInto(&res, text)
-	})
-	if allocs != 0 {
-		t.Fatalf("view-backed ConceptualizeInto allocates %.1f allocs/op, want 0", allocs)
+	for name, v := range servingtest.Backings(t, tx) {
+		e := NewView(v)
+		text := "刘德华演唱了忘情水。"
+		var res Result
+		for i := 0; i < 8; i++ { // warm the pool and res capacity
+			e.ConceptualizeInto(&res, text)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			e.ConceptualizeInto(&res, text)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s view: ConceptualizeInto allocates %.1f allocs/op, want 0", name, allocs)
+		}
 	}
 }
 

@@ -7,14 +7,22 @@ import (
 )
 
 // PublishReport describes the last Freeze of a Result: how much of the
-// taxonomy the view was brought up to date from.
+// taxonomy the view was brought up to date from, and what it publishes.
 type PublishReport struct {
 	// TouchedNodes is the number of nodes re-read from the taxonomy (0
 	// on a full compile, which reads all of them).
 	TouchedNodes int
 	// FullCompile is true when the view was compiled from the whole
-	// taxonomy rather than patched from the previous view.
+	// taxonomy rather than built on the previous view.
 	FullCompile bool
+	// Folded is true when the delta outgrew its share of the base
+	// (serving.View.Outgrown) and the publication folded it into flat
+	// arrays (serving.View.Fold) instead of publishing it.
+	Folded bool
+	// DeltaNodes and DeltaMentions are the node and mention rows of the
+	// delta this publication built — everything written since the base —
+	// and 0 when it built none (a flat view, or nothing written).
+	DeltaNodes, DeltaMentions int
 }
 
 // incremental is the state a Result carries between calls so that
@@ -36,7 +44,7 @@ type incremental struct {
 }
 
 // wrote hands what an update wrote to the consumers that follow
-// Update's diffs: the next patch of the view, if there is a view, and
+// Update's diffs: the next delta of the view, if there is a view, and
 // the head rule's next pass, if it has a memory to start from.
 func (inc *incremental) wrote(nodes []uint32, mentions []string) {
 	if inc.view != nil {
@@ -66,16 +74,18 @@ func (r *Result) followNamed() {
 // (api.Server.SwapView) to publish the new data.
 //
 // The first Freeze of a Result compiles the whole taxonomy. Later ones
-// patch the previous view: only the nodes and mentions the Updates
-// since wrote are re-read and their hypernyms re-ranked, and everything
-// else is copied from the previous view's arrays — one sequential copy
-// of the arrays plus work proportional to what changed, whatever the
-// size of the taxonomy. With nothing written, the previous view itself
-// is returned, and the Report's Publish reads zero touched nodes.
-// Either way the view answers, and serializes, exactly like
-// serving.Compile(r.Taxonomy). Freeze updates the Result's
-// bookkeeping, so it must not run concurrently with itself or with
-// Update.
+// publish the last flat view — the base — plus a delta: the rows of the
+// nodes and mentions the Updates since the base wrote, the ones written
+// since the previous Freeze re-read and ranked, the rest carried over
+// from the previous view. Nothing of the base is copied, so a
+// publication costs what was written since the base, whatever the size
+// of the taxonomy. The flat arrays are rebuilt (folded) only when the
+// delta outgrows a fixed share of the base, and when the view is saved
+// (PublishedView). With nothing written, the previous view itself is
+// returned, and the Report's Publish reads zero touched nodes. Either
+// way the view answers, and serializes, exactly like
+// serving.Compile(r.Taxonomy). Freeze updates the Result's bookkeeping,
+// so it must not run concurrently with itself or with Update.
 func (r *Result) Freeze() *serving.View {
 	r.followNamed()
 	inc := &r.inc
@@ -90,6 +100,10 @@ func (r *Result) Freeze() *serving.View {
 		// publication re-read no node (pub is zero).
 	default:
 		inc.view = serving.Patch(inc.view, r.Taxonomy, inc.nodes, inc.mentions)
+		if inc.view.Outgrown() {
+			inc.view, pub.Folded = inc.view.Fold(), true
+		}
+		pub.DeltaNodes, pub.DeltaMentions = inc.view.DeltaRows()
 	}
 	if inc.view == nil {
 		inc.view = serving.Compile(r.Taxonomy)
@@ -102,14 +116,17 @@ func (r *Result) Freeze() *serving.View {
 	return inc.view
 }
 
-// PublishedView returns the view the last Freeze produced when it
-// still describes the Result exactly — nothing has been written since
-// — and nil otherwise. Snapshot compaction serializes it instead of
-// compiling the taxonomy a second time.
+// PublishedView returns the view the last Freeze produced, folded flat,
+// when it still describes the Result exactly — nothing has been
+// written since — and nil otherwise. Snapshot compaction serializes it
+// instead of compiling the taxonomy a second time. The folded view
+// answers like the published one and becomes the base the next Freeze
+// builds on, so a compaction is also where the delta is folded.
 func (r *Result) PublishedView() *serving.View {
 	r.followNamed()
 	if r.inc.view == nil || len(r.inc.nodes)+len(r.inc.mentions) > 0 {
 		return nil
 	}
+	r.inc.view = r.inc.view.Fold()
 	return r.inc.view
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"cnprobase/internal/encyclopedia"
@@ -89,4 +90,62 @@ func TestMentionEntitiesAreNodes(t *testing.T) {
 		t.Fatalf("Update: %v", err)
 	}
 	requireMentionEntitiesMarked("updated", res)
+}
+
+// TestPublishAllocationBudget holds publication to the batch, not the
+// world: a batch of one page that writes one edge, published by Freeze
+// over a freshly compiled view, allocates at most publishBudget bytes
+// besides the hyponym list of the concept the edge names, and the same
+// publication on a world four times larger within a quarter more. That
+// list is the one term that grows with the world: the delta holds the
+// concept's row whole, 4 B per hyponym, and a concept that every page
+// names (人物) has hyponyms in proportion to the world. A concept whose
+// hyponyms do not grow with it (大学) keeps the whole publication within
+// the quarter. Freeze used to copy the view's arrays, about 34 B per
+// edge of the view, so four times as much on the larger world.
+func TestPublishAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are skewed under -race")
+	}
+	const publishBudget = 12 << 10
+	publish := func(entities int, tag string) (bytes, hypoBytes uint64) {
+		t.Helper()
+		p := New(fastOptions())
+		res, err := p.Build(buildSmallWorld(t, entities).Corpus())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Freeze()
+		page := encyclopedia.Page{Title: "预算条目甲", Abstract: "预算条目甲是一个条目。", Tags: []string{tag}}
+		if _, err := p.Update(res, &encyclopedia.Corpus{Pages: []encyclopedia.Page{page}}); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		v := res.Freeze()
+		runtime.ReadMemStats(&after)
+		if pub := res.Report.Publish; pub.DeltaNodes == 0 || pub.Folded {
+			t.Fatalf("%d entities: the batch published %+v, want a delta", entities, pub)
+		}
+		id, ok := v.ID(tag, 0)
+		if e, _ := v.EdgeOf(page.Title, tag); !ok || e.Sources == 0 {
+			t.Fatalf("%d entities: the batch did not write %s isA %s", entities, page.Title, tag)
+		}
+		return after.TotalAlloc - before.TotalAlloc, 4 * uint64(len(v.HyponymIDsOf(id)))
+	}
+	for _, tag := range []string{"大学", "人物"} {
+		small, smallHypos := publish(1200, tag)
+		large, largeHypos := publish(4800, tag)
+		t.Logf("%s: %d B (%d B of hyponyms); on the world 4x larger %d B (%d B of hyponyms)", tag, small, smallHypos, large, largeHypos)
+		small, large = small-smallHypos, large-largeHypos
+		if small > publishBudget || large > publishBudget {
+			t.Errorf("%s: a one-edge publication allocates %d B and, on the world 4x larger, %d B besides the concept's hyponyms; budget %d B", tag, small, large, publishBudget)
+		}
+		if 4*large > 5*small {
+			t.Errorf("%s: a one-edge publication allocates %d B besides the concept's hyponyms, and %d B on the world 4x larger: more than a quarter more", tag, small, large)
+		}
+		if tag == "大学" && 4*(large+largeHypos) > 5*(small+smallHypos) {
+			t.Errorf("%s: a one-edge publication allocates %d B, and %d B on the world 4x larger: more than a quarter more", tag, small+smallHypos, large+largeHypos)
+		}
+	}
 }

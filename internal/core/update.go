@@ -35,8 +35,8 @@ import (
 //
 // What the batch wrote — the pairs that joined or left the kept and
 // derived lists or gained a source, the pages whose kind changed, the
-// mentions that gained an entity — is what the next Freeze patches and
-// what subconcept derivation re-tests. No step walks the union, the
+// mentions that gained an entity — is what the next Freeze re-reads
+// into its delta and what subconcept derivation re-tests. No step walks the union, the
 // node list or the lists, none allocates in proportion to the kept
 // list, and raw pages are never retained.
 //

@@ -205,13 +205,14 @@ func Understand(text string, v *serving.View) Understanding {
 	var idBuf [64]uint32
 	for _, f := range v.FindMentionsAppend(foundBuf[:0], text) {
 		ents := v.MentionEntities(f.Row)
-		// Hypernym IDs ascend with names, so the sorted union of the
-		// candidates' concepts is their ID segments merged.
+		// Each candidate's hypernym IDs are in name order, so the sorted
+		// union of the candidates' concepts is their segments merged in
+		// the view's ID order.
 		ids := idBuf[:0]
 		for _, id := range ents {
 			ids = append(ids, v.HypernymIDsOf(id)...)
 		}
-		slices.Sort(ids)
+		v.SortIDs(ids)
 		ids = slices.Compact(ids)
 		if len(ids) > 0 {
 			u.Covered = true

@@ -33,7 +33,7 @@ import (
 func Compile(t *taxonomy.Taxonomy) *View {
 	names := t.Symbols().Names()
 	order := t.Nodes()
-	ch := &change{rank: make([]int32, len(names)), symNames: names}
+	ch := &change{rank: make([]int32, len(names)), name: func(id uint32) string { return names[id] }}
 	for i := range ch.rank {
 		ch.rank[i] = -1
 	}
@@ -50,29 +50,37 @@ func Compile(t *taxonomy.Taxonomy) *View {
 		row.ents = ents[from:i:i]
 		ch.mentions = append(ch.mentions, row)
 	}
-	v, _ := assemble(&View{}, ch)
-	return v
+	return assemble(&View{}, ch)
 }
 
-// Patch returns the view Compile(t) would build, assembled from prev —
-// a view compiled or patched from the same taxonomy earlier — and a
-// read of only the named nodes (symbol IDs) and mentions. They must
-// cover everything written since prev was built: the ends of every pair
-// that joined or left Kept or Derived or changed its sources, every
-// node whose kind changed, every mention that gained an entity — what
-// core.Update's diffs name. Everything else is copied from prev's
-// arrays with node IDs shifted past the nodes that appeared or
-// vanished, so the cost is one pass over the arrays plus work
-// proportional to the named nodes' adjacency and mentions.
+// Patch returns a view that answers like Compile(t), built from prev —
+// a view compiled, patched, folded or mapped from the same taxonomy
+// earlier — and a read of only the named nodes (symbol IDs) and
+// mentions. They must cover everything written since prev was built:
+// the ends of every pair that joined or left Kept or Derived or changed
+// its sources, every node whose kind changed, every mention that gained
+// an entity — what core.Update's diffs name.
 //
-// The result is an ordinary View with the same layout, the same
-// answers and the same image bytes as a full compile. prev may have
-// any backing: a patched view copies everything it keeps. Patch
-// returns nil when the names do not cover the difference (prev belongs
-// to another taxonomy, or the list missed a write); compile in full
-// then.
+// The result is prev's base plus a delta: the rows of the named nodes
+// and mentions, read now, and the rows of prev's own delta, carried
+// over. Nothing of the base is copied, so the cost is the read plus the
+// delta's rows — what was written since the base, not what exists.
+// Folding a delta that has grown too large is the caller's call
+// (Outgrown, Fold). Patch returns nil when the names do not cover the
+// difference (prev belongs to another taxonomy, or the list missed a
+// write); compile in full then.
 func Patch(prev *View, t *taxonomy.Taxonomy, nodes []uint32, mentions []string) *View {
-	ch := &change{symNames: t.Symbols().Names()}
+	return extend(prev, readNamed(t, nodes, mentions))
+}
+
+// readNamed reads the named nodes and mentions of t as a change: the
+// nodes in name order, each mention's entities among them. A mention's
+// entity is a node whatever the taxonomy holds of it, so a named node
+// one of the mentions read names is not absent; one an untouched
+// mention names is kept by extend.
+func readNamed(t *taxonomy.Taxonomy, nodes []uint32, mentions []string) *change {
+	names := t.Symbols().Names()
+	ch := &change{name: func(id uint32) string { return names[id] }}
 	mentions = slices.Clone(mentions)
 	slices.Sort(mentions)
 	var ents []uint32
@@ -87,25 +95,15 @@ func Patch(prev *View, t *taxonomy.Taxonomy, nodes []uint32, mentions []string) 
 		}
 	}
 	nodes = slices.Concat(nodes, ents)
-	slices.SortFunc(nodes, func(a, b uint32) int { return strings.Compare(ch.symNames[a], ch.symNames[b]) })
+	slices.SortFunc(nodes, func(a, b uint32) int { return strings.Compare(names[a], names[b]) })
 	nodes = slices.Compact(nodes)
 	ch.read(t, nodes)
-	// A mention's entity is a node, whatever the taxonomy holds of it:
-	// those of the mentions read, and — found by a first assembly — any
-	// node read as absent that an untouched mention still names.
 	slices.Sort(ents)
 	for i, id := range nodes {
 		_, named := slices.BinarySearch(ents, id)
 		ch.absent[i] = ch.absent[i] && !named
 	}
-	v, missing := assemble(prev, ch)
-	if len(missing) > 0 {
-		for i, name := range ch.names {
-			ch.absent[i] = ch.absent[i] && !slices.Contains(missing, name)
-		}
-		v, _ = assemble(prev, ch)
-	}
-	return v
+	return ch
 }
 
 // change is what assemble folds over a previous view: the current
@@ -126,7 +124,9 @@ type change struct {
 	// when it is no node; nil for a read of named nodes.
 	rank     []int32
 	mentions []changeMention // ascending by text, distinct
-	symNames []string        // names the symbol IDs
+	// name names a node: by symbol ID for a read, by node ID of the
+	// folded view for a fold.
+	name func(uint32) string
 }
 
 // changeEdge is one edge of a change's node. at is the hypernym's
@@ -138,7 +138,8 @@ type changeEdge struct {
 	sources taxonomy.Source
 }
 
-// changeMention is one mention and its entities, by symbol ID.
+// changeMention is one mention and its entities, named by the change's
+// name.
 type changeMention struct {
 	text string
 	ents []uint32
@@ -158,7 +159,7 @@ func (ch *change) read(t *taxonomy.Taxonomy, ids []uint32) {
 	var pairs []taxonomy.Pair
 	for i, id := range ids {
 		pairs = t.AppendEdges(pairs[:0], id)
-		ch.names[i], ch.kinds[i] = ch.symNames[id], t.KindOf(id)
+		ch.names[i], ch.kinds[i] = ch.name(id), t.KindOf(id)
 		// A node is marked or the hyponym of an edge (a hypernym is always
 		// marked); a full read holds mention entities too (Nodes).
 		ch.absent[i] = ch.rank == nil && ch.kinds[i] == taxonomy.KindUnknown && len(pairs) == 0
@@ -168,7 +169,7 @@ func (ch *change) read(t *taxonomy.Taxonomy, ids []uint32) {
 			if ch.rank != nil {
 				at = ch.rank[p.Hyper]
 			}
-			ch.edges = append(ch.edges, changeEdge{hyper: ch.symNames[p.Hyper], at: at, sources: p.Source})
+			ch.edges = append(ch.edges, changeEdge{hyper: ch.name(p.Hyper), at: at, sources: p.Source})
 		}
 		slices.SortFunc(ch.edges[from:], func(a, b changeEdge) int {
 			if ch.rank != nil {
@@ -187,15 +188,13 @@ type run struct{ lo, hi, at uint32 }
 // gone marks a node that has no ID in the new view.
 const gone = ^uint32(0)
 
-// assemble is the one array-assembly routine behind Compile and Patch.
+// assemble is the one array-assembly routine behind Compile and Fold.
 // Nodes the change names are written from the change; the stretches of
 // prev between them are block-copied, the node IDs inside them
 // renumbered through a monotone old → new table. It returns nil when
 // the change does not cover the difference: a carried-over or restated
-// edge, or a mention, names a node the new view lacks — and, when
-// carried-over mentions name nodes the change reads as absent, their
-// names (see Patch).
-func assemble(prev *View, ch *change) (*View, []string) {
+// edge, or a mention, names a node the new view lacks.
+func assemble(prev *View, ch *change) *View {
 	// ---- plan: interleave prev's untouched runs with the named nodes ----
 	var runs []run
 	remap := make([]uint32, prev.names.len()) // prev ID → new ID, or gone
@@ -275,7 +274,6 @@ func assemble(prev *View, ch *change) (*View, []string) {
 	v.mentions = newTable(rows, menBytes)
 	v.mentionOff = make([]uint32, 0, rows+1)
 	v.mentionEnts = make([]uint32, 0, ents)
-	var missing []string
 	covered := true
 	p = 0
 	keepRows := func(hi uint32) {
@@ -287,9 +285,7 @@ func assemble(prev *View, ch *change) (*View, []string) {
 				v.mentionOff = append(v.mentionOff, o+shift)
 			}
 			for _, id := range prev.mentionEnts[a:b] {
-				if remap[id] == gone {
-					missing = append(missing, prev.Name(id))
-				}
+				covered = covered && remap[id] != gone
 				v.mentionEnts = append(v.mentionEnts, remap[id])
 			}
 			p = hi
@@ -319,7 +315,7 @@ func assemble(prev *View, ch *change) (*View, []string) {
 					id, ok = at[c], at[c] != gone
 				}
 			} else {
-				id, ok = v.ID(ch.symNames[ent], 0)
+				id, ok = v.ID(ch.name(ent), 0)
 			}
 			covered = covered && ok
 			v.mentionEnts = append(v.mentionEnts, id)
@@ -329,8 +325,8 @@ func assemble(prev *View, ch *change) (*View, []string) {
 	}
 	keepRows(uint32(prev.mentions.len()))
 	v.mentionOff = append(v.mentionOff, uint32(len(v.mentionEnts)))
-	if !covered || len(missing) > 0 {
-		return nil, missing
+	if !covered {
+		return nil
 	}
 
 	// ---- hypernym CSR: the canonical edge arrays, laid out in ID order
@@ -378,10 +374,10 @@ func assemble(prev *View, ch *change) (*View, []string) {
 	}
 	v.hyperOff[n] = off
 	if !covered {
-		return nil, nil
+		return nil
 	}
 	v.derive(prev, runs, remap, fresh)
-	return v, nil
+	return v
 }
 
 // newTable returns an empty table with room for rows entries of

@@ -24,8 +24,15 @@ func PooledScratchCaps() (rs, offs, found int) {
 }
 
 // FilterMatchesTable reports whether v's first-rune filter is the one
-// firstRuneSet builds over v's mention table: what Patch, which only
-// adds the change's first runes to prev's filter, must keep true.
+// firstRuneSet builds over v's mention tables — the base's and, on a
+// view with a delta, the delta's: what Patch, which only adds the
+// change's first runes to prev's filter, must keep true.
 func FilterMatchesTable(v *View) bool {
-	return slices.Equal(v.mentionFirst, firstRuneSet(v.mentions))
+	want := firstRuneSet(v.mentions)
+	if d := v.delta; d != nil {
+		for i := range d.rows.mentions.len() {
+			want.add(d.rows.mentions.at(i))
+		}
+	}
+	return slices.Equal(v.mentionFirst, want)
 }

@@ -8,11 +8,13 @@ import (
 
 // Text scanning over the view's mention table — the primitive the
 // conceptualization and QA engines run on. Every view, compiled,
-// patched or mapped, scans the same way: from each rune position it
+// folded or mapped, scans the same way: from each rune position it
 // seeks a growing byte prefix in the sorted mention table, behind a
-// first-rune filter. The scan answers exactly like a trie scan of the
-// same mentions (the serving tests' oracle): greedy longest-match from each rune position,
-// distinct surfaces in first-occurrence order. Like every other View
+// first-rune filter — and a view with a delta in the delta's table too,
+// whose row for a mention stands in for the base's. The scan answers
+// exactly like a trie scan of the same mentions (the serving tests'
+// oracle): greedy longest-match from each rune position, distinct
+// surfaces in first-occurrence order. Like every other View
 // query it takes no locks, and the append forms allocate nothing on
 // the steady path.
 
@@ -68,7 +70,7 @@ func (v *View) FindAll(text string) []string { return v.FindAllAppend(nil, text)
 //
 //cnp:noalloc
 func (v *View) FindAllAppend(dst []string, text string) []string {
-	if v.mentions.len() == 0 || text == "" {
+	if v.MentionCount() == 0 || text == "" {
 		return dst
 	}
 	sc := findPool.Get().(*findScratch)
@@ -86,7 +88,7 @@ func (v *View) FindAllAppend(dst []string, text string) []string {
 //
 //cnp:noalloc
 func (v *View) FindMentionsAppend(dst []Found, text string) []Found {
-	if v.mentions.len() == 0 || text == "" {
+	if v.MentionCount() == 0 || text == "" {
 		return dst
 	}
 	sc := findPool.Get().(*findScratch)
@@ -96,12 +98,19 @@ func (v *View) FindMentionsAppend(dst []Found, text string) []Found {
 }
 
 // MentionEntities returns the entities of mention-table row as node
-// IDs, ascending — what Lookup answers for that row's mention, by
-// Name. The returned slice is shared: do not modify it.
+// IDs in name order (CompareIDs) — what Lookup answers for that row's
+// mention, by Name. row is one MentionRow or a scan handed out: on a
+// view with a delta, the delta's rows are numbered past the base's and
+// stand in for the base's rows of the same mentions. The returned slice
+// is shared: do not modify it.
 //
 //cnp:noalloc
 func (v *View) MentionEntities(row int32) []uint32 {
-	return v.mentionEnts[v.mentionOff[row]:v.mentionOff[row+1]]
+	m := v
+	if d := v.delta; d != nil && int(row) >= v.mentions.len() {
+		m, row = &d.rows, row-int32(v.mentions.len())
+	}
+	return m.mentionEnts[m.mentionOff[row]:m.mentionOff[row+1]]
 }
 
 // scan is the one greedy matcher behind both append forms.
@@ -134,6 +143,12 @@ func (v *View) scan(sc *findScratch, dst []Found, text string) []Found {
 		var row int32
 		if v.mentionFirst.has(rs[i]) {
 			l, row = v.longestMentionFrom(text, offs, i)
+			if d := v.delta; d != nil {
+				// A delta row replaces the base's row of its mention.
+				if dl, drow := d.rows.longestMentionFrom(text, offs, i); dl > 0 && dl >= l {
+					l, row = dl, drow+int32(v.mentions.len())
+				}
+			}
 		}
 		if l == 0 {
 			i++

@@ -81,8 +81,10 @@ type SizedImage struct {
 // mappable image layout. base is the absolute file offset the
 // payload will land at: blocks are padded so their file offsets are
 // 8-aligned, making them aligned in any page-aligned mapping of the
-// file.
+// file. A view with a delta is folded first (Fold), so the bytes are
+// Compile's either way.
 func (v *View) Image(base uint64) (SizedImage, error) {
+	v = v.Fold()
 	im := SizedImage{v: v, base: base}
 	n, e := v.names.len(), len(v.hyperIDs)
 	m, me := v.mentions.len(), len(v.mentionEnts)
@@ -374,9 +376,9 @@ func checkOffsets(what string, offs []uint32, total uint32, strict bool) error {
 // snapshot.OpenMapped ties the mapping's lifetime to the View with a
 // finalizer.
 //
-// A mapped View has the layout Compile and Patch build on the heap, so
-// it answers through the same code, with the same 0 allocs/op per
-// query.
+// A mapped View has the flat layout Compile and Fold build on the
+// heap, so it answers through the same code, with the same 0 allocs/op
+// per query.
 func OpenImage(data []byte, base uint64) (*View, error) {
 	img, err := parseImage(data, base)
 	if err != nil {

@@ -136,15 +136,21 @@ func requireSameIDSurface(t *testing.T, step string, got, want *serving.View, te
 }
 
 // TestFreezePatchesLikeCompile is the one equivalence test of the
-// patched view: a seeded crawl whose batches between them re-crawl a
+// published view: a seeded crawl whose batches between them re-crawl a
 // page, retract a previously kept edge, deliver a page after the
-// candidates that name it, fail, pile up without a Freeze in between
-// and continue on a snapshot-loaded Result. After every step the view
-// Freeze returns must be indistinguishable — in every query and byte
-// for byte in its image — from serving.Compile of the same taxonomy, whose
-// own answers internal/taxonomy's model test holds to the string-keyed
-// oracle — and its first-rune filter, which Patch grows from prev's
-// instead of rebuilding, must be the one its mention table gives.
+// candidates that name it, fail, pile up without a Freeze in between,
+// continue on a snapshot-loaded Result, and come small enough that
+// their deltas pile up over one base until it is outgrown and folded,
+// and once more after a save has folded it. After every step the view
+// Freeze returns — a base plus a delta, or a fold — must be
+// indistinguishable — in every query, by name and by ID, in the
+// engines' answers and byte for byte in its image — from
+// serving.Compile of the same taxonomy, whose own answers
+// internal/taxonomy's model test holds to the string-keyed oracle — and
+// its first-rune filter, which Patch grows from prev's instead of
+// rebuilding, must be the one its mention tables give. The crawl must
+// publish at least six deltas and fold at least one that outgrew its
+// base, as the report of each Freeze says.
 func TestFreezePatchesLikeCompile(t *testing.T) {
 	cfg := synth.DefaultConfig()
 	cfg.Entities = 1500
@@ -157,7 +163,7 @@ func TestFreezePatchesLikeCompile(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.EnableNeural = false
 	p := core.New(opts)
-	const base, step = 900, 60
+	const base, step = 900, 25
 	res, err := p.Build(&encyclopedia.Corpus{Pages: pages[:base]})
 	if err != nil {
 		t.Fatal(err)
@@ -166,12 +172,22 @@ func TestFreezePatchesLikeCompile(t *testing.T) {
 	for i := 0; i < len(pages); i += 97 {
 		texts = append(texts, pages[i].Abstract, pages[i].Title+"是谁")
 	}
-	patched := 0
+	patched, deltas, folds := 0, 0, 0
 	check := func(name string) {
 		t.Helper()
 		v := res.Freeze()
 		if !res.Report.Publish.FullCompile {
 			patched++
+		}
+		t.Logf("%s: %+v", name, res.Report.Publish)
+		switch pub := res.Report.Publish; {
+		case pub.Folded:
+			folds++
+		case pub.DeltaNodes > 0:
+			deltas++
+		}
+		if pub := res.Report.Publish; pub.TouchedNodes > 0 && v.HasDelta() != (pub.DeltaNodes > 0) {
+			t.Fatalf("%s: the view has a delta %v, but the report reads %+v", name, v.HasDelta(), res.Report.Publish)
 		}
 		requireSameAnswers(t, name, v, serving.Compile(res.Taxonomy), texts)
 		if !serving.FilterMatchesTable(v) {
@@ -179,11 +195,12 @@ func TestFreezePatchesLikeCompile(t *testing.T) {
 		}
 	}
 	next := base
-	batch := func(extra ...encyclopedia.Page) *encyclopedia.Corpus {
-		c := &encyclopedia.Corpus{Pages: append(append([]encyclopedia.Page(nil), pages[next:next+step]...), extra...)}
-		next += step
+	batchOf := func(n int, extra ...encyclopedia.Page) *encyclopedia.Corpus {
+		c := &encyclopedia.Corpus{Pages: append(append([]encyclopedia.Page(nil), pages[next:next+n]...), extra...)}
+		next += n
 		return c
 	}
+	batch := func(extra ...encyclopedia.Page) *encyclopedia.Corpus { return batchOf(step, extra...) }
 	update := func(name string, delta *encyclopedia.Corpus) {
 		t.Helper()
 		if _, err := p.Update(res, delta); err != nil {
@@ -273,8 +290,25 @@ func TestFreezePatchesLikeCompile(t *testing.T) {
 	update("loaded, batch 2", batch())
 	check("loaded, batch 2")
 
+	// Small batches: the delta grows across publications until it
+	// outgrows its base and is folded.
+	for i := range 8 {
+		update(fmt.Sprint("small batch ", i), batchOf(10))
+		check(fmt.Sprint("small batch ", i))
+	}
+	// A save folds the view it writes, and the next publication lays
+	// its delta over the folded base.
+	if v := res.PublishedView(); v == nil || v.HasDelta() {
+		t.Fatal("PublishedView must hand out the last view, folded")
+	}
+	update("after a save", batchOf(10))
+	check("after a save")
+
 	if patched < 8 {
 		t.Fatalf("only %d of the freezes patched a previous view", patched)
+	}
+	if deltas < 6 || folds < 1 {
+		t.Fatalf("%d publications published a delta and %d folded one that outgrew its base; want at least 6 and 1", deltas, folds)
 	}
 	if next > len(pages) {
 		t.Fatal(fmt.Sprint("ran out of pages at ", next))

@@ -89,11 +89,16 @@ func patchBudgetStore(tb testing.TB) *taxonomy.Taxonomy {
 	return tax
 }
 
-// TestPatchAllocationBudget bounds what publishing a one-node change
-// allocates per edge of the view — the world-sized copy every ingest
-// batch pays — and pins every per-edge array pointer-free, so a
+// TestPatchAllocationBudget bounds what folding a one-node delta
+// allocates per edge of the view — the world-sized copy a fold pays
+// (publication itself copies only the delta; TestPublishAllocationBudget
+// holds that) — and pins every per-edge array pointer-free, so a
 // string-bearing per-edge array, which the collector has to scan and the
 // copy has to write-barrier, cannot come back unnoticed.
+//
+// Until publication became a delta over a base, every batch paid this
+// copy, as a patch of the previous flat view; the figures below are that
+// patch's, which the fold now does.
 //
 // On this 3 791-edge, 1 541-node store a patch allocated 138.1 B/edge
 // while each rank array was a []taxonomy.Scored (24 B/edge, holding a
@@ -138,23 +143,24 @@ func TestPatchAllocationBudget(t *testing.T) {
 	hypo, _ := tax.Symbols().Lookup("实体0000")
 	hyper, _ := tax.Symbols().Lookup("概念39")
 	nodes := []uint32{hypo, hyper} // the new edge's two ends
+	d := Patch(prev, tax, nodes, nil)
+	if d == nil || !d.HasDelta() {
+		t.Fatal("Patch did not publish the edge's two ends as a delta")
+	}
 	const runs = 20
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	var v *View
 	for i := 0; i < runs; i++ {
-		v = Patch(prev, tax, nodes, nil)
+		v = d.Fold()
 	}
 	runtime.ReadMemStats(&after)
-	if v == nil {
-		t.Fatal("Patch refused the edge's two ends")
-	}
 	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(v.EdgeCount())
-	t.Logf("%d edges, %d nodes: %.1f B/edge per patch", v.EdgeCount(), v.NodeCount(), perEdge)
+	t.Logf("%d edges, %d nodes: %.1f B/edge per fold", v.EdgeCount(), v.NodeCount(), perEdge)
 	const budget = 34
 	if perEdge > budget {
-		t.Errorf("a one-node patch allocates %.1f B per edge, budget %d", perEdge, budget)
+		t.Errorf("folding a one-node delta allocates %.1f B per edge, budget %d", perEdge, budget)
 	}
 }
 

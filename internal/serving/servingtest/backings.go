@@ -11,32 +11,62 @@ import (
 	"cnprobase/internal/taxonomy"
 )
 
-// Backings returns the taxonomy's current content as the three ways a
+// Backings returns the taxonomy's current content as the ways a
 // serving.View comes to be, by name: "compiled" is serving.Compile;
-// "patched" is serving.Patch over the compiled view with every other
-// node and mention re-read from the taxonomy, so copied runs and fresh
-// rows interleave; "image" is opened over the compiled view's
-// serialized bytes, as a mapped snapshot is. All three have the one
-// view layout, so they must answer alike.
+// "patched" is serving.Patch over the compile of an older state of the
+// taxonomy — every third symbol no node yet — with the difference and
+// every other node and mention re-read, so it is a base plus a delta
+// whose new nodes, rewritten base rows and carried base rows interleave;
+// "folded" is that view folded flat; "image" is opened over the compiled
+// view's serialized bytes, as a mapped snapshot is. All of them must
+// answer alike.
 func Backings(t testing.TB, tx *taxonomy.Taxonomy) map[string]*serving.View {
 	t.Helper()
 	compiled := serving.Compile(tx)
 
+	// The older state: the same lists without the nodes whose symbol ID
+	// is 1 mod 3, their edges or their mentions.
+	drop := func(id uint32) bool { return id%3 == 1 }
+	kinds := make([]taxonomy.NodeKind, len(tx.Symbols().Names()))
+	for id := range kinds {
+		if !drop(uint32(id)) {
+			kinds[id] = tx.KindOf(uint32(id))
+		}
+	}
 	var nodes []uint32
+	keep := func(pairs []taxonomy.Pair) (out []taxonomy.Pair) {
+		for _, p := range pairs {
+			if drop(p.Hypo) || drop(p.Hyper) {
+				nodes = append(nodes, p.Hypo, p.Hyper)
+			} else {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	var mentions []string
+	var ms []taxonomy.Mention
+	for _, m := range tx.Mentions {
+		if drop(m.Entity) {
+			mentions = append(mentions, m.Text)
+		} else {
+			ms = append(ms, m)
+		}
+	}
+	older := taxonomy.Restore(tx.Symbols(), kinds, keep(tx.Kept), keep(tx.Derived), ms)
 	for i, n := range compiled.Nodes() {
-		if id, ok := tx.Symbols().Lookup(n); ok && i%2 == 0 {
+		if id, ok := tx.Symbols().Lookup(n); ok && (i%2 == 0 || drop(id)) {
 			nodes = append(nodes, id)
 		}
 	}
-	var mentions []string
 	for i, text := range MentionTexts(tx) {
 		if i%2 == 1 {
 			mentions = append(mentions, text)
 		}
 	}
-	patched := serving.Patch(compiled, tx, nodes, mentions)
-	if patched == nil {
-		t.Fatal("servingtest: Patch over the same taxonomy's compiled view refused")
+	patched := serving.Patch(serving.Compile(older), tx, nodes, mentions)
+	if patched == nil || !patched.HasDelta() {
+		t.Fatal("servingtest: Patch over an older state of the taxonomy did not publish a delta")
 	}
 
 	im, err := compiled.Image(0)
@@ -51,7 +81,7 @@ func Backings(t testing.TB, tx *taxonomy.Taxonomy) map[string]*serving.View {
 	if err != nil {
 		t.Fatalf("servingtest: OpenImage: %v", err)
 	}
-	return map[string]*serving.View{"compiled": compiled, "patched": patched, "image": opened}
+	return map[string]*serving.View{"compiled": compiled, "patched": patched, "folded": patched.Fold(), "image": opened}
 }
 
 // RankedHypernyms reads node's first limit hypernyms (all when limit <=

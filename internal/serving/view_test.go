@@ -142,36 +142,56 @@ func TestCompileMatchesStoreRandomized(t *testing.T) {
 // for: the lookups the API handlers answer from — by ID, and the
 // name-keyed ones — allocate nothing. Hypernyms, Hyponyms and Lookup,
 // which build their name list per call, allocate exactly that list.
+// It holds on a flat view and on one with a delta, whose new node and
+// rewritten rows the queries read.
 func TestQueryAllocations(t *testing.T) {
 	tax := fixture(t)
-	v := Compile(tax)
-	id, _ := v.ID("实体00（人物）", 0)
-	concept, _ := v.ID("概念0", 0)
-	cases := []struct {
-		name   string
-		allocs float64
-		fn     func()
-	}{
-		{"Hypernyms", 1, func() { _ = v.Hypernyms("实体00（人物）") }},
-		{"HypernymsMiss", 0, func() { _ = v.Hypernyms("不存在") }},
-		{"Hyponyms", 1, func() { _ = v.Hyponyms("概念0", 50) }},
-		{"HyponymsMiss", 0, func() { _ = v.Hyponyms("不存在", 50) }},
-		{"ID", 0, func() { _, _ = v.ID("概念0", 0) }},
-		{"HypernymIDsOf", 0, func() { _ = v.HypernymIDsOf(id) }},
-		{"HyponymIDsOf", 0, func() { _ = v.HyponymIDsOf(concept) }},
-		{"Name", 0, func() { _ = v.Name(concept) }},
-		{"RankedHypernymAt", 0, func() { _, _ = v.RankedHypernymAt(id, 0) }},
-		{"Lookup", 1, func() { _ = v.Lookup("实体00") }},
-		{"LookupMiss", 0, func() { _ = v.Lookup("不存在") }},
-		{"MentionRow", 0, func() { _, _ = v.MentionRow("实体00", 0) }},
-		{"MentionEntities", 0, func() { _ = v.MentionEntities(0) }},
-		{"Kind", 0, func() { _ = v.Kind("概念0") }},
-		{"EdgeOf", 0, func() { _, _ = v.EdgeOf("实体00（人物）", "概念0") }},
-		{"EvidenceTotalOf", 0, func() { _ = v.EvidenceTotalOf(id) }},
+	flat := Compile(tax)
+	if err := tax.AddIsA("新实体（人物）", "概念0", taxonomy.SourceTag); err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if allocs := testing.AllocsPerRun(100, c.fn); allocs != c.allocs {
-			t.Errorf("%s allocates %.1f objects per op, want %.0f", c.name, allocs, c.allocs)
+	tax.AddMention("实体00", "新实体（人物）")
+	var nodes []uint32
+	for _, n := range []string{"新实体（人物）", "概念0"} {
+		id, _ := tax.Symbols().Lookup(n)
+		nodes = append(nodes, id)
+	}
+	withDelta := Patch(flat, tax, nodes, []string{"实体00"})
+	if withDelta == nil || !withDelta.HasDelta() {
+		t.Fatal("Patch did not publish a delta")
+	}
+	for name, v := range map[string]*View{"flat": flat, "delta": withDelta} {
+		id, _ := v.ID("实体00（人物）", 0)
+		concept, _ := v.ID("概念0", 0)
+		row, _ := v.MentionRow("实体00", 0)
+		cases := []struct {
+			name   string
+			allocs float64
+			fn     func()
+		}{
+			{"Hypernyms", 1, func() { _ = v.Hypernyms("实体00（人物）") }},
+			{"HypernymsMiss", 0, func() { _ = v.Hypernyms("不存在") }},
+			{"Hyponyms", 1, func() { _ = v.Hyponyms("概念0", 50) }},
+			{"HyponymsMiss", 0, func() { _ = v.Hyponyms("不存在", 50) }},
+			{"ID", 0, func() { _, _ = v.ID("概念0", 0) }},
+			{"IDOfNewNode", 0, func() { _, _ = v.ID("新实体（人物）", 0) }},
+			{"HypernymIDsOf", 0, func() { _ = v.HypernymIDsOf(id) }},
+			{"HyponymIDsOf", 0, func() { _ = v.HyponymIDsOf(concept) }},
+			{"Name", 0, func() { _ = v.Name(concept) }},
+			{"RankedHypernymAt", 0, func() { _, _ = v.RankedHypernymAt(id, 0) }},
+			{"Lookup", 1, func() { _ = v.Lookup("实体00") }},
+			{"LookupMiss", 0, func() { _ = v.Lookup("不存在") }},
+			{"MentionRow", 0, func() { _, _ = v.MentionRow("实体00", 0) }},
+			{"MentionEntities", 0, func() { _ = v.MentionEntities(int32(row)) }},
+			{"Kind", 0, func() { _ = v.Kind("概念0") }},
+			{"EdgeOf", 0, func() { _, _ = v.EdgeOf("实体00（人物）", "概念0") }},
+			{"EvidenceTotalOf", 0, func() { _ = v.EvidenceTotalOf(id) }},
+			{"CompareIDs", 0, func() { _ = v.CompareIDs(id, concept) }},
+		}
+		for _, c := range cases {
+			if allocs := testing.AllocsPerRun(100, c.fn); allocs != c.allocs {
+				t.Errorf("%s view: %s allocates %.1f objects per op, want %.0f", name, c.name, allocs, c.allocs)
+			}
 		}
 	}
 }

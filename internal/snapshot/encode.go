@@ -64,7 +64,9 @@ func Save(w io.Writer, st *State, opts Options) error {
 			return nil
 		})
 	}
-	view := st.View
+	// The image and the evidence's edge and mention numbers are a flat
+	// view's, so a view with a delta is folded first.
+	view := st.View.Fold()
 	if view == nil {
 		view = serving.Compile(st.Taxonomy)
 	}

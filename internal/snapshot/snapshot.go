@@ -117,10 +117,11 @@ type State struct {
 	Taxonomy *taxonomy.Taxonomy
 	Meta     Meta
 
-	// View, when set, is an already-compiled serving view of exactly
-	// Taxonomy; Save serializes it instead of compiling the taxonomy
-	// again (the ingest plane's compactor hands over the view it just
-	// published). Ignored by the loaders.
+	// View, when set, is an already-built serving view of exactly
+	// Taxonomy; Save serializes it — folded, if it has a delta — instead
+	// of compiling the taxonomy again (the ingest plane's compactor hands
+	// over the view it just published, which PublishedView has folded).
+	// Ignored by the loaders.
 	View *serving.View
 
 	// Evidence is the persistent incremental-update evidence; nil when

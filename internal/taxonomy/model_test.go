@@ -404,10 +404,27 @@ func imageOf(t *testing.T, v *serving.View) []byte {
 	return buf.Bytes()
 }
 
-// requireSameImage holds a view patched along the writes to the bytes
-// of the full compile, which must load.
+// requireSameImage holds a view patched along the writes to the full
+// compile: its answers — a patched view is the compile's base plus a
+// delta — and the bytes it folds to, which must load.
 func requireSameImage(t *testing.T, at string, patched, compiled *serving.View) {
 	t.Helper()
+	same := func(what string, a, b any) {
+		t.Helper()
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: patched view %s = %v, compiled %v", at, what, a, b)
+		}
+	}
+	same("Nodes", patched.Nodes(), compiled.Nodes())
+	same("counts", []int{patched.NodeCount(), patched.EdgeCount(), patched.MentionCount()},
+		[]int{compiled.NodeCount(), compiled.EdgeCount(), compiled.MentionCount()})
+	same("Stats", patched.Stats(), compiled.Stats())
+	for _, n := range compiled.Nodes() {
+		same("Kind "+n, patched.Kind(n), compiled.Kind(n))
+		same("Hypernyms "+n, patched.Hypernyms(n), compiled.Hypernyms(n))
+		same("Hyponyms "+n, patched.Hyponyms(n, 0), compiled.Hyponyms(n, 0))
+		same("Lookup "+n, patched.Lookup("称呼"+n), compiled.Lookup("称呼"+n))
+	}
 	got, want := imageOf(t, patched), imageOf(t, compiled)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s: patched image differs from the compiled one (%d vs %d bytes)", at, len(got), len(want))
