@@ -11,14 +11,15 @@ const servingPkgPath = "cnprobase/internal/serving"
 
 // viewBuildFuncs are the only functions inside internal/serving allowed
 // to write View fields: the paths that construct a fresh, heap-backed
-// View before it is published (assemble lays out the canonical arrays
-// for Compile and Fold; derive, which buildDerived also runs for mapped
-// views, fills the derived ones; extend lays a delta's rows over a
-// base for Patch).
+// View before it is published (Compile reads the taxonomy into the
+// canonical arrays; Fold merges a base's rows and its delta's by ID;
+// buildDerived, which Compile and OpenImage call, fills the derived
+// arrays; extend lays a delta's rows over a base for Patch).
 var viewBuildFuncs = map[string]bool{
-	"assemble": true,
-	"derive":   true,
-	"extend":   true,
+	"Compile":      true,
+	"Fold":         true,
+	"buildDerived": true,
+	"extend":       true,
 }
 
 // ViewMut flags writes through serving.View backing slices. A View
@@ -31,7 +32,8 @@ var viewBuildFuncs = map[string]bool{
 // and flags element assignment, ++/--, compound assignment, use as a
 // copy destination or append first-argument, and handing the slice to
 // an in-place sorter. Inside internal/serving it flags View field
-// writes anywhere but the assemble/derive/extend construction paths.
+// writes anywhere but the Compile/Fold/buildDerived/extend construction
+// paths.
 var ViewMut = &Analyzer{
 	Name: "viewmut",
 	Doc:  "flag writes through serving.View backing slices (mapped views are PROT_READ)",
@@ -68,7 +70,7 @@ func runViewMutInternal(pass *Pass) {
 				}
 				if tv, ok := pass.Info.Types[sel.X]; ok && namedTypeIs(tv.Type, servingPkgPath, "View") {
 					pass.Report(lhs.Pos(),
-						"write to View field %s outside the assemble/derive/extend construction paths", sel.Sel.Name)
+						"write to View field %s outside the Compile/Fold/buildDerived/extend construction paths", sel.Sel.Name)
 				}
 			}
 			return true

@@ -107,8 +107,9 @@ type IngesterConfig struct {
 // into folding the batch in (update_ms) and freezing + swapping the
 // new view (publish_ms) — how much of the taxonomy the view was
 // brought up to date from (touched_nodes re-read; full_compile when
-// the whole taxonomy was), the post-update taxonomy shape, and — on a durable
-// ingester — the batch's log sequence number.
+// the whole taxonomy was; folded when the publication folded a delta
+// that outgrew its base into flat arrays), the post-update taxonomy
+// shape, and — on a durable ingester — the batch's log sequence number.
 type IngestResponse struct {
 	Pages        int     `json:"pages"`
 	TookMs       float64 `json:"took_ms"`
@@ -120,6 +121,7 @@ type IngestResponse struct {
 	IsARelations int     `json:"isa_relations"`
 	LSN          uint64  `json:"lsn,omitempty"`
 	FullCompile  bool    `json:"full_compile"`
+	Folded       bool    `json:"folded"`
 }
 
 type ingestReply struct {
@@ -335,6 +337,7 @@ func (ing *Ingester) apply(res *core.Result, req ingestReq) *core.Result {
 		PublishMs:    millis(published.Sub(folded)),
 		TouchedNodes: pub.TouchedNodes,
 		FullCompile:  pub.FullCompile,
+		Folded:       pub.Folded,
 		Entities:     st.Entities,
 		Concepts:     st.Concepts,
 		IsARelations: st.IsARelations,

@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -115,6 +116,43 @@ func TestIngestSwapsServingView(t *testing.T) {
 	getJSON(t, apiTS.URL+"/api/men2ent?mention="+url.QueryEscape(newTitle), &men)
 	if len(men.Entities) == 0 {
 		t.Errorf("men2ent(%q) empty after ingest", newTitle)
+	}
+}
+
+// TestIngestReportsFolds posts small batches until a publication's
+// delta outgrows its base: the response reads folded on that batch,
+// which leaves the server a flat view, and on no other, each of which
+// leaves a delta that has not outgrown its base.
+func TestIngestReportsFolds(t *testing.T) {
+	res, srv, _, _, ingTS := ingestFixture(t)
+	folds := 0
+	for i := 0; i < 80 && folds == 0; i++ {
+		var pages []encyclopedia.Page
+		for k := 0; k < 2; k++ {
+			concept := res.Names()[res.Kept[(7*i+k)%len(res.Kept)].Hyper]
+			pages = append(pages, encyclopedia.Page{Title: fmt.Sprintf("折叠测试实体%02d%d", i, k), Tags: []string{concept}})
+		}
+		resp := postJSONL(t, ingTS.URL, pages)
+		var rep IngestResponse
+		err := json.NewDecoder(resp.Body).Decode(&rep)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %d: status %d, %v", i, resp.StatusCode, err)
+		}
+		v := srv.View()
+		switch {
+		case rep.Folded:
+			folds++
+			t.Logf("batch %d folded: %+v", i, rep)
+			if i < 2 || v.HasDelta() {
+				t.Fatalf("batch %d reads folded, and the view it left has a delta %v", i, v.HasDelta())
+			}
+		case !v.HasDelta() || v.Outgrown():
+			t.Fatalf("batch %d does not read folded, and the view it left has a delta %v (outgrown %v)", i, v.HasDelta(), v.Outgrown())
+		}
+	}
+	if folds == 0 {
+		t.Fatal("no batch outgrew its base")
 	}
 }
 

@@ -9,19 +9,21 @@ import (
 	"cnprobase/internal/taxonomy"
 )
 
-// Compile freezes the taxonomy's lists into an immutable View:
-// adjacency in canonical sorted order, each node's hypernyms ranked by
-// typicality P(concept | entity) from their evidence counts — each
-// edge's number of sources. The nodes are put in name order once;
-// edges are then ordered, and their hypernyms resolved, through that
-// permutation, and so are a mention's entities, so compiling searches
-// no sorted table per edge or per mention entity. An edge held by both
-// Kept and Derived is one edge, its sources OR'ed. The view is laid out
-// as a mapped one is (see OpenImage): sorted tables and flat arrays, no
-// index beside them, so what it allocates does not grow with the
-// taxonomy. The sorted names and mentions are concatenated once into
-// the view's two arenas, each held, like the image's, to 4 GiB (past
-// that Compile panics).
+// Compile freezes the taxonomy's lists into an immutable, flat View:
+// it reads the nodes in name order straight into the view's arrays —
+// node i is the i-th name, so an ID is a name rank — and resolves each
+// node's edges and each mention's entities through one symbol ID →
+// name rank table, so compiling searches no sorted table per edge or per
+// mention entity. An edge held by both Kept and Derived is one edge,
+// its sources OR'ed. The derived arrays — hypernym rankings by
+// typicality P(concept | entity) from each edge's number of sources,
+// evidence totals, the hyponym side, stats — are then filled by
+// buildDerived, as OpenImage fills a mapped view's. The view is laid
+// out as a mapped one is: sorted tables and flat arrays, no index
+// beside them, so what it allocates does not grow with the taxonomy.
+// The sorted names and mentions are concatenated once into the view's
+// two arenas, each held, like the image's, to 4 GiB (past that Compile
+// panics).
 //
 // Every entity a mention names is a node of the view: one the
 // taxonomy holds no node for (a hand-assembled mention can name any
@@ -33,24 +35,62 @@ import (
 func Compile(t *taxonomy.Taxonomy) *View {
 	names := t.Symbols().Names()
 	order := t.Nodes()
-	ch := &change{rank: make([]int32, len(names)), name: func(id uint32) string { return names[id] }}
-	for i := range ch.rank {
-		ch.rank[i] = -1
-	}
+	ranks := make([]uint32, len(names)) // symbol ID → node ID (name rank), for the nodes
+	nameBytes := 0
 	for i, id := range order {
-		ch.rank[id] = int32(i)
+		ranks[id] = uint32(i)
+		nameBytes += len(names[id])
 	}
-	ch.read(t, order)
-	ents := make([]uint32, len(t.Mentions))
-	for i := 0; i < len(t.Mentions); {
-		row, from := changeMention{text: t.Mentions[i].Text}, i
-		for ; i < len(t.Mentions) && t.Mentions[i].Text == row.text; i++ {
-			ents[i] = t.Mentions[i].Entity
+	n := len(order)
+	// The taxonomy counts its edges as it writes them; the count only
+	// sizes the arrays.
+	e := t.ComputeStats().IsARelations
+	v := &View{
+		names:       newTable(n, nameBytes),
+		kinds:       make([]taxonomy.NodeKind, n),
+		hyperOff:    make([]uint32, n+1),
+		hyperIDs:    make([]uint32, 0, e),
+		edgeSources: make([]taxonomy.Source, 0, e),
+	}
+	var pairs []taxonomy.Pair
+	for i, id := range order {
+		v.names.push(names[id])
+		v.kinds[i] = t.KindOf(id)
+		v.hyperOff[i] = uint32(len(v.hyperIDs))
+		pairs = t.AppendEdges(pairs[:0], id)
+		slices.SortFunc(pairs, func(a, b taxonomy.Pair) int { return cmp.Compare(ranks[a.Hyper], ranks[b.Hyper]) })
+		for _, p := range pairs {
+			v.hyperIDs = append(v.hyperIDs, ranks[p.Hyper])
+			v.edgeSources = append(v.edgeSources, p.Source)
 		}
-		row.ents = ents[from:i:i]
-		ch.mentions = append(ch.mentions, row)
 	}
-	return assemble(&View{}, ch)
+	v.hyperOff[n] = uint32(len(v.hyperIDs))
+
+	// ---- the mention table: one row per text, its entities' node IDs
+	// ascending ----
+	rows, menBytes := 0, 0
+	for i, m := range t.Mentions {
+		if i == 0 || m.Text != t.Mentions[i-1].Text {
+			rows++
+			menBytes += len(m.Text)
+		}
+	}
+	v.mentions = newTable(rows, menBytes)
+	v.mentionOff = make([]uint32, 0, rows+1)
+	v.mentionEnts = make([]uint32, len(t.Mentions))
+	for i := 0; i < len(t.Mentions); {
+		text, from := t.Mentions[i].Text, i
+		for ; i < len(t.Mentions) && t.Mentions[i].Text == text; i++ {
+			v.mentionEnts[i] = ranks[t.Mentions[i].Entity]
+		}
+		slices.Sort(v.mentionEnts[from:i])
+		v.mentions.push(text)
+		v.mentionOff = append(v.mentionOff, uint32(from))
+	}
+	v.mentionOff = append(v.mentionOff, uint32(len(t.Mentions)))
+	v.mentionFirst = firstRuneSet(v.mentions)
+	v.buildDerived()
+	return v
 }
 
 // Patch returns a view that answers like Compile(t), built from prev —
@@ -80,7 +120,7 @@ func Patch(prev *View, t *taxonomy.Taxonomy, nodes []uint32, mentions []string) 
 // mention names is kept by extend.
 func readNamed(t *taxonomy.Taxonomy, nodes []uint32, mentions []string) *change {
 	names := t.Symbols().Names()
-	ch := &change{name: func(id uint32) string { return names[id] }}
+	ch := &change{symbols: names}
 	mentions = slices.Clone(mentions)
 	slices.Sort(mentions)
 	var ents []uint32
@@ -106,10 +146,9 @@ func readNamed(t *taxonomy.Taxonomy, nodes []uint32, mentions []string) *change 
 	return ch
 }
 
-// change is what assemble folds over a previous view: the current
-// state of every node that may differ from it, and of every mention
-// whose entity list may. A full compile is the change that names
-// everything, folded over the empty view.
+// change is what extend lays over a previous view: the current state
+// of every node that may differ from it, and of every mention whose
+// entity list may.
 type change struct {
 	// names lists the nodes, ascending and distinct; absent marks,
 	// parallel to it, the nodes that do not exist, and kinds their kinds.
@@ -118,266 +157,45 @@ type change struct {
 	kinds  []taxonomy.NodeKind
 	// Node i's edges are edges[edgeOff[i]:edgeOff[i+1]], ascending by
 	// hypernym name.
-	edgeOff []uint32
-	edges   []changeEdge
-	// rank maps a symbol ID to its node's position in a full read, -1
-	// when it is no node; nil for a read of named nodes.
-	rank     []int32
+	edgeOff  []uint32
+	edges    []changeEdge
 	mentions []changeMention // ascending by text, distinct
-	// name names a node: by symbol ID for a read, by node ID of the
-	// folded view for a fold.
-	name func(uint32) string
+	symbols  []string        // symbol ID → name
 }
 
-// changeEdge is one edge of a change's node. at is the hypernym's
-// position in the change, or -1 when the read did not resolve it (it
-// is then looked up in the new view).
+// changeEdge is one edge of a change's node.
 type changeEdge struct {
 	hyper   string
-	at      int32
 	sources taxonomy.Source
 }
 
-// changeMention is one mention and its entities, named by the change's
-// name.
+// changeMention is one mention and its entities' symbol IDs.
 type changeMention struct {
 	text string
 	ents []uint32
 }
 
 // read reads the nodes of ids, which are in name order and distinct:
-// kind, existence and edges, in hypernym name order — resolved through
-// rank, which a full read has, by name otherwise.
+// kind, existence and edges, in hypernym name order.
 func (ch *change) read(t *taxonomy.Taxonomy, ids []uint32) {
 	ch.names = make([]string, len(ids))
 	ch.absent = make([]bool, len(ids))
 	ch.kinds = make([]taxonomy.NodeKind, len(ids))
 	ch.edgeOff = make([]uint32, len(ids)+1)
-	if ch.rank != nil {
-		ch.edges = make([]changeEdge, 0, len(t.Kept)+len(t.Derived))
-	}
 	var pairs []taxonomy.Pair
 	for i, id := range ids {
 		pairs = t.AppendEdges(pairs[:0], id)
-		ch.names[i], ch.kinds[i] = ch.name(id), t.KindOf(id)
+		ch.names[i], ch.kinds[i] = ch.symbols[id], t.KindOf(id)
 		// A node is marked or the hyponym of an edge (a hypernym is always
-		// marked); a full read holds mention entities too (Nodes).
-		ch.absent[i] = ch.rank == nil && ch.kinds[i] == taxonomy.KindUnknown && len(pairs) == 0
+		// marked).
+		ch.absent[i] = ch.kinds[i] == taxonomy.KindUnknown && len(pairs) == 0
 		from := len(ch.edges)
 		for _, p := range pairs {
-			at := int32(-1)
-			if ch.rank != nil {
-				at = ch.rank[p.Hyper]
-			}
-			ch.edges = append(ch.edges, changeEdge{hyper: ch.name(p.Hyper), at: at, sources: p.Source})
+			ch.edges = append(ch.edges, changeEdge{hyper: ch.symbols[p.Hyper], sources: p.Source})
 		}
-		slices.SortFunc(ch.edges[from:], func(a, b changeEdge) int {
-			if ch.rank != nil {
-				return cmp.Compare(a.at, b.at)
-			}
-			return strings.Compare(a.hyper, b.hyper)
-		})
+		slices.SortFunc(ch.edges[from:], func(a, b changeEdge) int { return strings.Compare(a.hyper, b.hyper) })
 		ch.edgeOff[i+1] = uint32(len(ch.edges))
 	}
-}
-
-// run is a stretch of prev's nodes the change does not name: prev IDs
-// [lo, hi) keep their content and sit at new IDs [at, at+hi-lo).
-type run struct{ lo, hi, at uint32 }
-
-// gone marks a node that has no ID in the new view.
-const gone = ^uint32(0)
-
-// assemble is the one array-assembly routine behind Compile and Fold.
-// Nodes the change names are written from the change; the stretches of
-// prev between them are block-copied, the node IDs inside them
-// renumbered through a monotone old → new table. It returns nil when
-// the change does not cover the difference: a carried-over or restated
-// edge, or a mention, names a node the new view lacks.
-func assemble(prev *View, ch *change) *View {
-	// ---- plan: interleave prev's untouched runs with the named nodes ----
-	var runs []run
-	remap := make([]uint32, prev.names.len()) // prev ID → new ID, or gone
-	at := make([]uint32, len(ch.names))       // named node → new ID, or gone
-	n, p := uint32(0), uint32(0)
-	keep := func(hi uint32) {
-		if hi > p {
-			runs = append(runs, run{lo: p, hi: hi, at: n})
-			for i := p; i < hi; i++ {
-				remap[i] = n + (i - p)
-			}
-			n += hi - p
-			p = hi
-		}
-	}
-	for ci, name := range ch.names {
-		pos := prev.names.seek(int(p), name)
-		found := pos < prev.names.len() && prev.names.at(pos) == name
-		keep(uint32(pos))
-		at[ci] = gone
-		if ch.absent == nil || !ch.absent[ci] {
-			at[ci] = n
-			n++
-		}
-		if found {
-			remap[p] = at[ci]
-			p++
-		}
-	}
-	keep(uint32(prev.names.len()))
-
-	e, nameBytes := uint32(0), 0
-	for _, r := range runs {
-		e += prev.hyperOff[r.hi] - prev.hyperOff[r.lo]
-		nameBytes += int(prev.names.off[r.hi] - prev.names.off[r.lo])
-	}
-	for ci, id := range at {
-		if id != gone {
-			e += ch.edgeOff[ci+1] - ch.edgeOff[ci]
-			nameBytes += len(ch.names[ci])
-		}
-	}
-	v := &View{
-		names:    newTable(int(n), nameBytes),
-		kinds:    make([]taxonomy.NodeKind, n),
-		hyperOff: make([]uint32, n+1),
-	}
-	fresh := make([]bool, n) // new ID → named by the change
-	ri, ci := 0, 0
-	for id := uint32(0); id < n; {
-		if ri < len(runs) && runs[ri].at == id {
-			r := runs[ri]
-			ri++
-			v.names.pushRun(prev.names, r.lo, r.hi)
-			copy(v.kinds[id:], prev.kinds[r.lo:r.hi])
-			id += r.hi - r.lo
-			continue
-		}
-		for at[ci] != id {
-			ci++
-		}
-		v.names.push(ch.names[ci])
-		v.kinds[id], fresh[id] = ch.kinds[ci], true
-		ci++
-		id++
-	}
-
-	// ---- flat sorted mention table: prev's rows, their entities
-	// renumbered, with the change's entries replacing them or slotting
-	// in between, their entities resolved to node IDs — through the
-	// full read's rank, by a search of the new names otherwise ----
-	rows, ents, menBytes := prev.mentions.len()+len(ch.mentions), len(prev.mentionEnts), len(prev.mentions.arena)
-	for i := range ch.mentions {
-		ents += len(ch.mentions[i].ents)
-		menBytes += len(ch.mentions[i].text)
-	}
-	v.mentions = newTable(rows, menBytes)
-	v.mentionOff = make([]uint32, 0, rows+1)
-	v.mentionEnts = make([]uint32, 0, ents)
-	covered := true
-	p = 0
-	keepRows := func(hi uint32) {
-		if hi > p {
-			a, b := prev.mentionOff[p], prev.mentionOff[hi]
-			shift := uint32(len(v.mentionEnts)) - a
-			v.mentions.pushRun(prev.mentions, p, hi)
-			for _, o := range prev.mentionOff[p:hi] {
-				v.mentionOff = append(v.mentionOff, o+shift)
-			}
-			for _, id := range prev.mentionEnts[a:b] {
-				covered = covered && remap[id] != gone
-				v.mentionEnts = append(v.mentionEnts, remap[id])
-			}
-			p = hi
-		}
-	}
-	// No row of prev vanishes (no mention pair is ever removed), so the
-	// first-rune filter is prev's plus the change's first runes: no pass
-	// over the table.
-	v.mentionFirst = make(runeSet, runeSetWords)
-	copy(v.mentionFirst, prev.mentionFirst)
-	for i := range ch.mentions {
-		entry := &ch.mentions[i]
-		pos := prev.mentions.seek(int(p), entry.text)
-		found := pos < prev.mentions.len() && prev.mentions.at(pos) == entry.text
-		keepRows(uint32(pos))
-		if found {
-			p++
-		}
-		v.mentions.push(entry.text)
-		v.mentionOff = append(v.mentionOff, uint32(len(v.mentionEnts)))
-		row := len(v.mentionEnts)
-		for _, ent := range entry.ents {
-			var id uint32
-			var ok bool
-			if ch.rank != nil {
-				if c := ch.rank[ent]; c >= 0 {
-					id, ok = at[c], at[c] != gone
-				}
-			} else {
-				id, ok = v.ID(ch.name(ent), 0)
-			}
-			covered = covered && ok
-			v.mentionEnts = append(v.mentionEnts, id)
-		}
-		slices.Sort(v.mentionEnts[row:]) // node IDs ascend with the entities' names
-		v.mentionFirst.add(entry.text)
-	}
-	keepRows(uint32(prev.mentions.len()))
-	v.mentionOff = append(v.mentionOff, uint32(len(v.mentionEnts)))
-	if !covered {
-		return nil
-	}
-
-	// ---- hypernym CSR: the canonical edge arrays, laid out in ID order
-	// (runs and named nodes interleave by construction) ----
-	v.hyperIDs = make([]uint32, e)
-	v.edgeSources = make([]taxonomy.Source, e)
-	off := uint32(0)
-	ri, ci = 0, 0
-	for id := uint32(0); id < n; {
-		if ri < len(runs) && runs[ri].at == id {
-			r := runs[ri]
-			ri++
-			a, b := prev.hyperOff[r.lo], prev.hyperOff[r.hi]
-			for i := r.lo; i < r.hi; i++ {
-				v.hyperOff[id+(i-r.lo)] = prev.hyperOff[i] - a + off
-			}
-			for j := a; j < b; j++ {
-				hyperID := remap[prev.hyperIDs[j]]
-				covered = covered && hyperID != gone
-				v.hyperIDs[off+(j-a)] = hyperID
-			}
-			copy(v.edgeSources[off:], prev.edgeSources[a:b])
-			off += b - a
-			id += r.hi - r.lo
-			continue
-		}
-		for at[ci] != id {
-			ci++
-		}
-		v.hyperOff[id] = off
-		for _, edge := range ch.edges[ch.edgeOff[ci]:ch.edgeOff[ci+1]] {
-			hyperID := gone
-			if edge.at >= 0 {
-				hyperID = at[edge.at]
-			} else if id, ok := v.ID(edge.hyper, 0); ok {
-				hyperID = id
-			}
-			covered = covered && hyperID != gone
-			v.hyperIDs[off] = hyperID
-			v.edgeSources[off] = edge.sources
-			off++
-		}
-		ci++
-		id++
-	}
-	v.hyperOff[n] = off
-	if !covered {
-		return nil
-	}
-	v.derive(prev, runs, remap, fresh)
-	return v
 }
 
 // newTable returns an empty table with room for rows entries of
@@ -390,105 +208,42 @@ func newTable(rows, arenaLen int) table {
 	return table{arena: make([]byte, 0, arenaLen), off: make([]uint32, 1, rows+1)}
 }
 
-// buildDerived computes everything reconstructible from the canonical
-// arrays — names, kinds, the hypernym CSR and its edge evidence — for
-// every node. OpenImage calls it on the mapped path; assemble runs the
-// same derivation (derive) restricted to the nodes a change names, so
-// the kinds of View cannot drift apart: the derived state is produced
-// by one function either way.
-func (v *View) buildDerived() { v.derive(nil, nil, nil, nil) }
-
-// derive fills the derived arrays — per-node evidence totals, the
-// hypernym typicality rank permutations, the transposed hyponym CSR and
-// the stats summary — from the canonical ones; an edge's evidence
-// count is the number of its sources. Every per-edge array it
-// fills is integer-only, so copying one from prev runs no write
-// barrier. Nodes inside runs take their segments from prev verbatim
-// (node IDs renumbered through remap): none of their edges changed, so
-// neither did their totals, hyponyms or ranking order, and a rank is a
-// position inside its own segment, so it survives the renumbering
-// unchanged. Fresh nodes are derived from the new canonical arrays;
-// fresh == nil means every node is.
-func (v *View) derive(prev *View, runs []run, remap []uint32, fresh []bool) {
+// buildDerived fills the derived arrays — per-node evidence totals,
+// the hypernym typicality rank permutations, the transposed hyponym
+// CSR and the stats summary — from the canonical ones: names, kinds,
+// the hypernym CSR and its edge sources (an edge's evidence count is
+// the number of its sources). Compile and OpenImage both call it, so a
+// compiled view and a mapped one cannot drift apart; Fold copies these
+// arrays from the rows it merges instead.
+func (v *View) buildDerived() {
 	n, e := v.names.len(), len(v.hyperIDs)
 	v.hyperRank = make([]uint32, e)
 	v.hyperTotals = make([]int64, n)
 	v.hypoOff = make([]uint32, n+1)
 	v.hypoIDs = make([]uint32, e)
-
-	// ---- hypernym side, and every node's hyponym degree ----
-	for _, r := range runs {
-		a, b, to := prev.hyperOff[r.lo], prev.hyperOff[r.hi], v.hyperOff[r.at]
-		copy(v.hyperRank[to:], prev.hyperRank[a:b])
-		copy(v.hyperTotals[r.at:], prev.hyperTotals[r.lo:r.hi])
-		for i := r.lo; i < r.hi; i++ {
-			v.hypoOff[r.at+(i-r.lo)+1] = prev.hypoOff[i+1] - prev.hypoOff[i]
-		}
-	}
+	v.stats = taxonomy.Stats{}
 	for u := 0; u < n; u++ {
-		if fresh != nil && !fresh[u] {
-			continue
-		}
 		lo, hi := v.hyperOff[u], v.hyperOff[u+1]
 		for _, s := range v.edgeSources[lo:hi] {
 			v.hyperTotals[u] += int64(s.Evidence())
 		}
 		rank(v.hyperRank[lo:hi], v.edgeSources[lo:hi])
+		countStats(&v.stats, v.kinds[u], int(hi-lo), 1)
 	}
 	for _, hyperID := range v.hyperIDs {
-		if fresh == nil || fresh[hyperID] {
-			v.hypoOff[hyperID+1]++
-		}
+		v.hypoOff[hyperID+1]++
 	}
 	for i := 0; i < n; i++ {
 		v.hypoOff[i+1] += v.hypoOff[i]
 	}
-
-	// ---- hyponym side ----
-	for _, r := range runs {
-		a, b, to := prev.hypoOff[r.lo], prev.hypoOff[r.hi], v.hypoOff[r.at]
-		for j := a; j < b; j++ {
-			v.hypoIDs[to+(j-a)] = remap[prev.hypoIDs[j]]
-		}
-	}
-	// Transpose the edges that end at fresh nodes. Scanning the flat
-	// array — which is in (hypo, hyper) ascending order — and appending
-	// per hypernym keeps each segment sorted by hyponym ID.
-	fill := make([]uint32, n)
-	copy(fill, v.hypoOff[:n])
+	// Transpose: scanning the flat array — which is in (hypo, hyper)
+	// ascending order — and appending per hypernym keeps each segment
+	// sorted by hyponym ID.
+	fill := slices.Clone(v.hypoOff[:n])
 	for u := 0; u < n; u++ {
-		for j := v.hyperOff[u]; j < v.hyperOff[u+1]; j++ {
-			hyperID := v.hyperIDs[j]
-			if fresh != nil && !fresh[hyperID] {
-				continue
-			}
+		for _, hyperID := range v.hyperIDs[v.hyperOff[u]:v.hyperOff[u+1]] {
 			v.hypoIDs[fill[hyperID]] = uint32(u)
 			fill[hyperID]++
-		}
-	}
-
-	// ---- stats (the taxonomy's ComputeStats, replayed over the frozen
-	// content) ----
-	v.stats = taxonomy.Stats{}
-	for _, k := range v.kinds {
-		switch k {
-		case taxonomy.KindEntity:
-			v.stats.Entities++
-		case taxonomy.KindConcept:
-			v.stats.Concepts++
-		}
-	}
-	v.stats.IsARelations = e
-	for u := 0; u < n; u++ {
-		lo, hi := v.hyperOff[u], v.hyperOff[u+1]
-		if lo == hi {
-			continue
-		}
-		v.stats.NodesWithHypernym++
-		if v.kinds[u] == taxonomy.KindConcept {
-			v.stats.SubConceptIsA += int(hi - lo)
-		} else {
-			v.stats.EntityConceptIsA += int(hi - lo) // unmarked hyponyms behave as instances
 		}
 	}
 }

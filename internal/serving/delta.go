@@ -208,45 +208,137 @@ func (v *View) Outgrown() bool {
 }
 
 // Fold returns the flat view that answers like v: v itself when it has
-// no delta; otherwise the base's arrays with the delta's rows written
-// in and every node renumbered to its name rank — one pass over the
-// arrays, what a patch of the base by the same rows costs. Its image is
-// Compile's byte for byte. A nil view folds to nil.
+// no delta; otherwise a merge of the base's rows and the delta's by ID.
+// It walks the base's nodes and the delta's new ones in name order (by
+// order key: a new node of key p<<32|r comes before base node p), drops
+// the dead ones, and numbers the rest by their place in that walk. Each
+// node's row is then copied, from the delta when the delta holds one
+// and from the base otherwise, with only its node IDs — hypernyms,
+// hyponyms, a mention's entities — renumbered. The renumbering keeps
+// name order, so every ordered row stays ordered, and a rank is a
+// position inside its own segment, so rankings, totals and edge sources
+// copy as they are; the delta view's stats and first-rune filter are
+// already current (extend). Mentions merge by text: the base's rows,
+// each delta row replacing its own or slotting in. Fold runs no
+// derivation and compares no node name; its image is Compile's byte for
+// byte. A nil view folds to nil.
 func (v *View) Fold() *View {
 	if v == nil || v.delta == nil {
 		return v
 	}
-	d := v.delta
-	ch := &change{name: v.Name}
-	ids := make([]uint32, 0, len(d.rows.kinds))
-	ids = append(ids, d.touched...)
-	for r := range d.rows.names.len() {
-		ids = append(ids, d.newIDs[r])
-	}
-	// A dead base node is named absent, so the fold drops it; a dead new
-	// node is no node of the base, and is left out.
-	ids = slices.DeleteFunc(ids, func(id uint32) bool { return id >= d.nBase && d.isDead(id) })
-	slices.SortFunc(ids, v.CompareIDs)
-	n := len(ids)
-	ch.names = make([]string, n)
-	ch.absent = make([]bool, n)
-	ch.kinds = make([]taxonomy.NodeKind, n)
-	ch.edgeOff = make([]uint32, n+1)
-	ch.edges = make([]changeEdge, 0, len(d.rows.hyperIDs))
-	for i, id := range ids {
-		r, s := v.node(id)
-		ch.names[i], ch.kinds[i], ch.absent[i] = v.Name(id), r.kinds[s], d.isDead(id)
-		lo, hi := r.hyperOff[s], r.hyperOff[s+1]
-		for j := lo; j < hi; j++ {
-			ch.edges = append(ch.edges, changeEdge{hyper: v.Name(r.hyperIDs[j]), at: -1, sources: r.edgeSources[j]})
+	d, b := v.delta, v.delta.base
+
+	// each calls f for every live node in name order — the base's nodes
+	// and the new ones merged by order key — with its name and the row
+	// that holds it: the delta's slot when the delta holds one, the base's
+	// row otherwise. Only a row the delta holds can be dead.
+	each := func(f func(id uint32, name string, r *View, s uint32)) {
+		k, t := 0, 0 // new rows [:k] and d.touched[:t] are walked
+		for id := uint32(0); ; id++ {
+			for ; k < len(d.newIDs) && d.key(d.newIDs[k])>>32 <= uint64(id); k++ {
+				if nid := d.newIDs[k]; !d.isDead(nid) {
+					f(nid, d.rows.names.at(k), &d.rows, uint32(len(d.touched))+nid-d.nBase)
+				}
+			}
+			switch {
+			case id == d.nBase:
+				return
+			case t < len(d.touched) && d.touched[t] == id:
+				if !d.isDead(id) {
+					f(id, b.names.at(int(id)), &d.rows, uint32(t))
+				}
+				t++
+			default:
+				f(id, b.names.at(int(id)), b, id)
+			}
 		}
-		ch.edgeOff[i+1] = uint32(len(ch.edges))
 	}
+
+	// ---- old ID → new ID: a node's place in the walk ----
+	remap := make([]uint32, int(d.nBase)+len(d.newIDs))
+	n, e, nameBytes := 0, 0, 0
+	each(func(id uint32, name string, r *View, s uint32) {
+		remap[id] = uint32(n)
+		n++
+		e += int(r.hyperOff[s+1] - r.hyperOff[s])
+		nameBytes += len(name)
+	})
+
+	// ---- node rows ----
+	nv := &View{
+		names:        newTable(n, nameBytes),
+		kinds:        make([]taxonomy.NodeKind, n),
+		hyperOff:     make([]uint32, n+1),
+		hyperIDs:     make([]uint32, 0, e),
+		hyperRank:    make([]uint32, 0, e),
+		edgeSources:  make([]taxonomy.Source, 0, e),
+		hyperTotals:  make([]int64, n),
+		hypoOff:      make([]uint32, n+1),
+		hypoIDs:      make([]uint32, 0, e),
+		mentionFirst: v.mentionFirst,
+		stats:        v.stats,
+	}
+	i := 0
+	each(func(_ uint32, name string, r *View, s uint32) {
+		nv.names.push(name)
+		nv.kinds[i], nv.hyperTotals[i] = r.kinds[s], r.hyperTotals[s]
+		lo, hi := r.hyperOff[s], r.hyperOff[s+1]
+		nv.hyperOff[i] = uint32(len(nv.hyperIDs))
+		for _, h := range r.hyperIDs[lo:hi] {
+			nv.hyperIDs = append(nv.hyperIDs, remap[h])
+		}
+		nv.hyperRank = append(nv.hyperRank, r.hyperRank[lo:hi]...)
+		nv.edgeSources = append(nv.edgeSources, r.edgeSources[lo:hi]...)
+		nv.hypoOff[i] = uint32(len(nv.hypoIDs))
+		for _, h := range r.hypoIDs[r.hypoOff[s]:r.hypoOff[s+1]] {
+			nv.hypoIDs = append(nv.hypoIDs, remap[h])
+		}
+		i++
+	})
+	nv.hyperOff[n], nv.hypoOff[n] = uint32(len(nv.hyperIDs)), uint32(len(nv.hypoIDs))
+
+	// ---- mentions: where each delta row lands among the base's, and
+	// whether it replaces the base's row there ----
 	m := &d.rows
-	for i := range m.mentions.len() {
-		ch.mentions = append(ch.mentions, changeMention{text: m.mentions.at(i), ents: m.mentionEnts[m.mentionOff[i]:m.mentionOff[i+1]]})
+	at := make([]int, m.mentions.len())
+	replaces := make([]bool, len(at))
+	rows, ents, menBytes := d.mentionCount, len(b.mentionEnts)+len(m.mentionEnts), len(b.mentions.arena)+len(m.mentions.arena)
+	for i := range at {
+		text := m.mentions.at(i)
+		if i > 0 {
+			at[i] = at[i-1]
+		}
+		at[i] = b.mentions.seek(at[i], text)
+		if replaces[i] = at[i] < b.mentions.len() && b.mentions.at(at[i]) == text; replaces[i] {
+			ents -= int(b.mentionOff[at[i]+1] - b.mentionOff[at[i]])
+			menBytes -= len(text)
+		}
 	}
-	return assemble(d.base, ch)
+	nv.mentions = newTable(rows, menBytes)
+	nv.mentionOff = make([]uint32, 0, rows+1)
+	nv.mentionEnts = make([]uint32, 0, ents)
+	push := func(from *View, i int) {
+		nv.mentions.push(from.mentions.at(i))
+		nv.mentionOff = append(nv.mentionOff, uint32(len(nv.mentionEnts)))
+		for _, id := range from.mentionEnts[from.mentionOff[i]:from.mentionOff[i+1]] {
+			nv.mentionEnts = append(nv.mentionEnts, remap[id])
+		}
+	}
+	p := 0
+	for i, a := range at {
+		for ; p < a; p++ {
+			push(b, p)
+		}
+		if replaces[i] {
+			p++
+		}
+		push(m, i)
+	}
+	for ; p < b.mentions.len(); p++ {
+		push(b, p)
+	}
+	nv.mentionOff = append(nv.mentionOff, uint32(len(nv.mentionEnts)))
+	return nv
 }
 
 // extend returns prev with the change's rows laid over it: a view with
@@ -539,7 +631,7 @@ func extend(prev *View, ch *change) *View {
 		m.mentionOff = append(m.mentionOff, uint32(len(m.mentionEnts)))
 		lo := len(m.mentionEnts)
 		for _, ent := range cm.ents {
-			id, ok := resolve(ch.name(ent))
+			id, ok := resolve(ch.symbols[ent])
 			if !ok {
 				return nil
 			}
@@ -553,6 +645,9 @@ func extend(prev *View, ch *change) *View {
 	m.mentionOff = append(m.mentionOff, uint32(len(m.mentionEnts)))
 	return &nv
 }
+
+// gone marks a read node that has no ID in the view extend builds.
+const gone = ^uint32(0)
 
 // mentions reports whether a mention of prev names node id, one the
 // change did not re-read: a base mention (mentioned, the base's entity
@@ -620,7 +715,8 @@ func mergeHyponyms(dst, had, read []uint32, links []link, d *delta) []uint32 {
 
 // countStats adds (sign 1) or removes (sign -1) one node's share of the
 // stats: its kind, and its degree hypernym edges classified by its kind
-// as derive counts them.
+// (an unmarked hyponym counts as an instance), as buildDerived counts
+// them.
 func countStats(s *taxonomy.Stats, kind taxonomy.NodeKind, degree, sign int) {
 	switch kind {
 	case taxonomy.KindEntity:

@@ -57,7 +57,7 @@ func TestOpenImageHeap(t *testing.T) {
 		// one to whole pages, a small one to its size class).
 		n, slack := uint64(v.NodeCount()), uint64(counts[len(counts)-1])<<13
 		want := derivedBytes(v) + 8*runeSetWords +
-			5*n + // derive's fill cursors (4 B) and validate's touched flags (1 B)
+			5*n + // buildDerived's fill cursors (4 B) and validate's touched flags (1 B)
 			slack
 		t.Logf("%d entities (%d nodes, %d mentions): %.0f objects, %d B, budget %d B (derived %d B)",
 			entities, n, v.MentionCount(), counts[len(counts)-1], got, want, derivedBytes(v))
@@ -95,7 +95,7 @@ func heapWorldImage(t *testing.T, entities int) []byte {
 	return buf.Bytes()
 }
 
-// derivedBytes is the size of the arrays derive fills: what a view
+// derivedBytes is the size of the arrays buildDerived fills: what a view
 // holds beyond the image's canonical content.
 func derivedBytes(v *View) uint64 {
 	var total uint64

@@ -63,9 +63,11 @@
 // shared, not copied, every query reads a written node's or mention's
 // row from the delta and any other from the base, and the base's node
 // IDs stay put, so on such a view IDs ascend with names only among the
-// base's nodes and CompareIDs orders any two. Fold merges the delta
-// into a flat view, which is what an image is written from. On a flat
-// view every query pays one nil check for this.
+// base's nodes and CompareIDs orders any two. Fold merges the base's
+// rows and the delta's into a flat view by ID — an integer renumbering,
+// no name compared, nothing re-derived — and that flat view is what an
+// image is written from. On a flat view every query pays one nil check
+// for this.
 package serving
 
 import (
@@ -77,11 +79,14 @@ import (
 )
 
 // View is the immutable serving view. The zero value is not usable;
-// build one with Compile, Patch, Fold or OpenImage: all but Patch build
-// the flat layout, and Patch lays a delta over one. A View is safe for
-// unlimited concurrent use and never changes after construction —
-// servers swap whole Views atomically to pick up new data (see
-// api.Server.SwapView).
+// build one with Compile, Patch, Fold or OpenImage. Three of them build
+// the flat layout: Compile reads a taxonomy straight into it, Fold
+// merges a base and its delta into it by ID, and OpenImage maps it over
+// an image; Compile and OpenImage fill the derived arrays with the one
+// derivation, buildDerived. Patch lays a delta over a flat view. A View
+// is safe for unlimited concurrent use and never changes after
+// construction — servers swap whole Views atomically to pick up new
+// data (see api.Server.SwapView).
 type View struct {
 	names table // id → name, sorted ascending; an ID is its name's rank
 	kinds []taxonomy.NodeKind
@@ -155,16 +160,6 @@ func (t table) at(i int) string {
 func (t *table) push(s string) {
 	t.arena = append(t.arena, s...)
 	t.off = append(t.off, uint32(len(t.arena)))
-}
-
-// pushRun appends entries [lo, hi) of src: one copy of their bytes and
-// their offsets shifted to where the bytes land.
-func (t *table) pushRun(src table, lo, hi uint32) {
-	shift := uint32(len(t.arena)) - src.off[lo] // modular: o+shift is exact
-	t.arena = append(t.arena, src.arena[src.off[lo]:src.off[hi]]...)
-	for _, o := range src.off[lo+1 : hi+1] {
-		t.off = append(t.off, o+shift)
-	}
 }
 
 // The ID-native read surface. On a flat view a node's ID is its rank

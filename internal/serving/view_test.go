@@ -244,3 +244,47 @@ func BenchmarkViewCompile(b *testing.B) {
 		_ = Compile(tax)
 	}
 }
+
+// BenchmarkViewFold folds a delta of a few percent of a 1 541-node view
+// (patchBudgetStore): 30 new entities, each under two concepts and
+// named by a mention of its own, and the concepts they name.
+func BenchmarkViewFold(b *testing.B) {
+	tax := patchBudgetStore(b)
+	prev := Compile(tax)
+	var names, mentions []string
+	for i := 0; i < 30; i++ {
+		id := fmt.Sprintf("新实体%02d", i)
+		tax.MarkEntity(id)
+		names = append(names, id)
+		for k := 0; k < 2; k++ {
+			concept := fmt.Sprintf("概念%02d", (i+13*k)%40)
+			if err := tax.AddIsA(id, concept, taxonomy.SourceTag); err != nil {
+				b.Fatal(err)
+			}
+			names = append(names, concept)
+		}
+		mention := fmt.Sprintf("新%02d", i)
+		tax.AddMention(mention, id)
+		mentions = append(mentions, mention)
+	}
+	var nodes []uint32
+	for _, n := range names {
+		id, _ := tax.Symbols().Lookup(n)
+		nodes = append(nodes, id)
+	}
+	d := Patch(prev, tax, nodes, mentions)
+	if d == nil || !d.HasDelta() {
+		b.Fatal("Patch did not publish the new entities as a delta")
+	}
+	rows, _ := d.DeltaRows()
+	b.ReportMetric(float64(rows), "delta_nodes")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		foldSink = d.Fold()
+	}
+}
+
+// foldSink keeps BenchmarkViewFold's result live, so the fold is not
+// optimized away.
+var foldSink *View

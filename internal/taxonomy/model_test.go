@@ -440,9 +440,12 @@ func requireSameImage(t *testing.T, at string, patched, compiled *serving.View) 
 // and every query of the view compiled from it — the one read model.
 // A view patched along the writes — the ends of every edge written and
 // every node marked, the mentions added — which is how the ingest path
-// publishes, must serialize byte for byte like the full compile. The
-// taxonomy shares its symbol table with a second owner that interns
-// behind its back, as the verification evidence does in a build.
+// publishes, must serialize byte for byte like the full compile. Every
+// third publication folds the patched view, as a publication whose delta
+// outgrew its base does, so later writes — retractions among them — are
+// patched over a base whose fold dropped the dead nodes. The taxonomy
+// shares its symbol table with a second owner that interns behind its
+// back, as the verification evidence does in a build.
 func TestTaxonomyModel(t *testing.T) {
 	const names = 24
 	for seed := int64(1); seed <= 8; seed++ {
@@ -452,6 +455,7 @@ func TestTaxonomyModel(t *testing.T) {
 			tx := taxonomy.NewWithSymbols(syms)
 			ref := newModel()
 			var patched *serving.View
+			publications := 0
 			var nodes []uint32
 			var mentions []string
 			for step := 0; step < 250; step++ {
@@ -465,6 +469,11 @@ func TestTaxonomyModel(t *testing.T) {
 					if patched != nil {
 						if patched = serving.Patch(patched, tx, nodes, mentions); patched == nil {
 							t.Fatalf("%s: Patch could not cover the writes to %v", at, nodes)
+						}
+						if publications++; publications%3 == 0 {
+							if patched = patched.Fold(); patched == nil {
+								t.Fatalf("%s: Fold returned nil", at)
+							}
 						}
 					} else {
 						patched = serving.Compile(tx)
